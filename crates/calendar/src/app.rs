@@ -39,6 +39,11 @@ pub(crate) const T_MEETINGS: &str = "meetings";
 /// Initiator-local bookkeeping: which participants already have a back
 /// link installed for a meeting.
 pub(crate) const T_BACKLINKS: &str = "backlinks";
+/// Initiator-local bookkeeping: at which participants this initiator has
+/// queued an availability link for a meeting (`queue_availability` sent,
+/// `drop_availability` not yet). An availability link exists nowhere
+/// else, so only these users are ever sent a `drop_availability`.
+pub(crate) const T_AVAILQ: &str = "availq";
 
 /// One user's calendar application. Always used through `Arc`.
 pub struct CalendarApp {
@@ -87,14 +92,16 @@ impl CalendarApp {
             ],
             &["id"],
         )?)?;
-        store.create_table(Schema::new(
-            T_BACKLINKS,
-            vec![
-                Column::required("meeting", ColumnType::I64),
-                Column::required("user", ColumnType::I64),
-            ],
-            &["meeting", "user"],
-        )?)?;
+        for table in [T_BACKLINKS, T_AVAILQ] {
+            store.create_table(Schema::new(
+                table,
+                vec![
+                    Column::required("meeting", ColumnType::I64),
+                    Column::required("user", ColumnType::I64),
+                ],
+                &["meeting", "user"],
+            )?)?;
+        }
 
         let mailbox = Mailbox::install(device)?;
         let registry = device.metrics();
@@ -309,21 +316,21 @@ impl CalendarApp {
         }
     }
 
+    /// Upserts a meeting record. Two service calls of one housekeeping
+    /// batch may write the same new record at once (`update_meeting` and
+    /// `queue_availability`), so losing the insert to the other writer
+    /// falls back to the update instead of failing the call.
     pub(crate) fn put_meeting(&self, meeting: &Meeting) -> SydResult<()> {
         let key = Value::from(meeting.id.raw());
-        let data = meeting.to_value();
-        if self
-            .store
-            .get_by_key(T_MEETINGS, std::slice::from_ref(&key))?
-            .is_some()
-        {
-            self.store.update(
-                T_MEETINGS,
-                &Predicate::Eq("id".into(), key),
-                &[("data".into(), data)],
-            )?;
-        } else {
-            self.store.insert(T_MEETINGS, vec![key, data])?;
+        let by_id = Predicate::Eq("id".into(), key.clone());
+        let data = [("data".to_owned(), meeting.to_value())];
+        if self.store.update(T_MEETINGS, &by_id, &data)? > 0 {
+            return Ok(());
+        }
+        if let Err(err) = self.store.insert(T_MEETINGS, vec![key, meeting.to_value()]) {
+            if self.store.update(T_MEETINGS, &by_id, &data)? == 0 {
+                return Err(err);
+            }
         }
         Ok(())
     }

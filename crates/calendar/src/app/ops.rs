@@ -13,13 +13,17 @@
 //! it, which is what makes the whole lifecycle idempotent and
 //! re-entrant — the property the paper's event-driven triggers need.
 
-use syd_core::links::{Constraint, LinkKind, LinkRef, LinkSpec};
-use syd_core::negotiate::Participant;
+use syd_core::links::{Constraint, Link, LinkKind, LinkRef, LinkSpec, LinkStatus};
+use syd_core::negotiate::{link_service, Participant};
+use syd_core::Call;
 use syd_store::Predicate;
-use syd_telemetry::EventKind;
-use syd_types::{MeetingId, SlotBitmap, SlotRange, SydError, SydResult, TimeSlot, UserId, Value};
+use syd_telemetry::{names, EventKind};
+use syd_types::{
+    LinkId, MeetingId, SlotBitmap, SlotRange, SydError, SydResult, TimeSlot, UserId, Value,
+};
 
-use crate::app::{calendar_service, CalendarApp, T_BACKLINKS};
+use crate::app::{calendar_service, CalendarApp, T_AVAILQ, T_BACKLINKS};
+use crate::mailbox::{mailbox_service, Mailbox};
 use crate::model::{slot_entity, Meeting, MeetingSpec, MeetingStatus, ScheduleOutcome};
 
 /// How far ahead (in slots) auto-rescheduling searches for a new time.
@@ -33,6 +37,11 @@ const GRAB_RETRIES: u32 = 4;
 /// racing coordinators don't re-collide in lockstep, growing per attempt.
 fn grab_backoff(user: UserId, attempt: u32) -> std::time::Duration {
     std::time::Duration::from_millis(u64::from(attempt + 1) * (3 + user.raw() % 7))
+}
+
+/// `users` without `me`, in order.
+fn others(users: &[UserId], me: UserId) -> Vec<UserId> {
+    users.iter().copied().filter(|&u| u != me).collect()
 }
 
 impl CalendarApp {
@@ -335,92 +344,87 @@ impl CalendarApp {
         };
         self.put_meeting(&rec)?;
 
-        // Broadcast the record (best effort; unreachable peers catch up on
-        // the next round).
-        let _ = self.device.engine().invoke_group(
-            &participants,
-            &svc,
-            "update_meeting",
-            vec![rec.to_value()],
-        );
-
+        // Housekeeping, one round for all of it. The calls write disjoint
+        // state at each peer and are idempotent, so they need no order
+        // among themselves; all are best effort (unreachable peers catch up
+        // on the next round). The round stays inside the operation: a
+        // later meeting's waiting links anchor on the back links below.
+        let me = self.user();
+        let backlinked = self.marked(T_BACKLINKS, id)?;
+        let queued = self.marked(T_AVAILQ, id)?;
         // Back links at holders that lack one (§5: "the target slots at A,
         // B, C and D create negotiation links back to A's slot"; a
         // supervisor gets "only a subscription back link").
-        for &user in &rec.reserved {
-            if user == self.user() || self.backlink_installed(id, user)? {
-                continue;
-            }
-            let kind = if rec.supervisors.contains(&user) {
-                LinkKind::Subscription
-            } else {
-                LinkKind::Negotiation(Constraint::And)
-            };
-            let back = syd_core::links::Link {
-                id: syd_types::LinkId::new(0),
-                kind,
-                status: syd_core::links::LinkStatus::Permanent,
-                entity: slot_entity(ordinal),
-                refs: vec![LinkRef::new(
-                    rec.initiator,
-                    slot_entity(ordinal),
-                    format!("participant_changed:{}", id.raw()),
-                )],
-                priority: rec.priority,
-                created: self.device.clock().now(),
-                expires: None,
-                corr: rec.corr.clone(),
-            };
-            if self
-                .device
-                .engine()
-                .invoke(
-                    user,
-                    &syd_core::negotiate::link_service(),
-                    "install_link",
-                    vec![back.to_value()],
-                )
-                .is_ok()
-            {
-                self.mark_backlink(id, user)?;
-            }
-        }
-
-        // Availability queues at the missing; drop stale queues at the
-        // newly reserved.
-        for &user in &missing {
-            let _ = self.device.engine().invoke(
-                user,
-                &svc,
-                "queue_availability",
-                vec![Value::from(ordinal), rec.to_value()],
-            );
-        }
-        for &user in &newly {
-            if user == self.user() {
-                let _ = self.drop_availability_local(id);
-            } else {
-                let _ = self.device.engine().invoke(
-                    user,
-                    &svc,
-                    "drop_availability",
-                    vec![Value::from(id.raw())],
-                );
-            }
-        }
-
+        let needs_link: Vec<UserId> = rec
+            .reserved
+            .iter()
+            .copied()
+            .filter(|&u| u != me && !backlinked.contains(&u))
+            .collect();
+        // Availability queues at the missing; stale ones dropped at the
+        // newly reserved — an availability link exists only where this
+        // initiator queued one.
+        let stale: Vec<UserId> = newly
+            .iter()
+            .copied()
+            .filter(|u| queued.contains(u))
+            .collect();
+        let stale_peers = others(&stale, me);
         // E-mail on the tentative → confirmed transition (§5.1).
-        if rec.status == MeetingStatus::Confirmed && previous != MeetingStatus::Confirmed {
-            for &user in &rec.reserved {
-                if user != self.user() {
-                    let _ = self.mailbox.send(
-                        user,
-                        &format!("confirmed: {}", rec.title),
-                        &format!("meeting {} at ordinal {}", rec.id, rec.ordinal),
-                    );
-                }
+        let confirmed_now =
+            rec.status == MeetingStatus::Confirmed && previous != MeetingStatus::Confirmed;
+        let mail_to = if confirmed_now {
+            others(&rec.reserved, me)
+        } else {
+            Vec::new()
+        };
+
+        let link_svc = link_service();
+        let mail_svc = mailbox_service();
+        let record = rec.to_value();
+        let mut batch: Vec<Call<'_>> =
+            Call::broadcast(&participants, &svc, "update_meeting", vec![record.clone()]).collect();
+        let installs_at = batch.len();
+        batch.extend(needs_link.iter().map(|&user| {
+            let link = self.back_link(&rec, user).to_value();
+            Call::new(user, &link_svc, "install_link", vec![link])
+        }));
+        batch.extend(Call::broadcast(
+            &missing,
+            &svc,
+            "queue_availability",
+            vec![Value::from(ordinal), record],
+        ));
+        batch.extend(Call::broadcast(
+            &stale_peers,
+            &svc,
+            "drop_availability",
+            vec![Value::from(id.raw())],
+        ));
+        batch.extend(Call::broadcast(
+            &mail_to,
+            &mail_svc,
+            "deliver",
+            Mailbox::deliver_args(
+                &format!("confirmed: {}", rec.title),
+                &format!("meeting {} at ordinal {}", rec.id, rec.ordinal),
+            ),
+        ));
+        let round = self.housekeeping(&batch);
+
+        for (&user, (_, outcome)) in needs_link.iter().zip(&round.outcomes[installs_at..]) {
+            if outcome.is_ok() {
+                self.mark(T_BACKLINKS, id, user);
             }
         }
+        for &user in &missing {
+            self.mark(T_AVAILQ, id, user);
+        }
+        if stale.contains(&me) {
+            let _ = self.drop_availability_local(id);
+        }
+        self.unmark(T_AVAILQ, id, &stale)?;
+
         self.device
             .events()
             .publish_local("calendar.reconciled", &Value::from(id.raw()));
@@ -445,21 +449,73 @@ impl CalendarApp {
         ])
     }
 
-    fn backlink_installed(&self, meeting: MeetingId, user: UserId) -> SydResult<bool> {
-        Ok(self
-            .store
-            .get_by_key(
-                T_BACKLINKS,
-                &[Value::from(meeting.raw()), Value::from(user.raw())],
-            )?
-            .is_some())
+    /// The back link installed at holder `user`: from their slot to the
+    /// initiator's, a subscription for a supervisor and a negotiation-and
+    /// link for everyone else.
+    fn back_link(&self, rec: &Meeting, user: UserId) -> Link {
+        let entity = slot_entity(rec.ordinal);
+        Link {
+            id: LinkId::new(0),
+            kind: if rec.supervisors.contains(&user) {
+                LinkKind::Subscription
+            } else {
+                LinkKind::Negotiation(Constraint::And)
+            },
+            status: LinkStatus::Permanent,
+            refs: vec![LinkRef::new(
+                rec.initiator,
+                entity.clone(),
+                format!("participant_changed:{}", rec.id.raw()),
+            )],
+            entity,
+            priority: rec.priority,
+            created: self.device.clock().now(),
+            expires: None,
+            corr: rec.corr.clone(),
+        }
     }
 
-    fn mark_backlink(&self, meeting: MeetingId, user: UserId) -> SydResult<()> {
+    /// Sends one housekeeping batch under its span: one span per round,
+    /// none per peer.
+    fn housekeeping(&self, batch: &[Call<'_>]) -> syd_core::GroupResult {
+        let mut span = self.device.node().tracer().span(names::SPAN_HOUSEKEEPING);
+        span.attr("calls", batch.len() as u64);
+        self.device.engine().invoke_batch(batch)
+    }
+
+    // The two initiator-local bookkeeping tables, `T_BACKLINKS` and
+    // `T_AVAILQ`, are both sets of `(meeting, user)`.
+
+    /// The users marked for `meeting` in `table`.
+    fn marked(&self, table: &str, meeting: MeetingId) -> SydResult<Vec<UserId>> {
+        self.store
+            .query(table)
+            .filter(Predicate::Eq("meeting".into(), Value::from(meeting.raw())))
+            .column("user")?
+            .iter()
+            .map(|v| Ok(UserId::new(v.as_i64()? as u64)))
+            .collect()
+    }
+
+    /// Marks `user`; marking twice is a no-op.
+    fn mark(&self, table: &str, meeting: MeetingId, user: UserId) {
         let _ = self.store.insert(
-            T_BACKLINKS,
+            table,
             vec![Value::from(meeting.raw()), Value::from(user.raw())],
         );
+    }
+
+    fn unmark(&self, table: &str, meeting: MeetingId, users: &[UserId]) -> SydResult<()> {
+        if users.is_empty() {
+            return Ok(());
+        }
+        self.store.delete(
+            table,
+            &Predicate::Eq("meeting".into(), Value::from(meeting.raw())).and(Predicate::In(
+                "user".into(),
+                users.iter().map(|u| Value::from(u.raw())).collect(),
+            )),
+        )?;
         Ok(())
     }
 
@@ -479,6 +535,18 @@ impl CalendarApp {
     /// other tentative meetings — the paper's automatic tentative →
     /// confirmed conversion.
     pub fn cancel(&self, id: MeetingId) -> SydResult<()> {
+        // One cancellation = one trace; the cascade span nests beneath.
+        let mut op_span = self.device.node().tracer().span(names::SPAN_CANCEL);
+        op_span.attr("meeting", id.raw());
+        // Serialised against this meeting's reconcile rounds: a round that
+        // read the record before the cancel would otherwise re-grab the
+        // slots and write `Confirmed` over `Cancelled`. A round queued
+        // behind the cancel sees `Cancelled` and returns. The promotions
+        // the cascade triggers reconcile *other* meetings, so nothing
+        // waits in a cycle.
+        let guard = self.reconcile_guard(id);
+        let _g = guard.lock();
+
         let Some(mut rec) = self.meeting(id)? else {
             return Err(SydError::App(format!("unknown meeting {id}")));
         };
@@ -503,7 +571,9 @@ impl CalendarApp {
         let participants = rec.all_participants();
 
         // Step 5: update the calendar databases (free the slots). This
-        // fires permanent availability links at each device.
+        // fires permanent availability links at each device. A round of
+        // its own, before the cascade: a waiter the cascade promotes
+        // reconciles at once and must find the slot free.
         let _ = self.device.engine().invoke_group(
             &participants,
             &svc,
@@ -513,12 +583,6 @@ impl CalendarApp {
                 Value::from(id.raw()),
                 Value::str("cancelled"),
             ],
-        );
-        let _ = self.device.engine().invoke_group(
-            &participants,
-            &svc,
-            "update_meeting",
-            vec![rec.to_value()],
         );
 
         // Steps 1–4, 6–7: delete the link web; cascades along the corr and
@@ -530,31 +594,36 @@ impl CalendarApp {
         }
         self.clear_backlinks(id)?;
 
-        // Drop availability queues of this meeting at non-reserved
-        // participants.
-        for &user in &participants {
-            if user == self.user() {
-                let _ = self.drop_availability_local(id);
-            } else {
-                let _ = self.device.engine().invoke(
-                    user,
-                    &svc,
-                    "drop_availability",
-                    vec![Value::from(id.raw())],
-                );
-            }
+        // Housekeeping, one round: the cancelled record to everyone, the
+        // availability queues of this meeting dropped where this initiator
+        // queued one, and the notice to whoever held the slot.
+        let me = self.user();
+        let queued = self.marked(T_AVAILQ, id)?;
+        let queued_peers = others(&queued, me);
+        let mail_to = others(&reserved, me);
+        let mail_svc = mailbox_service();
+        let mut batch: Vec<Call<'_>> =
+            Call::broadcast(&participants, &svc, "update_meeting", vec![rec.to_value()]).collect();
+        batch.extend(Call::broadcast(
+            &queued_peers,
+            &svc,
+            "drop_availability",
+            vec![Value::from(id.raw())],
+        ));
+        batch.extend(Call::broadcast(
+            &mail_to,
+            &mail_svc,
+            "deliver",
+            Mailbox::deliver_args(
+                &format!("cancelled: {}", rec.title),
+                &format!("meeting {} was cancelled", rec.id),
+            ),
+        ));
+        let _ = self.housekeeping(&batch);
+        if queued.contains(&me) {
+            let _ = self.drop_availability_local(id);
         }
-
-        for &user in &reserved {
-            if user != self.user() {
-                let _ = self.mailbox.send(
-                    user,
-                    &format!("cancelled: {}", rec.title),
-                    &format!("meeting {} was cancelled", rec.id),
-                );
-            }
-        }
-        Ok(())
+        self.unmark(T_AVAILQ, id, &queued)
     }
 
     // ---- change of time (§5: "D wants to change the schedule") -----------------
@@ -713,18 +782,16 @@ impl CalendarApp {
             extended.extend(outcome.committed.iter().copied());
             if !rec.constraints_satisfied_by(&extended) {
                 // Release the recruits we grabbed but cannot use.
-                for &u in &outcome.committed {
-                    let _ = self.device.engine().invoke(
-                        u,
-                        &calendar_service(),
-                        "release_slot",
-                        vec![
-                            Value::from(rec.ordinal),
-                            Value::from(id.raw()),
-                            Value::str(rec.status.as_str()),
-                        ],
-                    );
-                }
+                let _ = self.device.engine().invoke_group(
+                    &outcome.committed,
+                    &calendar_service(),
+                    "release_slot",
+                    vec![
+                        Value::from(rec.ordinal),
+                        Value::from(id.raw()),
+                        Value::str(rec.status.as_str()),
+                    ],
+                );
                 return Ok(false);
             }
             rec.reserved = rec
@@ -870,15 +937,11 @@ impl CalendarApp {
         let Some(new_slot) = candidates.first() else {
             rec.status = MeetingStatus::Bumped;
             self.put_meeting(&rec)?;
-            for &user in &participants {
-                if user != self.user() {
-                    let _ = self.mailbox.send(
-                        user,
-                        &format!("bumped: {}", rec.title),
-                        "no common slot found for automatic rescheduling",
-                    );
-                }
-            }
+            let _ = self.mailbox.send_group(
+                &others(&participants, self.user()),
+                &format!("bumped: {}", rec.title),
+                "no common slot found for automatic rescheduling",
+            );
             return Ok(());
         };
 
@@ -896,15 +959,110 @@ impl CalendarApp {
                 .with_corr(rec.corr.clone()),
         )?;
         let status = self.reconcile(id)?;
-        for &user in &participants {
-            if user != self.user() {
-                let _ = self.mailbox.send(
-                    user,
-                    &format!("rescheduled: {}", rec.title),
-                    &format!("moved to ordinal {} ({status:?})", rec.ordinal),
-                );
-            }
-        }
+        let _ = self.mailbox.send_group(
+            &others(&participants, self.user()),
+            &format!("rescheduled: {}", rec.title),
+            &format!("moved to ordinal {} ({status:?})", rec.ordinal),
+        );
         Ok(())
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)] // test code
+mod tests {
+    use super::*;
+    use crate::app::arg;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+    use syd_core::SydEnv;
+    use syd_net::NetConfig;
+
+    /// Counts the `drop_availability` calls `app` serves, then serves them.
+    fn count_drops(app: &Arc<CalendarApp>) -> Arc<AtomicUsize> {
+        let count = Arc::new(AtomicUsize::new(0));
+        let (weak, counter) = (Arc::downgrade(app), Arc::clone(&count));
+        app.device
+            .register_service(
+                &calendar_service(),
+                "drop_availability",
+                Arc::new(move |_ctx, args: &[Value]| {
+                    counter.fetch_add(1, Ordering::SeqCst);
+                    let app = weak.upgrade().ok_or(SydError::Shutdown)?;
+                    app.drop_availability_local(MeetingId::new(arg(args, 0)?.as_i64()? as u64))?;
+                    Ok(Value::Null)
+                }),
+            )
+            .unwrap();
+        count
+    }
+
+    fn wait_for(mut cond: impl FnMut() -> bool, what: &str) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    /// `drop_availability` goes only where this initiator queued an
+    /// availability link: nowhere for a meeting nobody blocked, once to
+    /// each member a promotion reserved, and nowhere again on the cancel
+    /// that follows.
+    #[test]
+    fn drop_availability_follows_the_queued_links() {
+        let env = SydEnv::new_insecure(NetConfig::ideal());
+        let apps: Vec<Arc<CalendarApp>> = (0..4)
+            .map(|i| CalendarApp::install(&env.device(&format!("u{i}"), "").unwrap()).unwrap())
+            .collect();
+        let drops: Vec<Arc<AtomicUsize>> = apps.iter().map(count_drops).collect();
+        let dropped = || -> Vec<usize> { drops.iter().map(|d| d.load(Ordering::SeqCst)).collect() };
+        let (a, b) = (&apps[0], &apps[3]);
+        let shared = vec![apps[1].user(), apps[2].user()];
+        let slot = TimeSlot::new(2, 9);
+
+        // Nobody blocked: no availability link anywhere, so no drop.
+        let first = a
+            .schedule(MeetingSpec::plain("first", slot, shared.clone()))
+            .unwrap();
+        assert_eq!(first.status, MeetingStatus::Confirmed);
+        assert_eq!(dropped(), vec![0, 0, 0, 0]);
+
+        // B's meeting queues behind it at both shared members.
+        let second = b
+            .schedule(MeetingSpec::plain("second", slot, shared.clone()))
+            .unwrap();
+        assert_eq!(second.status, MeetingStatus::Tentative);
+        assert_eq!(b.marked(T_AVAILQ, second.meeting).unwrap(), shared);
+        assert_eq!(dropped(), vec![0, 0, 0, 0]);
+
+        // A cancels (it queued nothing: no drop); the promotion reserves
+        // both members for B, and each is sent exactly one drop.
+        a.cancel(first.meeting).unwrap();
+        wait_for(
+            || b.meeting(second.meeting).unwrap().unwrap().status == MeetingStatus::Confirmed,
+            "the promotion",
+        );
+        wait_for(
+            || dropped() == vec![0, 1, 1, 0],
+            "one drop per promoted member",
+        );
+        wait_for(
+            || b.marked(T_AVAILQ, second.meeting).unwrap().is_empty(),
+            "the queue rows to go",
+        );
+
+        // Cancel after promotion: nothing is queued any more.
+        b.cancel(second.meeting).unwrap();
+        assert_eq!(dropped(), vec![0, 1, 1, 0]);
+        for app in &apps {
+            let left = app.device.links().all().unwrap();
+            assert!(
+                left.iter().all(|l| !l.corr.starts_with("avail:")),
+                "{} keeps an availability link: {left:?}",
+                app.user()
+            );
+        }
     }
 }

@@ -2,7 +2,8 @@
 //! the details of the meeting using an e-mail message" (§5.1).
 //!
 //! Each device serves a `mailbox` service whose `deliver` method appends
-//! to a local `mail` table; [`Mailbox::send`] is the SMTP stand-in. Mail is
+//! to a local `mail` table; [`Mailbox::send`] (one recipient) and
+//! [`Mailbox::send_group`] (many, one round) are the SMTP stand-in. Mail is
 //! best-effort, exactly like the prototype's SMTP: delivery failures are
 //! reported but never block calendar operations.
 
@@ -99,6 +100,11 @@ impl Mailbox {
         Ok(id)
     }
 
+    /// The argument list of `mailbox/deliver`.
+    pub(crate) fn deliver_args(subject: &str, body: &str) -> Vec<Value> {
+        vec![Value::str(subject), Value::str(body)]
+    }
+
     /// Sends a message to `to`'s mailbox. Best effort.
     pub fn send(&self, to: UserId, subject: &str, body: &str) -> SydResult<()> {
         self.device
@@ -107,9 +113,32 @@ impl Mailbox {
                 to,
                 &mailbox_service(),
                 "deliver",
-                vec![Value::str(subject), Value::str(body)],
+                Self::deliver_args(subject, body),
             )
             .map(|_| ())
+    }
+
+    /// Sends the same message to every mailbox of `to` in one round.
+    /// Best effort per recipient: the outcomes come back in the order
+    /// given, and one recipient's failure fails nobody else.
+    pub fn send_group(
+        &self,
+        to: &[UserId],
+        subject: &str,
+        body: &str,
+    ) -> Vec<(UserId, SydResult<()>)> {
+        self.device
+            .engine()
+            .invoke_group(
+                to,
+                &mailbox_service(),
+                "deliver",
+                Self::deliver_args(subject, body),
+            )
+            .outcomes
+            .into_iter()
+            .map(|(user, outcome)| (user, outcome.map(|_| ())))
+            .collect()
     }
 
     /// The local inbox, oldest first.
@@ -179,6 +208,33 @@ mod tests {
         let a = env.device("alice", "").unwrap();
         let ma = Mailbox::install(&a).unwrap();
         assert!(ma.send(UserId::new(999), "hi", "x").is_err());
+    }
+
+    #[test]
+    fn send_group_delivers_one_mail_each_and_reports_failures_per_recipient() {
+        let env = SydEnv::new_insecure(NetConfig::ideal());
+        let a = env.device("alice", "").unwrap();
+        let b = env.device("bob", "").unwrap();
+        let c = env.device("carol", "").unwrap();
+        let ma = Mailbox::install(&a).unwrap();
+        let mb = Mailbox::install(&b).unwrap();
+        let mc = Mailbox::install(&c).unwrap();
+
+        let nobody = UserId::new(999);
+        let outcomes = ma.send_group(&[b.user(), nobody, c.user()], "moved", "to day 4");
+        let users: Vec<UserId> = outcomes.iter().map(|(u, _)| *u).collect();
+        assert_eq!(users, vec![b.user(), nobody, c.user()]);
+        assert!(outcomes[0].1.is_ok());
+        assert!(outcomes[1].1.is_err(), "an unknown recipient must fail");
+        assert!(outcomes[2].1.is_ok(), "…without failing the others");
+
+        for inbox in [mb.inbox().unwrap(), mc.inbox().unwrap()] {
+            assert_eq!(inbox.len(), 1);
+            assert_eq!(inbox[0].subject, "moved");
+            assert_eq!(inbox[0].body, "to day 4");
+            assert_eq!(inbox[0].from, a.user());
+        }
+        assert_eq!(ma.unread().unwrap(), 0);
     }
 
     #[test]

@@ -204,6 +204,16 @@ fn higher_priority_meeting_bumps_and_victim_reschedules() {
             app.user()
         );
     }
+    // Every participant is told, in one mail round.
+    for app in &apps[1..] {
+        wait_for(
+            || {
+                let inbox = app.mailbox().inbox().unwrap();
+                inbox.iter().any(|m| m.subject.starts_with("rescheduled:"))
+            },
+            "the rescheduling notice",
+        );
+    }
 }
 
 #[test]
@@ -496,6 +506,79 @@ fn concurrent_initiators_cannot_double_book_a_slot() {
         holders.len() <= 1,
         "slot split between meetings: {holders:?}"
     );
+}
+
+/// A cancel issued while a reconcile round of the same meeting is in
+/// flight must win. Before `cancel` took the per-meeting guard, a round
+/// that had read the record first re-grabbed the slots the cancel had just
+/// released and wrote `Confirmed` back over `Cancelled`, for good.
+#[test]
+fn cancel_during_a_reconcile_round_leaves_nothing_behind() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let (_env, apps) = rig(4);
+    let links_before: Vec<usize> = apps
+        .iter()
+        .map(|a| a.device().links().count().unwrap())
+        .collect();
+    let slot = TimeSlot::new(15, 9);
+    let attendees: Vec<UserId> = apps[1..].iter().map(|a| a.user()).collect();
+
+    // user1 answers `slot_status` through a gate: once armed, the answer
+    // to the next query is held back until the cancel has run — or, when
+    // the cancel rightly waits for the round, for a bounded moment.
+    let armed = Arc::new(AtomicBool::new(false));
+    let (entered_tx, entered_rx) = crossbeam_channel::bounded::<()>(1);
+    let (resume_tx, resume_rx) = crossbeam_channel::bounded::<()>(1);
+    let (gate, holder) = (Arc::clone(&armed), Arc::downgrade(&apps[1]));
+    apps[1]
+        .device()
+        .register_service(
+            &syd_calendar::app::calendar_service(),
+            "slot_status",
+            Arc::new(move |_ctx, args: &[Value]| {
+                if gate.swap(false, Ordering::SeqCst) {
+                    let _ = entered_tx.send(());
+                    let _ = resume_rx.recv_timeout(Duration::from_millis(300));
+                }
+                let app = holder.upgrade().ok_or(syd_types::SydError::Shutdown)?;
+                let held = app.slot_state(args[0].as_i64()? as u64)?.meeting();
+                Ok(Value::map([(
+                    "meeting",
+                    held.map_or(Value::Null, |m| Value::from(m.raw())),
+                )]))
+            }),
+        )
+        .unwrap();
+
+    let outcome = apps[0]
+        .schedule(MeetingSpec::plain("raced", slot, attendees))
+        .unwrap();
+    assert_eq!(outcome.status, MeetingStatus::Confirmed);
+    let id = outcome.meeting;
+
+    // The round has read the record and is waiting for user1's status…
+    armed.store(true, Ordering::SeqCst);
+    let initiator = Arc::clone(&apps[0]);
+    let round = std::thread::spawn(move || initiator.reconcile(id));
+    entered_rx.recv().unwrap();
+    // …when the cancel arrives.
+    apps[0].cancel(id).unwrap();
+    let _ = resume_tx.try_send(());
+    round.join().unwrap().unwrap();
+
+    assert_eq!(meeting_status(&apps[0], id), MeetingStatus::Cancelled);
+    // A round queued behind the cancel sees `Cancelled` and does nothing.
+    assert_eq!(apps[0].reconcile(id).unwrap(), MeetingStatus::Cancelled);
+    wait_for(
+        || {
+            apps.iter().zip(&links_before).all(|(a, &before)| {
+                a.slot_state(slot.ordinal()).unwrap().is_free()
+                    && a.device().links().count().unwrap() == before
+            })
+        },
+        "every slot free and every link gone",
+    );
+    syd_check::audit(apps.iter().map(|a| a.device())).assert_clean();
 }
 
 #[test]

@@ -116,3 +116,59 @@ fn forced_abort_lands_in_journal_with_reason() {
     assert!(jsonl.contains("\"kind\":\"abort\""), "{jsonl}");
     assert!(jsonl.contains("constraint-failed"), "{jsonl}");
 }
+
+/// Serial rounds the initiator issued and requests its peers served for
+/// one `schedule` and one `cancel` of an `n`-member meeting.
+fn rounds_and_requests(n: usize) -> [(u64, u64); 2] {
+    let (_env, apps) = rig(n);
+    let rounds = || {
+        apps[0]
+            .device()
+            .metrics()
+            .get_counter(names::ENGINE_ROUNDS)
+            .map_or(0, |c| c.get())
+    };
+    let served = || -> u64 {
+        apps.iter()
+            .filter_map(|a| a.device().metrics().get_counter(names::RPC_REQUESTS_SERVED))
+            .map(|c| c.get())
+            .sum()
+    };
+    let attendees: Vec<UserId> = apps[1..].iter().map(|a| a.user()).collect();
+
+    let before = (rounds(), served());
+    let outcome = apps[0]
+        .schedule(MeetingSpec::plain(
+            "rounds",
+            TimeSlot::new(5, 10),
+            attendees,
+        ))
+        .unwrap();
+    assert_eq!(outcome.status, MeetingStatus::Confirmed);
+    let scheduled = (rounds(), served());
+    apps[0].cancel(outcome.meeting).unwrap();
+    let cancelled = (rounds(), served());
+    [
+        (scheduled.0 - before.0, scheduled.1 - before.1),
+        (cancelled.0 - scheduled.0, cancelled.1 - scheduled.1),
+    ]
+}
+
+#[test]
+fn rounds_per_operation_do_not_grow_with_the_group() {
+    let small = rounds_and_requests(4);
+    let large = rounds_and_requests(16);
+    for (op, (small, large)) in ["schedule", "cancel"].iter().zip(small.iter().zip(&large)) {
+        assert!(small.0 > 0, "{op} issued no round");
+        assert_eq!(
+            small.0, large.0,
+            "{op}: serial rounds must not depend on the group size"
+        );
+        assert!(
+            large.1 >= 3 * small.1,
+            "{op}: requests served should grow with the group ({} at n=4, {} at n=16)",
+            small.1,
+            large.1
+        );
+    }
+}

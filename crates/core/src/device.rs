@@ -1008,6 +1008,95 @@ mod tests {
             assert_eq!(links[0].kind, crate::links::LinkKind::Subscription);
             assert_eq!(links[0].refs[0].user, devices[0].user());
         }
+        // One offer round and one install round, whatever the peer count.
+        let rounds = devices[0]
+            .metrics()
+            .get_counter(names::ENGINE_ROUNDS)
+            .unwrap();
+        assert_eq!(rounds.get(), 2);
+    }
+
+    /// A web where peer 2 also references a third party (4) the origin
+    /// does not know: the cascade reaches 2 and 3 in one round carrying
+    /// the origin's whole peer set, and 2 forwards it to 4 exactly once.
+    #[test]
+    fn cascade_fans_out_with_the_full_peer_set_and_reaches_third_parties_once() {
+        let (_net, _dir, devices) = rig(4);
+        let [origin, two, three, four] = [0, 1, 2, 3].map(|i| devices[i].user());
+        let corr = "web";
+        // Record every delete_by_corr a device serves, then serve it.
+        let seen = Arc::new(Mutex::new(Vec::<(UserId, Vec<u64>)>::new()));
+        for d in &devices {
+            let (device, seen) = (d.clone(), Arc::clone(&seen));
+            d.register_service(
+                &link_service(),
+                "delete_by_corr",
+                Arc::new(move |_ctx: &InvokeCtx, args: &[Value]| {
+                    let visited = args_get(args, 1)?
+                        .as_list()?
+                        .iter()
+                        .map(|v| Ok(v.as_i64()? as u64))
+                        .collect::<SydResult<Vec<u64>>>()?;
+                    seen.lock().push((device.user(), visited.clone()));
+                    let report = device
+                        .links()
+                        .delete_by_corr(args_get(args, 0)?.as_str()?, visited)?;
+                    Ok(Value::from(report.deleted.len() as u64))
+                }),
+            )
+            .unwrap();
+        }
+        let deleted_at_four = Arc::new(Mutex::new(0));
+        let counter = Arc::clone(&deleted_at_four);
+        devices[3].events().subscribe(
+            "link.deleted",
+            Arc::new(move |_topic, _payload| *counter.lock() += 1),
+        );
+
+        let link = |peer: UserId| crate::links::LinkRef::new(peer, "e", "a");
+        let forward = devices[0]
+            .links()
+            .add_local(
+                LinkSpec::negotiation("e", Constraint::And, vec![link(two), link(three)])
+                    .with_corr(corr),
+            )
+            .unwrap();
+        for (d, peer) in [(1, origin), (1, four), (2, origin), (3, two)] {
+            devices[d]
+                .links()
+                .add_local(LinkSpec::subscription("e", vec![link(peer)]).with_corr(corr))
+                .unwrap();
+        }
+
+        let report = devices[0].links().delete(forward.id, true).unwrap();
+        assert_eq!(report.cascaded_to, vec![two, three]);
+        for d in &devices {
+            assert_eq!(d.links().count().unwrap(), 0, "{} keeps links", d.name());
+        }
+        assert_eq!(
+            *deleted_at_four.lock(),
+            1,
+            "4's link is deleted exactly once"
+        );
+
+        let mut seen = seen.lock().clone();
+        seen.sort();
+        let peer_set = [origin.raw(), two.raw(), three.raw()];
+        assert_eq!(
+            seen.iter().map(|(user, _)| *user).collect::<Vec<_>>(),
+            vec![two, three, four],
+            "one delete_by_corr per device reached"
+        );
+        for (user, visited) in &seen {
+            assert!(
+                peer_set.iter().all(|p| visited.contains(p)),
+                "delete_by_corr at {user} lacks the origin's peer set: {visited:?}"
+            );
+        }
+        assert!(seen[2].1.contains(&four.raw()));
+        for d in &devices {
+            d.shutdown();
+        }
     }
 
     #[test]

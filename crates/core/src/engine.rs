@@ -65,6 +65,58 @@ impl GroupResult {
     }
 }
 
+/// One call of a [`SydEngine::invoke_batch`] fan-out.
+#[derive(Clone, Debug)]
+pub struct Call<'a> {
+    /// Target user.
+    pub user: UserId,
+    /// Service to invoke at the target.
+    pub service: &'a ServiceName,
+    /// Method of that service.
+    pub method: &'a str,
+    /// Positional arguments; a shared handle, so a broadcast's calls can
+    /// all point at one pre-encoded body.
+    pub args: Args,
+}
+
+impl<'a> Call<'a> {
+    /// A single call with its own arguments.
+    pub fn new(
+        user: UserId,
+        service: &'a ServiceName,
+        method: &'a str,
+        args: impl Into<Args>,
+    ) -> Call<'a> {
+        Call {
+            user,
+            service,
+            method,
+            args: args.into(),
+        }
+    }
+
+    /// The same call to every user of `users`: the argument body is
+    /// encoded **once** and shared by every outgoing request (and any
+    /// retry) — a group of `n` pays one serialisation, not `n`.
+    pub fn broadcast(
+        users: &'a [UserId],
+        service: &'a ServiceName,
+        method: &'a str,
+        args: Vec<Value>,
+    ) -> impl Iterator<Item = Call<'a>> + 'a {
+        let args = Args::from(args);
+        if !users.is_empty() {
+            args.preencode();
+        }
+        users.iter().map(move |&user| Call {
+            user,
+            service,
+            method,
+            args: args.clone(),
+        })
+    }
+}
+
 /// Hot-path tuning knobs, shared by every clone of an engine (a device's
 /// negotiator and applications all see the same settings). Both default
 /// to the optimised path; the legacy settings exist so the `perf`
@@ -102,6 +154,9 @@ pub struct SydEngine {
     /// `engine.resolve_fallbacks` — batched resolutions that fell back
     /// to the per-user overlapped path.
     resolve_fallbacks: Counter,
+    /// `engine.rounds` — serial network rounds issued: one per `invoke`,
+    /// one per batch fan-out whatever its size.
+    rounds: Counter,
 }
 
 impl SydEngine {
@@ -110,6 +165,7 @@ impl SydEngine {
         let invoke_hist = node.metrics().histogram(names::ENGINE_INVOKE);
         let batch_resolves = node.metrics().counter(names::ENGINE_BATCH_RESOLVES);
         let resolve_fallbacks = node.metrics().counter(names::ENGINE_RESOLVE_FALLBACKS);
+        let rounds = node.metrics().counter(names::ENGINE_ROUNDS);
         SydEngine {
             node,
             directory,
@@ -123,6 +179,7 @@ impl SydEngine {
             invoke_hist,
             batch_resolves,
             resolve_fallbacks,
+            rounds,
         }
     }
 
@@ -455,6 +512,7 @@ impl SydEngine {
         method: &str,
         args: Vec<Value>,
     ) -> SydResult<Value> {
+        self.rounds.inc();
         let args = Args::from(args);
         let addr = self.resolve(user)?;
         match self.call_at(addr, user, service, method, args.clone()) {
@@ -474,12 +532,8 @@ impl SydEngine {
     }
 
     /// Invokes the same method on every user concurrently and collects
-    /// per-user outcomes.
-    ///
-    /// The broadcast body is identical for every member, so by default it
-    /// is encoded **once** and the pre-encoded bytes are shared by every
-    /// outgoing request (and any retry) — a group of `n` pays one
-    /// serialisation, not `n`.
+    /// per-user outcomes. One [`SydEngine::invoke_batch`] round over a
+    /// [`Call::broadcast`].
     pub fn invoke_group(
         &self,
         users: &[UserId],
@@ -487,30 +541,17 @@ impl SydEngine {
         method: &str,
         args: Vec<Value>,
     ) -> GroupResult {
-        let shared = self.shared_encode();
-        let args = Args::from(args);
-        if shared {
-            args.preencode();
-        }
-        // Fan out: resolve (one batched round trip) + send every request
-        // before collecting any response.
-        let resolved = self.resolve_many(users);
-        let mut pending = Vec::with_capacity(users.len());
-        for (user, addr) in resolved {
+        let calls: Vec<Call<'_>> = if self.shared_encode() {
+            Call::broadcast(users, service, method, args).collect()
+        } else {
             // Legacy mode deep-copies the values per recipient, paying the
             // per-member re-encode the shared handle exists to avoid.
-            let body = if shared {
-                args.clone()
-            } else {
-                Args::from(args.to_vec())
-            };
-            let sent = addr.and_then(|addr| {
-                self.node
-                    .call_async_to(addr, user, service, method, body.clone())
-            });
-            pending.push((user, body, sent));
-        }
-        self.collect_with_retry(pending, service, method)
+            users
+                .iter()
+                .map(|&user| Call::new(user, service, method, args.clone()))
+                .collect()
+        };
+        self.invoke_batch(&calls)
     }
 
     /// Invokes a method on every member of a *named directory group* —
@@ -537,51 +578,75 @@ impl SydEngine {
         service: &ServiceName,
         method: &str,
     ) -> GroupResult {
-        let users: Vec<UserId> = calls.iter().map(|(u, _)| *u).collect();
-        let resolved = self.resolve_many(&users);
-        let mut pending = Vec::with_capacity(calls.len());
-        for ((user, args), (_, addr)) in calls.iter().zip(resolved) {
-            let body = Args::from(args.as_slice());
-            let sent = addr.and_then(|addr| {
-                self.node
-                    .call_async_to(addr, *user, service, method, body.clone())
-            });
-            pending.push((*user, body, sent));
-        }
-        self.collect_with_retry(pending, service, method)
+        let calls: Vec<Call<'_>> = calls
+            .iter()
+            .map(|(user, args)| Call::new(*user, service, method, args.as_slice()))
+            .collect();
+        self.invoke_batch(&calls)
     }
 
-    /// Collects a fanned-out group round, giving every failed member the
-    /// same single re-resolve retry as [`SydEngine::invoke`]: transient
-    /// wait failures *and* transient/unreachable send failures invalidate
-    /// the cached address, re-resolve (the directory may now point at a
-    /// proxy) and try once more at the fresh address.
-    fn collect_with_retry(
-        &self,
-        pending: Vec<(UserId, Args, SydResult<PendingCall>)>,
-        service: &ServiceName,
-        method: &str,
-    ) -> GroupResult {
+    /// The one fan-out primitive: resolves every target once (one batched
+    /// directory round trip for the misses), sends **every** request
+    /// before collecting any response, then collects in call order. The
+    /// calls may differ in target, service, method and arguments, and
+    /// several may go to the same user; a batch of any size costs one
+    /// round trip of latency.
+    ///
+    /// Every failed call gets the same single re-resolve retry as
+    /// [`SydEngine::invoke`]: transient wait failures *and*
+    /// transient/unreachable send failures invalidate the cached address,
+    /// re-resolve (the directory may now point at a proxy) and try once
+    /// more at the fresh address.
+    pub fn invoke_batch(&self, calls: &[Call<'_>]) -> GroupResult {
+        if calls.is_empty() {
+            return GroupResult {
+                outcomes: Vec::new(),
+            };
+        }
+        self.rounds.inc();
+        let mut users: Vec<UserId> = calls.iter().map(|c| c.user).collect();
+        users.sort_unstable();
+        users.dedup();
+        let resolved = self.resolve_many(&users);
+        let sent: Vec<SydResult<PendingCall>> = calls
+            .iter()
+            .map(|call| {
+                // `users` is sorted and holds every call's user, and
+                // `resolved` answers it position by position.
+                let slot = users.partition_point(|u| *u < call.user);
+                resolved[slot].1.clone().and_then(|addr| {
+                    self.node.call_async_to(
+                        addr,
+                        call.user,
+                        call.service,
+                        call.method,
+                        call.args.clone(),
+                    )
+                })
+            })
+            .collect();
         let timeout = self.opts().timeout;
-        let outcomes = pending
-            .into_iter()
-            .map(|(user, args, sent)| {
-                let first = match sent {
-                    Ok(call) => call.wait(timeout),
-                    Err(err) => Err(err),
-                };
-                let outcome = match first {
+        let outcomes = calls
+            .iter()
+            .zip(sent)
+            .map(|(call, sent)| {
+                let outcome = match sent.and_then(|pending| pending.wait(timeout)) {
                     Ok(v) => Ok(v),
                     Err(err) if err.is_transient() || matches!(err, SydError::Unreachable(_)) => {
-                        self.invalidate(user);
-                        match self.resolve(user) {
-                            Ok(addr) => self.call_at(addr, user, service, method, args),
-                            Err(e) => Err(e),
-                        }
+                        self.invalidate(call.user);
+                        self.resolve(call.user).and_then(|addr| {
+                            self.call_at(
+                                addr,
+                                call.user,
+                                call.service,
+                                call.method,
+                                call.args.clone(),
+                            )
+                        })
                     }
                     Err(err) => Err(err),
                 };
-                (user, outcome)
+                (call.user, outcome)
             })
             .collect();
         GroupResult { outcomes }
@@ -766,10 +831,15 @@ mod tests {
     fn resolve_many_survives_loss(batched: bool) {
         let (net, _dir, engine, _servers) = setup(6);
         engine.set_batched_resolve(batched);
+        // At 40 % loss one attempt (request and reply both delivered)
+        // fails with probability 0.64. Forty retries put a member's
+        // failure below 0.64^41 ≈ 1e-8, so the outcome does not depend on
+        // which RNG stream the loss model draws from; the expected cost
+        // stays under two retries per member.
         engine.set_options(
             CallOptions::new()
                 .with_timeout(Duration::from_millis(40))
-                .with_retries(10),
+                .with_retries(40),
         );
         let users: Vec<UserId> = (1..=6).map(UserId::new).collect();
         // The batched exchange is only a couple of messages, so a single

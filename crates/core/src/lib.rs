@@ -47,7 +47,7 @@ pub mod qos;
 
 pub use device::{DeviceRuntime, EntityHandler, SubscriptionHandler};
 pub use directory::{DirectoryClient, DirectoryServer, GroupInfo, UserRecord};
-pub use engine::{GroupResult, SydEngine};
+pub use engine::{Call, GroupResult, SydEngine};
 pub use env::SydEnv;
 pub use events::{EventHandler, PeriodicTask};
 pub use links::{Constraint, Link, LinkKind, LinkRef, LinkStatus, LinksModule, WaitingEntry};

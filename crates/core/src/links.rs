@@ -40,7 +40,7 @@ use syd_types::{
     Clock, LinkId, Priority, ServiceName, SydError, SydResult, Timestamp, UserId, Value,
 };
 
-use crate::engine::SydEngine;
+use crate::engine::{Call, SydEngine};
 use crate::events::EventHandler;
 use crate::negotiate::{link_service, NegotiationOutcome, Negotiator, Participant};
 
@@ -696,21 +696,27 @@ impl LinksModule {
         let corr = spec.corr.clone();
         let forward = self.add_local(spec)?;
 
-        // …and back subscription links at every peer.
-        for r in &refs {
-            let back = Link {
-                id: LinkId::new(0),
-                kind: LinkKind::Subscription,
-                status: LinkStatus::Permanent,
-                entity: r.entity.clone(),
-                refs: vec![LinkRef::new(self.user, forward.entity.clone(), back_action)],
-                priority: forward.priority,
-                created: forward.created,
-                expires: forward.expires,
-                corr: corr.clone(),
-            };
-            self.engine
-                .invoke(r.user, &svc, "install_link", vec![back.to_value()])?;
+        // …and back subscription links at every peer, in one round.
+        let installs: Vec<Call<'_>> = refs
+            .iter()
+            .map(|r| {
+                let back = Link {
+                    id: LinkId::new(0),
+                    kind: LinkKind::Subscription,
+                    status: LinkStatus::Permanent,
+                    entity: r.entity.clone(),
+                    refs: vec![LinkRef::new(self.user, forward.entity.clone(), back_action)],
+                    priority: forward.priority,
+                    created: forward.created,
+                    expires: forward.expires,
+                    corr: corr.clone(),
+                };
+                Call::new(r.user, &svc, "install_link", vec![back.to_value()])
+            })
+            .collect();
+        let installed = self.engine.invoke_batch(&installs);
+        if let Some(err) = installed.outcomes.into_iter().find_map(|(_, r)| r.err()) {
+            return Err(err);
         }
         Ok(forward)
     }
@@ -810,24 +816,7 @@ impl LinksModule {
             links.iter().flat_map(|l| l.refs.iter().map(|r| r.user)),
             &visited,
         );
-        for peer in peers {
-            visited.push(peer.raw());
-            let result = self.engine.invoke(
-                peer,
-                &link_service(),
-                "delete_by_corr",
-                vec![
-                    Value::str(corr),
-                    Value::list(visited.iter().map(|&v| Value::from(v))),
-                ],
-            );
-            if result.is_ok() {
-                report.cascaded_to.push(peer);
-            }
-            // An unreachable peer keeps its links; its own expiry scan will
-            // eventually collect them (the paper's mobile devices tolerate
-            // exactly this kind of stale state).
-        }
+        report.cascaded_to = self.forward_cascade(corr, visited, &peers);
         Ok(report)
     }
 
@@ -838,7 +827,7 @@ impl LinksModule {
     fn cascade_corr(
         &self,
         corr: &str,
-        mut visited: Vec<u64>,
+        visited: Vec<u64>,
         seed_refs: &[LinkRef],
     ) -> SydResult<Vec<UserId>> {
         let mut cascade_span = self
@@ -851,27 +840,32 @@ impl LinksModule {
             all_refs.extend(link.refs.iter().map(|r| r.user));
         }
         let peers = lifecycle::cascade_peers(all_refs, &visited);
-        let mut reached = Vec::new();
-        for peer in peers {
-            visited.push(peer.raw());
-            let result = self.engine.invoke(
-                peer,
-                &link_service(),
-                "delete_by_corr",
-                vec![
-                    Value::str(corr),
-                    Value::list(visited.iter().map(|&v| Value::from(v))),
-                ],
-            );
-            if result.is_ok() {
-                reached.push(peer);
-            }
-            // An unreachable peer keeps its links; its own expiry scan will
-            // eventually collect them (the paper's mobile devices tolerate
-            // exactly this kind of stale state).
-        }
+        let reached = self.forward_cascade(corr, visited, &peers);
         cascade_span.attr("reached", reached.len() as u64);
         Ok(reached)
+    }
+
+    /// Sends `delete_by_corr` to every peer of `peers` in one parallel
+    /// round and returns the peers that answered. Each message carries
+    /// `visited` extended by the **whole** peer set, so no receiver
+    /// forwards the cascade to a sibling this round already covers; the
+    /// deletions are idempotent and need no order among themselves.
+    ///
+    /// An unreachable peer keeps its links; its own expiry scan will
+    /// eventually collect them (the paper's mobile devices tolerate
+    /// exactly this kind of stale state).
+    fn forward_cascade(&self, corr: &str, mut visited: Vec<u64>, peers: &[UserId]) -> Vec<UserId> {
+        visited.extend(peers.iter().map(|p| p.raw()));
+        let round = self.engine.invoke_group(
+            peers,
+            &link_service(),
+            "delete_by_corr",
+            vec![
+                Value::str(corr),
+                Value::list(visited.into_iter().map(Value::from)),
+            ],
+        );
+        round.oks().map(|(peer, _)| peer).collect()
     }
 
     /// §4.2 op. 3: "once L0 is deleted, the waiting link (or group of

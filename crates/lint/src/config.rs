@@ -156,6 +156,7 @@ impl Default for Config {
             rpc_methods: s(&[
                 "invoke",
                 "invoke_with_deadline",
+                "invoke_batch",
                 "invoke_group",
                 "invoke_group_by_name",
                 "invoke_group_varied",

@@ -55,6 +55,9 @@ pub const ENGINE_INVOKE: &str = "engine.invoke";
 pub const ENGINE_BATCH_RESOLVES: &str = "engine.batch_resolves";
 /// Counter: per-user fallback lookups after a failed batch resolve.
 pub const ENGINE_RESOLVE_FALLBACKS: &str = "engine.resolve_fallbacks";
+/// Counter: serial network rounds issued — one per `invoke`, one per
+/// batch fan-out whatever its size.
+pub const ENGINE_ROUNDS: &str = "engine.rounds";
 
 // --- listener (syd-core dispatch) ------------------------------------------
 
@@ -112,6 +115,13 @@ pub const SPAN_LOCK_WAIT: &str = "device.lock_wait";
 pub const SPAN_SCHEDULE: &str = "calendar.schedule_op";
 /// Span: one reconcile pass over the local store (root span).
 pub const SPAN_RECONCILE: &str = "calendar.reconcile_op";
+/// Span: one meeting cancellation, initiator side (root span); the §4.4
+/// cascade span nests beneath it.
+pub const SPAN_CANCEL: &str = "calendar.cancel_op";
+/// Span: the post-commit housekeeping round of a reconcile or cancel
+/// (record broadcast, back links, availability queues, mail) — one span
+/// per round, none per peer.
+pub const SPAN_HOUSEKEEPING: &str = "calendar.housekeeping";
 
 // --- model (syd-model state-space explorer) --------------------------------
 
@@ -139,6 +149,7 @@ pub const ALL: &[&str] = &[
     ENGINE_INVOKE,
     ENGINE_BATCH_RESOLVES,
     ENGINE_RESOLVE_FALLBACKS,
+    ENGINE_ROUNDS,
     LISTENER_DISPATCH,
     LISTENER_AUTH_FAILURES,
     DIR_LOOKUPS,
@@ -158,6 +169,8 @@ pub const ALL: &[&str] = &[
     SPAN_LOCK_WAIT,
     SPAN_SCHEDULE,
     SPAN_RECONCILE,
+    SPAN_CANCEL,
+    SPAN_HOUSEKEEPING,
     MODEL_STATES_EXPLORED,
     MODEL_VIOLATIONS,
 ];
