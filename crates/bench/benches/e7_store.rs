@@ -131,7 +131,7 @@ fn bench_store(c: &mut Criterion) {
                 None
             }
             2 => {
-                let events = EventHandler::new();
+                let events = EventHandler::new(syd_net::TimerWheel::new("e7"));
                 events.bridge_store(&store, "slots").unwrap();
                 events.subscribe("store.slots.", std::sync::Arc::new(|_t, _p| {}));
                 Some(events)

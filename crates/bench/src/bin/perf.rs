@@ -11,8 +11,7 @@
 //! latency inside the fleet.
 //!
 //! ```sh
-//! cargo run --release -p syd-bench --bin perf                  # optimized paths
-//! cargo run --release -p syd-bench --bin perf -- --mode legacy # pre-optimisation A/B
+//! cargo run --release -p syd-bench --bin perf                  # full matrix
 //! cargo run --release -p syd-bench --bin perf -- --quick       # CI smoke subset
 //! cargo run --release -p syd-bench --bin perf -- --transport both # sim vs loopback TCP
 //! cargo run --release -p syd-bench --bin perf -- --check BENCH_results.json
@@ -31,12 +30,8 @@
 //! since deterministic drop injection lives in the sim router. TCP rows
 //! count framed socket bytes and must report `frame_errors: 0`.
 //!
-//! `--mode legacy` re-enables the per-user overlapped directory lookups,
-//! per-recipient body re-encoding and ordinal-list availability exchange
-//! on the *same* harness, which is what makes `BENCH_baseline.json` vs
-//! `BENCH_results.json` an apples-to-apples diff. Everything is
-//! seed-deterministic; wall-clock latencies vary with the host, but
-//! message/byte/round-trip counts must not.
+//! Everything is seed-deterministic; wall-clock latencies vary with the
+//! host, but message/byte/round-trip counts must not.
 
 // Benchmark driver: a rig that cannot build has no numbers to report.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -55,6 +50,9 @@ use syd_types::{ServiceName, SlotRange, SydError, UserId, Value};
 /// Schema identifier stamped into every emitted document.
 const SCHEMA: &str = "syd-bench-perf/v1";
 
+/// The `mode` field every `syd-bench-perf/v1` document carries.
+const MODE: &str = "optimized";
+
 /// Per-attempt deadline/retry budget used whenever loss is in play.
 fn lossy_opts() -> CallOptions {
     CallOptions::new()
@@ -64,7 +62,6 @@ fn lossy_opts() -> CallOptions {
 
 struct Config {
     quick: bool,
-    legacy: bool,
     seed: u64,
     out: Option<String>,
     /// Transport backends to run: `["sim"]`, `["tcp"]`, or both.
@@ -80,7 +77,6 @@ struct Config {
 fn main() {
     let mut cfg = Config {
         quick: false,
-        legacy: false,
         seed: 42,
         out: None,
         transports: vec!["sim"],
@@ -92,11 +88,6 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => cfg.quick = true,
-            "--mode" => match args.next().as_deref() {
-                Some("legacy") => cfg.legacy = true,
-                Some("optimized") => cfg.legacy = false,
-                other => die(&format!("--mode legacy|optimized, got {other:?}")),
-            },
             "--seed" => match args.next().and_then(|s| s.parse().ok()) {
                 Some(seed) => cfg.seed = seed,
                 None => die("--seed needs an integer"),
@@ -133,11 +124,7 @@ fn die(msg: &str) -> ! {
 }
 
 fn run(cfg: &Config) {
-    let mode = if cfg.legacy { "legacy" } else { "optimized" };
-    println!(
-        "SyD perf driver — mode={mode} seed={} quick={}",
-        cfg.seed, cfg.quick
-    );
+    println!("SyD perf driver — seed={} quick={}", cfg.seed, cfg.quick);
 
     // `--fleet N`: smoke-gate mode. One fleet-scale row, then hard-fail
     // on an unclean audit or a blown thread budget — this is what the
@@ -151,7 +138,7 @@ fn run(cfg: &Config) {
         let clean = matches!(row.get("audit_clean"), Some(Json::Bool(true)));
         let doc = Json::Obj(vec![
             ("schema".into(), Json::Str(SCHEMA.into())),
-            ("mode".into(), Json::Str(mode.into())),
+            ("mode".into(), Json::Str(MODE.into())),
             ("seed".into(), Json::Num(cfg.seed as f64)),
             ("quick".into(), Json::Bool(cfg.quick)),
             ("results".into(), Json::Arr(vec![row])),
@@ -212,17 +199,12 @@ fn run(cfg: &Config) {
 
     let doc = Json::Obj(vec![
         ("schema".into(), Json::Str(SCHEMA.into())),
-        ("mode".into(), Json::Str(mode.into())),
+        ("mode".into(), Json::Str(MODE.into())),
         ("seed".into(), Json::Num(cfg.seed as f64)),
         ("quick".into(), Json::Bool(cfg.quick)),
         ("results".into(), Json::Arr(results)),
     ]);
-    let default_out = if cfg.legacy {
-        "BENCH_baseline.json"
-    } else {
-        "BENCH_results.json"
-    };
-    let out = cfg.out.as_deref().unwrap_or(default_out);
+    let out = cfg.out.as_deref().unwrap_or("BENCH_results.json");
     std::fs::write(out, doc.pretty()).unwrap_or_else(|e| die(&format!("write {out}: {e}")));
     println!("\nwrote {out}");
 }
@@ -351,12 +333,6 @@ fn frame_errors_now(env: &SydEnv) -> u64 {
         .map_or(0, |c| c.get())
 }
 
-/// Applies the mode's hot-path switches to a device engine.
-fn apply_mode(cfg: &Config, engine: &syd_core::SydEngine) {
-    engine.set_batched_resolve(!cfg.legacy);
-    engine.set_shared_encode(!cfg.legacy);
-}
-
 /// Mixes the cell coordinates into the base seed so every cell gets its
 /// own deterministic loss pattern.
 fn cell_seed(cfg: &Config, n: usize, loss: f64, salt: u64) -> u64 {
@@ -386,7 +362,6 @@ fn bench_group_invoke(cfg: &Config, backend: &'static str, n: usize, loss: f64) 
         .expect("register echo");
     }
     let engine = devs[0].engine();
-    apply_mode(cfg, engine);
     if loss > 0.0 {
         engine.set_options(lossy_opts());
         env.network().reconfigure(
@@ -439,7 +414,6 @@ fn bench_directory_resolution(cfg: &Config, backend: &'static str, n: usize, los
         .map(syd_core::DeviceRuntime::user)
         .collect();
     let engine = devs[0].engine();
-    apply_mode(cfg, engine);
     if loss > 0.0 {
         engine.set_options(lossy_opts());
         env.network().reconfigure(
@@ -481,16 +455,11 @@ fn bench_directory_resolution(cfg: &Config, backend: &'static str, n: usize, los
 
 /// The full §5 flow: find a common slot across everyone's calendar over a
 /// four-week window, then schedule the meeting (mark → commit → links).
-/// Legacy mode exchanges availability as ordinal lists and intersects by
-/// membership scan; optimized mode ships bitmaps and ANDs them.
 fn bench_schedule(cfg: &Config, backend: &'static str, n: usize, loss: f64) -> Cell {
     const WINDOW_DAYS: u32 = 28;
     let env = make_env(backend);
     let apps = calendar_rig(&env, n);
     let users = users_of(&apps);
-    for app in &apps {
-        apply_mode(cfg, app.device().engine());
-    }
     if loss > 0.0 {
         for app in &apps {
             app.device().engine().set_options(lossy_opts());
@@ -530,7 +499,7 @@ fn bench_schedule(cfg: &Config, backend: &'static str, n: usize, loss: f64) -> C
         let range = SlotRange::days(base, base + WINDOW_DAYS);
         apps[0].device().engine().flush_cache();
         let t = Instant::now();
-        let outcome = schedule_once(cfg, &apps[0], &users, range, iter);
+        let outcome = schedule_once(&apps[0], &users, range, iter);
         cell.latencies_ms.push(ms(t.elapsed()));
         if outcome.is_ok() {
             cell.ok += 1;
@@ -565,8 +534,6 @@ fn os_threads() -> usize {
 /// the standard latency metrics plus the scale metrics the shared
 /// runtime exists for — OS threads for the whole process, resident
 /// memory per device, and a clean `syd-check` audit of the subgroup.
-/// The legacy thread-per-device model cannot produce the 10k row at all
-/// (two threads per device ≈ 20k OS threads).
 fn bench_fleet_scale(cfg: &Config, fleet: usize) -> Json {
     const SUBGROUP: usize = 8;
     let env = env_ideal();
@@ -583,9 +550,6 @@ fn bench_fleet_scale(cfg: &Config, fleet: usize) -> Json {
         .collect();
     let mem_kb_per_device = (vm_rss_kb().saturating_sub(rss0)) as f64 / fleet.max(1) as f64;
 
-    for app in &apps {
-        apply_mode(cfg, app.device().engine());
-    }
     let iters = if cfg.quick { 2 } else { 5 };
     let dir0 = dir_round_trips(&env);
     let bytes0 = wire_bytes_now(&env, "sim");
@@ -606,7 +570,7 @@ fn bench_fleet_scale(cfg: &Config, fleet: usize) -> Json {
         let range = SlotRange::days(base, base + 7);
         apps[0].device().engine().flush_cache();
         let t = Instant::now();
-        let outcome = schedule_once(cfg, &apps[0], &users, range, iter);
+        let outcome = schedule_once(&apps[0], &users, range, iter);
         cell.latencies_ms.push(ms(t.elapsed()));
         if outcome.is_ok() {
             cell.ok += 1;
@@ -658,9 +622,6 @@ fn bench_phase_attribution(cfg: &Config, backend: &'static str, n: usize, loss: 
     let env = make_env(backend);
     let apps = calendar_rig(&env, n);
     let users = users_of(&apps);
-    for app in &apps {
-        apply_mode(cfg, app.device().engine());
-    }
     if loss > 0.0 {
         for app in &apps {
             app.device().engine().set_options(lossy_opts());
@@ -690,7 +651,7 @@ fn bench_phase_attribution(cfg: &Config, backend: &'static str, n: usize, loss: 
         let base = 1 + iter as u32 * (WINDOW_DAYS + 1);
         let range = SlotRange::days(base, base + WINDOW_DAYS);
         apps[0].device().engine().flush_cache();
-        if schedule_once(cfg, &apps[0], &users, range, iter).is_ok() {
+        if schedule_once(&apps[0], &users, range, iter).is_ok() {
             ok += 1;
         }
         collector.drain_global();
@@ -783,17 +744,12 @@ fn bench_phase_attribution(cfg: &Config, backend: &'static str, n: usize, loss: 
 }
 
 fn schedule_once(
-    cfg: &Config,
     initiator: &CalendarApp,
     users: &[UserId],
     range: SlotRange,
     iter: usize,
 ) -> Result<(), SydError> {
-    let common = if cfg.legacy {
-        initiator.find_common_slots_via_lists(users, range)?
-    } else {
-        initiator.find_common_slots(users, range)?
-    };
+    let common = initiator.find_common_slots(users, range)?;
     let slot = *common
         .first()
         .ok_or_else(|| SydError::App("no common slot".into()))?;
@@ -818,9 +774,8 @@ fn validate_file(path: &str) -> Result<usize, String> {
     if doc.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
         return Err(format!("schema field is not {SCHEMA:?}"));
     }
-    match doc.get("mode").and_then(Json::as_str) {
-        Some("legacy" | "optimized") => {}
-        other => return Err(format!("mode must be legacy|optimized, got {other:?}")),
+    if doc.get("mode").and_then(Json::as_str) != Some(MODE) {
+        return Err(format!("mode field is not {MODE:?}"));
     }
     let results = doc
         .get("results")

@@ -108,49 +108,6 @@ impl CalendarApp {
         Ok(common.to_slots())
     }
 
-    /// The pre-bitmap form of [`CalendarApp::find_common_slots`]: every
-    /// peer returns its free ordinals as a list and the initiator
-    /// intersects by membership scan. Kept (and tested) as the
-    /// compatibility reference and for A/B benchmarking — both paths must
-    /// return identical slots in identical (ascending) order.
-    pub fn find_common_slots_via_lists(
-        &self,
-        participants: &[UserId],
-        range: SlotRange,
-    ) -> SydResult<Vec<TimeSlot>> {
-        let start = range.start.ordinal();
-        let end = range.end.ordinal();
-        // Local view first.
-        let mut common: Option<Vec<u64>> = Some(self.free_ordinals(start, end)?);
-        let others: Vec<UserId> = participants
-            .iter()
-            .copied()
-            .filter(|&u| u != self.user())
-            .collect();
-        let result = self.device.engine().invoke_group(
-            &others,
-            &calendar_service(),
-            "free_slots",
-            vec![Value::from(start), Value::from(end)],
-        );
-        for (user, outcome) in result.outcomes {
-            let free =
-                outcome.map_err(|e| SydError::App(format!("could not query {user}: {e}")))?;
-            let theirs: Vec<u64> = free
-                .as_list()?
-                .iter()
-                .filter_map(|v| v.as_i64().ok().map(|n| n as u64))
-                .collect();
-            let current = common.take().unwrap_or_default();
-            common = Some(current.into_iter().filter(|o| theirs.contains(o)).collect());
-        }
-        Ok(common
-            .unwrap_or_default()
-            .into_iter()
-            .map(TimeSlot::from_ordinal)
-            .collect())
-    }
-
     // ---- meeting setup ---------------------------------------------------------
 
     /// Sets up a meeting (§5): reserves the chosen slot at every available

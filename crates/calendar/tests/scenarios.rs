@@ -435,7 +435,14 @@ fn bitmap_and_list_intersections_agree() {
     let range = SlotRange::new(TimeSlot::new(1, 2), TimeSlot::new(3, 5));
 
     let via_bitmaps = apps[0].find_common_slots(&users, range).unwrap();
-    let via_lists = apps[0].find_common_slots_via_lists(&users, range).unwrap();
+    // The reference: every app's own ordinal list, intersected by scan.
+    let (start, end) = (range.start.ordinal(), range.end.ordinal());
+    let mut via_lists = apps[0].free_ordinals(start, end).unwrap();
+    for app in &apps[1..] {
+        let theirs = app.free_ordinals(start, end).unwrap();
+        via_lists.retain(|o| theirs.contains(o));
+    }
+    let via_lists: Vec<TimeSlot> = via_lists.into_iter().map(TimeSlot::from_ordinal).collect();
     assert_eq!(via_bitmaps, via_lists);
     assert!(!via_bitmaps.contains(&TimeSlot::new(1, 3)));
     assert!(!via_bitmaps.contains(&TimeSlot::new(2, 0)));

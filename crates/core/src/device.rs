@@ -117,13 +117,8 @@ impl DeviceRuntime {
         // wireless environment loses individual messages routinely.
         let engine = SydEngine::new(node.clone(), directory)
             .with_options(syd_net::CallOptions::new().with_retries(2));
-        // On the shared runtime the handler's periodic work rides the
-        // fleet's timer wheel (no thread); legacy nodes get the private
-        // scheduler thread.
-        let events = match node.runtime() {
-            Some(runtime) => EventHandler::with_timer(runtime.timer().clone()),
-            None => EventHandler::new(),
-        };
+        // The handler's periodic work rides the fleet's timer wheel.
+        let events = EventHandler::new(node.runtime().timer().clone());
         // Global events arriving on the node feed the local event handler
         // (§3.1d: the event handler covers "local and global event
         // registration, monitoring, and triggering").

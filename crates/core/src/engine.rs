@@ -12,7 +12,6 @@
 //! a group of `n` costs one round-trip of latency, not `n`.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -117,21 +116,6 @@ impl<'a> Call<'a> {
     }
 }
 
-/// Hot-path tuning knobs, shared by every clone of an engine (a device's
-/// negotiator and applications all see the same settings). Both default
-/// to the optimised path; the legacy settings exist so the `perf`
-/// benchmark driver can A/B the pre-optimisation behaviour on the same
-/// harness.
-struct EngineTuning {
-    /// Resolve cold group members with one batched `lookup_many` round
-    /// trip (`true`) or with `n` overlapped single lookups (`false`).
-    batched_resolve: AtomicBool,
-    /// Pre-encode a group broadcast's argument body once and share it
-    /// across recipients (`true`) or deep-copy + re-encode per recipient
-    /// (`false`).
-    shared_encode: AtomicBool,
-}
-
 /// The invocation engine bound to one device's node.
 #[derive(Clone)]
 pub struct SydEngine {
@@ -145,7 +129,6 @@ pub struct SydEngine {
     /// applications hold clones), while [`SydEngine::with_options`]
     /// detaches the new handle onto its own cell, builder style.
     opts: Arc<Mutex<CallOptions>>,
-    tuning: Arc<EngineTuning>,
     qos: Option<Arc<QosMonitor>>,
     /// End-to-end invoke latency ("engine.invoke"), resolve included.
     invoke_hist: Histogram,
@@ -171,10 +154,6 @@ impl SydEngine {
             directory,
             cache: Arc::new(Mutex::new(HashMap::new())),
             opts: Arc::new(Mutex::new(CallOptions::default())),
-            tuning: Arc::new(EngineTuning {
-                batched_resolve: AtomicBool::new(true),
-                shared_encode: AtomicBool::new(true),
-            }),
             qos: None,
             invoke_hist,
             batch_resolves,
@@ -212,28 +191,6 @@ impl SydEngine {
     /// Current call options.
     fn opts(&self) -> CallOptions {
         *self.opts.lock()
-    }
-
-    /// Switches between batched (`true`, default) and per-user overlapped
-    /// (`false`) cold-group directory resolution. Shared across clones.
-    pub fn set_batched_resolve(&self, on: bool) {
-        self.tuning.batched_resolve.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether cold group resolution uses the batched `lookup_many` path.
-    pub fn batched_resolve(&self) -> bool {
-        self.tuning.batched_resolve.load(Ordering::Relaxed)
-    }
-
-    /// Switches between encode-once broadcast bodies (`true`, default)
-    /// and per-recipient deep copies (`false`). Shared across clones.
-    pub fn set_shared_encode(&self, on: bool) {
-        self.tuning.shared_encode.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether group broadcasts share one pre-encoded argument body.
-    pub fn shared_encode(&self) -> bool {
-        self.tuning.shared_encode.load(Ordering::Relaxed)
     }
 
     /// Drops every cached address, forcing the next resolution of each
@@ -274,25 +231,16 @@ impl SydEngine {
 
     /// Resolves many users at once. Cache hits are served locally; the
     /// misses go to the directory in **one** batched `lookup_many` round
-    /// trip (default), so a cold group call costs a single directory
-    /// exchange regardless of group size. If the batch itself fails —
-    /// lossy network, or a directory predating the batched method — the
-    /// engine falls back to the legacy overlapped per-user path, which
-    /// degrades gracefully one member at a time.
+    /// trip, so a cold group call costs a single directory exchange
+    /// regardless of group size. If the batch itself fails — lossy
+    /// network, or a directory predating the batched method — the engine
+    /// falls back to overlapped per-user lookups, which degrade
+    /// gracefully one member at a time.
     pub fn resolve_many(&self, users: &[UserId]) -> Vec<(UserId, SydResult<NodeAddr>)> {
         // Directory resolution is one of the phases the critical-path
         // analyzer attributes; the lookup RPCs below nest under this span.
         let mut span = self.node.tracer().span(names::SPAN_DIR_RESOLVE);
         span.attr("users", users.len() as u64);
-        if self.batched_resolve() {
-            self.resolve_many_batched(users)
-        } else {
-            self.resolve_many_overlapped(users)
-        }
-    }
-
-    /// Batched resolution: one `lookup_many` round trip for all misses.
-    fn resolve_many_batched(&self, users: &[UserId]) -> Vec<(UserId, SydResult<NodeAddr>)> {
         let mut out: Vec<(UserId, Option<SydResult<NodeAddr>>)> = Vec::with_capacity(users.len());
         let mut misses: Vec<(usize, UserId)> = Vec::new();
         {
@@ -353,9 +301,9 @@ impl SydEngine {
             .collect()
     }
 
-    /// Legacy resolution: overlapped single lookups for cache misses so a
-    /// cold group call costs one lookup round trip of *latency* — but
-    /// still `n` request/response exchanges on the wire.
+    /// The error path of a lost batch: overlapped single lookups for
+    /// cache misses, so resolution still costs one lookup round trip of
+    /// *latency* — but `n` request/response exchanges on the wire.
     fn resolve_many_overlapped(&self, users: &[UserId]) -> Vec<(UserId, SydResult<NodeAddr>)> {
         let opts = self.opts();
         let mut out: Vec<(UserId, Option<SydResult<NodeAddr>>)> = Vec::with_capacity(users.len());
@@ -541,16 +489,7 @@ impl SydEngine {
         method: &str,
         args: Vec<Value>,
     ) -> GroupResult {
-        let calls: Vec<Call<'_>> = if self.shared_encode() {
-            Call::broadcast(users, service, method, args).collect()
-        } else {
-            // Legacy mode deep-copies the values per recipient, paying the
-            // per-member re-encode the shared handle exists to avoid.
-            users
-                .iter()
-                .map(|&user| Call::new(user, service, method, args.clone()))
-                .collect()
-        };
+        let calls: Vec<Call<'_>> = Call::broadcast(users, service, method, args).collect();
         self.invoke_batch(&calls)
     }
 
@@ -803,18 +742,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_mode_resolves_per_user() {
-        let (_net, dir, engine, _servers) = setup(4);
-        engine.set_batched_resolve(false);
-        engine.set_shared_encode(false);
-        let users: Vec<UserId> = (1..=4).map(UserId::new).collect();
-        let result = engine.invoke_group(&users, &ServiceName::new("svc"), "echo", vec![]);
-        assert!(result.all_ok());
-        assert_eq!(dir_counter(&dir, "dir.batch_lookups"), 0);
-        assert_eq!(dir_counter(&dir, "dir.lookups"), 4);
-    }
-
-    #[test]
     fn flush_cache_forces_reresolution() {
         let (_net, dir, engine, _servers) = setup(2);
         let users: Vec<UserId> = (1..=2).map(UserId::new).collect();
@@ -824,13 +751,49 @@ mod tests {
         assert_eq!(dir_counter(&dir, "dir.batch_lookups"), 2);
     }
 
+    /// A stand-in for a directory predating the batched method: it serves
+    /// `lookup` for the `setup` users and nothing else, so `lookup_many`
+    /// comes back `NoSuchService`. Returns it with an engine on `engine`'s
+    /// node that resolves through it.
+    fn old_directory(net: &Network, engine: &SydEngine, servers: &[Node]) -> (Node, SydEngine) {
+        let addrs: Vec<NodeAddr> = servers.iter().map(Node::addr).collect();
+        let old_dir = Node::spawn(net);
+        old_dir.set_handler(Arc::new(move |_from, req: Request| {
+            if req.method != "lookup" {
+                return Err(SydError::NoSuchService(req.service, req.method));
+            }
+            let user = req.args.to_vec()[0].as_i64()? as usize;
+            Ok(Value::map([
+                ("addr", Value::from(addrs[user - 1].raw())),
+                ("is_proxy", Value::Bool(false)),
+            ]))
+        }) as Arc<dyn RequestHandler>);
+        let node = engine.node().clone();
+        let dirc = DirectoryClient::new(node.clone(), old_dir.addr());
+        (old_dir, SydEngine::new(node, dirc))
+    }
+
+    #[test]
+    fn lost_batch_falls_back_to_per_user_lookups() {
+        let (net, dir, engine, servers) = setup(4);
+        let (_old_dir, engine) = old_directory(&net, &engine, &servers);
+        let users: Vec<UserId> = (1..=4).map(UserId::new).collect();
+        let result = engine.invoke_group(&users, &ServiceName::new("svc"), "echo", vec![]);
+        assert!(result.all_ok(), "outcomes: {:?}", result.outcomes);
+        let fallbacks = engine
+            .node()
+            .metrics()
+            .counter(names::ENGINE_RESOLVE_FALLBACKS);
+        assert_eq!(fallbacks.get(), 1);
+        // The real directory saw none of it.
+        assert_eq!(dir_counter(&dir, "dir.batch_lookups"), 0);
+        assert_eq!(dir_counter(&dir, "dir.lookups"), 0);
+    }
+
     /// Under message loss, a dropped lookup must not fail its sibling
     /// group members — and whatever the loss, every successful resolution
-    /// must land in the cache so the next round is free. Exercised for
-    /// both the batched and the overlapped resolver.
-    fn resolve_many_survives_loss(batched: bool) {
-        let (net, _dir, engine, _servers) = setup(6);
-        engine.set_batched_resolve(batched);
+    /// must land in the cache so the next round is free.
+    fn resolve_many_survives_loss(net: &Network, engine: &SydEngine) {
         // At 40 % loss one attempt (request and reply both delivered)
         // fails with probability 0.64. Forty retries put a member's
         // failure below 0.64^41 ≈ 1e-8, so the outcome does not depend on
@@ -867,12 +830,16 @@ mod tests {
 
     #[test]
     fn batched_resolve_survives_loss_and_populates_cache() {
-        resolve_many_survives_loss(true);
+        let (net, _dir, engine, _servers) = setup(6);
+        resolve_many_survives_loss(&net, &engine);
     }
 
     #[test]
     fn overlapped_resolve_survives_loss_and_populates_cache() {
-        resolve_many_survives_loss(false);
+        // Behind a directory without `lookup_many`, the error path.
+        let (net, _dir, engine, servers) = setup(6);
+        let (_old_dir, engine) = old_directory(&net, &engine, &servers);
+        resolve_many_survives_loss(&net, &engine);
     }
 
     #[test]

@@ -118,10 +118,9 @@ impl SydEnv {
         &self.clock
     }
 
-    /// The shared device runtime multiplexing this deployment's devices
-    /// (created on first use; meaningful when [`syd_net::shared_runtime_enabled`]
-    /// is on). Fleet tooling uses it to enable scoped metrics before a
-    /// mass spawn and to read reactor/pool occupancy afterwards.
+    /// The shared device runtime multiplexing this deployment's devices.
+    /// Fleet tooling uses it to enable scoped metrics before a mass spawn
+    /// and to read reactor/pool occupancy afterwards.
     pub fn runtime(&self) -> syd_net::SharedRuntime {
         syd_net::runtime_for(&*self.transport)
     }

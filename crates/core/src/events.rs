@@ -14,12 +14,11 @@
 //! (`store.<table>.insert|update|delete`), so application logic can react
 //! to database changes without any Oracle-specific machinery.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 use syd_net::{TimerId, TimerWheel};
 use syd_store::{Store, Trigger, TriggerEvent};
 use syd_types::{SydResult, Value};
@@ -27,30 +26,20 @@ use syd_types::{SydResult, Value};
 /// Callback invoked with `(topic, payload)`.
 pub type EventCallback = Arc<dyn Fn(&str, &Value) + Send + Sync>;
 
-/// A named periodic task.
-pub struct PeriodicTask {
-    /// Task name (unique; used for cancellation).
-    pub name: String,
-    /// Interval between runs.
-    pub interval: Duration,
-    next_due: Instant,
+/// A named periodic task: the wheel entry that fires it and the action
+/// itself (kept so [`EventHandler::run_periodic_now`] can run it).
+struct PeriodicTask {
+    name: String,
+    id: TimerId,
     action: Arc<dyn Fn() + Send + Sync>,
-}
-
-struct SchedulerState {
-    tasks: Vec<PeriodicTask>,
-    /// Wheel-mode only: the shared-wheel entry backing each named task.
-    wheel_ids: HashMap<String, TimerId>,
 }
 
 struct Inner {
     subs: RwLock<Vec<(String, EventCallback)>>,
-    scheduler: Mutex<SchedulerState>,
-    wake: Condvar,
-    /// Wheel mode ([`EventHandler::with_timer`]): periodic tasks are
-    /// entries on a shared [`TimerWheel`] and no scheduler thread runs.
-    timer: Option<TimerWheel>,
-    shutdown: AtomicBool,
+    /// In registration order, which is the order `run_periodic_now` runs.
+    tasks: Mutex<Vec<PeriodicTask>>,
+    /// The runtime's shared wheel; this handler owns only its entries.
+    timer: TimerWheel,
     published: AtomicU64,
     delivered: AtomicU64,
 }
@@ -61,50 +50,20 @@ pub struct EventHandler {
     inner: Arc<Inner>,
 }
 
-impl Default for EventHandler {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl EventHandler {
-    /// Creates an event handler and starts its scheduler thread.
-    pub fn new() -> EventHandler {
-        let inner = Self::build_inner(None);
-        let sched_inner = Arc::clone(&inner);
-        // Without its scheduler thread no timed event ever fires:
-        // construction failure is unrecoverable, panicking is the contract.
-        #[allow(clippy::expect_used)]
-        std::thread::Builder::new()
-            .name("syd-events-scheduler".into())
-            .spawn(move || scheduler_loop(sched_inner))
-            .expect("spawn scheduler");
-        EventHandler { inner }
-    }
-
     /// Creates an event handler whose periodic tasks run as entries on
-    /// `timer` — a wheel shared with the rest of the fleet runtime — so
-    /// the handler costs no thread of its own. [`EventHandler::shutdown`]
-    /// cancels this handler's entries but leaves the shared wheel alive.
-    pub fn with_timer(timer: TimerWheel) -> EventHandler {
+    /// `timer` — the wheel shared with the rest of the fleet runtime — so
+    /// the handler costs no thread of its own.
+    pub fn new(timer: TimerWheel) -> EventHandler {
         EventHandler {
-            inner: Self::build_inner(Some(timer)),
-        }
-    }
-
-    fn build_inner(timer: Option<TimerWheel>) -> Arc<Inner> {
-        Arc::new(Inner {
-            subs: RwLock::new(Vec::new()),
-            scheduler: Mutex::new(SchedulerState {
-                tasks: Vec::new(),
-                wheel_ids: HashMap::new(),
+            inner: Arc::new(Inner {
+                subs: RwLock::new(Vec::new()),
+                tasks: Mutex::new(Vec::new()),
+                timer,
+                published: AtomicU64::new(0),
+                delivered: AtomicU64::new(0),
             }),
-            wake: Condvar::new(),
-            timer,
-            shutdown: AtomicBool::new(false),
-            published: AtomicU64::new(0),
-            delivered: AtomicU64::new(0),
-        })
+        }
     }
 
     /// Subscribes `callback` to every topic starting with `prefix`
@@ -128,9 +87,8 @@ impl EventHandler {
     /// Registers (or replaces) a periodic task.
     ///
     /// The registrar's trace context (if any) is captured and restored
-    /// around every firing, in both scheduler-thread and shared-wheel
-    /// modes, so periodic work stays attributed to the trace that set
-    /// it up.
+    /// around every firing, so periodic work stays attributed to the
+    /// trace that set it up.
     pub fn register_periodic(
         &self,
         name: &str,
@@ -142,51 +100,40 @@ impl EventHandler {
             let _span = ctx.map(syd_telemetry::trace::enter);
             action();
         });
-        let mut state = self.inner.scheduler.lock();
-        state.tasks.retain(|t| t.name != name);
-        state.tasks.push(PeriodicTask {
+        let wheel_action = Arc::clone(&action);
+        let mut tasks = self.inner.tasks.lock();
+        self.cancel_locked(&mut tasks, name);
+        tasks.push(PeriodicTask {
             name: name.to_owned(),
-            interval,
-            next_due: Instant::now() + interval,
-            action: Arc::clone(&action),
+            id: self
+                .inner
+                .timer
+                .schedule_periodic(interval, move || wheel_action()),
+            action,
         });
-        if let Some(timer) = &self.inner.timer {
-            let wheel_action = Arc::clone(&action);
-            let id = timer.schedule_periodic(interval, move || wheel_action());
-            if let Some(old) = state.wheel_ids.insert(name.to_owned(), id) {
-                timer.cancel(old);
-            }
-        }
-        drop(state);
-        self.inner.wake.notify_all();
     }
 
     /// Cancels a periodic task by name.
     pub fn cancel_periodic(&self, name: &str) {
-        let mut state = self.inner.scheduler.lock();
-        state.tasks.retain(|t| t.name != name);
-        if let Some(timer) = &self.inner.timer {
-            if let Some(id) = state.wheel_ids.remove(name) {
-                timer.cancel(id);
-            }
+        self.cancel_locked(&mut self.inner.tasks.lock(), name);
+    }
+
+    fn cancel_locked(&self, tasks: &mut Vec<PeriodicTask>, name: &str) {
+        if let Some(at) = tasks.iter().position(|task| task.name == name) {
+            self.inner.timer.cancel(tasks.remove(at).id);
         }
     }
 
     /// Runs every periodic task once, immediately — used by tests and by
     /// deterministic benches instead of waiting for wall-clock intervals.
     pub fn run_periodic_now(&self) {
-        let actions: Vec<Arc<dyn Fn() + Send + Sync>> = {
-            let mut state = self.inner.scheduler.lock();
-            let now = Instant::now();
-            state
-                .tasks
-                .iter_mut()
-                .map(|t| {
-                    t.next_due = now + t.interval;
-                    Arc::clone(&t.action)
-                })
-                .collect()
-        };
+        let actions: Vec<Arc<dyn Fn() + Send + Sync>> = self
+            .inner
+            .tasks
+            .lock()
+            .iter()
+            .map(|task| Arc::clone(&task.action))
+            .collect();
         for action in actions {
             action();
         }
@@ -237,72 +184,20 @@ impl EventHandler {
         ))
     }
 
-    /// Stops timed work: the scheduler thread in thread mode, or this
-    /// handler's shared-wheel entries in wheel mode (the wheel itself
-    /// belongs to the runtime and keeps running).
+    /// Stops timed work: cancels this handler's entries on the shared
+    /// wheel (the wheel itself belongs to the runtime and keeps running).
     pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        if let Some(timer) = &self.inner.timer {
-            let mut state = self.inner.scheduler.lock();
-            for (_, id) in state.wheel_ids.drain() {
-                timer.cancel(id);
-            }
-            state.tasks.clear();
-        }
-        self.inner.wake.notify_all();
-    }
-}
-
-fn scheduler_loop(inner: Arc<Inner>) {
-    let mut state = inner.scheduler.lock();
-    loop {
-        if inner.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let now = Instant::now();
-        let mut due: Vec<Arc<dyn Fn() + Send + Sync>> = Vec::new();
-        let mut next_wake: Option<Instant> = None;
-        for task in &mut state.tasks {
-            if task.next_due <= now {
-                due.push(Arc::clone(&task.action));
-                task.next_due = now + task.interval;
-            }
-            next_wake = Some(match next_wake {
-                None => task.next_due,
-                Some(w) => w.min(task.next_due),
-            });
-        }
-        if !due.is_empty() {
-            // Run actions without holding the scheduler lock.
-            drop(state);
-            for action in due {
-                action();
-            }
-            state = inner.scheduler.lock();
-            continue;
-        }
-        match next_wake {
-            Some(when) => {
-                let wait = when.saturating_duration_since(Instant::now());
-                inner
-                    .wake
-                    .wait_for(&mut state, wait.max(Duration::from_millis(1)));
-            }
-            None => {
-                inner.wake.wait(&mut state);
-            }
+        for task in self.inner.tasks.lock().drain(..) {
+            self.inner.timer.cancel(task.id);
         }
     }
 }
 
 impl Drop for EventHandler {
     fn drop(&mut self) {
-        // Thread mode: just us and the scheduler left → stop the thread.
-        // Wheel mode: no scheduler clone exists, so the floor is 1, and
-        // shutdown cancels the wheel entries (whose actions would
-        // otherwise keep capturing device internals forever).
-        let floor = if self.inner.timer.is_some() { 1 } else { 2 };
-        if Arc::strong_count(&self.inner) <= floor {
+        // Last handle: cancel the wheel entries, whose actions would
+        // otherwise keep capturing device internals forever.
+        if Arc::strong_count(&self.inner) <= 1 {
             self.shutdown();
         }
     }
@@ -313,11 +208,18 @@ impl Drop for EventHandler {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
+    use std::time::Instant;
     use syd_store::{Column, ColumnType, Predicate, Schema};
+
+    /// A handler on a wheel of its own; the test shuts the wheel down.
+    fn handler(name: &str) -> (TimerWheel, EventHandler) {
+        let wheel = TimerWheel::new(name);
+        (wheel.clone(), EventHandler::new(wheel))
+    }
 
     #[test]
     fn prefix_subscription_filters_topics() {
-        let events = EventHandler::new();
+        let (wheel, events) = handler("events-prefix");
         let link_events = Arc::new(AtomicU32::new(0));
         let all_events = Arc::new(AtomicU32::new(0));
         let lc = Arc::clone(&link_events);
@@ -339,11 +241,12 @@ mod tests {
         assert_eq!(link_events.load(Ordering::SeqCst), 1);
         assert_eq!(all_events.load(Ordering::SeqCst), 2);
         assert_eq!(events.counters(), (2, 3));
+        wheel.shutdown();
     }
 
     #[test]
     fn periodic_task_runs_on_schedule() {
-        let events = EventHandler::new();
+        let (wheel, events) = handler("events-schedule");
         let runs = Arc::new(AtomicU32::new(0));
         let rc = Arc::clone(&runs);
         events.register_periodic("tick", Duration::from_millis(20), move || {
@@ -359,14 +262,13 @@ mod tests {
         std::thread::sleep(Duration::from_millis(80));
         // Allow one in-flight run that raced the cancel.
         assert!(runs.load(Ordering::SeqCst) <= after_cancel + 1);
-        events.shutdown();
+        wheel.shutdown();
     }
 
     #[test]
     fn periodic_tasks_inherit_the_registrars_trace_context() {
         use syd_telemetry::trace;
-        // Thread mode: the scheduler thread must restore the ctx.
-        let events = EventHandler::new();
+        let (wheel, events) = handler("events-trace");
         let ctx = trace::root_span();
         let seen = Arc::new(Mutex::new(None));
         {
@@ -381,33 +283,13 @@ mod tests {
             assert!(Instant::now() < deadline, "periodic task did not run");
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert_eq!(*seen.lock(), Some(Some(ctx)), "legacy mode lost the ctx");
-        events.shutdown();
-
-        // Wheel mode: the shared timer thread must restore it too.
-        let wheel = TimerWheel::new("events-trace-test");
-        let events = EventHandler::with_timer(wheel.clone());
-        let seen = Arc::new(Mutex::new(None));
-        {
-            let _g = trace::enter(ctx);
-            let sc = Arc::clone(&seen);
-            events.register_periodic("probe", Duration::from_millis(10), move || {
-                *sc.lock() = Some(trace::current());
-            });
-        }
-        let deadline = Instant::now() + Duration::from_secs(3);
-        while seen.lock().is_none() {
-            assert!(Instant::now() < deadline, "wheel task did not run");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(*seen.lock(), Some(Some(ctx)), "wheel mode lost the ctx");
-        events.shutdown();
+        assert_eq!(*seen.lock(), Some(Some(ctx)), "timer thread lost the ctx");
         wheel.shutdown();
     }
 
     #[test]
     fn run_periodic_now_is_deterministic() {
-        let events = EventHandler::new();
+        let (wheel, events) = handler("events-now");
         let runs = Arc::new(AtomicU32::new(0));
         let rc = Arc::clone(&runs);
         events.register_periodic("scan", Duration::from_secs(3600), move || {
@@ -416,12 +298,12 @@ mod tests {
         events.run_periodic_now();
         events.run_periodic_now();
         assert_eq!(runs.load(Ordering::SeqCst), 2);
-        events.shutdown();
+        wheel.shutdown();
     }
 
     #[test]
     fn replacing_a_periodic_task_keeps_one_instance() {
-        let events = EventHandler::new();
+        let (wheel, events) = handler("events-replace");
         let a = Arc::new(AtomicU32::new(0));
         let b = Arc::new(AtomicU32::new(0));
         let ac = Arc::clone(&a);
@@ -435,13 +317,13 @@ mod tests {
         events.run_periodic_now();
         assert_eq!(a.load(Ordering::SeqCst), 0, "old task should be replaced");
         assert_eq!(b.load(Ordering::SeqCst), 1);
-        events.shutdown();
+        assert_eq!(wheel.pending(), 1, "replaced wheel entry still armed");
+        wheel.shutdown();
     }
 
     #[test]
     fn wheel_mode_runs_periodic_tasks_and_releases_the_shared_wheel() {
-        let wheel = TimerWheel::new("events-test");
-        let events = EventHandler::with_timer(wheel.clone());
+        let (wheel, events) = handler("events-shutdown");
         let runs = Arc::new(AtomicU32::new(0));
         let rc = Arc::clone(&runs);
         events.register_periodic("tick", Duration::from_millis(10), move || {
@@ -457,7 +339,6 @@ mod tests {
         let after_replace = runs.load(Ordering::SeqCst);
         std::thread::sleep(Duration::from_millis(60));
         assert!(runs.load(Ordering::SeqCst) <= after_replace + 1);
-        // Shutdown cancels this handler's entries but not the wheel.
         events.shutdown();
         assert_eq!(wheel.pending(), 0, "entries leaked on the shared wheel");
         wheel.shutdown();
@@ -465,7 +346,7 @@ mod tests {
 
     #[test]
     fn store_bridge_republishes_row_changes() {
-        let events = EventHandler::new();
+        let (wheel, events) = handler("events-bridge");
         let store = Store::new();
         store
             .create_table(
@@ -509,6 +390,6 @@ mod tests {
                 "store.slots.delete".to_owned(),
             ]
         );
-        events.shutdown();
+        wheel.shutdown();
     }
 }

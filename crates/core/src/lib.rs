@@ -49,7 +49,7 @@ pub use device::{DeviceRuntime, EntityHandler, SubscriptionHandler};
 pub use directory::{DirectoryClient, DirectoryServer, GroupInfo, UserRecord};
 pub use engine::{Call, GroupResult, SydEngine};
 pub use env::SydEnv;
-pub use events::{EventHandler, PeriodicTask};
+pub use events::EventHandler;
 pub use links::{Constraint, Link, LinkKind, LinkRef, LinkStatus, LinksModule, WaitingEntry};
 pub use listener::{InvokeCtx, Listener, ServiceMethod};
 pub use negotiate::{NegotiationOutcome, Negotiator, Participant};

@@ -34,18 +34,8 @@ fn settle_below(limit: usize, deadline: Duration) -> usize {
     }
 }
 
-/// These assertions only hold on the shared runtime; the legacy model
-/// spends threads per device by design, so the whole binary is a no-op
-/// under `SYD_RUNTIME=legacy` (CI reruns the full suite that way).
-fn shared_mode() -> bool {
-    syd_net::shared_runtime_enabled()
-}
-
 #[test]
 fn device_churn_does_not_leak_threads() {
-    if !shared_mode() {
-        return;
-    }
     let _serial = SERIAL
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -101,9 +91,6 @@ fn device_churn_does_not_leak_threads() {
 
 #[test]
 fn dropping_fleet_without_shutdown_releases_runtime() {
-    if !shared_mode() {
-        return;
-    }
     let _serial = SERIAL
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -136,9 +123,6 @@ fn dropping_fleet_without_shutdown_releases_runtime() {
 
 #[test]
 fn fleet_thread_budget_holds_at_scale() {
-    if !shared_mode() {
-        return;
-    }
     let _serial = SERIAL
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -160,7 +144,7 @@ fn fleet_thread_budget_holds_at_scale() {
         .unwrap();
     // 300 devices, yet the process stays within the fixed budget:
     // workers (soft-capped) + reactor + timer + sim router + main +
-    // test-harness slack. The legacy model would sit at 300+ threads.
+    // test-harness slack.
     let threads = os_threads();
     assert!(
         threads <= 64,

@@ -12,7 +12,7 @@
 //!   retries.
 //! * **[`SharedRuntime`]** — the event-driven device runtime: one
 //!   reactor, one [`TimerWheel`] and one shared [`WorkerPool`] carry an
-//!   entire fleet of nodes (the default; see [`set_shared_runtime`]).
+//!   entire fleet of nodes.
 //! * **[`WorkerPool`]** — grow-on-demand dispatch so nested invocations
 //!   (cancel cascades, negotiations) can never deadlock a dispatch thread.
 //!
@@ -41,9 +41,7 @@ pub use syd_transport::stats;
 pub use node::{EventSink, Node, RequestHandler};
 pub use pool::WorkerPool;
 pub use rpc::{CallOptions, PendingCall};
-pub use runtime::{
-    runtime_for, set_shared_runtime, shared_runtime_enabled, DrainOutcome, SharedRuntime,
-};
+pub use runtime::{runtime_for, DrainOutcome, SharedRuntime};
 pub use syd_transport::{
     Endpoint, FramedTcpTransport, LatencyModel, NetConfig, NetStats, Network, SimTransport,
     StatsSnapshot, Transport, TransportEndpoint, TransportEvent,

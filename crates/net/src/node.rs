@@ -7,17 +7,11 @@
 //! blocking [`Node::call`] / non-blocking [`Node::call_async`] semantics
 //! with deadlines and transient-failure retries.
 //!
-//! Two execution models share the same dispatch logic
-//! (`dispatch_event`):
-//!
-//! * **Shared runtime** (default; [`crate::runtime::set_shared_runtime`])
-//!   — the node is a state machine registered with the backend's
-//!   [`crate::runtime::SharedRuntime`]: the reactor thread drains its
-//!   endpoint when notified, jobs go to the shared pool, RPC deadlines
-//!   are timer-wheel entries. Zero threads per node.
-//! * **Legacy thread-per-device** ([`Node::spawn_on_endpoint`], or the
-//!   switch/`SYD_RUNTIME=legacy` turned off) — a dedicated driver
-//!   thread blocks on `recv_event` and a private pool serves requests.
+//! A node owns no thread. It is a state machine registered with its
+//! backend's [`crate::runtime::SharedRuntime`]: the reactor thread drains
+//! the endpoint when the transport signals readiness, requests and
+//! events become jobs on the shared pool, and RPC deadlines are
+//! timer-wheel entries.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,9 +25,8 @@ use syd_transport::{Network, Transport, TransportEndpoint, TransportEvent};
 use syd_types::{NodeAddr, RequestId, ServiceName, SydError, SydResult, UserId, Value};
 use syd_wire::{Args, EventMsg, Payload, Request, Response, TraceContext};
 
-use crate::pool::WorkerPool;
 use crate::rpc::{CallOptions, PendingCall};
-use crate::runtime::{runtime_for, shared_runtime_enabled, DrainOutcome, SharedRuntime};
+use crate::runtime::{runtime_for, DrainOutcome, SharedRuntime};
 use syd_telemetry::names;
 use syd_trace::Tracer;
 
@@ -41,16 +34,15 @@ use syd_trace::Tracer;
 /// peers (round-robin fairness under load).
 const DRAIN_BUDGET: usize = 128;
 
-/// Backstop added to the channel wait when the timer wheel owns the
-/// deadline: the wheel fires the timeout; the wait only catches a
-/// wedged wheel.
+/// Backstop added to the channel wait: the timer wheel fires the
+/// timeout; the wait only catches a wedged wheel.
 const DEADLINE_GRACE: Duration = Duration::from_millis(200);
 
 /// Serves incoming requests on a node.
 ///
 /// The handler runs on a pool worker and may freely perform nested remote
-/// calls (see [`WorkerPool`]). The returned value or error travels back to
-/// the caller as the response.
+/// calls (see [`crate::pool::WorkerPool`]). The returned value or error
+/// travels back to the caller as the response.
 pub trait RequestHandler: Send + Sync + 'static {
     /// Handles one request from `from`.
     fn handle(&self, from: NodeAddr, request: Request) -> SydResult<Value>;
@@ -113,10 +105,9 @@ struct NodeShared {
     handler: RwLock<Option<Arc<dyn RequestHandler>>>,
     events: RwLock<Option<Arc<dyn EventSink>>>,
     identity: RwLock<(UserId, Vec<u8>)>,
-    pool: WorkerPool,
-    /// `Some` when multiplexed onto a shared runtime (no driver thread,
-    /// shared pool, wheel-armed deadlines); `None` on the legacy path.
-    runtime: Option<SharedRuntime>,
+    /// The runtime this node is multiplexed onto: its reactor drains
+    /// `link`, its pool runs the handlers, its wheel arms call deadlines.
+    runtime: SharedRuntime,
     registry: Arc<Registry>,
     metrics: NodeMetrics,
     /// Per-node span ring: `rpc.client` / `rpc.server` spans land here,
@@ -133,64 +124,21 @@ pub struct Node {
 impl Node {
     /// Registers a fresh endpoint on the simulated `net`. Convenience
     /// for the common single-process case; equivalent to
-    /// [`Node::spawn_on`] with a [`Network`]. Honors the
-    /// [`crate::runtime::set_shared_runtime`] switch.
+    /// [`Node::spawn_on`] with a [`Network`].
     pub fn spawn(net: &Network) -> Node {
-        if shared_runtime_enabled() {
-            Node::spawn_with_runtime(Arc::new(net.register()), &runtime_for(net))
-        } else {
-            Node::spawn_on_endpoint(Arc::new(net.register()))
-        }
+        Node::spawn_with_runtime(Arc::new(net.register()), &runtime_for(net))
     }
 
     /// Opens a fresh endpoint on any [`Transport`] backend (simulated or
-    /// TCP). Honors the [`crate::runtime::set_shared_runtime`] switch:
-    /// shared-runtime multiplexing by default, a dedicated driver thread
-    /// on the legacy path.
+    /// TCP), multiplexed onto that backend's shared runtime.
     pub fn spawn_on(transport: &dyn Transport) -> SydResult<Node> {
-        if shared_runtime_enabled() {
-            let runtime = runtime_for(transport);
-            Ok(Node::spawn_with_runtime(transport.listen()?, &runtime))
-        } else {
-            Ok(Node::spawn_on_endpoint(transport.listen()?))
-        }
+        let runtime = runtime_for(transport);
+        Ok(Node::spawn_with_runtime(transport.listen()?, &runtime))
     }
 
-    /// Builds a node around an already-open transport endpoint on the
-    /// legacy thread-per-device path: a dedicated driver thread and a
-    /// private worker pool, regardless of the global runtime switch.
-    pub fn spawn_on_endpoint(link: Arc<dyn TransportEndpoint>) -> Node {
-        let addr = link.addr();
-        let registry = Arc::new(Registry::new());
-        let metrics = NodeMetrics::preregister(&registry);
-        let shared = Arc::new(NodeShared {
-            addr,
-            link,
-            pending: Mutex::new(HashMap::new()),
-            next_request: AtomicU64::new(1),
-            handler: RwLock::new(None),
-            events: RwLock::new(None),
-            identity: RwLock::new((UserId::default(), Vec::new())),
-            pool: WorkerPool::for_device(format!("node{}", addr.raw())),
-            runtime: None,
-            registry,
-            metrics,
-            tracer: Tracer::new(format!("node{}", addr.raw()), addr.raw()),
-        });
-        let driver_shared = Arc::clone(&shared);
-        // A node without its driver thread never receives: construction
-        // failure is unrecoverable, panicking is the contract.
-        #[allow(clippy::expect_used)]
-        std::thread::Builder::new()
-            .name(format!("node{}-driver", addr.raw()))
-            .spawn(move || driver_loop(&driver_shared))
-            .expect("spawn node driver");
-        Node { shared }
-    }
-
-    /// Builds a node multiplexed onto `runtime`, regardless of the
-    /// global switch: no driver thread, the runtime's shared pool, and
-    /// its reactor draining this endpoint on readiness notifications.
+    /// Builds a node around an already-open endpoint, multiplexed onto
+    /// `runtime`: the runtime's shared pool serves its requests and its
+    /// reactor drains the endpoint on readiness notifications.
     pub fn spawn_with_runtime(link: Arc<dyn TransportEndpoint>, runtime: &SharedRuntime) -> Node {
         let addr = link.addr();
         let registry = runtime.node_registry();
@@ -203,8 +151,7 @@ impl Node {
             handler: RwLock::new(None),
             events: RwLock::new(None),
             identity: RwLock::new((UserId::default(), Vec::new())),
-            pool: runtime.pool().clone(),
-            runtime: Some(runtime.clone()),
+            runtime: runtime.clone(),
             registry,
             metrics,
             tracer: Tracer::new(format!("node{}", addr.raw()), addr.raw()),
@@ -224,9 +171,9 @@ impl Node {
         Node { shared }
     }
 
-    /// The shared runtime this node is multiplexed onto, if any.
-    pub fn runtime(&self) -> Option<&SharedRuntime> {
-        self.shared.runtime.as_ref()
+    /// The shared runtime this node is multiplexed onto.
+    pub fn runtime(&self) -> &SharedRuntime {
+        &self.shared.runtime
     }
 
     /// This node's network address.
@@ -238,11 +185,6 @@ impl Node {
     /// fault hooks (`set_connected`, `kill_connections`) live here.
     pub fn link(&self) -> &Arc<dyn TransportEndpoint> {
         &self.shared.link
-    }
-
-    /// The worker pool dispatching this node's inbound requests.
-    pub fn pool(&self) -> &WorkerPool {
-        &self.shared.pool
     }
 
     /// This node's span tracer. Its ring is registered globally, so a
@@ -311,16 +253,12 @@ impl Node {
         let mut attempts = 0;
         loop {
             let mut pending = self.call_async(dst, service, method, args.clone())?;
-            // Shared runtime: the deadline is a timer-wheel event that
-            // fails the pending entry at `opts.timeout`; the channel
-            // wait below is only a backstop (and cancels the timer via
-            // the call's cleanup hook when the response wins the race).
-            let wait_budget = if self.arm_deadline(&mut pending, opts.timeout) {
-                opts.timeout + DEADLINE_GRACE
-            } else {
-                opts.timeout
-            };
-            match pending.wait(wait_budget) {
+            // The deadline is a timer-wheel event that fails the pending
+            // entry at `opts.timeout`; the channel wait below is only a
+            // backstop (and cancels the timer via the call's cleanup
+            // hook when the response wins the race).
+            self.arm_deadline(&mut pending, opts.timeout);
+            match pending.wait(opts.timeout + DEADLINE_GRACE) {
                 Ok(value) => {
                     self.shared
                         .metrics
@@ -343,26 +281,21 @@ impl Node {
         }
     }
 
-    /// Arms a timer-wheel deadline for an in-flight call (shared
-    /// runtime only; the legacy path's deadline is the blocking channel
-    /// wait itself). If the wheel fires first, the pending entry is
-    /// failed with [`SydError::Timeout`]; if the response wins the
-    /// race, the call's cleanup hook cancels the wheel entry. Returns
-    /// whether a deadline was armed.
-    fn arm_deadline(&self, pending: &mut PendingCall, timeout: Duration) -> bool {
-        let Some(runtime) = &self.shared.runtime else {
-            return false;
-        };
+    /// Arms a timer-wheel deadline for an in-flight call. If the wheel
+    /// fires first, the pending entry is failed with
+    /// [`SydError::Timeout`]; if the response wins the race, the call's
+    /// cleanup hook cancels the wheel entry.
+    fn arm_deadline(&self, pending: &mut PendingCall, timeout: Duration) {
+        let timer = self.shared.runtime.timer().clone();
         let id = pending.id();
         let weak = Arc::downgrade(&self.shared);
-        let timer_id = runtime.timer().schedule(timeout, move || {
+        let timer_id = timer.schedule(timeout, move || {
             let Some(shared) = weak.upgrade() else { return };
             let tx = shared.pending.lock().remove(&id);
             if let Some(tx) = tx {
                 let _ = tx.try_send(Err(SydError::Timeout(id)));
             }
         });
-        let timer = runtime.timer().clone();
         let prev = pending.cleanup.take();
         pending.cleanup = Some(Box::new(move || {
             timer.cancel(timer_id);
@@ -370,7 +303,6 @@ impl Node {
                 prev();
             }
         }));
-        true
     }
 
     /// Sends a request and returns immediately with a [`PendingCall`].
@@ -471,18 +403,12 @@ impl Node {
             .map(|_| ())
     }
 
-    /// Closes the transport endpoint and stops this node's dispatch:
-    /// deregisters from the shared runtime in shared mode, or stops the
-    /// private driver thread and pool on the legacy path. A shared
-    /// runtime's own threads stop with its *last* node, not here.
+    /// Closes the transport endpoint and deregisters this node from the
+    /// reactor. The runtime's own threads stop with its *last* node, not
+    /// here.
     pub fn shutdown(&self) {
-        if let Some(runtime) = &self.shared.runtime {
-            runtime.deregister_node(self.shared.addr);
-        }
+        self.shared.runtime.deregister_node(self.shared.addr);
         self.shared.link.close();
-        if self.shared.runtime.is_none() {
-            self.shared.pool.shutdown();
-        }
         // Fail everything still pending.
         let mut pending = self.shared.pending.lock();
         for (_, tx) in pending.drain() {
@@ -491,20 +417,7 @@ impl Node {
     }
 }
 
-/// Legacy driver thread: blocks on the endpoint and feeds every event
-/// through the same [`dispatch_event`] the shared runtime uses.
-fn driver_loop(shared: &Arc<NodeShared>) {
-    loop {
-        match shared.link.recv_event() {
-            Ok(event) => dispatch_event(shared, event),
-            // Corrupt frames are dropped where they are counted.
-            Err(SydError::Codec(_)) => {}
-            Err(_) => return, // endpoint closed
-        }
-    }
-}
-
-/// Shared-runtime drain callback: pops up to [`DRAIN_BUDGET`] events
+/// The reactor's drain callback: pops up to [`DRAIN_BUDGET`] events
 /// without blocking, then yields so the reactor can serve peer nodes.
 fn drain_events(shared: &Arc<NodeShared>) -> DrainOutcome {
     for _ in 0..DRAIN_BUDGET {
@@ -521,8 +434,7 @@ fn drain_events(shared: &Arc<NodeShared>) -> DrainOutcome {
 
 /// One transport event through the node: responses complete pending
 /// calls inline, requests and application events become pool jobs.
-/// Shared by both execution models — and run on the reactor thread in
-/// shared mode, so it must never block.
+/// Runs on the reactor thread, so it must never block.
 fn dispatch_event(shared: &Arc<NodeShared>, event: TransportEvent) {
     let envelope = match event {
         TransportEvent::Message(env) => env,
@@ -546,6 +458,7 @@ fn dispatch_event(shared: &Arc<NodeShared>, event: TransportEvent) {
         Payload::Request(req) => {
             let handler = shared.handler.read().clone();
             let from = envelope.src;
+            let id = req.id;
             let reply_shared = Arc::clone(shared);
             let job = move || {
                 reply_shared.metrics.requests_served.inc();
@@ -586,13 +499,13 @@ fn dispatch_event(shared: &Arc<NodeShared>, event: TransportEvent) {
                     Payload::Response(Response { id: req.id, result }),
                 ));
             };
-            if !shared.pool.execute(job) {
+            if !shared.runtime.pool().execute(job) {
                 // Pool shut down: best effort error response inline.
                 let _ = shared.link.send(syd_wire::Envelope::new(
                     shared.addr,
-                    envelope.src,
+                    from,
                     Payload::Response(Response {
-                        id: RequestId::new(0),
+                        id,
                         result: Err(SydError::Shutdown),
                     }),
                 ));
@@ -601,7 +514,10 @@ fn dispatch_event(shared: &Arc<NodeShared>, event: TransportEvent) {
         Payload::Event(event) => {
             if let Some(sink) = shared.events.read().clone() {
                 let from = envelope.src;
-                shared.pool.execute(move || sink.on_event(from, event));
+                shared
+                    .runtime
+                    .pool()
+                    .execute(move || sink.on_event(from, event));
             }
         }
     }
@@ -895,15 +811,12 @@ mod tests {
 
     #[test]
     fn shared_runtime_round_trip_without_driver_threads() {
-        // Explicit constructors: immune to the global switch, so this
-        // exercises the shared path even under `SYD_RUNTIME=legacy`.
         let net = Network::ideal();
         let rt = crate::runtime::SharedRuntime::new("node-rt");
         let server = Node::spawn_with_runtime(Arc::new(net.register()), &rt);
         server.set_handler(echo_handler());
         let client = Node::spawn_with_runtime(Arc::new(net.register()), &rt);
         assert_eq!(rt.nodes(), 2);
-        assert!(client.runtime().is_some());
         let result = client
             .call(
                 server.addr(),
@@ -930,8 +843,8 @@ mod tests {
             .call_with(silent.addr(), &ServiceName::new("svc"), "m", vec![], opts)
             .unwrap_err();
         assert!(matches!(err, SydError::Timeout(_)), "{err}");
-        // Same counter contract as the legacy path: both attempts time
-        // out, one retry happens — and the wheel is what fired them.
+        // Both attempts time out, one retry happens — and the wheel is
+        // what fired them.
         assert_eq!(client.rpc_timeouts(), 2);
         assert_eq!(client.rpc_retries(), 1);
         assert!(
@@ -942,31 +855,48 @@ mod tests {
 
     #[test]
     fn timed_out_calls_leave_no_pending_entries() {
-        // Both execution models: the cleanup hook must empty the table.
         let net = Network::ideal();
         let silent = net.register();
-        let rt = crate::runtime::SharedRuntime::new("node-rt");
-        let shared_client = Node::spawn_with_runtime(Arc::new(net.register()), &rt);
-        let legacy_client = Node::spawn_on_endpoint(Arc::new(net.register()));
-        assert!(legacy_client.runtime().is_none());
+        let client = Node::spawn(&net);
         let opts = CallOptions::new().with_timeout(Duration::from_millis(30));
-        for client in [&shared_client, &legacy_client] {
-            let _ = client
-                .call_with(silent.addr(), &ServiceName::new("svc"), "m", vec![], opts)
-                .unwrap_err();
-            assert_eq!(
-                client.shared.pending.lock().len(),
-                0,
-                "pending entry leaked"
-            );
-        }
+        let _ = client
+            .call_with(silent.addr(), &ServiceName::new("svc"), "m", vec![], opts)
+            .unwrap_err();
+        assert_eq!(
+            client.shared.pending.lock().len(),
+            0,
+            "pending entry leaked"
+        );
         // Abandoned async calls clean up on drop, too.
         drop(
-            shared_client
+            client
                 .call_async(silent.addr(), &ServiceName::new("svc"), "m", vec![])
                 .unwrap(),
         );
-        assert_eq!(shared_client.shared.pending.lock().len(), 0);
+        assert_eq!(client.shared.pending.lock().len(), 0);
+    }
+
+    #[test]
+    fn request_refused_by_a_stopped_pool_is_answered_with_shutdown() {
+        let net = Network::ideal();
+        let rt = crate::runtime::SharedRuntime::new("node-rt");
+        let server = Node::spawn_with_runtime(Arc::new(net.register()), &rt);
+        server.set_handler(echo_handler());
+        let client = Node::spawn_with_runtime(Arc::new(net.register()), &rt);
+        rt.pool().shutdown();
+        let opts = CallOptions::new().with_timeout(Duration::from_millis(500));
+        let started = Instant::now();
+        let err = client
+            .call_with(server.addr(), &ServiceName::new("echo"), "m", vec![], opts)
+            .unwrap_err();
+        // The refusal must reach the caller under the request's own id,
+        // not burn the whole deadline.
+        assert_eq!(err, SydError::Shutdown);
+        assert!(
+            started.elapsed() < Duration::from_millis(250),
+            "refusal took {:?}",
+            started.elapsed()
+        );
     }
 
     #[test]

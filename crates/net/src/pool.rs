@@ -65,11 +65,6 @@ impl WorkerPool {
         }
     }
 
-    /// Pool sized for a SyD device: enough headroom for deep cascades.
-    pub fn for_device(name: impl Into<String>) -> Self {
-        Self::new(name, 256, Duration::from_millis(500))
-    }
-
     /// Pool sized for a shared fleet runtime: a small fixed budget that
     /// many devices multiplex over. The cap is soft — see
     /// [`WorkerPool::kick`] — so nested call cycles between devices on
@@ -278,7 +273,7 @@ mod tests {
     #[test]
     fn grows_under_blocking_load() {
         let pool = WorkerPool::new("t", 16, Duration::from_millis(100));
-        let (release_tx, release_rx) = crossbeam_channel::bounded::<()>(0);
+        let (release_tx, release_rx) = crossbeam_channel::bounded::<()>(1);
         let started = Arc::new(AtomicU32::new(0));
         // 8 jobs that all block until released: pool must grow past 1 worker.
         for _ in 0..8 {
@@ -301,7 +296,7 @@ mod tests {
     #[test]
     fn respects_max_workers() {
         let pool = WorkerPool::new("t", 2, Duration::from_millis(50));
-        let (release_tx, release_rx) = crossbeam_channel::bounded::<()>(0);
+        let (release_tx, release_rx) = crossbeam_channel::bounded::<()>(1);
         for _ in 0..6 {
             let rx = release_rx.clone();
             pool.execute(move || {
@@ -340,7 +335,8 @@ mod tests {
         pool.shutdown();
         assert!(!pool.execute(|| {}), "job accepted after shutdown");
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while done.load(Ordering::SeqCst) < accepted {
+        // A job is counted after it returns, so the counter trails `done`.
+        while pool.jobs_executed() < accepted as usize {
             assert!(
                 std::time::Instant::now() < deadline,
                 "accepted jobs dropped: {}/{accepted}",
@@ -348,7 +344,7 @@ mod tests {
             );
             std::thread::yield_now();
         }
-        assert_eq!(pool.jobs_executed(), accepted as usize);
+        assert_eq!(done.load(Ordering::SeqCst), accepted);
     }
 
     #[test]
@@ -377,7 +373,7 @@ mod tests {
         assert_eq!(pool.live_workers(), 0);
 
         // Wedge both workers and queue a third job.
-        let (release_tx, release_rx) = crossbeam_channel::bounded::<()>(0);
+        let (release_tx, release_rx) = crossbeam_channel::bounded::<()>(1);
         let started = Arc::new(AtomicU32::new(0));
         for _ in 0..3 {
             let rx = release_rx.clone();
@@ -414,7 +410,7 @@ mod tests {
     #[test]
     fn workers_retire_after_keepalive() {
         let pool = WorkerPool::new("t", 8, Duration::from_millis(20));
-        let (release_tx, release_rx) = crossbeam_channel::bounded::<()>(0);
+        let (release_tx, release_rx) = crossbeam_channel::bounded::<()>(1);
         for _ in 0..4 {
             let rx = release_rx.clone();
             pool.execute(move || {

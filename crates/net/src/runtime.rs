@@ -1,24 +1,19 @@
 //! The shared event-driven device runtime: one reactor, one timer
 //! wheel, one worker pool — thousands of devices.
 //!
-//! The thread-per-device model (one driver thread + one private pool
-//! per [`crate::Node`]) caps fleets at a few hundred devices per
-//! process. This module inverts it, following the signal/network split
-//! of message-io's `NodeEvent`: transport endpoints *push readiness
-//! notifications* into a [`Reactor`] instead of being polled by a
-//! dedicated thread, and the reactor drains each ready endpoint's event
+//! Following the signal/network split of message-io's `NodeEvent`,
+//! transport endpoints *push readiness notifications* into a
+//! [`Reactor`], and the reactor drains each ready endpoint's event
 //! queue, dispatching work onto a shared [`WorkerPool`]. Deadlines (RPC
-//! timeouts, link-expiry and stale-session sweeps) become entries on a
-//! shared [`TimerWheel`]. A device is then just a state machine around
-//! the pure cores — no threads of its own.
+//! timeouts, link-expiry and stale-session sweeps) are entries on a
+//! shared [`TimerWheel`]. A device is a state machine around the pure
+//! cores — no threads of its own.
 //!
 //! Thread budget for a fleet of any size on one backend:
 //! `workers (≤ 48, soft cap) + 1 reactor + 1 timer + backend threads`.
 //!
-//! One runtime exists per transport backend (see [`runtime_for`]);
-//! whether new nodes use it is controlled by [`set_shared_runtime`] /
-//! the `SYD_RUNTIME=legacy` environment override, mirroring the
-//! `set_batched_resolve` engine switch.
+//! One runtime exists per transport backend (see [`runtime_for`]) and
+//! every [`crate::Node`] of that backend is multiplexed onto it.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -290,32 +285,6 @@ impl SharedRuntime {
             Arc::new(Registry::new())
         }
     }
-}
-
-/// Global switch: do `Node::spawn` / `Node::spawn_on` multiplex onto the
-/// shared runtime (default) or keep the legacy thread-per-device path?
-/// Seeded once from the environment: `SYD_RUNTIME=legacy` flips the
-/// default off (CI runs the full suite both ways).
-fn shared_runtime_flag() -> &'static AtomicBool {
-    static FLAG: OnceLock<AtomicBool> = OnceLock::new();
-    FLAG.get_or_init(|| {
-        let legacy = std::env::var("SYD_RUNTIME").is_ok_and(|v| v.eq_ignore_ascii_case("legacy"));
-        AtomicBool::new(!legacy)
-    })
-}
-
-/// Routes subsequent `Node::spawn` / `Node::spawn_on` calls onto the
-/// shared event-driven runtime (`true`, default) or the legacy
-/// thread-per-device path (`false`). Same A/B pattern as
-/// `set_batched_resolve`.
-pub fn set_shared_runtime(on: bool) {
-    shared_runtime_flag().store(on, Ordering::Relaxed);
-}
-
-/// Current state of the [`set_shared_runtime`] switch.
-#[must_use]
-pub fn shared_runtime_enabled() -> bool {
-    shared_runtime_flag().load(Ordering::Relaxed)
 }
 
 /// One shared runtime per transport backend, keyed by the backend's

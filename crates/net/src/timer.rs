@@ -1,11 +1,9 @@
 //! A shared timer wheel: one thread services every deadline in a fleet.
 //!
-//! The thread-per-device runtime paid one `syd-events-scheduler` thread
-//! per device for periodic work and parked one caller thread per RPC
-//! deadline. The wheel collapses all of that into a single min-heap of
-//! `(due, seq, id)` entries serviced by one `syd-timer` thread: one-shot
-//! deadlines (RPC timeouts), periodic tasks (link-expiry and
-//! stale-session sweeps) and anything else the runtime schedules.
+//! A single min-heap of `(due, seq, id)` entries serviced by one
+//! `syd-timer` thread: one-shot deadlines (RPC timeouts), periodic
+//! tasks (every device's link-expiry and stale-session sweeps) and
+//! anything else the runtime schedules.
 //!
 //! Deadlines that fall due together are collected under one lock hold
 //! and run as a batch ([`TimerWheel::batches`] counts them), so a burst

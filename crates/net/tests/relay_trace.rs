@@ -1,47 +1,22 @@
-//! Property: the event-driven shared runtime and the legacy
-//! thread-per-device path are *observationally equivalent* at the RPC
-//! layer. Same seeded loss pattern, same calls → same outcomes and the
-//! same `rpc.timeouts` / `rpc.retries` counters, even though one mode
-//! parks caller threads on channel waits and the other fails pending
-//! calls from timer-wheel deadlines.
-//!
-//! The sim network draws loss decisions from a seeded RNG per send, and
-//! both modes send exactly the same message sequence, so any divergence
-//! here is a real behavioral difference between the two dispatchers —
-//! not noise.
+//! RPC-layer properties that need several nodes: the span trees a
+//! relayed call leaves behind (a nested `rpc.client` under the server
+//! context, client and server views merged), and seed determinism of
+//! outcomes and `rpc.timeouts` / `rpc.retries` under simulated loss.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use syd_net::{CallOptions, NetConfig, Network, Node, SharedRuntime};
+use syd_net::{CallOptions, NetConfig, Network, Node};
 use syd_types::{NodeAddr, ServiceName, SydResult, Value};
 use syd_wire::Request;
 
-/// Runs `calls` echo calls on a fresh seeded network in one mode and
-/// returns `(per-call outcomes, rpc.timeouts, rpc.retries)`.
-fn run_scenario(
-    shared_mode: bool,
-    loss: f64,
-    seed: u64,
-    opts: CallOptions,
-    calls: i64,
-) -> (Vec<bool>, u64, u64) {
+/// Runs `calls` echo calls on a fresh seeded network and returns
+/// `(per-call outcomes, rpc.timeouts, rpc.retries)`.
+fn run_scenario(loss: f64, seed: u64, opts: CallOptions, calls: i64) -> (Vec<bool>, u64, u64) {
     let net = Network::new(NetConfig::ideal().with_loss(loss).with_seed(seed));
-    // Explicit constructors: the scenario must not depend on (or race
-    // with) the global `set_shared_runtime` switch.
-    let runtime = shared_mode.then(|| SharedRuntime::new("equiv"));
-    let (server, client) = match &runtime {
-        Some(rt) => (
-            Node::spawn_with_runtime(Arc::new(net.register()), rt),
-            Node::spawn_with_runtime(Arc::new(net.register()), rt),
-        ),
-        None => (
-            Node::spawn_on_endpoint(Arc::new(net.register())),
-            Node::spawn_on_endpoint(Arc::new(net.register())),
-        ),
-    };
+    let (server, client) = (Node::spawn(&net), Node::spawn(&net));
     server.set_handler(Arc::new(
         |_from: NodeAddr, req: Request| -> SydResult<Value> { Ok(Value::list(req.args.to_vec())) },
     ));
@@ -62,27 +37,15 @@ fn run_scenario(
 /// Three-node relay on a fresh ideal network: `client → middle →
 /// backend`, where middle's handler issues a nested RPC from inside
 /// the dispatched request (so the nested `rpc.client` span must pick
-/// up the server-side trace context). Returns the assembled span-tree
-/// shapes, sorted, plus the collector for further inspection.
+/// up the server-side trace context). Returns the assembled span trees.
 ///
 /// Only the three node rings are drained — never the global registry —
 /// so this stays correct when other tests in this binary run
 /// concurrently.
-type TreeShape = Vec<(String, Vec<&'static str>)>;
-
-fn run_traced_relay(
-    shared_mode: bool,
-    calls: i64,
-    drain_middle: bool,
-) -> (Vec<TreeShape>, Vec<syd_trace::SpanTree>) {
+fn run_traced_relay(calls: i64, drain_middle: bool) -> Vec<syd_trace::SpanTree> {
     use syd_trace::{AssemblyMode, Collector};
     let net = Network::new(NetConfig::ideal());
-    let runtime = shared_mode.then(|| SharedRuntime::new("equiv-trace"));
-    let spawn = |rt: &Option<SharedRuntime>| match rt {
-        Some(rt) => Node::spawn_with_runtime(Arc::new(net.register()), rt),
-        None => Node::spawn_on_endpoint(Arc::new(net.register())),
-    };
-    let (client, middle, backend) = (spawn(&runtime), spawn(&runtime), spawn(&runtime));
+    let (client, middle, backend) = (Node::spawn(&net), Node::spawn(&net), Node::spawn(&net));
     backend.set_handler(Arc::new(
         |_from: NodeAddr, req: Request| -> SydResult<Value> { Ok(Value::list(req.args.to_vec())) },
     ));
@@ -123,37 +86,28 @@ fn run_traced_relay(
     }
     let (trees, errors) = collector.assemble_all();
     assert!(errors.is_empty(), "lossy assembly never errors: {errors:?}");
-    let mut shapes: Vec<_> = trees.iter().map(syd_trace::SpanTree::shape).collect();
-    shapes.sort();
-    (shapes, trees)
+    trees
 }
 
 #[test]
-fn span_trees_structurally_equal_across_runtime_modes() {
-    let (legacy, legacy_trees) = run_traced_relay(false, 3, true);
-    let (shared, shared_trees) = run_traced_relay(true, 3, true);
-    assert_eq!(
-        legacy, shared,
-        "legacy and shared runtimes must assemble identical span-tree shapes"
-    );
+fn relayed_calls_assemble_into_complete_nested_trees() {
+    let trees = run_traced_relay(3, true);
     // Every tree is the full relay: an outer rpc.client whose only
-    // child is the nested rpc.client — same phases, same parentage —
-    // and both hops carry their server-side view (complete merge).
-    assert_eq!(legacy_trees.len(), 3);
-    for trees in [&legacy_trees, &shared_trees] {
-        for tree in trees {
-            assert!(tree.complete, "anomalies: {:?}", tree.anomalies);
-            let expected = vec![
-                ("rpc.client".to_string(), vec![]),
-                ("rpc.client".to_string(), vec!["rpc.client"]),
-            ];
-            assert_eq!(tree.shape(), expected);
-            for idx in tree.find_kind("rpc.client") {
-                assert!(
-                    tree.nodes[idx].server.is_some(),
-                    "every client span keeps its merged server view"
-                );
-            }
+    // child is the nested rpc.client, and both hops carry their
+    // server-side view (complete merge).
+    assert_eq!(trees.len(), 3);
+    for tree in &trees {
+        assert!(tree.complete, "anomalies: {:?}", tree.anomalies);
+        let expected = vec![
+            ("rpc.client".to_string(), vec![]),
+            ("rpc.client".to_string(), vec!["rpc.client"]),
+        ];
+        assert_eq!(tree.shape(), expected);
+        for idx in tree.find_kind("rpc.client") {
+            assert!(
+                tree.nodes[idx].server.is_some(),
+                "every client span keeps its merged server view"
+            );
         }
     }
 }
@@ -164,7 +118,7 @@ fn dropped_span_degrades_to_flagged_incomplete_tree() {
     // call's server view and the nested rpc.client) are lost, as if the
     // ring evicted them under pressure. Lossy assembly must still build
     // a tree, flagged incomplete, instead of erroring out.
-    let (_, trees) = run_traced_relay(true, 1, false);
+    let trees = run_traced_relay(1, false);
     assert_eq!(trees.len(), 1);
     let tree = &trees[0];
     assert!(
@@ -178,7 +132,7 @@ fn dropped_span_degrades_to_flagged_incomplete_tree() {
 }
 
 #[test]
-fn timeout_and_retry_counters_match_across_runtime_modes() {
+fn timeout_and_retry_counters_repeat_for_the_same_seed() {
     // Latency is zero in these configs, so a timeout can only come from
     // a lost request or response — which the seed fully determines.
     for &loss in &[0.0, 0.5, 0.75] {
@@ -187,11 +141,10 @@ fn timeout_and_retry_counters_match_across_runtime_modes() {
                 let opts = CallOptions::new()
                     .with_timeout(Duration::from_millis(20))
                     .with_retries(retries);
-                let legacy = run_scenario(false, loss, seed, opts, 3);
-                let shared = run_scenario(true, loss, seed, opts, 3);
                 assert_eq!(
-                    legacy, shared,
-                    "mode divergence at loss={loss} seed={seed} retries={retries} \
+                    run_scenario(loss, seed, opts, 3),
+                    run_scenario(loss, seed, opts, 3),
+                    "two runs diverged at loss={loss} seed={seed} retries={retries} \
                      (outcomes, rpc.timeouts, rpc.retries)"
                 );
             }

@@ -6,8 +6,10 @@
 # This script copies the tree to a scratch directory, points the copy's
 # root manifest at the std-only stand-ins the benchmark already ships
 # (`benchmark/shims/*`) plus two empty stub crates for `proptest` and
-# `criterion`, and runs every test target that does not use those two.
-# The checkout itself is never modified.
+# `criterion`, and runs every test target that does not use those two:
+# the crates syd-net, syd-calendar, syd-core, syd-fleet, syd-bidding and
+# the root suites full_stack, paper_walkthrough, churn, trace_assembly,
+# check_stress. The checkout itself is never modified.
 #
 #   scripts/offline-test.sh            # the whole list below
 #   scripts/offline-test.sh -p syd-core engine::   # any `cargo test` arguments instead
@@ -62,7 +64,7 @@ else
     # Run every target even when one fails, so one report covers them all.
     status=0
     cargo test --release --offline --no-fail-fast \
-        -p syd-calendar -p syd-core -p syd-fleet -p syd-bidding || status=$?
+        -p syd-net -p syd-calendar -p syd-core -p syd-fleet -p syd-bidding || status=$?
     cargo test --release --offline --no-fail-fast -p syd \
         --test full_stack --test paper_walkthrough --test churn \
         --test trace_assembly --test check_stress || status=$?
