@@ -36,13 +36,11 @@ pub fn calendar_service() -> ServiceName {
 
 pub(crate) const T_SLOTS: &str = "slots";
 pub(crate) const T_MEETINGS: &str = "meetings";
-/// Initiator-local bookkeeping: which participants already have a back
-/// link installed for a meeting.
-pub(crate) const T_BACKLINKS: &str = "backlinks";
 /// Initiator-local bookkeeping: at which participants this initiator has
 /// queued an availability link for a meeting (`queue_availability` sent,
-/// `drop_availability` not yet). An availability link exists nowhere
-/// else, so only these users are ever sent a `drop_availability`.
+/// the participant neither reserved nor sent `drop_availability` since).
+/// An availability link exists nowhere else, so only these users are ever
+/// sent a `drop_availability`.
 pub(crate) const T_AVAILQ: &str = "availq";
 
 /// One user's calendar application. Always used through `Arc`.
@@ -92,16 +90,14 @@ impl CalendarApp {
             ],
             &["id"],
         )?)?;
-        for table in [T_BACKLINKS, T_AVAILQ] {
-            store.create_table(Schema::new(
-                table,
-                vec![
-                    Column::required("meeting", ColumnType::I64),
-                    Column::required("user", ColumnType::I64),
-                ],
-                &["meeting", "user"],
-            )?)?;
-        }
+        store.create_table(Schema::new(
+            T_AVAILQ,
+            vec![
+                Column::required("meeting", ColumnType::I64),
+                Column::required("user", ColumnType::I64),
+            ],
+            &["meeting", "user"],
+        )?)?;
 
         let mailbox = Mailbox::install(device)?;
         let registry = device.metrics();
@@ -316,10 +312,11 @@ impl CalendarApp {
         }
     }
 
-    /// Upserts a meeting record. Two service calls of one housekeeping
-    /// batch may write the same new record at once (`update_meeting` and
-    /// `queue_availability`), so losing the insert to the other writer
-    /// falls back to the update instead of failing the call.
+    /// Upserts a meeting record. Two service calls of one batch may write
+    /// the same new record at once (`update_meeting` and
+    /// `queue_availability` of a corrective round), so losing the insert
+    /// to the other writer falls back to the update instead of failing
+    /// the call.
     pub(crate) fn put_meeting(&self, meeting: &Meeting) -> SydResult<()> {
         let key = Value::from(meeting.id.raw());
         let by_id = Predicate::Eq("id".into(), key.clone());
@@ -425,17 +422,46 @@ impl EntityHandler for SlotEntityHandler {
             "reserve" => {
                 let meeting = MeetingId::new(change_field(change, "meeting")?.as_i64()? as u64);
                 let priority = Priority::new(change_field(change, "priority")?.as_i64()? as u8);
+                // The record as it stands once this round's commits are
+                // through; everything below follows from it.
+                let rec = Meeting::from_value(change_field(change, "record")?)?;
                 // A different current occupant means we are bumping it.
                 let bumped = match app.slot_state(ordinal)? {
                     SlotState::Tentative(m) | SlotState::Reserved(m) if m != meeting => Some(m),
                     _ => None,
                 };
-                app.set_slot(ordinal, "tent", Some(meeting), priority)?;
-                // Record the meeting locally so this device can answer
-                // meeting_info and manage links.
-                if let Ok(rec) = Meeting::from_value(change_field(change, "record")?) {
-                    // Keep a fresher local status if we already confirmed.
-                    app.put_meeting(&rec)?;
+                let confirmed = rec.status == MeetingStatus::Confirmed;
+                let was_confirmed = app
+                    .meeting(meeting)?
+                    .is_some_and(|old| old.status == MeetingStatus::Confirmed);
+                app.set_slot(
+                    ordinal,
+                    if confirmed { "conf" } else { "tent" },
+                    Some(meeting),
+                    priority,
+                )?;
+                app.put_meeting(&rec)?;
+                // The back link, written before the entity lock goes: a
+                // later meeting on this slot anchors its waiting link on
+                // it (§4.2 op. 3), and that meeting's mark cannot get in
+                // before this commit returns. A repair round re-commits
+                // holders; the link they have stays (waiters hang on it).
+                if let Ok(link) = change_field(change, "link") {
+                    let links = app.device.links();
+                    if !links.by_corr(&rec.corr)?.iter().any(|l| l.entity == entity) {
+                        links.install_remote(link)?;
+                    }
+                }
+                // Reserved now: the availability link queued while this
+                // user was missing has done its work.
+                app.drop_availability_local(meeting)?;
+                // E-mail on the tentative → confirmed edge (§5.1).
+                if confirmed && !was_confirmed && rec.initiator != app.user() {
+                    app.mailbox.deliver_local(
+                        rec.initiator,
+                        &format!("confirmed: {}", rec.title),
+                        &format!("meeting {} at ordinal {}", rec.id, rec.ordinal),
+                    )?;
                 }
                 if let Some(old) = bumped {
                     app.handle_local_bump(old, ordinal)?;
@@ -510,8 +536,9 @@ impl SubscriptionHandler for CalendarNotifications {
             // schedule changed: re-run the reservation round. Spawned so
             // the notifying call chain is never blocked on a negotiation.
             "peer_available" | "participant_changed" => {
+                let only_if_missing = kind == "peer_available";
                 std::thread::spawn(move || {
-                    let _ = app.reconcile(meeting);
+                    let _ = app.reconcile_round(meeting, only_if_missing);
                 });
                 Ok(Value::Null)
             }
@@ -605,11 +632,14 @@ impl CalendarApp {
             Arc::new(move |_ctx, args: &[Value]| {
                 let app = weak.upgrade().ok_or(SydError::Shutdown)?;
                 let rec = Meeting::from_value(arg(args, 0)?)?;
-                // Escalate the local slot row when the meeting confirms.
-                if rec.status == MeetingStatus::Confirmed
-                    && app.slot_state(rec.ordinal)?.meeting() == Some(rec.id)
+                // A held slot's row follows the meeting's status; the two
+                // live statuses are spelt like the row states.
+                if matches!(
+                    rec.status,
+                    MeetingStatus::Confirmed | MeetingStatus::Tentative
+                ) && app.slot_state(rec.ordinal)?.meeting() == Some(rec.id)
                 {
-                    app.set_slot(rec.ordinal, "conf", Some(rec.id), rec.priority)?;
+                    app.set_slot(rec.ordinal, rec.status.as_str(), Some(rec.id), rec.priority)?;
                 }
                 app.put_meeting(&rec)?;
                 Ok(Value::Null)
@@ -652,7 +682,7 @@ impl CalendarApp {
             Arc::new(move |_ctx, args: &[Value]| {
                 let app = weak.upgrade().ok_or(SydError::Shutdown)?;
                 let meeting = MeetingId::new(arg(args, 0)?.as_i64()? as u64);
-                let status = app.reconcile(meeting)?;
+                let status = app.reconcile_round(meeting, true)?;
                 Ok(Value::Bool(status == MeetingStatus::Confirmed))
             }),
         )?;
@@ -728,22 +758,36 @@ pub(crate) fn arg(args: &[Value], i: usize) -> SydResult<&Value> {
 }
 
 impl CalendarApp {
-    /// Frees a slot held by `meeting` and updates the local record.
+    /// Writes `to_status` into the local record of `meeting`, then frees
+    /// `ordinal` if the meeting holds it; returns whether it did. A
+    /// cancellation also empties the record's reserved list and leaves the
+    /// notice (§5.1) where the slot was held.
     pub(crate) fn release_local(
         &self,
         ordinal: u64,
         meeting: MeetingId,
         to_status: &str,
     ) -> SydResult<bool> {
+        let status = MeetingStatus::parse(to_status).ok();
+        let cancelled = status == Some(MeetingStatus::Cancelled);
+        let mut rec = self.meeting(meeting)?;
+        if let (Some(rec), Some(status)) = (&mut rec, status) {
+            rec.status = status;
+            if cancelled {
+                rec.reserved.clear();
+            }
+            self.put_meeting(rec)?;
+        }
         if self.slot_state(ordinal)?.meeting() != Some(meeting) {
             return Ok(false);
         }
         self.clear_slot(ordinal)?;
-        if let Some(mut rec) = self.meeting(meeting)? {
-            if let Ok(status) = MeetingStatus::parse(to_status) {
-                rec.status = status;
-                self.put_meeting(&rec)?;
-            }
+        if let Some(rec) = rec.filter(|r| cancelled && r.initiator != self.user()) {
+            self.mailbox.deliver_local(
+                rec.initiator,
+                &format!("cancelled: {}", rec.title),
+                &format!("meeting {} was cancelled", rec.id),
+            )?;
         }
         self.on_slot_freed(ordinal);
         Ok(true)

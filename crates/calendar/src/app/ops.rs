@@ -4,17 +4,25 @@
 //! the kernel: the negotiation protocol for reservations, coordination
 //! links for change propagation, and direct service calls for bookkeeping.
 //!
-//! The workhorse is [`CalendarApp::reconcile`]: one repair round that
-//! reserves whoever is now available, re-evaluates the meeting's
-//! constraints (musts + OR-group quorums), escalates tentative → confirmed
-//! (or degrades back), installs back links at new holders, and queues
-//! availability links at the still-missing. Meeting setup, peer-available
-//! wakeups, participant changes and post-bump rescheduling all funnel into
-//! it, which is what makes the whole lifecycle idempotent and
-//! re-entrant — the property the paper's event-driven triggers need.
+//! The workhorse is [`CalendarApp::reconcile`]: one repair round, and on
+//! the wire exactly the paper's two phases. It **marks every participant**
+//! (a holder of this meeting's slot votes yes like a free one, so the
+//! yes-voters are the holders after the round) and **commits the
+//! yes-voters**, each commit carrying what follows from the vote: the
+//! record with the status the constraints (musts + OR-group quorums) give
+//! over the yes-voters, and the participant's back link. The participant
+//! writes slot, record and link under the entity lock, drops its own stale
+//! availability link and files the confirmation mail itself. A third round
+//! exists only when somebody declined (availability links are queued at
+//! the missing) or a commit failed after its retry (the record is
+//! corrected everywhere). Meeting setup, peer-available wake-ups,
+//! participant changes and post-bump rescheduling all funnel into it,
+//! which is what makes the whole lifecycle idempotent and re-entrant — the
+//! property the paper's event-driven triggers need. DESIGN.md §16 has the
+//! rounds per operation and why nothing needs to trail.
 
 use syd_core::links::{Constraint, Link, LinkKind, LinkRef, LinkSpec, LinkStatus};
-use syd_core::negotiate::{link_service, Participant};
+use syd_core::negotiate::Participant;
 use syd_core::Call;
 use syd_store::Predicate;
 use syd_telemetry::{names, EventKind};
@@ -22,8 +30,7 @@ use syd_types::{
     LinkId, MeetingId, SlotBitmap, SlotRange, SydError, SydResult, TimeSlot, UserId, Value,
 };
 
-use crate::app::{calendar_service, CalendarApp, T_AVAILQ, T_BACKLINKS};
-use crate::mailbox::{mailbox_service, Mailbox};
+use crate::app::{calendar_service, CalendarApp, T_AVAILQ};
 use crate::model::{slot_entity, Meeting, MeetingSpec, MeetingStatus, ScheduleOutcome};
 
 /// How far ahead (in slots) auto-rescheduling searches for a new time.
@@ -114,8 +121,8 @@ impl CalendarApp {
     /// participant and returns a confirmed or tentative outcome.
     pub fn schedule(&self, spec: MeetingSpec) -> SydResult<ScheduleOutcome> {
         // One meeting setup = one trace: every RPC this call fans out
-        // (status queries, negotiation marks/commits, link installs)
-        // carries the same trace id across all participants' journals —
+        // (negotiation marks/commits, availability queues) carries the
+        // same trace id across all participants' journals —
         // and the root `calendar.schedule_op` span anchors the tree the
         // critical-path analyzer attributes.
         let mut op_span = self
@@ -203,23 +210,24 @@ impl CalendarApp {
 
     /// One reservation/repair round (see module docs). Initiator only.
     pub fn reconcile(&self, id: MeetingId) -> SydResult<MeetingStatus> {
-        let mut op_span = self
-            .device
-            .node()
-            .tracer()
-            .span(syd_telemetry::names::SPAN_RECONCILE);
-        op_span.attr("meeting", id.raw());
-        let started = std::time::Instant::now();
-        let result = self.reconcile_inner(id);
-        self.metrics.reconcile.record_duration(started.elapsed());
-        result
+        self.reconcile_round(id, false)
     }
 
-    fn reconcile_inner(&self, id: MeetingId) -> SydResult<MeetingStatus> {
+    /// [`CalendarApp::reconcile`], or with `only_if_missing` — a
+    /// `peer_available` wake-up, by link notification or service call — a
+    /// round only if somebody is still missing. The promotions of one
+    /// cancel arrive together, one per freed member, and the first round
+    /// reserves them all; the rest find the record `Confirmed` with
+    /// nobody missing and send nothing.
+    pub(crate) fn reconcile_round(
+        &self,
+        id: MeetingId,
+        only_if_missing: bool,
+    ) -> SydResult<MeetingStatus> {
         let guard = self.reconcile_guard(id);
         let _g = guard.lock();
 
-        let Some(mut rec) = self.meeting(id)? else {
+        let Some(rec) = self.meeting(id)? else {
             return Err(SydError::App(format!("unknown meeting {id}")));
         };
         if rec.initiator != self.user() {
@@ -228,159 +236,107 @@ impl CalendarApp {
                 self.user()
             )));
         }
-        if matches!(rec.status, MeetingStatus::Cancelled | MeetingStatus::Bumped) {
+        if matches!(rec.status, MeetingStatus::Cancelled | MeetingStatus::Bumped)
+            || (only_if_missing
+                && rec.status == MeetingStatus::Confirmed
+                && rec.missing().is_empty())
+        {
             return Ok(rec.status);
         }
+        let mut op_span = self.device.node().tracer().span(names::SPAN_RECONCILE);
+        op_span.attr("meeting", id.raw());
+        let started = std::time::Instant::now();
+        let result = self.reconcile_locked(rec);
+        self.metrics.reconcile.record_duration(started.elapsed());
+        result
+    }
+
+    /// The round itself, under the meeting's reconcile guard.
+    fn reconcile_locked(&self, mut rec: Meeting) -> SydResult<MeetingStatus> {
+        let id = rec.id;
+        let me = self.user();
         let svc = calendar_service();
         let participants = rec.all_participants();
         let ordinal = rec.ordinal;
 
-        // Who currently holds the slot for this meeting?
-        let status_calls: Vec<(UserId, Vec<Value>)> = participants
+        // Mark everyone, commit whoever votes yes. A participant that
+        // already holds the slot for this meeting votes yes like a free
+        // one, so the yes-voters *are* the holders after the round and no
+        // status query precedes it. The commit is built from the votes:
+        // each carries the record as it will stand and the back link.
+        //
+        // A contended round (another initiator's negotiation mid-flight on
+        // some slot) commits nothing; back off for a user-staggered moment
+        // and retry so that exactly one of the racing coordinators ends up
+        // holding the slots — committing partial sets under crossed locks
+        // is how a slot gets split between two meetings.
+        let mark = Value::map(Self::reserve_mark(&rec));
+        let parts: Vec<Participant> = participants
             .iter()
-            .map(|&u| (u, vec![Value::from(ordinal)]))
+            .map(|&u| Participant::new(u, slot_entity(ordinal), mark.clone()))
             .collect();
-        let statuses = self
-            .device
-            .engine()
-            .invoke_group_varied(&status_calls, &svc, "slot_status");
-        let mut holders: Vec<UserId> = Vec::new();
-        let mut missing: Vec<UserId> = Vec::new();
-        for (user, outcome) in statuses.outcomes {
-            let holds = outcome
-                .ok()
-                .and_then(|v| v.get("meeting").ok().and_then(|m| m.as_i64().ok()))
-                .is_some_and(|m| m as u64 == id.raw());
-            if holds {
-                holders.push(user);
-            } else {
-                missing.push(user);
-            }
-        }
-
-        // Grab whoever is now available. A contended round (another
-        // initiator's negotiation mid-flight on some slot) commits
-        // nothing; back off for a user-staggered moment and retry so that
-        // exactly one of the racing coordinators ends up holding the
-        // slots — committing partial sets under crossed locks is how a
-        // slot gets split between two meetings.
-        let mut newly: Vec<UserId> = Vec::new();
-        if !missing.is_empty() {
-            let change = Self::reserve_change(&rec);
-            let parts: Vec<Participant> = missing
-                .iter()
-                .map(|&u| Participant::new(u, slot_entity(ordinal), change.clone()))
-                .collect();
-            let mut outcome = self.device.negotiator().negotiate_available(&parts)?;
-            for attempt in 0..GRAB_RETRIES {
-                if outcome.contended.is_empty() {
-                    break;
-                }
-                std::thread::sleep(grab_backoff(self.user(), attempt));
-                outcome = self.device.negotiator().negotiate_available(&parts)?;
-            }
-            newly = outcome.committed;
-            holders.extend(newly.iter().copied());
-            missing.retain(|u| !holders.contains(u));
-        }
-
-        // Evaluate constraints and set the status.
-        let reserved: Vec<UserId> = participants
-            .iter()
-            .copied()
-            .filter(|u| holders.contains(u))
-            .collect();
-        let satisfied =
-            rec.constraints_satisfied_by(&reserved) && reserved.contains(&rec.initiator);
-        let previous = rec.status;
-        rec.reserved = reserved;
-        rec.status = if satisfied {
-            MeetingStatus::Confirmed
-        } else {
-            MeetingStatus::Tentative
+        let commit_change = |chosen: &[UserId], p: &Participant| {
+            let expected = Self::held_by(&rec, chosen);
+            let link = (p.user != me).then(|| self.back_link(&expected, p.user));
+            Self::reserve_change(&expected, link.as_ref())
         };
+        let negotiator = self.device.negotiator();
+        let mut outcome = negotiator.negotiate_available_with(&parts, &commit_change)?;
+        for attempt in 0..GRAB_RETRIES {
+            if outcome.contended.is_empty() {
+                break;
+            }
+            std::thread::sleep(grab_backoff(me, attempt));
+            outcome = negotiator.negotiate_available_with(&parts, &commit_change)?;
+        }
+
+        // Every holder already has the record as it stands when all the
+        // commits it was built for went through. Otherwise — a commit
+        // failed after its retry, or the retries ran out and the holders
+        // have to be asked — a corrective `update_meeting` goes out below.
+        let (holders, holders_told) = if outcome.contended.is_empty() {
+            (outcome.committed, outcome.aborted.is_empty())
+        } else {
+            (self.slot_holders(&rec), false)
+        };
+        rec = Self::held_by(&rec, &holders);
         self.put_meeting(&rec)?;
+        let missing = rec.missing();
 
-        // Housekeeping, one round for all of it. The calls write disjoint
-        // state at each peer and are idempotent, so they need no order
-        // among themselves; all are best effort (unreachable peers catch up
-        // on the next round). The round stays inside the operation: a
-        // later meeting's waiting links anchor on the back links below.
-        let me = self.user();
-        let backlinked = self.marked(T_BACKLINKS, id)?;
-        let queued = self.marked(T_AVAILQ, id)?;
-        // Back links at holders that lack one (§5: "the target slots at A,
-        // B, C and D create negotiation links back to A's slot"; a
-        // supervisor gets "only a subscription back link").
-        let needs_link: Vec<UserId> = rec
-            .reserved
-            .iter()
-            .copied()
-            .filter(|&u| u != me && !backlinked.contains(&u))
-            .collect();
-        // Availability queues at the missing; stale ones dropped at the
-        // newly reserved — an availability link exists only where this
-        // initiator queued one.
-        let stale: Vec<UserId> = newly
-            .iter()
-            .copied()
-            .filter(|u| queued.contains(u))
-            .collect();
-        let stale_peers = others(&stale, me);
-        // E-mail on the tentative → confirmed transition (§5.1).
-        let confirmed_now =
-            rec.status == MeetingStatus::Confirmed && previous != MeetingStatus::Confirmed;
-        let mail_to = if confirmed_now {
-            others(&rec.reserved, me)
-        } else {
-            Vec::new()
-        };
-
-        let link_svc = link_service();
-        let mail_svc = mailbox_service();
-        let record = rec.to_value();
-        let mut batch: Vec<Call<'_>> =
-            Call::broadcast(&participants, &svc, "update_meeting", vec![record.clone()]).collect();
-        let installs_at = batch.len();
-        batch.extend(needs_link.iter().map(|&user| {
-            let link = self.back_link(&rec, user).to_value();
-            Call::new(user, &link_svc, "install_link", vec![link])
-        }));
-        batch.extend(Call::broadcast(
-            &missing,
-            &svc,
-            "queue_availability",
-            vec![Value::from(ordinal), record],
-        ));
-        batch.extend(Call::broadcast(
-            &stale_peers,
-            &svc,
-            "drop_availability",
-            vec![Value::from(id.raw())],
-        ));
-        batch.extend(Call::broadcast(
-            &mail_to,
-            &mail_svc,
-            "deliver",
-            Mailbox::deliver_args(
-                &format!("confirmed: {}", rec.title),
-                &format!("meeting {} at ordinal {}", rec.id, rec.ordinal),
-            ),
-        ));
-        let round = self.housekeeping(&batch);
-
-        for (&user, (_, outcome)) in needs_link.iter().zip(&round.outcomes[installs_at..]) {
-            if outcome.is_ok() {
-                self.mark(T_BACKLINKS, id, user);
-            }
+        // What is left for a round of its own: the availability queues at
+        // the missing — who that is, the votes have only just said — and
+        // the correction. Idempotent and best effort: unreachable peers
+        // catch up on the next round.
+        let mut batch: Vec<Call<'_>> = Vec::new();
+        if !holders_told {
+            let record = vec![rec.to_value()];
+            batch.extend(Call::broadcast(
+                &participants,
+                &svc,
+                "update_meeting",
+                record,
+            ));
         }
+        if !missing.is_empty() {
+            let args = vec![Value::from(ordinal), rec.to_value()];
+            batch.extend(Call::broadcast(&missing, &svc, "queue_availability", args));
+        }
+        if !batch.is_empty() {
+            let mut span = self.device.node().tracer().span(names::SPAN_HOUSEKEEPING);
+            span.attr("calls", batch.len() as u64);
+            let _ = self.device.engine().invoke_batch(&batch);
+        }
+
+        // An availability link exists only where this initiator queued
+        // one; a holder dropped its own when it committed. Queueing twice
+        // is a no-op there, and a duplicate row is refused here.
+        self.unqueue(id, &rec.reserved)?;
         for &user in &missing {
-            self.mark(T_AVAILQ, id, user);
+            let _ = self.store.insert(
+                T_AVAILQ,
+                vec![Value::from(id.raw()), Value::from(user.raw())],
+            );
         }
-        if stale.contains(&me) {
-            let _ = self.drop_availability_local(id);
-        }
-        self.unmark(T_AVAILQ, id, &stale)?;
 
         self.device
             .events()
@@ -397,18 +353,68 @@ impl CalendarApp {
         Ok(rec.status)
     }
 
-    fn reserve_change(rec: &Meeting) -> Value {
-        Value::map([
+    /// `rec` as it stands once exactly `holders` hold its slot: reserved
+    /// in participant order, confirmed iff the constraints hold over them.
+    fn held_by(rec: &Meeting, holders: &[UserId]) -> Meeting {
+        let mut rec = rec.clone();
+        rec.reserved = rec.all_participants();
+        rec.reserved.retain(|u| holders.contains(u));
+        rec.status = if rec.constraints_satisfied() && rec.reserved.contains(&rec.initiator) {
+            MeetingStatus::Confirmed
+        } else {
+            MeetingStatus::Tentative
+        };
+        rec
+    }
+
+    /// Who holds the slot for `rec` right now, by asking: the fallback
+    /// when every grab attempt ran into another coordinator's locks and no
+    /// vote says who holds what.
+    fn slot_holders(&self, rec: &Meeting) -> Vec<UserId> {
+        let statuses = self.device.engine().invoke_group(
+            &rec.all_participants(),
+            &calendar_service(),
+            "slot_status",
+            vec![Value::from(rec.ordinal)],
+        );
+        statuses
+            .oks()
+            .filter(|(_, v)| {
+                v.get("meeting")
+                    .ok()
+                    .and_then(|m| m.as_i64().ok())
+                    .is_some_and(|m| m as u64 == rec.id.raw())
+            })
+            .map(|(user, _)| user)
+            .collect()
+    }
+
+    /// What the §4.3 mark carries: all that `prepare` reads.
+    fn reserve_mark(rec: &Meeting) -> Vec<(&'static str, Value)> {
+        vec![
             ("action", Value::str("reserve")),
             ("meeting", Value::from(rec.id.raw())),
             ("priority", Value::from(rec.priority.level() as u32)),
-            ("record", rec.to_value()),
-        ])
+        ]
     }
 
-    /// The back link installed at holder `user`: from their slot to the
-    /// initiator's, a subscription for a supervisor and a negotiation-and
-    /// link for everyone else.
+    /// What the §4.3 commit carries: the mark's fields, the record as it
+    /// stands once the round's commits are through, and the participant's
+    /// back link where the round creates them.
+    fn reserve_change(rec: &Meeting, link: Option<&Link>) -> Value {
+        let mut fields = Self::reserve_mark(rec);
+        fields.push(("record", rec.to_value()));
+        if let Some(link) = link {
+            fields.push(("link", link.to_value()));
+        }
+        Value::map(fields)
+    }
+
+    /// The back link installed at holder `user` (§5: "the target slots at
+    /// A, B, C and D create negotiation links back to A's slot"): from
+    /// their slot to the initiator's, a subscription for a supervisor
+    /// ("only a subscription back link") and a negotiation-and link for
+    /// everyone else.
     fn back_link(&self, rec: &Meeting, user: UserId) -> Link {
         let entity = slot_entity(rec.ordinal);
         Link {
@@ -432,21 +438,11 @@ impl CalendarApp {
         }
     }
 
-    /// Sends one housekeeping batch under its span: one span per round,
-    /// none per peer.
-    fn housekeeping(&self, batch: &[Call<'_>]) -> syd_core::GroupResult {
-        let mut span = self.device.node().tracer().span(names::SPAN_HOUSEKEEPING);
-        span.attr("calls", batch.len() as u64);
-        self.device.engine().invoke_batch(batch)
-    }
-
-    // The two initiator-local bookkeeping tables, `T_BACKLINKS` and
-    // `T_AVAILQ`, are both sets of `(meeting, user)`.
-
-    /// The users marked for `meeting` in `table`.
-    fn marked(&self, table: &str, meeting: MeetingId) -> SydResult<Vec<UserId>> {
+    /// The users at which this initiator has queued an availability link
+    /// for `meeting` (the initiator-local table `T_AVAILQ`).
+    fn queued(&self, meeting: MeetingId) -> SydResult<Vec<UserId>> {
         self.store
-            .query(table)
+            .query(T_AVAILQ)
             .filter(Predicate::Eq("meeting".into(), Value::from(meeting.raw())))
             .column("user")?
             .iter()
@@ -454,32 +450,16 @@ impl CalendarApp {
             .collect()
     }
 
-    /// Marks `user`; marking twice is a no-op.
-    fn mark(&self, table: &str, meeting: MeetingId, user: UserId) {
-        let _ = self.store.insert(
-            table,
-            vec![Value::from(meeting.raw()), Value::from(user.raw())],
-        );
-    }
-
-    fn unmark(&self, table: &str, meeting: MeetingId, users: &[UserId]) -> SydResult<()> {
+    fn unqueue(&self, meeting: MeetingId, users: &[UserId]) -> SydResult<()> {
         if users.is_empty() {
             return Ok(());
         }
         self.store.delete(
-            table,
+            T_AVAILQ,
             &Predicate::Eq("meeting".into(), Value::from(meeting.raw())).and(Predicate::In(
                 "user".into(),
                 users.iter().map(|u| Value::from(u.raw())).collect(),
             )),
-        )?;
-        Ok(())
-    }
-
-    fn clear_backlinks(&self, meeting: MeetingId) -> SydResult<()> {
-        self.store.delete(
-            T_BACKLINKS,
-            &Predicate::Eq("meeting".into(), Value::from(meeting.raw())),
         )?;
         Ok(())
     }
@@ -520,67 +500,54 @@ impl CalendarApp {
             EventKind::Info,
             format!("calendar.cancel meeting={}", id.raw()),
         );
-        let reserved = rec.reserved.clone();
         rec.status = MeetingStatus::Cancelled;
         rec.reserved.clear();
         self.put_meeting(&rec)?;
         let svc = calendar_service();
         let participants = rec.all_participants();
+        let queued = self.queued(id)?;
 
-        // Step 5: update the calendar databases (free the slots). This
-        // fires permanent availability links at each device. A round of
-        // its own, before the cascade: a waiter the cascade promotes
-        // reconciles at once and must find the slot free.
-        let _ = self.device.engine().invoke_group(
+        // Step 5: update the calendar databases. `release_slot` writes the
+        // cancelled status into every participant's record, frees the slot
+        // where it was held (which fires permanent availability links) and
+        // delivers the notice there; the availability queues of this
+        // meeting go in the same batch, to where this initiator queued
+        // one. A round of its own, before the cascade: a waiter the
+        // cascade promotes reconciles at once and must find the slot free.
+        let mut batch: Vec<Call<'_>> = Call::broadcast(
             &participants,
             &svc,
             "release_slot",
             vec![
                 Value::from(rec.ordinal),
                 Value::from(id.raw()),
-                Value::str("cancelled"),
+                Value::str(rec.status.as_str()),
             ],
-        );
-
-        // Steps 1–4, 6–7: delete the link web; cascades along the corr and
-        // promotes the highest-priority waiting links at every device.
-        loop {
-            let links = self.device.links().by_corr(&rec.corr)?;
-            let Some(first) = links.first() else { break };
-            let _ = self.device.links().delete(first.id, true);
-        }
-        self.clear_backlinks(id)?;
-
-        // Housekeeping, one round: the cancelled record to everyone, the
-        // availability queues of this meeting dropped where this initiator
-        // queued one, and the notice to whoever held the slot.
-        let me = self.user();
-        let queued = self.marked(T_AVAILQ, id)?;
-        let queued_peers = others(&queued, me);
-        let mail_to = others(&reserved, me);
-        let mail_svc = mailbox_service();
-        let mut batch: Vec<Call<'_>> =
-            Call::broadcast(&participants, &svc, "update_meeting", vec![rec.to_value()]).collect();
+        )
+        .collect();
         batch.extend(Call::broadcast(
-            &queued_peers,
+            &queued,
             &svc,
             "drop_availability",
             vec![Value::from(id.raw())],
         ));
-        batch.extend(Call::broadcast(
-            &mail_to,
-            &mail_svc,
-            "deliver",
-            Mailbox::deliver_args(
-                &format!("cancelled: {}", rec.title),
-                &format!("meeting {} was cancelled", rec.id),
-            ),
-        ));
-        let _ = self.housekeeping(&batch);
-        if queued.contains(&me) {
-            let _ = self.drop_availability_local(id);
+        let _ = self.device.engine().invoke_batch(&batch);
+        self.unqueue(id, &queued)?;
+
+        // Steps 1–4, 6–7: delete the link web; cascades along the corr and
+        // promotes the highest-priority waiting links at every device.
+        self.delete_link_web(&rec.corr)
+    }
+
+    /// Deletes every link of `corr` here and, by cascade, at every peer.
+    fn delete_link_web(&self, corr: &str) -> SydResult<()> {
+        loop {
+            let links = self.device.links().by_corr(corr)?;
+            let Some(first) = links.first() else {
+                return Ok(());
+            };
+            let _ = self.device.links().delete(first.id, true);
         }
-        self.unmark(T_AVAILQ, id, &queued)
     }
 
     // ---- change of time (§5: "D wants to change the schedule") -----------------
@@ -628,7 +595,7 @@ impl CalendarApp {
         // All-or-nothing reserve at the new slot.
         let mut moved_rec = rec.clone();
         moved_rec.ordinal = new_ordinal;
-        let change = Self::reserve_change(&moved_rec);
+        let change = Self::reserve_change(&moved_rec, None);
         let parts: Vec<Participant> = holders
             .iter()
             .map(|&u| Participant::new(u, slot_entity(new_ordinal), change.clone()))
@@ -651,12 +618,7 @@ impl CalendarApp {
                 Value::str(rec.status.as_str()),
             ],
         );
-        loop {
-            let links = self.device.links().by_corr(&rec.corr)?;
-            let Some(first) = links.first() else { break };
-            let _ = self.device.links().delete(first.id, true);
-        }
-        self.clear_backlinks(id)?;
+        self.delete_link_web(&rec.corr)?;
 
         rec.ordinal = new_ordinal;
         self.put_meeting(&rec)?;
@@ -729,7 +691,7 @@ impl CalendarApp {
             if candidates.is_empty() {
                 return Ok(false);
             }
-            let change = Self::reserve_change(&rec);
+            let change = Self::reserve_change(&rec, None);
             let parts: Vec<Participant> = candidates
                 .iter()
                 .map(|&u| Participant::new(u, slot_entity(rec.ordinal), change.clone()))
@@ -878,12 +840,7 @@ impl CalendarApp {
                 Value::str("bumped"),
             ],
         );
-        loop {
-            let links = self.device.links().by_corr(&rec.corr)?;
-            let Some(first) = links.first() else { break };
-            let _ = self.device.links().delete(first.id, true);
-        }
-        self.clear_backlinks(id)?;
+        self.delete_link_web(&rec.corr)?;
 
         // Find the next slot everyone shares.
         let range = SlotRange::new(
@@ -922,104 +879,5 @@ impl CalendarApp {
             &format!("moved to ordinal {} ({status:?})", rec.ordinal),
         );
         Ok(())
-    }
-}
-
-#[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code
-mod tests {
-    use super::*;
-    use crate::app::arg;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-    use syd_core::SydEnv;
-    use syd_net::NetConfig;
-
-    /// Counts the `drop_availability` calls `app` serves, then serves them.
-    fn count_drops(app: &Arc<CalendarApp>) -> Arc<AtomicUsize> {
-        let count = Arc::new(AtomicUsize::new(0));
-        let (weak, counter) = (Arc::downgrade(app), Arc::clone(&count));
-        app.device
-            .register_service(
-                &calendar_service(),
-                "drop_availability",
-                Arc::new(move |_ctx, args: &[Value]| {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                    let app = weak.upgrade().ok_or(SydError::Shutdown)?;
-                    app.drop_availability_local(MeetingId::new(arg(args, 0)?.as_i64()? as u64))?;
-                    Ok(Value::Null)
-                }),
-            )
-            .unwrap();
-        count
-    }
-
-    fn wait_for(mut cond: impl FnMut() -> bool, what: &str) {
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while !cond() {
-            assert!(Instant::now() < deadline, "timed out waiting for {what}");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-    }
-
-    /// `drop_availability` goes only where this initiator queued an
-    /// availability link: nowhere for a meeting nobody blocked, once to
-    /// each member a promotion reserved, and nowhere again on the cancel
-    /// that follows.
-    #[test]
-    fn drop_availability_follows_the_queued_links() {
-        let env = SydEnv::new_insecure(NetConfig::ideal());
-        let apps: Vec<Arc<CalendarApp>> = (0..4)
-            .map(|i| CalendarApp::install(&env.device(&format!("u{i}"), "").unwrap()).unwrap())
-            .collect();
-        let drops: Vec<Arc<AtomicUsize>> = apps.iter().map(count_drops).collect();
-        let dropped = || -> Vec<usize> { drops.iter().map(|d| d.load(Ordering::SeqCst)).collect() };
-        let (a, b) = (&apps[0], &apps[3]);
-        let shared = vec![apps[1].user(), apps[2].user()];
-        let slot = TimeSlot::new(2, 9);
-
-        // Nobody blocked: no availability link anywhere, so no drop.
-        let first = a
-            .schedule(MeetingSpec::plain("first", slot, shared.clone()))
-            .unwrap();
-        assert_eq!(first.status, MeetingStatus::Confirmed);
-        assert_eq!(dropped(), vec![0, 0, 0, 0]);
-
-        // B's meeting queues behind it at both shared members.
-        let second = b
-            .schedule(MeetingSpec::plain("second", slot, shared.clone()))
-            .unwrap();
-        assert_eq!(second.status, MeetingStatus::Tentative);
-        assert_eq!(b.marked(T_AVAILQ, second.meeting).unwrap(), shared);
-        assert_eq!(dropped(), vec![0, 0, 0, 0]);
-
-        // A cancels (it queued nothing: no drop); the promotion reserves
-        // both members for B, and each is sent exactly one drop.
-        a.cancel(first.meeting).unwrap();
-        wait_for(
-            || b.meeting(second.meeting).unwrap().unwrap().status == MeetingStatus::Confirmed,
-            "the promotion",
-        );
-        wait_for(
-            || dropped() == vec![0, 1, 1, 0],
-            "one drop per promoted member",
-        );
-        wait_for(
-            || b.marked(T_AVAILQ, second.meeting).unwrap().is_empty(),
-            "the queue rows to go",
-        );
-
-        // Cancel after promotion: nothing is queued any more.
-        b.cancel(second.meeting).unwrap();
-        assert_eq!(dropped(), vec![0, 1, 1, 0]);
-        for app in &apps {
-            let left = app.device.links().all().unwrap();
-            assert!(
-                left.iter().all(|l| !l.corr.starts_with("avail:")),
-                "{} keeps an availability link: {left:?}",
-                app.user()
-            );
-        }
     }
 }

@@ -82,7 +82,7 @@ impl Mailbox {
         Ok(mailbox)
     }
 
-    fn deliver_local(&self, from: UserId, subject: &str, body: &str) -> SydResult<u64> {
+    pub(crate) fn deliver_local(&self, from: UserId, subject: &str, body: &str) -> SydResult<u64> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         self.store.insert(
             T_MAIL,

@@ -530,32 +530,22 @@ fn cancel_during_a_reconcile_round_leaves_nothing_behind() {
     let slot = TimeSlot::new(15, 9);
     let attendees: Vec<UserId> = apps[1..].iter().map(|a| a.user()).collect();
 
-    // user1 answers `slot_status` through a gate: once armed, the answer
-    // to the next query is held back until the cancel has run — or, when
-    // the cancel rightly waits for the round, for a bounded moment.
+    // user1 finishes a commit through a gate: once armed, the next
+    // commit there is held back until the cancel has run — or, when the
+    // cancel rightly waits for the round, for a bounded moment.
     let armed = Arc::new(AtomicBool::new(false));
     let (entered_tx, entered_rx) = crossbeam_channel::bounded::<()>(1);
     let (resume_tx, resume_rx) = crossbeam_channel::bounded::<()>(1);
-    let (gate, holder) = (Arc::clone(&armed), Arc::downgrade(&apps[1]));
-    apps[1]
-        .device()
-        .register_service(
-            &syd_calendar::app::calendar_service(),
-            "slot_status",
-            Arc::new(move |_ctx, args: &[Value]| {
-                if gate.swap(false, Ordering::SeqCst) {
-                    let _ = entered_tx.send(());
-                    let _ = resume_rx.recv_timeout(Duration::from_millis(300));
-                }
-                let app = holder.upgrade().ok_or(syd_types::SydError::Shutdown)?;
-                let held = app.slot_state(args[0].as_i64()? as u64)?.meeting();
-                Ok(Value::map([(
-                    "meeting",
-                    held.map_or(Value::Null, |m| Value::from(m.raw())),
-                )]))
-            }),
-        )
-        .unwrap();
+    let gate = Arc::clone(&armed);
+    apps[1].device().events().subscribe(
+        "calendar.reserved",
+        Arc::new(move |_topic, _payload| {
+            if gate.swap(false, Ordering::SeqCst) {
+                let _ = entered_tx.send(());
+                let _ = resume_rx.recv_timeout(Duration::from_millis(300));
+            }
+        }),
+    );
 
     let outcome = apps[0]
         .schedule(MeetingSpec::plain("raced", slot, attendees))
@@ -563,7 +553,7 @@ fn cancel_during_a_reconcile_round_leaves_nothing_behind() {
     assert_eq!(outcome.status, MeetingStatus::Confirmed);
     let id = outcome.meeting;
 
-    // The round has read the record and is waiting for user1's status…
+    // The round has read the record and is waiting for user1's commit…
     armed.store(true, Ordering::SeqCst);
     let initiator = Arc::clone(&apps[0]);
     let round = std::thread::spawn(move || initiator.reconcile(id));

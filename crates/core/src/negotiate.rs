@@ -29,6 +29,13 @@
 //! **no** — the coordinator never blocks on a stuck peer, so two meetings
 //! negotiating over overlapping participants resolve by abort/retry rather
 //! than deadlock.
+//!
+//! The protocol is two rounds on the wire and nothing else: the commits
+//! and the aborts of phase 2 travel in **one** batch, and a participant
+//! that *answered* no holds no lock (a failed prepare unlocks before it
+//! votes, a busy lock was never taken) and is sent nothing more. Only a
+//! participant whose mark call failed — its yes may have been lost with
+//! the lock taken — gets a clean-up abort, in that same batch.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -36,7 +43,7 @@ use std::sync::Arc;
 use syd_telemetry::{Counter, EventKind, Journal, Registry};
 use syd_types::{ServiceName, SydError, SydResult, UserId, Value};
 
-use crate::engine::SydEngine;
+use crate::engine::{Call, SydEngine};
 use crate::links::Constraint;
 use syd_telemetry::names;
 
@@ -55,7 +62,9 @@ pub struct Participant {
     /// The entity to change (e.g. `"slot:4:14"`).
     pub entity: String,
     /// Application-defined change payload handed to the participant's
-    /// [`crate::device::EntityHandler`].
+    /// [`crate::device::EntityHandler`]: what the mark (and an abort)
+    /// carries, and the commit too unless the caller builds the commit
+    /// payloads from the votes ([`Negotiator::negotiate_available_with`]).
     pub change: Value,
 }
 
@@ -158,7 +167,7 @@ impl Negotiator {
         constraint: Constraint,
         participants: &[Participant],
     ) -> SydResult<NegotiationOutcome> {
-        self.negotiate_impl(constraint, participants, false)
+        self.negotiate_impl(constraint, participants, false, &|_, p| p.change.clone())
     }
 
     /// Greedy grab for repair rounds: commits every participant that can
@@ -172,7 +181,23 @@ impl Negotiator {
         &self,
         participants: &[Participant],
     ) -> SydResult<NegotiationOutcome> {
-        self.negotiate_impl(Constraint::AtLeast(0), participants, true)
+        self.negotiate_available_with(participants, &|_, p| p.change.clone())
+    }
+
+    /// [`Negotiator::negotiate_available`] with the commit payloads built
+    /// **after** the vote: `commit_change(chosen, p)` is asked for the
+    /// change of every participant `p` about to be committed, `chosen`
+    /// being all of them in participant order. The mark and any abort
+    /// still carry [`Participant::change`], which then need hold only
+    /// what the participant's `prepare` reads. This is what lets one
+    /// commit carry everything that follows from *who* committed — no
+    /// later round has to tell the participants.
+    pub fn negotiate_available_with(
+        &self,
+        participants: &[Participant],
+        commit_change: &dyn Fn(&[UserId], &Participant) -> Value,
+    ) -> SydResult<NegotiationOutcome> {
+        self.negotiate_impl(Constraint::AtLeast(0), participants, true, commit_change)
     }
 
     fn negotiate_impl(
@@ -180,6 +205,7 @@ impl Negotiator {
         constraint: Constraint,
         participants: &[Participant],
         abort_on_contention: bool,
+        commit_change: &dyn Fn(&[UserId], &Participant) -> Value,
     ) -> SydResult<NegotiationOutcome> {
         if participants.is_empty() {
             return Err(SydError::Protocol("negotiation needs participants".into()));
@@ -196,30 +222,27 @@ impl Negotiator {
                 participants.len()
             ),
         );
+        let args_of = |p: &Participant, change: Value| {
+            vec![Value::from(session), Value::str(p.entity.clone()), change]
+        };
 
         // Phase 1: mark everyone.
-        let mark_calls: Vec<(UserId, Vec<Value>)> = participants
+        let marks: Vec<Call<'_>> = participants
             .iter()
-            .map(|p| {
-                (
-                    p.user,
-                    vec![
-                        Value::from(session),
-                        Value::str(p.entity.clone()),
-                        p.change.clone(),
-                    ],
-                )
-            })
+            .map(|p| Call::new(p.user, &svc, "mark", args_of(p, p.change.clone())))
             .collect();
         let votes = {
             let mut span = self.engine.node().tracer().span(names::SPAN_MARK_ROUND);
             span.attr("participants", participants.len() as u64);
-            self.engine.invoke_group_varied(&mark_calls, &svc, "mark")
+            self.engine.invoke_batch(&marks)
         };
 
         let mut yes = Vec::new();
         let mut declined = Vec::new();
         let mut contended = Vec::new();
+        // Marks that did not come back: the participant may have locked
+        // and voted yes into a lost reply.
+        let mut unanswered = Vec::new();
         for (i, (user, outcome)) in votes.outcomes.iter().enumerate() {
             match fsm::classify_reply(outcome) {
                 fsm::ReplyClass::Yes => yes.push(i),
@@ -227,7 +250,12 @@ impl Negotiator {
                     contended.push(*user);
                     declined.push(*user);
                 }
-                fsm::ReplyClass::Declined => declined.push(*user),
+                fsm::ReplyClass::Declined => {
+                    declined.push(*user);
+                    if outcome.is_err() {
+                        unanswered.push(i);
+                    }
+                }
             }
         }
 
@@ -258,124 +286,66 @@ impl Negotiator {
             abort_on_contention,
         );
 
-        // Phase 2: commit the chosen, abort the rest of the yes-voters.
-        let commit_calls: Vec<(UserId, Vec<Value>)> = to_commit
+        // Phase 2, one batch: commit the chosen, abort the rest of the
+        // yes-voters, and abort the unanswered too — abort releases the
+        // lock a lost yes vote left behind and is a no-op where the mark
+        // itself was lost. Best effort for the aborts.
+        let chosen: Vec<UserId> = to_commit.iter().map(|&i| participants[i].user).collect();
+        let mut batch: Vec<Call<'_>> = to_commit
             .iter()
             .map(|&i| {
                 let p = &participants[i];
-                (
+                Call::new(
                     p.user,
-                    vec![
-                        Value::from(session),
-                        Value::str(p.entity.clone()),
-                        p.change.clone(),
-                    ],
+                    &svc,
+                    "commit",
+                    args_of(p, commit_change(&chosen, p)),
                 )
             })
             .collect();
-        let abort_calls: Vec<(UserId, Vec<Value>)> = to_abort
-            .iter()
-            .map(|&i| {
-                let p = &participants[i];
-                (
-                    p.user,
-                    vec![
-                        Value::from(session),
-                        Value::str(p.entity.clone()),
-                        p.change.clone(),
-                    ],
-                )
-            })
-            .collect();
+        batch.extend(to_abort.iter().chain(&unanswered).map(|&i| {
+            let p = &participants[i];
+            Call::new(p.user, &svc, "abort", args_of(p, p.change.clone()))
+        }));
 
-        // Phase 2 span covers the commit batch (with its one retry) and
-        // every abort — the whole unlock half of §4.3.
+        // Phase 2 span covers the batch and the one commit retry — the
+        // whole unlock half of §4.3.
         let mut commit_span = self.engine.node().tracer().span(names::SPAN_COMMIT_ROUND);
         commit_span.attr("to_commit", to_commit.len() as u64);
         commit_span.attr("to_abort", to_abort.len() as u64);
         let mut committed = Vec::new();
         let mut aborted = Vec::new();
-        if !commit_calls.is_empty() {
-            let results = self
-                .engine
-                .invoke_group_varied(&commit_calls, &svc, "commit");
-            // A lost commit message would strand the entity lock; commits
-            // are idempotent, so every first-round failure gets one more
-            // chance — in a single batched round, so `k` stragglers cost
-            // one extra round trip rather than `k` sequential timeouts.
-            let mut failed: Vec<(UserId, Vec<Value>)> = Vec::new();
-            for (i, (user, outcome)) in results.outcomes.into_iter().enumerate() {
-                match outcome {
-                    Ok(_) => committed.push(user),
-                    Err(_) => failed.push(commit_calls[i].clone()),
-                }
-            }
-            if !failed.is_empty() {
-                let retry = self.engine.invoke_group_varied(&failed, &svc, "commit");
-                for (user, outcome) in retry.outcomes {
-                    match outcome {
-                        Ok(_) => committed.push(user),
-                        Err(_) => {
-                            self.journal_record(
-                                EventKind::Abort,
-                                format!(
-                                    "session={session} user={} reason=commit-failed",
-                                    user.raw()
-                                ),
-                            );
-                            if let Some(c) = &self.aborts {
-                                c.inc();
-                            }
-                            aborted.push(user);
-                        }
-                    }
-                }
-            }
-            if !committed.is_empty() {
-                self.journal_record(
-                    EventKind::Change,
-                    format!("session={session} committed={}", committed.len()),
-                );
+        let results = self.engine.invoke_batch(&batch);
+        // A lost commit message would strand the entity lock; commits
+        // are idempotent, so every first-round failure gets one more
+        // chance — in a single batched round, so `k` stragglers cost
+        // one extra round trip rather than `k` sequential timeouts.
+        let mut failed: Vec<Call<'_>> = Vec::new();
+        for (call, (user, outcome)) in batch.iter().zip(results.outcomes).take(chosen.len()) {
+            match outcome {
+                Ok(_) => committed.push(user),
+                Err(_) => failed.push(call.clone()),
             }
         }
-        if !abort_calls.is_empty() {
-            let results = self.engine.invoke_group_varied(&abort_calls, &svc, "abort");
-            for (user, _) in results.outcomes {
-                self.journal_record(
-                    EventKind::Abort,
-                    format!(
-                        "session={session} user={} reason={abort_reason}",
-                        user.raw()
-                    ),
-                );
-                if let Some(c) = &self.aborts {
-                    c.inc();
+        for (user, outcome) in self.engine.invoke_batch(&failed).outcomes {
+            match outcome {
+                Ok(_) => committed.push(user),
+                Err(_) => {
+                    self.journal_abort(session, user, "commit-failed");
+                    aborted.push(user);
                 }
-                aborted.push(user);
             }
         }
-        // Also send aborts to the *decliners*: a participant whose yes
-        // vote was lost in transit holds its entity lock and was counted
-        // as declined; abort releases that lock (and is a no-op for a
-        // participant that really voted no). Best effort.
-        if !declined.is_empty() {
-            let decline_aborts: Vec<(UserId, Vec<Value>)> = participants
-                .iter()
-                .filter(|p| declined.contains(&p.user))
-                .map(|p| {
-                    (
-                        p.user,
-                        vec![
-                            Value::from(session),
-                            Value::str(p.entity.clone()),
-                            p.change.clone(),
-                        ],
-                    )
-                })
-                .collect();
-            let _ = self
-                .engine
-                .invoke_group_varied(&decline_aborts, &svc, "abort");
+        if !committed.is_empty() {
+            self.journal_record(
+                EventKind::Change,
+                format!("session={session} committed={}", committed.len()),
+            );
+        }
+        for &i in &to_abort {
+            let user = participants[i].user;
+            self.journal_abort(session, user, abort_reason);
+            aborted.push(user);
         }
         drop(commit_span);
 
@@ -423,6 +393,17 @@ impl Negotiator {
             ),
         );
         Ok(outcome)
+    }
+
+    /// Journals one coordinator-side abort and counts it.
+    fn journal_abort(&self, session: u64, user: UserId, reason: &str) {
+        self.journal_record(
+            EventKind::Abort,
+            format!("session={session} user={} reason={reason}", user.raw()),
+        );
+        if let Some(c) = &self.aborts {
+            c.inc();
+        }
     }
 
     /// Negotiation-and over `participants` (§4.3): all or nothing.

@@ -118,9 +118,9 @@ pub const SPAN_RECONCILE: &str = "calendar.reconcile_op";
 /// Span: one meeting cancellation, initiator side (root span); the §4.4
 /// cascade span nests beneath it.
 pub const SPAN_CANCEL: &str = "calendar.cancel_op";
-/// Span: the post-commit housekeeping round of a reconcile or cancel
-/// (record broadcast, back links, availability queues, mail) — one span
-/// per round, none per peer.
+/// Span: the third round of a reconcile, when there is one
+/// (availability queues at the missing, the corrective record
+/// broadcast) — one span per round, none per peer.
 pub const SPAN_HOUSEKEEPING: &str = "calendar.housekeeping";
 
 // --- model (syd-model state-space explorer) --------------------------------
