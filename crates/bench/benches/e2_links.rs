@@ -4,16 +4,15 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use syd_bench::timing::Group;
 use syd_bench::{devices, env_ideal};
 use syd_core::links::{Constraint, LinkRef, LinkSpec};
 use syd_types::{LinkId, Priority, Value};
 
-fn bench_links(c: &mut Criterion) {
+fn main() {
     let env = env_ideal();
     let devs = devices(&env, 9);
-    let mut group = c.benchmark_group("e2_links");
-    group.sample_size(40);
+    let group = Group("e2_links");
 
     // Local link creation (op 2, local half) — on its own device so the
     // accumulated rows don't distort later measurements.
@@ -30,7 +29,7 @@ fn bench_links(c: &mut Criterion) {
     // Negotiated creation with peers (op 2, full: offer round + back
     // links), vs fan-out degree.
     for n in [1usize, 2, 4, 8] {
-        group.bench_with_input(BenchmarkId::new("create_negotiated", n), &n, |b, &n| {
+        group.bench_function(format!("create_negotiated/{n}"), |b| {
             b.iter(|| {
                 let refs: Vec<LinkRef> = devs[1..=n]
                     .iter()
@@ -51,7 +50,7 @@ fn bench_links(c: &mut Criterion) {
 
     // Cascade deletion alone (ops 4/§4.4), vs fan-out degree.
     for n in [1usize, 4, 8] {
-        group.bench_with_input(BenchmarkId::new("cascade_delete", n), &n, |b, &n| {
+        group.bench_function(format!("cascade_delete/{n}"), |b| {
             b.iter_batched(
                 || {
                     let refs: Vec<LinkRef> = devs[1..=n]
@@ -67,7 +66,6 @@ fn bench_links(c: &mut Criterion) {
                         .unwrap()
                 },
                 |link| devs[0].links().delete(link.id, true).unwrap(),
-                criterion::BatchSize::SmallInput,
             );
         });
     }
@@ -77,48 +75,43 @@ fn bench_links(c: &mut Criterion) {
     // scan must pick the max) against all-equal priorities (FIFO-ish).
     for &(label, distinct) in &[("priority", true), ("fifo", false)] {
         for w in [1usize, 8, 32, 128] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("promotion_{label}"), w),
-                &w,
-                |b, &w| {
-                    b.iter_batched(
-                        || {
-                            let anchor = devs[0]
+            group.bench_function(format!("promotion_{label}/{w}"), |b| {
+                b.iter_batched(
+                    || {
+                        let anchor = devs[0]
+                            .links()
+                            .add_local(LinkSpec::subscription("anchor", vec![]))
+                            .unwrap();
+                        let mut created = vec![anchor.id];
+                        for i in 0..w {
+                            let prio = if distinct {
+                                Priority::new((i % 250) as u8)
+                            } else {
+                                Priority::NORMAL
+                            };
+                            let waiter = devs[0]
                                 .links()
-                                .add_local(LinkSpec::subscription("anchor", vec![]))
+                                .add_local(
+                                    LinkSpec::subscription(format!("w{i}"), vec![])
+                                        .with_priority(prio)
+                                        .waiting_on(anchor.id, i as u64),
+                                )
                                 .unwrap();
-                            let mut created = vec![anchor.id];
-                            for i in 0..w {
-                                let prio = if distinct {
-                                    Priority::new((i % 250) as u8)
-                                } else {
-                                    Priority::NORMAL
-                                };
-                                let waiter = devs[0]
-                                    .links()
-                                    .add_local(
-                                        LinkSpec::subscription(format!("w{i}"), vec![])
-                                            .with_priority(prio)
-                                            .waiting_on(anchor.id, i as u64),
-                                    )
-                                    .unwrap();
-                                created.push(waiter.id);
-                            }
-                            created
-                        },
-                        |created: Vec<LinkId>| {
-                            let report = devs[0].links().delete(created[0], false).unwrap();
-                            assert!(!report.promoted.is_empty());
-                            // Clean this batch's own links only — other
-                            // pre-built batches must stay intact.
-                            for id in &created[1..] {
-                                let _ = devs[0].links().delete(*id, false);
-                            }
-                        },
-                        criterion::BatchSize::SmallInput,
-                    );
-                },
-            );
+                            created.push(waiter.id);
+                        }
+                        created
+                    },
+                    |created: Vec<LinkId>| {
+                        let report = devs[0].links().delete(created[0], false).unwrap();
+                        assert!(!report.promoted.is_empty());
+                        // Clean this batch's own links only — other
+                        // pre-built batches must stay intact.
+                        for id in &created[1..] {
+                            let _ = devs[0].links().delete(*id, false);
+                        }
+                    },
+                );
+            });
         }
     }
 
@@ -135,7 +128,7 @@ fn bench_links(c: &mut Criterion) {
                 )
                 .unwrap();
         }
-        group.bench_with_input(BenchmarkId::new("expiry_scan_live", n), &n, |b, _| {
+        group.bench_function(format!("expiry_scan_live/{n}"), |b| {
             b.iter(|| {
                 let expired = dev.links().expire_scan().unwrap();
                 assert!(expired.is_empty());
@@ -163,9 +156,4 @@ fn bench_links(c: &mut Criterion) {
             assert_eq!(out.len(), 1);
         });
     });
-
-    group.finish();
 }
-
-criterion_group!(benches, bench_links);
-criterion_main!(benches);

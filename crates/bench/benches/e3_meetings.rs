@@ -6,14 +6,13 @@
 
 use std::sync::Arc;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use syd_bench::timing::Group;
 use syd_bench::{calendar_rig, env_ideal, prefill_density, users_of, SlotAlloc};
 use syd_calendar::{BaselineCalendar, GroupSpec, MeetingSpec, MeetingStatus};
 use syd_types::UserId;
 
-fn bench_meetings(c: &mut Criterion) {
-    let mut group = c.benchmark_group("e3_meetings");
-    group.sample_size(25);
+fn main() {
+    let group = Group("e3_meetings");
 
     // Schedule+cancel vs participant count (everyone free → confirmed).
     for n in [2usize, 4, 8, 16] {
@@ -21,7 +20,7 @@ fn bench_meetings(c: &mut Criterion) {
         let apps = calendar_rig(&env, n);
         let attendees: Vec<UserId> = users_of(&apps)[1..].to_vec();
         let slots = SlotAlloc::new();
-        group.bench_with_input(BenchmarkId::new("schedule_cancel", n), &n, |b, _| {
+        group.bench_function(format!("schedule_cancel/{n}"), |b| {
             b.iter(|| {
                 let outcome = apps[0]
                     .schedule(MeetingSpec::plain("b", slots.next(), attendees.clone()))
@@ -39,17 +38,13 @@ fn bench_meetings(c: &mut Criterion) {
         let apps = calendar_rig(&env, 4);
         prefill_density(&apps, 7 * 24, density);
         let users = users_of(&apps);
-        group.bench_with_input(
-            BenchmarkId::new("find_common_slots_density", density),
-            &density,
-            |b, _| {
-                b.iter(|| {
-                    apps[0]
-                        .find_common_slots(&users, syd_types::SlotRange::days(0, 7))
-                        .unwrap()
-                });
-            },
-        );
+        group.bench_function(format!("find_common_slots_density/{density}"), |b| {
+            b.iter(|| {
+                apps[0]
+                    .find_common_slots(&users, syd_types::SlotRange::days(0, 7))
+                    .unwrap()
+            });
+        });
     }
 
     // Quorum scheduling (E4): musts + two OR-groups.
@@ -61,20 +56,16 @@ fn bench_meetings(c: &mut Criterion) {
         let g2: Vec<UserId> = apps[2 + group_size..].iter().map(|a| a.user()).collect();
         let k = (group_size / 2) as u32;
         let slots = SlotAlloc::new();
-        group.bench_with_input(
-            BenchmarkId::new("quorum_schedule_cancel", group_size),
-            &group_size,
-            |b, _| {
-                b.iter(|| {
-                    let spec = MeetingSpec::plain("q", slots.next(), musts.clone())
-                        .with_group(GroupSpec::new(g1.clone(), k))
-                        .with_group(GroupSpec::new(g2.clone(), 2));
-                    let outcome = apps[0].schedule(spec).unwrap();
-                    assert_eq!(outcome.status, MeetingStatus::Confirmed);
-                    apps[0].cancel(outcome.meeting).unwrap();
-                });
-            },
-        );
+        group.bench_function(format!("quorum_schedule_cancel/{group_size}"), |b| {
+            b.iter(|| {
+                let spec = MeetingSpec::plain("q", slots.next(), musts.clone())
+                    .with_group(GroupSpec::new(g1.clone(), k))
+                    .with_group(GroupSpec::new(g2.clone(), 2));
+                let outcome = apps[0].schedule(spec).unwrap();
+                assert_eq!(outcome.status, MeetingStatus::Confirmed);
+                apps[0].cancel(outcome.meeting).unwrap();
+            });
+        });
     }
 
     // E1: the same "set up a meeting" task on the baseline calendar
@@ -89,7 +80,7 @@ fn bench_meetings(c: &mut Criterion) {
             .collect();
         let participants: Vec<UserId> = baselines[1..].iter().map(|b| b.user()).collect();
         let slots = SlotAlloc::new();
-        group.bench_with_input(BenchmarkId::new("baseline_schedule", n), &n, |b, _| {
+        group.bench_function(format!("baseline_schedule/{n}"), |b| {
             b.iter(|| {
                 let slot = slots.next();
                 let proposal = baselines[0].propose(slot, &participants).unwrap();
@@ -111,9 +102,4 @@ fn bench_meetings(c: &mut Criterion) {
             });
         });
     }
-
-    group.finish();
 }
-
-criterion_group!(benches, bench_meetings);
-criterion_main!(benches);

@@ -5,17 +5,16 @@
 
 use std::sync::Arc;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use syd_bench::timing::Group;
 use syd_bench::{devices, env_ideal, env_secure};
 use syd_crypto::{cbc_decrypt, cbc_encrypt, Authenticator, Credentials, TeaKey};
 use syd_types::{ServiceName, UserId, Value};
 
-fn bench_security(c: &mut Criterion) {
-    let mut group = c.benchmark_group("e6_security");
+fn main() {
+    let group = Group("e6_security");
     let key = TeaKey::new([0x0123_4567, 0x89AB_CDEF, 0xFEDC_BA98, 0x7654_3210]);
 
     // Raw block cipher.
-    group.throughput(Throughput::Bytes(8));
     group.bench_function("tea_block", |b| {
         let mut block = [0x1234_5678u32, 0x9ABC_DEF0];
         b.iter(|| {
@@ -27,16 +26,14 @@ fn bench_security(c: &mut Criterion) {
     // CBC over realistic payload sizes.
     for size in [16usize, 64, 256, 1024] {
         let plaintext = vec![0xA5u8; size];
-        group.throughput(Throughput::Bytes(size as u64));
-        group.bench_with_input(BenchmarkId::new("cbc_encrypt", size), &size, |b, _| {
+        group.bench_function(format!("cbc_encrypt/{size}"), |b| {
             b.iter(|| cbc_encrypt(&key, [7; 8], &plaintext));
         });
         let blob = cbc_encrypt(&key, [7; 8], &plaintext);
-        group.bench_with_input(BenchmarkId::new("cbc_decrypt", size), &size, |b, _| {
+        group.bench_function(format!("cbc_decrypt/{size}"), |b| {
             b.iter(|| cbc_decrypt(&key, &blob).unwrap());
         });
     }
-    group.throughput(Throughput::Elements(1));
 
     // Credential envelope: seal on the client, verify on the server.
     let auth = Authenticator::from_passphrase("bench passphrase");
@@ -86,9 +83,4 @@ fn bench_security(c: &mut Criterion) {
                 .unwrap()
         });
     });
-
-    group.finish();
 }
-
-criterion_group!(benches, bench_security);
-criterion_main!(benches);

@@ -4,7 +4,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use syd_bench::timing::Group;
 use syd_core::EventHandler;
 use syd_store::{Column, ColumnType, Predicate, Schema, Store, Trigger, TriggerEvent};
 use syd_types::Value;
@@ -43,8 +43,8 @@ fn filled_store(rows: i64, index: bool) -> Store {
     store
 }
 
-fn bench_store(c: &mut Criterion) {
-    let mut group = c.benchmark_group("e7_store");
+fn main() {
+    let group = Group("e7_store");
 
     // Insert throughput.
     group.bench_function("insert", |b| {
@@ -193,17 +193,12 @@ fn bench_store(c: &mut Criterion) {
     // Snapshot encode/decode for a device-sized database.
     for rows in [100i64, 1000, 10_000] {
         let store = filled_store(rows, true);
-        group.bench_with_input(BenchmarkId::new("snapshot_encode", rows), &rows, |b, _| {
+        group.bench_function(format!("snapshot_encode/{rows}"), |b| {
             b.iter(|| store.snapshot());
         });
         let bytes = store.snapshot();
-        group.bench_with_input(BenchmarkId::new("snapshot_decode", rows), &rows, |b, _| {
+        group.bench_function(format!("snapshot_decode/{rows}"), |b| {
             b.iter(|| Store::from_snapshot(&bytes).unwrap());
         });
     }
-
-    group.finish();
 }
-
-criterion_group!(benches, bench_store);
-criterion_main!(benches);

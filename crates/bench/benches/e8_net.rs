@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use syd_bench::timing::Group;
 use syd_net::{CallOptions, LatencyModel, NetConfig, Network, Node, RequestHandler};
 use syd_types::{NodeAddr, RequestId, ServiceName, SydResult, UserId, Value};
 use syd_wire::{decode_from_slice, encode_to_vec, Envelope, Payload, Request};
@@ -34,22 +34,20 @@ fn sample_envelope(args: usize) -> Envelope {
     )
 }
 
-fn bench_net(c: &mut Criterion) {
-    let mut group = c.benchmark_group("e8_net");
+fn main() {
+    let group = Group("e8_net");
 
     // Wire codec.
     for args in [0usize, 8, 64] {
         let env = sample_envelope(args);
         let bytes = encode_to_vec(&env);
-        group.throughput(Throughput::Bytes(bytes.len() as u64));
-        group.bench_with_input(BenchmarkId::new("encode", args), &env, |b, env| {
-            b.iter(|| encode_to_vec(env));
+        group.bench_function(format!("encode/{args}"), |b| {
+            b.iter(|| encode_to_vec(&env));
         });
-        group.bench_with_input(BenchmarkId::new("decode", args), &bytes, |b, bytes| {
-            b.iter(|| decode_from_slice::<Envelope>(bytes).unwrap());
+        group.bench_function(format!("decode/{args}"), |b| {
+            b.iter(|| decode_from_slice::<Envelope>(&bytes).unwrap());
         });
     }
-    group.throughput(Throughput::Elements(1));
 
     // RPC round trip on an ideal network.
     let net = Network::ideal();
@@ -71,7 +69,6 @@ fn bench_net(c: &mut Criterion) {
     let lan_server = Node::spawn(&lan);
     lan_server.set_handler(echo_handler());
     let lan_client = Node::spawn(&lan);
-    group.sample_size(20);
     group.bench_function("rpc_round_trip_wireless", |b| {
         b.iter(|| {
             lan_client
@@ -95,7 +92,6 @@ fn bench_net(c: &mut Criterion) {
                 .unwrap()
         });
     });
-    group.sample_size(100);
 
     // Async fan-out capacity: 64 overlapped requests to one server.
     group.bench_function("fan_out_64_async", |b| {
@@ -112,9 +108,4 @@ fn bench_net(c: &mut Criterion) {
             }
         });
     });
-
-    group.finish();
 }
-
-criterion_group!(benches, bench_net);
-criterion_main!(benches);

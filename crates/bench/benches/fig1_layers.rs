@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use syd_bench::timing::Group;
 use syd_bench::{devices, env_ideal};
 use syd_core::listener::{InvokeCtx, Listener};
 use syd_store::{Column, ColumnType, Predicate, Schema, Store};
@@ -42,8 +42,8 @@ fn slot_store() -> Store {
     store
 }
 
-fn bench_layers(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig1_layers");
+fn main() {
+    let group = Group("fig1_layers");
 
     // Layer 1: direct store access.
     let store = slot_store();
@@ -118,9 +118,4 @@ fn bench_layers(c: &mut Criterion) {
                 .unwrap()
         });
     });
-
-    group.finish();
 }
-
-criterion_group!(benches, bench_layers);
-criterion_main!(benches);

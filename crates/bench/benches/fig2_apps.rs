@@ -6,16 +6,15 @@
 
 use std::sync::Arc;
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use syd_bench::timing::Group;
 use syd_bench::{calendar_rig, env_ideal, users_of, SlotAlloc};
 use syd_bidding::{Host, Player};
 use syd_calendar::MeetingSpec;
 use syd_fleet::{deploy_fleet, Position};
 use syd_types::UserId;
 
-fn bench_apps(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig2_apps");
-    group.sample_size(30);
+fn main() {
+    let group = Group("fig2_apps");
 
     // Calendar: schedule + cancel one 3-person meeting.
     let env = env_ideal();
@@ -59,9 +58,4 @@ fn bench_apps(c: &mut Criterion) {
     group.bench_function("bidding_round_8players", |b| {
         b.iter(|| host.run_round(&bid_users, "toaster", 500).unwrap());
     });
-
-    group.finish();
 }
-
-criterion_group!(benches, bench_apps);
-criterion_main!(benches);

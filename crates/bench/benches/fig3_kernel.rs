@@ -6,11 +6,11 @@
 
 use std::sync::Arc;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use syd_bench::timing::Group;
 use syd_bench::{devices, env_ideal};
 use syd_types::{ServiceName, UserId, Value};
 
-fn bench_kernel(c: &mut Criterion) {
+fn main() {
     let env = env_ideal();
     let devs = devices(&env, 33);
     let svc = ServiceName::new("echo");
@@ -26,7 +26,7 @@ fn bench_kernel(c: &mut Criterion) {
 
     // Directory lookup (uncached: fresh client each time would measure
     // node spawn; instead measure the directory round trip itself).
-    let mut group = c.benchmark_group("fig3_kernel");
+    let group = Group("fig3_kernel");
     let dirc = env.directory_client();
     let target_user = devs[1].user();
     group.bench_function("directory_lookup", |b| {
@@ -52,19 +52,15 @@ fn bench_kernel(c: &mut Criterion) {
             .iter()
             .map(syd_core::device::DeviceRuntime::user)
             .collect();
-        group.bench_with_input(BenchmarkId::new("group_invoke", n), &users, |b, users| {
+        group.bench_function(format!("group_invoke/{n}"), |b| {
             b.iter(|| {
-                let result = caller
-                    .engine()
-                    .invoke_group(users, &svc, "echo", vec![Value::I64(7)]);
+                let result =
+                    caller
+                        .engine()
+                        .invoke_group(&users, &svc, "echo", vec![Value::I64(7)]);
                 assert!(result.all_ok());
                 result.aggregate()
             });
         });
     }
-
-    group.finish();
 }
-
-criterion_group!(benches, bench_kernel);
-criterion_main!(benches);

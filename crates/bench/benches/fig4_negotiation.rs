@@ -6,9 +6,9 @@
 
 use std::sync::Arc;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use parking_lot::Mutex;
+use syd_bench::timing::Group;
 use syd_bench::{devices, env_ideal};
+use syd_types::sync::Mutex;
 
 use syd_core::negotiate::Participant;
 use syd_core::{DeviceRuntime, EntityHandler};
@@ -42,14 +42,13 @@ fn participants(devs: &[DeviceRuntime], n: usize, entity: &str) -> Vec<Participa
         .collect()
 }
 
-fn bench_negotiation(c: &mut Criterion) {
+fn main() {
     let env = env_ideal();
     let devs = devices(&env, 64);
     install_handlers(&devs);
     let coordinator = devs[0].clone();
 
-    let mut group = c.benchmark_group("fig4_negotiation");
-    group.sample_size(40);
+    let group = Group("fig4_negotiation");
 
     // The figure's exact case: negotiation-or, three objects, A activates.
     let parts3 = participants(&devs, 3, "fig4-entity");
@@ -68,9 +67,9 @@ fn bench_negotiation(c: &mut Criterion) {
     // Group-size sweep for negotiation-and (the calendar's workhorse).
     for n in [2usize, 4, 8, 16, 32, 64] {
         let parts = participants(&devs, n, "sweep-entity");
-        group.bench_with_input(BenchmarkId::new("and_n", n), &parts, |b, parts| {
+        group.bench_function(format!("and_n/{n}"), |b| {
             b.iter(|| {
-                let outcome = coordinator.negotiator().negotiate_and(parts).unwrap();
+                let outcome = coordinator.negotiator().negotiate_and(&parts).unwrap();
                 assert!(outcome.satisfied);
             });
         });
@@ -79,16 +78,11 @@ fn bench_negotiation(c: &mut Criterion) {
     // k-of-n sweep at n = 16.
     let parts16 = participants(&devs, 16, "k-entity");
     for k in [1u32, 4, 8, 12, 16] {
-        group.bench_with_input(BenchmarkId::new("at_least_k_of_16", k), &k, |b, &k| {
+        group.bench_function(format!("at_least_k_of_16/{k}"), |b| {
             b.iter(|| {
                 let outcome = coordinator.negotiator().negotiate_or(k, &parts16).unwrap();
                 assert!(outcome.satisfied);
             });
         });
     }
-
-    group.finish();
 }
-
-criterion_group!(benches, bench_negotiation);
-criterion_main!(benches);

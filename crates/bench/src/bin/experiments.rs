@@ -1,8 +1,8 @@
 //! The experiment harness: regenerates the measurable counterpart of every
 //! figure/claim in the paper and prints one table per experiment id (see
-//! DESIGN.md §4). Criterion benches cover timing curves; this binary covers
-//! the *protocol-shape* results: message counts, byte counts, outcome
-//! rates, convergence and failover behaviour.
+//! DESIGN.md §4). The `benches/` targets cover timing curves; this binary
+//! covers the *protocol-shape* results: message counts, byte counts,
+//! outcome rates, convergence and failover behaviour.
 //!
 //! ```sh
 //! cargo run --release -p syd-bench --bin experiments

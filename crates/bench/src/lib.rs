@@ -11,6 +11,7 @@
 
 pub mod json;
 pub mod stress;
+pub mod timing;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -23,6 +23,7 @@ use syd_core::negotiate::Participant;
 use syd_core::{DeviceRuntime, EntityHandler, SydEnv};
 use syd_net::NetConfig;
 use syd_telemetry::EventKind;
+use syd_types::rng::Rng;
 use syd_types::{SydError, SydResult, Value};
 
 /// A deliberately injected protocol defect (see [`StressConfig::inject`]).
@@ -96,28 +97,6 @@ pub struct StressOutcome {
     pub swept: usize,
     /// The protocol invariant audit over every device.
     pub report: AuditReport,
-}
-
-/// xorshift64* — deterministic, dependency-free session mixing.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed.max(1))
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next_u64() % n.max(1)
-    }
 }
 
 /// Votes yes with probability `percent`, deterministically per device.

@@ -26,9 +26,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
-use parking_lot::Mutex;
 use syd_core::DeviceRuntime;
 use syd_store::{Column, ColumnType, Predicate, Schema, Store};
+use syd_types::sync::Mutex;
 use syd_types::{ServiceName, SydError, SydResult, TimeSlot, UserId, Value};
 
 /// The baseline calendar's service name.

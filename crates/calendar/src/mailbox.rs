@@ -244,7 +244,7 @@ mod tests {
         let b = env.device("bob", "").unwrap();
         let ma = Mailbox::install(&a).unwrap();
         let _mb = Mailbox::install(&b).unwrap();
-        let seen = Arc::new(parking_lot::Mutex::new(Vec::<String>::new()));
+        let seen = Arc::new(syd_types::sync::Mutex::new(Vec::<String>::new()));
         let sc = Arc::clone(&seen);
         b.events().subscribe(
             "mailbox.",

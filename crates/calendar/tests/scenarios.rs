@@ -120,14 +120,15 @@ fn cancelling_a_meeting_confirms_the_tentative_one_waiting_on_it() {
         || meeting_status(&apps[1], m2.meeting) == MeetingStatus::Confirmed,
         "automatic tentative→confirmed conversion",
     );
-    for app in &apps {
-        assert_eq!(
-            app.slot_state(slot.ordinal()).unwrap().meeting(),
-            Some(m2.meeting),
-            "{} should now hold meeting 2",
-            app.user()
-        );
-    }
+    // The initiator's record reads `Confirmed` while the commits of the
+    // same batch are still on their way to the others: wait for them.
+    wait_for(
+        || {
+            apps.iter()
+                .all(|app| app.slot_state(slot.ordinal()).unwrap().meeting() == Some(m2.meeting))
+        },
+        "every participant holds meeting 2",
+    );
 }
 
 #[test]
@@ -196,14 +197,13 @@ fn higher_priority_meeting_bumps_and_victim_reschedules() {
         "automatic rescheduling of the bumped meeting",
     );
     let moved = apps[0].meeting(low.meeting).unwrap().unwrap();
-    for app in &apps {
-        assert_eq!(
-            app.slot_state(moved.ordinal).unwrap().meeting(),
-            Some(low.meeting),
-            "rescheduled slot at {}",
-            app.user()
-        );
-    }
+    wait_for(
+        || {
+            apps.iter()
+                .all(|app| app.slot_state(moved.ordinal).unwrap().meeting() == Some(low.meeting))
+        },
+        "every participant holds the rescheduled slot",
+    );
     // Every participant is told, in one mail round.
     for app in &apps[1..] {
         wait_for(
@@ -534,8 +534,8 @@ fn cancel_during_a_reconcile_round_leaves_nothing_behind() {
     // commit there is held back until the cancel has run — or, when the
     // cancel rightly waits for the round, for a bounded moment.
     let armed = Arc::new(AtomicBool::new(false));
-    let (entered_tx, entered_rx) = crossbeam_channel::bounded::<()>(1);
-    let (resume_tx, resume_rx) = crossbeam_channel::bounded::<()>(1);
+    let (entered_tx, entered_rx) = syd_types::queue::channel::<()>();
+    let (resume_tx, resume_rx) = syd_types::queue::channel::<()>();
     let gate = Arc::clone(&armed);
     apps[1].device().events().subscribe(
         "calendar.reserved",
@@ -560,7 +560,7 @@ fn cancel_during_a_reconcile_round_leaves_nothing_behind() {
     entered_rx.recv().unwrap();
     // …when the cancel arrives.
     apps[0].cancel(id).unwrap();
-    let _ = resume_tx.try_send(());
+    let _ = resume_tx.send(());
     round.join().unwrap().unwrap();
 
     assert_eq!(meeting_status(&apps[0], id), MeetingStatus::Cancelled);

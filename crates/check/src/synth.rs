@@ -8,11 +8,12 @@
 //! checker that accepts everything would look identical to one that
 //! works.
 //!
-//! The generator carries its own xorshift RNG so `syd-check` needs no
-//! dependency on an external randomness crate; proptest layers real
-//! shrinking on top in the test suite.
+//! The generator draws from the workspace's seeded [`Rng`], so a seed
+//! cited in a bug report names the same journals on every platform; the
+//! property tests below sweep seeds and shapes on top.
 
 use syd_telemetry::{EventKind, JournalEvent};
+use syd_types::rng::Rng;
 
 use crate::event::ConstraintKind;
 
@@ -43,41 +44,6 @@ impl Mutation {
         Mutation::CommitWithoutLock,
         Mutation::BadArithmetic,
     ];
-}
-
-/// Deterministic xorshift64* generator.
-#[derive(Clone, Debug)]
-pub struct Rng(u64);
-
-impl Rng {
-    /// Seeds the generator (zero is remapped to a fixed odd constant).
-    pub fn new(seed: u64) -> Rng {
-        Rng(if seed == 0 {
-            0x9e37_79b9_7f4a_7c15
-        } else {
-            seed
-        })
-    }
-
-    /// Next raw value.
-    pub fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    /// Uniform value in `[0, bound)`; `bound` must be nonzero.
-    pub fn below(&mut self, bound: u64) -> u64 {
-        self.next_u64() % bound
-    }
-
-    /// True with probability `num/den`.
-    pub fn chance(&mut self, num: u64, den: u64) -> bool {
-        self.below(den) < num
-    }
 }
 
 /// One device's journal under construction.
@@ -475,33 +441,30 @@ mod tests {
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)] // test code
 mod proptests {
-    use proptest::prelude::*;
+    use syd_types::rng::cases;
 
     use super::*;
     use crate::replay::{audit_journals, AuditOptions};
     use crate::report::Rule;
 
-    proptest! {
-        #[test]
-        fn valid_journals_always_audit_clean(
-            seed in 1u64..10_000,
-            sessions in 1usize..24,
-            devices in 2usize..6,
-        ) {
-            let journals = generate(seed, sessions, devices, Mutation::None);
+    #[test]
+    fn valid_journals_always_audit_clean() {
+        cases(256, |rng| {
+            let (seed, sessions, devices) =
+                (1 + rng.below(9_999), 1 + rng.below(23), 2 + rng.below(4));
+            let journals = generate(seed, sessions as usize, devices as usize, Mutation::None);
             let report = audit_journals(&journals, &AuditOptions::strict());
-            prop_assert!(report.ok(), "{report}");
-        }
+            assert!(report.ok(), "{report}");
+        });
+    }
 
-        #[test]
-        fn mutations_never_pass_silently_as_wrong_rule(
-            seed in 1u64..10_000,
-            sessions in 3usize..16,
-            devices in 2usize..6,
-            which in 1usize..Mutation::ALL.len(),
-        ) {
-            let mutation = Mutation::ALL[which];
-            let journals = generate(seed, sessions, devices, mutation);
+    #[test]
+    fn mutations_never_pass_silently_as_wrong_rule() {
+        cases(256, |rng| {
+            let (seed, sessions, devices) =
+                (1 + rng.below(9_999), 3 + rng.below(13), 2 + rng.below(4));
+            let mutation = Mutation::ALL[1 + rng.below(Mutation::ALL.len() as u64 - 1) as usize];
+            let journals = generate(seed, sessions as usize, devices as usize, mutation);
             let report = audit_journals(&journals, &AuditOptions::strict());
             // A mutation either leaves the journals accidentally valid
             // (e.g. the target session committed nothing) or is reported
@@ -513,21 +476,21 @@ mod proptests {
                     Mutation::BadArithmetic => Rule::Constraint,
                     Mutation::None => unreachable!(),
                 };
-                prop_assert_eq!(v.rule, expected, "unexpected violation: {}", v);
+                assert_eq!(v.rule, expected, "unexpected violation: {v}");
             }
-        }
+        });
+    }
 
-        #[test]
-        fn double_commit_violations_carry_context(
-            seed in 1u64..2_000,
-            devices in 2usize..6,
-        ) {
-            let journals = generate(seed, 9, devices, Mutation::DoubleCommit);
+    #[test]
+    fn double_commit_violations_carry_context() {
+        cases(256, |rng| {
+            let (seed, devices) = (1 + rng.below(1_999), 2 + rng.below(4));
+            let journals = generate(seed, 9, devices as usize, Mutation::DoubleCommit);
             let report = audit_journals(&journals, &AuditOptions::strict());
             for v in &report.violations {
-                prop_assert!(v.session.is_some());
-                prop_assert!(!v.device.is_empty());
+                assert!(v.session.is_some());
+                assert!(!v.device.is_empty());
             }
-        }
+        });
     }
 }

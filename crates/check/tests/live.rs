@@ -95,6 +95,23 @@ fn sweep_reclaims_a_dead_owners_lock() {
 
     // Now even the strict audit is clean: the story closed.
     syd_check::audit_strict(devices.iter()).assert_clean();
+
+    // The coordinator was slow, not dead (a lossy mark round can outlast
+    // the sweep age): its commit arrives after the sweep. It must be
+    // refused — another session may hold the entity by now — and the
+    // participant's story stays closed.
+    let late = coordinator.engine().invoke(
+        participant.user(),
+        &link_service(),
+        "commit",
+        vec![
+            Value::from(dead_session),
+            Value::str("slot:stranded"),
+            Value::str("chg"),
+        ],
+    );
+    assert!(late.is_err(), "a swept session's commit was applied");
+    syd_check::audit_strict(devices.iter()).assert_clean();
 }
 
 /// A lock whose journal story closed but which is still held can never

@@ -14,15 +14,15 @@
 //!   consumed,
 //! * the link acceptor — whether an offered link is accepted (§4.2 op. 2).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Mutex, RwLock};
 use syd_crypto::Authenticator;
 use syd_net::{Node, Transport};
 use syd_store::{LockKey, Store};
 use syd_telemetry::{names, EventKind, Journal, Registry};
+use syd_types::sync::{Mutex, RwLock};
 use syd_types::{Clock, NodeAddr, ServiceName, SydError, SydResult, UserId, Value};
 
 use crate::directory::DirectoryClient;
@@ -38,6 +38,9 @@ const MARK_LOCK_WAIT: Duration = Duration::from_millis(200);
 /// Negotiation sessions older than this are presumed abandoned (their
 /// coordinator crashed between phases) and their locks are swept.
 const STALE_SESSION_AGE: Duration = Duration::from_secs(10);
+
+/// Swept sessions a device remembers, to refuse their late commits.
+const SWEPT_MEMORY: usize = 256;
 
 /// Applies negotiated changes to local entities (§4.3's Mark / Change /
 /// Unlock, from the participant's side).
@@ -82,6 +85,10 @@ struct DeviceInner {
     /// Active negotiation sessions touching this device's entities, with
     /// their start times (for the stale-session sweep).
     sessions: Mutex<HashMap<u64, Instant>>,
+    /// Sessions whose locks the sweep released, oldest first. A coordinator
+    /// may be slow, not dead (a lossy mark round can outlast the sweep age);
+    /// its commit is refused: the entity may have changed hands since.
+    swept: Mutex<VecDeque<u64>>,
 }
 
 /// One SyD device. Cloning shares the device.
@@ -170,6 +177,7 @@ impl DeviceRuntime {
             subscription_handler: RwLock::new(None),
             link_acceptor: RwLock::new(None),
             sessions: Mutex::new(HashMap::new()),
+            swept: Mutex::new(VecDeque::new()),
         });
         let device = DeviceRuntime { inner };
         device.register_kernel_services();
@@ -424,6 +432,14 @@ impl DeviceRuntime {
                 let session = args_get(args, 0)?.as_i64()? as u64;
                 let entity = args_get(args, 1)?.as_str()?;
                 let change = args_get(args, 2)?;
+                let key = entity_lock_key(entity);
+                if inner.store.locks().holder(&key) != Some(session)
+                    && inner.swept.lock().contains(&session)
+                {
+                    return Err(SydError::App(format!(
+                        "session {session} expired: its lock on {entity} was swept"
+                    )));
+                }
                 let handler = inner.entity_handler.read().clone();
                 let result = match handler {
                     Some(h) => h.commit(entity, change),
@@ -439,10 +455,7 @@ impl DeviceRuntime {
                         result.is_ok()
                     ),
                 );
-                inner
-                    .store
-                    .locks()
-                    .release(session, &entity_lock_key(entity));
+                inner.store.locks().release(session, &key);
                 // Forget the session only once it holds no other lock on
                 // this device: a session may cover several local entities,
                 // and dropping it on the first commit would hide its
@@ -613,14 +626,20 @@ pub fn entity_lock_key(entity: &str) -> LockKey {
 
 /// Releases the locks of sessions older than `older_than` and forgets
 /// them, journaling an `Abort` per reclaimed entity lock so the invariant
-/// checker sees the cleanup instead of reporting a leak.
+/// checker sees the cleanup instead of reporting a leak. Sessions that
+/// lost a lock this way are remembered, so that a late commit is refused.
 fn sweep_sessions(inner: &DeviceInner, older_than: Duration) -> usize {
     let mut sessions = inner.sessions.lock();
     let now = Instant::now();
     let mut swept = 0;
+    let mut released = Vec::new();
     sessions.retain(|&session, &mut started| {
         if now.duration_since(started) > older_than {
-            for key in inner.store.locks().keys_held_by(session) {
+            let keys = inner.store.locks().keys_held_by(session);
+            if !keys.is_empty() {
+                released.push(session);
+            }
+            for key in keys {
                 if key.table == "syd.entity" {
                     if let Some(entity) = key.key.first() {
                         inner.journal.record(
@@ -645,6 +664,11 @@ fn sweep_sessions(inner: &DeviceInner, older_than: Duration) -> usize {
             true
         }
     });
+    drop(sessions);
+    let mut remembered = inner.swept.lock();
+    remembered.extend(released);
+    let excess = remembered.len().saturating_sub(SWEPT_MEMORY);
+    remembered.drain(..excess);
     swept
 }
 

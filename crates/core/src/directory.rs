@@ -14,10 +14,10 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
 use syd_net::{Network, Node, RequestHandler, Transport};
 use syd_telemetry::names;
 use syd_telemetry::{Counter, Registry};
+use syd_types::sync::RwLock;
 use syd_types::{GroupId, NodeAddr, ServiceName, SydError, SydResult, UserId, Value};
 use syd_wire::Request;
 

@@ -15,9 +15,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use syd_net::{CallOptions, Node, PendingCall};
 use syd_telemetry::{Counter, Histogram};
+use syd_types::sync::Mutex;
 use syd_types::{NodeAddr, ServiceName, SydError, SydResult, UserId, Value};
 use syd_wire::Args;
 

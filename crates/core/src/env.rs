@@ -6,10 +6,10 @@
 //! holds the deployment's shared TEA key, and mints devices and proxies.
 //! It is the entry point every example and benchmark uses.
 
+use std::hash::{BuildHasher, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use rand::RngCore;
 use syd_crypto::{Authenticator, Credentials};
 use syd_net::{NetConfig, Network, Node, Transport};
 use syd_types::{Clock, NodeAddr, SydResult, SystemClock, UserId};
@@ -144,15 +144,7 @@ impl SydEnv {
             self.auth.clone(),
             Arc::clone(&self.clock),
         )?;
-        if let Some(auth) = &self.auth {
-            auth.table().authorize(user, password);
-            let mut iv = [0u8; 8];
-            rand::thread_rng().fill_bytes(&mut iv);
-            let blob = auth.seal(&Credentials::new(user, password), iv);
-            device.node().set_identity(user, blob);
-        } else {
-            device.node().set_identity(user, Vec::new());
-        }
+        device.node().set_identity(user, self.enrol(user, password));
         Ok(device)
     }
 
@@ -169,16 +161,18 @@ impl SydEnv {
             self.auth.clone(),
             Arc::clone(&self.clock),
         )?;
-        if let Some(auth) = &self.auth {
-            auth.table().authorize(user, password);
-            let mut iv = [0u8; 8];
-            rand::thread_rng().fill_bytes(&mut iv);
-            let blob = auth.seal(&Credentials::new(user, password), iv);
-            proxy.node().set_identity(user, blob);
-        } else {
-            proxy.node().set_identity(user, Vec::new());
-        }
+        proxy.node().set_identity(user, self.enrol(user, password));
         Ok(proxy)
+    }
+
+    /// Adds `user` to the authorized-user table and seals their
+    /// credentials under a fresh IV; empty when security is off.
+    fn enrol(&self, user: UserId, password: &str) -> Vec<u8> {
+        let Some(auth) = &self.auth else {
+            return Vec::new();
+        };
+        auth.table().authorize(user, password);
+        auth.seal(&Credentials::new(user, password), fresh_iv())
     }
 
     /// A fresh directory client on its own node (for tools/tests that are
@@ -188,6 +182,18 @@ impl SydEnv {
         let node = Node::spawn_on(&*self.transport).expect("transport cannot open endpoint");
         DirectoryClient::new(node, self.directory.addr())
     }
+}
+
+/// A CBC initialisation vector that does not repeat within the process
+/// and cannot be predicted from outside it: SipHash of a call counter
+/// under the key `std` draws from OS entropy for its hash maps. Never
+/// seeded — the same credentials sealed twice must differ.
+fn fresh_iv() -> [u8; 8] {
+    static KEY: OnceLock<RandomState> = OnceLock::new();
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+    KEY.get_or_init(RandomState::new)
+        .hash_one(CALLS.fetch_add(1, Ordering::Relaxed))
+        .to_le_bytes()
 }
 
 #[cfg(test)]
@@ -221,6 +227,20 @@ mod tests {
             .invoke(b.user(), &ServiceName::new("syd.ping"), "ping", vec![])
             .unwrap_err();
         assert!(matches!(err, syd_types::SydError::AuthFailed(_)), "{err}");
+    }
+
+    #[test]
+    fn sealing_the_same_credentials_twice_gives_different_blobs() {
+        let env = SydEnv::new(NetConfig::ideal(), "deployment");
+        let user = UserId::new(77);
+        let (first, second) = (env.enrol(user, "pw"), env.enrol(user, "pw"));
+        assert_ne!(first, second, "the IV must be fresh per seal");
+        // Both still open to the same credentials.
+        let auth = env.authenticator().unwrap();
+        assert_eq!(auth.verify(&first).unwrap(), auth.verify(&second).unwrap());
+        assert!(SydEnv::new_insecure(NetConfig::ideal())
+            .enrol(user, "pw")
+            .is_empty());
     }
 
     #[test]

@@ -18,9 +18,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::{Mutex, RwLock};
 use syd_net::{TimerId, TimerWheel};
 use syd_store::{Store, Trigger, TriggerEvent};
+use syd_types::sync::{Mutex, RwLock};
 use syd_types::{SydResult, Value};
 
 /// Callback invoked with `(topic, payload)`.

@@ -34,8 +34,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
 use syd_store::{Column, ColumnType, Predicate, Schema, Store};
+use syd_types::sync::RwLock;
 use syd_types::{
     Clock, LinkId, Priority, ServiceName, SydError, SydResult, Timestamp, UserId, Value,
 };

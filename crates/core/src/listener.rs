@@ -15,11 +15,11 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
 use syd_crypto::Authenticator;
 use syd_net::RequestHandler;
 use syd_telemetry::names;
 use syd_telemetry::{Counter, Registry};
+use syd_types::sync::RwLock;
 use syd_types::{NodeAddr, ServiceName, SydError, SydResult, UserId, Value};
 use syd_wire::Request;
 

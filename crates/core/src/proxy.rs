@@ -25,9 +25,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
 use syd_crypto::Authenticator;
 use syd_net::{EventSink, Node, RequestHandler, Transport};
+use syd_types::sync::{Mutex, RwLock};
 use syd_types::{Clock, NodeAddr, ServiceName, SydError, SydResult, UserId, Value};
 use syd_wire::{EventMsg, Request};
 

@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
-use parking_lot::RwLock;
+use syd_types::sync::RwLock;
 use syd_types::{ServiceName, SydError, SydResult, UserId};
 
 /// Statistics for one `(user, service)` target.

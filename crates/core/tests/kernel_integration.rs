@@ -168,7 +168,7 @@ fn link_acceptor_sees_offer_details() {
     let env = SydEnv::new_insecure(NetConfig::ideal());
     let a = env.device("a", "").unwrap();
     let b = env.device("b", "").unwrap();
-    let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let seen = Arc::new(syd_types::sync::Mutex::new(Vec::new()));
     let sc = Arc::clone(&seen);
     let a_user = a.user();
     b.set_link_acceptor(Arc::new(move |entity, action, from| {

@@ -14,7 +14,7 @@
 
 use std::collections::HashMap;
 
-use parking_lot::RwLock;
+use syd_types::sync::RwLock;
 use syd_types::{SydError, SydResult, UserId};
 
 use crate::mode::{cbc_decrypt, cbc_encrypt};

@@ -216,25 +216,30 @@ mod tests {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // test code
 mod proptests {
     use super::*;
-    use proptest::prelude::*;
+    use syd_types::rng::cases;
 
-    proptest! {
-        #[test]
-        fn block_round_trip(v0 in any::<u32>(), v1 in any::<u32>(), k in any::<[u32; 4]>()) {
-            let key = TeaKey::new(k);
-            let mut block = [v0, v1];
+    #[test]
+    fn block_round_trip() {
+        cases(256, |rng| {
+            let plain = [rng.any_u64() as u32, rng.any_u64() as u32];
+            let key = TeaKey::new(std::array::from_fn(|_| rng.any_u64() as u32));
+            let mut block = plain;
             key.encrypt_block(&mut block);
             key.decrypt_block(&mut block);
-            prop_assert_eq!(block, [v0, v1]);
-        }
+            assert_eq!(block, plain);
+        });
+    }
 
-        #[test]
-        fn bytes_round_trip(bytes in any::<[u8; 8]>(), k in any::<[u8; 16]>()) {
+    #[test]
+    fn bytes_round_trip() {
+        cases(256, |rng| {
+            let bytes = rng.next_u64().to_le_bytes();
+            let k: [u8; 16] = std::array::from_fn(|_| rng.next_u64() as u8);
             let key = TeaKey::from_bytes(&k);
             let mut buf = bytes;
             key.encrypt_bytes(&mut buf);
             key.decrypt_bytes(&mut buf);
-            prop_assert_eq!(buf, bytes);
-        }
+            assert_eq!(buf, bytes);
+        });
     }
 }

@@ -21,11 +21,11 @@
 
 use std::sync::{Arc, Weak};
 
-use parking_lot::RwLock;
 use syd_core::links::LinkRef;
 use syd_core::negotiate::Participant;
 use syd_core::{DeviceRuntime, EntityHandler, SubscriptionHandler};
 use syd_store::{Column, ColumnType, Predicate, Schema, Store};
+use syd_types::sync::RwLock;
 use syd_types::{ServiceName, SydError, SydResult, UserId, Value};
 
 /// The fleet service name.

@@ -8,7 +8,7 @@
 //! * **lock-order** — nested `Mutex`/`RwLock` acquisitions must respect
 //!   the declared hierarchy (store < engine < node < transport) and the
 //!   global acquisition graph must stay acyclic; reacquiring a held
-//!   parking_lot lock is a self-deadlock.
+//!   `std::sync` lock is a self-deadlock.
 //! * **guard-across-rpc** — no lock guard may be live across an
 //!   `invoke*` / transport-send call.
 //! * **no-blocking-in-poll-loop** — no `thread::sleep`, blocking `recv`
@@ -62,9 +62,10 @@ pub fn analyze(files: &[(String, String)], config: &Config, workspace_mode: bool
 }
 
 /// Collects every workspace `.rs` file under `root`, skipping build
-/// output, VCS metadata and the lint fixture corpus (which violates the
-/// rules on purpose). Paths come back workspace-relative, `/`-separated,
-/// sorted.
+/// output, VCS metadata, the lint fixture corpus (which violates the
+/// rules on purpose) and any nested cargo workspace (`benchmark/` is one:
+/// other code, not held to this workspace's `lint.toml`). Paths come back
+/// workspace-relative, `/`-separated, sorted.
 pub fn workspace_files(root: &Path) -> std::io::Result<Vec<(String, String)>> {
     let mut out = Vec::new();
     let mut stack = vec![root.to_path_buf()];
@@ -75,7 +76,11 @@ pub fn workspace_files(root: &Path) -> std::io::Result<Vec<(String, String)>> {
             let name = entry.file_name();
             let name = name.to_string_lossy();
             if path.is_dir() {
-                if name == "target" || name.starts_with('.') || name == "fixtures" {
+                if name == "target"
+                    || name.starts_with('.')
+                    || name == "fixtures"
+                    || declares_workspace(&path)
+                {
                     continue;
                 }
                 stack.push(path);
@@ -104,15 +109,17 @@ fn rel_path(root: &Path, path: &Path) -> String {
 pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     let mut cur = Some(start.to_path_buf());
     while let Some(dir) = cur {
-        let manifest = dir.join("Cargo.toml");
-        if let Ok(text) = std::fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return Some(dir);
-            }
+        if declares_workspace(&dir) {
+            return Some(dir);
         }
         cur = dir.parent().map(Path::to_path_buf);
     }
     None
+}
+
+/// True when `dir` holds a `Cargo.toml` with a `[workspace]` table.
+fn declares_workspace(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|text| text.contains("[workspace]"))
 }
 
 #[cfg(test)]
@@ -129,6 +136,31 @@ mod tests {
         let report = analyze(&files, &Config::default(), false);
         assert!(report.clean(), "{}", report.render_text());
         assert_eq!(report.files_scanned, 1);
+    }
+
+    #[test]
+    fn the_walk_stops_at_a_nested_workspace() {
+        let root = std::env::temp_dir().join(format!("syd-lint-walk-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        for (file, text) in [
+            ("Cargo.toml", "[workspace]\nmembers = [\"crates/*\"]\n"),
+            ("crates/a/Cargo.toml", "[package]\nname = \"a\"\n"),
+            ("crates/a/src/lib.rs", "fn a() {}"),
+            (
+                "nested/Cargo.toml",
+                "[workspace]\n[package]\nname = \"n\"\n",
+            ),
+            ("nested/src/main.rs", "fn main() {}"),
+            ("nested/shims/x/src/lib.rs", "fn x() {}"),
+        ] {
+            let path = root.join(file);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, text).unwrap();
+        }
+        let files = workspace_files(&root).unwrap();
+        std::fs::remove_dir_all(&root).unwrap();
+        let paths: Vec<&str> = files.iter().map(|(path, _)| path.as_str()).collect();
+        assert_eq!(paths, ["crates/a/src/lib.rs"]);
     }
 
     #[test]

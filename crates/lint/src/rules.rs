@@ -124,7 +124,7 @@ fn lock_order(
                 line: e.line,
                 function: Some(e.function.clone()),
                 message: format!(
-                    "lock `{}` acquired while already held in `{}` — parking_lot locks are not reentrant, this self-deadlocks",
+                    "lock `{}` acquired while already held in `{}` — std::sync locks are not reentrant, this self-deadlocks",
                     e.to, e.function
                 ),
             });
@@ -159,7 +159,7 @@ fn lock_order(
                 line: e.line,
                 function: Some(e.function.clone()),
                 message: format!(
-                    "lock `{}` is held here and acquired again through the call chain {} — parking_lot locks are not reentrant, this self-deadlocks",
+                    "lock `{}` is held here and acquired again through the call chain {} — std::sync locks are not reentrant, this self-deadlocks",
                     e.to, e.chain
                 ),
             });

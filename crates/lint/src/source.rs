@@ -7,7 +7,7 @@ use crate::lexer::{lex, Tok, Token};
 /// Which lock primitive a declaration names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LockKind {
-    /// `Mutex<T>` (parking_lot or std).
+    /// `Mutex<T>` (`syd_types::sync` or plain `std::sync`).
     Mutex,
     /// `RwLock<T>` — acquired via `.read()` / `.write()`.
     RwLock,
@@ -246,7 +246,7 @@ fn extract_locks(tokens: &[Token]) -> Vec<LockDecl> {
         let next = tokens.get(i + 1).map(|t| &t.kind);
         if matches!(next, Some(Tok::Punct('<'))) {
             // Field (or typed binding): walk back over `Wrapper<` pairs
-            // and an optional `parking_lot::` path prefix to the `:`.
+            // and an optional `syd_types::sync::` path prefix to the `:`.
             let mut j = i;
             while j >= 2
                 && matches!(tokens[j - 1].kind, Tok::PathSep)
@@ -390,7 +390,7 @@ mod tests {
             struct S {
                 state: Mutex<u32>,
                 pub(crate) tables: RwLock<HashMap<String, u32>>,
-                cache: Arc<parking_lot::Mutex<u8>>,
+                cache: Arc<syd_types::sync::Mutex<u8>>,
                 by_meeting: HashMap<u64, Arc<Mutex<()>>>,
             }
             fn f() {

@@ -4,7 +4,8 @@
 //!
 //! Guard-lifetime model (edition 2021):
 //! * `let g = x.lock();` — guard lives to the end of the enclosing block
-//!   or an explicit `drop(g)`.
+//!   or an explicit `drop(g)`. Handing it through a condvar wait
+//!   (`g = cv.wait(g);`, as `std::sync` has it) keeps the same guard live.
 //! * `x.lock().f();` and chained uses — temporary, dropped at the end of
 //!   the statement (`;` or `,` at bracket depth 0).
 //! * locks acquired in an `if let` / `match` / `while` header — held for
@@ -624,6 +625,18 @@ mod tests {
             "{DECLS} fn f(&self) {{ let a = self.pending.lock(); drop(a); let b = self.state.lock(); }}"
         ));
         assert!(ev.edges.is_empty(), "{:?}", ev.edges);
+    }
+
+    #[test]
+    fn a_guard_handed_through_a_condvar_wait_stays_live_until_dropped() {
+        let ev = walk(&format!(
+            "{DECLS} fn f(&self) {{ let mut g = self.pending.lock(); g = self.cv.wait(g); \
+             (g, timed_out) = self.cv.wait_timeout(g, d); let b = self.state.lock(); \
+             drop(b); drop(g); self.node.invoke(1); }}"
+        ));
+        assert_eq!(ev.edges.len(), 1, "{:?}", ev.edges);
+        assert_eq!(ev.edges[0].from, "node.pending");
+        assert!(ev.rpcs.is_empty(), "{:?}", ev.rpcs);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Seeded violation: re-acquiring a held parking_lot Mutex.
+//! Seeded violation: re-acquiring a held `std::sync`-backed Mutex.
 //! Expected: exactly one `lock-order` diagnostic (self-deadlock).
 
 struct Ledger {

@@ -6,50 +6,55 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code
 
-use proptest::prelude::*;
 use syd_lint::lexer::{lex, Tok};
+use syd_types::rng::{cases, Rng};
 
 /// Rust-ish source fragments chosen to stress the tricky scanner states:
 /// raw strings, raw identifiers, turbofish, lifetimes vs char literals,
 /// and unterminated comment/string openers.
-fn arb_fragment() -> BoxedStrategy<String> {
-    prop_oneof![
-        Just("r#\"raw \"quoted\" body\"#".to_string()),
-        Just("r##\"nested \"# hash\"##".to_string()),
-        Just("\"plain string\\\"esc\"".to_string()),
-        Just("b\"bytes\"".to_string()),
-        Just("r#match".to_string()),
-        Just("Vec::<HashMap<String, Vec<u8>>>::new()".to_string()),
-        Just("x >> 2 >= y".to_string()),
-        Just("fn f<'a>(s: &'a str) -> &'a str {".to_string()),
-        Just("}".to_string()),
-        Just("'x'".to_string()),
-        Just("'\\n'".to_string()),
-        Just("// line comment".to_string()),
-        Just("/* block /* nested */ comment */".to_string()),
-        Just("/* unterminated".to_string()),
-        Just("\"unterminated".to_string()),
-        Just("r#\"unterminated raw".to_string()),
-        Just("#[derive(Clone)]".to_string()),
-        Just("let _ = 0x1f_u64 + 1.5e-3;".to_string()),
-    ]
-    .boxed()
+const FRAGMENTS: [&str; 18] = [
+    "r#\"raw \"quoted\" body\"#",
+    "r##\"nested \"# hash\"##",
+    "\"plain string\\\"esc\"",
+    "b\"bytes\"",
+    "r#match",
+    "Vec::<HashMap<String, Vec<u8>>>::new()",
+    "x >> 2 >= y",
+    "fn f<'a>(s: &'a str) -> &'a str {",
+    "}",
+    "'x'",
+    "'\\n'",
+    "// line comment",
+    "/* block /* nested */ comment */",
+    "/* unterminated",
+    "\"unterminated",
+    "r#\"unterminated raw",
+    "#[derive(Clone)]",
+    "let _ = 0x1f_u64 + 1.5e-3;",
+];
+
+fn arb_fragment(rng: &mut Rng) -> &'static str {
+    FRAGMENTS[rng.below(FRAGMENTS.len() as u64) as usize]
 }
 
-proptest! {
-    /// Arbitrary printable input must lex without panicking.
-    #[test]
-    fn lex_never_panics_on_arbitrary_input(src in ".{0,400}") {
-        let _ = lex(&src);
-    }
+/// Arbitrary input — control characters, quotes, backslashes and
+/// non-ASCII scalars included — must lex without panicking.
+#[test]
+fn lex_never_panics_on_arbitrary_input() {
+    cases(256, |rng| {
+        let _ = lex(&rng.string(400));
+    });
+}
 
-    /// Concatenated Rust-ish fragments — including unterminated openers —
-    /// must lex without panicking, in both space- and newline-joined form.
-    #[test]
-    fn lex_never_panics_on_fragment_soup(parts in proptest::collection::vec(arb_fragment(), 0..24)) {
+/// Concatenated Rust-ish fragments — including unterminated openers —
+/// must lex without panicking, in both space- and newline-joined form.
+#[test]
+fn lex_never_panics_on_fragment_soup() {
+    cases(256, |rng| {
+        let parts: Vec<&str> = (0..rng.below(24)).map(|_| arb_fragment(rng)).collect();
         let _ = lex(&parts.join(" "));
         let _ = lex(&parts.join("\n"));
-    }
+    });
 }
 
 #[test]

@@ -18,10 +18,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::Sender;
-use parking_lot::{Mutex, RwLock};
 use syd_telemetry::{trace, Counter, Histogram, Registry, SpanCtx};
 use syd_transport::{Network, Transport, TransportEndpoint, TransportEvent};
+use syd_types::queue::{self, Sender};
+use syd_types::sync::{Mutex, RwLock};
 use syd_types::{NodeAddr, RequestId, ServiceName, SydError, SydResult, UserId, Value};
 use syd_wire::{Args, EventMsg, Payload, Request, Response, TraceContext};
 
@@ -293,7 +293,7 @@ impl Node {
             let Some(shared) = weak.upgrade() else { return };
             let tx = shared.pending.lock().remove(&id);
             if let Some(tx) = tx {
-                let _ = tx.try_send(Err(SydError::Timeout(id)));
+                let _ = tx.send(Err(SydError::Timeout(id)));
             }
         });
         let prev = pending.cleanup.take();
@@ -332,7 +332,7 @@ impl Node {
         args: impl Into<Args>,
     ) -> SydResult<PendingCall> {
         let id = RequestId::new(self.shared.next_request.fetch_add(1, Ordering::Relaxed));
-        let (tx, rx) = crossbeam_channel::bounded(1);
+        let (tx, rx) = queue::channel();
         self.shared.pending.lock().insert(id, tx);
         let (caller, credentials) = self.shared.identity.read().clone();
         // Continue the thread's current trace (nested invocation) or
@@ -448,10 +448,10 @@ fn dispatch_event(shared: &Arc<NodeShared>, event: TransportEvent) {
     match envelope.payload {
         Payload::Response(resp) => {
             if let Some(tx) = shared.pending.lock().remove(&resp.id) {
-                // Whoever removes the table entry owns the rendezvous
-                // slot, so `try_send` on the capacity-1 channel cannot
-                // find it full — and never parks the reactor.
-                let _ = tx.try_send(resp.result);
+                // Whoever removes the table entry owns the reply slot
+                // and sends into it exactly once; `send` never blocks,
+                // so the reactor is never parked here.
+                let _ = tx.send(resp.result);
             }
             // Late responses for timed-out calls are dropped silently.
         }

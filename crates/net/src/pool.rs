@@ -13,9 +13,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam_channel::{Receiver, Sender};
-use parking_lot::Mutex;
 use syd_telemetry::trace;
+use syd_types::queue::{self, Receiver, RecvError, Sender};
+use syd_types::sync::Mutex;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -47,7 +47,7 @@ impl WorkerPool {
     /// while the pool is live).
     pub fn new(name: impl Into<String>, max_workers: usize, keepalive: Duration) -> Self {
         assert!(max_workers >= 1, "pool needs at least one worker");
-        let (tx, rx) = crossbeam_channel::unbounded();
+        let (tx, rx) = queue::channel();
         WorkerPool {
             inner: Arc::new(PoolInner {
                 tx: Mutex::new(Some(tx)),
@@ -199,14 +199,14 @@ fn worker_loop(inner: Arc<PoolInner>) {
                 job();
                 inner.executed.fetch_add(1, Ordering::AcqRel);
             }
-            Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
+            Err(RecvError::Empty) => {
                 // Retire surplus workers; keep one resident while live.
                 if inner.live.load(Ordering::Acquire) > 1 || inner.shutdown.load(Ordering::Acquire)
                 {
                     break;
                 }
             }
-            Err(crossbeam_channel::RecvTimeoutError::Disconnected) => break,
+            Err(RecvError::Disconnected) => break,
         }
     }
     inner.live.fetch_sub(1, Ordering::AcqRel);
@@ -252,7 +252,7 @@ mod tests {
         let pool = WorkerPool::new("t", 2, Duration::from_millis(100));
         let ctx = trace::root_span();
         let _g = trace::enter(ctx);
-        let (tx, rx) = crossbeam_channel::bounded(1);
+        let (tx, rx) = queue::channel();
         pool.execute(move || {
             let _ = tx.send(trace::current());
         });
@@ -263,7 +263,7 @@ mod tests {
     #[test]
     fn untraced_jobs_stay_untraced() {
         let pool = WorkerPool::new("t", 2, Duration::from_millis(100));
-        let (tx, rx) = crossbeam_channel::bounded(1);
+        let (tx, rx) = queue::channel();
         pool.execute(move || {
             let _ = tx.send(trace::current());
         });
@@ -273,7 +273,7 @@ mod tests {
     #[test]
     fn grows_under_blocking_load() {
         let pool = WorkerPool::new("t", 16, Duration::from_millis(100));
-        let (release_tx, release_rx) = crossbeam_channel::bounded::<()>(1);
+        let (release_tx, release_rx) = queue::channel::<()>();
         let started = Arc::new(AtomicU32::new(0));
         // 8 jobs that all block until released: pool must grow past 1 worker.
         for _ in 0..8 {
@@ -296,7 +296,7 @@ mod tests {
     #[test]
     fn respects_max_workers() {
         let pool = WorkerPool::new("t", 2, Duration::from_millis(50));
-        let (release_tx, release_rx) = crossbeam_channel::bounded::<()>(1);
+        let (release_tx, release_rx) = queue::channel::<()>();
         for _ in 0..6 {
             let rx = release_rx.clone();
             pool.execute(move || {
@@ -373,7 +373,7 @@ mod tests {
         assert_eq!(pool.live_workers(), 0);
 
         // Wedge both workers and queue a third job.
-        let (release_tx, release_rx) = crossbeam_channel::bounded::<()>(1);
+        let (release_tx, release_rx) = queue::channel::<()>();
         let started = Arc::new(AtomicU32::new(0));
         for _ in 0..3 {
             let rx = release_rx.clone();
@@ -410,7 +410,7 @@ mod tests {
     #[test]
     fn workers_retire_after_keepalive() {
         let pool = WorkerPool::new("t", 8, Duration::from_millis(20));
-        let (release_tx, release_rx) = crossbeam_channel::bounded::<()>(1);
+        let (release_tx, release_rx) = queue::channel::<()>();
         for _ in 0..4 {
             let rx = release_rx.clone();
             pool.execute(move || {

@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use crossbeam_channel::Receiver;
+use syd_types::queue::{Receiver, RecvError};
 use syd_types::{RequestId, SydError, SydResult, Value};
 
 /// Per-call knobs for [`crate::Node::call_with`].
@@ -89,8 +89,8 @@ impl PendingCall {
     pub fn wait(mut self, timeout: Duration) -> SydResult<Value> {
         let result = match self.rx.recv_timeout(timeout) {
             Ok(result) => result,
-            Err(crossbeam_channel::RecvTimeoutError::Timeout) => Err(SydError::Timeout(self.id)),
-            Err(crossbeam_channel::RecvTimeoutError::Disconnected) => Err(SydError::Shutdown),
+            Err(RecvError::Empty) => Err(SydError::Timeout(self.id)),
+            Err(RecvError::Disconnected) => Err(SydError::Shutdown),
         };
         if let Some(mut span) = self.span.take() {
             span.attr("ok", u64::from(result.is_ok()));
@@ -109,6 +109,7 @@ impl PendingCall {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // test code
 mod tests {
     use super::*;
+    use syd_types::queue;
 
     #[test]
     fn options_builders() {
@@ -122,7 +123,7 @@ mod tests {
 
     #[test]
     fn pending_call_timeout_names_request() {
-        let (_tx, rx) = crossbeam_channel::bounded(1);
+        let (_tx, rx) = queue::channel();
         let call = PendingCall {
             id: RequestId::new(9),
             rx,
@@ -137,7 +138,7 @@ mod tests {
 
     #[test]
     fn pending_call_poll() {
-        let (tx, rx) = crossbeam_channel::bounded(1);
+        let (tx, rx) = queue::channel();
         let call = PendingCall {
             id: RequestId::new(1),
             rx,
@@ -155,7 +156,7 @@ mod tests {
         use std::sync::Arc;
         let hits = Arc::new(AtomicU32::new(0));
         let h = Arc::clone(&hits);
-        let (_tx, rx) = crossbeam_channel::bounded(1);
+        let (_tx, rx) = queue::channel();
         let call = PendingCall {
             id: RequestId::new(2),
             rx,

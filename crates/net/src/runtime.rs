@@ -21,9 +21,9 @@ use std::sync::{Arc, OnceLock, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
 use syd_telemetry::Registry;
 use syd_transport::{ReadyNotifier, Transport};
+use syd_types::sync::{Condvar, Mutex};
 use syd_types::NodeAddr;
 
 use crate::pool::WorkerPool;
@@ -155,7 +155,7 @@ fn reactor_loop(reactor: &Reactor) {
                     ready.queued.remove(&addr);
                     break addr;
                 }
-                reactor.cv.wait(&mut ready);
+                ready = reactor.cv.wait(ready);
             }
         };
         let drain = reactor.nodes.lock().get(&addr).cloned();
@@ -413,24 +413,35 @@ mod tests {
 
     #[test]
     fn runtime_threads_stop_with_last_handle() {
-        let before = thread_count();
+        // A thread names itself as it starts running, so wait for both.
+        let await_threads = |done: &dyn Fn(usize) -> bool, what: &str| {
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            while !done(own_threads()) {
+                assert!(std::time::Instant::now() < deadline, "{what}");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        };
         {
-            let rt = SharedRuntime::new("t");
+            let rt = SharedRuntime::new("zz");
             rt.register_node(NodeAddr::new(1), Arc::new(|| DrainOutcome::Idle));
-            assert!(thread_count() > before);
+            await_threads(&|n| n >= 2, "reactor and timer threads never showed up");
         }
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while thread_count() > before {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "runtime threads leaked: {} > {before}",
-                thread_count()
-            );
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        await_threads(&|n| n == 0, "runtime threads leaked");
     }
 
-    fn thread_count() -> usize {
-        std::fs::read_dir("/proc/self/task").map_or(1, Iterator::count)
+    /// Live threads of the runtime labelled `zz` (short: the kernel keeps
+    /// 15 bytes of a thread name), found by name: the other tests of this
+    /// binary run in parallel and start and stop threads of their own, so
+    /// a bare count of `/proc/self/task` races.
+    fn own_threads() -> usize {
+        std::fs::read_dir("/proc/self/task").map_or(0, |tasks| {
+            tasks
+                .flatten()
+                .filter(|task| {
+                    std::fs::read_to_string(task.path().join("comm"))
+                        .is_ok_and(|name| name.trim_end().ends_with("-zz"))
+                })
+                .count()
+        })
     }
 }

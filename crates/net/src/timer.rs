@@ -21,8 +21,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
 use syd_telemetry::trace;
+use syd_types::sync::{Condvar, Mutex};
 
 /// Handle to a scheduled entry; used to cancel it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -226,12 +226,10 @@ fn timer_loop(inner: &TimerInner) {
                     Some(&Reverse((at, _, _))) => {
                         let wait = at.saturating_duration_since(Instant::now());
                         if !wait.is_zero() {
-                            inner.cv.wait_for(&mut state, wait);
+                            state = inner.cv.wait_timeout(state, wait).0;
                         }
                     }
-                    None => {
-                        inner.cv.wait(&mut state);
-                    }
+                    None => state = inner.cv.wait(state),
                 }
             }
         }

@@ -134,12 +134,14 @@ fn dropped_span_degrades_to_flagged_incomplete_tree() {
 #[test]
 fn timeout_and_retry_counters_repeat_for_the_same_seed() {
     // Latency is zero in these configs, so a timeout can only come from
-    // a lost request or response — which the seed fully determines.
+    // a lost request or response — which the seed fully determines —
+    // provided the deadline is long enough that a busy two-core host
+    // never stalls a delivered reply past it (20 ms was not).
     for &loss in &[0.0, 0.5, 0.75] {
         for seed in 1..=3u64 {
             for &retries in &[0u32, 2] {
                 let opts = CallOptions::new()
-                    .with_timeout(Duration::from_millis(20))
+                    .with_timeout(Duration::from_millis(60))
                     .with_retries(retries);
                 assert_eq!(
                     run_scenario(loss, seed, opts, 3),

@@ -354,19 +354,12 @@ mod tests {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // test code
 mod proptests {
     use super::*;
-    use proptest::prelude::*;
+    use syd_types::rng::cases;
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        /// Arbitrary scalar tables survive export → import byte-exactly.
-        #[test]
-        fn random_tables_round_trip(
-            rows in proptest::collection::vec(
-                (any::<i64>(), ".{0,16}", any::<bool>()),
-                0..20
-            )
-        ) {
+    /// Arbitrary scalar tables survive export → import byte-exactly.
+    #[test]
+    fn random_tables_round_trip() {
+        cases(48, |rng| {
             let store = Store::new();
             store
                 .create_table(
@@ -383,32 +376,32 @@ mod proptests {
                 )
                 .unwrap();
             let mut seen = std::collections::HashSet::new();
-            for (k, s, b) in &rows {
-                if !seen.insert(*k) {
+            for _ in 0..rng.below(20) {
+                let (k, s, b) = (rng.any_u64() as i64, rng.string(16), rng.chance(1, 2));
+                if !seen.insert(k) {
                     continue; // keyed table: skip duplicate keys
                 }
                 store
-                    .insert(
-                        "t",
-                        vec![Value::I64(*k), Value::Str(s.clone()), Value::Bool(*b)],
-                    )
+                    .insert("t", vec![Value::I64(k), Value::Str(s), Value::Bool(b)])
                     .unwrap();
             }
             let text = export_table(&store, "t").unwrap();
             let restored = Store::new();
             import_table(&restored, "t", &text, true).unwrap();
-            prop_assert_eq!(
+            assert_eq!(
                 restored.select("t", &Predicate::True).unwrap(),
                 store.select("t", &Predicate::True).unwrap()
             );
-        }
+        });
+    }
 
-        /// The importer never panics on arbitrary text.
-        #[test]
-        fn importer_never_panics(text in ".{0,400}") {
+    /// The importer never panics on arbitrary text.
+    #[test]
+    fn importer_never_panics() {
+        cases(48, |rng| {
             let store = Store::new();
-            let _ = import_table(&store, "t", &text, false);
-        }
+            let _ = import_table(&store, "t", &rng.string(400), false);
+        });
     }
 }
 

@@ -15,7 +15,7 @@
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use syd_types::sync::{Condvar, Mutex};
 use syd_types::{SydError, SydResult, Value};
 
 use crate::key::OrdValue;
@@ -107,11 +107,9 @@ impl LockManager {
                     if now >= deadline {
                         return Err(SydError::LockTimeout(key.to_string()));
                     }
-                    if self
-                        .released
-                        .wait_for(&mut state, deadline - now)
-                        .timed_out()
-                    {
+                    let wait;
+                    (state, wait) = self.released.wait_timeout(state, deadline - now);
+                    if wait.timed_out() {
                         // Re-check once after the timed-out wait: the lock
                         // may have been released exactly at the deadline.
                         if let Some(entry) = state.get_mut(key) {

@@ -7,7 +7,6 @@
 //! application on startup, as the prototype's stored procedures were
 //! re-installed with the schema).
 
-use bytes::BufMut;
 use syd_types::{SydError, SydResult, Value};
 use syd_wire::codec::{put_varint, Decode, Encode, Reader};
 use syd_wire::{decode_from_slice, encode_to_vec};
@@ -31,12 +30,12 @@ struct StoreSnapshot {
 }
 
 impl Encode for TableSnapshot {
-    fn encode(&self, buf: &mut impl BufMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         self.schema.name.encode(buf);
         put_varint(buf, self.schema.columns.len() as u64);
         for col in &self.schema.columns {
             col.name.encode(buf);
-            buf.put_u8(col.ty.code());
+            buf.push(col.ty.code());
             col.nullable.encode(buf);
         }
         let pk: Vec<u64> = self.schema.primary_key.iter().map(|&i| i as u64).collect();
@@ -110,9 +109,9 @@ impl Decode for TableSnapshot {
 }
 
 impl Encode for StoreSnapshot {
-    fn encode(&self, buf: &mut impl BufMut) {
-        buf.put_slice(MAGIC);
-        buf.put_u8(VERSION);
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(MAGIC);
+        buf.push(VERSION);
         put_varint(buf, self.tables.len() as u64);
         for t in &self.tables {
             t.encode(buf);

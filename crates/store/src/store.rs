@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use syd_types::sync::RwLock;
 use syd_types::{SydError, SydResult, Value};
 
 use crate::lock::LockManager;

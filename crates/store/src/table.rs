@@ -1,7 +1,7 @@
 //! In-memory table: rows, primary-key map and secondary indexes.
 //!
 //! `Table` is the single-threaded core; the [`crate::Store`] wraps each
-//! table in a `parking_lot::RwLock` and layers triggers, transactions and
+//! table in a `syd_types::sync::RwLock` and layers triggers, transactions and
 //! row locks on top.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};

@@ -5,8 +5,8 @@
 
 use std::collections::BTreeMap;
 
-use proptest::prelude::*;
 use syd_store::{Column, ColumnType, Predicate, Schema, Store};
+use syd_types::rng::{cases, Rng};
 use syd_types::Value;
 
 #[derive(Clone, Debug)]
@@ -17,16 +17,31 @@ enum Op {
     DeleteRange { lo: i64, hi: i64 },
 }
 
-fn arb_op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0..30i64, any::<i64>()).prop_map(|(key, payload)| Op::Insert { key, payload }),
-        (0..30i64, any::<i64>()).prop_map(|(key, payload)| Op::UpdatePayload { key, payload }),
-        (0..30i64).prop_map(|key| Op::Delete { key }),
-        (0..30i64, 0..30i64).prop_map(|(a, b)| Op::DeleteRange {
-            lo: a.min(b),
-            hi: a.max(b)
-        }),
-    ]
+fn arb_op(rng: &mut Rng) -> Op {
+    let key = rng.below(30) as i64;
+    match rng.below(4) {
+        0 => Op::Insert {
+            key,
+            payload: rng.any_u64() as i64,
+        },
+        1 => Op::UpdatePayload {
+            key,
+            payload: rng.any_u64() as i64,
+        },
+        2 => Op::Delete { key },
+        _ => {
+            let other = rng.below(30) as i64;
+            Op::DeleteRange {
+                lo: key.min(other),
+                hi: key.max(other),
+            }
+        }
+    }
+}
+
+/// Between 1 and `max` operations.
+fn arb_ops(rng: &mut Rng, max: u64) -> Vec<Op> {
+    (0..1 + rng.below(max)).map(|_| arb_op(rng)).collect()
 }
 
 fn fresh_store(indexed: bool) -> Store {
@@ -121,26 +136,26 @@ fn check_equivalence(store: &Store, model: &BTreeMap<i64, i64>) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn store_matches_model(ops in proptest::collection::vec(arb_op(), 1..60)) {
+#[test]
+fn store_matches_model() {
+    cases(64, |rng| {
         let store = fresh_store(false);
         let mut model = BTreeMap::new();
-        for op in &ops {
+        for op in &arb_ops(rng, 59) {
             apply(&store, &mut model, op);
         }
         check_equivalence(&store, &model);
-    }
+    });
+}
 
-    /// The same sequences with a secondary index active: results must be
-    /// identical (the index is an optimization, never a semantic change).
-    #[test]
-    fn indexed_store_matches_model(ops in proptest::collection::vec(arb_op(), 1..60)) {
+/// The same sequences with a secondary index active: results must be
+/// identical (the index is an optimization, never a semantic change).
+#[test]
+fn indexed_store_matches_model() {
+    cases(64, |rng| {
         let store = fresh_store(true);
         let mut model = BTreeMap::new();
-        for op in &ops {
+        for op in &arb_ops(rng, 59) {
             apply(&store, &mut model, op);
         }
         check_equivalence(&store, &model);
@@ -151,37 +166,38 @@ proptest! {
                 .unwrap()
                 .len();
             let via_model = model.values().filter(|&&v| v == payload).count();
-            prop_assert_eq!(via_index, via_model);
+            assert_eq!(via_index, via_model);
         }
-    }
+    });
+}
 
-    /// Snapshot round trips preserve arbitrary store states.
-    #[test]
-    fn snapshot_preserves_random_states(ops in proptest::collection::vec(arb_op(), 1..40)) {
+/// Snapshot round trips preserve arbitrary store states.
+#[test]
+fn snapshot_preserves_random_states() {
+    cases(64, |rng| {
         let store = fresh_store(true);
         let mut model = BTreeMap::new();
-        for op in &ops {
+        for op in &arb_ops(rng, 39) {
             apply(&store, &mut model, op);
         }
         let restored = Store::from_snapshot(&store.snapshot()).unwrap();
         check_equivalence(&restored, &model);
-    }
+    });
+}
 
-    /// A rolled-back transaction leaves no trace, no matter what it did.
-    #[test]
-    fn rollback_is_total(
-        setup in proptest::collection::vec(arb_op(), 1..20),
-        inside in proptest::collection::vec(arb_op(), 1..20),
-    ) {
+/// A rolled-back transaction leaves no trace, no matter what it did.
+#[test]
+fn rollback_is_total() {
+    cases(64, |rng| {
         let store = fresh_store(false);
         let mut model = BTreeMap::new();
-        for op in &setup {
+        for op in &arb_ops(rng, 19) {
             apply(&store, &mut model, op);
         }
         let before = store.select("t", &Predicate::True).unwrap();
 
         let mut txn = store.begin();
-        for op in &inside {
+        for op in &arb_ops(rng, 19) {
             // Transactions tolerate failing statements (e.g. duplicate PK).
             match op {
                 Op::Insert { key, payload } => {
@@ -208,8 +224,8 @@ proptest! {
         txn.rollback().unwrap();
 
         let after = store.select("t", &Predicate::True).unwrap();
-        prop_assert_eq!(before, after);
-        prop_assert_eq!(store.locks().held_count(), 0);
+        assert_eq!(before, after);
+        assert_eq!(store.locks().held_count(), 0);
         check_equivalence(&store, &model);
-    }
+    });
 }

@@ -10,10 +10,10 @@
 //! devices can be stitched into one end-to-end story.
 
 use crate::export::json_escape;
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::fmt;
 use std::time::Instant;
+use syd_types::sync::Mutex;
 
 /// What kind of thing happened. Mirrors the negotiation protocol's
 /// state machine plus generic span and link events.

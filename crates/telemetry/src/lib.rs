@@ -25,7 +25,8 @@
 //!   call site registers through one of these (enforced statically by
 //!   `syd-lint`'s `counter-registry` rule).
 //!
-//! The crate deliberately depends on nothing but `parking_lot` so every
+//! The crate deliberately depends on nothing but `syd-types` (for its
+//! poison-free locks, which in turn needs only `std`) so every
 //! layer — wire, net, kernel, apps — can use it without cycles.
 
 #![forbid(unsafe_code)]

@@ -8,11 +8,11 @@
 //! no branching beyond the bucket computation. That keeps the RPC
 //! round-trip path within benchmark noise.
 
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+use syd_types::sync::Mutex;
 
 /// Number of logarithmic histogram buckets: bucket 0 holds zero, bucket
 /// `i` holds values with `floor(log2(v)) == i - 1`, the last bucket

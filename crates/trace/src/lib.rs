@@ -1,4 +1,4 @@
-//! Timed span trees for SyD: per-device lock-free span rings, a
+//! Timed span trees for SyD: per-device bounded span rings, a
 //! collector that assembles cross-device trees keyed by trace id, a
 //! critical-path analyzer that attributes a negotiation's wall time to
 //! protocol phases, a worst-K exemplar store, and a chrome
@@ -13,8 +13,8 @@
 //! because client and server both record under the span id minted by
 //! the caller and the collector merges the two views.
 //!
-//! The hot path is one `ArrayQueue::push` per finished span; nothing
-//! blocks, and a full ring evicts its oldest record (the drop is
+//! The hot path is one push under the ring's mutex per finished span;
+//! nothing waits on I/O, and a full ring evicts its oldest record (the drop is
 //! counted, and assembly degrades to a flagged-incomplete tree rather
 //! than a panic — see [`collect`]).
 

@@ -1,19 +1,20 @@
-//! Per-device lock-free span rings and the [`Tracer`] handle that
-//! instrumented code records through.
+//! Per-device span rings and the [`Tracer`] handle that instrumented
+//! code records through.
 //!
 //! Each device (node, transport backend, …) owns one bounded
-//! [`SpanRing`]; finishing a span is a single `ArrayQueue` push with
-//! evict-oldest semantics, so tracing never blocks a protocol thread
-//! and never grows without bound. Rings self-register in a process
+//! [`SpanRing`]; finishing a span is one push under the ring's mutex,
+//! evicting the oldest record when full, so tracing holds a protocol
+//! thread for a few stores and never grows without bound. Rings
+//! self-register in a process
 //! global registry (as weak refs) so `Collector::drain_global` and
 //! `syd::obs::snapshot` can find every live ring without plumbing.
 
-use crossbeam::queue::ArrayQueue;
-use parking_lot::Mutex;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Instant;
 use syd_telemetry::trace::{self, SpanCtx};
+use syd_types::sync::Mutex;
 
 /// Default per-ring capacity; drains are expected between operations.
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
@@ -55,11 +56,12 @@ pub fn now_us() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_micros() as u64
 }
 
-/// A bounded lock-free ring of finished spans for one device.
+/// A bounded ring of finished spans for one device.
 pub struct SpanRing {
     label: String,
     device: u64,
-    buf: ArrayQueue<SpanRecord>,
+    capacity: usize,
+    buf: Mutex<VecDeque<SpanRecord>>,
     recorded: AtomicU64,
     dropped: AtomicU64,
 }
@@ -67,10 +69,12 @@ pub struct SpanRing {
 impl SpanRing {
     /// Creates a ring holding at most `capacity` records.
     pub fn new(label: impl Into<String>, device: u64, capacity: usize) -> Arc<SpanRing> {
+        let capacity = capacity.max(1);
         let ring = Arc::new(SpanRing {
             label: label.into(),
             device,
-            buf: ArrayQueue::new(capacity.max(1)),
+            capacity,
+            buf: Mutex::new(VecDeque::with_capacity(capacity)),
             recorded: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
         });
@@ -81,18 +85,17 @@ impl SpanRing {
     /// Pushes a finished record, evicting the oldest when full.
     pub fn push(&self, rec: SpanRecord) {
         self.recorded.fetch_add(1, Ordering::Relaxed);
-        let mut rec = rec;
-        while let Err(back) = self.buf.push(rec) {
-            rec = back;
-            if self.buf.pop().is_some() {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-            }
+        let mut buf = self.buf.lock();
+        if buf.len() >= self.capacity {
+            buf.pop_front();
+            self.dropped.fetch_add(1, Ordering::Relaxed);
         }
+        buf.push_back(rec);
     }
 
     /// Pops the oldest buffered record, if any.
     pub fn pop(&self) -> Option<SpanRecord> {
-        self.buf.pop()
+        self.buf.lock().pop_front()
     }
 
     /// The device id this ring records for.
@@ -112,7 +115,7 @@ impl SpanRing {
             device: self.device,
             recorded: self.recorded.load(Ordering::Relaxed),
             dropped: self.dropped.load(Ordering::Relaxed),
-            buffered: self.buf.len(),
+            buffered: self.buf.lock().len(),
         }
     }
 }
@@ -311,7 +314,7 @@ impl std::fmt::Debug for SpanRing {
         f.debug_struct("SpanRing")
             .field("label", &self.label)
             .field("device", &self.device)
-            .field("buffered", &self.buf.len())
+            .field("buffered", &self.buf.lock().len())
             .finish()
     }
 }
@@ -396,6 +399,15 @@ mod tests {
         assert_eq!(stats.recorded, 5);
         assert_eq!(stats.dropped, 3);
         assert_eq!(stats.buffered, 2);
+
+        // One push into a full ring costs exactly the oldest record.
+        assert_eq!(drain(&ring).len(), 2);
+        let ids: Vec<u64> = (0..3)
+            .map(|_| t.span_root(names::SPAN_RECONCILE).ctx().span)
+            .collect();
+        assert_eq!(ring.stats().dropped, 4);
+        let kept: Vec<u64> = drain(&ring).iter().map(|r| r.span).collect();
+        assert_eq!(kept, ids[1..]);
     }
 
     #[test]

@@ -187,56 +187,62 @@ mod tests {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // test code
 mod prop_tests {
     use super::*;
-    use proptest::prelude::*;
+    use syd_types::rng::{cases, Rng};
     use syd_types::{NodeAddr, RequestId, ServiceName, UserId, Value};
     use syd_wire::{encode_to_vec, Envelope, EventMsg, Payload, Request};
 
-    /// A small generator of structurally varied envelopes.
-    fn arb_envelope() -> impl Strategy<Value = Envelope> {
-        let arb_value = prop_oneof![
-            Just(Value::Null),
-            any::<i64>().prop_map(Value::I64),
-            any::<bool>().prop_map(Value::Bool),
-            ".{0,40}".prop_map(Value::str),
-            proptest::collection::vec(any::<u8>(), 0..64).prop_map(Value::Bytes),
-        ];
-        let arb_payload = prop_oneof![
-            (any::<u64>(), any::<u64>(), "[a-z]{1,12}", arb_value.clone()).prop_map(
-                |(id, caller, method, v)| {
-                    Payload::Request(Request {
-                        id: RequestId::new(id),
-                        caller: UserId::new(caller),
-                        target: UserId::default(),
-                        credentials: vec![],
-                        service: ServiceName::new("svc"),
-                        method,
-                        args: vec![v].into(),
-                        trace: None,
-                    })
-                }
-            ),
-            ("[a-z.]{1,16}", any::<u64>(), arb_value).prop_map(|(topic, src, v)| {
-                Payload::Event(EventMsg {
-                    topic,
-                    source: UserId::new(src),
-                    payload: v,
-                })
-            }),
-        ];
-        (any::<u64>(), any::<u64>(), arb_payload).prop_map(|(src, dst, payload)| {
-            Envelope::new(NodeAddr::new(src), NodeAddr::new(dst), payload)
-        })
+    /// 1..=`max` characters drawn from `alphabet`.
+    fn arb_name(rng: &mut Rng, alphabet: &[u8], max: u64) -> String {
+        (0..1 + rng.below(max))
+            .map(|_| char::from(alphabet[rng.below(alphabet.len() as u64) as usize]))
+            .collect()
     }
 
-    proptest! {
-        /// Satellite: split the encoded stream at *every* byte boundary
-        /// (chunk sizes drawn per step) and reassemble; the decoded
-        /// envelopes must be identical to what was sent, in order.
-        #[test]
-        fn any_chunking_reassembles_identically(
-            envelopes in proptest::collection::vec(arb_envelope(), 1..6),
-            chunk_sizes in proptest::collection::vec(1usize..16, 1..64),
-        ) {
+    /// A small generator of structurally varied envelopes.
+    fn arb_envelope(rng: &mut Rng) -> Envelope {
+        let value = match rng.below(5) {
+            0 => Value::Null,
+            1 => Value::I64(rng.any_u64() as i64),
+            2 => Value::Bool(rng.chance(1, 2)),
+            3 => Value::Str(rng.string(40)),
+            _ => Value::Bytes(rng.bytes(63)),
+        };
+        let payload = if rng.chance(1, 2) {
+            Payload::Request(Request {
+                id: RequestId::new(rng.any_u64()),
+                caller: UserId::new(rng.any_u64()),
+                target: UserId::default(),
+                credentials: vec![],
+                service: ServiceName::new("svc"),
+                method: arb_name(rng, b"abcdefghijklmnopqrstuvwxyz", 12),
+                args: vec![value].into(),
+                trace: None,
+            })
+        } else {
+            Payload::Event(EventMsg {
+                topic: arb_name(rng, b"abcdefghijklmnopqrstuvwxyz.", 16),
+                source: UserId::new(rng.any_u64()),
+                payload: value,
+            })
+        };
+        Envelope::new(
+            NodeAddr::new(rng.any_u64()),
+            NodeAddr::new(rng.any_u64()),
+            payload,
+        )
+    }
+
+    /// Satellite: split the encoded stream at *every* byte boundary
+    /// (chunk sizes drawn per step) and reassemble; the decoded
+    /// envelopes must be identical to what was sent, in order.
+    #[test]
+    fn any_chunking_reassembles_identically() {
+        cases(256, |rng| {
+            let envelopes: Vec<Envelope> =
+                (0..1 + rng.below(5)).map(|_| arb_envelope(rng)).collect();
+            let chunk_sizes: Vec<usize> = (0..1 + rng.below(63))
+                .map(|_| 1 + rng.below(15) as usize)
+                .collect();
             let mut stream = Vec::new();
             let mut expected = Vec::new();
             for env in &envelopes {
@@ -257,26 +263,26 @@ mod prop_tests {
                     got.push(body);
                 }
             }
-            prop_assert_eq!(&got, &expected);
-            prop_assert_eq!(d.pending(), 0);
+            assert_eq!(&got, &expected);
+            assert_eq!(d.pending(), 0);
 
             // Reassembled bodies decode back to the original envelopes.
             for (body, env) in got.iter().zip(&envelopes) {
                 let decoded: Envelope = syd_wire::decode_from_slice(body).unwrap();
-                prop_assert_eq!(&decoded, env);
+                assert_eq!(&decoded, env);
             }
-        }
+        });
+    }
 
-        /// Degenerate chunkings: the entire multi-frame stream in one
-        /// read (full coalescing) and one byte per read both yield the
-        /// same frames.
-        #[test]
-        fn coalesced_equals_byte_at_a_time(
-            envelopes in proptest::collection::vec(arb_envelope(), 1..5),
-        ) {
+    /// Degenerate chunkings: the entire multi-frame stream in one
+    /// read (full coalescing) and one byte per read both yield the
+    /// same frames.
+    #[test]
+    fn coalesced_equals_byte_at_a_time() {
+        cases(256, |rng| {
             let mut stream = Vec::new();
-            for env in &envelopes {
-                stream.extend_from_slice(&encode_frame(&encode_to_vec(env)));
+            for _ in 0..1 + rng.below(4) {
+                stream.extend_from_slice(&encode_frame(&encode_to_vec(&arb_envelope(rng))));
             }
 
             let mut one = FrameDecoder::new();
@@ -294,7 +300,7 @@ mod prop_tests {
                     dripped.push(body);
                 }
             }
-            prop_assert_eq!(coalesced, dripped);
-        }
+            assert_eq!(coalesced, dripped);
+        });
     }
 }

@@ -206,7 +206,7 @@ pub trait TransportEndpoint: Send + Sync + 'static {
     /// this endpoint is mirrored (raw bytes, without length prefix) to
     /// `tx` before decoding. Test instrumentation for byte-identity
     /// checks across backends.
-    fn set_frame_tap(&self, tx: crossbeam_channel::Sender<Vec<u8>>);
+    fn set_frame_tap(&self, tx: syd_types::queue::Sender<Vec<u8>>);
 
     /// Closes the endpoint: flushes in-flight frames (bounded grace),
     /// severs connections, stops background threads. After close,

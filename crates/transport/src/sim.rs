@@ -20,11 +20,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{Receiver, Sender};
-use parking_lot::{Condvar, Mutex};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use syd_telemetry::Registry;
+use syd_types::queue::{self, Receiver, RecvError, Sender};
+use syd_types::rng::Rng;
+use syd_types::sync::{Condvar, Mutex};
 use syd_types::{NodeAddr, SydError, SydResult};
 use syd_wire::{decode_from_slice, encode_to_vec, Envelope, Payload, Response};
 
@@ -99,7 +98,7 @@ struct RouterState {
     endpoints: HashMap<NodeAddr, EndpointSlot>,
     /// Normalized (low, high) pairs that cannot exchange messages.
     partitions: HashSet<(NodeAddr, NodeAddr)>,
-    rng: StdRng,
+    rng: Rng,
     cfg: NetConfig,
     shutdown: bool,
 }
@@ -156,7 +155,7 @@ impl Network {
                 heap: BinaryHeap::new(),
                 endpoints: HashMap::new(),
                 partitions: HashSet::new(),
-                rng: StdRng::seed_from_u64(cfg.seed),
+                rng: Rng::new(cfg.seed),
                 cfg,
                 shutdown: false,
             }),
@@ -203,7 +202,7 @@ impl Network {
     /// Registers an endpoint at an explicit address (tests mirroring the
     /// TCP backend's socket-derived addresses). Errors if taken.
     pub fn register_with_addr(&self, addr: NodeAddr) -> SydResult<Endpoint> {
-        let (tx, rx) = crossbeam_channel::unbounded();
+        let (tx, rx) = queue::channel();
         let mut state = self.inner.state.lock();
         if state.endpoints.contains_key(&addr) {
             return Err(SydError::Protocol(format!(
@@ -349,7 +348,7 @@ impl Network {
 
         // Random loss.
         let loss = state.cfg.loss;
-        if loss > 0.0 && state.rng.gen::<f64>() < loss {
+        if loss > 0.0 && state.rng.unit() < loss {
             self.inner.stats.on_dropped_loss();
             return Ok(size);
         }
@@ -389,7 +388,7 @@ fn sample_latency(state: &mut RouterState) -> Duration {
     if model.jitter.is_zero() {
         return model.base;
     }
-    let jitter_micros = state.rng.gen_range(0..=model.jitter.as_micros() as u64);
+    let jitter_micros = state.rng.below(model.jitter.as_micros() as u64 + 1);
     model.base + Duration::from_micros(jitter_micros)
 }
 
@@ -414,12 +413,10 @@ fn router_loop(inner: &Arc<Inner>) {
             Some(Reverse(head)) => {
                 let wait = head.due.saturating_duration_since(Instant::now());
                 if !wait.is_zero() {
-                    inner.cv.wait_for(&mut state, wait);
+                    state = inner.cv.wait_timeout(state, wait).0;
                 }
             }
-            None => {
-                inner.cv.wait(&mut state);
-            }
+            None => state = inner.cv.wait(state),
         }
     }
 }
@@ -507,12 +504,10 @@ impl Endpoint {
             match self.rx.recv_timeout(left) {
                 Ok(SimMsg::Frame(bytes)) => return self.decode(&bytes),
                 Ok(SimMsg::Control(_)) => {}
-                Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
+                Err(RecvError::Empty) => {
                     return Err(SydError::Timeout(syd_types::RequestId::new(0)))
                 }
-                Err(crossbeam_channel::RecvTimeoutError::Disconnected) => {
-                    return Err(SydError::Shutdown)
-                }
+                Err(RecvError::Disconnected) => return Err(SydError::Shutdown),
             }
         }
     }
@@ -523,10 +518,8 @@ impl Endpoint {
             match self.rx.try_recv() {
                 Ok(SimMsg::Frame(bytes)) => return Some(self.decode(&bytes)),
                 Ok(SimMsg::Control(_)) => {}
-                Err(crossbeam_channel::TryRecvError::Empty) => return None,
-                Err(crossbeam_channel::TryRecvError::Disconnected) => {
-                    return Some(Err(SydError::Shutdown))
-                }
+                Err(RecvError::Empty) => return None,
+                Err(RecvError::Disconnected) => return Some(Err(SydError::Shutdown)),
             }
         }
     }
@@ -571,18 +564,16 @@ impl TransportEndpoint for Endpoint {
     fn recv_event_timeout(&self, timeout: Duration) -> SydResult<TransportEvent> {
         match self.rx.recv_timeout(timeout) {
             Ok(msg) => self.event_of(msg),
-            Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
-                Err(SydError::Timeout(syd_types::RequestId::new(0)))
-            }
-            Err(crossbeam_channel::RecvTimeoutError::Disconnected) => Err(SydError::Shutdown),
+            Err(RecvError::Empty) => Err(SydError::Timeout(syd_types::RequestId::new(0))),
+            Err(RecvError::Disconnected) => Err(SydError::Shutdown),
         }
     }
 
     fn try_recv_event(&self) -> Option<SydResult<TransportEvent>> {
         match self.rx.try_recv() {
             Ok(msg) => Some(self.event_of(msg)),
-            Err(crossbeam_channel::TryRecvError::Empty) => None,
-            Err(crossbeam_channel::TryRecvError::Disconnected) => Some(Err(SydError::Shutdown)),
+            Err(RecvError::Empty) => None,
+            Err(RecvError::Disconnected) => Some(Err(SydError::Shutdown)),
         }
     }
 

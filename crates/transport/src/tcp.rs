@@ -31,9 +31,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{Receiver, Sender};
-use parking_lot::{Condvar, Mutex, MutexGuard};
 use syd_telemetry::Registry;
+use syd_types::queue::{self, Receiver, RecvError, Sender};
+use syd_types::sync::{Condvar, Mutex, MutexGuard};
 use syd_types::{NodeAddr, RequestId, SydError, SydResult};
 use syd_wire::{decode_from_slice, encode_to_vec, Envelope, Payload, Response};
 
@@ -246,7 +246,7 @@ impl FramedTcpEndpoint {
             }
         };
         let addr = node_addr_of(local);
-        let (events_tx, events_rx) = crossbeam_channel::unbounded();
+        let (events_tx, events_rx) = queue::channel();
         let shared = Arc::new(Shared {
             addr,
             state: Mutex::new(State {
@@ -371,14 +371,12 @@ impl TransportEndpoint for FramedTcpEndpoint {
         loop {
             match self.events_rx.recv_timeout(Duration::from_millis(50)) {
                 Ok(ev) => return Ok(ev),
-                Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
+                Err(RecvError::Empty) => {
                     if self.shared.state.lock().shutdown && self.events_rx.is_empty() {
                         return Err(SydError::Shutdown);
                     }
                 }
-                Err(crossbeam_channel::RecvTimeoutError::Disconnected) => {
-                    return Err(SydError::Shutdown)
-                }
+                Err(RecvError::Disconnected) => return Err(SydError::Shutdown),
             }
         }
     }
@@ -390,7 +388,7 @@ impl TransportEndpoint for FramedTcpEndpoint {
             let step = left.min(Duration::from_millis(50));
             match self.events_rx.recv_timeout(step) {
                 Ok(ev) => return Ok(ev),
-                Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
+                Err(RecvError::Empty) => {
                     if self.shared.state.lock().shutdown && self.events_rx.is_empty() {
                         return Err(SydError::Shutdown);
                     }
@@ -398,9 +396,7 @@ impl TransportEndpoint for FramedTcpEndpoint {
                         return Err(SydError::Timeout(RequestId::new(0)));
                     }
                 }
-                Err(crossbeam_channel::RecvTimeoutError::Disconnected) => {
-                    return Err(SydError::Shutdown)
-                }
+                Err(RecvError::Disconnected) => return Err(SydError::Shutdown),
             }
         }
     }
@@ -408,14 +404,14 @@ impl TransportEndpoint for FramedTcpEndpoint {
     fn try_recv_event(&self) -> Option<SydResult<TransportEvent>> {
         match self.events_rx.try_recv() {
             Ok(ev) => Some(Ok(ev)),
-            Err(crossbeam_channel::TryRecvError::Empty) => {
+            Err(RecvError::Empty) => {
                 if self.shared.state.lock().shutdown && self.events_rx.is_empty() {
                     Some(Err(SydError::Shutdown))
                 } else {
                     None
                 }
             }
-            Err(crossbeam_channel::TryRecvError::Disconnected) => Some(Err(SydError::Shutdown)),
+            Err(RecvError::Disconnected) => Some(Err(SydError::Shutdown)),
         }
     }
 
@@ -517,7 +513,7 @@ fn poll_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         to_dial.clear();
         let mut state = shared.state.lock();
         if state.shutdown {
-            flush_on_close(shared, &mut state);
+            flush_on_close(shared, state);
             return;
         }
         let mut progressed = false;
@@ -578,7 +574,7 @@ fn poll_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 
         if to_dial.is_empty() {
             if !progressed {
-                shared.cv.wait_for(&mut state, POLL_TICK);
+                state = shared.cv.wait_timeout(state, POLL_TICK).0;
             }
             drop(state);
         } else {
@@ -886,7 +882,7 @@ fn fail_dial(shared: &Shared, state: &mut State, peer: NodeAddr) {
 /// Waits on the condvar between rounds so the state lock is released
 /// while idle — `close()` callers and late senders are never stalled
 /// behind the grace period.
-fn flush_on_close(shared: &Shared, state: &mut MutexGuard<'_, State>) {
+fn flush_on_close(shared: &Shared, mut state: MutexGuard<'_, State>) {
     let deadline = Instant::now() + CLOSE_GRACE;
     loop {
         let mut pending = false;
@@ -923,7 +919,7 @@ fn flush_on_close(shared: &Shared, state: &mut MutexGuard<'_, State>) {
         if !pending || Instant::now() >= deadline {
             break;
         }
-        shared.cv.wait_for(state, POLL_TICK);
+        state = shared.cv.wait_timeout(state, POLL_TICK).0;
     }
     for conn in state.conns.values() {
         conn.sever();

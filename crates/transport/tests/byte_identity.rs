@@ -65,7 +65,7 @@ fn sim_and_tcp_deliver_identical_envelope_bytes() {
     let tcp = FramedTcpTransport::loopback();
     let a_tcp = tcp.listen().unwrap();
     let b_tcp = tcp.listen().unwrap();
-    let (tcp_tap_tx, tcp_tap_rx) = crossbeam_channel::unbounded();
+    let (tcp_tap_tx, tcp_tap_rx) = syd_types::queue::channel();
     b_tcp.set_frame_tap(tcp_tap_tx);
 
     // A sim pair registered at the *same* node addresses, so the encoded
@@ -73,7 +73,7 @@ fn sim_and_tcp_deliver_identical_envelope_bytes() {
     let sim = Network::ideal();
     let a_sim = sim.register_with_addr(a_tcp.addr()).unwrap();
     let b_sim = sim.register_with_addr(b_tcp.addr()).unwrap();
-    let (sim_tap_tx, sim_tap_rx) = crossbeam_channel::unbounded();
+    let (sim_tap_tx, sim_tap_rx) = syd_types::queue::channel();
     b_sim.set_frame_tap(sim_tap_tx);
 
     for env in sample_envelopes(a_tcp.addr(), b_tcp.addr()) {

@@ -345,7 +345,7 @@ mod as_transport {
         let net = Network::ideal();
         let a = net.listen().unwrap();
         let b = net.listen().unwrap();
-        let (tap_tx, tap_rx) = crossbeam_channel::unbounded();
+        let (tap_tx, tap_rx) = syd_types::queue::channel();
         b.set_frame_tap(tap_tx);
         let env = Envelope::new(a.addr(), b.addr(), event("tapped"));
         a.send(env.clone()).unwrap();

@@ -7,8 +7,11 @@
 //! the applications — shares the identifiers, dynamic values, clocks and
 //! error types defined here.
 //!
-//! The crate is intentionally dependency-light: it must be usable from the
-//! lowest substrate (the wire codec) upward.
+//! The crate depends on nothing but `std`: it must be usable from the
+//! lowest substrate (the wire codec) upward, and it is where the
+//! workspace keeps the few primitives it would otherwise import — locks
+//! that ignore poisoning ([`sync`]), the one channel ([`queue`]) and the
+//! one seeded generator with its property-test runner ([`rng`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -17,6 +20,9 @@ pub mod bitmap;
 pub mod error;
 pub mod id;
 pub mod priority;
+pub mod queue;
+pub mod rng;
+pub mod sync;
 pub mod time;
 pub mod value;
 

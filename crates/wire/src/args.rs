@@ -20,7 +20,6 @@ use std::fmt;
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
-use bytes::BufMut;
 use syd_types::{SydResult, Value};
 
 use crate::codec::{put_varint, varint_len, Decode, Encode, Reader};
@@ -86,7 +85,7 @@ impl Args {
 
     /// Encodes the element form: varint count followed by the elements —
     /// exactly the `Vec<Value>` wire format.
-    fn encode_values(&self, buf: &mut impl BufMut) {
+    fn encode_values(&self, buf: &mut Vec<u8>) {
         put_varint(buf, self.inner.values.len() as u64);
         for v in &self.inner.values {
             v.encode(buf);
@@ -106,11 +105,11 @@ impl Args {
 }
 
 impl Encode for Args {
-    fn encode(&self, buf: &mut impl BufMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         // The cached buffer *is* the canonical element encoding, so both
         // branches produce identical bytes.
         if let Some(bytes) = self.inner.encoded.get() {
-            buf.put_slice(bytes);
+            buf.extend_from_slice(bytes);
         } else {
             self.encode_values(buf);
         }

@@ -14,7 +14,6 @@
 //! (`MAX_LEN`) cap a single collection/string so a corrupt length prefix
 //! cannot trigger an enormous allocation.
 
-use bytes::{Buf, BufMut};
 use syd_types::{
     Day, DeviceId, GroupId, LinkId, MeetingId, NodeAddr, Priority, RequestId, ServiceName,
     SlotBitmap, SlotIndex, SlotRange, SydError, SydResult, TimeSlot, Timestamp, UserId, Value,
@@ -25,10 +24,10 @@ use syd_types::{
 /// A single corrupt varint must not make the decoder reserve gigabytes.
 pub const MAX_LEN: u64 = 16 * 1024 * 1024;
 
-/// Types that can serialize themselves into a [`BufMut`].
+/// Types that can serialize themselves into a byte vector.
 pub trait Encode {
     /// Appends the canonical encoding of `self` to `buf`.
-    fn encode(&self, buf: &mut impl BufMut);
+    fn encode(&self, buf: &mut Vec<u8>);
 
     /// Exact number of bytes [`Encode::encode`] will write.
     ///
@@ -45,8 +44,8 @@ pub trait Decode: Sized {
 
 /// A checked cursor over an input slice.
 ///
-/// Unlike raw [`Buf`], every read is bounds-checked and produces
-/// [`SydError::Codec`] instead of panicking on truncated input.
+/// Every read is bounds-checked and produces [`SydError::Codec`]
+/// instead of panicking on truncated input.
 pub struct Reader<'a> {
     input: &'a [u8],
 }
@@ -68,7 +67,7 @@ impl<'a> Reader<'a> {
             return Err(SydError::Codec("unexpected end of input".into()));
         }
         let b = self.input[0];
-        self.input.advance(1);
+        self.input = &self.input[1..];
         Ok(b)
     }
 
@@ -128,12 +127,12 @@ pub fn varint_len(mut v: u64) -> usize {
 }
 
 /// Writes a LEB128 varint.
-pub fn put_varint(buf: &mut impl BufMut, mut v: u64) {
+pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
-        buf.put_u8((v as u8 & 0x7f) | 0x80);
+        buf.push((v as u8 & 0x7f) | 0x80);
         v >>= 7;
     }
-    buf.put_u8(v as u8);
+    buf.push(v as u8);
 }
 
 #[inline]
@@ -172,8 +171,8 @@ pub fn decode_from_slice<T: Decode>(input: &[u8]) -> SydResult<T> {
 // ---------------------------------------------------------------------------
 
 impl Encode for u8 {
-    fn encode(&self, buf: &mut impl BufMut) {
-        buf.put_u8(*self);
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.push(*self);
     }
     fn encoded_len(&self) -> usize {
         1
@@ -187,8 +186,8 @@ impl Decode for u8 {
 }
 
 impl Encode for bool {
-    fn encode(&self, buf: &mut impl BufMut) {
-        buf.put_u8(*self as u8);
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.push(*self as u8);
     }
     fn encoded_len(&self) -> usize {
         1
@@ -206,7 +205,7 @@ impl Decode for bool {
 }
 
 impl Encode for u16 {
-    fn encode(&self, buf: &mut impl BufMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         put_varint(buf, u64::from(*self));
     }
     fn encoded_len(&self) -> usize {
@@ -222,7 +221,7 @@ impl Decode for u16 {
 }
 
 impl Encode for u32 {
-    fn encode(&self, buf: &mut impl BufMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         put_varint(buf, u64::from(*self));
     }
     fn encoded_len(&self) -> usize {
@@ -238,7 +237,7 @@ impl Decode for u32 {
 }
 
 impl Encode for u64 {
-    fn encode(&self, buf: &mut impl BufMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         put_varint(buf, *self);
     }
     fn encoded_len(&self) -> usize {
@@ -253,7 +252,7 @@ impl Decode for u64 {
 }
 
 impl Encode for i64 {
-    fn encode(&self, buf: &mut impl BufMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         put_varint(buf, zigzag(*self));
     }
     fn encoded_len(&self) -> usize {
@@ -268,8 +267,8 @@ impl Decode for i64 {
 }
 
 impl Encode for f64 {
-    fn encode(&self, buf: &mut impl BufMut) {
-        buf.put_u64_le(self.to_bits());
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.to_bits().to_le_bytes());
     }
     fn encoded_len(&self) -> usize {
         8
@@ -286,9 +285,9 @@ impl Decode for f64 {
 }
 
 impl Encode for str {
-    fn encode(&self, buf: &mut impl BufMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         put_varint(buf, self.len() as u64);
-        buf.put_slice(self.as_bytes());
+        buf.extend_from_slice(self.as_bytes());
     }
     fn encoded_len(&self) -> usize {
         varint_len(self.len() as u64) + self.len()
@@ -296,7 +295,7 @@ impl Encode for str {
 }
 
 impl Encode for String {
-    fn encode(&self, buf: &mut impl BufMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         self.as_str().encode(buf);
     }
     fn encoded_len(&self) -> usize {
@@ -313,9 +312,9 @@ impl Decode for String {
 }
 
 impl Encode for [u8] {
-    fn encode(&self, buf: &mut impl BufMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         put_varint(buf, self.len() as u64);
-        buf.put_slice(self);
+        buf.extend_from_slice(self);
     }
     fn encoded_len(&self) -> usize {
         varint_len(self.len() as u64) + self.len()
@@ -323,7 +322,7 @@ impl Encode for [u8] {
 }
 
 impl Encode for Vec<u8> {
-    fn encode(&self, buf: &mut impl BufMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         self.as_slice().encode(buf);
     }
     fn encoded_len(&self) -> usize {
@@ -339,11 +338,11 @@ impl Decode for Vec<u8> {
 }
 
 impl<T: Encode> Encode for Option<T> {
-    fn encode(&self, buf: &mut impl BufMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         match self {
-            None => buf.put_u8(0),
+            None => buf.push(0),
             Some(v) => {
-                buf.put_u8(1);
+                buf.push(1);
                 v.encode(buf);
             }
         }
@@ -368,7 +367,7 @@ impl<T: Decode> Decode for Option<T> {
 macro_rules! vec_codec {
     ($elem:ty) => {
         impl Encode for Vec<$elem> {
-            fn encode(&self, buf: &mut impl BufMut) {
+            fn encode(&self, buf: &mut Vec<u8>) {
                 put_varint(buf, self.len() as u64);
                 for item in self {
                     item.encode(buf);
@@ -404,7 +403,7 @@ vec_codec!(u64);
 macro_rules! id_codec {
     ($name:ident) => {
         impl Encode for $name {
-            fn encode(&self, buf: &mut impl BufMut) {
+            fn encode(&self, buf: &mut Vec<u8>) {
                 put_varint(buf, self.raw());
             }
             fn encoded_len(&self) -> usize {
@@ -429,7 +428,7 @@ id_codec!(RequestId);
 id_codec!(NodeAddr);
 
 impl Encode for ServiceName {
-    fn encode(&self, buf: &mut impl BufMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         self.as_str().encode(buf);
     }
     fn encoded_len(&self) -> usize {
@@ -444,7 +443,7 @@ impl Decode for ServiceName {
 }
 
 impl Encode for Timestamp {
-    fn encode(&self, buf: &mut impl BufMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         put_varint(buf, self.as_micros());
     }
     fn encoded_len(&self) -> usize {
@@ -459,7 +458,7 @@ impl Decode for Timestamp {
 }
 
 impl Encode for TimeSlot {
-    fn encode(&self, buf: &mut impl BufMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         put_varint(buf, self.ordinal());
     }
     fn encoded_len(&self) -> usize {
@@ -474,7 +473,7 @@ impl Decode for TimeSlot {
 }
 
 impl Encode for SlotRange {
-    fn encode(&self, buf: &mut impl BufMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         self.start.encode(buf);
         self.end.encode(buf);
     }
@@ -500,11 +499,11 @@ impl Encode for SlotBitmap {
     /// Varint window header (`start`, `len`) followed by one fixed
     /// 8-byte little-endian word per 64 slots — the word count is fully
     /// determined by `len`, so no second length prefix travels.
-    fn encode(&self, buf: &mut impl BufMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         put_varint(buf, self.start_ordinal());
         put_varint(buf, u64::from(self.len()));
         for w in self.words() {
-            buf.put_u64_le(*w);
+            buf.extend_from_slice(&w.to_le_bytes());
         }
     }
     fn encoded_len(&self) -> usize {
@@ -534,7 +533,7 @@ impl Decode for SlotBitmap {
 }
 
 impl Encode for Day {
-    fn encode(&self, buf: &mut impl BufMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         put_varint(buf, u64::from(self.0));
     }
     fn encoded_len(&self) -> usize {
@@ -549,7 +548,7 @@ impl Decode for Day {
 }
 
 impl Encode for SlotIndex {
-    fn encode(&self, buf: &mut impl BufMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         put_varint(buf, u64::from(self.0));
     }
     fn encoded_len(&self) -> usize {
@@ -564,8 +563,8 @@ impl Decode for SlotIndex {
 }
 
 impl Encode for Priority {
-    fn encode(&self, buf: &mut impl BufMut) {
-        buf.put_u8(self.level());
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.push(self.level());
     }
     fn encoded_len(&self) -> usize {
         1
@@ -592,38 +591,38 @@ const VAL_LIST: u8 = 6;
 const VAL_MAP: u8 = 7;
 
 impl Encode for Value {
-    fn encode(&self, buf: &mut impl BufMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         match self {
-            Value::Null => buf.put_u8(VAL_NULL),
+            Value::Null => buf.push(VAL_NULL),
             Value::Bool(b) => {
-                buf.put_u8(VAL_BOOL);
+                buf.push(VAL_BOOL);
                 b.encode(buf);
             }
             Value::I64(n) => {
-                buf.put_u8(VAL_I64);
+                buf.push(VAL_I64);
                 n.encode(buf);
             }
             Value::F64(x) => {
-                buf.put_u8(VAL_F64);
+                buf.push(VAL_F64);
                 x.encode(buf);
             }
             Value::Str(s) => {
-                buf.put_u8(VAL_STR);
+                buf.push(VAL_STR);
                 s.encode(buf);
             }
             Value::Bytes(b) => {
-                buf.put_u8(VAL_BYTES);
+                buf.push(VAL_BYTES);
                 b.encode(buf);
             }
             Value::List(items) => {
-                buf.put_u8(VAL_LIST);
+                buf.push(VAL_LIST);
                 put_varint(buf, items.len() as u64);
                 for item in items {
                     item.encode(buf);
                 }
             }
             Value::Map(map) => {
-                buf.put_u8(VAL_MAP);
+                buf.push(VAL_MAP);
                 put_varint(buf, map.len() as u64);
                 for (k, v) in map {
                     k.encode(buf);
@@ -693,8 +692,8 @@ impl Decode for Value {
 // ---------------------------------------------------------------------------
 
 impl Encode for SydError {
-    fn encode(&self, buf: &mut impl BufMut) {
-        buf.put_u8(self.kind_code());
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.push(self.kind_code());
         self.wire_message().encode(buf);
     }
     fn encoded_len(&self) -> usize {
@@ -711,14 +710,14 @@ impl Decode for SydError {
 }
 
 impl Encode for Result<Value, SydError> {
-    fn encode(&self, buf: &mut impl BufMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             Ok(v) => {
-                buf.put_u8(1);
+                buf.push(1);
                 v.encode(buf);
             }
             Err(e) => {
-                buf.put_u8(0);
+                buf.push(0);
                 e.encode(buf);
             }
         }
@@ -908,23 +907,30 @@ mod tests {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // test code
 mod proptests {
     use super::*;
-    use proptest::prelude::*;
+    use syd_types::rng::{cases, Rng};
 
-    fn arb_value() -> impl Strategy<Value = Value> {
-        let leaf = prop_oneof![
-            Just(Value::Null),
-            any::<bool>().prop_map(Value::Bool),
-            any::<i64>().prop_map(Value::I64),
-            any::<f64>().prop_map(Value::F64),
-            ".{0,32}".prop_map(Value::Str),
-            proptest::collection::vec(any::<u8>(), 0..32).prop_map(Value::Bytes),
-        ];
-        leaf.prop_recursive(3, 24, 6, |inner| {
-            prop_oneof![
-                proptest::collection::vec(inner.clone(), 0..6).prop_map(Value::List),
-                proptest::collection::btree_map(".{0,8}", inner, 0..6).prop_map(Value::Map),
-            ]
-        })
+    /// An arbitrary `Value` tree: leaves of every scalar kind (edge-biased
+    /// integers, any float bit pattern including NaNs, strings with the
+    /// scalars escaping gets wrong), lists and maps nested `depth` deep.
+    fn arb_value(rng: &mut Rng, depth: u32) -> Value {
+        match rng.below(if depth == 0 { 6 } else { 8 }) {
+            0 => Value::Null,
+            1 => Value::Bool(rng.chance(1, 2)),
+            2 => Value::I64(rng.any_u64() as i64),
+            3 => Value::F64(f64::from_bits(rng.any_u64())),
+            4 => Value::Str(rng.string(32)),
+            5 => Value::Bytes(rng.bytes(31)),
+            6 => Value::List(
+                (0..rng.below(6))
+                    .map(|_| arb_value(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => Value::Map(
+                (0..rng.below(6))
+                    .map(|_| (rng.string(8), arb_value(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
     }
 
     /// Structural equality that treats NaN as equal to NaN, so the codec
@@ -946,32 +952,41 @@ mod proptests {
         }
     }
 
-    proptest! {
-        #[test]
-        fn value_round_trip(v in arb_value()) {
+    #[test]
+    fn value_round_trip() {
+        cases(256, |rng| {
+            let v = arb_value(rng, 3);
             let bytes = encode_to_vec(&v);
-            prop_assert_eq!(bytes.len(), v.encoded_len());
+            assert_eq!(bytes.len(), v.encoded_len());
             let back: Value = decode_from_slice(&bytes).unwrap();
-            prop_assert!(value_eq(&back, &v), "decoded {:?} != original {:?}", back, v);
-        }
+            assert!(value_eq(&back, &v), "decoded {back:?} != original {v:?}");
+        });
+    }
 
-        #[test]
-        fn u64_round_trip(n in any::<u64>()) {
+    #[test]
+    fn u64_round_trip() {
+        cases(256, |rng| {
+            let n = rng.any_u64();
             let bytes = encode_to_vec(&n);
-            prop_assert_eq!(decode_from_slice::<u64>(&bytes).unwrap(), n);
-        }
+            assert_eq!(decode_from_slice::<u64>(&bytes).unwrap(), n);
+        });
+    }
 
-        #[test]
-        fn i64_round_trip(n in any::<i64>()) {
+    #[test]
+    fn i64_round_trip() {
+        cases(256, |rng| {
+            let n = rng.any_u64() as i64;
             let bytes = encode_to_vec(&n);
-            prop_assert_eq!(decode_from_slice::<i64>(&bytes).unwrap(), n);
-        }
+            assert_eq!(decode_from_slice::<i64>(&bytes).unwrap(), n);
+        });
+    }
 
-        #[test]
-        fn decoder_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-            // Whatever the input, decoding returns Ok or Err — no panic, no
-            // unbounded allocation.
-            let _ = decode_from_slice::<Value>(&bytes);
-        }
+    #[test]
+    fn decoder_never_panics_on_garbage() {
+        // Whatever the input, decoding returns Ok or Err — no panic, no
+        // unbounded allocation.
+        cases(256, |rng| {
+            let _ = decode_from_slice::<Value>(&rng.bytes(255));
+        });
     }
 }

@@ -12,7 +12,6 @@
 //! network; a version byte leads every encoding so future formats can
 //! coexist.
 
-use bytes::BufMut;
 use syd_types::{NodeAddr, RequestId, ServiceName, SydError, SydResult, UserId, Value};
 
 use crate::args::Args;
@@ -44,7 +43,7 @@ pub struct TraceContext {
 }
 
 impl Encode for TraceContext {
-    fn encode(&self, buf: &mut impl BufMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         self.trace_id.encode(buf);
         self.span_id.encode(buf);
         self.hop.encode(buf);
@@ -93,7 +92,7 @@ pub struct Request {
 }
 
 impl Encode for Request {
-    fn encode(&self, buf: &mut impl BufMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         self.id.encode(buf);
         self.caller.encode(buf);
         self.target.encode(buf);
@@ -104,7 +103,7 @@ impl Encode for Request {
         // Trailing extension: nothing when absent (old-format bytes),
         // marker + context when present.
         if let Some(trace) = &self.trace {
-            buf.put_u8(TRACE_MARKER);
+            buf.push(TRACE_MARKER);
             trace.encode(buf);
         }
     }
@@ -167,7 +166,7 @@ pub struct Response {
 }
 
 impl Encode for Response {
-    fn encode(&self, buf: &mut impl BufMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         self.id.encode(buf);
         self.result.encode(buf);
     }
@@ -197,7 +196,7 @@ pub struct EventMsg {
 }
 
 impl Encode for EventMsg {
-    fn encode(&self, buf: &mut impl BufMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         self.topic.encode(buf);
         self.source.encode(buf);
         self.payload.encode(buf);
@@ -233,18 +232,18 @@ const TAG_RESPONSE: u8 = 1;
 const TAG_EVENT: u8 = 2;
 
 impl Encode for Payload {
-    fn encode(&self, buf: &mut impl BufMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             Payload::Request(m) => {
-                buf.put_u8(TAG_REQUEST);
+                buf.push(TAG_REQUEST);
                 m.encode(buf);
             }
             Payload::Response(m) => {
-                buf.put_u8(TAG_RESPONSE);
+                buf.push(TAG_RESPONSE);
                 m.encode(buf);
             }
             Payload::Event(m) => {
-                buf.put_u8(TAG_EVENT);
+                buf.push(TAG_EVENT);
                 m.encode(buf);
             }
         }
@@ -294,8 +293,8 @@ impl Envelope {
 }
 
 impl Encode for Envelope {
-    fn encode(&self, buf: &mut impl BufMut) {
-        buf.put_u8(WIRE_VERSION);
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.push(WIRE_VERSION);
         self.src.encode(buf);
         self.dst.encode(buf);
         // Length-prefixed payload lets routers forward without decoding it.
@@ -543,109 +542,108 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::codec::{decode_from_slice, encode_to_vec};
-    use proptest::prelude::*;
+    use syd_types::rng::{cases, Rng};
 
-    fn arb_value() -> impl Strategy<Value = Value> {
-        prop_oneof![
-            Just(Value::Null),
-            any::<bool>().prop_map(Value::Bool),
-            any::<i64>().prop_map(Value::I64),
-            ".{0,16}".prop_map(Value::Str),
-            proptest::collection::vec(any::<u8>(), 0..16).prop_map(Value::Bytes),
-        ]
-    }
-
-    fn arb_trace() -> impl Strategy<Value = Option<TraceContext>> {
-        proptest::option::of((any::<u64>(), any::<u64>(), any::<u32>()).prop_map(
-            |(trace_id, span_id, hop)| TraceContext {
-                trace_id,
-                span_id,
-                hop,
-            },
-        ))
-    }
-
-    fn arb_payload() -> impl Strategy<Value = Payload> {
-        prop_oneof![
-            (
-                any::<u64>(),
-                any::<u64>(),
-                any::<u64>(),
-                proptest::collection::vec(any::<u8>(), 0..32),
-                "[a-z.]{1,12}",
-                "[a-z_]{1,12}",
-                proptest::collection::vec(arb_value(), 0..4),
-                arb_trace(),
-            )
-                .prop_map(
-                    |(id, caller, target, credentials, service, method, args, trace)| {
-                        Payload::Request(Request {
-                            id: RequestId::new(id),
-                            caller: UserId::new(caller),
-                            target: UserId::new(target),
-                            credentials,
-                            service: ServiceName::new(service),
-                            method,
-                            args: args.into(),
-                            trace,
-                        })
-                    }
-                ),
-            (any::<u64>(), arb_value()).prop_map(|(id, v)| {
-                Payload::Response(Response {
-                    id: RequestId::new(id),
-                    result: Ok(v),
-                })
-            }),
-            (any::<u64>(), "[a-z.]{1,16}", any::<u64>(), arb_value()).prop_map(
-                |(_, topic, source, payload)| {
-                    Payload::Event(EventMsg {
-                        topic,
-                        source: UserId::new(source),
-                        payload,
-                    })
-                }
-            ),
-        ]
-    }
-
-    proptest! {
-        #[test]
-        fn envelope_round_trip(src in any::<u64>(), dst in any::<u64>(), payload in arb_payload()) {
-            let env = Envelope::new(NodeAddr::new(src), NodeAddr::new(dst), payload);
-            let bytes = encode_to_vec(&env);
-            prop_assert_eq!(bytes.len(), env.wire_len());
-            let back: Envelope = decode_from_slice(&bytes).unwrap();
-            prop_assert_eq!(back, env);
+    fn arb_value(rng: &mut Rng) -> Value {
+        match rng.below(5) {
+            0 => Value::Null,
+            1 => Value::Bool(rng.chance(1, 2)),
+            2 => Value::I64(rng.any_u64() as i64),
+            3 => Value::Str(rng.string(16)),
+            _ => Value::Bytes(rng.bytes(15)),
         }
+    }
 
-        #[test]
-        fn trace_extension_round_trip(trace in arb_trace(), id in any::<u64>()) {
+    fn arb_trace(rng: &mut Rng) -> Option<TraceContext> {
+        rng.chance(1, 2).then(|| TraceContext {
+            trace_id: rng.any_u64(),
+            span_id: rng.any_u64(),
+            hop: rng.any_u64() as u32,
+        })
+    }
+
+    /// 1..=`max` characters drawn from `alphabet`.
+    fn arb_name(rng: &mut Rng, alphabet: &[u8], max: u64) -> String {
+        (0..1 + rng.below(max))
+            .map(|_| char::from(alphabet[rng.below(alphabet.len() as u64) as usize]))
+            .collect()
+    }
+
+    fn arb_payload(rng: &mut Rng) -> Payload {
+        match rng.below(3) {
+            0 => Payload::Request(Request {
+                id: RequestId::new(rng.any_u64()),
+                caller: UserId::new(rng.any_u64()),
+                target: UserId::new(rng.any_u64()),
+                credentials: rng.bytes(31),
+                service: ServiceName::new(arb_name(rng, b"abcdefghijklmnopqrstuvwxyz.", 12)),
+                method: arb_name(rng, b"abcdefghijklmnopqrstuvwxyz_", 12),
+                args: (0..rng.below(4))
+                    .map(|_| arb_value(rng))
+                    .collect::<Vec<_>>()
+                    .into(),
+                trace: arb_trace(rng),
+            }),
+            1 => Payload::Response(Response {
+                id: RequestId::new(rng.any_u64()),
+                result: Ok(arb_value(rng)),
+            }),
+            _ => Payload::Event(EventMsg {
+                topic: arb_name(rng, b"abcdefghijklmnopqrstuvwxyz.", 16),
+                source: UserId::new(rng.any_u64()),
+                payload: arb_value(rng),
+            }),
+        }
+    }
+
+    #[test]
+    fn envelope_round_trip() {
+        cases(256, |rng| {
+            let env = Envelope::new(
+                NodeAddr::new(rng.any_u64()),
+                NodeAddr::new(rng.any_u64()),
+                arb_payload(rng),
+            );
+            let bytes = encode_to_vec(&env);
+            assert_eq!(bytes.len(), env.wire_len());
+            let back: Envelope = decode_from_slice(&bytes).unwrap();
+            assert_eq!(back, env);
+        });
+    }
+
+    #[test]
+    fn trace_extension_round_trip() {
+        cases(256, |rng| {
             let req = Request {
-                id: RequestId::new(id),
+                id: RequestId::new(rng.any_u64()),
                 caller: UserId::new(1),
                 target: UserId::new(2),
                 credentials: vec![],
                 service: ServiceName::new("s"),
                 method: "m".into(),
                 args: vec![].into(),
-                trace,
+                trace: arb_trace(rng),
             };
             let bytes = encode_to_vec(&req);
-            prop_assert_eq!(bytes.len(), req.encoded_len());
+            assert_eq!(bytes.len(), req.encoded_len());
             let back: Request = decode_from_slice(&bytes).unwrap();
-            prop_assert_eq!(back, req);
-        }
+            assert_eq!(back, req);
+        });
+    }
 
-        #[test]
-        fn envelope_decoder_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
-            let _ = decode_from_slice::<Envelope>(&bytes);
-        }
+    #[test]
+    fn envelope_decoder_never_panics() {
+        cases(256, |rng| {
+            let _ = decode_from_slice::<Envelope>(&rng.bytes(199));
+        });
+    }
 
-        #[test]
-        fn single_bit_flips_never_panic(payload in arb_payload(), flip in 0usize..64) {
-            let env = Envelope::new(NodeAddr::new(1), NodeAddr::new(2), payload);
+    #[test]
+    fn single_bit_flips_never_panic() {
+        cases(256, |rng| {
+            let env = Envelope::new(NodeAddr::new(1), NodeAddr::new(2), arb_payload(rng));
             let mut bytes = encode_to_vec(&env);
+            let flip = rng.below(64) as usize;
             let idx = flip % bytes.len();
             bytes[idx] ^= 1 << (flip % 8);
             // Either decodes to something or errors; never panics, and a
@@ -653,6 +651,6 @@ mod proptests {
             if let Ok(back) = decode_from_slice::<Envelope>(&bytes) {
                 let _ = encode_to_vec(&back);
             }
-        }
+        });
     }
 }

@@ -3,7 +3,7 @@
 //! The paper's prototype used raw TCP sockets "for small foot-print and
 //! maximum flexibility" (§3.1) rather than a heavyweight serialization
 //! stack. This crate is the equivalent substrate: a hand-rolled,
-//! length-prefixed, varint-based codec over [`bytes`] buffers, with no
+//! length-prefixed, varint-based codec over plain byte vectors, with no
 //! reflection and no allocation beyond the decoded values themselves.
 //!
 //! Two layers:

@@ -9,10 +9,10 @@
 
 use std::sync::Arc;
 
-use rand::{Rng, SeedableRng};
 use syd::bidding::{BidStrategy, Host, Player};
 use syd::kernel::SydEnv;
 use syd::net::NetConfig;
+use syd::types::rng::Rng;
 use syd::types::UserId;
 
 fn main() {
@@ -26,9 +26,9 @@ fn main() {
         let seed = 42 + i as u64;
         let strategy: BidStrategy = Arc::new(move |item: &str| {
             // Deterministic per-player noise around a rough idea of value.
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ item.len() as u64);
+            let mut rng = Rng::new(seed ^ item.len() as u64);
             let base: u64 = 1000 + 150 * item.len() as u64;
-            Some(rng.gen_range(base / 2..base * 3 / 2))
+            Some(base / 2 + rng.below(base))
         });
         players.push(Player::install(&device, strategy).unwrap());
     }

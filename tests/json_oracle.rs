@@ -1,4 +1,4 @@
-//! Proptest oracle: every JSON artifact the observability plane emits
+//! Property oracle: every JSON artifact the observability plane emits
 //! must parse under the strict `syd_bench::json` parser and round-trip
 //! its strings byte-for-byte — arbitrary quotes, backslashes, control
 //! characters, and non-ASCII included.
@@ -11,47 +11,50 @@
 
 use std::collections::HashMap;
 
-use proptest::prelude::*;
 use syd::trace::{chrome_trace, AssemblyMode, Collector, SpanRecord};
+use syd::types::rng::cases;
 use syd_bench::json::Json;
 use syd_telemetry::{names, EventKind, Journal};
 
-proptest! {
-    /// `Journal::to_jsonl` emits one strict-JSON object per line, and
-    /// the `detail` string survives the escape/parse round trip.
-    #[test]
-    fn journal_jsonl_round_trips_arbitrary_details(
-        details in proptest::collection::vec(".*", 1..8),
-    ) {
+/// `Journal::to_jsonl` emits one strict-JSON object per line, and
+/// the `detail` string survives the escape/parse round trip.
+#[test]
+fn journal_jsonl_round_trips_arbitrary_details() {
+    cases(256, |rng| {
+        let details: Vec<String> = (0..1 + rng.below(7)).map(|_| rng.string(64)).collect();
         let journal = Journal::new(64);
         for detail in &details {
             journal.record(EventKind::Info, detail.clone());
         }
         let jsonl = journal.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
-        prop_assert_eq!(lines.len(), details.len(), "one line per event");
+        assert_eq!(lines.len(), details.len(), "one line per event");
         for (line, want) in lines.iter().zip(&details) {
             let parsed = Json::parse(line);
-            prop_assert!(parsed.is_ok(), "parse failed: {:?}\nline: {line}", parsed.err());
+            assert!(
+                parsed.is_ok(),
+                "parse failed: {:?}\nline: {line}",
+                parsed.err()
+            );
             let doc = parsed.unwrap();
-            prop_assert_eq!(
+            assert_eq!(
                 doc.get("detail").and_then(Json::as_str),
                 Some(want.as_str()),
                 "detail must round-trip"
             );
-            prop_assert!(doc.get("seq").and_then(Json::as_f64).is_some());
-            prop_assert!(doc.get("kind").and_then(Json::as_str).is_some());
+            assert!(doc.get("seq").and_then(Json::as_f64).is_some());
+            assert!(doc.get("kind").and_then(Json::as_str).is_some());
         }
-    }
+    });
+}
 
-    /// The chrome `trace_event` exporter produces one strict-JSON
-    /// document; device labels (the only free-form strings in it)
-    /// round-trip through the process_name metadata events.
-    #[test]
-    fn chrome_trace_round_trips_arbitrary_device_labels(
-        label in ".*",
-        fanout in 1usize..4,
-    ) {
+/// The chrome `trace_event` exporter produces one strict-JSON
+/// document; device labels (the only free-form strings in it)
+/// round-trip through the process_name metadata events.
+#[test]
+fn chrome_trace_round_trips_arbitrary_device_labels() {
+    cases(256, |rng| {
+        let (label, fanout) = (rng.string(64), 1 + rng.below(3) as usize);
         let mut collector = Collector::new(AssemblyMode::Lossy);
         collector.ingest(SpanRecord {
             trace: 7,
@@ -90,7 +93,11 @@ proptest! {
         let labels = HashMap::from([(1u64, label.clone())]);
         let doc = chrome_trace(&[tree], &labels);
         let result = Json::parse(&doc);
-        prop_assert!(result.is_ok(), "parse failed: {:?}\ndoc: {doc}", result.err());
+        assert!(
+            result.is_ok(),
+            "parse failed: {:?}\ndoc: {doc}",
+            result.err()
+        );
         let parsed = result.unwrap();
         let events = parsed
             .get("traceEvents")
@@ -102,7 +109,7 @@ proptest! {
             .iter()
             .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
             .count();
-        prop_assert_eq!(x_events, 1 + 2 * fanout);
+        assert_eq!(x_events, 1 + 2 * fanout);
         let meta_name = events
             .iter()
             .find(|e| {
@@ -112,6 +119,6 @@ proptest! {
             .and_then(|e| e.get("args"))
             .and_then(|a| a.get("name"))
             .and_then(Json::as_str);
-        prop_assert_eq!(meta_name, Some(label.as_str()), "label must round-trip");
-    }
+        assert_eq!(meta_name, Some(label.as_str()), "label must round-trip");
+    });
 }

@@ -135,15 +135,17 @@ fn cancel_meeting_follows_section_4_4() {
     );
 
     // Step 5: the calendar databases were updated — the slot now belongs
-    // to meeting 2 everywhere.
-    for app in [&a, &b, &c] {
-        assert_eq!(
-            app.slot_state(slot.ordinal()).unwrap().meeting(),
-            Some(m2.meeting),
-            "step 5 at {}",
-            app.user()
-        );
-    }
+    // to meeting 2 everywhere. (Waited for: B's own record reads
+    // `Confirmed` while the commits of the same batch are still on their
+    // way to A and C.)
+    wait_for(
+        || {
+            [&a, &b, &c]
+                .iter()
+                .all(|app| app.slot_state(slot.ordinal()).unwrap().meeting() == Some(m2.meeting))
+        },
+        "step 5: the slot belongs to meeting 2 at every participant",
+    );
 
     // And the waiting table drained.
     let waiting_after: usize = [&a, &b, &c]
@@ -277,10 +279,9 @@ fn highest_priority_tentative_link_fires_first() {
         || b.meeting(high.meeting).unwrap().unwrap().status == MeetingStatus::Confirmed,
         "high-priority meeting confirms",
     );
-    assert_eq!(
-        c.slot_state(slot.ordinal()).unwrap().meeting(),
-        Some(high.meeting),
-        "C's slot goes to the higher-priority meeting"
+    wait_for(
+        || c.slot_state(slot.ordinal()).unwrap().meeting() == Some(high.meeting),
+        "C's slot goes to the higher-priority meeting",
     );
     // The low-priority meeting remains tentative (its claim lost).
     assert_eq!(
