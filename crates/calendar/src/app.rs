@@ -324,7 +324,11 @@ impl CalendarApp {
         if self.store.update(T_MEETINGS, &by_id, &data)? > 0 {
             return Ok(());
         }
-        if let Err(err) = self.store.insert(T_MEETINGS, vec![key, meeting.to_value()]) {
+        // No such row yet: the record built above moves into the insert,
+        // and only a lost race serialises it a second time.
+        let [(column, record)] = data;
+        if let Err(err) = self.store.insert(T_MEETINGS, vec![key, record]) {
+            let data = [(column, meeting.to_value())];
             if self.store.update(T_MEETINGS, &by_id, &data)? == 0 {
                 return Err(err);
             }

@@ -39,7 +39,8 @@ pub struct InvokeCtx {
 pub type ServiceMethod = Arc<dyn Fn(&InvokeCtx, &[Value]) -> SydResult<Value> + Send + Sync>;
 
 struct ListenerState {
-    methods: HashMap<(String, String), ServiceMethod>,
+    /// Service → method → handler, so a lookup borrows both names.
+    methods: HashMap<String, HashMap<String, ServiceMethod>>,
 }
 
 /// Preregistered dispatch counters (see [`Listener::attach_metrics`]).
@@ -84,20 +85,26 @@ impl Listener {
         self.state
             .write()
             .methods
-            .insert((service.as_str().to_owned(), method.to_owned()), handler);
+            .entry(service.as_str().to_owned())
+            .or_default()
+            .insert(method.to_owned(), handler);
     }
 
     /// Unregisters a method.
     pub fn unregister(&self, service: &ServiceName, method: &str) {
-        self.state
-            .write()
-            .methods
-            .remove(&(service.as_str().to_owned(), method.to_owned()));
+        if let Some(methods) = self.state.write().methods.get_mut(service.as_str()) {
+            methods.remove(method);
+        }
     }
 
     /// All registered `(service, method)` pairs, sorted.
     pub fn registered(&self) -> Vec<(String, String)> {
-        let mut v: Vec<_> = self.state.read().methods.keys().cloned().collect();
+        let state = self.state.read();
+        let mut v: Vec<_> = state
+            .methods
+            .iter()
+            .flat_map(|(service, methods)| methods.keys().map(|m| (service.clone(), m.clone())))
+            .collect();
         v.sort();
         v
     }
@@ -134,7 +141,8 @@ impl Listener {
             let state = self.state.read();
             state
                 .methods
-                .get(&(req.service.as_str().to_owned(), req.method.clone()))
+                .get(req.service.as_str())
+                .and_then(|methods| methods.get(req.method.as_str()))
                 .cloned()
         };
         match handler {

@@ -458,13 +458,14 @@ fn dispatch_event(shared: &Arc<NodeShared>, event: TransportEvent) {
         Payload::Request(req) => {
             let handler = shared.handler.read().clone();
             let from = envelope.src;
-            let id = req.id;
+            // Both `Copy`: read here so the handler can own the request.
+            let (id, trace_ctx) = (req.id, req.trace);
             let reply_shared = Arc::clone(shared);
             let job = move || {
                 reply_shared.metrics.requests_served.inc();
                 // Serve under the caller's trace context so nested
                 // outbound calls made by the handler inherit it.
-                let _span = req.trace.map(|tc| {
+                let _span = trace_ctx.map(|tc| {
                     trace::enter(SpanCtx {
                         trace: tc.trace_id,
                         span: tc.span_id,
@@ -473,16 +474,13 @@ fn dispatch_event(shared: &Arc<NodeShared>, event: TransportEvent) {
                 });
                 let served_start = syd_trace::now_us();
                 let result = match handler {
-                    Some(h) => h.handle(from, req.clone()),
-                    None => Err(SydError::NoSuchService(
-                        req.service.clone(),
-                        req.method.clone(),
-                    )),
+                    Some(h) => h.handle(from, req),
+                    None => Err(SydError::NoSuchService(req.service, req.method)),
                 };
                 // Server view of the RPC: same span id as the client's
                 // `rpc.client`, parent 0 (the assembler merges the two
                 // views; parentage comes from the client record).
-                if let Some(tc) = req.trace {
+                if let Some(tc) = trace_ctx {
                     reply_shared.tracer.record_span(
                         names::SPAN_RPC_SERVER,
                         tc.trace_id,
@@ -496,7 +494,7 @@ fn dispatch_event(shared: &Arc<NodeShared>, event: TransportEvent) {
                 let _ = reply_shared.link.send(syd_wire::Envelope::new(
                     reply_shared.addr,
                     from,
-                    Payload::Response(Response { id: req.id, result }),
+                    Payload::Response(Response { id, result }),
                 ));
             };
             if !shared.runtime.pool().execute(job) {

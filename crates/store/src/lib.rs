@@ -21,6 +21,11 @@
 //! the link tables (`SyD_Link`, `SyD_WaitingLink`, `SyD_LinkMethod`, §4.2)
 //! on this engine.
 //!
+//! Ownership: a stored row is an immutable, shared `Arc<[Value]>` and a
+//! table's schema an `Arc<Schema>`. Reads hand out reference-count bumps,
+//! a write replaces the row with one built once per statement, and a
+//! [`Row`] a caller holds is a snapshot no later statement can change.
+//!
 //! Isolation: single statements are atomic and serialized per table;
 //! transactions take exclusive row locks (2PL) and undo on rollback.
 //! Readers do not block and may observe uncommitted writes ("read

@@ -51,10 +51,9 @@ impl Query {
 
     /// Executes and returns matching rows.
     pub fn run(self) -> SydResult<Vec<Row>> {
-        let schema = self.store.schema_of(&self.table)?;
         let mut rows = self.store.select(&self.table, &self.pred)?;
         if let Some((column, ascending)) = &self.order_by {
-            let idx = schema.column_index(column)?;
+            let idx = self.store.schema_of(&self.table)?.column_index(column)?;
             rows.sort_by(|a, b| {
                 let ord = a.values[idx].cmp_total(&b.values[idx]);
                 if *ascending {
@@ -86,8 +85,8 @@ impl Query {
         let idx = schema.column_index(column)?;
         Ok(self
             .run()?
-            .into_iter()
-            .map(|mut row| row.values.swap_remove(idx))
+            .iter()
+            .map(|row| row.values[idx].clone())
             .collect())
     }
 }

@@ -157,10 +157,10 @@ impl Store {
             let rows = t
                 .all_rows()
                 .into_iter()
-                .map(|row| (row.id.0, row.values))
+                .map(|row| (row.id.0, row.values.to_vec()))
                 .collect();
             tables.push(TableSnapshot {
-                schema: t.schema().clone(),
+                schema: Schema::clone(t.schema()),
                 indexes: t.indexed_columns(),
                 rows,
             });
@@ -192,7 +192,7 @@ impl Store {
                 let mut table = handle.write();
                 for (row_id, values) in t.rows {
                     t.schema.validate_row(&values)?;
-                    table.restore(RowId(row_id), values);
+                    table.restore(RowId(row_id), values.into());
                 }
                 for column in &t.indexes {
                     table.create_index(column)?;

@@ -102,11 +102,11 @@ impl Store {
         t.create_index(column)
     }
 
-    /// The schema of a table.
-    pub fn schema_of(&self, table: &str) -> SydResult<Schema> {
+    /// The schema of a table, shared with the table (fixed at creation).
+    pub fn schema_of(&self, table: &str) -> SydResult<Arc<Schema>> {
         let handle = self.table_handle(table)?;
         let t = handle.read();
-        Ok(t.schema().clone())
+        Ok(Arc::clone(t.schema()))
     }
 
     pub(crate) fn table_handle(&self, name: &str) -> SydResult<Arc<RwLock<Table>>> {
@@ -194,17 +194,9 @@ impl Store {
         for change in changes {
             let (event, old, new): (TriggerEvent, Option<&[Value]>, Option<&[Value]>) = match change
             {
-                RowChange::Inserted(_, values) => {
-                    (TriggerEvent::Insert, None, Some(values.as_slice()))
-                }
-                RowChange::Updated(_, old, new) => (
-                    TriggerEvent::Update,
-                    Some(old.as_slice()),
-                    Some(new.as_slice()),
-                ),
-                RowChange::Deleted(_, values) => {
-                    (TriggerEvent::Delete, Some(values.as_slice()), None)
-                }
+                RowChange::Inserted(_, values) => (TriggerEvent::Insert, None, Some(values)),
+                RowChange::Updated(_, old, new) => (TriggerEvent::Update, Some(old), Some(new)),
+                RowChange::Deleted(_, values) => (TriggerEvent::Delete, Some(values), None),
             };
             for t in &triggers {
                 if t.events.contains(&event) && t.condition_holds(schema, event, old, new)? {
@@ -233,12 +225,13 @@ impl Store {
     /// Inserts a row; fires insert triggers.
     pub fn insert(&self, table: &str, values: Vec<Value>) -> SydResult<RowId> {
         let handle = self.table_handle(table)?;
+        let values: Arc<[Value]> = values.into();
         let (row_id, schema, change) = {
             let mut t = handle.write();
-            let schema = t.schema().clone();
+            let schema = Arc::clone(t.schema());
             schema.validate_row(&values)?;
             self.fire_before(&schema, table, TriggerEvent::Insert, None, Some(&values))?;
-            let row_id = t.insert(values.clone())?;
+            let row_id = t.insert(Arc::clone(&values))?;
             (row_id, schema, RowChange::Inserted(row_id, values))
         };
         self.fire_after(&schema, table, std::slice::from_ref(&change))?;
@@ -298,23 +291,12 @@ impl Store {
         let handle = self.table_handle(table)?;
         let (schema, changes) = {
             let mut t = handle.write();
-            let schema = t.schema().clone();
-            // Before-trigger veto: evaluate prospective new rows first.
-            let matching = t.select(pred)?;
-            for row in &matching {
-                let mut new = row.values.clone();
-                for (col, value) in assignments {
-                    new[schema.column_index(col)?] = value.clone();
-                }
-                self.fire_before(
-                    &schema,
-                    table,
-                    TriggerEvent::Update,
-                    Some(&row.values),
-                    Some(&new),
-                )?;
-            }
-            let changes = t.update(pred, assignments)?;
+            let schema = Arc::clone(t.schema());
+            // Before-trigger veto: the table shows every prospective row to
+            // the triggers before it applies any.
+            let changes = t.update(pred, assignments, |old, new| {
+                self.fire_before(&schema, table, TriggerEvent::Update, Some(old), Some(new))
+            })?;
             (schema, changes)
         };
         self.fire_after(&schema, table, &changes)?;
@@ -335,7 +317,7 @@ impl Store {
         let handle = self.table_handle(table)?;
         let (schema, changes) = {
             let mut t = handle.write();
-            let schema = t.schema().clone();
+            let schema = Arc::clone(t.schema());
             let matching = t.select(pred)?;
             for row in &matching {
                 self.fire_before(
@@ -567,6 +549,51 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(row.values[1], Value::str("reserved"));
+    }
+
+    #[test]
+    fn before_update_trigger_vetoes_on_the_prospective_row() {
+        let store = store_with_slots();
+        for (day, status) in [(1, "free"), (2, "busy"), (3, "locked")] {
+            store
+                .insert("slots", vec![Value::I64(day), Value::str(status)])
+                .unwrap();
+        }
+        let seen = Arc::new(AtomicU32::new(0));
+        let seen_by_trigger = Arc::clone(&seen);
+        store
+            .add_trigger(Trigger::before(
+                "locked_stays",
+                "slots",
+                vec![TriggerEvent::Update],
+                move |ctx| {
+                    // The prospective row carries the assignment, and the
+                    // cells it does not name unchanged.
+                    assert_eq!(ctx.new_cell("status")?.as_str()?, "tent");
+                    assert_eq!(ctx.new_cell("day")?, ctx.old_cell("day")?);
+                    seen_by_trigger.fetch_add(1, Ordering::SeqCst);
+                    if ctx.new_cell("day")?.as_i64()? == 3 {
+                        return Err(SydError::App("day 3 is locked".into()));
+                    }
+                    Ok(())
+                },
+            ))
+            .unwrap();
+        let tent = [("status".to_owned(), Value::str("tent"))];
+        let err = store.update("slots", &Predicate::True, &tent).unwrap_err();
+        assert!(err.to_string().contains("day 3 is locked"), "{err}");
+        // The veto fell on the last of three rows; none of them changed.
+        assert_eq!(seen.load(Ordering::SeqCst), 3);
+        for (day, status) in [(1, "free"), (2, "busy"), (3, "locked")] {
+            let row = store
+                .get_by_key("slots", &[Value::I64(day)])
+                .unwrap()
+                .unwrap();
+            assert_eq!(row.values[1], Value::str(status), "day {day}");
+        }
+        // Without the locked row in reach the same statement applies.
+        let upto_2 = Predicate::Le("day".into(), Value::I64(2));
+        assert_eq!(store.update("slots", &upto_2, &tent).unwrap(), 2);
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! row locks on top.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Bound;
+use std::sync::Arc;
 
 use syd_types::{SydError, SydResult, Value};
 
@@ -22,13 +24,15 @@ impl std::fmt::Display for RowId {
     }
 }
 
-/// A materialized row: its id plus a copy of its values.
+/// A row as it stood when it was read: its id plus its cells, shared with
+/// the table. Stored rows are immutable (a write replaces the row), so a
+/// `Row` is a snapshot that later statements cannot change.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Row {
     /// Row identity.
     pub id: RowId,
     /// Cell values in schema column order.
-    pub values: Vec<Value>,
+    pub values: Arc<[Value]>,
 }
 
 impl Row {
@@ -42,16 +46,16 @@ impl Row {
 #[derive(Clone, Debug, PartialEq)]
 pub enum RowChange {
     /// Row inserted with these values.
-    Inserted(RowId, Vec<Value>),
+    Inserted(RowId, Arc<[Value]>),
     /// Row updated from `old` to `new`.
-    Updated(RowId, Vec<Value>, Vec<Value>),
+    Updated(RowId, Arc<[Value]>, Arc<[Value]>),
     /// Row deleted; `old` values retained.
-    Deleted(RowId, Vec<Value>),
+    Deleted(RowId, Arc<[Value]>),
 }
 
 pub(crate) struct Table {
-    pub(crate) schema: Schema,
-    rows: BTreeMap<RowId, Vec<Value>>,
+    pub(crate) schema: Arc<Schema>,
+    rows: BTreeMap<RowId, Arc<[Value]>>,
     next_row: u64,
     pk_map: BTreeMap<Vec<OrdValue>, RowId>,
     indexes: HashMap<String, BTreeMap<OrdValue, BTreeSet<RowId>>>,
@@ -60,7 +64,7 @@ pub(crate) struct Table {
 impl Table {
     pub(crate) fn new(schema: Schema) -> Table {
         Table {
-            schema,
+            schema: Arc::new(schema),
             rows: BTreeMap::new(),
             next_row: 1,
             pk_map: BTreeMap::new(),
@@ -68,7 +72,7 @@ impl Table {
         }
     }
 
-    pub(crate) fn schema(&self) -> &Schema {
+    pub(crate) fn schema(&self) -> &Arc<Schema> {
         &self.schema
     }
 
@@ -96,44 +100,50 @@ impl Table {
         self.indexes.keys().cloned().collect()
     }
 
-    fn index_insert(&mut self, row_id: RowId, values: &[Value]) {
+    /// Moves `row_id` from the index entries `old` filed it under to the
+    /// ones `new` does (`None`: no row on that side). An index whose cell
+    /// is equal on both sides is left alone.
+    fn reindex(&mut self, row_id: RowId, old: Option<&[Value]>, new: Option<&[Value]>) {
         for (col, index) in &mut self.indexes {
             // Index creation validated the column; a vanished column
             // means a schema bug, and skipping beats corrupting.
             let Some(i) = self.schema.columns.iter().position(|c| &c.name == col) else {
                 continue;
             };
-            index
-                .entry(OrdValue(values[i].clone()))
-                .or_default()
-                .insert(row_id);
-        }
-    }
-
-    fn index_remove(&mut self, row_id: RowId, values: &[Value]) {
-        for (col, index) in &mut self.indexes {
-            let Some(i) = self.schema.columns.iter().position(|c| &c.name == col) else {
-                continue;
-            };
-            let key = OrdValue(values[i].clone());
-            if let Some(set) = index.get_mut(&key) {
-                set.remove(&row_id);
-                if set.is_empty() {
-                    index.remove(&key);
+            let (old, new) = (old.map(|row| &row[i]), new.map(|row| &row[i]));
+            if let (Some(old), Some(new)) = (old, new) {
+                if old.cmp_total(new).is_eq() {
+                    continue;
                 }
+            }
+            if let Some(cell) = old {
+                let key = OrdValue(cell.clone());
+                if let Some(set) = index.get_mut(&key) {
+                    set.remove(&row_id);
+                    if set.is_empty() {
+                        index.remove(&key);
+                    }
+                }
+            }
+            if let Some(cell) = new {
+                index
+                    .entry(OrdValue(cell.clone()))
+                    .or_default()
+                    .insert(row_id);
             }
         }
     }
 
+    /// The primary-key map's key for a row (empty if the table is keyless).
+    fn pk_of(&self, values: &[Value]) -> Vec<OrdValue> {
+        let pk = &self.schema.primary_key;
+        pk.iter().map(|&i| OrdValue(values[i].clone())).collect()
+    }
+
     /// Inserts a validated row, enforcing primary-key uniqueness.
-    pub(crate) fn insert(&mut self, values: Vec<Value>) -> SydResult<RowId> {
+    pub(crate) fn insert(&mut self, values: Arc<[Value]>) -> SydResult<RowId> {
         self.schema.validate_row(&values)?;
-        let key: Vec<OrdValue> = self
-            .schema
-            .key_of(&values)
-            .into_iter()
-            .map(OrdValue)
-            .collect();
+        let key = self.pk_of(&values);
         if !key.is_empty() && self.pk_map.contains_key(&key) {
             return Err(SydError::SchemaViolation(format!(
                 "duplicate primary key in `{}`",
@@ -142,7 +152,7 @@ impl Table {
         }
         let row_id = RowId(self.next_row);
         self.next_row += 1;
-        self.index_insert(row_id, &values);
+        self.reindex(row_id, None, Some(&values));
         if !key.is_empty() {
             self.pk_map.insert(key, row_id);
         }
@@ -151,17 +161,12 @@ impl Table {
     }
 
     /// Re-inserts a row under its original id (transaction undo).
-    pub(crate) fn restore(&mut self, row_id: RowId, values: Vec<Value>) {
-        let key: Vec<OrdValue> = self
-            .schema
-            .key_of(&values)
-            .into_iter()
-            .map(OrdValue)
-            .collect();
+    pub(crate) fn restore(&mut self, row_id: RowId, values: Arc<[Value]>) {
+        let key = self.pk_of(&values);
         if !key.is_empty() {
             self.pk_map.insert(key, row_id);
         }
-        self.index_insert(row_id, &values);
+        self.reindex(row_id, None, Some(&values));
         self.rows.insert(row_id, values);
         self.next_row = self.next_row.max(row_id.0 + 1);
     }
@@ -169,39 +174,57 @@ impl Table {
     pub(crate) fn get(&self, row_id: RowId) -> Option<Row> {
         self.rows.get(&row_id).map(|values| Row {
             id: row_id,
-            values: values.clone(),
+            values: Arc::clone(values),
         })
     }
 
     pub(crate) fn get_by_key(&self, key: &[Value]) -> Option<Row> {
-        let key: Vec<OrdValue> = key.iter().cloned().map(OrdValue).collect();
-        self.pk_map.get(&key).and_then(|&id| self.get(id))
+        let id = match key {
+            [cell] => self.pk_map.get(&[OrdValue(cell.clone())][..]),
+            _ => self
+                .pk_map
+                .get(&key.iter().cloned().map(OrdValue).collect::<Vec<_>>()),
+        };
+        id.and_then(|&id| self.get(id))
     }
 
     /// Row ids matching `pred`, using the primary-key map or a secondary
     /// index when the predicate constrains a keyed/indexed column,
-    /// otherwise scanning.
+    /// otherwise scanning. Each bound is one cell on the stack: the maps
+    /// are searched through `&[OrdValue]` / `&OrdValue`, no key vector.
     fn candidates(&self, pred: &Predicate) -> SydResult<Vec<RowId>> {
+        fn bound<T: ?Sized>(key: Option<&T>) -> Bound<&T> {
+            key.map_or(Bound::Unbounded, Bound::Included)
+        }
+        let cell = |v: &Value| [OrdValue(v.clone())];
         // Single-column primary keys serve equality/range directly from
         // the key map.
         if let [pk_idx] = self.schema.primary_key[..] {
             let pk_name = &self.schema.columns[pk_idx].name;
             if let Some((lo, hi)) = pred.bounds_for(pk_name) {
-                use std::ops::Bound::*;
-                let lo = lo.map_or(Unbounded, |v| Included(vec![OrdValue(v.clone())]));
-                let hi = hi.map_or(Unbounded, |v| Included(vec![OrdValue(v.clone())]));
-                let mut ids: Vec<RowId> = self.pk_map.range((lo, hi)).map(|(_, &id)| id).collect();
+                let (lo, hi) = (lo.map(cell), hi.map(cell));
+                let range = (
+                    bound(lo.as_ref().map(|k| &k[..])),
+                    bound(hi.as_ref().map(|k| &k[..])),
+                );
+                let mut ids: Vec<RowId> = self
+                    .pk_map
+                    .range::<[OrdValue], _>(range)
+                    .map(|(_, &id)| id)
+                    .collect();
                 ids.sort_unstable();
                 return Ok(ids);
             }
         }
         for (col, index) in &self.indexes {
             if let Some((lo, hi)) = pred.bounds_for(col) {
-                use std::ops::Bound::*;
-                let lo = lo.map_or(Unbounded, |v| Included(OrdValue(v.clone())));
-                let hi = hi.map_or(Unbounded, |v| Included(OrdValue(v.clone())));
+                let (lo, hi) = (lo.map(cell), hi.map(cell));
+                let range = (
+                    bound(lo.as_ref().map(|k| &k[0])),
+                    bound(hi.as_ref().map(|k| &k[0])),
+                );
                 let mut ids = Vec::new();
-                for (_, set) in index.range((lo, hi)) {
+                for (_, set) in index.range::<OrdValue, _>(range) {
                     ids.extend(set.iter().copied());
                 }
                 ids.sort_unstable();
@@ -218,7 +241,7 @@ impl Table {
             if pred.eval(&self.schema, values)? {
                 out.push(Row {
                     id: row_id,
-                    values: values.clone(),
+                    values: Arc::clone(values),
                 });
             }
         }
@@ -235,12 +258,18 @@ impl Table {
         Ok(n)
     }
 
-    /// Applies `assignments` to every row matching `pred`; returns the
-    /// changes (old and new values) for triggers and undo.
+    /// Applies `assignments` to every row matching `pred`, in two passes:
+    /// build each prospective row once and show it to `before` (the
+    /// before-update triggers), then apply. Every error — a rejected value,
+    /// a primary-key collision, a veto — comes out of the first pass and so
+    /// leaves every row unchanged. Returns the changes for the
+    /// after-triggers and the undo log: the old and new rows are the very
+    /// allocations `before` saw and the table held and now holds.
     pub(crate) fn update(
         &mut self,
         pred: &Predicate,
         assignments: &[(String, Value)],
+        mut before: impl FnMut(&[Value], &[Value]) -> SydResult<()>,
     ) -> SydResult<Vec<RowChange>> {
         // Resolve and type-check assignments once.
         let mut resolved = Vec::with_capacity(assignments.len());
@@ -252,99 +281,91 @@ impl Table {
                     self.schema.name
                 )));
             }
-            resolved.push((idx, value.clone()));
+            resolved.push((idx, value));
         }
+        let rekeys = resolved
+            .iter()
+            .any(|(idx, _)| self.schema.primary_key.contains(idx));
 
         let mut changes = Vec::new();
+        let mut claimed = BTreeSet::new();
         for row_id in self.candidates(pred)? {
-            let values = &self.rows[&row_id];
-            if !pred.eval(&self.schema, values)? {
+            let old = &self.rows[&row_id];
+            if !pred.eval(&self.schema, old)? {
                 continue;
             }
-            let old = values.clone();
-            let mut new = old.clone();
-            for (idx, value) in &resolved {
-                new[*idx] = value.clone();
-            }
-            // Primary-key updates must preserve uniqueness.
-            let old_key: Vec<OrdValue> =
-                self.schema.key_of(&old).into_iter().map(OrdValue).collect();
-            let new_key: Vec<OrdValue> =
-                self.schema.key_of(&new).into_iter().map(OrdValue).collect();
-            if old_key != new_key {
-                if self.pk_map.contains_key(&new_key) {
+            // One clone per cell; of two assignments to a column the later
+            // wins, as if they were applied in order.
+            let new: Arc<[Value]> = old
+                .iter()
+                .enumerate()
+                .map(|(i, cell)| {
+                    let assigned = resolved.iter().rev().find(|(idx, _)| *idx == i);
+                    assigned.map_or(cell, |(_, value)| value).clone()
+                })
+                .collect();
+            // Primary-key updates must preserve uniqueness, against the
+            // stored keys and against the other rows of this statement.
+            if rekeys {
+                let new_key = self.pk_of(&new);
+                if new_key != self.pk_of(old)
+                    && (self.pk_map.contains_key(&new_key) || !claimed.insert(new_key))
+                {
                     return Err(SydError::SchemaViolation(format!(
                         "primary-key update collides in `{}`",
                         self.schema.name
                     )));
                 }
-                self.pk_map.remove(&old_key);
-                self.pk_map.insert(new_key, row_id);
             }
-            self.index_remove(row_id, &old);
-            self.index_insert(row_id, &new);
-            self.rows.insert(row_id, new.clone());
-            changes.push(RowChange::Updated(row_id, old, new));
+            before(old, &new)?;
+            changes.push(RowChange::Updated(row_id, Arc::clone(old), new));
+        }
+        for change in &changes {
+            if let RowChange::Updated(row_id, _, new) = change {
+                self.set_row(*row_id, Arc::clone(new));
+            }
         }
         Ok(changes)
     }
 
-    /// Overwrites one row's values (transaction undo path).
-    pub(crate) fn set_row(&mut self, row_id: RowId, values: Vec<Value>) {
-        if let Some(old) = self.rows.get(&row_id).cloned() {
-            let old_key: Vec<OrdValue> =
-                self.schema.key_of(&old).into_iter().map(OrdValue).collect();
-            if !old_key.is_empty() {
-                self.pk_map.remove(&old_key);
+    /// Replaces one row's values, keeping the key map and the indexes in
+    /// step (the apply pass of an update, and transaction undo).
+    pub(crate) fn set_row(&mut self, row_id: RowId, values: Arc<[Value]>) {
+        let old = self.rows.insert(row_id, Arc::clone(&values));
+        let pk = &self.schema.primary_key;
+        let rekeyed = old
+            .as_ref()
+            .is_none_or(|old| pk.iter().any(|&i| old[i].cmp_total(&values[i]).is_ne()));
+        if rekeyed && !pk.is_empty() {
+            if let Some(old) = &old {
+                self.pk_map.remove(&self.pk_of(old));
             }
-            self.index_remove(row_id, &old);
+            self.pk_map.insert(self.pk_of(&values), row_id);
         }
-        let new_key: Vec<OrdValue> = self
-            .schema
-            .key_of(&values)
-            .into_iter()
-            .map(OrdValue)
-            .collect();
-        if !new_key.is_empty() {
-            self.pk_map.insert(new_key, row_id);
-        }
-        self.index_insert(row_id, &values);
-        self.rows.insert(row_id, values);
+        self.reindex(row_id, old.as_deref(), Some(&values));
     }
 
     /// Deletes rows matching `pred`; returns the deleted rows.
     pub(crate) fn delete(&mut self, pred: &Predicate) -> SydResult<Vec<RowChange>> {
         let mut changes = Vec::new();
         for row_id in self.candidates(pred)? {
-            let values = &self.rows[&row_id];
-            if !pred.eval(&self.schema, values)? {
-                continue;
+            if pred.eval(&self.schema, &self.rows[&row_id])? {
+                if let Some(old) = self.remove_by_id(row_id) {
+                    changes.push(RowChange::Deleted(row_id, old));
+                }
             }
-            let old = values.clone();
-            self.remove_row(row_id, &old);
-            changes.push(RowChange::Deleted(row_id, old));
         }
         Ok(changes)
     }
 
-    pub(crate) fn remove_by_id(&mut self, row_id: RowId) -> Option<Vec<Value>> {
-        let values = self.rows.get(&row_id)?.clone();
-        self.remove_row(row_id, &values);
-        Some(values)
-    }
-
-    fn remove_row(&mut self, row_id: RowId, values: &[Value]) {
-        let key: Vec<OrdValue> = self
-            .schema
-            .key_of(values)
-            .into_iter()
-            .map(OrdValue)
-            .collect();
+    pub(crate) fn remove_by_id(&mut self, row_id: RowId) -> Option<Arc<[Value]>> {
+        let values = self.rows.remove(&row_id)?;
+        let key = self.pk_of(&values);
         if !key.is_empty() {
             self.pk_map.remove(&key);
         }
-        self.index_remove(row_id, values);
-        self.rows.remove(&row_id);
+        self.reindex(row_id, Some(&values), None);
+        Some(values)
     }
 
     pub(crate) fn all_rows(&self) -> Vec<Row> {
@@ -352,7 +373,7 @@ impl Table {
             .iter()
             .map(|(&id, values)| Row {
                 id,
-                values: values.clone(),
+                values: Arc::clone(values),
             })
             .collect()
     }
@@ -378,8 +399,8 @@ mod tests {
         )
     }
 
-    fn row(day: i64, status: &str) -> Vec<Value> {
-        vec![Value::I64(day), Value::str(status)]
+    fn row(day: i64, status: &str) -> Arc<[Value]> {
+        [Value::I64(day), Value::str(status)].into()
     }
 
     #[test]
@@ -423,6 +444,7 @@ mod tests {
             .update(
                 &Predicate::Eq("status".into(), Value::str("free")),
                 &[("status".into(), Value::str("reserved"))],
+                |_, _| Ok(()),
             )
             .unwrap();
         assert_eq!(changes.len(), 2);
@@ -449,9 +471,23 @@ mod tests {
             .update(
                 &Predicate::Eq("day".into(), Value::I64(1)),
                 &[("day".into(), Value::I64(2))],
+                |_, _| Ok(()),
             )
             .unwrap_err();
         assert!(err.to_string().contains("collides"), "{err}");
+        // Two rows of one statement moving onto the same free key collide
+        // with each other, and neither has moved.
+        let err = t
+            .update(
+                &Predicate::True,
+                &[("day".into(), Value::I64(7))],
+                |_, _| Ok(()),
+            )
+            .unwrap_err();
+        assert!(err.to_string().contains("collides"), "{err}");
+        assert!(t.get_by_key(&[Value::I64(1)]).is_some());
+        assert!(t.get_by_key(&[Value::I64(2)]).is_some());
+        assert!(t.get_by_key(&[Value::I64(7)]).is_none());
     }
 
     #[test]
@@ -483,7 +519,7 @@ mod tests {
             .unwrap(),
         );
         for n in 0..100 {
-            t.insert(vec![Value::I64(n), Value::str("x")]).unwrap();
+            t.insert(row(n, "x")).unwrap();
         }
         t.create_index("n").unwrap();
         assert_eq!(t.indexed_columns(), vec!["n".to_string()]);
@@ -500,6 +536,7 @@ mod tests {
         t.update(
             &Predicate::Eq("n".into(), Value::I64(10)),
             &[("n".into(), Value::I64(1000))],
+            |_, _| Ok(()),
         )
         .unwrap();
         let got = t

@@ -16,6 +16,7 @@
 //! compensations do **not** re-fire triggers, matching Oracle's rollback
 //! behaviour.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use syd_types::{SydResult, Value};
@@ -37,12 +38,12 @@ enum Undo {
     Update {
         table: String,
         row_id: RowId,
-        old: Vec<Value>,
+        old: Arc<[Value]>,
     },
     Delete {
         table: String,
         row_id: RowId,
-        old: Vec<Value>,
+        old: Arc<[Value]>,
     },
 }
 
@@ -77,16 +78,28 @@ impl Txn {
         self
     }
 
-    fn lock_key_for(&self, table: &str, row: &Row) -> SydResult<LockKey> {
+    /// Locks every row of `rows` (by primary key, or by row id in a keyless
+    /// table), sorted for same-statement safety.
+    fn lock_rows(&self, table: &str, rows: &[Row]) -> SydResult<()> {
         let schema = self.store.schema_of(table)?;
-        if schema.has_primary_key() {
-            Ok(LockKey::new(table, schema.key_of(&row.values)))
-        } else {
-            Ok(LockKey::new(
-                format!("{table}#rowid"),
-                [Value::I64(row.id.0 as i64)],
-            ))
+        let mut keys: Vec<LockKey> = rows
+            .iter()
+            .map(|row| {
+                if schema.has_primary_key() {
+                    LockKey::new(table, schema.key_of(&row.values))
+                } else {
+                    LockKey::new(format!("{table}#rowid"), [Value::I64(row.id.0 as i64)])
+                }
+            })
+            .collect();
+        keys.sort();
+        keys.dedup();
+        for key in &keys {
+            self.store
+                .locks()
+                .acquire(self.id, key, self.lock_timeout)?;
         }
+        Ok(())
     }
 
     /// Explicitly locks one row by primary key — the `Mark X and Lock X`
@@ -127,21 +140,9 @@ impl Txn {
         pred: &Predicate,
         assignments: &[(String, Value)],
     ) -> SydResult<usize> {
-        // Lock every matching row first (sorted for same-statement safety),
-        // then re-apply the predicate inside the store so rows that changed
-        // after the read are re-tested.
-        let matching = self.store.select(table, pred)?;
-        let mut keys = Vec::with_capacity(matching.len());
-        for row in &matching {
-            keys.push(self.lock_key_for(table, row)?);
-        }
-        keys.sort();
-        keys.dedup();
-        for key in &keys {
-            self.store
-                .locks()
-                .acquire(self.id, key, self.lock_timeout)?;
-        }
+        // Lock every matching row first, then re-apply the predicate inside
+        // the store so rows that changed after the read are re-tested.
+        self.lock_rows(table, &self.store.select(table, pred)?)?;
         let changes = self.store.update_collect(table, pred, assignments)?;
         let n = changes.len();
         for change in changes {
@@ -158,18 +159,7 @@ impl Txn {
 
     /// Deletes matching rows under row locks; returns the affected count.
     pub fn delete(&mut self, table: &str, pred: &Predicate) -> SydResult<usize> {
-        let matching = self.store.select(table, pred)?;
-        let mut keys = Vec::with_capacity(matching.len());
-        for row in &matching {
-            keys.push(self.lock_key_for(table, row)?);
-        }
-        keys.sort();
-        keys.dedup();
-        for key in &keys {
-            self.store
-                .locks()
-                .acquire(self.id, key, self.lock_timeout)?;
-        }
+        self.lock_rows(table, &self.store.select(table, pred)?)?;
         let changes = self.store.delete_collect(table, pred)?;
         let n = changes.len();
         for change in changes {

@@ -5,7 +5,7 @@
 
 use std::collections::BTreeMap;
 
-use syd_store::{Column, ColumnType, Predicate, Schema, Store};
+use syd_store::{Column, ColumnType, Predicate, Row, Schema, Store};
 use syd_types::rng::{cases, Rng};
 use syd_types::Value;
 
@@ -113,14 +113,42 @@ fn apply(store: &Store, model: &mut BTreeMap<i64, i64>, op: &Op) {
     }
 }
 
+/// Rows a read was handed and kept, each with the model's answer at that
+/// moment: whatever the sequence does next, they must still say it.
+type Held = Vec<(Vec<Row>, Vec<(i64, i64)>)>;
+
+fn cells(row: &Row) -> (i64, i64) {
+    (
+        row.values[0].as_i64().unwrap(),
+        row.values[1].as_i64().unwrap(),
+    )
+}
+
+/// The read op: selects a random key range and holds on to the rows.
+fn read_and_hold(rng: &mut Rng, store: &Store, model: &BTreeMap<i64, i64>, held: &mut Held) {
+    let (a, b) = (rng.below(30) as i64, rng.below(30) as i64);
+    let (lo, hi) = (a.min(b), a.max(b));
+    let range = Predicate::Between("key".into(), Value::I64(lo), Value::I64(hi));
+    let mut rows = store.select("t", &range).unwrap();
+    rows.sort_by_key(|row| cells(row).0);
+    held.push((rows, model.range(lo..=hi).map(|(&k, &v)| (k, v)).collect()));
+}
+
+/// Every held row still reads what the model said when it was read.
+fn check_held(held: &Held) {
+    for (rows, expected) in held {
+        assert_eq!(&rows.iter().map(cells).collect::<Vec<_>>(), expected);
+    }
+}
+
 fn check_equivalence(store: &Store, model: &BTreeMap<i64, i64>) {
     // Row count and full contents.
     assert_eq!(store.row_count("t").unwrap(), model.len());
     let mut rows: Vec<(i64, i64)> = store
         .select("t", &Predicate::True)
         .unwrap()
-        .into_iter()
-        .map(|r| (r.values[0].as_i64().unwrap(), r.values[1].as_i64().unwrap()))
+        .iter()
+        .map(cells)
         .collect();
     rows.sort_unstable();
     let expected: Vec<(i64, i64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
@@ -140,11 +168,15 @@ fn check_equivalence(store: &Store, model: &BTreeMap<i64, i64>) {
 fn store_matches_model() {
     cases(64, |rng| {
         let store = fresh_store(false);
-        let mut model = BTreeMap::new();
+        let (mut model, mut held) = (BTreeMap::new(), Held::new());
         for op in &arb_ops(rng, 59) {
             apply(&store, &mut model, op);
+            if rng.below(4) == 0 {
+                read_and_hold(rng, &store, &model, &mut held);
+            }
         }
         check_equivalence(&store, &model);
+        check_held(&held);
     });
 }
 
@@ -154,11 +186,15 @@ fn store_matches_model() {
 fn indexed_store_matches_model() {
     cases(64, |rng| {
         let store = fresh_store(true);
-        let mut model = BTreeMap::new();
+        let (mut model, mut held) = (BTreeMap::new(), Held::new());
         for op in &arb_ops(rng, 59) {
             apply(&store, &mut model, op);
+            if rng.below(4) == 0 {
+                read_and_hold(rng, &store, &model, &mut held);
+            }
         }
         check_equivalence(&store, &model);
+        check_held(&held);
         // Index-served query agrees with a model filter.
         for payload in [-1i64, 0, 1] {
             let via_index = store
