@@ -22,7 +22,7 @@ use syd_core::links::Constraint;
 use syd_core::negotiate::Participant;
 use syd_core::{DeviceRuntime, EntityHandler, SydEnv};
 use syd_net::NetConfig;
-use syd_telemetry::EventKind;
+use syd_telemetry::Event;
 use syd_types::rng::Rng;
 use syd_types::{SydError, SydResult, Value};
 
@@ -271,14 +271,8 @@ pub const INJECTED_SESSION: u64 = 0xFA_11ED;
 pub fn inject_lock_leak(device: &DeviceRuntime) {
     let session = INJECTED_SESSION;
     let entity = "slot:injected";
-    device.journal().record(
-        EventKind::Lock,
-        format!("session={session} entity={entity}"),
-    );
-    device.journal().record(
-        EventKind::Change,
-        format!("session={session} entity={entity} applied=true"),
-    );
+    device.journal().emit(Event::lock(session, entity));
+    device.journal().emit(Event::commit(session, entity, true));
     assert!(
         device
             .store()
@@ -296,13 +290,7 @@ pub fn inject_double_commit(device: &DeviceRuntime) {
     let holder = INJECTED_SESSION ^ 1;
     let entity = "slot:injected";
     let journal = device.journal();
-    journal.record(EventKind::Lock, format!("session={holder} entity={entity}"));
-    journal.record(
-        EventKind::Change,
-        format!("session={INJECTED_SESSION} entity={entity} applied=true"),
-    );
-    journal.record(
-        EventKind::Change,
-        format!("session={holder} entity={entity} applied=true"),
-    );
+    journal.emit(Event::lock(holder, entity));
+    journal.emit(Event::commit(INJECTED_SESSION, entity, true));
+    journal.emit(Event::commit(holder, entity, true));
 }

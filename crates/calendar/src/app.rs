@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
-use syd_core::links::{FireResult, LinkKind, LinkSpec, LinkStatus};
+use syd_core::links::{LinkKind, LinkSpec, LinkStatus};
 use syd_core::{DeviceRuntime, EntityHandler, SubscriptionHandler};
 use syd_store::{Column, ColumnType, Predicate, Schema, Store};
 use syd_telemetry::names;
@@ -862,11 +862,5 @@ impl CalendarApp {
             let _ = self.device.links().delete(link.id, false);
         }
         Ok(())
-    }
-
-    /// Fires all links anchored on a local slot entity (used by tests and
-    /// the fleet/bidding apps; the calendar itself fires selectively).
-    pub fn fire_entity(&self, ordinal: u64, payload: &Value) -> SydResult<Vec<FireResult>> {
-        self.device.entity_changed(&slot_entity(ordinal), payload)
     }
 }

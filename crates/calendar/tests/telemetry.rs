@@ -41,7 +41,10 @@ fn one_trace_spans_all_participants_and_metrics_tick() {
         .journal()
         .events()
         .into_iter()
-        .find(|e| e.kind == EventKind::SpanBegin && e.detail.contains("calendar.schedule"))
+        .find(|e| {
+            e.event.kind() == EventKind::SpanBegin
+                && e.event.to_string().contains("calendar.schedule")
+        })
         .expect("schedule span recorded")
         .trace;
     assert_ne!(trace, 0, "schedule opened a root trace");

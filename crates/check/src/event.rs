@@ -1,547 +1,34 @@
-//! Typed view of the journal's protocol events.
+//! What the checker works out from a journal on its own.
 //!
-//! Hot paths record free-form `key=value` detail strings (cheap to
-//! format, no allocation-heavy structures). The checker parses them back
-//! into [`ProtoEvent`]s here; anything it does not recognize becomes
-//! [`ProtoEvent::Other`] and is ignored by the replay, so application
-//! code is free to journal its own events.
+//! The records themselves are [`syd_telemetry::Event`] values — the same
+//! enum the kernel, `syd-model` and [`crate::synth`] build — so there is
+//! nothing to parse. What stays here is the arithmetic the oracle must
+//! *not* share with the kernel it audits: whether a committed count
+//! meets a constraint, written independently of `syd_core::negotiate::fsm`.
 
-use syd_telemetry::{EventKind, JournalEvent};
+use syd_types::Constraint;
 
-/// Constraint of a negotiation session, parsed from the coordinator's
-/// `SpanBegin` record (the `{:?}` rendering of `syd_core::Constraint`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ConstraintKind {
-    /// All participants must commit (negotiation-and).
-    And,
-    /// At least `k` participants must commit (negotiation-or).
-    AtLeast(u32),
-    /// Exactly `k` participants must commit (negotiation-xor).
-    Exactly(u32),
-}
-
-impl ConstraintKind {
-    /// Whether `committed` out of `participants` satisfies the constraint.
-    pub fn holds(&self, committed: usize, participants: usize) -> bool {
-        match *self {
-            ConstraintKind::And => committed == participants,
-            ConstraintKind::AtLeast(k) => committed >= k as usize,
-            ConstraintKind::Exactly(k) => committed == k as usize,
-        }
-    }
-
-    /// Parses the `Debug` rendering used in `SpanBegin` details.
-    pub fn parse(text: &str) -> Option<ConstraintKind> {
-        if text == "And" {
-            return Some(ConstraintKind::And);
-        }
-        let arg = |prefix: &str| {
-            text.strip_prefix(prefix)?
-                .strip_suffix(')')?
-                .parse::<u32>()
-                .ok()
-        };
-        if let Some(k) = arg("AtLeast(") {
-            return Some(ConstraintKind::AtLeast(k));
-        }
-        arg("Exactly(").map(ConstraintKind::Exactly)
-    }
-}
-
-impl std::fmt::Display for ConstraintKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ConstraintKind::And => f.write_str("And"),
-            ConstraintKind::AtLeast(k) => write!(f, "AtLeast({k})"),
-            ConstraintKind::Exactly(k) => write!(f, "Exactly({k})"),
-        }
-    }
-}
-
-/// One protocol-relevant journal event in typed form.
-///
-/// Participant-side events (`Lock`, `Vote`, `Commit`, `Release`) appear in
-/// the journal of the device whose entity is involved; coordinator-side
-/// events (`Begin`, `Tally`, `Committed`, `AbortUser`, `End`) appear in
-/// the coordinator's journal.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ProtoEvent {
-    /// Participant acquired the entity lock for a session.
-    Lock {
-        /// Negotiation session id.
-        session: u64,
-        /// Locked entity.
-        entity: String,
-    },
-    /// Participant answered a mark request.
-    Vote {
-        /// Negotiation session id.
-        session: u64,
-        /// Marked entity.
-        entity: String,
-        /// True for `vote=yes`.
-        yes: bool,
-        /// Decline reason (`lock-busy` means the lock was never taken;
-        /// any other reason means prepare failed after locking).
-        reason: Option<String>,
-    },
-    /// Participant applied (or failed to apply) a committed change.
-    Commit {
-        /// Negotiation session id.
-        session: u64,
-        /// Changed entity.
-        entity: String,
-        /// Whether the entity handler applied the change.
-        applied: bool,
-    },
-    /// Participant aborted a session's change on an entity (coordinator
-    /// abort, or the stale-session sweep reclaiming a dead owner's lock).
-    Release {
-        /// Negotiation session id.
-        session: u64,
-        /// Released entity.
-        entity: String,
-        /// Why the change was discarded.
-        reason: String,
-    },
-    /// Coordinator opened a negotiation session.
-    Begin {
-        /// Negotiation session id.
-        session: u64,
-        /// Constraint being negotiated.
-        constraint: ConstraintKind,
-        /// Number of participants.
-        participants: usize,
-    },
-    /// Coordinator tallied the mark phase.
-    Tally {
-        /// Negotiation session id.
-        session: u64,
-        /// Yes votes.
-        yes: usize,
-        /// Declines.
-        declined: usize,
-        /// Lock-busy answers.
-        contended: usize,
-    },
-    /// Coordinator counted the successful commits.
-    Committed {
-        /// Negotiation session id.
-        session: u64,
-        /// Participants whose commit succeeded.
-        committed: usize,
-    },
-    /// Coordinator recorded an abort decision for one participant.
-    AbortUser {
-        /// Negotiation session id.
-        session: u64,
-        /// The aborted participant.
-        user: u64,
-        /// Why (`lock-contention`, `xor-overflow`, `commit-failed`, …).
-        reason: String,
-    },
-    /// Coordinator closed a negotiation session.
-    End {
-        /// Negotiation session id.
-        session: u64,
-        /// Final outcome: constraint satisfied and commits applied.
-        satisfied: bool,
-        /// Committed participant count.
-        committed: usize,
-        /// Aborted participant count.
-        aborted: usize,
-        /// Declined participant count.
-        declined: usize,
-    },
-    /// A waiting link was promoted to permanent (§4.2 op. 3).
-    Promoted {
-        /// The promoted link.
-        link: u64,
-        /// Its queue priority.
-        priority: i64,
-        /// Its waiting group.
-        group: i64,
-    },
-    /// A link was deleted, possibly fanning out along its correlation id.
-    LinkDeleted {
-        /// The deleted link.
-        id: u64,
-        /// Correlation id of the connection.
-        corr: String,
-        /// Whether the deletion cascades to peers.
-        cascade: bool,
-    },
-    /// Anything the checker does not model.
-    Other,
-}
-
-/// `key=value` tokens of a detail string. `reason=` swallows the rest of
-/// the line, since error messages contain spaces.
-struct Fields<'a> {
-    pairs: Vec<(&'a str, &'a str)>,
-    reason: Option<&'a str>,
-}
-
-impl<'a> Fields<'a> {
-    fn of(detail: &'a str) -> Fields<'a> {
-        let (head, reason) = match detail.find("reason=") {
-            Some(i) => (&detail[..i], Some(&detail[i + "reason=".len()..])),
-            None => (detail, None),
-        };
-        Fields {
-            pairs: head
-                .split_whitespace()
-                .filter_map(|tok| tok.split_once('='))
-                .collect(),
-            reason,
-        }
-    }
-
-    fn get(&self, key: &str) -> Option<&'a str> {
-        self.pairs.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
-    }
-
-    fn u64(&self, key: &str) -> Option<u64> {
-        self.get(key)?.parse().ok()
-    }
-
-    fn i64(&self, key: &str) -> Option<i64> {
-        self.get(key)?.parse().ok()
-    }
-
-    fn usize(&self, key: &str) -> Option<usize> {
-        self.get(key)?.parse().ok()
-    }
-
-    fn bool(&self, key: &str) -> Option<bool> {
-        match self.get(key)? {
-            "true" => Some(true),
-            "false" => Some(false),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one journal event into its typed protocol form.
-pub fn parse(event: &JournalEvent) -> ProtoEvent {
-    let f = Fields::of(&event.detail);
-    match event.kind {
-        EventKind::Lock => match (f.u64("session"), f.get("entity")) {
-            (Some(session), Some(entity)) => ProtoEvent::Lock {
-                session,
-                entity: entity.to_owned(),
-            },
-            _ => ProtoEvent::Other,
-        },
-        EventKind::Mark => {
-            if let (Some(session), Some(entity)) = (f.u64("session"), f.get("entity")) {
-                match f.get("vote") {
-                    Some("yes") => ProtoEvent::Vote {
-                        session,
-                        entity: entity.to_owned(),
-                        yes: true,
-                        reason: None,
-                    },
-                    Some("no") => ProtoEvent::Vote {
-                        session,
-                        entity: entity.to_owned(),
-                        yes: false,
-                        reason: f.reason.map(str::to_owned),
-                    },
-                    _ => ProtoEvent::Other,
-                }
-            } else if let (Some(session), Some(yes), Some(declined), Some(contended)) = (
-                f.u64("session"),
-                f.usize("yes"),
-                f.usize("declined"),
-                f.usize("contended"),
-            ) {
-                ProtoEvent::Tally {
-                    session,
-                    yes,
-                    declined,
-                    contended,
-                }
-            } else {
-                ProtoEvent::Other
-            }
-        }
-        EventKind::Change => {
-            if let (Some(session), Some(entity), Some(applied)) =
-                (f.u64("session"), f.get("entity"), f.bool("applied"))
-            {
-                ProtoEvent::Commit {
-                    session,
-                    entity: entity.to_owned(),
-                    applied,
-                }
-            } else if let (Some(session), Some(committed)) =
-                (f.u64("session"), f.usize("committed"))
-            {
-                ProtoEvent::Committed { session, committed }
-            } else {
-                ProtoEvent::Other
-            }
-        }
-        EventKind::Abort => {
-            if let (Some(session), Some(entity)) = (f.u64("session"), f.get("entity")) {
-                ProtoEvent::Release {
-                    session,
-                    entity: entity.to_owned(),
-                    reason: f.reason.unwrap_or("").to_owned(),
-                }
-            } else if let (Some(session), Some(user)) = (f.u64("session"), f.u64("user")) {
-                ProtoEvent::AbortUser {
-                    session,
-                    user,
-                    reason: f.reason.unwrap_or("").to_owned(),
-                }
-            } else {
-                ProtoEvent::Other
-            }
-        }
-        EventKind::SpanBegin if event.detail.starts_with("negotiate ") => {
-            match (
-                f.u64("session"),
-                f.get("constraint").and_then(ConstraintKind::parse),
-                f.usize("participants"),
-            ) {
-                (Some(session), Some(constraint), Some(participants)) => ProtoEvent::Begin {
-                    session,
-                    constraint,
-                    participants,
-                },
-                _ => ProtoEvent::Other,
-            }
-        }
-        EventKind::SpanEnd if event.detail.starts_with("negotiate ") => {
-            match (
-                f.u64("session"),
-                f.bool("satisfied"),
-                f.usize("committed"),
-                f.usize("aborted"),
-                f.usize("declined"),
-            ) {
-                (
-                    Some(session),
-                    Some(satisfied),
-                    Some(committed),
-                    Some(aborted),
-                    Some(declined),
-                ) => ProtoEvent::End {
-                    session,
-                    satisfied,
-                    committed,
-                    aborted,
-                    declined,
-                },
-                _ => ProtoEvent::Other,
-            }
-        }
-        EventKind::Promotion => match (f.u64("id"), f.i64("priority"), f.i64("group")) {
-            (Some(link), Some(priority), Some(group)) => ProtoEvent::Promoted {
-                link,
-                priority,
-                group,
-            },
-            _ => ProtoEvent::Other,
-        },
-        EventKind::Info if event.detail.starts_with("link.deleted ") => {
-            match (f.u64("id"), f.get("corr"), f.bool("cascade")) {
-                (Some(id), Some(corr), Some(cascade)) => ProtoEvent::LinkDeleted {
-                    id,
-                    corr: corr.to_owned(),
-                    cascade,
-                },
-                _ => ProtoEvent::Other,
-            }
-        }
-        _ => ProtoEvent::Other,
+/// Whether `committed` out of `participants` satisfies `constraint`.
+pub fn holds(constraint: Constraint, committed: u32, participants: u32) -> bool {
+    match constraint {
+        Constraint::And => committed == participants,
+        Constraint::AtLeast(k) => committed >= k,
+        Constraint::Exactly(k) => committed == k,
     }
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code
 mod tests {
     use super::*;
 
-    fn ev(kind: EventKind, detail: &str) -> JournalEvent {
-        JournalEvent {
-            seq: 0,
-            at_micros: 0,
-            trace: 0,
-            span: 0,
-            kind,
-            detail: detail.to_owned(),
-        }
-    }
-
-    #[test]
-    fn parses_participant_events() {
-        assert_eq!(
-            parse(&ev(EventKind::Lock, "session=7 entity=slot:1:9")),
-            ProtoEvent::Lock {
-                session: 7,
-                entity: "slot:1:9".into()
-            }
-        );
-        assert_eq!(
-            parse(&ev(EventKind::Mark, "session=7 entity=e vote=yes")),
-            ProtoEvent::Vote {
-                session: 7,
-                entity: "e".into(),
-                yes: true,
-                reason: None
-            }
-        );
-        assert_eq!(
-            parse(&ev(
-                EventKind::Mark,
-                "session=7 entity=e vote=no reason=e is busy right now"
-            )),
-            ProtoEvent::Vote {
-                session: 7,
-                entity: "e".into(),
-                yes: false,
-                reason: Some("e is busy right now".into())
-            }
-        );
-        assert_eq!(
-            parse(&ev(EventKind::Change, "session=7 entity=e applied=true")),
-            ProtoEvent::Commit {
-                session: 7,
-                entity: "e".into(),
-                applied: true
-            }
-        );
-        assert_eq!(
-            parse(&ev(
-                EventKind::Abort,
-                "session=7 entity=e reason=coordinator-abort"
-            )),
-            ProtoEvent::Release {
-                session: 7,
-                entity: "e".into(),
-                reason: "coordinator-abort".into()
-            }
-        );
-    }
-
-    #[test]
-    fn parses_coordinator_events() {
-        assert_eq!(
-            parse(&ev(
-                EventKind::SpanBegin,
-                "negotiate session=16777217 constraint=AtLeast(2) participants=3"
-            )),
-            ProtoEvent::Begin {
-                session: 16777217,
-                constraint: ConstraintKind::AtLeast(2),
-                participants: 3
-            }
-        );
-        assert_eq!(
-            parse(&ev(
-                EventKind::Mark,
-                "session=5 yes=2 declined=1 contended=0"
-            )),
-            ProtoEvent::Tally {
-                session: 5,
-                yes: 2,
-                declined: 1,
-                contended: 0
-            }
-        );
-        assert_eq!(
-            parse(&ev(EventKind::Change, "session=5 committed=2")),
-            ProtoEvent::Committed {
-                session: 5,
-                committed: 2
-            }
-        );
-        assert_eq!(
-            parse(&ev(
-                EventKind::Abort,
-                "session=5 user=3 reason=xor-overflow"
-            )),
-            ProtoEvent::AbortUser {
-                session: 5,
-                user: 3,
-                reason: "xor-overflow".into()
-            }
-        );
-        assert_eq!(
-            parse(&ev(
-                EventKind::SpanEnd,
-                "negotiate session=5 satisfied=true committed=2 aborted=0 declined=1"
-            )),
-            ProtoEvent::End {
-                session: 5,
-                satisfied: true,
-                committed: 2,
-                aborted: 0,
-                declined: 1
-            }
-        );
-    }
-
-    #[test]
-    fn parses_link_events() {
-        assert_eq!(
-            parse(&ev(
-                EventKind::Promotion,
-                "link.promoted group=7 id=3 priority=200"
-            )),
-            ProtoEvent::Promoted {
-                link: 3,
-                priority: 200,
-                group: 7
-            }
-        );
-        assert_eq!(
-            parse(&ev(
-                EventKind::Info,
-                "link.deleted cascade=true corr=corr:1:2 id=4"
-            )),
-            ProtoEvent::LinkDeleted {
-                id: 4,
-                corr: "corr:1:2".into(),
-                cascade: true
-            }
-        );
-    }
-
-    #[test]
-    fn unmodeled_events_are_other() {
-        assert_eq!(parse(&ev(EventKind::Info, "link.created corr=c id=1")), {
-            ProtoEvent::Other
-        });
-        assert_eq!(
-            parse(&ev(EventKind::SpanBegin, "rpc call")),
-            ProtoEvent::Other
-        );
-        assert_eq!(parse(&ev(EventKind::Mark, "garbage")), ProtoEvent::Other);
-    }
-
     #[test]
     fn constraint_arithmetic() {
-        assert!(ConstraintKind::And.holds(3, 3));
-        assert!(!ConstraintKind::And.holds(2, 3));
-        assert!(ConstraintKind::AtLeast(2).holds(2, 3));
-        assert!(ConstraintKind::AtLeast(2).holds(3, 3));
-        assert!(!ConstraintKind::AtLeast(2).holds(1, 3));
-        assert!(ConstraintKind::Exactly(1).holds(1, 3));
-        assert!(!ConstraintKind::Exactly(1).holds(2, 3));
-        assert_eq!(ConstraintKind::parse("And"), Some(ConstraintKind::And));
-        assert_eq!(
-            ConstraintKind::parse("AtLeast(4)"),
-            Some(ConstraintKind::AtLeast(4))
-        );
-        assert_eq!(
-            ConstraintKind::parse("Exactly(1)"),
-            Some(ConstraintKind::Exactly(1))
-        );
-        assert_eq!(ConstraintKind::parse("Nope(1)"), None);
-        assert_eq!(ConstraintKind::AtLeast(2).to_string(), "AtLeast(2)");
+        assert!(holds(Constraint::And, 3, 3));
+        assert!(!holds(Constraint::And, 2, 3));
+        assert!(holds(Constraint::AtLeast(2), 2, 3));
+        assert!(holds(Constraint::AtLeast(2), 3, 3));
+        assert!(!holds(Constraint::AtLeast(2), 1, 3));
+        assert!(holds(Constraint::Exactly(1), 1, 3));
+        assert!(!holds(Constraint::Exactly(1), 2, 3));
     }
 }

@@ -17,6 +17,12 @@
 //!   promotion respects priority;
 //! * **cascade deletes** (strict) — no link halves left behind.
 //!
+//! What it reads is a value, not text: a journal record is a
+//! [`syd_telemetry::Event`], the enum the kernel, `syd-model` and
+//! [`synth`] all build, so entity names, refusal reasons and correlation
+//! ids are compared, never tokenized. The lines of a violation's excerpt
+//! are that enum's `Display` rendering.
+//!
 //! Run [`audit`] (or [`audit_strict`] after quiescing on a reliable
 //! network) over the deployment's devices; the returned
 //! [`AuditReport`] renders each violation with the offending session id
@@ -35,7 +41,6 @@ pub mod synth;
 use syd_core::{DeviceRuntime, LinkStatus};
 use syd_types::Value;
 
-pub use event::{ConstraintKind, ProtoEvent};
 pub use replay::{audit_journals, AuditOptions};
 pub use report::{AuditReport, Rule, Violation};
 pub use state::{audit_states, DeviceState, HeldLock, LinkRecord, WaitingRecord};

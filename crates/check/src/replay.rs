@@ -23,9 +23,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use syd_telemetry::JournalEvent;
+use syd_telemetry::{Event, JournalEvent, Vote};
+use syd_types::Constraint;
 
-use crate::event::{parse, ConstraintKind, ProtoEvent};
+use crate::event::holds;
 use crate::report::{render, session_excerpt, AuditReport, Rule, Violation};
 
 /// Tunables for an audit pass.
@@ -89,7 +90,7 @@ pub(crate) fn replay_device(
     // (session, entity) -> story phase.
     let mut phase: BTreeMap<(u64, String), Phase> = BTreeMap::new();
     // Coordinator side: session -> (constraint, participants).
-    let mut begun: BTreeMap<u64, (ConstraintKind, usize)> = BTreeMap::new();
+    let mut begun: BTreeMap<u64, (Constraint, u32)> = BTreeMap::new();
 
     let violate = |report: &mut AuditReport, rule, session: Option<u64>, message: String| {
         let excerpt = match session {
@@ -106,10 +107,9 @@ pub(crate) fn replay_device(
     };
 
     for event in events {
-        let parsed = parse(event);
-        match &parsed {
-            ProtoEvent::Lock { session, entity } => {
-                summary.sessions.insert(*session);
+        summary.sessions.extend(event.event.session());
+        match &event.event {
+            Event::Lock { session, entity } => {
                 if !summary.truncated {
                     if let Some(&other) = holder.get(entity) {
                         if other != *session {
@@ -140,53 +140,54 @@ pub(crate) fn replay_device(
                 holder.insert(entity.clone(), *session);
                 phase.insert((*session, entity.clone()), Phase::Locked);
             }
-            ProtoEvent::Vote {
+            Event::Vote {
                 session,
                 entity,
-                yes,
-                reason,
+                vote,
             } => {
-                summary.sessions.insert(*session);
                 let key = (*session, entity.clone());
-                if *yes {
-                    if !summary.truncated && phase.get(&key) != Some(&Phase::Locked) {
-                        violate(
-                            report,
-                            Rule::Ordering,
-                            Some(*session),
-                            format!("vote=yes on `{entity}` without holding its lock"),
-                        );
+                match vote {
+                    Vote::Yes => {
+                        if !summary.truncated && phase.get(&key) != Some(&Phase::Locked) {
+                            violate(
+                                report,
+                                Rule::Ordering,
+                                Some(*session),
+                                format!("vote=yes on `{entity}` without holding its lock"),
+                            );
+                        }
                     }
-                } else if reason.as_deref() == Some("lock-busy") {
                     // The lock was never taken; nothing to release.
-                    if !summary.truncated && holder.get(entity) == Some(session) {
-                        violate(
-                            report,
-                            Rule::Ordering,
-                            Some(*session),
-                            format!("vote=no reason=lock-busy on `{entity}` while holding it"),
-                        );
+                    Vote::LockBusy => {
+                        if !summary.truncated && holder.get(entity) == Some(session) {
+                            violate(
+                                report,
+                                Rule::Ordering,
+                                Some(*session),
+                                format!("vote=no reason=lock-busy on `{entity}` while holding it"),
+                            );
+                        }
                     }
-                } else {
                     // Prepare failed after locking: the lock is released.
-                    if !summary.truncated && phase.get(&key) != Some(&Phase::Locked) {
-                        violate(
-                            report,
-                            Rule::Ordering,
-                            Some(*session),
-                            format!("vote=no (prepare) on `{entity}` without holding its lock"),
-                        );
+                    Vote::Refused(_) => {
+                        if !summary.truncated && phase.get(&key) != Some(&Phase::Locked) {
+                            violate(
+                                report,
+                                Rule::Ordering,
+                                Some(*session),
+                                format!("vote=no (prepare) on `{entity}` without holding its lock"),
+                            );
+                        }
+                        if holder.get(entity) == Some(session) {
+                            holder.remove(entity);
+                        }
+                        phase.insert(key, Phase::Aborted);
                     }
-                    if holder.get(entity) == Some(session) {
-                        holder.remove(entity);
-                    }
-                    phase.insert(key, Phase::Aborted);
                 }
             }
-            ProtoEvent::Commit {
+            Event::Commit {
                 session, entity, ..
             } => {
-                summary.sessions.insert(*session);
                 let key = (*session, entity.clone());
                 if !summary.truncated {
                     match phase.get(&key) {
@@ -221,10 +222,9 @@ pub(crate) fn replay_device(
                 }
                 phase.insert(key, Phase::Committed);
             }
-            ProtoEvent::Release {
+            Event::Release {
                 session, entity, ..
             } => {
-                summary.sessions.insert(*session);
                 let key = (*session, entity.clone());
                 // An abort without a lock is legal: coordinators abort
                 // broadly to clean up lost-message locks.
@@ -243,25 +243,25 @@ pub(crate) fn replay_device(
                     phase.insert(key, Phase::Aborted);
                 }
             }
-            ProtoEvent::Begin {
+            Event::Begin {
                 session,
                 constraint,
                 participants,
             } => {
-                summary.sessions.insert(*session);
                 begun.insert(*session, (*constraint, *participants));
             }
-            ProtoEvent::Tally {
+            Event::Tally {
                 session,
                 yes,
                 declined,
                 contended,
             } => {
-                summary.sessions.insert(*session);
                 if let Some((_, participants)) = begun.get(session) {
                     // `contended` is the transient-conflict *subset* of
                     // `declined`, so the conservation law is yes+declined.
-                    if yes + declined != *participants || contended > declined {
+                    if u64::from(*yes) + u64::from(*declined) != u64::from(*participants)
+                        || contended > declined
+                    {
                         violate(
                             report,
                             Rule::Constraint,
@@ -275,27 +275,28 @@ pub(crate) fn replay_device(
                     }
                 }
             }
-            ProtoEvent::End {
+            Event::End {
                 session,
                 satisfied,
                 committed,
                 aborted,
                 declined,
             } => {
-                summary.sessions.insert(*session);
-                if let Some((constraint, participants)) = begun.get(session) {
-                    if *satisfied && !constraint.holds(*committed, *participants) {
+                if let Some(&(constraint, participants)) = begun.get(session) {
+                    if *satisfied && !holds(constraint, *committed, participants) {
                         violate(
                             report,
                             Rule::Constraint,
                             Some(*session),
                             format!(
                                 "satisfied session committed {committed}/{participants}, \
-                                 violating {constraint}"
+                                 violating {constraint:?}"
                             ),
                         );
                     }
-                    if committed + aborted + declined > *participants {
+                    if u64::from(*committed) + u64::from(*aborted) + u64::from(*declined)
+                        > u64::from(participants)
+                    {
                         violate(
                             report,
                             Rule::Constraint,
@@ -308,15 +309,15 @@ pub(crate) fn replay_device(
                     }
                 }
             }
-            ProtoEvent::LinkDeleted { corr, cascade, .. } => {
+            Event::LinkDeleted { corr, cascade, .. } => {
                 if *cascade {
                     summary.cascaded.insert(corr.clone());
                 }
             }
-            ProtoEvent::Committed { session, .. } | ProtoEvent::AbortUser { session, .. } => {
-                summary.sessions.insert(*session);
-            }
-            ProtoEvent::Promoted { .. } | ProtoEvent::Other => {}
+            Event::Committed { .. }
+            | Event::AbortUser { .. }
+            | Event::Promoted { .. }
+            | Event::Note { .. } => {}
         }
     }
 

@@ -148,10 +148,9 @@ impl fmt::Display for AuditReport {
 /// `limit` caps the excerpt; when more lines match, the excerpt keeps the
 /// first and last few so both the setup and the failure stay visible.
 pub(crate) fn session_excerpt(events: &[JournalEvent], session: u64, limit: usize) -> Vec<String> {
-    let token = format!("session={session}");
     let lines: Vec<String> = events
         .iter()
-        .filter(|e| e.detail.split_whitespace().any(|t| t == token))
+        .filter(|e| e.event.session() == Some(session))
         .map(render)
         .collect();
     if lines.len() <= limit || limit < 4 {
@@ -169,7 +168,10 @@ pub(crate) fn session_excerpt(events: &[JournalEvent], session: u64, limit: usiz
 pub(crate) fn render(event: &JournalEvent) -> String {
     format!(
         "#{} +{}us {} {}",
-        event.seq, event.at_micros, event.kind, event.detail
+        event.seq,
+        event.at_micros,
+        event.event.kind(),
+        event.event
     )
 }
 
@@ -177,25 +179,41 @@ pub(crate) fn render(event: &JournalEvent) -> String {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // test code
 mod tests {
     use super::*;
-    use syd_telemetry::EventKind;
+    use syd_telemetry::{Event, EventKind};
 
-    fn ev(seq: u64, detail: &str) -> JournalEvent {
+    fn ev(seq: u64, event: Event) -> JournalEvent {
         JournalEvent {
             seq,
             at_micros: seq * 10,
             trace: 0,
             span: 0,
-            kind: EventKind::Info,
-            detail: detail.to_owned(),
+            event,
         }
     }
 
     #[test]
     fn excerpt_selects_exact_session_tokens() {
         let events = vec![
-            ev(0, "session=5 entity=a"),
-            ev(1, "session=50 entity=b"),
-            ev(2, "negotiate session=5 satisfied=true"),
+            ev(0, Event::lock(5, "a")),
+            ev(1, Event::lock(50, "b")),
+            // Text that merely *mentions* the session is not its story.
+            ev(
+                2,
+                Event::Note {
+                    kind: EventKind::Info,
+                    text: "session=5 entity=c".into(),
+                },
+            ),
+            ev(
+                3,
+                Event::End {
+                    session: 5,
+                    satisfied: true,
+                    committed: 1,
+                    aborted: 0,
+                    declined: 0,
+                },
+            ),
         ];
         let lines = session_excerpt(&events, 5, 8);
         assert_eq!(lines.len(), 2);
@@ -206,12 +224,12 @@ mod tests {
     #[test]
     fn excerpt_elides_the_middle() {
         let events: Vec<JournalEvent> = (0..20)
-            .map(|i| ev(i, &format!("session=1 step={i}")))
+            .map(|i| ev(i, Event::lock(1, format!("step{i}"))))
             .collect();
         let lines = session_excerpt(&events, 1, 8);
         assert_eq!(lines.len(), 8);
         assert!(lines[4].contains("more"), "{lines:?}");
-        assert!(lines[7].contains("step=19"), "{lines:?}");
+        assert!(lines[7].contains("entity=step19"), "{lines:?}");
     }
 
     #[test]

@@ -190,28 +190,31 @@ fn waiting_violation(device: &DeviceState, message: String) -> Violation {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // test code
 mod tests {
     use super::*;
-    use syd_telemetry::EventKind;
+    use syd_telemetry::{Event, Vote};
 
-    fn ev(seq: u64, kind: EventKind, detail: &str) -> JournalEvent {
+    fn ev(seq: u64, event: Event) -> JournalEvent {
         JournalEvent {
             seq,
             at_micros: seq * 10,
             trace: 0,
             span: 0,
-            kind,
-            detail: detail.to_owned(),
+            event,
         }
+    }
+
+    fn lock(seq: u64) -> JournalEvent {
+        ev(seq, Event::lock(9, "e"))
+    }
+
+    fn commit(seq: u64) -> JournalEvent {
+        ev(seq, Event::commit(9, "e", true))
     }
 
     #[test]
     fn clean_snapshot_audits_clean() {
         let state = DeviceState {
             device: "dev1".into(),
-            journal: vec![
-                ev(0, EventKind::Lock, "session=9 entity=e"),
-                ev(1, EventKind::Mark, "session=9 entity=e vote=yes"),
-                ev(2, EventKind::Change, "session=9 entity=e applied=true"),
-            ],
+            journal: vec![lock(0), ev(1, Event::vote(9, "e", Vote::Yes)), commit(2)],
             ..DeviceState::default()
         };
         let report = audit_states(&[state], &AuditOptions::strict());
@@ -223,10 +226,7 @@ mod tests {
     fn held_lock_with_closed_story_is_a_leak() {
         let state = DeviceState {
             device: "dev1".into(),
-            journal: vec![
-                ev(0, EventKind::Lock, "session=9 entity=e"),
-                ev(1, EventKind::Change, "session=9 entity=e applied=true"),
-            ],
+            journal: vec![lock(0), commit(1)],
             locks: vec![HeldLock {
                 session: 9,
                 entity: "e".into(),
@@ -264,8 +264,11 @@ mod tests {
             device: "dev1".into(),
             journal: vec![ev(
                 0,
-                EventKind::Info,
-                "link.deleted cascade=true corr=c id=1",
+                Event::LinkDeleted {
+                    id: 1,
+                    corr: "c".into(),
+                    cascade: true,
+                },
             )],
             ..DeviceState::default()
         };

@@ -12,10 +12,9 @@
 //! cited in a bug report names the same journals on every platform; the
 //! property tests below sweep seeds and shapes on top.
 
-use syd_telemetry::{EventKind, JournalEvent};
+use syd_telemetry::{Event, JournalEvent, Vote};
 use syd_types::rng::Rng;
-
-use crate::event::ConstraintKind;
+use syd_types::Constraint;
 
 /// A deliberate protocol defect to inject into one generated session.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,26 +45,19 @@ impl Mutation {
     ];
 }
 
-/// One device's journal under construction.
-struct DeviceJournal {
-    name: String,
-    seq: u64,
-    events: Vec<JournalEvent>,
-}
+/// One device's journal under construction: its name and its events.
+type DeviceJournal = (String, Vec<JournalEvent>);
 
-impl DeviceJournal {
-    fn push(&mut self, at: &mut u64, kind: EventKind, detail: String) {
-        *at += 1;
-        self.events.push(JournalEvent {
-            seq: self.seq,
-            at_micros: *at,
-            trace: 0,
-            span: 0,
-            kind,
-            detail,
-        });
-        self.seq += 1;
-    }
+/// Appends `event`, stamped with the next tick of the logical clock `at`.
+fn push(journal: &mut DeviceJournal, at: &mut u64, event: Event) {
+    *at += 1;
+    journal.1.push(JournalEvent {
+        seq: journal.1.len() as u64,
+        at_micros: *at,
+        trace: 0,
+        span: 0,
+        event,
+    });
 }
 
 /// Generates `sessions` sequential negotiation sessions across `devices`
@@ -81,11 +73,7 @@ pub fn generate(
     let devices = devices.max(2);
     let mut rng = Rng::new(seed);
     let mut journals: Vec<DeviceJournal> = (0..devices)
-        .map(|i| DeviceJournal {
-            name: format!("dev{i}"),
-            seq: 0,
-            events: Vec::new(),
-        })
+        .map(|i| (format!("dev{i}"), Vec::new()))
         .collect();
     let mut at = 0u64;
     let target = sessions / 2;
@@ -98,8 +86,7 @@ pub fn generate(
         };
         gen_session(&mut rng, &mut journals, &mut at, i as u64, m);
     }
-
-    journals.into_iter().map(|d| (d.name, d.events)).collect()
+    journals
 }
 
 fn gen_session(
@@ -131,87 +118,77 @@ fn gen_session(
 
     let constraint = if mutation == Mutation::BadArithmetic {
         // Force a constraint that the mutated counts will clearly violate.
-        ConstraintKind::And
+        Constraint::And
     } else {
         match rng.below(3) {
-            0 => ConstraintKind::And,
-            1 => ConstraintKind::AtLeast(1 + rng.below(count as u64) as u32),
-            _ => ConstraintKind::Exactly(1 + rng.below(count as u64) as u32),
+            0 => Constraint::And,
+            1 => Constraint::AtLeast(1 + rng.below(count as u64) as u32),
+            _ => Constraint::Exactly(1 + rng.below(count as u64) as u32),
         }
     };
+    let lock = || Event::lock(session, entity.as_str());
+    let vote = |vote| Event::vote(session, entity.as_str(), vote);
+    let commit = |session| Event::commit(session, entity.as_str(), true);
 
-    journals[coord].push(
+    push(
+        &mut journals[coord],
         at,
-        EventKind::SpanBegin,
-        format!(
-            "negotiate session={session} constraint={constraint:?} participants={}",
-            participants.len()
-        ),
+        Event::Begin {
+            session,
+            constraint,
+            participants: participants.len() as u32,
+        },
     );
 
     // Mark phase: mostly yes votes; occasional declines and lock-busy.
     let mut yes = Vec::new();
-    let mut declined = 0usize;
-    let mut contended = 0usize;
+    let mut declined = 0u32;
+    let mut contended = 0u32;
     for &p in &participants {
         if mutation == Mutation::None && rng.chance(1, 8) {
             if rng.chance(1, 2) {
                 // Lock-busy: no lock was ever taken on p.
-                journals[p].push(
-                    at,
-                    EventKind::Mark,
-                    format!("session={session} entity={entity} vote=no reason=lock-busy"),
-                );
+                push(&mut journals[p], at, vote(Vote::LockBusy));
                 // A lock-busy decline counts in both tallies: `contended`
                 // is the transient subset of `declined`.
                 declined += 1;
                 contended += 1;
             } else {
                 // Prepare failure: lock taken, then released.
-                journals[p].push(
+                push(&mut journals[p], at, lock());
+                push(
+                    &mut journals[p],
                     at,
-                    EventKind::Lock,
-                    format!("session={session} entity={entity}"),
-                );
-                journals[p].push(
-                    at,
-                    EventKind::Mark,
-                    format!("session={session} entity={entity} vote=no reason={entity} is busy"),
+                    vote(Vote::Refused(format!("{entity} is busy"))),
                 );
                 declined += 1;
             }
         } else {
-            journals[p].push(
-                at,
-                EventKind::Lock,
-                format!("session={session} entity={entity}"),
-            );
-            journals[p].push(
-                at,
-                EventKind::Mark,
-                format!("session={session} entity={entity} vote=yes"),
-            );
+            push(&mut journals[p], at, lock());
+            push(&mut journals[p], at, vote(Vote::Yes));
             yes.push(p);
         }
     }
-    journals[coord].push(
+    push(
+        &mut journals[coord],
         at,
-        EventKind::Mark,
-        format!(
-            "session={session} yes={} declined={declined} contended={contended}",
-            yes.len()
-        ),
+        Event::Tally {
+            session,
+            yes: yes.len() as u32,
+            declined,
+            contended,
+        },
     );
 
     // Decide the outcome.
     let n = participants.len();
     let satisfied = match constraint {
-        ConstraintKind::And => yes.len() == n,
-        ConstraintKind::AtLeast(k) | ConstraintKind::Exactly(k) => yes.len() >= k as usize,
+        Constraint::And => yes.len() == n,
+        Constraint::AtLeast(k) | Constraint::Exactly(k) => yes.len() >= k as usize,
     };
     let committed: Vec<usize> = if satisfied {
         match constraint {
-            ConstraintKind::Exactly(k) => yes.iter().copied().take(k as usize).collect(),
+            Constraint::Exactly(k) => yes.iter().copied().take(k as usize).collect(),
             _ => yes.clone(),
         }
     } else {
@@ -238,49 +215,33 @@ fn gen_session(
             // session id so no lock precedes it.
             let stranger = (0..journals.len()).find(|d| !participants.contains(d));
             match stranger {
-                Some(d) => journals[d].push(
-                    at,
-                    EventKind::Change,
-                    format!("session={session} entity={entity} applied=true"),
-                ),
-                None => journals[p].push(
-                    at,
-                    EventKind::Change,
-                    format!("session={} entity={entity} applied=true", session ^ 0xbad),
-                ),
+                Some(d) => push(&mut journals[d], at, commit(session)),
+                None => push(&mut journals[p], at, commit(session ^ 0xbad)),
             }
         }
         if mutation == Mutation::DoubleCommit && p == committed[0] {
             // A foreign session commits the entity while `session` still
             // holds its lock — the classic double booking.
-            journals[p].push(
-                at,
-                EventKind::Change,
-                format!("session={} entity={entity} applied=true", session ^ 0xf00d),
-            );
+            push(&mut journals[p], at, commit(session ^ 0xf00d));
         }
-        journals[p].push(
-            at,
-            EventKind::Change,
-            format!("session={session} entity={entity} applied=true"),
-        );
+        push(&mut journals[p], at, commit(session));
     }
     if !committed.is_empty() {
-        journals[coord].push(
+        push(
+            &mut journals[coord],
             at,
-            EventKind::Change,
-            format!("session={session} committed={}", committed.len()),
+            Event::Committed {
+                session,
+                committed: committed.len() as u32,
+            },
         );
     }
 
     // Abort fan-out: yes-voters not committed, plus decliners (broadcast
     // cleanup — legal without a lock).
     for &p in &aborted {
-        journals[p].push(
-            at,
-            EventKind::Abort,
-            format!("session={session} entity={entity} reason=coordinator-abort"),
-        );
+        let release = Event::release(session, entity.as_str(), "coordinator-abort");
+        push(&mut journals[p], at, release);
     }
 
     let reported_committed = if mutation == Mutation::BadArithmetic {
@@ -294,14 +255,16 @@ fn gen_session(
     } else {
         satisfied && !committed.is_empty()
     };
-    journals[coord].push(
+    push(
+        &mut journals[coord],
         at,
-        EventKind::SpanEnd,
-        format!(
-            "negotiate session={session} satisfied={final_satisfied} \
-             committed={reported_committed} aborted={} declined={declined}",
-            aborted.len()
-        ),
+        Event::End {
+            session,
+            satisfied: final_satisfied,
+            committed: reported_committed as u32,
+            aborted: aborted.len() as u32,
+            declined,
+        },
     );
 }
 
@@ -427,8 +390,8 @@ mod tests {
             for e in events {
                 fnv(&mut hash, &e.seq.to_le_bytes());
                 fnv(&mut hash, &e.at_micros.to_le_bytes());
-                fnv(&mut hash, e.kind.to_string().as_bytes());
-                fnv(&mut hash, e.detail.as_bytes());
+                fnv(&mut hash, e.event.kind().to_string().as_bytes());
+                fnv(&mut hash, e.event.to_string().as_bytes());
             }
         }
         assert_eq!(
@@ -441,6 +404,8 @@ mod tests {
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)] // test code
 mod proptests {
+    use std::collections::BTreeMap;
+
     use syd_types::rng::cases;
 
     use super::*;
@@ -458,25 +423,71 @@ mod proptests {
         });
     }
 
+    /// Maps every free string of a history — entities, prepare-refusal
+    /// reasons, correlation ids — through an injective renaming into
+    /// arbitrary text (NUL, newlines, quotes, `=`, spaces, multi-byte).
+    fn rename(
+        journals: &[(String, Vec<JournalEvent>)],
+        rng: &mut Rng,
+    ) -> Vec<(String, Vec<JournalEvent>)> {
+        let mut names: BTreeMap<String, String> = BTreeMap::new();
+        let mut fresh = |old: &mut String| {
+            // The counter suffix keeps two draws that collide apart.
+            let n = names.len();
+            let new = names
+                .entry(old.clone())
+                .or_insert_with(|| format!("{}#{n}", rng.string(12)));
+            old.clone_from(new);
+        };
+        let mut renamed = journals.to_vec();
+        for event in renamed.iter_mut().flat_map(|(_, events)| events) {
+            match &mut event.event {
+                Event::Lock { entity, .. }
+                | Event::Commit { entity, .. }
+                | Event::Release { entity, .. } => fresh(entity),
+                Event::Vote { entity, vote, .. } => {
+                    fresh(entity);
+                    if let Vote::Refused(reason) = vote {
+                        fresh(reason);
+                    }
+                }
+                Event::LinkDeleted { corr, .. } => fresh(corr),
+                _ => {}
+            }
+        }
+        renamed
+    }
+
+    /// A mutation either leaves the journals accidentally valid (e.g. the
+    /// target session committed nothing) or is reported under its own
+    /// invariant class — never as random noise. And the verdict is
+    /// metamorphic under [`rename`]: it depends on which strings are
+    /// *equal*, never on what they contain, because a record is a value
+    /// and no entity, reason or corr can be mistaken for syntax.
     #[test]
     fn mutations_never_pass_silently_as_wrong_rule() {
         cases(256, |rng| {
             let (seed, sessions, devices) =
                 (1 + rng.below(9_999), 3 + rng.below(13), 2 + rng.below(4));
-            let mutation = Mutation::ALL[1 + rng.below(Mutation::ALL.len() as u64 - 1) as usize];
+            let mutation = Mutation::ALL[rng.below(Mutation::ALL.len() as u64) as usize];
             let journals = generate(seed, sessions as usize, devices as usize, mutation);
-            let report = audit_journals(&journals, &AuditOptions::strict());
-            // A mutation either leaves the journals accidentally valid
-            // (e.g. the target session committed nothing) or is reported
-            // under its own invariant class — never as random noise.
-            for v in &report.violations {
-                let expected = match mutation {
-                    Mutation::DropRelease => Rule::LockLeak,
-                    Mutation::DoubleCommit | Mutation::CommitWithoutLock => Rule::DoubleBook,
-                    Mutation::BadArithmetic => Rule::Constraint,
-                    Mutation::None => unreachable!(),
-                };
-                assert_eq!(v.rule, expected, "unexpected violation: {v}");
+            let verdict = |journals: &[(String, Vec<JournalEvent>)]| {
+                audit_journals(journals, &AuditOptions::strict())
+                    .violations
+                    .into_iter()
+                    .map(|v| (v.device, v.session, v.rule))
+                    .collect::<Vec<_>>()
+            };
+            let renamed = verdict(&rename(&journals, rng));
+            assert_eq!(verdict(&journals), renamed, "{mutation:?} seed {seed}");
+            let expected = match mutation {
+                Mutation::None => None,
+                Mutation::DropRelease => Some(Rule::LockLeak),
+                Mutation::DoubleCommit | Mutation::CommitWithoutLock => Some(Rule::DoubleBook),
+                Mutation::BadArithmetic => Some(Rule::Constraint),
+            };
+            for (device, session, rule) in renamed {
+                assert_eq!(Some(rule), expected, "{device} {session:?} {mutation:?}");
             }
         });
     }

@@ -13,7 +13,7 @@ use syd_core::links::Constraint;
 use syd_core::negotiate::{link_service, Participant};
 use syd_core::{DeviceRuntime, SydEnv};
 use syd_net::NetConfig;
-use syd_telemetry::EventKind;
+use syd_telemetry::Event;
 use syd_types::Value;
 
 fn rig(n: usize) -> (SydEnv, Vec<DeviceRuntime>) {
@@ -46,6 +46,58 @@ fn negotiations_on_ideal_network_audit_strictly_clean() {
             .unwrap();
     }
     syd_check::audit_strict(devices.iter()).assert_clean();
+}
+
+/// The kernel accepts any string as an entity name, so the checker must
+/// too: a correct `and`-negotiation over a name that *looks like* journal
+/// syntax audits strictly clean. (When the journal was text, the checker
+/// read this entity as `x` with the reason `y` and reported three lock
+/// stories that never closed.)
+#[test]
+fn entity_named_like_journal_syntax_audits_strictly_clean() {
+    let (_env, devices) = rig(3);
+    let parts: Vec<Participant> = devices
+        .iter()
+        .map(|d| Participant::new(d.user(), "x reason=y", Value::str("chg")))
+        .collect();
+    let outcome = devices[0].negotiator().negotiate_and(&parts).unwrap();
+    assert!(outcome.satisfied, "{outcome:?}");
+    assert_eq!(outcome.committed.len(), 3);
+    syd_check::audit_strict(devices.iter()).assert_clean();
+}
+
+/// Two entities that differ only after a space are two entities: a mark
+/// of `room a` that never finishes does not collide with a completed
+/// negotiation of `room b` on the same participant. (Read as text, both
+/// were `room`, and the second lock was a double-book.)
+#[test]
+fn entities_differing_after_a_space_do_not_collide() {
+    let (_env, devices) = rig(2);
+    let (coordinator, participant) = (&devices[0], &devices[1]);
+    let stranded = (coordinator.user().raw() << 24) | 0x55;
+    let vote = coordinator
+        .engine()
+        .invoke(
+            participant.user(),
+            &link_service(),
+            "mark",
+            vec![
+                Value::from(stranded),
+                Value::str("room a"),
+                Value::str("chg"),
+            ],
+        )
+        .unwrap();
+    assert_eq!(vote, Value::Bool(true));
+
+    let parts = [Participant::new(
+        participant.user(),
+        "room b",
+        Value::str("chg"),
+    )];
+    let outcome = coordinator.negotiator().negotiate_and(&parts).unwrap();
+    assert!(outcome.satisfied, "{outcome:?}");
+    syd_check::audit(devices.iter()).assert_clean();
 }
 
 /// A coordinator that dies between mark and commit strands the entity
@@ -122,14 +174,10 @@ fn closed_story_with_held_lock_is_a_leak() {
     let (_env, devices) = rig(1);
     let device = &devices[0];
     let session = 0xBAD_CAFE;
-    device.journal().record(
-        EventKind::Lock,
-        format!("session={session} entity=slot:leak"),
-    );
-    device.journal().record(
-        EventKind::Change,
-        format!("session={session} entity=slot:leak applied=true"),
-    );
+    device.journal().emit(Event::lock(session, "slot:leak"));
+    device
+        .journal()
+        .emit(Event::commit(session, "slot:leak", true));
     assert!(device
         .store()
         .locks()
@@ -159,15 +207,9 @@ fn forged_commit_without_lock_is_a_double_book() {
     let holder = 0x1111;
     let intruder = 0x2222;
     let journal = device.journal();
-    journal.record(EventKind::Lock, format!("session={holder} entity=slot:x"));
-    journal.record(
-        EventKind::Change,
-        format!("session={intruder} entity=slot:x applied=true"),
-    );
-    journal.record(
-        EventKind::Change,
-        format!("session={holder} entity=slot:x applied=true"),
-    );
+    journal.emit(Event::lock(holder, "slot:x"));
+    journal.emit(Event::commit(intruder, "slot:x", true));
+    journal.emit(Event::commit(holder, "slot:x", true));
 
     let report = syd_check::audit(devices.iter());
     let dbl = report

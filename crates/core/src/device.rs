@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 use syd_crypto::Authenticator;
 use syd_net::{Node, Transport};
 use syd_store::{LockKey, Store};
-use syd_telemetry::{names, EventKind, Journal, Registry};
+use syd_telemetry::{names, Event, EventKind, Journal, Registry, Vote};
 use syd_types::sync::{Mutex, RwLock};
 use syd_types::{Clock, NodeAddr, ServiceName, SydError, SydResult, UserId, Value};
 
@@ -142,22 +142,21 @@ impl DeviceRuntime {
             Arc::clone(&clock),
             events.clone(),
         )?);
-        let negotiator = Negotiator::new(engine.clone(), user)
-            .with_telemetry(node.metrics(), Arc::clone(&journal));
+        let negotiator =
+            Negotiator::new(engine.clone(), user, node.metrics(), Arc::clone(&journal));
         // Link lifecycle transitions land in the postmortem journal —
-        // §4.2 op. 3's waiting-link promotion as a first-class event, the
-        // rest as timeline context.
+        // §4.2 op. 3's waiting-link promotion and §4.4's deletions as the
+        // events the checker reads, the rest as timeline notes.
         {
             let journal = Arc::clone(&journal);
             events.subscribe(
                 "link.",
-                Arc::new(move |topic: &str, payload: &Value| {
-                    let kind = match topic {
-                        "link.promoted" => EventKind::Promotion,
-                        _ => EventKind::Info,
-                    };
-                    journal.record(kind, format!("{topic} {}", flat_detail(payload)));
-                }),
+                Arc::new(
+                    move |topic: &str, payload: &Value| match link_event(topic, payload) {
+                        Some(event) => journal.emit(event),
+                        None => journal.record(EventKind::Info, format!("{topic} {payload}")),
+                    },
+                ),
             );
         }
 
@@ -375,10 +374,9 @@ impl DeviceRuntime {
                         .is_err()
                     {
                         let vote = fsm::Vote::NoLockBusy;
-                        inner.journal.record(
-                            EventKind::Mark,
-                            format!("session={session} entity={entity} vote=no reason=lock-busy"),
-                        );
+                        inner
+                            .journal
+                            .emit(Event::vote(session, entity, Vote::LockBusy));
                         // Distinguishable from a durable prepare refusal:
                         // the coordinator treats any non-true vote as a
                         // decline, but a greedy grab must not commit while
@@ -386,10 +384,7 @@ impl DeviceRuntime {
                         return Ok(vote.wire_reply());
                     }
                 }
-                inner.journal.record(
-                    EventKind::Lock,
-                    format!("session={session} entity={entity}"),
-                );
+                inner.journal.emit(Event::lock(session, entity));
                 inner.sessions.lock().insert(session, Instant::now());
                 let handler = inner.entity_handler.read().clone();
                 // No entity handler prepares trivially: pure mutual
@@ -398,23 +393,12 @@ impl DeviceRuntime {
                     Some(h) => h.prepare(entity, change),
                     None => Ok(()),
                 };
-                let vote = match &prepared {
-                    Ok(()) => {
-                        inner.journal.record(
-                            EventKind::Mark,
-                            format!("session={session} entity={entity} vote=yes"),
-                        );
-                        fsm::Vote::Yes
-                    }
-                    Err(err) => {
-                        // Journal-before-release, as in commit.
-                        inner.journal.record(
-                            EventKind::Mark,
-                            format!("session={session} entity={entity} vote=no reason={err}"),
-                        );
-                        fsm::Vote::NoPrepare
-                    }
+                // Journal-before-release, as in commit.
+                let (vote, journaled) = match &prepared {
+                    Ok(()) => (fsm::Vote::Yes, Vote::Yes),
+                    Err(err) => (fsm::Vote::NoPrepare, Vote::Refused(err.to_string())),
                 };
+                inner.journal.emit(Event::vote(session, entity, journaled));
                 if vote.releases_lock() {
                     inner.store.locks().release(session, &key);
                 }
@@ -448,13 +432,9 @@ impl DeviceRuntime {
                 // Journal before releasing: the next session's `Lock`
                 // record must sequence after this `Change`, or the journal
                 // would show two holders of one entity.
-                inner.journal.record(
-                    EventKind::Change,
-                    format!(
-                        "session={session} entity={entity} applied={}",
-                        result.is_ok()
-                    ),
-                );
+                inner
+                    .journal
+                    .emit(Event::commit(session, entity, result.is_ok()));
                 inner.store.locks().release(session, &key);
                 // Forget the session only once it holds no other lock on
                 // this device: a session may cover several local entities,
@@ -482,10 +462,9 @@ impl DeviceRuntime {
                     h.abort(entity, change);
                 }
                 // Journal-before-release, as in commit.
-                inner.journal.record(
-                    EventKind::Abort,
-                    format!("session={session} entity={entity} reason=coordinator-abort"),
-                );
+                inner
+                    .journal
+                    .emit(Event::release(session, entity, "coordinator-abort"));
                 inner
                     .store
                     .locks()
@@ -625,7 +604,7 @@ pub fn entity_lock_key(entity: &str) -> LockKey {
 }
 
 /// Releases the locks of sessions older than `older_than` and forgets
-/// them, journaling an `Abort` per reclaimed entity lock so the invariant
+/// them, journaling a `Release` per reclaimed entity lock so the invariant
 /// checker sees the cleanup instead of reporting a leak. Sessions that
 /// lost a lock this way are remembered, so that a late commit is refused.
 fn sweep_sessions(inner: &DeviceInner, older_than: Duration) -> usize {
@@ -641,14 +620,10 @@ fn sweep_sessions(inner: &DeviceInner, older_than: Duration) -> usize {
             }
             for key in keys {
                 if key.table == "syd.entity" {
-                    if let Some(entity) = key.key.first() {
-                        inner.journal.record(
-                            EventKind::Abort,
-                            format!(
-                                "session={session} entity={} reason=stale-sweep",
-                                flat_detail(entity.value())
-                            ),
-                        );
+                    if let Some(syd_store::OrdValue(Value::Str(entity))) = key.key.first() {
+                        inner
+                            .journal
+                            .emit(Event::release(session, entity, "stale-sweep"));
                     }
                 }
             }
@@ -672,23 +647,23 @@ fn sweep_sessions(inner: &DeviceInner, older_than: Duration) -> usize {
     swept
 }
 
-/// Renders an event payload as flat `key=value` tokens for the journal
-/// (map payloads become `k1=v1 k2=v2` in sorted key order; strings are
-/// unquoted so the checker can parse them back).
-fn flat_detail(payload: &Value) -> String {
-    fn scalar(v: &Value) -> String {
-        match v {
-            Value::Str(s) => s.clone(),
-            other => other.to_string(),
-        }
-    }
-    match payload {
-        Value::Map(m) => m
-            .iter()
-            .map(|(k, v)| format!("{k}={}", scalar(v)))
-            .collect::<Vec<_>>()
-            .join(" "),
-        other => scalar(other),
+/// The journal event of a `link.*` topic the checker replays, built from
+/// the payload `LinksModule` publishes with it; `None` for the topics
+/// that are timeline context only.
+fn link_event(topic: &str, payload: &Value) -> Option<Event> {
+    let field = |key: &str| payload.get(key).ok();
+    match topic {
+        "link.promoted" => Some(Event::Promoted {
+            link: field("id")?.as_i64().ok()? as u64,
+            priority: field("priority")?.as_i64().ok()?,
+            group: field("group")?.as_i64().ok()?,
+        }),
+        "link.deleted" => Some(Event::LinkDeleted {
+            id: field("id")?.as_i64().ok()? as u64,
+            corr: field("corr")?.as_str().ok()?.to_owned(),
+            cascade: field("cascade")?.as_bool().ok()?,
+        }),
+        _ => None,
     }
 }
 

@@ -36,6 +36,7 @@ use std::sync::Arc;
 
 use syd_store::{Column, ColumnType, Predicate, Schema, Store};
 use syd_types::sync::RwLock;
+pub use syd_types::Constraint;
 use syd_types::{
     Clock, LinkId, Priority, ServiceName, SydError, SydResult, Timestamp, UserId, Value,
 };
@@ -45,19 +46,6 @@ use crate::events::EventHandler;
 use crate::negotiate::{link_service, NegotiationOutcome, Negotiator, Participant};
 
 pub mod lifecycle;
-
-/// Logical constraint of a negotiation link (§4.3), generalized to k-of-n
-/// exactly as the paper notes ("can be extended to at least/exactly k out
-/// of n").
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Constraint {
-    /// All references must change (negotiation-and).
-    And,
-    /// At least `k` references must change (negotiation-or).
-    AtLeast(u32),
-    /// Exactly `k` references change (negotiation-xor).
-    Exactly(u32),
-}
 
 /// Link type (§4.1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

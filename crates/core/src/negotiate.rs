@@ -40,7 +40,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use syd_telemetry::{Counter, EventKind, Journal, Registry};
+use syd_telemetry::{Counter, Event, Journal, Registry};
 use syd_types::{ServiceName, SydError, SydResult, UserId, Value};
 
 use crate::engine::{Call, SydEngine};
@@ -107,39 +107,31 @@ pub struct Negotiator {
     local_user: UserId,
     next_session: AtomicU64,
     /// Counts sessions coordinated by this device ("negotiate.sessions").
-    sessions: Option<Counter>,
+    sessions: Counter,
     /// Counts aborts issued by this coordinator ("negotiate.aborts").
-    aborts: Option<Counter>,
-    /// Postmortem journal recording the §4.3 state transitions.
-    journal: Option<Arc<Journal>>,
+    aborts: Counter,
+    /// The device's journal: the coordinator's half of every session's
+    /// story, which `syd-check` audits.
+    journal: Arc<Journal>,
 }
 
 impl Negotiator {
-    /// Builds a negotiator. `local_user` seeds globally unique session ids.
-    pub fn new(engine: SydEngine, local_user: UserId) -> Negotiator {
+    /// Builds a negotiator. `local_user` seeds globally unique session
+    /// ids. Counters are preregistered here so the negotiation path never
+    /// touches the registry lock.
+    pub fn new(
+        engine: SydEngine,
+        local_user: UserId,
+        registry: &Registry,
+        journal: Arc<Journal>,
+    ) -> Negotiator {
         Negotiator {
             engine,
             local_user,
             next_session: AtomicU64::new(1),
-            sessions: None,
-            aborts: None,
-            journal: None,
-        }
-    }
-
-    /// Attaches metrics and the postmortem journal. Counters are
-    /// preregistered here so the negotiation path never touches the
-    /// registry lock.
-    pub fn with_telemetry(mut self, registry: &Registry, journal: Arc<Journal>) -> Negotiator {
-        self.sessions = Some(registry.counter(names::NEGOTIATE_SESSIONS));
-        self.aborts = Some(registry.counter(names::NEGOTIATE_ABORTS));
-        self.journal = Some(journal);
-        self
-    }
-
-    fn journal_record(&self, kind: EventKind, detail: String) {
-        if let Some(journal) = &self.journal {
-            journal.record(kind, detail);
+            sessions: registry.counter(names::NEGOTIATE_SESSIONS),
+            aborts: registry.counter(names::NEGOTIATE_ABORTS),
+            journal,
         }
     }
 
@@ -212,16 +204,12 @@ impl Negotiator {
         }
         let session = self.new_session();
         let svc = link_service();
-        if let Some(c) = &self.sessions {
-            c.inc();
-        }
-        self.journal_record(
-            EventKind::SpanBegin,
-            format!(
-                "negotiate session={session} constraint={constraint:?} participants={}",
-                participants.len()
-            ),
-        );
+        self.sessions.inc();
+        self.journal.emit(Event::Begin {
+            session,
+            constraint,
+            participants: participants.len() as u32,
+        });
         let args_of = |p: &Participant, change: Value| {
             vec![Value::from(session), Value::str(p.entity.clone()), change]
         };
@@ -259,15 +247,12 @@ impl Negotiator {
             }
         }
 
-        self.journal_record(
-            EventKind::Mark,
-            format!(
-                "session={session} yes={} declined={} contended={}",
-                yes.len(),
-                declined.len(),
-                contended.len()
-            ),
-        );
+        self.journal.emit(Event::Tally {
+            session,
+            yes: yes.len() as u32,
+            declined: declined.len() as u32,
+            contended: contended.len() as u32,
+        });
 
         // Decide: the pure §4.3 core in [`fsm::decide`] evaluates the
         // constraint and splits yes-voters into commit and abort sets (a
@@ -337,10 +322,10 @@ impl Negotiator {
             }
         }
         if !committed.is_empty() {
-            self.journal_record(
-                EventKind::Change,
-                format!("session={session} committed={}", committed.len()),
-            );
+            self.journal.emit(Event::Committed {
+                session,
+                committed: committed.len() as u32,
+            });
         }
         for &i in &to_abort {
             let user = participants[i].user;
@@ -382,28 +367,24 @@ impl Negotiator {
             contended,
             session,
         };
-        self.journal_record(
-            EventKind::SpanEnd,
-            format!(
-                "negotiate session={session} satisfied={} committed={} aborted={} declined={}",
-                outcome.satisfied,
-                outcome.committed.len(),
-                outcome.aborted.len(),
-                outcome.declined.len()
-            ),
-        );
+        self.journal.emit(Event::End {
+            session,
+            satisfied: outcome.satisfied,
+            committed: outcome.committed.len() as u32,
+            aborted: outcome.aborted.len() as u32,
+            declined: outcome.declined.len() as u32,
+        });
         Ok(outcome)
     }
 
     /// Journals one coordinator-side abort and counts it.
-    fn journal_abort(&self, session: u64, user: UserId, reason: &str) {
-        self.journal_record(
-            EventKind::Abort,
-            format!("session={session} user={} reason={reason}", user.raw()),
-        );
-        if let Some(c) = &self.aborts {
-            c.inc();
-        }
+    fn journal_abort(&self, session: u64, user: UserId, reason: &'static str) {
+        self.journal.emit(Event::AbortUser {
+            session,
+            user: user.raw(),
+            reason,
+        });
+        self.aborts.inc();
     }
 
     /// Negotiation-and over `participants` (§4.3): all or nothing.

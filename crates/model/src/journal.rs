@@ -2,13 +2,13 @@
 //!
 //! The model checker judges terminal states with `syd-check`, and
 //! `syd-check` reads [`JournalEvent`] streams — so every transition that
-//! the real runtime would journal is recorded here in exactly the same
-//! `key=value` detail format. A [`JournalSet`] holds one journal per
-//! abstract device plus a global logical clock, so a schedule always
+//! the real runtime would journal is recorded here as the same
+//! [`Event`] value the runtime builds. A [`JournalSet`] holds one journal
+//! per abstract device plus a global logical clock, so a schedule always
 //! produces a byte-identical event stream (sequence numbers and
 //! timestamps are derived from the schedule, never from wall time).
 
-use syd_telemetry::{EventKind, JournalEvent};
+use syd_telemetry::{Event, JournalEvent};
 
 /// One growable journal per abstract device.
 ///
@@ -50,7 +50,7 @@ impl JournalSet {
 
     /// Appends one event to `device`'s journal, stamping the per-device
     /// sequence number and the global logical clock.
-    pub fn record(&mut self, device: usize, kind: EventKind, detail: String) {
+    pub fn record(&mut self, device: usize, event: Event) {
         if self.muted {
             return;
         }
@@ -61,19 +61,13 @@ impl JournalSet {
             at_micros: self.clock,
             trace: 0,
             span: 0,
-            kind,
-            detail,
+            event,
         });
     }
 
     /// The recorded journals, in device order.
     pub fn into_journals(self) -> Vec<(String, Vec<JournalEvent>)> {
         self.devices
-    }
-
-    /// Borrowed view of the recorded journals.
-    pub fn journals(&self) -> &[(String, Vec<JournalEvent>)] {
-        &self.devices
     }
 }
 
@@ -86,9 +80,9 @@ mod tests {
     fn records_are_sequenced_and_clocked() {
         let names = vec!["dev0".to_owned(), "dev1".to_owned()];
         let mut set = JournalSet::recording(&names);
-        set.record(1, EventKind::Info, "a".to_owned());
-        set.record(0, EventKind::Info, "b".to_owned());
-        set.record(1, EventKind::Info, "c".to_owned());
+        set.record(1, Event::lock(1, "e"));
+        set.record(0, Event::lock(2, "e"));
+        set.record(1, Event::lock(3, "e"));
         let journals = set.into_journals();
         assert_eq!(journals[0].1.len(), 1);
         assert_eq!(journals[1].1.len(), 2);
@@ -105,7 +99,7 @@ mod tests {
     #[test]
     fn muted_set_discards_everything() {
         let mut set = JournalSet::muted();
-        set.record(7, EventKind::Lock, "ignored".to_owned());
-        assert!(set.journals().is_empty());
+        set.record(7, Event::lock(1, "e"));
+        assert!(set.into_journals().is_empty());
     }
 }

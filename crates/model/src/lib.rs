@@ -17,9 +17,10 @@
 //!    itself executes (`syd_core::negotiate::fsm`,
 //!    `syd_core::links::lifecycle`). If the implementation changes
 //!    semantics, the model changes with it.
-//! 2. **Shared event language.** Every step journals the exact
-//!    `key=value` records the runtime journals, so `syd-check` parses
-//!    the model's histories with the same code paths.
+//! 2. **Shared event language.** Every step journals the
+//!    `syd_telemetry::Event` value the runtime journals for it — one
+//!    enum, so a record the model writes and the runtime does not (or
+//!    the oracle does not read) is a compile error, like rule 1.
 //! 3. **Closed loop on counterexamples.** A violating schedule is
 //!    minimized and replayed into a fresh `JournalEvent` stream, which
 //!    must trip the *same* `syd_check::Rule` — the counterexample is a

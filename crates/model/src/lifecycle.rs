@@ -25,7 +25,7 @@
 use syd_check::{DeviceState, LinkRecord, WaitingRecord};
 use syd_core::links::lifecycle;
 use syd_core::WaitingEntry;
-use syd_telemetry::{EventKind, JournalEvent};
+use syd_telemetry::{Event, JournalEvent};
 use syd_types::{LinkId, Priority, UserId};
 
 use crate::explore::Model;
@@ -149,6 +149,16 @@ impl LifecycleModel {
     fn peer_link(d: usize) -> u64 {
         10 + d as u64
     }
+
+    /// The record of link `id` of the root connection going away in the
+    /// cascade.
+    fn deleted(id: u64) -> Event {
+        Event::LinkDeleted {
+            id,
+            corr: CORR_ROOT.to_owned(),
+            cascade: true,
+        }
+    }
 }
 
 impl Model for LifecycleModel {
@@ -205,22 +215,16 @@ impl Model for LifecycleModel {
                     for entry in &plan.promoted {
                         journal.record(
                             0,
-                            EventKind::Promotion,
-                            format!(
-                                "link.promoted id={} priority={} group={}",
-                                entry.link.raw(),
-                                entry.priority.0,
-                                entry.group
-                            ),
+                            Event::Promoted {
+                                link: entry.link.raw(),
+                                priority: i64::from(entry.priority.0),
+                                group: entry.group as i64,
+                            },
                         );
                     }
                     st.promoted = true;
                 }
-                journal.record(
-                    0,
-                    EventKind::Info,
-                    format!("link.deleted cascade=true corr={CORR_ROOT} id=1"),
-                );
+                journal.record(0, Self::deleted(1));
                 // §4.2 op. 4: fan out to every referenced user not yet
                 // visited by the cascade (device 0 is user 1).
                 let refs = (1..self.devices).map(|d| UserId::new(d as u64 + 1));
@@ -237,14 +241,7 @@ impl Model for LifecycleModel {
                 st.root_deleted = true;
             }
             LifecycleAction::DeliverCascade { device } => {
-                journal.record(
-                    device,
-                    EventKind::Info,
-                    format!(
-                        "link.deleted cascade=true corr={CORR_ROOT} id={}",
-                        Self::peer_link(device)
-                    ),
-                );
+                journal.record(device, Self::deleted(Self::peer_link(device)));
                 st.cascades[device - 1] = Cascade::Delivered;
             }
             LifecycleAction::DropCascade { device } => {

@@ -7,9 +7,9 @@
 //! protocol decision is delegated to the pure cores the runtime itself
 //! executes — [`fsm::participant_mark`], [`fsm::decide`], and
 //! [`fsm::outcome_satisfied`] from `syd_core` — and every step journals
-//! exactly the `key=value` records `crates/core/src/device.rs` and
-//! `negotiate.rs` journal, so the `syd-check` oracle sees the same
-//! event language either way.
+//! the [`Event`] that `crates/core/src/device.rs` and `negotiate.rs`
+//! journal for it, so the `syd-check` oracle sees the same event
+//! language either way.
 //!
 //! ## Abstraction
 //!
@@ -28,7 +28,7 @@
 use syd_check::{DeviceState, HeldLock};
 use syd_core::negotiate::fsm;
 use syd_core::Constraint;
-use syd_telemetry::{EventKind, JournalEvent};
+use syd_telemetry::{Event, JournalEvent, Vote};
 
 use crate::explore::Model;
 use crate::journal::JournalSet;
@@ -382,6 +382,19 @@ impl std::fmt::Display for NegotiationAction {
     }
 }
 
+/// Entity `e{i}` lives on device `i`, owned by user `i + 1`.
+fn entity(i: usize) -> String {
+    format!("e{i}")
+}
+
+fn abort_user(session: u64, i: usize, reason: &'static str) -> Event {
+    Event::AbortUser {
+        session,
+        user: i as u64 + 1,
+        reason,
+    }
+}
+
 impl NegotiationModel {
     /// The coordinator device of session `s` (the runtime rotates
     /// coordination; the model spreads it the same way).
@@ -557,13 +570,11 @@ impl Model for NegotiationModel {
                 st.sessions[s].phase = SessionPhase::Marking;
                 journal.record(
                     self.coord(s),
-                    EventKind::SpanBegin,
-                    format!(
-                        "negotiate session={} constraint={:?} participants={}",
-                        self.sid(s),
-                        self.constraint,
-                        self.devices
-                    ),
+                    Event::Begin {
+                        session: self.sid(s),
+                        constraint: self.constraint,
+                        participants: self.devices as u32,
+                    },
                 );
             }
             A::DeliverMark {
@@ -575,29 +586,17 @@ impl Model for NegotiationModel {
                 let (vote, _) = fsm::participant_mark(holder, sid, true);
                 match vote {
                     fsm::Vote::Yes => {
-                        journal.record(i, EventKind::Lock, format!("session={sid} entity=e{i}"));
+                        journal.record(i, Event::lock(sid, entity(i)));
                         if self.inject == Some(NegotiationInject::DoubleLock) && !st.injected {
                             st.injected = true;
-                            journal.record(
-                                i,
-                                EventKind::Lock,
-                                format!("session={sid} entity=e{i}"),
-                            );
+                            journal.record(i, Event::lock(sid, entity(i)));
                         }
-                        journal.record(
-                            i,
-                            EventKind::Mark,
-                            format!("session={sid} entity=e{i} vote=yes"),
-                        );
+                        journal.record(i, Event::vote(sid, entity(i), Vote::Yes));
                         st.holders[i] = Some((s as u8, 1));
                         st.sessions[s].slots[i] = Slot::Yes;
                     }
                     fsm::Vote::NoLockBusy => {
-                        journal.record(
-                            i,
-                            EventKind::Mark,
-                            format!("session={sid} entity=e{i} vote=no reason=lock-busy"),
-                        );
+                        journal.record(i, Event::vote(sid, entity(i), Vote::LockBusy));
                         st.sessions[s].slots[i] = Slot::NoBusy;
                     }
                     fsm::Vote::NoPrepare => {
@@ -624,21 +623,13 @@ impl Model for NegotiationModel {
                     fsm::Vote::Yes => {
                         // The device locked and voted yes, but the reply
                         // never reached the coordinator.
-                        journal.record(i, EventKind::Lock, format!("session={sid} entity=e{i}"));
-                        journal.record(
-                            i,
-                            EventKind::Mark,
-                            format!("session={sid} entity=e{i} vote=yes"),
-                        );
+                        journal.record(i, Event::lock(sid, entity(i)));
+                        journal.record(i, Event::vote(sid, entity(i), Vote::Yes));
                         st.holders[i] = Some((s as u8, 1));
                         st.sessions[s].slots[i] = Slot::YesReplyLost;
                     }
                     fsm::Vote::NoLockBusy => {
-                        journal.record(
-                            i,
-                            EventKind::Mark,
-                            format!("session={sid} entity=e{i} vote=no reason=lock-busy"),
-                        );
+                        journal.record(i, Event::vote(sid, entity(i), Vote::LockBusy));
                         st.sessions[s].slots[i] = Slot::BusyReplyLost;
                     }
                     fsm::Vote::NoPrepare => {
@@ -655,12 +646,8 @@ impl Model for NegotiationModel {
                 let sid = self.sid(s);
                 // Re-entrant re-acquisition: the lock table deepens and
                 // the device journals the lock and vote again.
-                journal.record(i, EventKind::Lock, format!("session={sid} entity=e{i}"));
-                journal.record(
-                    i,
-                    EventKind::Mark,
-                    format!("session={sid} entity=e{i} vote=yes"),
-                );
+                journal.record(i, Event::lock(sid, entity(i)));
+                journal.record(i, Event::vote(sid, entity(i), Vote::Yes));
                 if let Some((holder, depth)) = st.holders[i] {
                     debug_assert_eq!(holder as usize, s);
                     st.holders[i] = Some((holder, depth + 1));
@@ -676,11 +663,12 @@ impl Model for NegotiationModel {
                 let contended = slots.iter().filter(|&&slot| slot == Slot::NoBusy).count();
                 journal.record(
                     self.coord(s),
-                    EventKind::Mark,
-                    format!(
-                        "session={sid} yes={} declined={declined} contended={contended}",
-                        yes.len()
-                    ),
+                    Event::Tally {
+                        session: sid,
+                        yes: yes.len() as u32,
+                        declined: declined as u32,
+                        contended: contended as u32,
+                    },
                 );
                 let decision =
                     fsm::decide(self.constraint, &yes, self.devices, contended > 0, false);
@@ -715,17 +703,9 @@ impl Model for NegotiationModel {
                         // A change applied under a session that holds no
                         // lock on the entity — the classic double-book.
                         st.injected = true;
-                        journal.record(
-                            i,
-                            EventKind::Change,
-                            format!("session={} entity=e{i} applied=true", self.ghost_sid(s)),
-                        );
+                        journal.record(i, Event::commit(self.ghost_sid(s), entity(i), true));
                     }
-                    journal.record(
-                        i,
-                        EventKind::Change,
-                        format!("session={sid} entity=e{i} applied=true"),
-                    );
+                    journal.record(i, Event::commit(sid, entity(i), true));
                     Self::release_one(&mut st, i, s);
                     st.sessions[s].slots[i] = Slot::Committed;
                 }
@@ -742,15 +722,7 @@ impl Model for NegotiationModel {
                     _ => {
                         // Retry exhausted: the coordinator gives up on
                         // this participant and journals the abort.
-                        journal.record(
-                            self.coord(s),
-                            EventKind::Abort,
-                            format!(
-                                "session={} user={} reason=commit-failed",
-                                self.sid(s),
-                                i + 1
-                            ),
-                        );
+                        journal.record(self.coord(s), abort_user(self.sid(s), i, "commit-failed"));
                         st.sessions[s].slots[i] = Slot::CommitFailed;
                     }
                 }
@@ -761,11 +733,7 @@ impl Model for NegotiationModel {
             } => {
                 st.dup_left -= 1;
                 st.dups_used = true;
-                journal.record(
-                    i,
-                    EventKind::Change,
-                    format!("session={} entity=e{i} applied=true", self.sid(s)),
-                );
+                journal.record(i, Event::commit(self.sid(s), entity(i), true));
                 Self::release_one(&mut st, i, s);
             }
             A::DeliverAbort {
@@ -778,16 +746,8 @@ impl Model for NegotiationModel {
                 } else {
                     "constraint-failed"
                 };
-                journal.record(
-                    self.coord(s),
-                    EventKind::Abort,
-                    format!("session={sid} user={} reason={reason}", i + 1),
-                );
-                journal.record(
-                    i,
-                    EventKind::Abort,
-                    format!("session={sid} entity=e{i} reason=coordinator-abort"),
-                );
+                journal.record(self.coord(s), abort_user(sid, i, reason));
+                journal.record(i, Event::release(sid, entity(i), "coordinator-abort"));
                 Self::release_one(&mut st, i, s);
                 st.sessions[s].slots[i] = Slot::Aborted;
             }
@@ -804,11 +764,7 @@ impl Model for NegotiationModel {
                 // The coordinator journals its abort decision whether or
                 // not the RPC lands; the participant's lock waits for
                 // the stale-session sweep.
-                journal.record(
-                    self.coord(s),
-                    EventKind::Abort,
-                    format!("session={} user={} reason={reason}", self.sid(s), i + 1),
-                );
+                journal.record(self.coord(s), abort_user(self.sid(s), i, reason));
                 st.sessions[s].slots[i] = Slot::AbortDropped;
             }
             A::DeliverCleanup {
@@ -819,11 +775,7 @@ impl Model for NegotiationModel {
                 // Best-effort abort to a decliner: legal even when the
                 // device never locked (lost request) — release is
                 // owner-only and idempotent.
-                journal.record(
-                    i,
-                    EventKind::Abort,
-                    format!("session={sid} entity=e{i} reason=coordinator-abort"),
-                );
+                journal.record(i, Event::release(sid, entity(i), "coordinator-abort"));
                 Self::release_one(&mut st, i, s);
                 st.sessions[s].slots[i] = Slot::CleanedUp;
             }
@@ -857,8 +809,10 @@ impl Model for NegotiationModel {
                 if committed > 0 {
                     journal.record(
                         self.coord(s),
-                        EventKind::Change,
-                        format!("session={sid} committed={committed}"),
+                        Event::Committed {
+                            session: sid,
+                            committed: committed as u32,
+                        },
                     );
                 }
                 let mut satisfied = fsm::outcome_satisfied(
@@ -877,11 +831,13 @@ impl Model for NegotiationModel {
                 }
                 journal.record(
                     self.coord(s),
-                    EventKind::SpanEnd,
-                    format!(
-                        "negotiate session={sid} satisfied={satisfied} committed={reported} \
-                         aborted={aborted} declined={declined}"
-                    ),
+                    Event::End {
+                        session: sid,
+                        satisfied,
+                        committed: reported as u32,
+                        aborted: aborted as u32,
+                        declined: declined as u32,
+                    },
                 );
                 st.sessions[s].phase = SessionPhase::Done;
             }
@@ -952,11 +908,7 @@ impl Model for NegotiationModel {
                 }
                 journal.record(
                     i,
-                    EventKind::Abort,
-                    format!(
-                        "session={} entity=e{i} reason=stale-sweep",
-                        self.sid(holder as usize)
-                    ),
+                    Event::release(self.sid(holder as usize), entity(i), "stale-sweep"),
                 );
                 st.holders[i] = None;
             }
@@ -976,7 +928,7 @@ impl Model for NegotiationModel {
                 let locks = match state.holders[i] {
                     Some((holder, _)) => vec![HeldLock {
                         session: self.sid(holder as usize),
-                        entity: format!("e{i}"),
+                        entity: entity(i),
                     }],
                     None => Vec::new(),
                 };

@@ -15,11 +15,6 @@ impl OrdValue {
     pub fn value(&self) -> &Value {
         &self.0
     }
-
-    /// Unwraps into the inner value.
-    pub fn into_value(self) -> Value {
-        self.0
-    }
 }
 
 impl From<Value> for OrdValue {

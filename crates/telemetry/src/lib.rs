@@ -13,11 +13,14 @@
 //!   minted at the first outbound `Node::call`; servers re-enter the
 //!   received context (hop + 1) before dispatching, so nested invocations
 //!   (engine group invokes, negotiation fan-out, cancel cascades) inherit
-//!   one trace id end to end.
-//! * [`journal`] — a bounded ring-buffer event journal per device
-//!   recording span begin/end and negotiation state transitions
-//!   (mark/lock/change/abort, waiting-link promotion) for postmortem
-//!   dumps when a scenario fails.
+//!   one trace id end to end. Also the process-wide clock
+//!   ([`now_us`]) that journals and span rings both stamp from.
+//! * [`journal`] — a bounded ring-buffer journal per device whose records
+//!   are one typed [`Event`]: the negotiation state transitions
+//!   (mark/lock/change/abort), waiting-link promotion and link deletion
+//!   as values the `syd-check` auditor matches on, plus free-text notes
+//!   for the timeline. The text of a postmortem dump is an export of
+//!   those values, written in one `Display` impl and parsed by nobody.
 //! * [`export`] — human-readable table and JSON-lines renderings of a
 //!   metrics snapshot, shared by `DeviceRuntime`, `Network` and the
 //!   `experiments` harness.
@@ -26,8 +29,9 @@
 //!   `syd-lint`'s `counter-registry` rule).
 //!
 //! The crate deliberately depends on nothing but `syd-types` (for its
-//! poison-free locks, which in turn needs only `std`) so every
-//! layer — wire, net, kernel, apps — can use it without cycles.
+//! poison-free locks and the `Constraint` a session's opening event
+//! carries; it in turn needs only `std`) so every layer — wire, net,
+//! kernel, apps — can use it without cycles.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,6 +43,6 @@ pub mod names;
 pub mod trace;
 
 pub use export::{json_escape, metrics_jsonl, metrics_table};
-pub use journal::{EventKind, Journal, JournalEvent};
+pub use journal::{Event, EventKind, Journal, JournalEvent, Vote};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, MetricsSnapshot, Registry};
-pub use trace::{current, enter, fresh_id, root_span, SpanCtx, SpanGuard};
+pub use trace::{current, enter, fresh_id, now_us, root_span, SpanCtx, SpanGuard};

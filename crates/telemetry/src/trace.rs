@@ -19,6 +19,17 @@
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
+use std::time::Instant;
+
+/// Microseconds since the process-wide telemetry epoch (the first call).
+///
+/// Every journal and every span ring of the process stamps from this one
+/// clock, so a journal line and a span of the same trace — or the dumps
+/// of two devices — sit on one time axis.
+pub fn now_us() -> u64 {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    EPOCH.get_or_init(Instant::now).elapsed().as_micros() as u64
+}
 
 /// The propagated context: which trace this thread is working for,
 /// which span within it, and how many RPC hops deep it is.

@@ -30,6 +30,7 @@ pub use analyze::{attribute, Attribution, PHASES};
 pub use collect::{AssembleError, AssemblyMode, Collector, ServerView, SpanNode, SpanTree};
 pub use exemplar::ExemplarStore;
 pub use export::chrome_trace;
-pub use ring::{
-    now_us, registry_stats, ActiveSpan, FinishSpan, RingStats, SpanRecord, SpanRing, Tracer,
-};
+pub use ring::{registry_stats, ActiveSpan, FinishSpan, RingStats, SpanRecord, SpanRing, Tracer};
+/// The process-wide clock span records are stamped from — the one the
+/// journals use, so spans and journal lines share a time axis.
+pub use syd_telemetry::now_us;

@@ -12,8 +12,7 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
-use std::time::Instant;
-use syd_telemetry::trace::{self, SpanCtx};
+use syd_telemetry::trace::{self, now_us, SpanCtx};
 use syd_types::sync::Mutex;
 
 /// Default per-ring capacity; drains are expected between operations.
@@ -45,15 +44,6 @@ impl SpanRecord {
     pub fn duration_us(&self) -> u64 {
         self.end_us.saturating_sub(self.start_us)
     }
-}
-
-/// Microseconds since the process-wide trace epoch.
-///
-/// All rings share one epoch so records from different devices in the
-/// same process are directly comparable.
-pub fn now_us() -> u64 {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    EPOCH.get_or_init(Instant::now).elapsed().as_micros() as u64
 }
 
 /// A bounded ring of finished spans for one device.

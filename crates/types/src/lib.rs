@@ -17,6 +17,7 @@
 #![warn(missing_docs)]
 
 pub mod bitmap;
+pub mod constraint;
 pub mod error;
 pub mod id;
 pub mod priority;
@@ -27,6 +28,7 @@ pub mod time;
 pub mod value;
 
 pub use bitmap::SlotBitmap;
+pub use constraint::Constraint;
 pub use error::{SydError, SydResult};
 pub use id::{DeviceId, GroupId, LinkId, MeetingId, NodeAddr, RequestId, ServiceName, UserId};
 pub use priority::Priority;

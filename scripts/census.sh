@@ -13,6 +13,11 @@ lines() { # total lines of the .rs files under the given directories
     find "$@" -name '*.rs' -print0 2>/dev/null | xargs -0 cat | wc -l
 }
 
+test_lines() { # of those, the lines at and after each file's first #[cfg(test)]
+    find "$@" -name '*.rs' -print0 2>/dev/null |
+        xargs -0 awk 'FNR == 1 { t = 0 } /^[[:space:]]*#\[cfg\(test\)\]/ { t = 1 } t { n++ } END { print n + 0 }'
+}
+
 # A runtime switch is a public one-bool setter in syd-net / syd-core, or
 # an environment variable read by library (non-`bin/`) code.
 setters=$(grep -rhoE 'pub fn set_[a-z_]+\((&self, )?[a-z_]+: bool\)' \
@@ -22,6 +27,7 @@ env_reads=$(grep -rn 'std::env::var(' crates/*/src src --include='*.rs' |
 count() { printf '%s' "$1" | grep -c . || true; }
 
 echo "src_lines        $(lines crates/*/src src)"
+echo "src_test_lines   $(test_lines crates/*/src src)"
 echo "test_lines       $(lines crates/*/tests tests)"
 echo "crates           $(find crates -mindepth 2 -maxdepth 2 -name Cargo.toml | wc -l)"
 echo "third_party_deps $(sed -n '/^\[workspace.dependencies\]/,/^\[/p' Cargo.toml |

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use syd::trace::{chrome_trace, AssemblyMode, Collector, SpanRecord};
 use syd::types::rng::cases;
 use syd_bench::json::Json;
-use syd_telemetry::{names, EventKind, Journal};
+use syd_telemetry::{names, Event, EventKind, Journal, Vote};
 
 /// `Journal::to_jsonl` emits one strict-JSON object per line, and
 /// the `detail` string survives the escape/parse round trip.
@@ -44,6 +44,43 @@ fn journal_jsonl_round_trips_arbitrary_details() {
             );
             assert!(doc.get("seq").and_then(Json::as_f64).is_some());
             assert!(doc.get("kind").and_then(Json::as_str).is_some());
+        }
+    });
+}
+
+/// Typed protocol events whose entity, refusal reason and correlation
+/// id are arbitrary text export as strict JSON too, and the `detail`
+/// that comes back is the event's one rendering.
+#[test]
+fn journal_jsonl_round_trips_typed_events_with_arbitrary_strings() {
+    cases(256, |rng| {
+        let (entity, reason, corr) = (rng.string(24), rng.string(24), rng.string(24));
+        let events = [
+            Event::lock(rng.any_u64(), entity.as_str()),
+            Event::vote(rng.any_u64(), entity.as_str(), Vote::Refused(reason)),
+            Event::LinkDeleted {
+                id: rng.any_u64(),
+                corr,
+                cascade: rng.chance(1, 2),
+            },
+        ];
+        let journal = Journal::new(8);
+        for event in &events {
+            journal.emit(event.clone());
+        }
+        let jsonl = journal.to_jsonl();
+        let lines: Vec<&str> = jsonl.lines().collect();
+        assert_eq!(lines.len(), events.len(), "one line per event:\n{jsonl}");
+        for (line, event) in lines.iter().zip(&events) {
+            let doc = Json::parse(line).unwrap_or_else(|e| panic!("{e:?}\nline: {line}"));
+            assert_eq!(
+                doc.get("detail").and_then(Json::as_str),
+                Some(event.to_string().as_str())
+            );
+            assert_eq!(
+                doc.get("kind").and_then(Json::as_str),
+                Some(event.kind().to_string().as_str())
+            );
         }
     });
 }
