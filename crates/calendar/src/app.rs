@@ -43,6 +43,29 @@ pub(crate) const T_MEETINGS: &str = "meetings";
 /// sent a `drop_availability`.
 pub(crate) const T_AVAILQ: &str = "availq";
 
+/// Creates the two tables a proxy replicates (§5.2), on the device and the
+/// replica alike: slot rows, and meeting records as their encoded bytes.
+pub(crate) fn create_replicated_tables(store: &Store) -> SydResult<()> {
+    store.create_table(Schema::new(
+        T_SLOTS,
+        vec![
+            Column::required("ordinal", ColumnType::I64),
+            Column::required("status", ColumnType::Str),
+            Column::nullable("meeting", ColumnType::I64),
+            Column::required("priority", ColumnType::I64),
+        ],
+        &["ordinal"],
+    )?)?;
+    store.create_table(Schema::new(
+        T_MEETINGS,
+        vec![
+            Column::required("id", ColumnType::I64),
+            Column::required("data", ColumnType::Bytes),
+        ],
+        &["id"],
+    )?)
+}
+
 /// One user's calendar application. Always used through `Arc`.
 pub struct CalendarApp {
     pub(crate) device: DeviceRuntime,
@@ -72,24 +95,7 @@ impl CalendarApp {
     /// entity/subscription/promotion handlers and the `calendar` service.
     pub fn install(device: &DeviceRuntime) -> SydResult<Arc<CalendarApp>> {
         let store = device.store().clone();
-        store.create_table(Schema::new(
-            T_SLOTS,
-            vec![
-                Column::required("ordinal", ColumnType::I64),
-                Column::required("status", ColumnType::Str),
-                Column::nullable("meeting", ColumnType::I64),
-                Column::required("priority", ColumnType::I64),
-            ],
-            &["ordinal"],
-        )?)?;
-        store.create_table(Schema::new(
-            T_MEETINGS,
-            vec![
-                Column::required("id", ColumnType::I64),
-                Column::required("data", ColumnType::Any),
-            ],
-            &["id"],
-        )?)?;
+        create_replicated_tables(&store)?;
         store.create_table(Schema::new(
             T_AVAILQ,
             vec![
@@ -384,18 +390,14 @@ impl CalendarApp {
 
 struct SlotEntityHandler(Weak<CalendarApp>);
 
-fn change_field<'a>(change: &'a Value, key: &str) -> SydResult<&'a Value> {
-    change.get(key)
-}
-
 impl EntityHandler for SlotEntityHandler {
     fn prepare(&self, entity: &str, change: &Value) -> SydResult<()> {
         let app = self.0.upgrade().ok_or(SydError::Shutdown)?;
         let ordinal = parse_slot_entity(entity)?;
-        match change_field(change, "action")?.as_str()? {
+        match change.get("action")?.as_str()? {
             "reserve" => {
-                let meeting = MeetingId::new(change_field(change, "meeting")?.as_i64()? as u64);
-                let priority = Priority::new(change_field(change, "priority")?.as_i64()? as u8);
+                let meeting = MeetingId::new(change.get("meeting")?.as_i64()? as u64);
+                let priority = Priority::new(change.get("priority")?.as_i64()? as u8);
                 match app.slot_state(ordinal)? {
                     SlotState::Free => Ok(()),
                     SlotState::Busy => Err(SydError::App(format!(
@@ -422,13 +424,13 @@ impl EntityHandler for SlotEntityHandler {
     fn commit(&self, entity: &str, change: &Value) -> SydResult<()> {
         let app = self.0.upgrade().ok_or(SydError::Shutdown)?;
         let ordinal = parse_slot_entity(entity)?;
-        match change_field(change, "action")?.as_str()? {
+        match change.get("action")?.as_str()? {
             "reserve" => {
-                let meeting = MeetingId::new(change_field(change, "meeting")?.as_i64()? as u64);
-                let priority = Priority::new(change_field(change, "priority")?.as_i64()? as u8);
+                let meeting = MeetingId::new(change.get("meeting")?.as_i64()? as u64);
+                let priority = Priority::new(change.get("priority")?.as_i64()? as u8);
                 // The record as it stands once this round's commits are
                 // through; everything below follows from it.
-                let rec = Meeting::from_value(change_field(change, "record")?)?;
+                let rec = Meeting::from_value(change.get("record")?)?;
                 // A different current occupant means we are bumping it.
                 let bumped = match app.slot_state(ordinal)? {
                     SlotState::Tentative(m) | SlotState::Reserved(m) if m != meeting => Some(m),
@@ -450,9 +452,9 @@ impl EntityHandler for SlotEntityHandler {
                 // it (§4.2 op. 3), and that meeting's mark cannot get in
                 // before this commit returns. A repair round re-commits
                 // holders; the link they have stays (waiters hang on it).
-                if let Ok(link) = change_field(change, "link") {
+                if let Ok(link) = change.get("link") {
                     let links = app.device.links();
-                    if !links.by_corr(&rec.corr)?.iter().any(|l| l.entity == entity) {
+                    if links.find(&rec.corr, entity)?.is_none() {
                         links.install_remote(link)?;
                     }
                 }
@@ -476,7 +478,7 @@ impl EntityHandler for SlotEntityHandler {
                 Ok(())
             }
             "release" => {
-                let meeting = MeetingId::new(change_field(change, "meeting")?.as_i64()? as u64);
+                let meeting = MeetingId::new(change.get("meeting")?.as_i64()? as u64);
                 if app.slot_state(ordinal)?.meeting() == Some(meeting) {
                     app.clear_slot(ordinal)?;
                     app.on_slot_freed(ordinal);
@@ -686,7 +688,7 @@ impl CalendarApp {
             Arc::new(move |_ctx, args: &[Value]| {
                 let app = weak.upgrade().ok_or(SydError::Shutdown)?;
                 let meeting = MeetingId::new(arg(args, 0)?.as_i64()? as u64);
-                let status = app.reconcile_round(meeting, true)?;
+                let status = app.reconcile_round(meeting, true)?.status;
                 Ok(Value::Bool(status == MeetingStatus::Confirmed))
             }),
         )?;
@@ -805,7 +807,7 @@ impl CalendarApp {
         let entity = slot_entity(ordinal);
         let avail_corr = format!("avail:{}:{}", rec.id.raw(), self.user().raw());
         // Idempotent: one availability link per (meeting, this user).
-        if !self.device.links().by_corr(&avail_corr)?.is_empty() {
+        if !self.device.links().ids_by_corr(&avail_corr)?.is_empty() {
             return Ok(());
         }
         let back_ref = syd_core::links::LinkRef::new(
@@ -813,29 +815,20 @@ impl CalendarApp {
             slot_entity(ordinal),
             format!("peer_available:{}", rec.id.raw()),
         );
-        let spec = LinkSpec::subscription(entity.clone(), vec![back_ref])
+        let mut spec = LinkSpec::subscription(entity.clone(), vec![back_ref])
             .with_priority(rec.priority)
             .with_corr(avail_corr);
         // If a meeting occupies the slot, wait on its back link so the
         // kernel promotes us when that meeting is torn down; a personal
         // engagement has no link, so the link stays permanent and
         // `free_personal` fires it directly.
-        let occupier = self.slot_state(ordinal)?.meeting();
-        let waits_on = match occupier {
-            Some(m) => {
-                let occ_corr = self.meeting(m)?.map(|r| r.corr);
-                occ_corr.and_then(|corr| {
-                    self.device.links().by_corr(&corr).ok().and_then(|links| {
-                        links.into_iter().find(|l| l.entity == entity).map(|l| l.id)
-                    })
-                })
+        if let Some(occupier) = self.slot_state(ordinal)?.meeting() {
+            let corr = self.meeting(occupier)?.map(|r| r.corr);
+            let anchor = corr.and_then(|c| self.device.links().find(&c, &entity).ok().flatten());
+            if let Some(link) = anchor {
+                spec = spec.waiting_on(link, rec.id.raw());
             }
-            None => None,
-        };
-        let spec = match waits_on {
-            Some(link) => spec.waiting_on(link, rec.id.raw()),
-            None => spec,
-        };
+        }
         self.device.links().add_local(spec)?;
         // Slot already free (raced with a release): tell the initiator now.
         if self.slot_state(ordinal)?.is_free() {
@@ -858,8 +851,8 @@ impl CalendarApp {
     /// reserved, or the meeting is gone).
     pub(crate) fn drop_availability_local(&self, meeting: MeetingId) -> SydResult<()> {
         let corr = format!("avail:{}:{}", meeting.raw(), self.user().raw());
-        for link in self.device.links().by_corr(&corr)? {
-            let _ = self.device.links().delete(link.id, false);
+        for link in self.device.links().ids_by_corr(&corr)? {
+            let _ = self.device.links().delete(link, false);
         }
         Ok(())
     }

@@ -25,7 +25,7 @@ use syd_core::links::{Constraint, Link, LinkKind, LinkRef, LinkSpec, LinkStatus}
 use syd_core::negotiate::Participant;
 use syd_core::Call;
 use syd_store::Predicate;
-use syd_telemetry::{names, EventKind};
+use syd_telemetry::names;
 use syd_types::{
     LinkId, MeetingId, SlotBitmap, SlotRange, SydError, SydResult, TimeSlot, UserId, Value,
 };
@@ -125,92 +125,67 @@ impl CalendarApp {
         // same trace id across all participants' journals —
         // and the root `calendar.schedule_op` span anchors the tree the
         // critical-path analyzer attributes.
-        let mut op_span = self
-            .device
-            .node()
-            .tracer()
-            .span(syd_telemetry::names::SPAN_SCHEDULE);
+        let mut op_span = self.device.node().tracer().span(names::SPAN_SCHEDULE);
         let started = std::time::Instant::now();
         let id = self.alloc_meeting();
         op_span.attr("meeting", id.raw());
-        self.device.journal().record(
-            EventKind::SpanBegin,
-            format!(
-                "calendar.schedule meeting={} slot={}",
-                id.raw(),
-                spec.slot.ordinal()
-            ),
-        );
+        op_span.attr("slot", spec.slot.ordinal());
         let result = self.schedule_inner(id, spec);
         self.metrics.schedule.record_duration(started.elapsed());
-        self.device.journal().record(
-            EventKind::SpanEnd,
-            match &result {
-                Ok(out) => format!(
-                    "calendar.schedule meeting={} status={:?}",
-                    id.raw(),
-                    out.status
-                ),
-                Err(err) => format!("calendar.schedule meeting={} error={err}", id.raw()),
-            },
-        );
+        op_span.attr("ok", u64::from(result.is_ok()));
+        if let Ok(out) = &result {
+            op_span.attr("status", u64::from(out.status.tag()));
+            op_span.attr("reserved", out.reserved.len() as u64);
+        }
         result
     }
 
     fn schedule_inner(&self, id: MeetingId, spec: MeetingSpec) -> SydResult<ScheduleOutcome> {
-        let corr = format!("meeting:{}", id.raw());
-        let ordinal = spec.slot.ordinal();
-
-        let mut musts = spec.must_attend.clone();
+        let mut musts = spec.must_attend;
         if !musts.contains(&self.user()) {
             musts.insert(0, self.user());
         }
         let rec = Meeting {
             id,
-            title: spec.title.clone(),
+            title: spec.title,
             initiator: self.user(),
-            ordinal,
+            ordinal: spec.slot.ordinal(),
             status: MeetingStatus::Tentative,
             priority: spec.priority,
-            corr: corr.clone(),
+            corr: format!("meeting:{}", id.raw()),
             reserved: Vec::new(),
             musts,
-            groups: spec.groups.clone(),
-            supervisors: spec.supervisors.clone(),
+            groups: spec.groups,
+            supervisors: spec.supervisors,
         };
         self.put_meeting(&rec)?;
-
-        // The forward negotiation-and link from the initiator's slot to
-        // every participant's slot (§5: "a negotiation-and link is created
-        // from user A's slot to the specific slot in each calendar table").
-        let participants = rec.all_participants();
-        let refs: Vec<LinkRef> = participants
-            .iter()
-            .map(|&u| LinkRef::new(u, slot_entity(ordinal), "reserve"))
-            .collect();
-        self.device.links().add_local(
-            LinkSpec::negotiation(slot_entity(ordinal), Constraint::And, refs)
-                .with_priority(spec.priority)
-                .with_corr(corr),
-        )?;
-
-        let status = self.reconcile(id)?;
-        let rec = self
-            .meeting(id)?
-            .ok_or_else(|| SydError::App(format!("meeting {id:?} vanished after write")))?;
+        self.add_forward_link(&rec)?;
+        let rec = self.reconcile_round(id, false)?;
         Ok(ScheduleOutcome {
             meeting: id,
-            status,
-            reserved: rec.reserved.clone(),
+            status: rec.status,
             pending: rec.missing(),
+            reserved: rec.reserved,
         })
+    }
+
+    /// The forward negotiation-and link from the initiator's slot to every
+    /// participant's slot (§5: "a negotiation-and link is created from user
+    /// A's slot to the specific slot in each calendar table").
+    fn add_forward_link(&self, rec: &Meeting) -> SydResult<()> {
+        let entity = slot_entity(rec.ordinal);
+        let reserve = |u| LinkRef::new(u, entity.clone(), "reserve");
+        let refs = rec.all_participants().into_iter().map(reserve).collect();
+        let spec = LinkSpec::negotiation(entity, Constraint::And, refs);
+        let spec = spec.with_priority(rec.priority).with_corr(rec.corr.clone());
+        self.device.links().add_local(spec).map(drop)
     }
 
     // ---- the repair round --------------------------------------------------------
 
     /// One reservation/repair round (see module docs). Initiator only.
     pub fn reconcile(&self, id: MeetingId) -> SydResult<MeetingStatus> {
-        self.reconcile_round(id, false)
+        Ok(self.reconcile_round(id, false)?.status)
     }
 
     /// [`CalendarApp::reconcile`], or with `only_if_missing` — a
@@ -218,12 +193,12 @@ impl CalendarApp {
     /// round only if somebody is still missing. The promotions of one
     /// cancel arrive together, one per freed member, and the first round
     /// reserves them all; the rest find the record `Confirmed` with
-    /// nobody missing and send nothing.
+    /// nobody missing and send nothing. Returns the record as it stands.
     pub(crate) fn reconcile_round(
         &self,
         id: MeetingId,
         only_if_missing: bool,
-    ) -> SydResult<MeetingStatus> {
+    ) -> SydResult<Meeting> {
         let guard = self.reconcile_guard(id);
         let _g = guard.lock();
 
@@ -241,18 +216,23 @@ impl CalendarApp {
                 && rec.status == MeetingStatus::Confirmed
                 && rec.missing().is_empty())
         {
-            return Ok(rec.status);
+            return Ok(rec);
         }
         let mut op_span = self.device.node().tracer().span(names::SPAN_RECONCILE);
         op_span.attr("meeting", id.raw());
         let started = std::time::Instant::now();
         let result = self.reconcile_locked(rec);
         self.metrics.reconcile.record_duration(started.elapsed());
-        result
+        op_span.attr("ok", u64::from(result.is_ok()));
+        let rec = result?;
+        op_span.attr("status", u64::from(rec.status.tag()));
+        op_span.attr("reserved", rec.reserved.len() as u64);
+        Ok(rec)
     }
 
-    /// The round itself, under the meeting's reconcile guard.
-    fn reconcile_locked(&self, mut rec: Meeting) -> SydResult<MeetingStatus> {
+    /// The round itself, under the meeting's reconcile guard; returns the
+    /// record as the round left it.
+    fn reconcile_locked(&self, mut rec: Meeting) -> SydResult<Meeting> {
         let id = rec.id;
         let me = self.user();
         let svc = calendar_service();
@@ -275,19 +255,35 @@ impl CalendarApp {
             .iter()
             .map(|&u| Participant::new(u, slot_entity(ordinal), mark.clone()))
             .collect();
-        let commit_change = |chosen: &[UserId], p: &Participant| {
-            let expected = Self::held_by(&rec, chosen);
-            let link = (p.user != me).then(|| self.back_link(&expected, p.user));
-            Self::reserve_change(&expected, link.as_ref())
+        // Built once per vote: the record depends on who was chosen only,
+        // the back link on whether its holder is a supervisor — one encoding
+        // of the record, at most two of the link, cloned into each commit.
+        let commit_changes = |chosen: &[&Participant]| {
+            let holders: Vec<UserId> = chosen.iter().map(|p| p.user).collect();
+            let expected = Self::held_by(&rec, &holders);
+            let record = expected.to_value();
+            let mut back_links = [None, None];
+            chosen
+                .iter()
+                .map(|p| {
+                    let link = (p.user != me).then(|| {
+                        let supervisor = expected.supervisors.contains(&p.user);
+                        back_links[usize::from(supervisor)]
+                            .get_or_insert_with(|| self.back_link(&expected, supervisor).to_value())
+                            .clone()
+                    });
+                    Self::reserve_change(&expected, record.clone(), link)
+                })
+                .collect()
         };
         let negotiator = self.device.negotiator();
-        let mut outcome = negotiator.negotiate_available_with(&parts, &commit_change)?;
+        let mut outcome = negotiator.negotiate_available_with(&parts, &commit_changes)?;
         for attempt in 0..GRAB_RETRIES {
             if outcome.contended.is_empty() {
                 break;
             }
             std::thread::sleep(grab_backoff(me, attempt));
-            outcome = negotiator.negotiate_available_with(&parts, &commit_change)?;
+            outcome = negotiator.negotiate_available_with(&parts, &commit_changes)?;
         }
 
         // Every holder already has the record as it stands when all the
@@ -341,16 +337,7 @@ impl CalendarApp {
         self.device
             .events()
             .publish_local("calendar.reconciled", &Value::from(id.raw()));
-        self.device.journal().record(
-            EventKind::Info,
-            format!(
-                "calendar.reconcile meeting={} status={:?} reserved={}",
-                id.raw(),
-                rec.status,
-                rec.reserved.len()
-            ),
-        );
-        Ok(rec.status)
+        Ok(rec)
     }
 
     /// `rec` as it stands once exactly `holders` hold its slot: reserved
@@ -398,28 +385,28 @@ impl CalendarApp {
         ]
     }
 
-    /// What the §4.3 commit carries: the mark's fields, the record as it
-    /// stands once the round's commits are through, and the participant's
-    /// back link where the round creates them.
-    fn reserve_change(rec: &Meeting, link: Option<&Link>) -> Value {
+    /// What the §4.3 commit carries: the mark's fields, `record` — `rec`
+    /// encoded as it stands once the round's commits are through — and the
+    /// participant's encoded back link where the round creates them.
+    fn reserve_change(rec: &Meeting, record: Value, link: Option<Value>) -> Value {
         let mut fields = Self::reserve_mark(rec);
-        fields.push(("record", rec.to_value()));
+        fields.push(("record", record));
         if let Some(link) = link {
-            fields.push(("link", link.to_value()));
+            fields.push(("link", link));
         }
         Value::map(fields)
     }
 
-    /// The back link installed at holder `user` (§5: "the target slots at
-    /// A, B, C and D create negotiation links back to A's slot"): from
-    /// their slot to the initiator's, a subscription for a supervisor
-    /// ("only a subscription back link") and a negotiation-and link for
-    /// everyone else.
-    fn back_link(&self, rec: &Meeting, user: UserId) -> Link {
+    /// The back link installed at a holder (§5: "the target slots at A, B,
+    /// C and D create negotiation links back to A's slot"): from their
+    /// slot to the initiator's, a subscription for a supervisor ("only a
+    /// subscription back link") and a negotiation-and link for everyone
+    /// else.
+    fn back_link(&self, rec: &Meeting, supervisor: bool) -> Link {
         let entity = slot_entity(rec.ordinal);
         Link {
             id: LinkId::new(0),
-            kind: if rec.supervisors.contains(&user) {
+            kind: if supervisor {
                 LinkKind::Subscription
             } else {
                 LinkKind::Negotiation(Constraint::And)
@@ -496,10 +483,6 @@ impl CalendarApp {
             return Ok(());
         }
         self.metrics.cancels.inc();
-        self.device.journal().record(
-            EventKind::Info,
-            format!("calendar.cancel meeting={}", id.raw()),
-        );
         rec.status = MeetingStatus::Cancelled;
         rec.reserved.clear();
         self.put_meeting(&rec)?;
@@ -542,11 +525,10 @@ impl CalendarApp {
     /// Deletes every link of `corr` here and, by cascade, at every peer.
     fn delete_link_web(&self, corr: &str) -> SydResult<()> {
         loop {
-            let links = self.device.links().by_corr(corr)?;
-            let Some(first) = links.first() else {
+            let Some(&first) = self.device.links().ids_by_corr(corr)?.first() else {
                 return Ok(());
             };
-            let _ = self.device.links().delete(first.id, true);
+            let _ = self.device.links().delete(first, true);
         }
     }
 
@@ -595,7 +577,7 @@ impl CalendarApp {
         // All-or-nothing reserve at the new slot.
         let mut moved_rec = rec.clone();
         moved_rec.ordinal = new_ordinal;
-        let change = Self::reserve_change(&moved_rec, None);
+        let change = Self::reserve_change(&moved_rec, moved_rec.to_value(), None);
         let parts: Vec<Participant> = holders
             .iter()
             .map(|&u| Participant::new(u, slot_entity(new_ordinal), change.clone()))
@@ -624,17 +606,9 @@ impl CalendarApp {
         self.put_meeting(&rec)?;
         // Fresh forward link at the new slot, then a repair round to
         // rebuild back links, availability queues and the status.
-        let refs: Vec<LinkRef> = participants
-            .iter()
-            .map(|&u| LinkRef::new(u, slot_entity(new_ordinal), "reserve"))
-            .collect();
-        self.device.links().add_local(
-            LinkSpec::negotiation(slot_entity(new_ordinal), Constraint::And, refs)
-                .with_priority(rec.priority)
-                .with_corr(rec.corr.clone()),
-        )?;
+        self.add_forward_link(&rec)?;
         drop(_g);
-        let _ = self.reconcile(id)?;
+        self.reconcile(id)?;
         Ok(true)
     }
 
@@ -691,7 +665,7 @@ impl CalendarApp {
             if candidates.is_empty() {
                 return Ok(false);
             }
-            let change = Self::reserve_change(&rec, None);
+            let change = Self::reserve_change(&rec, rec.to_value(), None);
             let parts: Vec<Participant> = candidates
                 .iter()
                 .map(|&u| Participant::new(u, slot_entity(rec.ordinal), change.clone()))
@@ -863,15 +837,7 @@ impl CalendarApp {
         rec.status = MeetingStatus::Tentative;
         rec.reserved.clear();
         self.put_meeting(&rec)?;
-        let refs: Vec<LinkRef> = participants
-            .iter()
-            .map(|&u| LinkRef::new(u, slot_entity(rec.ordinal), "reserve"))
-            .collect();
-        self.device.links().add_local(
-            LinkSpec::negotiation(slot_entity(rec.ordinal), Constraint::And, refs)
-                .with_priority(rec.priority)
-                .with_corr(rec.corr.clone()),
-        )?;
+        self.add_forward_link(&rec)?;
         let status = self.reconcile(id)?;
         let _ = self.mailbox.send_group(
             &others(&participants, self.user()),

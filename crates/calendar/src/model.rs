@@ -1,6 +1,7 @@
 //! Calendar data model: slots, meetings, scheduling specs.
 
 use syd_types::{Priority, SydError, SydResult, TimeSlot, UserId, Value};
+use syd_wire::{decode_from_slice, encode_to_vec, Decode, Encode, Reader};
 
 pub use syd_types::MeetingId;
 
@@ -51,13 +52,13 @@ impl SlotState {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MeetingStatus {
     /// Some participants could not be reserved; waiting on availability.
-    Tentative,
+    Tentative = 0,
     /// Every required participant holds the slot.
-    Confirmed,
+    Confirmed = 1,
     /// Cancelled by the initiator.
-    Cancelled,
+    Cancelled = 2,
     /// Lost its slot to a higher-priority meeting; being rescheduled.
-    Bumped,
+    Bumped = 3,
 }
 
 impl MeetingStatus {
@@ -81,6 +82,19 @@ impl MeetingStatus {
             other => return Err(SydError::App(format!("bad meeting status `{other}`"))),
         })
     }
+
+    /// The status's byte in an encoded [`Meeting`] (and the `status`
+    /// attribute of the `calendar.*_op` spans).
+    pub fn tag(self) -> u8 {
+        self as u8
+    }
+
+    fn from_tag(tag: u8) -> SydResult<MeetingStatus> {
+        use MeetingStatus::{Bumped, Cancelled, Confirmed, Tentative};
+        let known = [Tentative, Confirmed, Cancelled, Bumped];
+        let status = known.get(usize::from(tag)).copied();
+        status.ok_or_else(|| SydError::Codec(format!("bad meeting status {tag}")))
+    }
 }
 
 /// An OR-group in a meeting spec: at least `k` of `members` must attend
@@ -98,6 +112,25 @@ impl GroupSpec {
     /// Builds a group spec.
     pub fn new(members: Vec<UserId>, k: u32) -> Self {
         GroupSpec { members, k }
+    }
+}
+
+impl Encode for GroupSpec {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.members.encode(buf);
+        self.k.encode(buf);
+    }
+    fn encoded_len(&self) -> usize {
+        self.members.encoded_len() + self.k.encoded_len()
+    }
+}
+
+impl Decode for GroupSpec {
+    fn decode(r: &mut Reader<'_>) -> SydResult<Self> {
+        Ok(GroupSpec {
+            members: Decode::decode(r)?,
+            k: Decode::decode(r)?,
+        })
     }
 }
 
@@ -232,73 +265,75 @@ impl Meeting {
         self.constraints_satisfied_by(&self.reserved)
     }
 
-    /// Wire/storage encoding.
+    /// Wire/storage form: the record's [`Encode`]d bytes in one
+    /// [`Value::Bytes`] (DESIGN.md §18).
     pub fn to_value(&self) -> Value {
-        Value::map([
-            ("id", Value::from(self.id.raw())),
-            ("title", Value::str(self.title.clone())),
-            ("initiator", Value::from(self.initiator.raw())),
-            ("ordinal", Value::from(self.ordinal)),
-            ("status", Value::str(self.status.as_str())),
-            ("priority", Value::from(self.priority.level() as u32)),
-            ("corr", Value::str(self.corr.clone())),
-            (
-                "reserved",
-                Value::list(self.reserved.iter().map(|u| Value::from(u.raw()))),
-            ),
-            (
-                "musts",
-                Value::list(self.musts.iter().map(|u| Value::from(u.raw()))),
-            ),
-            (
-                "groups",
-                Value::list(self.groups.iter().map(|g| {
-                    Value::map([
-                        (
-                            "members",
-                            Value::list(g.members.iter().map(|u| Value::from(u.raw()))),
-                        ),
-                        ("k", Value::from(g.k)),
-                    ])
-                })),
-            ),
-            (
-                "supervisors",
-                Value::list(self.supervisors.iter().map(|u| Value::from(u.raw()))),
-            ),
-        ])
+        Value::Bytes(encode_to_vec(self))
     }
 
-    /// Inverse of [`Meeting::to_value`].
+    /// Inverse of [`Meeting::to_value`]; anything but well-formed bytes of
+    /// the current version is refused.
     pub fn from_value(v: &Value) -> SydResult<Meeting> {
-        fn users(v: &Value) -> SydResult<Vec<UserId>> {
-            v.as_list()?
-                .iter()
-                .map(|u| Ok(UserId::new(u.as_i64()? as u64)))
-                .collect()
+        decode_from_slice(v.as_bytes()?)
+    }
+}
+
+/// Leading byte of an encoded [`Meeting`]; a decoder refuses any other.
+const MEETING_VERSION: u8 = 1;
+
+impl Encode for Meeting {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.push(MEETING_VERSION);
+        self.id.encode(buf);
+        self.title.encode(buf);
+        self.initiator.encode(buf);
+        self.ordinal.encode(buf);
+        buf.push(self.status.tag());
+        self.priority.encode(buf);
+        self.corr.encode(buf);
+        self.reserved.encode(buf);
+        self.musts.encode(buf);
+        (self.groups.len() as u64).encode(buf);
+        self.groups.iter().for_each(|g| g.encode(buf));
+        self.supervisors.encode(buf);
+    }
+
+    fn encoded_len(&self) -> usize {
+        2 + self.id.encoded_len()
+            + self.title.encoded_len()
+            + self.initiator.encoded_len()
+            + self.ordinal.encoded_len()
+            + self.priority.encoded_len()
+            + self.corr.encoded_len()
+            + self.reserved.encoded_len()
+            + self.musts.encoded_len()
+            + (self.groups.len() as u64).encoded_len()
+            + self.groups.iter().map(Encode::encoded_len).sum::<usize>()
+            + self.supervisors.encoded_len()
+    }
+}
+
+impl Decode for Meeting {
+    fn decode(r: &mut Reader<'_>) -> SydResult<Self> {
+        let version = r.u8()?;
+        if version != MEETING_VERSION {
+            return Err(SydError::Codec(format!("meeting record version {version}")));
         }
         Ok(Meeting {
-            id: MeetingId::new(v.get("id")?.as_i64()? as u64),
-            title: v.get("title")?.as_str()?.to_owned(),
-            initiator: UserId::new(v.get("initiator")?.as_i64()? as u64),
-            ordinal: v.get("ordinal")?.as_i64()? as u64,
-            status: MeetingStatus::parse(v.get("status")?.as_str()?)?,
-            priority: Priority::new(v.get("priority")?.as_i64()? as u8),
-            corr: v.get("corr")?.as_str()?.to_owned(),
-            reserved: users(v.get("reserved")?)?,
-            musts: users(v.get("musts")?)?,
-            groups: v
-                .get("groups")?
-                .as_list()?
-                .iter()
-                .map(|g| {
-                    Ok(GroupSpec {
-                        members: users(g.get("members")?)?,
-                        k: g.get("k")?.as_i64()? as u32,
-                    })
-                })
-                .collect::<SydResult<_>>()?,
-            supervisors: users(v.get("supervisors")?)?,
+            id: Decode::decode(r)?,
+            title: Decode::decode(r)?,
+            initiator: Decode::decode(r)?,
+            ordinal: Decode::decode(r)?,
+            status: MeetingStatus::from_tag(r.u8()?)?,
+            priority: Decode::decode(r)?,
+            corr: Decode::decode(r)?,
+            reserved: Decode::decode(r)?,
+            musts: Decode::decode(r)?,
+            groups: {
+                let groups = (0..r.len_prefix()?).map(|_| GroupSpec::decode(r));
+                groups.collect::<SydResult<_>>()?
+            },
+            supervisors: Decode::decode(r)?,
         })
     }
 }
@@ -320,6 +355,7 @@ pub struct ScheduleOutcome {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // test code
 mod tests {
     use super::*;
+    use syd_types::rng::{cases, Rng};
 
     fn u(n: u64) -> UserId {
         UserId::new(n)
@@ -382,10 +418,141 @@ mod tests {
         }
     }
 
+    fn users(rng: &mut Rng, max: u64) -> Vec<UserId> {
+        // Empty and full lists are the edges; draw them often.
+        let n = match rng.below(4) {
+            0 => 0,
+            1 => max,
+            _ => rng.below(max + 1),
+        };
+        (0..n).map(|_| UserId::new(rng.any_u64())).collect()
+    }
+
+    fn generated(rng: &mut Rng) -> Meeting {
+        Meeting {
+            id: MeetingId::new(rng.any_u64()),
+            title: rng.string(12),
+            initiator: UserId::new(rng.any_u64()),
+            ordinal: rng.any_u64(),
+            status: [
+                MeetingStatus::Tentative,
+                MeetingStatus::Confirmed,
+                MeetingStatus::Cancelled,
+                MeetingStatus::Bumped,
+            ][rng.below(4) as usize],
+            priority: Priority::new(rng.any_u64() as u8),
+            corr: rng.string(20),
+            reserved: users(rng, 32),
+            musts: users(rng, 32),
+            groups: (0..rng.below(4))
+                .map(|_| GroupSpec::new(users(rng, 32), rng.any_u64() as u32))
+                .collect(),
+            supervisors: users(rng, 32),
+        }
+    }
+
     #[test]
     fn meeting_value_round_trip() {
+        cases(256, |rng| {
+            let m = generated(rng);
+            let bytes = encode_to_vec(&m);
+            assert_eq!(bytes.len(), m.encoded_len());
+            assert_eq!(decode_from_slice::<Meeting>(&bytes).unwrap(), m);
+            assert_eq!(Meeting::from_value(&m.to_value()).unwrap(), m);
+        });
+    }
+
+    #[test]
+    fn truncated_and_extended_records_are_codec_errors() {
+        cases(32, |rng| {
+            let mut bytes = encode_to_vec(&generated(rng));
+            for cut in 0..bytes.len() {
+                let err = decode_from_slice::<Meeting>(&bytes[..cut]).unwrap_err();
+                assert!(matches!(err, SydError::Codec(_)), "prefix {cut}: {err}");
+            }
+            bytes.push(rng.next_u64() as u8);
+            let err = decode_from_slice::<Meeting>(&bytes).unwrap_err();
+            assert!(
+                matches!(err, SydError::Codec(_)),
+                "one byte appended: {err}"
+            );
+        });
+    }
+
+    #[test]
+    fn unknown_version_and_map_form_are_refused() {
+        let mut bytes = encode_to_vec(&meeting());
+        bytes[0] = MEETING_VERSION + 1;
+        let err = Meeting::from_value(&Value::Bytes(bytes)).unwrap_err();
+        assert!(matches!(err, SydError::Codec(_)), "{err}");
+
+        // What a peer of the map era would send: refused, not half-read.
+        let map = Value::map([("id", Value::from(7u64)), ("title", Value::str("standup"))]);
+        let err = Meeting::from_value(&map).unwrap_err();
+        assert!(
+            matches!(&err, SydError::Protocol(m) if m.contains("type mismatch")),
+            "{err}"
+        );
+    }
+
+    /// The map form read numbers with `as`: a priority of 511 came back as
+    /// 255 (`Priority::MAX`, which outranks everything) and a negative id
+    /// as a huge one. The typed fields cannot hold such values, and what
+    /// is out of a field's range on the wire is refused.
+    #[test]
+    fn out_of_range_fields_are_refused_not_wrapped() {
         let m = meeting();
-        assert_eq!(Meeting::from_value(&m.to_value()).unwrap(), m);
+        let bytes = encode_to_vec(&m);
+        // Layout up to the status byte: version, id, title, initiator, ordinal.
+        let status_at = 1
+            + m.id.encoded_len()
+            + m.title.encoded_len()
+            + m.initiator.encoded_len()
+            + m.ordinal.encoded_len();
+        assert_eq!(bytes[status_at], m.status.tag());
+        assert_eq!(
+            bytes[status_at + 1],
+            m.priority.level(),
+            "one byte: 511 does not fit"
+        );
+        let mut bad = bytes.clone();
+        bad[status_at] = 4;
+        let err = decode_from_slice::<Meeting>(&bad).unwrap_err();
+        assert!(matches!(err, SydError::Codec(_)), "status tag 4: {err}");
+
+        // A quorum above `u32::MAX` in the one group: with no supervisors
+        // the encoding ends `… k, 0`.
+        let mut wide = m.clone();
+        wide.supervisors.clear();
+        let mut bad = encode_to_vec(&wide);
+        let k_at = bad.len() - 2;
+        assert_eq!(bad[k_at], 2);
+        bad.splice(k_at..=k_at, [0xff, 0xff, 0xff, 0xff, 0x1f]); // 2³³ − 1
+        let err = decode_from_slice::<Meeting>(&bad).unwrap_err();
+        assert!(matches!(err, SydError::Codec(_)), "k over u32: {err}");
+    }
+
+    /// The record of `benchmark/src/probes.rs::wire`: what every mark and
+    /// commit frame of an 8-member meeting carries.
+    #[test]
+    fn eight_member_record_fits_64_bytes() {
+        let members: Vec<UserId> = (1..=8).map(UserId::new).collect();
+        let record = Meeting {
+            id: MeetingId::new((1 << 24) | 1),
+            title: "a-0".into(),
+            initiator: members[0],
+            ordinal: 100,
+            status: MeetingStatus::Tentative,
+            priority: Priority::NORMAL,
+            corr: format!("meeting:{}", (1u64 << 24) | 1),
+            reserved: Vec::new(),
+            musts: members,
+            groups: Vec::new(),
+            supervisors: Vec::new(),
+        };
+        let bytes = encode_to_vec(&record);
+        assert_eq!(bytes.len(), record.encoded_len());
+        assert!(bytes.len() <= 64, "{} B", bytes.len());
     }
 
     #[test]

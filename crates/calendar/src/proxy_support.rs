@@ -15,33 +15,11 @@
 use std::sync::Arc;
 
 use syd_core::proxy::{enable_replication, ProxyHost, ProxyMethod};
-use syd_store::{Column, ColumnType, Predicate, Schema, Store};
+use syd_store::{Predicate, Store};
 use syd_types::{MeetingId, SydResult, UserId, Value};
 
-use crate::app::{calendar_service, CalendarApp};
+use crate::app::{calendar_service, create_replicated_tables, CalendarApp};
 use crate::model::Meeting;
-
-fn replica_schema(store: &Store) -> SydResult<()> {
-    store.create_table(Schema::new(
-        "slots",
-        vec![
-            Column::required("ordinal", ColumnType::I64),
-            Column::required("status", ColumnType::Str),
-            Column::nullable("meeting", ColumnType::I64),
-            Column::required("priority", ColumnType::I64),
-        ],
-        &["ordinal"],
-    )?)?;
-    store.create_table(Schema::new(
-        "meetings",
-        vec![
-            Column::required("id", ColumnType::I64),
-            Column::required("data", ColumnType::Any),
-        ],
-        &["id"],
-    )?)?;
-    Ok(())
-}
 
 fn free_slots_method() -> ProxyMethod {
     Arc::new(|_ctx, store: &Store, args: &[Value]| {
@@ -90,9 +68,9 @@ fn meeting_info_method() -> ProxyMethod {
         match store.get_by_key("meetings", &[Value::from(id.raw())])? {
             None => Ok(Value::Null),
             Some(row) => {
-                // Validate the stored record before serving it on.
-                let rec = Meeting::from_value(&row.values[1])?;
-                Ok(rec.to_value())
+                // Validate the stored record before serving its bytes on.
+                Meeting::from_value(&row.values[1])?;
+                Ok(row.values[1].clone())
             }
         }
     })
@@ -104,7 +82,7 @@ pub fn host_calendar_on_proxy(proxy: &ProxyHost, app: &CalendarApp) -> SydResult
     let user: UserId = app.user();
     let svc = calendar_service();
     proxy.host_user(user, |store| {
-        replica_schema(store)?;
+        create_replicated_tables(store)?;
         Ok(vec![
             ((svc.clone(), "free_slots".to_owned()), free_slots_method()),
             (

@@ -11,7 +11,6 @@ use syd_calendar::{CalendarApp, MeetingSpec, MeetingStatus};
 use syd_core::SydEnv;
 use syd_net::NetConfig;
 use syd_telemetry::names;
-use syd_telemetry::EventKind;
 use syd_types::{TimeSlot, UserId};
 
 fn rig(n: usize) -> (SydEnv, Vec<Arc<CalendarApp>>) {
@@ -35,18 +34,19 @@ fn one_trace_spans_all_participants_and_metrics_tick() {
         .unwrap();
     assert_eq!(outcome.status, MeetingStatus::Confirmed);
 
-    // The initiator's journal recorded the schedule span; pull its trace.
-    let trace = apps[0]
-        .device()
-        .journal()
-        .events()
-        .into_iter()
-        .find(|e| {
-            e.event.kind() == EventKind::SpanBegin
-                && e.event.to_string().contains("calendar.schedule")
-        })
-        .expect("schedule span recorded")
-        .trace;
+    // The initiator recorded the `calendar.schedule_op` span, which says
+    // what the operation did; pull its trace.
+    let ring = apps[0].device().node().tracer().ring();
+    let span = std::iter::from_fn(|| ring.pop())
+        .find(|s| s.kind == names::SPAN_SCHEDULE)
+        .expect("schedule span recorded");
+    let attr = |key: &str| span.attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
+    assert_eq!(attr("meeting"), Some(outcome.meeting.raw()));
+    assert_eq!(attr("slot"), Some(slot.ordinal()));
+    assert_eq!(attr("ok"), Some(1));
+    assert_eq!(attr("status"), Some(u64::from(outcome.status.tag())));
+    assert_eq!(attr("reserved"), Some(4));
+    let trace = span.trace;
     assert_ne!(trace, 0, "schedule opened a root trace");
 
     // The same trace id appears in every participant's journal: the

@@ -13,9 +13,11 @@
 //!   k-of-n, [`Constraint`]), a **creation time** and an **expiry time**.
 //!
 //! Link state lives in the device's own store, in the tables the paper
-//! names: `SyD_Link` (+ `SyD_LinkRef` for the multi-reference fan-out),
+//! names: `SyD_Link` — one row per link, its references encoded in the
+//! `refs` cell, so a link is written and read in one statement —
 //! `SyD_WaitingLink` for tentative links queued behind a permanent one
 //! (§4.2 op. 3), and `SyD_LinkMethod` for method coupling (§4.2 op. 5).
+//! On the wire a link is its [`Encode`]d bytes (DESIGN.md §18).
 //!
 //! The six operations of §4.2 map to:
 //!
@@ -40,6 +42,7 @@ pub use syd_types::Constraint;
 use syd_types::{
     Clock, LinkId, Priority, ServiceName, SydError, SydResult, Timestamp, UserId, Value,
 };
+use syd_wire::{decode_from_slice, encode_to_vec, Decode, Encode, Reader};
 
 use crate::engine::{Call, SydEngine};
 use crate::events::EventHandler;
@@ -56,13 +59,48 @@ pub enum LinkKind {
     Negotiation(Constraint),
 }
 
+/// What the `kind` and `status` cells of a `SyD_Link` row may hold; a
+/// name's index is the value's tag in an encoded [`Link`].
+const KIND_NAMES: [&str; 4] = ["sub", "and", "atleast", "exactly"];
+const STATUS_NAMES: [&str; 2] = ["perm", "tent"];
+
+impl LinkKind {
+    /// The kind's tag and its `k` (0 where the kind has none).
+    fn tag(self) -> (usize, u32) {
+        match self {
+            LinkKind::Subscription => (0, 0),
+            LinkKind::Negotiation(Constraint::And) => (1, 0),
+            LinkKind::Negotiation(Constraint::AtLeast(k)) => (2, k),
+            LinkKind::Negotiation(Constraint::Exactly(k)) => (3, k),
+        }
+    }
+
+    fn from_tag(tag: usize, k: u32) -> SydResult<LinkKind> {
+        Ok(match (tag, k) {
+            (0, 0) => LinkKind::Subscription,
+            (1, 0) => LinkKind::Negotiation(Constraint::And),
+            (2, k) => LinkKind::Negotiation(Constraint::AtLeast(k)),
+            (3, k) => LinkKind::Negotiation(Constraint::Exactly(k)),
+            _ => return Err(SydError::Codec(format!("bad link kind {tag} (k = {k})"))),
+        })
+    }
+}
+
 /// Link subtype (§4.1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LinkStatus {
     /// In force.
-    Permanent,
+    Permanent = 0,
     /// Queued, waiting on a permanent link (see `SyD_WaitingLink`).
-    Tentative,
+    Tentative = 1,
+}
+
+impl LinkStatus {
+    fn from_tag(tag: usize) -> SydResult<LinkStatus> {
+        let known = [LinkStatus::Permanent, LinkStatus::Tentative];
+        let status = known.get(tag).copied();
+        status.ok_or_else(|| SydError::Codec(format!("bad link status {tag}")))
+    }
 }
 
 /// One reference of a link: a peer entity and the trigger action to run
@@ -87,6 +125,48 @@ impl LinkRef {
             entity: entity.into(),
             action: action.into(),
         }
+    }
+}
+
+impl Encode for LinkRef {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.user.encode(buf);
+        self.entity.encode(buf);
+        self.action.encode(buf);
+    }
+    fn encoded_len(&self) -> usize {
+        self.user.encoded_len() + self.entity.encoded_len() + self.action.encoded_len()
+    }
+}
+
+impl Decode for LinkRef {
+    fn decode(r: &mut Reader<'_>) -> SydResult<Self> {
+        Ok(LinkRef {
+            user: Decode::decode(r)?,
+            entity: Decode::decode(r)?,
+            action: Decode::decode(r)?,
+        })
+    }
+}
+
+/// A link's references as they travel inside an encoded [`Link`] and rest
+/// in the `refs` cell of its row: a count, then each [`LinkRef`].
+struct Refs<T>(T);
+
+impl Encode for Refs<&[LinkRef]> {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        (self.0.len() as u64).encode(buf);
+        self.0.iter().for_each(|r| r.encode(buf));
+    }
+    fn encoded_len(&self) -> usize {
+        (self.0.len() as u64).encoded_len() + self.0.iter().map(Encode::encoded_len).sum::<usize>()
+    }
+}
+
+impl Decode for Refs<Vec<LinkRef>> {
+    fn decode(r: &mut Reader<'_>) -> SydResult<Self> {
+        let refs = (0..r.len_prefix()?).map(|_| LinkRef::decode(r));
+        refs.collect::<SydResult<_>>().map(Refs)
     }
 }
 
@@ -115,88 +195,67 @@ pub struct Link {
 }
 
 impl Link {
-    /// Serializes for the wire (`syd.link/install_link`).
+    /// Wire form (`syd.link/install_link`, the commit's back link): the
+    /// link's [`Encode`]d bytes in one [`Value::Bytes`] (DESIGN.md §18).
     pub fn to_value(&self) -> Value {
-        let (kind, k) = match self.kind {
-            LinkKind::Subscription => ("sub", 0u32),
-            LinkKind::Negotiation(Constraint::And) => ("and", 0),
-            LinkKind::Negotiation(Constraint::AtLeast(k)) => ("atleast", k),
-            LinkKind::Negotiation(Constraint::Exactly(k)) => ("exactly", k),
-        };
-        Value::map([
-            ("kind", Value::str(kind)),
-            ("k", Value::from(k)),
-            (
-                "status",
-                Value::str(match self.status {
-                    LinkStatus::Permanent => "perm",
-                    LinkStatus::Tentative => "tent",
-                }),
-            ),
-            ("entity", Value::str(self.entity.clone())),
-            (
-                "refs",
-                Value::list(self.refs.iter().map(|r| {
-                    Value::map([
-                        ("user", Value::from(r.user.raw())),
-                        ("entity", Value::str(r.entity.clone())),
-                        ("action", Value::str(r.action.clone())),
-                    ])
-                })),
-            ),
-            ("priority", Value::from(self.priority.level() as u32)),
-            ("created", Value::from(self.created.as_micros())),
-            (
-                "expires",
-                self.expires
-                    .map_or(Value::Null, |t| Value::from(t.as_micros())),
-            ),
-            ("corr", Value::str(self.corr.clone())),
-        ])
+        Value::Bytes(encode_to_vec(self))
     }
 
-    /// Deserializes from the wire. The local id is assigned by the
-    /// receiving device, so `value` carries none.
+    /// Inverse of [`Link::to_value`]; anything but well-formed bytes of
+    /// the current version is refused. The receiving device assigns its
+    /// own local id when it installs the link.
     pub fn from_value(value: &Value) -> SydResult<Link> {
-        let kind_str = value.get("kind")?.as_str()?;
-        let k = value.get("k")?.as_i64()? as u32;
-        let kind = match kind_str {
-            "sub" => LinkKind::Subscription,
-            "and" => LinkKind::Negotiation(Constraint::And),
-            "atleast" => LinkKind::Negotiation(Constraint::AtLeast(k)),
-            "exactly" => LinkKind::Negotiation(Constraint::Exactly(k)),
-            other => return Err(SydError::Protocol(format!("bad link kind `{other}`"))),
-        };
-        let status = match value.get("status")?.as_str()? {
-            "perm" => LinkStatus::Permanent,
-            "tent" => LinkStatus::Tentative,
-            other => return Err(SydError::Protocol(format!("bad link status `{other}`"))),
-        };
-        let refs = value
-            .get("refs")?
-            .as_list()?
-            .iter()
-            .map(|r| {
-                Ok(LinkRef {
-                    user: UserId::new(r.get("user")?.as_i64()? as u64),
-                    entity: r.get("entity")?.as_str()?.to_owned(),
-                    action: r.get("action")?.as_str()?.to_owned(),
-                })
-            })
-            .collect::<SydResult<Vec<_>>>()?;
+        decode_from_slice(value.as_bytes()?)
+    }
+}
+
+/// Leading byte of an encoded [`Link`]; a decoder refuses any other.
+const LINK_VERSION: u8 = 1;
+
+impl Encode for Link {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        let (kind, k) = self.kind.tag();
+        buf.push(LINK_VERSION);
+        self.id.encode(buf);
+        buf.push(kind as u8);
+        k.encode(buf);
+        buf.push(self.status as u8);
+        self.entity.encode(buf);
+        Refs(&self.refs[..]).encode(buf);
+        self.priority.encode(buf);
+        self.created.encode(buf);
+        self.expires.encode(buf);
+        self.corr.encode(buf);
+    }
+
+    fn encoded_len(&self) -> usize {
+        3 + self.id.encoded_len()
+            + self.kind.tag().1.encoded_len()
+            + self.entity.encoded_len()
+            + Refs(&self.refs[..]).encoded_len()
+            + self.priority.encoded_len()
+            + self.created.encoded_len()
+            + self.expires.encoded_len()
+            + self.corr.encoded_len()
+    }
+}
+
+impl Decode for Link {
+    fn decode(r: &mut Reader<'_>) -> SydResult<Self> {
+        let version = r.u8()?;
+        if version != LINK_VERSION {
+            return Err(SydError::Codec(format!("link record version {version}")));
+        }
         Ok(Link {
-            id: LinkId::new(0),
-            kind,
-            status,
-            entity: value.get("entity")?.as_str()?.to_owned(),
-            refs,
-            priority: Priority::new(value.get("priority")?.as_i64()? as u8),
-            created: Timestamp::from_micros(value.get("created")?.as_i64()? as u64),
-            expires: match value.get("expires")? {
-                Value::Null => None,
-                t => Some(Timestamp::from_micros(t.as_i64()? as u64)),
-            },
-            corr: value.get("corr")?.as_str()?.to_owned(),
+            id: Decode::decode(r)?,
+            kind: LinkKind::from_tag(r.u8()?.into(), Decode::decode(r)?)?,
+            status: LinkStatus::from_tag(r.u8()?.into())?,
+            entity: Decode::decode(r)?,
+            refs: Refs::decode(r)?.0,
+            priority: Decode::decode(r)?,
+            created: Decode::decode(r)?,
+            expires: Decode::decode(r)?,
+            corr: Decode::decode(r)?,
         })
     }
 }
@@ -247,13 +306,7 @@ impl LinkSpec {
     ) -> LinkSpec {
         LinkSpec {
             kind: LinkKind::Negotiation(constraint),
-            status: LinkStatus::Permanent,
-            entity: entity.into(),
-            refs,
-            priority: Priority::NORMAL,
-            expires: None,
-            corr: String::new(),
-            waits_on: None,
+            ..LinkSpec::subscription(entity, refs)
         }
     }
 
@@ -348,9 +401,19 @@ pub struct LinksModule {
 }
 
 const T_LINK: &str = "SyD_Link";
-const T_REF: &str = "SyD_LinkRef";
 const T_WAIT: &str = "SyD_WaitingLink";
 const T_METHOD: &str = "SyD_LinkMethod";
+
+fn corr_is(corr: &str) -> Predicate {
+    Predicate::Eq("corr".into(), Value::str(corr))
+}
+
+/// An integer cell of a link table as its field's own type: a number out
+/// of the field's range is an error, not a wrapped value.
+fn int<T: TryFrom<i64>>(cell: &Value) -> SydResult<T> {
+    let n = cell.as_i64()?;
+    T::try_from(n).map_err(|_| SydError::Protocol(format!("stored link field holds {n}")))
+}
 
 impl LinksModule {
     /// §4.2 op. 1: creates the link database for this user ("this link
@@ -375,23 +438,12 @@ impl LinksModule {
                 Column::required("created", ColumnType::I64),
                 Column::nullable("expires", ColumnType::I64),
                 Column::required("corr", ColumnType::Str),
+                Column::required("refs", ColumnType::Bytes),
             ],
             &["id"],
         )?)?;
         store.create_index(T_LINK, "entity")?;
         store.create_index(T_LINK, "corr")?;
-        store.create_table(Schema::new(
-            T_REF,
-            vec![
-                Column::required("link_id", ColumnType::I64),
-                Column::required("idx", ColumnType::I64),
-                Column::required("user", ColumnType::I64),
-                Column::required("entity", ColumnType::Str),
-                Column::required("action", ColumnType::Str),
-            ],
-            &["link_id", "idx"],
-        )?)?;
-        store.create_index(T_REF, "link_id")?;
         store.create_table(Schema::new(
             T_WAIT,
             vec![
@@ -458,42 +510,24 @@ impl LinksModule {
             spec.corr.clone()
         };
         let created = self.clock.now();
-        let (kind, k) = match spec.kind {
-            LinkKind::Subscription => ("sub", 0u32),
-            LinkKind::Negotiation(Constraint::And) => ("and", 0),
-            LinkKind::Negotiation(Constraint::AtLeast(k)) => ("atleast", k),
-            LinkKind::Negotiation(Constraint::Exactly(k)) => ("exactly", k),
-        };
+        let (kind, k) = spec.kind.tag();
+        // One row, one statement: nobody reads a link without its refs.
         self.store.insert(
             T_LINK,
             vec![
                 Value::from(id.raw()),
-                Value::str(kind),
+                Value::str(KIND_NAMES[kind]),
                 Value::from(k),
-                Value::str(match spec.status {
-                    LinkStatus::Permanent => "perm",
-                    LinkStatus::Tentative => "tent",
-                }),
+                Value::str(STATUS_NAMES[spec.status as usize]),
                 Value::str(spec.entity.clone()),
                 Value::from(spec.priority.level() as u32),
                 Value::from(created.as_micros()),
                 spec.expires
                     .map_or(Value::Null, |t| Value::from(t.as_micros())),
                 Value::str(corr.clone()),
+                Value::Bytes(encode_to_vec(&Refs(&spec.refs[..]))),
             ],
         )?;
-        for (idx, r) in spec.refs.iter().enumerate() {
-            self.store.insert(
-                T_REF,
-                vec![
-                    Value::from(id.raw()),
-                    Value::from(idx as u64),
-                    Value::from(r.user.raw()),
-                    Value::str(r.entity.clone()),
-                    Value::str(r.action.clone()),
-                ],
-            )?;
-        }
         if let Some((waits_on, group)) = spec.waits_on {
             self.store.insert(
                 T_WAIT,
@@ -525,85 +559,77 @@ impl LinksModule {
         })
     }
 
-    fn link_from_row(&self, row: &syd_store::Row) -> SydResult<Link> {
-        let id = LinkId::new(row.values[0].as_i64()? as u64);
-        let kind_str = row.values[1].as_str()?;
-        let k = row.values[2].as_i64()? as u32;
-        let kind = match kind_str {
-            "sub" => LinkKind::Subscription,
-            "and" => LinkKind::Negotiation(Constraint::And),
-            "atleast" => LinkKind::Negotiation(Constraint::AtLeast(k)),
-            "exactly" => LinkKind::Negotiation(Constraint::Exactly(k)),
-            other => return Err(SydError::Protocol(format!("bad stored kind `{other}`"))),
+    /// Parses one `SyD_Link` row. An unknown kind or status, a number out
+    /// of its field's range and malformed `refs` are errors, never defaults.
+    fn link_from_row(row: &[Value]) -> SydResult<Link> {
+        let tag = |names: &[&str], cell: &Value| {
+            let name = cell.as_str()?;
+            let tag = names.iter().position(|n| *n == name);
+            tag.ok_or_else(|| SydError::Protocol(format!("stored link is `{name}`")))
         };
-        let status = match row.values[3].as_str()? {
-            "perm" => LinkStatus::Permanent,
-            _ => LinkStatus::Tentative,
-        };
-        let refs = self
-            .store
-            .query(T_REF)
-            .filter(Predicate::Eq("link_id".into(), Value::from(id.raw())))
-            .order_by("idx", true)
-            .run()?
-            .into_iter()
-            .map(|r| {
-                Ok(LinkRef {
-                    user: UserId::new(r.values[2].as_i64()? as u64),
-                    entity: r.values[3].as_str()?.to_owned(),
-                    action: r.values[4].as_str()?.to_owned(),
-                })
-            })
-            .collect::<SydResult<Vec<_>>>()?;
         Ok(Link {
-            id,
-            kind,
-            status,
-            entity: row.values[4].as_str()?.to_owned(),
-            refs,
-            priority: Priority::new(row.values[5].as_i64()? as u8),
-            created: Timestamp::from_micros(row.values[6].as_i64()? as u64),
-            expires: match &row.values[7] {
+            id: LinkId::new(int(&row[0])?),
+            kind: LinkKind::from_tag(tag(&KIND_NAMES, &row[1])?, int(&row[2])?)?,
+            status: LinkStatus::from_tag(tag(&STATUS_NAMES, &row[3])?)?,
+            entity: row[4].as_str()?.to_owned(),
+            priority: Priority::new(int(&row[5])?),
+            created: Timestamp::from_micros(int(&row[6])?),
+            expires: match &row[7] {
                 Value::Null => None,
-                v => Some(Timestamp::from_micros(v.as_i64()? as u64)),
+                v => Some(Timestamp::from_micros(int(v)?)),
             },
-            corr: row.values[8].as_str()?.to_owned(),
+            corr: row[8].as_str()?.to_owned(),
+            refs: decode_from_slice::<Refs<Vec<LinkRef>>>(row[9].as_bytes()?)?.0,
         })
     }
 
     /// Fetches one link.
     pub fn get(&self, id: LinkId) -> SydResult<Option<Link>> {
         match self.store.get_by_key(T_LINK, &[Value::from(id.raw())])? {
-            Some(row) => Ok(Some(self.link_from_row(&row)?)),
+            Some(row) => Ok(Some(Self::link_from_row(&row.values)?)),
             None => Ok(None),
         }
     }
 
+    fn links_where(&self, pred: &Predicate) -> SydResult<Vec<Link>> {
+        let rows = self.store.select(T_LINK, pred)?;
+        rows.iter()
+            .map(|r| Self::link_from_row(&r.values))
+            .collect()
+    }
+
     /// All links in the database.
     pub fn all(&self) -> SydResult<Vec<Link>> {
-        self.store
-            .select(T_LINK, &Predicate::True)?
-            .iter()
-            .map(|row| self.link_from_row(row))
-            .collect()
+        self.links_where(&Predicate::True)
     }
 
     /// Links anchored on `entity`.
     pub fn on_entity(&self, entity: &str) -> SydResult<Vec<Link>> {
-        self.store
-            .select(T_LINK, &Predicate::Eq("entity".into(), Value::str(entity)))?
-            .iter()
-            .map(|row| self.link_from_row(row))
-            .collect()
+        self.links_where(&Predicate::Eq("entity".into(), Value::str(entity)))
     }
 
     /// Links sharing a correlation id.
     pub fn by_corr(&self, corr: &str) -> SydResult<Vec<Link>> {
-        self.store
-            .select(T_LINK, &Predicate::Eq("corr".into(), Value::str(corr)))?
-            .iter()
-            .map(|row| self.link_from_row(row))
+        self.links_where(&corr_is(corr))
+    }
+
+    /// Ids of the links sharing a correlation id, for callers that ask
+    /// whether a link exists or which to delete: no link is parsed.
+    pub fn ids_by_corr(&self, corr: &str) -> SydResult<Vec<LinkId>> {
+        let rows = self.store.select(T_LINK, &corr_is(corr))?;
+        rows.iter()
+            .map(|r| int(&r.values[0]).map(LinkId::new))
             .collect()
+    }
+
+    /// Id of the link of `corr` anchored on `entity`, if there is one.
+    pub fn find(&self, corr: &str, entity: &str) -> SydResult<Option<LinkId>> {
+        let rows = self.store.select(T_LINK, &corr_is(corr))?;
+        let on_entity = |r: &&syd_store::Row| r.values[4].as_str().is_ok_and(|e| e == entity);
+        let found = rows.iter().find(on_entity);
+        found
+            .map(|r| int(&r.values[0]).map(LinkId::new))
+            .transpose()
     }
 
     /// Number of stored links.
@@ -614,18 +640,19 @@ impl LinksModule {
     /// Snapshot of the `SyD_WaitingLink` table, for the invariant
     /// checker's waiting-queue audit (no lost or duplicate waiter).
     pub fn waiting(&self) -> SydResult<Vec<WaitingEntry>> {
-        self.store
-            .select(T_WAIT, &Predicate::True)?
-            .iter()
-            .map(|row| {
-                Ok(WaitingEntry {
-                    link: LinkId::new(row.values[0].as_i64()? as u64),
-                    waits_on: LinkId::new(row.values[1].as_i64()? as u64),
-                    priority: Priority::new(row.values[2].as_i64()? as u8),
-                    group: row.values[3].as_i64()? as u64,
-                })
+        self.waiting_where(&Predicate::True)
+    }
+
+    fn waiting_where(&self, pred: &Predicate) -> SydResult<Vec<WaitingEntry>> {
+        let parse = |row: &syd_store::Row| {
+            Ok(WaitingEntry {
+                link: LinkId::new(int(&row.values[0])?),
+                waits_on: LinkId::new(int(&row.values[1])?),
+                priority: Priority::new(int(&row.values[2])?),
+                group: int(&row.values[3])?,
             })
-            .collect()
+        };
+        self.store.select(T_WAIT, pred)?.iter().map(parse).collect()
     }
 
     // ---- §4.2 op. 2: negotiated creation -----------------------------------
@@ -766,10 +793,6 @@ impl LinksModule {
         self.store
             .delete(T_LINK, &Predicate::Eq("id".into(), Value::from(id.raw())))?;
         self.store.delete(
-            T_REF,
-            &Predicate::Eq("link_id".into(), Value::from(id.raw())),
-        )?;
-        self.store.delete(
             T_WAIT,
             &Predicate::Eq("link_id".into(), Value::from(id.raw())),
         )?;
@@ -861,19 +884,8 @@ impl LinksModule {
     /// to permanent." Remaining waiters are re-anchored to the first
     /// promoted link so the queue survives.
     fn promote_waiters(&self, deleted: LinkId) -> SydResult<Vec<LinkId>> {
-        let rows = self.store.select(
-            T_WAIT,
-            &Predicate::Eq("waits_on".into(), Value::from(deleted.raw())),
-        )?;
-        let mut waiting = Vec::with_capacity(rows.len());
-        for row in &rows {
-            waiting.push(WaitingEntry {
-                link: LinkId::new(row.values[0].as_i64()? as u64),
-                waits_on: deleted,
-                priority: Priority::new(row.values[2].as_i64().unwrap_or(0) as u8),
-                group: row.values[3].as_i64().unwrap_or(0) as u64,
-            });
-        }
+        let on_deleted = Predicate::Eq("waits_on".into(), Value::from(deleted.raw()));
+        let waiting = self.waiting_where(&on_deleted)?;
         let Some(plan) = lifecycle::promotion_plan(&waiting) else {
             return Ok(Vec::new());
         };
@@ -899,7 +911,10 @@ impl LinksModule {
             self.store.update(
                 T_LINK,
                 &Predicate::Eq("id".into(), Value::from(link_id.raw())),
-                &[("status".into(), Value::str("perm"))],
+                &[(
+                    "status".into(),
+                    Value::str(STATUS_NAMES[LinkStatus::Permanent as usize]),
+                )],
             )?;
             self.store.delete(
                 T_WAIT,
@@ -1111,62 +1126,225 @@ impl LinksModule {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // test code
 mod tests {
     use super::*;
+    use crate::SydEnv;
+    use syd_net::NetConfig;
+    use syd_store::{Trigger, TriggerEvent};
+    use syd_types::rng::{cases, Rng};
+    use syd_types::sync::Mutex;
+
+    fn generated(rng: &mut Rng) -> Link {
+        let k = rng.any_u64() as u32;
+        let refs = match rng.below(4) {
+            0 => 0,
+            1 => 32,
+            _ => rng.below(33),
+        };
+        Link {
+            id: LinkId::new(rng.any_u64()),
+            kind: [
+                LinkKind::Subscription,
+                LinkKind::Negotiation(Constraint::And),
+                LinkKind::Negotiation(Constraint::AtLeast(k)),
+                LinkKind::Negotiation(Constraint::Exactly(k)),
+            ][rng.below(4) as usize],
+            status: [LinkStatus::Permanent, LinkStatus::Tentative][rng.below(2) as usize],
+            entity: rng.string(12),
+            refs: (0..refs)
+                .map(|_| LinkRef::new(UserId::new(rng.any_u64()), rng.string(12), rng.string(24)))
+                .collect(),
+            priority: Priority::new(rng.any_u64() as u8),
+            created: Timestamp::from_micros(rng.any_u64()),
+            expires: rng
+                .chance(1, 2)
+                .then(|| Timestamp::from_micros(rng.any_u64())),
+            corr: rng.string(20),
+        }
+    }
+
+    fn subscription() -> Link {
+        Link {
+            id: LinkId::new(0),
+            kind: LinkKind::Subscription,
+            status: LinkStatus::Permanent,
+            entity: "e".into(),
+            refs: vec![LinkRef::new(UserId::new(2), "slot:9", "reserve")],
+            priority: Priority::NORMAL,
+            created: Timestamp::from_micros(0),
+            expires: None,
+            corr: "c".into(),
+        }
+    }
 
     #[test]
     fn link_value_round_trip() {
-        let link = Link {
-            id: LinkId::new(0),
-            kind: LinkKind::Negotiation(Constraint::AtLeast(2)),
-            status: LinkStatus::Tentative,
-            entity: "slot:1:9".into(),
-            refs: vec![
-                LinkRef::new(UserId::new(2), "slot:1:9", "reserve"),
-                LinkRef::new(UserId::new(3), "slot:1:9", "reserve"),
-            ],
-            priority: Priority::HIGH,
-            created: Timestamp::from_micros(10),
-            expires: Some(Timestamp::from_micros(99)),
-            corr: "corr:1:1".into(),
-        };
-        let back = Link::from_value(&link.to_value()).unwrap();
-        assert_eq!(back, link);
+        cases(256, |rng| {
+            let link = generated(rng);
+            let bytes = encode_to_vec(&link);
+            assert_eq!(bytes.len(), link.encoded_len());
+            assert_eq!(decode_from_slice::<Link>(&bytes).unwrap(), link);
+            assert_eq!(Link::from_value(&link.to_value()).unwrap(), link);
+        });
     }
 
     #[test]
     fn link_value_round_trip_no_expiry() {
-        let link = Link {
-            id: LinkId::new(0),
-            kind: LinkKind::Subscription,
-            status: LinkStatus::Permanent,
-            entity: "e".into(),
-            refs: vec![],
-            priority: Priority::NORMAL,
-            created: Timestamp::from_micros(0),
-            expires: None,
-            corr: "c".into(),
-        };
-        let back = Link::from_value(&link.to_value()).unwrap();
-        assert_eq!(back, link);
+        let link = subscription();
+        assert_eq!(link.expires, None);
+        assert_eq!(Link::from_value(&link.to_value()).unwrap(), link);
+    }
+
+    #[test]
+    fn truncated_and_extended_links_are_codec_errors() {
+        cases(32, |rng| {
+            let mut bytes = encode_to_vec(&generated(rng));
+            for cut in 0..bytes.len() {
+                let err = decode_from_slice::<Link>(&bytes[..cut]).unwrap_err();
+                assert!(matches!(err, SydError::Codec(_)), "prefix {cut}: {err}");
+            }
+            bytes.push(rng.next_u64() as u8);
+            let err = decode_from_slice::<Link>(&bytes).unwrap_err();
+            assert!(
+                matches!(err, SydError::Codec(_)),
+                "one byte appended: {err}"
+            );
+        });
+    }
+
+    #[test]
+    fn unknown_version_and_map_form_are_refused() {
+        let mut bytes = encode_to_vec(&subscription());
+        bytes[0] = LINK_VERSION + 1;
+        let err = Link::from_value(&Value::Bytes(bytes)).unwrap_err();
+        assert!(matches!(err, SydError::Codec(_)), "{err}");
+
+        // What a peer of the map era would send: refused, not half-read.
+        let map = Value::map([("kind", Value::str("sub")), ("k", Value::from(0u64))]);
+        let err = Link::from_value(&map).unwrap_err();
+        assert!(
+            matches!(&err, SydError::Protocol(m) if m.contains("type mismatch")),
+            "{err}"
+        );
     }
 
     #[test]
     fn bad_kind_rejected() {
-        let mut v = Link {
-            id: LinkId::new(0),
-            kind: LinkKind::Subscription,
-            status: LinkStatus::Permanent,
-            entity: "e".into(),
-            refs: vec![],
-            priority: Priority::NORMAL,
-            created: Timestamp::from_micros(0),
-            expires: None,
-            corr: "c".into(),
+        // Layout: version, id (one byte for 0), kind, k, status, …
+        let good = encode_to_vec(&subscription());
+        assert_eq!(good[2..5], [0, 0, 0], "subscription, no k, permanent");
+        for (at, byte, what) in [
+            (2, 4, "kind 4"),
+            (3, 1, "a k on a subscription"),
+            (4, 2, "status 2"),
+        ] {
+            let mut bytes = good.clone();
+            bytes[at] = byte;
+            let err = decode_from_slice::<Link>(&bytes).unwrap_err();
+            assert!(matches!(err, SydError::Codec(_)), "{what}: {err}");
         }
-        .to_value();
-        if let Value::Map(m) = &mut v {
-            m.insert("kind".into(), Value::str("bogus"));
+    }
+
+    /// A stored row is checked cell by cell: the map era read an unknown
+    /// status as `Tentative` and cast numbers with `as` (a priority of 511
+    /// became 255, a negative id a huge one).
+    #[test]
+    fn defective_stored_rows_are_errors_not_defaults() {
+        let env = SydEnv::new_insecure(NetConfig::ideal());
+        let device = env.device("a", "").unwrap();
+        let links = device.links();
+        let id = links.add_local(subscription_spec()).unwrap().id;
+        let by_id = Predicate::Eq("id".into(), Value::from(id.raw()));
+        let good = device.store().select(T_LINK, &by_id).unwrap()[0]
+            .values
+            .to_vec();
+        for (column, defect) in [
+            ("status", Value::str("bogus")),
+            ("kind", Value::str("bogus")),
+            ("priority", Value::I64(511)),
+            ("created", Value::I64(-1)),
+            ("k", Value::I64(1 << 32)),
+            ("refs", Value::Bytes(vec![1])),
+        ] {
+            let at = device
+                .store()
+                .schema_of(T_LINK)
+                .unwrap()
+                .column_index(column)
+                .unwrap();
+            let original = good[at].clone();
+            device
+                .store()
+                .update(T_LINK, &by_id, &[(column.to_owned(), defect)])
+                .unwrap();
+            assert!(links.get(id).is_err(), "defective `{column}` was read");
+            device
+                .store()
+                .update(T_LINK, &by_id, &[(column.to_owned(), original)])
+                .unwrap();
         }
-        assert!(Link::from_value(&v).is_err());
+        assert_eq!(links.get(id).unwrap().unwrap().refs.len(), 1);
+    }
+
+    fn subscription_spec() -> LinkSpec {
+        let link = subscription();
+        LinkSpec::subscription(link.entity, link.refs)
+    }
+
+    /// A link is one row: whoever sees the link sees its references. With
+    /// the references in a table of their own the row landed first, and an
+    /// after-insert trigger (or a concurrent `on_entity`) found none.
+    #[test]
+    fn a_link_is_never_visible_without_its_refs() {
+        let env = SydEnv::new_insecure(NetConfig::ideal());
+        let device = env.device("a", "").unwrap();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        device
+            .store()
+            .add_trigger(Trigger::after(
+                "refs-at-insert",
+                T_LINK,
+                vec![TriggerEvent::Insert],
+                move |ctx| {
+                    let row = ctx.new.expect("insert shows the new row");
+                    sink.lock()
+                        .push(LinksModule::link_from_row(row).map(|l| l.refs));
+                    Ok(())
+                },
+            ))
+            .unwrap();
+        let refs: Vec<LinkRef> = (1..=8)
+            .map(|u| LinkRef::new(UserId::new(u), "slot:100", "reserve"))
+            .collect();
+        device
+            .links()
+            .add_local(LinkSpec::negotiation(
+                "slot:100",
+                Constraint::And,
+                refs.clone(),
+            ))
+            .unwrap();
+        let seen = seen.lock();
+        assert_eq!(seen.len(), 1, "one statement writes the link");
+        assert_eq!(seen[0].as_ref().unwrap(), &refs);
+    }
+
+    #[test]
+    fn id_queries_agree_with_the_parsed_links() {
+        let env = SydEnv::new_insecure(NetConfig::ideal());
+        let device = env.device("a", "").unwrap();
+        let links = device.links();
+        let on = |entity: &str| {
+            let spec = LinkSpec::subscription(entity, vec![]).with_corr("shared");
+            links.add_local(spec).unwrap().id
+        };
+        let (first, second) = (on("slot:1"), on("slot:2"));
+        links
+            .add_local(LinkSpec::subscription("slot:1", vec![]).with_corr("other"))
+            .unwrap();
+        assert_eq!(links.ids_by_corr("shared").unwrap(), vec![first, second]);
+        assert_eq!(links.find("shared", "slot:2").unwrap(), Some(second));
+        assert_eq!(links.find("shared", "slot:3").unwrap(), None);
+        assert!(links.ids_by_corr("nobody").unwrap().is_empty());
     }
 
     #[test]

@@ -101,6 +101,11 @@ pub struct NegotiationOutcome {
     pub session: u64,
 }
 
+/// The commit carries what the mark carried: [`Participant::change`].
+fn marked_changes(chosen: &[&Participant]) -> Vec<Value> {
+    chosen.iter().map(|p| p.change.clone()).collect()
+}
+
 /// Runs negotiations from one device.
 pub struct Negotiator {
     engine: SydEngine,
@@ -159,7 +164,7 @@ impl Negotiator {
         constraint: Constraint,
         participants: &[Participant],
     ) -> SydResult<NegotiationOutcome> {
-        self.negotiate_impl(constraint, participants, false, &|_, p| p.change.clone())
+        self.negotiate_impl(constraint, participants, false, &marked_changes)
     }
 
     /// Greedy grab for repair rounds: commits every participant that can
@@ -173,23 +178,24 @@ impl Negotiator {
         &self,
         participants: &[Participant],
     ) -> SydResult<NegotiationOutcome> {
-        self.negotiate_available_with(participants, &|_, p| p.change.clone())
+        self.negotiate_available_with(participants, &marked_changes)
     }
 
     /// [`Negotiator::negotiate_available`] with the commit payloads built
-    /// **after** the vote: `commit_change(chosen, p)` is asked for the
-    /// change of every participant `p` about to be committed, `chosen`
-    /// being all of them in participant order. The mark and any abort
-    /// still carry [`Participant::change`], which then need hold only
-    /// what the participant's `prepare` reads. This is what lets one
+    /// **after** the vote, once per vote: `commit_changes(chosen)` is
+    /// asked for the changes of the participants about to be committed —
+    /// `chosen`, in participant order — and returns one per participant,
+    /// in that order (what they share it builds once). The mark and any
+    /// abort still carry [`Participant::change`], which then need hold
+    /// only what the participant's `prepare` reads. This is what lets one
     /// commit carry everything that follows from *who* committed — no
     /// later round has to tell the participants.
     pub fn negotiate_available_with(
         &self,
         participants: &[Participant],
-        commit_change: &dyn Fn(&[UserId], &Participant) -> Value,
+        commit_changes: &dyn Fn(&[&Participant]) -> Vec<Value>,
     ) -> SydResult<NegotiationOutcome> {
-        self.negotiate_impl(Constraint::AtLeast(0), participants, true, commit_change)
+        self.negotiate_impl(Constraint::AtLeast(0), participants, true, commit_changes)
     }
 
     fn negotiate_impl(
@@ -197,7 +203,7 @@ impl Negotiator {
         constraint: Constraint,
         participants: &[Participant],
         abort_on_contention: bool,
-        commit_change: &dyn Fn(&[UserId], &Participant) -> Value,
+        commit_changes: &dyn Fn(&[&Participant]) -> Vec<Value>,
     ) -> SydResult<NegotiationOutcome> {
         if participants.is_empty() {
             return Err(SydError::Protocol("negotiation needs participants".into()));
@@ -275,18 +281,17 @@ impl Negotiator {
         // yes-voters, and abort the unanswered too — abort releases the
         // lock a lost yes vote left behind and is a no-op where the mark
         // itself was lost. Best effort for the aborts.
-        let chosen: Vec<UserId> = to_commit.iter().map(|&i| participants[i].user).collect();
-        let mut batch: Vec<Call<'_>> = to_commit
+        let chosen: Vec<&Participant> = to_commit.iter().map(|&i| &participants[i]).collect();
+        let changes = commit_changes(&chosen);
+        assert_eq!(
+            changes.len(),
+            chosen.len(),
+            "one change per chosen participant"
+        );
+        let mut batch: Vec<Call<'_>> = chosen
             .iter()
-            .map(|&i| {
-                let p = &participants[i];
-                Call::new(
-                    p.user,
-                    &svc,
-                    "commit",
-                    args_of(p, commit_change(&chosen, p)),
-                )
-            })
+            .zip(changes)
+            .map(|(p, change)| Call::new(p.user, &svc, "commit", args_of(p, change)))
             .collect();
         batch.extend(to_abort.iter().chain(&unanswered).map(|&i| {
             let p = &participants[i];

@@ -1,9 +1,12 @@
 //! Dynamic value model for remote invocations and the embedded store.
 //!
 //! SyD device objects are independent — they share no global schema — so
-//! method arguments, query results and stored cells travel as self-describing
+//! method arguments, query results and stored cells are self-describing
 //! [`Value`]s, the same role JDBC result sets and Java serialization played
-//! in the paper's prototype.
+//! in the paper's prototype. The two records the program itself owns, the
+//! calendar's `Meeting` and the kernel's `Link`, are the exception: each
+//! has a typed codec and travels and rests as one [`Value::Bytes`]
+//! (DESIGN.md §18); ad-hoc replies and change payloads stay maps.
 
 use core::fmt;
 use std::collections::BTreeMap;

@@ -40,17 +40,15 @@ fn link_database_has_the_papers_tables() {
     let env = SydEnv::new_insecure(NetConfig::ideal());
     let app = CalendarApp::install(&env.device("phil", "").unwrap()).unwrap();
     let tables = app.device().store().table_names();
-    for expected in [
-        "SyD_Link",
-        "SyD_LinkRef",
-        "SyD_WaitingLink",
-        "SyD_LinkMethod",
-    ] {
+    for expected in ["SyD_Link", "SyD_WaitingLink", "SyD_LinkMethod"] {
         assert!(
             tables.contains(&expected.to_string()),
             "missing {expected}; have {tables:?}"
         );
     }
+    // A link is one row: its references rest in the `refs` cell.
+    let schema = app.device().store().schema_of("SyD_Link").unwrap();
+    assert!(schema.column_index("refs").is_ok(), "{schema:?}");
 }
 
 /// §4.4's cancel-meeting procedure, observed through the tables:
