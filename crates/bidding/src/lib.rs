@@ -342,7 +342,7 @@ mod tests {
             p.device
                 .node()
                 .set_event_sink(Arc::new(move |_from, ev: syd_wire::EventMsg| {
-                    events.publish_local(&ev.topic, &ev.payload);
+                    events.publish_local(&ev.topic, || ev.payload);
                 }));
         }
         host.run_round(&users, "lamp", 100).unwrap();

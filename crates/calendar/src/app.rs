@@ -318,6 +318,16 @@ impl CalendarApp {
         }
     }
 
+    /// The status of the locally stored record of a meeting, read without
+    /// decoding the record.
+    pub(crate) fn meeting_status(&self, id: MeetingId) -> SydResult<Option<MeetingStatus>> {
+        let row = self
+            .store
+            .get_by_key(T_MEETINGS, &[Value::from(id.raw())])?;
+        row.map(|row| Meeting::status_of(row.values[1].as_bytes()?))
+            .transpose()
+    }
+
     /// Upserts a meeting record. Two service calls of one batch may write
     /// the same new record at once (`update_meeting` and
     /// `queue_availability` of a corrective round), so losing the insert
@@ -437,9 +447,7 @@ impl EntityHandler for SlotEntityHandler {
                     _ => None,
                 };
                 let confirmed = rec.status == MeetingStatus::Confirmed;
-                let was_confirmed = app
-                    .meeting(meeting)?
-                    .is_some_and(|old| old.status == MeetingStatus::Confirmed);
+                let was_confirmed = app.meeting_status(meeting)? == Some(MeetingStatus::Confirmed);
                 app.set_slot(
                     ordinal,
                     if confirmed { "conf" } else { "tent" },
@@ -474,7 +482,7 @@ impl EntityHandler for SlotEntityHandler {
                 }
                 app.device
                     .events()
-                    .publish_local("calendar.reserved", &Value::from(ordinal));
+                    .publish_local("calendar.reserved", || Value::from(ordinal));
                 Ok(())
             }
             "release" => {
@@ -516,7 +524,7 @@ impl CalendarApp {
         }
         self.device
             .events()
-            .publish_local("calendar.bumped", &Value::from(old.raw()));
+            .publish_local("calendar.bumped", || Value::from(old.raw()));
         Ok(())
     }
 }
@@ -652,7 +660,7 @@ impl CalendarApp {
             }),
         )?;
 
-        // release_slot(ordinal, meeting, to_status) -> Bool
+        // release_slot(ordinal, meeting, to_status, retire) -> Bool
         let weak = Arc::downgrade(self);
         self.device.register_service(
             &svc,
@@ -662,7 +670,9 @@ impl CalendarApp {
                 let ordinal = arg(args, 0)?.as_i64()? as u64;
                 let meeting = MeetingId::new(arg(args, 1)?.as_i64()? as u64);
                 let to_status = arg(args, 2)?.as_str()?;
-                Ok(Value::Bool(app.release_local(ordinal, meeting, to_status)?))
+                let retire = arg(args, 3)?.as_bool()?;
+                let freed = app.release_local(ordinal, meeting, to_status, retire)?;
+                Ok(Value::Bool(freed))
             }),
         )?;
 
@@ -768,11 +778,23 @@ impl CalendarApp {
     /// `ordinal` if the meeting holds it; returns whether it did. A
     /// cancellation also empties the record's reserved list and leaves the
     /// notice (§5.1) where the slot was held.
+    ///
+    /// With `retire` the meeting is giving the slot up everywhere
+    /// (cancelled, moved, bumped) and its links here go too — §4.4's
+    /// cascade, delivered by the release instead of a round behind it:
+    /// *after* the slot is free, so that the availability link this
+    /// promotes and fires finds it free; with the whole roster as
+    /// `visited`, since everyone on it is sent the same release. The
+    /// initiator's own links stay for [`CalendarApp::retire`], which
+    /// deletes them once it knows whom the release did not reach. A leaver
+    /// or an unused recruit is released without `retire`: the meeting, and
+    /// its links, live on.
     pub(crate) fn release_local(
         &self,
         ordinal: u64,
         meeting: MeetingId,
         to_status: &str,
+        retire: bool,
     ) -> SydResult<bool> {
         let status = MeetingStatus::parse(to_status).ok();
         let cancelled = status == Some(MeetingStatus::Cancelled);
@@ -784,19 +806,28 @@ impl CalendarApp {
             }
             self.put_meeting(rec)?;
         }
-        if self.slot_state(ordinal)?.meeting() != Some(meeting) {
-            return Ok(false);
+        let held = self.slot_state(ordinal)?.meeting() == Some(meeting);
+        if held {
+            self.clear_slot(ordinal)?;
+            if let Some(rec) = rec
+                .as_ref()
+                .filter(|r| cancelled && r.initiator != self.user())
+            {
+                self.mailbox.deliver_local(
+                    rec.initiator,
+                    &format!("cancelled: {}", rec.title),
+                    &format!("meeting {} was cancelled", rec.id),
+                )?;
+            }
+            self.on_slot_freed(ordinal);
         }
-        self.clear_slot(ordinal)?;
-        if let Some(rec) = rec.filter(|r| cancelled && r.initiator != self.user()) {
-            self.mailbox.deliver_local(
-                rec.initiator,
-                &format!("cancelled: {}", rec.title),
-                &format!("meeting {} was cancelled", rec.id),
-            )?;
+        // No record, no link: the commit that installs a back link writes
+        // the record first.
+        if let Some(rec) = rec.filter(|r| retire && r.initiator != self.user()) {
+            let roster = rec.all_participants().iter().map(|u| u.raw()).collect();
+            self.device.links().delete_by_corr(&rec.corr, roster)?;
         }
-        self.on_slot_freed(ordinal);
-        Ok(true)
+        Ok(held)
     }
 
     /// Installs a tentative *availability link* at this (unavailable)

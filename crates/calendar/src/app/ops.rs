@@ -12,23 +12,31 @@
 //! record with the status the constraints (musts + OR-group quorums) give
 //! over the yes-voters, and the participant's back link. The participant
 //! writes slot, record and link under the entity lock, drops its own stale
-//! availability link and files the confirmation mail itself. A third round
-//! exists only when somebody declined (availability links are queued at
-//! the missing) or a commit failed after its retry (the record is
-//! corrected everywhere). Meeting setup, peer-available wake-ups,
+//! availability link and files the confirmation mail itself. Who declined
+//! is known from the same vote, so the availability links of the missing
+//! are queued by calls that ride in the commit batch. A third round
+//! exists only when a commit failed after its retry (the record is
+//! corrected everywhere), when the grab stayed contended, or for a missing
+//! member no rider reached. Meeting setup, peer-available wake-ups,
 //! participant changes and post-bump rescheduling all funnel into it,
 //! which is what makes the whole lifecycle idempotent and re-entrant — the
-//! property the paper's event-driven triggers need. DESIGN.md §16 has the
-//! rounds per operation and why nothing needs to trail.
+//! property the paper's event-driven triggers need.
+//!
+//! Giving a reservation up is one round too ([`CalendarApp::cancel`], a
+//! change of time, a bump): the `release_slot` that frees a participant's
+//! slot also tells it to delete its links of the meeting, so the §4.4
+//! cascade needs no round behind the release. DESIGN.md §16 has the rounds
+//! per operation and why no barrier is needed between the two.
 
 use syd_core::links::{Constraint, Link, LinkKind, LinkRef, LinkSpec, LinkStatus};
-use syd_core::negotiate::Participant;
+use syd_core::negotiate::{Participant, Phase2};
 use syd_core::Call;
 use syd_store::Predicate;
 use syd_telemetry::names;
 use syd_types::{
     LinkId, MeetingId, SlotBitmap, SlotRange, SydError, SydResult, TimeSlot, UserId, Value,
 };
+use syd_wire::Args;
 
 use crate::app::{calendar_service, CalendarApp, T_AVAILQ};
 use crate::model::{slot_entity, Meeting, MeetingSpec, MeetingStatus, ScheduleOutcome};
@@ -242,8 +250,10 @@ impl CalendarApp {
         // Mark everyone, commit whoever votes yes. A participant that
         // already holds the slot for this meeting votes yes like a free
         // one, so the yes-voters *are* the holders after the round and no
-        // status query precedes it. The commit is built from the votes:
-        // each carries the record as it will stand and the back link.
+        // status query precedes it. Phase 2 is built from the votes: each
+        // commit carries the record as it will stand and the back link,
+        // and whoever that record says is missing is sent its
+        // `queue_availability` in the same batch.
         //
         // A contended round (another initiator's negotiation mid-flight on
         // some slot) commits nothing; back off for a user-staggered moment
@@ -258,12 +268,12 @@ impl CalendarApp {
         // Built once per vote: the record depends on who was chosen only,
         // the back link on whether its holder is a supervisor — one encoding
         // of the record, at most two of the link, cloned into each commit.
-        let commit_changes = |chosen: &[&Participant]| {
+        let phase2 = |chosen: &[&Participant]| {
             let holders: Vec<UserId> = chosen.iter().map(|p| p.user).collect();
             let expected = Self::held_by(&rec, &holders);
             let record = expected.to_value();
             let mut back_links = [None, None];
-            chosen
+            let changes = chosen
                 .iter()
                 .map(|p| {
                     let link = (p.user != me).then(|| {
@@ -274,16 +284,26 @@ impl CalendarApp {
                     });
                     Self::reserve_change(&expected, record.clone(), link)
                 })
-                .collect()
+                .collect();
+            let missing = expected.missing();
+            let queue = Args::from(vec![Value::from(ordinal), record]);
+            if !missing.is_empty() {
+                queue.preencode();
+            }
+            let riders = missing
+                .into_iter()
+                .map(|user| Call::new(user, &svc, "queue_availability", queue.clone()))
+                .collect();
+            Phase2 { changes, riders }
         };
         let negotiator = self.device.negotiator();
-        let mut outcome = negotiator.negotiate_available_with(&parts, &commit_changes)?;
+        let mut outcome = negotiator.negotiate_available_with(&parts, &phase2)?;
         for attempt in 0..GRAB_RETRIES {
             if outcome.contended.is_empty() {
                 break;
             }
             std::thread::sleep(grab_backoff(me, attempt));
-            outcome = negotiator.negotiate_available_with(&parts, &commit_changes)?;
+            outcome = negotiator.negotiate_available_with(&parts, &phase2)?;
         }
 
         // Every holder already has the record as it stands when all the
@@ -299,10 +319,12 @@ impl CalendarApp {
         self.put_meeting(&rec)?;
         let missing = rec.missing();
 
-        // What is left for a round of its own: the availability queues at
-        // the missing — who that is, the votes have only just said — and
-        // the correction. Idempotent and best effort: unreachable peers
-        // catch up on the next round.
+        // What is left for a round of its own: the correction — which
+        // also puts right the record a rider took to a no-voter — and the
+        // availability queues at the missing no rider reached (a failed
+        // commit's member, everyone after the contention fallback, a lost
+        // call). Idempotent and best effort: unreachable peers catch up on
+        // the next round.
         let mut batch: Vec<Call<'_>> = Vec::new();
         if !holders_told {
             let record = vec![rec.to_value()];
@@ -313,9 +335,14 @@ impl CalendarApp {
                 record,
             ));
         }
-        if !missing.is_empty() {
+        let unqueued: Vec<UserId> = missing
+            .iter()
+            .copied()
+            .filter(|u| !outcome.rode.contains(u))
+            .collect();
+        if !unqueued.is_empty() {
             let args = vec![Value::from(ordinal), rec.to_value()];
-            batch.extend(Call::broadcast(&missing, &svc, "queue_availability", args));
+            batch.extend(Call::broadcast(&unqueued, &svc, "queue_availability", args));
         }
         if !batch.is_empty() {
             let mut span = self.device.node().tracer().span(names::SPAN_HOUSEKEEPING);
@@ -336,7 +363,7 @@ impl CalendarApp {
 
         self.device
             .events()
-            .publish_local("calendar.reconciled", &Value::from(id.raw()));
+            .publish_local("calendar.reconciled", || Value::from(id.raw()));
         Ok(rec)
     }
 
@@ -486,25 +513,33 @@ impl CalendarApp {
         rec.status = MeetingStatus::Cancelled;
         rec.reserved.clear();
         self.put_meeting(&rec)?;
+        self.retire(&rec, rec.ordinal, rec.status.as_str())
+    }
+
+    /// Gives up `rec`'s hold on `ordinal` at every participant and tears
+    /// its link web down (§4.4), in one round. Each `release_slot` writes
+    /// `to_status` into the participant's record, frees the slot where it
+    /// was held (delivering the notice of a cancellation) and then — the
+    /// slot free — deletes the participant's links of the meeting, which
+    /// promotes and fires the availability links waiting behind them; the
+    /// availability links this initiator queued are dropped in the same
+    /// batch. What the §4.4 cascade would have told a participant, its
+    /// release already has: the initiator's own links go last, and the
+    /// kernel cascade that deletion starts is addressed to nobody but
+    /// the participants whose release did not get through.
+    fn retire(&self, rec: &Meeting, ordinal: u64, to_status: &str) -> SydResult<()> {
         let svc = calendar_service();
         let participants = rec.all_participants();
-        let queued = self.queued(id)?;
-
-        // Step 5: update the calendar databases. `release_slot` writes the
-        // cancelled status into every participant's record, frees the slot
-        // where it was held (which fires permanent availability links) and
-        // delivers the notice there; the availability queues of this
-        // meeting go in the same batch, to where this initiator queued
-        // one. A round of its own, before the cascade: a waiter the
-        // cascade promotes reconciles at once and must find the slot free.
+        let queued = self.queued(rec.id)?;
         let mut batch: Vec<Call<'_>> = Call::broadcast(
             &participants,
             &svc,
             "release_slot",
             vec![
-                Value::from(rec.ordinal),
-                Value::from(id.raw()),
-                Value::str(rec.status.as_str()),
+                Value::from(ordinal),
+                Value::from(rec.id.raw()),
+                Value::str(to_status),
+                Value::Bool(true),
             ],
         )
         .collect();
@@ -512,24 +547,18 @@ impl CalendarApp {
             &queued,
             &svc,
             "drop_availability",
-            vec![Value::from(id.raw())],
+            vec![Value::from(rec.id.raw())],
         ));
-        let _ = self.device.engine().invoke_batch(&batch);
-        self.unqueue(id, &queued)?;
+        let answers = self.device.engine().invoke_batch(&batch);
+        self.unqueue(rec.id, &queued)?;
 
-        // Steps 1–4, 6–7: delete the link web; cascades along the corr and
-        // promotes the highest-priority waiting links at every device.
-        self.delete_link_web(&rec.corr)
-    }
-
-    /// Deletes every link of `corr` here and, by cascade, at every peer.
-    fn delete_link_web(&self, corr: &str) -> SydResult<()> {
-        loop {
-            let Some(&first) = self.device.links().ids_by_corr(corr)?.first() else {
-                return Ok(());
-            };
-            let _ = self.device.links().delete(first, true);
-        }
+        let released = answers.outcomes[..participants.len()]
+            .iter()
+            .filter(|(_, answer)| answer.is_ok())
+            .map(|(user, _)| user.raw())
+            .collect();
+        self.device.links().delete_by_corr(&rec.corr, released)?;
+        Ok(())
     }
 
     // ---- change of time (§5: "D wants to change the schedule") -----------------
@@ -587,20 +616,8 @@ impl CalendarApp {
             return Ok(false);
         }
 
-        let svc = calendar_service();
-        let participants = rec.all_participants();
         // Free the old slots and retire the old link web.
-        let _ = self.device.engine().invoke_group(
-            &participants,
-            &svc,
-            "release_slot",
-            vec![
-                Value::from(old_ordinal),
-                Value::from(id.raw()),
-                Value::str(rec.status.as_str()),
-            ],
-        );
-        self.delete_link_web(&rec.corr)?;
+        self.retire(&rec, old_ordinal, rec.status.as_str())?;
 
         rec.ordinal = new_ordinal;
         self.put_meeting(&rec)?;
@@ -683,6 +700,7 @@ impl CalendarApp {
                         Value::from(rec.ordinal),
                         Value::from(id.raw()),
                         Value::str(rec.status.as_str()),
+                        Value::Bool(false),
                     ],
                 );
                 return Ok(false);
@@ -705,6 +723,7 @@ impl CalendarApp {
                 Value::from(rec.ordinal),
                 Value::from(id.raw()),
                 Value::str(rec.status.as_str()),
+                Value::Bool(false),
             ],
         );
         let participants = rec.all_participants();
@@ -737,7 +756,7 @@ impl CalendarApp {
                 self.user()
             )));
         }
-        self.release_local(rec.ordinal, id, rec.status.as_str())?;
+        self.release_local(rec.ordinal, id, rec.status.as_str(), false)?;
         if let Some(slot) = new_engagement {
             self.mark_busy(slot)?;
         }
@@ -788,7 +807,7 @@ impl CalendarApp {
         if let Err(err) = result {
             self.device
                 .events()
-                .publish_local("calendar.reschedule_failed", &Value::str(err.to_string()));
+                .publish_local("calendar.reschedule_failed", || Value::str(err.to_string()));
         }
     }
 
@@ -799,22 +818,11 @@ impl CalendarApp {
         if rec.initiator != self.user() || rec.status == MeetingStatus::Cancelled {
             return Ok(());
         }
-        let svc = calendar_service();
         let participants = rec.all_participants();
 
         // Release whatever remains of the old reservation and retire the
         // old link web (promoting any waiting links at those slots).
-        let _ = self.device.engine().invoke_group(
-            &participants,
-            &svc,
-            "release_slot",
-            vec![
-                Value::from(old_ordinal),
-                Value::from(id.raw()),
-                Value::str("bumped"),
-            ],
-        );
-        self.delete_link_web(&rec.corr)?;
+        self.retire(&rec, old_ordinal, MeetingStatus::Bumped.as_str())?;
 
         // Find the next slot everyone shares.
         let range = SlotRange::new(

@@ -96,7 +96,7 @@ impl Mailbox {
         )?;
         self.device
             .events()
-            .publish_local("mailbox.delivered", &Value::str(subject));
+            .publish_local("mailbox.delivered", || Value::str(subject));
         Ok(id)
     }
 

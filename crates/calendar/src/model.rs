@@ -276,6 +276,23 @@ impl Meeting {
     pub fn from_value(v: &Value) -> SydResult<Meeting> {
         decode_from_slice(v.as_bytes()?)
     }
+
+    /// The status inside an encoded record, for a reader that wants
+    /// nothing else: the fields before it are stepped over, the ones after
+    /// it not looked at, and nothing is allocated.
+    pub fn status_of(encoded: &[u8]) -> SydResult<MeetingStatus> {
+        let r = &mut Reader::new(encoded);
+        let version = r.u8()?;
+        if version != MEETING_VERSION {
+            return Err(SydError::Codec(format!("meeting record version {version}")));
+        }
+        MeetingId::decode(r)?;
+        let title = r.len_prefix()?;
+        r.bytes(title)?;
+        UserId::decode(r)?;
+        u64::decode(r)?;
+        MeetingStatus::from_tag(r.u8()?)
+    }
 }
 
 /// Leading byte of an encoded [`Meeting`]; a decoder refuses any other.
@@ -459,7 +476,33 @@ mod tests {
             assert_eq!(bytes.len(), m.encoded_len());
             assert_eq!(decode_from_slice::<Meeting>(&bytes).unwrap(), m);
             assert_eq!(Meeting::from_value(&m.to_value()).unwrap(), m);
+            assert_eq!(Meeting::status_of(&bytes).unwrap(), m.status);
         });
+    }
+
+    #[test]
+    fn status_of_refuses_what_the_decoder_refuses() {
+        let good = encode_to_vec(&meeting());
+        let mut bytes = good.clone();
+        bytes[0] = MEETING_VERSION + 1;
+        assert!(matches!(
+            Meeting::status_of(&bytes),
+            Err(SydError::Codec(_))
+        ));
+        // Layout: version, id 7, "standup" behind its length, initiator 1,
+        // ordinal 33, status.
+        let at = 1 + 1 + 8 + 1 + 1;
+        assert_eq!(good[at], MeetingStatus::Tentative.tag());
+        for cut in 0..=at {
+            let err = Meeting::status_of(&good[..cut]).unwrap_err();
+            assert!(matches!(err, SydError::Codec(_)), "prefix {cut}: {err}");
+        }
+        bytes = good;
+        bytes[at] = 4;
+        assert!(matches!(
+            Meeting::status_of(&bytes),
+            Err(SydError::Codec(_))
+        ));
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! What an operation costs on the wire (DESIGN.md §16): the §4.3 mark
-//! and commit rounds and nothing else on the free path, one more round
-//! only where somebody declined or a commit failed. Counted on the ideal
-//! simulator with the initiator's `engine.rounds` and the transport's
-//! `transport.frames_out`, at n = 8, with the address caches warm.
+//! and commit rounds and nothing else for a `schedule`, blocked or not —
+//! the availability queues ride on the commits — one more round only
+//! where a commit failed; one round for a `cancel`, whose releases carry
+//! the §4.4 cascade. Counted on the ideal simulator with the initiator's
+//! `engine.rounds` and the transport's `transport.frames_out`, at n = 8,
+//! with the address caches warm.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code
 
@@ -10,10 +12,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use syd_calendar::app::calendar_service;
-use syd_calendar::{CalendarApp, MeetingId, MeetingSpec, MeetingStatus, SlotState};
+use syd_calendar::{CalendarApp, GroupSpec, MeetingId, MeetingSpec, MeetingStatus, SlotState};
+use syd_core::negotiate::link_service;
 use syd_core::{EntityHandler, SydEnv};
 use syd_net::NetConfig;
+use syd_store::{Trigger, TriggerEvent};
 use syd_telemetry::names;
+use syd_types::sync::Mutex;
 use syd_types::{SydError, SydResult, TimeSlot, UserId, Value};
 
 const N: usize = 8;
@@ -89,7 +94,7 @@ fn no_availability_link_left(apps: &[Arc<CalendarApp>]) {
 }
 
 #[test]
-fn a_free_schedule_is_mark_and_commit_and_a_cancel_release_and_cascade() {
+fn a_free_schedule_is_mark_and_commit_and_a_cancel_is_one_round() {
     let (env, apps) = rig(N);
     let a = &apps[0];
     let slot = TimeSlot::new(1, 9);
@@ -131,8 +136,13 @@ fn a_free_schedule_is_mark_and_commit_and_a_cancel_release_and_cascade() {
     a.cancel(outcome.meeting).unwrap();
     assert_eq!(
         rounds(a) - r1,
-        2,
-        "cancel: the release round and the cascade round"
+        1,
+        "cancel: the releases, which carry the cascade"
+    );
+    assert_eq!(
+        frames(&env) - f1,
+        2 * N as u64,
+        "cancel: a release per member with its reply, nothing to mop up"
     );
     for app in &apps {
         assert!(app.slot_state(slot.ordinal()).unwrap().is_free());
@@ -157,7 +167,7 @@ fn a_free_schedule_is_mark_and_commit_and_a_cancel_release_and_cascade() {
 /// is sent only by a cancel, to where its initiator still has a link
 /// queued: a member a round reserves drops its own in the commit.
 #[test]
-fn a_blocked_schedule_is_three_rounds_and_is_promoted_by_the_cancel() {
+fn a_blocked_schedule_is_two_rounds_and_is_promoted_by_the_cancel() {
     let (env, apps) = rig(13);
     let (a, b, c) = (&apps[0], &apps[8], &apps[12]);
     let slot = TimeSlot::new(2, 9);
@@ -165,7 +175,7 @@ fn a_blocked_schedule_is_three_rounds_and_is_promoted_by_the_cancel() {
     let first = a
         .schedule(MeetingSpec::plain("a", slot, users_of(&apps[1..8])))
         .unwrap();
-    let r0 = rounds(b);
+    let (r0, f0) = (rounds(b), frames(&env));
     let second = b
         .schedule(MeetingSpec::plain(
             "b",
@@ -178,8 +188,13 @@ fn a_blocked_schedule_is_three_rounds_and_is_promoted_by_the_cancel() {
     assert_eq!(second.pending, users_of(&apps[4..8]));
     assert_eq!(
         rounds(b) - r0,
-        3,
-        "blocked: mark, commit, and the availability queues at the missing"
+        2,
+        "blocked: mark, and the commits with the availability queues at the missing"
+    );
+    assert_eq!(
+        frames(&env) - f0,
+        2 * 16,
+        "blocked: 8 marks, 4 commits and 4 queues, each with its reply"
     );
     for app in &apps[4..8] {
         assert_eq!(
@@ -191,14 +206,14 @@ fn a_blocked_schedule_is_three_rounds_and_is_promoted_by_the_cancel() {
     }
 
     // C queues behind A at two members and gives up while still blocked:
-    // 3 releases, 2 drops, and the cascade to its 2 peers.
+    // 3 releases and 2 drops.
     let third = c
         .schedule(MeetingSpec::plain("c", slot, users_of(&apps[4..6])))
         .unwrap();
     assert_eq!(third.pending, users_of(&apps[4..6]));
     let f0 = frames(&env);
     c.cancel(third.meeting).unwrap();
-    assert_eq!(frames(&env) - f0, 2 * (3 + 2 + 2));
+    assert_eq!(frames(&env) - f0, 2 * (3 + 2));
 
     a.cancel(first.meeting).unwrap();
     wait_for(
@@ -235,10 +250,11 @@ fn a_blocked_schedule_is_three_rounds_and_is_promoted_by_the_cancel() {
     assert_eq!(rounds(b) - r1, 0, "a stale wake-up starts no round");
     assert_eq!(frames(&env) - f1, 2 * N as u64);
 
-    // Nothing is queued any more: 8 releases and the cascade to 7 peers.
-    let f2 = frames(&env);
+    // Nothing is queued any more: 8 releases.
+    let (r2, f2) = (rounds(b), frames(&env));
     b.cancel(second.meeting).unwrap();
-    assert_eq!(frames(&env) - f2, 2 * (8 + 7));
+    assert_eq!(rounds(b) - r2, 1);
+    assert_eq!(frames(&env) - f2, 2 * 8);
     settle(&env);
     no_availability_link_left(&apps);
     for app in &apps {
@@ -321,28 +337,37 @@ impl EntityHandler for CommitFails {
     fn abort(&self, _entity: &str, _change: &Value) {}
 }
 
-/// The commits carry the record the votes promised. When one of them
-/// fails for good, what the others were told is wrong, and a corrective
-/// round puts the record as it really stands at every member.
+/// The commits carry the record the votes promised, and so does the
+/// `queue_availability` that rides with them to a member that voted no.
+/// When a commit fails for good, what the others were told is wrong — the
+/// no-voter too: `Confirmed`, with the failed member reserved — and a
+/// corrective round puts the record as it really stands at every member,
+/// and queues the failed one. The no-voter stays queued.
 #[test]
 fn a_failed_commit_is_corrected_at_every_member() {
     let (env, apps) = rig(N);
     let slot = TimeSlot::new(5, 9);
-    let broken = &apps[3];
+    let (broken, busy) = (&apps[3], &apps[6]);
     broken.device().set_entity_handler(Arc::new(CommitFails));
+    busy.mark_busy(slot).unwrap();
 
-    let outcome = apps[0]
-        .schedule(MeetingSpec::plain("dented", slot, users_of(&apps[1..])))
-        .unwrap();
+    // Everyone but `busy` must attend; `busy` comes if it can.
+    let musts: Vec<UserId> = users_of(&apps[1..])
+        .into_iter()
+        .filter(|&u| u != busy.user())
+        .collect();
+    let spec =
+        MeetingSpec::plain("dented", slot, musts).with_group(GroupSpec::new(vec![busy.user()], 0));
+    let outcome = apps[0].schedule(spec).unwrap();
     assert_eq!(outcome.status, MeetingStatus::Tentative);
-    assert_eq!(outcome.pending, vec![broken.user()]);
-    // The availability link queued at the member finds its slot free and
-    // wakes the initiator once more, to the same end.
+    assert_eq!(outcome.pending, vec![broken.user(), busy.user()]);
+    // The availability link queued at the failed member finds its slot
+    // free and wakes the initiator once more, to the same end.
     settle(&env);
 
     let holders: Vec<UserId> = apps
         .iter()
-        .filter(|a| a.user() != broken.user())
+        .filter(|a| a.user() != broken.user() && a.user() != busy.user())
         .map(|a| a.user())
         .collect();
     for app in &apps {
@@ -351,10 +376,273 @@ fn a_failed_commit_is_corrected_at_every_member() {
         assert_eq!(rec.reserved, holders, "at {}", app.user());
         let expected = if app.user() == broken.user() {
             SlotState::Free
+        } else if app.user() == busy.user() {
+            SlotState::Busy
         } else {
             SlotState::Tentative(outcome.meeting)
         };
         assert_eq!(app.slot_state(slot.ordinal()).unwrap(), expected);
     }
+    for missing in [broken, busy] {
+        let corr = format!("avail:{}:{}", outcome.meeting.raw(), missing.user().raw());
+        let queued = missing.device().links().ids_by_corr(&corr).unwrap();
+        assert_eq!(queued.len(), 1, "{} is not queued", missing.user());
+    }
     syd_check::audit(apps.iter().map(|a| a.device())).assert_clean();
+}
+
+/// A's retiring release reaches one shared member long before the others
+/// (the cascade no longer waits behind a release round, DESIGN.md §16):
+/// that member's promotion starts B's round while the other three still
+/// hold the slot for A. They vote no, B stays tentative, and each late
+/// release then promotes B once more.
+#[test]
+fn a_promotion_that_beats_a_late_release_is_healed_by_it() {
+    let (env, apps) = rig(13);
+    let (a, b) = (&apps[0], &apps[8]);
+    let slot = TimeSlot::new(6, 9);
+    let first = a
+        .schedule(MeetingSpec::plain("a", slot, users_of(&apps[1..8])))
+        .unwrap();
+    let second = b
+        .schedule(MeetingSpec::plain(
+            "b",
+            slot,
+            [users_of(&apps[4..8]), users_of(&apps[9..12])].concat(),
+        ))
+        .unwrap();
+    assert_eq!(second.pending, users_of(&apps[4..8]));
+
+    // What A's cancel sends, to the first shared member only.
+    let early = &apps[4];
+    let freed = a
+        .device()
+        .engine()
+        .invoke(
+            early.user(),
+            &calendar_service(),
+            "release_slot",
+            vec![
+                Value::from(slot.ordinal()),
+                Value::from(first.meeting.raw()),
+                Value::str(MeetingStatus::Cancelled.as_str()),
+                Value::Bool(true),
+            ],
+        )
+        .unwrap();
+    assert_eq!(freed, Value::Bool(true));
+    wait_for(
+        || {
+            let rec = b.meeting(second.meeting).unwrap().unwrap();
+            rec.reserved.contains(&early.user())
+        },
+        "B's round behind the early release",
+    );
+    settle(&env);
+    let rec = b.meeting(second.meeting).unwrap().unwrap();
+    assert_eq!(rec.status, MeetingStatus::Tentative);
+    assert_eq!(rec.missing(), users_of(&apps[5..8]));
+    assert_eq!(
+        early.slot_state(slot.ordinal()).unwrap(),
+        SlotState::Tentative(second.meeting)
+    );
+    for app in &apps[5..8] {
+        assert_eq!(
+            app.slot_state(slot.ordinal()).unwrap(),
+            SlotState::Reserved(first.meeting),
+            "{} was not released yet",
+            app.user()
+        );
+    }
+
+    // The rest of the releases.
+    a.cancel(first.meeting).unwrap();
+    wait_for(
+        || status_at(b, second.meeting) == Some(MeetingStatus::Confirmed),
+        "the promotion behind the late releases",
+    );
+    settle(&env);
+    for app in &apps[4..12] {
+        assert_eq!(
+            app.slot_state(slot.ordinal()).unwrap(),
+            SlotState::Reserved(second.meeting),
+            "at {}",
+            app.user()
+        );
+        assert_eq!(
+            status_at(app, second.meeting),
+            Some(MeetingStatus::Confirmed),
+            "at {}",
+            app.user()
+        );
+    }
+    for app in &apps[..4] {
+        assert!(app.slot_state(slot.ordinal()).unwrap().is_free());
+    }
+    no_availability_link_left(&apps);
+    syd_check::audit_strict(apps.iter().map(|a| a.device())).assert_clean();
+}
+
+/// The kernel cascade a cancel still starts goes to the participants its
+/// release did not reach, and to nobody else.
+#[test]
+fn only_a_participant_whose_release_failed_is_sent_the_cascade() {
+    let (env, apps) = rig(4);
+    let slot = TimeSlot::new(7, 9);
+    let outcome = apps[0]
+        .schedule(MeetingSpec::plain("patchy", slot, users_of(&apps[1..])))
+        .unwrap();
+    assert_eq!(outcome.status, MeetingStatus::Confirmed);
+
+    let deaf = &apps[2];
+    deaf.device()
+        .register_service(
+            &calendar_service(),
+            "release_slot",
+            Arc::new(|_ctx, _args: &[Value]| Err(SydError::App("not now".into()))),
+        )
+        .unwrap();
+    // Record every `delete_by_corr` a device serves, then serve it.
+    let served = Arc::new(Mutex::new(Vec::<(UserId, Vec<u64>)>::new()));
+    for app in &apps {
+        let (device, served) = (app.device().clone(), Arc::clone(&served));
+        app.device()
+            .register_service(
+                &link_service(),
+                "delete_by_corr",
+                Arc::new(move |_ctx, args: &[Value]| {
+                    let visited: Vec<u64> = args[1]
+                        .as_list()?
+                        .iter()
+                        .map(|v| Ok(v.as_i64()? as u64))
+                        .collect::<SydResult<_>>()?;
+                    served.lock().push((device.user(), visited.clone()));
+                    let report = device.links().delete_by_corr(args[0].as_str()?, visited)?;
+                    Ok(Value::from(report.deleted.len() as u64))
+                }),
+            )
+            .unwrap();
+    }
+
+    let (r0, f0) = (rounds(&apps[0]), frames(&env));
+    apps[0].cancel(outcome.meeting).unwrap();
+    assert_eq!(rounds(&apps[0]) - r0, 2, "the releases, and the mop-up");
+    assert_eq!(frames(&env) - f0, 2 * (4 + 1));
+    let served = served.lock();
+    assert_eq!(served.len(), 1, "{served:?}");
+    assert_eq!(served[0].0, deaf.user());
+    let mut visited = served[0].1.clone();
+    visited.sort_unstable();
+    let mut everyone: Vec<u64> = apps.iter().map(|a| a.user().raw()).collect();
+    everyone.sort_unstable();
+    assert_eq!(visited, everyone, "the deaf member forwards to nobody");
+    for app in &apps {
+        assert_eq!(app.device().links().count().unwrap(), 0);
+        let state = app.slot_state(slot.ordinal()).unwrap();
+        if app.user() == deaf.user() {
+            assert_eq!(state, SlotState::Reserved(outcome.meeting));
+        } else {
+            assert!(state.is_free(), "at {}: {state:?}", app.user());
+        }
+    }
+}
+
+/// `cancel` used to loop on "delete the first link of the web" for as long
+/// as there was one: a link whose deletion kept failing hung it. The web
+/// is walked once now, and the failure is the caller's to see.
+#[test]
+fn a_link_whose_delete_errors_does_not_hang_cancel() {
+    fn refuse_link_deletes(app: &CalendarApp) {
+        let refuse = |_ctx: &syd_store::TriggerCtx<'_>| Err(SydError::App("links are kept".into()));
+        app.device()
+            .store()
+            .add_trigger(Trigger::before(
+                "keep-links",
+                "SyD_Link",
+                vec![TriggerEvent::Delete],
+                refuse,
+            ))
+            .unwrap();
+    }
+    let (_env, apps) = rig(3);
+
+    // At a participant: its release fails behind the freed slot, the
+    // mop-up cascade fails too, and the cancel is through regardless.
+    let slot = TimeSlot::new(8, 9);
+    let outcome = apps[0]
+        .schedule(MeetingSpec::plain("sticky", slot, users_of(&apps[1..])))
+        .unwrap();
+    refuse_link_deletes(&apps[1]);
+    apps[0].cancel(outcome.meeting).unwrap();
+    for app in &apps {
+        assert!(app.slot_state(slot.ordinal()).unwrap().is_free());
+    }
+    assert_eq!(apps[1].device().links().count().unwrap(), 1);
+    assert_eq!(apps[0].device().links().count().unwrap(), 0);
+    assert_eq!(apps[2].device().links().count().unwrap(), 0);
+
+    // At the initiator: the cancel reports it.
+    let slot = TimeSlot::new(8, 10);
+    let outcome = apps[2]
+        .schedule(MeetingSpec::plain("stickier", slot, vec![apps[0].user()]))
+        .unwrap();
+    assert_eq!(outcome.status, MeetingStatus::Confirmed);
+    refuse_link_deletes(&apps[2]);
+    let err = apps[2].cancel(outcome.meeting).unwrap_err();
+    assert!(err.to_string().contains("links are kept"), "{err}");
+    assert!(apps[0].slot_state(slot.ordinal()).unwrap().is_free());
+    assert!(apps[2].slot_state(slot.ordinal()).unwrap().is_free());
+}
+
+/// A disconnected holder counts as missing (DESIGN.md §16): the mark goes
+/// to the holder's device and nobody answers for it. The round that runs
+/// meanwhile records that, and the next one after it is back finds it
+/// holding the slot as before.
+#[test]
+fn a_repair_round_misses_a_disconnected_holder_and_a_later_one_finds_it() {
+    let (_env, apps) = rig(4);
+    let slot = TimeSlot::new(9, 9);
+    let outcome = apps[0]
+        .schedule(MeetingSpec::plain("roaming", slot, users_of(&apps[1..])))
+        .unwrap();
+    assert_eq!(outcome.status, MeetingStatus::Confirmed);
+    let away = &apps[2];
+
+    away.device().disconnect().unwrap();
+    assert_eq!(
+        apps[0].reconcile(outcome.meeting).unwrap(),
+        MeetingStatus::Tentative
+    );
+    for app in [&apps[0], &apps[1], &apps[3]] {
+        let rec = app.meeting(outcome.meeting).unwrap().unwrap();
+        assert_eq!(rec.status, MeetingStatus::Tentative, "at {}", app.user());
+        assert_eq!(rec.missing(), vec![away.user()], "at {}", app.user());
+        assert_eq!(
+            app.slot_state(slot.ordinal()).unwrap(),
+            SlotState::Tentative(outcome.meeting)
+        );
+    }
+    assert_eq!(
+        away.slot_state(slot.ordinal()).unwrap(),
+        SlotState::Reserved(outcome.meeting),
+        "nobody told the device that was away"
+    );
+
+    away.device().reconnect().unwrap();
+    assert_eq!(
+        apps[0].reconcile(outcome.meeting).unwrap(),
+        MeetingStatus::Confirmed
+    );
+    for app in &apps {
+        let rec = app.meeting(outcome.meeting).unwrap().unwrap();
+        assert_eq!(rec.status, MeetingStatus::Confirmed, "at {}", app.user());
+        assert!(rec.missing().is_empty(), "at {}", app.user());
+        assert_eq!(
+            app.slot_state(slot.ordinal()).unwrap(),
+            SlotState::Reserved(outcome.meeting)
+        );
+        assert_eq!(app.device().links().count().unwrap(), 1);
+    }
+    no_availability_link_left(&apps);
+    syd_check::audit_strict(apps.iter().map(|a| a.device())).assert_clean();
 }

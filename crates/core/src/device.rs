@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 use syd_crypto::Authenticator;
 use syd_net::{Node, Transport};
 use syd_store::{LockKey, Store};
-use syd_telemetry::{names, Event, EventKind, Journal, Registry, Vote};
+use syd_telemetry::{names, Event, Journal, Registry, Vote};
 use syd_types::sync::{Mutex, RwLock};
 use syd_types::{Clock, NodeAddr, ServiceName, SydError, SydResult, UserId, Value};
 
@@ -132,7 +132,7 @@ impl DeviceRuntime {
         {
             let events = events.clone();
             node.set_event_sink(Arc::new(move |_from, ev: syd_wire::EventMsg| {
-                events.publish_local(&ev.topic, &ev.payload);
+                events.publish_local(&ev.topic, || ev.payload);
             }));
         }
         let links = Arc::new(LinksModule::new(
@@ -141,24 +141,12 @@ impl DeviceRuntime {
             user,
             Arc::clone(&clock),
             events.clone(),
+            // §4.2 op. 3's promotions and §4.4's deletions go into the
+            // postmortem journal from the kernel itself.
+            Arc::clone(&journal),
         )?);
         let negotiator =
             Negotiator::new(engine.clone(), user, node.metrics(), Arc::clone(&journal));
-        // Link lifecycle transitions land in the postmortem journal —
-        // §4.2 op. 3's waiting-link promotion and §4.4's deletions as the
-        // events the checker reads, the rest as timeline notes.
-        {
-            let journal = Arc::clone(&journal);
-            events.subscribe(
-                "link.",
-                Arc::new(
-                    move |topic: &str, payload: &Value| match link_event(topic, payload) {
-                        Some(event) => journal.emit(event),
-                        None => journal.record(EventKind::Info, format!("{topic} {payload}")),
-                    },
-                ),
-            );
-        }
 
         let inner = Arc::new(DeviceInner {
             user,
@@ -538,7 +526,7 @@ impl DeviceRuntime {
                 let payload = args_get(args, 2)?;
                 inner
                     .events
-                    .publish_local(&format!("link.notify.{action}"), payload);
+                    .publish_local(&format!("link.notify.{action}"), || payload.clone());
                 let handler = inner.subscription_handler.read().clone();
                 match handler {
                     Some(h) => h.on_notify(entity, action, payload),
@@ -645,26 +633,6 @@ fn sweep_sessions(inner: &DeviceInner, older_than: Duration) -> usize {
     let excess = remembered.len().saturating_sub(SWEPT_MEMORY);
     remembered.drain(..excess);
     swept
-}
-
-/// The journal event of a `link.*` topic the checker replays, built from
-/// the payload `LinksModule` publishes with it; `None` for the topics
-/// that are timeline context only.
-fn link_event(topic: &str, payload: &Value) -> Option<Event> {
-    let field = |key: &str| payload.get(key).ok();
-    match topic {
-        "link.promoted" => Some(Event::Promoted {
-            link: field("id")?.as_i64().ok()? as u64,
-            priority: field("priority")?.as_i64().ok()?,
-            group: field("group")?.as_i64().ok()?,
-        }),
-        "link.deleted" => Some(Event::LinkDeleted {
-            id: field("id")?.as_i64().ok()? as u64,
-            corr: field("corr")?.as_str().ok()?.to_owned(),
-            cascade: field("cascade")?.as_bool().ok()?,
-        }),
-        _ => None,
-    }
 }
 
 fn args_get(args: &[Value], i: usize) -> SydResult<&Value> {
@@ -841,6 +809,71 @@ mod tests {
         assert_eq!(outcome.committed.len(), 3);
     }
 
+    /// Riders leave in the batch of the commits, their outcomes are
+    /// reported, and a contended round — which commits nothing — sends
+    /// none.
+    #[test]
+    fn riders_travel_with_the_commits_but_not_from_a_contended_round() {
+        use crate::negotiate::Phase2;
+        let (_net, _dir, devices) = rig(3);
+        let states = install_map_handlers(&devices);
+        states[2].lock().insert("e".to_owned(), "busy".to_owned());
+        let svc = ServiceName::new("app");
+        let told = Arc::new(Mutex::new(0u32));
+        let tc = Arc::clone(&told);
+        devices[2]
+            .register_service(
+                &svc,
+                "left_out",
+                Arc::new(move |_ctx, _args| {
+                    *tc.lock() += 1;
+                    Ok(Value::Null)
+                }),
+            )
+            .unwrap();
+        let participants: Vec<Participant> = devices
+            .iter()
+            .map(|d| Participant::new(d.user(), "e", Value::str("x")))
+            .collect();
+        // Tell whoever was not chosen, and somebody nobody can reach.
+        let nobody = UserId::new(99);
+        let phase2 = |chosen: &[&Participant]| {
+            let left_out = participants.iter().filter(|p| !chosen.contains(p));
+            let riders = left_out
+                .map(|p| p.user)
+                .chain([nobody])
+                .map(|user| crate::Call::new(user, &svc, "left_out", vec![]))
+                .collect();
+            Phase2 {
+                changes: chosen.iter().map(|p| p.change.clone()).collect(),
+                riders,
+            }
+        };
+        let rounds = devices[0]
+            .metrics()
+            .get_counter(names::ENGINE_ROUNDS)
+            .unwrap();
+        let before = rounds.get();
+        let outcome = devices[0]
+            .negotiator()
+            .negotiate_available_with(&participants, &phase2)
+            .unwrap();
+        assert_eq!(rounds.get() - before, 2, "mark, and commits with riders");
+        assert_eq!(outcome.committed.len(), 2);
+        assert_eq!(outcome.rode, vec![devices[2].user()]);
+        assert_eq!(*told.lock(), 1);
+
+        let key = entity_lock_key("e");
+        assert!(devices[1].store().locks().try_acquire(0xdead, &key));
+        let outcome = devices[0]
+            .negotiator()
+            .negotiate_available_with(&participants, &phase2)
+            .unwrap();
+        assert_eq!(outcome.contended, vec![devices[1].user()]);
+        assert!(outcome.committed.is_empty() && outcome.rode.is_empty());
+        assert_eq!(*told.lock(), 1, "a contended round sent a rider");
+    }
+
     #[test]
     fn negotiation_or_commits_available_subset() {
         let (_net, _dir, devices) = rig(4);
@@ -977,6 +1010,55 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(seen.lock().len(), 2);
+    }
+
+    /// A subscription link notifies all its references in one batch, and
+    /// method coupling invokes all its destinations in one.
+    #[test]
+    fn a_link_with_three_references_notifies_in_one_round() {
+        let (_net, _dir, devices) = rig(4);
+        let refs = devices[1..]
+            .iter()
+            .map(|d| crate::links::LinkRef::new(d.user(), "their-slot", "sync"))
+            .collect();
+        devices[0]
+            .links()
+            .add_local(LinkSpec::subscription("my-slot", refs))
+            .unwrap();
+        devices[3].shutdown();
+        let rounds = devices[0]
+            .metrics()
+            .get_counter(names::ENGINE_ROUNDS)
+            .unwrap();
+        let before = rounds.get();
+        let results = devices[0]
+            .entity_changed("my-slot", &Value::str("changed"))
+            .unwrap();
+        assert_eq!(rounds.get() - before, 1);
+        match &results[..] {
+            [crate::links::FireResult::Notified {
+                delivered, failed, ..
+            }] => assert_eq!((*delivered, *failed), (2, 1)),
+            other => panic!("unexpected {other:?}"),
+        }
+
+        let svc = ServiceName::new("calendar");
+        for d in &devices[1..3] {
+            d.register_service(&svc, "refresh", Arc::new(|_ctx, _args| Ok(Value::Null)))
+                .unwrap();
+            devices[0]
+                .links()
+                .couple_method(&svc, "update", d.user(), &svc, "refresh")
+                .unwrap();
+        }
+        let before = rounds.get();
+        let outcomes = devices[0]
+            .links()
+            .invoke_coupled(&svc, "update", vec![])
+            .unwrap();
+        assert_eq!(rounds.get() - before, 1);
+        assert_eq!(outcomes.len(), 2);
+        assert!(outcomes.iter().all(|(_, out)| out.is_ok()));
     }
 
     #[test]
@@ -1182,6 +1264,29 @@ mod tests {
         // Deleting the newly permanent link promotes the survivor.
         let report = d.links().delete(high.id, false).unwrap();
         assert_eq!(report.promoted, vec![low.id]);
+
+        // The kernel journals its own transitions, nobody subscribed, and
+        // a creation is not one of them.
+        let journaled: Vec<Event> = d.journal().events().into_iter().map(|e| e.event).collect();
+        let promoted = |link: LinkId, priority: i64, group: i64| Event::Promoted {
+            link: link.raw(),
+            priority,
+            group,
+        };
+        let deleted = |link: &crate::links::Link| Event::LinkDeleted {
+            id: link.id.raw(),
+            corr: link.corr.clone(),
+            cascade: false,
+        };
+        assert_eq!(
+            journaled,
+            vec![
+                promoted(high.id, 200, 2),
+                deleted(&permanent),
+                promoted(low.id, 10, 1),
+                deleted(&high),
+            ]
+        );
     }
 
     #[test]

@@ -72,15 +72,23 @@ impl EventHandler {
         self.inner.subs.write().push((prefix.to_owned(), callback));
     }
 
-    /// Publishes an event to local subscribers, synchronously.
-    pub fn publish_local(&self, topic: &str, payload: &Value) {
+    /// Publishes an event to local subscribers, synchronously. `payload`
+    /// builds the event's payload and is called only if some subscriber's
+    /// prefix matches `topic`: an event nobody listens to costs a counter.
+    pub fn publish_local(&self, topic: &str, payload: impl FnOnce() -> Value) {
         self.inner.published.fetch_add(1, Ordering::Relaxed);
         let subs = self.inner.subs.read();
-        for (prefix, callback) in subs.iter() {
-            if topic.starts_with(prefix.as_str()) {
-                self.inner.delivered.fetch_add(1, Ordering::Relaxed);
-                callback(topic, payload);
-            }
+        let mut matching = subs
+            .iter()
+            .filter(|(prefix, _)| topic.starts_with(prefix.as_str()))
+            .peekable();
+        if matching.peek().is_none() {
+            return;
+        }
+        let payload = payload();
+        for (_, callback) in matching {
+            self.inner.delivered.fetch_add(1, Ordering::Relaxed);
+            callback(topic, &payload);
         }
     }
 
@@ -168,17 +176,11 @@ impl EventHandler {
                     TriggerEvent::Update => "update",
                     TriggerEvent::Delete => "delete",
                 };
-                let payload = Value::map([
-                    (
-                        "old",
-                        ctx.old.map_or(Value::Null, |row| Value::list(row.to_vec())),
-                    ),
-                    (
-                        "new",
-                        ctx.new.map_or(Value::Null, |row| Value::list(row.to_vec())),
-                    ),
-                ]);
-                handler.publish_local(&format!("store.{table_name}.{kind}"), &payload);
+                let rows =
+                    |row: Option<&[Value]>| row.map_or(Value::Null, |r| Value::list(r.to_vec()));
+                handler.publish_local(&format!("store.{table_name}.{kind}"), || {
+                    Value::map([("old", rows(ctx.old)), ("new", rows(ctx.new))])
+                });
                 Ok(())
             },
         ))
@@ -236,11 +238,41 @@ mod tests {
                 ac.fetch_add(1, Ordering::SeqCst);
             }),
         );
-        events.publish_local("link.deleted", &Value::Null);
-        events.publish_local("calendar.changed", &Value::Null);
+        events.publish_local("link.deleted", || Value::Null);
+        events.publish_local("calendar.changed", || Value::Null);
         assert_eq!(link_events.load(Ordering::SeqCst), 1);
         assert_eq!(all_events.load(Ordering::SeqCst), 2);
         assert_eq!(events.counters(), (2, 3));
+        wheel.shutdown();
+    }
+
+    #[test]
+    fn a_payload_is_built_once_and_only_for_a_subscriber() {
+        let (wheel, events) = handler("events-lazy");
+        let built = AtomicU32::new(0);
+        let build = || {
+            built.fetch_add(1, Ordering::SeqCst);
+            Value::from(7u64)
+        };
+        events.publish_local("link.created", build);
+        assert_eq!(built.load(Ordering::SeqCst), 0, "nobody subscribed");
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        for prefix in ["link.", ""] {
+            let sink = Arc::clone(&seen);
+            events.subscribe(
+                prefix,
+                Arc::new(move |_t, payload| sink.lock().push(payload.clone())),
+            );
+        }
+        events.subscribe("calendar.", Arc::new(|_t, _p| panic!("wrong prefix")));
+        events.publish_local("link.created", build);
+        assert_eq!(
+            built.load(Ordering::SeqCst),
+            1,
+            "two subscribers, one payload"
+        );
+        assert_eq!(*seen.lock(), vec![Value::from(7u64); 2]);
+        assert_eq!(events.counters(), (2, 2));
         wheel.shutdown();
     }
 

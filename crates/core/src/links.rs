@@ -37,12 +37,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use syd_store::{Column, ColumnType, Predicate, Schema, Store};
+use syd_telemetry::{Event, Journal};
 use syd_types::sync::RwLock;
 pub use syd_types::Constraint;
 use syd_types::{
     Clock, LinkId, Priority, ServiceName, SydError, SydResult, Timestamp, UserId, Value,
 };
-use syd_wire::{decode_from_slice, encode_to_vec, Decode, Encode, Reader};
+use syd_wire::{decode_from_slice, encode_to_vec, Args, Decode, Encode, Reader};
 
 use crate::engine::{Call, SydEngine};
 use crate::events::EventHandler;
@@ -395,6 +396,9 @@ pub struct LinksModule {
     user: UserId,
     clock: Arc<dyn Clock>,
     events: EventHandler,
+    /// The device's journal: promotions and deletions are recorded here as
+    /// they happen, which is what `syd-check` replays.
+    journal: Arc<Journal>,
     next_link: AtomicU64,
     next_corr: AtomicU64,
     promotion: RwLock<Option<PromotionHandler>>,
@@ -425,6 +429,7 @@ impl LinksModule {
         user: UserId,
         clock: Arc<dyn Clock>,
         events: EventHandler,
+        journal: Arc<Journal>,
     ) -> SydResult<LinksModule> {
         store.create_table(Schema::new(
             T_LINK,
@@ -474,6 +479,7 @@ impl LinksModule {
             user,
             clock,
             events,
+            journal,
             next_link: AtomicU64::new(1),
             next_corr: AtomicU64::new(1),
             promotion: RwLock::new(None),
@@ -539,13 +545,12 @@ impl LinksModule {
                 ],
             )?;
         }
-        self.events.publish_local(
-            "link.created",
-            &Value::map([
+        self.events.publish_local("link.created", || {
+            Value::map([
                 ("id", Value::from(id.raw())),
                 ("corr", Value::str(corr.clone())),
-            ]),
-        );
+            ])
+        });
         Ok(Link {
             id,
             kind: spec.kind,
@@ -778,15 +783,24 @@ impl LinksModule {
                 self.cascade_corr(&link.corr, vec![self.user.raw()], &link.refs)?;
         }
 
-        self.events.publish_local(
-            "link.deleted",
-            &Value::map([
-                ("id", Value::from(id.raw())),
-                ("corr", Value::str(link.corr.clone())),
-                ("cascade", Value::from(cascade)),
-            ]),
-        );
+        self.note_deleted(id, &link.corr, cascade);
         Ok(report)
+    }
+
+    /// Journals one deletion (§4.4) and publishes `link.deleted`.
+    fn note_deleted(&self, id: LinkId, corr: &str, cascade: bool) {
+        self.journal.emit(Event::LinkDeleted {
+            id: id.raw(),
+            corr: corr.to_owned(),
+            cascade,
+        });
+        self.events.publish_local("link.deleted", || {
+            Value::map([
+                ("id", Value::from(id.raw())),
+                ("corr", Value::str(corr)),
+                ("cascade", Value::from(cascade)),
+            ])
+        });
     }
 
     fn delete_local_only(&self, id: LinkId) -> SydResult<()> {
@@ -813,14 +827,7 @@ impl LinksModule {
             report.deleted.push(link.id);
             // These deletions arrived over a cascade (§4.4) and are
             // forwarded below, so they count as cascading themselves.
-            self.events.publish_local(
-                "link.deleted",
-                &Value::map([
-                    ("id", Value::from(link.id.raw())),
-                    ("corr", Value::str(corr)),
-                    ("cascade", Value::from(true)),
-                ]),
-            );
+            self.note_deleted(link.id, corr, true);
         }
         // Forward the cascade to peers we haven't visited.
         let peers = lifecycle::cascade_peers(
@@ -920,14 +927,19 @@ impl LinksModule {
                 T_WAIT,
                 &Predicate::Eq("link_id".into(), Value::from(link_id.raw())),
             )?;
-            self.events.publish_local(
-                "link.promoted",
-                &Value::map([
+            let (priority, group) = (i64::from(entry.priority.level()), entry.group as i64);
+            self.journal.emit(Event::Promoted {
+                link: link_id.raw(),
+                priority,
+                group,
+            });
+            self.events.publish_local("link.promoted", || {
+                Value::map([
                     ("id", Value::from(link_id.raw())),
-                    ("priority", Value::I64(i64::from(entry.priority.level()))),
-                    ("group", Value::I64(entry.group as i64)),
-                ]),
-            );
+                    ("priority", Value::I64(priority)),
+                    ("group", Value::I64(group)),
+                ])
+            });
             if let Some(link) = self.get(link_id)? {
                 debug_assert_eq!(
                     link.status,
@@ -1008,7 +1020,8 @@ impl LinksModule {
     /// §4.2 op. 5: "the application programmer has to include a call to
     /// check whether the current method being executed is listed in the
     /// SyD_LinkMethod table" — this is that call. Invokes every coupled
-    /// destination with `args`; returns per-destination outcomes.
+    /// destination with `args`, all in one round; returns per-destination
+    /// outcomes.
     pub fn invoke_coupled(
         &self,
         service: &ServiceName,
@@ -1016,15 +1029,14 @@ impl LinksModule {
         args: Vec<Value>,
     ) -> SydResult<Vec<(UserId, SydResult<Value>)>> {
         let targets = self.coupled(service, method)?;
-        Ok(targets
-            .into_iter()
+        let args = Args::from(args);
+        let calls: Vec<Call<'_>> = targets
+            .iter()
             .map(|(user, dst_service, dst_method)| {
-                let out = self
-                    .engine
-                    .invoke(user, &dst_service, &dst_method, args.clone());
-                (user, out)
+                Call::new(*user, dst_service, dst_method, args.clone())
             })
-            .collect())
+            .collect();
+        Ok(self.engine.invoke_batch(&calls).outcomes)
     }
 
     // ---- §4.2 op. 6: expiry -------------------------------------------------
@@ -1043,7 +1055,7 @@ impl LinksModule {
             // halves of the connection go too.
             if self.delete(id, true).is_ok() {
                 self.events
-                    .publish_local("link.expired", &Value::from(id.raw()));
+                    .publish_local("link.expired", || Value::from(id.raw()));
                 deleted.push(id);
             }
         }
@@ -1080,30 +1092,22 @@ impl LinksModule {
     ) -> SydResult<FireResult> {
         match link.kind {
             LinkKind::Subscription => {
+                // One round, whatever the number of references.
                 let svc = link_service();
-                let mut delivered = 0;
-                let mut failed = 0;
-                for r in &link.refs {
-                    let out = self.engine.invoke(
-                        r.user,
-                        &svc,
-                        "notify",
-                        vec![
-                            Value::str(r.entity.clone()),
-                            Value::str(r.action.clone()),
-                            payload.clone(),
-                        ],
-                    );
-                    if out.is_ok() {
-                        delivered += 1;
-                    } else {
-                        failed += 1;
-                    }
-                }
+                let notify = |r: &LinkRef| {
+                    let args = vec![
+                        Value::str(r.entity.clone()),
+                        Value::str(r.action.clone()),
+                        payload.clone(),
+                    ];
+                    Call::new(r.user, &svc, "notify", args)
+                };
+                let calls: Vec<Call<'_>> = link.refs.iter().map(notify).collect();
+                let delivered = self.engine.invoke_batch(&calls).ok_count();
                 Ok(FireResult::Notified {
                     link: link.id,
                     delivered,
-                    failed,
+                    failed: calls.len() - delivered,
                 })
             }
             LinkKind::Negotiation(constraint) => {

@@ -36,6 +36,14 @@
 //! votes, a busy lock was never taken) and is sent nothing more. Only a
 //! participant whose mark call failed — its yes may have been lost with
 //! the lock taken — gets a clean-up abort, in that same batch.
+//!
+//! That batch is also where anything else goes that the coordinator knows
+//! the moment the votes are in: a caller of
+//! [`Negotiator::negotiate_available_with`] hands back, with the commit
+//! payloads, **riders** — calls of its own, to whomever it likes — and
+//! they leave with the commits instead of in a round after them
+//! ([`Phase2`]). The calendar queues its availability links at the
+//! no-voters this way.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -97,13 +105,33 @@ pub struct NegotiationOutcome {
     /// durable prepare failure). Callers that grab greedily should treat
     /// a non-empty list as "retry after the other coordinator finishes".
     pub contended: Vec<UserId>,
+    /// Targets of the [`Phase2::riders`] that were sent and answered, in
+    /// rider order.
+    pub rode: Vec<UserId>,
     /// The session id used (diagnostics; lock owner on every device).
     pub session: u64,
 }
 
+/// What a caller building phase 2 from the vote
+/// ([`Negotiator::negotiate_available_with`]) sends in it.
+pub struct Phase2<'a> {
+    /// The commit payloads of the chosen participants, one each, in their
+    /// order.
+    pub changes: Vec<Value>,
+    /// Calls that travel in the same batch as the commits and aborts. Sent
+    /// only when the round commits (never from a contended round, whose
+    /// vote says nothing durable), best effort: their outcomes change
+    /// nothing about the negotiation, and the targets that answered are
+    /// reported in [`NegotiationOutcome::rode`].
+    pub riders: Vec<Call<'a>>,
+}
+
 /// The commit carries what the mark carried: [`Participant::change`].
-fn marked_changes(chosen: &[&Participant]) -> Vec<Value> {
-    chosen.iter().map(|p| p.change.clone()).collect()
+fn marked_changes<'a>(chosen: &[&Participant]) -> Phase2<'a> {
+    Phase2 {
+        changes: chosen.iter().map(|p| p.change.clone()).collect(),
+        riders: Vec::new(),
+    }
 }
 
 /// Runs negotiations from one device.
@@ -181,29 +209,30 @@ impl Negotiator {
         self.negotiate_available_with(participants, &marked_changes)
     }
 
-    /// [`Negotiator::negotiate_available`] with the commit payloads built
-    /// **after** the vote, once per vote: `commit_changes(chosen)` is
-    /// asked for the changes of the participants about to be committed —
-    /// `chosen`, in participant order — and returns one per participant,
-    /// in that order (what they share it builds once). The mark and any
-    /// abort still carry [`Participant::change`], which then need hold
-    /// only what the participant's `prepare` reads. This is what lets one
-    /// commit carry everything that follows from *who* committed — no
-    /// later round has to tell the participants.
-    pub fn negotiate_available_with(
+    /// [`Negotiator::negotiate_available`] with phase 2 built **after**
+    /// the vote, once per vote: `phase2(chosen)` is asked what to send with
+    /// the participants about to be committed — `chosen`, in participant
+    /// order; everyone else declined — and returns one commit payload per
+    /// chosen participant, in that order (what they share it builds once),
+    /// and the [`Phase2::riders`]. The mark and any abort still carry
+    /// [`Participant::change`], which then need hold only what the
+    /// participant's `prepare` reads. This is what lets the second round
+    /// carry everything that follows from *who* committed — no later round
+    /// has to tell the participants, or the ones left out.
+    pub fn negotiate_available_with<'a>(
         &self,
         participants: &[Participant],
-        commit_changes: &dyn Fn(&[&Participant]) -> Vec<Value>,
+        phase2: &dyn Fn(&[&Participant]) -> Phase2<'a>,
     ) -> SydResult<NegotiationOutcome> {
-        self.negotiate_impl(Constraint::AtLeast(0), participants, true, commit_changes)
+        self.negotiate_impl(Constraint::AtLeast(0), participants, true, phase2)
     }
 
-    fn negotiate_impl(
+    fn negotiate_impl<'a>(
         &self,
         constraint: Constraint,
         participants: &[Participant],
         abort_on_contention: bool,
-        commit_changes: &dyn Fn(&[&Participant]) -> Vec<Value>,
+        phase2: &dyn Fn(&[&Participant]) -> Phase2<'a>,
     ) -> SydResult<NegotiationOutcome> {
         if participants.is_empty() {
             return Err(SydError::Protocol("negotiation needs participants".into()));
@@ -280,9 +309,10 @@ impl Negotiator {
         // Phase 2, one batch: commit the chosen, abort the rest of the
         // yes-voters, and abort the unanswered too — abort releases the
         // lock a lost yes vote left behind and is a no-op where the mark
-        // itself was lost. Best effort for the aborts.
+        // itself was lost. Best effort for the aborts, and for the
+        // caller's riders behind them.
         let chosen: Vec<&Participant> = to_commit.iter().map(|&i| &participants[i]).collect();
-        let changes = commit_changes(&chosen);
+        let Phase2 { changes, riders } = phase2(&chosen);
         assert_eq!(
             changes.len(),
             chosen.len(),
@@ -297,6 +327,10 @@ impl Negotiator {
             let p = &participants[i];
             Call::new(p.user, &svc, "abort", args_of(p, p.change.clone()))
         }));
+        let first_rider = batch.len();
+        if satisfied {
+            batch.extend(riders);
+        }
 
         // Phase 2 span covers the batch and the one commit retry — the
         // whole unlock half of §4.3.
@@ -311,12 +345,18 @@ impl Negotiator {
         // chance — in a single batched round, so `k` stragglers cost
         // one extra round trip rather than `k` sequential timeouts.
         let mut failed: Vec<Call<'_>> = Vec::new();
-        for (call, (user, outcome)) in batch.iter().zip(results.outcomes).take(chosen.len()) {
+        let mut answers = results.outcomes.into_iter();
+        for (call, (user, outcome)) in batch.iter().zip(answers.by_ref()).take(chosen.len()) {
             match outcome {
                 Ok(_) => committed.push(user),
                 Err(_) => failed.push(call.clone()),
             }
         }
+        let riders = answers.skip(first_rider - chosen.len());
+        let rode = riders
+            .filter(|(_, outcome)| outcome.is_ok())
+            .map(|(user, _)| user)
+            .collect();
         for (user, outcome) in self.engine.invoke_batch(&failed).outcomes {
             match outcome {
                 Ok(_) => committed.push(user),
@@ -370,6 +410,7 @@ impl Negotiator {
             aborted,
             declined,
             contended,
+            rode,
             session,
         };
         self.journal.emit(Event::End {
