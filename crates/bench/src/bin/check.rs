@@ -73,6 +73,12 @@ fn main() {
         outcome.report.events,
         outcome.report.sessions,
     );
+    println!(
+        "rpc.retries={} rpc.timeouts={} longest_session_ms={}",
+        outcome.rpc_retries,
+        outcome.rpc_timeouts,
+        outcome.longest_session.as_millis(),
+    );
 
     if outcome.report.ok() {
         println!("audit clean: every protocol invariant held");

@@ -14,7 +14,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use syd_check::{AuditOptions, AuditReport};
 use syd_core::device::entity_lock_key;
@@ -22,7 +22,7 @@ use syd_core::links::Constraint;
 use syd_core::negotiate::Participant;
 use syd_core::{DeviceRuntime, EntityHandler, SydEnv};
 use syd_net::NetConfig;
-use syd_telemetry::Event;
+use syd_telemetry::{names, Event};
 use syd_types::rng::Rng;
 use syd_types::{SydError, SydResult, Value};
 
@@ -95,6 +95,13 @@ pub struct StressOutcome {
     pub errors: usize,
     /// Stale sessions reclaimed by the forced end-of-run sweep.
     pub swept: usize,
+    /// `rpc.retries` summed over the devices: requests sent again.
+    pub rpc_retries: u64,
+    /// `rpc.timeouts` summed over the devices: sends that hit their deadline.
+    pub rpc_timeouts: u64,
+    /// The slowest `negotiate` call, to be read against the participants'
+    /// stale-session lease.
+    pub longest_session: Duration,
     /// The protocol invariant audit over every device.
     pub report: AuditReport,
 }
@@ -178,6 +185,7 @@ pub fn run(cfg: &StressConfig) -> StressOutcome {
     let satisfied = AtomicU64::new(0);
     let completed = AtomicU64::new(0);
     let errors = AtomicU64::new(0);
+    let longest_us = AtomicU64::new(0);
     let stop = AtomicBool::new(false);
 
     std::thread::scope(|scope| {
@@ -187,9 +195,13 @@ pub fn run(cfg: &StressConfig) -> StressOutcome {
             let coordinator = &devices[w % devices.len()];
             let plans = &plans;
             let (satisfied, completed, errors) = (&satisfied, &completed, &errors);
+            let longest_us = &longest_us;
             handles.push(scope.spawn(move || {
                 for (constraint, parts) in plans.iter().skip(w).step_by(workers) {
-                    match coordinator.negotiator().negotiate(*constraint, parts) {
+                    let started = Instant::now();
+                    let outcome = coordinator.negotiator().negotiate(*constraint, parts);
+                    longest_us.fetch_max(started.elapsed().as_micros() as u64, Ordering::Relaxed);
+                    match outcome {
                         Ok(outcome) => {
                             completed.fetch_add(1, Ordering::Relaxed);
                             if outcome.satisfied {
@@ -250,12 +262,21 @@ pub fn run(cfg: &StressConfig) -> StressOutcome {
     // are legal on this network; leaks, double-books, bad arithmetic and
     // broken waiting queues are not.
     let report = syd_check::audit_with(devices.iter(), &AuditOptions::default());
+    let fleet_total = |name: &str| -> u64 {
+        devices
+            .iter()
+            .map(|d| d.metrics().counter(name).get())
+            .sum()
+    };
 
     StressOutcome {
         satisfied: satisfied.into_inner() as usize,
         completed: completed.into_inner() as usize,
         errors: errors.into_inner() as usize,
         swept,
+        rpc_retries: fleet_total(names::RPC_RETRIES),
+        rpc_timeouts: fleet_total(names::RPC_TIMEOUTS),
+        longest_session: Duration::from_micros(longest_us.into_inner()),
         report,
     }
 }

@@ -264,7 +264,8 @@ impl CalendarApp {
         }
     }
 
-    /// Free slot ordinals within `[start, end)` ordinals.
+    /// Free slot ordinals within `[start, end)` ordinals: the list-form
+    /// reference the bitmap path is tested against.
     pub fn free_ordinals(&self, start: u64, end: u64) -> SydResult<Vec<u64>> {
         let occupied: Vec<u64> = self
             .store
@@ -285,24 +286,7 @@ impl CalendarApp {
     /// bit = free). Same answer as [`CalendarApp::free_ordinals`] but one
     /// bit per slot on the wire, whatever the calendar's density.
     pub fn free_bitmap(&self, start: u64, end: u64) -> SydResult<SlotBitmap> {
-        let end = end.max(start);
-        let range = SlotRange::new(TimeSlot::from_ordinal(start), TimeSlot::from_ordinal(end));
-        let mut bm = SlotBitmap::all_free(range);
-        let occupied = self
-            .store
-            .query(T_SLOTS)
-            .filter(Predicate::Between(
-                "ordinal".into(),
-                Value::from(start),
-                Value::from(end.saturating_sub(1)),
-            ))
-            .column("ordinal")?;
-        for v in occupied {
-            if let Ok(o) = v.as_i64() {
-                bm.set_busy(TimeSlot::from_ordinal(o as u64));
-            }
-        }
-        Ok(bm)
+        free_bitmap_of(&self.store, start, end)
     }
 
     // ---- local meeting records -----------------------------------------------
@@ -569,21 +553,6 @@ impl CalendarApp {
     fn register_services(self: &Arc<Self>) -> SydResult<()> {
         let svc = calendar_service();
 
-        // free_slots(start, end) -> [ordinals]
-        let weak = Arc::downgrade(self);
-        self.device.register_service(
-            &svc,
-            "free_slots",
-            Arc::new(move |_ctx, args: &[Value]| {
-                let app = weak.upgrade().ok_or(SydError::Shutdown)?;
-                let start = arg(args, 0)?.as_i64()? as u64;
-                let end = arg(args, 1)?.as_i64()? as u64;
-                Ok(Value::list(
-                    app.free_ordinals(start, end)?.into_iter().map(Value::from),
-                ))
-            }),
-        )?;
-
         // free_slots_bitmap(start, end) -> packed SlotBitmap bytes
         let weak = Arc::downgrade(self);
         self.device.register_service(
@@ -766,6 +735,28 @@ impl CalendarApp {
 
         Ok(())
     }
+}
+
+/// [`CalendarApp::free_bitmap`] over any store holding the `slots` table:
+/// the device's own, or the replica a proxy answers from.
+pub(crate) fn free_bitmap_of(store: &Store, start: u64, end: u64) -> SydResult<SlotBitmap> {
+    let end = end.max(start);
+    let range = SlotRange::new(TimeSlot::from_ordinal(start), TimeSlot::from_ordinal(end));
+    let mut bm = SlotBitmap::all_free(range);
+    let occupied = store
+        .query(T_SLOTS)
+        .filter(Predicate::Between(
+            "ordinal".into(),
+            Value::from(start),
+            Value::from(end.saturating_sub(1)),
+        ))
+        .column("ordinal")?;
+    for v in occupied {
+        if let Ok(o) = v.as_i64() {
+            bm.set_busy(TimeSlot::from_ordinal(o as u64));
+        }
+    }
+    Ok(bm)
 }
 
 pub(crate) fn arg(args: &[Value], i: usize) -> SydResult<&Value> {

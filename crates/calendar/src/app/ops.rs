@@ -69,9 +69,9 @@ impl CalendarApp {
     ///
     /// Availability travels as a [`SlotBitmap`] — one bit per slot in the
     /// window, whatever the calendars' density — and the views intersect
-    /// by bitwise AND. A peer that predates the bitmap method (it answers
-    /// [`SydError::NoSuchService`]) is re-queried with the classic
-    /// ordinal-list `free_slots` form, so mixed fleets keep working.
+    /// by bitwise AND. A proxy standing in for a disconnected participant
+    /// answers the same method from its replica, so the query is one round
+    /// whoever serves it.
     pub fn find_common_slots(
         &self,
         participants: &[UserId],
@@ -93,32 +93,9 @@ impl CalendarApp {
             vec![Value::from(start), Value::from(end)],
         );
         for (user, outcome) in result.outcomes {
-            let theirs = match outcome {
-                Ok(v) => SlotBitmap::unpack(v.as_bytes()?)?,
-                Err(SydError::NoSuchService(_, _)) => {
-                    // Back-compat: ordinal list from an old peer.
-                    let free = self
-                        .device
-                        .engine()
-                        .invoke(
-                            user,
-                            &calendar_service(),
-                            "free_slots",
-                            vec![Value::from(start), Value::from(end)],
-                        )
-                        .map_err(|e| SydError::App(format!("could not query {user}: {e}")))?;
-                    let ords = free
-                        .as_list()?
-                        .iter()
-                        .filter_map(|v| v.as_i64().ok())
-                        .map(|n| TimeSlot::from_ordinal(n as u64));
-                    SlotBitmap::from_free_slots(range, ords)
-                }
-                Err(e) => {
-                    return Err(SydError::App(format!("could not query {user}: {e}")));
-                }
-            };
-            common.and_assign(&theirs);
+            let theirs =
+                outcome.map_err(|e| SydError::App(format!("could not query {user}: {e}")))?;
+            common.and_assign(&SlotBitmap::unpack(theirs.as_bytes()?)?);
         }
         Ok(common.to_slots())
     }

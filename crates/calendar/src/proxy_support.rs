@@ -4,7 +4,7 @@
 //! the place of A" — concretely: peers planning meetings still need A's
 //! free-slot view. This module replicates a user's calendar tables to a
 //! [`ProxyHost`] and installs read-side `calendar` service methods on the
-//! replica (`free_slots`, `slot_status`, `meeting_info`), so availability
+//! replica (`free_slots_bitmap`, `slot_status`, `meeting_info`), so availability
 //! queries and meeting lookups keep answering while the device is off.
 //!
 //! Writes (reservations) deliberately stay on the primary: a negotiation
@@ -15,38 +15,23 @@
 use std::sync::Arc;
 
 use syd_core::proxy::{enable_replication, ProxyHost, ProxyMethod};
-use syd_store::{Predicate, Store};
+use syd_store::Store;
 use syd_types::{MeetingId, SydResult, UserId, Value};
 
-use crate::app::{calendar_service, create_replicated_tables, CalendarApp};
+use crate::app::{arg, calendar_service, create_replicated_tables, free_bitmap_of, CalendarApp};
 use crate::model::Meeting;
 
-fn free_slots_method() -> ProxyMethod {
+fn free_slots_bitmap_method() -> ProxyMethod {
     Arc::new(|_ctx, store: &Store, args: &[Value]| {
-        let start = args[0].as_i64()? as u64;
-        let end = args[1].as_i64()? as u64;
-        let occupied: Vec<u64> = store
-            .query("slots")
-            .filter(Predicate::Between(
-                "ordinal".into(),
-                Value::from(start),
-                Value::from(end.saturating_sub(1)),
-            ))
-            .column("ordinal")?
-            .into_iter()
-            .filter_map(|v| v.as_i64().ok().map(|n| n as u64))
-            .collect();
-        Ok(Value::list(
-            (start..end)
-                .filter(|o| !occupied.contains(o))
-                .map(Value::from),
-        ))
+        let start = arg(args, 0)?.as_i64()? as u64;
+        let end = arg(args, 1)?.as_i64()? as u64;
+        Ok(Value::Bytes(free_bitmap_of(store, start, end)?.pack()))
     })
 }
 
 fn slot_status_method() -> ProxyMethod {
     Arc::new(|_ctx, store: &Store, args: &[Value]| {
-        let ordinal = args[0].as_i64()? as u64;
+        let ordinal = arg(args, 0)?.as_i64()? as u64;
         match store.get_by_key("slots", &[Value::from(ordinal)])? {
             None => Ok(Value::map([
                 ("status", Value::str("free")),
@@ -64,7 +49,7 @@ fn slot_status_method() -> ProxyMethod {
 
 fn meeting_info_method() -> ProxyMethod {
     Arc::new(|_ctx, store: &Store, args: &[Value]| {
-        let id = MeetingId::new(args[0].as_i64()? as u64);
+        let id = MeetingId::new(arg(args, 0)?.as_i64()? as u64);
         match store.get_by_key("meetings", &[Value::from(id.raw())])? {
             None => Ok(Value::Null),
             Some(row) => {
@@ -84,7 +69,10 @@ pub fn host_calendar_on_proxy(proxy: &ProxyHost, app: &CalendarApp) -> SydResult
     proxy.host_user(user, |store| {
         create_replicated_tables(store)?;
         Ok(vec![
-            ((svc.clone(), "free_slots".to_owned()), free_slots_method()),
+            (
+                (svc.clone(), "free_slots_bitmap".to_owned()),
+                free_slots_bitmap_method(),
+            ),
             (
                 (svc.clone(), "slot_status".to_owned()),
                 slot_status_method(),
@@ -107,7 +95,7 @@ mod tests {
     use std::time::{Duration, Instant};
     use syd_core::SydEnv;
     use syd_net::NetConfig;
-    use syd_types::{SlotRange, TimeSlot};
+    use syd_types::{SlotRange, SydError, TimeSlot};
 
     fn wait_for(mut cond: impl FnMut() -> bool, what: &str) {
         let deadline = Instant::now() + Duration::from_secs(3);
@@ -152,13 +140,20 @@ mod tests {
         phil.device().disconnect().unwrap();
 
         // …yet suzy can still plan around phil's calendar: find-common-
-        // slots transparently reads phil's view from the proxy.
+        // slots transparently reads phil's view from the proxy, in the one
+        // round it takes with everybody at home.
+        let rounds = suzy
+            .device()
+            .metrics()
+            .counter(syd_telemetry::names::ENGINE_ROUNDS);
+        let before = rounds.get();
         let common = suzy
             .find_common_slots(
                 &[suzy.user(), phil.user(), andy.user()],
                 SlotRange::new(TimeSlot::new(0, 8), TimeSlot::new(0, 13)),
             )
             .unwrap();
+        assert_eq!(rounds.get() - before, 1, "the proxied member cost a round");
         assert!(!common.contains(&TimeSlot::new(0, 9)), "phil busy at 9");
         assert!(!common.contains(&TimeSlot::new(0, 11)), "meeting at 11");
         assert!(common.contains(&TimeSlot::new(0, 8)));
@@ -192,5 +187,30 @@ mod tests {
         phil.device().reconnect().unwrap();
         let status = suzy.reconcile(attempt.meeting).unwrap();
         assert_eq!(status, MeetingStatus::Confirmed);
+    }
+
+    #[test]
+    fn a_request_without_arguments_is_refused_not_unwound() {
+        let env = SydEnv::new_insecure(NetConfig::ideal());
+        let phil = CalendarApp::install(&env.device("phil", "").unwrap()).unwrap();
+        let suzy = CalendarApp::install(&env.device("suzy", "").unwrap()).unwrap();
+        let proxy = env.proxy("asp", "").unwrap();
+        host_calendar_on_proxy(&proxy, &phil).unwrap();
+        phil.device().disconnect().unwrap();
+        for method in ["free_slots_bitmap", "slot_status", "meeting_info"] {
+            let started = Instant::now();
+            let err = suzy
+                .device()
+                .engine()
+                .invoke(phil.user(), &calendar_service(), method, vec![])
+                .unwrap_err();
+            assert!(matches!(err, SydError::Protocol(_)), "{method}: {err}");
+            // Answered, not left to the caller's 2 s deadline.
+            assert!(
+                started.elapsed() < Duration::from_secs(1),
+                "{method} took {:?}",
+                started.elapsed()
+            );
+        }
     }
 }

@@ -439,26 +439,6 @@ impl DirectoryClient {
         Ok((addr, is_proxy))
     }
 
-    /// [`DirectoryClient::lookup`] with explicit deadline/retry options —
-    /// the engine's lossy-network fallback passes its own (typically much
-    /// shorter) timeout so a retried lookup stays inside the call budget.
-    pub fn lookup_with(
-        &self,
-        user: UserId,
-        opts: syd_net::CallOptions,
-    ) -> SydResult<(NodeAddr, bool)> {
-        let v = self.node.call_with(
-            self.dir_addr,
-            &dir_service(),
-            "lookup",
-            vec![Value::from(user.raw())],
-            opts,
-        )?;
-        let addr = NodeAddr::new(v.get("addr")?.as_i64()? as u64);
-        let is_proxy = v.get("is_proxy")?.as_bool()?;
-        Ok((addr, is_proxy))
-    }
-
     /// Resolves a whole group of users in one round trip. The result is
     /// aligned with `users`: `None` marks a user the directory does not
     /// know (the batch itself still succeeds).

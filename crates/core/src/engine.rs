@@ -9,17 +9,19 @@
 //! for disconnected devices mid-conversation.
 //!
 //! Group invocation sends all requests before collecting any response, so
-//! a group of `n` costs one round-trip of latency, not `n`.
+//! a group of `n` costs one round-trip of latency, not `n`. When a request
+//! is given up and sent again is not decided here: every invocation is
+//! [`syd_net::Node::call_many`] plus this engine's resolver.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use syd_net::{CallOptions, Node, PendingCall};
+pub use syd_net::Call;
+use syd_net::{CallOptions, Node};
 use syd_telemetry::{Counter, Histogram};
 use syd_types::sync::Mutex;
 use syd_types::{NodeAddr, ServiceName, SydError, SydResult, UserId, Value};
-use syd_wire::Args;
 
 use crate::directory::DirectoryClient;
 use crate::qos::QosMonitor;
@@ -64,58 +66,6 @@ impl GroupResult {
     }
 }
 
-/// One call of a [`SydEngine::invoke_batch`] fan-out.
-#[derive(Clone, Debug)]
-pub struct Call<'a> {
-    /// Target user.
-    pub user: UserId,
-    /// Service to invoke at the target.
-    pub service: &'a ServiceName,
-    /// Method of that service.
-    pub method: &'a str,
-    /// Positional arguments; a shared handle, so a broadcast's calls can
-    /// all point at one pre-encoded body.
-    pub args: Args,
-}
-
-impl<'a> Call<'a> {
-    /// A single call with its own arguments.
-    pub fn new(
-        user: UserId,
-        service: &'a ServiceName,
-        method: &'a str,
-        args: impl Into<Args>,
-    ) -> Call<'a> {
-        Call {
-            user,
-            service,
-            method,
-            args: args.into(),
-        }
-    }
-
-    /// The same call to every user of `users`: the argument body is
-    /// encoded **once** and shared by every outgoing request (and any
-    /// retry) — a group of `n` pays one serialisation, not `n`.
-    pub fn broadcast(
-        users: &'a [UserId],
-        service: &'a ServiceName,
-        method: &'a str,
-        args: Vec<Value>,
-    ) -> impl Iterator<Item = Call<'a>> + 'a {
-        let args = Args::from(args);
-        if !users.is_empty() {
-            args.preencode();
-        }
-        users.iter().map(move |&user| Call {
-            user,
-            service,
-            method,
-            args: args.clone(),
-        })
-    }
-}
-
 /// The invocation engine bound to one device's node.
 #[derive(Clone)]
 pub struct SydEngine {
@@ -134,9 +84,6 @@ pub struct SydEngine {
     invoke_hist: Histogram,
     /// `engine.batch_resolves` — batched directory round trips issued.
     batch_resolves: Counter,
-    /// `engine.resolve_fallbacks` — batched resolutions that fell back
-    /// to the per-user overlapped path.
-    resolve_fallbacks: Counter,
     /// `engine.rounds` — serial network rounds issued: one per `invoke`,
     /// one per batch fan-out whatever its size.
     rounds: Counter,
@@ -147,7 +94,6 @@ impl SydEngine {
     pub fn new(node: Node, directory: DirectoryClient) -> SydEngine {
         let invoke_hist = node.metrics().histogram(names::ENGINE_INVOKE);
         let batch_resolves = node.metrics().counter(names::ENGINE_BATCH_RESOLVES);
-        let resolve_fallbacks = node.metrics().counter(names::ENGINE_RESOLVE_FALLBACKS);
         let rounds = node.metrics().counter(names::ENGINE_ROUNDS);
         SydEngine {
             node,
@@ -157,7 +103,6 @@ impl SydEngine {
             qos: None,
             invoke_hist,
             batch_resolves,
-            resolve_fallbacks,
             rounds,
         }
     }
@@ -210,205 +155,68 @@ impl SydEngine {
         &self.node
     }
 
-    fn resolve(&self, user: UserId) -> SydResult<NodeAddr> {
-        if let Some(&addr) = self.cache.lock().get(&user) {
-            return Ok(addr);
-        }
-        let (addr, is_proxy) = self.directory.lookup(user)?;
-        // Proxy addresses are never cached: while a user is proxied, every
-        // call re-resolves, so the moment the primary reconnects peers
-        // switch back to it ("once A comes back up, A takes over the
-        // proxy", §5.2).
-        if !is_proxy {
-            self.cache.lock().insert(user, addr);
-        }
-        Ok(addr)
-    }
-
-    fn invalidate(&self, user: UserId) {
-        self.cache.lock().remove(&user);
-    }
-
     /// Resolves many users at once. Cache hits are served locally; the
     /// misses go to the directory in **one** batched `lookup_many` round
     /// trip, so a cold group call costs a single directory exchange
-    /// regardless of group size. If the batch itself fails — lossy
-    /// network, or a directory predating the batched method — the engine
-    /// falls back to overlapped per-user lookups, which degrade
-    /// gracefully one member at a time.
+    /// regardless of group size. The exchange is idempotent and retried
+    /// through loss at least four times; if it still fails, every miss
+    /// fails with its error.
     pub fn resolve_many(&self, users: &[UserId]) -> Vec<(UserId, SydResult<NodeAddr>)> {
         // Directory resolution is one of the phases the critical-path
-        // analyzer attributes; the lookup RPCs below nest under this span.
+        // analyzer attributes; the lookup RPC below nests under this span.
         let mut span = self.node.tracer().span(names::SPAN_DIR_RESOLVE);
         span.attr("users", users.len() as u64);
-        let mut out: Vec<(UserId, Option<SydResult<NodeAddr>>)> = Vec::with_capacity(users.len());
-        let mut misses: Vec<(usize, UserId)> = Vec::new();
-        {
+        let mut misses: Vec<usize> = Vec::new();
+        let mut out: Vec<(UserId, SydResult<NodeAddr>)> = {
             let cache = self.cache.lock();
-            for (i, &user) in users.iter().enumerate() {
-                if let Some(&addr) = cache.get(&user) {
-                    out.push((user, Some(Ok(addr))));
-                } else {
-                    out.push((user, None));
-                    misses.push((i, user));
-                }
-            }
-        }
-        if !misses.is_empty() {
-            let opts = self.opts();
-            let miss_users: Vec<UserId> = misses.iter().map(|&(_, u)| u).collect();
-            self.batch_resolves.inc();
-            // The batch is idempotent, so retry it through loss; keep the
-            // engine's own deadline so a drop fails over quickly.
-            let batch = self.directory.lookup_many_with(
-                &miss_users,
-                CallOptions::new()
-                    .with_timeout(opts.timeout)
-                    .with_retries(opts.retries.max(4)),
-            );
-            match batch {
-                Ok(entries) => {
-                    for (&(i, user), entry) in misses.iter().zip(entries) {
-                        let result = match entry {
-                            Some((addr, is_proxy)) => {
-                                // Proxy addresses are never cached (§5.2),
-                                // same as the single-user path.
-                                if !is_proxy {
-                                    self.cache.lock().insert(user, addr);
-                                }
-                                Ok(addr)
-                            }
-                            None => Err(SydError::NotRegistered(user.to_string())),
-                        };
-                        out[i].1 = Some(result);
+            users
+                .iter()
+                .enumerate()
+                .map(|(i, &user)| match cache.get(&user) {
+                    Some(&addr) => (user, Ok(addr)),
+                    None => {
+                        misses.push(i);
+                        // Overwritten below with the directory's answer.
+                        (user, Err(SydError::NotRegistered(String::new())))
                     }
-                }
-                Err(_) => {
-                    // Whole batch lost: fall back to the overlapped
-                    // per-user path, which retries members independently.
-                    self.resolve_fallbacks.inc();
-                    return self.resolve_many_overlapped(users);
-                }
-            }
+                })
+                .collect()
+        };
+        if misses.is_empty() {
+            return out;
         }
-        out.into_iter()
-            .map(|(user, r)| {
-                // Every slot is filled by the loop above; a miss is a
-                // logic bug surfaced as an error, not a panic.
-                let r = r.unwrap_or_else(|| Err(SydError::App("lookup slot left unfilled".into())));
-                (user, r)
-            })
-            .collect()
-    }
-
-    /// The error path of a lost batch: overlapped single lookups for
-    /// cache misses, so resolution still costs one lookup round trip of
-    /// *latency* — but `n` request/response exchanges on the wire.
-    fn resolve_many_overlapped(&self, users: &[UserId]) -> Vec<(UserId, SydResult<NodeAddr>)> {
         let opts = self.opts();
-        let mut out: Vec<(UserId, Option<SydResult<NodeAddr>>)> = Vec::with_capacity(users.len());
-        let mut pending: Vec<(usize, PendingCall)> = Vec::new();
-        {
-            let cache = self.cache.lock();
-            for &user in users {
-                if let Some(&addr) = cache.get(&user) {
-                    out.push((user, Some(Ok(addr))));
-                } else {
-                    out.push((user, None));
-                }
-            }
-            drop(cache);
-            for (i, &user) in users.iter().enumerate() {
-                if out[i].1.is_some() {
-                    continue;
-                }
-                let sent = self.node.call_async(
-                    self.directory.dir_addr(),
-                    &crate::directory::dir_service(),
-                    "lookup",
-                    vec![Value::from(user.raw())],
-                );
-                match sent {
-                    Ok(call) => pending.push((i, call)),
-                    Err(e) => out[i].1 = Some(Err(e)),
-                }
-            }
-        }
-        for (i, call) in pending {
-            let result = call.wait(opts.timeout).and_then(|v| {
-                let addr = NodeAddr::new(v.get("addr")?.as_i64()? as u64);
-                let is_proxy = v.get("is_proxy")?.as_bool()?;
-                Ok((addr, is_proxy))
-            });
-            let result = match result {
-                Ok((addr, is_proxy)) => {
-                    if !is_proxy {
-                        self.cache.lock().insert(users[i], addr);
-                    }
-                    Ok(addr)
-                }
-                // The overlapped fast path lost its message (lossy
-                // network): fall back to a retrying lookup bounded by the
-                // engine's own deadline, so a single drop cannot fail the
-                // whole group member.
-                Err(err) if err.is_transient() => self
-                    .directory
-                    .lookup_with(
-                        users[i],
-                        CallOptions::new()
-                            .with_timeout(opts.timeout)
-                            .with_retries(opts.retries.max(4)),
-                    )
-                    .map(|(addr, is_proxy)| {
+        let miss_users: Vec<UserId> = misses.iter().map(|&i| users[i]).collect();
+        self.batch_resolves.inc();
+        // The engine's own deadline, so a drop is re-sent quickly.
+        let batch = self
+            .directory
+            .lookup_many_with(&miss_users, opts.with_retries(opts.retries.max(4)));
+        for (k, &i) in misses.iter().enumerate() {
+            let user = users[i];
+            out[i].1 = match &batch {
+                Ok(entries) => match entries[k] {
+                    Some((addr, is_proxy)) => {
+                        // Proxy addresses are never cached: while a user
+                        // is proxied every call re-resolves, so the moment
+                        // the primary reconnects peers switch back to it
+                        // ("once A comes back up, A takes over the proxy",
+                        // §5.2).
                         if !is_proxy {
-                            self.cache.lock().insert(users[i], addr);
+                            self.cache.lock().insert(user, addr);
                         }
-                        addr
-                    }),
-                Err(e) => Err(e),
+                        Ok(addr)
+                    }
+                    None => Err(SydError::NotRegistered(user.to_string())),
+                },
+                Err(err) => Err(err.clone()),
             };
-            out[i].1 = Some(result);
         }
-        out.into_iter()
-            .map(|(user, r)| {
-                // Every slot is filled by the loop above; a miss is a
-                // logic bug surfaced as an error, not a panic.
-                let r = r.unwrap_or_else(|| Err(SydError::App("lookup slot left unfilled".into())));
-                (user, r)
-            })
-            .collect()
+        out
     }
 
-    /// One blocking call to a resolved address, with the logical target
-    /// user stamped on the request (proxy routing) and this engine's
-    /// deadline/retry options applied. Takes [`Args`] so retry attempts
-    /// (and group broadcasts) clone a shared handle, not the values.
-    fn call_at(
-        &self,
-        addr: NodeAddr,
-        target: UserId,
-        service: &ServiceName,
-        method: &str,
-        args: Args,
-    ) -> SydResult<Value> {
-        let opts = self.opts();
-        let mut attempts = 0;
-        loop {
-            let pending = self
-                .node
-                .call_async_to(addr, target, service, method, args.clone())?;
-            match pending.wait(opts.timeout) {
-                Ok(v) => return Ok(v),
-                Err(err) if err.is_transient() && attempts < opts.retries => attempts += 1,
-                Err(err) => return Err(err),
-            }
-        }
-    }
-
-    /// Invokes `service.method(args)` on `user`'s device (or its proxy).
-    ///
-    /// On a transient failure the engine re-resolves the user once — this
-    /// is the moment a proxy silently replaces a disconnected device.
+    /// Invokes `service.method(args)` on `user`'s device (or its proxy):
+    /// an [`SydEngine::invoke_batch`] of one call.
     pub fn invoke(
         &self,
         user: UserId,
@@ -417,7 +225,13 @@ impl SydEngine {
         args: Vec<Value>,
     ) -> SydResult<Value> {
         let started = std::time::Instant::now();
-        let result = self.invoke_inner(user, service, method, args);
+        let call = Call::new(user, service, method, args);
+        let result = self
+            .invoke_batch(std::slice::from_ref(&call))
+            .outcomes
+            .pop()
+            // One call in, one outcome out.
+            .map_or(Err(SydError::Shutdown), |(_, outcome)| outcome);
         self.invoke_hist.record_duration(started.elapsed());
         if let Some(qos) = &self.qos {
             qos.observe(user, service, started.elapsed(), result.is_ok());
@@ -427,7 +241,7 @@ impl SydEngine {
 
     /// QoS-aware invocation (§3.2, companion paper \[4\]): refuse targets
     /// whose observed latency cannot plausibly meet `deadline`, and bound
-    /// the call by it. Requires [`SydEngine::with_qos`].
+    /// every send of the call by it. Requires [`SydEngine::with_qos`].
     pub fn invoke_with_deadline(
         &self,
         user: UserId,
@@ -439,44 +253,10 @@ impl SydEngine {
         if let Some(qos) = &self.qos {
             qos.admit(user, service, deadline)?;
         }
-        let bounded = self.clone().with_options(
-            CallOptions::new()
-                .with_timeout(deadline)
-                .with_retries(self.opts().retries),
-        );
-        let started = std::time::Instant::now();
-        let result = bounded.invoke_inner(user, service, method, args);
-        self.invoke_hist.record_duration(started.elapsed());
-        if let Some(qos) = &self.qos {
-            qos.observe(user, service, started.elapsed(), result.is_ok());
-        }
-        result
-    }
-
-    fn invoke_inner(
-        &self,
-        user: UserId,
-        service: &ServiceName,
-        method: &str,
-        args: Vec<Value>,
-    ) -> SydResult<Value> {
-        self.rounds.inc();
-        let args = Args::from(args);
-        let addr = self.resolve(user)?;
-        match self.call_at(addr, user, service, method, args.clone()) {
-            Ok(v) => Ok(v),
-            Err(err) if err.is_transient() || matches!(err, SydError::Unreachable(_)) => {
-                // Re-resolve: the directory may now point at a proxy (or at
-                // the primary again after recovery).
-                self.invalidate(user);
-                let fresh = self.resolve(user)?;
-                if fresh == addr {
-                    return Err(err);
-                }
-                self.call_at(fresh, user, service, method, args)
-            }
-            Err(err) => Err(err),
-        }
+        // The clone shares this engine's histogram, counters and monitor.
+        self.clone()
+            .with_options(self.opts().with_timeout(deadline))
+            .invoke(user, service, method, args)
     }
 
     /// Invokes the same method on every user concurrently and collects
@@ -508,34 +288,20 @@ impl SydEngine {
         Ok(self.invoke_group(&members, service, method, args))
     }
 
-    /// Like [`SydEngine::invoke_group`] but with per-user arguments — the
-    /// negotiation protocol marks each participant's *own* entity, so every
-    /// request differs (and nothing can be encode-shared).
-    pub fn invoke_group_varied(
-        &self,
-        calls: &[(UserId, Vec<Value>)],
-        service: &ServiceName,
-        method: &str,
-    ) -> GroupResult {
-        let calls: Vec<Call<'_>> = calls
-            .iter()
-            .map(|(user, args)| Call::new(*user, service, method, args.as_slice()))
-            .collect();
-        self.invoke_batch(&calls)
-    }
-
-    /// The one fan-out primitive: resolves every target once (one batched
-    /// directory round trip for the misses), sends **every** request
-    /// before collecting any response, then collects in call order. The
-    /// calls may differ in target, service, method and arguments, and
-    /// several may go to the same user; a batch of any size costs one
-    /// round trip of latency.
+    /// The one fan-out primitive: [`Node::call_many`] with this engine as
+    /// its router. The calls may differ in target, service, method and
+    /// arguments, and several may go to the same user; outcomes come back
+    /// in call order, and a batch of any size costs one round trip of
+    /// latency.
     ///
-    /// Every failed call gets the same single re-resolve retry as
-    /// [`SydEngine::invoke`]: transient wait failures *and*
-    /// transient/unreachable send failures invalidate the cached address,
-    /// re-resolve (the directory may now point at a proxy) and try once
-    /// more at the fresh address.
+    /// The first wave goes to the addresses [`SydEngine::resolve_many`]
+    /// knows (one batched directory round trip for the misses). Every
+    /// later wave first forgets the cached address of each user it still
+    /// owes a call and resolves them again, together — the moment a proxy
+    /// silently replaces a disconnected device, or a moved user is found.
+    /// That first re-resolved wave is not charged to the retry budget, so
+    /// a failing call is sent `2 + retries` times and the whole batch
+    /// returns within `(2 + retries) × timeout`.
     pub fn invoke_batch(&self, calls: &[Call<'_>]) -> GroupResult {
         if calls.is_empty() {
             return GroupResult {
@@ -543,52 +309,37 @@ impl SydEngine {
             };
         }
         self.rounds.inc();
-        let mut users: Vec<UserId> = calls.iter().map(|c| c.user).collect();
-        users.sort_unstable();
-        users.dedup();
-        let resolved = self.resolve_many(&users);
-        let sent: Vec<SydResult<PendingCall>> = calls
-            .iter()
-            .map(|call| {
-                // `users` is sorted and holds every call's user, and
-                // `resolved` answers it position by position.
-                let slot = users.partition_point(|u| *u < call.user);
-                resolved[slot].1.clone().and_then(|addr| {
-                    self.node.call_async_to(
-                        addr,
-                        call.user,
-                        call.service,
-                        call.method,
-                        call.args.clone(),
-                    )
-                })
-            })
-            .collect();
-        let timeout = self.opts().timeout;
-        let outcomes = calls
-            .iter()
-            .zip(sent)
-            .map(|(call, sent)| {
-                let outcome = match sent.and_then(|pending| pending.wait(timeout)) {
-                    Ok(v) => Ok(v),
-                    Err(err) if err.is_transient() || matches!(err, SydError::Unreachable(_)) => {
-                        self.invalidate(call.user);
-                        self.resolve(call.user).and_then(|addr| {
-                            self.call_at(
-                                addr,
-                                call.user,
-                                call.service,
-                                call.method,
-                                call.args.clone(),
-                            )
-                        })
+        let opts = self.opts();
+        let mut first_wave = true;
+        let results = self.node.call_many(
+            calls,
+            opts.with_retries(opts.retries.saturating_add(1)),
+            &mut |outstanding| {
+                let mut users: Vec<UserId> = outstanding.iter().map(|&i| calls[i].user).collect();
+                users.sort_unstable();
+                users.dedup();
+                if !std::mem::take(&mut first_wave) {
+                    let mut cache = self.cache.lock();
+                    for user in &users {
+                        cache.remove(user);
                     }
-                    Err(err) => Err(err),
-                };
-                (call.user, outcome)
-            })
-            .collect();
-        GroupResult { outcomes }
+                }
+                let resolved = self.resolve_many(&users);
+                outstanding
+                    .iter()
+                    .map(|&i| {
+                        // `users` is sorted and holds every outstanding
+                        // call's user; `resolved` answers it position by
+                        // position.
+                        let slot = users.partition_point(|u| *u < calls[i].user);
+                        resolved[slot].1.clone()
+                    })
+                    .collect()
+            },
+        );
+        GroupResult {
+            outcomes: calls.iter().map(|call| call.user).zip(results).collect(),
+        }
     }
 
     /// Timeout used for collection (diagnostic accessor).
@@ -751,54 +502,17 @@ mod tests {
         assert_eq!(dir_counter(&dir, "dir.batch_lookups"), 2);
     }
 
-    /// A stand-in for a directory predating the batched method: it serves
-    /// `lookup` for the `setup` users and nothing else, so `lookup_many`
-    /// comes back `NoSuchService`. Returns it with an engine on `engine`'s
-    /// node that resolves through it.
-    fn old_directory(net: &Network, engine: &SydEngine, servers: &[Node]) -> (Node, SydEngine) {
-        let addrs: Vec<NodeAddr> = servers.iter().map(Node::addr).collect();
-        let old_dir = Node::spawn(net);
-        old_dir.set_handler(Arc::new(move |_from, req: Request| {
-            if req.method != "lookup" {
-                return Err(SydError::NoSuchService(req.service, req.method));
-            }
-            let user = req.args.to_vec()[0].as_i64()? as usize;
-            Ok(Value::map([
-                ("addr", Value::from(addrs[user - 1].raw())),
-                ("is_proxy", Value::Bool(false)),
-            ]))
-        }) as Arc<dyn RequestHandler>);
-        let node = engine.node().clone();
-        let dirc = DirectoryClient::new(node.clone(), old_dir.addr());
-        (old_dir, SydEngine::new(node, dirc))
-    }
-
-    #[test]
-    fn lost_batch_falls_back_to_per_user_lookups() {
-        let (net, dir, engine, servers) = setup(4);
-        let (_old_dir, engine) = old_directory(&net, &engine, &servers);
-        let users: Vec<UserId> = (1..=4).map(UserId::new).collect();
-        let result = engine.invoke_group(&users, &ServiceName::new("svc"), "echo", vec![]);
-        assert!(result.all_ok(), "outcomes: {:?}", result.outcomes);
-        let fallbacks = engine
-            .node()
-            .metrics()
-            .counter(names::ENGINE_RESOLVE_FALLBACKS);
-        assert_eq!(fallbacks.get(), 1);
-        // The real directory saw none of it.
-        assert_eq!(dir_counter(&dir, "dir.batch_lookups"), 0);
-        assert_eq!(dir_counter(&dir, "dir.lookups"), 0);
-    }
-
     /// Under message loss, a dropped lookup must not fail its sibling
     /// group members — and whatever the loss, every successful resolution
     /// must land in the cache so the next round is free.
-    fn resolve_many_survives_loss(net: &Network, engine: &SydEngine) {
+    #[test]
+    fn batched_resolve_survives_loss_and_populates_cache() {
+        let (net, _dir, engine, _servers) = setup(6);
         // At 40 % loss one attempt (request and reply both delivered)
-        // fails with probability 0.64. Forty retries put a member's
+        // fails with probability 0.64. Forty retries put the batch's
         // failure below 0.64^41 ≈ 1e-8, so the outcome does not depend on
         // which RNG stream the loss model draws from; the expected cost
-        // stays under two retries per member.
+        // stays under two retries.
         engine.set_options(
             CallOptions::new()
                 .with_timeout(Duration::from_millis(40))
@@ -829,20 +543,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_resolve_survives_loss_and_populates_cache() {
-        let (net, _dir, engine, _servers) = setup(6);
-        resolve_many_survives_loss(&net, &engine);
-    }
-
-    #[test]
-    fn overlapped_resolve_survives_loss_and_populates_cache() {
-        // Behind a directory without `lookup_many`, the error path.
-        let (net, _dir, engine, servers) = setup(6);
-        let (_old_dir, engine) = old_directory(&net, &engine, &servers);
-        resolve_many_survives_loss(&net, &engine);
-    }
-
-    #[test]
     fn varied_group_retries_after_stale_cache_entry() {
         let (net, _dir, engine, servers) = setup(2);
         let svc = ServiceName::new("svc");
@@ -850,8 +550,8 @@ mod tests {
         // Prime the cache for both users.
         assert!(engine.invoke_group(&users, &svc, "echo", vec![]).all_ok());
         // User 1 moves to a new node; the old one dies. The cached address
-        // is now stale, so the send fails Unreachable — the varied group
-        // call must re-resolve and retry, like `invoke` does.
+        // is now stale, so the send fails Unreachable — the batch must
+        // re-resolve and re-send, with no retry budget at all.
         let user = UserId::new(1);
         let new_server = Node::spawn(&net);
         new_server.set_handler(
@@ -863,18 +563,18 @@ mod tests {
             .register(user, "user1", new_server.addr())
             .unwrap();
         servers[0].shutdown();
-        let calls: Vec<(UserId, Vec<Value>)> = users
+        let calls: Vec<Call<'_>> = users
             .iter()
-            .map(|&u| (u, vec![Value::from(u.raw())]))
+            .map(|&u| Call::new(u, &svc, "echo", vec![Value::from(u.raw())]))
             .collect();
-        let result = engine.invoke_group_varied(&calls, &svc, "echo");
+        let result = engine.invoke_batch(&calls);
         assert!(result.all_ok(), "outcomes: {:?}", result.outcomes);
         assert_eq!(result.outcomes[0].1.as_ref().unwrap(), &Value::str("moved"));
     }
 
     #[test]
     fn shared_encode_serialises_the_broadcast_body_once() {
-        use syd_wire::Encode;
+        use syd_wire::{Args, Encode};
         let (net, _dir, engine, _servers) = setup(8);
         let users: Vec<UserId> = (1..=8).map(UserId::new).collect();
         // Warm the cache so both rounds below differ only in body bytes.
@@ -898,5 +598,169 @@ mod tests {
             "expected >= {} broadcast bytes, saw {wire_bytes}",
             8 * body_len
         );
+    }
+
+    // ---- the wave loop, seen from the engine ---------------------------------
+
+    const WAVE: Duration = Duration::from_millis(40);
+
+    /// Registers `user` at an endpoint that receives and never replies.
+    fn silent_user(net: &Network, engine: &SydEngine, id: u64) -> syd_net::Endpoint {
+        let silent = net.register();
+        engine
+            .directory()
+            .register(UserId::new(id), &format!("silent{id}"), silent.addr())
+            .unwrap();
+        silent
+    }
+
+    #[test]
+    fn lost_calls_of_a_batch_share_each_waves_deadline() {
+        let (net, _dir, engine, _servers) = setup(2);
+        let _silent: Vec<_> = (3..=5).map(|id| silent_user(&net, &engine, id)).collect();
+        engine.set_options(CallOptions::new().with_timeout(WAVE).with_retries(1));
+        let svc = ServiceName::new("svc");
+        let users: Vec<UserId> = [3, 1, 4, 2, 5].map(UserId::new).to_vec();
+        let started = std::time::Instant::now();
+        let result = engine.invoke_group(&users, &svc, "echo", vec![Value::str("x")]);
+        let took = started.elapsed();
+        // Three waves (cached address, re-resolved address, one retry) of
+        // one timeout each — not three timeouts per lost call.
+        assert!(took >= 3 * WAVE, "returned after {took:?}");
+        assert!(took < 5 * WAVE, "three lost calls cost {took:?}");
+        let order: Vec<u64> = result.outcomes.iter().map(|(u, _)| u.raw()).collect();
+        assert_eq!(order, vec![3, 1, 4, 2, 5]);
+        for (user, outcome) in &result.outcomes {
+            match user.raw() {
+                live @ 1..=2 => assert_eq!(
+                    outcome.as_ref().unwrap(),
+                    &Value::list([Value::from(live), Value::str("x")])
+                ),
+                _ => assert!(matches!(outcome, Err(SydError::Timeout(_))), "{outcome:?}"),
+            }
+        }
+        // The counters see engine traffic: 3 lost calls × 3 sends.
+        assert_eq!(engine.node().rpc_timeouts(), 9);
+        assert_eq!(engine.node().rpc_retries(), 6);
+    }
+
+    #[test]
+    fn invoke_to_a_silent_peer_is_counted_where_it_happens() {
+        let (net, _dir, engine, _servers) = setup(0);
+        let _silent = silent_user(&net, &engine, 1);
+        engine.set_options(CallOptions::new().with_timeout(WAVE).with_retries(1));
+        let err = engine
+            .invoke(UserId::new(1), &ServiceName::new("svc"), "echo", vec![])
+            .unwrap_err();
+        assert!(matches!(err, SydError::Timeout(_)), "{err}");
+        assert_eq!(engine.node().rpc_timeouts(), 3);
+        assert_eq!(engine.node().rpc_retries(), 2);
+    }
+
+    #[test]
+    fn only_the_failed_call_of_a_user_is_sent_again() {
+        let (net, _dir, engine, _servers) = setup(0);
+        let served = Arc::new(Mutex::new(Vec::<String>::new()));
+        let server = Node::spawn(&net);
+        let log = Arc::clone(&served);
+        server.set_handler(Arc::new(move |_from, req: Request| {
+            log.lock().push(req.method.clone());
+            match req.method.as_str() {
+                "busy" => Err(SydError::LockTimeout("held".into())),
+                _ => Ok(Value::Null),
+            }
+        }) as Arc<dyn RequestHandler>);
+        let user = UserId::new(1);
+        engine
+            .directory()
+            .register(user, "user1", server.addr())
+            .unwrap();
+        engine.set_options(CallOptions::new().with_retries(1));
+        let svc = ServiceName::new("svc");
+        let calls = [
+            Call::new(user, &svc, "echo", vec![]),
+            Call::new(user, &svc, "busy", vec![]),
+        ];
+        let result = engine.invoke_batch(&calls);
+        assert_eq!(result.outcomes[0].1, Ok(Value::Null));
+        assert_eq!(
+            result.outcomes[1].1,
+            Err(SydError::LockTimeout("held".into()))
+        );
+        let mut served = served.lock().clone();
+        served.sort();
+        assert_eq!(served, ["busy", "busy", "busy", "echo"]);
+    }
+
+    #[test]
+    fn a_waves_failures_are_resolved_again_in_one_directory_round_trip() {
+        let (_net, dir, engine, servers) = setup(3);
+        let svc = ServiceName::new("svc");
+        let users: Vec<UserId> = (1..=3).map(UserId::new).collect();
+        assert!(engine.invoke_group(&users, &svc, "echo", vec![]).all_ok());
+        // Two of the three go away without telling the directory.
+        servers[0].shutdown();
+        servers[1].shutdown();
+        let batches = dir_counter(&dir, "dir.batch_lookups");
+        let result = engine.invoke_group(&users, &svc, "echo", vec![]);
+        assert_eq!(result.ok_count(), 1);
+        assert_eq!(dir_counter(&dir, "dir.batch_lookups") - batches, 1);
+        assert_eq!(dir_counter(&dir, "dir.batch_lookup_users"), 3 + 2);
+        assert_eq!(dir_counter(&dir, "dir.lookups"), 0);
+    }
+
+    #[test]
+    fn a_proxy_takeover_is_found_without_a_retry_budget() {
+        let (net, _dir, engine, servers) = setup(1);
+        let user = UserId::new(1);
+        let svc = ServiceName::new("svc");
+        // Prime the cache with the primary's address.
+        engine.invoke(user, &svc, "echo", vec![]).unwrap();
+        let proxy = Node::spawn(&net);
+        proxy.set_handler(
+            Arc::new(move |_from, _req: Request| Ok(Value::str("proxy")))
+                as Arc<dyn RequestHandler>,
+        );
+        engine
+            .directory()
+            .register_proxy(user, proxy.addr())
+            .unwrap();
+        engine.directory().set_connected(user, false).unwrap();
+        net.set_connected(servers[0].addr(), false);
+        // `retries` is 0: the re-resolved wave is not charged to it.
+        assert_eq!(engine.timeout(), CallOptions::new().timeout);
+        let out = engine.invoke(user, &svc, "echo", vec![]).unwrap();
+        assert_eq!(out, Value::str("proxy"));
+        let result = engine.invoke_batch(&[Call::new(user, &svc, "echo", vec![])]);
+        assert_eq!(result.outcomes[0].1, Ok(Value::str("proxy")));
+    }
+
+    #[test]
+    fn an_unreachable_directory_fails_every_miss_with_the_batchs_error() {
+        let (net, _dir, engine, _servers) = setup(0);
+        // A directory that hears everything and answers nothing.
+        let deaf = net.register();
+        let engine = SydEngine::new(
+            engine.node().clone(),
+            DirectoryClient::new(engine.node().clone(), deaf.addr()),
+        )
+        .with_options(CallOptions::new().with_timeout(Duration::from_millis(20)));
+        let users: Vec<UserId> = (1..=3).map(UserId::new).collect();
+        let result = engine.invoke_group(&users, &ServiceName::new("svc"), "echo", vec![]);
+        for (user, outcome) in &result.outcomes {
+            assert!(
+                matches!(outcome, Err(SydError::Timeout(_))),
+                "user {user}: {outcome:?}"
+            );
+        }
+        // One batched lookup, re-sent four times, and nothing per user: a
+        // failed resolution is final for its wave set.
+        let mut heard = Vec::new();
+        while let Some(Ok(env)) = deaf.try_recv() {
+            if let syd_wire::Payload::Request(req) = env.payload {
+                heard.push(req.method);
+            }
+        }
+        assert_eq!(heard, ["lookup_many"; 5]);
     }
 }

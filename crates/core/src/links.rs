@@ -675,12 +675,14 @@ impl LinksModule {
     pub fn create_negotiated(&self, spec: LinkSpec, back_action: &str) -> SydResult<Link> {
         let svc = link_service();
         // Phase 1: ask everyone.
-        let calls: Vec<(UserId, Vec<Value>)> = spec
+        let offers: Vec<Call<'_>> = spec
             .refs
             .iter()
             .map(|r| {
-                (
+                Call::new(
                     r.user,
+                    &svc,
+                    "offer_link",
                     vec![
                         Value::str(r.entity.clone()),
                         Value::str(r.action.clone()),
@@ -689,7 +691,7 @@ impl LinksModule {
                 )
             })
             .collect();
-        let answers = self.engine.invoke_group_varied(&calls, &svc, "offer_link");
+        let answers = self.engine.invoke_batch(&offers);
         let all_accept = answers
             .outcomes
             .iter()

@@ -159,9 +159,9 @@ impl Default for Config {
                 "invoke_batch",
                 "invoke_group",
                 "invoke_group_by_name",
-                "invoke_group_varied",
                 "call",
                 "call_with",
+                "call_many",
                 "call_async",
                 "call_async_to",
                 "publish_event",
@@ -216,13 +216,7 @@ impl Default for Config {
             blocking_qualified: s(&["thread::sleep", "TcpStream::connect"]),
             blocking_zero_arg: s(&["recv", "join"]),
             blocking_any_arg: s(&["recv_timeout", "recv_deadline", "connect_timeout"]),
-            registration_methods: s(&[
-                "register_periodic",
-                "schedule",
-                "schedule_at",
-                "schedule_periodic",
-                "execute",
-            ]),
+            registration_methods: s(&["register_periodic", "schedule_periodic", "execute"]),
             runtime_owning: s(&["DeviceInner", "RuntimeInner", "NodeShared"]),
             allows: Vec::new(),
             today: None,

@@ -87,7 +87,7 @@ pub struct StrongCapture {
     pub ty: String,
     /// The binding name carried into the closure.
     pub binding: String,
-    /// The registration method (`register_periodic`, `schedule_at`, …).
+    /// The registration method (`register_periodic`, `schedule_periodic`, …).
     pub reg_method: String,
     /// File of the registration call.
     pub file: String,

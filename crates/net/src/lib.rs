@@ -8,8 +8,8 @@
 //!
 //! * **[`Node`]** — one addressed endpoint that demultiplexes incoming
 //!   traffic (responses → pending-call table, requests/events → worker
-//!   pool), with correlation ids, deadlines and transient-failure
-//!   retries.
+//!   pool), with correlation ids and one send–wait–resend loop
+//!   ([`Node::call_many`]) behind every blocking call.
 //! * **[`SharedRuntime`]** — the event-driven device runtime: one
 //!   reactor, one [`TimerWheel`] and one shared [`WorkerPool`] carry an
 //!   entire fleet of nodes.
@@ -40,7 +40,7 @@ pub use syd_transport::stats;
 
 pub use node::{EventSink, Node, RequestHandler};
 pub use pool::WorkerPool;
-pub use rpc::{CallOptions, PendingCall};
+pub use rpc::{Call, CallOptions, PendingCall};
 pub use runtime::{runtime_for, DrainOutcome, SharedRuntime};
 pub use syd_transport::{
     Endpoint, FramedTcpTransport, LatencyModel, NetConfig, NetStats, Network, SimTransport,

@@ -4,19 +4,21 @@
 //! transport endpoint (any [`TransportEndpoint`] — simulated channel or
 //! real TCP socket), demultiplexes incoming traffic (responses →
 //! pending-call table, requests/events → worker pool), and exposes
-//! blocking [`Node::call`] / non-blocking [`Node::call_async`] semantics
-//! with deadlines and transient-failure retries.
+//! blocking [`Node::call`] / non-blocking [`Node::call_async`] semantics.
+//! Deadlines and transient-failure retries are decided in one place,
+//! [`Node::call_many`]; every blocking call above this crate is a caller
+//! of it.
 //!
 //! A node owns no thread. It is a state machine registered with its
 //! backend's [`crate::runtime::SharedRuntime`]: the reactor thread drains
-//! the endpoint when the transport signals readiness, requests and
-//! events become jobs on the shared pool, and RPC deadlines are
-//! timer-wheel entries.
+//! the endpoint when the transport signals readiness, and requests and
+//! events become jobs on the shared pool. An RPC's deadline is the wait
+//! of the caller's own thread.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use syd_telemetry::{trace, Counter, Histogram, Registry, SpanCtx};
 use syd_transport::{Network, Transport, TransportEndpoint, TransportEvent};
@@ -25,7 +27,7 @@ use syd_types::sync::{Mutex, RwLock};
 use syd_types::{NodeAddr, RequestId, ServiceName, SydError, SydResult, UserId, Value};
 use syd_wire::{Args, EventMsg, Payload, Request, Response, TraceContext};
 
-use crate::rpc::{CallOptions, PendingCall};
+use crate::rpc::{Call, CallOptions, PendingCall};
 use crate::runtime::{runtime_for, DrainOutcome, SharedRuntime};
 use syd_telemetry::names;
 use syd_trace::Tracer;
@@ -33,10 +35,6 @@ use syd_trace::Tracer;
 /// Events drained per reactor wake-up before the node yields to its
 /// peers (round-robin fairness under load).
 const DRAIN_BUDGET: usize = 128;
-
-/// Backstop added to the channel wait: the timer wheel fires the
-/// timeout; the wait only catches a wedged wheel.
-const DEADLINE_GRACE: Duration = Duration::from_millis(200);
 
 /// Serves incoming requests on a node.
 ///
@@ -75,13 +73,16 @@ where
 /// Preregistered metric handles for the RPC hot path. Recording through
 /// any of these is a relaxed atomic op — no lock, no allocation — which
 /// is what keeps `rpc_round_trip/ideal` flat after instrumentation.
-struct NodeMetrics {
-    /// `rpc.call` — blocking-call latency (microseconds).
-    rpc_call: Histogram,
-    /// `rpc.retries` — transient-failure re-sends from `call_with`.
+pub(crate) struct NodeMetrics {
+    /// `rpc.call` — latency of every answered RPC, send to response
+    /// (microseconds). Fed by [`PendingCall::wait`] only.
+    pub(crate) rpc_call: Histogram,
+    /// `rpc.retries` — re-sends, one per request of every wave after a
+    /// set's first. Fed by [`Node::call_many`] only.
     rpc_retries: Counter,
-    /// `rpc.timeouts` — calls (or attempts) that hit their deadline.
-    rpc_timeouts: Counter,
+    /// `rpc.timeouts` — sends that hit their deadline. Fed by
+    /// [`PendingCall::wait`] only.
+    pub(crate) rpc_timeouts: Counter,
     /// `rpc.requests_served` — inbound requests dispatched to a handler.
     requests_served: Counter,
 }
@@ -97,19 +98,21 @@ impl NodeMetrics {
     }
 }
 
-struct NodeShared {
+pub(crate) struct NodeShared {
     addr: NodeAddr,
     link: Arc<dyn TransportEndpoint>,
-    pending: Mutex<HashMap<RequestId, Sender<SydResult<Value>>>>,
+    /// Reply slots of the calls in flight; a [`PendingCall`] removes its
+    /// own when it is dropped.
+    pub(crate) pending: Mutex<HashMap<RequestId, Sender<SydResult<Value>>>>,
     next_request: AtomicU64,
     handler: RwLock<Option<Arc<dyn RequestHandler>>>,
     events: RwLock<Option<Arc<dyn EventSink>>>,
     identity: RwLock<(UserId, Vec<u8>)>,
     /// The runtime this node is multiplexed onto: its reactor drains
-    /// `link`, its pool runs the handlers, its wheel arms call deadlines.
+    /// `link`, its pool runs the handlers.
     runtime: SharedRuntime,
     registry: Arc<Registry>,
-    metrics: NodeMetrics,
+    pub(crate) metrics: NodeMetrics,
     /// Per-node span ring: `rpc.client` / `rpc.server` spans land here,
     /// and higher layers (kernel, calendar) record through it too.
     tracer: Tracer,
@@ -200,7 +203,7 @@ impl Node {
         &self.shared.registry
     }
 
-    /// Number of transient-failure re-sends performed by blocking calls.
+    /// Number of re-sends performed by [`Node::call_many`].
     pub fn rpc_retries(&self) -> u64 {
         self.shared.metrics.rpc_retries.get()
     }
@@ -237,7 +240,8 @@ impl Node {
         self.call_with(dst, service, method, args, CallOptions::default())
     }
 
-    /// Blocking remote call with explicit deadline/retry options.
+    /// Blocking remote call with explicit deadline/retry options:
+    /// [`Node::call_many`] with one request and a route that never moves.
     pub fn call_with(
         &self,
         dst: NodeAddr,
@@ -246,63 +250,79 @@ impl Node {
         args: impl Into<Args>,
         opts: CallOptions,
     ) -> SydResult<Value> {
-        // Convert once: retry attempts clone the shared handle, they do
-        // not deep-copy (or re-encode) the argument values.
-        let args: Args = args.into();
-        let started = Instant::now();
-        let mut attempts = 0;
-        loop {
-            let mut pending = self.call_async(dst, service, method, args.clone())?;
-            // The deadline is a timer-wheel event that fails the pending
-            // entry at `opts.timeout`; the channel wait below is only a
-            // backstop (and cancels the timer via the call's cleanup
-            // hook when the response wins the race).
-            self.arm_deadline(&mut pending, opts.timeout);
-            match pending.wait(opts.timeout + DEADLINE_GRACE) {
-                Ok(value) => {
-                    self.shared
-                        .metrics
-                        .rpc_call
-                        .record_duration(started.elapsed());
-                    return Ok(value);
-                }
-                Err(err) => {
-                    if matches!(err, SydError::Timeout(_)) {
-                        self.shared.metrics.rpc_timeouts.inc();
-                    }
-                    if err.is_transient() && attempts < opts.retries {
-                        attempts += 1;
-                        self.shared.metrics.rpc_retries.inc();
-                    } else {
-                        return Err(err);
-                    }
-                }
-            }
-        }
+        let call = Call::new(UserId::default(), service, method, args);
+        self.call_many(std::slice::from_ref(&call), opts, &mut |_| vec![Ok(dst)])
+            .pop()
+            // One call in, one result out.
+            .unwrap_or(Err(SydError::Shutdown))
     }
 
-    /// Arms a timer-wheel deadline for an in-flight call. If the wheel
-    /// fires first, the pending entry is failed with
-    /// [`SydError::Timeout`]; if the response wins the race, the call's
-    /// cleanup hook cancels the wheel entry.
-    fn arm_deadline(&self, pending: &mut PendingCall, timeout: Duration) {
-        let timer = self.shared.runtime.timer().clone();
-        let id = pending.id();
-        let weak = Arc::downgrade(&self.shared);
-        let timer_id = timer.schedule(timeout, move || {
-            let Some(shared) = weak.upgrade() else { return };
-            let tx = shared.pending.lock().remove(&id);
-            if let Some(tx) = tx {
-                let _ = tx.send(Err(SydError::Timeout(id)));
+    /// The one way a request leaves this node and is given up or sent
+    /// again. Runs `calls` to completion in **waves** and returns their
+    /// results in call order.
+    ///
+    /// A wave asks `route` once, with the indices still outstanding, for
+    /// one address per index in that order (an `Err` is that call's final
+    /// result: the resolver has its own retries behind it); sends **every**
+    /// request before awaiting any; and awaits them all under one deadline,
+    /// `opts.timeout` from the last send — so `k` lost calls cost one
+    /// timeout, not `k`. What failed transiently, or at an address nobody
+    /// is at, is outstanding for the next wave; there are at most
+    /// `1 + opts.retries` waves, so a set returns within
+    /// `(1 + opts.retries) × opts.timeout` plus whatever `route` takes.
+    ///
+    /// Re-sends share the call's [`Args`] handle: nothing is deep-copied or
+    /// re-encoded.
+    pub fn call_many(
+        &self,
+        calls: &[Call<'_>],
+        opts: CallOptions,
+        route: &mut dyn FnMut(&[usize]) -> Vec<SydResult<NodeAddr>>,
+    ) -> Vec<SydResult<Value>> {
+        // The placeholder is never seen: wave 0 assigns every index.
+        let mut results: Vec<SydResult<Value>> =
+            calls.iter().map(|_| Err(SydError::Shutdown)).collect();
+        let mut outstanding: Vec<usize> = (0..calls.len()).collect();
+        for wave in 0..=opts.retries {
+            let mut sent = Vec::with_capacity(outstanding.len());
+            for (&i, addr) in outstanding.iter().zip(route(&outstanding)) {
+                let call = &calls[i];
+                match addr {
+                    Ok(addr) => sent.push((
+                        i,
+                        self.call_async_to(
+                            addr,
+                            call.user,
+                            call.service,
+                            call.method,
+                            call.args.clone(),
+                        ),
+                    )),
+                    Err(err) => results[i] = Err(err),
+                }
             }
-        });
-        let prev = pending.cleanup.take();
-        pending.cleanup = Some(Box::new(move || {
-            timer.cancel(timer_id);
-            if let Some(prev) = prev {
-                prev();
+            let deadline = Instant::now() + opts.timeout;
+            outstanding.clear();
+            for (i, pending) in sent {
+                results[i] = pending.and_then(|pending| {
+                    pending.wait(deadline.saturating_duration_since(Instant::now()))
+                });
+                let again = results[i].as_ref().err().is_some_and(|err| {
+                    err.is_transient() || matches!(err, SydError::Unreachable(_))
+                });
+                if again && wave < opts.retries {
+                    outstanding.push(i);
+                }
             }
-        }));
+            if outstanding.is_empty() {
+                break;
+            }
+            self.shared
+                .metrics
+                .rpc_retries
+                .add(outstanding.len() as u64);
+        }
+        results
     }
 
     /// Sends a request and returns immediately with a [`PendingCall`].
@@ -370,18 +390,11 @@ impl Node {
             self.shared.pending.lock().remove(&id);
             return Err(err);
         }
-        // Dropping the call (abandoned, timed out, or answered) removes
-        // its pending-table entry, so the table cannot accumulate slots
-        // for responses nobody is waiting on.
-        let weak = Arc::downgrade(&self.shared);
         Ok(PendingCall {
             id,
             rx,
-            cleanup: Some(Box::new(move || {
-                if let Some(shared) = weak.upgrade() {
-                    shared.pending.lock().remove(&id);
-                }
-            })),
+            node: Arc::downgrade(&self.shared),
+            sent: Instant::now(),
             span: Some(client_span),
         })
     }
@@ -841,14 +854,9 @@ mod tests {
             .call_with(silent.addr(), &ServiceName::new("svc"), "m", vec![], opts)
             .unwrap_err();
         assert!(matches!(err, SydError::Timeout(_)), "{err}");
-        // Both attempts time out, one retry happens — and the wheel is
-        // what fired them.
+        // Both sends time out, one of them a re-send.
         assert_eq!(client.rpc_timeouts(), 2);
         assert_eq!(client.rpc_retries(), 1);
-        assert!(
-            rt.timer().fired() >= 2,
-            "deadlines did not run on the wheel"
-        );
     }
 
     #[test]

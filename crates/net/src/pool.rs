@@ -190,6 +190,15 @@ impl WorkerPool {
 }
 
 fn worker_loop(inner: Arc<PoolInner>) {
+    /// Takes the thread off `live` however it ends: a job that unwinds
+    /// costs the pool a thread, not one of its `max_workers` slots.
+    struct Live<'a>(&'a AtomicUsize);
+    impl Drop for Live<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_sub(1, Ordering::AcqRel);
+        }
+    }
+    let _live = Live(&inner.live);
     loop {
         inner.idle.fetch_add(1, Ordering::AcqRel);
         let job = inner.rx.recv_timeout(inner.keepalive);
@@ -209,7 +218,6 @@ fn worker_loop(inner: Arc<PoolInner>) {
             Err(RecvError::Disconnected) => break,
         }
     }
-    inner.live.fetch_sub(1, Ordering::AcqRel);
 }
 
 impl Drop for WorkerPool {
@@ -405,6 +413,28 @@ mod tests {
         }
         assert!(pool.peak_workers() >= 3, "overflow worker not counted");
         drop(release_tx);
+    }
+
+    #[test]
+    fn a_job_that_unwinds_costs_a_thread_not_a_pool_slot() {
+        // One slot: if the dead worker kept it, nothing could run again.
+        let pool = WorkerPool::new("t", 1, Duration::from_millis(50));
+        assert_eq!(pool.live_workers(), 0);
+        pool.execute(|| panic!("job unwinds (expected by this test)"));
+        let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        while pool.live_workers() != 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the pool still counts its dead worker as alive"
+            );
+            std::thread::yield_now();
+        }
+        let (tx, rx) = queue::channel();
+        pool.execute(move || {
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(Duration::from_secs(2))
+            .expect("the slot of the dead worker was not reused");
     }
 
     #[test]

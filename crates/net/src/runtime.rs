@@ -4,10 +4,10 @@
 //! Following the signal/network split of message-io's `NodeEvent`,
 //! transport endpoints *push readiness notifications* into a
 //! [`Reactor`], and the reactor drains each ready endpoint's event
-//! queue, dispatching work onto a shared [`WorkerPool`]. Deadlines (RPC
-//! timeouts, link-expiry and stale-session sweeps) are entries on a
-//! shared [`TimerWheel`]. A device is a state machine around the pure
-//! cores — no threads of its own.
+//! queue, dispatching work onto a shared [`WorkerPool`]. Periodic work
+//! (link-expiry and stale-session sweeps, the pool watchdog) is entries
+//! on a shared [`TimerWheel`]. A device is a state machine around the
+//! pure cores — no threads of its own.
 //!
 //! Thread budget for a fleet of any size on one backend:
 //! `workers (≤ 48, soft cap) + 1 reactor + 1 timer + backend threads`.
@@ -224,7 +224,7 @@ impl SharedRuntime {
         &self.inner.pool
     }
 
-    /// The shared timer wheel for deadlines and periodic sweeps.
+    /// The shared timer wheel for periodic sweeps.
     #[must_use]
     pub fn timer(&self) -> &TimerWheel {
         &self.inner.timer

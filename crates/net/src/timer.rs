@@ -1,15 +1,17 @@
-//! A shared timer wheel: one thread services every deadline in a fleet.
+//! A shared timer wheel: one thread services every periodic task in a
+//! fleet.
 //!
 //! A single min-heap of `(due, seq, id)` entries serviced by one
-//! `syd-timer` thread: one-shot deadlines (RPC timeouts), periodic
-//! tasks (every device's link-expiry and stale-session sweeps) and
-//! anything else the runtime schedules.
+//! `syd-timer` thread: every device's link-expiry and stale-session
+//! sweeps, the pool watchdog, and anything else the runtime repeats. An
+//! RPC's deadline is not here — it is the wait of the thread that made
+//! the call ([`crate::Node::call_many`]).
 //!
-//! Deadlines that fall due together are collected under one lock hold
-//! and run as a batch ([`TimerWheel::batches`] counts them), so a burst
-//! of 10k simultaneous timeouts costs one wake-up, not 10k. Cancelled
-//! ids may leave stale heap entries behind; they are skipped at pop
-//! time, which keeps [`TimerWheel::cancel`] O(1).
+//! Tasks that fall due together are collected under one lock hold and
+//! run as a batch ([`TimerWheel::batches`] counts them), so a burst of
+//! 10k simultaneous sweeps costs one wake-up, not 10k. Cancelled ids may
+//! leave stale heap entries behind; they are skipped at pop time, which
+//! keeps [`TimerWheel::cancel`] O(1).
 //!
 //! Actions run on the timer thread and must not block: hand heavy work
 //! to a [`crate::pool::WorkerPool`].
@@ -28,20 +30,12 @@ use syd_types::sync::{Condvar, Mutex};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TimerId(u64);
 
-enum Task {
-    /// Fires once, then the entry is gone.
-    OneShot(Box<dyn FnOnce() + Send>),
-    /// Re-armed after every firing until cancelled.
-    Periodic {
-        interval: Duration,
-        action: Arc<dyn Fn() + Send + Sync>,
-    },
-}
+type Action = Arc<dyn Fn() + Send + Sync>;
 
-/// What the loop runs after releasing the state lock.
-enum Fired {
-    Once(Box<dyn FnOnce() + Send>),
-    Again(Arc<dyn Fn() + Send + Sync>),
+/// Re-armed after every firing until cancelled.
+struct Task {
+    interval: Duration,
+    action: Action,
 }
 
 struct TimerState {
@@ -101,6 +95,9 @@ impl TimerWheel {
         TimerWheel { inner }
     }
 
+    /// Files `task` with its first firing at `due`. A `due` already in
+    /// the past (clock skew, slow caller) fires on the next wake-up rather
+    /// than being dropped.
     fn insert(&self, due: Instant, task: Task) -> TimerId {
         let id = TimerId(self.inner.next_id.fetch_add(1, Ordering::Relaxed));
         let seq = self.inner.next_seq.fetch_add(1, Ordering::Relaxed);
@@ -113,35 +110,13 @@ impl TimerWheel {
         id
     }
 
-    /// Schedules `action` to run once after `delay`.
-    pub fn schedule(&self, delay: Duration, action: impl FnOnce() + Send + 'static) -> TimerId {
-        self.schedule_at(Instant::now() + delay, action)
-    }
-
-    /// Schedules `action` to run once at `due`. A deadline already in
-    /// the past (clock skew, slow caller) fires on the next wake-up
-    /// rather than being dropped.
-    ///
-    /// The scheduler's trace context is captured here and re-entered
-    /// around the action on the timer thread, so deadline work (RPC
-    /// timeouts and their retries) stays attributed to its trace.
-    pub fn schedule_at(&self, due: Instant, action: impl FnOnce() + Send + 'static) -> TimerId {
-        let ctx = trace::current();
-        self.insert(
-            due,
-            Task::OneShot(Box::new(move || {
-                let _span = ctx.map(trace::enter);
-                action();
-            })),
-        )
-    }
-
     /// Schedules `action` to run every `interval`, first firing one
     /// `interval` from now. Re-armed from completion time, so a slow
     /// action delays its next firing instead of bursting to catch up.
     ///
-    /// Like [`TimerWheel::schedule_at`], the scheduling thread's trace
-    /// context is restored around every firing.
+    /// The scheduler's trace context is captured here and re-entered
+    /// around every firing on the timer thread, so periodic work stays
+    /// attributed to its trace.
     pub fn schedule_periodic(
         &self,
         interval: Duration,
@@ -150,7 +125,7 @@ impl TimerWheel {
         let ctx = trace::current();
         self.insert(
             Instant::now() + interval,
-            Task::Periodic {
+            Task {
                 interval,
                 action: Arc::new(move || {
                     let _span = ctx.map(trace::enter);
@@ -160,15 +135,15 @@ impl TimerWheel {
         )
     }
 
-    /// Cancels an entry. Returns whether it was still pending; a
-    /// one-shot that already fired (or an id cancelled twice) returns
-    /// `false`. The entry's action never runs after `cancel` returns
-    /// `true`.
+    /// Cancels an entry. Returns whether it was still scheduled (an id
+    /// cancelled twice returns `false`). A firing already collected into
+    /// the running batch still runs; none is collected after `cancel`
+    /// returns.
     pub fn cancel(&self, id: TimerId) -> bool {
         self.inner.state.lock().tasks.remove(&id).is_some()
     }
 
-    /// Number of live (scheduled, not yet fired/cancelled) entries.
+    /// Number of live (scheduled, not yet cancelled) entries.
     #[must_use]
     pub fn pending(&self) -> usize {
         self.inner.state.lock().tasks.len()
@@ -210,7 +185,7 @@ impl TimerWheel {
 
 fn timer_loop(inner: &TimerInner) {
     loop {
-        let mut due: Vec<Fired> = Vec::new();
+        let mut due: Vec<Action> = Vec::new();
         {
             let mut state = inner.state.lock();
             loop {
@@ -233,40 +208,33 @@ fn timer_loop(inner: &TimerInner) {
                 }
             }
         }
-        // Run outside the lock: actions may reschedule or cancel freely.
+        // Run outside the lock: actions may schedule or cancel freely.
         inner.batches.fetch_add(1, Ordering::Relaxed);
         inner.fired.fetch_add(due.len() as u64, Ordering::Relaxed);
         for action in due {
-            match action {
-                Fired::Once(f) => f(),
-                Fired::Again(f) => f(),
-            }
+            action();
         }
     }
 }
 
-/// Pops every entry due at `now` into `out`, re-arming periodic tasks
-/// and silently dropping cancelled ids.
-fn collect_due(state: &mut TimerState, now: Instant, out: &mut Vec<Fired>) {
+/// Pops every entry due at `now` into `out` and re-arms it, silently
+/// dropping cancelled ids.
+fn collect_due(state: &mut TimerState, now: Instant, out: &mut Vec<Action>) {
     let mut seq_bump = 0u64;
     while let Some(&Reverse((at, seq, id))) = state.heap.peek() {
         if at > now {
             break;
         }
         state.heap.pop();
-        match state.tasks.remove(&id) {
-            None => {} // cancelled; stale heap entry
-            Some(Task::OneShot(f)) => out.push(Fired::Once(f)),
-            Some(Task::Periodic { interval, action }) => {
-                out.push(Fired::Again(Arc::clone(&action)));
-                // Re-arm relative to now so a stalled wheel doesn't
-                // burst to catch up; bump seq to keep ordering total.
-                seq_bump += 1;
-                state
-                    .heap
-                    .push(Reverse((now + interval, seq + seq_bump, id)));
-                state.tasks.insert(id, Task::Periodic { interval, action });
-            }
+        // A missing id was cancelled: a stale heap entry.
+        if let Some(task) = state.tasks.get(&id) {
+            out.push(Arc::clone(&task.action));
+            // Re-arm relative to now so a stalled wheel doesn't
+            // burst to catch up; bump seq to keep ordering total.
+            seq_bump += 1;
+            state
+                .heap
+                .push(Reverse((now + task.interval, seq + seq_bump, id)));
         }
     }
 }
@@ -281,40 +249,32 @@ mod tests {
         Duration::from_millis(n)
     }
 
-    #[test]
-    fn one_shot_fires_once() {
-        let wheel = TimerWheel::new("t");
-        let hits = Arc::new(AtomicUsize::new(0));
-        let h = Arc::clone(&hits);
-        wheel.schedule(ms(10), move || {
-            h.fetch_add(1, Ordering::SeqCst);
-        });
-        std::thread::sleep(ms(100));
-        assert_eq!(hits.load(Ordering::SeqCst), 1);
-        assert_eq!(wheel.pending(), 0);
-        wheel.shutdown();
+    /// A task whose first firing is at `due` and whose second is too far
+    /// off to matter: what the tests below count is first firings.
+    fn fire_at(wheel: &TimerWheel, due: Instant, action: impl Fn() + Send + Sync + 'static) {
+        wheel.insert(
+            due,
+            Task {
+                interval: Duration::from_secs(3600),
+                action: Arc::new(action),
+            },
+        );
     }
 
     #[test]
     fn timer_actions_inherit_the_schedulers_trace_context() {
         let wheel = TimerWheel::new("t");
         let ctx = trace::root_span();
-        let observed = Arc::new(Mutex::new((None, None)));
+        let observed = Arc::new(Mutex::new(None));
         {
             let _g = trace::enter(ctx);
             let o = Arc::clone(&observed);
-            wheel.schedule(ms(10), move || {
-                o.lock().0 = Some(trace::current());
-            });
-            let o = Arc::clone(&observed);
             wheel.schedule_periodic(ms(10), move || {
-                o.lock().1 = Some(trace::current());
+                *o.lock() = Some(trace::current());
             });
         }
         std::thread::sleep(ms(100));
-        let seen = *observed.lock();
-        assert_eq!(seen.0, Some(Some(ctx)), "one-shot lost the trace ctx");
-        assert_eq!(seen.1, Some(Some(ctx)), "periodic lost the trace ctx");
+        assert_eq!(*observed.lock(), Some(Some(ctx)), "lost the trace ctx");
         wheel.shutdown();
     }
 
@@ -326,7 +286,7 @@ mod tests {
         let base = Instant::now() + ms(30);
         for (label, offset) in [(3u32, 40), (1, 0), (2, 20)] {
             let o = Arc::clone(&order);
-            wheel.schedule_at(base + ms(offset), move || o.lock().push(label));
+            fire_at(&wheel, base + ms(offset), move || o.lock().push(label));
         }
         std::thread::sleep(ms(200));
         assert_eq!(*order.lock(), vec![1, 2, 3]);
@@ -340,7 +300,7 @@ mod tests {
         let due = Instant::now() + ms(40);
         for _ in 0..64 {
             let h = Arc::clone(&hits);
-            wheel.schedule_at(due, move || {
+            fire_at(&wheel, due, move || {
                 h.fetch_add(1, Ordering::SeqCst);
             });
         }
@@ -361,7 +321,7 @@ mod tests {
         let wheel = TimerWheel::new("t");
         let hits = Arc::new(AtomicUsize::new(0));
         let h = Arc::clone(&hits);
-        let id = wheel.schedule(ms(50), move || {
+        let id = wheel.schedule_periodic(ms(50), move || {
             h.fetch_add(1, Ordering::SeqCst);
         });
         assert!(wheel.cancel(id), "entry was pending");
@@ -379,7 +339,7 @@ mod tests {
         let wheel = TimerWheel::new("t");
         let hits = Arc::new(AtomicUsize::new(0));
         let h = Arc::clone(&hits);
-        wheel.schedule_at(Instant::now() - Duration::from_secs(5), move || {
+        fire_at(&wheel, Instant::now() - Duration::from_secs(5), move || {
             h.fetch_add(1, Ordering::SeqCst);
         });
         std::thread::sleep(ms(100));
@@ -414,7 +374,7 @@ mod tests {
         let wheel = TimerWheel::new("t");
         let hits = Arc::new(AtomicUsize::new(0));
         let h = Arc::clone(&hits);
-        wheel.schedule(ms(50), move || {
+        wheel.schedule_periodic(ms(50), move || {
             h.fetch_add(1, Ordering::SeqCst);
         });
         wheel.shutdown();
@@ -429,15 +389,17 @@ mod tests {
         let hits = Arc::new(AtomicUsize::new(0));
         let h = Arc::clone(&hits);
         let w = wheel.clone();
-        wheel.schedule(ms(10), move || {
-            h.fetch_add(1, Ordering::SeqCst);
-            let h2 = Arc::clone(&h);
-            w.schedule(ms(10), move || {
-                h2.fetch_add(1, Ordering::SeqCst);
+        // The outer task's first firing schedules the inner one, from the
+        // timer thread and with the state lock released.
+        fire_at(&wheel, Instant::now() + ms(10), move || {
+            let h = Arc::clone(&h);
+            w.schedule_periodic(ms(10), move || {
+                h.fetch_add(1, Ordering::SeqCst);
             });
         });
         std::thread::sleep(ms(150));
-        assert_eq!(hits.load(Ordering::SeqCst), 2);
+        assert!(hits.load(Ordering::SeqCst) >= 2, "inner task never ran");
+        assert_eq!(wheel.pending(), 2);
         wheel.shutdown();
     }
 }

@@ -12,11 +12,13 @@
 
 // --- rpc (syd-net node) ---------------------------------------------------
 
-/// Histogram: end-to-end latency of one outbound RPC, µs.
+/// Histogram: latency of every answered outbound RPC, send to response,
+/// µs. Fed by `PendingCall::wait` only.
 pub const RPC_CALL: &str = "rpc.call";
-/// Counter: outbound RPC attempts retried after loss or timeout.
+/// Counter: requests sent again in a later wave after a transient failure.
+/// Fed by `Node::call_many` only.
 pub const RPC_RETRIES: &str = "rpc.retries";
-/// Counter: outbound RPCs that exhausted their deadline.
+/// Counter: sends that hit their deadline. Fed by `PendingCall::wait` only.
 pub const RPC_TIMEOUTS: &str = "rpc.timeouts";
 /// Counter: inbound RPC requests dispatched to a handler.
 pub const RPC_REQUESTS_SERVED: &str = "rpc.requests_served";
@@ -53,8 +55,6 @@ pub const NEGOTIATE_ABORTS: &str = "negotiate.aborts";
 pub const ENGINE_INVOKE: &str = "engine.invoke";
 /// Counter: group resolves served by one batched directory round trip.
 pub const ENGINE_BATCH_RESOLVES: &str = "engine.batch_resolves";
-/// Counter: per-user fallback lookups after a failed batch resolve.
-pub const ENGINE_RESOLVE_FALLBACKS: &str = "engine.resolve_fallbacks";
 /// Counter: serial network rounds issued — one per `invoke`, one per
 /// batch fan-out whatever its size.
 pub const ENGINE_ROUNDS: &str = "engine.rounds";
@@ -148,7 +148,6 @@ pub const ALL: &[&str] = &[
     NEGOTIATE_ABORTS,
     ENGINE_INVOKE,
     ENGINE_BATCH_RESOLVES,
-    ENGINE_RESOLVE_FALLBACKS,
     ENGINE_ROUNDS,
     LISTENER_DISPATCH,
     LISTENER_AUTH_FAILURES,

@@ -102,7 +102,7 @@ fn authentication_gates_every_service() {
         .invoke(
             andy.user(),
             &syd::types::ServiceName::new("calendar"),
-            "free_slots",
+            "free_slots_bitmap",
             vec![Value::from(0u64), Value::from(24u64)],
         )
         .unwrap_err();
@@ -263,7 +263,7 @@ fn group_invocation_is_concurrent() {
     let result = coordinator.device().engine().invoke_group(
         &users,
         &syd::types::ServiceName::new("calendar"),
-        "free_slots",
+        "free_slots_bitmap",
         vec![Value::from(0u64), Value::from(24u64)],
     );
     let elapsed = started.elapsed();
