@@ -82,6 +82,9 @@ struct DeviceInner {
     entity_handler: RwLock<Option<Arc<dyn EntityHandler>>>,
     subscription_handler: RwLock<Option<Arc<dyn SubscriptionHandler>>>,
     link_acceptor: RwLock<Option<LinkAcceptor>>,
+    /// Services whose `publish` the directory has acknowledged (see
+    /// [`DeviceRuntime::register_service`]); a device names one to three.
+    published: Mutex<Vec<ServiceName>>,
     /// Active negotiation sessions touching this device's entities, with
     /// their start times (for the stale-session sweep).
     sessions: Mutex<HashMap<u64, Instant>>,
@@ -111,7 +114,12 @@ impl DeviceRuntime {
     ) -> SydResult<DeviceRuntime> {
         let node = Node::spawn_on(net)?;
         let directory = DirectoryClient::new(node.clone(), dir_addr);
-        directory.register(user, name, node.addr())?;
+        // A join that fails from here on (the directory refuses the name or
+        // cannot be reached) must not leave the endpoint and its reactor
+        // registration behind.
+        directory
+            .register(user, name, node.addr())
+            .inspect_err(|_| node.shutdown())?;
 
         let store = Store::new();
         let listener = Arc::new(Listener::new(auth));
@@ -135,7 +143,7 @@ impl DeviceRuntime {
                 events.publish_local(&ev.topic, || ev.payload);
             }));
         }
-        let links = Arc::new(LinksModule::new(
+        let links = LinksModule::new(
             store.clone(),
             engine.clone(),
             user,
@@ -144,7 +152,9 @@ impl DeviceRuntime {
             // §4.2 op. 3's promotions and §4.4's deletions go into the
             // postmortem journal from the kernel itself.
             Arc::clone(&journal),
-        )?);
+        )
+        .inspect_err(|_| node.shutdown())?;
+        let links = Arc::new(links);
         let negotiator =
             Negotiator::new(engine.clone(), user, node.metrics(), Arc::clone(&journal));
 
@@ -163,6 +173,7 @@ impl DeviceRuntime {
             entity_handler: RwLock::new(None),
             subscription_handler: RwLock::new(None),
             link_acceptor: RwLock::new(None),
+            published: Mutex::new(Vec::new()),
             sessions: Mutex::new(HashMap::new()),
             swept: Mutex::new(VecDeque::new()),
         });
@@ -275,8 +286,16 @@ impl DeviceRuntime {
         *self.inner.link_acceptor.write() = Some(acceptor);
     }
 
-    /// Publishes an application service method locally and in the
-    /// directory.
+    /// Serves `method` of an application service on this device and
+    /// publishes the service in the directory.
+    ///
+    /// Publication belongs to the *service*: the directory is told once,
+    /// when the service's first method is registered, and every later
+    /// registration for it is local only. A service counts as published
+    /// only once the directory has acknowledged it: a failed `publish`
+    /// returns its error with the method already served locally, and the
+    /// next registration for that service sends it again.
+    /// [`Listener::unregister`] does not unpublish the service.
     pub fn register_service(
         &self,
         service: &ServiceName,
@@ -284,10 +303,15 @@ impl DeviceRuntime {
         handler: ServiceMethod,
     ) -> SydResult<()> {
         self.inner.listener.register(service, method, handler);
-        self.inner
-            .engine
-            .directory()
-            .publish(self.inner.user, service)
+        let published = self.inner.published.lock().contains(service);
+        if !published {
+            self.inner
+                .engine
+                .directory()
+                .publish(self.inner.user, service)?;
+            self.inner.published.lock().push(service.clone());
+        }
+        Ok(())
     }
 
     /// Fires the links anchored on a local entity (app-facing trigger
@@ -1377,6 +1401,49 @@ mod tests {
             .invoke_coupled(&svc, "other", vec![])
             .unwrap()
             .is_empty());
+    }
+
+    #[test]
+    fn a_failed_publish_is_sent_again_by_the_next_registration() {
+        let (net, dir, devices) = rig(2);
+        let device = &devices[0];
+        let served = || {
+            dir.metrics()
+                .get_counter(names::RPC_REQUESTS_SERVED)
+                .map_or(0, |c| c.get())
+        };
+        let svc = ServiceName::new("app");
+        let method = |n: i64| -> ServiceMethod { Arc::new(move |_, _| Ok(Value::I64(n))) };
+        let kernel_methods = device.inner.listener.registered().len();
+
+        // The directory is out of range: the publish fails, and the method
+        // is served locally all the same.
+        net.set_connected(dir.addr(), false);
+        let before = served();
+        let err = device.register_service(&svc, "one", method(1)).unwrap_err();
+        assert!(matches!(err, SydError::Disconnected(_)), "{err}");
+        assert_eq!(served(), before);
+        assert!(device
+            .inner
+            .listener
+            .registered()
+            .contains(&("app".to_owned(), "one".to_owned())));
+
+        // Back in range: the next registration sends the publish again,
+        // and the one after that has nothing left to send.
+        net.set_connected(dir.addr(), true);
+        device.register_service(&svc, "two", method(2)).unwrap();
+        assert_eq!(served(), before + 1);
+        device.register_service(&svc, "three", method(3)).unwrap();
+        assert_eq!(served(), before + 1);
+
+        assert_eq!(device.inner.listener.registered().len(), kernel_methods + 3);
+        let rec = device.engine().directory().describe(device.user()).unwrap();
+        assert_eq!(rec.services, vec!["app"]);
+        let out = devices[1]
+            .engine()
+            .invoke(device.user(), &svc, "one", vec![]);
+        assert_eq!(out.unwrap(), Value::I64(1));
     }
 
     #[test]

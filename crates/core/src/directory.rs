@@ -182,9 +182,16 @@ fn serve(state: &RwLock<DirState>, metrics: &DirMetrics, req: &Request) -> SydRe
                 }
             }
             s.by_name.insert(name.clone(), user);
-            s.users.insert(
-                user,
-                UserRecord {
+            let old = s.users.remove(&user);
+            if let Some(old) = old.as_ref().filter(|old| old.name != name) {
+                s.by_name.remove(&old.name);
+            }
+            // The client sends `register` at least once: a repeat from the
+            // same address is a late duplicate and must not undo what the
+            // device has published since. A new address is a new device.
+            let rec = match old.filter(|old| old.addr == addr) {
+                Some(old) => UserRecord { name, ..old },
+                None => UserRecord {
                     user,
                     name,
                     addr,
@@ -192,7 +199,8 @@ fn serve(state: &RwLock<DirState>, metrics: &DirMetrics, req: &Request) -> SydRe
                     connected: true,
                     services: Vec::new(),
                 },
-            );
+            };
+            s.users.insert(user, rec);
             Ok(Value::Null)
         }
         // publish(user, service) -> null
@@ -628,6 +636,50 @@ mod tests {
             .register(UserId::new(1), "phil", NodeAddr::new(9))
             .unwrap();
         assert_eq!(client.lookup(UserId::new(1)).unwrap().0, NodeAddr::new(9));
+    }
+
+    #[test]
+    fn a_duplicate_register_keeps_what_was_published() {
+        let (_net, _dir, client) = setup();
+        let (user, addr, proxy) = (UserId::new(1), NodeAddr::new(1), NodeAddr::new(20));
+        client.register(user, "phil", addr).unwrap();
+        client.publish(user, &ServiceName::new("calendar")).unwrap();
+        client.register_proxy(user, proxy).unwrap();
+        client.set_connected(user, false).unwrap();
+        let before = client.describe(user).unwrap();
+
+        // The join's own `register`, resent and landing late.
+        client.register(user, "phil", addr).unwrap();
+        assert_eq!(client.describe(user).unwrap(), before);
+        assert_eq!(before.services, vec!["calendar"]);
+        assert_eq!((before.proxy, before.connected), (Some(proxy), false));
+    }
+
+    #[test]
+    fn renaming_a_user_releases_the_old_name() {
+        let (_net, _dir, client) = setup();
+        let (phil, suzy) = (UserId::new(1), UserId::new(2));
+        client.register(phil, "phil", NodeAddr::new(1)).unwrap();
+        client.publish(phil, &ServiceName::new("calendar")).unwrap();
+        client.register(suzy, "suzy", NodeAddr::new(2)).unwrap();
+
+        // A name held by another user stays refused, and changes nothing.
+        let err = client.register(phil, "suzy", NodeAddr::new(1)).unwrap_err();
+        assert!(err.to_string().contains("taken"), "{err}");
+        assert_eq!(client.lookup_name("phil").unwrap(), phil);
+
+        client.register(phil, "philip", NodeAddr::new(1)).unwrap();
+        assert_eq!(client.lookup_name("philip").unwrap(), phil);
+        assert!(client.lookup_name("phil").is_err(), "old name released");
+        let rec = client.describe(phil).unwrap();
+        assert_eq!(
+            (rec.name.as_str(), rec.services),
+            ("philip", vec!["calendar".to_owned()])
+        );
+        // The released name is free for someone else.
+        client
+            .register(UserId::new(3), "phil", NodeAddr::new(3))
+            .unwrap();
     }
 
     #[test]

@@ -200,6 +200,7 @@ fn fresh_iv() -> [u8; 8] {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // test code
 mod tests {
     use super::*;
+    use syd_telemetry::names;
     use syd_types::{ServiceName, Value};
 
     #[test]
@@ -269,6 +270,47 @@ mod tests {
             .unwrap();
         assert_eq!(out, Value::str("pong"));
         assert_eq!(env.transport().kind(), "tcp");
+    }
+
+    /// Requests the directory node has served so far.
+    fn dir_requests(env: &SydEnv) -> u64 {
+        env.directory()
+            .metrics()
+            .get_counter(names::RPC_REQUESTS_SERVED)
+            .map_or(0, |c| c.get())
+    }
+
+    #[test]
+    fn a_device_joins_in_one_directory_request() {
+        let env = SydEnv::new_insecure(NetConfig::ideal());
+        let before = dir_requests(&env);
+        let a = env.device("alice", "").unwrap();
+        assert_eq!(
+            dir_requests(&env) - before,
+            1,
+            "`register` and nothing else"
+        );
+
+        // One more per distinct service, however many methods it has.
+        let (cal, mail) = (ServiceName::new("calendar"), ServiceName::new("mailbox"));
+        for (service, method) in [(&cal, "a"), (&cal, "b"), (&mail, "c"), (&cal, "d")] {
+            a.register_service(service, method, Arc::new(|_, _| Ok(Value::Null)))
+                .unwrap();
+        }
+        assert_eq!(dir_requests(&env) - before, 3);
+        let rec = a.engine().directory().describe(a.user()).unwrap();
+        assert_eq!(rec.services, vec!["calendar", "mailbox"]);
+    }
+
+    #[test]
+    fn a_refused_join_leaves_no_node_behind() {
+        let env = SydEnv::new_insecure(NetConfig::ideal());
+        let _alice = env.device("alice", "").unwrap();
+        let nodes = env.runtime().nodes();
+        assert!(env.device("alice", "").is_err(), "the name is taken");
+        assert_eq!(env.runtime().nodes(), nodes, "refused device");
+        assert!(env.proxy("alice", "").is_err(), "the name is taken");
+        assert_eq!(env.runtime().nodes(), nodes, "refused proxy");
     }
 
     #[test]

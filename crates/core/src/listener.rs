@@ -3,8 +3,9 @@
 //! "SyDListener enables SyD device objects to publish services … as
 //! listeners locally on the device and globally via directory services."
 //! Locally, this is a registry from `(service, method)` to a handler
-//! closure; globally, [`crate::device::DeviceRuntime`] publishes the
-//! service names in the SyDDirectory.
+//! closure; globally, [`crate::device::DeviceRuntime`] publishes each
+//! service name in the SyDDirectory once, with the service's first method
+//! — the directory lists services, the listener alone knows methods.
 //!
 //! Every inbound request is authenticated first when the deployment runs
 //! with security enabled (§5.4): the TEA credential blob is decrypted and

@@ -95,7 +95,11 @@ impl ProxyHost {
     ) -> SydResult<ProxyHost> {
         let node = Node::spawn_on(net)?;
         let directory = DirectoryClient::new(node.clone(), dir_addr);
-        directory.register(user, name, node.addr())?;
+        // A refused join must not leave the endpoint and its reactor
+        // registration behind.
+        directory
+            .register(user, name, node.addr())
+            .inspect_err(|_| node.shutdown())?;
         let served = node.metrics().counter(names::PROXY_SERVED);
         let inner = Arc::new(ProxyInner {
             user,
