@@ -130,7 +130,7 @@ fn main() {
         }
         group.bench_function(format!("expiry_scan_live/{n}"), |b| {
             b.iter(|| {
-                let expired = dev.links().expire_scan().unwrap();
+                let expired = dev.links().expire(&dev.links().expired().unwrap());
                 assert!(expired.is_empty());
             });
         });

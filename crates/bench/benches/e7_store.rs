@@ -131,7 +131,7 @@ fn main() {
                 None
             }
             2 => {
-                let events = EventHandler::new(syd_net::TimerWheel::new("e7"));
+                let events = EventHandler::new(syd_net::SharedRuntime::new("e7"));
                 events.bridge_store(&store, "slots").unwrap();
                 events.subscribe("store.slots.", std::sync::Arc::new(|_t, _p| {}));
                 Some(events)

@@ -5,7 +5,7 @@
 //! Layer 2: the same operation dispatched through the SyDListener
 //!          (service lookup + auth-less dispatch, no network).
 //! Layer 3: the same operation invoked remotely through the full stack
-//!          (engine → directory-resolved address → wire codec → router →
+//!          (engine → directory-resolved address → wire codec → sim network →
 //!          listener → store).
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code
@@ -88,7 +88,7 @@ fn main() {
         b.iter(|| listener.dispatch(NodeAddr::new(1), &request).unwrap());
     });
 
-    // Layer 3: full remote invocation (engine + wire + router + listener).
+    // Layer 3: full remote invocation (engine + wire + sim network + listener).
     let env = env_ideal();
     let devs = devices(&env, 2);
     let remote_store = slot_store();

@@ -27,7 +27,7 @@
 //!
 //! `--transport tcp` reruns the matrix on the framed loopback-TCP
 //! backend (real sockets, kernel scheduling); loss cells are sim-only
-//! since deterministic drop injection lives in the sim router. TCP rows
+//! since deterministic drop injection lives in the sim network. TCP rows
 //! count framed socket bytes and must report `frame_errors: 0`.
 //!
 //! Everything is seed-deterministic; wall-clock latencies vary with the
@@ -164,7 +164,7 @@ fn run(cfg: &Config) {
     for &backend in &cfg.transports {
         for &loss in losses {
             if backend == "tcp" && loss > 0.0 {
-                // Deterministic loss injection is a sim-router concept;
+                // Deterministic loss injection is a sim-network concept;
                 // the kernel does not drop loopback TCP frames for us.
                 continue;
             }
@@ -310,7 +310,7 @@ fn make_env(backend: &str) -> SydEnv {
     }
 }
 
-/// Bytes the deployment has put on the wire so far. The sim router's
+/// Bytes the deployment has put on the wire so far. The sim network's
 /// payload accounting is kept for `sim` rows (schema continuity); `tcp`
 /// rows count framed bytes leaving real sockets.
 fn wire_bytes_now(env: &SydEnv, backend: &str) -> u64 {

@@ -33,7 +33,7 @@ pub fn env_secure() -> SydEnv {
 
 /// A fresh insecure deployment on framed loopback TCP — the `--transport
 /// tcp` axis of the perf driver: identical protocol traffic, real
-/// sockets and kernel scheduling instead of the in-process router.
+/// sockets and kernel scheduling instead of the in-process sim.
 pub fn env_tcp() -> SydEnv {
     SydEnv::new_on(Arc::new(syd_net::FramedTcpTransport::loopback()), None)
         .expect("loopback TCP deployment")

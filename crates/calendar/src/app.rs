@@ -172,30 +172,12 @@ impl CalendarApp {
 
     /// State of one local slot.
     pub fn slot_state(&self, ordinal: u64) -> SydResult<SlotState> {
-        match self.store.get_by_key(T_SLOTS, &[Value::from(ordinal)])? {
-            None => Ok(SlotState::Free),
-            Some(row) => {
-                let status = row.values[1].as_str()?;
-                let meeting = match &row.values[2] {
-                    Value::Null => None,
-                    v => Some(MeetingId::new(v.as_i64()? as u64)),
-                };
-                Ok(match (status, meeting) {
-                    ("tent", Some(m)) => SlotState::Tentative(m),
-                    ("conf", Some(m)) => SlotState::Reserved(m),
-                    // "busy" rows and defective unknown rows both block.
-                    _ => SlotState::Busy,
-                })
-            }
-        }
+        Ok(slot_of(&self.store, ordinal)?.0)
     }
 
     /// Priority attached to the slot's occupant (MIN when free).
     pub(crate) fn slot_priority(&self, ordinal: u64) -> SydResult<Priority> {
-        match self.store.get_by_key(T_SLOTS, &[Value::from(ordinal)])? {
-            None => Ok(Priority::MIN),
-            Some(row) => Ok(Priority::new(row.values[3].as_i64()? as u8)),
-        }
+        Ok(slot_of(&self.store, ordinal)?.1)
     }
 
     pub(crate) fn set_slot(
@@ -573,25 +555,7 @@ impl CalendarApp {
             "slot_status",
             Arc::new(move |_ctx, args: &[Value]| {
                 let app = weak.upgrade().ok_or(SydError::Shutdown)?;
-                let ordinal = arg(args, 0)?.as_i64()? as u64;
-                let state = app.slot_state(ordinal)?;
-                let (status, meeting) = match state {
-                    SlotState::Free => ("free", None),
-                    SlotState::Busy => ("busy", None),
-                    SlotState::Tentative(m) => ("tent", Some(m)),
-                    SlotState::Reserved(m) => ("conf", Some(m)),
-                };
-                Ok(Value::map([
-                    ("status", Value::str(status)),
-                    (
-                        "meeting",
-                        meeting.map_or(Value::Null, |m| Value::from(m.raw())),
-                    ),
-                    (
-                        "priority",
-                        Value::from(app.slot_priority(ordinal)?.level() as u32),
-                    ),
-                ]))
+                slot_status_of(&app.store, arg(args, 0)?.as_i64()? as u64)
             }),
         )?;
 
@@ -757,6 +721,46 @@ pub(crate) fn free_bitmap_of(store: &Store, start: u64, end: u64) -> SydResult<S
         }
     }
     Ok(bm)
+}
+
+/// A slot's occupant and the occupant's priority, from any store holding
+/// the `slots` table: `(Free, MIN)` when no row holds the slot.
+fn slot_of(store: &Store, ordinal: u64) -> SydResult<(SlotState, Priority)> {
+    let Some(row) = store.get_by_key(T_SLOTS, &[Value::from(ordinal)])? else {
+        return Ok((SlotState::Free, Priority::MIN));
+    };
+    let meeting = match &row.values[2] {
+        Value::Null => None,
+        v => Some(MeetingId::new(v.as_i64()? as u64)),
+    };
+    let state = match (row.values[1].as_str()?, meeting) {
+        ("tent", Some(m)) => SlotState::Tentative(m),
+        ("conf", Some(m)) => SlotState::Reserved(m),
+        // "busy" rows and defective unknown rows both block.
+        _ => SlotState::Busy,
+    };
+    Ok((state, Priority::new(row.values[3].as_i64()? as u8)))
+}
+
+/// The `slot_status` reply, `{status, meeting, priority}`, from any store
+/// holding the `slots` table: the device's own, or the replica a proxy
+/// answers from.
+pub(crate) fn slot_status_of(store: &Store, ordinal: u64) -> SydResult<Value> {
+    let (state, priority) = slot_of(store, ordinal)?;
+    let (status, meeting) = match state {
+        SlotState::Free => ("free", None),
+        SlotState::Busy => ("busy", None),
+        SlotState::Tentative(m) => ("tent", Some(m)),
+        SlotState::Reserved(m) => ("conf", Some(m)),
+    };
+    Ok(Value::map([
+        ("status", Value::str(status)),
+        (
+            "meeting",
+            meeting.map_or(Value::Null, |m| Value::from(m.raw())),
+        ),
+        ("priority", Value::from(priority.level() as u32)),
+    ]))
 }
 
 pub(crate) fn arg(args: &[Value], i: usize) -> SydResult<&Value> {

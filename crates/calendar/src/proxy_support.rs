@@ -18,7 +18,9 @@ use syd_core::proxy::{enable_replication, ProxyHost, ProxyMethod};
 use syd_store::Store;
 use syd_types::{MeetingId, SydResult, UserId, Value};
 
-use crate::app::{arg, calendar_service, create_replicated_tables, free_bitmap_of, CalendarApp};
+use crate::app::{
+    arg, calendar_service, create_replicated_tables, free_bitmap_of, slot_status_of, CalendarApp,
+};
 use crate::model::Meeting;
 
 fn free_slots_bitmap_method() -> ProxyMethod {
@@ -31,19 +33,7 @@ fn free_slots_bitmap_method() -> ProxyMethod {
 
 fn slot_status_method() -> ProxyMethod {
     Arc::new(|_ctx, store: &Store, args: &[Value]| {
-        let ordinal = arg(args, 0)?.as_i64()? as u64;
-        match store.get_by_key("slots", &[Value::from(ordinal)])? {
-            None => Ok(Value::map([
-                ("status", Value::str("free")),
-                ("meeting", Value::Null),
-                ("priority", Value::from(0u64)),
-            ])),
-            Some(row) => Ok(Value::map([
-                ("status", row.values[1].clone()),
-                ("meeting", row.values[2].clone()),
-                ("priority", row.values[3].clone()),
-            ])),
-        }
+        slot_status_of(store, arg(args, 0)?.as_i64()? as u64)
     })
 }
 
@@ -187,6 +177,58 @@ mod tests {
         phil.device().reconnect().unwrap();
         let status = suzy.reconcile(attempt.meeting).unwrap();
         assert_eq!(status, MeetingStatus::Confirmed);
+    }
+
+    #[test]
+    fn the_primary_and_its_proxy_answer_slot_status_alike() {
+        let env = SydEnv::new_insecure(NetConfig::ideal());
+        let phil = CalendarApp::install(&env.device("phil", "").unwrap()).unwrap();
+        let andy = CalendarApp::install(&env.device("andy", "").unwrap()).unwrap();
+        let suzy = CalendarApp::install(&env.device("suzy", "").unwrap()).unwrap();
+        let proxy = env.proxy("asp", "").unwrap();
+        host_calendar_on_proxy(&proxy, &phil).unwrap();
+
+        let [free, busy, conf, tent] = [8, 9, 11, 13].map(|hour| TimeSlot::new(0, hour));
+        phil.mark_busy(busy).unwrap();
+        let with_andy = |name, slot| {
+            phil.schedule(MeetingSpec::plain(name, slot, vec![andy.user()]))
+                .unwrap()
+                .status
+        };
+        assert_eq!(with_andy("conf", conf), MeetingStatus::Confirmed);
+        andy.device().disconnect().unwrap();
+        assert_eq!(with_andy("tent", tent), MeetingStatus::Tentative);
+        wait_for(
+            || {
+                let replica = proxy.replica_store(phil.user()).unwrap();
+                replica.row_count("slots").unwrap() >= 3
+            },
+            "replication",
+        );
+
+        let ask = || {
+            [free, busy, conf, tent].map(|slot| {
+                suzy.device()
+                    .engine()
+                    .invoke(
+                        phil.user(),
+                        &calendar_service(),
+                        "slot_status",
+                        vec![Value::from(slot.ordinal())],
+                    )
+                    .unwrap()
+            })
+        };
+        let primary = ask();
+        let statuses = primary
+            .iter()
+            .map(|v| v.as_map().unwrap()["status"].as_str().unwrap().to_owned());
+        assert_eq!(
+            statuses.collect::<Vec<_>>(),
+            ["free", "busy", "conf", "tent"]
+        );
+        phil.device().disconnect().unwrap();
+        assert_eq!(ask(), primary, "the proxy answered differently");
     }
 
     #[test]

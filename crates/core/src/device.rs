@@ -15,6 +15,7 @@
 //! * the link acceptor — whether an offered link is accepted (§4.2 op. 2).
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -92,6 +93,9 @@ struct DeviceInner {
     /// may be slow, not dead (a lossy mark round can outlast the sweep age);
     /// its commit is refused: the entity may have changed hands since.
     swept: Mutex<VecDeque<u64>>,
+    /// Set while a pool job deletes expired links: the next ticks leave
+    /// them to it instead of queueing the same deletions again.
+    expiring: AtomicBool,
 }
 
 /// One SyD device. Cloning shares the device.
@@ -132,8 +136,8 @@ impl DeviceRuntime {
         // wireless environment loses individual messages routinely.
         let engine = SydEngine::new(node.clone(), directory)
             .with_options(syd_net::CallOptions::new().with_retries(2));
-        // The handler's periodic work rides the fleet's timer wheel.
-        let events = EventHandler::new(node.runtime().timer().clone());
+        // The handler's periodic work rides the fleet runtime's loop.
+        let events = EventHandler::new(node.runtime().clone());
         // Global events arriving on the node feed the local event handler
         // (§3.1d: the event handler covers "local and global event
         // registration, monitoring, and triggering").
@@ -176,6 +180,7 @@ impl DeviceRuntime {
             published: Mutex::new(Vec::new()),
             sessions: Mutex::new(HashMap::new()),
             swept: Mutex::new(VecDeque::new()),
+            expiring: AtomicBool::new(false),
         });
         let device = DeviceRuntime { inner };
         device.register_kernel_services();
@@ -568,16 +573,16 @@ impl DeviceRuntime {
     }
 
     fn register_periodic_tasks(&self) {
-        // §4.2 op. 6: link expiry. Captures a weak handle: on the shared
-        // runtime the fleet-wide timer wheel owns this closure, and a
-        // strong `links` here would pin the device (and through its node,
+        // Both ticks run on the runtime's loop, so neither may block. Each
+        // captures a weak handle: the runtime owns these closures, and a
+        // strong `inner` here would pin the device (and through its node,
         // the whole runtime) alive after the last external handle drops.
         let inner = Arc::downgrade(&self.inner);
         self.inner
             .events
             .register_periodic("link-expiry", Duration::from_millis(500), move || {
                 if let Some(inner) = inner.upgrade() {
-                    let _ = inner.links.expire_scan();
+                    expiry_tick(&inner);
                 }
             });
 
@@ -613,6 +618,24 @@ impl DeviceRuntime {
 /// The lock key guarding a named entity on a device.
 pub fn entity_lock_key(entity: &str) -> LockKey {
     LockKey::new("syd.entity", [Value::str(entity)])
+}
+
+/// The `link-expiry` tick (§4.2 op. 6) finds the expired links on the loop
+/// and hands their deletion to the pool, one job per device at a time: a
+/// cascade may wait out every deadline against an unreachable peer, and on
+/// the loop it would stall every device of the process.
+fn expiry_tick(inner: &Arc<DeviceInner>) {
+    let expired = inner.links.expired().unwrap_or_default();
+    if expired.is_empty() || inner.expiring.swap(true, Ordering::AcqRel) {
+        return;
+    }
+    let device = Arc::downgrade(inner);
+    inner.node.runtime().pool().execute(move || {
+        if let Some(inner) = device.upgrade() {
+            inner.links.expire(&expired);
+            inner.expiring.store(false, Ordering::Release);
+        }
+    });
 }
 
 /// Releases the locks of sessions older than `older_than` and forgets
@@ -1361,9 +1384,9 @@ mod tests {
         d.links()
             .add_local(LinkSpec::subscription("e2", vec![]))
             .unwrap();
-        assert!(d.links().expire_scan().unwrap().is_empty());
+        assert!(d.links().expire(&d.links().expired().unwrap()).is_empty());
         clock.advance(Duration::from_millis(2));
-        let expired = d.links().expire_scan().unwrap();
+        let expired = d.links().expire(&d.links().expired().unwrap());
         assert_eq!(expired.len(), 1);
         assert_eq!(d.links().count().unwrap(), 1); // unexpiring link remains
     }

@@ -92,7 +92,7 @@ impl SydEnv {
     /// # Panics
     ///
     /// Panics when the deployment runs on a non-simulated transport (see
-    /// [`SydEnv::new_on`]) — fault injection and router statistics are
+    /// [`SydEnv::new_on`]) — fault injection and network statistics are
     /// sim-only concepts; check [`syd_net::Transport::kind`] first.
     pub fn network(&self) -> &Network {
         #[allow(clippy::expect_used)] // documented panic contract (see above)

@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use syd_net::{TimerId, TimerWheel};
+use syd_net::{SharedRuntime, TimerId};
 use syd_store::{Store, Trigger, TriggerEvent};
 use syd_types::sync::{Mutex, RwLock};
 use syd_types::{SydResult, Value};
@@ -26,7 +26,7 @@ use syd_types::{SydResult, Value};
 /// Callback invoked with `(topic, payload)`.
 pub type EventCallback = Arc<dyn Fn(&str, &Value) + Send + Sync>;
 
-/// A named periodic task: the wheel entry that fires it and the action
+/// A named periodic task: the runtime entry that fires it and the action
 /// itself (kept so [`EventHandler::run_periodic_now`] can run it).
 struct PeriodicTask {
     name: String,
@@ -38,8 +38,9 @@ struct Inner {
     subs: RwLock<Vec<(String, EventCallback)>>,
     /// In registration order, which is the order `run_periodic_now` runs.
     tasks: Mutex<Vec<PeriodicTask>>,
-    /// The runtime's shared wheel; this handler owns only its entries.
-    timer: TimerWheel,
+    /// The runtime whose loop fires the tasks; this handler owns only its
+    /// entries.
+    runtime: SharedRuntime,
     published: AtomicU64,
     delivered: AtomicU64,
 }
@@ -51,15 +52,15 @@ pub struct EventHandler {
 }
 
 impl EventHandler {
-    /// Creates an event handler whose periodic tasks run as entries on
-    /// `timer` — the wheel shared with the rest of the fleet runtime — so
-    /// the handler costs no thread of its own.
-    pub fn new(timer: TimerWheel) -> EventHandler {
+    /// Creates an event handler whose periodic tasks run on `runtime`'s
+    /// loop — shared with the rest of the fleet — so the handler costs no
+    /// thread of its own.
+    pub fn new(runtime: SharedRuntime) -> EventHandler {
         EventHandler {
             inner: Arc::new(Inner {
                 subs: RwLock::new(Vec::new()),
                 tasks: Mutex::new(Vec::new()),
-                timer,
+                runtime,
                 published: AtomicU64::new(0),
                 delivered: AtomicU64::new(0),
             }),
@@ -92,7 +93,8 @@ impl EventHandler {
         }
     }
 
-    /// Registers (or replaces) a periodic task.
+    /// Registers (or replaces) a periodic task. It runs on the runtime's
+    /// loop and must not block: slow work goes to the pool.
     ///
     /// The registrar's trace context (if any) is captured and restored
     /// around every firing, so periodic work stays attributed to the
@@ -108,15 +110,15 @@ impl EventHandler {
             let _span = ctx.map(syd_telemetry::trace::enter);
             action();
         });
-        let wheel_action = Arc::clone(&action);
+        let loop_action = Arc::clone(&action);
         let mut tasks = self.inner.tasks.lock();
         self.cancel_locked(&mut tasks, name);
         tasks.push(PeriodicTask {
             name: name.to_owned(),
             id: self
                 .inner
-                .timer
-                .schedule_periodic(interval, move || wheel_action()),
+                .runtime
+                .schedule_periodic(interval, move || loop_action()),
             action,
         });
     }
@@ -128,7 +130,7 @@ impl EventHandler {
 
     fn cancel_locked(&self, tasks: &mut Vec<PeriodicTask>, name: &str) {
         if let Some(at) = tasks.iter().position(|task| task.name == name) {
-            self.inner.timer.cancel(tasks.remove(at).id);
+            self.inner.runtime.cancel_periodic(tasks.remove(at).id);
         }
     }
 
@@ -186,18 +188,18 @@ impl EventHandler {
         ))
     }
 
-    /// Stops timed work: cancels this handler's entries on the shared
-    /// wheel (the wheel itself belongs to the runtime and keeps running).
+    /// Stops timed work: cancels this handler's entries on the runtime
+    /// (whose loop keeps running for everyone else).
     pub fn shutdown(&self) {
         for task in self.inner.tasks.lock().drain(..) {
-            self.inner.timer.cancel(task.id);
+            self.inner.runtime.cancel_periodic(task.id);
         }
     }
 }
 
 impl Drop for EventHandler {
     fn drop(&mut self) {
-        // Last handle: cancel the wheel entries, whose actions would
+        // Last handle: cancel the runtime entries, whose actions would
         // otherwise keep capturing device internals forever.
         if Arc::strong_count(&self.inner) <= 1 {
             self.shutdown();
@@ -213,15 +215,15 @@ mod tests {
     use std::time::Instant;
     use syd_store::{Column, ColumnType, Predicate, Schema};
 
-    /// A handler on a wheel of its own; the test shuts the wheel down.
-    fn handler(name: &str) -> (TimerWheel, EventHandler) {
-        let wheel = TimerWheel::new(name);
-        (wheel.clone(), EventHandler::new(wheel))
+    /// A handler on a runtime of its own.
+    fn handler(name: &str) -> (SharedRuntime, EventHandler) {
+        let runtime = SharedRuntime::new(name);
+        (runtime.clone(), EventHandler::new(runtime))
     }
 
     #[test]
     fn prefix_subscription_filters_topics() {
-        let (wheel, events) = handler("events-prefix");
+        let (_runtime, events) = handler("events-prefix");
         let link_events = Arc::new(AtomicU32::new(0));
         let all_events = Arc::new(AtomicU32::new(0));
         let lc = Arc::clone(&link_events);
@@ -243,12 +245,11 @@ mod tests {
         assert_eq!(link_events.load(Ordering::SeqCst), 1);
         assert_eq!(all_events.load(Ordering::SeqCst), 2);
         assert_eq!(events.counters(), (2, 3));
-        wheel.shutdown();
     }
 
     #[test]
     fn a_payload_is_built_once_and_only_for_a_subscriber() {
-        let (wheel, events) = handler("events-lazy");
+        let (_runtime, events) = handler("events-lazy");
         let built = AtomicU32::new(0);
         let build = || {
             built.fetch_add(1, Ordering::SeqCst);
@@ -273,12 +274,11 @@ mod tests {
         );
         assert_eq!(*seen.lock(), vec![Value::from(7u64); 2]);
         assert_eq!(events.counters(), (2, 2));
-        wheel.shutdown();
     }
 
     #[test]
     fn periodic_task_runs_on_schedule() {
-        let (wheel, events) = handler("events-schedule");
+        let (_runtime, events) = handler("events-schedule");
         let runs = Arc::new(AtomicU32::new(0));
         let rc = Arc::clone(&runs);
         events.register_periodic("tick", Duration::from_millis(20), move || {
@@ -294,13 +294,12 @@ mod tests {
         std::thread::sleep(Duration::from_millis(80));
         // Allow one in-flight run that raced the cancel.
         assert!(runs.load(Ordering::SeqCst) <= after_cancel + 1);
-        wheel.shutdown();
     }
 
     #[test]
     fn periodic_tasks_inherit_the_registrars_trace_context() {
         use syd_telemetry::trace;
-        let (wheel, events) = handler("events-trace");
+        let (_runtime, events) = handler("events-trace");
         let ctx = trace::root_span();
         let seen = Arc::new(Mutex::new(None));
         {
@@ -315,13 +314,12 @@ mod tests {
             assert!(Instant::now() < deadline, "periodic task did not run");
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert_eq!(*seen.lock(), Some(Some(ctx)), "timer thread lost the ctx");
-        wheel.shutdown();
+        assert_eq!(*seen.lock(), Some(Some(ctx)), "the loop lost the ctx");
     }
 
     #[test]
     fn run_periodic_now_is_deterministic() {
-        let (wheel, events) = handler("events-now");
+        let (_runtime, events) = handler("events-now");
         let runs = Arc::new(AtomicU32::new(0));
         let rc = Arc::clone(&runs);
         events.register_periodic("scan", Duration::from_secs(3600), move || {
@@ -330,12 +328,11 @@ mod tests {
         events.run_periodic_now();
         events.run_periodic_now();
         assert_eq!(runs.load(Ordering::SeqCst), 2);
-        wheel.shutdown();
     }
 
     #[test]
     fn replacing_a_periodic_task_keeps_one_instance() {
-        let (wheel, events) = handler("events-replace");
+        let (runtime, events) = handler("events-replace");
         let a = Arc::new(AtomicU32::new(0));
         let b = Arc::new(AtomicU32::new(0));
         let ac = Arc::clone(&a);
@@ -349,13 +346,13 @@ mod tests {
         events.run_periodic_now();
         assert_eq!(a.load(Ordering::SeqCst), 0, "old task should be replaced");
         assert_eq!(b.load(Ordering::SeqCst), 1);
-        assert_eq!(wheel.pending(), 1, "replaced wheel entry still armed");
-        wheel.shutdown();
+        // The runtime's own watchdog, and one task.
+        assert_eq!(runtime.periodic_tasks(), 2, "replaced entry still armed");
     }
 
     #[test]
     fn wheel_mode_runs_periodic_tasks_and_releases_the_shared_wheel() {
-        let (wheel, events) = handler("events-shutdown");
+        let (runtime, events) = handler("events-shutdown");
         let runs = Arc::new(AtomicU32::new(0));
         let rc = Arc::clone(&runs);
         events.register_periodic("tick", Duration::from_millis(10), move || {
@@ -363,22 +360,21 @@ mod tests {
         });
         let deadline = Instant::now() + Duration::from_secs(3);
         while runs.load(Ordering::SeqCst) < 3 {
-            assert!(Instant::now() < deadline, "wheel task did not run");
+            assert!(Instant::now() < deadline, "the task did not run");
             std::thread::sleep(Duration::from_millis(5));
         }
-        // Replacing a task must not leave the old wheel entry firing.
+        // Replacing a task must not leave the old entry firing.
         events.register_periodic("tick", Duration::from_secs(3600), || {});
         let after_replace = runs.load(Ordering::SeqCst);
         std::thread::sleep(Duration::from_millis(60));
         assert!(runs.load(Ordering::SeqCst) <= after_replace + 1);
         events.shutdown();
-        assert_eq!(wheel.pending(), 0, "entries leaked on the shared wheel");
-        wheel.shutdown();
+        assert_eq!(runtime.periodic_tasks(), 1, "entries leaked on the runtime");
     }
 
     #[test]
     fn store_bridge_republishes_row_changes() {
-        let (wheel, events) = handler("events-bridge");
+        let (_runtime, events) = handler("events-bridge");
         let store = Store::new();
         store
             .create_table(
@@ -422,6 +418,5 @@ mod tests {
                 "store.slots.delete".to_owned(),
             ]
         );
-        wheel.shutdown();
     }
 }

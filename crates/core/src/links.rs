@@ -30,8 +30,9 @@
 //!    `syd.link/delete_by_corr` on peers)
 //! 5. method invocation → [`LinksModule::couple_method`] +
 //!    [`LinksModule::invoke_coupled`]
-//! 6. link expiry → [`LinksModule::expire_scan`], run by the event
-//!    handler's periodic task
+//! 6. link expiry → [`LinksModule::expired`], found by the event
+//!    handler's periodic task, and [`LinksModule::expire`], which it
+//!    hands to the pool
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -1043,25 +1044,29 @@ impl LinksModule {
 
     // ---- §4.2 op. 6: expiry -------------------------------------------------
 
-    /// Deletes every link whose expiry time has passed. Returns the ids
-    /// deleted. Run periodically by the device's event handler.
-    pub fn expire_scan(&self) -> SydResult<Vec<LinkId>> {
+    /// The links whose expiry time has passed: one local query, which the
+    /// device's `link-expiry` tick runs on the runtime loop.
+    pub fn expired(&self) -> SydResult<Vec<LinkId>> {
         let now = self.clock.now().as_micros() as i64;
-        let expired = self
-            .store
-            .select(T_LINK, &Predicate::Le("expires".into(), Value::I64(now)))?;
+        self.store
+            .select(T_LINK, &Predicate::Le("expires".into(), Value::I64(now)))?
+            .iter()
+            .map(|row| Ok(LinkId::new(row.values[0].as_i64()? as u64)))
+            .collect()
+    }
+
+    /// Deletes `expired` with full cascade, so the peers' halves go too —
+    /// a group round per link, run on the pool. Returns the ids deleted.
+    pub fn expire(&self, expired: &[LinkId]) -> Vec<LinkId> {
         let mut deleted = Vec::new();
-        for row in expired {
-            let id = LinkId::new(row.values[0].as_i64()? as u64);
-            // Expired links are torn down with full cascade, so the peers'
-            // halves of the connection go too.
+        for &id in expired {
             if self.delete(id, true).is_ok() {
                 self.events
                     .publish_local("link.expired", || Value::from(id.raw()));
                 deleted.push(id);
             }
         }
-        Ok(deleted)
+        deleted
     }
 
     // ---- trigger firing ------------------------------------------------------

@@ -20,6 +20,21 @@ fn os_threads() -> usize {
     std::fs::read_dir("/proc/self/task").map_or(1, Iterator::count)
 }
 
+/// Names of this process's threads that start with `syd-`.
+fn syd_threads() -> Vec<String> {
+    std::fs::read_dir("/proc/self/task").map_or_else(
+        |_| Vec::new(),
+        |tasks| {
+            tasks
+                .flatten()
+                .filter_map(|task| std::fs::read_to_string(task.path().join("comm")).ok())
+                .map(|name| name.trim_end().to_owned())
+                .filter(|name| name.starts_with("syd-"))
+                .collect()
+        },
+    )
+}
+
 /// Waits until `os_threads()` drops to `limit` or the deadline passes,
 /// returning the final count (worker keep-alive retirement takes up to
 /// ~500 ms after load stops).
@@ -41,8 +56,8 @@ fn device_churn_does_not_leak_threads() {
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     let env = SydEnv::new_insecure(NetConfig::ideal());
     // Hold a runtime handle so churn rounds reuse one runtime instead of
-    // re-creating reactor/timer threads between rounds (which would make
-    // the baseline noisy).
+    // re-creating its loop thread between rounds (which would make the
+    // baseline noisy).
     let runtime = env.runtime();
     runtime.set_scoped_metrics(true);
 
@@ -67,8 +82,8 @@ fn device_churn_does_not_leak_threads() {
             device.shutdown();
         }
         drop(devices);
-        // Round 0: settle to the idle floor (reactor + timer + router +
-        // retained worker + harness) and take it as the baseline.
+        // Round 0: settle to the idle floor (loop + retained worker +
+        // harness) and take it as the baseline.
         let settled = settle_below(
             if round == 0 { 16 } else { baseline },
             Duration::from_secs(10),
@@ -111,8 +126,8 @@ fn dropping_fleet_without_shutdown_releases_runtime() {
             )
             .unwrap();
         // No shutdown() calls: everything — devices, directory, env —
-        // just drops. The periodic wheel tasks must not pin the devices
-        // (and through them the reactor/timer/worker threads) alive.
+        // just drops. The periodic tasks must not pin the devices (and
+        // through them the loop and worker threads) alive.
     }
     let settled = settle_below(baseline + 1, Duration::from_secs(10));
     assert!(
@@ -143,12 +158,28 @@ fn fleet_thread_budget_holds_at_scale() {
         )
         .unwrap();
     // 300 devices, yet the process stays within the fixed budget:
-    // workers (soft-capped) + reactor + timer + sim router + main +
-    // test-harness slack.
+    // workers (soft-capped) + one loop + main + test-harness slack.
     let threads = os_threads();
     assert!(
         threads <= 64,
         "shared runtime exceeded its thread budget: {threads} OS threads for 300 devices"
+    );
+    // And the runtime's threads are its loop and its pool workers: no
+    // timer thread, no sim router. (A previous test's runtime may still
+    // be retiring its loop.)
+    let loops = |names: &[String]| names.iter().filter(|n| *n == "syd-loop-sim").count();
+    let until = Instant::now() + Duration::from_secs(5);
+    let mut names = syd_threads();
+    while loops(&names) > 1 && Instant::now() < until {
+        std::thread::sleep(Duration::from_millis(20));
+        names = syd_threads();
+    }
+    assert_eq!(loops(&names), 1, "{names:?}");
+    assert!(
+        names
+            .iter()
+            .all(|name| name == "syd-loop-sim" || name.starts_with("syd-rt-sim-w")),
+        "a sim fleet runs a thread besides its loop and workers: {names:?}"
     );
     for device in &devices {
         device.shutdown();

@@ -157,10 +157,60 @@ fn expired_link_cascade_reaches_peers() {
     assert_eq!(b.links().count().unwrap(), 1);
 
     clock.advance(Duration::from_millis(2));
-    let expired = a.links().expire_scan().unwrap();
+    let expired = a.links().expire(&a.links().expired().unwrap());
     assert_eq!(expired, vec![link.id]);
     assert_eq!(a.links().count().unwrap(), 0);
     assert_eq!(b.links().count().unwrap(), 0, "cascade must clean the peer");
+}
+
+#[test]
+fn a_blocked_expiry_cascade_does_not_stall_other_periodic_tasks() {
+    // The expired link's cascade goes to a peer partitioned away, so its
+    // group round waits out every deadline. The tick that found the link
+    // must not wait with it: another periodic task on the same runtime
+    // keeps its schedule meanwhile.
+    let clock = SimClock::new();
+    let env = SydEnv::new_insecure(NetConfig::ideal())
+        .with_clock(Arc::new(clock.clone()) as Arc<dyn Clock>);
+    let a = env.device("a", "").unwrap();
+    let b = env.device("b", "").unwrap();
+    let refs = vec![LinkRef::new(b.user(), "slot", "act")];
+    a.links()
+        .create_negotiated(
+            LinkSpec::negotiation("slot", Constraint::And, refs)
+                .with_expiry(Timestamp::from_micros(1_000)),
+            "back",
+        )
+        .unwrap();
+    env.network().set_partitioned(a.addr(), b.addr(), true);
+    clock.advance(Duration::from_millis(2));
+
+    let fired = Arc::new(syd_types::sync::Mutex::new(Vec::new()));
+    let f = Arc::clone(&fired);
+    b.events()
+        .register_periodic("probe", Duration::from_millis(20), move || {
+            f.lock().push(Instant::now());
+        });
+    // a's first expiry tick (500 ms) starts a cascade of 2 s deadlines.
+    let from = Instant::now() + Duration::from_millis(700);
+    let to = from + Duration::from_millis(1_500);
+    std::thread::sleep(to.saturating_duration_since(Instant::now()));
+    let mut marks = vec![from];
+    marks.extend(fired.lock().iter().filter(|&&at| at > from && at < to));
+    marks.push(to);
+    let stall = marks.windows(2).map(|w| w[1] - w[0]).max().unwrap();
+    assert!(
+        stall < Duration::from_millis(250),
+        "a 20 ms task stalled {stall:?} behind the expiry cascade"
+    );
+
+    // The deletions the ticks handed to the pool still happen.
+    env.network().heal_partitions();
+    let deadline = Instant::now() + Duration::from_secs(15);
+    while a.links().count().unwrap() + b.links().count().unwrap() > 0 {
+        assert!(Instant::now() < deadline, "the expired link survived");
+        std::thread::sleep(Duration::from_millis(20));
+    }
 }
 
 #[test]

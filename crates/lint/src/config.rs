@@ -60,7 +60,7 @@ pub struct Config {
     /// `receiver.method` pairs additionally treated as remote calls
     /// (for generic method names like `send`).
     pub rpc_qualified: Vec<String>,
-    /// Function names whose bodies are poll loops / router ticks.
+    /// Function names whose bodies run on a poll loop: loops, drains, ticks.
     pub poll_fns: Vec<String>,
     /// Callee names forbidden inside poll-loop functions.
     pub poll_forbidden: Vec<String>,
@@ -90,7 +90,7 @@ pub struct Config {
     /// Method names that block regardless of arguments.
     pub blocking_any_arg: Vec<String>,
     /// Methods that register closures on shared infrastructure
-    /// (timer wheel, worker pool) for `strong-capture-cycle`.
+    /// (runtime loop, worker pool) for `strong-capture-cycle`.
     pub registration_methods: Vec<String>,
     /// Types whose strong `Arc` must not be captured at a registration
     /// point (they transitively own the runtime).
@@ -144,13 +144,7 @@ impl Default for Config {
                 Level {
                     name: "runtime".into(),
                     rank: 5,
-                    locks: s(&[
-                        "runtime.ready",
-                        "runtime.nodes",
-                        "runtime.thread",
-                        "timer.state",
-                        "timer.thread",
-                    ]),
+                    locks: s(&["runtime.state", "runtime.nodes", "runtime.thread"]),
                 },
             ],
             rpc_methods: s(&[
@@ -171,14 +165,14 @@ impl Default for Config {
             rpc_qualified: s(&["net.send", "transport.send", "endpoint.send", "ep.send"]),
             poll_fns: s(&[
                 "poll_loop",
-                "router_loop",
                 "flush_on_close",
                 "finish_dial",
-                "deliver",
                 "reactor_loop",
-                "timer_loop",
                 "drain_events",
                 "dispatch_event",
+                "expiry_tick",
+                "sweep_sessions",
+                "kick",
             ]),
             poll_forbidden: s(&[
                 "sleep",

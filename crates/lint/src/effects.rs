@@ -40,7 +40,7 @@ pub enum Atom {
     /// Acquires the named lock.
     Acquires(String),
     /// Registers a closure holding a strong `Arc` of a runtime-owning
-    /// type on shared infrastructure (timer wheel / worker pool).
+    /// type on shared infrastructure (runtime loop / worker pool).
     CapturesStrong(String),
 }
 

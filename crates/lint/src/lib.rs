@@ -12,7 +12,7 @@
 //! * **guard-across-rpc** — no lock guard may be live across an
 //!   `invoke*` / transport-send call.
 //! * **no-blocking-in-poll-loop** — no `thread::sleep`, blocking `recv`
-//!   or blocking socket ops inside the transport poll loop / sim router.
+//!   or blocking socket ops inside the transport poll loop / runtime loop.
 //! * **counter-registry** — metric names must be constants from
 //!   `syd_telemetry::names`, and registered names must have call sites.
 //! * **coordination-boundary** — §4.3 mark/lock/negotiation entry points
@@ -25,8 +25,8 @@
 //! * **transitive-blocking** — a poll loop blocks through helpers.
 //! * interprocedural **guard-across-rpc** / **lock-order** — guards held
 //!   across helpers that transitively RPC or acquire locks.
-//! * **strong-capture-cycle** — closures registered on the shared timer
-//!   wheel / worker pool capturing strong `Arc`s of runtime-owning types.
+//! * **strong-capture-cycle** — closures registered on the shared runtime
+//!   loop / worker pool capturing strong `Arc`s of runtime-owning types.
 //! * **stale-suppression** — expired or no-longer-matching `[[allow]]`s.
 //!
 //! The analyzer is deliberately dependency-free: a hand-rolled lexer and

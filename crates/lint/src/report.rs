@@ -14,13 +14,13 @@ pub enum Rule {
     /// No lock guard may be live across an RPC / transport send —
     /// directly or through a helper that transitively performs one.
     GuardAcrossRpc,
-    /// No blocking call inside a poll-loop / router-tick function.
+    /// No blocking call inside a poll-loop / loop-tick function.
     NoBlockingInPollLoop,
     /// A poll-loop function transitively reaches a blocking call through
     /// its helpers (the interprocedural companion of
     /// [`Rule::NoBlockingInPollLoop`]).
     TransitiveBlocking,
-    /// A closure registered on shared infrastructure (timer wheel,
+    /// A closure registered on shared infrastructure (runtime loop,
     /// worker pool) captures a strong `Arc` of a runtime-owning type,
     /// pinning the runtime after the last external handle drops.
     StrongCaptureCycle,

@@ -402,7 +402,7 @@ fn guard_across_rpc(events: &Events, graph: &CallGraph, effects: &Effects, repor
     }
 }
 
-/// no-blocking-in-poll-loop: forbidden callees inside poll/router fns.
+/// no-blocking-in-poll-loop: forbidden callees inside poll/tick fns.
 fn no_blocking_in_poll_loop(events: &Events, config: &Config, report: &mut Report) {
     for b in events.blocking.iter().filter(|b| !b.is_test) {
         if !config.poll_fns.iter().any(|f| f == &b.function) {
@@ -452,7 +452,7 @@ fn transitive_blocking(graph: &CallGraph, effects: &Effects, config: &Config, re
 }
 
 /// strong-capture-cycle: a closure registered on shared infrastructure
-/// (timer wheel, worker pool) captures a strong `Arc` of a
+/// (runtime loop, worker pool) captures a strong `Arc` of a
 /// runtime-owning type, so the registration keeps the runtime alive
 /// after the last external handle drops — the leak class fixed in
 /// `DeviceRuntime::register_periodic_tasks` by downgrading to `Weak`.
@@ -464,7 +464,7 @@ fn strong_capture_cycle(effects: &Effects, report: &mut Report) {
             line: cap.line,
             function: Some(cap.function.clone()),
             message: format!(
-                "closure registered via `{}` captures strong `Arc<{}>` (binding `{}`) — the shared wheel/pool pins the runtime after the last external handle drops; capture `Arc::downgrade(..)` and upgrade inside the closure",
+                "closure registered via `{}` captures strong `Arc<{}>` (binding `{}`) — the shared loop/pool pins the runtime after the last external handle drops; capture `Arc::downgrade(..)` and upgrade inside the closure",
                 cap.reg_method, cap.ty, cap.binding
             ),
         });

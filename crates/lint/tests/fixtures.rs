@@ -182,8 +182,8 @@ fn hierarchy_inversion_across_files_fires() {
 #[test]
 fn runtime_rank_sits_above_node_locks() {
     // The shared runtime's locks (rank 5) must never be held while
-    // grabbing a node-layer lock — this is the self-deadlock the
-    // reactor's "drain outside the ready lock" discipline prevents.
+    // grabbing a node-layer lock — this is the self-deadlock the loop's
+    // "drain outside its own lock" discipline prevents.
     let files = vec![
         (
             "crates/net/src/node.rs".to_string(),
@@ -191,9 +191,9 @@ fn runtime_rank_sits_above_node_locks() {
         ),
         (
             "crates/net/src/runtime.rs".to_string(),
-            "struct Reactor { ready: Mutex<u8> } \
+            "struct Reactor { state: Mutex<u8> } \
              impl Reactor { fn bad(&self, node: &NodeShared) { \
-                 let r = self.ready.lock(); \
+                 let r = self.state.lock(); \
                  let p = node.pending.lock(); \
                  let _ = (r, p); } }"
                 .to_string(),
@@ -204,7 +204,7 @@ fn runtime_rank_sits_above_node_locks() {
     let d = &report.diagnostics[0];
     assert_eq!(d.rule.name(), "lock-order");
     assert!(
-        d.message.contains("node.pending") && d.message.contains("runtime.ready"),
+        d.message.contains("node.pending") && d.message.contains("runtime.state"),
         "{}",
         d.message
     );

@@ -1,6 +1,6 @@
 //! Seeded violation: the pre-fix shape of
 //! `DeviceRuntime::register_periodic_tasks` — a strong `Arc<DeviceInner>`
-//! captured by a closure registered on the shared timer wheel. The wheel
+//! captured by a closure registered on the shared runtime loop. The loop
 //! outlives every device, so the capture pins device + runtime after the
 //! last external handle drops (the real fix captures `Arc::downgrade`
 //! and upgrades inside the closure).

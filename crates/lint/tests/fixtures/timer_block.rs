@@ -1,9 +1,7 @@
-//! Seeded violation: sleeping on the shared timer wheel's dispatch
-//! thread delays every periodic task in the process.
+//! Seeded violation: a periodic tick that sleeps on the shared runtime
+//! loop delays every device's frames and every other tick in the process.
 //! Expected: exactly one `no-blocking-in-poll-loop` diagnostic.
 
-fn timer_loop(tick: Duration) {
-    loop {
-        std::thread::sleep(tick); // <- fires here
-    }
+fn expiry_tick(backoff: Duration) {
+    std::thread::sleep(backoff); // <- fires here
 }

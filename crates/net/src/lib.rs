@@ -10,9 +10,9 @@
 //!   traffic (responses → pending-call table, requests/events → worker
 //!   pool), with correlation ids and one send–wait–resend loop
 //!   ([`Node::call_many`]) behind every blocking call.
-//! * **[`SharedRuntime`]** — the event-driven device runtime: one
-//!   reactor, one [`TimerWheel`] and one shared [`WorkerPool`] carry an
-//!   entire fleet of nodes.
+//! * **[`SharedRuntime`]** — the event-driven device runtime: one loop
+//!   (readiness, timed wake-ups and periodic tasks) and one shared
+//!   [`WorkerPool`] carry an entire fleet of nodes.
 //! * **[`WorkerPool`]** — grow-on-demand dispatch so nested invocations
 //!   (cancel cascades, negotiations) can never deadlock a dispatch thread.
 //!
@@ -33,7 +33,7 @@ pub mod node;
 pub mod pool;
 pub mod rpc;
 pub mod runtime;
-pub mod timer;
+mod timer;
 
 pub use syd_transport::config;
 pub use syd_transport::stats;
@@ -43,7 +43,7 @@ pub use pool::WorkerPool;
 pub use rpc::{Call, CallOptions, PendingCall};
 pub use runtime::{runtime_for, DrainOutcome, SharedRuntime};
 pub use syd_transport::{
-    Endpoint, FramedTcpTransport, LatencyModel, NetConfig, NetStats, Network, SimTransport,
-    StatsSnapshot, Transport, TransportEndpoint, TransportEvent,
+    Endpoint, FramedTcpTransport, LatencyModel, NetConfig, NetStats, Network, StatsSnapshot,
+    Transport, TransportEndpoint, TransportEvent,
 };
-pub use timer::{TimerId, TimerWheel};
+pub use timer::TimerId;

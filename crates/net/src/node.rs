@@ -10,7 +10,7 @@
 //! of it.
 //!
 //! A node owns no thread. It is a state machine registered with its
-//! backend's [`crate::runtime::SharedRuntime`]: the reactor thread drains
+//! backend's [`crate::runtime::SharedRuntime`]: the runtime's loop drains
 //! the endpoint when the transport signals readiness, and requests and
 //! events become jobs on the shared pool. An RPC's deadline is the wait
 //! of the caller's own thread.
@@ -447,7 +447,7 @@ fn drain_events(shared: &Arc<NodeShared>) -> DrainOutcome {
 
 /// One transport event through the node: responses complete pending
 /// calls inline, requests and application events become pool jobs.
-/// Runs on the reactor thread, so it must never block.
+/// Runs on the runtime's loop, so it must never block.
 fn dispatch_event(shared: &Arc<NodeShared>, event: TransportEvent) {
     let envelope = match event {
         TransportEvent::Message(env) => env,

@@ -139,7 +139,7 @@ impl WorkerPool {
     }
 
     /// Liveness watchdog hook for shared pools (called periodically by
-    /// the runtime's timer wheel). When jobs are queued, no worker is
+    /// the runtime's loop). When jobs are queued, no worker is
     /// idle, and *nothing has completed since the previous kick*, every
     /// worker is blocked inside a job — for SyD that means nested RPCs
     /// whose replies are themselves stuck in this queue. One extra

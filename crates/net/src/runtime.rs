@@ -1,38 +1,41 @@
-//! The shared event-driven device runtime: one reactor, one timer
-//! wheel, one worker pool — thousands of devices.
+//! The shared event-driven device runtime: one loop, one worker pool —
+//! thousands of devices.
 //!
-//! Following the signal/network split of message-io's `NodeEvent`,
-//! transport endpoints *push readiness notifications* into a
-//! [`Reactor`], and the reactor drains each ready endpoint's event
-//! queue, dispatching work onto a shared [`WorkerPool`]. Periodic work
-//! (link-expiry and stale-session sweeps, the pool watchdog) is entries
-//! on a shared [`TimerWheel`]. A device is a state machine around the
-//! pure cores — no threads of its own.
+//! The loop is message-io's single listener of `Network | Signal`
+//! events. It sleeps until an endpoint pushes a readiness notification
+//! ([`ReadyNotifier`]) or the head of one due-ordered heap falls due. A
+//! notification names when its event falls due: now queues the endpoint
+//! for a drain, later (a sim frame in flight) arms a wake-up on the heap,
+//! which also holds the periodic tasks (link-expiry and stale-session
+//! sweeps, the pool watchdog). Drains and due tasks run on the loop,
+//! outside its lock; requests and events become jobs on the shared
+//! [`WorkerPool`]. Nothing that runs on the loop may block — one waiting
+//! drain or tick stalls every device of the process (DESIGN.md §21).
 //!
 //! Thread budget for a fleet of any size on one backend:
-//! `workers (≤ 48, soft cap) + 1 reactor + 1 timer + backend threads`.
-//!
-//! One runtime exists per transport backend (see [`runtime_for`]) and
-//! every [`crate::Node`] of that backend is multiplexed onto it.
+//! `workers (≤ 48, soft cap) + 1 loop + backend threads` — the sim has
+//! none, TCP one poll thread per endpoint. One runtime exists per
+//! transport backend (see [`runtime_for`]) and every [`crate::Node`] of
+//! that backend is multiplexed onto it.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use syd_telemetry::Registry;
+use syd_telemetry::{trace, Registry};
 use syd_transport::{ReadyNotifier, Transport};
 use syd_types::sync::{Condvar, Mutex};
 use syd_types::NodeAddr;
 
 use crate::pool::WorkerPool;
-use crate::timer::TimerWheel;
+use crate::timer::{Action, TimerId, Timers};
 
 /// How often the watchdog checks the shared pool for stalls.
 const WATCHDOG_TICK: Duration = Duration::from_millis(50);
 
-/// What a node's drain callback reports back to the reactor.
+/// What a node's drain callback reports back to the loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DrainOutcome {
     /// The endpoint's queue is empty; wait for the next notification.
@@ -48,17 +51,20 @@ pub enum DrainOutcome {
 /// endpoint events, complete pending calls and enqueue pool jobs.
 pub type DrainFn = Arc<dyn Fn() -> DrainOutcome + Send + Sync>;
 
-struct ReadyQueue {
-    queue: VecDeque<NodeAddr>,
-    /// Mirror of `queue` for O(1) duplicate suppression.
+struct LoopState {
+    /// Endpoints to drain now, round-robin.
+    ready: VecDeque<NodeAddr>,
+    /// Mirror of `ready` for O(1) duplicate suppression.
     queued: HashSet<NodeAddr>,
+    /// Periodic tasks and timed wake-ups.
+    timers: Timers,
     shutdown: bool,
 }
 
-/// The event dispatcher: receives readiness notifications from
-/// transport endpoints and drains ready nodes on one thread.
+/// The runtime's one loop: drains ready nodes and runs due tasks on one
+/// thread.
 pub struct Reactor {
-    ready: Mutex<ReadyQueue>,
+    state: Mutex<LoopState>,
     cv: Condvar,
     nodes: Mutex<HashMap<NodeAddr, DrainFn>>,
     thread: Mutex<Option<JoinHandle<()>>>,
@@ -67,9 +73,10 @@ pub struct Reactor {
 impl Reactor {
     fn start(label: &str) -> Arc<Reactor> {
         let reactor = Arc::new(Reactor {
-            ready: Mutex::new(ReadyQueue {
-                queue: VecDeque::new(),
+            state: Mutex::new(LoopState {
+                ready: VecDeque::new(),
                 queued: HashSet::new(),
+                timers: Timers::default(),
                 shutdown: false,
             }),
             cv: Condvar::new(),
@@ -77,22 +84,15 @@ impl Reactor {
             thread: Mutex::new(None),
         });
         let loop_reactor = Arc::clone(&reactor);
-        // A runtime without its reactor dispatches nothing; construction
+        // A runtime without its loop dispatches nothing; construction
         // failure is unrecoverable, so panicking is the contract.
         #[allow(clippy::expect_used)]
         let handle = std::thread::Builder::new()
-            .name(format!("syd-reactor-{label}"))
+            .name(format!("syd-loop-{label}"))
             .spawn(move || reactor_loop(&loop_reactor))
-            .expect("spawn reactor thread");
+            .expect("spawn loop thread");
         *reactor.thread.lock() = Some(handle);
         reactor
-    }
-
-    /// Registers a node's drain callback and schedules an immediate
-    /// drain (events may have raced registration).
-    fn register(&self, addr: NodeAddr, drain: DrainFn) {
-        self.nodes.lock().insert(addr, drain);
-        self.notify(addr);
     }
 
     /// Removes a node; its callback is never invoked again after the
@@ -101,20 +101,32 @@ impl Reactor {
         self.nodes.lock().remove(&addr);
     }
 
-    fn registered_nodes(&self) -> usize {
-        self.nodes.lock().len()
+    /// Changes the loop's state under its lock, waking the loop if
+    /// `change` made the heap's head earlier or queued an endpoint.
+    fn edit<T>(&self, change: impl FnOnce(&mut LoopState) -> T) -> T {
+        let mut state = self.state.lock();
+        let (head, ready) = (state.timers.next_due(), state.ready.len());
+        let out = change(&mut state);
+        // Edits only add: a changed head is an earlier one.
+        let wake = state.timers.next_due() != head || state.ready.len() > ready;
+        drop(state);
+        if wake {
+            self.cv.notify_one();
+        }
+        out
     }
 
     fn shutdown(&self) {
-        {
-            let mut ready = self.ready.lock();
-            if ready.shutdown {
+        let timers = {
+            let mut state = self.state.lock();
+            if state.shutdown {
                 return;
             }
-            ready.shutdown = true;
-            ready.queue.clear();
-            ready.queued.clear();
-        }
+            state.shutdown = true;
+            state.ready.clear();
+            state.queued.clear();
+            std::mem::take(&mut state.timers)
+        };
         self.cv.notify_all();
         let handle = self.thread.lock().take();
         if let Some(handle) = handle {
@@ -122,55 +134,88 @@ impl Reactor {
                 let _ = handle.join();
             }
         }
-        // Drop drain callbacks: they hold endpoint handles, and the
-        // endpoints' slots hold us (as notifier) — break the cycle.
-        self.nodes.lock().clear();
+        // Drop tasks and drain callbacks outside every lock: they hold
+        // endpoint and device handles, and the endpoints' slots hold us
+        // (as notifier) — break the cycle.
+        drop(timers);
+        let nodes = std::mem::take(&mut *self.nodes.lock());
+        drop(nodes);
     }
 }
 
 impl ReadyNotifier for Reactor {
-    fn notify(&self, addr: NodeAddr) {
-        {
-            let mut ready = self.ready.lock();
-            if ready.shutdown {
+    fn notify(&self, addr: NodeAddr, due: Instant) {
+        self.edit(|state| {
+            if state.shutdown {
                 return;
             }
-            if ready.queued.insert(addr) {
-                ready.queue.push_back(addr);
+            if due > Instant::now() {
+                state.timers.wake_at(addr, due);
+            } else if state.queued.insert(addr) {
+                state.ready.push_back(addr);
             }
-        }
-        self.cv.notify_one();
+        });
     }
 }
 
+/// The loop: each turn drains one ready node and runs every task that
+/// fell due, both outside the lock; with neither, it sleeps until the
+/// heap's head falls due or a notification arrives.
 fn reactor_loop(reactor: &Reactor) {
+    let mut due: Vec<Action> = Vec::new();
     loop {
-        let addr = {
-            let mut ready = reactor.ready.lock();
+        let ready = {
+            let mut state = reactor.state.lock();
             loop {
-                if ready.shutdown {
+                if state.shutdown {
                     return;
                 }
-                if let Some(addr) = ready.queue.pop_front() {
-                    ready.queued.remove(&addr);
-                    break addr;
+                let now = Instant::now();
+                let LoopState {
+                    ready,
+                    queued,
+                    timers,
+                    ..
+                } = &mut *state;
+                timers.collect_due(now, &mut due, &mut |addr| {
+                    if queued.insert(addr) {
+                        ready.push_back(addr);
+                    }
+                });
+                if let Some(addr) = state.ready.pop_front() {
+                    state.queued.remove(&addr);
+                    break Some(addr);
                 }
-                ready = reactor.cv.wait(ready);
+                if !due.is_empty() {
+                    break None;
+                }
+                state = match state.timers.next_due() {
+                    Some(at) => {
+                        reactor
+                            .cv
+                            .wait_timeout(state, at.saturating_duration_since(now))
+                            .0
+                    }
+                    None => reactor.cv.wait(state),
+                };
             }
         };
-        let drain = reactor.nodes.lock().get(&addr).cloned();
-        let Some(drain) = drain else { continue };
-        match drain() {
-            DrainOutcome::Idle => {}
-            DrainOutcome::More => reactor.notify(addr),
-            DrainOutcome::Closed => reactor.deregister(addr),
+        if let Some(addr) = ready {
+            let drain = reactor.nodes.lock().get(&addr).cloned();
+            match drain.map(|drain| drain()) {
+                Some(DrainOutcome::More) => reactor.notify(addr, Instant::now()),
+                Some(DrainOutcome::Closed) => reactor.deregister(addr),
+                Some(DrainOutcome::Idle) | None => {}
+            }
+        }
+        for action in due.drain(..) {
+            action();
         }
     }
 }
 
 struct RuntimeInner {
     pool: WorkerPool,
-    timer: TimerWheel,
     reactor: Arc<Reactor>,
     /// Fleet-level registry that scoped per-node registries delegate to.
     fleet_registry: Arc<Registry>,
@@ -182,7 +227,6 @@ struct RuntimeInner {
 impl Drop for RuntimeInner {
     fn drop(&mut self) {
         self.reactor.shutdown();
-        self.timer.shutdown();
         self.pool.shutdown();
     }
 }
@@ -200,22 +244,19 @@ impl SharedRuntime {
     /// transport backend.
     #[must_use]
     pub fn new(label: &str) -> Self {
-        let pool = WorkerPool::for_runtime(format!("syd-rt-{label}"));
-        let timer = TimerWheel::new(label);
-        let reactor = Reactor::start(label);
-        // Liveness watchdog: if every worker is blocked on nested RPCs
-        // with work still queued, grow the pool past its soft cap.
-        let watchdog_pool = pool.clone();
-        timer.schedule_periodic(WATCHDOG_TICK, move || watchdog_pool.kick());
-        SharedRuntime {
+        let runtime = SharedRuntime {
             inner: Arc::new(RuntimeInner {
-                pool,
-                timer,
-                reactor,
+                pool: WorkerPool::for_runtime(format!("syd-rt-{label}")),
+                reactor: Reactor::start(label),
                 fleet_registry: Arc::new(Registry::new()),
                 scoped_metrics: AtomicBool::new(false),
             }),
-        }
+        };
+        // Liveness watchdog: if every worker is blocked on nested RPCs
+        // with work still queued, grow the pool past its soft cap.
+        let watchdog_pool = runtime.pool().clone();
+        runtime.schedule_periodic(WATCHDOG_TICK, move || watchdog_pool.kick());
+        runtime
     }
 
     /// The shared worker pool jobs are dispatched onto.
@@ -224,22 +265,55 @@ impl SharedRuntime {
         &self.inner.pool
     }
 
-    /// The shared timer wheel for periodic sweeps.
-    #[must_use]
-    pub fn timer(&self) -> &TimerWheel {
-        &self.inner.timer
+    /// Schedules `action` to run on the loop every `interval`, first one
+    /// `interval` from now. Re-armed from the firing, so a slow action
+    /// delays its next run instead of bursting to catch up. The action
+    /// must not block — see the module docs.
+    ///
+    /// The scheduler's trace context is captured here and re-entered
+    /// around every firing, so periodic work stays attributed to its
+    /// trace.
+    pub fn schedule_periodic(
+        &self,
+        interval: Duration,
+        action: impl Fn() + Send + Sync + 'static,
+    ) -> TimerId {
+        let ctx = trace::current();
+        let action: Action = Arc::new(move || {
+            let _span = ctx.map(trace::enter);
+            action();
+        });
+        let first = Instant::now() + interval;
+        (self.inner.reactor).edit(|state| state.timers.schedule(first, interval, action))
     }
 
-    /// The reactor as a transport readiness notifier, for
+    /// Cancels a periodic task. Returns whether it was still scheduled.
+    /// A firing already collected by the loop still runs; none is
+    /// collected after `cancel_periodic` returns.
+    pub fn cancel_periodic(&self, id: TimerId) -> bool {
+        // The task is dropped after the lock is released.
+        let task = self.inner.reactor.state.lock().timers.cancel(id);
+        task.is_some()
+    }
+
+    /// Number of live periodic tasks (the watchdog included).
+    #[must_use]
+    pub fn periodic_tasks(&self) -> usize {
+        self.inner.reactor.state.lock().timers.pending()
+    }
+
+    /// The loop as a transport readiness notifier, for
     /// [`syd_transport::TransportEndpoint::set_ready_notifier`].
     #[must_use]
     pub fn notifier(&self) -> Arc<dyn ReadyNotifier> {
         Arc::clone(&self.inner.reactor) as Arc<dyn ReadyNotifier>
     }
 
-    /// Registers a node's drain callback with the reactor.
+    /// Registers a node's drain callback with the loop and drains it at
+    /// once (events may have raced registration).
     pub fn register_node(&self, addr: NodeAddr, drain: DrainFn) {
-        self.inner.reactor.register(addr, drain);
+        self.inner.reactor.nodes.lock().insert(addr, drain);
+        self.inner.reactor.notify(addr, Instant::now());
     }
 
     /// Deregisters a node (idempotent).
@@ -247,10 +321,10 @@ impl SharedRuntime {
         self.inner.reactor.deregister(addr);
     }
 
-    /// Number of nodes currently registered with the reactor.
+    /// Number of nodes currently registered with the loop.
     #[must_use]
     pub fn nodes(&self) -> usize {
-        self.inner.reactor.registered_nodes()
+        self.inner.reactor.nodes.lock().len()
     }
 
     /// The fleet-level registry scoped per-node registries delegate to.
@@ -388,7 +462,7 @@ mod tests {
         );
         let notifier = rt.notifier();
         for _ in 0..100 {
-            notifier.notify(addr);
+            notifier.notify(addr, Instant::now());
         }
         std::thread::sleep(Duration::from_millis(300));
         let seen = hits.load(Ordering::SeqCst);
@@ -398,6 +472,29 @@ mod tests {
             (1..30).contains(&seen),
             "expected coalescing, saw {seen} drains"
         );
+    }
+
+    #[test]
+    fn a_timed_notification_drains_its_node_when_due() {
+        let rt = SharedRuntime::new("t");
+        let drains = Arc::new(Mutex::new(Vec::new()));
+        let d = Arc::clone(&drains);
+        let addr = NodeAddr::new(4);
+        // Registration drains once, at once.
+        rt.register_node(
+            addr,
+            Arc::new(move || {
+                d.lock().push(Instant::now());
+                DrainOutcome::Idle
+            }),
+        );
+        let due = Instant::now() + Duration::from_millis(30);
+        rt.notifier().notify(addr, due + Duration::from_millis(10));
+        rt.notifier().notify(addr, due);
+        std::thread::sleep(Duration::from_millis(150));
+        let drains = drains.lock();
+        assert_eq!(drains.len(), 3, "one at registration, one per wake-up");
+        assert!(drains[1] >= due, "drained {:?} early", due - drains[1]);
     }
 
     #[test]
@@ -413,7 +510,7 @@ mod tests {
 
     #[test]
     fn runtime_threads_stop_with_last_handle() {
-        // A thread names itself as it starts running, so wait for both.
+        // A thread names itself as it starts running, so wait for it.
         let await_threads = |done: &dyn Fn(usize) -> bool, what: &str| {
             let deadline = std::time::Instant::now() + Duration::from_secs(5);
             while !done(own_threads()) {
@@ -424,7 +521,9 @@ mod tests {
         {
             let rt = SharedRuntime::new("zz");
             rt.register_node(NodeAddr::new(1), Arc::new(|| DrainOutcome::Idle));
-            await_threads(&|n| n >= 2, "reactor and timer threads never showed up");
+            await_threads(&|n| n >= 1, "the loop thread never showed up");
+            std::thread::sleep(Duration::from_millis(20));
+            assert_eq!(own_threads(), 1, "one loop, and no timer thread");
         }
         await_threads(&|n| n == 0, "runtime threads leaked");
     }

@@ -1,36 +1,36 @@
-//! A shared timer wheel: one thread services every periodic task in a
-//! fleet.
+//! The runtime loop's clock: one due-ordered heap of periodic tasks and
+//! endpoint wake-ups.
 //!
-//! A single min-heap of `(due, seq, id)` entries serviced by one
-//! `syd-timer` thread: every device's link-expiry and stale-session
-//! sweeps, the pool watchdog, and anything else the runtime repeats. An
-//! RPC's deadline is not here — it is the wait of the thread that made
+//! [`Timers`] is plain data — no thread, no lock. The runtime keeps one
+//! under its loop's lock ([`crate::runtime`]), sleeps until
+//! [`Timers::next_due`], and runs what [`Timers::collect_due`] hands back
+//! outside the lock. Two kinds of entry share the heap:
+//!
+//! * **periodic tasks** — every device's link-expiry and stale-session
+//!   sweeps and the pool watchdog, re-armed after each firing until
+//!   cancelled by id. Cancelled ids leave stale heap entries behind that
+//!   are skipped at pop time, which keeps [`Timers::cancel`] O(1).
+//! * **wake-ups** — an endpoint whose next event falls due later (a sim
+//!   frame in flight) asks to be drained then; the drain re-arms for
+//!   whatever is still in flight. Wake-ups that fall due together drain
+//!   their endpoint once.
+//!
+//! An RPC's deadline is not here — it is the wait of the thread that made
 //! the call ([`crate::Node::call_many`]).
-//!
-//! Tasks that fall due together are collected under one lock hold and
-//! run as a batch ([`TimerWheel::batches`] counts them), so a burst of
-//! 10k simultaneous sweeps costs one wake-up, not 10k. Cancelled ids may
-//! leave stale heap entries behind; they are skipped at pop time, which
-//! keeps [`TimerWheel::cancel`] O(1).
-//!
-//! Actions run on the timer thread and must not block: hand heavy work
-//! to a [`crate::pool::WorkerPool`].
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use syd_telemetry::trace;
-use syd_types::sync::{Condvar, Mutex};
+use syd_types::NodeAddr;
 
-/// Handle to a scheduled entry; used to cancel it.
+/// Handle to a periodic task; used to cancel it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TimerId(u64);
 
-type Action = Arc<dyn Fn() + Send + Sync>;
+/// A periodic task's body.
+pub(crate) type Action = Arc<dyn Fn() + Send + Sync>;
 
 /// Re-armed after every firing until cancelled.
 struct Task {
@@ -38,203 +38,94 @@ struct Task {
     action: Action,
 }
 
-struct TimerState {
-    /// Min-heap of (due, seq, id). `seq` makes ordering total and FIFO
+/// What falls due at a heap entry.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+enum Entry {
+    Task(TimerId),
+    Wake(NodeAddr),
+}
+
+/// The heap and its live entries.
+#[derive(Default)]
+pub(crate) struct Timers {
+    /// Min-heap of (due, seq, entry). `seq` makes ordering total and FIFO
     /// among entries with identical deadlines.
-    heap: BinaryHeap<Reverse<(Instant, u64, TimerId)>>,
-    /// Live entries; an id present in `heap` but absent here was
-    /// cancelled and is skipped at pop time.
+    heap: BinaryHeap<Reverse<(Instant, u64, Entry)>>,
+    /// Live tasks; an id present in `heap` but absent here was cancelled.
     tasks: HashMap<TimerId, Task>,
-    shutdown: bool,
+    next_seq: u64,
+    next_id: u64,
 }
 
-struct TimerInner {
-    state: Mutex<TimerState>,
-    cv: Condvar,
-    next_id: AtomicU64,
-    next_seq: AtomicU64,
-    fired: AtomicU64,
-    batches: AtomicU64,
-    thread: Mutex<Option<JoinHandle<()>>>,
-}
-
-/// Cloneable handle to a shared timer wheel. All clones talk to the same
-/// heap and thread; the wheel stops on [`TimerWheel::shutdown`] (the
-/// owning runtime calls it when the last device is gone).
-#[derive(Clone)]
-pub struct TimerWheel {
-    inner: Arc<TimerInner>,
-}
-
-impl TimerWheel {
-    /// Creates a wheel and starts its service thread.
-    #[must_use]
-    pub fn new(name: &str) -> Self {
-        let inner = Arc::new(TimerInner {
-            state: Mutex::new(TimerState {
-                heap: BinaryHeap::new(),
-                tasks: HashMap::new(),
-                shutdown: false,
-            }),
-            cv: Condvar::new(),
-            next_id: AtomicU64::new(1),
-            next_seq: AtomicU64::new(0),
-            fired: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            thread: Mutex::new(None),
-        });
-        let loop_inner = Arc::clone(&inner);
-        // A wheel without its thread never fires anything; construction
-        // failure is unrecoverable, so panicking is the contract.
-        #[allow(clippy::expect_used)]
-        let handle = std::thread::Builder::new()
-            .name(format!("syd-timer-{name}"))
-            .spawn(move || timer_loop(&loop_inner))
-            .expect("spawn timer thread");
-        *inner.thread.lock() = Some(handle);
-        TimerWheel { inner }
+impl Timers {
+    fn push(&mut self, at: Instant, entry: Entry) {
+        self.next_seq += 1;
+        self.heap.push(Reverse((at, self.next_seq, entry)));
     }
 
-    /// Files `task` with its first firing at `due`. A `due` already in
-    /// the past (clock skew, slow caller) fires on the next wake-up rather
-    /// than being dropped.
-    fn insert(&self, due: Instant, task: Task) -> TimerId {
-        let id = TimerId(self.inner.next_id.fetch_add(1, Ordering::Relaxed));
-        let seq = self.inner.next_seq.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut state = self.inner.state.lock();
-            state.tasks.insert(id, task);
-            state.heap.push(Reverse((due, seq, id)));
-        }
-        self.inner.cv.notify_all();
+    /// Files a task whose first firing is at `first` and which re-arms
+    /// `interval` after each firing. A `first` already in the past fires
+    /// on the next collection rather than being dropped.
+    pub(crate) fn schedule(
+        &mut self,
+        first: Instant,
+        interval: Duration,
+        action: Action,
+    ) -> TimerId {
+        self.next_id += 1;
+        let id = TimerId(self.next_id);
+        self.tasks.insert(id, Task { interval, action });
+        self.push(first, Entry::Task(id));
         id
     }
 
-    /// Schedules `action` to run every `interval`, first firing one
-    /// `interval` from now. Re-armed from completion time, so a slow
-    /// action delays its next firing instead of bursting to catch up.
-    ///
-    /// The scheduler's trace context is captured here and re-entered
-    /// around every firing on the timer thread, so periodic work stays
-    /// attributed to its trace.
-    pub fn schedule_periodic(
-        &self,
-        interval: Duration,
-        action: impl Fn() + Send + Sync + 'static,
-    ) -> TimerId {
-        let ctx = trace::current();
-        self.insert(
-            Instant::now() + interval,
-            Task {
-                interval,
-                action: Arc::new(move || {
-                    let _span = ctx.map(trace::enter);
-                    action();
-                }),
-            },
-        )
+    /// Cancels a task, handing back its action if it was still scheduled
+    /// (the caller drops it once its lock is released).
+    pub(crate) fn cancel(&mut self, id: TimerId) -> Option<Action> {
+        self.tasks.remove(&id).map(|task| task.action)
     }
 
-    /// Cancels an entry. Returns whether it was still scheduled (an id
-    /// cancelled twice returns `false`). A firing already collected into
-    /// the running batch still runs; none is collected after `cancel`
-    /// returns.
-    pub fn cancel(&self, id: TimerId) -> bool {
-        self.inner.state.lock().tasks.remove(&id).is_some()
+    /// Number of live (scheduled, not yet cancelled) tasks.
+    pub(crate) fn pending(&self) -> usize {
+        self.tasks.len()
     }
 
-    /// Number of live (scheduled, not yet cancelled) entries.
-    #[must_use]
-    pub fn pending(&self) -> usize {
-        self.inner.state.lock().tasks.len()
+    /// Arms a wake-up for `addr` at `at`.
+    pub(crate) fn wake_at(&mut self, addr: NodeAddr, at: Instant) {
+        self.push(at, Entry::Wake(addr));
     }
 
-    /// Total actions run since creation.
-    #[must_use]
-    pub fn fired(&self) -> u64 {
-        self.inner.fired.load(Ordering::Relaxed)
+    /// When the head entry falls due, if there is one.
+    pub(crate) fn next_due(&self) -> Option<Instant> {
+        self.heap.peek().map(|Reverse((at, ..))| *at)
     }
 
-    /// Wake-ups that ran at least one action — `fired() / batches()`
-    /// is the coalescing factor.
-    #[must_use]
-    pub fn batches(&self) -> u64 {
-        self.inner.batches.load(Ordering::Relaxed)
-    }
-
-    /// Stops the service thread, dropping all pending entries. Idempotent.
-    pub fn shutdown(&self) {
-        {
-            let mut state = self.inner.state.lock();
-            if state.shutdown {
-                return;
+    /// Pops every entry due at `now`: task actions go to `run`, re-armed
+    /// `interval` from `now` (a stalled loop does not burst to catch up);
+    /// endpoints whose wake-up fell due go to `woken`.
+    pub(crate) fn collect_due(
+        &mut self,
+        now: Instant,
+        run: &mut Vec<Action>,
+        woken: &mut impl FnMut(NodeAddr),
+    ) {
+        while let Some(Reverse((at, _, _))) = self.heap.peek() {
+            if *at > now {
+                break;
             }
-            state.shutdown = true;
-            state.tasks.clear();
-            state.heap.clear();
-        }
-        self.inner.cv.notify_all();
-        let handle = self.inner.thread.lock().take();
-        if let Some(handle) = handle {
-            if handle.thread().id() != std::thread::current().id() {
-                let _ = handle.join();
-            }
-        }
-    }
-}
-
-fn timer_loop(inner: &TimerInner) {
-    loop {
-        let mut due: Vec<Action> = Vec::new();
-        {
-            let mut state = inner.state.lock();
-            loop {
-                if state.shutdown {
-                    return;
-                }
-                let now = Instant::now();
-                collect_due(&mut state, now, &mut due);
-                if !due.is_empty() {
-                    break;
-                }
-                match state.heap.peek() {
-                    Some(&Reverse((at, _, _))) => {
-                        let wait = at.saturating_duration_since(Instant::now());
-                        if !wait.is_zero() {
-                            state = inner.cv.wait_timeout(state, wait).0;
-                        }
+            let Some(Reverse((_, _, entry))) = self.heap.pop() else {
+                break;
+            };
+            match entry {
+                Entry::Task(id) => {
+                    if let Some(task) = self.tasks.get(&id) {
+                        run.push(Arc::clone(&task.action));
+                        let next = now + task.interval;
+                        self.push(next, Entry::Task(id));
                     }
-                    None => state = inner.cv.wait(state),
                 }
+                Entry::Wake(addr) => woken(addr),
             }
-        }
-        // Run outside the lock: actions may schedule or cancel freely.
-        inner.batches.fetch_add(1, Ordering::Relaxed);
-        inner.fired.fetch_add(due.len() as u64, Ordering::Relaxed);
-        for action in due {
-            action();
-        }
-    }
-}
-
-/// Pops every entry due at `now` into `out` and re-arms it, silently
-/// dropping cancelled ids.
-fn collect_due(state: &mut TimerState, now: Instant, out: &mut Vec<Action>) {
-    let mut seq_bump = 0u64;
-    while let Some(&Reverse((at, seq, id))) = state.heap.peek() {
-        if at > now {
-            break;
-        }
-        state.heap.pop();
-        // A missing id was cancelled: a stale heap entry.
-        if let Some(task) = state.tasks.get(&id) {
-            out.push(Arc::clone(&task.action));
-            // Re-arm relative to now so a stalled wheel doesn't
-            // burst to catch up; bump seq to keep ordering total.
-            seq_bump += 1;
-            state
-                .heap
-                .push(Reverse((now + task.interval, seq + seq_bump, id)));
         }
     }
 }
@@ -243,7 +134,11 @@ fn collect_due(state: &mut TimerState, now: Instant, out: &mut Vec<Action>) {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // test code
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use syd_telemetry::trace;
+    use syd_types::sync::Mutex;
+
+    use crate::runtime::SharedRuntime;
 
     fn ms(n: u64) -> Duration {
         Duration::from_millis(n)
@@ -251,155 +146,173 @@ mod tests {
 
     /// A task whose first firing is at `due` and whose second is too far
     /// off to matter: what the tests below count is first firings.
-    fn fire_at(wheel: &TimerWheel, due: Instant, action: impl Fn() + Send + Sync + 'static) {
-        wheel.insert(
-            due,
-            Task {
-                interval: Duration::from_secs(3600),
-                action: Arc::new(action),
-            },
-        );
+    fn fire_at(timers: &mut Timers, due: Instant, action: impl Fn() + Send + Sync + 'static) {
+        timers.schedule(due, Duration::from_secs(3600), Arc::new(action));
+    }
+
+    /// Runs what is due at `now`; returns how many actions ran.
+    fn tick(timers: &mut Timers, now: Instant) -> usize {
+        let mut run = Vec::new();
+        timers.collect_due(now, &mut run, &mut |_| {});
+        for action in &run {
+            action();
+        }
+        run.len()
+    }
+
+    /// Waits up to 2 s for `cond`.
+    fn eventually(cond: impl Fn() -> bool, what: &str) {
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while !cond() {
+            assert!(Instant::now() < deadline, "{what}");
+            std::thread::sleep(ms(2));
+        }
     }
 
     #[test]
     fn timer_actions_inherit_the_schedulers_trace_context() {
-        let wheel = TimerWheel::new("t");
+        let rt = SharedRuntime::new("t");
         let ctx = trace::root_span();
         let observed = Arc::new(Mutex::new(None));
         {
             let _g = trace::enter(ctx);
             let o = Arc::clone(&observed);
-            wheel.schedule_periodic(ms(10), move || {
+            rt.schedule_periodic(ms(10), move || {
                 *o.lock() = Some(trace::current());
             });
         }
-        std::thread::sleep(ms(100));
+        eventually(|| observed.lock().is_some(), "the task never ran");
         assert_eq!(*observed.lock(), Some(Some(ctx)), "lost the trace ctx");
-        wheel.shutdown();
     }
 
     #[test]
     fn deadlines_fire_in_order() {
-        let wheel = TimerWheel::new("t");
+        let mut timers = Timers::default();
         let order = Arc::new(Mutex::new(Vec::new()));
         // Schedule out of order; absolute deadlines must sort them.
-        let base = Instant::now() + ms(30);
+        let base = Instant::now();
         for (label, offset) in [(3u32, 40), (1, 0), (2, 20)] {
             let o = Arc::clone(&order);
-            fire_at(&wheel, base + ms(offset), move || o.lock().push(label));
+            fire_at(&mut timers, base + ms(offset), move || o.lock().push(label));
         }
-        std::thread::sleep(ms(200));
+        for offset in [0, 20, 40] {
+            assert_eq!(tick(&mut timers, base + ms(offset)), 1);
+        }
         assert_eq!(*order.lock(), vec![1, 2, 3]);
-        wheel.shutdown();
+        // Each re-armed an interval after its firing; the first is next.
+        assert_eq!(timers.next_due(), Some(base + Duration::from_secs(3600)));
     }
 
     #[test]
     fn identical_deadlines_coalesce_into_one_batch() {
-        let wheel = TimerWheel::new("t");
-        let hits = Arc::new(AtomicUsize::new(0));
+        let mut timers = Timers::default();
         let due = Instant::now() + ms(40);
         for _ in 0..64 {
-            let h = Arc::clone(&hits);
-            fire_at(&wheel, due, move || {
-                h.fetch_add(1, Ordering::SeqCst);
-            });
+            fire_at(&mut timers, due, || {});
         }
-        std::thread::sleep(ms(200));
-        assert_eq!(hits.load(Ordering::SeqCst), 64);
-        assert_eq!(wheel.fired(), 64);
-        // All 64 shared one deadline: far fewer wake-ups than firings.
-        assert!(
-            wheel.batches() <= 4,
-            "64 coincident deadlines took {} batches",
-            wheel.batches()
-        );
-        wheel.shutdown();
+        assert_eq!(tick(&mut timers, due - ms(1)), 0, "nothing is due yet");
+        // One collection takes all 64: one wake-up of the loop, not 64.
+        assert_eq!(tick(&mut timers, due), 64);
     }
 
     #[test]
     fn cancel_prevents_firing_and_reports_liveness() {
-        let wheel = TimerWheel::new("t");
+        let mut timers = Timers::default();
         let hits = Arc::new(AtomicUsize::new(0));
         let h = Arc::clone(&hits);
-        let id = wheel.schedule_periodic(ms(50), move || {
-            h.fetch_add(1, Ordering::SeqCst);
-        });
-        assert!(wheel.cancel(id), "entry was pending");
-        assert!(!wheel.cancel(id), "second cancel is a no-op");
-        std::thread::sleep(ms(120));
+        let now = Instant::now();
+        let id = timers.schedule(
+            now + ms(50),
+            ms(50),
+            Arc::new(move || {
+                h.fetch_add(1, Ordering::SeqCst);
+            }),
+        );
+        assert!(timers.cancel(id).is_some(), "entry was pending");
+        assert!(timers.cancel(id).is_none(), "second cancel is a no-op");
+        assert_eq!(tick(&mut timers, now + ms(120)), 0);
         assert_eq!(hits.load(Ordering::SeqCst), 0, "cancelled action ran");
-        assert_eq!(wheel.pending(), 0);
-        wheel.shutdown();
+        assert_eq!(timers.pending(), 0);
+        assert_eq!(timers.next_due(), None, "the stale entry was popped");
     }
 
     #[test]
     fn past_deadline_fires_instead_of_being_dropped() {
         // Clock-skew tolerance: a deadline computed from a stale or
         // skewed monotonic reading may already be in the past.
-        let wheel = TimerWheel::new("t");
-        let hits = Arc::new(AtomicUsize::new(0));
-        let h = Arc::clone(&hits);
-        fire_at(&wheel, Instant::now() - Duration::from_secs(5), move || {
-            h.fetch_add(1, Ordering::SeqCst);
-        });
-        std::thread::sleep(ms(100));
-        assert_eq!(hits.load(Ordering::SeqCst), 1);
-        wheel.shutdown();
+        let mut timers = Timers::default();
+        let now = Instant::now();
+        fire_at(&mut timers, now - Duration::from_secs(5), || {});
+        assert_eq!(tick(&mut timers, now), 1);
     }
 
     #[test]
     fn periodic_fires_repeatedly_until_cancelled() {
-        let wheel = TimerWheel::new("t");
-        let hits = Arc::new(AtomicUsize::new(0));
-        let h = Arc::clone(&hits);
-        let id = wheel.schedule_periodic(ms(10), move || {
-            h.fetch_add(1, Ordering::SeqCst);
-        });
-        std::thread::sleep(ms(150));
-        let seen = hits.load(Ordering::SeqCst);
-        assert!(seen >= 3, "periodic fired only {seen} times");
-        assert!(wheel.cancel(id));
-        let at_cancel = hits.load(Ordering::SeqCst);
-        std::thread::sleep(ms(60));
-        assert!(
-            hits.load(Ordering::SeqCst) <= at_cancel + 1,
-            "periodic kept firing after cancel"
-        );
-        assert_eq!(wheel.pending(), 0);
-        wheel.shutdown();
+        let mut timers = Timers::default();
+        let base = Instant::now();
+        let id = timers.schedule(base + ms(10), ms(10), Arc::new(|| {}));
+        let mut fired = 0;
+        for step in 1..=5 {
+            fired += tick(&mut timers, base + ms(10 * step));
+        }
+        assert_eq!(fired, 5, "re-armed from each firing");
+        assert!(timers.cancel(id).is_some());
+        assert_eq!(tick(&mut timers, base + ms(100)), 0);
+        assert_eq!(timers.pending(), 0);
     }
 
     #[test]
     fn shutdown_drops_pending_and_is_idempotent() {
-        let wheel = TimerWheel::new("t");
+        let rt = SharedRuntime::new("t");
         let hits = Arc::new(AtomicUsize::new(0));
         let h = Arc::clone(&hits);
-        wheel.schedule_periodic(ms(50), move || {
+        rt.schedule_periodic(ms(50), move || {
             h.fetch_add(1, Ordering::SeqCst);
         });
-        wheel.shutdown();
-        wheel.shutdown();
+        // Dropping the last handle stops the loop and drops its tasks.
+        drop(rt);
         std::thread::sleep(ms(100));
         assert_eq!(hits.load(Ordering::SeqCst), 0);
+        assert_eq!(Arc::strong_count(&hits), 1, "the task was not dropped");
     }
 
     #[test]
     fn actions_can_reschedule_from_the_timer_thread() {
-        let wheel = TimerWheel::new("t");
+        let rt = SharedRuntime::new("t");
         let hits = Arc::new(AtomicUsize::new(0));
         let h = Arc::clone(&hits);
-        let w = wheel.clone();
+        let inner_rt = rt.clone();
         // The outer task's first firing schedules the inner one, from the
-        // timer thread and with the state lock released.
-        fire_at(&wheel, Instant::now() + ms(10), move || {
-            let h = Arc::clone(&h);
-            w.schedule_periodic(ms(10), move || {
-                h.fetch_add(1, Ordering::SeqCst);
-            });
-        });
-        std::thread::sleep(ms(150));
-        assert!(hits.load(Ordering::SeqCst) >= 2, "inner task never ran");
-        assert_eq!(wheel.pending(), 2);
-        wheel.shutdown();
+        // loop thread and with the loop's lock released.
+        let outer = Arc::new(Mutex::new(None));
+        let o = Arc::clone(&outer);
+        *outer.lock() = Some(rt.schedule_periodic(ms(10), move || {
+            if let Some(id) = o.lock().take() {
+                inner_rt.cancel_periodic(id);
+                let h = Arc::clone(&h);
+                inner_rt.schedule_periodic(ms(10), move || {
+                    h.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+        }));
+        eventually(|| hits.load(Ordering::SeqCst) >= 2, "inner task never ran");
+        // The watchdog and the inner task.
+        assert_eq!(rt.periodic_tasks(), 2);
+    }
+
+    #[test]
+    fn wake_ups_fall_due_in_order() {
+        let mut timers = Timers::default();
+        let (a, b, now) = (NodeAddr::new(1), NodeAddr::new(2), Instant::now());
+        timers.wake_at(a, now + ms(20));
+        timers.wake_at(b, now + ms(10));
+        let woken = |timers: &mut Timers, at: Instant| {
+            let mut out = Vec::new();
+            timers.collect_due(at, &mut Vec::new(), &mut |addr| out.push(addr));
+            out
+        };
+        assert_eq!(woken(&mut timers, now + ms(10)), vec![b]);
+        assert_eq!(woken(&mut timers, now + ms(30)), vec![a]);
+        assert_eq!(timers.next_due(), None);
     }
 }

@@ -17,7 +17,7 @@ pub struct LatencyModel {
 }
 
 impl LatencyModel {
-    /// Zero-delay delivery (still ordered through the router).
+    /// Zero-delay delivery (still in send order).
     pub const fn instant() -> Self {
         Self {
             base: Duration::ZERO,

@@ -3,7 +3,7 @@
 //! A frame is a 4-byte little-endian length `n` followed by `n` bytes of
 //! body — for envelope frames the body is exactly what
 //! `syd_wire::encode_to_vec(&envelope)` produces, so a frame body on TCP
-//! is byte-identical to the message the sim router delivers.
+//! is byte-identical to the message the sim delivers.
 //!
 //! [`FrameDecoder`] makes **no** assumption about read boundaries: bytes
 //! may arrive one at a time or with several frames coalesced into one

@@ -1,17 +1,19 @@
 //! Pluggable transport layer for SyD.
 //!
 //! The paper's prototype spoke raw TCP sockets between iPAQ handhelds
-//! (§3.1, §5.2); our earlier milestones replaced that hardware with a
-//! single in-process router thread. This crate makes the substrate a
+//! (§3.1, §5.2); our earlier milestones replaced that hardware with an
+//! in-process simulated network. This crate makes the substrate a
 //! *subsystem*: everything above it (the RPC node, the SyD kernel, the
 //! applications) talks to a [`Transport`] adapter and never learns
 //! whether frames crossed a channel or a socket.
 //!
 //! Two backends implement the adapter:
 //!
-//! * [`SimTransport`] (an alias for [`Network`]) — the simulated
-//!   shared-medium network with latency/loss/partition fault models,
-//!   moved here from `syd-net` unchanged in behaviour.
+//! * [`Network`] — the simulated
+//!   shared-medium network with latency/loss/partition fault models. It
+//!   owns no thread: a frame waits in its destination's inbox until it
+//!   falls due, and the reader — the runtime loop, woken at that time, or
+//!   a thread blocked in [`TransportEndpoint::recv_event`] — takes it.
 //! * [`FramedTcpTransport`] — length-prefixed `syd-wire` envelopes over
 //!   non-blocking TCP with a small poll loop, per-peer write queues and
 //!   reconnect-with-backoff.
@@ -31,7 +33,7 @@ pub mod stats;
 pub mod tcp;
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use syd_telemetry::names;
 use syd_telemetry::{Counter, Registry};
@@ -39,7 +41,7 @@ use syd_types::{NodeAddr, SydResult};
 use syd_wire::{Envelope, Payload};
 
 pub use config::{LatencyModel, NetConfig};
-pub use sim::{Endpoint, Network, SimTransport};
+pub use sim::{Endpoint, Network};
 pub use stats::{NetStats, StatsSnapshot};
 pub use tcp::{node_addr_of, socket_addr_of, FramedTcpEndpoint, FramedTcpTransport};
 
@@ -53,7 +55,7 @@ pub const TRACE_DEVICE_TCP: u64 = u64::MAX - 1;
 /// Bookkeeping for one pending `transport.queue` span: opened when a
 /// traced request is accepted for transmission, recorded — as a child
 /// of the request's RPC span — when the backend hands the frame onward
-/// (router delivery on the sim, socket flush on TCP). A frame the
+/// (taken by its reader on the sim, socket flush on TCP). A frame the
 /// backend drops (loss, failed dial) simply never records its span;
 /// the assembler's lossy mode tolerates the hole.
 pub(crate) struct QueueSpan {
@@ -110,20 +112,19 @@ pub enum TransportEvent {
 }
 
 /// Readiness callback installed on an endpoint by an event-driven
-/// runtime (the `syd-net` reactor).
+/// runtime (the `syd-net` loop).
 ///
-/// Backends call [`ReadyNotifier::notify`] after enqueueing an event on
-/// an endpoint that has a notifier installed; the reactor responds by
-/// scheduling a drain of that endpoint's event queue via
-/// [`TransportEndpoint::try_recv_event`]. Notifications are edge-ish
-/// hints, not a precise count: the reactor must drain until empty, and
-/// backends may coalesce or over-notify freely. Implementations must
-/// not block and must tolerate being called from backend-internal
-/// threads while backend locks are held.
+/// Backends call [`ReadyNotifier::notify`] after enqueueing an event, with
+/// the time it falls due (now, or a sim frame's arrival), and again when a
+/// drain finds the head event not yet due; the runtime then drains the
+/// endpoint via [`TransportEndpoint::try_recv_event`] until empty. Hints,
+/// not a count: backends may coalesce or over-notify freely.
+/// Implementations must not block and must tolerate being called from
+/// backend-internal threads while backend locks are held.
 pub trait ReadyNotifier: Send + Sync + 'static {
-    /// The endpoint at `addr` (its [`TransportEndpoint::addr`]) has at
-    /// least one event queued, or has been closed.
-    fn notify(&self, addr: NodeAddr);
+    /// The endpoint at `addr` (its [`TransportEndpoint::addr`]) has an
+    /// event that falls due at `due`, or has been closed.
+    fn notify(&self, addr: NodeAddr, due: Instant);
 }
 
 /// A transport backend: a factory for addressed endpoints.

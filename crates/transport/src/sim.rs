@@ -1,18 +1,24 @@
-//! The simulated shared-medium network and its router thread.
+//! The simulated shared-medium network.
 //!
-//! All endpoints of one [`Network`] share a single router — deliberately so:
-//! the paper's devices shared one 802.11b channel. The router keeps a
-//! min-heap of in-flight messages ordered by due time and delivers each to
-//! its destination endpoint's channel, applying the loss, partition and
-//! connection rules along the way.
+//! All endpoints of one [`Network`] share one state lock — deliberately
+//! so: the paper's devices shared one 802.11b channel. `send` applies the
+//! loss and fail-fast rules, samples a latency, and files the encoded
+//! frame in the destination endpoint's own inbox, ordered by due time.
+//! No thread moves it after that: the endpoint's reader takes it once it
+//! is due — the runtime loop, told the due time through the endpoint's
+//! [`ReadyNotifier`], or a thread blocked in
+//! [`TransportEndpoint::recv_event`]. The partition, connection and
+//! registration rules are applied when a frame is taken, so a partition
+//! raised while a frame is in flight still swallows it; and a frame is
+//! counted delivered (stats, `transport.frames_in`, the frame tap, the
+//! `transport.queue` span) only then.
 //!
 //! Messages are fully encoded with the `syd-wire` codec at send time and
 //! decoded by the receiving endpoint, so every hop exercises the real wire
 //! format and the stats counters see real byte counts.
 //!
 //! [`Network`] implements [`Transport`] (and [`Endpoint`] implements
-//! [`TransportEndpoint`]), making the simulator one backend among others;
-//! [`SimTransport`] is the backend-style name for the same type.
+//! [`TransportEndpoint`]), making the simulator one backend among others.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -21,7 +27,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use syd_telemetry::Registry;
-use syd_types::queue::{self, Receiver, RecvError, Sender};
+use syd_types::queue::Sender;
 use syd_types::rng::Rng;
 use syd_types::sync::{Condvar, Mutex};
 use syd_types::{NodeAddr, SydError, SydResult};
@@ -33,23 +39,21 @@ use crate::{
     QueueSpan, ReadyNotifier, Transport, TransportEndpoint, TransportEvent, TransportMetrics,
 };
 
-/// Backend-style alias: the simulated network *is* the sim transport.
-pub type SimTransport = Network;
-
-/// What travels down an endpoint's channel: either a fully encoded frame
-/// or a synthetic lifecycle event.
+/// What waits in an endpoint's inbox: either a fully encoded frame or
+/// the synthetic `Connected` event of an explicit `connect` — the only
+/// lifecycle event the sim has. Kept small: an idle endpoint's inbox
+/// keeps the capacity its first frames gave it.
 enum SimMsg {
     Frame(Vec<u8>),
-    Control(TransportEvent),
+    Connected(NodeAddr),
 }
 
-/// An in-flight message.
+/// An inbox entry.
 struct Scheduled {
     due: Instant,
     seq: u64,
     src: NodeAddr,
-    dst: NodeAddr,
-    bytes: Vec<u8>,
+    msg: SimMsg,
     /// Queueing-span bookkeeping when the message is a traced request.
     queue_span: Option<QueueSpan>,
 }
@@ -73,38 +77,38 @@ impl Ord for Scheduled {
 }
 
 struct EndpointSlot {
-    tx: Sender<SimMsg>,
+    /// Frames in flight to this endpoint, due-time order.
+    inbox: BinaryHeap<Reverse<Scheduled>>,
     connected: bool,
     /// Test instrumentation: mirror of every delivered frame body.
     tap: Option<Sender<Vec<u8>>>,
-    /// Reactor readiness hook: pinged after every enqueue on `tx`.
+    /// Runtime readiness hook: told when the inbox's head falls due.
     notifier: Option<Arc<dyn ReadyNotifier>>,
 }
 
-impl EndpointSlot {
-    /// Enqueues a message and pings the readiness notifier, if any.
-    /// Returns whether the endpoint still held its receiver.
-    fn push(&self, addr: NodeAddr, msg: SimMsg) -> bool {
-        let ok = self.tx.send(msg).is_ok();
-        if let Some(notifier) = &self.notifier {
-            notifier.notify(addr);
-        }
-        ok
-    }
+/// What [`NetState::take`] found at the head of an inbox.
+enum Take {
+    Got(SimMsg),
+    /// Nothing due; the head falls due then.
+    NotYet(Instant),
+    Empty,
+    /// The endpoint is unregistered.
+    Closed,
 }
 
-struct RouterState {
-    heap: BinaryHeap<Reverse<Scheduled>>,
+struct NetState {
     endpoints: HashMap<NodeAddr, EndpointSlot>,
     /// Normalized (low, high) pairs that cannot exchange messages.
     partitions: HashSet<(NodeAddr, NodeAddr)>,
     rng: Rng,
     cfg: NetConfig,
+    next_seq: u64,
     shutdown: bool,
 }
 
 struct Inner {
-    state: Mutex<RouterState>,
+    state: Mutex<NetState>,
+    /// Wakes threads blocked in a raw endpoint's receive.
     cv: Condvar,
     stats: NetStats,
     registry: Arc<Registry>,
@@ -112,29 +116,12 @@ struct Inner {
     /// Records `transport.queue` spans for traced requests.
     tracer: syd_trace::Tracer,
     next_addr: AtomicU64,
-    next_seq: AtomicU64,
 }
 
-/// Handle to a simulated network. Cloning shares the network; the router
-/// thread stops when the last handle is dropped (or on [`Network::shutdown`]).
+/// Handle to a simulated network. Cloning shares the network.
 #[derive(Clone)]
 pub struct Network {
     inner: Arc<Inner>,
-    _owner: Arc<OwnerToken>,
-}
-
-/// Shuts the router down when the last `Network` clone is dropped.
-struct OwnerToken {
-    inner: Arc<Inner>,
-}
-
-impl Drop for OwnerToken {
-    fn drop(&mut self) {
-        let mut state = self.inner.state.lock();
-        state.shutdown = true;
-        drop(state);
-        self.inner.cv.notify_all();
-    }
 }
 
 fn norm_pair(a: NodeAddr, b: NodeAddr) -> (NodeAddr, NodeAddr) {
@@ -145,42 +132,111 @@ fn norm_pair(a: NodeAddr, b: NodeAddr) -> (NodeAddr, NodeAddr) {
     }
 }
 
+impl NetState {
+    /// Files `msg` in `dst`'s inbox, due at `due`, and tells its reader if
+    /// it is the new head. False if `dst` is not registered.
+    fn file(
+        &mut self,
+        cv: &Condvar,
+        src: NodeAddr,
+        dst: NodeAddr,
+        due: Instant,
+        msg: SimMsg,
+        queue_span: Option<QueueSpan>,
+    ) -> bool {
+        self.next_seq += 1;
+        let seq = self.next_seq;
+        let Some(slot) = self.endpoints.get_mut(&dst) else {
+            return false;
+        };
+        let head = slot.inbox.peek().is_none_or(|Reverse(h)| due < h.due);
+        slot.inbox.push(Reverse(Scheduled {
+            due,
+            seq,
+            src,
+            msg,
+            queue_span,
+        }));
+        match &slot.notifier {
+            Some(notifier) if head => notifier.notify(dst, due),
+            Some(_) => {}
+            None => cv.notify_all(),
+        }
+        true
+    }
+
+    /// Takes the first due message of `addr`'s inbox, dropping the frames
+    /// the partition and connection rules swallow. A head not yet due is
+    /// re-announced to the notifier, which arms the runtime's wake-up.
+    fn take(&mut self, inner: &Inner, addr: NodeAddr) -> Take {
+        let now = Instant::now();
+        loop {
+            let Some(slot) = self.endpoints.get_mut(&addr) else {
+                return Take::Closed;
+            };
+            let Some(Reverse(head)) = slot.inbox.peek() else {
+                return Take::Empty;
+            };
+            if head.due > now {
+                if let Some(notifier) = &slot.notifier {
+                    notifier.notify(addr, head.due);
+                }
+                return Take::NotYet(head.due);
+            }
+            let Some(Reverse(msg)) = slot.inbox.pop() else {
+                return Take::Empty;
+            };
+            let bytes = match msg.msg {
+                SimMsg::Frame(bytes) => bytes,
+                connected @ SimMsg::Connected(_) => return Take::Got(connected),
+            };
+            if self.partitions.contains(&norm_pair(msg.src, addr)) {
+                inner.stats.on_dropped_partition();
+                continue;
+            }
+            if !slot.connected {
+                inner.stats.on_dropped_disconnected();
+                continue;
+            }
+            inner.stats.on_delivered();
+            inner.tmetrics.frames_in.inc();
+            inner.tmetrics.bytes_in.add(bytes.len() as u64);
+            if let Some(tap) = &slot.tap {
+                let _ = tap.send(bytes.clone());
+            }
+            // Send → take is the sim's queueing time; the span hangs off
+            // the request's RPC span so the critical-path analyzer can
+            // subtract it.
+            if let Some(qs) = msg.queue_span {
+                qs.record(&inner.tracer);
+            }
+            return Take::Got(SimMsg::Frame(bytes));
+        }
+    }
+}
+
 impl Network {
-    /// Creates a network and starts its router thread.
+    /// Creates a network.
     pub fn new(cfg: NetConfig) -> Self {
         let registry = Arc::new(Registry::new());
         let tmetrics = TransportMetrics::preregister(&registry);
-        let inner = Arc::new(Inner {
-            state: Mutex::new(RouterState {
-                heap: BinaryHeap::new(),
-                endpoints: HashMap::new(),
-                partitions: HashSet::new(),
-                rng: Rng::new(cfg.seed),
-                cfg,
-                shutdown: false,
-            }),
-            cv: Condvar::new(),
-            stats: NetStats::default(),
-            registry,
-            tmetrics,
-            tracer: syd_trace::Tracer::new("transport-sim", crate::TRACE_DEVICE_SIM),
-            next_addr: AtomicU64::new(1),
-            next_seq: AtomicU64::new(0),
-        });
-        let router_inner = Arc::clone(&inner);
-        // A network without its router delivers nothing: construction
-        // failure here is unrecoverable, so panicking is the contract.
-        #[allow(clippy::expect_used)]
-        std::thread::Builder::new()
-            .name("syd-net-router".into())
-            .spawn(move || router_loop(&router_inner))
-            .expect("spawn router thread");
-        let owner = Arc::new(OwnerToken {
-            inner: Arc::clone(&inner),
-        });
         Network {
-            inner,
-            _owner: owner,
+            inner: Arc::new(Inner {
+                state: Mutex::new(NetState {
+                    endpoints: HashMap::new(),
+                    partitions: HashSet::new(),
+                    rng: Rng::new(cfg.seed),
+                    cfg,
+                    next_seq: 0,
+                    shutdown: false,
+                }),
+                cv: Condvar::new(),
+                stats: NetStats::default(),
+                registry,
+                tmetrics,
+                tracer: syd_trace::Tracer::new("transport-sim", crate::TRACE_DEVICE_SIM),
+                next_addr: AtomicU64::new(1),
+            }),
         }
     }
 
@@ -202,7 +258,6 @@ impl Network {
     /// Registers an endpoint at an explicit address (tests mirroring the
     /// TCP backend's socket-derived addresses). Errors if taken.
     pub fn register_with_addr(&self, addr: NodeAddr) -> SydResult<Endpoint> {
-        let (tx, rx) = queue::channel();
         let mut state = self.inner.state.lock();
         if state.endpoints.contains_key(&addr) {
             return Err(SydError::Protocol(format!(
@@ -212,7 +267,7 @@ impl Network {
         state.endpoints.insert(
             addr,
             EndpointSlot {
-                tx,
+                inbox: BinaryHeap::new(),
                 connected: true,
                 tap: None,
                 notifier: None,
@@ -221,24 +276,26 @@ impl Network {
         drop(state);
         Ok(Endpoint {
             addr,
-            rx,
             net: self.clone(),
         })
     }
 
-    /// Removes an endpoint; all further traffic to it counts as unreachable.
+    /// Removes an endpoint; all further traffic to it, and what is still
+    /// in flight to it, counts as unreachable.
     pub fn unregister(&self, addr: NodeAddr) {
-        let removed = {
-            let mut state = self.inner.state.lock();
-            state.endpoints.remove(&addr)
-        };
-        // Dropping the slot disconnects the channel; ping the reactor so
-        // an event-driven endpoint observes the terminal `Shutdown`.
-        if let Some(slot) = removed {
-            if let Some(notifier) = &slot.notifier {
-                notifier.notify(addr);
+        let removed = self.inner.state.lock().endpoints.remove(&addr);
+        let Some(slot) = removed else { return };
+        for Reverse(msg) in slot.inbox {
+            if matches!(msg.msg, SimMsg::Frame(_)) {
+                self.inner.stats.on_dropped_unreachable();
             }
         }
+        // Wake whoever reads the endpoint so it observes the terminal
+        // `Shutdown`.
+        if let Some(notifier) = &slot.notifier {
+            notifier.notify(addr, Instant::now());
+        }
+        self.inner.cv.notify_all();
     }
 
     /// Marks an endpoint (dis)connected — the paper's mobile device going
@@ -286,33 +343,36 @@ impl Network {
         self.inner.stats.snapshot()
     }
 
-    /// Stops the router thread. Idempotent; messages still in flight are
-    /// discarded.
+    /// Stops the network: every later send fails with `Shutdown`, and
+    /// frames still in flight are discarded. Idempotent.
     pub fn shutdown(&self) {
         let mut state = self.inner.state.lock();
         state.shutdown = true;
-        drop(state);
-        self.inner.cv.notify_all();
+        for slot in state.endpoints.values_mut() {
+            slot.inbox.clear();
+        }
     }
 
     /// Injects an envelope into the network from `env.src`.
     ///
-    /// Applies loss and fail-fast rules, samples latency, and schedules
-    /// delivery. Returns the encoded size on success. `Unreachable` means
-    /// the destination has never been registered (or was unregistered).
+    /// Applies loss and fail-fast rules, samples latency, and files the
+    /// frame in the destination's inbox. Returns the encoded size on
+    /// success. `Unreachable` means the destination has never been
+    /// registered (or was unregistered).
     pub fn send(&self, env: Envelope) -> SydResult<usize> {
         let bytes = encode_to_vec(&env);
         let size = bytes.len();
-        let mut state = self.inner.state.lock();
+        let inner = &*self.inner;
+        let mut state = inner.state.lock();
         if state.shutdown {
             return Err(SydError::Shutdown);
         }
-        self.inner.stats.on_sent(size);
-        self.inner.tmetrics.frames_out.inc();
-        self.inner.tmetrics.bytes_out.add(size as u64);
+        inner.stats.on_sent(size);
+        inner.tmetrics.frames_out.inc();
+        inner.tmetrics.bytes_out.add(size as u64);
 
         let Some(slot) = state.endpoints.get(&env.dst) else {
-            self.inner.stats.on_dropped_unreachable();
+            inner.stats.on_dropped_unreachable();
             return Err(SydError::Unreachable(env.dst));
         };
 
@@ -328,20 +388,12 @@ impl Network {
                         result: Err(SydError::Disconnected(env.dst)),
                     }),
                 );
-                let reply_bytes = encode_to_vec(&reply);
-                self.inner.stats.on_dropped_disconnected();
+                inner.stats.on_dropped_disconnected();
                 let due = Instant::now() + sample_latency(&mut state);
-                let seq = self.inner.next_seq.fetch_add(1, Ordering::Relaxed);
-                state.heap.push(Reverse(Scheduled {
-                    due,
-                    seq,
-                    src: env.dst,
-                    dst: env.src,
-                    bytes: reply_bytes,
-                    queue_span: None,
-                }));
-                drop(state);
-                self.inner.cv.notify_all();
+                let reply = SimMsg::Frame(encode_to_vec(&reply));
+                if !state.file(&inner.cv, env.dst, env.src, due, reply, None) {
+                    inner.stats.on_dropped_unreachable();
+                }
                 return Ok(size);
             }
         }
@@ -349,22 +401,20 @@ impl Network {
         // Random loss.
         let loss = state.cfg.loss;
         if loss > 0.0 && state.rng.unit() < loss {
-            self.inner.stats.on_dropped_loss();
+            inner.stats.on_dropped_loss();
             return Ok(size);
         }
 
         let due = Instant::now() + sample_latency(&mut state);
-        let seq = self.inner.next_seq.fetch_add(1, Ordering::Relaxed);
-        state.heap.push(Reverse(Scheduled {
+        let queue_span = QueueSpan::of(&env.payload);
+        state.file(
+            &inner.cv,
+            env.src,
+            env.dst,
             due,
-            seq,
-            src: env.src,
-            dst: env.dst,
-            bytes,
-            queue_span: QueueSpan::of(&env.payload),
-        }));
-        drop(state);
-        self.inner.cv.notify_all();
+            SimMsg::Frame(bytes),
+            queue_span,
+        );
         Ok(size)
     }
 }
@@ -383,7 +433,7 @@ impl Transport for Network {
     }
 }
 
-fn sample_latency(state: &mut RouterState) -> Duration {
+fn sample_latency(state: &mut NetState) -> Duration {
     let model = state.cfg.latency;
     if model.jitter.is_zero() {
         return model.base;
@@ -392,71 +442,9 @@ fn sample_latency(state: &mut RouterState) -> Duration {
     model.base + Duration::from_micros(jitter_micros)
 }
 
-fn router_loop(inner: &Arc<Inner>) {
-    let mut state = inner.state.lock();
-    loop {
-        if state.shutdown {
-            return;
-        }
-        let now = Instant::now();
-        // Deliver everything due.
-        while let Some(Reverse(head)) = state.heap.peek() {
-            if head.due > now {
-                break;
-            }
-            let Some(Reverse(msg)) = state.heap.pop() else {
-                break;
-            };
-            deliver(inner, &mut state, msg);
-        }
-        match state.heap.peek() {
-            Some(Reverse(head)) => {
-                let wait = head.due.saturating_duration_since(Instant::now());
-                if !wait.is_zero() {
-                    state = inner.cv.wait_timeout(state, wait).0;
-                }
-            }
-            None => state = inner.cv.wait(state),
-        }
-    }
-}
-
-fn deliver(inner: &Inner, state: &mut RouterState, msg: Scheduled) {
-    // Partition and connection state are re-checked at delivery time so a
-    // partition raised while a message is in flight still swallows it.
-    if state.partitions.contains(&norm_pair(msg.src, msg.dst)) {
-        inner.stats.on_dropped_partition();
-        return;
-    }
-    match state.endpoints.get(&msg.dst) {
-        None => inner.stats.on_dropped_unreachable(),
-        Some(slot) if !slot.connected => inner.stats.on_dropped_disconnected(),
-        Some(slot) => {
-            inner.tmetrics.frames_in.inc();
-            inner.tmetrics.bytes_in.add(msg.bytes.len() as u64);
-            if let Some(tap) = &slot.tap {
-                let _ = tap.send(msg.bytes.clone());
-            }
-            let queue_span = msg.queue_span;
-            if slot.push(msg.dst, SimMsg::Frame(msg.bytes)) {
-                inner.stats.on_delivered();
-                // Enqueue → delivery is the sim's queueing time; the
-                // span hangs off the request's RPC span so the
-                // critical-path analyzer can subtract it.
-                if let Some(qs) = queue_span {
-                    qs.record(&inner.tracer);
-                }
-            } else {
-                inner.stats.on_dropped_unreachable();
-            }
-        }
-    }
-}
-
 /// A registered endpoint: the network-facing half of a device.
 pub struct Endpoint {
     addr: NodeAddr,
-    rx: Receiver<SimMsg>,
     net: Network,
 }
 
@@ -464,11 +452,6 @@ impl Endpoint {
     /// This endpoint's address.
     pub fn addr(&self) -> NodeAddr {
         self.addr
-    }
-
-    /// The network this endpoint belongs to.
-    pub fn network(&self) -> &Network {
-        &self.net
     }
 
     /// Sends a payload to `dst`.
@@ -484,30 +467,51 @@ impl Endpoint {
         decoded
     }
 
-    /// Blocks until a message arrives (or the endpoint is unregistered).
-    /// Synthetic lifecycle events are skipped; use
-    /// [`TransportEndpoint::recv_event`] to observe them.
-    pub fn recv(&self) -> SydResult<Envelope> {
+    /// The next message of the inbox, waiting until it falls due, or until
+    /// `deadline` passes (`Timeout`); `Shutdown` once unregistered.
+    fn next(&self, deadline: Option<Instant>) -> SydResult<SimMsg> {
+        let inner = &*self.net.inner;
+        let mut state = inner.state.lock();
         loop {
-            match self.rx.recv().map_err(|_| SydError::Shutdown)? {
-                SimMsg::Frame(bytes) => return self.decode(&bytes),
-                SimMsg::Control(_) => {}
+            let wake = match state.take(inner, self.addr) {
+                Take::Got(msg) => return Ok(msg),
+                Take::Closed => return Err(SydError::Shutdown),
+                Take::Empty => deadline,
+                Take::NotYet(due) => Some(deadline.map_or(due, |d| d.min(due))),
+            };
+            let now = Instant::now();
+            if deadline.is_some_and(|d| d <= now) {
+                return Err(SydError::Timeout(syd_types::RequestId::new(0)));
             }
+            state = match wake {
+                Some(at) => {
+                    inner
+                        .cv
+                        .wait_timeout(state, at.saturating_duration_since(now))
+                        .0
+                }
+                None => inner.cv.wait(state),
+            };
         }
     }
 
-    /// Blocks up to `timeout` for a message (lifecycle events skipped).
+    /// The next message, without waiting: `None` when nothing is due.
+    fn try_next(&self) -> Option<SydResult<SimMsg>> {
+        let inner = &*self.net.inner;
+        match inner.state.lock().take(inner, self.addr) {
+            Take::Got(msg) => Some(Ok(msg)),
+            Take::Closed => Some(Err(SydError::Shutdown)),
+            Take::NotYet(_) | Take::Empty => None,
+        }
+    }
+
+    /// Blocks up to `timeout` for a message. Synthetic lifecycle events
+    /// are skipped; use [`TransportEndpoint::recv_event`] to observe them.
     pub fn recv_timeout(&self, timeout: Duration) -> SydResult<Envelope> {
-        let deadline = Instant::now() + timeout;
+        let deadline = Some(Instant::now() + timeout);
         loop {
-            let left = deadline.saturating_duration_since(Instant::now());
-            match self.rx.recv_timeout(left) {
-                Ok(SimMsg::Frame(bytes)) => return self.decode(&bytes),
-                Ok(SimMsg::Control(_)) => {}
-                Err(RecvError::Empty) => {
-                    return Err(SydError::Timeout(syd_types::RequestId::new(0)))
-                }
-                Err(RecvError::Disconnected) => return Err(SydError::Shutdown),
+            if let SimMsg::Frame(bytes) = self.next(deadline)? {
+                return self.decode(&bytes);
             }
         }
     }
@@ -515,11 +519,10 @@ impl Endpoint {
     /// Non-blocking receive (lifecycle events skipped).
     pub fn try_recv(&self) -> Option<SydResult<Envelope>> {
         loop {
-            match self.rx.try_recv() {
+            match self.try_next()? {
                 Ok(SimMsg::Frame(bytes)) => return Some(self.decode(&bytes)),
-                Ok(SimMsg::Control(_)) => {}
-                Err(RecvError::Empty) => return None,
-                Err(RecvError::Disconnected) => return Some(Err(SydError::Shutdown)),
+                Ok(SimMsg::Connected(_)) => {}
+                Err(err) => return Some(Err(err)),
             }
         }
     }
@@ -527,7 +530,7 @@ impl Endpoint {
     fn event_of(&self, msg: SimMsg) -> SydResult<TransportEvent> {
         match msg {
             SimMsg::Frame(bytes) => self.decode(&bytes).map(TransportEvent::Message),
-            SimMsg::Control(ev) => Ok(ev),
+            SimMsg::Connected(peer) => Ok(TransportEvent::Connected(peer)),
         }
     }
 }
@@ -540,15 +543,23 @@ impl TransportEndpoint for Endpoint {
     fn connect(&self, peer: NodeAddr) -> SydResult<()> {
         // The sim has no connections; validate reachability and emit the
         // synthetic lifecycle event the TCP backend would produce.
-        let state = self.net.inner.state.lock();
+        let inner = &*self.net.inner;
+        let mut state = inner.state.lock();
         if !state.endpoints.contains_key(&peer) {
             return Err(SydError::Unreachable(peer));
         }
-        let Some(own) = state.endpoints.get(&self.addr) else {
+        let connected = SimMsg::Connected(peer);
+        if !state.file(
+            &inner.cv,
+            self.addr,
+            self.addr,
+            Instant::now(),
+            connected,
+            None,
+        ) {
             return Err(SydError::Shutdown);
-        };
-        self.net.inner.tmetrics.conns.inc();
-        own.push(self.addr, SimMsg::Control(TransportEvent::Connected(peer)));
+        }
+        inner.tmetrics.conns.inc();
         Ok(())
     }
 
@@ -557,24 +568,17 @@ impl TransportEndpoint for Endpoint {
     }
 
     fn recv_event(&self) -> SydResult<TransportEvent> {
-        let msg = self.rx.recv().map_err(|_| SydError::Shutdown)?;
+        let msg = self.next(None)?;
         self.event_of(msg)
     }
 
     fn recv_event_timeout(&self, timeout: Duration) -> SydResult<TransportEvent> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(msg) => self.event_of(msg),
-            Err(RecvError::Empty) => Err(SydError::Timeout(syd_types::RequestId::new(0))),
-            Err(RecvError::Disconnected) => Err(SydError::Shutdown),
-        }
+        let msg = self.next(Some(Instant::now() + timeout))?;
+        self.event_of(msg)
     }
 
     fn try_recv_event(&self) -> Option<SydResult<TransportEvent>> {
-        match self.rx.try_recv() {
-            Ok(msg) => Some(self.event_of(msg)),
-            Err(RecvError::Empty) => None,
-            Err(RecvError::Disconnected) => Some(Err(SydError::Shutdown)),
-        }
+        Some(self.try_next()?.and_then(|msg| self.event_of(msg)))
     }
 
     fn set_ready_notifier(&self, notifier: Arc<dyn ReadyNotifier>) {
@@ -584,8 +588,9 @@ impl TransportEndpoint for Endpoint {
                 slot.notifier = Some(Arc::clone(&notifier));
             }
         }
-        // Cover events that were enqueued before installation.
-        notifier.notify(self.addr);
+        // Cover what was filed before installation: the drain this
+        // triggers re-announces a head that is not yet due.
+        notifier.notify(self.addr, Instant::now());
     }
 
     fn set_connected(&self, connected: bool) {

@@ -7,7 +7,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Monotonic counters maintained by the router. All loads/stores are
+/// Monotonic counters maintained by the sim network. All loads/stores are
 /// `Relaxed`: the counters are statistics, not synchronization.
 #[derive(Debug, Default)]
 pub struct NetStats {

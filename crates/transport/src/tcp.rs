@@ -212,7 +212,7 @@ impl Shared {
     fn emit(&self, ev: TransportEvent) {
         let _ = self.events_tx.send(ev);
         if let Some(notifier) = self.notifier.lock().as_ref() {
-            notifier.notify(self.addr);
+            notifier.notify(self.addr, Instant::now());
         }
     }
 }
@@ -418,7 +418,7 @@ impl TransportEndpoint for FramedTcpEndpoint {
     fn set_ready_notifier(&self, notifier: Arc<dyn ReadyNotifier>) {
         *self.shared.notifier.lock() = Some(Arc::clone(&notifier));
         // Cover events that were enqueued before installation.
-        notifier.notify(self.addr);
+        notifier.notify(self.addr, Instant::now());
     }
 
     fn set_connected(&self, connected: bool) {
@@ -471,11 +471,11 @@ impl TransportEndpoint for FramedTcpEndpoint {
         for handle in dials {
             let _ = handle.join();
         }
-        // Ping the reactor so an event-driven node drains any buffered
-        // events and observes the terminal `Shutdown`.
+        // Ping the runtime loop so an event-driven node drains any
+        // buffered events and observes the terminal `Shutdown`.
         let notifier = self.shared.notifier.lock().clone();
         if let Some(notifier) = notifier {
-            notifier.notify(self.addr);
+            notifier.notify(self.addr, Instant::now());
         }
     }
 }

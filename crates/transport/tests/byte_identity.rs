@@ -1,6 +1,6 @@
 //! Byte-identity across backends: for the same RPC traffic, the frame
 //! bodies a peer observes over loopback TCP are byte-for-byte identical
-//! to the messages the sim router delivers — both are exactly
+//! to the messages the sim delivers — both are exactly
 //! `syd_wire::encode_to_vec(&envelope)`.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code
@@ -80,6 +80,8 @@ fn sim_and_tcp_deliver_identical_envelope_bytes() {
         a_tcp.send(env.clone()).unwrap();
         TransportEndpoint::send(&a_sim, env.clone()).unwrap();
 
+        // The sim taps a frame when its reader takes it.
+        b_sim.recv_event_timeout(TAP_WAIT).expect("sim frame");
         let tcp_bytes = tcp_tap_rx.recv_timeout(TAP_WAIT).expect("tcp frame");
         let sim_bytes = sim_tap_rx.recv_timeout(TAP_WAIT).expect("sim frame");
         assert_eq!(

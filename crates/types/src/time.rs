@@ -198,7 +198,7 @@ impl fmt::Display for Timestamp {
 
 /// Source of middleware time.
 ///
-/// Implementations must be cheap and thread-safe: the router, the event
+/// Implementations must be cheap and thread-safe: the sim network, the event
 /// handler's expiry scanner and every RPC deadline consult the clock.
 pub trait Clock: Send + Sync + 'static {
     /// Current time.
