@@ -22,8 +22,8 @@ use syd_telemetry::names;
 use syd_telemetry::{Counter, Histogram};
 use syd_types::sync::Mutex;
 use syd_types::{
-    MeetingId, Priority, ServiceName, SlotBitmap, SlotRange, SydError, SydResult, TimeSlot, UserId,
-    Value,
+    MeetingId, Priority, ServiceName, SlotBitmap, SlotRange, SydError, SydResult, Text, TimeSlot,
+    UserId, Value,
 };
 
 use crate::mailbox::Mailbox;
@@ -302,7 +302,7 @@ impl CalendarApp {
     pub(crate) fn put_meeting(&self, meeting: &Meeting) -> SydResult<()> {
         let key = Value::from(meeting.id.raw());
         let by_id = Predicate::Eq("id".into(), key.clone());
-        let data = [("data".to_owned(), meeting.to_value())];
+        let data = [("data".into(), meeting.to_value())];
         if self.store.update(T_MEETINGS, &by_id, &data)? > 0 {
             return Ok(());
         }
@@ -702,24 +702,23 @@ impl CalendarApp {
 }
 
 /// [`CalendarApp::free_bitmap`] over any store holding the `slots` table:
-/// the device's own, or the replica a proxy answers from.
+/// the device's own, or the replica a proxy answers from. The occupied
+/// rows of the range are read in place; the bitmap is all it allocates.
 pub(crate) fn free_bitmap_of(store: &Store, start: u64, end: u64) -> SydResult<SlotBitmap> {
     let end = end.max(start);
     let range = SlotRange::new(TimeSlot::from_ordinal(start), TimeSlot::from_ordinal(end));
     let mut bm = SlotBitmap::all_free(range);
-    let occupied = store
-        .query(T_SLOTS)
-        .filter(Predicate::Between(
-            "ordinal".into(),
-            Value::from(start),
-            Value::from(end.saturating_sub(1)),
-        ))
-        .column("ordinal")?;
-    for v in occupied {
-        if let Ok(o) = v.as_i64() {
+    let occupied = Predicate::Between(
+        "ordinal".into(),
+        Value::from(start),
+        Value::from(end.saturating_sub(1)),
+    );
+    store.visit(T_SLOTS, &occupied, |row| {
+        if let Ok(o) = row[0].as_i64() {
             bm.set_busy(TimeSlot::from_ordinal(o as u64));
         }
-    }
+        Ok(())
+    })?;
     Ok(bm)
 }
 
@@ -761,6 +760,11 @@ pub(crate) fn slot_status_of(store: &Store, ordinal: u64) -> SydResult<Value> {
         ),
         ("priority", Value::from(priority.level() as u32)),
     ]))
+}
+
+/// The correlation id of `user`'s availability link for `meeting`.
+fn avail_corr(meeting: MeetingId, user: UserId) -> Text {
+    Text::format(format_args!("avail:{}:{}", meeting.raw(), user.raw()))
 }
 
 pub(crate) fn arg(args: &[Value], i: usize) -> SydResult<&Value> {
@@ -831,15 +835,15 @@ impl CalendarApp {
     pub(crate) fn queue_availability_local(&self, ordinal: u64, rec: &Meeting) -> SydResult<()> {
         self.put_meeting(rec)?;
         let entity = slot_entity(ordinal);
-        let avail_corr = format!("avail:{}:{}", rec.id.raw(), self.user().raw());
+        let avail_corr = avail_corr(rec.id, self.user());
         // Idempotent: one availability link per (meeting, this user).
         if !self.device.links().ids_by_corr(&avail_corr)?.is_empty() {
             return Ok(());
         }
         let back_ref = syd_core::links::LinkRef::new(
             rec.initiator,
-            slot_entity(ordinal),
-            format!("peer_available:{}", rec.id.raw()),
+            entity.clone(),
+            Text::format(format_args!("peer_available:{}", rec.id.raw())),
         );
         let mut spec = LinkSpec::subscription(entity.clone(), vec![back_ref])
             .with_priority(rec.priority)
@@ -876,8 +880,11 @@ impl CalendarApp {
     /// Removes this user's availability link for `meeting` (it got
     /// reserved, or the meeting is gone).
     pub(crate) fn drop_availability_local(&self, meeting: MeetingId) -> SydResult<()> {
-        let corr = format!("avail:{}:{}", meeting.raw(), self.user().raw());
-        for link in self.device.links().ids_by_corr(&corr)? {
+        for link in self
+            .device
+            .links()
+            .ids_by_corr(&avail_corr(meeting, self.user()))?
+        {
             let _ = self.device.links().delete(link, false);
         }
         Ok(())

@@ -34,7 +34,7 @@ use syd_core::Call;
 use syd_store::Predicate;
 use syd_telemetry::names;
 use syd_types::{
-    LinkId, MeetingId, SlotBitmap, SlotRange, SydError, SydResult, TimeSlot, UserId, Value,
+    LinkId, MeetingId, SlotBitmap, SlotRange, SydError, SydResult, Text, TimeSlot, UserId, Value,
 };
 use syd_wire::Args;
 
@@ -162,7 +162,9 @@ impl CalendarApp {
         let reserve = |u| LinkRef::new(u, entity.clone(), "reserve");
         let refs = rec.all_participants().into_iter().map(reserve).collect();
         let spec = LinkSpec::negotiation(entity, Constraint::And, refs);
-        let spec = spec.with_priority(rec.priority).with_corr(rec.corr.clone());
+        let spec = spec
+            .with_priority(rec.priority)
+            .with_corr(rec.corr.as_str());
         self.device.links().add_local(spec).map(drop)
     }
 
@@ -381,8 +383,8 @@ impl CalendarApp {
     }
 
     /// What the §4.3 mark carries: all that `prepare` reads.
-    fn reserve_mark(rec: &Meeting) -> Vec<(&'static str, Value)> {
-        vec![
+    fn reserve_mark(rec: &Meeting) -> [(&'static str, Value); 3] {
+        [
             ("action", Value::str("reserve")),
             ("meeting", Value::from(rec.id.raw())),
             ("priority", Value::from(rec.priority.level() as u32)),
@@ -393,12 +395,11 @@ impl CalendarApp {
     /// encoded as it stands once the round's commits are through — and the
     /// participant's encoded back link where the round creates them.
     fn reserve_change(rec: &Meeting, record: Value, link: Option<Value>) -> Value {
-        let mut fields = Self::reserve_mark(rec);
-        fields.push(("record", record));
-        if let Some(link) = link {
-            fields.push(("link", link));
-        }
-        Value::map(fields)
+        let rest = [("record", Some(record)), ("link", link)];
+        let rest = rest
+            .into_iter()
+            .filter_map(|(key, value)| Some((key, value?)));
+        Value::map(Self::reserve_mark(rec).into_iter().chain(rest))
     }
 
     /// The back link installed at a holder (§5: "the target slots at A, B,
@@ -419,26 +420,26 @@ impl CalendarApp {
             refs: vec![LinkRef::new(
                 rec.initiator,
                 entity.clone(),
-                format!("participant_changed:{}", rec.id.raw()),
+                Text::format(format_args!("participant_changed:{}", rec.id.raw())),
             )],
             entity,
             priority: rec.priority,
             created: self.device.clock().now(),
             expires: None,
-            corr: rec.corr.clone(),
+            corr: rec.corr.as_str().into(),
         }
     }
 
     /// The users at which this initiator has queued an availability link
     /// for `meeting` (the initiator-local table `T_AVAILQ`).
     fn queued(&self, meeting: MeetingId) -> SydResult<Vec<UserId>> {
-        self.store
-            .query(T_AVAILQ)
-            .filter(Predicate::Eq("meeting".into(), Value::from(meeting.raw())))
-            .column("user")?
-            .iter()
-            .map(|v| Ok(UserId::new(v.as_i64()? as u64)))
-            .collect()
+        let of_meeting = Predicate::Eq("meeting".into(), Value::from(meeting.raw()));
+        let mut users = Vec::new();
+        self.store.visit(T_AVAILQ, &of_meeting, |row| {
+            users.push(UserId::new(row[1].as_i64()? as u64));
+            Ok(())
+        })?;
+        Ok(users)
     }
 
     fn unqueue(&self, meeting: MeetingId, users: &[UserId]) -> SydResult<()> {

@@ -1,6 +1,6 @@
 //! Calendar data model: slots, meetings, scheduling specs.
 
-use syd_types::{Priority, SydError, SydResult, TimeSlot, UserId, Value};
+use syd_types::{Priority, SydError, SydResult, Text, TimeSlot, UserId, Value};
 use syd_wire::{decode_from_slice, encode_to_vec, Decode, Encode, Reader};
 
 pub use syd_types::MeetingId;
@@ -8,8 +8,8 @@ pub use syd_types::MeetingId;
 /// Name of the SyD entity representing one calendar slot on a device.
 /// Entities are device-local, so every participant's copy of "day 3,
 /// 14:00" has the same name on their own device.
-pub fn slot_entity(ordinal: u64) -> String {
-    format!("slot:{ordinal}")
+pub fn slot_entity(ordinal: u64) -> Text {
+    Text::format(format_args!("slot:{ordinal}"))
 }
 
 /// Parses a slot entity name back to its ordinal.
@@ -138,7 +138,7 @@ impl Decode for GroupSpec {
 #[derive(Clone, Debug)]
 pub struct MeetingSpec {
     /// Meeting title (also the mailbox subject).
-    pub title: String,
+    pub title: Text,
     /// The slot to schedule into.
     pub slot: TimeSlot,
     /// Users that must attend (the initiator is always required and is
@@ -156,7 +156,7 @@ pub struct MeetingSpec {
 
 impl MeetingSpec {
     /// A plain meeting: everyone listed must attend.
-    pub fn plain(title: impl Into<String>, slot: TimeSlot, attendees: Vec<UserId>) -> Self {
+    pub fn plain(title: impl Into<Text>, slot: TimeSlot, attendees: Vec<UserId>) -> Self {
         MeetingSpec {
             title: title.into(),
             slot,
@@ -208,7 +208,7 @@ pub struct Meeting {
     /// Meeting id (globally unique: initiator-scoped).
     pub id: MeetingId,
     /// Title.
-    pub title: String,
+    pub title: Text,
     /// The user who called the meeting (only they may cancel it).
     pub initiator: UserId,
     /// The slot (ordinal) the meeting occupies.
@@ -448,7 +448,7 @@ mod tests {
     fn generated(rng: &mut Rng) -> Meeting {
         Meeting {
             id: MeetingId::new(rng.any_u64()),
-            title: rng.string(12),
+            title: rng.string(12).into(),
             initiator: UserId::new(rng.any_u64()),
             ordinal: rng.any_u64(),
             status: [

@@ -92,7 +92,7 @@ fn snapshot_device(device: &DeviceRuntime) -> DeviceState {
             session: owner,
             entity: match key.key.first().map(syd_store::key::OrdValue::value) {
                 Some(Value::Str(s)) => s.clone(),
-                _ => key.to_string(),
+                _ => key.to_string().into(),
             },
         })
         .collect();

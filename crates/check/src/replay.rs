@@ -24,7 +24,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use syd_telemetry::{Event, JournalEvent, Vote};
-use syd_types::Constraint;
+use syd_types::{Constraint, Text};
 
 use crate::event::holds;
 use crate::report::{render, session_excerpt, AuditReport, Rule, Violation};
@@ -61,11 +61,11 @@ pub(crate) struct ReplaySummary {
     /// Ring truncation was detected; ordering checks were suppressed.
     pub truncated: bool,
     /// `(session, entity)` stories still holding their lock at journal end.
-    pub open: BTreeSet<(u64, String)>,
+    pub open: BTreeSet<(u64, Text)>,
     /// Stories closed by a change or an abort.
-    pub closed: BTreeSet<(u64, String)>,
+    pub closed: BTreeSet<(u64, Text)>,
     /// Correlation ids whose links were cascade-deleted here.
-    pub cascaded: BTreeSet<String>,
+    pub cascaded: BTreeSet<Text>,
     /// Every negotiation session id mentioned.
     pub sessions: BTreeSet<u64>,
 }
@@ -86,9 +86,9 @@ pub(crate) fn replay_device(
     report.truncated |= summary.truncated;
 
     // Entity -> session currently holding its lock, per this journal.
-    let mut holder: BTreeMap<String, u64> = BTreeMap::new();
+    let mut holder: BTreeMap<Text, u64> = BTreeMap::new();
     // (session, entity) -> story phase.
-    let mut phase: BTreeMap<(u64, String), Phase> = BTreeMap::new();
+    let mut phase: BTreeMap<(u64, Text), Phase> = BTreeMap::new();
     // Coordinator side: session -> (constraint, participants).
     let mut begun: BTreeMap<u64, (Constraint, u32)> = BTreeMap::new();
 

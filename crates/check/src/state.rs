@@ -11,6 +11,7 @@
 use std::collections::BTreeSet;
 
 use syd_telemetry::JournalEvent;
+use syd_types::Text;
 
 use crate::replay::{self, AuditOptions};
 use crate::report::{session_excerpt, AuditReport, Rule, Violation};
@@ -21,7 +22,7 @@ pub struct HeldLock {
     /// The owning negotiation session.
     pub session: u64,
     /// The locked entity (e.g. `"slot:4:14"`).
-    pub entity: String,
+    pub entity: Text,
 }
 
 /// One row of the link database, reduced to what the audit checks.
@@ -32,7 +33,7 @@ pub struct LinkRecord {
     /// True while the link is tentative (queued behind another).
     pub tentative: bool,
     /// Correlation id shared by the link's cross-device halves.
-    pub corr: String,
+    pub corr: Text,
 }
 
 /// One row of the waiting-link queue.
@@ -66,7 +67,7 @@ pub struct DeviceState {
 pub fn audit_states(devices: &[DeviceState], opts: &AuditOptions) -> AuditReport {
     let mut report = AuditReport::default();
     let mut all_sessions = BTreeSet::new();
-    let mut cascaded: BTreeSet<String> = BTreeSet::new();
+    let mut cascaded: BTreeSet<Text> = BTreeSet::new();
 
     for device in devices {
         let summary = replay::replay_device(&device.device, &device.journal, opts, &mut report);

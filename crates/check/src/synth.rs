@@ -431,27 +431,27 @@ mod proptests {
         rng: &mut Rng,
     ) -> Vec<(String, Vec<JournalEvent>)> {
         let mut names: BTreeMap<String, String> = BTreeMap::new();
-        let mut fresh = |old: &mut String| {
+        let mut fresh = |old: &str| {
             // The counter suffix keeps two draws that collide apart.
             let n = names.len();
             let new = names
-                .entry(old.clone())
+                .entry(old.to_owned())
                 .or_insert_with(|| format!("{}#{n}", rng.string(12)));
-            old.clone_from(new);
+            new.clone()
         };
         let mut renamed = journals.to_vec();
         for event in renamed.iter_mut().flat_map(|(_, events)| events) {
             match &mut event.event {
                 Event::Lock { entity, .. }
                 | Event::Commit { entity, .. }
-                | Event::Release { entity, .. } => fresh(entity),
+                | Event::Release { entity, .. } => *entity = fresh(entity).into(),
                 Event::Vote { entity, vote, .. } => {
-                    fresh(entity);
+                    *entity = fresh(entity).into();
                     if let Vote::Refused(reason) = vote {
-                        fresh(reason);
+                        *reason = fresh(reason);
                     }
                 }
-                Event::LinkDeleted { corr, .. } => fresh(corr),
+                Event::LinkDeleted { corr, .. } => *corr = fresh(corr).into(),
                 _ => {}
             }
         }

@@ -664,7 +664,7 @@ mod tests {
         let server = Node::spawn(&net);
         let log = Arc::clone(&served);
         server.set_handler(Arc::new(move |_from, req: Request| {
-            log.lock().push(req.method.clone());
+            log.lock().push(req.method.to_string());
             match req.method.as_str() {
                 "busy" => Err(SydError::LockTimeout("held".into())),
                 _ => Ok(Value::Null),

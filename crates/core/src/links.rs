@@ -42,7 +42,7 @@ use syd_telemetry::{Event, Journal};
 use syd_types::sync::RwLock;
 pub use syd_types::Constraint;
 use syd_types::{
-    Clock, LinkId, Priority, ServiceName, SydError, SydResult, Timestamp, UserId, Value,
+    Clock, LinkId, Priority, ServiceName, SydError, SydResult, Text, Timestamp, UserId, Value,
 };
 use syd_wire::{decode_from_slice, encode_to_vec, Args, Decode, Encode, Reader};
 
@@ -113,15 +113,15 @@ pub struct LinkRef {
     /// Peer user.
     pub user: UserId,
     /// Peer entity (e.g. the matching slot in the peer's calendar).
-    pub entity: String,
+    pub entity: Text,
     /// Action name delivered to the peer's subscription handler (for
     /// subscription links) or change payload discriminator (negotiation).
-    pub action: String,
+    pub action: Text,
 }
 
 impl LinkRef {
     /// Builds a reference.
-    pub fn new(user: UserId, entity: impl Into<String>, action: impl Into<String>) -> Self {
+    pub fn new(user: UserId, entity: impl Into<Text>, action: impl Into<Text>) -> Self {
         LinkRef {
             user,
             entity: entity.into(),
@@ -182,7 +182,7 @@ pub struct Link {
     /// Permanent or tentative.
     pub status: LinkStatus,
     /// The local entity the link is anchored on.
-    pub entity: String,
+    pub entity: Text,
     /// References with their trigger actions.
     pub refs: Vec<LinkRef>,
     /// Priority (drives waiting-link promotion and bumping).
@@ -193,7 +193,7 @@ pub struct Link {
     pub expires: Option<Timestamp>,
     /// Correlation id shared by all links of one logical connection —
     /// cascade deletion follows it across devices.
-    pub corr: String,
+    pub corr: Text,
 }
 
 impl Link {
@@ -271,7 +271,7 @@ pub struct LinkSpec {
     /// Initial status.
     pub status: LinkStatus,
     /// Local anchor entity.
-    pub entity: String,
+    pub entity: Text,
     /// References.
     pub refs: Vec<LinkRef>,
     /// Priority.
@@ -279,7 +279,7 @@ pub struct LinkSpec {
     /// Optional expiry.
     pub expires: Option<Timestamp>,
     /// Correlation id; empty = assign a fresh one.
-    pub corr: String,
+    pub corr: Text,
     /// If tentative: the permanent link this one waits on, plus a waiting
     /// group id (links promoted together share a group).
     pub waits_on: Option<(LinkId, u64)>,
@@ -287,7 +287,7 @@ pub struct LinkSpec {
 
 impl LinkSpec {
     /// A permanent subscription link from `entity` to `refs`.
-    pub fn subscription(entity: impl Into<String>, refs: Vec<LinkRef>) -> LinkSpec {
+    pub fn subscription(entity: impl Into<Text>, refs: Vec<LinkRef>) -> LinkSpec {
         LinkSpec {
             kind: LinkKind::Subscription,
             status: LinkStatus::Permanent,
@@ -295,14 +295,14 @@ impl LinkSpec {
             refs,
             priority: Priority::NORMAL,
             expires: None,
-            corr: String::new(),
+            corr: Text::default(),
             waits_on: None,
         }
     }
 
     /// A permanent negotiation link from `entity` to `refs`.
     pub fn negotiation(
-        entity: impl Into<String>,
+        entity: impl Into<Text>,
         constraint: Constraint,
         refs: Vec<LinkRef>,
     ) -> LinkSpec {
@@ -325,7 +325,7 @@ impl LinkSpec {
     }
 
     /// Builder: sets the correlation id (to join an existing connection).
-    pub fn with_corr(mut self, corr: impl Into<String>) -> LinkSpec {
+    pub fn with_corr(mut self, corr: impl Into<Text>) -> LinkSpec {
         self.corr = corr.into();
         self
     }
@@ -497,12 +497,9 @@ impl LinksModule {
         *self.promotion.write() = Some(handler);
     }
 
-    fn fresh_corr(&self) -> String {
-        format!(
-            "corr:{}:{}",
-            self.user.raw(),
-            self.next_corr.fetch_add(1, Ordering::Relaxed)
-        )
+    fn fresh_corr(&self) -> Text {
+        let n = self.next_corr.fetch_add(1, Ordering::Relaxed);
+        Text::format(format_args!("corr:{}:{n}", self.user.raw()))
     }
 
     // ---- local CRUD --------------------------------------------------------
@@ -526,12 +523,12 @@ impl LinksModule {
                 Value::str(KIND_NAMES[kind]),
                 Value::from(k),
                 Value::str(STATUS_NAMES[spec.status as usize]),
-                Value::str(spec.entity.clone()),
+                Value::Str(spec.entity.clone()),
                 Value::from(spec.priority.level() as u32),
                 Value::from(created.as_micros()),
                 spec.expires
                     .map_or(Value::Null, |t| Value::from(t.as_micros())),
-                Value::str(corr.clone()),
+                Value::Str(corr.clone()),
                 Value::Bytes(encode_to_vec(&Refs(&spec.refs[..]))),
             ],
         )?;
@@ -549,7 +546,7 @@ impl LinksModule {
         self.events.publish_local("link.created", || {
             Value::map([
                 ("id", Value::from(id.raw())),
-                ("corr", Value::str(corr.clone())),
+                ("corr", Value::Str(corr.clone())),
             ])
         });
         Ok(Link {
@@ -577,14 +574,14 @@ impl LinksModule {
             id: LinkId::new(int(&row[0])?),
             kind: LinkKind::from_tag(tag(&KIND_NAMES, &row[1])?, int(&row[2])?)?,
             status: LinkStatus::from_tag(tag(&STATUS_NAMES, &row[3])?)?,
-            entity: row[4].as_str()?.to_owned(),
+            entity: row[4].as_text()?.clone(),
             priority: Priority::new(int(&row[5])?),
             created: Timestamp::from_micros(int(&row[6])?),
             expires: match &row[7] {
                 Value::Null => None,
                 v => Some(Timestamp::from_micros(int(v)?)),
             },
-            corr: row[8].as_str()?.to_owned(),
+            corr: row[8].as_text()?.clone(),
             refs: decode_from_slice::<Refs<Vec<LinkRef>>>(row[9].as_bytes()?)?.0,
         })
     }
@@ -598,10 +595,12 @@ impl LinksModule {
     }
 
     fn links_where(&self, pred: &Predicate) -> SydResult<Vec<Link>> {
-        let rows = self.store.select(T_LINK, pred)?;
-        rows.iter()
-            .map(|r| Self::link_from_row(&r.values))
-            .collect()
+        let mut links = Vec::new();
+        self.store.visit(T_LINK, pred, |row| {
+            links.push(Self::link_from_row(row)?);
+            Ok(())
+        })?;
+        Ok(links)
     }
 
     /// All links in the database.
@@ -622,20 +621,24 @@ impl LinksModule {
     /// Ids of the links sharing a correlation id, for callers that ask
     /// whether a link exists or which to delete: no link is parsed.
     pub fn ids_by_corr(&self, corr: &str) -> SydResult<Vec<LinkId>> {
-        let rows = self.store.select(T_LINK, &corr_is(corr))?;
-        rows.iter()
-            .map(|r| int(&r.values[0]).map(LinkId::new))
-            .collect()
+        let mut ids = Vec::new();
+        self.store.visit(T_LINK, &corr_is(corr), |row| {
+            ids.push(LinkId::new(int(&row[0])?));
+            Ok(())
+        })?;
+        Ok(ids)
     }
 
     /// Id of the link of `corr` anchored on `entity`, if there is one.
     pub fn find(&self, corr: &str, entity: &str) -> SydResult<Option<LinkId>> {
-        let rows = self.store.select(T_LINK, &corr_is(corr))?;
-        let on_entity = |r: &&syd_store::Row| r.values[4].as_str().is_ok_and(|e| e == entity);
-        let found = rows.iter().find(on_entity);
-        found
-            .map(|r| int(&r.values[0]).map(LinkId::new))
-            .transpose()
+        let mut found = None;
+        self.store.visit(T_LINK, &corr_is(corr), |row| {
+            if found.is_none() && row[4].as_str().is_ok_and(|e| e == entity) {
+                found = Some(LinkId::new(int(&row[0])?));
+            }
+            Ok(())
+        })?;
+        Ok(found)
     }
 
     /// Number of stored links.
@@ -650,15 +653,17 @@ impl LinksModule {
     }
 
     fn waiting_where(&self, pred: &Predicate) -> SydResult<Vec<WaitingEntry>> {
-        let parse = |row: &syd_store::Row| {
-            Ok(WaitingEntry {
-                link: LinkId::new(int(&row.values[0])?),
-                waits_on: LinkId::new(int(&row.values[1])?),
-                priority: Priority::new(int(&row.values[2])?),
-                group: int(&row.values[3])?,
-            })
-        };
-        self.store.select(T_WAIT, pred)?.iter().map(parse).collect()
+        let mut entries = Vec::new();
+        self.store.visit(T_WAIT, pred, |row| {
+            entries.push(WaitingEntry {
+                link: LinkId::new(int(&row[0])?),
+                waits_on: LinkId::new(int(&row[1])?),
+                priority: Priority::new(int(&row[2])?),
+                group: int(&row[3])?,
+            });
+            Ok(())
+        })?;
+        Ok(entries)
     }
 
     // ---- §4.2 op. 2: negotiated creation -----------------------------------
@@ -791,16 +796,16 @@ impl LinksModule {
     }
 
     /// Journals one deletion (§4.4) and publishes `link.deleted`.
-    fn note_deleted(&self, id: LinkId, corr: &str, cascade: bool) {
+    fn note_deleted(&self, id: LinkId, corr: &Text, cascade: bool) {
         self.journal.emit(Event::LinkDeleted {
             id: id.raw(),
-            corr: corr.to_owned(),
+            corr: corr.clone(),
             cascade,
         });
         self.events.publish_local("link.deleted", || {
             Value::map([
                 ("id", Value::from(id.raw())),
-                ("corr", Value::str(corr)),
+                ("corr", Value::Str(corr.clone())),
                 ("cascade", Value::from(cascade)),
             ])
         });
@@ -830,7 +835,7 @@ impl LinksModule {
             report.deleted.push(link.id);
             // These deletions arrived over a cascade (§4.4) and are
             // forwarded below, so they count as cascading themselves.
-            self.note_deleted(link.id, corr, true);
+            self.note_deleted(link.id, &link.corr, true);
         }
         // Forward the cascade to peers we haven't visited.
         let peers = lifecycle::cascade_peers(
@@ -1000,24 +1005,21 @@ impl LinksModule {
         &self,
         service: &ServiceName,
         method: &str,
-    ) -> SydResult<Vec<(UserId, ServiceName, String)>> {
-        self.store
-            .select(
-                T_METHOD,
-                &Predicate::Eq("src_method".into(), Value::str(method)).and(Predicate::Eq(
-                    "service".into(),
-                    Value::str(service.as_str()),
-                )),
-            )?
-            .iter()
-            .map(|row| {
-                Ok((
-                    UserId::new(row.values[3].as_i64()? as u64),
-                    ServiceName::new(row.values[4].as_str()?),
-                    row.values[5].as_str()?.to_owned(),
-                ))
-            })
-            .collect()
+    ) -> SydResult<Vec<(UserId, ServiceName, Text)>> {
+        let pred = Predicate::Eq("src_method".into(), Value::str(method)).and(Predicate::Eq(
+            "service".into(),
+            Value::str(service.as_str()),
+        ));
+        let mut targets = Vec::new();
+        self.store.visit(T_METHOD, &pred, |row| {
+            targets.push((
+                UserId::new(row[3].as_i64()? as u64),
+                ServiceName::new(row[4].as_text()?),
+                row[5].as_text()?.clone(),
+            ));
+            Ok(())
+        })?;
+        Ok(targets)
     }
 
     /// §4.2 op. 5: "the application programmer has to include a call to
@@ -1048,11 +1050,16 @@ impl LinksModule {
     /// device's `link-expiry` tick runs on the runtime loop.
     pub fn expired(&self) -> SydResult<Vec<LinkId>> {
         let now = self.clock.now().as_micros() as i64;
-        self.store
-            .select(T_LINK, &Predicate::Le("expires".into(), Value::I64(now)))?
-            .iter()
-            .map(|row| Ok(LinkId::new(row.values[0].as_i64()? as u64)))
-            .collect()
+        let mut expired = Vec::new();
+        self.store.visit(
+            T_LINK,
+            &Predicate::Le("expires".into(), Value::I64(now)),
+            |row| {
+                expired.push(LinkId::new(row[0].as_i64()? as u64));
+                Ok(())
+            },
+        )?;
+        Ok(expired)
     }
 
     /// Deletes `expired` with full cascade, so the peers' halves go too —
@@ -1159,7 +1166,7 @@ mod tests {
                 LinkKind::Negotiation(Constraint::Exactly(k)),
             ][rng.below(4) as usize],
             status: [LinkStatus::Permanent, LinkStatus::Tentative][rng.below(2) as usize],
-            entity: rng.string(12),
+            entity: rng.string(12).into(),
             refs: (0..refs)
                 .map(|_| LinkRef::new(UserId::new(rng.any_u64()), rng.string(12), rng.string(24)))
                 .collect(),
@@ -1168,7 +1175,7 @@ mod tests {
             expires: rng
                 .chance(1, 2)
                 .then(|| Timestamp::from_micros(rng.any_u64())),
-            corr: rng.string(20),
+            corr: rng.string(20).into(),
         }
     }
 
@@ -1284,12 +1291,12 @@ mod tests {
             let original = good[at].clone();
             device
                 .store()
-                .update(T_LINK, &by_id, &[(column.to_owned(), defect)])
+                .update(T_LINK, &by_id, &[(column.into(), defect)])
                 .unwrap();
             assert!(links.get(id).is_err(), "defective `{column}` was read");
             device
                 .store()
-                .update(T_LINK, &by_id, &[(column.to_owned(), original)])
+                .update(T_LINK, &by_id, &[(column.into(), original)])
                 .unwrap();
         }
         assert_eq!(links.get(id).unwrap().unwrap().refs.len(), 1);

@@ -150,7 +150,7 @@ impl Listener {
             Some(h) => h(&ctx, &req.args),
             None => Err(SydError::NoSuchService(
                 req.service.clone(),
-                req.method.clone(),
+                req.method.to_string(),
             )),
         }
     }
@@ -179,7 +179,7 @@ mod tests {
             target: UserId::default(),
             credentials,
             service: ServiceName::new(service),
-            method: method.to_owned(),
+            method: method.into(),
             args: vec![Value::I64(5)].into(),
             trace: None,
         }

@@ -49,7 +49,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use syd_telemetry::{Counter, Event, Journal, Registry};
-use syd_types::{ServiceName, SydError, SydResult, UserId, Value};
+use syd_types::{ServiceName, SydError, SydResult, Text, UserId, Value};
 
 use crate::engine::{Call, SydEngine};
 use crate::links::Constraint;
@@ -68,7 +68,7 @@ pub struct Participant {
     /// The user whose device holds the entity.
     pub user: UserId,
     /// The entity to change (e.g. `"slot:4:14"`).
-    pub entity: String,
+    pub entity: Text,
     /// Application-defined change payload handed to the participant's
     /// [`crate::device::EntityHandler`]: what the mark (and an abort)
     /// carries, and the commit too unless the caller builds the commit
@@ -78,7 +78,7 @@ pub struct Participant {
 
 impl Participant {
     /// Builds a participant.
-    pub fn new(user: UserId, entity: impl Into<String>, change: Value) -> Self {
+    pub fn new(user: UserId, entity: impl Into<Text>, change: Value) -> Self {
         Participant {
             user,
             entity: entity.into(),

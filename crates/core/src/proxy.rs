@@ -28,7 +28,7 @@ use std::sync::Arc;
 use syd_crypto::Authenticator;
 use syd_net::{EventSink, Node, RequestHandler, Transport};
 use syd_types::sync::{Mutex, RwLock};
-use syd_types::{Clock, NodeAddr, ServiceName, SydError, SydResult, UserId, Value};
+use syd_types::{Clock, NodeAddr, ServiceName, SydError, SydResult, Text, UserId, Value};
 use syd_wire::{EventMsg, Request};
 
 use crate::device::DeviceRuntime;
@@ -51,7 +51,7 @@ struct Replica {
     /// Row ops performed while acting for the user, to be replayed by the
     /// primary on reconnect.
     journal: Mutex<Vec<Value>>,
-    methods: HashMap<(String, String), ProxyMethod>,
+    methods: HashMap<(ServiceName, Text), ProxyMethod>,
 }
 
 thread_local! {
@@ -166,7 +166,7 @@ impl ProxyHost {
         let methods_list = setup(&store)?;
         let mut methods = HashMap::new();
         for ((service, method), handler) in methods_list {
-            methods.insert((service.as_str().to_owned(), method), handler);
+            methods.insert((service, method.into()), handler);
         }
         let replica = Arc::new(Replica {
             store: store.clone(),
@@ -287,9 +287,9 @@ fn serve(inner: &Arc<ProxyInner>, from: NodeAddr, req: &Request) -> SydResult<Va
     drop(replicas);
     let handler = replica
         .methods
-        .get(&(req.service.as_str().to_owned(), req.method.clone()))
+        .get(&(req.service.clone(), req.method.clone()))
         .cloned()
-        .ok_or_else(|| SydError::NoSuchService(req.service.clone(), req.method.clone()))?;
+        .ok_or_else(|| SydError::NoSuchService(req.service.clone(), req.method.to_string()))?;
     inner.served.inc();
     handler(&ctx, &replica.store, &req.args)
 }
@@ -342,7 +342,7 @@ pub fn apply_op_to_store(store: &Store, op: &Value) -> SydResult<()> {
         let mut conj = Vec::new();
         for (i, &col_idx) in schema.primary_key.iter().enumerate() {
             conj.push(Predicate::Eq(
-                schema.columns[col_idx].name.clone(),
+                schema.columns[col_idx].name.as_str().into(),
                 key[i].clone(),
             ));
         }

@@ -264,12 +264,12 @@ impl Dispatcher {
             id: syd_types::LinkId::new(0),
             kind: syd_core::links::LinkKind::Subscription,
             status: syd_core::links::LinkStatus::Permanent,
-            entity: POSITION_ENTITY.to_owned(),
+            entity: POSITION_ENTITY.into(),
             refs: vec![LinkRef::new(self.user(), "fleet-board", "position_report")],
             priority: syd_types::Priority::NORMAL,
             created: self.device.clock().now(),
             expires: None,
-            corr: format!("track:{}:{}", self.user().raw(), vehicle.raw()),
+            corr: format!("track:{}:{}", self.user().raw(), vehicle.raw()).into(),
         };
         self.device.engine().invoke(
             vehicle,

@@ -155,7 +155,7 @@ impl LifecycleModel {
     fn deleted(id: u64) -> Event {
         Event::LinkDeleted {
             id,
-            corr: CORR_ROOT.to_owned(),
+            corr: CORR_ROOT.into(),
             cascade: true,
         }
     }
@@ -283,7 +283,7 @@ impl Model for LifecycleModel {
                         links.push(LinkRecord {
                             id: 1,
                             tentative: false,
-                            corr: CORR_ROOT.to_owned(),
+                            corr: CORR_ROOT.into(),
                         });
                     }
                     for entry in Self::waiting_entries() {
@@ -292,7 +292,7 @@ impl Model for LifecycleModel {
                         links.push(LinkRecord {
                             id,
                             tentative: !promoted,
-                            corr: format!("corr:w{id}"),
+                            corr: format!("corr:w{id}").into(),
                         });
                     }
                     if state.promoted {
@@ -314,7 +314,7 @@ impl Model for LifecycleModel {
                     links.push(LinkRecord {
                         id: Self::peer_link(i),
                         tentative: false,
-                        corr: CORR_ROOT.to_owned(),
+                        corr: CORR_ROOT.into(),
                     });
                 }
                 DeviceState {

@@ -928,7 +928,7 @@ impl Model for NegotiationModel {
                 let locks = match state.holders[i] {
                     Some((holder, _)) => vec![HeldLock {
                         session: self.sid(holder as usize),
-                        entity: entity(i),
+                        entity: entity(i).into(),
                     }],
                     None => Vec::new(),
                 };

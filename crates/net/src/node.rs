@@ -373,7 +373,7 @@ impl Node {
             target,
             credentials,
             service: service.clone(),
-            method: method.to_owned(),
+            method: method.into(),
             args: args.into(),
             trace: Some(TraceContext {
                 trace_id: span.trace,
@@ -408,7 +408,7 @@ impl Node {
                 self.shared.addr,
                 dst,
                 Payload::Event(EventMsg {
-                    topic: topic.to_owned(),
+                    topic: topic.into(),
                     source,
                     payload,
                 }),
@@ -488,7 +488,7 @@ fn dispatch_event(shared: &Arc<NodeShared>, event: TransportEvent) {
                 let served_start = syd_trace::now_us();
                 let result = match handler {
                     Some(h) => h.handle(from, req),
-                    None => Err(SydError::NoSuchService(req.service, req.method)),
+                    None => Err(SydError::NoSuchService(req.service, req.method.to_string())),
                 };
                 // Server view of the RPC: same span id as the client's
                 // `rpc.client`, parent 0 (the assembler merges the two

@@ -236,6 +236,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
     use std::sync::Arc;
+    use syd_types::sync::Condvar;
 
     #[test]
     fn executes_jobs() {
@@ -278,27 +279,57 @@ mod tests {
         assert_eq!(rx.recv_timeout(Duration::from_secs(2)).unwrap(), None);
     }
 
+    /// Frees the jobs parked on its channel and shuts the pool down when it
+    /// goes out of scope — on a failed assertion's unwind as on success —
+    /// so a failing test leaves no worker parked behind it.
+    struct ReleaseParked<'a> {
+        pool: &'a WorkerPool,
+        release: Option<Sender<()>>,
+    }
+
+    impl Drop for ReleaseParked<'_> {
+        fn drop(&mut self) {
+            drop(self.release.take());
+            self.pool.shutdown();
+        }
+    }
+
     #[test]
     fn grows_under_blocking_load() {
         let pool = WorkerPool::new("t", 16, Duration::from_millis(100));
         let (release_tx, release_rx) = queue::channel::<()>();
-        let started = Arc::new(AtomicU32::new(0));
+        let _release = ReleaseParked {
+            pool: &pool,
+            release: Some(release_tx),
+        };
+        let started = Arc::new((Mutex::new(0u32), Condvar::new()));
         // 8 jobs that all block until released: pool must grow past 1 worker.
         for _ in 0..8 {
             let rx = release_rx.clone();
             let started = Arc::clone(&started);
             pool.execute(move || {
-                started.fetch_add(1, Ordering::SeqCst);
+                *started.0.lock() += 1;
+                started.1.notify_all();
                 let _ = rx.recv();
             });
         }
-        let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        while started.load(Ordering::SeqCst) < 8 {
-            assert!(std::time::Instant::now() < deadline, "pool failed to grow");
-            std::thread::yield_now();
+        // Woken by each start, not spinning. The deadline is generous: a
+        // loaded host is slow to start threads, and only a pool that does
+        // not grow misses it.
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        let (count, cv) = &*started;
+        let mut n = count.lock();
+        while *n < 8 {
+            let left = deadline.saturating_duration_since(std::time::Instant::now());
+            assert!(
+                !left.is_zero(),
+                "pool failed to grow: {} of 8 jobs started",
+                *n
+            );
+            n = cv.wait_timeout(n, left).0;
         }
+        drop(n);
         assert!(pool.peak_workers() >= 8);
-        drop(release_tx);
     }
 
     #[test]

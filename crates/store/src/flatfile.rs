@@ -137,7 +137,7 @@ fn field_to_cell(raw: &str, column: &Column) -> SydResult<Value> {
                 .parse()
                 .map_err(|_| SydError::App(format!("`{field}` is not an f64")))?,
         ),
-        ColumnType::Str => Value::Str(field.to_owned()),
+        ColumnType::Str => Value::str(field.as_str()),
         _ => unreachable!("parse_type admits scalars only"),
     })
 }
@@ -382,7 +382,7 @@ mod proptests {
                     continue; // keyed table: skip duplicate keys
                 }
                 store
-                    .insert("t", vec![Value::I64(k), Value::Str(s), Value::Bool(b)])
+                    .insert("t", vec![Value::I64(k), Value::str(s), Value::Bool(b)])
                     .unwrap();
             }
             let text = export_table(&store, "t").unwrap();

@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use syd_types::sync::{Condvar, Mutex};
-use syd_types::{SydError, SydResult, Value};
+use syd_types::{SydError, SydResult, Text, Value};
 
 use crate::key::OrdValue;
 
@@ -24,14 +24,14 @@ use crate::key::OrdValue;
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub struct LockKey {
     /// Table name.
-    pub table: String,
+    pub table: Text,
     /// Key values (usually the primary key).
     pub key: Vec<OrdValue>,
 }
 
 impl LockKey {
     /// Builds a lock key from a table name and key values.
-    pub fn new(table: impl Into<String>, key: impl IntoIterator<Item = Value>) -> Self {
+    pub fn new(table: impl Into<Text>, key: impl IntoIterator<Item = Value>) -> Self {
         LockKey {
             table: table.into(),
             key: key.into_iter().map(OrdValue).collect(),

@@ -4,7 +4,7 @@
 //! done at evaluation time and cached per query execution by the table
 //! layer) and evaluated per row with no allocation.
 
-use syd_types::{SydResult, Value};
+use syd_types::{SydResult, Text, Value};
 
 use crate::schema::Schema;
 
@@ -14,23 +14,23 @@ pub enum Predicate {
     /// Always true (full scan).
     True,
     /// `column = value` (total-order equality, so `I64(2) = F64(2.0)`).
-    Eq(String, Value),
+    Eq(Text, Value),
     /// `column != value`.
-    Ne(String, Value),
+    Ne(Text, Value),
     /// `column < value`.
-    Lt(String, Value),
+    Lt(Text, Value),
     /// `column <= value`.
-    Le(String, Value),
+    Le(Text, Value),
     /// `column > value`.
-    Gt(String, Value),
+    Gt(Text, Value),
     /// `column >= value`.
-    Ge(String, Value),
+    Ge(Text, Value),
     /// `low <= column <= high` (inclusive both ends).
-    Between(String, Value, Value),
+    Between(Text, Value, Value),
     /// `column IN (values…)`.
-    In(String, Vec<Value>),
+    In(Text, Vec<Value>),
     /// `column IS NULL`.
-    IsNull(String),
+    IsNull(Text),
     /// Conjunction; empty = true.
     And(Vec<Predicate>),
     /// Disjunction; empty = false.

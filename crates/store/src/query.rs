@@ -1,6 +1,6 @@
 //! Fluent query builder: filter / order-by / limit over one table.
 
-use syd_types::{SydResult, Value};
+use syd_types::{SydResult, Text, Value};
 
 use crate::predicate::Predicate;
 use crate::store::Store;
@@ -11,7 +11,7 @@ use crate::table::Row;
 #[must_use = "queries do nothing until run"]
 pub struct Query {
     store: Store,
-    table: String,
+    table: Text,
     pred: Predicate,
     order_by: Option<(String, bool)>,
     limit: Option<usize>,
@@ -21,7 +21,7 @@ impl Query {
     pub(crate) fn new(store: Store, table: &str) -> Query {
         Query {
             store,
-            table: table.to_owned(),
+            table: table.into(),
             pred: Predicate::True,
             order_by: None,
             limit: None,
@@ -79,15 +79,21 @@ impl Query {
         self.store.count(&self.table, &self.pred)
     }
 
-    /// Executes and projects a single column.
+    /// Executes and projects a single column. Without an order or a limit
+    /// the values come in visiting order (key order over a primary-key or
+    /// index range, row order otherwise) and no row is collected on the way.
     pub fn column(self, column: &str) -> SydResult<Vec<Value>> {
-        let schema = self.store.schema_of(&self.table)?;
-        let idx = schema.column_index(column)?;
-        Ok(self
-            .run()?
-            .iter()
-            .map(|row| row.values[idx].clone())
-            .collect())
+        let idx = self.store.schema_of(&self.table)?.column_index(column)?;
+        if self.order_by.is_some() || self.limit.is_some() {
+            let rows = self.run()?;
+            return Ok(rows.iter().map(|row| row.values[idx].clone()).collect());
+        }
+        let mut out = Vec::new();
+        self.store.visit(&self.table, &self.pred, |row| {
+            out.push(row[idx].clone());
+            Ok(())
+        })?;
+        Ok(out)
     }
 }
 

@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use syd_types::sync::RwLock;
-use syd_types::{SydError, SydResult, Value};
+use syd_types::{SydError, SydResult, Text, Value};
 
 use crate::lock::LockManager;
 use crate::predicate::Predicate;
@@ -245,6 +245,21 @@ impl Store {
         t.select(pred)
     }
 
+    /// Visits the cells of each row matching `pred` in place, under the
+    /// table's read latch, and collects nothing. Key and index ranges
+    /// visit in key order, scans in [`RowId`] order; the first error `f`
+    /// returns ends the visit. `f` must not touch the store.
+    pub fn visit(
+        &self,
+        table: &str,
+        pred: &Predicate,
+        mut f: impl FnMut(&[Value]) -> SydResult<()>,
+    ) -> SydResult<()> {
+        let handle = self.table_handle(table)?;
+        let t = handle.read();
+        t.visit(pred, |_, values| f(values))
+    }
+
     /// Number of rows matching `pred`.
     pub fn count(&self, table: &str, pred: &Predicate) -> SydResult<usize> {
         let handle = self.table_handle(table)?;
@@ -276,7 +291,7 @@ impl Store {
         &self,
         table: &str,
         pred: &Predicate,
-        assignments: &[(String, Value)],
+        assignments: &[(Text, Value)],
     ) -> SydResult<usize> {
         Ok(self.update_collect(table, pred, assignments)?.len())
     }
@@ -286,7 +301,7 @@ impl Store {
         &self,
         table: &str,
         pred: &Predicate,
-        assignments: &[(String, Value)],
+        assignments: &[(Text, Value)],
     ) -> SydResult<Vec<RowChange>> {
         let handle = self.table_handle(table)?;
         let (schema, changes) = {
@@ -328,7 +343,13 @@ impl Store {
                     None,
                 )?;
             }
-            let changes = t.delete(pred)?;
+            let changes: Vec<RowChange> = matching
+                .into_iter()
+                .map(|row| {
+                    t.remove_by_id(row.id);
+                    RowChange::Deleted(row.id, row.values)
+                })
+                .collect();
             (schema, changes)
         };
         self.fire_after(&schema, table, &changes)?;
@@ -423,6 +444,43 @@ mod tests {
             .unwrap();
         assert_eq!(n, 1);
         assert_eq!(store.row_count("slots").unwrap(), 1);
+    }
+
+    /// A key range visits in key order and collects nothing; `select` over
+    /// the same range still answers in row order; the first error of the
+    /// visitor ends the visit.
+    #[test]
+    fn visit_reads_in_key_order_and_select_in_row_order() {
+        let store = store_with_slots();
+        for day in [5, 3, 9, 1] {
+            store
+                .insert("slots", vec![Value::I64(day), Value::str("x")])
+                .unwrap();
+        }
+        let range = Predicate::Between("day".into(), Value::I64(2), Value::I64(9));
+        let mut days = Vec::new();
+        store
+            .visit("slots", &range, |row| {
+                days.push(row[0].as_i64()?);
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(days, [3, 5, 9]);
+        let selected: Vec<i64> = store
+            .select("slots", &range)
+            .unwrap()
+            .iter()
+            .map(|row| row.values[0].as_i64().unwrap())
+            .collect();
+        assert_eq!(selected, [5, 3, 9]);
+        assert_eq!(store.count("slots", &range).unwrap(), 3);
+        let mut seen = 0;
+        let err = store.visit("slots", &Predicate::True, |_| {
+            seen += 1;
+            Err(SydError::App("stop".into()))
+        });
+        assert!(err.is_err());
+        assert_eq!(seen, 1);
     }
 
     #[test]
@@ -579,7 +637,7 @@ mod tests {
                 },
             ))
             .unwrap();
-        let tent = [("status".to_owned(), Value::str("tent"))];
+        let tent = [("status".into(), Value::str("tent"))];
         let err = store.update("slots", &Predicate::True, &tent).unwrap_err();
         assert!(err.to_string().contains("day 3 is locked"), "{err}");
         // The veto fell on the last of three rows; none of them changed.

@@ -8,7 +8,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Bound;
 use std::sync::Arc;
 
-use syd_types::{SydError, SydResult, Value};
+use syd_types::{SydError, SydResult, Text, Value};
 
 use crate::key::OrdValue;
 use crate::predicate::Predicate;
@@ -188,15 +188,27 @@ impl Table {
         id.and_then(|&id| self.get(id))
     }
 
-    /// Row ids matching `pred`, using the primary-key map or a secondary
-    /// index when the predicate constrains a keyed/indexed column,
-    /// otherwise scanning. Each bound is one cell on the stack: the maps
-    /// are searched through `&[OrdValue]` / `&OrdValue`, no key vector.
-    fn candidates(&self, pred: &Predicate) -> SydResult<Vec<RowId>> {
+    /// Visits every row matching `pred` in place: through the primary-key
+    /// map or a secondary index when the predicate bounds a keyed or
+    /// indexed column, otherwise by scanning. Key and index ranges visit in
+    /// key order, a scan in [`RowId`] order. Nothing is collected: each
+    /// bound is one cell on the stack, and the maps are searched through
+    /// `&[OrdValue]` / `&OrdValue`.
+    pub(crate) fn visit(
+        &self,
+        pred: &Predicate,
+        mut f: impl FnMut(RowId, &Arc<[Value]>) -> SydResult<()>,
+    ) -> SydResult<()> {
         fn bound<T: ?Sized>(key: Option<&T>) -> Bound<&T> {
             key.map_or(Bound::Unbounded, Bound::Included)
         }
         let cell = |v: &Value| [OrdValue(v.clone())];
+        let mut check = |row_id: RowId, values: &Arc<[Value]>| {
+            if pred.eval(&self.schema, values)? {
+                f(row_id, values)?;
+            }
+            Ok(())
+        };
         // Single-column primary keys serve equality/range directly from
         // the key map.
         if let [pk_idx] = self.schema.primary_key[..] {
@@ -207,13 +219,10 @@ impl Table {
                     bound(lo.as_ref().map(|k| &k[..])),
                     bound(hi.as_ref().map(|k| &k[..])),
                 );
-                let mut ids: Vec<RowId> = self
-                    .pk_map
-                    .range::<[OrdValue], _>(range)
-                    .map(|(_, &id)| id)
-                    .collect();
-                ids.sort_unstable();
-                return Ok(ids);
+                for (_, &row_id) in self.pk_map.range::<[OrdValue], _>(range) {
+                    check(row_id, &self.rows[&row_id])?;
+                }
+                return Ok(());
             }
         }
         for (col, index) in &self.indexes {
@@ -223,38 +232,40 @@ impl Table {
                     bound(lo.as_ref().map(|k| &k[0])),
                     bound(hi.as_ref().map(|k| &k[0])),
                 );
-                let mut ids = Vec::new();
                 for (_, set) in index.range::<OrdValue, _>(range) {
-                    ids.extend(set.iter().copied());
+                    for &row_id in set {
+                        check(row_id, &self.rows[&row_id])?;
+                    }
                 }
-                ids.sort_unstable();
-                return Ok(ids);
+                return Ok(());
             }
         }
-        Ok(self.rows.keys().copied().collect())
+        for (&row_id, values) in &self.rows {
+            check(row_id, values)?;
+        }
+        Ok(())
     }
 
+    /// Rows matching `pred`, in [`RowId`] order.
     pub(crate) fn select(&self, pred: &Predicate) -> SydResult<Vec<Row>> {
         let mut out = Vec::new();
-        for row_id in self.candidates(pred)? {
-            let values = &self.rows[&row_id];
-            if pred.eval(&self.schema, values)? {
-                out.push(Row {
-                    id: row_id,
-                    values: Arc::clone(values),
-                });
-            }
-        }
+        self.visit(pred, |id, values| {
+            out.push(Row {
+                id,
+                values: Arc::clone(values),
+            });
+            Ok(())
+        })?;
+        out.sort_unstable_by_key(|row| row.id);
         Ok(out)
     }
 
     pub(crate) fn count(&self, pred: &Predicate) -> SydResult<usize> {
         let mut n = 0;
-        for row_id in self.candidates(pred)? {
-            if pred.eval(&self.schema, &self.rows[&row_id])? {
-                n += 1;
-            }
-        }
+        self.visit(pred, |_, _| {
+            n += 1;
+            Ok(())
+        })?;
         Ok(n)
     }
 
@@ -268,7 +279,7 @@ impl Table {
     pub(crate) fn update(
         &mut self,
         pred: &Predicate,
-        assignments: &[(String, Value)],
+        assignments: &[(Text, Value)],
         mut before: impl FnMut(&[Value], &[Value]) -> SydResult<()>,
     ) -> SydResult<Vec<RowChange>> {
         // Resolve and type-check assignments once.
@@ -289,11 +300,7 @@ impl Table {
 
         let mut changes = Vec::new();
         let mut claimed = BTreeSet::new();
-        for row_id in self.candidates(pred)? {
-            let old = &self.rows[&row_id];
-            if !pred.eval(&self.schema, old)? {
-                continue;
-            }
+        self.visit(pred, |row_id, old| {
             // One clone per cell; of two assignments to a column the later
             // wins, as if they were applied in order.
             let new: Arc<[Value]> = old
@@ -319,7 +326,8 @@ impl Table {
             }
             before(old, &new)?;
             changes.push(RowChange::Updated(row_id, Arc::clone(old), new));
-        }
+            Ok(())
+        })?;
         for change in &changes {
             if let RowChange::Updated(row_id, _, new) = change {
                 self.set_row(*row_id, Arc::clone(new));
@@ -343,19 +351,6 @@ impl Table {
             self.pk_map.insert(self.pk_of(&values), row_id);
         }
         self.reindex(row_id, old.as_deref(), Some(&values));
-    }
-
-    /// Deletes rows matching `pred`; returns the deleted rows.
-    pub(crate) fn delete(&mut self, pred: &Predicate) -> SydResult<Vec<RowChange>> {
-        let mut changes = Vec::new();
-        for row_id in self.candidates(pred)? {
-            if pred.eval(&self.schema, &self.rows[&row_id])? {
-                if let Some(old) = self.remove_by_id(row_id) {
-                    changes.push(RowChange::Deleted(row_id, old));
-                }
-            }
-        }
-        Ok(changes)
     }
 
     pub(crate) fn remove_by_id(&mut self, row_id: RowId) -> Option<Arc<[Value]>> {
@@ -495,10 +490,11 @@ mod tests {
         let mut t = table();
         t.insert(row(1, "x")).unwrap();
         t.insert(row(2, "y")).unwrap();
-        let changes = t
-            .delete(&Predicate::Eq("day".into(), Value::I64(1)))
+        let gone = t
+            .select(&Predicate::Eq("day".into(), Value::I64(1)))
             .unwrap();
-        assert_eq!(changes.len(), 1);
+        assert_eq!(gone.len(), 1);
+        assert_eq!(t.remove_by_id(gone[0].id), Some(row(1, "x")));
         assert_eq!(t.len(), 1);
         assert!(t.get_by_key(&[Value::I64(1)]).is_none());
         // PK is free for reuse after delete.
@@ -543,8 +539,7 @@ mod tests {
             .select(&Predicate::Eq("n".into(), Value::I64(1000)))
             .unwrap();
         assert_eq!(got.len(), 1);
-        t.delete(&Predicate::Eq("n".into(), Value::I64(1000)))
-            .unwrap();
+        t.remove_by_id(got[0].id).unwrap();
         assert_eq!(
             t.count(&Predicate::Eq("n".into(), Value::I64(1000)))
                 .unwrap(),

@@ -19,7 +19,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use syd_types::{SydResult, Value};
+use syd_types::{SydResult, Text, Value};
 
 use crate::lock::LockKey;
 use crate::predicate::Predicate;
@@ -32,16 +32,16 @@ pub type TxnId = u64;
 #[derive(Debug)]
 enum Undo {
     Insert {
-        table: String,
+        table: Text,
         row_id: RowId,
     },
     Update {
-        table: String,
+        table: Text,
         row_id: RowId,
         old: Arc<[Value]>,
     },
     Delete {
-        table: String,
+        table: Text,
         row_id: RowId,
         old: Arc<[Value]>,
     },
@@ -122,7 +122,7 @@ impl Txn {
         }
         let row_id = self.store.insert(table, values)?;
         self.undo.push(Undo::Insert {
-            table: table.to_owned(),
+            table: table.into(),
             row_id,
         });
         Ok(row_id)
@@ -138,7 +138,7 @@ impl Txn {
         &mut self,
         table: &str,
         pred: &Predicate,
-        assignments: &[(String, Value)],
+        assignments: &[(Text, Value)],
     ) -> SydResult<usize> {
         // Lock every matching row first, then re-apply the predicate inside
         // the store so rows that changed after the read are re-tested.
@@ -148,7 +148,7 @@ impl Txn {
         for change in changes {
             if let RowChange::Updated(row_id, old, _) = change {
                 self.undo.push(Undo::Update {
-                    table: table.to_owned(),
+                    table: table.into(),
                     row_id,
                     old,
                 });
@@ -165,7 +165,7 @@ impl Txn {
         for change in changes {
             if let RowChange::Deleted(row_id, old) = change {
                 self.undo.push(Undo::Delete {
-                    table: table.to_owned(),
+                    table: table.into(),
                     row_id,
                     old,
                 });

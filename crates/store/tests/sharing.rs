@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use syd_store::{Column, ColumnType, Predicate, Row, Schema, Store, Trigger, TriggerEvent};
-use syd_types::Value;
+use syd_types::{Text, Value};
 
 fn store() -> Store {
     let store = Store::new();
@@ -44,7 +44,7 @@ fn read(store: &Store, day: i64) -> Row {
         .unwrap()
 }
 
-fn set_status(status: &str) -> [(String, Value); 1] {
+fn set_status(status: &str) -> [(Text, Value); 1] {
     [("status".into(), Value::str(status))]
 }
 

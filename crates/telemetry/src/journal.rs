@@ -18,7 +18,7 @@ use crate::export::json_escape;
 use std::collections::VecDeque;
 use std::fmt;
 use syd_types::sync::Mutex;
-use syd_types::Constraint;
+use syd_types::{Constraint, Text};
 
 /// The coarse class of a record: the column `dump()` and `to_jsonl()`
 /// print beside the line. Derived from the [`Event`], except for notes,
@@ -85,14 +85,14 @@ pub enum Event {
         /// Negotiation session id.
         session: u64,
         /// Locked entity.
-        entity: String,
+        entity: Text,
     },
     /// Participant answered a mark request.
     Vote {
         /// Negotiation session id.
         session: u64,
         /// Marked entity.
-        entity: String,
+        entity: Text,
         /// The answer.
         vote: Vote,
     },
@@ -101,7 +101,7 @@ pub enum Event {
         /// Negotiation session id.
         session: u64,
         /// Changed entity.
-        entity: String,
+        entity: Text,
         /// Whether the entity handler applied the change.
         applied: bool,
     },
@@ -111,7 +111,7 @@ pub enum Event {
         /// Negotiation session id.
         session: u64,
         /// Released entity.
-        entity: String,
+        entity: Text,
         /// Why (`coordinator-abort`, `stale-sweep`).
         reason: &'static str,
     },
@@ -178,7 +178,7 @@ pub enum Event {
         /// The deleted link.
         id: u64,
         /// Correlation id of the connection.
-        corr: String,
+        corr: Text,
         /// Whether the deletion cascades to peers.
         cascade: bool,
     },
@@ -193,13 +193,13 @@ pub enum Event {
 
 impl Event {
     /// A [`Event::Lock`] record.
-    pub fn lock(session: u64, entity: impl Into<String>) -> Event {
+    pub fn lock(session: u64, entity: impl Into<Text>) -> Event {
         let entity = entity.into();
         Event::Lock { session, entity }
     }
 
     /// A [`Event::Vote`] record.
-    pub fn vote(session: u64, entity: impl Into<String>, vote: Vote) -> Event {
+    pub fn vote(session: u64, entity: impl Into<Text>, vote: Vote) -> Event {
         let entity = entity.into();
         Event::Vote {
             session,
@@ -209,7 +209,7 @@ impl Event {
     }
 
     /// A [`Event::Commit`] record.
-    pub fn commit(session: u64, entity: impl Into<String>, applied: bool) -> Event {
+    pub fn commit(session: u64, entity: impl Into<Text>, applied: bool) -> Event {
         let entity = entity.into();
         Event::Commit {
             session,
@@ -219,7 +219,7 @@ impl Event {
     }
 
     /// A [`Event::Release`] record.
-    pub fn release(session: u64, entity: impl Into<String>, reason: &'static str) -> Event {
+    pub fn release(session: u64, entity: impl Into<Text>, reason: &'static str) -> Event {
         let entity = entity.into();
         Event::Release {
             session,

@@ -204,7 +204,7 @@ mod prop_tests {
             0 => Value::Null,
             1 => Value::I64(rng.any_u64() as i64),
             2 => Value::Bool(rng.chance(1, 2)),
-            3 => Value::Str(rng.string(40)),
+            3 => Value::str(rng.string(40)),
             _ => Value::Bytes(rng.bytes(63)),
         };
         let payload = if rng.chance(1, 2) {
@@ -214,13 +214,13 @@ mod prop_tests {
                 target: UserId::default(),
                 credentials: vec![],
                 service: ServiceName::new("svc"),
-                method: arb_name(rng, b"abcdefghijklmnopqrstuvwxyz", 12),
+                method: arb_name(rng, b"abcdefghijklmnopqrstuvwxyz", 12).into(),
                 args: vec![value].into(),
                 trace: None,
             })
         } else {
             Payload::Event(EventMsg {
-                topic: arb_name(rng, b"abcdefghijklmnopqrstuvwxyz.", 16),
+                topic: arb_name(rng, b"abcdefghijklmnopqrstuvwxyz.", 16).into(),
                 source: UserId::new(rng.any_u64()),
                 payload: value,
             })

@@ -65,7 +65,7 @@ fn fifo_order_preserved_with_fixed_latency() {
     for i in 0..50 {
         let env = b.recv_timeout(Duration::from_secs(1)).unwrap();
         match env.payload {
-            Payload::Event(ev) => assert_eq!(ev.topic, format!("e{i}")),
+            Payload::Event(ev) => assert_eq!(ev.topic.as_str(), format!("e{i}")),
             other => panic!("unexpected payload {other:?}"),
         }
     }
@@ -389,7 +389,7 @@ mod in_flight {
 
     fn topic(env: Envelope) -> String {
         match env.payload {
-            Payload::Event(ev) => ev.topic,
+            Payload::Event(ev) => ev.topic.to_string(),
             other => panic!("unexpected payload {other:?}"),
         }
     }

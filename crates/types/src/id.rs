@@ -6,6 +6,8 @@
 
 use core::fmt;
 
+use crate::text::Text;
+
 macro_rules! numeric_id {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
@@ -123,16 +125,15 @@ impl fmt::Display for NodeAddr {
 /// Name of a published SyD service, e.g. `"calendar"` or `"mailbox"`.
 ///
 /// A service name plus a method name addresses one remotely invocable
-/// operation, mirroring the paper's `SyDListener` registrations. Names are
-/// interned as owned strings; they are small and cloned rarely (once per
-/// registration/lookup, never per message — messages carry them by value in
-/// the wire envelope).
+/// operation, mirroring the paper's `SyDListener` registrations. A name is
+/// a [`Text`]: every request carries one, and a short one is copied and
+/// decoded without touching the heap.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ServiceName(String);
+pub struct ServiceName(Text);
 
 impl ServiceName {
     /// Creates a service name.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: impl Into<Text>) -> Self {
         Self(name.into())
     }
 
@@ -151,19 +152,19 @@ impl fmt::Debug for ServiceName {
 
 impl fmt::Display for ServiceName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(self.as_str())
     }
 }
 
 impl From<&str> for ServiceName {
     fn from(s: &str) -> Self {
-        Self(s.to_owned())
+        Self(s.into())
     }
 }
 
 impl From<String> for ServiceName {
     fn from(s: String) -> Self {
-        Self(s)
+        Self(s.into())
     }
 }
 

@@ -10,8 +10,9 @@
 //! The crate depends on nothing but `std`: it must be usable from the
 //! lowest substrate (the wire codec) upward, and it is where the
 //! workspace keeps the few primitives it would otherwise import — locks
-//! that ignore poisoning ([`sync`]), the one channel ([`queue`]) and the
-//! one seeded generator with its property-test runner ([`rng`]).
+//! that ignore poisoning ([`sync`]), the one channel ([`queue`]), the
+//! one seeded generator with its property-test runner ([`rng`]) and the
+//! string every name travels as, inline when short ([`Text`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,6 +25,7 @@ pub mod priority;
 pub mod queue;
 pub mod rng;
 pub mod sync;
+pub mod text;
 pub mod time;
 pub mod value;
 
@@ -32,5 +34,6 @@ pub use constraint::Constraint;
 pub use error::{SydError, SydResult};
 pub use id::{DeviceId, GroupId, LinkId, MeetingId, NodeAddr, RequestId, ServiceName, UserId};
 pub use priority::Priority;
+pub use text::Text;
 pub use time::{Clock, Day, SimClock, SlotIndex, SlotRange, SystemClock, TimeSlot, Timestamp};
 pub use value::Value;

@@ -12,6 +12,7 @@ use core::fmt;
 use std::collections::BTreeMap;
 
 use crate::error::{SydError, SydResult};
+use crate::text::Text;
 
 /// A self-describing dynamic value.
 ///
@@ -31,19 +32,19 @@ pub enum Value {
     I64(i64),
     /// 64-bit float.
     F64(f64),
-    /// UTF-8 string.
-    Str(String),
+    /// UTF-8 string; short ones inline ([`Text`]).
+    Str(Text),
     /// Opaque byte blob (e.g. encrypted credentials).
     Bytes(Vec<u8>),
     /// Ordered list of values.
     List(Vec<Value>),
     /// String-keyed map with canonical (sorted) key order.
-    Map(BTreeMap<String, Value>),
+    Map(BTreeMap<Text, Value>),
 }
 
 impl Value {
     /// Shorthand for a string value.
-    pub fn str(s: impl Into<String>) -> Self {
+    pub fn str(s: impl Into<Text>) -> Self {
         Value::Str(s.into())
     }
 
@@ -52,14 +53,15 @@ impl Value {
         Value::List(items.into_iter().collect())
     }
 
-    /// Shorthand for a map value from `(key, value)` pairs.
+    /// Shorthand for a map value from `(key, value)` pairs; a later pair
+    /// replaces an earlier one with the same key. Inserted one by one, not
+    /// collected: `BTreeMap::from_iter` sorts through a scratch `Vec` first.
     pub fn map(entries: impl IntoIterator<Item = (&'static str, Value)>) -> Self {
-        Value::Map(
-            entries
-                .into_iter()
-                .map(|(k, v)| (k.to_owned(), v))
-                .collect(),
-        )
+        let mut map = BTreeMap::new();
+        for (k, v) in entries {
+            map.insert(Text::from(k), v);
+        }
+        Value::Map(map)
     }
 
     /// Human-readable name of the variant, used in type-mismatch errors.
@@ -108,6 +110,12 @@ impl Value {
 
     /// Extracts a string slice, or a type-mismatch error.
     pub fn as_str(&self) -> SydResult<&str> {
+        self.as_text().map(Text::as_str)
+    }
+
+    /// Extracts the [`Text`] itself — cloning it copies no heap bytes —
+    /// or a type-mismatch error.
+    pub fn as_text(&self) -> SydResult<&Text> {
         match self {
             Value::Str(s) => Ok(s),
             other => Err(SydError::type_mismatch("str", other.type_name())),
@@ -131,7 +139,7 @@ impl Value {
     }
 
     /// Extracts a map reference, or a type-mismatch error.
-    pub fn as_map(&self) -> SydResult<&BTreeMap<String, Value>> {
+    pub fn as_map(&self) -> SydResult<&BTreeMap<Text, Value>> {
         match self {
             Value::Map(m) => Ok(m),
             other => Err(SydError::type_mismatch("map", other.type_name())),
@@ -144,14 +152,6 @@ impl Value {
         self.as_map()?
             .get(key)
             .ok_or_else(|| SydError::Protocol(format!("missing map key `{key}`")))
-    }
-
-    /// Consumes the value, extracting an owned `String`.
-    pub fn into_string(self) -> SydResult<String> {
-        match self {
-            Value::Str(s) => Ok(s),
-            other => Err(SydError::type_mismatch("str", other.type_name())),
-        }
     }
 
     /// Consumes the value, extracting an owned list.
@@ -297,12 +297,18 @@ impl From<f64> for Value {
 
 impl From<&str> for Value {
     fn from(s: &str) -> Self {
-        Value::Str(s.to_owned())
+        Value::Str(s.into())
     }
 }
 
 impl From<String> for Value {
     fn from(s: String) -> Self {
+        Value::Str(s.into())
+    }
+}
+
+impl From<Text> for Value {
+    fn from(s: Text) -> Self {
         Value::Str(s)
     }
 }
@@ -360,13 +366,11 @@ mod tests {
 
     #[test]
     fn into_owned_extractors() {
-        assert_eq!(Value::str("s").into_string().unwrap(), "s");
         assert_eq!(
             Value::list([Value::Bool(false)]).into_list().unwrap(),
             vec![Value::Bool(false)]
         );
         assert_eq!(Value::Bytes(vec![9]).into_bytes().unwrap(), vec![9]);
-        assert!(Value::Null.into_string().is_err());
     }
 
     #[test]

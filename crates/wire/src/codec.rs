@@ -16,7 +16,8 @@
 
 use syd_types::{
     Day, DeviceId, GroupId, LinkId, MeetingId, NodeAddr, Priority, RequestId, ServiceName,
-    SlotBitmap, SlotIndex, SlotRange, SydError, SydResult, TimeSlot, Timestamp, UserId, Value,
+    SlotBitmap, SlotIndex, SlotRange, SydError, SydResult, Text, TimeSlot, Timestamp, UserId,
+    Value,
 };
 
 /// Upper bound on a decoded collection length or string size (16 MiB).
@@ -102,6 +103,13 @@ impl<'a> Reader<'a> {
                 return Err(SydError::Codec("varint too long".into()));
             }
         }
+    }
+
+    /// Reads a length-prefixed UTF-8 string, borrowed from the input.
+    pub fn str(&mut self) -> SydResult<&'a str> {
+        let n = self.len_prefix()?;
+        core::str::from_utf8(self.bytes(n)?)
+            .map_err(|e| SydError::Codec(format!("invalid utf-8: {e}")))
     }
 
     /// Reads a varint validated against [`MAX_LEN`], for use as a length.
@@ -305,9 +313,24 @@ impl Encode for String {
 
 impl Decode for String {
     fn decode(r: &mut Reader<'_>) -> SydResult<Self> {
-        let n = r.len_prefix()?;
-        let raw = r.bytes(n)?;
-        String::from_utf8(raw.to_vec()).map_err(|e| SydError::Codec(format!("invalid utf-8: {e}")))
+        Ok(r.str()?.to_owned())
+    }
+}
+
+impl Encode for Text {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.as_str().encode(buf);
+    }
+    fn encoded_len(&self) -> usize {
+        self.as_str().encoded_len()
+    }
+}
+
+/// A string of up to [`syd_types::text::INLINE_CAP`] bytes decodes without
+/// an allocation.
+impl Decode for Text {
+    fn decode(r: &mut Reader<'_>) -> SydResult<Self> {
+        Ok(Text::from(r.str()?))
     }
 }
 
@@ -438,7 +461,7 @@ impl Encode for ServiceName {
 
 impl Decode for ServiceName {
     fn decode(r: &mut Reader<'_>) -> SydResult<Self> {
-        Ok(ServiceName::new(String::decode(r)?))
+        Ok(ServiceName::new(Text::decode(r)?))
     }
 }
 
@@ -662,7 +685,7 @@ impl Decode for Value {
             VAL_BOOL => Ok(Value::Bool(bool::decode(r)?)),
             VAL_I64 => Ok(Value::I64(i64::decode(r)?)),
             VAL_F64 => Ok(Value::F64(f64::decode(r)?)),
-            VAL_STR => Ok(Value::Str(String::decode(r)?)),
+            VAL_STR => Ok(Value::Str(Text::decode(r)?)),
             VAL_BYTES => Ok(Value::Bytes(Vec::<u8>::decode(r)?)),
             VAL_LIST => {
                 let n = r.len_prefix()?;
@@ -676,7 +699,7 @@ impl Decode for Value {
                 let n = r.len_prefix()?;
                 let mut map = std::collections::BTreeMap::new();
                 for _ in 0..n {
-                    let k = String::decode(r)?;
+                    let k = Text::decode(r)?;
                     let v = Value::decode(r)?;
                     map.insert(k, v);
                 }
@@ -826,6 +849,45 @@ mod tests {
         ]));
     }
 
+    /// Strings at and around the inline limit, bare and inside a `Value`,
+    /// ASCII and with a last character that straddles the limit.
+    #[test]
+    fn texts_round_trip_around_the_inline_limit() {
+        let mut strings: Vec<String> = [0, 21, 22, 23].map(|n| "x".repeat(n)).to_vec();
+        for tail in ["é", "€", "𝄞"] {
+            strings.push(format!("{}{tail}", "a".repeat(20)));
+            strings.push(format!("{}{tail}", "a".repeat(19)));
+        }
+        for s in strings {
+            let text = Text::from(s.as_str());
+            round_trip(text.clone());
+            round_trip(s.clone());
+            round_trip(Value::str(s.as_str()));
+            round_trip(Value::map([("k", Value::str(s.as_str()))]));
+            // The bytes are `String`'s, and a decoded short one is inline.
+            let bytes = encode_to_vec(&s);
+            assert_eq!(encode_to_vec(&text), bytes);
+            let back: Text = decode_from_slice(&bytes).unwrap();
+            assert_eq!(back, *s);
+            assert_eq!(
+                back.is_inline(),
+                s.len() <= syd_types::text::INLINE_CAP,
+                "{s:?}"
+            );
+            match decode_from_slice::<Value>(&encode_to_vec(&Value::str(s.as_str()))).unwrap() {
+                Value::Str(t) => assert_eq!(t.is_inline(), s.len() <= 22, "{s:?}"),
+                other => panic!("decoded {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn decoded_map_keys_are_inline() {
+        let map = Value::map([("action", Value::Null), ("meeting", Value::Null)]);
+        let back: Value = decode_from_slice(&encode_to_vec(&map)).unwrap();
+        assert!(back.as_map().unwrap().keys().all(Text::is_inline));
+    }
+
     #[test]
     fn errors_round_trip() {
         round_trip(SydError::Timeout(RequestId::new(5)));
@@ -918,7 +980,7 @@ mod proptests {
             1 => Value::Bool(rng.chance(1, 2)),
             2 => Value::I64(rng.any_u64() as i64),
             3 => Value::F64(f64::from_bits(rng.any_u64())),
-            4 => Value::Str(rng.string(32)),
+            4 => Value::str(rng.string(32)),
             5 => Value::Bytes(rng.bytes(31)),
             6 => Value::List(
                 (0..rng.below(6))
@@ -927,7 +989,7 @@ mod proptests {
             ),
             _ => Value::Map(
                 (0..rng.below(6))
-                    .map(|_| (rng.string(8), arb_value(rng, depth - 1)))
+                    .map(|_| (rng.string(8).into(), arb_value(rng, depth - 1)))
                     .collect(),
             ),
         }

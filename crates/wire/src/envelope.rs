@@ -12,7 +12,7 @@
 //! network; a version byte leads every encoding so future formats can
 //! coexist.
 
-use syd_types::{NodeAddr, RequestId, ServiceName, SydError, SydResult, UserId, Value};
+use syd_types::{NodeAddr, RequestId, ServiceName, SydError, SydResult, Text, UserId, Value};
 
 use crate::args::Args;
 use crate::codec::{put_varint, varint_len, Decode, Encode, Reader};
@@ -81,7 +81,7 @@ pub struct Request {
     /// Target service, e.g. `"calendar"`.
     pub service: ServiceName,
     /// Target method, e.g. `"reserve_slot"`.
-    pub method: String,
+    pub method: Text,
     /// Positional arguments. [`Args`] encodes exactly like `Vec<Value>`
     /// but is cheap to clone and can carry a pre-encoded byte form shared
     /// across an entire group broadcast.
@@ -126,7 +126,7 @@ impl Decode for Request {
         let target = UserId::decode(r)?;
         let credentials = Vec::<u8>::decode(r)?;
         let service = ServiceName::decode(r)?;
-        let method = String::decode(r)?;
+        let method = Text::decode(r)?;
         let args = Args::decode(r)?;
         // A request always ends its enclosing frame, so any bytes left
         // are the trailing trace extension; none means an old-format
@@ -188,7 +188,7 @@ impl Decode for Response {
 #[derive(Clone, Debug, PartialEq)]
 pub struct EventMsg {
     /// Hierarchical topic, e.g. `"link.deleted"` or `"calendar.changed"`.
-    pub topic: String,
+    pub topic: Text,
     /// Publishing user.
     pub source: UserId,
     /// Event payload.
@@ -209,7 +209,7 @@ impl Encode for EventMsg {
 impl Decode for EventMsg {
     fn decode(r: &mut Reader<'_>) -> SydResult<Self> {
         Ok(EventMsg {
-            topic: String::decode(r)?,
+            topic: Text::decode(r)?,
             source: UserId::decode(r)?,
             payload: Value::decode(r)?,
         })
@@ -549,7 +549,7 @@ mod proptests {
             0 => Value::Null,
             1 => Value::Bool(rng.chance(1, 2)),
             2 => Value::I64(rng.any_u64() as i64),
-            3 => Value::Str(rng.string(16)),
+            3 => Value::str(rng.string(16)),
             _ => Value::Bytes(rng.bytes(15)),
         }
     }
@@ -577,7 +577,7 @@ mod proptests {
                 target: UserId::new(rng.any_u64()),
                 credentials: rng.bytes(31),
                 service: ServiceName::new(arb_name(rng, b"abcdefghijklmnopqrstuvwxyz.", 12)),
-                method: arb_name(rng, b"abcdefghijklmnopqrstuvwxyz_", 12),
+                method: arb_name(rng, b"abcdefghijklmnopqrstuvwxyz_", 12).into(),
                 args: (0..rng.below(4))
                     .map(|_| arb_value(rng))
                     .collect::<Vec<_>>()
@@ -589,7 +589,7 @@ mod proptests {
                 result: Ok(arb_value(rng)),
             }),
             _ => Payload::Event(EventMsg {
-                topic: arb_name(rng, b"abcdefghijklmnopqrstuvwxyz.", 16),
+                topic: arb_name(rng, b"abcdefghijklmnopqrstuvwxyz.", 16).into(),
                 source: UserId::new(rng.any_u64()),
                 payload: arb_value(rng),
             }),

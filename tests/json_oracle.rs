@@ -60,7 +60,7 @@ fn journal_jsonl_round_trips_typed_events_with_arbitrary_strings() {
             Event::vote(rng.any_u64(), entity.as_str(), Vote::Refused(reason)),
             Event::LinkDeleted {
                 id: rng.any_u64(),
-                corr,
+                corr: corr.into(),
                 cascade: rng.chance(1, 2),
             },
         ];

@@ -139,7 +139,7 @@ fn meeting_value_round_trip() {
         let users: Vec<UserId> = (1..=1 + rng.below(7)).map(UserId::new).collect();
         let rec = Meeting {
             id: MeetingId::new(id),
-            title: format!("meeting {id}"),
+            title: format!("meeting {id}").into(),
             initiator: users[0],
             ordinal: rng.below(10_000),
             status: MeetingStatus::Tentative,
