@@ -1,8 +1,8 @@
 //! Stress-and-audit driver for the protocol invariant checker.
 //!
 //! Runs hundreds of seeded concurrent negotiations over a lossy (and
-//! optionally partitioning) simulated network, forces the stale-session
-//! sweep, and audits every device journal and lock table with
+//! optionally partitioning) simulated network, ends the leases left
+//! behind, and audits every device journal and lock table with
 //! `syd-check`. Exits non-zero — printing each violation with its
 //! session id and a minimized journal excerpt — if any invariant broke.
 //!
@@ -64,12 +64,12 @@ fn main() {
 
     let outcome = run(&cfg);
     println!(
-        "ran {} sessions ({} satisfied, {} errored), swept {} stale sessions, \
+        "ran {} sessions ({} satisfied, {} errored), ended {} lapsed leases, \
          audited {} journal events across {} sessions",
         outcome.completed + outcome.errors,
         outcome.satisfied,
         outcome.errors,
-        outcome.swept,
+        outcome.lapsed,
         outcome.report.events,
         outcome.report.sessions,
     );

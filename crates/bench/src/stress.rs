@@ -2,8 +2,8 @@
 //!
 //! Drives hundreds of concurrent §4.3 negotiations over a small, heavily
 //! contended entity space while the simulated network drops messages and
-//! (optionally) partitions random device pairs, then quiesces, forces the
-//! stale-session sweep, and runs the protocol invariant checker over
+//! (optionally) partitions random device pairs, then quiesces, ends the
+//! leases left behind, and runs the protocol invariant checker over
 //! every journal and lock table. The same seed always produces the same
 //! session mix, so a violation found once is reproducible.
 //!
@@ -93,14 +93,14 @@ pub struct StressOutcome {
     pub completed: usize,
     /// Sessions that errored outright (e.g. coordinator unreachable).
     pub errors: usize,
-    /// Stale sessions reclaimed by the forced end-of-run sweep.
-    pub swept: usize,
+    /// Entity-lock leases still held at the end of the run, ended then.
+    pub lapsed: usize,
     /// `rpc.retries` summed over the devices: requests sent again.
     pub rpc_retries: u64,
     /// `rpc.timeouts` summed over the devices: sends that hit their deadline.
     pub rpc_timeouts: u64,
     /// The slowest `negotiate` call, to be read against the participants'
-    /// stale-session lease.
+    /// lock lease (`syd_core::device::LOCK_LEASE`).
     pub longest_session: Duration,
     /// The protocol invariant audit over every device.
     pub report: AuditReport,
@@ -243,14 +243,11 @@ pub fn run(cfg: &StressConfig) -> StressOutcome {
         stop.store(true, Ordering::Relaxed);
     });
 
-    // Quiesce: let bounded mark-waits and in-flight aborts land, then
-    // force the stale-session sweep so every surviving lock's story is
-    // closed in the journal before the audit reads it.
+    // Quiesce: let bounded mark-waits and in-flight aborts land, then end
+    // every lease left so each surviving lock's story is closed in the
+    // journal before the audit reads it.
     std::thread::sleep(Duration::from_millis(300));
-    let swept: usize = devices
-        .iter()
-        .map(|d| d.sweep_stale_sessions(Duration::ZERO))
-        .sum();
+    let lapsed: usize = devices.iter().map(DeviceRuntime::end_leases).sum();
 
     match cfg.inject {
         Some(Fault::LockLeak) => inject_lock_leak(&devices[0]),
@@ -258,8 +255,8 @@ pub fn run(cfg: &StressConfig) -> StressOutcome {
         None => {}
     }
 
-    // Loss-tolerant audit: duplicate deliveries and sweep-reclaimed locks
-    // are legal on this network; leaks, double-books, bad arithmetic and
+    // Loss-tolerant audit: duplicate deliveries and lapsed leases are
+    // legal on this network; leaks, double-books, bad arithmetic and
     // broken waiting queues are not.
     let report = syd_check::audit_with(devices.iter(), &AuditOptions::default());
     let fleet_total = |name: &str| -> u64 {
@@ -273,7 +270,7 @@ pub fn run(cfg: &StressConfig) -> StressOutcome {
         satisfied: satisfied.into_inner() as usize,
         completed: completed.into_inner() as usize,
         errors: errors.into_inner() as usize,
-        swept,
+        lapsed,
         rpc_retries: fleet_total(names::RPC_RETRIES),
         rpc_timeouts: fleet_total(names::RPC_TIMEOUTS),
         longest_session: Duration::from_micros(longest_us.into_inner()),

@@ -47,8 +47,8 @@ pub use state::{audit_states, DeviceState, HeldLock, LinkRecord, WaitingRecord};
 pub use synth::Mutation;
 
 /// Audits live devices with loss-tolerant checks: in-flight sessions and
-/// locks awaiting the stale-session sweep are not violations. Suitable
-/// after any run, including lossy or partitioned networks.
+/// locks whose lease has yet to lapse are not violations. Suitable after
+/// any run, including lossy or partitioned networks.
 pub fn audit<'a, I>(devices: I) -> AuditReport
 where
     I: IntoIterator<Item = &'a DeviceRuntime>,
@@ -58,8 +58,8 @@ where
 
 /// Audits live devices with the strict checks added: every lock story
 /// closed, no abort after commit, no cascade leftovers. Use after the
-/// system quiesced on a reliable network (or after forcing
-/// `sweep_stale_sessions` on every device).
+/// system quiesced on a reliable network (or after
+/// [`DeviceRuntime::end_leases`] on every device).
 pub fn audit_strict<'a, I>(devices: I) -> AuditReport
 where
     I: IntoIterator<Item = &'a DeviceRuntime>,

@@ -13,7 +13,7 @@
 //!   committed a set meeting its constraint (and = all, or ≥ k,
 //!   xor = exactly k);
 //! * **lock leaks** (strict) — every lock story is closed by a change,
-//!   an abort, or the stale-session sweep by the end of the journal.
+//!   an abort, or the end of its lease by the end of the journal.
 //!
 //! Aborts without a preceding lock are *legal*: the coordinator aborts
 //! broadly (including decliners) to clean up lost-message locks, so the
@@ -36,7 +36,7 @@ pub struct AuditOptions {
     /// a reliable network: every lock story closed at journal end, abort
     /// never following commit, and no link halves left behind by a
     /// cascade delete. Leave off for lossy/partitioned runs, where a lost
-    /// commit legitimately leaves a lock to the stale-session sweep.
+    /// commit legitimately leaves a lock until its lease ends.
     pub strict: bool,
 }
 
@@ -124,10 +124,10 @@ pub(crate) fn replay_device(
                                 ),
                             );
                         } else if opts.strict {
-                            // Same-session re-lock: on a lossy network a
-                            // retried `mark` is delivered twice (the RPC
-                            // layer is at-least-once) and the re-entrant
-                            // lock absorbs it, so only strict mode flags it.
+                            // Same-session re-lock: a `mark` delivered twice
+                            // finds its own lock and journals no second
+                            // `Lock`, so this is a bookkeeping slip; it
+                            // excludes nobody, so only strict mode flags it.
                             violate(
                                 report,
                                 Rule::Ordering,
@@ -339,7 +339,7 @@ pub(crate) fn replay_device(
                 Rule::LockLeak,
                 Some(*session),
                 format!(
-                    "lock story for `{entity}` never closed: no change, abort, or sweep \
+                    "lock story for `{entity}` never closed: no change, abort, or lease end \
                      by end of journal"
                 ),
             );

@@ -5,16 +5,17 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use syd_check::{AuditOptions, Rule};
-use syd_core::device::entity_lock_key;
+use syd_core::device::{entity_lock_key, LOCK_LEASE};
 use syd_core::links::Constraint;
 use syd_core::negotiate::{link_service, Participant};
 use syd_core::{DeviceRuntime, SydEnv};
 use syd_net::NetConfig;
 use syd_telemetry::Event;
-use syd_types::Value;
+use syd_types::{Clock, SimClock, SydResult, Value};
 
 fn rig(n: usize) -> (SydEnv, Vec<DeviceRuntime>) {
     let env = SydEnv::new_insecure(NetConfig::ideal());
@@ -100,69 +101,124 @@ fn entities_differing_after_a_space_do_not_collide() {
     syd_check::audit(devices.iter()).assert_clean();
 }
 
-/// A coordinator that dies between mark and commit strands the entity
-/// lock on the participant; the stale-session sweep must reclaim it,
-/// journal the cleanup, and leave the audit clean.
+/// `coordinator` sends the §4.3 kernel `method` for `session` on `entity`
+/// to `participant`, as a coordinator's negotiator does.
+fn send(
+    (coordinator, participant): (&DeviceRuntime, &DeviceRuntime),
+    method: &str,
+    session: u64,
+    entity: &str,
+) -> SydResult<Value> {
+    coordinator.engine().invoke(
+        participant.user(),
+        &link_service(),
+        method,
+        vec![Value::from(session), Value::str(entity), Value::str("chg")],
+    )
+}
+
+/// A mark delivered twice (its reply was lost, so the engine sent it
+/// again) finds its own lock: it votes again, journals no second lock,
+/// and one commit frees the entity at once. A commit sent again after
+/// its own went through still answers `Ok`.
 #[test]
-fn sweep_reclaims_a_dead_owners_lock() {
+fn a_mark_delivered_twice_is_freed_by_one_commit() {
     let (_env, devices) = rig(2);
-    let (coordinator, participant) = (&devices[0], &devices[1]);
+    let pair = (&devices[0], &devices[1]);
+    let session = (devices[0].user().raw() << 24) | 0x66;
+    for _ in 0..2 {
+        assert_eq!(
+            send(pair, "mark", session, "slot:twice").unwrap(),
+            Value::Bool(true)
+        );
+    }
+    send(pair, "commit", session, "slot:twice").unwrap();
+    assert_eq!(
+        devices[1].store().locks().held_count(),
+        0,
+        "the second mark deepened the lock"
+    );
+    let locks = devices[1]
+        .journal()
+        .events()
+        .into_iter()
+        .filter(|e| matches!(e.event, Event::Lock { session: s, .. } if s == session))
+        .count();
+    assert_eq!(locks, 1);
+
+    assert_eq!(
+        send(pair, "commit", session, "slot:twice").unwrap(),
+        Value::Null
+    );
+    syd_check::audit(devices.iter()).assert_clean();
+}
+
+/// A coordinator that dies between mark and commit strands the entity
+/// lock on the participant until its lease runs out. Then the lock blocks
+/// nobody: the next session's mark takes the entity over and journals the
+/// lapse before its own lock, the dead session's late commit is refused
+/// before and after that session commits, and every story is closed.
+#[test]
+fn a_lapsed_lease_frees_a_dead_owners_lock() {
+    let clock = SimClock::new();
+    let env = SydEnv::new_insecure(NetConfig::ideal())
+        .with_clock(Arc::new(clock.clone()) as Arc<dyn Clock>);
+    let devices: Vec<DeviceRuntime> = (0..2)
+        .map(|i| env.device(&format!("live{i}"), "").unwrap())
+        .collect();
+    let pair = (&devices[0], &devices[1]);
+    let participant = &devices[1];
+    let entity = "slot:stranded";
+    let dead = (devices[0].user().raw() << 24) | 0x77;
+    let next = dead + 1;
 
     // The mark of a coordinator that will never commit or abort.
-    let dead_session = (coordinator.user().raw() << 24) | 0x77;
-    let vote = coordinator
-        .engine()
-        .invoke(
-            participant.user(),
-            &link_service(),
-            "mark",
-            vec![
-                Value::from(dead_session),
-                Value::str("slot:stranded"),
-                Value::str("chg"),
-            ],
-        )
-        .unwrap();
-    assert_eq!(vote, Value::Bool(true));
-    assert_eq!(participant.store().locks().held_count(), 1);
-
-    // Before the sweep: the story is open, so the loss-tolerant audit
-    // already accepts it (the lock is merely awaiting cleanup)...
+    assert_eq!(send(pair, "mark", dead, entity).unwrap(), Value::Bool(true));
+    // Inside the lease the story is open, so the loss-tolerant audit
+    // accepts it, the strict audit refuses to sign off on it, and the
+    // lock turns the next session away.
     syd_check::audit(devices.iter()).assert_clean();
-    // ...but the strict audit refuses to sign off on the open story.
     let strict = syd_check::audit_with(devices.iter(), &AuditOptions::strict());
     assert!(
         strict.violations.iter().any(|v| v.rule == Rule::LockLeak),
         "strict audit missed the stranded lock:\n{strict}"
     );
+    assert_eq!(
+        send(pair, "mark", next, entity).unwrap(),
+        Value::str("lock-busy")
+    );
 
-    // The sweep reclaims the lock and journals the cleanup.
-    assert_eq!(participant.sweep_stale_sessions(Duration::ZERO), 1);
-    assert_eq!(participant.store().locks().held_count(), 0);
-    let journal = participant.journal().dump();
+    // Past the lease the next mark takes the entity over.
+    clock.advance(LOCK_LEASE + Duration::from_millis(1));
+    assert_eq!(send(pair, "mark", next, entity).unwrap(), Value::Bool(true));
+    assert_eq!(
+        participant.store().locks().holder(&entity_lock_key(entity)),
+        Some(next)
+    );
+    let journal: Vec<Event> = participant
+        .journal()
+        .events()
+        .into_iter()
+        .map(|e| e.event)
+        .collect();
+    let lapse = journal.iter().position(
+        |e| matches!(e, Event::Release { session, reason: "lease", .. } if *session == dead),
+    );
+    let taken = journal
+        .iter()
+        .position(|e| matches!(e, Event::Lock { session, .. } if *session == next));
     assert!(
-        journal.contains("reason=stale-sweep"),
-        "sweep did not journal its cleanup:\n{journal}"
+        lapse.is_some() && lapse < taken,
+        "no lapse journaled before the takeover:\n{}",
+        participant.journal().dump()
     );
 
-    // Now even the strict audit is clean: the story closed.
-    syd_check::audit_strict(devices.iter()).assert_clean();
-
-    // The coordinator was slow, not dead (a lossy mark round can outlast
-    // the sweep age): its commit arrives after the sweep. It must be
-    // refused — another session may hold the entity by now — and the
-    // participant's story stays closed.
-    let late = coordinator.engine().invoke(
-        participant.user(),
-        &link_service(),
-        "commit",
-        vec![
-            Value::from(dead_session),
-            Value::str("slot:stranded"),
-            Value::str("chg"),
-        ],
-    );
-    assert!(late.is_err(), "a swept session's commit was applied");
+    // The dead coordinator was slow, not dead: its late commit is refused
+    // while the entity is another session's, and after it is nobody's.
+    assert!(send(pair, "commit", dead, entity).is_err());
+    send(pair, "commit", next, entity).unwrap();
+    assert!(send(pair, "commit", dead, entity).is_err());
+    assert_eq!(participant.store().locks().held_count(), 0);
     syd_check::audit_strict(devices.iter()).assert_clean();
 }
 

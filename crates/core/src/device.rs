@@ -14,14 +14,12 @@
 //!   consumed,
 //! * the link acceptor — whether an offered link is accepted (§4.2 op. 2).
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use syd_crypto::Authenticator;
 use syd_net::{Node, Transport};
-use syd_store::{LockKey, Store};
+use syd_store::{Lease, LockKey, OrdValue, Store};
 use syd_telemetry::{names, Event, Journal, Registry, Vote};
 use syd_types::sync::{Mutex, RwLock};
 use syd_types::{Clock, NodeAddr, ServiceName, SydError, SydResult, UserId, Value};
@@ -36,12 +34,11 @@ use crate::negotiate::{fsm, link_service, Negotiator};
 /// How long a participant waits for an entity lock before voting no.
 const MARK_LOCK_WAIT: Duration = Duration::from_millis(200);
 
-/// Negotiation sessions older than this are presumed abandoned (their
-/// coordinator crashed between phases) and their locks are swept.
-const STALE_SESSION_AGE: Duration = Duration::from_secs(10);
-
-/// Swept sessions a device remembers, to refuse their late commits.
-const SWEPT_MEMORY: usize = 256;
+/// How long a participant's entity lock lasts from its mark. A
+/// coordinator that has neither committed nor aborted by then has lost the
+/// entity: the next mark takes it over, and its own commit is refused
+/// (DESIGN.md §23).
+pub const LOCK_LEASE: Duration = Duration::from_secs(10);
 
 /// Applies negotiated changes to local entities (§4.3's Mark / Change /
 /// Unlock, from the participant's side).
@@ -80,22 +77,14 @@ struct DeviceInner {
     negotiator: Negotiator,
     journal: Arc<Journal>,
     clock: Arc<dyn Clock>,
+    /// The terms of this device's entity locks (DESIGN.md §23).
+    lease: Lease,
     entity_handler: RwLock<Option<Arc<dyn EntityHandler>>>,
     subscription_handler: RwLock<Option<Arc<dyn SubscriptionHandler>>>,
     link_acceptor: RwLock<Option<LinkAcceptor>>,
     /// Services whose `publish` the directory has acknowledged (see
     /// [`DeviceRuntime::register_service`]); a device names one to three.
     published: Mutex<Vec<ServiceName>>,
-    /// Active negotiation sessions touching this device's entities, with
-    /// their start times (for the stale-session sweep).
-    sessions: Mutex<HashMap<u64, Instant>>,
-    /// Sessions whose locks the sweep released, oldest first. A coordinator
-    /// may be slow, not dead (a lossy mark round can outlast the sweep age);
-    /// its commit is refused: the entity may have changed hands since.
-    swept: Mutex<VecDeque<u64>>,
-    /// Set while a pool job deletes expired links: the next ticks leave
-    /// them to it instead of queueing the same deletions again.
-    expiring: AtomicBool,
 }
 
 /// One SyD device. Cloning shares the device.
@@ -158,9 +147,19 @@ impl DeviceRuntime {
             Arc::clone(&journal),
         )
         .inspect_err(|_| node.shutdown())?;
-        let links = Arc::new(links);
         let negotiator =
             Negotiator::new(engine.clone(), user, node.metrics(), Arc::clone(&journal));
+        // The end of a lease closes its lock's story for `syd-check`.
+        let lapses = Arc::clone(&journal);
+        let lease = Lease {
+            clock: Arc::clone(&clock),
+            length: LOCK_LEASE,
+            lapsed: Box::new(move |session, key| {
+                if let Some(OrdValue(Value::Str(entity))) = key.key.first() {
+                    lapses.emit(Event::release(session, entity, "lease"));
+                }
+            }),
+        };
 
         let inner = Arc::new(DeviceInner {
             user,
@@ -174,17 +173,14 @@ impl DeviceRuntime {
             negotiator,
             journal,
             clock,
+            lease,
             entity_handler: RwLock::new(None),
             subscription_handler: RwLock::new(None),
             link_acceptor: RwLock::new(None),
             published: Mutex::new(Vec::new()),
-            sessions: Mutex::new(HashMap::new()),
-            swept: Mutex::new(VecDeque::new()),
-            expiring: AtomicBool::new(false),
         });
         let device = DeviceRuntime { inner };
         device.register_kernel_services();
-        device.register_periodic_tasks();
         Ok(device)
     }
 
@@ -377,32 +373,32 @@ impl DeviceRuntime {
                 let session = args_get(args, 0)?.as_i64()? as u64;
                 let entity = args_get(args, 1)?.as_str()?;
                 let change = args_get(args, 2)?;
-                let key = entity_lock_key(entity);
-                if !inner.store.locks().try_acquire(session, &key) {
+                let (locks, key) = (inner.store.locks(), entity_lock_key(entity));
+                let mut taken = locks.take(session, &key, Duration::ZERO, Some(&inner.lease));
+                if taken.is_err() {
                     // Bounded wait, then give up and vote no. The wait is
                     // contention with another in-flight negotiation —
                     // worth its own span on the serving device.
                     let mut wait_span = inner.node.tracer().span(names::SPAN_LOCK_WAIT);
                     wait_span.attr("session", session);
-                    if inner
-                        .store
-                        .locks()
-                        .acquire(session, &key, MARK_LOCK_WAIT)
-                        .is_err()
-                    {
-                        let vote = fsm::Vote::NoLockBusy;
-                        inner
-                            .journal
-                            .emit(Event::vote(session, entity, Vote::LockBusy));
-                        // Distinguishable from a durable prepare refusal:
-                        // the coordinator treats any non-true vote as a
-                        // decline, but a greedy grab must not commit while
-                        // another negotiation holds this lock.
-                        return Ok(vote.wire_reply());
-                    }
+                    taken = locks.take(session, &key, MARK_LOCK_WAIT, Some(&inner.lease));
                 }
-                inner.journal.emit(Event::lock(session, entity));
-                inner.sessions.lock().insert(session, Instant::now());
+                let Ok(fresh) = taken else {
+                    let vote = fsm::Vote::NoLockBusy;
+                    inner
+                        .journal
+                        .emit(Event::vote(session, entity, Vote::LockBusy));
+                    // Distinguishable from a durable prepare refusal: the
+                    // coordinator treats any non-true vote as a decline,
+                    // but a greedy grab must not commit while another
+                    // negotiation holds this lock.
+                    return Ok(vote.wire_reply());
+                };
+                // A mark delivered again finds its own lock: it votes
+                // again, and one commit or abort still frees the entity.
+                if fresh {
+                    inner.journal.emit(Event::lock(session, entity));
+                }
                 let handler = inner.entity_handler.read().clone();
                 // No entity handler prepares trivially: pure mutual
                 // exclusion semantics, as in `fsm::participant_mark`.
@@ -417,7 +413,7 @@ impl DeviceRuntime {
                 };
                 inner.journal.emit(Event::vote(session, entity, journaled));
                 if vote.releases_lock() {
-                    inner.store.locks().release(session, &key);
+                    locks.release(session, &key);
                 }
                 Ok(vote.wire_reply())
             }),
@@ -434,11 +430,13 @@ impl DeviceRuntime {
                 let entity = args_get(args, 1)?.as_str()?;
                 let change = args_get(args, 2)?;
                 let key = entity_lock_key(entity);
-                if inner.store.locks().holder(&key) != Some(session)
-                    && inner.swept.lock().contains(&session)
-                {
+                // A coordinator may be slow, not dead: its commit after its
+                // lease lapsed is refused, as the entity may have changed
+                // hands since. A commit sent again after its own went
+                // through is applied again: commits are idempotent.
+                if !inner.store.locks().admits(session, &key, &inner.lease) {
                     return Err(SydError::App(format!(
-                        "session {session} expired: its lock on {entity} was swept"
+                        "session {session} expired: its lease on {entity} lapsed"
                     )));
                 }
                 let handler = inner.entity_handler.read().clone();
@@ -453,14 +451,6 @@ impl DeviceRuntime {
                     .journal
                     .emit(Event::commit(session, entity, result.is_ok()));
                 inner.store.locks().release(session, &key);
-                // Forget the session only once it holds no other lock on
-                // this device: a session may cover several local entities,
-                // and dropping it on the first commit would hide its
-                // remaining locks from the stale-session sweep if a later
-                // commit message is lost.
-                if inner.store.locks().held_by(session) == 0 {
-                    inner.sessions.lock().remove(&session);
-                }
                 result.map(|()| Value::Null)
             }),
         );
@@ -486,10 +476,6 @@ impl DeviceRuntime {
                     .store
                     .locks()
                     .release(session, &entity_lock_key(entity));
-                // Same rule as commit: see the multi-entity note there.
-                if inner.store.locks().held_by(session) == 0 {
-                    inner.sessions.lock().remove(&session);
-                }
                 Ok(Value::Null)
             }),
         );
@@ -572,39 +558,12 @@ impl DeviceRuntime {
         );
     }
 
-    fn register_periodic_tasks(&self) {
-        // Both ticks run on the runtime's loop, so neither may block. Each
-        // captures a weak handle: the runtime owns these closures, and a
-        // strong `inner` here would pin the device (and through its node,
-        // the whole runtime) alive after the last external handle drops.
-        let inner = Arc::downgrade(&self.inner);
-        self.inner
-            .events
-            .register_periodic("link-expiry", Duration::from_millis(500), move || {
-                if let Some(inner) = inner.upgrade() {
-                    expiry_tick(&inner);
-                }
-            });
-
-        // Stale negotiation sessions: a coordinator that died between mark
-        // and commit leaves entities locked; sweep them.
-        let inner = Arc::downgrade(&self.inner);
-        self.inner
-            .events
-            .register_periodic("stale-sessions", Duration::from_secs(5), move || {
-                if let Some(inner) = inner.upgrade() {
-                    sweep_sessions(&inner, STALE_SESSION_AGE);
-                }
-            });
-    }
-
-    /// Sweeps negotiation sessions older than `older_than`, releasing any
-    /// entity locks they still hold (the §4.3 lost-message cleanup,
-    /// normally run by the periodic `stale-sessions` task). Returns the
-    /// number of sessions swept. Exposed so fault-injection tests can
-    /// force a sweep without waiting for the scheduler.
-    pub fn sweep_stale_sessions(&self, older_than: Duration) -> usize {
-        sweep_sessions(&self.inner, older_than)
+    /// Ends every entity lock's lease on this device at once, journaled as
+    /// a lapse is, and returns how many it ended. Harnesses call it once a
+    /// run quiesced, so a lock whose commit and abort were both lost closes
+    /// its story before a strict audit instead of waiting out [`LOCK_LEASE`].
+    pub fn end_leases(&self) -> usize {
+        self.inner.store.locks().end_leases(&self.inner.lease)
     }
 
     /// Stops the device: unregisters from the network, stops pools and
@@ -620,68 +579,6 @@ pub fn entity_lock_key(entity: &str) -> LockKey {
     LockKey::new("syd.entity", [Value::str(entity)])
 }
 
-/// The `link-expiry` tick (§4.2 op. 6) finds the expired links on the loop
-/// and hands their deletion to the pool, one job per device at a time: a
-/// cascade may wait out every deadline against an unreachable peer, and on
-/// the loop it would stall every device of the process.
-fn expiry_tick(inner: &Arc<DeviceInner>) {
-    let expired = inner.links.expired().unwrap_or_default();
-    if expired.is_empty() || inner.expiring.swap(true, Ordering::AcqRel) {
-        return;
-    }
-    let device = Arc::downgrade(inner);
-    inner.node.runtime().pool().execute(move || {
-        if let Some(inner) = device.upgrade() {
-            inner.links.expire(&expired);
-            inner.expiring.store(false, Ordering::Release);
-        }
-    });
-}
-
-/// Releases the locks of sessions older than `older_than` and forgets
-/// them, journaling a `Release` per reclaimed entity lock so the invariant
-/// checker sees the cleanup instead of reporting a leak. Sessions that
-/// lost a lock this way are remembered, so that a late commit is refused.
-fn sweep_sessions(inner: &DeviceInner, older_than: Duration) -> usize {
-    let mut sessions = inner.sessions.lock();
-    let now = Instant::now();
-    let mut swept = 0;
-    let mut released = Vec::new();
-    sessions.retain(|&session, &mut started| {
-        if now.duration_since(started) > older_than {
-            let keys = inner.store.locks().keys_held_by(session);
-            if !keys.is_empty() {
-                released.push(session);
-            }
-            for key in keys {
-                if key.table == "syd.entity" {
-                    if let Some(syd_store::OrdValue(Value::Str(entity))) = key.key.first() {
-                        inner
-                            .journal
-                            .emit(Event::release(session, entity, "stale-sweep"));
-                    }
-                }
-            }
-            inner.store.locks().release_all(session);
-            debug_assert_eq!(
-                inner.store.locks().held_by(session),
-                0,
-                "session {session} still holds locks after sweep"
-            );
-            swept += 1;
-            false
-        } else {
-            true
-        }
-    });
-    drop(sessions);
-    let mut remembered = inner.swept.lock();
-    remembered.extend(released);
-    let excess = remembered.len().saturating_sub(SWEPT_MEMORY);
-    remembered.drain(..excess);
-    swept
-}
-
 fn args_get(args: &[Value], i: usize) -> SydResult<&Value> {
     args.get(i)
         .ok_or_else(|| SydError::Protocol(format!("missing argument {i}")))
@@ -694,6 +591,7 @@ mod tests {
     use crate::directory::DirectoryServer;
     use crate::links::{Constraint, LinkSpec};
     use crate::negotiate::Participant;
+    use std::collections::HashMap;
     use syd_net::Network;
     use syd_types::SystemClock;
 

@@ -4,9 +4,10 @@
 //! and triggering." Locally it is a topic-prefix-matched callback bus;
 //! globally, events arrive from the network as fire-and-forget
 //! [`syd_wire::EventMsg`]s and are re-published locally. The handler also
-//! runs the kernel's periodic work — most importantly the link-expiry scan
-//! of §4.2 op. 6 ("Periodically, the local event handler triggers a method
-//! which checks for links whose expiration times have been surpassed").
+//! runs the kernel's periodic work: the link-expiry scan of §4.2 op. 6
+//! ("Periodically, the local event handler triggers a method which checks
+//! for links whose expiration times have been surpassed"), armed by the
+//! device's first expiring link. Entity locks need no tick (DESIGN.md §23).
 //!
 //! This module is also where *middleware triggers* (§5.3's stated future
 //! direction) live: [`EventHandler::bridge_store`] installs a store-level

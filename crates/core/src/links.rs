@@ -30,12 +30,13 @@
 //!    `syd.link/delete_by_corr` on peers)
 //! 5. method invocation → [`LinksModule::couple_method`] +
 //!    [`LinksModule::invoke_coupled`]
-//! 6. link expiry → [`LinksModule::expired`], found by the event
-//!    handler's periodic task, and [`LinksModule::expire`], which it
-//!    hands to the pool
+//! 6. link expiry → [`LinksModule::expired`], found by the `link-expiry`
+//!    tick the first expiring link arms, and [`LinksModule::expire`],
+//!    which it hands to the pool
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Weak};
+use std::time::Duration;
 
 use syd_store::{Column, ColumnType, Predicate, Schema, Store};
 use syd_telemetry::{Event, Journal};
@@ -403,6 +404,13 @@ pub struct LinksModule {
     next_link: AtomicU64,
     next_corr: AtomicU64,
     promotion: RwLock<Option<PromotionHandler>>,
+    /// This module, for the `link-expiry` tick to hold weakly.
+    me: Weak<LinksModule>,
+    /// Set once the `link-expiry` tick is registered.
+    ticking: AtomicBool,
+    /// Set while a pool job deletes expired links: the next ticks leave
+    /// them to it instead of queueing the same deletions again.
+    expiring: AtomicBool,
 }
 
 const T_LINK: &str = "SyD_Link";
@@ -431,7 +439,7 @@ impl LinksModule {
         clock: Arc<dyn Clock>,
         events: EventHandler,
         journal: Arc<Journal>,
-    ) -> SydResult<LinksModule> {
+    ) -> SydResult<Arc<LinksModule>> {
         store.create_table(Schema::new(
             T_LINK,
             vec![
@@ -474,7 +482,7 @@ impl LinksModule {
             &["id"],
         )?)?;
         store.create_index(T_METHOD, "src_method")?;
-        Ok(LinksModule {
+        Ok(Arc::new_cyclic(|me| LinksModule {
             store,
             engine,
             user,
@@ -484,7 +492,10 @@ impl LinksModule {
             next_link: AtomicU64::new(1),
             next_corr: AtomicU64::new(1),
             promotion: RwLock::new(None),
-        })
+            me: me.clone(),
+            ticking: AtomicBool::new(false),
+            expiring: AtomicBool::new(false),
+        }))
     }
 
     /// The user owning this link database.
@@ -532,6 +543,13 @@ impl LinksModule {
                 Value::Bytes(encode_to_vec(&Refs(&spec.refs[..]))),
             ],
         )?;
+        if spec.expires.is_some() && !self.ticking.swap(true, Ordering::AcqRel) {
+            // It runs on the runtime's loop; the runtime owns the closure,
+            // so a strong handle here would keep the device alive.
+            let (links, every) = (self.me.clone(), Duration::from_millis(500));
+            self.events
+                .register_periodic("link-expiry", every, move || expiry_tick(&links));
+        }
         if let Some((waits_on, group)) = spec.waits_on {
             self.store.insert(
                 T_WAIT,
@@ -1047,7 +1065,7 @@ impl LinksModule {
     // ---- §4.2 op. 6: expiry -------------------------------------------------
 
     /// The links whose expiry time has passed: one local query, which the
-    /// device's `link-expiry` tick runs on the runtime loop.
+    /// `link-expiry` tick runs on the runtime loop.
     pub fn expired(&self) -> SydResult<Vec<LinkId>> {
         let now = self.clock.now().as_micros() as i64;
         let mut expired = Vec::new();
@@ -1138,6 +1156,27 @@ impl LinksModule {
             }
         }
     }
+}
+
+/// The `link-expiry` tick (§4.2 op. 6) finds the expired links on the loop
+/// and hands their deletion to the pool, one job per device at a time: a
+/// cascade may wait out every deadline against an unreachable peer, and on
+/// the loop it would stall every device of the process.
+fn expiry_tick(module: &Weak<LinksModule>) {
+    let Some(links) = module.upgrade() else {
+        return;
+    };
+    let expired = links.expired().unwrap_or_default();
+    if expired.is_empty() || links.expiring.swap(true, Ordering::AcqRel) {
+        return;
+    }
+    let job = module.clone();
+    links.engine.node().runtime().pool().execute(move || {
+        if let Some(links) = job.upgrade() {
+            links.expire(&expired);
+            links.expiring.store(false, Ordering::Release);
+        }
+    });
 }
 
 #[cfg(test)]

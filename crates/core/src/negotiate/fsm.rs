@@ -77,11 +77,11 @@ pub fn classify_reply(reply: &SydResult<Value>) -> ReplyClass {
 /// Participant-side mark transition over an abstract entity lock.
 ///
 /// `holder` is the session currently holding the entity's lock (`None` =
-/// free); the lock is re-entrant for `session` itself, exactly like
-/// `syd-store`'s lock table. Returns the vote and the holder after the
-/// transition. `prepare_ok` is the entity handler's verdict (a device
-/// with no handler behaves as `prepare_ok = true`: pure mutual-exclusion
-/// semantics).
+/// free, or a lapsed lease). A mark by `session` itself finds its own
+/// lock, which is not deepened, exactly like `syd-store`'s lock table.
+/// Returns the vote and the holder after the transition. `prepare_ok` is
+/// the entity handler's verdict (a device with no handler behaves as
+/// `prepare_ok = true`: pure mutual-exclusion semantics).
 pub fn participant_mark(
     holder: Option<u64>,
     session: u64,
@@ -89,17 +89,8 @@ pub fn participant_mark(
 ) -> (Vote, Option<u64>) {
     match holder {
         Some(other) if other != session => (Vote::NoLockBusy, holder),
-        previous => {
-            if prepare_ok {
-                (Vote::Yes, Some(session))
-            } else if previous.is_some() {
-                // Re-entrant acquisition: releasing the mark's hold pops
-                // one level; the session still holds the lock underneath.
-                (Vote::NoPrepare, previous)
-            } else {
-                (Vote::NoPrepare, None)
-            }
-        }
+        _ if prepare_ok => (Vote::Yes, Some(session)),
+        _ => (Vote::NoPrepare, None),
     }
 }
 
@@ -243,10 +234,10 @@ mod tests {
         assert_eq!(vote, Vote::NoPrepare);
         assert_eq!(holder, None);
         assert!(vote.releases_lock());
-        // Re-entrant: the session keeps its pre-existing hold.
+        // Not re-entrant: a refused re-mark frees the session's own lock.
         let (vote, holder) = participant_mark(Some(9), 9, false);
         assert_eq!(vote, Vote::NoPrepare);
-        assert_eq!(holder, Some(9));
+        assert_eq!(holder, None);
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Fleet-scale runtime tests: device churn must not leak threads, and a
-//! fleet must stay within the shared runtime's fixed thread budget.
+//! Fleet-scale runtime tests: device churn must not leak threads, a
+//! fleet must stay within the shared runtime's fixed thread budget, and
+//! an idle device must cost the runtime's loop nothing.
 //!
 //! These assertions read `/proc/self/task` directly — the point of the
 //! shared runtime is the *process-level* thread count, so that is what
@@ -9,8 +10,10 @@
 
 use std::time::{Duration, Instant};
 
+use syd_core::links::LinkSpec;
 use syd_core::SydEnv;
 use syd_net::NetConfig;
+use syd_types::Timestamp;
 
 /// Both tests in this binary read the process-wide thread count; running
 /// them concurrently would let each observe the other's fleet.
@@ -184,4 +187,35 @@ fn fleet_thread_budget_holds_at_scale() {
     for device in &devices {
         device.shutdown();
     }
+}
+
+/// A device whose links never expire runs no periodic task, so idle
+/// devices leave the runtime's loop only its pool watchdog to wake for;
+/// the first link stored with an expiry arms that device's one tick.
+#[test]
+fn idle_devices_arm_no_periodic_task() {
+    let _serial = SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let env = SydEnv::new_insecure(NetConfig::ideal());
+    let runtime = env.runtime();
+    let devices: Vec<_> = (0..50)
+        .map(|i| env.device(&format!("idle-{i}"), "").unwrap())
+        .collect();
+    assert_eq!(runtime.periodic_tasks(), 1, "idle devices armed ticks");
+
+    let links = devices[0].links();
+    links
+        .add_local(LinkSpec::subscription("e", vec![]))
+        .unwrap();
+    assert_eq!(runtime.periodic_tasks(), 1, "a link that never expires");
+    let later = Timestamp::from_micros(u64::MAX / 2);
+    for _ in 0..2 {
+        links
+            .add_local(LinkSpec::subscription("e", vec![]).with_expiry(later))
+            .unwrap();
+    }
+    assert_eq!(runtime.periodic_tasks(), 2, "one tick per expiring device");
+    devices[0].shutdown();
+    assert_eq!(runtime.periodic_tasks(), 1, "shutdown left its tick armed");
 }

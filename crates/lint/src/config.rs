@@ -171,7 +171,6 @@ impl Default for Config {
                 "drain_events",
                 "dispatch_event",
                 "expiry_tick",
-                "sweep_sessions",
                 "kick",
             ]),
             poll_forbidden: s(&[
@@ -194,7 +193,15 @@ impl Default for Config {
             span_methods: s(&["span", "span_root", "record_span", "finish_handle"]),
             registry_exempt: s(&["crates/telemetry/"]),
             protocol_methods: s(&["mark", "commit", "abort"]),
-            lock_manager_methods: s(&["acquire", "try_acquire", "release", "release_all"]),
+            lock_manager_methods: s(&[
+                "acquire",
+                "try_acquire",
+                "take",
+                "admits",
+                "release",
+                "release_all",
+                "end_leases",
+            ]),
             boundary_allowed: s(&[
                 "crates/core/src/negotiate.rs",
                 "crates/core/src/device.rs",

@@ -454,8 +454,8 @@ fn transitive_blocking(graph: &CallGraph, effects: &Effects, config: &Config, re
 /// strong-capture-cycle: a closure registered on shared infrastructure
 /// (runtime loop, worker pool) captures a strong `Arc` of a
 /// runtime-owning type, so the registration keeps the runtime alive
-/// after the last external handle drops — the leak class fixed in
-/// `DeviceRuntime::register_periodic_tasks` by downgrading to `Weak`.
+/// after the last external handle drops — the leak class the device's
+/// periodic tasks once had, fixed by downgrading to `Weak`.
 fn strong_capture_cycle(effects: &Effects, report: &mut Report) {
     for cap in effects.captures.iter().filter(|c| !c.is_test) {
         report.diagnostics.push(Diagnostic {

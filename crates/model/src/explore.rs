@@ -73,8 +73,8 @@ pub trait Model {
     }
 
     /// End-of-run settling applied to a terminal state before auditing —
-    /// the stale-session sweep in the negotiation model. Returns the
-    /// settled state and journals what the sweep journals.
+    /// ending every lease still held, in the negotiation model. Returns
+    /// the settled state and journals what ending them journals.
     fn finalize(&self, state: &Self::State, journal: &mut JournalSet) -> Self::State;
 
     /// Reduces a settled terminal state plus its journals to the device
@@ -88,7 +88,7 @@ pub trait Model {
     /// Whether this run should be audited with strict options. Models
     /// return `false` when the schedule used behaviours that are legal
     /// on an at-least-once network but flagged by the strict checks
-    /// (duplicate deliveries re-locking an entity, for instance).
+    /// (a duplicate delivery re-committing an entity, for instance).
     fn strict(&self, state: &Self::State) -> bool;
 }
 

@@ -47,6 +47,7 @@ impl Inject {
             "double-lock" => Inject::Negotiation(NegotiationInject::DoubleLock),
             "lock-leak" => Inject::Negotiation(NegotiationInject::LockLeak),
             "bad-arithmetic" => Inject::Negotiation(NegotiationInject::BadArithmetic),
+            "commit-after-lease" => Inject::Negotiation(NegotiationInject::CommitAfterLease),
             "skip-cascade" => Inject::Lifecycle(LifecycleInject::SkipCascade),
             "skip-promotion" => Inject::Lifecycle(LifecycleInject::SkipPromotion),
             _ => return None,
@@ -55,11 +56,12 @@ impl Inject {
 
     /// The `syd_check` rule the injected bug must trip.
     fn expected_rule(self) -> Rule {
+        use NegotiationInject as N;
         match self {
-            Inject::Negotiation(NegotiationInject::DoubleCommit) => Rule::DoubleBook,
-            Inject::Negotiation(NegotiationInject::DoubleLock) => Rule::Ordering,
-            Inject::Negotiation(NegotiationInject::LockLeak) => Rule::LockLeak,
-            Inject::Negotiation(NegotiationInject::BadArithmetic) => Rule::Constraint,
+            Inject::Negotiation(N::DoubleCommit | N::CommitAfterLease) => Rule::DoubleBook,
+            Inject::Negotiation(N::DoubleLock) => Rule::Ordering,
+            Inject::Negotiation(N::LockLeak) => Rule::LockLeak,
+            Inject::Negotiation(N::BadArithmetic) => Rule::Constraint,
             Inject::Lifecycle(LifecycleInject::SkipCascade) => Rule::Cascade,
             Inject::Lifecycle(LifecycleInject::SkipPromotion) => Rule::Waiting,
         }
@@ -71,6 +73,7 @@ impl Inject {
             Inject::Negotiation(NegotiationInject::DoubleLock) => "double-lock",
             Inject::Negotiation(NegotiationInject::LockLeak) => "lock-leak",
             Inject::Negotiation(NegotiationInject::BadArithmetic) => "bad-arithmetic",
+            Inject::Negotiation(NegotiationInject::CommitAfterLease) => "commit-after-lease",
             Inject::Lifecycle(LifecycleInject::SkipCascade) => "skip-cascade",
             Inject::Lifecycle(LifecycleInject::SkipPromotion) => "skip-promotion",
         }
@@ -176,6 +179,7 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Config, String> {
         }
         _ => {}
     }
+    let crash = crash || inject == Some(Inject::Negotiation(NegotiationInject::CommitAfterLease));
     if !(2..=8).contains(&devices) {
         return Err("--devices must be between 2 and 8".to_owned());
     }
@@ -228,10 +232,12 @@ judges each terminal state with the syd-check invariant oracle.
   --constraint and|or:K|xor:K     session constraint (default and)
   --faults N                      message-loss budget (default 1)
   --dups N                        duplicate-delivery budget (default 0)
-  --crash                         allow one coordinator crash
+  --crash                         allow one coordinator crash or lease lapse
   --inject KIND                   plant a bug the checker must catch:
                                   double-commit double-lock lock-leak
-                                  bad-arithmetic skip-cascade skip-promotion
+                                  bad-arithmetic commit-after-lease
+                                  skip-cascade skip-promotion
+                                  (commit-after-lease implies --crash)
   --max-states N                  visited-state cap (default 2000000)"
     );
 }
@@ -456,28 +462,29 @@ mod tests {
         assert_eq!(config.inject.unwrap().expected_rule(), Rule::Cascade);
         let config = parse("--inject double-commit").unwrap();
         assert_eq!(config.scenario, Scenario::Negotiate);
+        assert!(!config.crash);
+        // A late commit needs a lease to lapse, which the crash budget pays.
+        assert!(parse("--inject commit-after-lease").unwrap().crash);
         // Mismatched pairs are rejected.
         assert!(parse("--scenario lifecycle --inject double-commit").is_err());
     }
 
+    /// Each planted bug is caught by the rule it breaks; the two that
+    /// apply a change without the lock are both double-books.
     #[test]
-    fn every_injection_maps_to_a_distinct_rule() {
+    fn every_injection_maps_to_its_rule() {
         let kinds = [
-            "double-commit",
-            "double-lock",
-            "lock-leak",
-            "bad-arithmetic",
-            "skip-cascade",
-            "skip-promotion",
+            ("double-commit", Rule::DoubleBook),
+            ("double-lock", Rule::Ordering),
+            ("lock-leak", Rule::LockLeak),
+            ("bad-arithmetic", Rule::Constraint),
+            ("commit-after-lease", Rule::DoubleBook),
+            ("skip-cascade", Rule::Cascade),
+            ("skip-promotion", Rule::Waiting),
         ];
-        let rules: Vec<Rule> = kinds
-            .iter()
-            .map(|k| Inject::parse(k).unwrap().expected_rule())
-            .collect();
-        for (i, a) in rules.iter().enumerate() {
-            for b in &rules[i + 1..] {
-                assert_ne!(a, b);
-            }
+        for (kind, rule) in kinds {
+            let inject = Inject::parse(kind).unwrap();
+            assert_eq!((inject.name(), inject.expected_rule()), (kind, rule));
         }
     }
 }

@@ -1,15 +1,15 @@
 //! Abstract model of the §4.3 negotiation protocol: `n` devices, each
 //! owning one entity, running `s` concurrent negotiation sessions over
-//! all of them under bounded message loss, duplicate delivery, and
-//! coordinator crash.
+//! all of them under bounded message loss, duplicate delivery,
+//! coordinator crash and lock-lease lapse.
 //!
 //! The transition semantics are **not** re-implemented here: every
 //! protocol decision is delegated to the pure cores the runtime itself
-//! executes — [`fsm::participant_mark`], [`fsm::decide`], and
-//! [`fsm::outcome_satisfied`] from `syd_core` — and every step journals
-//! the [`Event`] that `crates/core/src/device.rs` and `negotiate.rs`
-//! journal for it, so the `syd-check` oracle sees the same event
-//! language either way.
+//! executes — [`fsm::participant_mark`], [`fsm::participant_release`],
+//! [`fsm::decide`] and [`fsm::outcome_satisfied`] from `syd_core` — and
+//! every step journals the [`Event`] that `crates/core/src/device.rs` and
+//! `negotiate.rs` journal for it, so the `syd-check` oracle sees the same
+//! event language either way.
 //!
 //! ## Abstraction
 //!
@@ -20,10 +20,12 @@
 //! the modelled declines are lock conflicts and lost messages, which is
 //! where all the §4.3 concurrency lives. Each participant slot walks a
 //! small per-session state machine (mark pending → vote → commit/abort/
-//! cleanup), and the only shared state is the per-entity lock holder,
-//! exactly like the runtime's lock table (depth-counted for duplicate
-//! marks). Fault budgets are part of the state, so the explorer covers
-//! every placement of every budgeted fault.
+//! cleanup), and the only shared state is the per-entity lock holder and
+//! the last session whose lease lapsed there, exactly like the runtime's
+//! lock table. A lease lapse is drawn from the crash budget: to its
+//! participant, a coordinator too slow for its lease has crashed. Fault
+//! budgets are part of the state, so the explorer covers every placement
+//! of every budgeted fault.
 
 use syd_check::{DeviceState, HeldLock};
 use syd_core::negotiate::fsm;
@@ -43,12 +45,15 @@ pub enum NegotiationInject {
     /// The first yes-voting device journals its lock acquisition twice
     /// without a release — `syd_check::Rule::Ordering` (strict).
     DoubleLock,
-    /// The first delivered commit forgets to journal, release, or sweep
-    /// its lock — `syd_check::Rule::LockLeak`.
+    /// The first delivered commit forgets to journal or release its lock,
+    /// and keeps it past every lease end — `syd_check::Rule::LockLeak`.
     LockLeak,
     /// Session 0's coordinator misreports its outcome as satisfied with
     /// one commit short — `syd_check::Rule::Constraint`.
     BadArithmetic,
+    /// A participant applies a commit that arrives after its session's
+    /// lease lapsed there — `syd_check::Rule::DoubleBook`.
+    CommitAfterLease,
 }
 
 /// Model configuration: the protocol instance to exhaust.
@@ -64,7 +69,7 @@ pub struct NegotiationModel {
     pub loss_budget: u8,
     /// How many deliveries the network may duplicate.
     pub dup_budget: u8,
-    /// How many coordinators may crash mid-session.
+    /// How many coordinators may crash mid-session or leases lapse.
     pub crash_budget: u8,
     /// Optional planted bug.
     pub inject: Option<NegotiationInject>,
@@ -107,15 +112,15 @@ enum Slot {
     Committed,
     /// Commit swallowed by the [`NegotiationInject::LockLeak`] bug: the
     /// coordinator counts it committed, but the device journaled
-    /// nothing, still holds the lock, and hides it from the sweep.
+    /// nothing and still holds the lock, whose lease never ends.
     CommitLeaked,
-    /// Both commit deliveries lost; the coordinator gave up.
+    /// Commit lost twice or refused after a lapse; the coordinator gave up.
     CommitFailed,
     /// Abort decided (constraint failed or xor overflow); in flight.
     AbortPending,
     /// Abort applied and lock released.
     Aborted,
-    /// Abort delivery lost; the lock waits for the sweep.
+    /// Abort delivery lost; the lock waits for its lease to end.
     AbortDropped,
     /// Best-effort cleanup abort to a decliner, in flight.
     CleanupPending,
@@ -164,20 +169,22 @@ struct Session {
 /// deduplication sound for this model.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct NegotiationState {
-    /// Per entity: `(session index, re-entrant depth)` of the holder.
-    holders: Vec<Option<(u8, u8)>>,
+    /// Per entity: the session id of the holder.
+    holders: Vec<Option<u64>>,
+    /// Per entity: the last session whose lease lapsed there.
+    lapsed: Vec<Option<u64>>,
     sessions: Vec<Session>,
     loss_left: u8,
     dup_left: u8,
     crash_left: u8,
-    /// A duplicate delivery happened somewhere — the run is audited
-    /// with lossy (non-strict) options, like a real at-least-once run.
+    /// A commit was delivered twice somewhere — the run is audited with
+    /// lossy (non-strict) options, like a real at-least-once run.
     dups_used: bool,
     /// The one-shot injection already fired.
     injected: bool,
     /// `(session, entity)` whose lock the [`NegotiationInject::LockLeak`]
-    /// bug hid from the stale-session sweep.
-    leaked: Option<(u8, u8)>,
+    /// bug keeps past the end of every lease.
+    leaked: Option<(u64, usize)>,
 }
 
 /// One atomic step of the negotiation system.
@@ -211,7 +218,7 @@ pub enum NegotiationAction {
         device: usize,
     },
     /// A delivered mark is delivered again (at-least-once RPC): the
-    /// device re-journals its lock and vote, deepening the lock.
+    /// device finds its own lock and votes again.
     DuplicateMark {
         /// Session index.
         session: usize,
@@ -253,7 +260,7 @@ pub enum NegotiationAction {
         /// Participant device.
         device: usize,
     },
-    /// An abort delivery is lost; the lock waits for the sweep.
+    /// An abort delivery is lost; the lock waits for its lease to end.
     DropAbort {
         /// Session index.
         session: usize,
@@ -286,6 +293,14 @@ pub enum NegotiationAction {
         /// Session index.
         session: usize,
     },
+    /// A held lock's lease runs out before its commit or abort arrives:
+    /// the device journals the release and will refuse that commit.
+    LeaseLapse {
+        /// Session index.
+        session: usize,
+        /// Participant device.
+        device: usize,
+    },
 }
 
 impl NegotiationAction {
@@ -305,6 +320,7 @@ impl NegotiationAction {
             | NegotiationAction::DropAbort { session, .. }
             | NegotiationAction::DeliverCleanup { session, .. }
             | NegotiationAction::DropCleanup { session, .. }
+            | NegotiationAction::LeaseLapse { session, .. }
             | NegotiationAction::End { session }
             | NegotiationAction::Crash { session } => session,
         }
@@ -323,7 +339,8 @@ impl NegotiationAction {
             | NegotiationAction::DeliverAbort { device, .. }
             | NegotiationAction::DropAbort { device, .. }
             | NegotiationAction::DeliverCleanup { device, .. }
-            | NegotiationAction::DropCleanup { device, .. } => Some(device),
+            | NegotiationAction::DropCleanup { device, .. }
+            | NegotiationAction::LeaseLapse { device, .. } => Some(device),
             NegotiationAction::Start { .. }
             | NegotiationAction::Decide { .. }
             | NegotiationAction::End { .. }
@@ -378,6 +395,9 @@ impl std::fmt::Display for NegotiationAction {
             NegotiationAction::Crash { session } => {
                 write!(f, "s{session}: coordinator crashes")
             }
+            NegotiationAction::LeaseLapse { session, device } => {
+                write!(f, "s{session}: lease on dev{device} lapses")
+            }
         }
     }
 }
@@ -414,15 +434,13 @@ impl NegotiationModel {
         self.sid(s) + (1 << 32)
     }
 
-    fn release_one(state: &mut NegotiationState, entity: usize, session: usize) {
-        if let Some((holder, depth)) = state.holders[entity] {
-            if holder as usize == session {
-                state.holders[entity] = if depth > 1 {
-                    Some((holder, depth - 1))
-                } else {
-                    None
-                };
-            }
+    /// What the crash budget allows session `s`: its coordinator crashes,
+    /// or the lease of a lock it holds lapses.
+    fn crashes(&self, state: &NegotiationState, s: usize, out: &mut Vec<NegotiationAction>) {
+        if state.crash_left > 0 {
+            out.push(NegotiationAction::Crash { session: s });
+            let held = (0..self.devices).filter(|&i| state.holders[i] == Some(self.sid(s)));
+            out.extend(held.map(|device| NegotiationAction::LeaseLapse { session: s, device }));
         }
     }
 }
@@ -438,6 +456,7 @@ impl Model for NegotiationModel {
     fn initial(&self) -> NegotiationState {
         NegotiationState {
             holders: vec![None; self.devices],
+            lapsed: vec![None; self.devices],
             sessions: (0..self.sessions)
                 .map(|_| Session {
                     phase: SessionPhase::NotStarted,
@@ -479,7 +498,9 @@ impl Model for NegotiationModel {
                                     });
                                 }
                             }
-                            Slot::Yes if state.dup_left > 0 => {
+                            Slot::Yes
+                                if state.dup_left > 0 && state.holders[i] == Some(self.sid(s)) =>
+                            {
                                 out.push(A::DuplicateMark {
                                     session: s,
                                     device: i,
@@ -491,9 +512,7 @@ impl Model for NegotiationModel {
                     if session.slots.iter().all(|slot| *slot != Slot::MarkPending) {
                         out.push(A::Decide { session: s });
                     }
-                    if state.crash_left > 0 {
-                        out.push(A::Crash { session: s });
-                    }
+                    self.crashes(state, s, &mut out);
                 }
                 SessionPhase::Finishing => {
                     for (i, slot) in session.slots.iter().enumerate() {
@@ -546,9 +565,7 @@ impl Model for NegotiationModel {
                     if session.slots.iter().all(|slot| slot.terminal()) {
                         out.push(A::End { session: s });
                     }
-                    if state.crash_left > 0 {
-                        out.push(A::Crash { session: s });
-                    }
+                    self.crashes(state, s, &mut out);
                 }
                 SessionPhase::Done | SessionPhase::Crashed => {}
             }
@@ -582,8 +599,7 @@ impl Model for NegotiationModel {
                 device: i,
             } => {
                 let sid = self.sid(s);
-                let holder = st.holders[i].map(|(hs, _)| self.sid(hs as usize));
-                let (vote, _) = fsm::participant_mark(holder, sid, true);
+                let (vote, holder) = fsm::participant_mark(st.holders[i], sid, true);
                 match vote {
                     fsm::Vote::Yes => {
                         journal.record(i, Event::lock(sid, entity(i)));
@@ -592,7 +608,7 @@ impl Model for NegotiationModel {
                             journal.record(i, Event::lock(sid, entity(i)));
                         }
                         journal.record(i, Event::vote(sid, entity(i), Vote::Yes));
-                        st.holders[i] = Some((s as u8, 1));
+                        st.holders[i] = holder;
                         st.sessions[s].slots[i] = Slot::Yes;
                     }
                     fsm::Vote::NoLockBusy => {
@@ -617,15 +633,14 @@ impl Model for NegotiationModel {
             } => {
                 st.loss_left -= 1;
                 let sid = self.sid(s);
-                let holder = st.holders[i].map(|(hs, _)| self.sid(hs as usize));
-                let (vote, _) = fsm::participant_mark(holder, sid, true);
+                let (vote, holder) = fsm::participant_mark(st.holders[i], sid, true);
                 match vote {
                     fsm::Vote::Yes => {
                         // The device locked and voted yes, but the reply
                         // never reached the coordinator.
                         journal.record(i, Event::lock(sid, entity(i)));
                         journal.record(i, Event::vote(sid, entity(i), Vote::Yes));
-                        st.holders[i] = Some((s as u8, 1));
+                        st.holders[i] = holder;
                         st.sessions[s].slots[i] = Slot::YesReplyLost;
                     }
                     fsm::Vote::NoLockBusy => {
@@ -642,16 +657,9 @@ impl Model for NegotiationModel {
                 device: i,
             } => {
                 st.dup_left -= 1;
-                st.dups_used = true;
-                let sid = self.sid(s);
-                // Re-entrant re-acquisition: the lock table deepens and
-                // the device journals the lock and vote again.
-                journal.record(i, Event::lock(sid, entity(i)));
-                journal.record(i, Event::vote(sid, entity(i), Vote::Yes));
-                if let Some((holder, depth)) = st.holders[i] {
-                    debug_assert_eq!(holder as usize, s);
-                    st.holders[i] = Some((holder, depth + 1));
-                }
+                // The device finds its own lock: it votes again, and
+                // neither journals a second lock nor deepens the one held.
+                journal.record(i, Event::vote(self.sid(s), entity(i), Vote::Yes));
             }
             A::Decide { session: s } => {
                 let sid = self.sid(s);
@@ -691,12 +699,16 @@ impl Model for NegotiationModel {
                 device: i,
             } => {
                 let sid = self.sid(s);
-                if self.inject == Some(NegotiationInject::LockLeak) && !st.injected {
+                let late = st.holders[i] != Some(sid) && st.lapsed[i] == Some(sid);
+                if late && self.inject != Some(NegotiationInject::CommitAfterLease) {
+                    // Its lease lapsed: refused, and so is the retry.
+                    journal.record(self.coord(s), abort_user(sid, i, "commit-failed"));
+                    st.sessions[s].slots[i] = Slot::CommitFailed;
+                } else if self.inject == Some(NegotiationInject::LockLeak) && !st.injected {
                     // The buggy device applies the change but journals
-                    // nothing, keeps the lock, and corrupts its session
-                    // bookkeeping so the stale sweep misses it too.
+                    // nothing and keeps the lock past every lease end.
                     st.injected = true;
-                    st.leaked = Some((s as u8, i as u8));
+                    st.leaked = Some((sid, i));
                     st.sessions[s].slots[i] = Slot::CommitLeaked;
                 } else {
                     if self.inject == Some(NegotiationInject::DoubleCommit) && !st.injected {
@@ -706,7 +718,7 @@ impl Model for NegotiationModel {
                         journal.record(i, Event::commit(self.ghost_sid(s), entity(i), true));
                     }
                     journal.record(i, Event::commit(sid, entity(i), true));
-                    Self::release_one(&mut st, i, s);
+                    st.holders[i] = fsm::participant_release(st.holders[i], sid);
                     st.sessions[s].slots[i] = Slot::Committed;
                 }
             }
@@ -733,8 +745,9 @@ impl Model for NegotiationModel {
             } => {
                 st.dup_left -= 1;
                 st.dups_used = true;
-                journal.record(i, Event::commit(self.sid(s), entity(i), true));
-                Self::release_one(&mut st, i, s);
+                let sid = self.sid(s);
+                journal.record(i, Event::commit(sid, entity(i), true));
+                st.holders[i] = fsm::participant_release(st.holders[i], sid);
             }
             A::DeliverAbort {
                 session: s,
@@ -748,7 +761,7 @@ impl Model for NegotiationModel {
                 };
                 journal.record(self.coord(s), abort_user(sid, i, reason));
                 journal.record(i, Event::release(sid, entity(i), "coordinator-abort"));
-                Self::release_one(&mut st, i, s);
+                st.holders[i] = fsm::participant_release(st.holders[i], sid);
                 st.sessions[s].slots[i] = Slot::Aborted;
             }
             A::DropAbort {
@@ -762,8 +775,8 @@ impl Model for NegotiationModel {
                     "constraint-failed"
                 };
                 // The coordinator journals its abort decision whether or
-                // not the RPC lands; the participant's lock waits for
-                // the stale-session sweep.
+                // not the RPC lands; the participant's lock waits for its
+                // lease to end.
                 journal.record(self.coord(s), abort_user(self.sid(s), i, reason));
                 st.sessions[s].slots[i] = Slot::AbortDropped;
             }
@@ -776,7 +789,7 @@ impl Model for NegotiationModel {
                 // device never locked (lost request) — release is
                 // owner-only and idempotent.
                 journal.record(i, Event::release(sid, entity(i), "coordinator-abort"));
-                Self::release_one(&mut st, i, s);
+                st.holders[i] = fsm::participant_release(st.holders[i], sid);
                 st.sessions[s].slots[i] = Slot::CleanedUp;
             }
             A::DropCleanup {
@@ -845,6 +858,14 @@ impl Model for NegotiationModel {
                 st.crash_left -= 1;
                 st.sessions[s].phase = SessionPhase::Crashed;
             }
+            A::LeaseLapse {
+                session: s,
+                device: i,
+            } => {
+                st.crash_left -= 1;
+                journal.record(i, Event::release(self.sid(s), entity(i), "lease"));
+                st.lapsed[i] = st.holders[i].take();
+            }
         }
         st
     }
@@ -895,21 +916,16 @@ impl Model for NegotiationModel {
     }
 
     fn finalize(&self, state: &NegotiationState, journal: &mut JournalSet) -> NegotiationState {
-        // The stale-session sweep: after the run quiesces, every lock
-        // still held is journaled and released (release_all semantics),
-        // exactly like `DeviceRuntime::sweep_sessions`. The lock hidden
-        // by the lock-leak injection is the one exception — that bug
-        // corrupted the sweep's bookkeeping too.
+        // After the run quiesces every lease still held ends, journaled as
+        // a lapse, exactly like `DeviceRuntime::end_leases`. The lock kept
+        // by the lock-leak injection is the one exception.
         let mut st = state.clone();
         for i in 0..self.devices {
-            if let Some((holder, _)) = st.holders[i] {
-                if st.leaked == Some((holder, i as u8)) {
+            if let Some(holder) = st.holders[i] {
+                if st.leaked == Some((holder, i)) {
                     continue;
                 }
-                journal.record(
-                    i,
-                    Event::release(self.sid(holder as usize), entity(i), "stale-sweep"),
-                );
+                journal.record(i, Event::release(holder, entity(i), "lease"));
                 st.holders[i] = None;
             }
         }
@@ -926,8 +942,8 @@ impl Model for NegotiationModel {
             .enumerate()
             .map(|(i, (device, journal))| {
                 let locks = match state.holders[i] {
-                    Some((holder, _)) => vec![HeldLock {
-                        session: self.sid(holder as usize),
+                    Some(holder) => vec![HeldLock {
+                        session: holder,
                         entity: entity(i).into(),
                     }],
                     None => Vec::new(),
@@ -944,9 +960,10 @@ impl Model for NegotiationModel {
     }
 
     fn strict(&self, state: &NegotiationState) -> bool {
-        // Loss is strict-clean (the sweep closes every story), but a
-        // duplicate delivery legitimately re-locks or re-commits — the
-        // same reason the live audit relaxes on at-least-once networks.
+        // Loss and lapses are strict-clean (the end of a lease closes
+        // every story), and so is a duplicate mark; a duplicate commit
+        // legitimately re-commits — the same reason the live audit relaxes
+        // on at-least-once networks.
         !state.dups_used
     }
 }
@@ -1027,10 +1044,13 @@ mod tests {
             (NegotiationInject::DoubleLock, Rule::Ordering),
             (NegotiationInject::LockLeak, Rule::LockLeak),
             (NegotiationInject::BadArithmetic, Rule::Constraint),
+            (NegotiationInject::CommitAfterLease, Rule::DoubleBook),
         ];
         for (inject, rule) in cases {
             let mut m = model(Constraint::And);
             m.inject = Some(inject);
+            // A lease lapses only on the crash budget.
+            m.crash_budget = u8::from(inject == NegotiationInject::CommitAfterLease);
             let (verdict, _) = explore(&m);
             let Verdict::Violation { schedule, report } = verdict else {
                 panic!("{inject:?} produced no counterexample");

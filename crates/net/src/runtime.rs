@@ -6,11 +6,12 @@
 //! ([`ReadyNotifier`]) or the head of one due-ordered heap falls due. A
 //! notification names when its event falls due: now queues the endpoint
 //! for a drain, later (a sim frame in flight) arms a wake-up on the heap,
-//! which also holds the periodic tasks (link-expiry and stale-session
-//! sweeps, the pool watchdog). Drains and due tasks run on the loop,
-//! outside its lock; requests and events become jobs on the shared
-//! [`WorkerPool`]. Nothing that runs on the loop may block — one waiting
-//! drain or tick stalls every device of the process (DESIGN.md §21).
+//! which also holds the periodic tasks (the pool watchdog, and the
+//! link-expiry tick of each device that stored an expiring link). Drains
+//! and due tasks run on the loop, outside its lock; requests and events
+//! become jobs on the shared [`WorkerPool`]. Nothing that runs on the loop
+//! may block — one waiting drain or tick stalls every device of the
+//! process (DESIGN.md §21).
 //!
 //! Thread budget for a fleet of any size on one backend:
 //! `workers (≤ 48, soft cap) + 1 loop + backend threads` — the sim has

@@ -6,10 +6,10 @@
 //! [`Timers::next_due`], and runs what [`Timers::collect_due`] hands back
 //! outside the lock. Two kinds of entry share the heap:
 //!
-//! * **periodic tasks** — every device's link-expiry and stale-session
-//!   sweeps and the pool watchdog, re-armed after each firing until
-//!   cancelled by id. Cancelled ids leave stale heap entries behind that
-//!   are skipped at pop time, which keeps [`Timers::cancel`] O(1).
+//! * **periodic tasks** — the pool watchdog and the link-expiry tick of
+//!   each device that stored an expiring link, re-armed after each firing
+//!   until cancelled by id. Cancelled ids leave stale heap entries behind
+//!   that are skipped at pop time, which keeps [`Timers::cancel`] O(1).
 //! * **wake-ups** — an endpoint whose next event falls due later (a sim
 //!   frame in flight) asks to be drained then; the drain re-arms for
 //!   whatever is still in flight. Wake-ups that fall due together drain

@@ -1,4 +1,4 @@
-//! Logical row locks with bounded waits.
+//! Logical row locks with bounded waits; §4.3's entity locks are leases.
 //!
 //! §4.3 writes every negotiation in terms of `Mark X for change and Lock X`.
 //! These are *logical* entity locks — held across multiple statements and
@@ -9,14 +9,18 @@
 //! the prototype inherited from Oracle's lock waits).
 //!
 //! Locks are keyed by `(table, key-values)` and owned by an opaque `u64`
-//! (a transaction id or a negotiation session id). Acquisition is
-//! re-entrant for the same owner.
+//! (a transaction id or a negotiation session id). Taking a lock its owner
+//! already holds succeeds without deepening it: one release frees it.
+//!
+//! A `Txn` row lock lasts until released; a §4.3 entity lock is a
+//! [`Lease`], checked wherever the lock is touched (DESIGN.md §23).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use syd_types::sync::{Condvar, Mutex};
-use syd_types::{SydError, SydResult, Text, Value};
+use syd_types::{Clock, SydError, SydResult, Text, Timestamp, Value};
 
 use crate::key::OrdValue;
 
@@ -52,15 +56,52 @@ impl std::fmt::Display for LockKey {
     }
 }
 
-#[derive(Debug)]
-struct LockEntry {
-    owner: u64,
-    depth: u32,
+/// The terms of a §4.3 entity lock.
+pub struct Lease {
+    /// The deployment clock the lease runs on.
+    pub clock: Arc<dyn Clock>,
+    /// How long a lease lasts from the mark that takes it.
+    pub length: Duration,
+    /// Told whose lease on which key ended. It runs under the table's
+    /// mutex, so what it journals comes before the next holder's records.
+    pub lapsed: Lapsed,
 }
 
-/// Exclusive, re-entrant entity locks with bounded waits.
+type Lapsed = Box<dyn Fn(u64, &LockKey) + Send + Sync>;
+
+#[derive(Debug)]
+struct LockEntry {
+    /// The holder, and the instant its lease ends (`None`: a row lock,
+    /// held until released).
+    held: Option<(u64, Option<Timestamp>)>,
+    /// The last session whose lease ended on this key.
+    lapsed: Option<u64>,
+}
+
+impl LockEntry {
+    fn owner(&self) -> Option<u64> {
+        self.held.map(|(owner, _)| owner)
+    }
+
+    /// Ends the holder's lease on `key` if it ran out by `now`: remembers
+    /// the holder and tells `lease`. Returns whether it ended.
+    fn lapse(&mut self, key: &LockKey, now: Timestamp, lease: &Lease) -> bool {
+        match self.held {
+            Some((owner, Some(until))) if until <= now => {
+                self.held = None;
+                self.lapsed = Some(owner);
+                (lease.lapsed)(owner, key);
+                true
+            }
+            _ => false,
+        }
+    }
+}
+
+/// Exclusive entity locks with bounded waits.
 #[derive(Default)]
 pub struct LockManager {
+    /// Held keys, and keys that remember a lapsed lease.
     state: Mutex<BTreeMap<LockKey, LockEntry>>,
     released: Condvar,
 }
@@ -73,127 +114,129 @@ impl LockManager {
 
     /// Attempts to take `key` for `owner` without waiting.
     pub fn try_acquire(&self, owner: u64, key: &LockKey) -> bool {
-        let mut state = self.state.lock();
-        match state.get_mut(key) {
-            None => {
-                state.insert(key.clone(), LockEntry { owner, depth: 1 });
-                true
-            }
-            Some(entry) if entry.owner == owner => {
-                entry.depth += 1;
-                true
-            }
-            Some(_) => false,
-        }
+        self.acquire(owner, key, Duration::ZERO).is_ok()
     }
 
-    /// Takes `key` for `owner`, waiting up to `timeout` for the current
-    /// holder to release. Fails with [`SydError::LockTimeout`].
+    /// Takes `key` for `owner` as a row lock, waiting up to `timeout` for
+    /// the current holder to release. Fails with [`SydError::LockTimeout`].
     pub fn acquire(&self, owner: u64, key: &LockKey, timeout: Duration) -> SydResult<()> {
-        let deadline = Instant::now() + timeout;
+        self.take(owner, key, timeout, None).map(drop)
+    }
+
+    /// Takes `key` for `owner`, under `lease` if given, waiting up to
+    /// `wait` for a live holder (a lapsed one is ended). Returns whether it
+    /// is newly taken: `false` if `owner` held it (its lease starts again).
+    pub fn take(
+        &self,
+        owner: u64,
+        key: &LockKey,
+        wait: Duration,
+        lease: Option<&Lease>,
+    ) -> SydResult<bool> {
+        let deadline = Instant::now() + wait;
         let mut state = self.state.lock();
         loop {
-            match state.get_mut(key) {
-                None => {
-                    state.insert(key.clone(), LockEntry { owner, depth: 1 });
-                    return Ok(());
-                }
-                Some(entry) if entry.owner == owner => {
-                    entry.depth += 1;
-                    return Ok(());
-                }
-                Some(_) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(SydError::LockTimeout(key.to_string()));
-                    }
-                    let wait;
-                    (state, wait) = self.released.wait_timeout(state, deadline - now);
-                    if wait.timed_out() {
-                        // Re-check once after the timed-out wait: the lock
-                        // may have been released exactly at the deadline.
-                        if let Some(entry) = state.get_mut(key) {
-                            if entry.owner != owner {
-                                return Err(SydError::LockTimeout(key.to_string()));
-                            }
-                            entry.depth += 1;
-                            return Ok(());
-                        }
-                        state.insert(key.clone(), LockEntry { owner, depth: 1 });
-                        return Ok(());
-                    }
-                }
+            let terms = lease.map(|lease| (lease, lease.clock.now()));
+            let held = Some((owner, terms.map(|(lease, now)| now.after(lease.length))));
+            let Some(entry) = state.get_mut(key) else {
+                state.insert(key.clone(), LockEntry { held, lapsed: None });
+                return Ok(true);
+            };
+            if let Some((lease, now)) = terms {
+                entry.lapse(key, now, lease);
             }
+            if entry.owner().is_none_or(|holder| holder == owner) {
+                let fresh = entry.held.is_none();
+                entry.held = held;
+                return Ok(fresh);
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return Err(SydError::LockTimeout(key.to_string()));
+            }
+            (state, _) = self.released.wait_timeout(state, deadline - now);
         }
     }
 
-    /// Releases one hold on `key` by `owner`. A re-entrant lock fully
-    /// releases only when every acquisition is matched.
+    /// Whether `owner` may apply its change to `key`: yes while it holds a
+    /// live lease there, no once its lease lapsed there (ending a lapsed
+    /// holder first), and yes to a commit sent again after its own.
+    pub fn admits(&self, owner: u64, key: &LockKey, lease: &Lease) -> bool {
+        let mut state = self.state.lock();
+        let Some(entry) = state.get_mut(key) else {
+            return true;
+        };
+        entry.lapse(key, lease.clock.now(), lease);
+        entry.owner() == Some(owner) || entry.lapsed != Some(owner)
+    }
+
+    /// Releases `key` if `owner` holds it (a double release is harmless).
     pub fn release(&self, owner: u64, key: &LockKey) {
         let mut state = self.state.lock();
-        if let Some(entry) = state.get_mut(key) {
-            if entry.owner != owner {
-                return; // not ours — ignore, as double releases are harmless
+        match state.get_mut(key) {
+            Some(entry) if entry.owner() == Some(owner) && entry.lapsed.is_some() => {
+                entry.held = None;
             }
-            entry.depth -= 1;
-            if entry.depth == 0 {
-                state.remove(key);
-                drop(state);
-                self.released.notify_all();
-            }
+            Some(entry) if entry.owner() == Some(owner) => drop(state.remove(key)),
+            _ => return,
         }
+        drop(state);
+        self.released.notify_all();
     }
 
-    /// Releases everything held by `owner` (transaction end / negotiation
-    /// abort).
+    /// Releases everything held by `owner` (transaction end).
     pub fn release_all(&self, owner: u64) {
         let mut state = self.state.lock();
-        let before = state.len();
-        state.retain(|_, entry| entry.owner != owner);
-        let released = before != state.len();
+        let mut released = false;
+        state.retain(|_, entry| {
+            if entry.owner() == Some(owner) {
+                entry.held = None;
+                released = true;
+            }
+            entry.held.is_some() || entry.lapsed.is_some()
+        });
         drop(state);
         if released {
             self.released.notify_all();
         }
     }
 
-    /// The owner currently holding `key`, if any.
-    pub fn holder(&self, key: &LockKey) -> Option<u64> {
-        self.state.lock().get(key).map(|e| e.owner)
+    /// Ends every held lease as if it had run out, telling `lease` of
+    /// each. Returns how many ended.
+    pub fn end_leases(&self, lease: &Lease) -> usize {
+        let mut state = self.state.lock();
+        let end = Timestamp::from_micros(u64::MAX);
+        let ended = state
+            .iter_mut()
+            .map(|(key, entry)| entry.lapse(key, end, lease))
+            .filter(|&ended| ended)
+            .count();
+        drop(state);
+        self.released.notify_all();
+        ended
     }
 
-    /// Number of currently held locks.
+    /// The owner currently holding `key`, if any.
+    pub fn holder(&self, key: &LockKey) -> Option<u64> {
+        self.state.lock().get(key).and_then(LockEntry::owner)
+    }
+
+    /// Number of held locks, lapsed leases that nothing ended included.
     pub fn held_count(&self) -> usize {
-        self.state.lock().len()
+        self.state
+            .lock()
+            .values()
+            .filter(|entry| entry.held.is_some())
+            .count()
     }
 
     /// Snapshot of every held lock as `(owner, key)` pairs, ordered by
-    /// key. Used by the invariant checker's lock-leak detector and the
-    /// stale-session sweep.
+    /// key. Used by the invariant checker's lock-leak detector.
     pub fn held(&self) -> Vec<(u64, LockKey)> {
         self.state
             .lock()
             .iter()
-            .map(|(key, entry)| (entry.owner, key.clone()))
-            .collect()
-    }
-
-    /// Number of locks currently held by `owner`.
-    pub fn held_by(&self, owner: u64) -> usize {
-        self.state
-            .lock()
-            .values()
-            .filter(|e| e.owner == owner)
-            .count()
-    }
-
-    /// The keys currently held by `owner`, ordered.
-    pub fn keys_held_by(&self, owner: u64) -> Vec<LockKey> {
-        self.state
-            .lock()
-            .iter()
-            .filter(|(_, e)| e.owner == owner)
-            .map(|(k, _)| k.clone())
+            .filter_map(|(key, entry)| Some((entry.owner()?, key.clone())))
             .collect()
     }
 }
@@ -202,10 +245,24 @@ impl LockManager {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // test code
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use syd_types::SimClock;
 
     fn key(n: i64) -> LockKey {
         LockKey::new("slots", [Value::I64(n)])
+    }
+
+    type Lapses = Arc<Mutex<Vec<(u64, LockKey)>>>;
+
+    /// 50 ms leases on `clock`, and the lapses they report.
+    fn terms(clock: &SimClock) -> (Lease, Lapses) {
+        let lapses = Lapses::default();
+        let log = Arc::clone(&lapses);
+        let lease = Lease {
+            clock: Arc::new(clock.clone()),
+            length: Duration::from_millis(50),
+            lapsed: Box::new(move |session, key| log.lock().push((session, key.clone()))),
+        };
+        (lease, lapses)
     }
 
     #[test]
@@ -214,18 +271,6 @@ mod tests {
         assert!(lm.try_acquire(1, &key(5)));
         assert!(!lm.try_acquire(2, &key(5)));
         assert_eq!(lm.holder(&key(5)), Some(1));
-        lm.release(1, &key(5));
-        assert!(lm.try_acquire(2, &key(5)));
-    }
-
-    #[test]
-    fn reentrant_for_same_owner() {
-        let lm = LockManager::new();
-        assert!(lm.try_acquire(1, &key(5)));
-        assert!(lm.try_acquire(1, &key(5)));
-        lm.release(1, &key(5));
-        // Still held: one release left.
-        assert!(!lm.try_acquire(2, &key(5)));
         lm.release(1, &key(5));
         assert!(lm.try_acquire(2, &key(5)));
     }
@@ -315,15 +360,89 @@ mod tests {
         lm.try_acquire(1, &key(1));
         lm.try_acquire(1, &key(2));
         lm.try_acquire(2, &key(3));
-        assert_eq!(lm.held_by(1), 2);
-        assert_eq!(lm.held_by(9), 0);
-        assert_eq!(lm.keys_held_by(1), vec![key(1), key(2)]);
-        let held = lm.held();
-        assert_eq!(held.len(), 3);
-        assert!(held.contains(&(2, key(3))));
+        assert_eq!(lm.held(), vec![(1, key(1)), (1, key(2)), (2, key(3))]);
         lm.release_all(1);
-        assert!(lm.keys_held_by(1).is_empty());
-        assert_eq!(lm.held_by(2), 1);
+        assert_eq!(lm.held(), vec![(2, key(3))]);
+        assert_eq!(lm.holder(&key(1)), None);
+    }
+
+    /// Taking a lock its owner holds succeeds and does not deepen it: one
+    /// release frees it, however often it was taken.
+    #[test]
+    fn reacquiring_a_held_lock_is_idempotent() {
+        let lm = LockManager::new();
+        let (lease, lapses) = terms(&SimClock::new());
+        assert!(lm.take(1, &key(5), Duration::ZERO, Some(&lease)).unwrap());
+        assert!(!lm.take(1, &key(5), Duration::ZERO, Some(&lease)).unwrap());
+        assert!(lm.try_acquire(2, &key(6)));
+        assert!(lm.try_acquire(2, &key(6)));
+        lm.release(1, &key(5));
+        lm.release(2, &key(6));
+        assert_eq!(lm.held_count(), 0);
+        assert!(lapses.lock().is_empty());
+    }
+
+    /// A lapsed lease blocks nobody: the next mark takes the key over and
+    /// hears whose lease ended, and the old holder may no longer commit —
+    /// not even after the new holder let go.
+    #[test]
+    fn a_lapsed_lease_is_taken_over() {
+        let lm = LockManager::new();
+        let clock = SimClock::new();
+        let (lease, lapses) = terms(&clock);
+        assert!(lm.take(1, &key(5), Duration::ZERO, Some(&lease)).unwrap());
+        clock.advance(Duration::from_millis(49));
+        assert!(lm.take(2, &key(5), Duration::ZERO, Some(&lease)).is_err());
+        assert!(lm.admits(1, &key(5), &lease));
+
+        clock.advance(Duration::from_millis(1));
+        assert!(lm.take(2, &key(5), Duration::ZERO, Some(&lease)).unwrap());
+        assert_eq!(*lapses.lock(), vec![(1, key(5))]);
+        assert_eq!(lm.holder(&key(5)), Some(2));
+        assert!(!lm.admits(1, &key(5), &lease));
+        assert!(lm.admits(2, &key(5), &lease));
+        lm.release(2, &key(5));
+        assert!(!lm.admits(1, &key(5), &lease));
+        assert!(lm.admits(3, &key(5), &lease));
+        assert_eq!(lm.held_count(), 0);
+    }
+
+    /// A re-mark starts its lease again; a lease that ran out with nobody
+    /// waiting lapses when the commit looks at it.
+    #[test]
+    fn a_lease_lapses_when_next_touched() {
+        let lm = LockManager::new();
+        let clock = SimClock::new();
+        let (lease, lapses) = terms(&clock);
+        lm.take(1, &key(5), Duration::ZERO, Some(&lease)).unwrap();
+        clock.advance(Duration::from_millis(40));
+        assert!(!lm.take(1, &key(5), Duration::ZERO, Some(&lease)).unwrap());
+        clock.advance(Duration::from_millis(40));
+        assert!(lm.admits(1, &key(5), &lease), "the re-mark renewed it");
+
+        clock.advance(Duration::from_millis(10));
+        assert_eq!(lm.held_count(), 1, "nothing ends a lease but a touch");
+        assert!(!lm.admits(1, &key(5), &lease));
+        assert_eq!(*lapses.lock(), vec![(1, key(5))]);
+        assert_eq!(lm.held_count(), 0);
+        // Its own re-mark takes the key afresh, and it may commit again.
+        assert!(lm.take(1, &key(5), Duration::ZERO, Some(&lease)).unwrap());
+        assert!(lm.admits(1, &key(5), &lease));
+    }
+
+    /// Ending every lease is a lapse of each held one; row locks stay.
+    #[test]
+    fn end_leases_lapses_every_lease_and_no_row_lock() {
+        let lm = LockManager::new();
+        let (lease, lapses) = terms(&SimClock::new());
+        lm.take(1, &key(1), Duration::ZERO, Some(&lease)).unwrap();
+        lm.take(2, &key(2), Duration::ZERO, Some(&lease)).unwrap();
+        assert!(lm.try_acquire(3, &key(3)));
+        assert_eq!(lm.end_leases(&lease), 2);
+        assert_eq!(*lapses.lock(), vec![(1, key(1)), (2, key(2))]);
+        assert_eq!(lm.held(), vec![(3, key(3))]);
+        assert!(!lm.admits(1, &key(1), &lease));
+        assert_eq!(lm.end_leases(&lease), 0);
     }
 
     #[test]

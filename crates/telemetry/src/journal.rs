@@ -106,13 +106,13 @@ pub enum Event {
         applied: bool,
     },
     /// Participant discarded a session's change on an entity (coordinator
-    /// abort, or the stale-session sweep reclaiming a dead owner's lock).
+    /// abort, or the end of the session's lease on the entity's lock).
     Release {
         /// Negotiation session id.
         session: u64,
         /// Released entity.
         entity: Text,
-        /// Why (`coordinator-abort`, `stale-sweep`).
+        /// Why (`coordinator-abort`, `lease`).
         reason: &'static str,
     },
     /// Coordinator opened a negotiation session.
@@ -545,7 +545,7 @@ mod tests {
             Vote::Refused("a b is \"busy\"".into()),
         ));
         j.emit(Event::commit(7, "slot:1:9", false));
-        j.emit(Event::release(7, "slot:1:9", "stale-sweep"));
+        j.emit(Event::release(7, "slot:1:9", "lease"));
         j.emit(Event::Begin {
             session: 16_777_217,
             constraint: Constraint::AtLeast(2),
@@ -590,7 +590,7 @@ mod tests {
             "mark session=7 entity=slot:1:9 vote=no reason=lock-busy",
             "mark session=7 entity=a b vote=no reason=a b is \"busy\"",
             "change session=7 entity=slot:1:9 applied=false",
-            "abort session=7 entity=slot:1:9 reason=stale-sweep",
+            "abort session=7 entity=slot:1:9 reason=lease",
             "span_begin negotiate session=16777217 constraint=AtLeast(2) participants=3",
             "mark session=5 yes=2 declined=1 contended=0",
             "change session=5 committed=2",

@@ -112,7 +112,7 @@ fn main() {
     while phil_device.store().locks().held_count() > 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));
     }
-    phil_device.sweep_stale_sessions(Duration::ZERO);
+    phil_device.end_leases();
     syd::check::audit([&phil_device]).assert_clean();
     println!("phil: audit clean");
 

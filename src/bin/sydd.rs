@@ -63,12 +63,12 @@ fn main() {
     let _ = std::io::stdin().lock().read_line(&mut line);
 
     // Quiesce: let in-flight negotiation steps release their locks, then
-    // sweep stale sessions and audit.
+    // end the leases left behind and audit.
     let deadline = Instant::now() + Duration::from_secs(2);
     while host.store().locks().held_count() > 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));
     }
-    host.sweep_stale_sessions(Duration::ZERO);
+    host.end_leases();
     if stats {
         for line in syd::obs::snapshot().to_string().lines() {
             println!("STATS {line}");

@@ -13,7 +13,8 @@ use syd_bench::stress::{
 };
 
 /// ≥200 concurrent negotiations under message loss *and* partition
-/// churn: after the forced sweep, the audit must be spotless.
+/// churn: once the leases left behind are ended, the audit must be
+/// spotless.
 #[test]
 fn two_hundred_sessions_under_loss_and_partition_audit_clean() {
     let outcome = run(&StressConfig {

@@ -24,15 +24,16 @@ fn wait_for(mut cond: impl FnMut() -> bool, what: &str) {
 }
 
 /// Post-run protocol invariant audit: waits briefly for in-flight lock
-/// handoffs, forces the lost-message sweep (test traffic is over, so any
-/// surviving lock is stale by definition), then replays every journal.
+/// handoffs, ends the leases of what a lost message left locked (test
+/// traffic is over, so any surviving lock is stale by definition), then
+/// replays every journal.
 fn audit_clean(devices: &[&syd::kernel::DeviceRuntime]) {
     let deadline = Instant::now() + Duration::from_secs(2);
     while devices.iter().any(|d| d.store().locks().held_count() > 0) && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));
     }
     for d in devices {
-        d.sweep_stale_sessions(Duration::ZERO);
+        d.end_leases();
     }
     syd::check::audit(devices.iter().copied()).assert_clean();
 }
@@ -144,7 +145,7 @@ fn calendar_on_lossy_wireless_lan() {
         );
     }
     // Loss may have stranded participant locks; the audit tolerates only
-    // what the sweep can still clean up.
+    // what the end of their leases can still clean up.
     audit_clean(&[a.device(), b.device(), c.device()]);
 }
 

@@ -22,7 +22,7 @@ fn audit_clean(devices: &[&syd::kernel::DeviceRuntime]) {
         std::thread::sleep(Duration::from_millis(10));
     }
     for d in devices {
-        d.sweep_stale_sessions(Duration::ZERO);
+        d.end_leases();
     }
     syd::check::audit(devices.iter().copied()).assert_clean();
 }
