@@ -81,7 +81,8 @@ pub struct Config {
     pub boundary_allowed: Vec<String>,
     /// Trait-dispatch fan-out for the call graph.
     pub trait_targets: Vec<TraitTarget>,
-    /// Fully qualified blocking callees (`thread::sleep`) for the
+    /// Fully qualified blocking callees (`thread::sleep`) and
+    /// `receiver.method` waits (`answered.wait_timeout`) for the
     /// transitive effect analysis.
     pub blocking_qualified: Vec<String>,
     /// Method names that only block when called with no arguments
@@ -214,7 +215,11 @@ impl Default for Config {
                 method: "handle".into(),
                 targets: s(&["listener.handle"]),
             }],
-            blocking_qualified: s(&["thread::sleep", "TcpStream::connect"]),
+            blocking_qualified: s(&[
+                "thread::sleep",
+                "TcpStream::connect",
+                "answered.wait_timeout",
+            ]),
             blocking_zero_arg: s(&["recv", "join"]),
             blocking_any_arg: s(&["recv_timeout", "recv_deadline", "connect_timeout"]),
             registration_methods: s(&["register_periodic", "schedule_periodic", "execute"]),

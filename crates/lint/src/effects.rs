@@ -165,7 +165,9 @@ impl Effects {
             if c.is_rpc {
                 put(Atom::Rpc, format!(".{}", c.name));
             }
-            let qualified = c.qualifier.as_deref().map(|q| format!("{q}::{}", c.name));
+            // `path::name(..)`, or `recv.name(..)` for a wait named by its receiver.
+            let qualified = (c.qualifier.as_deref().map(|q| format!("{q}::{}", c.name)))
+                .or_else(|| c.receiver.as_deref().map(|r| format!("{r}.{}", c.name)));
             if let Some(q) = &qualified {
                 if config.blocking_qualified.iter().any(|b| b == q) {
                     put(Atom::Blocks, q.clone());
@@ -595,6 +597,23 @@ mod tests {
         )]);
         assert!(eff.has(node_named(&graph, "f"), &Atom::Blocks));
         assert!(eff.has(node_named(&graph, "g"), &Atom::Blocks));
+    }
+
+    #[test]
+    fn only_the_reply_table_condvar_wait_blocks() {
+        let (_, graph, eff) = compute(&[(
+            "crates/a/src/node.rs",
+            "impl N { fn collect(&self) { t = self.answered.wait_timeout(t, d).0; } \
+                      fn call_many(&self) { self.collect(); } \
+                      fn pace(&self) { s = self.cv.wait_timeout(s, d).0; } }",
+        )]);
+        let chain = eff.chain(&graph, node_named(&graph, "call_many"), &Atom::Blocks);
+        assert!(
+            chain.contains("collect") && chain.contains("`answered.wait_timeout`"),
+            "{chain}"
+        );
+        // A loop's own pacing wait is not a blocking call.
+        assert!(!eff.has(node_named(&graph, "pace"), &Atom::Blocks));
     }
 
     #[test]

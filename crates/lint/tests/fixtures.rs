@@ -109,6 +109,46 @@ fn transitive_block_fixture_fires_once_with_full_chain() {
 }
 
 #[test]
+fn wave_wait_fixture_fires_once_at_the_tick() {
+    let report = run_fixture("wave_wait.rs");
+    assert_eq!(report.diagnostics.len(), 1, "{}", report.render_text());
+    let d = &report.diagnostics[0];
+    assert_eq!(d.rule.name(), "transitive-blocking");
+    assert_eq!(d.function.as_deref(), Some("expiry_tick"));
+    for hop in ["call_many", "collect", "`answered.wait_timeout`"] {
+        assert!(d.message.contains(hop), "missing hop {hop}: {}", d.message);
+    }
+}
+
+#[test]
+fn a_tick_reaching_the_real_call_many_is_flagged() {
+    // The node's own source: `Node::call_many` must be a `Blocks` origin
+    // through its collect loop, so a poll function that reaches it fires.
+    let root = format!("{}/../net/src", env!("CARGO_MANIFEST_DIR"));
+    let read = |f: &str| std::fs::read_to_string(format!("{root}/{f}")).unwrap();
+    let files = vec![
+        ("crates/net/src/node.rs".to_string(), read("node.rs")),
+        (
+            "crates/core/src/ticker.rs".to_string(),
+            "fn expiry_tick(node: &Node) { let _ = node.call_many(&calls, opts, &mut route); }"
+                .to_string(),
+        ),
+    ];
+    let report = analyze(&files, &Config::default(), false);
+    let blocking: Vec<_> = (report.diagnostics.iter())
+        .filter(|d| d.rule.name() == "transitive-blocking")
+        .collect();
+    assert_eq!(blocking.len(), 1, "{}", report.render_text());
+    assert_eq!(blocking[0].function.as_deref(), Some("expiry_tick"));
+    assert!(
+        blocking[0].message.contains("collect")
+            && blocking[0].message.contains("`answered.wait_timeout`"),
+        "{}",
+        blocking[0].message
+    );
+}
+
+#[test]
 fn guard_transitive_rpc_fixture_fires_once() {
     let report = run_fixture("guard_transitive_rpc.rs");
     assert_eq!(report.diagnostics.len(), 1, "{}", report.render_text());
@@ -260,6 +300,7 @@ fn fixtures_are_rule_pure() {
         ("span_registry.rs", "counter-registry"),
         ("boundary.rs", "coordination-boundary"),
         ("transitive_block.rs", "transitive-blocking"),
+        ("wave_wait.rs", "transitive-blocking"),
         ("guard_transitive_rpc.rs", "guard-across-rpc"),
         ("lock_chain.rs", "lock-order"),
         ("strong_capture.rs", "strong-capture-cycle"),

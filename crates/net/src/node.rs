@@ -9,6 +9,9 @@
 //! [`Node::call_many`]; every blocking call above this crate is a caller
 //! of it.
 //!
+//! The pending table is the reply slot: a response is written into its
+//! call's entry, and a waiter collects its whole wave in one condvar loop.
+//!
 //! A node owns no thread. It is a state machine registered with its
 //! backend's [`crate::runtime::SharedRuntime`]: the runtime's loop drains
 //! the endpoint when the transport signals readiness, and requests and
@@ -17,13 +20,12 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Instant;
 
 use syd_telemetry::{trace, Counter, Histogram, Registry, SpanCtx};
 use syd_transport::{Network, Transport, TransportEndpoint, TransportEvent};
-use syd_types::queue::{self, Sender};
-use syd_types::sync::{Mutex, RwLock};
+use syd_types::sync::{Condvar, Mutex, RwLock};
 use syd_types::{NodeAddr, RequestId, ServiceName, SydError, SydResult, UserId, Value};
 use syd_wire::{Args, EventMsg, Payload, Request, Response, TraceContext};
 
@@ -75,14 +77,14 @@ where
 /// is what keeps `rpc_round_trip/ideal` flat after instrumentation.
 pub(crate) struct NodeMetrics {
     /// `rpc.call` — latency of every answered RPC, send to response
-    /// (microseconds). Fed by [`PendingCall::wait`] only.
-    pub(crate) rpc_call: Histogram,
+    /// (microseconds). Fed by `NodeShared::collect` only.
+    rpc_call: Histogram,
     /// `rpc.retries` — re-sends, one per request of every wave after a
     /// set's first. Fed by [`Node::call_many`] only.
     rpc_retries: Counter,
     /// `rpc.timeouts` — sends that hit their deadline. Fed by
-    /// [`PendingCall::wait`] only.
-    pub(crate) rpc_timeouts: Counter,
+    /// `NodeShared::collect` only.
+    rpc_timeouts: Counter,
     /// `rpc.requests_served` — inbound requests dispatched to a handler.
     requests_served: Counter,
 }
@@ -101,9 +103,11 @@ impl NodeMetrics {
 pub(crate) struct NodeShared {
     addr: NodeAddr,
     link: Arc<dyn TransportEndpoint>,
-    /// Reply slots of the calls in flight; a [`PendingCall`] removes its
-    /// own when it is dropped.
-    pub(crate) pending: Mutex<HashMap<RequestId, Sender<SydResult<Value>>>>,
+    /// Reply slots of the calls in flight (`None`: waiting), taken by the
+    /// collect loop or removed by a [`PendingCall`] dropped unwaited.
+    pub(crate) pending: Mutex<HashMap<RequestId, Option<SydResult<Value>>>>,
+    /// Notified whenever an entry of `pending` is filled.
+    answered: Condvar,
     next_request: AtomicU64,
     handler: RwLock<Option<Arc<dyn RequestHandler>>>,
     events: RwLock<Option<Arc<dyn EventSink>>>,
@@ -112,10 +116,48 @@ pub(crate) struct NodeShared {
     /// `link`, its pool runs the handlers.
     runtime: SharedRuntime,
     registry: Arc<Registry>,
-    pub(crate) metrics: NodeMetrics,
+    metrics: NodeMetrics,
     /// Per-node span ring: `rpc.client` / `rpc.server` spans land here,
     /// and higher layers (kernel, calendar) record through it too.
     tracer: Tracer,
+}
+
+impl NodeShared {
+    /// The one collect loop, of a [`Node::call_many`] wave or a lone
+    /// [`PendingCall::wait`]: waits until every call has its reply or `deadline`
+    /// passes, then takes each out into `results[index]` (else `Timeout`). Every
+    /// RPC ends here, so `rpc.call`, `rpc.timeouts` and `rpc.client` are fed here.
+    pub(crate) fn collect(
+        &self,
+        wave: &mut [(usize, PendingCall)],
+        deadline: Instant,
+        results: &mut [SydResult<Value>],
+    ) {
+        let mut table = self.pending.lock();
+        // An entry stays filled until it is taken, so one pass waits for all.
+        for (_, call) in wave.iter() {
+            let mut left = deadline.saturating_duration_since(Instant::now());
+            while !left.is_zero() && matches!(table.get(&call.id), Some(None)) {
+                table = self.answered.wait_timeout(table, left).0;
+                left = deadline.saturating_duration_since(Instant::now());
+            }
+        }
+        for (i, call) in wave.iter_mut() {
+            let reply = table.remove(&call.id).flatten();
+            let result = reply.unwrap_or(Err(SydError::Timeout(call.id)));
+            match &result {
+                Ok(_) => self.metrics.rpc_call.record_duration(call.sent.elapsed()),
+                Err(SydError::Timeout(_)) => self.metrics.rpc_timeouts.inc(),
+                Err(_) => {}
+            }
+            if let Some(mut span) = call.span.take() {
+                span.attr("ok", u64::from(result.is_ok()));
+                span.finish();
+            }
+            results[*i] = result;
+            call.node = Weak::new(); // its entry is gone: nothing to drop
+        }
+    }
 }
 
 /// A live node on a transport. Cloning shares the node.
@@ -150,6 +192,7 @@ impl Node {
             addr,
             link,
             pending: Mutex::new(HashMap::new()),
+            answered: Condvar::new(),
             next_request: AtomicU64::new(1),
             handler: RwLock::new(None),
             events: RwLock::new(None),
@@ -264,11 +307,11 @@ impl Node {
     /// A wave asks `route` once, with the indices still outstanding, for
     /// one address per index in that order (an `Err` is that call's final
     /// result: the resolver has its own retries behind it); sends **every**
-    /// request before awaiting any; and awaits them all under one deadline,
-    /// `opts.timeout` from the last send — so `k` lost calls cost one
-    /// timeout, not `k`. What failed transiently, or at an address nobody
-    /// is at, is outstanding for the next wave; there are at most
-    /// `1 + opts.retries` waves, so a set returns within
+    /// request before awaiting any; and collects them all in one wait
+    /// under one deadline, `opts.timeout` from the last send — so `k` lost
+    /// calls cost one timeout, not `k`. What failed transiently, or at an
+    /// address nobody is at, is outstanding for the next wave; there are at
+    /// most `1 + opts.retries` waves, so a set returns within
     /// `(1 + opts.retries) × opts.timeout` plus whatever `route` takes.
     ///
     /// Re-sends share the call's [`Args`] handle: nothing is deep-copied or
@@ -283,44 +326,36 @@ impl Node {
         let mut results: Vec<SydResult<Value>> =
             calls.iter().map(|_| Err(SydError::Shutdown)).collect();
         let mut outstanding: Vec<usize> = (0..calls.len()).collect();
+        let node = &self.shared; // so syd-lint's call graph resolves `node.collect`
         for wave in 0..=opts.retries {
+            let mut routes = route(&outstanding).into_iter();
             let mut sent = Vec::with_capacity(outstanding.len());
-            for (&i, addr) in outstanding.iter().zip(route(&outstanding)) {
-                let call = &calls[i];
-                match addr {
-                    Ok(addr) => sent.push((
-                        i,
-                        self.call_async_to(
-                            addr,
-                            call.user,
-                            call.service,
-                            call.method,
-                            call.args.clone(),
-                        ),
-                    )),
-                    Err(err) => results[i] = Err(err),
+            // A routing error is final; a failed send stays for the retry below.
+            outstanding.retain(|&i| match routes.next() {
+                Some(Ok(addr)) => {
+                    let c = &calls[i];
+                    match self.call_async_to(addr, c.user, c.service, c.method, c.args.clone()) {
+                        Ok(pending) => sent.push((i, pending)),
+                        Err(err) => results[i] = Err(err),
+                    }
+                    true
                 }
-            }
-            let deadline = Instant::now() + opts.timeout;
-            outstanding.clear();
-            for (i, pending) in sent {
-                results[i] = pending.and_then(|pending| {
-                    pending.wait(deadline.saturating_duration_since(Instant::now()))
-                });
-                let again = results[i].as_ref().err().is_some_and(|err| {
+                Some(Err(err)) => {
+                    results[i] = Err(err);
+                    false
+                }
+                None => false,
+            });
+            node.collect(&mut sent, Instant::now() + opts.timeout, &mut results);
+            outstanding.retain(|&i| {
+                results[i].as_ref().err().is_some_and(|err| {
                     err.is_transient() || matches!(err, SydError::Unreachable(_))
-                });
-                if again && wave < opts.retries {
-                    outstanding.push(i);
-                }
-            }
-            if outstanding.is_empty() {
+                })
+            });
+            if outstanding.is_empty() || wave == opts.retries {
                 break;
             }
-            self.shared
-                .metrics
-                .rpc_retries
-                .add(outstanding.len() as u64);
+            node.metrics.rpc_retries.add(outstanding.len() as u64);
         }
         results
     }
@@ -352,8 +387,7 @@ impl Node {
         args: impl Into<Args>,
     ) -> SydResult<PendingCall> {
         let id = RequestId::new(self.shared.next_request.fetch_add(1, Ordering::Relaxed));
-        let (tx, rx) = queue::channel();
-        self.shared.pending.lock().insert(id, tx);
+        self.shared.pending.lock().insert(id, None);
         let (caller, credentials) = self.shared.identity.read().clone();
         // Continue the thread's current trace (nested invocation) or
         // mint a fresh root — either way every request carries context.
@@ -392,7 +426,6 @@ impl Node {
         }
         Ok(PendingCall {
             id,
-            rx,
             node: Arc::downgrade(&self.shared),
             sent: Instant::now(),
             span: Some(client_span),
@@ -422,11 +455,11 @@ impl Node {
     pub fn shutdown(&self) {
         self.shared.runtime.deregister_node(self.shared.addr);
         self.shared.link.close();
-        // Fail everything still pending.
-        let mut pending = self.shared.pending.lock();
-        for (_, tx) in pending.drain() {
-            let _ = tx.send(Err(SydError::Shutdown));
+        // Fail everything still waiting; its waiters take it out.
+        for slot in self.shared.pending.lock().values_mut() {
+            slot.get_or_insert(Err(SydError::Shutdown));
         }
+        self.shared.answered.notify_all();
     }
 }
 
@@ -460,13 +493,13 @@ fn dispatch_event(shared: &Arc<NodeShared>, event: TransportEvent) {
     };
     match envelope.payload {
         Payload::Response(resp) => {
-            if let Some(tx) = shared.pending.lock().remove(&resp.id) {
-                // Whoever removes the table entry owns the reply slot
-                // and sends into it exactly once; `send` never blocks,
-                // so the reactor is never parked here.
-                let _ = tx.send(resp.result);
+            let mut pending = shared.pending.lock();
+            // Only a waiting entry takes a reply: duplicates and late ones drop.
+            if let Some(slot @ None) = pending.get_mut(&resp.id) {
+                *slot = Some(resp.result);
+                drop(pending);
+                shared.answered.notify_all();
             }
-            // Late responses for timed-out calls are dropped silently.
         }
         Payload::Request(req) => {
             let handler = shared.handler.read().clone();
@@ -879,6 +912,144 @@ mod tests {
                 .call_async(silent.addr(), &ServiceName::new("svc"), "m", vec![])
                 .unwrap(),
         );
+        assert_eq!(client.shared.pending.lock().len(), 0);
+
+        // A reply that arrives after its wave timed out finds no entry and
+        // is dropped: answer the first request now, then make sure the
+        // client has drained it by finishing a call queued behind it.
+        let late = silent.recv_timeout(Duration::from_secs(1)).unwrap();
+        let Payload::Request(req) = late.payload else {
+            panic!("expected the timed-out request, got {late:?}");
+        };
+        silent
+            .send(
+                client.addr(),
+                Payload::Response(Response {
+                    id: req.id,
+                    result: Ok(Value::I64(1)),
+                }),
+            )
+            .unwrap();
+        let server = Node::spawn(&net);
+        server.set_handler(echo_handler());
+        client
+            .call(server.addr(), &ServiceName::new("echo"), "m", vec![])
+            .unwrap();
+        assert_eq!(client.shared.pending.lock().len(), 0, "late reply kept");
+    }
+
+    /// `n` calls of `svc.m` with arguments `0..n`, all routed to `dst`.
+    fn wave_to(
+        client: &Node,
+        dst: NodeAddr,
+        svc: &ServiceName,
+        n: i64,
+        opts: CallOptions,
+    ) -> Vec<SydResult<Value>> {
+        let calls: Vec<Call<'_>> = (0..n)
+            .map(|k| Call::new(UserId::default(), svc, "m", vec![Value::I64(k)]))
+            .collect();
+        client.call_many(&calls, opts, &mut |idx| {
+            idx.iter().map(|_| Ok(dst)).collect()
+        })
+    }
+
+    /// Echoes `[tag, arg]` after `(5 - arg) × 10 ms`: the later a call was
+    /// sent, the sooner it is answered.
+    fn reversing_server(net: &Network, tag: &'static str) -> Node {
+        let server = Node::spawn(net);
+        server.set_handler(Arc::new(move |_: NodeAddr, req: Request| {
+            let k = req.args.to_vec()[0].as_i64().unwrap();
+            std::thread::sleep(Duration::from_millis(10 * (5 - k).max(0) as u64));
+            Ok(Value::list([Value::str(tag), Value::I64(k)]))
+        }));
+        server
+    }
+
+    #[test]
+    fn a_wave_answered_in_reverse_comes_back_in_call_order() {
+        let net = Network::ideal();
+        let server = reversing_server(&net, "s");
+        let client = Node::spawn(&net);
+        let hist = client.metrics().get_histogram(names::RPC_CALL).unwrap();
+        let before = hist.count();
+        let results = wave_to(
+            &client,
+            server.addr(),
+            &ServiceName::new("svc"),
+            6,
+            CallOptions::new(),
+        );
+        for (k, result) in results.into_iter().enumerate() {
+            let expected = Value::list([Value::str("s"), Value::I64(k as i64)]);
+            assert_eq!(result.unwrap(), expected);
+        }
+        assert_eq!(hist.count() - before, 6);
+        assert_eq!(client.shared.pending.lock().len(), 0);
+    }
+
+    #[test]
+    fn two_waves_on_one_node_each_take_only_their_own_replies() {
+        let net = Network::ideal();
+        let (a, b) = (reversing_server(&net, "a"), reversing_server(&net, "b"));
+        let client = Node::spawn(&net);
+        let svc = ServiceName::new("svc");
+        // Both waves of a round start together and wait on the one condvar
+        // for ≥ 50 ms, so every reply wakes both waiters.
+        let start = std::sync::Barrier::new(2);
+        let rounds = std::thread::scope(|s| {
+            let waves = [("a", &a), ("b", &b)].map(|(tag, server)| {
+                let (client, svc, start) = (&client, &svc, &start);
+                let wave = move || {
+                    start.wait();
+                    wave_to(client, server.addr(), svc, 6, CallOptions::new())
+                };
+                (
+                    tag,
+                    s.spawn(move || (0..5).map(|_| wave()).collect::<Vec<_>>()),
+                )
+            });
+            waves.map(|(tag, handle)| (tag, handle.join().unwrap()))
+        });
+        // Checked after both threads are done: a failed check inside one
+        // would leave the other parked on the barrier.
+        for (tag, waves) in rounds {
+            for results in waves {
+                for (k, result) in results.into_iter().enumerate() {
+                    let expected = Value::list([Value::str(tag), Value::I64(k as i64)]);
+                    assert_eq!(result.unwrap(), expected);
+                }
+            }
+        }
+        assert_eq!(client.shared.pending.lock().len(), 0);
+    }
+
+    #[test]
+    fn shutdown_fails_a_waiting_wave_at_once() {
+        let net = Network::ideal();
+        let silent: Vec<_> = (0..5).map(|_| net.register()).collect();
+        let client = Node::spawn(&net);
+        let svc = ServiceName::new("svc");
+        let calls: Vec<Call<'_>> = (0..5)
+            .map(|_| Call::new(UserId::default(), &svc, "m", vec![]))
+            .collect();
+        let started = Instant::now();
+        let results = std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(50));
+                client.shutdown();
+            });
+            let opts = CallOptions::new().with_timeout(Duration::from_secs(2));
+            client.call_many(&calls, opts, &mut |idx| {
+                idx.iter().map(|&i| Ok(silent[i].addr())).collect()
+            })
+        });
+        assert!(
+            started.elapsed() < Duration::from_millis(250),
+            "shutdown took {:?}",
+            started.elapsed()
+        );
+        assert_eq!(results, vec![Err(SydError::Shutdown); 5]);
         assert_eq!(client.shared.pending.lock().len(), 0);
     }
 

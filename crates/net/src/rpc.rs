@@ -1,10 +1,10 @@
 //! Client-side RPC plumbing: requests, call options and pending-call
-//! futures.
+//! handles. A [`PendingCall`] owns no reply slot of its own: its reply
+//! lands in the issuing node's pending table, which it names by id.
 
 use std::sync::Weak;
 use std::time::{Duration, Instant};
 
-use syd_types::queue::{Receiver, RecvError};
 use syd_types::{RequestId, ServiceName, SydError, SydResult, UserId, Value};
 use syd_wire::Args;
 
@@ -110,14 +110,13 @@ impl Default for CallOptions {
 /// call takes one round-trip latency rather than `n` (§3.1 "execute a
 /// service on a group of objects").
 ///
-/// Dropping a `PendingCall` (after [`PendingCall::wait`], or without
-/// ever waiting) removes the node's pending-table entry — an abandoned or
-/// timed-out call cannot leak table slots.
+/// [`PendingCall::wait`] takes the call's entry out of the node's pending
+/// table; dropping a `PendingCall` that was never waited for removes it —
+/// an abandoned or timed-out call cannot leak table slots.
 pub struct PendingCall {
     pub(crate) id: RequestId,
-    pub(crate) rx: Receiver<SydResult<Value>>,
-    /// The issuing node: its pending table holds this call's reply slot,
-    /// its registry the `rpc.call` / `rpc.timeouts` metrics.
+    /// The issuing node, whose pending table holds this call's reply
+    /// slot; empty once the slot has been taken.
     pub(crate) node: Weak<NodeShared>,
     /// When the request left, for `rpc.call`.
     pub(crate) sent: Instant,
@@ -146,32 +145,15 @@ impl PendingCall {
         self.id
     }
 
-    /// Waits up to `timeout` for the response. Every RPC ends here,
-    /// whoever issued it, so this is where `rpc.call` (answered: send to
-    /// response) and `rpc.timeouts` are fed.
-    pub fn wait(mut self, timeout: Duration) -> SydResult<Value> {
-        let result = match self.rx.recv_timeout(timeout) {
-            Ok(result) => result,
-            Err(RecvError::Empty) => Err(SydError::Timeout(self.id)),
-            Err(RecvError::Disconnected) => Err(SydError::Shutdown),
-        };
+    /// Waits up to `timeout` for the response: the node's collect loop
+    /// for a wave of one. A call whose node is gone fails with `Shutdown`.
+    pub fn wait(self, timeout: Duration) -> SydResult<Value> {
+        let mut result = [Err(SydError::Shutdown)];
         if let Some(node) = self.node.upgrade() {
-            match &result {
-                Ok(_) => node.metrics.rpc_call.record_duration(self.sent.elapsed()),
-                Err(SydError::Timeout(_)) => node.metrics.rpc_timeouts.inc(),
-                Err(_) => {}
-            }
+            node.collect(&mut [(0, self)], Instant::now() + timeout, &mut result);
         }
-        if let Some(mut span) = self.span.take() {
-            span.attr("ok", u64::from(result.is_ok()));
-            span.finish();
-        }
+        let [result] = result;
         result
-    }
-
-    /// Returns the response if it has already arrived.
-    pub fn poll(&self) -> Option<SydResult<Value>> {
-        self.rx.try_recv().ok()
     }
 }
 
@@ -179,18 +161,6 @@ impl PendingCall {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // test code
 mod tests {
     use super::*;
-    use syd_types::queue;
-
-    /// A call no node issued: nothing to clean up, nothing to count.
-    fn detached(id: u64, rx: Receiver<SydResult<Value>>) -> PendingCall {
-        PendingCall {
-            id: RequestId::new(id),
-            rx,
-            node: Weak::new(),
-            sent: Instant::now(),
-            span: None,
-        }
-    }
 
     #[test]
     fn options_builders() {
@@ -204,20 +174,18 @@ mod tests {
 
     #[test]
     fn pending_call_timeout_names_request() {
-        let (_tx, rx) = queue::channel();
+        let net = crate::Network::ideal();
+        let silent = net.register(); // receives, never replies
+        let client = crate::Node::spawn(&net);
+        let call = client
+            .call_async(silent.addr(), &ServiceName::new("svc"), "m", vec![])
+            .unwrap();
+        let id = call.id();
         assert_eq!(
-            detached(9, rx).wait(Duration::from_millis(10)).unwrap_err(),
-            SydError::Timeout(RequestId::new(9))
+            call.wait(Duration::from_millis(10)).unwrap_err(),
+            SydError::Timeout(id)
         );
-    }
-
-    #[test]
-    fn pending_call_poll() {
-        let (tx, rx) = queue::channel();
-        let call = detached(1, rx);
-        assert!(call.poll().is_none());
-        tx.send(Ok(Value::I64(5))).unwrap();
-        assert_eq!(call.poll().unwrap().unwrap(), Value::I64(5));
+        assert_eq!(client.rpc_timeouts(), 1);
     }
 
     #[test]

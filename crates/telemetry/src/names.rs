@@ -13,12 +13,12 @@
 // --- rpc (syd-net node) ---------------------------------------------------
 
 /// Histogram: latency of every answered outbound RPC, send to response,
-/// µs. Fed by `PendingCall::wait` only.
+/// µs. Fed by the node's collect loop (`NodeShared::collect`) only.
 pub const RPC_CALL: &str = "rpc.call";
 /// Counter: requests sent again in a later wave after a transient failure.
 /// Fed by `Node::call_many` only.
 pub const RPC_RETRIES: &str = "rpc.retries";
-/// Counter: sends that hit their deadline. Fed by `PendingCall::wait` only.
+/// Counter: sends that hit their deadline. Fed by the collect loop only.
 pub const RPC_TIMEOUTS: &str = "rpc.timeouts";
 /// Counter: inbound RPC requests dispatched to a handler.
 pub const RPC_REQUESTS_SERVED: &str = "rpc.requests_served";

@@ -294,6 +294,18 @@ fn bump_chain_resolves_by_priority() {
         .schedule(MeetingSpec::plain("mid", slot, vec![c.user()]).with_priority(Priority::new(100)))
         .unwrap();
     assert_eq!(mid.status, MeetingStatus::Confirmed);
+    // The bumped meetings reschedule themselves elsewhere. Each bump's
+    // reschedule runs on its own thread, so `low`'s must land before
+    // `high` bumps `mid`: two reschedules that overlap both pick the next
+    // slot `b` shares, and the lower one then waits there behind `mid`.
+    wait_for(
+        || {
+            a.meeting(low.meeting).unwrap().is_some_and(|m| {
+                m.status == MeetingStatus::Confirmed && m.ordinal != slot.ordinal()
+            })
+        },
+        "low meeting rescheduled",
+    );
     let high = c
         .schedule(
             MeetingSpec::plain("high", slot, vec![b.user()]).with_priority(Priority::new(200)),
@@ -309,15 +321,6 @@ fn bump_chain_resolves_by_priority() {
     assert_eq!(
         c.slot_state(slot.ordinal()).unwrap().meeting(),
         Some(high.meeting)
-    );
-    // The bumped meetings rescheduled themselves elsewhere.
-    wait_for(
-        || {
-            a.meeting(low.meeting).unwrap().is_some_and(|m| {
-                m.status == MeetingStatus::Confirmed && m.ordinal != slot.ordinal()
-            })
-        },
-        "low meeting rescheduled",
     );
     wait_for(
         || {
