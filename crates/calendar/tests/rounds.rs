@@ -4,7 +4,8 @@
 //! where a commit failed; one round for a `cancel`, whose releases carry
 //! the §4.4 cascade. Counted on the ideal simulator with the initiator's
 //! `engine.rounds` and the transport's `transport.frames_out`, at n = 8,
-//! with the address caches warm.
+//! with the address caches warm. A call a device makes to itself is served
+//! in-process, so an operation sends 2 × (calls − self-calls) frames.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code
 
@@ -109,8 +110,8 @@ fn a_free_schedule_is_mark_and_commit_and_a_cancel_is_one_round() {
     assert_eq!(r1 - r0, 2, "schedule: the mark round and the commit round");
     assert_eq!(
         f1 - f0,
-        4 * N as u64,
-        "schedule: a mark and a commit per member, each with its reply"
+        4 * (N as u64 - 1),
+        "schedule: 2 × (2N calls − 2 to itself): a mark and a commit per other member, each with its reply"
     );
     // What used to take a round of its own is in place when the call
     // returns: the record, the confirmed row, the back link and the mail.
@@ -141,8 +142,8 @@ fn a_free_schedule_is_mark_and_commit_and_a_cancel_is_one_round() {
     );
     assert_eq!(
         frames(&env) - f1,
-        2 * N as u64,
-        "cancel: a release per member with its reply, nothing to mop up"
+        2 * (N as u64 - 1),
+        "cancel: 2 × (N releases − 1 to itself), nothing to mop up"
     );
     for app in &apps {
         assert!(app.slot_state(slot.ordinal()).unwrap().is_free());
@@ -193,8 +194,8 @@ fn a_blocked_schedule_is_two_rounds_and_is_promoted_by_the_cancel() {
     );
     assert_eq!(
         frames(&env) - f0,
-        2 * 16,
-        "blocked: 8 marks, 4 commits and 4 queues, each with its reply"
+        2 * (16 - 2),
+        "blocked: 2 × (8 marks + 4 commits + 4 queues − B's own mark and commit)"
     );
     for app in &apps[4..8] {
         assert_eq!(
@@ -206,14 +207,14 @@ fn a_blocked_schedule_is_two_rounds_and_is_promoted_by_the_cancel() {
     }
 
     // C queues behind A at two members and gives up while still blocked:
-    // 3 releases and 2 drops.
+    // 3 releases, one of them its own, and 2 drops.
     let third = c
         .schedule(MeetingSpec::plain("c", slot, users_of(&apps[4..6])))
         .unwrap();
     assert_eq!(third.pending, users_of(&apps[4..6]));
     let f0 = frames(&env);
     c.cancel(third.meeting).unwrap();
-    assert_eq!(frames(&env) - f0, 2 * (3 + 2));
+    assert_eq!(frames(&env) - f0, 2 * (3 + 2 - 1));
 
     a.cancel(first.meeting).unwrap();
     wait_for(
@@ -250,11 +251,11 @@ fn a_blocked_schedule_is_two_rounds_and_is_promoted_by_the_cancel() {
     assert_eq!(rounds(b) - r1, 0, "a stale wake-up starts no round");
     assert_eq!(frames(&env) - f1, 2 * N as u64);
 
-    // Nothing is queued any more: 8 releases.
+    // Nothing is queued any more: 8 releases, one of them B's own.
     let (r2, f2) = (rounds(b), frames(&env));
     b.cancel(second.meeting).unwrap();
     assert_eq!(rounds(b) - r2, 1);
-    assert_eq!(frames(&env) - f2, 2 * 8);
+    assert_eq!(frames(&env) - f2, 2 * (8 - 1));
     settle(&env);
     no_availability_link_left(&apps);
     for app in &apps {
@@ -527,7 +528,11 @@ fn only_a_participant_whose_release_failed_is_sent_the_cascade() {
     let (r0, f0) = (rounds(&apps[0]), frames(&env));
     apps[0].cancel(outcome.meeting).unwrap();
     assert_eq!(rounds(&apps[0]) - r0, 2, "the releases, and the mop-up");
-    assert_eq!(frames(&env) - f0, 2 * (4 + 1));
+    assert_eq!(
+        frames(&env) - f0,
+        2 * (4 + 1 - 1),
+        "4 releases and the mop-up − the initiator's own release"
+    );
     let served = served.lock();
     assert_eq!(served.len(), 1, "{served:?}");
     assert_eq!(served[0].0, deaf.user());

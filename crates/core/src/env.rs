@@ -231,6 +231,22 @@ mod tests {
     }
 
     #[test]
+    fn a_self_call_with_forged_credentials_is_refused() {
+        let env = SydEnv::new(NetConfig::ideal(), "deployment");
+        let a = env.device("alice", "pw-a").unwrap();
+        let ping = ServiceName::new("syd.ping");
+        // Served in-process, and still authenticated (§5.4).
+        let out = a.engine().invoke(a.user(), &ping, "ping", vec![]).unwrap();
+        assert_eq!(out, Value::str("pong"));
+        a.node().set_identity(a.user(), vec![0xBA, 0xD1]);
+        let err = a
+            .engine()
+            .invoke(a.user(), &ping, "ping", vec![])
+            .unwrap_err();
+        assert!(matches!(err, syd_types::SydError::AuthFailed(_)), "{err}");
+    }
+
+    #[test]
     fn sealing_the_same_credentials_twice_gives_different_blobs() {
         let env = SydEnv::new(NetConfig::ideal(), "deployment");
         let user = UserId::new(77);

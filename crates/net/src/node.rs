@@ -12,6 +12,12 @@
 //! The pending table is the reply slot: a response is written into its
 //! call's entry, and a waiter collects its whole wave in one condvar loop.
 //!
+//! A call to the node's own address never reaches the transport: it is
+//! served by the same pool job a received request gets, and the job
+//! writes its result straight into the caller's entry. Handler,
+//! credential check, counters, spans and the collect loop are the same;
+//! there is no frame, so no latency, loss or partition.
+//!
 //! A node owns no thread. It is a state machine registered with its
 //! backend's [`crate::runtime::SharedRuntime`]: the runtime's loop drains
 //! the endpoint when the transport signals readiness, and requests and
@@ -156,6 +162,30 @@ impl NodeShared {
             }
             results[*i] = result;
             call.node = Weak::new(); // its entry is gone: nothing to drop
+        }
+    }
+
+    /// Fills `id`'s reply slot and wakes the waiters. Only a waiting entry
+    /// takes a reply: duplicates and late ones drop.
+    fn complete(&self, id: RequestId, result: SydResult<Value>) {
+        let mut pending = self.pending.lock();
+        if let Some(slot @ None) = pending.get_mut(&id) {
+            *slot = Some(result);
+            drop(pending);
+            self.answered.notify_all();
+        }
+    }
+
+    /// Answers request `id` from `to`: in this node's own table when `to`
+    /// is this node, else as a response frame.
+    fn reply(&self, to: NodeAddr, id: RequestId, result: SydResult<Value>) {
+        if to == self.addr {
+            self.complete(id, result);
+        } else {
+            let response = Payload::Response(Response { id, result });
+            let _ = self
+                .link
+                .send(syd_wire::Envelope::new(self.addr, to, response));
         }
     }
 }
@@ -378,6 +408,9 @@ impl Node {
     /// the same pre-encoded [`Args`] clone to every recipient pays the
     /// body encoding cost once for the whole group (see
     /// [`Args::preencode`]).
+    ///
+    /// A request to this node's own address is served in-process and is
+    /// never handed to the transport.
     pub fn call_async_to(
         &self,
         dst: NodeAddr,
@@ -415,12 +448,13 @@ impl Node {
                 hop: span.hop,
             }),
         };
-        let send_result = self.shared.link.send(syd_wire::Envelope::new(
+        if dst == self.shared.addr {
+            serve_request(&self.shared, dst, request);
+        } else if let Err(err) = self.shared.link.send(syd_wire::Envelope::new(
             self.shared.addr,
             dst,
             Payload::Request(request),
-        ));
-        if let Err(err) = send_result {
+        )) {
             self.shared.pending.lock().remove(&id);
             return Err(err);
         }
@@ -492,69 +526,8 @@ fn dispatch_event(shared: &Arc<NodeShared>, event: TransportEvent) {
         | TransportEvent::Disconnected(_) => return,
     };
     match envelope.payload {
-        Payload::Response(resp) => {
-            let mut pending = shared.pending.lock();
-            // Only a waiting entry takes a reply: duplicates and late ones drop.
-            if let Some(slot @ None) = pending.get_mut(&resp.id) {
-                *slot = Some(resp.result);
-                drop(pending);
-                shared.answered.notify_all();
-            }
-        }
-        Payload::Request(req) => {
-            let handler = shared.handler.read().clone();
-            let from = envelope.src;
-            // Both `Copy`: read here so the handler can own the request.
-            let (id, trace_ctx) = (req.id, req.trace);
-            let reply_shared = Arc::clone(shared);
-            let job = move || {
-                reply_shared.metrics.requests_served.inc();
-                // Serve under the caller's trace context so nested
-                // outbound calls made by the handler inherit it.
-                let _span = trace_ctx.map(|tc| {
-                    trace::enter(SpanCtx {
-                        trace: tc.trace_id,
-                        span: tc.span_id,
-                        hop: tc.hop + 1,
-                    })
-                });
-                let served_start = syd_trace::now_us();
-                let result = match handler {
-                    Some(h) => h.handle(from, req),
-                    None => Err(SydError::NoSuchService(req.service, req.method.to_string())),
-                };
-                // Server view of the RPC: same span id as the client's
-                // `rpc.client`, parent 0 (the assembler merges the two
-                // views; parentage comes from the client record).
-                if let Some(tc) = trace_ctx {
-                    reply_shared.tracer.record_span(
-                        names::SPAN_RPC_SERVER,
-                        tc.trace_id,
-                        tc.span_id,
-                        0,
-                        served_start,
-                        syd_trace::now_us(),
-                        &[("hop", u64::from(tc.hop))],
-                    );
-                }
-                let _ = reply_shared.link.send(syd_wire::Envelope::new(
-                    reply_shared.addr,
-                    from,
-                    Payload::Response(Response { id, result }),
-                ));
-            };
-            if !shared.runtime.pool().execute(job) {
-                // Pool shut down: best effort error response inline.
-                let _ = shared.link.send(syd_wire::Envelope::new(
-                    shared.addr,
-                    from,
-                    Payload::Response(Response {
-                        id,
-                        result: Err(SydError::Shutdown),
-                    }),
-                ));
-            }
-        }
+        Payload::Response(resp) => shared.complete(resp.id, resp.result),
+        Payload::Request(req) => serve_request(shared, envelope.src, req),
         Payload::Event(event) => {
             if let Some(sink) = shared.events.read().clone() {
                 let from = envelope.src;
@@ -564,6 +537,53 @@ fn dispatch_event(shared: &Arc<NodeShared>, event: TransportEvent) {
                     .execute(move || sink.on_event(from, event));
             }
         }
+    }
+}
+
+/// Serves one request from `from` as a pool job: one received by the
+/// loop, or one this node made to its own address. The reply goes back
+/// the way the request came ([`NodeShared::reply`]). Runs on the loop for
+/// a received request, so it must never block.
+fn serve_request(shared: &Arc<NodeShared>, from: NodeAddr, req: Request) {
+    let handler = shared.handler.read().clone();
+    // Both `Copy`: read here so the handler can own the request.
+    let (id, trace_ctx) = (req.id, req.trace);
+    let reply_shared = Arc::clone(shared);
+    let job = move || {
+        reply_shared.metrics.requests_served.inc();
+        // Serve under the caller's trace context so nested
+        // outbound calls made by the handler inherit it.
+        let _span = trace_ctx.map(|tc| {
+            trace::enter(SpanCtx {
+                trace: tc.trace_id,
+                span: tc.span_id,
+                hop: tc.hop + 1,
+            })
+        });
+        let served_start = syd_trace::now_us();
+        let result = match handler {
+            Some(h) => h.handle(from, req),
+            None => Err(SydError::NoSuchService(req.service, req.method.to_string())),
+        };
+        // Server view of the RPC: same span id as the client's
+        // `rpc.client`, parent 0 (the assembler merges the two
+        // views; parentage comes from the client record).
+        if let Some(tc) = trace_ctx {
+            reply_shared.tracer.record_span(
+                names::SPAN_RPC_SERVER,
+                tc.trace_id,
+                tc.span_id,
+                0,
+                served_start,
+                syd_trace::now_us(),
+                &[("hop", u64::from(tc.hop))],
+            );
+        }
+        reply_shared.reply(from, id, result);
+    };
+    if !shared.runtime.pool().execute(job) {
+        // Pool shut down: answer at once rather than burn the deadline.
+        shared.reply(from, id, Err(SydError::Shutdown));
     }
 }
 
@@ -1062,18 +1082,131 @@ mod tests {
         let client = Node::spawn_with_runtime(Arc::new(net.register()), &rt);
         rt.pool().shutdown();
         let opts = CallOptions::new().with_timeout(Duration::from_millis(500));
-        let started = Instant::now();
-        let err = client
-            .call_with(server.addr(), &ServiceName::new("echo"), "m", vec![], opts)
+        // To a peer and to itself alike.
+        for dst in [server.addr(), client.addr()] {
+            let started = Instant::now();
+            let err = client
+                .call_with(dst, &ServiceName::new("echo"), "m", vec![], opts)
+                .unwrap_err();
+            // The refusal must reach the caller under the request's own id,
+            // not burn the whole deadline.
+            assert_eq!(err, SydError::Shutdown);
+            assert!(
+                started.elapsed() < Duration::from_millis(250),
+                "refusal took {:?}",
+                started.elapsed()
+            );
+        }
+        assert_eq!(client.shared.pending.lock().len(), 0);
+    }
+
+    fn served(node: &Node) -> u64 {
+        node.metrics()
+            .get_counter(names::RPC_REQUESTS_SERVED)
+            .unwrap()
+            .get()
+    }
+
+    fn frames_out(net: &Network) -> u64 {
+        net.metrics().counter(names::TRANSPORT_FRAMES_OUT).get()
+    }
+
+    fn echo_node(net: &Network) -> Node {
+        let node = Node::spawn(net);
+        node.set_handler(echo_handler());
+        node
+    }
+
+    fn call_self(node: &Node) -> SydResult<Value> {
+        let opts = CallOptions::new().with_timeout(Duration::from_millis(500));
+        node.call_with(
+            node.addr(),
+            &ServiceName::new("echo"),
+            "m",
+            vec![Value::I64(5)],
+            opts,
+        )
+    }
+
+    #[test]
+    fn a_call_to_oneself_is_served_without_a_frame() {
+        let net = Network::ideal();
+        let node = echo_node(&net);
+        let (frames, requests) = (frames_out(&net), served(&node));
+        assert_eq!(call_self(&node).unwrap(), Value::list([Value::I64(5)]));
+        assert_eq!(frames_out(&net), frames, "a self-call left the node");
+        assert_eq!(served(&node), requests + 1);
+        assert_eq!(node.shared.pending.lock().len(), 0);
+    }
+
+    #[test]
+    fn a_call_to_oneself_is_answered_on_a_network_that_loses_everything() {
+        let net = Network::new(NetConfig::ideal().with_loss(1.0));
+        let node = echo_node(&net);
+        assert_eq!(call_self(&node).unwrap(), Value::list([Value::I64(5)]));
+    }
+
+    #[test]
+    fn a_disconnected_node_still_reaches_itself_and_nobody_else_reaches_it() {
+        let net = Network::ideal();
+        let node = echo_node(&net);
+        let peer = Node::spawn(&net);
+        net.set_connected(node.addr(), false);
+        assert_eq!(call_self(&node).unwrap(), Value::list([Value::I64(5)]));
+        let err = peer
+            .call(node.addr(), &ServiceName::new("echo"), "m", vec![])
             .unwrap_err();
-        // The refusal must reach the caller under the request's own id,
-        // not burn the whole deadline.
-        assert_eq!(err, SydError::Shutdown);
-        assert!(
-            started.elapsed() < Duration::from_millis(250),
-            "refusal took {:?}",
-            started.elapsed()
+        assert_eq!(err, SydError::Disconnected(node.addr()));
+    }
+
+    #[test]
+    fn a_wave_mixing_self_and_remote_calls_comes_back_in_call_order() {
+        let net = Network::ideal();
+        let server = reversing_server(&net, "remote");
+        let client = reversing_server(&net, "self");
+        let (svc, frames) = (ServiceName::new("svc"), frames_out(&net));
+        let calls: Vec<Call<'_>> = (0..6)
+            .map(|k| Call::new(UserId::default(), &svc, "m", vec![Value::I64(k)]))
+            .collect();
+        // Even indices to the client itself, odd ones to the server.
+        let to = |i: usize| {
+            if i.is_multiple_of(2) {
+                (client.addr(), "self")
+            } else {
+                (server.addr(), "remote")
+            }
+        };
+        let results = client.call_many(&calls, CallOptions::new(), &mut |idx| {
+            idx.iter().map(|&i| Ok(to(i).0)).collect()
+        });
+        for (k, result) in results.into_iter().enumerate() {
+            let tag = to(k).1;
+            let expected = Value::list([Value::str(tag), Value::I64(k as i64)]);
+            assert_eq!(result.unwrap(), expected);
+        }
+        assert_eq!(
+            frames_out(&net) - frames,
+            2 * 3,
+            "only the remote half is framed"
         );
+        assert_eq!(client.shared.pending.lock().len(), 0);
+    }
+
+    #[test]
+    fn a_self_call_nested_in_a_self_call_does_not_deadlock() {
+        let net = Network::ideal();
+        let node = Node::spawn(&net);
+        let inner = node.clone();
+        node.set_handler(Arc::new(move |_: NodeAddr, req: Request| {
+            if req.method == "outer" {
+                inner.call(inner.addr(), &ServiceName::new("svc"), "inner", vec![])
+            } else {
+                Ok(Value::str("inner"))
+            }
+        }));
+        let result = node.call(node.addr(), &ServiceName::new("svc"), "outer", vec![]);
+        node.set_handler(echo_handler()); // drops the handler's clone of the node
+        assert_eq!(result.unwrap(), Value::str("inner"));
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! a negotiation triggered inside a handler fans out to every linked entity.
 //! If a device served requests on one thread, a call cycle (A serves a
 //! request, calls B, B calls back into A) would deadlock. The pool therefore
-//! grows a new worker whenever a job arrives and no worker is idle, up to a
-//! generous cap, and idle workers retire after a keep-alive — the classic
-//! "cached thread pool" shape.
+//! grows whenever more jobs are queued than workers are idle or starting,
+//! up to a generous cap, and idle workers retire after a keep-alive — the
+//! classic "cached thread pool" shape.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -23,6 +23,8 @@ struct PoolInner {
     tx: Mutex<Option<Sender<Job>>>,
     rx: Receiver<Job>,
     idle: AtomicUsize,
+    /// Workers spawned that have not yet reached their first wait.
+    starting: AtomicUsize,
     live: AtomicUsize,
     peak_live: AtomicUsize,
     executed: AtomicUsize,
@@ -53,6 +55,7 @@ impl WorkerPool {
                 tx: Mutex::new(Some(tx)),
                 rx,
                 idle: AtomicUsize::new(0),
+                starting: AtomicUsize::new(0),
                 live: AtomicUsize::new(0),
                 peak_live: AtomicUsize::new(0),
                 executed: AtomicUsize::new(0),
@@ -97,21 +100,24 @@ impl WorkerPool {
                 return false;
             }
         }
-        // Grow if nobody is idle to pick the job up. The check is racy in
-        // the benign direction: at worst we spawn one extra worker (capped),
-        // never strand a job — a busy worker will still drain the queue.
-        if inner.idle.load(Ordering::Acquire) == 0 {
-            self.try_spawn_worker();
-        }
+        // Grow until the idle and starting workers cover the queue, up to
+        // the cap. A worker counted idle may not have woken for an earlier
+        // job yet, so "nobody idle" alone strands a burst behind it.
+        // Concurrent submitters may both grow: at worst a spare worker.
+        while inner.rx.len()
+            > inner.idle.load(Ordering::Acquire) + inner.starting.load(Ordering::Acquire)
+            && self.try_spawn_worker()
+        {}
         true
     }
 
-    fn try_spawn_worker(&self) {
+    /// Spawns a worker unless the pool is at its cap; `false` if it is.
+    fn try_spawn_worker(&self) -> bool {
         let inner = &self.inner;
         let mut live = inner.live.load(Ordering::Acquire);
         loop {
             if live >= inner.max_workers {
-                return;
+                return false;
             }
             match inner
                 .live
@@ -122,10 +128,12 @@ impl WorkerPool {
             }
         }
         self.spawn_worker(live + 1);
+        true
     }
 
     fn spawn_worker(&self, live_after: usize) {
         let inner = &self.inner;
+        inner.starting.fetch_add(1, Ordering::AcqRel);
         inner.peak_live.fetch_max(live_after, Ordering::AcqRel);
         let worker_inner = Arc::clone(inner);
         let name = format!("{}-w{}", inner.name, live_after - 1);
@@ -199,8 +207,11 @@ fn worker_loop(inner: Arc<PoolInner>) {
         }
     }
     let _live = Live(&inner.live);
+    // Idle before no longer starting: `execute` never sees this worker in
+    // neither count.
+    inner.idle.fetch_add(1, Ordering::AcqRel);
+    inner.starting.fetch_sub(1, Ordering::AcqRel);
     loop {
-        inner.idle.fetch_add(1, Ordering::AcqRel);
         let job = inner.rx.recv_timeout(inner.keepalive);
         inner.idle.fetch_sub(1, Ordering::AcqRel);
         match job {
@@ -209,14 +220,19 @@ fn worker_loop(inner: Arc<PoolInner>) {
                 inner.executed.fetch_add(1, Ordering::AcqRel);
             }
             Err(RecvError::Empty) => {
-                // Retire surplus workers; keep one resident while live.
-                if inner.live.load(Ordering::Acquire) > 1 || inner.shutdown.load(Ordering::Acquire)
+                // Retire surplus workers; keep one resident while live. A
+                // job queued while this one was still counted idle stays
+                // its to take.
+                if (inner.live.load(Ordering::Acquire) > 1
+                    || inner.shutdown.load(Ordering::Acquire))
+                    && inner.rx.is_empty()
                 {
                     break;
                 }
             }
             Err(RecvError::Disconnected) => break,
         }
+        inner.idle.fetch_add(1, Ordering::AcqRel);
     }
 }
 
@@ -330,6 +346,44 @@ mod tests {
         }
         drop(n);
         assert!(pool.peak_workers() >= 8);
+    }
+
+    #[test]
+    fn a_burst_behind_an_idle_worker_is_not_stranded() {
+        let pool = WorkerPool::new("t", 16, Duration::from_secs(60));
+        let (release_tx, release_rx) = queue::channel::<()>();
+        let _release = ReleaseParked {
+            pool: &pool,
+            release: Some(release_tx),
+        };
+        // One warm worker, parked idle.
+        pool.execute(|| {});
+        let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        while pool.jobs_executed() != 1 || pool.inner.idle.load(Ordering::Acquire) != 1 {
+            assert!(std::time::Instant::now() < deadline, "no idle worker");
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(20)); // asleep in its wait
+                                                       // A burst of 8 blocking jobs lands before that worker wakes for the
+                                                       // first: each must still find a worker. Nothing kicks this pool.
+        let started = Arc::new((Mutex::new(0u32), Condvar::new()));
+        for _ in 0..8 {
+            let rx = release_rx.clone();
+            let started = Arc::clone(&started);
+            pool.execute(move || {
+                *started.0.lock() += 1;
+                started.1.notify_all();
+                let _ = rx.recv();
+            });
+        }
+        let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        let (count, cv) = &*started;
+        let mut n = count.lock();
+        while *n < 8 {
+            let left = deadline.saturating_duration_since(std::time::Instant::now());
+            assert!(!left.is_zero(), "{} of 8 jobs started", *n);
+            n = cv.wait_timeout(n, left).0;
+        }
     }
 
     #[test]
