@@ -137,7 +137,7 @@ impl Default for Config {
                     locks: s(&[
                         "tcp.state",
                         "tcp.tap",
-                        "tcp.thread",
+                        "tcp.writer",
                         "tcp.notifier",
                         "sim.state",
                     ]),
@@ -165,9 +165,6 @@ impl Default for Config {
             ]),
             rpc_qualified: s(&["net.send", "transport.send", "endpoint.send", "ep.send"]),
             poll_fns: s(&[
-                "poll_loop",
-                "flush_on_close",
-                "finish_dial",
                 "reactor_loop",
                 "drain_events",
                 "dispatch_event",

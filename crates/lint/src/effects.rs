@@ -5,8 +5,8 @@
 //! [`Atom::Rpc`], [`Atom::SpawnsThread`], [`Atom::Acquires`] (one per
 //! lock id) and [`Atom::CapturesStrong`] (one per runtime-owning type).
 //! Intrinsic atoms come from the function's own body; the fixpoint then
-//! unions every callee's summary into its callers, so `poll_loop →
-//! helper → thread::sleep` surfaces on `poll_loop` even though the
+//! unions every callee's summary into its callers, so `reactor_loop →
+//! helper → thread::sleep` surfaces on `reactor_loop` even though the
 //! sleep is two hops away.
 //!
 //! Every atom carries an [`Origin`]: either the intrinsic site, or the

@@ -1,7 +1,8 @@
-//! Seeded violation: blocking call inside a poll-loop function.
+//! Seeded violation: blocking call inside a node's drain callback, which
+//! the shared runtime loop runs for every device.
 //! Expected: exactly one `no-blocking-in-poll-loop` diagnostic.
 
-fn poll_loop(tick: Duration) {
+fn drain_events(tick: Duration) {
     loop {
         std::thread::sleep(tick); // <- fires here
     }

@@ -2,7 +2,7 @@
 //! chain — the body itself never names a forbidden callee.
 //! Expected: exactly one `transitive-blocking` diagnostic.
 
-fn poll_loop(rx: &Receiver<Event>) {
+fn reactor_loop(rx: &Receiver<Event>) {
     loop {
         drain_backlog(rx); // <- fires here: chain reaches rx.recv()
     }

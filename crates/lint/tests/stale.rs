@@ -11,7 +11,7 @@ use syd_lint::config::Config;
 fn blocking_poll_file() -> (String, String) {
     (
         "crates/net/src/poll.rs".to_string(),
-        "fn poll_loop(d: Duration) { loop { thread::sleep(d); } }".to_string(),
+        "fn reactor_loop(d: Duration) { loop { thread::sleep(d); } }".to_string(),
     )
 }
 

@@ -518,9 +518,9 @@ fn drain_events(shared: &Arc<NodeShared>) -> DrainOutcome {
 fn dispatch_event(shared: &Arc<NodeShared>, event: TransportEvent) {
     let envelope = match event {
         TransportEvent::Message(env) => env,
-        // Connection lifecycle is the transport's business (requests
-        // that a lost connection strands come back as synthesized
-        // error responses) — nothing to do here.
+        // Connection lifecycle is the transport's business (a request
+        // that cannot be delivered fails its `send`, or comes back as a
+        // synthesized error response on the sim) — nothing to do here.
         TransportEvent::Connected(_)
         | TransportEvent::Accepted(_)
         | TransportEvent::Disconnected(_) => return,

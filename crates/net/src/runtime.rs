@@ -15,9 +15,10 @@
 //!
 //! Thread budget for a fleet of any size on one backend:
 //! `workers (≤ 48, soft cap) + 1 loop + backend threads` — the sim has
-//! none, TCP one poll thread per endpoint. One runtime exists per
-//! transport backend (see [`runtime_for`]) and every [`crate::Node`] of
-//! that backend is multiplexed onto it.
+//! none, TCP one accept thread per endpoint and one reader per
+//! connection, each blocked until a socket has something for it. One
+//! runtime exists per transport backend (see [`runtime_for`]) and every
+//! [`crate::Node`] of that backend is multiplexed onto it.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -15,8 +15,9 @@
 //!   falls due, and the reader — the runtime loop, woken at that time, or
 //!   a thread blocked in [`TransportEndpoint::recv_event`] — takes it.
 //! * [`FramedTcpTransport`] — length-prefixed `syd-wire` envelopes over
-//!   non-blocking TCP with a small poll loop, per-peer write queues and
-//!   reconnect-with-backoff.
+//!   blocking TCP: one accept thread per endpoint, one reader thread per
+//!   connection, and sends that dial (when needed) and write on the
+//!   caller's thread.
 //!
 //! Both encode every [`Envelope`] with the same `syd-wire` codec, so the
 //! bytes a peer observes are identical regardless of backend (property
@@ -55,9 +56,9 @@ pub const TRACE_DEVICE_TCP: u64 = u64::MAX - 1;
 /// Bookkeeping for one pending `transport.queue` span: opened when a
 /// traced request is accepted for transmission, recorded — as a child
 /// of the request's RPC span — when the backend hands the frame onward
-/// (taken by its reader on the sim, socket flush on TCP). A frame the
-/// backend drops (loss, failed dial) simply never records its span;
-/// the assembler's lossy mode tolerates the hole.
+/// (taken by its reader on the sim, written to the socket on TCP). A
+/// frame the backend drops (loss, failed dial or write) simply never
+/// records its span; the assembler's lossy mode tolerates the hole.
 pub(crate) struct QueueSpan {
     trace: u64,
     /// The request's RPC span id — the queue span's parent.
@@ -162,9 +163,11 @@ pub trait TransportEndpoint: Send + Sync + 'static {
     fn connect(&self, peer: NodeAddr) -> SydResult<()>;
 
     /// Sends an envelope to `env.dst`, returning the encoded byte count
-    /// accepted for transmission. Delivery is asynchronous and may still
-    /// fail; requests that provably cannot be delivered surface a
-    /// synthesized `Disconnected` error response (both backends).
+    /// accepted for transmission. Delivery may still fail afterwards. A
+    /// request that provably cannot be delivered fails fast as
+    /// `Disconnected`: TCP returns `Err(Disconnected(peer))` from `send`
+    /// when the dial or the write fails, and the sim synthesizes a
+    /// `Disconnected` error response.
     fn send(&self, env: Envelope) -> SydResult<usize>;
 
     /// Blocks until the next event (message or lifecycle) arrives.
@@ -209,10 +212,10 @@ pub trait TransportEndpoint: Send + Sync + 'static {
     /// checks across backends.
     fn set_frame_tap(&self, tx: syd_types::queue::Sender<Vec<u8>>);
 
-    /// Closes the endpoint: flushes in-flight frames (bounded grace),
-    /// severs connections, stops background threads. After close,
-    /// [`TransportEndpoint::recv_event`] drains buffered events and then
-    /// returns `Err(Shutdown)`. Idempotent.
+    /// Closes the endpoint: severs connections and stops background
+    /// threads; a frame TCP's `send` returned for is already written.
+    /// After close, [`TransportEndpoint::recv_event`] drains buffered
+    /// events and then returns `Err(Shutdown)`. Idempotent.
     fn close(&self);
 }
 

@@ -1,10 +1,10 @@
 //! Connection lifecycle coverage for the TCP backend: event ordering,
-//! idempotent connects, listener port reuse, and graceful shutdown with
-//! in-flight frames.
+//! idempotent connects, failed dials, simultaneous opens, listener port
+//! reuse, and graceful shutdown with in-flight frames.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use syd_telemetry::names;
@@ -185,6 +185,72 @@ fn listener_port_is_reusable_after_clean_close() {
 }
 
 #[test]
+fn send_to_a_dead_port_fails_within_the_dial_timeout() {
+    let tcp = FramedTcpTransport::loopback();
+    let a = tcp.listen_on(0).unwrap();
+    // A port that was just free: nobody listens on it.
+    let dead = {
+        let b = tcp.listen_on(0).unwrap();
+        let addr = b.addr();
+        b.close();
+        addr
+    };
+    let started = Instant::now();
+    let err = a.send(event_env(a.addr(), dead, 0)).unwrap_err();
+    assert_eq!(err, SydError::Disconnected(dead));
+    assert!(
+        started.elapsed() <= syd_transport::tcp::DIAL_TIMEOUT,
+        "dial took {:?}",
+        started.elapsed()
+    );
+    a.close();
+}
+
+/// Both sides dial at once and each keeps its own connection; every
+/// sender's frames still arrive in order.
+#[test]
+fn simultaneous_connects_keep_each_senders_order() {
+    const N: i64 = 50;
+    let tcp = FramedTcpTransport::loopback();
+    let a = tcp.listen_on(0).unwrap();
+    let b = tcp.listen_on(0).unwrap();
+
+    let start = Arc::new(Barrier::new(2));
+    let senders: Vec<_> = [(&a, &b), (&b, &a)]
+        .into_iter()
+        .map(|(from, to)| {
+            let (from, to, start) = (Arc::clone(from), to.addr(), Arc::clone(&start));
+            std::thread::spawn(move || {
+                start.wait();
+                from.connect(to).unwrap();
+                for tag in 0..N {
+                    from.send(event_env(from.addr(), to, tag)).unwrap();
+                }
+            })
+        })
+        .collect();
+    for sender in senders {
+        sender.join().unwrap();
+    }
+
+    for ep in [&a, &b] {
+        for tag in 0..N {
+            let (ev, _) =
+                wait_for_event(ep, "message", |ev| matches!(ev, TransportEvent::Message(_)));
+            let TransportEvent::Message(env) = ev else {
+                unreachable!()
+            };
+            let Payload::Event(e) = env.payload else {
+                panic!("unexpected payload")
+            };
+            assert_eq!(e.payload, Value::I64(tag), "frames reordered or lost");
+        }
+    }
+    a.close();
+    b.close();
+}
+
+#[test]
 fn close_flushes_in_flight_frames() {
     let tcp = FramedTcpTransport::loopback();
     let a = tcp.listen_on(0).unwrap();
@@ -199,8 +265,7 @@ fn close_flushes_in_flight_frames() {
     for tag in 0..N {
         b.send(event_env(b.addr(), a.addr(), tag)).unwrap();
     }
-    // Close immediately: everything queued must still reach `a` (bounded
-    // grace flush), in order.
+    // Close immediately: everything sent must still reach `a`, in order.
     b.close();
 
     let mut next = 0;

@@ -78,8 +78,7 @@ fn echo_handler() -> Arc<dyn syd::net::RequestHandler> {
 
 /// Satellite: a dropped TCP connection surfaces as the same retriable
 /// error shape as sim message loss — `is_transient()`, counted in
-/// `rpc.timeouts`/`rpc.retries` — and retries recover once the peer is
-/// reachable again.
+/// `rpc.retries` — and retries recover once the peer is reachable again.
 #[test]
 fn killed_socket_is_transient_and_retries_recover() {
     let tcp = FramedTcpTransport::loopback();
@@ -108,10 +107,11 @@ fn killed_socket_is_transient_and_retries_recover() {
         "{err}"
     );
     // Every attempt was accounted: the final failure exhausted retries.
+    // A wave whose dial or write fails ends at once with `Disconnected`,
+    // as the sim's fail-fast rule does, so it need not time out.
     assert_eq!(client.rpc_retries(), 2);
-    assert!(client.rpc_timeouts() >= 1);
 
-    // Radio back on: the same call succeeds through reconnect-with-backoff.
+    // Radio back on: the next wave's send re-dials and the call succeeds.
     server.link().set_connected(true);
     let opts = CallOptions::new()
         .with_timeout(Duration::from_millis(500))
