@@ -139,13 +139,11 @@ fn main() {
     // Method coupling (op 5): lookup + remote invocation of one coupled
     // destination.
     let svc = syd_types::ServiceName::new("bench");
-    devs[1]
-        .register_service(
-            &svc,
-            "coupled_target",
-            std::sync::Arc::new(|_ctx, _args: &[Value]| Ok(Value::Null)),
-        )
-        .unwrap();
+    devs[1].register_service(
+        &svc,
+        "coupled_target",
+        std::sync::Arc::new(|_ctx, _args: &[Value]| Ok(Value::Null)),
+    );
     devs[0]
         .links()
         .couple_method(&svc, "src", devs[1].user(), &svc, "coupled_target")

@@ -56,9 +56,7 @@ fn main() {
 
     let insecure = env_ideal();
     let devs = devices(&insecure, 2);
-    devs[1]
-        .register_service(&svc, "echo", Arc::new(echo))
-        .unwrap();
+    devs[1].register_service(&svc, "echo", Arc::new(echo));
     let target = devs[1].user();
     group.bench_function("request_no_auth", |b| {
         b.iter(|| {
@@ -71,9 +69,7 @@ fn main() {
 
     let secure = env_secure();
     let sdevs = devices(&secure, 2);
-    sdevs[1]
-        .register_service(&svc, "echo", Arc::new(echo))
-        .unwrap();
+    sdevs[1].register_service(&svc, "echo", Arc::new(echo));
     let starget = sdevs[1].user();
     group.bench_function("request_with_auth", |b| {
         b.iter(|| {

@@ -92,23 +92,21 @@ fn main() {
     let env = env_ideal();
     let devs = devices(&env, 2);
     let remote_store = slot_store();
-    devs[1]
-        .register_service(
-            &svc,
-            "select",
-            Arc::new(move |_ctx, args: &[Value]| {
-                let ordinal = args[0].as_i64()?;
-                Ok(Value::from(
-                    remote_store
-                        .select(
-                            "slots",
-                            &Predicate::Eq("ordinal".into(), Value::I64(ordinal)),
-                        )?
-                        .len() as u64,
-                ))
-            }),
-        )
-        .unwrap();
+    devs[1].register_service(
+        &svc,
+        "select",
+        Arc::new(move |_ctx, args: &[Value]| {
+            let ordinal = args[0].as_i64()?;
+            Ok(Value::from(
+                remote_store
+                    .select(
+                        "slots",
+                        &Predicate::Eq("ordinal".into(), Value::I64(ordinal)),
+                    )?
+                    .len() as u64,
+            ))
+        }),
+    );
     let target = devs[1].user();
     group.bench_function("L3_remote_invoke", |b| {
         b.iter(|| {

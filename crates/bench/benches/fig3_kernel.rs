@@ -19,8 +19,7 @@ fn main() {
             &svc,
             "echo",
             Arc::new(|_ctx, args: &[Value]| Ok(Value::list(args.to_vec()))),
-        )
-        .unwrap();
+        );
     }
     let caller = &devs[0];
 

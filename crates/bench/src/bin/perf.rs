@@ -358,8 +358,7 @@ fn bench_group_invoke(cfg: &Config, backend: &'static str, n: usize, loss: f64) 
             &svc,
             "echo",
             Arc::new(|_ctx, args: &[Value]| Ok(Value::from(args.len() as u64))),
-        )
-        .expect("register echo");
+        );
     }
     let engine = devs[0].engine();
     if loss > 0.0 {

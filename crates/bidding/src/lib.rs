@@ -59,7 +59,8 @@ impl Player {
                     None => Value::Null,
                 })
             }),
-        )?;
+        );
+        device.publish()?;
         Ok(player)
     }
 
@@ -113,6 +114,7 @@ impl Host {
             ],
             &["round"],
         )?)?;
+        device.publish()?;
         Ok(Arc::new(Host {
             device: device.clone(),
             store,

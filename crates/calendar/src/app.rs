@@ -142,8 +142,10 @@ impl CalendarApp {
             });
         }));
 
-        app.register_services()?;
+        app.register_services();
         app.install_delegation()?;
+        // The mailbox's service and the calendar's, in one wave.
+        device.publish()?;
         Ok(app)
     }
 
@@ -532,7 +534,7 @@ impl SubscriptionHandler for CalendarNotifications {
 // ---------------------------------------------------------------------------
 
 impl CalendarApp {
-    fn register_services(self: &Arc<Self>) -> SydResult<()> {
+    fn register_services(self: &Arc<Self>) {
         let svc = calendar_service();
 
         // free_slots_bitmap(start, end) -> packed SlotBitmap bytes
@@ -546,7 +548,7 @@ impl CalendarApp {
                 let end = arg(args, 1)?.as_i64()? as u64;
                 Ok(Value::Bytes(app.free_bitmap(start, end)?.pack()))
             }),
-        )?;
+        );
 
         // slot_status(ordinal) -> {status, meeting, priority}
         let weak = Arc::downgrade(self);
@@ -557,7 +559,7 @@ impl CalendarApp {
                 let app = weak.upgrade().ok_or(SydError::Shutdown)?;
                 slot_status_of(&app.store, arg(args, 0)?.as_i64()? as u64)
             }),
-        )?;
+        );
 
         // meeting_info(id) -> record | Null
         let weak = Arc::downgrade(self);
@@ -569,7 +571,7 @@ impl CalendarApp {
                 let id = MeetingId::new(arg(args, 0)?.as_i64()? as u64);
                 Ok(app.meeting(id)?.map_or(Value::Null, |m| m.to_value()))
             }),
-        )?;
+        );
 
         // update_meeting(record) -> Null — upsert + align local slot row
         let weak = Arc::downgrade(self);
@@ -591,7 +593,7 @@ impl CalendarApp {
                 app.put_meeting(&rec)?;
                 Ok(Value::Null)
             }),
-        )?;
+        );
 
         // release_slot(ordinal, meeting, to_status, retire) -> Bool
         let weak = Arc::downgrade(self);
@@ -607,7 +609,7 @@ impl CalendarApp {
                 let freed = app.release_local(ordinal, meeting, to_status, retire)?;
                 Ok(Value::Bool(freed))
             }),
-        )?;
+        );
 
         // queue_availability(ordinal, record) -> Null
         let weak = Arc::downgrade(self);
@@ -621,7 +623,7 @@ impl CalendarApp {
                 app.queue_availability_local(ordinal, &rec)?;
                 Ok(Value::Null)
             }),
-        )?;
+        );
 
         // peer_available(meeting) -> Bool(confirmed) — served by initiators
         let weak = Arc::downgrade(self);
@@ -634,7 +636,7 @@ impl CalendarApp {
                 let status = app.reconcile_round(meeting, true)?.status;
                 Ok(Value::Bool(status == MeetingStatus::Confirmed))
             }),
-        )?;
+        );
 
         // meeting_bumped(meeting, old_ordinal) -> Null — initiator reschedules
         let weak = Arc::downgrade(self);
@@ -648,7 +650,7 @@ impl CalendarApp {
                 app.auto_reschedule(meeting, old_ordinal);
                 Ok(Value::Null)
             }),
-        )?;
+        );
 
         // change_request(meeting, new_ordinal, requester) -> Bool
         let weak = Arc::downgrade(self);
@@ -663,7 +665,7 @@ impl CalendarApp {
                     app.handle_change_request(meeting, new_ordinal)?,
                 ))
             }),
-        )?;
+        );
 
         // drop_availability(meeting) -> Null — remove this user's queued
         // availability link for a meeting (it got reserved or cancelled).
@@ -677,7 +679,7 @@ impl CalendarApp {
                 app.drop_availability_local(meeting)?;
                 Ok(Value::Null)
             }),
-        )?;
+        );
 
         // leave_request(meeting, user) -> Bool
         let weak = Arc::downgrade(self);
@@ -695,9 +697,7 @@ impl CalendarApp {
                 }
                 Ok(Value::Bool(app.handle_leave_request(meeting, user)?))
             }),
-        )?;
-
-        Ok(())
+        );
     }
 }
 

@@ -114,7 +114,8 @@ impl BaselineCalendar {
             next_proposal: AtomicU64::new(1),
             stats: Arc::new(BaselineStats::default()),
         });
-        app.register_services()?;
+        app.register_services();
+        device.publish()?;
         Ok(app)
     }
 
@@ -399,7 +400,7 @@ impl BaselineCalendar {
         Ok(())
     }
 
-    fn register_services(self: &Arc<Self>) -> SydResult<()> {
+    fn register_services(self: &Arc<Self>) {
         let svc = baseline_service();
 
         // folder(start, end) -> busy ordinals
@@ -415,7 +416,7 @@ impl BaselineCalendar {
                     app.busy_ordinals(start, end)?.into_iter().map(Value::from),
                 ))
             }),
-        )?;
+        );
 
         // invite(proposal, initiator, ordinal) -> Null
         let weak = Arc::downgrade(self);
@@ -430,7 +431,7 @@ impl BaselineCalendar {
                 app.inbox.lock().push((proposal, initiator, slot));
                 Ok(Value::Null)
             }),
-        )?;
+        );
 
         // rsvp(proposal, user, accepted) -> Null
         let weak: Weak<BaselineCalendar> = Arc::downgrade(self);
@@ -458,7 +459,7 @@ impl BaselineCalendar {
                 app.try_finalize(proposal)?;
                 Ok(Value::Null)
             }),
-        )?;
+        );
 
         // commit_slot(ordinal) -> Bool (false when taken: stale view)
         let weak = Arc::downgrade(self);
@@ -475,7 +476,7 @@ impl BaselineCalendar {
                     Ok(Value::Bool(false))
                 }
             }),
-        )?;
+        );
 
         // free_slot(ordinal) -> Null
         let weak = Arc::downgrade(self);
@@ -488,9 +489,7 @@ impl BaselineCalendar {
                 app.free(slot)?;
                 Ok(Value::Null)
             }),
-        )?;
-
-        Ok(())
+        );
     }
 }
 

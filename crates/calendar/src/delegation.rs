@@ -71,7 +71,7 @@ impl CalendarApp {
                     Value::from(grant.priority.level() as u32),
                 )]))
             }),
-        )?;
+        );
         Ok(())
     }
 

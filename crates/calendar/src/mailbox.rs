@@ -45,7 +45,8 @@ pub struct Mailbox {
 
 impl Mailbox {
     /// Installs the mailbox on a device: creates the `mail` table and
-    /// registers `mailbox/deliver`.
+    /// serves `mailbox/deliver`. The application that installs it
+    /// publishes the service ([`DeviceRuntime::publish`]).
     pub fn install(device: &DeviceRuntime) -> SydResult<Arc<Mailbox>> {
         let store = device.store().clone();
         store.create_table(Schema::new(
@@ -78,7 +79,7 @@ impl Mailbox {
                 mailbox.deliver_local(ctx.caller, subject, body)?;
                 Ok(Value::Null)
             }),
-        )?;
+        );
         Ok(mailbox)
     }
 

@@ -496,33 +496,29 @@ fn only_a_participant_whose_release_failed_is_sent_the_cascade() {
     assert_eq!(outcome.status, MeetingStatus::Confirmed);
 
     let deaf = &apps[2];
-    deaf.device()
-        .register_service(
-            &calendar_service(),
-            "release_slot",
-            Arc::new(|_ctx, _args: &[Value]| Err(SydError::App("not now".into()))),
-        )
-        .unwrap();
+    deaf.device().register_service(
+        &calendar_service(),
+        "release_slot",
+        Arc::new(|_ctx, _args: &[Value]| Err(SydError::App("not now".into()))),
+    );
     // Record every `delete_by_corr` a device serves, then serve it.
     let served = Arc::new(Mutex::new(Vec::<(UserId, Vec<u64>)>::new()));
     for app in &apps {
         let (device, served) = (app.device().clone(), Arc::clone(&served));
-        app.device()
-            .register_service(
-                &link_service(),
-                "delete_by_corr",
-                Arc::new(move |_ctx, args: &[Value]| {
-                    let visited: Vec<u64> = args[1]
-                        .as_list()?
-                        .iter()
-                        .map(|v| Ok(v.as_i64()? as u64))
-                        .collect::<SydResult<_>>()?;
-                    served.lock().push((device.user(), visited.clone()));
-                    let report = device.links().delete_by_corr(args[0].as_str()?, visited)?;
-                    Ok(Value::from(report.deleted.len() as u64))
-                }),
-            )
-            .unwrap();
+        app.device().register_service(
+            &link_service(),
+            "delete_by_corr",
+            Arc::new(move |_ctx, args: &[Value]| {
+                let visited: Vec<u64> = args[1]
+                    .as_list()?
+                    .iter()
+                    .map(|v| Ok(v.as_i64()? as u64))
+                    .collect::<SydResult<_>>()?;
+                served.lock().push((device.user(), visited.clone()));
+                let report = device.links().delete_by_corr(args[0].as_str()?, visited)?;
+                Ok(Value::from(report.deleted.len() as u64))
+            }),
+        );
     }
 
     let (r0, f0) = (rounds(&apps[0]), frames(&env));

@@ -7,7 +7,8 @@
 //! listener, reaches peers through the engine, and maintains the link
 //! database. Applications build on exactly four extension points:
 //!
-//! * [`DeviceRuntime::register_service`] — publish methods (§3.1b),
+//! * [`DeviceRuntime::register_service`] — serve methods, which
+//!   [`DeviceRuntime::publish`] announces in the directory (§3.1b),
 //! * [`EntityHandler`] — how negotiation changes apply to local entities
 //!   (mark/commit/abort of §4.3),
 //! * [`SubscriptionHandler`] — how subscription-link notifications are
@@ -82,9 +83,10 @@ struct DeviceInner {
     entity_handler: RwLock<Option<Arc<dyn EntityHandler>>>,
     subscription_handler: RwLock<Option<Arc<dyn SubscriptionHandler>>>,
     link_acceptor: RwLock<Option<LinkAcceptor>>,
-    /// Services whose `publish` the directory has acknowledged (see
-    /// [`DeviceRuntime::register_service`]); a device names one to three.
-    published: Mutex<Vec<ServiceName>>,
+    /// Application services served here, each with whether the directory
+    /// has acknowledged its `publish` (see [`DeviceRuntime::publish`]); a
+    /// device names one to three.
+    services: Mutex<Vec<(ServiceName, bool)>>,
 }
 
 /// One SyD device. Cloning shares the device.
@@ -177,7 +179,7 @@ impl DeviceRuntime {
             entity_handler: RwLock::new(None),
             subscription_handler: RwLock::new(None),
             link_acceptor: RwLock::new(None),
-            published: Mutex::new(Vec::new()),
+            services: Mutex::new(Vec::new()),
         });
         let device = DeviceRuntime { inner };
         device.register_kernel_services();
@@ -204,6 +206,11 @@ impl DeviceRuntime {
     /// The embedded store.
     pub fn store(&self) -> &Store {
         &self.inner.store
+    }
+
+    /// The listener: every service and method this device serves.
+    pub fn listener(&self) -> &Listener {
+        &self.inner.listener
     }
 
     /// The invocation engine.
@@ -287,32 +294,57 @@ impl DeviceRuntime {
         *self.inner.link_acceptor.write() = Some(acceptor);
     }
 
-    /// Serves `method` of an application service on this device and
-    /// publishes the service in the directory.
-    ///
-    /// Publication belongs to the *service*: the directory is told once,
-    /// when the service's first method is registered, and every later
-    /// registration for it is local only. A service counts as published
-    /// only once the directory has acknowledged it: a failed `publish`
-    /// returns its error with the method already served locally, and the
-    /// next registration for that service sends it again.
-    /// [`Listener::unregister`] does not unpublish the service.
-    pub fn register_service(
-        &self,
-        service: &ServiceName,
-        method: &str,
-        handler: ServiceMethod,
-    ) -> SydResult<()> {
+    /// Serves `method` of an application service on this device. This is
+    /// local only: a service the device has not served before is noted as
+    /// unpublished, and [`DeviceRuntime::publish`] tells the directory.
+    pub fn register_service(&self, service: &ServiceName, method: &str, handler: ServiceMethod) {
         self.inner.listener.register(service, method, handler);
-        let published = self.inner.published.lock().contains(service);
-        if !published {
-            self.inner
-                .engine
-                .directory()
-                .publish(self.inner.user, service)?;
-            self.inner.published.lock().push(service.clone());
+        let mut services = self.inner.services.lock();
+        if !services.iter().any(|(s, _)| s == service) {
+            services.push((service.clone(), false));
         }
-        Ok(())
+    }
+
+    /// Publishes every unpublished service in the directory, all in one
+    /// wave (§3.1b's "globally via directory services"). An application's
+    /// install calls it once, after its last registration.
+    ///
+    /// A service counts as published only once the directory has
+    /// acknowledged it. A failed wave returns its first error, and the
+    /// next `publish` sends exactly the services that were not
+    /// acknowledged. [`Listener::unregister`] does not unpublish a service.
+    pub fn publish(&self) -> SydResult<()> {
+        let pending: Vec<ServiceName> = self
+            .inner
+            .services
+            .lock()
+            .iter()
+            .filter(|(_, published)| !published)
+            .map(|(service, _)| service.clone())
+            .collect();
+        if pending.is_empty() {
+            return Ok(());
+        }
+        let results = self
+            .inner
+            .engine
+            .directory()
+            .publish(self.inner.user, &pending);
+        let mut services = self.inner.services.lock();
+        let mut first_err = None;
+        for (service, result) in pending.iter().zip(results) {
+            match result {
+                Ok(()) => {
+                    if let Some((_, published)) = services.iter_mut().find(|(s, _)| s == service) {
+                        *published = true;
+                    }
+                }
+                Err(err) => {
+                    first_err.get_or_insert(err);
+                }
+            }
+        }
+        first_err.map_or(Ok(()), Err)
     }
 
     /// Fires the links anchored on a local entity (app-facing trigger
@@ -766,16 +798,14 @@ mod tests {
         let svc = ServiceName::new("app");
         let told = Arc::new(Mutex::new(0u32));
         let tc = Arc::clone(&told);
-        devices[2]
-            .register_service(
-                &svc,
-                "left_out",
-                Arc::new(move |_ctx, _args| {
-                    *tc.lock() += 1;
-                    Ok(Value::Null)
-                }),
-            )
-            .unwrap();
+        devices[2].register_service(
+            &svc,
+            "left_out",
+            Arc::new(move |_ctx, _args| {
+                *tc.lock() += 1;
+                Ok(Value::Null)
+            }),
+        );
         let participants: Vec<Participant> = devices
             .iter()
             .map(|d| Participant::new(d.user(), "e", Value::str("x")))
@@ -989,8 +1019,7 @@ mod tests {
 
         let svc = ServiceName::new("calendar");
         for d in &devices[1..3] {
-            d.register_service(&svc, "refresh", Arc::new(|_ctx, _args| Ok(Value::Null)))
-                .unwrap();
+            d.register_service(&svc, "refresh", Arc::new(|_ctx, _args| Ok(Value::Null)));
             devices[0]
                 .links()
                 .couple_method(&svc, "update", d.user(), &svc, "refresh")
@@ -1064,8 +1093,7 @@ mod tests {
                         .delete_by_corr(args_get(args, 0)?.as_str()?, visited)?;
                     Ok(Value::from(report.deleted.len() as u64))
                 }),
-            )
-            .unwrap();
+            );
         }
         let deleted_at_four = Arc::new(Mutex::new(0));
         let counter = Arc::clone(&deleted_at_four);
@@ -1295,16 +1323,14 @@ mod tests {
         let svc = ServiceName::new("calendar");
         let hits = Arc::new(Mutex::new(0u32));
         let hc = Arc::clone(&hits);
-        devices[1]
-            .register_service(
-                &svc,
-                "refresh",
-                Arc::new(move |_ctx, _args| {
-                    *hc.lock() += 1;
-                    Ok(Value::Null)
-                }),
-            )
-            .unwrap();
+        devices[1].register_service(
+            &svc,
+            "refresh",
+            Arc::new(move |_ctx, _args| {
+                *hc.lock() += 1;
+                Ok(Value::Null)
+            }),
+        );
         devices[0]
             .links()
             .couple_method(&svc, "update", devices[1].user(), &svc, "refresh")
@@ -1325,7 +1351,7 @@ mod tests {
     }
 
     #[test]
-    fn a_failed_publish_is_sent_again_by_the_next_registration() {
+    fn a_failed_publish_is_sent_again_by_the_next_publish() {
         let (net, dir, devices) = rig(2);
         let device = &devices[0];
         let served = || {
@@ -1333,38 +1359,42 @@ mod tests {
                 .get_counter(names::RPC_REQUESTS_SERVED)
                 .map_or(0, |c| c.get())
         };
-        let svc = ServiceName::new("app");
+        let (app, other) = (ServiceName::new("app"), ServiceName::new("other"));
         let method = |n: i64| -> ServiceMethod { Arc::new(move |_, _| Ok(Value::I64(n))) };
-        let kernel_methods = device.inner.listener.registered().len();
+        let kernel_methods = device.listener().registered().len();
 
-        // The directory is out of range: the publish fails, and the method
-        // is served locally all the same.
-        net.set_connected(dir.addr(), false);
+        // Registration is local; one publish sends the service once.
         let before = served();
-        let err = device.register_service(&svc, "one", method(1)).unwrap_err();
-        assert!(matches!(err, SydError::Disconnected(_)), "{err}");
+        device.register_service(&app, "one", method(1));
+        device.register_service(&app, "two", method(2));
         assert_eq!(served(), before);
-        assert!(device
-            .inner
-            .listener
-            .registered()
-            .contains(&("app".to_owned(), "one".to_owned())));
+        device.publish().unwrap();
+        assert_eq!(served(), before + 1);
 
-        // Back in range: the next registration sends the publish again,
-        // and the one after that has nothing left to send.
+        // The directory is out of range: the wave fails, and the new
+        // methods are served locally all the same.
+        device.register_service(&other, "x", method(3));
+        device.register_service(&app, "three", method(4));
+        net.set_connected(dir.addr(), false);
+        let err = device.publish().unwrap_err();
+        assert!(matches!(err, SydError::Disconnected(_)), "{err}");
+        assert_eq!(served(), before + 1);
+        assert_eq!(device.listener().registered().len(), kernel_methods + 4);
+
+        // Back in range: the next publish sends only what was not
+        // acknowledged, and the one after that has nothing left to send.
         net.set_connected(dir.addr(), true);
-        device.register_service(&svc, "two", method(2)).unwrap();
-        assert_eq!(served(), before + 1);
-        device.register_service(&svc, "three", method(3)).unwrap();
-        assert_eq!(served(), before + 1);
+        device.publish().unwrap();
+        assert_eq!(served(), before + 2);
+        device.publish().unwrap();
+        assert_eq!(served(), before + 2);
 
-        assert_eq!(device.inner.listener.registered().len(), kernel_methods + 3);
         let rec = device.engine().directory().describe(device.user()).unwrap();
-        assert_eq!(rec.services, vec!["app"]);
+        assert_eq!(rec.services, vec!["app", "other"]);
         let out = devices[1]
             .engine()
-            .invoke(device.user(), &svc, "one", vec![]);
-        assert_eq!(out.unwrap(), Value::I64(1));
+            .invoke(device.user(), &other, "x", vec![]);
+        assert_eq!(out.unwrap(), Value::I64(3));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use syd_net::{Network, Node, RequestHandler, Transport};
+use syd_net::{Call, CallOptions, Network, Node, RequestHandler, Transport};
 use syd_telemetry::names;
 use syd_telemetry::{Counter, Registry};
 use syd_types::sync::RwLock;
@@ -39,7 +39,7 @@ pub struct UserRecord {
     pub proxy: Option<NodeAddr>,
     /// Whether the primary device is currently connected.
     pub connected: bool,
-    /// Services this user has published.
+    /// Services this user has published, sorted.
     pub services: Vec<String>,
 }
 
@@ -212,8 +212,9 @@ fn serve(state: &RwLock<DirState>, metrics: &DirMetrics, req: &Request) -> SydRe
                 .users
                 .get_mut(&user)
                 .ok_or_else(|| SydError::NotRegistered(user.to_string()))?;
-            if !rec.services.contains(&service) {
-                rec.services.push(service);
+            // Kept sorted: the publishes of one wave arrive in any order.
+            if let Err(at) = rec.services.binary_search(&service) {
+                rec.services.insert(at, service);
             }
             Ok(Value::Null)
         }
@@ -387,6 +388,10 @@ fn serve(state: &RwLock<DirState>, metrics: &DirMetrics, req: &Request) -> SydRe
     }
 }
 
+/// Directory operations are idempotent, so retrying through loss is safe —
+/// the prototype's TCP transport retransmitted transparently.
+const DIR_CALLS: CallOptions = CallOptions::new().with_retries(4);
+
 /// Client-side typed wrapper over the `syd.dir` service.
 #[derive(Clone)]
 pub struct DirectoryClient {
@@ -406,15 +411,8 @@ impl DirectoryClient {
     }
 
     fn call(&self, method: &str, args: Vec<Value>) -> SydResult<Value> {
-        // Directory operations are idempotent, so retrying through loss is
-        // safe — the prototype's TCP transport retransmitted transparently.
-        self.node.call_with(
-            self.dir_addr,
-            &dir_service(),
-            method,
-            args,
-            syd_net::CallOptions::new().with_retries(4),
-        )
+        self.node
+            .call_with(self.dir_addr, &dir_service(), method, args, DIR_CALLS)
     }
 
     /// Registers a user's device address under a unique name.
@@ -430,13 +428,26 @@ impl DirectoryClient {
         .map(|_| ())
     }
 
-    /// Publishes a service name under a user.
-    pub fn publish(&self, user: UserId, service: &ServiceName) -> SydResult<()> {
-        self.call(
-            "publish",
-            vec![Value::from(user.raw()), Value::str(service.as_str())],
-        )
-        .map(|_| ())
+    /// Publishes service names under a user: one `publish` request per
+    /// service, all sent in one wave. Each is a set insert, so none waits
+    /// for another. The results are aligned with `services`.
+    pub fn publish(&self, user: UserId, services: &[ServiceName]) -> Vec<SydResult<()>> {
+        let dir = dir_service();
+        let calls: Vec<Call<'_>> = services
+            .iter()
+            .map(|service| {
+                let args = vec![Value::from(user.raw()), Value::str(service.as_str())];
+                Call::new(UserId::default(), &dir, "publish", args)
+            })
+            .collect();
+        let dir_addr = self.dir_addr;
+        self.node
+            .call_many(&calls, DIR_CALLS, &mut |idx| {
+                idx.iter().map(|_| Ok(dir_addr)).collect()
+            })
+            .into_iter()
+            .map(|result| result.map(|_| ()))
+            .collect()
     }
 
     /// Resolves a user to a reachable address. Returns `(addr, is_proxy)`.
@@ -451,7 +462,7 @@ impl DirectoryClient {
     /// aligned with `users`: `None` marks a user the directory does not
     /// know (the batch itself still succeeds).
     pub fn lookup_many(&self, users: &[UserId]) -> SydResult<Vec<Option<(NodeAddr, bool)>>> {
-        self.lookup_many_with(users, syd_net::CallOptions::new().with_retries(4))
+        self.lookup_many_with(users, DIR_CALLS)
     }
 
     /// [`DirectoryClient::lookup_many`] with explicit deadline/retry
@@ -460,7 +471,7 @@ impl DirectoryClient {
     pub fn lookup_many_with(
         &self,
         users: &[UserId],
-        opts: syd_net::CallOptions,
+        opts: CallOptions,
     ) -> SydResult<Vec<Option<(NodeAddr, bool)>>> {
         let ids = Value::list(users.iter().map(|u| Value::from(u.raw())));
         let v = self.node.call_with(
@@ -597,6 +608,13 @@ mod tests {
     use super::*;
     use syd_net::Network;
 
+    fn publish(client: &DirectoryClient, user: UserId, services: &[&str]) {
+        let services: Vec<ServiceName> = services.iter().map(|&s| ServiceName::new(s)).collect();
+        for result in client.publish(user, &services) {
+            result.unwrap();
+        }
+    }
+
     fn setup() -> (Network, DirectoryServer, DirectoryClient) {
         let net = Network::ideal();
         let dir = DirectoryServer::start(&net);
@@ -643,7 +661,7 @@ mod tests {
         let (_net, _dir, client) = setup();
         let (user, addr, proxy) = (UserId::new(1), NodeAddr::new(1), NodeAddr::new(20));
         client.register(user, "phil", addr).unwrap();
-        client.publish(user, &ServiceName::new("calendar")).unwrap();
+        publish(&client, user, &["calendar"]);
         client.register_proxy(user, proxy).unwrap();
         client.set_connected(user, false).unwrap();
         let before = client.describe(user).unwrap();
@@ -660,7 +678,7 @@ mod tests {
         let (_net, _dir, client) = setup();
         let (phil, suzy) = (UserId::new(1), UserId::new(2));
         client.register(phil, "phil", NodeAddr::new(1)).unwrap();
-        client.publish(phil, &ServiceName::new("calendar")).unwrap();
+        publish(&client, phil, &["calendar"]);
         client.register(suzy, "suzy", NodeAddr::new(2)).unwrap();
 
         // A name held by another user stays refused, and changes nothing.
@@ -717,14 +735,27 @@ mod tests {
 
     #[test]
     fn service_publication_is_recorded() {
-        let (_net, _dir, client) = setup();
+        let (_net, dir, client) = setup();
+        let dir_requests = |dir: &DirectoryServer| {
+            dir.metrics()
+                .get_counter(names::RPC_REQUESTS_SERVED)
+                .map_or(0, |c| c.get())
+        };
         let user = UserId::new(1);
         client.register(user, "phil", NodeAddr::new(1)).unwrap();
-        client.publish(user, &ServiceName::new("calendar")).unwrap();
-        client.publish(user, &ServiceName::new("calendar")).unwrap(); // idempotent
-        client.publish(user, &ServiceName::new("mailbox")).unwrap();
+        publish(&client, user, &["mailbox"]);
+        // Idempotent.
+        publish(&client, user, &["mailbox"]);
+        // One wave: served in any order, recorded sorted.
+        publish(&client, user, &["fleet", "calendar", "mailbox"]);
         let rec = client.describe(user).unwrap();
-        assert_eq!(rec.services, vec!["calendar", "mailbox"]);
+        assert_eq!(rec.services, vec!["calendar", "fleet", "mailbox"]);
+        // A wave is one request per service, and nothing for no service.
+        let served = dir_requests(&dir);
+        publish(&client, user, &[]);
+        assert_eq!(dir_requests(&dir), served);
+        publish(&client, user, &["a", "b"]);
+        assert_eq!(dir_requests(&dir), served + 2);
     }
 
     #[test]

@@ -307,12 +307,14 @@ mod tests {
             "`register` and nothing else"
         );
 
-        // One more per distinct service, however many methods it has.
+        // Registration is local. One `publish` then sends one request per
+        // distinct service, however many methods it has.
         let (cal, mail) = (ServiceName::new("calendar"), ServiceName::new("mailbox"));
         for (service, method) in [(&cal, "a"), (&cal, "b"), (&mail, "c"), (&cal, "d")] {
-            a.register_service(service, method, Arc::new(|_, _| Ok(Value::Null)))
-                .unwrap();
+            a.register_service(service, method, Arc::new(|_, _| Ok(Value::Null)));
         }
+        assert_eq!(dir_requests(&env) - before, 1);
+        a.publish().unwrap();
         assert_eq!(dir_requests(&env) - before, 3);
         let rec = a.engine().directory().describe(a.user()).unwrap();
         assert_eq!(rec.services, vec!["calendar", "mailbox"]);

@@ -1,13 +1,23 @@
 //! The pure §4.3 state-transition core.
 //!
-//! Every decision the negotiation protocol makes — how a participant
-//! answers a mark, which yes-voters a coordinator commits and which it
-//! aborts, whether the final outcome satisfies the constraint — lives
-//! here as side-effect-free functions over plain data. The runtime
-//! ([`super::Negotiator`] and the `mark`/`commit`/`abort` kernel services
-//! in [`crate::device`]) and the `syd-model` exhaustive model checker
-//! both call these functions, so the model can never drift from the
-//! implementation it claims to verify: there is only one implementation.
+//! The negotiation protocol's decisions as side-effect-free functions
+//! over plain data. Only the coordinator's half is shared by the runtime
+//! and the `syd-model` exhaustive model checker:
+//!
+//! * [`decide`] (which yes-voters to commit and which to abort) and
+//!   [`outcome_satisfied`] are called by [`super::Negotiator`] and by the
+//!   model alike;
+//! * [`Vote`] is the participant's answer in both. The runtime's `mark`
+//!   service sends it with [`Vote::wire_reply`], and the coordinator reads
+//!   it back with [`classify_reply`].
+//!
+//! The participant's half is not shared. The `mark`/`commit`/`abort`
+//! kernel services in [`crate::device`] decide through
+//! `syd_store::LockManager::take` and a lease. [`participant_mark`] and
+//! [`participant_release`] describe a plain holder with no lease, and only
+//! the model calls them; its `holders`/`lapsed` state re-implements the
+//! lease beside them. ROADMAP item 3 makes that half one implementation
+//! too.
 
 use syd_types::{SydResult, Value};
 

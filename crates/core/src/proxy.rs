@@ -488,8 +488,7 @@ mod tests {
                         None => Ok(Value::Null),
                     }
                 }),
-            )
-            .unwrap();
+            );
         }
 
         // Proxy hosts phil: same schema, read+write methods.

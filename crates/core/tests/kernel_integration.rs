@@ -17,8 +17,7 @@ fn echo_service(dev: &DeviceRuntime, svc: &ServiceName) {
         svc,
         "echo",
         Arc::new(|_ctx, args: &[Value]| Ok(Value::list(args.to_vec()))),
-    )
-    .unwrap();
+    );
 }
 
 #[test]
@@ -273,8 +272,7 @@ fn engine_options_bound_call_time() {
             std::thread::sleep(Duration::from_millis(300));
             Ok(Value::Null)
         }),
-    )
-    .unwrap();
+    );
     let engine = a
         .engine()
         .clone()

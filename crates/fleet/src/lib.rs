@@ -84,7 +84,8 @@ impl Vehicle {
         vehicle.set_state("delivery", Value::Null)?;
 
         device.set_entity_handler(Arc::new(VehicleEntityHandler(Arc::downgrade(&vehicle))));
-        vehicle.register_services()?;
+        vehicle.register_services();
+        device.publish()?;
         Ok(vehicle)
     }
 
@@ -162,7 +163,7 @@ impl Vehicle {
         self.set_state("delivery", Value::Null)
     }
 
-    fn register_services(self: &Arc<Self>) -> SydResult<()> {
+    fn register_services(self: &Arc<Self>) {
         let svc = fleet_service();
 
         // position() -> {x, y, zone, delivery}
@@ -179,7 +180,7 @@ impl Vehicle {
                     ("delivery", v.state("delivery")?),
                 ]))
             }),
-        )?;
+        );
 
         // assign_delivery(label) -> Bool (false when already busy)
         let weak = Arc::downgrade(self);
@@ -198,9 +199,7 @@ impl Vehicle {
                 v.set_state("delivery", Value::str(label))?;
                 Ok(Value::Bool(true))
             }),
-        )?;
-
-        Ok(())
+        );
     }
 }
 
@@ -249,6 +248,7 @@ impl Dispatcher {
             positions: RwLock::new(Vec::new()),
         });
         device.set_subscription_handler(Arc::new(DispatcherFeed(Arc::downgrade(&dispatcher))));
+        device.publish()?;
         Ok(dispatcher)
     }
 

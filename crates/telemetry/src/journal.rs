@@ -370,6 +370,10 @@ pub struct Journal {
 /// device without unbounded growth on long runs.
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 4096;
 
+/// Slots a journal reserves at its first event, so a busy device does not
+/// regrow its ring event by event.
+const FIRST_RESERVE: usize = 1024;
+
 impl Default for Journal {
     fn default() -> Self {
         Self::new(DEFAULT_JOURNAL_CAPACITY)
@@ -377,13 +381,15 @@ impl Default for Journal {
 }
 
 impl Journal {
-    /// Creates a journal keeping at most `capacity` events.
+    /// Creates a journal keeping at most `capacity` events. It reserves
+    /// nothing until its first event: most of a large fleet's devices
+    /// are idle and never journal.
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity: capacity.max(1),
             inner: Mutex::new(JournalInner {
                 next_seq: 0,
-                events: VecDeque::with_capacity(capacity.clamp(1, 1024)),
+                events: VecDeque::new(),
             }),
         }
     }
@@ -400,6 +406,9 @@ impl Journal {
         let mut inner = self.inner.lock();
         let seq = inner.next_seq;
         inner.next_seq += 1;
+        if inner.events.capacity() == 0 {
+            inner.events.reserve_exact(self.capacity.min(FIRST_RESERVE));
+        }
         if inner.events.len() == self.capacity {
             inner.events.pop_front();
         }
@@ -511,6 +520,19 @@ mod tests {
         assert_eq!(events[0].event.to_string(), "e2");
         assert_eq!(events[2].event.to_string(), "e4");
         assert_eq!(j.recorded(), 5);
+    }
+
+    #[test]
+    fn a_journal_reserves_nothing_until_its_first_event() {
+        let slots = |j: &Journal| j.inner.lock().events.capacity();
+        let j = Journal::default();
+        assert_eq!(slots(&j), 0);
+        j.emit(Event::lock(7, "slot:1"));
+        assert_eq!(slots(&j), FIRST_RESERVE);
+        // A smaller ring reserves only its own capacity.
+        let small = Journal::new(3);
+        small.emit(Event::lock(7, "slot:1"));
+        assert_eq!(slots(&small), 3);
     }
 
     #[test]
@@ -630,9 +652,8 @@ mod tests {
         let size = std::mem::size_of::<JournalEvent>();
         assert!(
             size <= 96,
-            "JournalEvent is {size} bytes: every device pre-sizes 1 024 slots and `wlan_fleet` \
-             holds ~4 000 idle journals against a 10 % bound on `rss_kib_per_device` — box \
-             the wide field instead of growing the record"
+            "JournalEvent is {size} bytes: every device that journals reserves 1 024 slots \
+             at its first event — box the wide field instead of growing the record"
         );
     }
 }

@@ -50,8 +50,7 @@ fn main() {
                     .get_by_key("slots", &[Value::I64(ordinal)])?
                     .map_or(Value::str("free"), |row| row.values[1].clone()))
             }),
-        )
-        .unwrap();
+        );
     }
 
     // The proxy hosts a replica of Phil's database and serves the same

@@ -152,8 +152,7 @@ fn deeply_nested_invocations_do_not_exhaust_the_pool() {
                     vec![syd::types::Value::I64(remaining - 1)],
                 )
             }),
-        )
-        .unwrap();
+        );
     }
     // 40 hops around the ring of 8 devices = 5 nested requests per device.
     let out = devices[0]

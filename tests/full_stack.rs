@@ -382,8 +382,7 @@ fn coupled_methods_fire_on_invocation() {
             hc.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
             Ok(Value::Null)
         }),
-    )
-    .unwrap();
+    );
 
     a.links()
         .couple_method(&svc, "local_update", b.user(), &svc, "on_peer_update")

@@ -1,13 +1,14 @@
 //! What a join costs, counted at the directory: one `register`, then one
 //! `publish` per distinct service the application names — never one per
-//! method (DESIGN.md §20). Read from the directory node's own
-//! `rpc.requests_served`, the way `dir.batch_lookups` pins the lookup
-//! budget, so a publish that creeps back fails here before it shows in
-//! `setup_s`.
+//! method — all sent in one wave at the end of the install (DESIGN.md
+//! §20). Read from the directory node's own `rpc.requests_served`, the
+//! way `dir.batch_lookups` pins the lookup budget, so a publish that
+//! creeps back fails here before it shows in `setup_s`.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use syd::bidding::{bidding_service, Host, Player};
 use syd::calendar::app::calendar_service;
@@ -16,7 +17,7 @@ use syd::calendar::mailbox::mailbox_service;
 use syd::calendar::{BaselineCalendar, CalendarApp};
 use syd::fleet::{fleet_service, Dispatcher, Vehicle};
 use syd::kernel::{DeviceRuntime, SydEnv};
-use syd::net::NetConfig;
+use syd::net::{LatencyModel, NetConfig};
 use syd::types::{ServiceName, SydError};
 use syd_telemetry::names;
 
@@ -52,6 +53,20 @@ fn published(device: &DeviceRuntime) -> Vec<String> {
     rec.unwrap().services
 }
 
+/// The directory lists exactly the application services the device's
+/// listener serves (the kernel's own `syd.*` services are not published).
+fn assert_published_as_served(device: &DeviceRuntime) {
+    let mut served: Vec<String> = device
+        .listener()
+        .registered()
+        .into_iter()
+        .map(|(service, _)| service)
+        .filter(|service| !service.starts_with("syd."))
+        .collect();
+    served.dedup();
+    assert_eq!(published(device), served, "{}", device.name());
+}
+
 /// `caller` reaches `method` on `target`: whatever the handler makes of an
 /// empty argument list, the listener found it.
 fn assert_dispatchable(
@@ -74,7 +89,8 @@ fn a_calendar_user_joins_in_three_directory_requests() {
     let env = SydEnv::new(NetConfig::ideal(), "deployment");
     let (phil, _app, cost) = join_and_install(&env, "phil", |d| CalendarApp::install(d).unwrap());
     assert_eq!(cost, 2, "one publish for `mailbox`, one for `calendar`");
-    assert_eq!(published(&phil), ["mailbox", "calendar"]);
+    assert_eq!(published(&phil), ["calendar", "mailbox"]);
+    assert_published_as_served(&phil);
 
     // Twelve calendar methods and the mailbox's one ride on those two.
     let (andy, _app, _) = join_and_install(&env, "andy", |d| CalendarApp::install(d).unwrap());
@@ -98,6 +114,26 @@ fn a_calendar_user_joins_in_three_directory_requests() {
 }
 
 #[test]
+fn a_calendar_install_publishes_in_one_round_trip() {
+    // 50 ms each way: the wire dwarfs the rest of the install.
+    let round_trip = Duration::from_millis(100);
+    let cfg = NetConfig::ideal().with_latency(LatencyModel::fixed(round_trip / 2));
+    let env = SydEnv::new_insecure(cfg);
+    let (phil, elapsed, cost) = join_and_install(&env, "phil", |d| {
+        let start = Instant::now();
+        CalendarApp::install(d).unwrap();
+        start.elapsed()
+    });
+    assert_eq!(cost, 2, "still one publish per service");
+    assert!(elapsed >= round_trip, "{elapsed:?}");
+    assert!(
+        elapsed < round_trip * 3 / 2,
+        "the install took {elapsed:?}: its publishes did not share one wave"
+    );
+    assert_published_as_served(&phil);
+}
+
+#[test]
 fn the_other_applications_cost_one_request_per_service() {
     let env = SydEnv::new_insecure(NetConfig::ideal());
 
@@ -109,7 +145,7 @@ fn the_other_applications_cost_one_request_per_service() {
     let (van, _app, cost) = join_and_install(&env, "van", |d| Vehicle::install(d).unwrap());
     assert_eq!(cost, 1, "two methods, one service");
     assert_eq!(published(&van), [fleet_service().as_str()]);
-    let (_, _app, cost) = join_and_install(&env, "depot", |d| Dispatcher::install(d).unwrap());
+    let (depot, _app, cost) = join_and_install(&env, "depot", |d| Dispatcher::install(d).unwrap());
     assert_eq!(cost, 0, "a dispatcher serves nothing");
 
     let (player, _app, cost) = join_and_install(&env, "player", |d| {
@@ -117,6 +153,10 @@ fn the_other_applications_cost_one_request_per_service() {
     });
     assert_eq!(cost, 1);
     assert_eq!(published(&player), [bidding_service().as_str()]);
-    let (_, _app, cost) = join_and_install(&env, "host", |d| Host::install(d).unwrap());
+    let (host, _app, cost) = join_and_install(&env, "host", |d| Host::install(d).unwrap());
     assert_eq!(cost, 0, "a host serves nothing");
+
+    for device in [&base, &van, &depot, &player, &host] {
+        assert_published_as_served(device);
+    }
 }

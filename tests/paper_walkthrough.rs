@@ -176,8 +176,7 @@ fn link_method_table_drives_coupled_invocation() {
             hc.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
             Ok(Value::Null)
         }),
-    )
-    .unwrap();
+    );
 
     a.links()
         .couple_method(&svc, "write_entry", b.user(), &svc, "sync_copy")
