@@ -20,7 +20,7 @@ use syd_core::{DeviceRuntime, EntityHandler, SubscriptionHandler};
 use syd_store::{Column, ColumnType, Predicate, Schema, Store};
 use syd_telemetry::names;
 use syd_telemetry::{Counter, Histogram};
-use syd_types::sync::Mutex;
+use syd_types::sync::{blocking, Mutex, MutexGuard};
 use syd_types::{
     MeetingId, Priority, ServiceName, SlotBitmap, SlotRange, SydError, SydResult, Text, TimeSlot,
     UserId, Value,
@@ -68,12 +68,15 @@ pub(crate) fn create_replicated_tables(store: &Store) -> SydResult<()> {
 
 /// One user's calendar application. Always used through `Arc`.
 pub struct CalendarApp {
+    /// This app, for the background jobs it hands to the pool.
+    me: Weak<CalendarApp>,
     pub(crate) device: DeviceRuntime,
     pub(crate) store: Store,
     pub(crate) mailbox: Arc<Mailbox>,
     pub(crate) metrics: CalendarMetrics,
     next_meeting: AtomicU64,
-    /// Per-meeting serialization of reconcile rounds.
+    /// Per-meeting serialization of reconcile rounds: an entry lives while
+    /// a [`ReconcileGuard`] of the meeting does.
     pub(crate) reconcile_locks: Mutex<HashMap<MeetingId, Arc<Mutex<()>>>>,
     /// Meetings currently being rescheduled after a bump (dedup guard).
     pub(crate) rescheduling: Mutex<Vec<MeetingId>>,
@@ -112,7 +115,8 @@ impl CalendarApp {
             reconcile: registry.histogram(names::CALENDAR_RECONCILE),
             cancels: registry.counter(names::CALENDAR_CANCELS),
         };
-        let app = Arc::new(CalendarApp {
+        let app = Arc::new_cyclic(|me| CalendarApp {
+            me: Weak::clone(me),
             device: device.clone(),
             store,
             mailbox,
@@ -133,7 +137,7 @@ impl CalendarApp {
             let Some(app) = weak.upgrade() else { return };
             let link = link.clone();
             // Fire outside the deletion call stack.
-            std::thread::spawn(move || {
+            app.in_background(move |app| {
                 let _ = app.device.links().fire_link(
                     &link,
                     &Value::str("promoted"),
@@ -341,24 +345,72 @@ impl CalendarApp {
             })
             .max_by_key(|l| l.priority);
         if let Some(link) = best {
-            let app_device = self.device.clone();
-            std::thread::spawn(move || {
-                let _ = app_device.links().fire_link(
+            self.in_background(move |app| {
+                let _ = app.device.links().fire_link(
                     &link,
                     &Value::str("slot freed"),
-                    app_device.negotiator(),
+                    app.device.negotiator(),
                 );
             });
         }
     }
 
-    pub(crate) fn reconcile_guard(&self, id: MeetingId) -> Arc<Mutex<()>> {
-        Arc::clone(
+    /// Runs `work` as a job on the device's runtime pool, off the caller's
+    /// call stack; it inherits the caller's trace, and the app is held
+    /// only weakly until the job runs.
+    pub(crate) fn in_background(&self, work: impl FnOnce(&CalendarApp) + Send + 'static) {
+        let me = Weak::clone(&self.me);
+        self.device.node().runtime().pool().execute(move || {
+            if let Some(app) = me.upgrade() {
+                work(&app);
+            }
+        });
+    }
+
+    /// The handle to `id`'s reconcile guard; [`ReconcileGuard::lock`]
+    /// takes it.
+    pub(crate) fn reconcile_guard(&self, id: MeetingId) -> ReconcileGuard<'_> {
+        let lock = Arc::clone(
             self.reconcile_locks
                 .lock()
                 .entry(id)
                 .or_insert_with(|| Arc::new(Mutex::new(()))),
-        )
+        );
+        ReconcileGuard {
+            locks: &self.reconcile_locks,
+            id,
+            lock,
+        }
+    }
+}
+
+/// A handle to one meeting's reconcile guard. The last handle of a
+/// meeting to go removes the guard from the app's map.
+pub(crate) struct ReconcileGuard<'a> {
+    locks: &'a Mutex<HashMap<MeetingId, Arc<Mutex<()>>>>,
+    id: MeetingId,
+    lock: Arc<Mutex<()>>,
+}
+
+impl ReconcileGuard<'_> {
+    /// Holds the guard: at once if it is free, else after an announced
+    /// wait, so that a pool worker hands its turn on while it waits.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, ()> {
+        if let Some(held) = self.lock.try_lock() {
+            return held;
+        }
+        blocking(|| self.lock.lock())
+    }
+}
+
+impl Drop for ReconcileGuard<'_> {
+    fn drop(&mut self) {
+        // Handles are cloned only under the map's lock: two counts (the
+        // map's and this one) mean no other handle exists or can appear.
+        let mut locks = self.locks.lock();
+        if Arc::strong_count(&self.lock) == 2 {
+            locks.remove(&self.id);
+        }
     }
 }
 
@@ -479,10 +531,9 @@ impl CalendarApp {
         if let Some(mut rec) = self.meeting(old)? {
             rec.status = MeetingStatus::Bumped;
             self.put_meeting(&rec)?;
-            let device = self.device.clone();
             let initiator = rec.initiator;
-            std::thread::spawn(move || {
-                let _ = device.engine().invoke(
+            self.in_background(move |app| {
+                let _ = app.device.engine().invoke(
                     initiator,
                     &calendar_service(),
                     "meeting_bumped",
@@ -515,11 +566,11 @@ impl SubscriptionHandler for CalendarNotifications {
         let meeting = MeetingId::new(raw);
         match kind {
             // A pending participant's slot opened up, or a participant's
-            // schedule changed: re-run the reservation round. Spawned so
-            // the notifying call chain is never blocked on a negotiation.
+            // schedule changed: re-run the reservation round. A pool job,
+            // so the notifying call chain is never blocked on a negotiation.
             "peer_available" | "participant_changed" => {
                 let only_if_missing = kind == "peer_available";
-                std::thread::spawn(move || {
+                app.in_background(move |app| {
                     let _ = app.reconcile_round(meeting, only_if_missing);
                 });
                 Ok(Value::Null)
@@ -862,11 +913,10 @@ impl CalendarApp {
         self.device.links().add_local(spec)?;
         // Slot already free (raced with a release): tell the initiator now.
         if self.slot_state(ordinal)?.is_free() {
-            let device = self.device.clone();
             let initiator = rec.initiator;
             let id = rec.id;
-            std::thread::spawn(move || {
-                let _ = device.engine().invoke(
+            self.in_background(move |app| {
+                let _ = app.device.engine().invoke(
                     initiator,
                     &calendar_service(),
                     "peer_available",
@@ -888,5 +938,35 @@ impl CalendarApp {
             let _ = self.device.links().delete(link, false);
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)] // test code
+mod tests {
+    use super::*;
+    use crate::model::MeetingSpec;
+    use syd_core::SydEnv;
+    use syd_net::NetConfig;
+
+    #[test]
+    fn reconcile_guards_go_with_their_last_user() {
+        let env = SydEnv::new_insecure(NetConfig::ideal());
+        let apps: Vec<Arc<CalendarApp>> = ["phil", "andy", "suzy"]
+            .iter()
+            .map(|n| CalendarApp::install(&env.device(n, "").unwrap()).unwrap())
+            .collect();
+        let others = vec![apps[1].user(), apps[2].user()];
+        for hour in 0..50u16 {
+            let slot = TimeSlot::new(1 + u32::from(hour / 10), hour % 10);
+            let spec = MeetingSpec::plain("m", slot, others.clone());
+            let out = apps[0].schedule(spec).unwrap();
+            apps[0].cancel(out.meeting).unwrap();
+        }
+        assert_eq!(
+            apps[0].reconcile_locks.lock().len(),
+            0,
+            "a guard outlived the rounds that used it"
+        );
     }
 }

@@ -33,6 +33,7 @@ use syd_core::negotiate::{Participant, Phase2};
 use syd_core::Call;
 use syd_store::Predicate;
 use syd_telemetry::names;
+use syd_types::sync::blocking;
 use syd_types::{
     LinkId, MeetingId, SlotBitmap, SlotRange, SydError, SydResult, Text, TimeSlot, UserId, Value,
 };
@@ -281,7 +282,7 @@ impl CalendarApp {
             if outcome.contended.is_empty() {
                 break;
             }
-            std::thread::sleep(grab_backoff(me, attempt));
+            blocking(|| std::thread::sleep(grab_backoff(me, attempt)));
             outcome = negotiator.negotiate_available_with(&parts, &phase2)?;
         }
 

@@ -128,7 +128,6 @@ impl Default for Config {
                         "node.handler",
                         "node.events",
                         "node.identity",
-                        "pool.tx",
                     ]),
                 },
                 Level {

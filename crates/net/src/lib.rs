@@ -13,8 +13,9 @@
 //! * **[`SharedRuntime`]** — the event-driven device runtime: one loop
 //!   (readiness, timed wake-ups and periodic tasks) and one shared
 //!   [`WorkerPool`] carry an entire fleet of nodes.
-//! * **[`WorkerPool`]** — grow-on-demand dispatch so nested invocations
-//!   (cancel cascades, negotiations) can never deadlock a dispatch thread.
+//! * **[`WorkerPool`]** — one running worker per core, and a turn handed
+//!   on by every job that waits, so nested invocations (cancel cascades,
+//!   negotiations) can never deadlock a dispatch thread.
 //!
 //! A dropped TCP connection and a simulated message loss surface as the
 //! same transient errors ([`syd_types::SydError::Disconnected`] /

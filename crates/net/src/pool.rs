@@ -1,79 +1,120 @@
-//! Grow-on-demand worker pool for request dispatch.
+//! The worker pool request dispatch runs on: one running worker per core,
+//! and a turn handed on by every job that waits.
 //!
 //! SyD request handlers routinely perform *nested* remote calls: deleting a
 //! link cascades `deleteLink` invocations to peer devices (§4.2 op. 4), and
 //! a negotiation triggered inside a handler fans out to every linked entity.
 //! If a device served requests on one thread, a call cycle (A serves a
-//! request, calls B, B calls back into A) would deadlock. The pool therefore
-//! grows whenever more jobs are queued than workers are idle or starting,
-//! up to a generous cap, and idle workers retire after a keep-alive — the
-//! classic "cached thread pool" shape.
+//! request, calls B, B calls back into A) would deadlock. So a job that
+//! waits must not hold one of the pool's turns while it does.
+//!
+//! The pool keeps at most `workers` (N) workers *running*. A worker that
+//! finishes a job takes the next one without a wake-up while no more than
+//! N run; otherwise it parks. Every wait a job makes through
+//! [`syd_types::sync`] — a condvar wait, or a call wrapped in
+//! [`syd_types::sync::blocking`] — is announced to the pool through the
+//! worker's blocking hook: the waiting worker stops counting as running
+//! and, with work queued, a parked or a new worker takes its turn. When the
+//! wait is over the worker runs on alongside the others until the count
+//! falls back to N. Workers exist only for turns and announced waits, up to
+//! `max_workers` alive; parked workers retire after a keep-alive.
+//!
+//! A wait nobody announced (a bare `thread::sleep`, a foreign channel)
+//! keeps its turn. For those, [`WorkerPool::kick`] is the backstop: queued
+//! work and no job finished since the previous kick grows the pool by one
+//! turn, past both caps.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::num::NonZeroUsize;
+use std::sync::{Arc, Condvar, PoisonError};
 use std::time::Duration;
 
 use syd_telemetry::trace;
-use syd_types::queue::{self, Receiver, RecvError, Sender};
-use syd_types::sync::Mutex;
+use syd_types::sync::{set_blocking_hook, BlockingHook, Mutex, MutexGuard};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
+struct State {
+    queue: VecDeque<Job>,
+    /// Workers holding a turn: running a job, about to take one, or just
+    /// started or woken to. A worker inside an announced wait holds none.
+    running: usize,
+    /// Workers parked on `wake` that no turn was handed to yet.
+    parked: usize,
+    /// Turns handed to parked workers that none has woken to take yet.
+    wakeups: usize,
+    live: usize,
+    shutdown: bool,
+    peak_live: usize,
+    executed: usize,
+    /// `executed` as of the previous [`WorkerPool::kick`]; a kick that
+    /// sees no progress grows the pool past its caps.
+    last_kick_executed: usize,
+}
+
 struct PoolInner {
-    tx: Mutex<Option<Sender<Job>>>,
-    rx: Receiver<Job>,
-    idle: AtomicUsize,
-    /// Workers spawned that have not yet reached their first wait.
-    starting: AtomicUsize,
-    live: AtomicUsize,
-    peak_live: AtomicUsize,
-    executed: AtomicUsize,
+    /// A leaf lock: held by the blocking hook while the waiter still holds
+    /// its own mutex, so nothing is acquired under it.
+    state: Mutex<State>,
+    /// `std`'s condvar, not the announcing one: a parked worker holds no
+    /// turn to hand on.
+    wake: Condvar,
+    workers: usize,
     max_workers: usize,
     keepalive: Duration,
     name: String,
-    shutdown: AtomicBool,
-    /// `executed` as of the previous [`WorkerPool::kick`]; a kick that
-    /// sees no progress and no idle worker grows the pool past the cap.
-    last_kick_executed: AtomicUsize,
 }
 
-/// A dynamically sized thread pool. Cloning shares the pool.
+/// A thread pool that runs at most N jobs at once but never lets a waiting
+/// job hold up the queue. Cloning shares the pool.
 #[derive(Clone)]
 pub struct WorkerPool {
     inner: Arc<PoolInner>,
 }
 
 impl WorkerPool {
-    /// Creates a pool that may grow to `max_workers` threads. Workers idle
-    /// for longer than `keepalive` retire (one worker is always retained
-    /// while the pool is live).
-    pub fn new(name: impl Into<String>, max_workers: usize, keepalive: Duration) -> Self {
-        assert!(max_workers >= 1, "pool needs at least one worker");
-        let (tx, rx) = queue::channel();
+    /// Creates a pool that runs at most `workers` jobs at once and keeps
+    /// at most `max_workers` threads alive. Workers parked for longer than
+    /// `keepalive` retire (one is retained while the pool is live).
+    pub fn new(
+        name: impl Into<String>,
+        workers: usize,
+        max_workers: usize,
+        keepalive: Duration,
+    ) -> Self {
+        assert!(
+            workers >= 1 && max_workers >= workers,
+            "pool needs at least one worker"
+        );
         WorkerPool {
             inner: Arc::new(PoolInner {
-                tx: Mutex::new(Some(tx)),
-                rx,
-                idle: AtomicUsize::new(0),
-                starting: AtomicUsize::new(0),
-                live: AtomicUsize::new(0),
-                peak_live: AtomicUsize::new(0),
-                executed: AtomicUsize::new(0),
+                state: Mutex::new(State {
+                    queue: VecDeque::new(),
+                    running: 0,
+                    parked: 0,
+                    wakeups: 0,
+                    live: 0,
+                    shutdown: false,
+                    peak_live: 0,
+                    executed: 0,
+                    last_kick_executed: 0,
+                }),
+                wake: Condvar::new(),
+                workers,
                 max_workers,
                 keepalive,
                 name: name.into(),
-                shutdown: AtomicBool::new(false),
-                last_kick_executed: AtomicUsize::new(0),
             }),
         }
     }
 
-    /// Pool sized for a shared fleet runtime: a small fixed budget that
-    /// many devices multiplex over. The cap is soft — see
-    /// [`WorkerPool::kick`] — so nested call cycles between devices on
-    /// the *same* pool cannot deadlock it.
+    /// Pool for a shared fleet runtime: one running worker per hardware
+    /// thread, and up to 48 alive for the jobs that wait. The second cap
+    /// is soft — see [`WorkerPool::kick`] — so nested call cycles between
+    /// devices on the *same* pool cannot deadlock it.
     pub fn for_runtime(name: impl Into<String>) -> Self {
-        Self::new(name, 48, Duration::from_millis(500))
+        let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        Self::new(name, cores, 48.max(cores), Duration::from_millis(500))
     }
 
     /// Submits a job. Returns `false` if the pool is shut down.
@@ -83,156 +124,207 @@ impl WorkerPool {
     /// across the pool boundary stays attributed to its trace.
     pub fn execute(&self, job: impl FnOnce() + Send + 'static) -> bool {
         let inner = &self.inner;
-        if inner.shutdown.load(Ordering::Acquire) {
-            return false;
-        }
         let ctx = trace::current();
         let job = move || {
             let _span = ctx.map(trace::enter);
             job();
         };
-        {
-            let guard = inner.tx.lock();
-            let Some(tx) = guard.as_ref() else {
-                return false;
-            };
-            if tx.send(Box::new(job)).is_err() {
-                return false;
-            }
+        let mut state = inner.state.lock();
+        if state.shutdown {
+            return false;
         }
-        // Grow until the idle and starting workers cover the queue, up to
-        // the cap. A worker counted idle may not have woken for an earlier
-        // job yet, so "nobody idle" alone strands a burst behind it.
-        // Concurrent submitters may both grow: at worst a spare worker.
-        while inner.rx.len()
-            > inner.idle.load(Ordering::Acquire) + inner.starting.load(Ordering::Acquire)
-            && self.try_spawn_worker()
-        {}
+        state.queue.push_back(Box::new(job));
+        let start = inner.hand_on(&mut state);
+        drop(state);
+        inner.start(start);
         true
-    }
-
-    /// Spawns a worker unless the pool is at its cap; `false` if it is.
-    fn try_spawn_worker(&self) -> bool {
-        let inner = &self.inner;
-        let mut live = inner.live.load(Ordering::Acquire);
-        loop {
-            if live >= inner.max_workers {
-                return false;
-            }
-            match inner
-                .live
-                .compare_exchange(live, live + 1, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => break,
-                Err(actual) => live = actual,
-            }
-        }
-        self.spawn_worker(live + 1);
-        true
-    }
-
-    fn spawn_worker(&self, live_after: usize) {
-        let inner = &self.inner;
-        inner.starting.fetch_add(1, Ordering::AcqRel);
-        inner.peak_live.fetch_max(live_after, Ordering::AcqRel);
-        let worker_inner = Arc::clone(inner);
-        let name = format!("{}-w{}", inner.name, live_after - 1);
-        // A pool that cannot grow a worker deadlocks its callers:
-        // spawn failure is unrecoverable, panicking is the contract.
-        #[allow(clippy::expect_used)]
-        std::thread::Builder::new()
-            .name(name)
-            .spawn(move || worker_loop(worker_inner))
-            .expect("spawn pool worker");
     }
 
     /// Liveness watchdog hook for shared pools (called periodically by
-    /// the runtime's loop). When jobs are queued, no worker is
-    /// idle, and *nothing has completed since the previous kick*, every
-    /// worker is blocked inside a job — for SyD that means nested RPCs
-    /// whose replies are themselves stuck in this queue. One extra
-    /// worker is spawned **past the cap** to restore progress; surplus
-    /// workers retire through the normal keep-alive path.
+    /// the runtime's loop). When jobs are queued and *nothing has
+    /// completed since the previous kick*, every turn is held by a job
+    /// that waits without announcing it, or every worker the cap allows
+    /// is in an announced wait — for SyD, nested RPCs whose replies are
+    /// themselves stuck in this queue. One more turn is handed out
+    /// **past both caps** to restore progress; the extra worker parks or
+    /// retires through the normal paths.
     pub fn kick(&self) {
-        let inner = &self.inner;
-        if inner.shutdown.load(Ordering::Acquire) || inner.rx.is_empty() {
+        let mut state = self.inner.state.lock();
+        if state.shutdown || state.queue.is_empty() {
             return;
         }
-        if inner.idle.load(Ordering::Acquire) > 0 {
-            return;
-        }
-        let executed = inner.executed.load(Ordering::Acquire);
-        if inner.last_kick_executed.swap(executed, Ordering::AcqRel) != executed {
+        let executed = state.executed;
+        if std::mem::replace(&mut state.last_kick_executed, executed) != executed {
             return; // progress since the last kick: not stalled
         }
-        let live = inner.live.fetch_add(1, Ordering::AcqRel);
-        self.spawn_worker(live + 1);
+        let start = self.inner.add_turn(&mut state);
+        drop(state);
+        self.inner.start(start);
     }
 
     /// Jobs accepted but not yet picked up by a worker.
     pub fn queued_jobs(&self) -> usize {
-        self.inner.rx.len()
+        self.inner.state.lock().queue.len()
     }
 
     /// Number of threads currently alive.
     pub fn live_workers(&self) -> usize {
-        self.inner.live.load(Ordering::Acquire)
+        self.inner.state.lock().live
     }
 
     /// Highest number of threads ever alive at once.
     pub fn peak_workers(&self) -> usize {
-        self.inner.peak_live.load(Ordering::Acquire)
+        self.inner.state.lock().peak_live
     }
 
     /// Total jobs completed.
     pub fn jobs_executed(&self) -> usize {
-        self.inner.executed.load(Ordering::Acquire)
+        self.inner.state.lock().executed
     }
 
     /// Stops accepting jobs and lets workers drain the queue and exit.
     pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        // Dropping the sender disconnects the channel once drained.
-        self.inner.tx.lock().take();
+        self.inner.state.lock().shutdown = true;
+        self.inner.wake.notify_all();
     }
 }
 
-fn worker_loop(inner: Arc<PoolInner>) {
-    /// Takes the thread off `live` however it ends: a job that unwinds
-    /// costs the pool a thread, not one of its `max_workers` slots.
-    struct Live<'a>(&'a AtomicUsize);
-    impl Drop for Live<'_> {
-        fn drop(&mut self) {
-            self.0.fetch_sub(1, Ordering::AcqRel);
+impl PoolInner {
+    /// Starts the worker `hand_on` or `add_turn` asked for, outside the
+    /// pool's lock.
+    fn start(self: &Arc<Self>, worker: Option<usize>) {
+        let Some(index) = worker else { return };
+        let inner = Arc::clone(self);
+        // A pool that cannot grow a worker deadlocks its callers:
+        // spawn failure is unrecoverable, panicking is the contract.
+        #[allow(clippy::expect_used)]
+        std::thread::Builder::new()
+            .name(format!("{}-w{index}", self.name))
+            .spawn(move || worker_loop(&inner))
+            .expect("spawn pool worker");
+    }
+
+    /// Gives up the calling worker's turn, and with `retire` its thread:
+    /// with work queued, a parked or a new worker takes the turn.
+    fn pass_turn(self: &Arc<Self>, retire: bool) {
+        let mut state = self.state.lock();
+        state.running -= 1;
+        state.live -= usize::from(retire);
+        let start = self.hand_on(&mut state);
+        drop(state);
+        self.start(start);
+    }
+
+    /// Hands a turn to the queue's head if the pool runs fewer than N
+    /// jobs and may wake or start a worker for it.
+    fn hand_on(&self, state: &mut State) -> Option<usize> {
+        let free = state.running < self.workers
+            && !state.queue.is_empty()
+            && (state.parked > 0 || state.live < self.max_workers);
+        if free {
+            self.add_turn(state)
+        } else {
+            None
         }
     }
-    let _live = Live(&inner.live);
-    // Idle before no longer starting: `execute` never sees this worker in
-    // neither count.
-    inner.idle.fetch_add(1, Ordering::AcqRel);
-    inner.starting.fetch_sub(1, Ordering::AcqRel);
-    loop {
-        let job = inner.rx.recv_timeout(inner.keepalive);
-        inner.idle.fetch_sub(1, Ordering::AcqRel);
-        match job {
-            Ok(job) => {
-                job();
-                inner.executed.fetch_add(1, Ordering::AcqRel);
-            }
-            Err(RecvError::Empty) => {
-                // Retire surplus workers; keep one resident while live. A
-                // job queued while this one was still counted idle stays
-                // its to take.
-                if (inner.live.load(Ordering::Acquire) > 1
-                    || inner.shutdown.load(Ordering::Acquire))
-                    && inner.rx.is_empty()
-                {
-                    break;
-                }
-            }
-            Err(RecvError::Disconnected) => break,
+
+    /// One more turn: to a parked worker if there is one, else to a new
+    /// worker, whose index is returned for `start`.
+    fn add_turn(&self, state: &mut State) -> Option<usize> {
+        state.running += 1;
+        if state.parked > 0 {
+            state.parked -= 1;
+            state.wakeups += 1;
+            self.wake.notify_one();
+            return None;
         }
-        inner.idle.fetch_add(1, Ordering::AcqRel);
+        state.live += 1;
+        state.peak_live = state.peak_live.max(state.live);
+        Some(state.live - 1)
+    }
+
+    /// Parks a worker that gave up its turn until it is handed one
+    /// (returns the lock) or retires (`None`, its thread ends).
+    fn park<'a>(&'a self, mut state: MutexGuard<'a, State>) -> Option<MutexGuard<'a, State>> {
+        loop {
+            if state.shutdown {
+                if state.queue.is_empty() {
+                    state.live -= 1;
+                    return None;
+                }
+                // Draining after shutdown: every worker helps.
+                state.running += 1;
+                return Some(state);
+            }
+            state.parked += 1;
+            let (woken, waited) = self
+                .wake
+                .wait_timeout(state, self.keepalive)
+                .unwrap_or_else(PoisonError::into_inner);
+            state = woken;
+            if state.wakeups > 0 {
+                state.wakeups -= 1;
+                return Some(state); // handed a turn, already counted
+            }
+            state.parked -= 1;
+            if !state.queue.is_empty() && state.running < self.workers {
+                state.running += 1;
+                return Some(state);
+            }
+            // Retire surplus workers; keep one resident while live.
+            if waited.timed_out() && state.queue.is_empty() && state.live > 1 {
+                state.live -= 1;
+                return None;
+            }
+        }
+    }
+}
+
+/// A worker's blocking hook: the pool it holds its turns of.
+struct Worker(Arc<PoolInner>);
+
+impl BlockingHook for Worker {
+    /// The worker's job is about to wait: its turn goes to the queue.
+    fn enter(&self) {
+        self.0.pass_turn(false);
+    }
+
+    /// The wait is over: the worker runs again, over the cap if need be.
+    fn leave(&self) {
+        self.0.state.lock().running += 1;
+    }
+}
+
+fn worker_loop(inner: &Arc<PoolInner>) {
+    /// Gives up the turn and the thread of a worker whose job unwound: a
+    /// job that panics costs the pool a thread, not one of its turns.
+    struct Unwound<'a>(&'a Arc<PoolInner>);
+    impl Drop for Unwound<'_> {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                self.0.pass_turn(true);
+            }
+        }
+    }
+    set_blocking_hook(Some(Arc::new(Worker(Arc::clone(inner)))));
+    let _unwound = Unwound(inner);
+    let mut state = inner.state.lock();
+    loop {
+        // This worker holds a turn: run jobs while no more than N do.
+        while let Some(job) = state.queue.pop_front() {
+            drop(state);
+            job();
+            state = inner.state.lock();
+            state.executed += 1;
+            if state.running > inner.workers && !state.shutdown {
+                break;
+            }
+        }
+        state.running -= 1;
+        match inner.park(state) {
+            Some(turn) => state = turn,
+            None => return,
+        }
     }
 }
 
@@ -250,13 +342,23 @@ impl Drop for WorkerPool {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // test code
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
-    use std::sync::Arc;
+    use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+    use std::time::Instant;
+    use syd_types::queue::{self, Sender};
     use syd_types::sync::Condvar;
+
+    /// Polls `done` until it holds, failing with `what` after `limit`.
+    fn await_until(limit: Duration, what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + limit;
+        while !done() {
+            assert!(Instant::now() < deadline, "{what}");
+            std::thread::yield_now();
+        }
+    }
 
     #[test]
     fn executes_jobs() {
-        let pool = WorkerPool::new("t", 4, Duration::from_millis(100));
+        let pool = WorkerPool::new("t", 4, 4, Duration::from_millis(100));
         let counter = Arc::new(AtomicU32::new(0));
         for _ in 0..20 {
             let c = Arc::clone(&counter);
@@ -264,17 +366,15 @@ mod tests {
                 c.fetch_add(1, Ordering::SeqCst);
             }));
         }
-        let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        while counter.load(Ordering::SeqCst) < 20 {
-            assert!(std::time::Instant::now() < deadline, "jobs did not finish");
-            std::thread::yield_now();
-        }
-        assert_eq!(pool.jobs_executed(), 20);
+        await_until(Duration::from_secs(2), "jobs did not finish", || {
+            pool.jobs_executed() == 20
+        });
+        assert_eq!(counter.load(Ordering::SeqCst), 20);
     }
 
     #[test]
     fn jobs_inherit_the_submitters_trace_context() {
-        let pool = WorkerPool::new("t", 2, Duration::from_millis(100));
+        let pool = WorkerPool::new("t", 2, 2, Duration::from_millis(100));
         let ctx = trace::root_span();
         let _g = trace::enter(ctx);
         let (tx, rx) = queue::channel();
@@ -287,12 +387,69 @@ mod tests {
 
     #[test]
     fn untraced_jobs_stay_untraced() {
-        let pool = WorkerPool::new("t", 2, Duration::from_millis(100));
+        let pool = WorkerPool::new("t", 2, 2, Duration::from_millis(100));
         let (tx, rx) = queue::channel();
         pool.execute(move || {
             let _ = tx.send(trace::current());
         });
         assert_eq!(rx.recv_timeout(Duration::from_secs(2)).unwrap(), None);
+    }
+
+    #[test]
+    fn a_burst_of_short_jobs_runs_on_n_workers() {
+        let pool = WorkerPool::new("t", 2, 48, Duration::from_secs(60));
+        let now = Arc::new(AtomicUsize::new(0));
+        let most = Arc::new(AtomicUsize::new(0));
+        for _ in 0..32 {
+            let (now, most) = (Arc::clone(&now), Arc::clone(&most));
+            pool.execute(move || {
+                most.fetch_max(now.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+                let spin = Instant::now();
+                while spin.elapsed() < Duration::from_micros(200) {
+                    std::hint::spin_loop();
+                }
+                now.fetch_sub(1, Ordering::SeqCst);
+            });
+        }
+        await_until(Duration::from_secs(5), "burst did not finish", || {
+            pool.jobs_executed() == 32
+        });
+        assert!(
+            most.load(Ordering::SeqCst) <= 2,
+            "more than N jobs ran at once"
+        );
+        assert!(
+            pool.peak_workers() <= 2,
+            "{} workers started for 2 turns",
+            pool.peak_workers()
+        );
+        pool.shutdown();
+    }
+
+    #[test]
+    fn a_waiting_job_hands_its_turn_to_the_job_it_waits_for() {
+        // One turn and no watchdog: the first job can finish only if its
+        // wait lets the second one run.
+        let pool = WorkerPool::new("t", 1, 48, Duration::from_secs(60));
+        let signal = Arc::new((Mutex::new(false), Condvar::new()));
+        let (done_tx, done_rx) = queue::channel();
+        let waiter = Arc::clone(&signal);
+        pool.execute(move || {
+            let (flag, cv) = &*waiter;
+            let mut set = flag.lock();
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while !*set && Instant::now() < deadline {
+                set = cv.wait_timeout(set, Duration::from_millis(50)).0;
+            }
+            let _ = done_tx.send(*set);
+        });
+        pool.execute(move || {
+            *signal.0.lock() = true;
+            signal.1.notify_all();
+        });
+        let signalled = done_rx.recv_timeout(Duration::from_secs(2));
+        assert_eq!(signalled, Ok(true), "the waiting job kept the only turn");
+        pool.shutdown();
     }
 
     /// Frees the jobs parked on its channel and shuts the pool down when it
@@ -310,18 +467,16 @@ mod tests {
         }
     }
 
-    #[test]
-    fn grows_under_blocking_load() {
-        let pool = WorkerPool::new("t", 16, Duration::from_millis(100));
-        let (release_tx, release_rx) = queue::channel::<()>();
-        let _release = ReleaseParked {
-            pool: &pool,
-            release: Some(release_tx),
-        };
-        let started = Arc::new((Mutex::new(0u32), Condvar::new()));
-        // 8 jobs that all block until released: pool must grow past 1 worker.
-        for _ in 0..8 {
-            let rx = release_rx.clone();
+    /// Submits `n` jobs that each count themselves started, then wait on
+    /// `release` (an announced wait); returns the started count.
+    fn blocking_jobs(
+        pool: &WorkerPool,
+        release: &queue::Receiver<()>,
+        n: usize,
+    ) -> Arc<(Mutex<usize>, Condvar)> {
+        let started = Arc::new((Mutex::new(0), Condvar::new()));
+        for _ in 0..n {
+            let rx = release.clone();
             let started = Arc::clone(&started);
             pool.execute(move || {
                 *started.0.lock() += 1;
@@ -329,81 +484,78 @@ mod tests {
                 let _ = rx.recv();
             });
         }
-        // Woken by each start, not spinning. The deadline is generous: a
-        // loaded host is slow to start threads, and only a pool that does
-        // not grow misses it.
-        let deadline = std::time::Instant::now() + Duration::from_secs(30);
-        let (count, cv) = &*started;
-        let mut n = count.lock();
-        while *n < 8 {
-            let left = deadline.saturating_duration_since(std::time::Instant::now());
-            assert!(
-                !left.is_zero(),
-                "pool failed to grow: {} of 8 jobs started",
-                *n
-            );
-            n = cv.wait_timeout(n, left).0;
+        started
+    }
+
+    /// Waits (woken by each start, not spinning) until `n` have started.
+    fn await_started(started: &(Mutex<usize>, Condvar), n: usize, limit: Duration) {
+        let deadline = Instant::now() + limit;
+        let (count, cv) = started;
+        let mut seen = count.lock();
+        while *seen < n {
+            let left = deadline.saturating_duration_since(Instant::now());
+            assert!(!left.is_zero(), "{} of {n} jobs started", *seen);
+            seen = cv.wait_timeout(seen, left).0;
         }
-        drop(n);
+    }
+
+    #[test]
+    fn grows_under_blocking_load() {
+        let pool = WorkerPool::new("t", 2, 16, Duration::from_millis(100));
+        let (release_tx, release_rx) = queue::channel::<()>();
+        let _release = ReleaseParked {
+            pool: &pool,
+            release: Some(release_tx),
+        };
+        // 8 jobs that all wait until released: each wait hands its turn
+        // on, so the pool grows past its 2 turns. The deadline is
+        // generous: a loaded host is slow to start threads, and only a
+        // pool that does not grow misses it.
+        let started = blocking_jobs(&pool, &release_rx, 8);
+        await_started(&started, 8, Duration::from_secs(30));
         assert!(pool.peak_workers() >= 8);
     }
 
     #[test]
     fn a_burst_behind_an_idle_worker_is_not_stranded() {
-        let pool = WorkerPool::new("t", 16, Duration::from_secs(60));
+        let pool = WorkerPool::new("t", 2, 16, Duration::from_secs(60));
         let (release_tx, release_rx) = queue::channel::<()>();
         let _release = ReleaseParked {
             pool: &pool,
             release: Some(release_tx),
         };
-        // One warm worker, parked idle.
+        // One warm worker, parked.
         pool.execute(|| {});
-        let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        while pool.jobs_executed() != 1 || pool.inner.idle.load(Ordering::Acquire) != 1 {
-            assert!(std::time::Instant::now() < deadline, "no idle worker");
-            std::thread::yield_now();
-        }
-        std::thread::sleep(Duration::from_millis(20)); // asleep in its wait
-                                                       // A burst of 8 blocking jobs lands before that worker wakes for the
-                                                       // first: each must still find a worker. Nothing kicks this pool.
-        let started = Arc::new((Mutex::new(0u32), Condvar::new()));
-        for _ in 0..8 {
-            let rx = release_rx.clone();
-            let started = Arc::clone(&started);
-            pool.execute(move || {
-                *started.0.lock() += 1;
-                started.1.notify_all();
-                let _ = rx.recv();
-            });
-        }
-        let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        let (count, cv) = &*started;
-        let mut n = count.lock();
-        while *n < 8 {
-            let left = deadline.saturating_duration_since(std::time::Instant::now());
-            assert!(!left.is_zero(), "{} of 8 jobs started", *n);
-            n = cv.wait_timeout(n, left).0;
-        }
+        await_until(Duration::from_secs(2), "no parked worker", || {
+            let state = pool.inner.state.lock();
+            state.executed == 1 && state.parked == 1
+        });
+        // Asleep in its wait by now.
+        std::thread::sleep(Duration::from_millis(20));
+        // A burst of 8 waiting jobs lands before that worker wakes for the
+        // first: each must still find a worker. Nothing kicks this pool.
+        let started = blocking_jobs(&pool, &release_rx, 8);
+        await_started(&started, 8, Duration::from_secs(2));
     }
 
     #[test]
     fn respects_max_workers() {
-        let pool = WorkerPool::new("t", 2, Duration::from_millis(50));
+        let pool = WorkerPool::new("t", 2, 2, Duration::from_millis(50));
         let (release_tx, release_rx) = queue::channel::<()>();
-        for _ in 0..6 {
-            let rx = release_rx.clone();
-            pool.execute(move || {
-                let _ = rx.recv();
-            });
-        }
+        let _release = ReleaseParked {
+            pool: &pool,
+            release: Some(release_tx),
+        };
+        let started = blocking_jobs(&pool, &release_rx, 6);
+        await_started(&started, 2, Duration::from_secs(2));
         std::thread::sleep(Duration::from_millis(100));
         assert!(pool.live_workers() <= 2);
-        drop(release_tx);
+        assert_eq!(*started.0.lock(), 2, "a job ran past the thread cap");
     }
 
     #[test]
     fn shutdown_rejects_new_jobs() {
-        let pool = WorkerPool::new("t", 2, Duration::from_millis(50));
+        let pool = WorkerPool::new("t", 2, 2, Duration::from_millis(50));
         pool.shutdown();
         assert!(!pool.execute(|| {}));
     }
@@ -413,7 +565,7 @@ mod tests {
         // The drain contract: every job accepted before shutdown runs to
         // completion; every submission after returns `false`. Nothing is
         // silently dropped in between.
-        let pool = WorkerPool::new("t", 2, Duration::from_millis(50));
+        let pool = WorkerPool::new("t", 2, 2, Duration::from_millis(50));
         let done = Arc::new(AtomicU32::new(0));
         let mut accepted = 0u32;
         for _ in 0..50 {
@@ -427,93 +579,60 @@ mod tests {
         }
         pool.shutdown();
         assert!(!pool.execute(|| {}), "job accepted after shutdown");
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
         // A job is counted after it returns, so the counter trails `done`.
-        while pool.jobs_executed() < accepted as usize {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "accepted jobs dropped: {}/{accepted}",
-                done.load(Ordering::SeqCst)
-            );
-            std::thread::yield_now();
-        }
+        await_until(Duration::from_secs(5), "accepted jobs dropped", || {
+            pool.jobs_executed() == accepted as usize
+        });
         assert_eq!(done.load(Ordering::SeqCst), accepted);
     }
 
     #[test]
     fn shutdown_lets_workers_exit() {
-        let pool = WorkerPool::new("t", 4, Duration::from_secs(60));
+        let pool = WorkerPool::new("t", 4, 4, Duration::from_secs(60));
         for _ in 0..4 {
             pool.execute(|| {});
         }
         pool.shutdown();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while pool.live_workers() > 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "{} workers outlived shutdown",
-                pool.live_workers()
-            );
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        await_until(Duration::from_secs(5), "workers outlived shutdown", || {
+            pool.live_workers() == 0
+        });
     }
 
     #[test]
     fn kick_grows_past_the_cap_only_when_stalled() {
-        let pool = WorkerPool::new("t", 2, Duration::from_millis(100));
+        let pool = WorkerPool::new("t", 2, 2, Duration::from_millis(100));
         // Empty queue: kick must not spawn anything.
         pool.kick();
         assert_eq!(pool.live_workers(), 0);
 
         // Wedge both workers and queue a third job.
         let (release_tx, release_rx) = queue::channel::<()>();
-        let started = Arc::new(AtomicU32::new(0));
-        for _ in 0..3 {
-            let rx = release_rx.clone();
-            let s = Arc::clone(&started);
-            pool.execute(move || {
-                s.fetch_add(1, Ordering::SeqCst);
-                let _ = rx.recv();
-            });
-        }
-        let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        while started.load(Ordering::SeqCst) < 2 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "workers never started"
-            );
-            std::thread::yield_now();
-        }
+        let _release = ReleaseParked {
+            pool: &pool,
+            release: Some(release_tx),
+        };
+        let started = blocking_jobs(&pool, &release_rx, 3);
+        await_started(&started, 2, Duration::from_secs(2));
         assert_eq!(pool.live_workers(), 2, "cap respected before kick");
         assert_eq!(pool.queued_jobs(), 1);
-        // Genuine stall (no progress, nobody idle, work queued): the
-        // watchdog's kick breaks it by spawning one worker past the cap.
+        // Genuine stall (no progress, every worker waiting, work queued):
+        // the watchdog's kick breaks it by starting one worker past the cap.
         pool.kick();
-        while started.load(Ordering::SeqCst) < 3 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "kick did not spawn an overflow worker"
-            );
-            std::thread::yield_now();
-        }
+        await_started(&started, 3, Duration::from_secs(2));
         assert!(pool.peak_workers() >= 3, "overflow worker not counted");
-        drop(release_tx);
     }
 
     #[test]
     fn a_job_that_unwinds_costs_a_thread_not_a_pool_slot() {
-        // One slot: if the dead worker kept it, nothing could run again.
-        let pool = WorkerPool::new("t", 1, Duration::from_millis(50));
+        // One turn: if the dead worker kept it, nothing could run again.
+        let pool = WorkerPool::new("t", 1, 1, Duration::from_millis(50));
         assert_eq!(pool.live_workers(), 0);
         pool.execute(|| panic!("job unwinds (expected by this test)"));
-        let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        while pool.live_workers() != 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "the pool still counts its dead worker as alive"
-            );
-            std::thread::yield_now();
-        }
+        await_until(
+            Duration::from_secs(2),
+            "the pool still counts its dead worker as alive",
+            || pool.live_workers() == 0,
+        );
         let (tx, rx) = queue::channel();
         pool.execute(move || {
             let _ = tx.send(());
@@ -524,15 +643,10 @@ mod tests {
 
     #[test]
     fn workers_retire_after_keepalive() {
-        let pool = WorkerPool::new("t", 8, Duration::from_millis(20));
+        let pool = WorkerPool::new("t", 2, 8, Duration::from_millis(20));
         let (release_tx, release_rx) = queue::channel::<()>();
-        for _ in 0..4 {
-            let rx = release_rx.clone();
-            pool.execute(move || {
-                let _ = rx.recv();
-            });
-        }
-        std::thread::sleep(Duration::from_millis(50));
+        let started = blocking_jobs(&pool, &release_rx, 4);
+        await_started(&started, 4, Duration::from_secs(2));
         drop(release_tx); // release all workers
         std::thread::sleep(Duration::from_millis(300));
         assert!(

@@ -13,10 +13,11 @@
 //! may block — one waiting drain or tick stalls every device of the
 //! process (DESIGN.md §21).
 //!
-//! Thread budget for a fleet of any size on one backend:
-//! `workers (≤ 48, soft cap) + 1 loop + backend threads` — the sim has
-//! none, TCP one accept thread per endpoint and one reader per
-//! connection, each blocked until a socket has something for it. One
+//! Thread budget for a fleet of any size on one backend: `N running
+//! workers (N = available_parallelism) + one per announced wait (≤ 48 in
+//! all, soft cap) + 1 loop + backend threads` — the sim has none, TCP one
+//! accept thread per endpoint and one reader per connection, each blocked
+//! until a socket has something for it. One
 //! runtime exists per transport backend (see [`runtime_for`]) and every
 //! [`crate::Node`] of that backend is multiplexed onto it.
 
@@ -246,16 +247,21 @@ impl SharedRuntime {
     /// transport backend.
     #[must_use]
     pub fn new(label: &str) -> Self {
+        Self::with_pool(label, WorkerPool::for_runtime(format!("syd-rt-{label}")))
+    }
+
+    fn with_pool(label: &str, pool: WorkerPool) -> Self {
         let runtime = SharedRuntime {
             inner: Arc::new(RuntimeInner {
-                pool: WorkerPool::for_runtime(format!("syd-rt-{label}")),
+                pool,
                 reactor: Reactor::start(label),
                 fleet_registry: Arc::new(Registry::new()),
                 scoped_metrics: AtomicBool::new(false),
             }),
         };
-        // Liveness watchdog: if every worker is blocked on nested RPCs
-        // with work still queued, grow the pool past its soft cap.
+        // Liveness watchdog: if no job finishes while work is queued (a
+        // turn held by a wait nobody announced, or every worker the cap
+        // allows blocked on nested RPCs), grow the pool by one turn.
         let watchdog_pool = runtime.pool().clone();
         runtime.schedule_periodic(WATCHDOG_TICK, move || watchdog_pool.kick());
         runtime
@@ -528,6 +534,27 @@ mod tests {
             assert_eq!(own_threads(), 1, "one loop, and no timer thread");
         }
         await_threads(&|n| n == 0, "runtime threads leaked");
+    }
+
+    #[test]
+    fn an_unannounced_wait_costs_a_queued_job_at_most_the_watchdog() {
+        // One turn, held by a job that sleeps without announcing it: only
+        // the loop's watchdog (`kick`) can start the job queued behind.
+        let pool = WorkerPool::new("syd-rt-t", 1, 48, Duration::from_millis(500));
+        let rt = SharedRuntime::with_pool("t", pool);
+        let (ran_tx, ran_rx) = syd_types::queue::channel();
+        rt.pool()
+            .execute(|| std::thread::sleep(Duration::from_millis(300)));
+        let queued = Instant::now();
+        rt.pool().execute(move || {
+            let _ = ran_tx.send(Instant::now());
+        });
+        let ran = ran_rx.recv_timeout(Duration::from_secs(2)).expect("ran");
+        let delay = ran - queued;
+        assert!(
+            delay <= Duration::from_millis(150),
+            "queued job waited {delay:?} behind an unannounced sleep"
+        );
     }
 
     /// Live threads of the runtime labelled `zz` (short: the kernel keeps

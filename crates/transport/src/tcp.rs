@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 
 use syd_telemetry::Registry;
 use syd_types::queue::{self, Receiver, RecvError, Sender};
-use syd_types::sync::Mutex;
+use syd_types::sync::{blocking, Mutex};
 use syd_types::{NodeAddr, RequestId, SydError, SydResult};
 use syd_wire::{decode_from_slice, encode_to_vec, Envelope};
 
@@ -344,7 +344,9 @@ impl FramedTcpEndpoint {
     /// Connects to `peer` and introduces this endpoint with the hello.
     fn dial(&self, peer: NodeAddr) -> io::Result<TcpStream> {
         let target = SocketAddr::V4(socket_addr_of(peer));
-        let stream = tune(TcpStream::connect_timeout(&target, DIAL_TIMEOUT)?)?;
+        // At most `DIAL_TIMEOUT`, announced: a pool worker hands its turn on.
+        let stream = blocking(|| TcpStream::connect_timeout(&target, DIAL_TIMEOUT));
+        let stream = tune(stream?)?;
         (&stream).write_all(&hello_frame(self.addr))?;
         Ok(stream)
     }

@@ -1,13 +1,15 @@
 //! Semantics of `syd_types::sync`: a panicking holder does not wedge a
-//! lock, and waits hand the guard back usable.
+//! lock, waits hand the guard back usable, and waits are announced to
+//! the thread's blocking hook.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use syd_types::sync::{Condvar, Mutex, RwLock};
+use syd_types::sync::{blocking, set_blocking_hook, BlockingHook, Condvar, Mutex, RwLock};
 
 #[test]
 fn a_panic_under_the_lock_does_not_poison_it() {
@@ -80,4 +82,64 @@ fn rwlock_admits_many_readers() {
     let rw = RwLock::new(7);
     let (a, b) = (rw.read(), rw.read());
     assert_eq!(*a + *b, 14);
+}
+
+#[test]
+fn try_lock_takes_a_free_lock_only() {
+    let m = Mutex::new(1);
+    let held = m.try_lock().expect("a free lock is taken");
+    assert!(m.try_lock().is_none(), "a held lock is not");
+    drop(held);
+    assert!(m.try_lock().is_some());
+}
+
+/// Counts what a thread announces: `enter`s, and how deep it is now.
+#[derive(Default)]
+struct Tally {
+    entered: AtomicUsize,
+    inside: AtomicUsize,
+}
+
+impl BlockingHook for Tally {
+    fn enter(&self) {
+        self.entered.fetch_add(1, Ordering::SeqCst);
+        self.inside.fetch_add(1, Ordering::SeqCst);
+    }
+    fn leave(&self) {
+        self.inside.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+#[test]
+fn condvar_waits_and_blocking_sections_are_announced_once_each() {
+    let tally = Arc::new(Tally::default());
+    let hook: Arc<dyn BlockingHook> = Arc::clone(&tally) as Arc<dyn BlockingHook>;
+    set_blocking_hook(Some(hook));
+    let (m, cv) = (Mutex::new(()), Condvar::new());
+    drop(cv.wait_timeout(m.lock(), Duration::from_millis(1)));
+    assert_eq!(tally.entered.load(Ordering::SeqCst), 1);
+    // A wait inside an announced section is not announced again.
+    let depth = blocking(|| {
+        drop(cv.wait_timeout(m.lock(), Duration::from_millis(1)));
+        tally.inside.load(Ordering::SeqCst)
+    });
+    assert_eq!((depth, tally.entered.load(Ordering::SeqCst)), (1, 2));
+    assert_eq!(tally.inside.load(Ordering::SeqCst), 0, "every enter left");
+    set_blocking_hook(None);
+    drop(cv.wait_timeout(m.lock(), Duration::from_millis(1)));
+    assert_eq!(tally.entered.load(Ordering::SeqCst), 2, "no hook, no call");
+}
+
+#[test]
+fn a_wait_that_unwinds_still_leaves() {
+    let tally = Arc::new(Tally::default());
+    let t2 = Arc::clone(&tally);
+    let joined = std::thread::spawn(move || {
+        set_blocking_hook(Some(t2 as Arc<dyn BlockingHook>));
+        blocking(|| panic!("unwinds inside an announced wait"));
+    })
+    .join();
+    assert!(joined.is_err());
+    assert_eq!(tally.entered.load(Ordering::SeqCst), 1);
+    assert_eq!(tally.inside.load(Ordering::SeqCst), 0);
 }
