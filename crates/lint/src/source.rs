@@ -217,6 +217,10 @@ fn extract_fns(tokens: &[Token], file_is_test: bool) -> Vec<FnInfo> {
                 if let Some(Frame::Fn(idx)) = stack.pop() {
                     fns[idx].body_end = i;
                 }
+                // An attribute on the last field of a struct (or of a
+                // struct literal) ends with it.
+                attr_test = false;
+                attr_cfg_test = false;
                 i += 1;
             }
             Tok::Semi => {
@@ -376,6 +380,21 @@ mod tests {
         assert!(matches!(real, Some(fi) if !fi.is_test));
         assert!(matches!(test, Some(fi) if fi.is_test));
         assert!(matches!(helper, Some(fi) if fi.is_test), "{helper:?}");
+    }
+
+    #[test]
+    fn a_cfg_test_field_does_not_mark_the_next_fn() {
+        let src = r#"
+            struct S {
+                #[cfg(test)]
+                probes: u32
+            }
+            impl S {
+                fn real_work(&self) {}
+            }
+        "#;
+        let f = SourceFile::parse("crates/x/src/lib.rs", src);
+        assert!(!f.fns[0].is_test, "{:?}", f.fns[0]);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! of it.
 //!
 //! The pending table is the reply slot: a response is written into its
-//! call's entry, and a waiter collects its whole wave in one condvar loop.
+//! call's entry with the moment it arrived, and a waiter collects its whole
+//! wave in one condvar wait, woken once, by the wave's last reply.
 //!
 //! A call to the node's own address never reaches the transport: it is
 //! served by the same pool job a received request gets, and the job
@@ -21,10 +22,13 @@
 //! A node owns no thread. It is a state machine registered with its
 //! backend's [`crate::runtime::SharedRuntime`]: the runtime's loop drains
 //! the endpoint when the transport signals readiness, and requests and
-//! events become jobs on the shared pool. An RPC's deadline is the wait
-//! of the caller's own thread.
+//! events become jobs on the shared pool, queued without a hand-off: the
+//! loop hands out the turns they need once per pass. An RPC's deadline is
+//! the wait of the caller's own thread.
 
 use std::collections::HashMap;
+#[cfg(test)]
+use std::sync::atomic::AtomicUsize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Instant;
@@ -38,11 +42,7 @@ use syd_wire::{Args, EventMsg, Payload, Request, Response, TraceContext};
 use crate::rpc::{Call, CallOptions, PendingCall};
 use crate::runtime::{runtime_for, DrainOutcome, SharedRuntime};
 use syd_telemetry::names;
-use syd_trace::Tracer;
-
-/// Events drained per reactor wake-up before the node yields to its
-/// peers (round-robin fairness under load).
-const DRAIN_BUDGET: usize = 128;
+use syd_trace::{now_us, Tracer};
 
 /// Serves incoming requests on a node.
 ///
@@ -82,8 +82,8 @@ where
 /// any of these is a relaxed atomic op — no lock, no allocation — which
 /// is what keeps `rpc_round_trip/ideal` flat after instrumentation.
 pub(crate) struct NodeMetrics {
-    /// `rpc.call` — latency of every answered RPC, send to response
-    /// (microseconds). Fed by `NodeShared::collect` only.
+    /// `rpc.call` — latency of every answered RPC, send to its own
+    /// response's arrival (microseconds). Fed by `NodeShared::collect` only.
     rpc_call: Histogram,
     /// `rpc.retries` — re-sends, one per request of every wave after a
     /// set's first. Fed by [`Node::call_many`] only.
@@ -106,14 +106,46 @@ impl NodeMetrics {
     }
 }
 
+/// A call's entry in its node's pending table.
+#[derive(Default)]
+pub(crate) struct Slot {
+    /// The reply and when it arrived ([`now_us`]); `None` while waiting.
+    reply: Option<(SydResult<Value>, u64)>,
+    /// The wave collecting the call, named by its first call's id; set
+    /// when a collector starts to wait for it.
+    wave: Option<RequestId>,
+    /// On a wave's first call: how many of the wave's calls still wait.
+    open: usize,
+}
+
+/// Fills `id`'s slot if it still waits: duplicates and late replies drop.
+/// Returns whether that answered the last open call of a collected wave.
+fn fill(table: &mut HashMap<RequestId, Slot>, id: RequestId, result: SydResult<Value>) -> bool {
+    let Some(slot @ Slot { reply: None, .. }) = table.get_mut(&id) else {
+        return false;
+    };
+    slot.reply = Some((result, now_us()));
+    let Some(wave) = slot.wave else {
+        return false; // not collected yet: its collector counts it filled
+    };
+    table.get_mut(&wave).is_some_and(|first| {
+        first.open = first.open.saturating_sub(1);
+        first.open == 0
+    })
+}
+
 pub(crate) struct NodeShared {
     addr: NodeAddr,
     link: Arc<dyn TransportEndpoint>,
-    /// Reply slots of the calls in flight (`None`: waiting), taken by the
-    /// collect loop or removed by a [`PendingCall`] dropped unwaited.
-    pub(crate) pending: Mutex<HashMap<RequestId, Option<SydResult<Value>>>>,
-    /// Notified whenever an entry of `pending` is filled.
+    /// Reply slots of the calls in flight, taken by the collect loop or
+    /// removed by a [`PendingCall`] dropped unwaited.
+    pub(crate) pending: Mutex<HashMap<RequestId, Slot>>,
+    /// Notified when a collected wave's last call is filled, and at
+    /// shutdown.
     answered: Condvar,
+    /// Times a collector woke from `answered`.
+    #[cfg(test)]
+    wakes: AtomicUsize,
     next_request: AtomicU64,
     handler: RwLock<Option<Arc<dyn RequestHandler>>>,
     events: RwLock<Option<Arc<dyn EventSink>>>,
@@ -132,46 +164,62 @@ impl NodeShared {
     /// The one collect loop, of a [`Node::call_many`] wave or a lone
     /// [`PendingCall::wait`]: waits until every call has its reply or `deadline`
     /// passes, then takes each out into `results[index]` (else `Timeout`). Every
-    /// RPC ends here, so `rpc.call`, `rpc.timeouts` and `rpc.client` are fed here.
+    /// RPC ends here, so `rpc.call`, `rpc.timeouts` and `rpc.client` are fed here,
+    /// each call timed to its own reply's arrival.
     pub(crate) fn collect(
         &self,
         wave: &mut [(usize, PendingCall)],
         deadline: Instant,
         results: &mut [SydResult<Value>],
     ) {
+        let Some(first) = wave.first().map(|(_, call)| call.id) else {
+            return;
+        };
         let mut table = self.pending.lock();
-        // An entry stays filled until it is taken, so one pass waits for all.
+        // Every call still waiting joins the wave, and its first call counts
+        // them; `fill` notifies once that count reaches 0.
+        let mut open = 0;
         for (_, call) in wave.iter() {
-            let mut left = deadline.saturating_duration_since(Instant::now());
-            while !left.is_zero() && matches!(table.get(&call.id), Some(None)) {
-                table = self.answered.wait_timeout(table, left).0;
-                left = deadline.saturating_duration_since(Instant::now());
+            if let Some(slot @ Slot { reply: None, .. }) = table.get_mut(&call.id) {
+                slot.wave = Some(first);
+                open += 1;
             }
         }
+        if let Some(slot) = table.get_mut(&first) {
+            slot.open = open;
+        }
+        let mut left = deadline.saturating_duration_since(Instant::now());
+        while !left.is_zero() && table.get(&first).is_some_and(|slot| slot.open > 0) {
+            table = self.answered.wait_timeout(table, left).0;
+            #[cfg(test)]
+            self.wakes.fetch_add(1, Ordering::Relaxed);
+            left = deadline.saturating_duration_since(Instant::now());
+        }
         for (i, call) in wave.iter_mut() {
-            let reply = table.remove(&call.id).flatten();
-            let result = reply.unwrap_or(Err(SydError::Timeout(call.id)));
+            let reply = table.remove(&call.id).and_then(|slot| slot.reply);
+            let (result, at) = reply.unwrap_or_else(|| (Err(SydError::Timeout(call.id)), now_us()));
+            let sent = call
+                .span
+                .as_ref()
+                .map_or(at, syd_trace::FinishSpan::start_us);
             match &result {
-                Ok(_) => self.metrics.rpc_call.record_duration(call.sent.elapsed()),
+                Ok(_) => self.metrics.rpc_call.record(at.saturating_sub(sent)),
                 Err(SydError::Timeout(_)) => self.metrics.rpc_timeouts.inc(),
                 Err(_) => {}
             }
             if let Some(mut span) = call.span.take() {
                 span.attr("ok", u64::from(result.is_ok()));
-                span.finish();
+                span.finish_at(at);
             }
             results[*i] = result;
             call.node = Weak::new(); // its entry is gone: nothing to drop
         }
     }
 
-    /// Fills `id`'s reply slot and wakes the waiters. Only a waiting entry
-    /// takes a reply: duplicates and late ones drop.
+    /// Fills `id`'s reply slot, waking its collector if that was the last
+    /// open call of its wave.
     fn complete(&self, id: RequestId, result: SydResult<Value>) {
-        let mut pending = self.pending.lock();
-        if let Some(slot @ None) = pending.get_mut(&id) {
-            *slot = Some(result);
-            drop(pending);
+        if fill(&mut self.pending.lock(), id, result) {
             self.answered.notify_all();
         }
     }
@@ -223,6 +271,8 @@ impl Node {
             link,
             pending: Mutex::new(HashMap::new()),
             answered: Condvar::new(),
+            #[cfg(test)]
+            wakes: AtomicUsize::new(0),
             next_request: AtomicU64::new(1),
             handler: RwLock::new(None),
             events: RwLock::new(None),
@@ -238,8 +288,8 @@ impl Node {
         let drain_shared = Arc::downgrade(&shared);
         runtime.register_node(
             addr,
-            Arc::new(move || match drain_shared.upgrade() {
-                Some(shared) => drain_events(&shared),
+            Arc::new(move |budget: &mut usize| match drain_shared.upgrade() {
+                Some(shared) => drain_events(&shared, budget),
                 None => DrainOutcome::Closed,
             }),
         );
@@ -420,7 +470,7 @@ impl Node {
         args: impl Into<Args>,
     ) -> SydResult<PendingCall> {
         let id = RequestId::new(self.shared.next_request.fetch_add(1, Ordering::Relaxed));
-        self.shared.pending.lock().insert(id, None);
+        self.shared.pending.lock().insert(id, Slot::default());
         let (caller, credentials) = self.shared.identity.read().clone();
         // Continue the thread's current trace (nested invocation) or
         // mint a fresh root — either way every request carries context.
@@ -449,7 +499,7 @@ impl Node {
             }),
         };
         if dst == self.shared.addr {
-            serve_request(&self.shared, dst, request);
+            serve_request(&self.shared, dst, request, false);
         } else if let Err(err) = self.shared.link.send(syd_wire::Envelope::new(
             self.shared.addr,
             dst,
@@ -461,7 +511,6 @@ impl Node {
         Ok(PendingCall {
             id,
             node: Arc::downgrade(&self.shared),
-            sent: Instant::now(),
             span: Some(client_span),
         })
     }
@@ -489,32 +538,40 @@ impl Node {
     pub fn shutdown(&self) {
         self.shared.runtime.deregister_node(self.shared.addr);
         self.shared.link.close();
-        // Fail everything still waiting; its waiters take it out.
+        // Fail everything still waiting and close every wave; the
+        // collectors take it out.
+        let now = now_us();
         for slot in self.shared.pending.lock().values_mut() {
-            slot.get_or_insert(Err(SydError::Shutdown));
+            slot.reply.get_or_insert((Err(SydError::Shutdown), now));
+            slot.open = 0;
         }
         self.shared.answered.notify_all();
     }
 }
 
-/// The reactor's drain callback: pops up to [`DRAIN_BUDGET`] events
-/// without blocking, then yields so the reactor can serve peer nodes.
-fn drain_events(shared: &Arc<NodeShared>) -> DrainOutcome {
-    for _ in 0..DRAIN_BUDGET {
-        match shared.link.try_recv_event() {
-            None => return DrainOutcome::Idle,
-            Some(Ok(event)) => dispatch_event(shared, event),
+/// The reactor's drain callback: pops events without blocking, counting
+/// each off the loop's `budget`, and yields when that runs out so the loop
+/// can hand its queued jobs out and serve peer nodes.
+fn drain_events(shared: &Arc<NodeShared>, budget: &mut usize) -> DrainOutcome {
+    while *budget > 0 {
+        let Some(event) = shared.link.try_recv_event() else {
+            return DrainOutcome::Idle;
+        };
+        *budget -= 1;
+        match event {
+            Ok(event) => dispatch_event(shared, event),
             // Corrupt frames are dropped where they are counted.
-            Some(Err(SydError::Codec(_))) => {}
-            Some(Err(_)) => return DrainOutcome::Closed,
+            Err(SydError::Codec(_)) => {}
+            Err(_) => return DrainOutcome::Closed,
         }
     }
     DrainOutcome::More
 }
 
 /// One transport event through the node: responses complete pending
-/// calls inline, requests and application events become pool jobs.
-/// Runs on the runtime's loop, so it must never block.
+/// calls inline, requests and application events are queued on the pool
+/// for the loop's next hand-off. Runs on the runtime's loop, so it must
+/// never block.
 fn dispatch_event(shared: &Arc<NodeShared>, event: TransportEvent) {
     let envelope = match event {
         TransportEvent::Message(env) => env,
@@ -527,24 +584,25 @@ fn dispatch_event(shared: &Arc<NodeShared>, event: TransportEvent) {
     };
     match envelope.payload {
         Payload::Response(resp) => shared.complete(resp.id, resp.result),
-        Payload::Request(req) => serve_request(shared, envelope.src, req),
+        Payload::Request(req) => serve_request(shared, envelope.src, req, true),
         Payload::Event(event) => {
             if let Some(sink) = shared.events.read().clone() {
                 let from = envelope.src;
                 shared
                     .runtime
                     .pool()
-                    .execute(move || sink.on_event(from, event));
+                    .queue(move || sink.on_event(from, event));
             }
         }
     }
 }
 
 /// Serves one request from `from` as a pool job: one received by the
-/// loop, or one this node made to its own address. The reply goes back
-/// the way the request came ([`NodeShared::reply`]). Runs on the loop for
-/// a received request, so it must never block.
-fn serve_request(shared: &Arc<NodeShared>, from: NodeAddr, req: Request) {
+/// loop (`on_loop`: queued for the loop's next hand-off), or one this node
+/// made to its own address (submitted with a hand-off of its own). The
+/// reply goes back the way the request came ([`NodeShared::reply`]). Runs
+/// on the loop for a received request, so it must never block.
+fn serve_request(shared: &Arc<NodeShared>, from: NodeAddr, req: Request, on_loop: bool) {
     let handler = shared.handler.read().clone();
     // Both `Copy`: read here so the handler can own the request.
     let (id, trace_ctx) = (req.id, req.trace);
@@ -581,7 +639,13 @@ fn serve_request(shared: &Arc<NodeShared>, from: NodeAddr, req: Request) {
         }
         reply_shared.reply(from, id, result);
     };
-    if !shared.runtime.pool().execute(job) {
+    let pool = shared.runtime.pool();
+    let accepted = if on_loop {
+        pool.queue(job)
+    } else {
+        pool.execute(job)
+    };
+    if !accepted {
         // Pool shut down: answer at once rather than burn the deadline.
         shared.reply(from, id, Err(SydError::Shutdown));
     }
@@ -1015,7 +1079,7 @@ mod tests {
         let client = Node::spawn(&net);
         let svc = ServiceName::new("svc");
         // Both waves of a round start together and wait on the one condvar
-        // for ≥ 50 ms, so every reply wakes both waiters.
+        // for ≥ 50 ms, so the first wave to complete wakes both waiters.
         let start = std::sync::Barrier::new(2);
         let rounds = std::thread::scope(|s| {
             let waves = [("a", &a), ("b", &b)].map(|(tag, server)| {
@@ -1042,6 +1106,100 @@ mod tests {
             }
         }
         assert_eq!(client.shared.pending.lock().len(), 0);
+    }
+
+    /// Takes `n` requests off a raw endpoint, in arrival order.
+    fn take_requests(server: &syd_transport::Endpoint, n: usize) -> Vec<Request> {
+        (0..n)
+            .map(
+                |_| match server.recv_timeout(Duration::from_secs(2)).unwrap().payload {
+                    Payload::Request(req) => req,
+                    other => panic!("expected a request, got {other:?}"),
+                },
+            )
+            .collect()
+    }
+
+    /// Answers `req` from a raw endpoint with its first argument.
+    fn answer(server: &syd_transport::Endpoint, to: NodeAddr, req: &Request) {
+        let result = Ok(req.args.to_vec()[0].clone());
+        let response = Payload::Response(Response { id: req.id, result });
+        server.send(to, response).unwrap();
+    }
+
+    #[test]
+    fn a_wave_answered_in_reverse_wakes_its_collector_once() {
+        let net = Network::ideal();
+        let server = net.register();
+        let client = Node::spawn(&net);
+        let svc = ServiceName::new("svc");
+        let results = std::thread::scope(|s| {
+            let collector =
+                s.spawn(|| wave_to(&client, server.addr(), &svc, 31, CallOptions::new()));
+            let requests = take_requests(&server, 31);
+            // Answer once the collector waits for all 31: its wave's first
+            // call counts them, and the collector waits under the same lock.
+            let deadline = Instant::now() + Duration::from_secs(2);
+            while !client
+                .shared
+                .pending
+                .lock()
+                .values()
+                .any(|slot| slot.open == 31)
+            {
+                assert!(Instant::now() < deadline, "the wave was never collected");
+                std::thread::yield_now();
+            }
+            // Spaced out, so a collector woken per reply would wait again
+            // between them.
+            for req in requests.iter().rev() {
+                answer(&server, client.addr(), req);
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            collector.join().unwrap()
+        });
+        for (k, result) in results.into_iter().enumerate() {
+            assert_eq!(result.unwrap(), Value::I64(k as i64));
+        }
+        assert_eq!(client.shared.wakes.load(Ordering::Relaxed), 1);
+        assert_eq!(client.shared.pending.lock().len(), 0);
+    }
+
+    #[test]
+    fn each_call_of_a_wave_is_timed_to_its_own_reply() {
+        let net = Network::ideal();
+        let server = net.register();
+        let client = Node::spawn(&net);
+        let hist = client.metrics().get_histogram(names::RPC_CALL).unwrap();
+        let svc = ServiceName::new("svc");
+        // Call 0 is answered at once, call 1 after 100 ms.
+        let results = std::thread::scope(|s| {
+            let collector =
+                s.spawn(|| wave_to(&client, server.addr(), &svc, 2, CallOptions::new()));
+            let mut requests = take_requests(&server, 2);
+            requests.sort_by_key(|req| req.args.to_vec()[0].as_i64().unwrap());
+            answer(&server, client.addr(), &requests[0]);
+            std::thread::sleep(Duration::from_millis(100));
+            answer(&server, client.addr(), &requests[1]);
+            collector.join().unwrap()
+        });
+        assert!(results.iter().all(Result::is_ok), "{results:?}");
+        // Timed to the wave's end, both calls would read ≥ 100 ms.
+        assert_eq!(hist.count(), 2);
+        assert!(hist.sum() < 160_000, "rpc.call summed {} µs", hist.sum());
+        let spans: Vec<_> = std::iter::from_fn(|| client.tracer().ring().pop())
+            .filter(|rec| rec.kind == names::SPAN_RPC_CLIENT)
+            .map(|rec| rec.end_us - rec.start_us)
+            .collect();
+        assert_eq!(spans.len(), 2);
+        assert!(
+            spans.iter().any(|&us| us < 60_000),
+            "rpc.client spans {spans:?} µs"
+        );
+        assert!(
+            spans.iter().any(|&us| us >= 100_000),
+            "rpc.client spans {spans:?} µs"
+        );
     }
 
     #[test]

@@ -19,6 +19,12 @@
 //! falls back to N. Workers exist only for turns and announced waits, up to
 //! `max_workers` alive; parked workers retire after a keep-alive.
 //!
+//! A job is submitted with a hand-off of its own ([`WorkerPool::execute`])
+//! or queued without one ([`WorkerPool::queue`]), to be handed out with
+//! the jobs queued beside it by one [`WorkerPool::hand_off`]: the runtime's
+//! loop queues what it drains and hands off once per pass, so a burst of
+//! requests costs the wake-ups of the turns it needs, not one per request.
+//!
 //! A wait nobody announced (a bare `thread::sleep`, a foreign channel)
 //! keeps its turn. For those, [`WorkerPool::kick`] is the backstop: queued
 //! work and no job finished since the previous kick grows the pool by one
@@ -26,6 +32,7 @@
 
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::sync::{Arc, Condvar, PoisonError};
 use std::time::Duration;
 
@@ -117,12 +124,37 @@ impl WorkerPool {
         Self::new(name, cores, 48.max(cores), Duration::from_millis(500))
     }
 
-    /// Submits a job. Returns `false` if the pool is shut down.
+    /// Submits a job and hands it a turn if the pool has one free.
+    /// Returns `false` if the pool is shut down.
     ///
     /// The submitter's trace context (if any) is captured here and
     /// re-entered around the job on the worker thread, so work handed
     /// across the pool boundary stays attributed to its trace.
     pub fn execute(&self, job: impl FnOnce() + Send + 'static) -> bool {
+        self.submit(job, 1)
+    }
+
+    /// Queues a job without a hand-off: a running worker picks it up
+    /// without a wake, and the submitter's next [`WorkerPool::hand_off`]
+    /// hands out the turns it still needs. Returns `false` if the pool is
+    /// shut down. Captures the trace context as [`WorkerPool::execute`]
+    /// does.
+    pub fn queue(&self, job: impl FnOnce() + Send + 'static) -> bool {
+        self.submit(job, 0)
+    }
+
+    /// Hands out the turns the queued jobs need — one per queued job while
+    /// the pool runs fewer than N — waking parked workers or starting new
+    /// ones. Allocates nothing.
+    pub fn hand_off(&self) {
+        let mut state = self.inner.state.lock();
+        let start = self.inner.hand_on(&mut state, usize::MAX);
+        drop(state);
+        self.inner.start(start);
+    }
+
+    /// Queues `job` and hands out at most `turns` turns.
+    fn submit(&self, job: impl FnOnce() + Send + 'static, turns: usize) -> bool {
         let inner = &self.inner;
         let ctx = trace::current();
         let job = move || {
@@ -134,7 +166,7 @@ impl WorkerPool {
             return false;
         }
         state.queue.push_back(Box::new(job));
-        let start = inner.hand_on(&mut state);
+        let start = inner.hand_on(&mut state, turns);
         drop(state);
         inner.start(start);
         true
@@ -157,7 +189,9 @@ impl WorkerPool {
         if std::mem::replace(&mut state.last_kick_executed, executed) != executed {
             return; // progress since the last kick: not stalled
         }
-        let start = self.inner.add_turn(&mut state);
+        let live = state.live;
+        self.inner.add_turn(&mut state);
+        let start = live..state.live;
         drop(state);
         self.inner.start(start);
     }
@@ -190,18 +224,19 @@ impl WorkerPool {
 }
 
 impl PoolInner {
-    /// Starts the worker `hand_on` or `add_turn` asked for, outside the
+    /// Starts the workers `hand_on` or `add_turn` counted in, outside the
     /// pool's lock.
-    fn start(self: &Arc<Self>, worker: Option<usize>) {
-        let Some(index) = worker else { return };
-        let inner = Arc::clone(self);
-        // A pool that cannot grow a worker deadlocks its callers:
-        // spawn failure is unrecoverable, panicking is the contract.
-        #[allow(clippy::expect_used)]
-        std::thread::Builder::new()
-            .name(format!("{}-w{index}", self.name))
-            .spawn(move || worker_loop(&inner))
-            .expect("spawn pool worker");
+    fn start(self: &Arc<Self>, workers: Range<usize>) {
+        for index in workers {
+            let inner = Arc::clone(self);
+            // A pool that cannot grow a worker deadlocks its callers:
+            // spawn failure is unrecoverable, panicking is the contract.
+            #[allow(clippy::expect_used)]
+            std::thread::Builder::new()
+                .name(format!("{}-w{index}", self.name))
+                .spawn(move || worker_loop(&inner))
+                .expect("spawn pool worker");
+        }
     }
 
     /// Gives up the calling worker's turn, and with `retire` its thread:
@@ -210,37 +245,39 @@ impl PoolInner {
         let mut state = self.state.lock();
         state.running -= 1;
         state.live -= usize::from(retire);
-        let start = self.hand_on(&mut state);
+        let start = self.hand_on(&mut state, 1);
         drop(state);
         self.start(start);
     }
 
-    /// Hands a turn to the queue's head if the pool runs fewer than N
-    /// jobs and may wake or start a worker for it.
-    fn hand_on(&self, state: &mut State) -> Option<usize> {
-        let free = state.running < self.workers
-            && !state.queue.is_empty()
-            && (state.parked > 0 || state.live < self.max_workers);
-        if free {
-            self.add_turn(state)
-        } else {
-            None
+    /// Hands up to `turns` turns to queued jobs, one per job, while the
+    /// pool runs fewer than N jobs and may wake or start a worker. Returns
+    /// the indices of the workers to start.
+    fn hand_on(&self, state: &mut State, turns: usize) -> Range<usize> {
+        let live = state.live;
+        for _ in 0..turns.min(state.queue.len()) {
+            let free =
+                state.running < self.workers && (state.parked > 0 || state.live < self.max_workers);
+            if !free {
+                break;
+            }
+            self.add_turn(state);
         }
+        live..state.live
     }
 
     /// One more turn: to a parked worker if there is one, else to a new
-    /// worker, whose index is returned for `start`.
-    fn add_turn(&self, state: &mut State) -> Option<usize> {
+    /// worker, counted into `live` for `start`.
+    fn add_turn(&self, state: &mut State) {
         state.running += 1;
         if state.parked > 0 {
             state.parked -= 1;
             state.wakeups += 1;
             self.wake.notify_one();
-            return None;
+            return;
         }
         state.live += 1;
         state.peak_live = state.peak_live.max(state.live);
-        Some(state.live - 1)
     }
 
     /// Parks a worker that gave up its turn until it is handed one

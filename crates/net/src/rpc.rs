@@ -118,10 +118,9 @@ pub struct PendingCall {
     /// The issuing node, whose pending table holds this call's reply
     /// slot; empty once the slot has been taken.
     pub(crate) node: Weak<NodeShared>,
-    /// When the request left, for `rpc.call`.
-    pub(crate) sent: Instant,
-    /// Open `rpc.client` span covering the call from send to response
-    /// (or abandonment — the handle records on drop either way).
+    /// Open `rpc.client` span covering the call from send to its response's
+    /// arrival (or abandonment — the handle records on drop either way).
+    /// Its start is the send time `rpc.call` measures from.
     pub(crate) span: Option<syd_trace::FinishSpan>,
 }
 

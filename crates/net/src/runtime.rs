@@ -9,9 +9,11 @@
 //! which also holds the periodic tasks (the pool watchdog, and the
 //! link-expiry tick of each device that stored an expiring link). Drains
 //! and due tasks run on the loop, outside its lock; requests and events
-//! become jobs on the shared [`WorkerPool`]. Nothing that runs on the loop
-//! may block — one waiting drain or tick stalls every device of the
-//! process (DESIGN.md §21).
+//! become jobs queued on the shared [`WorkerPool`], and the loop hands out
+//! the turns they need once per pass — when no endpoint is ready, or after
+//! [`DRAIN_BUDGET`] drained events — rather than one per job. Nothing that
+//! runs on the loop may block — one waiting drain or tick stalls every
+//! device of the process (DESIGN.md §21).
 //!
 //! Thread budget for a fleet of any size on one backend: `N running
 //! workers (N = available_parallelism) + one per announced wait (≤ 48 in
@@ -38,6 +40,11 @@ use crate::timer::{Action, TimerId, Timers};
 /// How often the watchdog checks the shared pool for stalls.
 const WATCHDOG_TICK: Duration = Duration::from_millis(50);
 
+/// Events the loop drains between two hand-offs of the jobs they queued,
+/// whether or not an endpoint is still ready; one drain takes at most this
+/// many before its node yields to its peers (round-robin fairness).
+pub const DRAIN_BUDGET: usize = 128;
+
 /// What a node's drain callback reports back to the loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DrainOutcome {
@@ -50,9 +57,11 @@ pub enum DrainOutcome {
     Closed,
 }
 
-/// A node's event-drain callback. Must not block: it may only pop
-/// endpoint events, complete pending calls and enqueue pool jobs.
-pub type DrainFn = Arc<dyn Fn() -> DrainOutcome + Send + Sync>;
+/// A node's event-drain callback. It takes at most `budget` events,
+/// counting each off, and reports [`DrainOutcome::More`] if it stopped with
+/// events left. Must not block: it may only pop endpoint events, complete
+/// pending calls and queue pool jobs ([`WorkerPool::queue`]).
+pub type DrainFn = Arc<dyn Fn(&mut usize) -> DrainOutcome + Send + Sync>;
 
 struct LoopState {
     /// Endpoints to drain now, round-robin.
@@ -64,17 +73,18 @@ struct LoopState {
     shutdown: bool,
 }
 
-/// The runtime's one loop: drains ready nodes and runs due tasks on one
-/// thread.
+/// The runtime's one loop: drains ready nodes, hands the jobs they queue
+/// to `pool` and runs due tasks, on one thread.
 pub struct Reactor {
     state: Mutex<LoopState>,
     cv: Condvar,
     nodes: Mutex<HashMap<NodeAddr, DrainFn>>,
+    pool: WorkerPool,
     thread: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl Reactor {
-    fn start(label: &str) -> Arc<Reactor> {
+    fn start(label: &str, pool: WorkerPool) -> Arc<Reactor> {
         let reactor = Arc::new(Reactor {
             state: Mutex::new(LoopState {
                 ready: VecDeque::new(),
@@ -84,6 +94,7 @@ impl Reactor {
             }),
             cv: Condvar::new(),
             nodes: Mutex::new(HashMap::new()),
+            pool,
             thread: Mutex::new(None),
         });
         let loop_reactor = Arc::clone(&reactor);
@@ -163,9 +174,16 @@ impl ReadyNotifier for Reactor {
 
 /// The loop: each turn drains one ready node and runs every task that
 /// fell due, both outside the lock; with neither, it sleeps until the
-/// heap's head falls due or a notification arrives.
+/// heap's head falls due or a notification arrives. The jobs its drains
+/// queue are handed out in one [`WorkerPool::hand_off`], outside the lock,
+/// as soon as no endpoint is ready (before the tasks run or the loop
+/// sleeps), and after every [`DRAIN_BUDGET`] drained events.
 fn reactor_loop(reactor: &Reactor) {
     let mut due: Vec<Action> = Vec::new();
+    // Events left to drain before the next hand-off, and whether a drain
+    // ran since the last one.
+    let mut budget = DRAIN_BUDGET;
+    let mut owed = false;
     loop {
         let ready = {
             let mut state = reactor.state.lock();
@@ -189,7 +207,7 @@ fn reactor_loop(reactor: &Reactor) {
                     state.queued.remove(&addr);
                     break Some(addr);
                 }
-                if !due.is_empty() {
+                if !due.is_empty() || owed {
                     break None;
                 }
                 state = match state.timers.next_due() {
@@ -205,11 +223,16 @@ fn reactor_loop(reactor: &Reactor) {
         };
         if let Some(addr) = ready {
             let drain = reactor.nodes.lock().get(&addr).cloned();
-            match drain.map(|drain| drain()) {
+            owed |= drain.is_some();
+            match drain.map(|drain| drain(&mut budget)) {
                 Some(DrainOutcome::More) => reactor.notify(addr, Instant::now()),
                 Some(DrainOutcome::Closed) => reactor.deregister(addr),
                 Some(DrainOutcome::Idle) | None => {}
             }
+        }
+        if owed && (ready.is_none() || budget == 0) {
+            reactor.pool.hand_off();
+            (budget, owed) = (DRAIN_BUDGET, false);
         }
         for action in due.drain(..) {
             action();
@@ -253,8 +276,8 @@ impl SharedRuntime {
     fn with_pool(label: &str, pool: WorkerPool) -> Self {
         let runtime = SharedRuntime {
             inner: Arc::new(RuntimeInner {
+                reactor: Reactor::start(label, pool.clone()),
                 pool,
-                reactor: Reactor::start(label),
                 fleet_registry: Arc::new(Registry::new()),
                 scoped_metrics: AtomicBool::new(false),
             }),
@@ -411,7 +434,7 @@ mod tests {
         // Both report More twice, then Idle: the reactor must interleave.
         rt.register_node(
             a,
-            Arc::new(move || {
+            Arc::new(move |_: &mut usize| {
                 if ah.fetch_add(1, Ordering::SeqCst) < 2 {
                     DrainOutcome::More
                 } else {
@@ -421,7 +444,7 @@ mod tests {
         );
         rt.register_node(
             b,
-            Arc::new(move || {
+            Arc::new(move |_: &mut usize| {
                 if bh.fetch_add(1, Ordering::SeqCst) < 2 {
                     DrainOutcome::More
                 } else {
@@ -443,7 +466,7 @@ mod tests {
     fn closed_outcome_deregisters() {
         let rt = SharedRuntime::new("t");
         let addr = NodeAddr::new(7);
-        rt.register_node(addr, Arc::new(|| DrainOutcome::Closed));
+        rt.register_node(addr, Arc::new(|_: &mut usize| DrainOutcome::Closed));
         let deadline = std::time::Instant::now() + Duration::from_secs(2);
         while rt.nodes() != 0 {
             assert!(
@@ -462,7 +485,7 @@ mod tests {
         let addr = NodeAddr::new(3);
         rt.register_node(
             addr,
-            Arc::new(move || {
+            Arc::new(move |_: &mut usize| {
                 h.fetch_add(1, Ordering::SeqCst);
                 std::thread::sleep(Duration::from_millis(20));
                 DrainOutcome::Idle
@@ -491,7 +514,7 @@ mod tests {
         // Registration drains once, at once.
         rt.register_node(
             addr,
-            Arc::new(move || {
+            Arc::new(move |_: &mut usize| {
                 d.lock().push(Instant::now());
                 DrainOutcome::Idle
             }),
@@ -528,7 +551,10 @@ mod tests {
         };
         {
             let rt = SharedRuntime::new("zz");
-            rt.register_node(NodeAddr::new(1), Arc::new(|| DrainOutcome::Idle));
+            rt.register_node(
+                NodeAddr::new(1),
+                Arc::new(|_: &mut usize| DrainOutcome::Idle),
+            );
             await_threads(&|n| n >= 1, "the loop thread never showed up");
             std::thread::sleep(Duration::from_millis(20));
             assert_eq!(own_threads(), 1, "one loop, and no timer thread");
@@ -555,6 +581,78 @@ mod tests {
             delay <= Duration::from_millis(150),
             "queued job waited {delay:?} behind an unannounced sleep"
         );
+    }
+
+    /// A loop without a runtime, so without the watchdog: only its own
+    /// hand-off can start a job its drains queue. `drain` is registered at
+    /// `NodeAddr(1)` and drained at once; returns the loop and the number
+    /// of jobs started so far.
+    fn bare_loop(
+        drain: impl Fn(&mut usize, &dyn Fn()) -> DrainOutcome + Send + Sync + 'static,
+    ) -> (Arc<Reactor>, WorkerPool, Arc<AtomicUsize>) {
+        let pool = WorkerPool::new("syd-rt-t", 2, 48, Duration::from_secs(60));
+        let reactor = Reactor::start("t", pool.clone());
+        let started = Arc::new(AtomicUsize::new(0));
+        let (job_pool, count) = (pool.clone(), Arc::clone(&started));
+        let queue_one = move || {
+            let count = Arc::clone(&count);
+            job_pool.queue(move || {
+                count.fetch_add(1, Ordering::SeqCst);
+            });
+        };
+        let addr = NodeAddr::new(1);
+        reactor.nodes.lock().insert(
+            addr,
+            Arc::new(move |budget: &mut usize| drain(budget, &queue_one)),
+        );
+        reactor.notify(addr, Instant::now());
+        (reactor, pool, started)
+    }
+
+    fn await_started(started: &AtomicUsize, n: usize) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while started.load(Ordering::SeqCst) < n {
+            let seen = started.load(Ordering::SeqCst);
+            assert!(
+                Instant::now() < deadline,
+                "{seen} of {n} queued jobs started"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn jobs_a_pass_queues_have_all_started_once_it_ends() {
+        // One drain queues 8 jobs and the endpoint runs dry: the pass ends
+        // with no endpoint ready, and its one hand-off starts them all.
+        let (reactor, pool, started) = bare_loop(|budget, queue_one| {
+            for _ in 0..8 {
+                *budget -= 1;
+                queue_one();
+            }
+            DrainOutcome::Idle
+        });
+        await_started(&started, 8);
+        reactor.shutdown();
+        pool.shutdown();
+    }
+
+    #[test]
+    fn a_loop_that_never_idles_hands_off_within_the_drain_budget() {
+        // The endpoint is always ready. Its first DRAIN_BUDGET drains take
+        // one event each and queue a job; later ones take none. Only a
+        // hand-off made within those first drains can start the jobs.
+        let drains = AtomicUsize::new(0);
+        let (reactor, pool, started) = bare_loop(move |budget, queue_one| {
+            if drains.fetch_add(1, Ordering::SeqCst) < DRAIN_BUDGET {
+                *budget -= 1;
+                queue_one();
+            }
+            DrainOutcome::More
+        });
+        await_started(&started, DRAIN_BUDGET);
+        reactor.shutdown();
+        pool.shutdown();
     }
 
     /// Live threads of the runtime labelled `zz` (short: the kernel keeps

@@ -4,6 +4,8 @@
 //! done at evaluation time and cached per query execution by the table
 //! layer) and evaluated per row with no allocation.
 
+use std::ops::Bound;
+
 use syd_types::{SydResult, Text, Value};
 
 use crate::schema::Schema;
@@ -125,14 +127,19 @@ impl Predicate {
 
     /// If the predicate is (or contains, at the top of a conjunction) an
     /// equality or range constraint on `column`, returns the bounds
-    /// `(low, high)` (inclusive) it implies — the planner's index-eligibility
-    /// test. `None` bound = unbounded on that side.
-    pub fn bounds_for(&self, column: &str) -> Option<(Option<&Value>, Option<&Value>)> {
+    /// `(low, high)` it implies under [`Value::cmp_total`] — the planner's
+    /// index-eligibility test. `Lt` and `Gt` bound their side
+    /// [`Bound::Excluded`], so for a predicate that is one comparison (not
+    /// a conjunction) the range is exactly the non-null cells it accepts.
+    pub fn bounds_for(&self, column: &str) -> Option<(Bound<&Value>, Bound<&Value>)> {
+        use Bound::{Excluded, Included, Unbounded};
         match self {
-            Predicate::Eq(c, v) if c == column => Some((Some(v), Some(v))),
-            Predicate::Between(c, lo, hi) if c == column => Some((Some(lo), Some(hi))),
-            Predicate::Lt(c, v) | Predicate::Le(c, v) if c == column => Some((None, Some(v))),
-            Predicate::Gt(c, v) | Predicate::Ge(c, v) if c == column => Some((Some(v), None)),
+            Predicate::Eq(c, v) if c == column => Some((Included(v), Included(v))),
+            Predicate::Between(c, lo, hi) if c == column => Some((Included(lo), Included(hi))),
+            Predicate::Lt(c, v) if c == column => Some((Unbounded, Excluded(v))),
+            Predicate::Le(c, v) if c == column => Some((Unbounded, Included(v))),
+            Predicate::Gt(c, v) if c == column => Some((Excluded(v), Unbounded)),
+            Predicate::Ge(c, v) if c == column => Some((Included(v), Unbounded)),
             Predicate::And(ps) => ps.iter().find_map(|p| p.bounds_for(column)),
             _ => None,
         }
@@ -269,22 +276,47 @@ mod tests {
 
     #[test]
     fn bounds_extraction_for_planner() {
-        let eq = Predicate::Eq("n".into(), Value::I64(5));
-        assert_eq!(
-            eq.bounds_for("n"),
-            Some((Some(&Value::I64(5)), Some(&Value::I64(5))))
-        );
+        use Bound::{Excluded, Included, Unbounded};
+        let five = Value::I64(5);
+        let eq = Predicate::Eq("n".into(), five.clone());
+        assert_eq!(eq.bounds_for("n"), Some((Included(&five), Included(&five))));
         assert_eq!(eq.bounds_for("s"), None);
 
         let between = Predicate::Between("n".into(), Value::I64(1), Value::I64(9));
         assert_eq!(
             between.bounds_for("n"),
-            Some((Some(&Value::I64(1)), Some(&Value::I64(9))))
+            Some((Included(&Value::I64(1)), Included(&Value::I64(9))))
         );
+
+        // Strict comparisons exclude their bound; the others include it.
+        let n = || Text::from("n");
+        for (p, bounds) in [
+            (
+                Predicate::Lt(n(), five.clone()),
+                (Unbounded, Excluded(&five)),
+            ),
+            (
+                Predicate::Le(n(), five.clone()),
+                (Unbounded, Included(&five)),
+            ),
+            (
+                Predicate::Gt(n(), five.clone()),
+                (Excluded(&five), Unbounded),
+            ),
+            (
+                Predicate::Ge(n(), five.clone()),
+                (Included(&five), Unbounded),
+            ),
+        ] {
+            assert_eq!(p.bounds_for("n"), Some(bounds), "{p:?}");
+        }
 
         let conj = Predicate::Eq("s".into(), Value::str("x"))
             .and(Predicate::Ge("n".into(), Value::I64(3)));
-        assert_eq!(conj.bounds_for("n"), Some((Some(&Value::I64(3)), None)));
+        assert_eq!(
+            conj.bounds_for("n"),
+            Some((Included(&Value::I64(3)), Unbounded))
+        );
 
         // OR can't use the index.
         let disj = Predicate::Eq("n".into(), Value::I64(1)).or(Predicate::True);

@@ -61,6 +61,12 @@ pub(crate) struct Table {
     indexes: HashMap<String, BTreeMap<OrdValue, BTreeSet<RowId>>>,
 }
 
+/// Whether `range` is a `Between` whose low end is above its high end: it
+/// holds no key, and `BTreeMap::range` panics on it.
+fn inverted<T: Ord + ?Sized>(range: (Bound<&T>, Bound<&T>)) -> bool {
+    matches!(range, (Bound::Included(lo), Bound::Included(hi)) if lo > hi)
+}
+
 impl Table {
     pub(crate) fn new(schema: Schema) -> Table {
         Table {
@@ -194,54 +200,55 @@ impl Table {
     /// key order, a scan in [`RowId`] order. Nothing is collected: each
     /// bound is one cell on the stack, and the maps are searched through
     /// `&[OrdValue]` / `&OrdValue`.
+    ///
+    /// A predicate that is one comparison on a single-column primary key
+    /// is answered by the key range alone: the map is ordered by the
+    /// [`Value::cmp_total`] the comparison uses, and a key cell is never
+    /// null. Every other row a range or scan reaches is checked against
+    /// `pred`.
     pub(crate) fn visit(
         &self,
         pred: &Predicate,
         mut f: impl FnMut(RowId, &Arc<[Value]>) -> SydResult<()>,
     ) -> SydResult<()> {
-        fn bound<T: ?Sized>(key: Option<&T>) -> Bound<&T> {
-            key.map_or(Bound::Unbounded, Bound::Included)
-        }
         let cell = |v: &Value| [OrdValue(v.clone())];
-        let mut check = |row_id: RowId, values: &Arc<[Value]>| {
-            if pred.eval(&self.schema, values)? {
+        let mut visit_row = |row_id: RowId, values: &Arc<[Value]>, check: bool| {
+            if !check || pred.eval(&self.schema, values)? {
                 f(row_id, values)?;
             }
             Ok(())
         };
-        // Single-column primary keys serve equality/range directly from
-        // the key map.
         if let [pk_idx] = self.schema.primary_key[..] {
             let pk_name = &self.schema.columns[pk_idx].name;
             if let Some((lo, hi)) = pred.bounds_for(pk_name) {
+                let check = matches!(pred, Predicate::And(_));
                 let (lo, hi) = (lo.map(cell), hi.map(cell));
-                let range = (
-                    bound(lo.as_ref().map(|k| &k[..])),
-                    bound(hi.as_ref().map(|k| &k[..])),
-                );
-                for (_, &row_id) in self.pk_map.range::<[OrdValue], _>(range) {
-                    check(row_id, &self.rows[&row_id])?;
+                let range = (lo.as_ref().map(|k| &k[..]), hi.as_ref().map(|k| &k[..]));
+                if !inverted(range) {
+                    for (_, &row_id) in self.pk_map.range::<[OrdValue], _>(range) {
+                        visit_row(row_id, &self.rows[&row_id], check)?;
+                    }
                 }
                 return Ok(());
             }
         }
+        // An index holds null cells too, so its rows are always checked.
         for (col, index) in &self.indexes {
             if let Some((lo, hi)) = pred.bounds_for(col) {
                 let (lo, hi) = (lo.map(cell), hi.map(cell));
-                let range = (
-                    bound(lo.as_ref().map(|k| &k[0])),
-                    bound(hi.as_ref().map(|k| &k[0])),
-                );
-                for (_, set) in index.range::<OrdValue, _>(range) {
-                    for &row_id in set {
-                        check(row_id, &self.rows[&row_id])?;
+                let range = (lo.as_ref().map(|k| &k[0]), hi.as_ref().map(|k| &k[0]));
+                if !inverted(range) {
+                    for (_, set) in index.range::<OrdValue, _>(range) {
+                        for &row_id in set {
+                            visit_row(row_id, &self.rows[&row_id], true)?;
+                        }
                     }
                 }
                 return Ok(());
             }
         }
         for (&row_id, values) in &self.rows {
-            check(row_id, values)?;
+            visit_row(row_id, values, true)?;
         }
         Ok(())
     }

@@ -315,12 +315,23 @@ impl FinishSpan {
         self.attrs.push((key, value));
     }
 
-    /// Records the span, ending now.
-    pub fn finish(mut self) {
-        self.record();
+    /// When the span started ([`now_us`] time base).
+    pub fn start_us(&self) -> u64 {
+        self.start_us
     }
 
-    fn record(&mut self) {
+    /// Records the span, ending now.
+    pub fn finish(self) {
+        self.finish_at(now_us());
+    }
+
+    /// Records the span, ending at `end_us` — a moment observed earlier
+    /// on another thread ([`now_us`] time base).
+    pub fn finish_at(mut self, end_us: u64) {
+        self.record(end_us);
+    }
+
+    fn record(&mut self, end_us: u64) {
         if self.done {
             return;
         }
@@ -332,7 +343,7 @@ impl FinishSpan {
             kind: self.kind,
             device: self.ring.device,
             start_us: self.start_us,
-            end_us: now_us(),
+            end_us,
             attrs: std::mem::take(&mut self.attrs),
         });
     }
@@ -340,7 +351,7 @@ impl FinishSpan {
 
 impl Drop for FinishSpan {
     fn drop(&mut self) {
-        self.record();
+        self.record(now_us());
     }
 }
 
@@ -416,6 +427,16 @@ mod tests {
         let h2 = t.finish_handle(names::SPAN_RPC_CLIENT, ctx.child(), 0);
         drop(h2);
         assert_eq!(drain(t.ring()).len(), 1, "drop records exactly once");
+    }
+
+    #[test]
+    fn a_finish_handle_ends_where_it_is_told() {
+        let t = Tracer::new("dev-c", 10);
+        let h = t.finish_handle(names::SPAN_RPC_CLIENT, syd_telemetry::trace::root_span(), 0);
+        let start = h.start_us();
+        h.finish_at(start + 7);
+        let recs = drain(t.ring());
+        assert_eq!((recs[0].start_us, recs[0].end_us), (start, start + 7));
     }
 
     #[test]

@@ -13,9 +13,19 @@ lines() { # total lines of the .rs files under the given directories
     find "$@" -name '*.rs' -print0 2>/dev/null | xargs -0 cat | wc -l
 }
 
-test_lines() { # of those, the lines at and after each file's first #[cfg(test)]
+test_lines() { # of those, the lines from each file's first #[cfg(test)] mod on,
+    # its attribute lines included; a #[cfg(test)] field or statement
+    # before it is program code
     find "$@" -name '*.rs' -print0 2>/dev/null |
-        xargs -0 awk 'FNR == 1 { t = 0 } /^[[:space:]]*#\[cfg\(test\)\]/ { t = 1 } t { n++ } END { print n + 0 }'
+        xargs -0 awk '
+            FNR == 1 { t = 0; k = 0 }
+            t { n++; next }
+            /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*(pub(\([a-z]+\))? )?mod / { t = 1; n++; next }
+            /^[[:space:]]*#\[cfg\(test\)\]/ { k = 1; next }
+            k && /^[[:space:]]*#\[/ { k++; next }
+            k && /^[[:space:]]*(pub(\([a-z]+\))? )?mod / { t = 1; n += k + 1 }
+            { k = 0 }
+            END { print n + 0 }'
 }
 
 # A runtime switch is a public one-bool setter in syd-net / syd-core, or
