@@ -20,7 +20,7 @@ use std::time::Duration;
 
 use syd_crypto::Authenticator;
 use syd_net::{Node, Transport};
-use syd_store::{Lease, LockKey, OrdValue, Store};
+use syd_store::{LockKey, OrdValue, Store};
 use syd_telemetry::{names, Event, Journal, Registry, Vote};
 use syd_types::sync::{Mutex, RwLock};
 use syd_types::{Clock, NodeAddr, ServiceName, SydError, SydResult, UserId, Value};
@@ -78,8 +78,6 @@ struct DeviceInner {
     negotiator: Negotiator,
     journal: Arc<Journal>,
     clock: Arc<dyn Clock>,
-    /// The terms of this device's entity locks (DESIGN.md §23).
-    lease: Lease,
     entity_handler: RwLock<Option<Arc<dyn EntityHandler>>>,
     subscription_handler: RwLock<Option<Arc<dyn SubscriptionHandler>>>,
     link_acceptor: RwLock<Option<LinkAcceptor>>,
@@ -151,18 +149,6 @@ impl DeviceRuntime {
         .inspect_err(|_| node.shutdown())?;
         let negotiator =
             Negotiator::new(engine.clone(), user, node.metrics(), Arc::clone(&journal));
-        // The end of a lease closes its lock's story for `syd-check`.
-        let lapses = Arc::clone(&journal);
-        let lease = Lease {
-            clock: Arc::clone(&clock),
-            length: LOCK_LEASE,
-            lapsed: Box::new(move |session, key| {
-                if let Some(OrdValue(Value::Str(entity))) = key.key.first() {
-                    lapses.emit(Event::release(session, entity, "lease"));
-                }
-            }),
-        };
-
         let inner = Arc::new(DeviceInner {
             user,
             name: name.to_owned(),
@@ -175,7 +161,6 @@ impl DeviceRuntime {
             negotiator,
             journal,
             clock,
-            lease,
             entity_handler: RwLock::new(None),
             subscription_handler: RwLock::new(None),
             link_acceptor: RwLock::new(None),
@@ -406,45 +391,41 @@ impl DeviceRuntime {
                 let entity = args_get(args, 1)?.as_str()?;
                 let change = args_get(args, 2)?;
                 let (locks, key) = (inner.store.locks(), entity_lock_key(entity));
-                let mut taken = locks.take(session, &key, Duration::ZERO, Some(&inner.lease));
-                if taken.is_err() {
-                    // Bounded wait, then give up and vote no. The wait is
-                    // contention with another in-flight negotiation —
+                let lapsed = |holder| inner.journal.emit(Event::release(holder, entity, "lease"));
+                let lease = Some((&*inner.clock, LOCK_LEASE));
+                let mut taken = locks.mark(session, &key, Duration::ZERO, lease, lapsed);
+                if taken == fsm::Taken::Busy {
+                    // Bounded wait, then give up and vote no: contention
                     // worth its own span on the serving device.
                     let mut wait_span = inner.node.tracer().span(names::SPAN_LOCK_WAIT);
                     wait_span.attr("session", session);
-                    taken = locks.take(session, &key, MARK_LOCK_WAIT, Some(&inner.lease));
+                    taken = locks.mark(session, &key, MARK_LOCK_WAIT, lease, lapsed);
                 }
-                let Ok(fresh) = taken else {
-                    let vote = fsm::Vote::NoLockBusy;
-                    inner
-                        .journal
-                        .emit(Event::vote(session, entity, Vote::LockBusy));
-                    // Distinguishable from a durable prepare refusal: the
-                    // coordinator treats any non-true vote as a decline,
-                    // but a greedy grab must not commit while another
-                    // negotiation holds this lock.
-                    return Ok(vote.wire_reply());
-                };
+                if taken == fsm::Taken::Busy {
+                    // Not a durable refusal: a greedy grab must not commit
+                    // while another negotiation holds this lock.
+                    let busy = Event::vote(session, entity, Vote::LockBusy);
+                    inner.journal.emit(busy);
+                    return Ok(fsm::Vote::NoLockBusy.wire_reply());
+                }
                 // A mark delivered again finds its own lock: it votes
                 // again, and one commit or abort still frees the entity.
-                if fresh {
+                if taken == fsm::Taken::Fresh {
                     inner.journal.emit(Event::lock(session, entity));
                 }
                 let handler = inner.entity_handler.read().clone();
-                // No entity handler prepares trivially: pure mutual
-                // exclusion semantics, as in `fsm::participant_mark`.
                 let prepared = match handler {
                     Some(h) => h.prepare(entity, change),
                     None => Ok(()),
                 };
-                // Journal-before-release, as in commit.
-                let (vote, journaled) = match &prepared {
-                    Ok(()) => (fsm::Vote::Yes, Vote::Yes),
-                    Err(err) => (fsm::Vote::NoPrepare, Vote::Refused(err.to_string())),
+                let vote = fsm::Vote::on_mark(taken, prepared.is_ok());
+                let journaled = match prepared {
+                    Ok(()) => Vote::Yes,
+                    Err(err) => Vote::Refused(err.to_string()),
                 };
+                // Journal-before-release, as in commit.
                 inner.journal.emit(Event::vote(session, entity, journaled));
-                if vote.releases_lock() {
+                if vote == fsm::Vote::NoPrepare {
                     locks.release(session, &key);
                 }
                 Ok(vote.wire_reply())
@@ -461,16 +442,18 @@ impl DeviceRuntime {
                 let session = args_get(args, 0)?.as_i64()? as u64;
                 let entity = args_get(args, 1)?.as_str()?;
                 let change = args_get(args, 2)?;
-                let key = entity_lock_key(entity);
+                let (locks, key) = (inner.store.locks(), entity_lock_key(entity));
                 // A coordinator may be slow, not dead: its commit after its
                 // lease lapsed is refused, as the entity may have changed
-                // hands since. A commit sent again after its own went
-                // through is applied again: commits are idempotent.
-                if !inner.store.locks().admits(session, &key, &inner.lease) {
+                // hands since. An admitted commit holds the entity until
+                // its release below, however long the handler runs.
+                let lapsed = |holder| inner.journal.emit(Event::release(holder, entity, "lease"));
+                if !locks.commit(session, &key, inner.clock.now(), lapsed) {
                     return Err(SydError::App(format!(
                         "session {session} expired: its lease on {entity} lapsed"
                     )));
                 }
+                let pinned = Pinned(&inner, session, entity, key);
                 let handler = inner.entity_handler.read().clone();
                 let result = match handler {
                     Some(h) => h.commit(entity, change),
@@ -482,7 +465,7 @@ impl DeviceRuntime {
                 inner
                     .journal
                     .emit(Event::commit(session, entity, result.is_ok()));
-                inner.store.locks().release(session, &key);
+                drop(pinned);
                 result.map(|()| Value::Null)
             }),
         );
@@ -595,7 +578,12 @@ impl DeviceRuntime {
     /// run quiesced, so a lock whose commit and abort were both lost closes
     /// its story before a strict audit instead of waiting out [`LOCK_LEASE`].
     pub fn end_leases(&self) -> usize {
-        self.inner.store.locks().end_leases(&self.inner.lease)
+        let journal = &self.inner.journal;
+        self.inner.store.locks().end_leases(|holder, key| {
+            if let Some(OrdValue(Value::Str(entity))) = key.key.first() {
+                journal.emit(Event::release(holder, entity, "lease"));
+            }
+        })
     }
 
     /// Stops the device: unregisters from the network, stops pools and
@@ -609,6 +597,22 @@ impl DeviceRuntime {
 /// The lock key guarding a named entity on a device.
 pub fn entity_lock_key(entity: &str) -> LockKey {
     LockKey::new("syd.entity", [Value::str(entity)])
+}
+
+/// An admitted commit's pinned lock (DESIGN.md §23), released on drop:
+/// a pinned entry has no lease end, so a handler that unwinds frees it too.
+struct Pinned<'a>(&'a DeviceInner, u64, &'a str, LockKey);
+
+impl Drop for Pinned<'_> {
+    fn drop(&mut self) {
+        let Pinned(inner, session, entity, ref key) = *self;
+        if std::thread::panicking() {
+            inner
+                .journal
+                .emit(Event::release(session, entity, "commit-unwound"));
+        }
+        inner.store.locks().release(session, key);
+    }
 }
 
 fn args_get(args: &[Value], i: usize) -> SydResult<&Value> {
@@ -904,6 +908,54 @@ mod tests {
         assert_eq!(outcome.aborted.len(), 2);
         let changed = states.iter().filter(|s| s.lock().contains_key("e")).count();
         assert_eq!(changed, 1);
+    }
+
+    /// An admitted commit pins its lock, and the pin ends with the commit
+    /// even when the entity handler unwinds: the entity is freed and the
+    /// release journaled, not left locked with no lease end.
+    #[test]
+    fn a_commit_whose_handler_unwinds_frees_its_entity() {
+        struct Unwinds;
+        impl EntityHandler for Unwinds {
+            fn prepare(&self, _entity: &str, _change: &Value) -> SydResult<()> {
+                Ok(())
+            }
+            fn commit(&self, _entity: &str, _change: &Value) -> SydResult<()> {
+                panic!("the entity handler unwinds");
+            }
+            fn abort(&self, _entity: &str, _change: &Value) {}
+        }
+        let (_net, _dir, devices) = rig(1);
+        let device = &devices[0];
+        device.set_entity_handler(Arc::new(Unwinds));
+        let call = |method: &str| {
+            let request = syd_wire::Request {
+                id: syd_types::RequestId::new(1),
+                caller: device.user(),
+                target: UserId::default(),
+                credentials: Vec::new(),
+                service: link_service(),
+                method: method.into(),
+                args: vec![Value::from(7u64), Value::str("slot:1"), Value::Null].into(),
+                trace: None,
+            };
+            device.inner.listener.dispatch(NodeAddr::new(9), &request)
+        };
+        assert_eq!(call("mark").unwrap(), Value::Bool(true));
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| call("commit")));
+        assert!(unwound.is_err());
+        assert_eq!(device.store().locks().held_count(), 0);
+        let released = device.journal().events().into_iter().any(|e| {
+            matches!(
+                e.event,
+                Event::Release {
+                    session: 7,
+                    reason: "commit-unwound",
+                    ..
+                }
+            )
+        });
+        assert!(released, "{}", device.journal().dump());
     }
 
     #[test]

@@ -1,24 +1,25 @@
 //! The pure §4.3 state-transition core.
 //!
 //! The negotiation protocol's decisions as side-effect-free functions
-//! over plain data. Only the coordinator's half is shared by the runtime
-//! and the `syd-model` exhaustive model checker:
+//! over plain data, shared by the runtime and the `syd-model` exhaustive
+//! model checker:
 //!
+//! * the participant is one [`Entry`] per entity, whose [`Entry::mark`],
+//!   [`Entry::commit`], [`Entry::abort`] and [`Entry::lapse`] are the whole
+//!   lease rule: `syd_store::LockManager` keeps it for the kernel services
+//!   in [`crate::device`], and the model keeps a `Vec<Entry>`;
+//! * [`Vote`] is the participant's answer in both, derived from the mark's
+//!   [`Taken`] and the entity handler's prepare by [`Vote::on_mark`]. The
+//!   runtime's `mark` service sends it with [`Vote::wire_reply`], and the
+//!   coordinator reads it back with [`classify_reply`];
 //! * [`decide`] (which yes-voters to commit and which to abort) and
 //!   [`outcome_satisfied`] are called by [`super::Negotiator`] and by the
-//!   model alike;
-//! * [`Vote`] is the participant's answer in both. The runtime's `mark`
-//!   service sends it with [`Vote::wire_reply`], and the coordinator reads
-//!   it back with [`classify_reply`].
+//!   model alike.
 //!
-//! The participant's half is not shared. The `mark`/`commit`/`abort`
-//! kernel services in [`crate::device`] decide through
-//! `syd_store::LockManager::take` and a lease. [`participant_mark`] and
-//! [`participant_release`] describe a plain holder with no lease, and only
-//! the model calls them; its `holders`/`lapsed` state re-implements the
-//! lease beside them. ROADMAP item 3 makes that half one implementation
-//! too.
+//! The coordinator's round sequencing (mark wave → decide → commit/abort
+//! wave) is not shared yet: the model restates it step by step.
 
+pub use syd_store::lock::{Entry, Taken, PAST_EVERY_LEASE};
 use syd_types::{SydResult, Value};
 
 use crate::links::Constraint;
@@ -38,16 +39,14 @@ pub enum Vote {
 }
 
 impl Vote {
-    /// Whether the participant still holds the entity lock after this
-    /// vote (only a yes-voter carries its lock into phase 2).
-    pub fn holds_lock(self) -> bool {
-        self == Vote::Yes
-    }
-
-    /// Whether answering requires releasing a lock acquired during the
-    /// mark (a failed prepare unlocks before voting).
-    pub fn releases_lock(self) -> bool {
-        self == Vote::NoPrepare
+    /// The vote on a mark that found its entry `taken`: busy, or the entity
+    /// handler's verdict on the change (`true` with no handler).
+    pub fn on_mark(taken: Taken, prepared: bool) -> Vote {
+        match taken {
+            Taken::Busy => Vote::NoLockBusy,
+            Taken::Fresh | Taken::Again if prepared => Vote::Yes,
+            Taken::Fresh | Taken::Again => Vote::NoPrepare,
+        }
     }
 
     /// Wire encoding of the vote, as returned by the `syd.link/mark`
@@ -81,36 +80,6 @@ pub fn classify_reply(reply: &SydResult<Value>) -> ReplyClass {
         Ok(Value::Bool(true)) => ReplyClass::Yes,
         Ok(Value::Str(s)) if s == "lock-busy" => ReplyClass::DeclinedBusy,
         _ => ReplyClass::Declined,
-    }
-}
-
-/// Participant-side mark transition over an abstract entity lock.
-///
-/// `holder` is the session currently holding the entity's lock (`None` =
-/// free, or a lapsed lease). A mark by `session` itself finds its own
-/// lock, which is not deepened, exactly like `syd-store`'s lock table.
-/// Returns the vote and the holder after the transition. `prepare_ok` is
-/// the entity handler's verdict (a device with no handler behaves as
-/// `prepare_ok = true`: pure mutual-exclusion semantics).
-pub fn participant_mark(
-    holder: Option<u64>,
-    session: u64,
-    prepare_ok: bool,
-) -> (Vote, Option<u64>) {
-    match holder {
-        Some(other) if other != session => (Vote::NoLockBusy, holder),
-        _ if prepare_ok => (Vote::Yes, Some(session)),
-        _ => (Vote::NoPrepare, None),
-    }
-}
-
-/// Participant-side commit/abort transition: both release the entity
-/// lock if (and only if) `session` holds it. Commit and abort are
-/// idempotent — a duplicate delivery after release is a no-op.
-pub fn participant_release(holder: Option<u64>, session: u64) -> Option<u64> {
-    match holder {
-        Some(s) if s == session => None,
-        other => other,
     }
 }
 
@@ -202,7 +171,8 @@ pub fn outcome_satisfied(
 #[allow(clippy::unwrap_used, clippy::expect_used)] // test code
 mod tests {
     use super::*;
-    use syd_types::SydError;
+    use crate::device::LOCK_LEASE;
+    use syd_types::{SydError, Timestamp};
 
     #[test]
     fn vote_wire_round_trip() {
@@ -221,40 +191,54 @@ mod tests {
         );
     }
 
+    /// A mark as a device runs it: take the entry, vote on the outcome,
+    /// and release the entity again if the prepare refused.
+    fn mark(entry: &mut Entry, session: u64, prepared: bool) -> Vote {
+        let (taken, _) = entry.mark(Timestamp::default(), session, Some(LOCK_LEASE));
+        let vote = Vote::on_mark(taken, prepared);
+        if vote == Vote::NoPrepare {
+            entry.abort(session);
+        }
+        vote
+    }
+
     #[test]
     fn mark_respects_foreign_lock() {
-        let (vote, holder) = participant_mark(Some(7), 9, true);
+        let mut entry = Entry::default();
+        mark(&mut entry, 7, true);
+        let vote = mark(&mut entry, 9, true);
         assert_eq!(vote, Vote::NoLockBusy);
-        assert_eq!(holder, Some(7));
-        assert!(!vote.holds_lock());
-        assert!(!vote.releases_lock());
+        assert_eq!(entry.holder(), Some(7));
     }
 
     #[test]
     fn mark_acquires_free_lock() {
-        let (vote, holder) = participant_mark(None, 9, true);
-        assert_eq!(vote, Vote::Yes);
-        assert_eq!(holder, Some(9));
-        assert!(vote.holds_lock());
+        let mut entry = Entry::default();
+        assert_eq!(mark(&mut entry, 9, true), Vote::Yes);
+        assert_eq!(entry.holder(), Some(9));
+        assert_eq!(mark(&mut entry, 9, true), Vote::Yes, "a re-sent mark");
     }
 
     #[test]
     fn mark_prepare_failure_releases() {
-        let (vote, holder) = participant_mark(None, 9, false);
-        assert_eq!(vote, Vote::NoPrepare);
-        assert_eq!(holder, None);
-        assert!(vote.releases_lock());
+        let mut entry = Entry::default();
+        assert_eq!(mark(&mut entry, 9, false), Vote::NoPrepare);
+        assert_eq!(entry.holder(), None);
         // Not re-entrant: a refused re-mark frees the session's own lock.
-        let (vote, holder) = participant_mark(Some(9), 9, false);
-        assert_eq!(vote, Vote::NoPrepare);
-        assert_eq!(holder, None);
+        mark(&mut entry, 9, true);
+        assert_eq!(mark(&mut entry, 9, false), Vote::NoPrepare);
+        assert_eq!(entry, Entry::default());
     }
 
     #[test]
     fn release_is_owner_only_and_idempotent() {
-        assert_eq!(participant_release(Some(9), 9), None);
-        assert_eq!(participant_release(Some(7), 9), Some(7));
-        assert_eq!(participant_release(None, 9), None);
+        let mut entry = Entry::default();
+        mark(&mut entry, 7, true);
+        assert!(!entry.abort(9));
+        assert_eq!(entry.holder(), Some(7));
+        assert!(entry.abort(7));
+        assert!(!entry.abort(7));
+        assert_eq!(entry.holder(), None);
     }
 
     #[test]

@@ -193,8 +193,8 @@ impl Default for Config {
             lock_manager_methods: s(&[
                 "acquire",
                 "try_acquire",
-                "take",
-                "admits",
+                "mark",
+                "commit",
                 "release",
                 "release_all",
                 "end_leases",
@@ -203,6 +203,7 @@ impl Default for Config {
                 "crates/core/src/negotiate.rs",
                 "crates/core/src/device.rs",
                 "crates/store/src/lock.rs",
+                "crates/store/src/txn.rs",
             ]),
             trait_targets: vec![TraitTarget {
                 // `node.set_handler(Arc<dyn RequestHandler>)` dispatches
@@ -626,6 +627,18 @@ mod tests {
         let cfg = Config::from_toml("").unwrap();
         assert_eq!(cfg.levels.len(), 5);
         assert!(cfg.rpc_methods.contains(&"invoke_group".to_string()));
+    }
+
+    /// The checked-in `lint.toml` restates the coordination boundary; a
+    /// run without it must draw the same boundary.
+    #[test]
+    fn checked_in_boundary_matches_the_defaults() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../lint.toml");
+        let text = std::fs::read_to_string(path).unwrap();
+        let (file, defaults) = (Config::from_toml(&text).unwrap(), Config::default());
+        assert_eq!(file.protocol_methods, defaults.protocol_methods);
+        assert_eq!(file.lock_manager_methods, defaults.lock_manager_methods);
+        assert_eq!(file.boundary_allowed, defaults.boundary_allowed);
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //!
 //! The transition semantics are **not** re-implemented here: every
 //! protocol decision is delegated to the pure cores the runtime itself
-//! executes — [`fsm::participant_mark`], [`fsm::participant_release`],
-//! [`fsm::decide`] and [`fsm::outcome_satisfied`] from `syd_core` — and
-//! every step journals the [`Event`] that `crates/core/src/device.rs` and
-//! `negotiate.rs` journal for it, so the `syd-check` oracle sees the same
-//! event language either way.
+//! executes — the participant's [`fsm::Entry`] transitions with
+//! [`fsm::Vote::on_mark`], [`fsm::decide`] and [`fsm::outcome_satisfied`]
+//! from `syd_core` — and every step journals the [`Event`] that
+//! `crates/core/src/device.rs` and `negotiate.rs` journal for it, so the
+//! `syd-check` oracle sees the same event language either way.
 //!
 //! ## Abstraction
 //!
@@ -20,17 +20,19 @@
 //! the modelled declines are lock conflicts and lost messages, which is
 //! where all the §4.3 concurrency lives. Each participant slot walks a
 //! small per-session state machine (mark pending → vote → commit/abort/
-//! cleanup), and the only shared state is the per-entity lock holder and
-//! the last session whose lease lapsed there, exactly like the runtime's
-//! lock table. A lease lapse is drawn from the crash budget: to its
-//! participant, a coordinator too slow for its lease has crashed. Fault
-//! budgets are part of the state, so the explorer covers every placement
-//! of every budgeted fault.
+//! cleanup), and the only shared state is one [`fsm::Entry`] per entity,
+//! the value the runtime's lock table keeps. Marks and commits run inside
+//! every lease, and a lease lapse, at an instant past every lease end, is
+//! drawn from the crash budget: to its participant, a coordinator too
+//! slow for its lease has crashed. Fault budgets are part of the state,
+//! so the explorer covers every placement of every budgeted fault.
 
 use syd_check::{DeviceState, HeldLock};
-use syd_core::negotiate::fsm;
+use syd_core::device::LOCK_LEASE;
+use syd_core::negotiate::fsm::{self, Entry, PAST_EVERY_LEASE};
 use syd_core::Constraint;
 use syd_telemetry::{Event, JournalEvent, Vote};
+use syd_types::Timestamp;
 
 use crate::explore::Model;
 use crate::journal::JournalSet;
@@ -112,7 +114,7 @@ enum Slot {
     Committed,
     /// Commit swallowed by the [`NegotiationInject::LockLeak`] bug: the
     /// coordinator counts it committed, but the device journaled
-    /// nothing and still holds the lock, whose lease never ends.
+    /// nothing and never released the lock its commit pinned.
     CommitLeaked,
     /// Commit lost twice or refused after a lapse; the coordinator gave up.
     CommitFailed,
@@ -163,16 +165,14 @@ struct Session {
     slots: Vec<Slot>,
 }
 
-/// Abstract global state: lock holders, session progress, fault
+/// Abstract global state: the entities' locks, session progress, fault
 /// budgets, and injection bookkeeping. Everything the journal of a
 /// schedule can depend on is in here — that is what makes visited-state
 /// deduplication sound for this model.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct NegotiationState {
-    /// Per entity: the session id of the holder.
-    holders: Vec<Option<u64>>,
-    /// Per entity: the last session whose lease lapsed there.
-    lapsed: Vec<Option<u64>>,
+    /// Per entity: its lock, as the runtime's lock table keeps it.
+    entries: Vec<Entry>,
     sessions: Vec<Session>,
     loss_left: u8,
     dup_left: u8,
@@ -182,9 +182,6 @@ pub struct NegotiationState {
     dups_used: bool,
     /// The one-shot injection already fired.
     injected: bool,
-    /// `(session, entity)` whose lock the [`NegotiationInject::LockLeak`]
-    /// bug keeps past the end of every lease.
-    leaked: Option<(u64, usize)>,
 }
 
 /// One atomic step of the negotiation system.
@@ -402,6 +399,9 @@ impl std::fmt::Display for NegotiationAction {
     }
 }
 
+/// The instant every mark and commit runs at: inside every lease.
+const NOW: Timestamp = Timestamp::from_micros(0);
+
 /// Entity `e{i}` lives on device `i`, owned by user `i + 1`.
 fn entity(i: usize) -> String {
     format!("e{i}")
@@ -415,7 +415,18 @@ fn abort_user(session: u64, i: usize, reason: &'static str) -> Event {
     }
 }
 
+/// A mark by `session` as a device runs it, with a handler-less prepare.
+fn mark(entry: &mut Entry, session: u64) -> fsm::Vote {
+    fsm::Vote::on_mark(entry.mark(NOW, session, Some(LOCK_LEASE)).0, true)
+}
+
 impl NegotiationModel {
+    /// Whether the device applies `session`'s commit: the entry admits it,
+    /// or the [`NegotiationInject::CommitAfterLease`] bug applies it anyway.
+    fn commits(&self, entry: &mut Entry, session: u64) -> bool {
+        entry.commit(NOW, session).0 || self.inject == Some(NegotiationInject::CommitAfterLease)
+    }
+
     /// The coordinator device of session `s` (the runtime rotates
     /// coordination; the model spreads it the same way).
     fn coord(&self, s: usize) -> usize {
@@ -439,7 +450,10 @@ impl NegotiationModel {
     fn crashes(&self, state: &NegotiationState, s: usize, out: &mut Vec<NegotiationAction>) {
         if state.crash_left > 0 {
             out.push(NegotiationAction::Crash { session: s });
-            let held = (0..self.devices).filter(|&i| state.holders[i] == Some(self.sid(s)));
+            // Where a lapse, tried on a copy of the entry, would end a lease
+            // of `s`: not where its commit pinned the lock.
+            let ends = |&i: &usize| Entry::lapse(&mut { state.entries[i] }, PAST_EVERY_LEASE);
+            let held = (0..self.devices).filter(|i| ends(i) == Some(self.sid(s)));
             out.extend(held.map(|device| NegotiationAction::LeaseLapse { session: s, device }));
         }
     }
@@ -455,8 +469,7 @@ impl Model for NegotiationModel {
 
     fn initial(&self) -> NegotiationState {
         NegotiationState {
-            holders: vec![None; self.devices],
-            lapsed: vec![None; self.devices],
+            entries: vec![Entry::default(); self.devices],
             sessions: (0..self.sessions)
                 .map(|_| Session {
                     phase: SessionPhase::NotStarted,
@@ -469,7 +482,6 @@ impl Model for NegotiationModel {
             crash_left: self.crash_budget,
             dups_used: false,
             injected: false,
-            leaked: None,
         }
     }
 
@@ -499,7 +511,8 @@ impl Model for NegotiationModel {
                                 }
                             }
                             Slot::Yes
-                                if state.dup_left > 0 && state.holders[i] == Some(self.sid(s)) =>
+                                if state.dup_left > 0
+                                    && state.entries[i].holder() == Some(self.sid(s)) =>
                             {
                                 out.push(A::DuplicateMark {
                                     session: s,
@@ -597,28 +610,34 @@ impl Model for NegotiationModel {
             A::DeliverMark {
                 session: s,
                 device: i,
+            }
+            | A::LoseMarkReply {
+                session: s,
+                device: i,
             } => {
+                // A lost reply: the device marked and voted as ever, but
+                // the vote never reached the coordinator.
+                let lost = matches!(action, A::LoseMarkReply { .. });
+                st.loss_left -= u8::from(lost);
+                let (yes, busy) = match lost {
+                    false => (Slot::Yes, Slot::NoBusy),
+                    true => (Slot::YesReplyLost, Slot::BusyReplyLost),
+                };
                 let sid = self.sid(s);
-                let (vote, holder) = fsm::participant_mark(st.holders[i], sid, true);
-                match vote {
-                    fsm::Vote::Yes => {
+                // Model devices have no entity handler: a vote is yes or busy.
+                st.sessions[s].slots[i] = if mark(&mut st.entries[i], sid) == fsm::Vote::Yes {
+                    journal.record(i, Event::lock(sid, entity(i)));
+                    let inject = self.inject == Some(NegotiationInject::DoubleLock);
+                    if inject && !lost && !st.injected {
+                        st.injected = true;
                         journal.record(i, Event::lock(sid, entity(i)));
-                        if self.inject == Some(NegotiationInject::DoubleLock) && !st.injected {
-                            st.injected = true;
-                            journal.record(i, Event::lock(sid, entity(i)));
-                        }
-                        journal.record(i, Event::vote(sid, entity(i), Vote::Yes));
-                        st.holders[i] = holder;
-                        st.sessions[s].slots[i] = Slot::Yes;
                     }
-                    fsm::Vote::NoLockBusy => {
-                        journal.record(i, Event::vote(sid, entity(i), Vote::LockBusy));
-                        st.sessions[s].slots[i] = Slot::NoBusy;
-                    }
-                    fsm::Vote::NoPrepare => {
-                        unreachable!("model devices have no entity handler; prepare cannot fail")
-                    }
-                }
+                    journal.record(i, Event::vote(sid, entity(i), Vote::Yes));
+                    yes
+                } else {
+                    journal.record(i, Event::vote(sid, entity(i), Vote::LockBusy));
+                    busy
+                };
             }
             A::DropMark {
                 session: s,
@@ -627,31 +646,6 @@ impl Model for NegotiationModel {
                 st.loss_left -= 1;
                 st.sessions[s].slots[i] = Slot::NoRequestLost;
             }
-            A::LoseMarkReply {
-                session: s,
-                device: i,
-            } => {
-                st.loss_left -= 1;
-                let sid = self.sid(s);
-                let (vote, holder) = fsm::participant_mark(st.holders[i], sid, true);
-                match vote {
-                    fsm::Vote::Yes => {
-                        // The device locked and voted yes, but the reply
-                        // never reached the coordinator.
-                        journal.record(i, Event::lock(sid, entity(i)));
-                        journal.record(i, Event::vote(sid, entity(i), Vote::Yes));
-                        st.holders[i] = holder;
-                        st.sessions[s].slots[i] = Slot::YesReplyLost;
-                    }
-                    fsm::Vote::NoLockBusy => {
-                        journal.record(i, Event::vote(sid, entity(i), Vote::LockBusy));
-                        st.sessions[s].slots[i] = Slot::BusyReplyLost;
-                    }
-                    fsm::Vote::NoPrepare => {
-                        unreachable!("model devices have no entity handler; prepare cannot fail")
-                    }
-                }
-            }
             A::DuplicateMark {
                 session: s,
                 device: i,
@@ -659,6 +653,7 @@ impl Model for NegotiationModel {
                 st.dup_left -= 1;
                 // The device finds its own lock: it votes again, and
                 // neither journals a second lock nor deepens the one held.
+                mark(&mut st.entries[i], self.sid(s));
                 journal.record(i, Event::vote(self.sid(s), entity(i), Vote::Yes));
             }
             A::Decide { session: s } => {
@@ -699,16 +694,14 @@ impl Model for NegotiationModel {
                 device: i,
             } => {
                 let sid = self.sid(s);
-                let late = st.holders[i] != Some(sid) && st.lapsed[i] == Some(sid);
-                if late && self.inject != Some(NegotiationInject::CommitAfterLease) {
+                if !self.commits(&mut st.entries[i], sid) {
                     // Its lease lapsed: refused, and so is the retry.
                     journal.record(self.coord(s), abort_user(sid, i, "commit-failed"));
                     st.sessions[s].slots[i] = Slot::CommitFailed;
                 } else if self.inject == Some(NegotiationInject::LockLeak) && !st.injected {
                     // The buggy device applies the change but journals
-                    // nothing and keeps the lock past every lease end.
+                    // nothing and never releases the lock its commit pinned.
                     st.injected = true;
-                    st.leaked = Some((sid, i));
                     st.sessions[s].slots[i] = Slot::CommitLeaked;
                 } else {
                     if self.inject == Some(NegotiationInject::DoubleCommit) && !st.injected {
@@ -718,7 +711,7 @@ impl Model for NegotiationModel {
                         journal.record(i, Event::commit(self.ghost_sid(s), entity(i), true));
                     }
                     journal.record(i, Event::commit(sid, entity(i), true));
-                    st.holders[i] = fsm::participant_release(st.holders[i], sid);
+                    st.entries[i].abort(sid);
                     st.sessions[s].slots[i] = Slot::Committed;
                 }
             }
@@ -746,13 +739,24 @@ impl Model for NegotiationModel {
                 st.dup_left -= 1;
                 st.dups_used = true;
                 let sid = self.sid(s);
-                journal.record(i, Event::commit(sid, entity(i), true));
-                st.holders[i] = fsm::participant_release(st.holders[i], sid);
+                if self.commits(&mut st.entries[i], sid) {
+                    journal.record(i, Event::commit(sid, entity(i), true));
+                    st.entries[i].abort(sid);
+                }
             }
             A::DeliverAbort {
                 session: s,
                 device: i,
+            }
+            | A::DropAbort {
+                session: s,
+                device: i,
             } => {
+                // The coordinator journals its abort decision whether or
+                // not the RPC lands; a lost one leaves the participant's
+                // lock to its lease.
+                let lost = matches!(action, A::DropAbort { .. });
+                st.loss_left -= u8::from(lost);
                 let sid = self.sid(s);
                 let reason = if st.sessions[s].satisfied {
                     "xor-overflow"
@@ -760,25 +764,13 @@ impl Model for NegotiationModel {
                     "constraint-failed"
                 };
                 journal.record(self.coord(s), abort_user(sid, i, reason));
-                journal.record(i, Event::release(sid, entity(i), "coordinator-abort"));
-                st.holders[i] = fsm::participant_release(st.holders[i], sid);
-                st.sessions[s].slots[i] = Slot::Aborted;
-            }
-            A::DropAbort {
-                session: s,
-                device: i,
-            } => {
-                st.loss_left -= 1;
-                let reason = if st.sessions[s].satisfied {
-                    "xor-overflow"
+                st.sessions[s].slots[i] = if lost {
+                    Slot::AbortDropped
                 } else {
-                    "constraint-failed"
+                    journal.record(i, Event::release(sid, entity(i), "coordinator-abort"));
+                    st.entries[i].abort(sid);
+                    Slot::Aborted
                 };
-                // The coordinator journals its abort decision whether or
-                // not the RPC lands; the participant's lock waits for its
-                // lease to end.
-                journal.record(self.coord(s), abort_user(self.sid(s), i, reason));
-                st.sessions[s].slots[i] = Slot::AbortDropped;
             }
             A::DeliverCleanup {
                 session: s,
@@ -789,7 +781,7 @@ impl Model for NegotiationModel {
                 // device never locked (lost request) — release is
                 // owner-only and idempotent.
                 journal.record(i, Event::release(sid, entity(i), "coordinator-abort"));
-                st.holders[i] = fsm::participant_release(st.holders[i], sid);
+                st.entries[i].abort(sid);
                 st.sessions[s].slots[i] = Slot::CleanedUp;
             }
             A::DropCleanup {
@@ -858,13 +850,11 @@ impl Model for NegotiationModel {
                 st.crash_left -= 1;
                 st.sessions[s].phase = SessionPhase::Crashed;
             }
-            A::LeaseLapse {
-                session: s,
-                device: i,
-            } => {
+            A::LeaseLapse { device: i, .. } => {
                 st.crash_left -= 1;
-                journal.record(i, Event::release(self.sid(s), entity(i), "lease"));
-                st.lapsed[i] = st.holders[i].take();
+                if let Some(holder) = st.entries[i].lapse(PAST_EVERY_LEASE) {
+                    journal.record(i, Event::release(holder, entity(i), "lease"));
+                }
             }
         }
         st
@@ -917,16 +907,12 @@ impl Model for NegotiationModel {
 
     fn finalize(&self, state: &NegotiationState, journal: &mut JournalSet) -> NegotiationState {
         // After the run quiesces every lease still held ends, journaled as
-        // a lapse, exactly like `DeviceRuntime::end_leases`. The lock kept
-        // by the lock-leak injection is the one exception.
+        // a lapse, exactly like `DeviceRuntime::end_leases`. The lock the
+        // lock-leak injection's commit pinned has no lease end and stays.
         let mut st = state.clone();
-        for i in 0..self.devices {
-            if let Some(holder) = st.holders[i] {
-                if st.leaked == Some((holder, i)) {
-                    continue;
-                }
+        for (i, entry) in st.entries.iter_mut().enumerate() {
+            if let Some(holder) = entry.lapse(PAST_EVERY_LEASE) {
                 journal.record(i, Event::release(holder, entity(i), "lease"));
-                st.holders[i] = None;
             }
         }
         st
@@ -941,7 +927,7 @@ impl Model for NegotiationModel {
             .into_iter()
             .enumerate()
             .map(|(i, (device, journal))| {
-                let locks = match state.holders[i] {
+                let locks = match state.entries[i].holder() {
                     Some(holder) => vec![HeldLock {
                         session: holder,
                         entity: entity(i).into(),
@@ -996,15 +982,18 @@ mod tests {
         (verdict, explorer.stats().states)
     }
 
+    /// Clean, and with the exact state counts of the encoding before the
+    /// participant became one `fsm::Entry`: a change of encoding that
+    /// splits or merges a state shows here.
     #[test]
     fn clean_configs_have_no_violations() {
-        for constraint in [
-            Constraint::And,
-            Constraint::AtLeast(1),
-            Constraint::Exactly(1),
+        for (constraint, expected) in [
+            (Constraint::And, 8),
+            (Constraint::AtLeast(1), 8),
+            (Constraint::Exactly(1), 8),
         ] {
             let (verdict, states) = explore(&model(constraint));
-            assert!(states > 1);
+            assert_eq!(states, expected, "{constraint:?}");
             assert!(
                 matches!(verdict, Verdict::Clean),
                 "{constraint:?}: {verdict:?}"

@@ -12,11 +12,11 @@
 //! (a transaction id or a negotiation session id). Taking a lock its owner
 //! already holds succeeds without deepening it: one release frees it.
 //!
-//! A `Txn` row lock lasts until released; a §4.3 entity lock is a
-//! [`Lease`], checked wherever the lock is touched (DESIGN.md §23).
+//! A key's state is one [`Entry`], §4.3's participant with its lease; the
+//! kernel runs it through [`LockManager`] and `syd-model` on its own state.
+//! A `Txn` row lock is an entry with no lease end (DESIGN.md §23).
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use syd_types::sync::{Condvar, Mutex};
@@ -56,62 +56,97 @@ impl std::fmt::Display for LockKey {
     }
 }
 
-/// The terms of a §4.3 entity lock.
-pub struct Lease {
-    /// The deployment clock the lease runs on.
-    pub clock: Arc<dyn Clock>,
-    /// How long a lease lasts from the mark that takes it.
-    pub length: Duration,
-    /// Told whose lease on which key ended. It runs under the table's
-    /// mutex, so what it journals comes before the next holder's records.
-    pub lapsed: Lapsed,
-}
+/// An instant past every lease end: [`Entry::lapse`] at it ends any lease.
+pub const PAST_EVERY_LEASE: Timestamp = Timestamp::from_micros(u64::MAX);
 
-type Lapsed = Box<dyn Fn(u64, &LockKey) + Send + Sync>;
-
-#[derive(Debug)]
-struct LockEntry {
-    /// The holder, and the instant its lease ends (`None`: a row lock,
-    /// held until released).
-    held: Option<(u64, Option<Timestamp>)>,
+/// One key's lock, and §4.3's participant: pure transitions over plain
+/// data that allocate nothing. Each returns its outcome and the session
+/// whose lease it ended first, if any.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub struct Entry {
+    /// The holder and the instant its lease ends (`None`: a row lock, or a
+    /// commit being applied; held until released).
+    pub held: Option<(u64, Option<Timestamp>)>,
     /// The last session whose lease ended on this key.
-    lapsed: Option<u64>,
+    pub lapsed: Option<u64>,
 }
 
-impl LockEntry {
-    fn owner(&self) -> Option<u64> {
+/// What a mark found.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Taken {
+    /// Another owner holds the key; nothing changed.
+    Busy,
+    /// The key was free and is now the marker's.
+    Fresh,
+    /// The marker held the key already; its lease starts again.
+    Again,
+}
+
+impl Entry {
+    /// The owner currently holding the key, if any.
+    pub fn holder(&self) -> Option<u64> {
         self.held.map(|(owner, _)| owner)
     }
 
-    /// Ends the holder's lease on `key` if it ran out by `now`: remembers
-    /// the holder and tells `lease`. Returns whether it ended.
-    fn lapse(&mut self, key: &LockKey, now: Timestamp, lease: &Lease) -> bool {
-        match self.held {
-            Some((owner, Some(until))) if until <= now => {
-                self.held = None;
-                self.lapsed = Some(owner);
-                (lease.lapsed)(owner, key);
+    /// Ends a lease that ran out by `now` and returns its holder.
+    pub fn lapse(&mut self, now: Timestamp) -> Option<u64> {
+        let (owner, _) = self
+            .held
+            .take_if(|(_, until)| until.is_some_and(|t| t <= now))?;
+        self.lapsed = Some(owner);
+        Some(owner)
+    }
+
+    /// §4.3's Mark X and Lock X by `session` on a lease of `lease` (`None`:
+    /// a row lock). A re-mark renews the lease but keeps a pinned lock.
+    pub fn mark(&mut self, now: Timestamp, session: u64, lease: Option<Duration>) -> Lapsed<Taken> {
+        let lapsed = self.lapse(now);
+        let until = lease.map(|length| now.after(length));
+        let (taken, until) = match self.held {
+            Some((holder, _)) if holder != session => return (Taken::Busy, lapsed),
+            Some((_, pinned)) => (Taken::Again, pinned.and(until)),
+            None => (Taken::Fresh, until),
+        };
+        self.held = Some((session, until));
+        (taken, lapsed)
+    }
+
+    /// Whether `session`'s commit may apply: while it holds its lease, then
+    /// pinned until its release so that it cannot lapse mid-commit, and
+    /// when sent again after its own; not once its lease lapsed here.
+    pub fn commit(&mut self, now: Timestamp, session: u64) -> Lapsed<bool> {
+        let lapsed = self.lapse(now);
+        let admitted = match &mut self.held {
+            Some((holder, until)) if *holder == session => {
+                *until = None;
                 true
             }
-            _ => false,
-        }
+            _ => self.lapsed != Some(session),
+        };
+        (admitted, lapsed)
+    }
+
+    /// §4.3's Unlock X, after an abort or an applied commit. Returns
+    /// whether `session` held the key.
+    pub fn abort(&mut self, session: u64) -> bool {
+        self.held
+            .take_if(|(holder, _)| *holder == session)
+            .is_some()
     }
 }
 
-/// Exclusive entity locks with bounded waits.
+/// A transition's outcome, and the session whose lease it ended first.
+pub type Lapsed<T> = (T, Option<u64>);
+
+/// Exclusive entity locks with bounded waits: one [`Entry`] per key.
 #[derive(Default)]
 pub struct LockManager {
     /// Held keys, and keys that remember a lapsed lease.
-    state: Mutex<BTreeMap<LockKey, LockEntry>>,
+    state: Mutex<BTreeMap<LockKey, Entry>>,
     released: Condvar,
 }
 
 impl LockManager {
-    /// Creates an empty manager.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Attempts to take `key` for `owner` without waiting.
     pub fn try_acquire(&self, owner: u64, key: &LockKey) -> bool {
         self.acquire(owner, key, Duration::ZERO).is_ok()
@@ -120,65 +155,77 @@ impl LockManager {
     /// Takes `key` for `owner` as a row lock, waiting up to `timeout` for
     /// the current holder to release. Fails with [`SydError::LockTimeout`].
     pub fn acquire(&self, owner: u64, key: &LockKey, timeout: Duration) -> SydResult<()> {
-        self.take(owner, key, timeout, None).map(drop)
+        if self.mark(owner, key, timeout, None, |_| {}) == Taken::Busy {
+            return Err(SydError::LockTimeout(key.to_string()));
+        }
+        Ok(())
     }
 
-    /// Takes `key` for `owner`, under `lease` if given, waiting up to
-    /// `wait` for a live holder (a lapsed one is ended). Returns whether it
-    /// is newly taken: `false` if `owner` held it (its lease starts again).
-    pub fn take(
+    /// [`Entry::mark`] on a lease of a length on a clock (`None`: a row
+    /// lock), reading the clock at every look while it waits up to `wait`.
+    /// `lapsed` hears of an ended lease under the table's mutex.
+    pub fn mark(
         &self,
         owner: u64,
         key: &LockKey,
         wait: Duration,
-        lease: Option<&Lease>,
-    ) -> SydResult<bool> {
+        lease: Option<(&dyn Clock, Duration)>,
+        mut lapsed: impl FnMut(u64),
+    ) -> Taken {
+        // A row lock ends no lease: it looks at the entry at the epoch.
+        let now = || lease.map_or(Timestamp::default(), |(clock, _)| clock.now());
+        let mark = |entry: &mut Entry| entry.mark(now(), owner, lease.map(|(_, length)| length));
         let deadline = Instant::now() + wait;
         let mut state = self.state.lock();
         loop {
-            let terms = lease.map(|lease| (lease, lease.clock.now()));
-            let held = Some((owner, terms.map(|(lease, now)| now.after(lease.length))));
-            let Some(entry) = state.get_mut(key) else {
-                state.insert(key.clone(), LockEntry { held, lapsed: None });
-                return Ok(true);
+            let (taken, ended) = match state.get_mut(key) {
+                Some(entry) => mark(entry),
+                None => {
+                    let mut entry = Entry::default();
+                    let step = mark(&mut entry);
+                    state.insert(key.clone(), entry);
+                    step
+                }
             };
-            if let Some((lease, now)) = terms {
-                entry.lapse(key, now, lease);
-            }
-            if entry.owner().is_none_or(|holder| holder == owner) {
-                let fresh = entry.held.is_none();
-                entry.held = held;
-                return Ok(fresh);
+            if let Some(session) = ended {
+                lapsed(session);
             }
             let now = Instant::now();
-            if now >= deadline {
-                return Err(SydError::LockTimeout(key.to_string()));
+            if taken != Taken::Busy || now >= deadline {
+                return taken;
             }
             (state, _) = self.released.wait_timeout(state, deadline - now);
         }
     }
 
-    /// Whether `owner` may apply its change to `key`: yes while it holds a
-    /// live lease there, no once its lease lapsed there (ending a lapsed
-    /// holder first), and yes to a commit sent again after its own.
-    pub fn admits(&self, owner: u64, key: &LockKey, lease: &Lease) -> bool {
+    /// Whether [`Entry::commit`] admits `owner`'s commit at `now`;
+    /// `lapsed` as in [`LockManager::mark`].
+    pub fn commit(
+        &self,
+        owner: u64,
+        key: &LockKey,
+        now: Timestamp,
+        lapsed: impl FnOnce(u64),
+    ) -> bool {
         let mut state = self.state.lock();
-        let Some(entry) = state.get_mut(key) else {
-            return true;
-        };
-        entry.lapse(key, lease.clock.now(), lease);
-        entry.owner() == Some(owner) || entry.lapsed != Some(owner)
+        let (admitted, ended) = state
+            .get_mut(key)
+            .map_or((true, None), |entry| entry.commit(now, owner));
+        if let Some(session) = ended {
+            lapsed(session);
+        }
+        admitted
     }
 
-    /// Releases `key` if `owner` holds it (a double release is harmless).
+    /// Releases `key` if `owner` holds it ([`Entry::abort`]; a double
+    /// release is harmless).
     pub fn release(&self, owner: u64, key: &LockKey) {
         let mut state = self.state.lock();
-        match state.get_mut(key) {
-            Some(entry) if entry.owner() == Some(owner) && entry.lapsed.is_some() => {
-                entry.held = None;
-            }
-            Some(entry) if entry.owner() == Some(owner) => drop(state.remove(key)),
-            _ => return,
+        if !state.get_mut(key).is_some_and(|entry| entry.abort(owner)) {
+            return;
+        }
+        if state.get(key) == Some(&Entry::default()) {
+            state.remove(key);
         }
         drop(state);
         self.released.notify_all();
@@ -189,11 +236,8 @@ impl LockManager {
         let mut state = self.state.lock();
         let mut released = false;
         state.retain(|_, entry| {
-            if entry.owner() == Some(owner) {
-                entry.held = None;
-                released = true;
-            }
-            entry.held.is_some() || entry.lapsed.is_some()
+            released |= entry.abort(owner);
+            *entry != Entry::default()
         });
         drop(state);
         if released {
@@ -201,16 +245,17 @@ impl LockManager {
         }
     }
 
-    /// Ends every held lease as if it had run out, telling `lease` of
-    /// each. Returns how many ended.
-    pub fn end_leases(&self, lease: &Lease) -> usize {
+    /// Ends every held lease as if it had run out, telling `lapsed` whose
+    /// lease ended on which key. Returns how many ended.
+    pub fn end_leases(&self, mut lapsed: impl FnMut(u64, &LockKey)) -> usize {
         let mut state = self.state.lock();
-        let end = Timestamp::from_micros(u64::MAX);
-        let ended = state
-            .iter_mut()
-            .map(|(key, entry)| entry.lapse(key, end, lease))
-            .filter(|&ended| ended)
-            .count();
+        let mut ended = 0;
+        for (key, entry) in state.iter_mut() {
+            if let Some(session) = entry.lapse(PAST_EVERY_LEASE) {
+                lapsed(session, key);
+                ended += 1;
+            }
+        }
         drop(state);
         self.released.notify_all();
         ended
@@ -218,7 +263,7 @@ impl LockManager {
 
     /// The owner currently holding `key`, if any.
     pub fn holder(&self, key: &LockKey) -> Option<u64> {
-        self.state.lock().get(key).and_then(LockEntry::owner)
+        self.state.lock().get(key).and_then(Entry::holder)
     }
 
     /// Number of held locks, lapsed leases that nothing ended included.
@@ -236,7 +281,7 @@ impl LockManager {
         self.state
             .lock()
             .iter()
-            .filter_map(|(key, entry)| Some((entry.owner()?, key.clone())))
+            .filter_map(|(key, entry)| Some((entry.holder()?, key.clone())))
             .collect()
     }
 }
@@ -245,29 +290,106 @@ impl LockManager {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // test code
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use syd_types::SimClock;
+
+    const LEASE: Duration = Duration::from_millis(50);
 
     fn key(n: i64) -> LockKey {
         LockKey::new("slots", [Value::I64(n)])
     }
 
-    type Lapses = Arc<Mutex<Vec<(u64, LockKey)>>>;
+    fn at(ms: u64) -> Timestamp {
+        Timestamp::from_micros(ms * 1000)
+    }
 
-    /// 50 ms leases on `clock`, and the lapses they report.
-    fn terms(clock: &SimClock) -> (Lease, Lapses) {
-        let lapses = Lapses::default();
-        let log = Arc::clone(&lapses);
-        let lease = Lease {
-            clock: Arc::new(clock.clone()),
-            length: Duration::from_millis(50),
-            lapsed: Box::new(move |session, key| log.lock().push((session, key.clone()))),
-        };
-        (lease, lapses)
+    /// A mark on a 50 ms lease, and whose lease it ended.
+    fn mark(lm: &LockManager, clock: &SimClock, owner: u64, n: i64) -> (Taken, Option<u64>) {
+        let mut ended = None;
+        let taken = lm.mark(owner, &key(n), Duration::ZERO, Some((clock, LEASE)), |s| {
+            ended = Some(s);
+        });
+        (taken, ended)
+    }
+
+    /// Whether a commit now is admitted, and whose lease it ended.
+    fn commit(lm: &LockManager, clock: &SimClock, owner: u64, n: i64) -> (bool, Option<u64>) {
+        let mut ended = None;
+        let admitted = lm.commit(owner, &key(n), clock.now(), |s| ended = Some(s));
+        (admitted, ended)
+    }
+
+    #[test]
+    fn entry_mark_takes_a_free_key_and_turns_others_away() {
+        let mut entry = Entry::default();
+        assert_eq!(entry.mark(at(0), 1, Some(LEASE)), (Taken::Fresh, None));
+        assert_eq!(entry.mark(at(10), 2, Some(LEASE)), (Taken::Busy, None));
+        assert_eq!(entry.held, Some((1, Some(at(50)))));
+        assert_eq!(entry.mark(at(10), 1, Some(LEASE)), (Taken::Again, None));
+        assert_eq!(
+            entry.held,
+            Some((1, Some(at(60)))),
+            "the lease starts again"
+        );
+        assert!(!entry.abort(2));
+        assert!(entry.abort(1));
+        assert!(!entry.abort(1), "a second release is a no-op");
+        assert_eq!(entry, Entry::default());
+    }
+
+    #[test]
+    fn entry_lapse_ends_only_a_run_out_lease() {
+        let mut entry = Entry::default();
+        entry.mark(at(0), 1, Some(LEASE));
+        assert_eq!(entry.lapse(at(49)), None);
+        assert_eq!(entry.lapse(at(50)), Some(1));
+        assert_eq!(
+            entry,
+            Entry {
+                held: None,
+                lapsed: Some(1)
+            }
+        );
+        assert_eq!(entry.lapse(PAST_EVERY_LEASE), None);
+
+        let mut row = Entry::default();
+        row.mark(at(0), 7, None);
+        assert_eq!(row.lapse(PAST_EVERY_LEASE), None, "a row lock has no lease");
+        assert_eq!(row.holder(), Some(7));
+    }
+
+    #[test]
+    fn entry_commit_refuses_only_a_lapsed_session() {
+        let mut entry = Entry::default();
+        entry.mark(at(0), 1, Some(LEASE));
+        // The next mark past the lease ends it and takes the key over.
+        assert_eq!(entry.mark(at(60), 2, Some(LEASE)), (Taken::Fresh, Some(1)));
+        assert_eq!(entry.commit(at(61), 1), (false, None));
+        assert_eq!(entry.commit(at(61), 3), (true, None), "a commit sent again");
+        // A commit past its own lease end ends it and is refused.
+        assert_eq!(entry.commit(at(200), 2), (false, Some(2)));
+        assert_eq!(entry.holder(), None);
+    }
+
+    /// An admitted commit pins its entry: it cannot lapse while the change
+    /// is applied, and its release frees the key.
+    #[test]
+    fn entry_an_admitted_commit_cannot_lapse() {
+        let mut entry = Entry::default();
+        entry.mark(at(0), 1, Some(LEASE));
+        assert_eq!(entry.commit(at(49), 1), (true, None));
+        assert_eq!(entry.held, Some((1, None)));
+        assert_eq!(entry.lapse(PAST_EVERY_LEASE), None);
+        assert_eq!(entry.mark(at(100), 2, Some(LEASE)), (Taken::Busy, None));
+        assert_eq!(entry.mark(at(100), 1, Some(LEASE)), (Taken::Again, None));
+        assert_eq!(entry.held, Some((1, None)), "a re-mark keeps the pin");
+        assert!(entry.abort(1));
+        assert_eq!(entry.mark(at(100), 2, Some(LEASE)), (Taken::Fresh, None));
     }
 
     #[test]
     fn exclusive_between_owners() {
-        let lm = LockManager::new();
+        let lm = LockManager::default();
         assert!(lm.try_acquire(1, &key(5)));
         assert!(!lm.try_acquire(2, &key(5)));
         assert_eq!(lm.holder(&key(5)), Some(1));
@@ -277,7 +399,7 @@ mod tests {
 
     #[test]
     fn acquire_times_out() {
-        let lm = LockManager::new();
+        let lm = LockManager::default();
         lm.try_acquire(1, &key(7));
         let err = lm
             .acquire(2, &key(7), Duration::from_millis(30))
@@ -288,7 +410,7 @@ mod tests {
 
     #[test]
     fn acquire_succeeds_when_released_concurrently() {
-        let lm = Arc::new(LockManager::new());
+        let lm = Arc::new(LockManager::default());
         lm.try_acquire(1, &key(9));
         let lm2 = Arc::clone(&lm);
         let waiter = std::thread::spawn(move || lm2.acquire(2, &key(9), Duration::from_secs(2)));
@@ -300,7 +422,7 @@ mod tests {
 
     #[test]
     fn release_all_frees_every_lock() {
-        let lm = LockManager::new();
+        let lm = LockManager::default();
         for n in 0..10 {
             lm.try_acquire(1, &key(n));
         }
@@ -313,7 +435,7 @@ mod tests {
 
     #[test]
     fn release_by_non_owner_is_ignored() {
-        let lm = LockManager::new();
+        let lm = LockManager::default();
         lm.try_acquire(1, &key(3));
         lm.release(2, &key(3));
         assert_eq!(lm.holder(&key(3)), Some(1));
@@ -321,7 +443,7 @@ mod tests {
 
     #[test]
     fn distinct_keys_do_not_conflict() {
-        let lm = LockManager::new();
+        let lm = LockManager::default();
         assert!(lm.try_acquire(1, &key(1)));
         assert!(lm.try_acquire(2, &key(2)));
         assert!(lm.try_acquire(3, &LockKey::new("other", [Value::I64(1)])));
@@ -330,7 +452,7 @@ mod tests {
     #[test]
     fn contended_acquire_stress() {
         // 8 threads × 50 increments behind one lock: no lost updates.
-        let lm = Arc::new(LockManager::new());
+        let lm = Arc::new(LockManager::default());
         let counter = Arc::new(Mutex::new(0u32));
         let mut handles = Vec::new();
         for owner in 0..8u64 {
@@ -356,7 +478,7 @@ mod tests {
 
     #[test]
     fn held_snapshot_and_per_owner_views() {
-        let lm = LockManager::new();
+        let lm = LockManager::default();
         lm.try_acquire(1, &key(1));
         lm.try_acquire(1, &key(2));
         lm.try_acquire(2, &key(3));
@@ -370,16 +492,15 @@ mod tests {
     /// release frees it, however often it was taken.
     #[test]
     fn reacquiring_a_held_lock_is_idempotent() {
-        let lm = LockManager::new();
-        let (lease, lapses) = terms(&SimClock::new());
-        assert!(lm.take(1, &key(5), Duration::ZERO, Some(&lease)).unwrap());
-        assert!(!lm.take(1, &key(5), Duration::ZERO, Some(&lease)).unwrap());
+        let lm = LockManager::default();
+        let clock = SimClock::new();
+        assert_eq!(mark(&lm, &clock, 1, 5), (Taken::Fresh, None));
+        assert_eq!(mark(&lm, &clock, 1, 5), (Taken::Again, None));
         assert!(lm.try_acquire(2, &key(6)));
         assert!(lm.try_acquire(2, &key(6)));
         lm.release(1, &key(5));
         lm.release(2, &key(6));
         assert_eq!(lm.held_count(), 0);
-        assert!(lapses.lock().is_empty());
     }
 
     /// A lapsed lease blocks nobody: the next mark takes the key over and
@@ -387,23 +508,23 @@ mod tests {
     /// not even after the new holder let go.
     #[test]
     fn a_lapsed_lease_is_taken_over() {
-        let lm = LockManager::new();
+        let lm = LockManager::default();
         let clock = SimClock::new();
-        let (lease, lapses) = terms(&clock);
-        assert!(lm.take(1, &key(5), Duration::ZERO, Some(&lease)).unwrap());
+        assert_eq!(mark(&lm, &clock, 1, 5).0, Taken::Fresh);
+        assert_eq!(mark(&lm, &clock, 1, 6).0, Taken::Fresh);
         clock.advance(Duration::from_millis(49));
-        assert!(lm.take(2, &key(5), Duration::ZERO, Some(&lease)).is_err());
-        assert!(lm.admits(1, &key(5), &lease));
+        assert_eq!(mark(&lm, &clock, 2, 5), (Taken::Busy, None));
+        // A live holder's commit is admitted (on a twin key: it pins).
+        assert_eq!(commit(&lm, &clock, 1, 6), (true, None));
+        lm.release(1, &key(6));
 
         clock.advance(Duration::from_millis(1));
-        assert!(lm.take(2, &key(5), Duration::ZERO, Some(&lease)).unwrap());
-        assert_eq!(*lapses.lock(), vec![(1, key(5))]);
+        assert_eq!(mark(&lm, &clock, 2, 5), (Taken::Fresh, Some(1)));
         assert_eq!(lm.holder(&key(5)), Some(2));
-        assert!(!lm.admits(1, &key(5), &lease));
-        assert!(lm.admits(2, &key(5), &lease));
+        assert_eq!(commit(&lm, &clock, 1, 5), (false, None));
         lm.release(2, &key(5));
-        assert!(!lm.admits(1, &key(5), &lease));
-        assert!(lm.admits(3, &key(5), &lease));
+        assert_eq!(commit(&lm, &clock, 1, 5), (false, None));
+        assert_eq!(commit(&lm, &clock, 3, 5), (true, None));
         assert_eq!(lm.held_count(), 0);
     }
 
@@ -411,38 +532,58 @@ mod tests {
     /// waiting lapses when the commit looks at it.
     #[test]
     fn a_lease_lapses_when_next_touched() {
-        let lm = LockManager::new();
+        let lm = LockManager::default();
         let clock = SimClock::new();
-        let (lease, lapses) = terms(&clock);
-        lm.take(1, &key(5), Duration::ZERO, Some(&lease)).unwrap();
+        mark(&lm, &clock, 1, 5);
         clock.advance(Duration::from_millis(40));
-        assert!(!lm.take(1, &key(5), Duration::ZERO, Some(&lease)).unwrap());
+        assert_eq!(mark(&lm, &clock, 1, 5).0, Taken::Again);
         clock.advance(Duration::from_millis(40));
-        assert!(lm.admits(1, &key(5), &lease), "the re-mark renewed it");
+        // Without the renewal the lease ended at 50 ms and this took it.
+        assert_eq!(
+            mark(&lm, &clock, 2, 5),
+            (Taken::Busy, None),
+            "the re-mark renewed it"
+        );
 
         clock.advance(Duration::from_millis(10));
         assert_eq!(lm.held_count(), 1, "nothing ends a lease but a touch");
-        assert!(!lm.admits(1, &key(5), &lease));
-        assert_eq!(*lapses.lock(), vec![(1, key(5))]);
+        assert_eq!(commit(&lm, &clock, 1, 5), (false, Some(1)));
         assert_eq!(lm.held_count(), 0);
         // Its own re-mark takes the key afresh, and it may commit again.
-        assert!(lm.take(1, &key(5), Duration::ZERO, Some(&lease)).unwrap());
-        assert!(lm.admits(1, &key(5), &lease));
+        assert_eq!(mark(&lm, &clock, 1, 5).0, Taken::Fresh);
+        assert_eq!(commit(&lm, &clock, 1, 5), (true, None));
+    }
+
+    /// A commit being applied cannot lapse: once admitted, its lock holds
+    /// past the lease end until its release, and nobody takes it over.
+    #[test]
+    fn a_commit_being_applied_cannot_lapse() {
+        let lm = LockManager::default();
+        let clock = SimClock::new();
+        mark(&lm, &clock, 1, 5);
+        assert_eq!(commit(&lm, &clock, 1, 5), (true, None));
+        clock.advance(LEASE * 3);
+        assert_eq!(mark(&lm, &clock, 2, 5), (Taken::Busy, None));
+        assert_eq!(lm.end_leases(|_, _| {}), 0);
+        assert_eq!(lm.holder(&key(5)), Some(1));
+        lm.release(1, &key(5));
+        assert_eq!(mark(&lm, &clock, 2, 5), (Taken::Fresh, None));
     }
 
     /// Ending every lease is a lapse of each held one; row locks stay.
     #[test]
     fn end_leases_lapses_every_lease_and_no_row_lock() {
-        let lm = LockManager::new();
-        let (lease, lapses) = terms(&SimClock::new());
-        lm.take(1, &key(1), Duration::ZERO, Some(&lease)).unwrap();
-        lm.take(2, &key(2), Duration::ZERO, Some(&lease)).unwrap();
+        let lm = LockManager::default();
+        let clock = SimClock::new();
+        mark(&lm, &clock, 1, 1);
+        mark(&lm, &clock, 2, 2);
         assert!(lm.try_acquire(3, &key(3)));
-        assert_eq!(lm.end_leases(&lease), 2);
-        assert_eq!(*lapses.lock(), vec![(1, key(1)), (2, key(2))]);
+        let mut lapses = Vec::new();
+        assert_eq!(lm.end_leases(|s, k| lapses.push((s, k.clone()))), 2);
+        assert_eq!(lapses, vec![(1, key(1)), (2, key(2))]);
         assert_eq!(lm.held(), vec![(3, key(3))]);
-        assert!(!lm.admits(1, &key(1), &lease));
-        assert_eq!(lm.end_leases(&lease), 0);
+        assert!(!commit(&lm, &clock, 1, 1).0);
+        assert_eq!(lm.end_leases(|_, _| {}), 0);
     }
 
     #[test]

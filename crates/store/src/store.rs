@@ -49,7 +49,7 @@ impl Store {
             inner: Arc::new(StoreInner {
                 tables: RwLock::new(HashMap::new()),
                 triggers: RwLock::new(Vec::new()),
-                locks: LockManager::new(),
+                locks: LockManager::default(),
                 next_txn: AtomicU64::new(1),
             }),
         }

@@ -94,31 +94,25 @@ impl Txn {
             .collect();
         keys.sort();
         keys.dedup();
-        for key in &keys {
-            self.store
-                .locks()
-                .acquire(self.id, key, self.lock_timeout)?;
-        }
-        Ok(())
+        keys.iter().try_for_each(|key| self.lock(key))
+    }
+
+    /// Takes one row lock, waiting up to the transaction's bound.
+    fn lock(&self, key: &LockKey) -> SydResult<()> {
+        self.store.locks().acquire(self.id, key, self.lock_timeout)
     }
 
     /// Explicitly locks one row by primary key — the `Mark X and Lock X`
     /// step of §4.3, usable before a later update in the same transaction.
     pub fn lock_row(&self, table: &str, key: &[Value]) -> SydResult<()> {
-        let lock_key = LockKey::new(table, key.to_vec());
-        self.store
-            .locks()
-            .acquire(self.id, &lock_key, self.lock_timeout)
+        self.lock(&LockKey::new(table, key.to_vec()))
     }
 
     /// Inserts a row (locking its primary key first when one exists).
     pub fn insert(&mut self, table: &str, values: Vec<Value>) -> SydResult<RowId> {
         let schema = self.store.schema_of(table)?;
         if schema.has_primary_key() {
-            let lock_key = LockKey::new(table, schema.key_of(&values));
-            self.store
-                .locks()
-                .acquire(self.id, &lock_key, self.lock_timeout)?;
+            self.lock(&LockKey::new(table, schema.key_of(&values)))?;
         }
         let row_id = self.store.insert(table, values)?;
         self.undo.push(Undo::Insert {

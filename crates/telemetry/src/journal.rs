@@ -112,7 +112,7 @@ pub enum Event {
         session: u64,
         /// Released entity.
         entity: Text,
-        /// Why (`coordinator-abort`, `lease`).
+        /// Why (`coordinator-abort`, `lease`, `commit-unwound`).
         reason: &'static str,
     },
     /// Coordinator opened a negotiation session.
