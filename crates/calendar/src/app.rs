@@ -9,6 +9,7 @@
 //! Scheduling *operations* (schedule / reconcile / cancel / change /
 //! leave / bump) live in [`crate::app::ops`] as methods on the same type.
 
+mod busy;
 pub mod ops;
 
 use std::collections::HashMap;
@@ -21,11 +22,13 @@ use syd_store::{Column, ColumnType, Predicate, Schema, Store};
 use syd_telemetry::names;
 use syd_telemetry::{Counter, Histogram};
 use syd_types::sync::{blocking, Mutex, MutexGuard};
+use syd_types::time::SLOTS_PER_DAY;
 use syd_types::{
     MeetingId, Priority, ServiceName, SlotBitmap, SlotRange, SydError, SydResult, Text, TimeSlot,
     UserId, Value,
 };
 
+use self::busy::BusyWords;
 use crate::mailbox::Mailbox;
 use crate::model::{parse_slot_entity, slot_entity, Meeting, MeetingStatus, SlotState};
 
@@ -42,6 +45,11 @@ pub(crate) const T_MEETINGS: &str = "meetings";
 /// An availability link exists nowhere else, so only these users are ever
 /// sent a `drop_availability`.
 pub(crate) const T_AVAILQ: &str = "availq";
+
+/// The longest window `free_slots_bitmap` answers, in slots: a leap year
+/// of hours. A longer one, or a negative bound, is refused before
+/// anything is allocated for it.
+pub const MAX_FREE_WINDOW: u64 = 366 * SLOTS_PER_DAY as u64;
 
 /// Creates the two tables a proxy replicates (§5.2), on the device and the
 /// replica alike: slot rows, and meeting records as their encoded bytes.
@@ -74,6 +82,10 @@ pub struct CalendarApp {
     pub(crate) store: Store,
     pub(crate) mailbox: Arc<Mailbox>,
     pub(crate) metrics: CalendarMetrics,
+    /// The ordinals with a `slots` row. Only [`CalendarApp::set_slot`] and
+    /// [`CalendarApp::clear_slot`] write a row, and each holds this guard
+    /// across the write: a bit never disagrees with its row.
+    busy: Mutex<BusyWords>,
     next_meeting: AtomicU64,
     /// Per-meeting serialization of reconcile rounds: an entry lives while
     /// a [`ReconcileGuard`] of the meeting does.
@@ -99,6 +111,11 @@ impl CalendarApp {
     pub fn install(device: &DeviceRuntime) -> SydResult<Arc<CalendarApp>> {
         let store = device.store().clone();
         create_replicated_tables(&store)?;
+        let mut busy = BusyWords::default();
+        store.visit(T_SLOTS, &Predicate::True, |row| {
+            busy.insert(row[0].as_i64()? as u64);
+            Ok(())
+        })?;
         store.create_table(Schema::new(
             T_AVAILQ,
             vec![
@@ -121,6 +138,7 @@ impl CalendarApp {
             store,
             mailbox,
             metrics,
+            busy: Mutex::new(busy),
             next_meeting: AtomicU64::new(1),
             reconcile_locks: Mutex::new(HashMap::new()),
             rescheduling: Mutex::new(Vec::new()),
@@ -186,6 +204,8 @@ impl CalendarApp {
         Ok(slot_of(&self.store, ordinal)?.1)
     }
 
+    /// Writes `ordinal`'s row: an update if the slot has one (its bit is
+    /// set), else an insert.
     pub(crate) fn set_slot(
         &self,
         ordinal: u64,
@@ -193,38 +213,42 @@ impl CalendarApp {
         meeting: Option<MeetingId>,
         priority: Priority,
     ) -> SydResult<()> {
-        let row = vec![
-            Value::from(ordinal),
-            Value::str(status),
-            meeting.map_or(Value::Null, |m| Value::from(m.raw())),
-            Value::from(priority.level() as u32),
-        ];
-        if self
-            .store
-            .get_by_key(T_SLOTS, &[Value::from(ordinal)])?
-            .is_some()
-        {
+        let key = Value::from(ordinal);
+        let status = Value::str(status);
+        let meeting = meeting.map_or(Value::Null, |m| Value::from(m.raw()));
+        let priority = Value::from(priority.level() as u32);
+        let mut busy = self.busy.lock();
+        if busy.contains(ordinal) {
             self.store.update(
                 T_SLOTS,
-                &Predicate::Eq("ordinal".into(), Value::from(ordinal)),
+                &Predicate::Eq("ordinal".into(), key),
                 &[
-                    ("status".into(), row[1].clone()),
-                    ("meeting".into(), row[2].clone()),
-                    ("priority".into(), row[3].clone()),
+                    ("status".into(), status),
+                    ("meeting".into(), meeting),
+                    ("priority".into(), priority),
                 ],
             )?;
         } else {
-            self.store.insert(T_SLOTS, row)?;
+            self.store
+                .insert(T_SLOTS, vec![key, status, meeting, priority])?;
+            busy.insert(ordinal);
         }
         Ok(())
     }
 
-    pub(crate) fn clear_slot(&self, ordinal: u64) -> SydResult<()> {
-        self.store.delete(
-            T_SLOTS,
-            &Predicate::Eq("ordinal".into(), Value::from(ordinal)),
-        )?;
-        Ok(())
+    /// Deletes `ordinal`'s row — only if `held_by` holds the slot, when
+    /// given — and returns whether there was a row to delete.
+    pub(crate) fn clear_slot(&self, ordinal: u64, held_by: Option<MeetingId>) -> SydResult<bool> {
+        let mut pred = Predicate::Eq("ordinal".into(), Value::from(ordinal));
+        if let Some(meeting) = held_by {
+            pred = pred.and(Predicate::Eq("meeting".into(), Value::from(meeting.raw())));
+        }
+        let mut busy = self.busy.lock();
+        let deleted = self.store.delete(T_SLOTS, &pred)? > 0;
+        if deleted {
+            busy.remove(ordinal);
+        }
+        Ok(deleted)
     }
 
     /// Marks a personal (non-meeting) engagement.
@@ -242,7 +266,7 @@ impl CalendarApp {
     pub fn free_personal(&self, slot: TimeSlot) -> SydResult<()> {
         match self.slot_state(slot.ordinal())? {
             SlotState::Busy => {
-                self.clear_slot(slot.ordinal())?;
+                self.clear_slot(slot.ordinal(), None)?;
                 self.on_slot_freed(slot.ordinal());
                 Ok(())
             }
@@ -272,9 +296,19 @@ impl CalendarApp {
 
     /// Availability over `[start, end)` ordinals as a packed bitmap (set
     /// bit = free). Same answer as [`CalendarApp::free_ordinals`] but one
-    /// bit per slot on the wire, whatever the calendar's density.
+    /// bit per slot on the wire, whatever the calendar's density. Built
+    /// from the busy bits alone: no row is read (debug builds check the
+    /// answer against the rows).
     pub fn free_bitmap(&self, start: u64, end: u64) -> SydResult<SlotBitmap> {
-        free_bitmap_of(&self.store, start, end)
+        let busy = self.busy.lock();
+        let bm = busy.free_bitmap(start, end);
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            bm,
+            free_bitmap_of(&self.store, start, end)?,
+            "the busy bits disagree with the slot rows over [{start}, {end})"
+        );
+        Ok(bm)
     }
 
     // ---- local meeting records -----------------------------------------------
@@ -507,8 +541,7 @@ impl EntityHandler for SlotEntityHandler {
             }
             "release" => {
                 let meeting = MeetingId::new(change.get("meeting")?.as_i64()? as u64);
-                if app.slot_state(ordinal)?.meeting() == Some(meeting) {
-                    app.clear_slot(ordinal)?;
+                if app.clear_slot(ordinal, Some(meeting))? {
                     app.on_slot_freed(ordinal);
                 }
                 Ok(())
@@ -595,8 +628,7 @@ impl CalendarApp {
             "free_slots_bitmap",
             Arc::new(move |_ctx, args: &[Value]| {
                 let app = weak.upgrade().ok_or(SydError::Shutdown)?;
-                let start = arg(args, 0)?.as_i64()? as u64;
-                let end = arg(args, 1)?.as_i64()? as u64;
+                let (start, end) = window_args(args)?;
                 Ok(Value::Bytes(app.free_bitmap(start, end)?.pack()))
             }),
         );
@@ -752,10 +784,31 @@ impl CalendarApp {
     }
 }
 
-/// [`CalendarApp::free_bitmap`] over any store holding the `slots` table:
-/// the device's own, or the replica a proxy answers from. The occupied
-/// rows of the range are read in place; the bitmap is all it allocates.
-pub(crate) fn free_bitmap_of(store: &Store, start: u64, end: u64) -> SydResult<SlotBitmap> {
+/// The `[start, end)` window of a `free_slots_bitmap` request, checked
+/// where it enters: a negative bound, or a window longer than
+/// [`MAX_FREE_WINDOW`], is a protocol error.
+pub(crate) fn window_args(args: &[Value]) -> SydResult<(u64, u64)> {
+    let bound = |i| {
+        let n = arg(args, i)?.as_i64()?;
+        u64::try_from(n)
+            .map_err(|_| SydError::Protocol(format!("free_slots_bitmap: negative bound {n}")))
+    };
+    let (start, end) = (bound(0)?, bound(1)?);
+    if end.saturating_sub(start) > MAX_FREE_WINDOW {
+        return Err(SydError::Protocol(format!(
+            "free_slots_bitmap: a window of {} slots is longer than {MAX_FREE_WINDOW}",
+            end - start
+        )));
+    }
+    Ok((start, end))
+}
+
+/// [`CalendarApp::free_bitmap`] by a scan of the `slots` rows of any store
+/// holding the table. A proxy answers from its replica this way, which
+/// has no busy bits; on a device it is the reference the bits are
+/// checked against. The occupied rows of the range are read in place;
+/// the bitmap is all it allocates.
+pub fn free_bitmap_of(store: &Store, start: u64, end: u64) -> SydResult<SlotBitmap> {
     let end = end.max(start);
     let range = SlotRange::new(TimeSlot::from_ordinal(start), TimeSlot::from_ordinal(end));
     let mut bm = SlotBitmap::all_free(range);
@@ -856,9 +909,8 @@ impl CalendarApp {
             }
             self.put_meeting(rec)?;
         }
-        let held = self.slot_state(ordinal)?.meeting() == Some(meeting);
+        let held = self.clear_slot(ordinal, Some(meeting))?;
         if held {
-            self.clear_slot(ordinal)?;
             if let Some(rec) = rec
                 .as_ref()
                 .filter(|r| cancelled && r.initiator != self.user())

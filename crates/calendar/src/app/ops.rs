@@ -78,6 +78,8 @@ impl CalendarApp {
         participants: &[UserId],
         range: SlotRange,
     ) -> SydResult<Vec<TimeSlot>> {
+        // One find = one trace: the members' calls form one tree.
+        let _op_span = self.device.node().tracer().span(names::SPAN_FIND);
         let start = range.start.ordinal();
         let end = range.end.ordinal();
         // Local view first.

@@ -19,14 +19,14 @@ use syd_store::Store;
 use syd_types::{MeetingId, SydResult, UserId, Value};
 
 use crate::app::{
-    arg, calendar_service, create_replicated_tables, free_bitmap_of, slot_status_of, CalendarApp,
+    arg, calendar_service, create_replicated_tables, free_bitmap_of, slot_status_of, window_args,
+    CalendarApp,
 };
 use crate::model::Meeting;
 
 fn free_slots_bitmap_method() -> ProxyMethod {
     Arc::new(|_ctx, store: &Store, args: &[Value]| {
-        let start = arg(args, 0)?.as_i64()? as u64;
-        let end = arg(args, 1)?.as_i64()? as u64;
+        let (start, end) = window_args(args)?;
         Ok(Value::Bytes(free_bitmap_of(store, start, end)?.pack()))
     })
 }
@@ -254,5 +254,17 @@ mod tests {
                 started.elapsed()
             );
         }
+        // The replica checks a window as the device does.
+        let err = suzy
+            .device()
+            .engine()
+            .invoke(
+                phil.user(),
+                &calendar_service(),
+                "free_slots_bitmap",
+                vec![Value::from(0u64), Value::from(u64::MAX)],
+            )
+            .unwrap_err();
+        assert!(matches!(err, SydError::Protocol(_)), "{err}");
     }
 }

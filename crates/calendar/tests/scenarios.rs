@@ -475,6 +475,42 @@ fn free_slots_bitmap_service_answers_packed_bytes() {
 }
 
 #[test]
+fn free_slots_bitmap_refuses_a_window_before_allocating_for_it() {
+    use syd_calendar::app::MAX_FREE_WINDOW;
+    use syd_types::{SlotBitmap, SydError};
+    let (_env, apps) = rig(2);
+    let ask = |start: Value, end: Value| {
+        apps[0].device().engine().invoke(
+            apps[1].user(),
+            &syd_calendar::app::calendar_service(),
+            "free_slots_bitmap",
+            vec![start, end],
+        )
+    };
+    for (start, end) in [
+        // u64::MAX on the wire is -1: a negative bound.
+        (Value::from(0u64), Value::from(u64::MAX)),
+        (Value::I64(-24), Value::from(24u64)),
+        (Value::from(0u64), Value::from(MAX_FREE_WINDOW + 1)),
+        (Value::from(100u64), Value::from(i64::MAX as u64)),
+    ] {
+        let err = ask(start.clone(), end.clone()).unwrap_err();
+        assert!(
+            matches!(err, SydError::Protocol(_)),
+            "[{start}, {end}): {err}"
+        );
+    }
+    // A leap year of hours is answered, and so is a reversed window.
+    let year = ask(Value::from(24u64), Value::from(24 + MAX_FREE_WINDOW)).unwrap();
+    let year = SlotBitmap::unpack(year.as_bytes().unwrap()).unwrap();
+    assert_eq!(u64::from(year.count_free()), MAX_FREE_WINDOW);
+    let none = ask(Value::from(48u64), Value::from(24u64)).unwrap();
+    assert!(SlotBitmap::unpack(none.as_bytes().unwrap())
+        .unwrap()
+        .is_empty());
+}
+
+#[test]
 fn concurrent_initiators_cannot_double_book_a_slot() {
     let (_env, apps) = rig(4);
     let slot = TimeSlot::new(11, 9);

@@ -899,6 +899,9 @@ impl LinksModule {
     /// eventually collect them (the paper's mobile devices tolerate
     /// exactly this kind of stale state).
     fn forward_cascade(&self, corr: &str, mut visited: Vec<u64>, peers: &[UserId]) -> Vec<UserId> {
+        if peers.is_empty() {
+            return Vec::new();
+        }
         visited.extend(peers.iter().map(|p| p.raw()));
         let round = self.engine.invoke_group(
             peers,

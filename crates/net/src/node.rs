@@ -408,18 +408,28 @@ impl Node {
         let mut outstanding: Vec<usize> = (0..calls.len()).collect();
         let node = &self.shared; // so syd-lint's call graph resolves `node.collect`
         for wave in 0..=opts.retries {
-            let mut routes = route(&outstanding).into_iter();
+            let routes = route(&outstanding);
             let mut sent = Vec::with_capacity(outstanding.len());
-            // A routing error is final; a failed send stays for the retry below.
-            outstanding.retain(|&i| match routes.next() {
-                Some(Ok(addr)) => {
+            // Every remote request leaves before a self-call is submitted:
+            // a self-call may be served at once, and would hold back the
+            // sends behind it. A failed send stays for the retry below.
+            for self_calls in [false, true] {
+                for (&i, to) in outstanding.iter().zip(&routes) {
+                    let Ok(addr) = *to else { continue };
+                    if (addr == node.addr) != self_calls {
+                        continue;
+                    }
                     let c = &calls[i];
                     match self.call_async_to(addr, c.user, c.service, c.method, c.args.clone()) {
                         Ok(pending) => sent.push((i, pending)),
                         Err(err) => results[i] = Err(err),
                     }
-                    true
                 }
+            }
+            // A routing error is final.
+            let mut routes = routes.into_iter();
+            outstanding.retain(|&i| match routes.next() {
+                Some(Ok(_)) => true,
                 Some(Err(err)) => {
                     results[i] = Err(err);
                     false
@@ -1348,6 +1358,39 @@ mod tests {
             "only the remote half is framed"
         );
         assert_eq!(client.shared.pending.lock().len(), 0);
+    }
+
+    #[test]
+    fn a_self_call_is_served_after_every_remote_request_of_its_wave_left() {
+        let net = Network::ideal();
+        let remotes: Vec<Node> = (0..8).map(|_| echo_node(&net)).collect();
+        let node = Node::spawn(&net);
+        let seen = net.clone();
+        // The self-call answers with the frames sent so far.
+        node.set_handler(Arc::new(move |_: NodeAddr, _: Request| {
+            Ok(Value::from(frames_out(&seen)))
+        }));
+        let svc = ServiceName::new("svc");
+        let calls: Vec<Call<'_>> = (0..=remotes.len())
+            .map(|_| Call::new(UserId::default(), &svc, "m", vec![]))
+            .collect();
+        // The self-call first in the roster, as an initiator's own is.
+        let addrs: Vec<NodeAddr> = std::iter::once(node.addr())
+            .chain(remotes.iter().map(Node::addr))
+            .collect();
+        for _ in 0..20 {
+            let before = frames_out(&net);
+            let results = node.call_many(&calls, CallOptions::new(), &mut |idx| {
+                idx.iter().map(|&i| Ok(addrs[i])).collect()
+            });
+            let at_self = results[0].as_ref().unwrap().as_i64().unwrap() as u64;
+            assert!(
+                at_self >= before + remotes.len() as u64,
+                "the self-call ran after {} of {} remote sends",
+                at_self - before,
+                remotes.len()
+            );
+        }
     }
 
     #[test]

@@ -113,6 +113,9 @@ pub const SPAN_TRANSPORT_QUEUE: &str = "transport.queue";
 pub const SPAN_LOCK_WAIT: &str = "device.lock_wait";
 /// Span: one end-to-end `schedule_meeting` negotiation (root span).
 pub const SPAN_SCHEDULE: &str = "calendar.schedule_op";
+/// Span: one `find_common_slots` query, initiator side (root span): the
+/// members' `free_slots_bitmap` calls nest beneath it as one tree.
+pub const SPAN_FIND: &str = "calendar.find_op";
 /// Span: one reconcile pass over the local store (root span).
 pub const SPAN_RECONCILE: &str = "calendar.reconcile_op";
 /// Span: one meeting cancellation, initiator side (root span); the §4.4
@@ -167,6 +170,7 @@ pub const ALL: &[&str] = &[
     SPAN_TRANSPORT_QUEUE,
     SPAN_LOCK_WAIT,
     SPAN_SCHEDULE,
+    SPAN_FIND,
     SPAN_RECONCILE,
     SPAN_CANCEL,
     SPAN_HOUSEKEEPING,

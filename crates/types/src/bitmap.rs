@@ -51,6 +51,19 @@ impl SlotBitmap {
         SlotBitmap { start, len, words }
     }
 
+    /// A bitmap over `range` in which a slot is free unless `busy_from`
+    /// marks it busy. `busy_from(o)` returns the busy bits of the 64
+    /// slots from ordinal `o` (bit `j` is slot `o + j`); it is asked once
+    /// per word, for `o` = the window's start, then every 64 slots on.
+    pub fn from_busy(range: SlotRange, mut busy_from: impl FnMut(u64) -> u64) -> SlotBitmap {
+        let (start, len) = range_bounds(range);
+        let mut words: Vec<u64> = (0..word_count(len) as u64)
+            .map(|w| !busy_from(start + w * 64))
+            .collect();
+        mask_trailing(&mut words, len);
+        SlotBitmap { start, len, words }
+    }
+
     /// Builds a bitmap over `range` with exactly `free` marked free.
     /// Slots outside the window are ignored.
     pub fn from_free_slots<I>(range: SlotRange, free: I) -> SlotBitmap
