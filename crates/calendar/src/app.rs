@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
-use syd_core::links::{LinkKind, LinkSpec, LinkStatus};
+use syd_core::links::LinkSpec;
 use syd_core::{DeviceRuntime, EntityHandler, SubscriptionHandler};
 use syd_store::{Column, ColumnType, Predicate, Schema, Store};
 use syd_telemetry::names;
@@ -230,7 +230,7 @@ impl CalendarApp {
             )?;
         } else {
             self.store
-                .insert(T_SLOTS, vec![key, status, meeting, priority])?;
+                .insert(T_SLOTS, [key, status, meeting, priority])?;
             busy.insert(ordinal);
         }
         Ok(())
@@ -239,12 +239,16 @@ impl CalendarApp {
     /// Deletes `ordinal`'s row — only if `held_by` holds the slot, when
     /// given — and returns whether there was a row to delete.
     pub(crate) fn clear_slot(&self, ordinal: u64, held_by: Option<MeetingId>) -> SydResult<bool> {
-        let mut pred = Predicate::Eq("ordinal".into(), Value::from(ordinal));
-        if let Some(meeting) = held_by {
-            pred = pred.and(Predicate::Eq("meeting".into(), Value::from(meeting.raw())));
-        }
+        let key = Value::from(ordinal);
         let mut busy = self.busy.lock();
-        let deleted = self.store.delete(T_SLOTS, &pred)? > 0;
+        // The guard keeps the row as read here until the delete.
+        let row = || self.store.get_by_key(T_SLOTS, std::slice::from_ref(&key));
+        if let Some(m) = held_by {
+            if !row()?.is_some_and(|row| row.values[2] == Value::from(m.raw())) {
+                return Ok(false);
+            }
+        }
+        let deleted = (self.store).delete(T_SLOTS, &Predicate::Eq("ordinal".into(), key))? > 0;
         if deleted {
             busy.remove(ordinal);
         }
@@ -349,7 +353,7 @@ impl CalendarApp {
         // No such row yet: the record built above moves into the insert,
         // and only a lost race serialises it a second time.
         let [(column, record)] = data;
-        if let Err(err) = self.store.insert(T_MEETINGS, vec![key, record]) {
+        if let Err(err) = self.store.insert(T_MEETINGS, [key, record]) {
             let data = [(column, meeting.to_value())];
             if self.store.update(T_MEETINGS, &by_id, &data)? == 0 {
                 return Err(err);
@@ -365,17 +369,15 @@ impl CalendarApp {
     /// and fired — by the kernel's cascade-delete path instead.)
     pub(crate) fn on_slot_freed(&self, ordinal: u64) {
         let entity = slot_entity(ordinal);
-        let Ok(links) = self.device.links().on_entity(&entity) else {
+        let Ok(links) = self.device.links().permanent_on(&entity, true) else {
             return;
         };
         let best = links
             .into_iter()
             .filter(|l| {
-                l.status == LinkStatus::Permanent
-                    && matches!(l.kind, LinkKind::Subscription)
-                    && l.refs
-                        .first()
-                        .is_some_and(|r| r.action.starts_with("peer_available:"))
+                l.refs
+                    .first()
+                    .is_some_and(|r| r.action.starts_with("peer_available:"))
             })
             .max_by_key(|l| l.priority);
         if let Some(link) = best {
@@ -525,10 +527,11 @@ impl EntityHandler for SlotEntityHandler {
                 app.drop_availability_local(meeting)?;
                 // E-mail on the tentative → confirmed edge (§5.1).
                 if confirmed && !was_confirmed && rec.initiator != app.user() {
+                    let (id, at) = (rec.id, rec.ordinal);
                     app.mailbox.deliver_local(
                         rec.initiator,
-                        &format!("confirmed: {}", rec.title),
-                        &format!("meeting {} at ordinal {}", rec.id, rec.ordinal),
+                        Text::format(format_args!("confirmed: {}", rec.title)),
+                        Text::format(format_args!("meeting {id} at ordinal {at}")),
                     )?;
                 }
                 if let Some(old) = bumped {
@@ -640,7 +643,7 @@ impl CalendarApp {
             "slot_status",
             Arc::new(move |_ctx, args: &[Value]| {
                 let app = weak.upgrade().ok_or(SydError::Shutdown)?;
-                slot_status_of(&app.store, arg(args, 0)?.as_i64()? as u64)
+                slot_status_of(&app.store, ordinal_arg(args, 0, "slot_status")?)
             }),
         );
 
@@ -685,9 +688,9 @@ impl CalendarApp {
             "release_slot",
             Arc::new(move |_ctx, args: &[Value]| {
                 let app = weak.upgrade().ok_or(SydError::Shutdown)?;
-                let ordinal = arg(args, 0)?.as_i64()? as u64;
+                let ordinal = ordinal_arg(args, 0, "release_slot")?;
                 let meeting = MeetingId::new(arg(args, 1)?.as_i64()? as u64);
-                let to_status = arg(args, 2)?.as_str()?;
+                let to_status = MeetingStatus::parse(arg(args, 2)?.as_str()?)?;
                 let retire = arg(args, 3)?.as_bool()?;
                 let freed = app.release_local(ordinal, meeting, to_status, retire)?;
                 Ok(Value::Bool(freed))
@@ -701,7 +704,7 @@ impl CalendarApp {
             "queue_availability",
             Arc::new(move |_ctx, args: &[Value]| {
                 let app = weak.upgrade().ok_or(SydError::Shutdown)?;
-                let ordinal = arg(args, 0)?.as_i64()? as u64;
+                let ordinal = ordinal_arg(args, 0, "queue_availability")?;
                 let rec = Meeting::from_value(arg(args, 1)?)?;
                 app.queue_availability_local(ordinal, &rec)?;
                 Ok(Value::Null)
@@ -729,7 +732,7 @@ impl CalendarApp {
             Arc::new(move |_ctx, args: &[Value]| {
                 let app = weak.upgrade().ok_or(SydError::Shutdown)?;
                 let meeting = MeetingId::new(arg(args, 0)?.as_i64()? as u64);
-                let old_ordinal = arg(args, 1)?.as_i64()? as u64;
+                let old_ordinal = ordinal_arg(args, 1, "meeting_bumped")?;
                 app.auto_reschedule(meeting, old_ordinal);
                 Ok(Value::Null)
             }),
@@ -743,7 +746,7 @@ impl CalendarApp {
             Arc::new(move |_ctx, args: &[Value]| {
                 let app = weak.upgrade().ok_or(SydError::Shutdown)?;
                 let meeting = MeetingId::new(arg(args, 0)?.as_i64()? as u64);
-                let new_ordinal = arg(args, 1)?.as_i64()? as u64;
+                let new_ordinal = ordinal_arg(args, 1, "change_request")?;
                 Ok(Value::Bool(
                     app.handle_change_request(meeting, new_ordinal)?,
                 ))
@@ -788,11 +791,7 @@ impl CalendarApp {
 /// where it enters: a negative bound, or a window longer than
 /// [`MAX_FREE_WINDOW`], is a protocol error.
 pub(crate) fn window_args(args: &[Value]) -> SydResult<(u64, u64)> {
-    let bound = |i| {
-        let n = arg(args, i)?.as_i64()?;
-        u64::try_from(n)
-            .map_err(|_| SydError::Protocol(format!("free_slots_bitmap: negative bound {n}")))
-    };
+    let bound = |i| ordinal_arg(args, i, "free_slots_bitmap");
     let (start, end) = (bound(0)?, bound(1)?);
     if end.saturating_sub(start) > MAX_FREE_WINDOW {
         return Err(SydError::Protocol(format!(
@@ -876,8 +875,15 @@ pub(crate) fn arg(args: &[Value], i: usize) -> SydResult<&Value> {
         .ok_or_else(|| SydError::Protocol(format!("missing argument {i}")))
 }
 
+/// Argument `i` of `method` as a slot ordinal or window bound, checked where
+/// it enters: a negative number is a protocol error, not a wrapped ordinal.
+pub(crate) fn ordinal_arg(args: &[Value], i: usize, method: &str) -> SydResult<u64> {
+    let n = arg(args, i)?.as_i64()?;
+    u64::try_from(n).map_err(|_| SydError::Protocol(format!("{method}: negative ordinal {n}")))
+}
+
 impl CalendarApp {
-    /// Writes `to_status` into the local record of `meeting`, then frees
+    /// Writes `status` into the local record of `meeting`, then frees
     /// `ordinal` if the meeting holds it; returns whether it did. A
     /// cancellation also empties the record's reserved list and leaves the
     /// notice (§5.1) where the slot was held.
@@ -896,13 +902,12 @@ impl CalendarApp {
         &self,
         ordinal: u64,
         meeting: MeetingId,
-        to_status: &str,
+        status: MeetingStatus,
         retire: bool,
     ) -> SydResult<bool> {
-        let status = MeetingStatus::parse(to_status).ok();
-        let cancelled = status == Some(MeetingStatus::Cancelled);
+        let cancelled = status == MeetingStatus::Cancelled;
         let mut rec = self.meeting(meeting)?;
-        if let (Some(rec), Some(status)) = (&mut rec, status) {
+        if let Some(rec) = &mut rec {
             rec.status = status;
             if cancelled {
                 rec.reserved.clear();
@@ -917,8 +922,8 @@ impl CalendarApp {
             {
                 self.mailbox.deliver_local(
                     rec.initiator,
-                    &format!("cancelled: {}", rec.title),
-                    &format!("meeting {} was cancelled", rec.id),
+                    Text::format(format_args!("cancelled: {}", rec.title)),
+                    Text::format(format_args!("meeting {} was cancelled", rec.id)),
                 )?;
             }
             self.on_slot_freed(ordinal);
@@ -926,7 +931,8 @@ impl CalendarApp {
         // No record, no link: the commit that installs a back link writes
         // the record first.
         if let Some(rec) = rec.filter(|r| retire && r.initiator != self.user()) {
-            let roster = rec.all_participants().iter().map(|u| u.raw()).collect();
+            let roster = (rec.all_participants().into_iter()).map(UserId::raw);
+            let roster = roster.collect();
             self.device.links().delete_by_corr(&rec.corr, roster)?;
         }
         Ok(held)

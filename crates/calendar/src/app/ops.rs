@@ -28,6 +28,8 @@
 //! cascade needs no round behind the release. DESIGN.md §16 has the rounds
 //! per operation and why no barrier is needed between the two.
 
+use std::sync::Arc;
+
 use syd_core::links::{Constraint, Link, LinkKind, LinkRef, LinkSpec, LinkStatus};
 use syd_core::negotiate::{Participant, Phase2};
 use syd_core::Call;
@@ -242,29 +244,30 @@ impl CalendarApp {
         // and retry so that exactly one of the racing coordinators ends up
         // holding the slots — committing partial sets under crossed locks
         // is how a slot gets split between two meetings.
-        let mark = Value::map(Self::reserve_mark(&rec));
+        let mark = Arc::new(Value::map(Self::reserve_mark(&rec)));
         let parts: Vec<Participant> = participants
             .iter()
-            .map(|&u| Participant::new(u, slot_entity(ordinal), mark.clone()))
+            .map(|&u| Participant::new(u, slot_entity(ordinal), Arc::clone(&mark)))
             .collect();
         // Built once per vote: the record depends on who was chosen only,
-        // the back link on whether its holder is a supervisor — one encoding
-        // of the record, at most two of the link, cloned into each commit.
+        // the back link on whether its holder is a supervisor: the chosen
+        // share at most three payloads (no link, either kind of link).
         let phase2 = |chosen: &[&Participant]| {
             let holders: Vec<UserId> = chosen.iter().map(|p| p.user).collect();
             let expected = Self::held_by(&rec, &holders);
             let record = expected.to_value();
-            let mut back_links = [None, None];
+            let mut kinds: [Option<Arc<Value>>; 3] = Default::default();
             let changes = chosen
                 .iter()
                 .map(|p| {
-                    let link = (p.user != me).then(|| {
-                        let supervisor = expected.supervisors.contains(&p.user);
-                        back_links[usize::from(supervisor)]
-                            .get_or_insert_with(|| self.back_link(&expected, supervisor).to_value())
-                            .clone()
+                    let supervisor = expected.supervisors.contains(&p.user);
+                    let kind = usize::from(p.user != me) * (1 + usize::from(supervisor));
+                    let change = kinds[kind].get_or_insert_with(|| {
+                        let link = (kind > 0).then(|| self.back_link(&expected, supervisor));
+                        let link = link.map(|link| link.to_value());
+                        Arc::new(Self::reserve_change(&expected, record.clone(), link))
                     });
-                    Self::reserve_change(&expected, record.clone(), link)
+                    Arc::clone(change)
                 })
                 .collect();
             let missing = expected.missing();
@@ -337,10 +340,9 @@ impl CalendarApp {
         // is a no-op there, and a duplicate row is refused here.
         self.unqueue(id, &rec.reserved)?;
         for &user in &missing {
-            let _ = self.store.insert(
-                T_AVAILQ,
-                vec![Value::from(id.raw()), Value::from(user.raw())],
-            );
+            let _ = self
+                .store
+                .insert(T_AVAILQ, [Value::from(id.raw()), Value::from(user.raw())]);
         }
 
         self.device
@@ -494,7 +496,7 @@ impl CalendarApp {
         rec.status = MeetingStatus::Cancelled;
         rec.reserved.clear();
         self.put_meeting(&rec)?;
-        self.retire(&rec, rec.ordinal, rec.status.as_str())
+        self.retire(&rec, rec.ordinal, rec.status)
     }
 
     /// Gives up `rec`'s hold on `ordinal` at every participant and tears
@@ -508,7 +510,7 @@ impl CalendarApp {
     /// release already has: the initiator's own links go last, and the
     /// kernel cascade that deletion starts is addressed to nobody but
     /// the participants whose release did not get through.
-    fn retire(&self, rec: &Meeting, ordinal: u64, to_status: &str) -> SydResult<()> {
+    fn retire(&self, rec: &Meeting, ordinal: u64, to_status: MeetingStatus) -> SydResult<()> {
         let svc = calendar_service();
         let participants = rec.all_participants();
         let queued = self.queued(rec.id)?;
@@ -519,7 +521,7 @@ impl CalendarApp {
             vec![
                 Value::from(ordinal),
                 Value::from(rec.id.raw()),
-                Value::str(to_status),
+                Value::str(to_status.as_str()),
                 Value::Bool(true),
             ],
         )
@@ -587,10 +589,10 @@ impl CalendarApp {
         // All-or-nothing reserve at the new slot.
         let mut moved_rec = rec.clone();
         moved_rec.ordinal = new_ordinal;
-        let change = Self::reserve_change(&moved_rec, moved_rec.to_value(), None);
+        let change = Arc::new(Self::reserve_change(&moved_rec, moved_rec.to_value(), None));
         let parts: Vec<Participant> = holders
             .iter()
-            .map(|&u| Participant::new(u, slot_entity(new_ordinal), change.clone()))
+            .map(|&u| Participant::new(u, slot_entity(new_ordinal), Arc::clone(&change)))
             .collect();
         let outcome = self.device.negotiator().negotiate_and(&parts)?;
         if !outcome.satisfied {
@@ -598,7 +600,7 @@ impl CalendarApp {
         }
 
         // Free the old slots and retire the old link web.
-        self.retire(&rec, old_ordinal, rec.status.as_str())?;
+        self.retire(&rec, old_ordinal, rec.status)?;
 
         rec.ordinal = new_ordinal;
         self.put_meeting(&rec)?;
@@ -663,10 +665,10 @@ impl CalendarApp {
             if candidates.is_empty() {
                 return Ok(false);
             }
-            let change = Self::reserve_change(&rec, rec.to_value(), None);
+            let change = Arc::new(Self::reserve_change(&rec, rec.to_value(), None));
             let parts: Vec<Participant> = candidates
                 .iter()
-                .map(|&u| Participant::new(u, slot_entity(rec.ordinal), change.clone()))
+                .map(|&u| Participant::new(u, slot_entity(rec.ordinal), Arc::clone(&change)))
                 .collect();
             let outcome = self.device.negotiator().negotiate_available(&parts)?;
             let mut extended = hypothetical.clone();
@@ -737,7 +739,7 @@ impl CalendarApp {
                 self.user()
             )));
         }
-        self.release_local(rec.ordinal, id, rec.status.as_str(), false)?;
+        self.release_local(rec.ordinal, id, rec.status, false)?;
         if let Some(slot) = new_engagement {
             self.mark_busy(slot)?;
         }
@@ -803,7 +805,7 @@ impl CalendarApp {
 
         // Release whatever remains of the old reservation and retire the
         // old link web (promoting any waiting links at those slots).
-        self.retire(&rec, old_ordinal, MeetingStatus::Bumped.as_str())?;
+        self.retire(&rec, old_ordinal, MeetingStatus::Bumped)?;
 
         // Find the next slot everyone shares.
         let range = SlotRange::new(

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use syd_core::DeviceRuntime;
 use syd_store::{Column, ColumnType, Predicate, Schema, Store};
-use syd_types::{ServiceName, SydResult, Timestamp, UserId, Value};
+use syd_types::{ServiceName, SydResult, Text, Timestamp, UserId, Value};
 
 /// The mailbox service name.
 pub fn mailbox_service() -> ServiceName {
@@ -83,21 +83,27 @@ impl Mailbox {
         Ok(mailbox)
     }
 
-    pub(crate) fn deliver_local(&self, from: UserId, subject: &str, body: &str) -> SydResult<u64> {
+    pub(crate) fn deliver_local(
+        &self,
+        from: UserId,
+        subject: impl Into<Text>,
+        body: impl Into<Text>,
+    ) -> SydResult<u64> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let subject = subject.into();
         self.store.insert(
             T_MAIL,
-            vec![
+            [
                 Value::from(id),
                 Value::from(from.raw()),
-                Value::str(subject),
-                Value::str(body),
+                Value::Str(subject.clone()),
+                Value::Str(body.into()),
                 Value::from(self.device.clock().now().as_micros()),
             ],
         )?;
         self.device
             .events()
-            .publish_local("mailbox.delivered", || Value::str(subject));
+            .publish_local("mailbox.delivered", || Value::Str(subject));
         Ok(id)
     }
 

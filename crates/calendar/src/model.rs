@@ -72,14 +72,15 @@ impl MeetingStatus {
         }
     }
 
-    /// Inverse of [`MeetingStatus::as_str`].
+    /// Inverse of [`MeetingStatus::as_str`]; a status a peer sent that is
+    /// none of them is a protocol error.
     pub fn parse(s: &str) -> SydResult<MeetingStatus> {
         Ok(match s {
             "tent" => MeetingStatus::Tentative,
             "conf" => MeetingStatus::Confirmed,
             "cancelled" => MeetingStatus::Cancelled,
             "bumped" => MeetingStatus::Bumped,
-            other => return Err(SydError::App(format!("bad meeting status `{other}`"))),
+            other => return Err(SydError::Protocol(format!("bad meeting status `{other}`"))),
         })
     }
 

@@ -19,8 +19,8 @@ use syd_store::Store;
 use syd_types::{MeetingId, SydResult, UserId, Value};
 
 use crate::app::{
-    arg, calendar_service, create_replicated_tables, free_bitmap_of, slot_status_of, window_args,
-    CalendarApp,
+    arg, calendar_service, create_replicated_tables, free_bitmap_of, ordinal_arg, slot_status_of,
+    window_args, CalendarApp,
 };
 use crate::model::Meeting;
 
@@ -33,7 +33,7 @@ fn free_slots_bitmap_method() -> ProxyMethod {
 
 fn slot_status_method() -> ProxyMethod {
     Arc::new(|_ctx, store: &Store, args: &[Value]| {
-        slot_status_of(store, arg(args, 0)?.as_i64()? as u64)
+        slot_status_of(store, ordinal_arg(args, 0, "slot_status")?)
     })
 }
 

@@ -162,6 +162,60 @@ fn a_free_schedule_is_mark_and_commit_and_a_cancel_is_one_round() {
     syd_check::audit_strict(apps.iter().map(|a| a.device())).assert_clean();
 }
 
+/// A commit wave shares one body among the members whose commit is the
+/// same, and only among them: every member's carries the one record, the
+/// supervisor's the subscription back link (§5: "only a subscription back
+/// link") and everyone else's the negotiation-and one.
+#[test]
+fn a_supervisor_gets_a_commit_body_of_its_own() {
+    use syd_core::links::{Constraint, Link, LinkKind};
+    use syd_wire::{decode_from_slice, encode_to_vec, Envelope, Payload};
+    let (_env, apps) = rig(4);
+    let taps: Vec<_> = apps[1..]
+        .iter()
+        .map(|app| {
+            let (tx, rx) = syd_types::queue::channel();
+            app.device().node().link().set_frame_tap(tx);
+            rx
+        })
+        .collect();
+    let members = users_of(&apps[1..]);
+    let supervisor = members[1];
+    let spec = MeetingSpec::plain("sup", TimeSlot::new(2, 10), members.clone())
+        .with_supervisors(vec![supervisor]);
+    let outcome = apps[0].schedule(spec).unwrap();
+    assert_eq!(outcome.status, MeetingStatus::Confirmed);
+
+    let mut bodies = Vec::new();
+    for (tap, &member) in taps.iter().zip(&members) {
+        while let Ok(frame) = tap.try_recv() {
+            let envelope: Envelope = decode_from_slice(&frame).unwrap();
+            match envelope.payload {
+                Payload::Request(request) if request.method == "commit" => {
+                    assert_eq!(request.service, link_service());
+                    bodies.push((member, request.args));
+                }
+                _ => {}
+            }
+        }
+    }
+    assert_eq!(bodies.len(), members.len(), "one commit frame per member");
+    let record = bodies[0].1[2].get("record").unwrap().clone();
+    for (member, args) in &bodies {
+        let change = &args[2];
+        assert_eq!(change.get("record").unwrap(), &record, "one record for all");
+        let link = Link::from_value(change.get("link").unwrap()).unwrap();
+        let want = match *member == supervisor {
+            true => LinkKind::Subscription,
+            false => LinkKind::Negotiation(Constraint::And),
+        };
+        assert_eq!(link.kind, want, "{member}'s back link");
+    }
+    let bytes = |at: usize| encode_to_vec(&bodies[at].1);
+    assert_eq!(bytes(0), bytes(2), "two plain members, one body");
+    assert_ne!(bytes(0), bytes(1), "the supervisor's is its own");
+}
+
 /// Two 8-member meetings sharing 4 members, B's scheduled the instant
 /// A's call returns: the anchors B's waiting links need are there, so A's
 /// cancel promotes B, and B's cancel leaves nothing. `drop_availability`

@@ -510,6 +510,84 @@ fn free_slots_bitmap_refuses_a_window_before_allocating_for_it() {
         .is_empty());
 }
 
+/// A peer's status and ordinals are checked where they enter: an
+/// unknown status or a negative ordinal is refused as a protocol error
+/// before anything is written, so the slot, the record and the links stay
+/// as they were — a bogus status used to free the slot and drop the links
+/// while leaving the record `Confirmed`, and a negative ordinal wrapped.
+#[test]
+fn a_bogus_status_or_negative_ordinal_changes_nothing() {
+    use syd_types::SydError;
+    let (_env, apps) = rig(2);
+    let slot = TimeSlot::new(3, 8);
+    let outcome = apps[0]
+        .schedule(MeetingSpec::plain("m", slot, vec![apps[1].user()]))
+        .unwrap();
+    assert_eq!(outcome.status, MeetingStatus::Confirmed);
+    let id = Value::from(outcome.meeting.raw());
+    let ordinal = Value::from(slot.ordinal());
+    let ask = |method: &str, args: Vec<Value>| {
+        apps[0].device().engine().invoke(
+            apps[1].user(),
+            &syd_calendar::app::calendar_service(),
+            method,
+            args,
+        )
+    };
+    let record = apps[1].meeting(outcome.meeting).unwrap().unwrap();
+    let calls = [
+        (
+            "release_slot",
+            vec![
+                ordinal.clone(),
+                id.clone(),
+                Value::str("gone"),
+                Value::Bool(true),
+            ],
+        ),
+        (
+            "release_slot",
+            vec![
+                Value::I64(-1),
+                id.clone(),
+                Value::str("cancelled"),
+                Value::Bool(true),
+            ],
+        ),
+        (
+            "queue_availability",
+            vec![Value::I64(-1), record.to_value()],
+        ),
+        ("slot_status", vec![Value::I64(-1)]),
+        (
+            "change_request",
+            vec![
+                id.clone(),
+                Value::I64(-1),
+                Value::from(apps[1].user().raw()),
+            ],
+        ),
+        ("meeting_bumped", vec![id.clone(), Value::I64(-1)]),
+    ];
+    for (method, args) in calls {
+        let err = ask(method, args).unwrap_err();
+        assert!(matches!(err, SydError::Protocol(_)), "{method}: {err}");
+        for app in &apps {
+            assert_eq!(
+                app.slot_state(slot.ordinal()).unwrap(),
+                SlotState::Reserved(outcome.meeting),
+                "{method}"
+            );
+            assert_eq!(
+                meeting_status(app, outcome.meeting),
+                MeetingStatus::Confirmed
+            );
+            assert_eq!(app.device().links().count().unwrap(), 1, "{method}");
+        }
+        assert_eq!(apps[1].meeting(outcome.meeting).unwrap().unwrap(), record);
+    }
+}
+
 #[test]
 fn concurrent_initiators_cannot_double_book_a_slot() {
     let (_env, apps) = rig(4);

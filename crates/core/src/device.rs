@@ -824,7 +824,7 @@ mod tests {
                 .map(|user| crate::Call::new(user, &svc, "left_out", vec![]))
                 .collect();
             Phase2 {
-                changes: chosen.iter().map(|p| p.change.clone()).collect(),
+                changes: chosen.iter().map(|p| Arc::clone(&p.change)).collect(),
                 riders,
             }
         };
@@ -851,6 +851,83 @@ mod tests {
         assert_eq!(outcome.contended, vec![devices[1].user()]);
         assert!(outcome.committed.is_empty() && outcome.rode.is_empty());
         assert_eq!(*told.lock(), 1, "a contended round sent a rider");
+    }
+
+    /// One body per distinct `(entity, change)` of a wave changes nothing
+    /// on the wire: every mark and commit frame is byte for byte the one a
+    /// call built with its own arguments makes. A participant handed a
+    /// change of its own — the coordinator's own commit, which no frame
+    /// carries, and a fourth device's — gets that change.
+    #[test]
+    fn shared_wave_bodies_put_per_call_bytes_on_the_wire() {
+        use crate::negotiate::Phase2;
+        use syd_wire::{decode_from_slice, encode_to_vec, Args, Envelope, Payload};
+        let (_net, _dir, devices) = rig(4);
+        let states = install_map_handlers(&devices);
+        let taps: Vec<_> = devices[1..]
+            .iter()
+            .map(|d| {
+                let (tx, rx) = syd_types::queue::channel();
+                d.node().link().set_frame_tap(tx);
+                rx
+            })
+            .collect();
+        let mark = Arc::new(Value::str("reserve"));
+        let participants: Vec<Participant> = devices
+            .iter()
+            .map(|d| Participant::new(d.user(), "e", Arc::clone(&mark)))
+            .collect();
+        let wants = ["own", "shared", "shared", "apart"];
+        let shared = Arc::new(Value::str("shared"));
+        let phase2 = |chosen: &[&Participant]| Phase2 {
+            changes: (chosen.iter())
+                .map(|p| match wants[p.user.raw() as usize - 1] {
+                    "shared" => Arc::clone(&shared),
+                    own => Arc::new(Value::str(own)),
+                })
+                .collect(),
+            riders: Vec::new(),
+        };
+        let outcome = devices[0]
+            .negotiator()
+            .negotiate_available_with(&participants, &phase2)
+            .unwrap();
+        assert_eq!(outcome.committed.len(), 4, "{outcome:?}");
+        for (state, want) in states.iter().zip(wants) {
+            assert_eq!(state.lock().get("e").map(String::as_str), Some(want));
+        }
+        for (tap, want) in taps.iter().zip(&wants[1..]) {
+            let mut methods = Vec::new();
+            while let Ok(frame) = tap.try_recv() {
+                let envelope: Envelope = decode_from_slice(&frame).unwrap();
+                let Payload::Request(request) = &envelope.payload else {
+                    continue;
+                };
+                let change = match request.method.as_str() {
+                    "mark" => "reserve",
+                    "commit" => want,
+                    _ => continue,
+                };
+                methods.push(request.method.clone());
+                let own = vec![
+                    Value::from(outcome.session),
+                    Value::str("e"),
+                    Value::str(change),
+                ];
+                let mut per_call = request.clone();
+                per_call.args = Args::from(own);
+                assert!(!per_call.args.is_preencoded());
+                let per_call =
+                    Envelope::new(envelope.src, envelope.dst, Payload::Request(per_call));
+                assert_eq!(
+                    encode_to_vec(&per_call),
+                    frame,
+                    "{} to {want}",
+                    request.method
+                );
+            }
+            assert_eq!(methods, ["mark", "commit"]);
+        }
     }
 
     #[test]

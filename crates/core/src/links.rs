@@ -173,6 +173,20 @@ impl Decode for Refs<Vec<LinkRef>> {
     }
 }
 
+/// Visits the user of each reference in an encoded `refs` cell; the
+/// entities and actions are stepped over, and nothing is allocated.
+fn ref_users(refs: &[u8], mut f: impl FnMut(UserId)) -> SydResult<()> {
+    let r = &mut Reader::new(refs);
+    for _ in 0..r.len_prefix()? {
+        f(UserId::decode(r)?);
+        for _ in 0..2 {
+            let len = r.len_prefix()?;
+            r.bytes(len)?;
+        }
+    }
+    Ok(())
+}
+
 /// A coordination link record.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Link {
@@ -529,7 +543,7 @@ impl LinksModule {
         // One row, one statement: nobody reads a link without its refs.
         self.store.insert(
             T_LINK,
-            vec![
+            [
                 Value::from(id.raw()),
                 Value::str(KIND_NAMES[kind]),
                 Value::from(k),
@@ -553,7 +567,7 @@ impl LinksModule {
         if let Some((waits_on, group)) = spec.waits_on {
             self.store.insert(
                 T_WAIT,
-                vec![
+                [
                     Value::from(id.raw()),
                     Value::from(waits_on.raw()),
                     Value::from(spec.priority.level() as u32),
@@ -612,10 +626,17 @@ impl LinksModule {
         }
     }
 
-    fn links_where(&self, pred: &Predicate) -> SydResult<Vec<Link>> {
+    /// The links matching `pred` whose rows `keep` passes (no other is parsed).
+    fn links_where(
+        &self,
+        pred: &Predicate,
+        keep: impl Fn(&[Value]) -> bool,
+    ) -> SydResult<Vec<Link>> {
         let mut links = Vec::new();
         self.store.visit(T_LINK, pred, |row| {
-            links.push(Self::link_from_row(row)?);
+            if keep(row) {
+                links.push(Self::link_from_row(row)?);
+            }
             Ok(())
         })?;
         Ok(links)
@@ -623,17 +644,23 @@ impl LinksModule {
 
     /// All links in the database.
     pub fn all(&self) -> SydResult<Vec<Link>> {
-        self.links_where(&Predicate::True)
+        self.links_where(&Predicate::True, |_| true)
     }
 
-    /// Links anchored on `entity`.
-    pub fn on_entity(&self, entity: &str) -> SydResult<Vec<Link>> {
-        self.links_where(&Predicate::Eq("entity".into(), Value::str(entity)))
+    /// The permanent links anchored on `entity` (only its subscriptions,
+    /// with `subscriptions`): the ones a change of it fires, or a freed
+    /// entity notifies. No other link's row is parsed.
+    pub fn permanent_on(&self, entity: &str, subscriptions: bool) -> SydResult<Vec<Link>> {
+        let on_entity = Predicate::Eq("entity".into(), Value::str(entity));
+        let is = |cell: &Value, name: &str| cell.as_str().is_ok_and(|s| s == name);
+        let perm = STATUS_NAMES[LinkStatus::Permanent as usize];
+        let kind_ok = |row: &[Value]| !subscriptions || is(&row[1], KIND_NAMES[0]);
+        self.links_where(&on_entity, |row| is(&row[3], perm) && kind_ok(row))
     }
 
     /// Links sharing a correlation id.
     pub fn by_corr(&self, corr: &str) -> SydResult<Vec<Link>> {
-        self.links_where(&corr_is(corr))
+        self.links_where(&corr_is(corr), |_| true)
     }
 
     /// Ids of the links sharing a correlation id, for callers that ask
@@ -841,25 +868,31 @@ impl LinksModule {
 
     /// Deletes every local link with `corr` (without re-cascading to the
     /// users in `visited`) and forwards the cascade to remaining peers.
+    /// The links are read once, for their ids and peers; none is parsed.
     pub fn delete_by_corr(&self, corr: &str, mut visited: Vec<u64>) -> SydResult<DeleteReport> {
         let mut report = DeleteReport::default();
         if !visited.contains(&self.user.raw()) {
             visited.push(self.user.raw());
         }
-        let links = self.by_corr(corr)?;
-        for link in &links {
-            report.promoted.extend(self.promote_waiters(link.id)?);
-            self.delete_local_only(link.id)?;
-            report.deleted.push(link.id);
+        let mut peers = Vec::new();
+        self.store.visit(T_LINK, &corr_is(corr), |row| {
+            report.deleted.push(LinkId::new(int(&row[0])?));
+            ref_users(row[9].as_bytes()?, |user| {
+                if !visited.contains(&user.raw()) {
+                    peers.push(user);
+                }
+            })
+        })?;
+        let corr_text = Text::from(corr);
+        for &id in &report.deleted {
+            report.promoted.extend(self.promote_waiters(id)?);
+            self.delete_local_only(id)?;
             // These deletions arrived over a cascade (§4.4) and are
             // forwarded below, so they count as cascading themselves.
-            self.note_deleted(link.id, &link.corr, true);
+            self.note_deleted(id, &corr_text, true);
         }
         // Forward the cascade to peers we haven't visited.
-        let peers = lifecycle::cascade_peers(
-            links.iter().flat_map(|l| l.refs.iter().map(|r| r.user)),
-            &visited,
-        );
+        let peers = lifecycle::cascade_peers(peers, &visited);
         report.cascaded_to = self.forward_cascade(corr, visited, &peers);
         Ok(report)
     }
@@ -1108,14 +1141,9 @@ impl LinksModule {
         payload: &Value,
         negotiator: &Negotiator,
     ) -> SydResult<Vec<FireResult>> {
-        let mut results = Vec::new();
-        for link in self.on_entity(entity)? {
-            if link.status == LinkStatus::Tentative {
-                continue;
-            }
-            results.push(self.fire_link(&link, payload, negotiator)?);
-        }
-        Ok(results)
+        let links = self.permanent_on(entity, false)?;
+        let fire = |link: &Link| self.fire_link(link, payload, negotiator);
+        links.iter().map(fire).collect()
     }
 
     /// Fires one link explicitly.
@@ -1146,10 +1174,11 @@ impl LinksModule {
                 })
             }
             LinkKind::Negotiation(constraint) => {
+                let payload = Arc::new(payload.clone());
                 let participants: Vec<Participant> = link
                     .refs
                     .iter()
-                    .map(|r| Participant::new(r.user, r.entity.clone(), payload.clone()))
+                    .map(|r| Participant::new(r.user, r.entity.clone(), Arc::clone(&payload)))
                     .collect();
                 let outcome = negotiator.negotiate(constraint, &participants)?;
                 Ok(FireResult::Negotiated {
@@ -1351,7 +1380,7 @@ mod tests {
 
     /// A link is one row: whoever sees the link sees its references. With
     /// the references in a table of their own the row landed first, and an
-    /// after-insert trigger (or a concurrent `on_entity`) found none.
+    /// after-insert trigger (or a concurrent `permanent_on`) found none.
     #[test]
     fn a_link_is_never_visible_without_its_refs() {
         let env = SydEnv::new_insecure(NetConfig::ideal());

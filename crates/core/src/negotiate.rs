@@ -50,6 +50,7 @@ use std::sync::Arc;
 
 use syd_telemetry::{Counter, Event, Journal, Registry};
 use syd_types::{ServiceName, SydError, SydResult, Text, UserId, Value};
+use syd_wire::Args;
 
 use crate::engine::{Call, SydEngine};
 use crate::links::Constraint;
@@ -73,16 +74,17 @@ pub struct Participant {
     /// [`crate::device::EntityHandler`]: what the mark (and an abort)
     /// carries, and the commit too unless the caller builds the commit
     /// payloads from the votes ([`Negotiator::negotiate_available_with`]).
-    pub change: Value,
+    /// Shared: participants given one change carry one copy of it.
+    pub change: Arc<Value>,
 }
 
 impl Participant {
     /// Builds a participant.
-    pub fn new(user: UserId, entity: impl Into<Text>, change: Value) -> Self {
+    pub fn new(user: UserId, entity: impl Into<Text>, change: impl Into<Arc<Value>>) -> Self {
         Participant {
             user,
             entity: entity.into(),
-            change,
+            change: change.into(),
         }
     }
 }
@@ -116,8 +118,8 @@ pub struct NegotiationOutcome {
 /// ([`Negotiator::negotiate_available_with`]) sends in it.
 pub struct Phase2<'a> {
     /// The commit payloads of the chosen participants, one each, in their
-    /// order.
-    pub changes: Vec<Value>,
+    /// order; participants handed one shared payload get one body.
+    pub changes: Vec<Arc<Value>>,
     /// Calls that travel in the same batch as the commits and aborts. Sent
     /// only when the round commits (never from a contended round, whose
     /// vote says nothing durable), best effort: their outcomes change
@@ -129,7 +131,7 @@ pub struct Phase2<'a> {
 /// The commit carries what the mark carried: [`Participant::change`].
 fn marked_changes<'a>(chosen: &[&Participant]) -> Phase2<'a> {
     Phase2 {
-        changes: chosen.iter().map(|p| p.change.clone()).collect(),
+        changes: chosen.iter().map(|p| Arc::clone(&p.change)).collect(),
         riders: Vec::new(),
     }
 }
@@ -245,14 +247,27 @@ impl Negotiator {
             constraint,
             participants: participants.len() as u32,
         });
-        let args_of = |p: &Participant, change: Value| {
-            vec![Value::from(session), Value::str(p.entity.clone()), change]
+        // One body per distinct `(entity, change)` of the session: calls
+        // carrying the same share its encoding, as `Call::broadcast`'s do.
+        let mut bodies: Vec<(Text, Arc<Value>, Args)> = Vec::new();
+        let mut body = |e: &Text, c: &Arc<Value>| {
+            if let Some((_, _, args)) = bodies.iter().find(|(be, bc, _)| be == e && bc == c) {
+                args.preencode();
+                return args.clone();
+            }
+            let args = Args::from(vec![
+                Value::from(session),
+                Value::Str(e.clone()),
+                Value::clone(c),
+            ]);
+            bodies.push((e.clone(), Arc::clone(c), args.clone()));
+            args
         };
 
         // Phase 1: mark everyone.
         let marks: Vec<Call<'_>> = participants
             .iter()
-            .map(|p| Call::new(p.user, &svc, "mark", args_of(p, p.change.clone())))
+            .map(|p| Call::new(p.user, &svc, "mark", body(&p.entity, &p.change)))
             .collect();
         let votes = {
             let mut span = self.engine.node().tracer().span(names::SPAN_MARK_ROUND);
@@ -321,11 +336,11 @@ impl Negotiator {
         let mut batch: Vec<Call<'_>> = chosen
             .iter()
             .zip(changes)
-            .map(|(p, change)| Call::new(p.user, &svc, "commit", args_of(p, change)))
+            .map(|(p, change)| Call::new(p.user, &svc, "commit", body(&p.entity, &change)))
             .collect();
         batch.extend(to_abort.iter().chain(&unanswered).map(|&i| {
             let p = &participants[i];
-            Call::new(p.user, &svc, "abort", args_of(p, p.change.clone()))
+            Call::new(p.user, &svc, "abort", body(&p.entity, &p.change))
         }));
         let first_rider = batch.len();
         if satisfied {

@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 use syd_types::sync::{Condvar, Mutex};
 use syd_types::{Clock, SydError, SydResult, Text, Timestamp, Value};
 
-use crate::key::OrdValue;
+use crate::key::Key;
 
 /// Identifies a lockable entity: a row (or slot) of a table.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -30,7 +30,7 @@ pub struct LockKey {
     /// Table name.
     pub table: Text,
     /// Key values (usually the primary key).
-    pub key: Vec<OrdValue>,
+    pub key: Key,
 }
 
 impl LockKey {
@@ -38,7 +38,7 @@ impl LockKey {
     pub fn new(table: impl Into<Text>, key: impl IntoIterator<Item = Value>) -> Self {
         LockKey {
             table: table.into(),
-            key: key.into_iter().map(OrdValue).collect(),
+            key: Key::of(key),
         }
     }
 }

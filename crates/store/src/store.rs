@@ -1,7 +1,7 @@
 //! The store façade: tables behind latches, triggers, locks, transactions.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use syd_types::sync::RwLock;
@@ -11,13 +11,18 @@ use crate::lock::LockManager;
 use crate::predicate::Predicate;
 use crate::query::Query;
 use crate::schema::Schema;
-use crate::table::{Row, RowChange, RowId, Table};
+use crate::table::{Before, Change, Log, Row, RowChange, RowId, Table};
 use crate::trigger::{Trigger, TriggerCtx, TriggerEvent, TriggerTiming};
 use crate::txn::Txn;
 
 pub(crate) struct StoreInner {
     pub(crate) tables: RwLock<HashMap<String, Arc<RwLock<Table>>>>,
-    pub(crate) triggers: RwLock<Vec<Trigger>>,
+    /// Shared with the after-triggers a statement fires: only registering
+    /// one copies the list.
+    pub(crate) triggers: RwLock<Arc<Vec<Trigger>>>,
+    /// `triggers.len()`, stored (Release) under their write lock and read
+    /// (Acquire) by a statement: while it is 0, no statement takes the lock.
+    pub(crate) trigger_count: AtomicUsize,
     pub(crate) locks: LockManager,
     pub(crate) next_txn: AtomicU64,
 }
@@ -48,7 +53,8 @@ impl Store {
         Store {
             inner: Arc::new(StoreInner {
                 tables: RwLock::new(HashMap::new()),
-                triggers: RwLock::new(Vec::new()),
+                triggers: RwLock::new(Arc::new(Vec::new())),
+                trigger_count: AtomicUsize::new(0),
                 locks: LockManager::default(),
                 next_txn: AtomicU64::new(1),
             }),
@@ -97,16 +103,12 @@ impl Store {
 
     /// Creates (idempotently) a secondary index on `table.column`.
     pub fn create_index(&self, table: &str, column: &str) -> SydResult<()> {
-        let handle = self.table_handle(table)?;
-        let mut t = handle.write();
-        t.create_index(column)
+        self.table_handle(table)?.write().create_index(column)
     }
 
     /// The schema of a table, shared with the table (fixed at creation).
     pub fn schema_of(&self, table: &str) -> SydResult<Arc<Schema>> {
-        let handle = self.table_handle(table)?;
-        let t = handle.read();
-        Ok(Arc::clone(t.schema()))
+        Ok(Arc::clone(self.table_handle(table)?.read().schema()))
     }
 
     pub(crate) fn table_handle(&self, name: &str) -> SydResult<Arc<RwLock<Table>>> {
@@ -129,13 +131,24 @@ impl Store {
                 trigger.name
             )));
         }
-        triggers.push(trigger);
+        Arc::make_mut(&mut triggers).push(trigger);
+        let count = &self.inner.trigger_count;
+        count.store(triggers.len(), Ordering::Release);
         Ok(())
     }
 
     /// Removes a trigger by name (no-op if absent).
     pub fn remove_trigger(&self, name: &str) {
-        self.inner.triggers.write().retain(|t| t.name != name);
+        let mut triggers = self.inner.triggers.write();
+        Arc::make_mut(&mut triggers).retain(|t| t.name != name);
+        let count = &self.inner.trigger_count;
+        count.store(triggers.len(), Ordering::Release);
+    }
+
+    /// Whether a trigger watches `table`.
+    fn fires_on(&self, table: &str) -> bool {
+        self.inner.trigger_count.load(Ordering::Acquire) > 0
+            && self.inner.triggers.read().iter().any(|t| t.table == table)
     }
 
     /// Names of registered triggers.
@@ -148,101 +161,87 @@ impl Store {
             .collect()
     }
 
-    /// Runs before-triggers for one prospective row change; any error vetoes.
-    fn fire_before(
+    /// Runs the `timing` triggers watching `table` for one row change. A
+    /// before-trigger's error vetoes at once; every after-trigger runs (no
+    /// latch held, the store in hand) and the first error is returned.
+    fn fire(
         &self,
         schema: &Schema,
         table: &str,
-        event: TriggerEvent,
-        old: Option<&[Value]>,
-        new: Option<&[Value]>,
+        timing: TriggerTiming,
+        change: Change<'_>,
     ) -> SydResult<()> {
-        let triggers = self.inner.triggers.read();
-        for t in triggers.iter() {
-            if t.matches(table, event, TriggerTiming::Before)
-                && t.condition_holds(schema, event, old, new)?
-            {
+        let (event, old, new) = change;
+        let triggers = Arc::clone(&self.inner.triggers.read());
+        let mut outcome = Ok(());
+        for t in triggers.iter().filter(|t| t.matches(table, event, timing)) {
+            if t.condition_holds(schema, event, old, new)? {
+                let store = (timing == TriggerTiming::After).then_some(self);
                 let ctx = TriggerCtx {
-                    store: None,
+                    store,
                     table,
                     event,
                     old,
                     new,
                     schema,
                 };
-                (t.action)(&ctx)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Runs after-triggers for applied changes; called with no latches held.
-    /// The first error is returned, but every trigger still runs.
-    fn fire_after(&self, schema: &Schema, table: &str, changes: &[RowChange]) -> SydResult<()> {
-        let triggers: Vec<Trigger> = {
-            let guard = self.inner.triggers.read();
-            guard
-                .iter()
-                .filter(|t| t.timing == TriggerTiming::After && t.table == table)
-                .cloned()
-                .collect()
-        };
-        if triggers.is_empty() {
-            return Ok(());
-        }
-        let mut first_err = None;
-        for change in changes {
-            let (event, old, new): (TriggerEvent, Option<&[Value]>, Option<&[Value]>) = match change
-            {
-                RowChange::Inserted(_, values) => (TriggerEvent::Insert, None, Some(values)),
-                RowChange::Updated(_, old, new) => (TriggerEvent::Update, Some(old), Some(new)),
-                RowChange::Deleted(_, values) => (TriggerEvent::Delete, Some(values), None),
-            };
-            for t in &triggers {
-                if t.events.contains(&event) && t.condition_holds(schema, event, old, new)? {
-                    let ctx = TriggerCtx {
-                        store: Some(self),
-                        table,
-                        event,
-                        old,
-                        new,
-                        schema,
-                    };
-                    if let Err(e) = (t.action)(&ctx) {
-                        first_err.get_or_insert(e);
-                    }
+                match (t.action)(&ctx) {
+                    Err(e) if timing == TriggerTiming::Before => return Err(e),
+                    result => outcome = outcome.and(result),
                 }
             }
         }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
+        outcome
     }
 
     // ---- DML (auto-commit) ------------------------------------------------
 
-    /// Inserts a row; fires insert triggers.
-    pub fn insert(&self, table: &str, values: Vec<Value>) -> SydResult<RowId> {
+    /// Runs one statement on `table` under its write latch: the one path
+    /// of every insert, update and delete, a transaction's included. Its
+    /// [`RowChange`]s are built only for the table's triggers and a
+    /// transaction's `undo`, which gets them after the after-triggers.
+    pub(crate) fn statement<R>(
+        &self,
+        table: &str,
+        event: TriggerEvent,
+        undo: Option<&mut Vec<RowChange>>,
+        run: impl FnOnce(&mut Table, Before<'_>, Log<'_>) -> SydResult<R>,
+    ) -> SydResult<R> {
         let handle = self.table_handle(table)?;
-        let values: Arc<[Value]> = values.into();
-        let (row_id, schema, change) = {
+        let fires = self.fires_on(table);
+        let mut changes = Vec::new();
+        let (schema, result) = {
             let mut t = handle.write();
             let schema = Arc::clone(t.schema());
-            schema.validate_row(&values)?;
-            self.fire_before(&schema, table, TriggerEvent::Insert, None, Some(&values))?;
-            let row_id = t.insert(Arc::clone(&values))?;
-            (row_id, schema, RowChange::Inserted(row_id, values))
+            let mut before = |old: Option<&[Value]>, new: Option<&[Value]>| {
+                self.fire(&schema, table, TriggerTiming::Before, (event, old, new))
+            };
+            let before: Before<'_> = if fires { Some(&mut before) } else { None };
+            let log = (fires || undo.is_some()).then_some(&mut changes);
+            let result = run(&mut t, before, log)?;
+            (schema, result)
         };
-        self.fire_after(&schema, table, std::slice::from_ref(&change))?;
-        Ok(row_id)
+        let after = (changes.iter().filter(|_| fires))
+            .map(|change| self.fire(&schema, table, TriggerTiming::After, change.rows()))
+            .fold(Ok(()), SydResult::and);
+        if let Some(undo) = undo {
+            undo.append(&mut changes);
+        }
+        after.map(|()| result)
+    }
+
+    /// Inserts a row; fires insert triggers. An array of cells becomes
+    /// the stored row in one allocation, a `Vec` in a second.
+    pub fn insert(&self, table: &str, values: impl Into<Arc<[Value]>>) -> SydResult<RowId> {
+        let values = values.into();
+        self.statement(table, TriggerEvent::Insert, None, |t, before, log| {
+            t.insert(values, before, log)
+        })
     }
 
     /// Rows matching `pred`.
     pub fn select(&self, table: &str, pred: &Predicate) -> SydResult<Vec<Row>> {
-        let handle = self.table_handle(table)?;
-        let t = handle.read();
-        t.select(pred)
+        self.table_handle(table)?.read().select(pred)
     }
 
     /// Visits the cells of each row matching `pred` in place, under the
@@ -255,30 +254,29 @@ impl Store {
         pred: &Predicate,
         mut f: impl FnMut(&[Value]) -> SydResult<()>,
     ) -> SydResult<()> {
-        let handle = self.table_handle(table)?;
-        let t = handle.read();
-        t.visit(pred, |_, values| f(values))
+        self.table_handle(table)?
+            .read()
+            .visit(pred, |_, values| f(values))
     }
 
     /// Number of rows matching `pred`.
     pub fn count(&self, table: &str, pred: &Predicate) -> SydResult<usize> {
-        let handle = self.table_handle(table)?;
-        let t = handle.read();
-        t.count(pred)
+        let mut n = 0;
+        self.visit(table, pred, |_| {
+            n += 1;
+            Ok(())
+        })?;
+        Ok(n)
     }
 
     /// Row with the given primary key, if present.
     pub fn get_by_key(&self, table: &str, key: &[Value]) -> SydResult<Option<Row>> {
-        let handle = self.table_handle(table)?;
-        let t = handle.read();
-        Ok(t.get_by_key(key))
+        Ok(self.table_handle(table)?.read().get_by_key(key))
     }
 
     /// Row by id, if present.
     pub fn get(&self, table: &str, row_id: RowId) -> SydResult<Option<Row>> {
-        let handle = self.table_handle(table)?;
-        let t = handle.read();
-        Ok(t.get(row_id))
+        Ok(self.table_handle(table)?.read().get(row_id))
     }
 
     /// Starts a fluent query on `table`.
@@ -293,67 +291,16 @@ impl Store {
         pred: &Predicate,
         assignments: &[(Text, Value)],
     ) -> SydResult<usize> {
-        Ok(self.update_collect(table, pred, assignments)?.len())
-    }
-
-    /// Like [`Store::update`] but returns the row changes (transaction undo).
-    pub(crate) fn update_collect(
-        &self,
-        table: &str,
-        pred: &Predicate,
-        assignments: &[(Text, Value)],
-    ) -> SydResult<Vec<RowChange>> {
-        let handle = self.table_handle(table)?;
-        let (schema, changes) = {
-            let mut t = handle.write();
-            let schema = Arc::clone(t.schema());
-            // Before-trigger veto: the table shows every prospective row to
-            // the triggers before it applies any.
-            let changes = t.update(pred, assignments, |old, new| {
-                self.fire_before(&schema, table, TriggerEvent::Update, Some(old), Some(new))
-            })?;
-            (schema, changes)
-        };
-        self.fire_after(&schema, table, &changes)?;
-        Ok(changes)
+        self.statement(table, TriggerEvent::Update, None, |t, before, log| {
+            t.update(pred, assignments, before, log)
+        })
     }
 
     /// Deletes matching rows; fires delete triggers; returns affected count.
     pub fn delete(&self, table: &str, pred: &Predicate) -> SydResult<usize> {
-        Ok(self.delete_collect(table, pred)?.len())
-    }
-
-    /// Like [`Store::delete`] but returns the row changes (transaction undo).
-    pub(crate) fn delete_collect(
-        &self,
-        table: &str,
-        pred: &Predicate,
-    ) -> SydResult<Vec<RowChange>> {
-        let handle = self.table_handle(table)?;
-        let (schema, changes) = {
-            let mut t = handle.write();
-            let schema = Arc::clone(t.schema());
-            let matching = t.select(pred)?;
-            for row in &matching {
-                self.fire_before(
-                    &schema,
-                    table,
-                    TriggerEvent::Delete,
-                    Some(&row.values),
-                    None,
-                )?;
-            }
-            let changes: Vec<RowChange> = matching
-                .into_iter()
-                .map(|row| {
-                    t.remove_by_id(row.id);
-                    RowChange::Deleted(row.id, row.values)
-                })
-                .collect();
-            (schema, changes)
-        };
-        self.fire_after(&schema, table, &changes)?;
-        Ok(changes)
+        self.statement(table, TriggerEvent::Delete, None, |t, before, log| {
+            t.delete(pred, before, log)
+        })
     }
 
     // ---- locks & transactions ----------------------------------------------
@@ -372,9 +319,7 @@ impl Store {
 
     /// Total rows in a table (diagnostics).
     pub fn row_count(&self, table: &str) -> SydResult<usize> {
-        let handle = self.table_handle(table)?;
-        let t = handle.read();
-        Ok(t.len())
+        Ok(self.table_handle(table)?.read().len())
     }
 }
 

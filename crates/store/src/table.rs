@@ -10,9 +10,10 @@ use std::sync::Arc;
 
 use syd_types::{SydError, SydResult, Text, Value};
 
-use crate::key::OrdValue;
+use crate::key::{Key, OrdValue};
 use crate::predicate::Predicate;
 use crate::schema::Schema;
+use crate::trigger::TriggerEvent;
 
 /// Identity of a row within its table (never reused).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -53,13 +54,50 @@ pub enum RowChange {
     Deleted(RowId, Arc<[Value]>),
 }
 
+/// A row change as triggers see it: the event, the old row, the new row.
+pub(crate) type Change<'a> = (TriggerEvent, Option<&'a [Value]>, Option<&'a [Value]>);
+
+impl RowChange {
+    /// The change as its triggers see it.
+    pub(crate) fn rows(&self) -> Change<'_> {
+        match self {
+            RowChange::Inserted(_, new) => (TriggerEvent::Insert, None, Some(new)),
+            RowChange::Updated(_, old, new) => (TriggerEvent::Update, Some(old), Some(new)),
+            RowChange::Deleted(_, old) => (TriggerEvent::Delete, Some(old), None),
+        }
+    }
+}
+
+/// A statement's before-triggers, shown each prospective `(old, new)` row
+/// before any is applied; an error vetoes the statement.
+pub(crate) type Before<'a> =
+    Option<&'a mut dyn FnMut(Option<&[Value]>, Option<&[Value]>) -> SydResult<()>>;
+
+/// Where a statement reports its [`RowChange`]s, if anyone reads them.
+pub(crate) type Log<'a> = Option<&'a mut Vec<RowChange>>;
+
+/// The rows a statement writes: the first inline, the rest in a `Vec`
+/// that a one-row statement — most of them — never allocates.
+type Rows<T> = (Option<T>, Vec<T>);
+
+fn push<T>((first, rest): &mut Rows<T>, row: T) {
+    match first {
+        None => *first = Some(row),
+        Some(_) => rest.push(row),
+    }
+}
+
 pub(crate) struct Table {
     pub(crate) schema: Arc<Schema>,
     rows: BTreeMap<RowId, Arc<[Value]>>,
     next_row: u64,
-    pk_map: BTreeMap<Vec<OrdValue>, RowId>,
-    indexes: HashMap<String, BTreeMap<OrdValue, BTreeSet<RowId>>>,
+    pk_map: BTreeMap<Key, RowId>,
+    indexes: HashMap<String, Index>,
 }
+
+/// A secondary index: one `(cell, row)` entry per row, in cell then row
+/// order, so filing a row under a new value allocates no set of its own.
+type Index = BTreeSet<(OrdValue, RowId)>;
 
 /// Whether `range` is a `Between` whose low end is above its high end: it
 /// holds no key, and `BTreeMap::range` panics on it.
@@ -91,13 +129,9 @@ impl Table {
         if self.indexes.contains_key(column) {
             return Ok(()); // idempotent
         }
-        let mut index: BTreeMap<OrdValue, BTreeSet<RowId>> = BTreeMap::new();
-        for (&row_id, values) in &self.rows {
-            index
-                .entry(OrdValue(values[idx].clone()))
-                .or_default()
-                .insert(row_id);
-        }
+        let index: Index = (self.rows.iter())
+            .map(|(&row_id, values)| (OrdValue(values[idx].clone()), row_id))
+            .collect();
         self.indexes.insert(column.to_owned(), index);
         Ok(())
     }
@@ -123,32 +157,31 @@ impl Table {
                 }
             }
             if let Some(cell) = old {
-                let key = OrdValue(cell.clone());
-                if let Some(set) = index.get_mut(&key) {
-                    set.remove(&row_id);
-                    if set.is_empty() {
-                        index.remove(&key);
-                    }
-                }
+                index.remove(&(OrdValue(cell.clone()), row_id));
             }
             if let Some(cell) = new {
-                index
-                    .entry(OrdValue(cell.clone()))
-                    .or_default()
-                    .insert(row_id);
+                index.insert((OrdValue(cell.clone()), row_id));
             }
         }
     }
 
     /// The primary-key map's key for a row (empty if the table is keyless).
-    fn pk_of(&self, values: &[Value]) -> Vec<OrdValue> {
-        let pk = &self.schema.primary_key;
-        pk.iter().map(|&i| OrdValue(values[i].clone())).collect()
+    fn pk_of(&self, values: &[Value]) -> Key {
+        Key::of(self.schema.primary_key.iter().map(|&i| values[i].clone()))
     }
 
-    /// Inserts a validated row, enforcing primary-key uniqueness.
-    pub(crate) fn insert(&mut self, values: Arc<[Value]>) -> SydResult<RowId> {
+    /// Inserts a row: validated here and only here, shown to `before`,
+    /// then checked for primary-key uniqueness.
+    pub(crate) fn insert(
+        &mut self,
+        values: Arc<[Value]>,
+        before: Before<'_>,
+        log: Log<'_>,
+    ) -> SydResult<RowId> {
         self.schema.validate_row(&values)?;
+        if let Some(before) = before {
+            before(None, Some(&values))?;
+        }
         let key = self.pk_of(&values);
         if !key.is_empty() && self.pk_map.contains_key(&key) {
             return Err(SydError::SchemaViolation(format!(
@@ -161,6 +194,9 @@ impl Table {
         self.reindex(row_id, None, Some(&values));
         if !key.is_empty() {
             self.pk_map.insert(key, row_id);
+        }
+        if let Some(log) = log {
+            log.push(RowChange::Inserted(row_id, Arc::clone(&values)));
         }
         self.rows.insert(row_id, values);
         Ok(row_id)
@@ -189,7 +225,7 @@ impl Table {
             [cell] => self.pk_map.get(&[OrdValue(cell.clone())][..]),
             _ => self
                 .pk_map
-                .get(&key.iter().cloned().map(OrdValue).collect::<Vec<_>>()),
+                .get(&key.iter().cloned().map(OrdValue).collect::<Vec<_>>()[..]),
         };
         id.and_then(|&id| self.get(id))
     }
@@ -233,15 +269,18 @@ impl Table {
             }
         }
         // An index holds null cells too, so its rows are always checked.
+        // A bound cell's entries lie between it with row ids 0 and MAX.
+        let edge = |bound: Bound<&Value>, at: u64, past: u64| match bound {
+            Bound::Included(v) => Bound::Included((OrdValue(v.clone()), RowId(at))),
+            Bound::Excluded(v) => Bound::Excluded((OrdValue(v.clone()), RowId(past))),
+            Bound::Unbounded => Bound::Unbounded,
+        };
         for (col, index) in &self.indexes {
             if let Some((lo, hi)) = pred.bounds_for(col) {
-                let (lo, hi) = (lo.map(cell), hi.map(cell));
-                let range = (lo.as_ref().map(|k| &k[0]), hi.as_ref().map(|k| &k[0]));
-                if !inverted(range) {
-                    for (_, set) in index.range::<OrdValue, _>(range) {
-                        for &row_id in set {
-                            visit_row(row_id, &self.rows[&row_id], true)?;
-                        }
+                let (lo, hi) = (edge(lo, 0, u64::MAX), edge(hi, u64::MAX, 0));
+                if !inverted((lo.as_ref(), hi.as_ref())) {
+                    for &(_, row_id) in index.range((lo, hi)) {
+                        visit_row(row_id, &self.rows[&row_id], true)?;
                     }
                 }
                 return Ok(());
@@ -267,54 +306,41 @@ impl Table {
         Ok(out)
     }
 
-    pub(crate) fn count(&self, pred: &Predicate) -> SydResult<usize> {
-        let mut n = 0;
-        self.visit(pred, |_, _| {
-            n += 1;
-            Ok(())
-        })?;
-        Ok(n)
-    }
-
     /// Applies `assignments` to every row matching `pred`, in two passes:
-    /// build each prospective row once and show it to `before` (the
-    /// before-update triggers), then apply. Every error — a rejected value,
-    /// a primary-key collision, a veto — comes out of the first pass and so
-    /// leaves every row unchanged. Returns the changes for the
-    /// after-triggers and the undo log: the old and new rows are the very
-    /// allocations `before` saw and the table held and now holds.
+    /// build each prospective row once and show it to `before`, then
+    /// apply. Every error — a rejected value, a primary-key collision, a
+    /// veto — comes out of the first pass and so leaves every row
+    /// unchanged. Returns how many rows changed; `log` gets the changes,
+    /// whose old and new rows are the very allocations `before` saw and
+    /// the table held and now holds.
     pub(crate) fn update(
         &mut self,
         pred: &Predicate,
         assignments: &[(Text, Value)],
-        mut before: impl FnMut(&[Value], &[Value]) -> SydResult<()>,
-    ) -> SydResult<Vec<RowChange>> {
-        // Resolve and type-check assignments once.
-        let mut resolved = Vec::with_capacity(assignments.len());
+        mut before: Before<'_>,
+        mut log: Log<'_>,
+    ) -> SydResult<usize> {
+        let (columns, name) = (&self.schema.columns, &self.schema.name);
         for (col, value) in assignments {
-            let idx = self.schema.column_index(col)?;
-            if !self.schema.columns[idx].admits(value) {
-                return Err(SydError::SchemaViolation(format!(
-                    "column `{}.{col}` rejects {value}",
-                    self.schema.name
-                )));
+            if !columns[self.schema.column_index(col)?].admits(value) {
+                let rejects = format!("column `{name}.{col}` rejects {value}");
+                return Err(SydError::SchemaViolation(rejects));
             }
-            resolved.push((idx, value));
         }
-        let rekeys = resolved
-            .iter()
-            .any(|(idx, _)| self.schema.primary_key.contains(idx));
+        let assigns = |column: &str| assignments.iter().any(|(col, _)| col.as_str() == column);
+        let rekeys = (self.schema.primary_key.iter()).any(|&i| assigns(&columns[i].name));
 
-        let mut changes = Vec::new();
+        let mut writes = Rows::default();
         let mut claimed = BTreeSet::new();
         self.visit(pred, |row_id, old| {
             // One clone per cell; of two assignments to a column the later
             // wins, as if they were applied in order.
             let new: Arc<[Value]> = old
                 .iter()
-                .enumerate()
-                .map(|(i, cell)| {
-                    let assigned = resolved.iter().rev().find(|(idx, _)| *idx == i);
+                .zip(columns)
+                .map(|(cell, column)| {
+                    let assigned =
+                        (assignments.iter().rev()).find(|(col, _)| col.as_str() == column.name);
                     assigned.map_or(cell, |(_, value)| value).clone()
                 })
                 .collect();
@@ -331,16 +357,49 @@ impl Table {
                     )));
                 }
             }
-            before(old, &new)?;
-            changes.push(RowChange::Updated(row_id, Arc::clone(old), new));
+            if let Some(before) = before.as_deref_mut() {
+                before(Some(old), Some(&new))?;
+            }
+            push(&mut writes, (row_id, Arc::clone(old), new));
             Ok(())
         })?;
-        for change in &changes {
-            if let RowChange::Updated(row_id, _, new) = change {
-                self.set_row(*row_id, Arc::clone(new));
+        let mut n = 0;
+        for (row_id, old, new) in writes.0.into_iter().chain(writes.1) {
+            self.set_row(row_id, Arc::clone(&new));
+            if let Some(log) = log.as_deref_mut() {
+                log.push(RowChange::Updated(row_id, old, new));
+            }
+            n += 1;
+        }
+        Ok(n)
+    }
+
+    /// Deletes every row matching `pred` once `before` has seen and
+    /// passed each of them; returns how many went.
+    pub(crate) fn delete(
+        &mut self,
+        pred: &Predicate,
+        mut before: Before<'_>,
+        mut log: Log<'_>,
+    ) -> SydResult<usize> {
+        let mut doomed = Rows::default();
+        self.visit(pred, |row_id, old| {
+            if let Some(before) = before.as_deref_mut() {
+                before(Some(old), None)?;
+            }
+            push(&mut doomed, row_id);
+            Ok(())
+        })?;
+        let mut n = 0;
+        for row_id in doomed.0.into_iter().chain(doomed.1) {
+            if let Some(old) = self.remove_by_id(row_id) {
+                if let Some(log) = log.as_deref_mut() {
+                    log.push(RowChange::Deleted(row_id, old));
+                }
+                n += 1;
             }
         }
-        Ok(changes)
+        Ok(n)
     }
 
     /// Replaces one row's values, keeping the key map and the indexes in
@@ -405,11 +464,17 @@ mod tests {
         [Value::I64(day), Value::str(status)].into()
     }
 
+    impl Table {
+        fn insert_row(&mut self, values: Arc<[Value]>) -> SydResult<RowId> {
+            self.insert(values, None, None)
+        }
+    }
+
     #[test]
     fn insert_select() {
         let mut t = table();
-        let id1 = t.insert(row(1, "free")).unwrap();
-        let id2 = t.insert(row(2, "busy")).unwrap();
+        let id1 = t.insert_row(row(1, "free")).unwrap();
+        let id2 = t.insert_row(row(2, "busy")).unwrap();
         assert_ne!(id1, id2);
         assert_eq!(t.len(), 2);
         let got = t
@@ -422,15 +487,15 @@ mod tests {
     #[test]
     fn pk_uniqueness_enforced() {
         let mut t = table();
-        t.insert(row(1, "free")).unwrap();
-        let err = t.insert(row(1, "busy")).unwrap_err();
+        t.insert_row(row(1, "free")).unwrap();
+        let err = t.insert_row(row(1, "busy")).unwrap_err();
         assert!(err.to_string().contains("duplicate primary key"), "{err}");
     }
 
     #[test]
     fn get_by_key() {
         let mut t = table();
-        t.insert(row(4, "free")).unwrap();
+        t.insert_row(row(4, "free")).unwrap();
         let got = t.get_by_key(&[Value::I64(4)]).unwrap();
         assert_eq!(got.values[1], Value::str("free"));
         assert!(t.get_by_key(&[Value::I64(5)]).is_none());
@@ -439,20 +504,23 @@ mod tests {
     #[test]
     fn update_changes_matching_rows_only() {
         let mut t = table();
-        t.insert(row(1, "free")).unwrap();
-        t.insert(row(2, "free")).unwrap();
-        t.insert(row(3, "busy")).unwrap();
-        let changes = t
+        t.insert_row(row(1, "free")).unwrap();
+        t.insert_row(row(2, "free")).unwrap();
+        t.insert_row(row(3, "busy")).unwrap();
+        let mut changes = Vec::new();
+        let n = t
             .update(
                 &Predicate::Eq("status".into(), Value::str("free")),
                 &[("status".into(), Value::str("reserved"))],
-                |_, _| Ok(()),
+                None,
+                Some(&mut changes),
             )
             .unwrap();
-        assert_eq!(changes.len(), 2);
+        assert_eq!((n, changes.len()), (2, 2));
         assert_eq!(
-            t.count(&Predicate::Eq("status".into(), Value::str("reserved")))
-                .unwrap(),
+            t.select(&Predicate::Eq("status".into(), Value::str("reserved")))
+                .unwrap()
+                .len(),
             2
         );
         match &changes[0] {
@@ -467,13 +535,14 @@ mod tests {
     #[test]
     fn update_pk_collision_detected() {
         let mut t = table();
-        t.insert(row(1, "a")).unwrap();
-        t.insert(row(2, "b")).unwrap();
+        t.insert_row(row(1, "a")).unwrap();
+        t.insert_row(row(2, "b")).unwrap();
         let err = t
             .update(
                 &Predicate::Eq("day".into(), Value::I64(1)),
                 &[("day".into(), Value::I64(2))],
-                |_, _| Ok(()),
+                None,
+                None,
             )
             .unwrap_err();
         assert!(err.to_string().contains("collides"), "{err}");
@@ -483,7 +552,8 @@ mod tests {
             .update(
                 &Predicate::True,
                 &[("day".into(), Value::I64(7))],
-                |_, _| Ok(()),
+                None,
+                None,
             )
             .unwrap_err();
         assert!(err.to_string().contains("collides"), "{err}");
@@ -495,8 +565,8 @@ mod tests {
     #[test]
     fn delete_returns_old_rows() {
         let mut t = table();
-        t.insert(row(1, "x")).unwrap();
-        t.insert(row(2, "y")).unwrap();
+        t.insert_row(row(1, "x")).unwrap();
+        t.insert_row(row(2, "y")).unwrap();
         let gone = t
             .select(&Predicate::Eq("day".into(), Value::I64(1)))
             .unwrap();
@@ -505,7 +575,7 @@ mod tests {
         assert_eq!(t.len(), 1);
         assert!(t.get_by_key(&[Value::I64(1)]).is_none());
         // PK is free for reuse after delete.
-        t.insert(row(1, "z")).unwrap();
+        t.insert_row(row(1, "z")).unwrap();
     }
 
     #[test]
@@ -522,7 +592,7 @@ mod tests {
             .unwrap(),
         );
         for n in 0..100 {
-            t.insert(row(n, "x")).unwrap();
+            t.insert_row(row(n, "x")).unwrap();
         }
         t.create_index("n").unwrap();
         assert_eq!(t.indexed_columns(), vec!["n".to_string()]);
@@ -539,7 +609,8 @@ mod tests {
         t.update(
             &Predicate::Eq("n".into(), Value::I64(10)),
             &[("n".into(), Value::I64(1000))],
-            |_, _| Ok(()),
+            None,
+            None,
         )
         .unwrap();
         let got = t
@@ -548,8 +619,9 @@ mod tests {
         assert_eq!(got.len(), 1);
         t.remove_by_id(got[0].id).unwrap();
         assert_eq!(
-            t.count(&Predicate::Eq("n".into(), Value::I64(1000)))
-                .unwrap(),
+            t.select(&Predicate::Eq("n".into(), Value::I64(1000)))
+                .unwrap()
+                .len(),
             0
         );
     }
@@ -557,8 +629,8 @@ mod tests {
     #[test]
     fn index_created_after_rows_exist_is_backfilled() {
         let mut t = table();
-        t.insert(row(1, "a")).unwrap();
-        t.insert(row(2, "b")).unwrap();
+        t.insert_row(row(1, "a")).unwrap();
+        t.insert_row(row(2, "b")).unwrap();
         t.create_index("status").unwrap();
         let got = t
             .select(&Predicate::Eq("status".into(), Value::str("b")))
@@ -569,14 +641,14 @@ mod tests {
     #[test]
     fn restore_reinstates_row_and_key() {
         let mut t = table();
-        let id = t.insert(row(1, "a")).unwrap();
+        let id = t.insert_row(row(1, "a")).unwrap();
         t.remove_by_id(id).unwrap();
         assert_eq!(t.len(), 0);
         t.restore(id, row(1, "a"));
         assert_eq!(t.get(id).unwrap().values, row(1, "a"));
         assert!(t.get_by_key(&[Value::I64(1)]).is_some());
         // next_row advanced beyond the restored id.
-        let id2 = t.insert(row(2, "b")).unwrap();
+        let id2 = t.insert_row(row(2, "b")).unwrap();
         assert!(id2.0 > id.0);
     }
 
@@ -584,13 +656,14 @@ mod tests {
     fn set_row_maintains_pk_and_index() {
         let mut t = table();
         t.create_index("status").unwrap();
-        let id = t.insert(row(1, "a")).unwrap();
+        let id = t.insert_row(row(1, "a")).unwrap();
         t.set_row(id, row(5, "z"));
         assert!(t.get_by_key(&[Value::I64(1)]).is_none());
         assert!(t.get_by_key(&[Value::I64(5)]).is_some());
         assert_eq!(
-            t.count(&Predicate::Eq("status".into(), Value::str("z")))
-                .unwrap(),
+            t.select(&Predicate::Eq("status".into(), Value::str("z")))
+                .unwrap()
+                .len(),
             1
         );
     }
@@ -598,7 +671,7 @@ mod tests {
     #[test]
     fn row_get_by_column_name() {
         let mut t = table();
-        let id = t.insert(row(1, "free")).unwrap();
+        let id = t.insert_row(row(1, "free")).unwrap();
         let r = t.get(id).unwrap();
         assert_eq!(r.get(t.schema(), "status").unwrap(), &Value::str("free"));
         assert!(r.get(t.schema(), "ghost").is_err());

@@ -24,34 +24,18 @@ use syd_types::{SydResult, Text, Value};
 use crate::lock::LockKey;
 use crate::predicate::Predicate;
 use crate::store::Store;
-use crate::table::{Row, RowChange, RowId};
+use crate::table::{Before, Log, Row, RowChange, RowId, Table};
+use crate::trigger::TriggerEvent;
 
 /// Transaction identity (doubles as the lock owner id).
 pub type TxnId = u64;
-
-#[derive(Debug)]
-enum Undo {
-    Insert {
-        table: Text,
-        row_id: RowId,
-    },
-    Update {
-        table: Text,
-        row_id: RowId,
-        old: Arc<[Value]>,
-    },
-    Delete {
-        table: Text,
-        row_id: RowId,
-        old: Arc<[Value]>,
-    },
-}
 
 /// An open transaction. Dropping an uncommitted transaction rolls it back.
 pub struct Txn {
     store: Store,
     id: TxnId,
-    undo: Vec<Undo>,
+    /// Each statement's table and the changes it applied, in order.
+    undo: Vec<(Text, Vec<RowChange>)>,
     lock_timeout: Duration,
     finished: bool,
 }
@@ -108,18 +92,31 @@ impl Txn {
         self.lock(&LockKey::new(table, key.to_vec()))
     }
 
+    /// Runs one statement, keeping its changes for the undo log.
+    fn logged<R>(
+        &mut self,
+        table: &str,
+        event: TriggerEvent,
+        run: impl FnOnce(&mut Table, Before<'_>, Log<'_>) -> SydResult<R>,
+    ) -> SydResult<R> {
+        let mut changes = Vec::new();
+        let result = self.store.statement(table, event, Some(&mut changes), run);
+        if !changes.is_empty() {
+            self.undo.push((table.into(), changes));
+        }
+        result
+    }
+
     /// Inserts a row (locking its primary key first when one exists).
-    pub fn insert(&mut self, table: &str, values: Vec<Value>) -> SydResult<RowId> {
+    pub fn insert(&mut self, table: &str, values: impl Into<Arc<[Value]>>) -> SydResult<RowId> {
+        let values = values.into();
         let schema = self.store.schema_of(table)?;
         if schema.has_primary_key() {
             self.lock(&LockKey::new(table, schema.key_of(&values)))?;
         }
-        let row_id = self.store.insert(table, values)?;
-        self.undo.push(Undo::Insert {
-            table: table.into(),
-            row_id,
-        });
-        Ok(row_id)
+        self.logged(table, TriggerEvent::Insert, |t, before, log| {
+            t.insert(values, before, log)
+        })
     }
 
     /// Reads through to the store (read-uncommitted, see crate docs).
@@ -137,35 +134,17 @@ impl Txn {
         // Lock every matching row first, then re-apply the predicate inside
         // the store so rows that changed after the read are re-tested.
         self.lock_rows(table, &self.store.select(table, pred)?)?;
-        let changes = self.store.update_collect(table, pred, assignments)?;
-        let n = changes.len();
-        for change in changes {
-            if let RowChange::Updated(row_id, old, _) = change {
-                self.undo.push(Undo::Update {
-                    table: table.into(),
-                    row_id,
-                    old,
-                });
-            }
-        }
-        Ok(n)
+        self.logged(table, TriggerEvent::Update, |t, before, log| {
+            t.update(pred, assignments, before, log)
+        })
     }
 
     /// Deletes matching rows under row locks; returns the affected count.
     pub fn delete(&mut self, table: &str, pred: &Predicate) -> SydResult<usize> {
         self.lock_rows(table, &self.store.select(table, pred)?)?;
-        let changes = self.store.delete_collect(table, pred)?;
-        let n = changes.len();
-        for change in changes {
-            if let RowChange::Deleted(row_id, old) = change {
-                self.undo.push(Undo::Delete {
-                    table: table.into(),
-                    row_id,
-                    old,
-                });
-            }
-        }
-        Ok(n)
+        self.logged(table, TriggerEvent::Delete, |t, before, log| {
+            t.delete(pred, before, log)
+        })
     }
 
     /// Commits: keeps every change, releases all locks.
@@ -183,23 +162,18 @@ impl Txn {
         result
     }
 
+    /// Undoes every logged change, the last first; no trigger fires.
     fn apply_undo(&mut self) -> SydResult<()> {
-        while let Some(entry) = self.undo.pop() {
-            match entry {
-                Undo::Insert { table, row_id } => {
-                    let handle = self.store.table_handle(&table)?;
-                    let mut t = handle.write();
-                    t.remove_by_id(row_id);
-                }
-                Undo::Update { table, row_id, old } => {
-                    let handle = self.store.table_handle(&table)?;
-                    let mut t = handle.write();
-                    t.set_row(row_id, old);
-                }
-                Undo::Delete { table, row_id, old } => {
-                    let handle = self.store.table_handle(&table)?;
-                    let mut t = handle.write();
-                    t.restore(row_id, old);
+        while let Some((table, changes)) = self.undo.pop() {
+            let handle = self.store.table_handle(&table)?;
+            let mut t = handle.write();
+            for change in changes.into_iter().rev() {
+                match change {
+                    RowChange::Inserted(row_id, _) => {
+                        t.remove_by_id(row_id);
+                    }
+                    RowChange::Updated(row_id, old, _) => t.set_row(row_id, old),
+                    RowChange::Deleted(row_id, old) => t.restore(row_id, old),
                 }
             }
         }

@@ -43,12 +43,14 @@ impl Text {
     }
 
     /// `format!` into a `Text`: a result of up to [`INLINE_CAP`] bytes is
-    /// written inline and never touches the heap.
+    /// written inline and never touches the heap, one of up to 128 is
+    /// formatted on the stack and costs only its shared copy.
     pub fn format(args: fmt::Arguments<'_>) -> Text {
-        let mut buf = [0; INLINE_CAP];
+        const FORMAT_BUF: usize = 128;
+        let mut buf = [0; FORMAT_BUF];
         let mut rest = &mut buf[..];
         if std::io::Write::write_fmt(&mut rest, args).is_ok() {
-            let len = INLINE_CAP - rest.len();
+            let len = FORMAT_BUF - rest.len();
             return Text::from(core::str::from_utf8(&buf[..len]).unwrap_or_default());
         }
         Text::from(std::fmt::format(args))
@@ -249,6 +251,9 @@ mod tests {
         assert!(!long.is_inline());
         assert_eq!(long, "participant_changed:16777217");
         assert_eq!(Text::format(format_args!("")), "");
+        // Past the stack buffer the result is formatted on the heap.
+        let huge = "x".repeat(129);
+        assert_eq!(Text::format(format_args!("{huge}")), huge.as_str());
     }
 
     #[test]
