@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use syd_bench::timing::Group;
 use syd_bench::{devices, env_ideal};
-use syd_types::sync::Mutex;
+use syd_types::sync::{Mutex, Rank};
 
 use syd_core::negotiate::Participant;
 use syd_core::{DeviceRuntime, EntityHandler};
@@ -31,7 +31,10 @@ impl EntityHandler for CountingHandler {
 
 fn install_handlers(devs: &[DeviceRuntime]) {
     for dev in devs {
-        dev.set_entity_handler(Arc::new(CountingHandler(Arc::new(Mutex::new(0)))));
+        dev.set_entity_handler(Arc::new(CountingHandler(Arc::new(Mutex::new(
+            Rank::Leaf,
+            0,
+        )))));
     }
 }
 

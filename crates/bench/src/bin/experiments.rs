@@ -89,7 +89,7 @@ fn e1_baseline_vs_syd() {
             != Some(syd_calendar::baseline::ProposalStatus::Scheduled)
         {
             assert!(Instant::now() < deadline, "baseline never committed");
-            std::thread::sleep(Duration::from_millis(2));
+            syd_types::sync::sleep(Duration::from_millis(2));
         }
         let base = delta(benv.network(), before);
 
@@ -124,7 +124,7 @@ fn e1_baseline_vs_syd() {
         while apps[0].meeting(outcome.meeting).unwrap().unwrap().status != MeetingStatus::Confirmed
         {
             assert!(Instant::now() < deadline, "never converged");
-            std::thread::sleep(Duration::from_millis(1));
+            syd_types::sync::sleep(Duration::from_millis(1));
         }
         let syd = delta(env.network(), before);
         println!("{:>6} | {:>10} | {:>26}", n, syd.sent, 2 * (n - 1));
@@ -237,7 +237,7 @@ fn e3_convergence() {
                 break;
             }
             assert!(Instant::now() < deadline, "never converged");
-            std::thread::sleep(Duration::from_micros(200));
+            syd_types::sync::sleep(Duration::from_micros(200));
         }
         let elapsed = started.elapsed();
         let traffic = delta(env.network(), before);
@@ -298,7 +298,7 @@ fn e5_proxy_failover() {
     phil.store()
         .insert("slots", vec![Value::I64(9), Value::str("busy")])
         .unwrap();
-    std::thread::sleep(Duration::from_millis(50)); // replication settle
+    syd_types::sync::sleep(Duration::from_millis(50)); // replication settle
 
     let svc = ServiceName::new("slots");
     // Query latency through the primary.

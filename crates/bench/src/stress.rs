@@ -24,6 +24,7 @@ use syd_core::{DeviceRuntime, EntityHandler, SydEnv};
 use syd_net::NetConfig;
 use syd_telemetry::{names, Event};
 use syd_types::rng::Rng;
+use syd_types::sync;
 use syd_types::{SydError, SydResult, Value};
 
 /// A deliberately injected protocol defect (see [`StressConfig::inject`]).
@@ -229,9 +230,9 @@ pub fn run(cfg: &StressConfig) -> StressOutcome {
                     let a = prng.below(devices.len() as u64) as usize;
                     let b = (a + 1 + prng.below(devices.len() as u64 - 1) as usize) % devices.len();
                     net.set_partitioned(devices[a].addr(), devices[b].addr(), true);
-                    std::thread::sleep(Duration::from_millis(2 + prng.below(6)));
+                    sync::sleep(Duration::from_millis(2 + prng.below(6)));
                     net.heal_partitions();
-                    std::thread::sleep(Duration::from_millis(1 + prng.below(4)));
+                    sync::sleep(Duration::from_millis(1 + prng.below(4)));
                 }
                 net.heal_partitions();
             });
@@ -246,7 +247,7 @@ pub fn run(cfg: &StressConfig) -> StressOutcome {
     // Quiesce: let bounded mark-waits and in-flight aborts land, then end
     // every lease left so each surviving lock's story is closed in the
     // journal before the audit reads it.
-    std::thread::sleep(Duration::from_millis(300));
+    sync::sleep(Duration::from_millis(300));
     let lapsed: usize = devices.iter().map(DeviceRuntime::end_leases).sum();
 
     match cfg.inject {
@@ -283,21 +284,21 @@ pub fn run(cfg: &StressConfig) -> StressOutcome {
 pub const INJECTED_SESSION: u64 = 0xFA_11ED;
 
 /// Plants a leaked entity lock on `device`: the journal shows the
-/// session's story closing (lock, change) but the lock is re-acquired
-/// and never released. [`syd_check::audit`] must report a `lock-leak`
-/// for [`INJECTED_SESSION`] with the story as its excerpt.
+/// session's story closing (lock, change) but the lock is taken again by
+/// a transaction of the session that is forgotten, never ended.
+/// [`syd_check::audit`] must report a `lock-leak` for
+/// [`INJECTED_SESSION`] with the story as its excerpt.
 pub fn inject_lock_leak(device: &DeviceRuntime) {
     let session = INJECTED_SESSION;
     let entity = "slot:injected";
     device.journal().emit(Event::lock(session, entity));
     device.journal().emit(Event::commit(session, entity, true));
+    let forgotten = device.store().begin_for(session);
     assert!(
-        device
-            .store()
-            .locks()
-            .try_acquire(session, &entity_lock_key(entity)),
+        forgotten.lock(&entity_lock_key(entity)).is_ok(),
         "injected entity unexpectedly contended"
     );
+    std::mem::forget(forgotten);
 }
 
 /// Forges a double-book on `device`: a `Change` record for a session

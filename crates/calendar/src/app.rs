@@ -12,7 +12,7 @@
 mod busy;
 pub mod ops;
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
@@ -21,7 +21,7 @@ use syd_core::{DeviceRuntime, EntityHandler, SubscriptionHandler};
 use syd_store::{Column, ColumnType, Predicate, Schema, Store};
 use syd_telemetry::names;
 use syd_telemetry::{Counter, Histogram};
-use syd_types::sync::{blocking, Mutex, MutexGuard};
+use syd_types::sync::{Condvar, Mutex, Rank};
 use syd_types::time::SLOTS_PER_DAY;
 use syd_types::{
     MeetingId, Priority, ServiceName, SlotBitmap, SlotRange, SydError, SydResult, Text, TimeSlot,
@@ -87,9 +87,11 @@ pub struct CalendarApp {
     /// across the write: a bit never disagrees with its row.
     busy: Mutex<BusyWords>,
     next_meeting: AtomicU64,
-    /// Per-meeting serialization of reconcile rounds: an entry lives while
-    /// a [`ReconcileGuard`] of the meeting does.
-    pub(crate) reconcile_locks: Mutex<HashMap<MeetingId, Arc<Mutex<()>>>>,
+    /// Meetings with a reconcile round under way: an entry lives while a
+    /// [`ReconcileGuard`] of the meeting does.
+    pub(crate) reconciling: Mutex<HashSet<MeetingId>>,
+    /// Notified when a reconcile round ends.
+    round_over: Condvar,
     /// Meetings currently being rescheduled after a bump (dedup guard).
     pub(crate) rescheduling: Mutex<Vec<MeetingId>>,
 }
@@ -138,10 +140,11 @@ impl CalendarApp {
             store,
             mailbox,
             metrics,
-            busy: Mutex::new(busy),
+            busy: Mutex::new(Rank::Calendar, busy),
             next_meeting: AtomicU64::new(1),
-            reconcile_locks: Mutex::new(HashMap::new()),
-            rescheduling: Mutex::new(Vec::new()),
+            reconciling: Mutex::new(Rank::Calendar, HashSet::new()),
+            round_over: Condvar::new(),
+            rescheduling: Mutex::new(Rank::Calendar, Vec::new()),
         });
 
         device.set_entity_handler(Arc::new(SlotEntityHandler(Arc::downgrade(&app))));
@@ -403,50 +406,29 @@ impl CalendarApp {
         });
     }
 
-    /// The handle to `id`'s reconcile guard; [`ReconcileGuard::lock`]
-    /// takes it.
+    /// Serializes `id`'s reconcile rounds: waits while another round of
+    /// the meeting runs (announced, so that a pool worker hands its turn
+    /// on) and keeps the meeting until the guard drops. No lock is held
+    /// meanwhile, so the round may make remote calls.
     pub(crate) fn reconcile_guard(&self, id: MeetingId) -> ReconcileGuard<'_> {
-        let lock = Arc::clone(
-            self.reconcile_locks
-                .lock()
-                .entry(id)
-                .or_insert_with(|| Arc::new(Mutex::new(()))),
-        );
-        ReconcileGuard {
-            locks: &self.reconcile_locks,
-            id,
-            lock,
+        let mut reconciling = self.reconciling.lock();
+        while !reconciling.insert(id) {
+            reconciling = self.round_over.wait(reconciling);
         }
+        ReconcileGuard { app: self, id }
     }
 }
 
-/// A handle to one meeting's reconcile guard. The last handle of a
-/// meeting to go removes the guard from the app's map.
+/// One meeting's reconcile round, under way until dropped.
 pub(crate) struct ReconcileGuard<'a> {
-    locks: &'a Mutex<HashMap<MeetingId, Arc<Mutex<()>>>>,
+    app: &'a CalendarApp,
     id: MeetingId,
-    lock: Arc<Mutex<()>>,
-}
-
-impl ReconcileGuard<'_> {
-    /// Holds the guard: at once if it is free, else after an announced
-    /// wait, so that a pool worker hands its turn on while it waits.
-    pub(crate) fn lock(&self) -> MutexGuard<'_, ()> {
-        if let Some(held) = self.lock.try_lock() {
-            return held;
-        }
-        blocking(|| self.lock.lock())
-    }
 }
 
 impl Drop for ReconcileGuard<'_> {
     fn drop(&mut self) {
-        // Handles are cloned only under the map's lock: two counts (the
-        // map's and this one) mean no other handle exists or can appear.
-        let mut locks = self.locks.lock();
-        if Arc::strong_count(&self.lock) == 2 {
-            locks.remove(&self.id);
-        }
+        self.app.reconciling.lock().remove(&self.id);
+        self.app.round_over.notify_all();
     }
 }
 
@@ -1022,7 +1004,7 @@ mod tests {
             apps[0].cancel(out.meeting).unwrap();
         }
         assert_eq!(
-            apps[0].reconcile_locks.lock().len(),
+            apps[0].reconciling.lock().len(),
             0,
             "a guard outlived the rounds that used it"
         );

@@ -35,7 +35,7 @@ use syd_core::negotiate::{Participant, Phase2};
 use syd_core::Call;
 use syd_store::Predicate;
 use syd_telemetry::names;
-use syd_types::sync::blocking;
+use syd_types::sync;
 use syd_types::{
     LinkId, MeetingId, SlotBitmap, SlotRange, SydError, SydResult, Text, TimeSlot, UserId, Value,
 };
@@ -191,8 +191,7 @@ impl CalendarApp {
         id: MeetingId,
         only_if_missing: bool,
     ) -> SydResult<Meeting> {
-        let guard = self.reconcile_guard(id);
-        let _g = guard.lock();
+        let _round = self.reconcile_guard(id);
 
         let Some(rec) = self.meeting(id)? else {
             return Err(SydError::App(format!("unknown meeting {id}")));
@@ -287,7 +286,7 @@ impl CalendarApp {
             if outcome.contended.is_empty() {
                 break;
             }
-            blocking(|| std::thread::sleep(grab_backoff(me, attempt)));
+            sync::sleep(grab_backoff(me, attempt));
             outcome = negotiator.negotiate_available_with(&parts, &phase2)?;
         }
 
@@ -478,8 +477,7 @@ impl CalendarApp {
         // behind the cancel sees `Cancelled` and returns. The promotions
         // the cascade triggers reconcile *other* meetings, so nothing
         // waits in a cycle.
-        let guard = self.reconcile_guard(id);
-        let _g = guard.lock();
+        let _round = self.reconcile_guard(id);
 
         let Some(mut rec) = self.meeting(id)? else {
             return Err(SydError::App(format!("unknown meeting {id}")));
@@ -573,8 +571,7 @@ impl CalendarApp {
     /// current holder at the new slot; only if all can move does the
     /// meeting move.
     pub(crate) fn handle_change_request(&self, id: MeetingId, new_ordinal: u64) -> SydResult<bool> {
-        let guard = self.reconcile_guard(id);
-        let _g = guard.lock();
+        let round = self.reconcile_guard(id);
         let Some(mut rec) = self.meeting(id)? else {
             return Ok(false);
         };
@@ -607,7 +604,7 @@ impl CalendarApp {
         // Fresh forward link at the new slot, then a repair round to
         // rebuild back links, availability queues and the status.
         self.add_forward_link(&rec)?;
-        drop(_g);
+        drop(round);
         self.reconcile(id)?;
         Ok(true)
     }
@@ -637,8 +634,7 @@ impl CalendarApp {
     }
 
     pub(crate) fn handle_leave_request(&self, id: MeetingId, user: UserId) -> SydResult<bool> {
-        let guard = self.reconcile_guard(id);
-        let _g = guard.lock();
+        let _round = self.reconcile_guard(id);
         let Some(mut rec) = self.meeting(id)? else {
             return Ok(false);
         };

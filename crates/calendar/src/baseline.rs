@@ -28,7 +28,7 @@ use std::sync::{Arc, Weak};
 
 use syd_core::DeviceRuntime;
 use syd_store::{Column, ColumnType, Predicate, Schema, Store};
-use syd_types::sync::Mutex;
+use syd_types::sync::{Mutex, Rank};
 use syd_types::{ServiceName, SydError, SydResult, TimeSlot, UserId, Value};
 
 /// The baseline calendar's service name.
@@ -109,8 +109,8 @@ impl BaselineCalendar {
         let app = Arc::new(BaselineCalendar {
             device: device.clone(),
             store,
-            proposals: Mutex::new(Vec::new()),
-            inbox: Mutex::new(Vec::new()),
+            proposals: Mutex::new(Rank::Calendar, Vec::new()),
+            inbox: Mutex::new(Rank::Calendar, Vec::new()),
             next_proposal: AtomicU64::new(1),
             stats: Arc::new(BaselineStats::default()),
         });
@@ -494,7 +494,7 @@ impl BaselineCalendar {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 mod tests {
     use super::*;
     use std::time::Duration;

@@ -251,7 +251,10 @@ mod tests {
         let b = env.device("bob", "").unwrap();
         let ma = Mailbox::install(&a).unwrap();
         let _mb = Mailbox::install(&b).unwrap();
-        let seen = Arc::new(syd_types::sync::Mutex::new(Vec::<String>::new()));
+        let seen = Arc::new(syd_types::sync::Mutex::new(
+            syd_types::sync::Rank::Leaf,
+            Vec::<String>::new(),
+        ));
         let sc = Arc::clone(&seen);
         b.events().subscribe(
             "mailbox.",

@@ -78,7 +78,7 @@ pub fn host_calendar_on_proxy(proxy: &ProxyHost, app: &CalendarApp) -> SydResult
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 mod tests {
     use super::*;
     use crate::model::{MeetingSpec, MeetingStatus};

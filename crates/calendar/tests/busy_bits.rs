@@ -3,7 +3,7 @@
 //! say what a scan of the rows says, over every window: at the 64-slot
 //! word edges, empty, reversed, and past the last word.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // test code
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};

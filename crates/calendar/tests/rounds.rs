@@ -7,7 +7,7 @@
 //! with the address caches warm. A call a device makes to itself is served
 //! in-process, so an operation sends 2 × (calls − self-calls) frames.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // test code
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -19,7 +19,7 @@ use syd_core::{EntityHandler, SydEnv};
 use syd_net::NetConfig;
 use syd_store::{Trigger, TriggerEvent};
 use syd_telemetry::names;
-use syd_types::sync::Mutex;
+use syd_types::sync::{Mutex, Rank};
 use syd_types::{SydError, SydResult, TimeSlot, UserId, Value};
 
 const N: usize = 8;
@@ -556,7 +556,7 @@ fn only_a_participant_whose_release_failed_is_sent_the_cascade() {
         Arc::new(|_ctx, _args: &[Value]| Err(SydError::App("not now".into()))),
     );
     // Record every `delete_by_corr` a device serves, then serve it.
-    let served = Arc::new(Mutex::new(Vec::<(UserId, Vec<u64>)>::new()));
+    let served = Arc::new(Mutex::new(Rank::Leaf, Vec::<(UserId, Vec<u64>)>::new()));
     for app in &apps {
         let (device, served) = (app.device().clone(), Arc::clone(&served));
         app.device().register_service(
@@ -583,7 +583,7 @@ fn only_a_participant_whose_release_failed_is_sent_the_cascade() {
         2 * (4 + 1 - 1),
         "4 releases and the mop-up − the initiator's own release"
     );
-    let served = served.lock();
+    let served = served.lock().clone();
     assert_eq!(served.len(), 1, "{served:?}");
     assert_eq!(served[0].0, deaf.user());
     let mut visited = served[0].1.clone();

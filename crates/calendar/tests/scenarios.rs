@@ -1,7 +1,7 @@
 //! End-to-end calendar scenarios — the narrative walkthroughs of §4.4 and
 //! §5, executed against live devices on the simulated network.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // test code
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};

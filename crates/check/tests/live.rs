@@ -76,19 +76,7 @@ fn entities_differing_after_a_space_do_not_collide() {
     let (_env, devices) = rig(2);
     let (coordinator, participant) = (&devices[0], &devices[1]);
     let stranded = (coordinator.user().raw() << 24) | 0x55;
-    let vote = coordinator
-        .engine()
-        .invoke(
-            participant.user(),
-            &link_service(),
-            "mark",
-            vec![
-                Value::from(stranded),
-                Value::str("room a"),
-                Value::str("chg"),
-            ],
-        )
-        .unwrap();
+    let vote = send((coordinator, participant), "mark", stranded, "room a").unwrap();
     assert_eq!(vote, Value::Bool(true));
 
     let parts = [Participant::new(
@@ -109,8 +97,10 @@ fn send(
     session: u64,
     entity: &str,
 ) -> SydResult<Value> {
-    coordinator.engine().invoke(
-        participant.user(),
+    // The engine refuses the §4.3 verbs outside the negotiator: a node
+    // sends them as any frame is sent.
+    coordinator.node().call(
+        participant.addr(),
         &link_service(),
         method,
         vec![Value::from(session), Value::str(entity), Value::str("chg")],
@@ -234,10 +224,9 @@ fn closed_story_with_held_lock_is_a_leak() {
     device
         .journal()
         .emit(Event::commit(session, "slot:leak", true));
-    assert!(device
-        .store()
-        .locks()
-        .try_acquire(session, &entity_lock_key("slot:leak")));
+    let forgotten = device.store().begin_for(session);
+    forgotten.lock(&entity_lock_key("slot:leak")).unwrap();
+    std::mem::forget(forgotten);
 
     let report = syd_check::audit(devices.iter());
     let leak = report

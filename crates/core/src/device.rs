@@ -20,9 +20,9 @@ use std::time::Duration;
 
 use syd_crypto::Authenticator;
 use syd_net::{Node, Transport};
-use syd_store::{LockKey, OrdValue, Store};
+use syd_store::{LockKey, LockRights, OrdValue, Store};
 use syd_telemetry::{names, Event, Journal, Registry, Vote};
-use syd_types::sync::{Mutex, RwLock};
+use syd_types::sync::{Mutex, Rank, RwLock};
 use syd_types::{Clock, NodeAddr, ServiceName, SydError, SydResult, UserId, Value};
 
 use crate::directory::DirectoryClient;
@@ -30,7 +30,7 @@ use crate::engine::SydEngine;
 use crate::events::EventHandler;
 use crate::links::LinksModule;
 use crate::listener::{InvokeCtx, Listener, ListenerHandler, ServiceMethod};
-use crate::negotiate::{fsm, link_service, Negotiator};
+use crate::negotiate::{fsm, link_service, Negotiator, ABORT, COMMIT, MARK};
 
 /// How long a participant waits for an entity lock before voting no.
 const MARK_LOCK_WAIT: Duration = Duration::from_millis(200);
@@ -71,6 +71,8 @@ struct DeviceInner {
     name: String,
     node: Node,
     store: Store,
+    /// The right to change `store`'s entity locks: the kernel handlers'.
+    lock_rights: LockRights,
     listener: Arc<Listener>,
     engine: SydEngine,
     events: EventHandler,
@@ -114,7 +116,7 @@ impl DeviceRuntime {
             .register(user, name, node.addr())
             .inspect_err(|_| node.shutdown())?;
 
-        let store = Store::new();
+        let (store, lock_rights) = Store::new_owned();
         let listener = Arc::new(Listener::new(auth));
         listener.attach_metrics(node.metrics());
         node.set_handler(Arc::new(ListenerHandler(Arc::clone(&listener))));
@@ -154,6 +156,7 @@ impl DeviceRuntime {
             name: name.to_owned(),
             node,
             store,
+            lock_rights,
             listener,
             engine,
             events,
@@ -161,10 +164,10 @@ impl DeviceRuntime {
             negotiator,
             journal,
             clock,
-            entity_handler: RwLock::new(None),
-            subscription_handler: RwLock::new(None),
-            link_acceptor: RwLock::new(None),
-            services: Mutex::new(Vec::new()),
+            entity_handler: RwLock::new(Rank::Engine, None),
+            subscription_handler: RwLock::new(Rank::Engine, None),
+            link_acceptor: RwLock::new(Rank::Engine, None),
+            services: Mutex::new(Rank::Engine, Vec::new()),
         });
         let device = DeviceRuntime { inner };
         device.register_kernel_services();
@@ -384,13 +387,13 @@ impl DeviceRuntime {
         let inner = Arc::downgrade(&self.inner);
         listener.register(
             &svc,
-            "mark",
+            MARK,
             Arc::new(move |_ctx: &InvokeCtx, args: &[Value]| {
                 let inner = inner.upgrade().ok_or(SydError::Shutdown)?;
                 let session = args_get(args, 0)?.as_i64()? as u64;
                 let entity = args_get(args, 1)?.as_str()?;
                 let change = args_get(args, 2)?;
-                let (locks, key) = (inner.store.locks(), entity_lock_key(entity));
+                let (locks, key) = (&inner.lock_rights, entity_lock_key(entity));
                 let lapsed = |holder| inner.journal.emit(Event::release(holder, entity, "lease"));
                 let lease = Some((&*inner.clock, LOCK_LEASE));
                 let mut taken = locks.mark(session, &key, Duration::ZERO, lease, lapsed);
@@ -436,13 +439,13 @@ impl DeviceRuntime {
         let inner = Arc::downgrade(&self.inner);
         listener.register(
             &svc,
-            "commit",
+            COMMIT,
             Arc::new(move |_ctx: &InvokeCtx, args: &[Value]| {
                 let inner = inner.upgrade().ok_or(SydError::Shutdown)?;
                 let session = args_get(args, 0)?.as_i64()? as u64;
                 let entity = args_get(args, 1)?.as_str()?;
                 let change = args_get(args, 2)?;
-                let (locks, key) = (inner.store.locks(), entity_lock_key(entity));
+                let (locks, key) = (&inner.lock_rights, entity_lock_key(entity));
                 // A coordinator may be slow, not dead: its commit after its
                 // lease lapsed is refused, as the entity may have changed
                 // hands since. An admitted commit holds the entity until
@@ -474,7 +477,7 @@ impl DeviceRuntime {
         let inner = Arc::downgrade(&self.inner);
         listener.register(
             &svc,
-            "abort",
+            ABORT,
             Arc::new(move |_ctx: &InvokeCtx, args: &[Value]| {
                 let inner = inner.upgrade().ok_or(SydError::Shutdown)?;
                 let session = args_get(args, 0)?.as_i64()? as u64;
@@ -487,10 +490,7 @@ impl DeviceRuntime {
                 inner
                     .journal
                     .emit(Event::release(session, entity, "coordinator-abort"));
-                inner
-                    .store
-                    .locks()
-                    .release(session, &entity_lock_key(entity));
+                (inner.lock_rights).release(session, &entity_lock_key(entity));
                 Ok(Value::Null)
             }),
         );
@@ -579,7 +579,7 @@ impl DeviceRuntime {
     /// its story before a strict audit instead of waiting out [`LOCK_LEASE`].
     pub fn end_leases(&self) -> usize {
         let journal = &self.inner.journal;
-        self.inner.store.locks().end_leases(|holder, key| {
+        self.inner.lock_rights.end_leases(|holder, key| {
             if let Some(OrdValue(Value::Str(entity))) = key.key.first() {
                 journal.emit(Event::release(holder, entity, "lease"));
             }
@@ -611,7 +611,7 @@ impl Drop for Pinned<'_> {
                 .journal
                 .emit(Event::release(session, entity, "commit-unwound"));
         }
-        inner.store.locks().release(session, key);
+        inner.lock_rights.release(session, key);
     }
 }
 
@@ -621,7 +621,7 @@ fn args_get(args: &[Value], i: usize) -> SydResult<&Value> {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 mod tests {
     use super::*;
     use crate::directory::DirectoryServer;
@@ -678,7 +678,7 @@ mod tests {
         devices
             .iter()
             .map(|d| {
-                let state = Arc::new(Mutex::new(HashMap::new()));
+                let state = Arc::new(Mutex::new(Rank::Leaf, HashMap::new()));
                 d.set_entity_handler(Arc::new(MapHandler {
                     state: Arc::clone(&state),
                 }));
@@ -759,7 +759,11 @@ mod tests {
         // A foreign negotiation session holds device 2's entity lock, as
         // if another coordinator were mid-negotiation on the same slot.
         let key = entity_lock_key("slot:1:9");
-        assert!(devices[2].store().locks().try_acquire(0xdead, &key));
+        let taken = devices[2]
+            .inner
+            .lock_rights
+            .mark(0xdead, &key, Duration::ZERO, None, |_| {});
+        assert_eq!(taken, fsm::Taken::Fresh);
         let participants: Vec<Participant> = devices
             .iter()
             .map(|d| Participant::new(d.user(), "slot:1:9", Value::str("reserved")))
@@ -781,7 +785,7 @@ mod tests {
             assert_eq!(d.store().locks().held_count(), 0);
         }
         // Once the other session is gone the same grab commits everyone.
-        devices[2].store().locks().release(0xdead, &key);
+        devices[2].inner.lock_rights.release(0xdead, &key);
         let outcome = devices[0]
             .negotiator()
             .negotiate_available(&participants)
@@ -800,7 +804,7 @@ mod tests {
         let states = install_map_handlers(&devices);
         states[2].lock().insert("e".to_owned(), "busy".to_owned());
         let svc = ServiceName::new("app");
-        let told = Arc::new(Mutex::new(0u32));
+        let told = Arc::new(Mutex::new(Rank::Leaf, 0u32));
         let tc = Arc::clone(&told);
         devices[2].register_service(
             &svc,
@@ -843,7 +847,11 @@ mod tests {
         assert_eq!(*told.lock(), 1);
 
         let key = entity_lock_key("e");
-        assert!(devices[1].store().locks().try_acquire(0xdead, &key));
+        let taken = devices[1]
+            .inner
+            .lock_rights
+            .mark(0xdead, &key, Duration::ZERO, None, |_| {});
+        assert_eq!(taken, fsm::Taken::Fresh);
         let outcome = devices[0]
             .negotiator()
             .negotiate_available_with(&participants, &phase2)
@@ -1076,7 +1084,7 @@ mod tests {
     #[test]
     fn subscription_link_notifies_peers() {
         let (_net, _dir, devices) = rig(3);
-        let seen: Arc<Mutex<Vec<(String, String)>>> = Arc::new(Mutex::new(Vec::new()));
+        let seen: Arc<Mutex<Vec<(String, String)>>> = Arc::new(Mutex::new(Rank::Leaf, Vec::new()));
         struct Recorder(Arc<Mutex<Vec<(String, String)>>>);
         impl SubscriptionHandler for Recorder {
             fn on_notify(&self, entity: &str, action: &str, _payload: &Value) -> SydResult<Value> {
@@ -1204,7 +1212,7 @@ mod tests {
         let [origin, two, three, four] = [0, 1, 2, 3].map(|i| devices[i].user());
         let corr = "web";
         // Record every delete_by_corr a device serves, then serve it.
-        let seen = Arc::new(Mutex::new(Vec::<(UserId, Vec<u64>)>::new()));
+        let seen = Arc::new(Mutex::new(Rank::Leaf, Vec::<(UserId, Vec<u64>)>::new()));
         for d in &devices {
             let (device, seen) = (d.clone(), Arc::clone(&seen));
             d.register_service(
@@ -1224,7 +1232,7 @@ mod tests {
                 }),
             );
         }
-        let deleted_at_four = Arc::new(Mutex::new(0));
+        let deleted_at_four = Arc::new(Mutex::new(Rank::Leaf, 0));
         let counter = Arc::clone(&deleted_at_four);
         devices[3].events().subscribe(
             "link.deleted",
@@ -1346,7 +1354,7 @@ mod tests {
             )
             .unwrap();
 
-        let promoted: Arc<Mutex<Vec<LinkId>>> = Arc::new(Mutex::new(Vec::new()));
+        let promoted: Arc<Mutex<Vec<LinkId>>> = Arc::new(Mutex::new(Rank::Leaf, Vec::new()));
         let pc = Arc::clone(&promoted);
         d.links()
             .set_promotion_handler(Arc::new(move |link| pc.lock().push(link.id)));
@@ -1450,7 +1458,7 @@ mod tests {
     fn method_coupling_invokes_destinations() {
         let (_net, _dir, devices) = rig(2);
         let svc = ServiceName::new("calendar");
-        let hits = Arc::new(Mutex::new(0u32));
+        let hits = Arc::new(Mutex::new(Rank::Leaf, 0u32));
         let hc = Arc::clone(&hits);
         devices[1].register_service(
             &svc,

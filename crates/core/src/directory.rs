@@ -17,7 +17,7 @@ use std::sync::Arc;
 use syd_net::{Call, CallOptions, Network, Node, RequestHandler, Transport};
 use syd_telemetry::names;
 use syd_telemetry::{Counter, Registry};
-use syd_types::sync::RwLock;
+use syd_types::sync::{Rank, RwLock};
 use syd_types::{GroupId, NodeAddr, ServiceName, SydError, SydResult, UserId, Value};
 use syd_wire::Request;
 
@@ -104,7 +104,7 @@ impl DirectoryServer {
     /// Starts a directory on any transport backend (simulated or TCP).
     pub fn start_on(transport: &dyn Transport) -> SydResult<DirectoryServer> {
         let node = Node::spawn_on(transport)?;
-        let state = Arc::new(RwLock::new(DirState::default()));
+        let state = Arc::new(RwLock::new(Rank::Engine, DirState::default()));
         let handler_state = Arc::clone(&state);
         let metrics = DirMetrics::preregister(node.metrics());
         node.set_handler(

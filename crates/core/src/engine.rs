@@ -20,10 +20,11 @@ use std::time::Duration;
 pub use syd_net::Call;
 use syd_net::{CallOptions, Node};
 use syd_telemetry::{Counter, Histogram};
-use syd_types::sync::Mutex;
+use syd_types::sync::{Mutex, Rank};
 use syd_types::{NodeAddr, ServiceName, SydError, SydResult, UserId, Value};
 
 use crate::directory::DirectoryClient;
+use crate::negotiate::{link_service, PROTOCOL_VERBS};
 use crate::qos::QosMonitor;
 use syd_telemetry::names;
 
@@ -98,8 +99,8 @@ impl SydEngine {
         SydEngine {
             node,
             directory,
-            cache: Arc::new(Mutex::new(HashMap::new())),
-            opts: Arc::new(Mutex::new(CallOptions::default())),
+            cache: Arc::new(Mutex::new(Rank::Engine, HashMap::new())),
+            opts: Arc::new(Mutex::new(Rank::Engine, CallOptions::default())),
             qos: None,
             invoke_hist,
             batch_resolves,
@@ -123,7 +124,7 @@ impl SydEngine {
     /// gets its own options cell — clones made *before* this call keep
     /// their previous settings.
     pub fn with_options(mut self, opts: CallOptions) -> SydEngine {
-        self.opts = Arc::new(Mutex::new(opts));
+        self.opts = Arc::new(Mutex::new(Rank::Engine, opts));
         self
     }
 
@@ -283,6 +284,7 @@ impl SydEngine {
         method: &str,
         args: Vec<Value>,
     ) -> SydResult<GroupResult> {
+        refuse_protocol_verb(service, method)?;
         let group_id = self.directory.group_by_name(group)?;
         let members = self.directory.group_members(group_id)?;
         Ok(self.invoke_group(&members, service, method, args))
@@ -294,6 +296,38 @@ impl SydEngine {
     /// in call order, and a batch of any size costs one round trip of
     /// latency.
     ///
+    /// The §4.3 verbs — `mark`, `commit` and `abort` of the link service —
+    /// are the negotiator's alone ([`crate::Negotiator`]): a batch that
+    /// holds one is refused whole with [`SydError::Protocol`], before
+    /// anything is sent.
+    ///
+    /// ```
+    /// # use syd_core::{negotiate::link_service, SydEnv};
+    /// # use syd_types::{SydError, Value};
+    /// # let env = SydEnv::new_insecure(syd_net::NetConfig::ideal());
+    /// # let (a, b) = (env.device("a", "").unwrap(), env.device("b", "").unwrap());
+    /// let args = vec![Value::from(1u64), Value::str("slot:1"), Value::Null];
+    /// let refused = a.engine().invoke_group(&[b.user()], &link_service(), "mark", args);
+    /// assert!(matches!(refused.outcomes[0].1, Err(SydError::Protocol(_))));
+    /// ```
+    pub fn invoke_batch(&self, calls: &[Call<'_>]) -> GroupResult {
+        let refused = calls
+            .iter()
+            .find_map(|call| refuse_protocol_verb(call.service, call.method).err());
+        if let Some(err) = refused {
+            return GroupResult {
+                outcomes: calls
+                    .iter()
+                    .map(|call| (call.user, Err(err.clone())))
+                    .collect(),
+            };
+        }
+        self.batch(calls)
+    }
+
+    /// [`SydEngine::invoke_batch`] with the §4.3 verbs allowed: the
+    /// negotiator's way out.
+    ///
     /// The first wave goes to the addresses [`SydEngine::resolve_many`]
     /// knows (one batched directory round trip for the misses). Every
     /// later wave first forgets the cached address of each user it still
@@ -302,7 +336,7 @@ impl SydEngine {
     /// That first re-resolved wave is not charged to the retry budget, so
     /// a failing call is sent `2 + retries` times and the whole batch
     /// returns within `(2 + retries) × timeout`.
-    pub fn invoke_batch(&self, calls: &[Call<'_>]) -> GroupResult {
+    pub(crate) fn batch(&self, calls: &[Call<'_>]) -> GroupResult {
         if calls.is_empty() {
             return GroupResult {
                 outcomes: Vec::new(),
@@ -346,6 +380,16 @@ impl SydEngine {
     pub fn timeout(&self) -> Duration {
         self.opts().timeout
     }
+}
+
+/// `Err(Protocol)` for a §4.3 verb of the link service.
+fn refuse_protocol_verb(service: &ServiceName, method: &str) -> SydResult<()> {
+    if PROTOCOL_VERBS.contains(&method) && *service == link_service() {
+        return Err(SydError::Protocol(format!(
+            "`{method}` is sent by the negotiator only"
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -644,6 +688,30 @@ mod tests {
         assert_eq!(engine.node().rpc_retries(), 6);
     }
 
+    /// §4.3's verbs are the negotiator's: the public engine refuses a
+    /// group, a batch or a single call that names one, and sends nothing.
+    #[test]
+    fn a_protocol_verb_is_refused_before_anything_is_sent() {
+        let (net, _dir, engine, _servers) = setup(2);
+        let (link, users) = (link_service(), [UserId::new(1), UserId::new(2)]);
+        let sent = net.stats().sent;
+        for verb in ["mark", "commit", "abort"] {
+            let group = engine.invoke_group(&users, &link, verb, vec![Value::from(1u64)]);
+            assert_eq!(group.outcomes.len(), 2);
+            for (_, outcome) in &group.outcomes {
+                assert!(matches!(outcome, Err(SydError::Protocol(_))), "{outcome:?}");
+            }
+            let one = engine.invoke(users[0], &link, verb, vec![]);
+            assert!(matches!(one, Err(SydError::Protocol(_))), "{one:?}");
+            let named = engine.invoke_group_by_name("everyone", &link, verb, vec![]);
+            assert!(matches!(named, Err(SydError::Protocol(_))), "{named:?}");
+        }
+        assert_eq!(net.stats().sent, sent, "a refused verb was sent");
+        // The same method names on another service are anybody's.
+        let echoed = engine.invoke(users[0], &ServiceName::new("svc"), "mark", vec![]);
+        assert!(echoed.is_ok(), "{echoed:?}");
+    }
+
     #[test]
     fn invoke_to_a_silent_peer_is_counted_where_it_happens() {
         let (net, _dir, engine, _servers) = setup(0);
@@ -660,7 +728,7 @@ mod tests {
     #[test]
     fn only_the_failed_call_of_a_user_is_sent_again() {
         let (net, _dir, engine, _servers) = setup(0);
-        let served = Arc::new(Mutex::new(Vec::<String>::new()));
+        let served = Arc::new(Mutex::new(Rank::Leaf, Vec::<String>::new()));
         let server = Node::spawn(&net);
         let log = Arc::clone(&served);
         server.set_handler(Arc::new(move |_from, req: Request| {

@@ -16,23 +16,23 @@
 //! to database changes without any Oracle-specific machinery.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use syd_net::{SharedRuntime, TimerId};
 use syd_store::{Store, Trigger, TriggerEvent};
-use syd_types::sync::{Mutex, RwLock};
+use syd_types::sync::{Mutex, Rank, RwLock};
 use syd_types::{SydResult, Value};
 
 /// Callback invoked with `(topic, payload)`.
 pub type EventCallback = Arc<dyn Fn(&str, &Value) + Send + Sync>;
 
 /// A named periodic task: the runtime entry that fires it and the action
-/// itself (kept so [`EventHandler::run_periodic_now`] can run it).
+/// on its owner (kept so [`EventHandler::run_periodic_now`] can run it).
 struct PeriodicTask {
     name: String,
     id: TimerId,
-    action: Arc<dyn Fn() + Send + Sync>,
+    run: Arc<dyn Fn() + Send + Sync>,
 }
 
 struct Inner {
@@ -59,8 +59,8 @@ impl EventHandler {
     pub fn new(runtime: SharedRuntime) -> EventHandler {
         EventHandler {
             inner: Arc::new(Inner {
-                subs: RwLock::new(Vec::new()),
-                tasks: Mutex::new(Vec::new()),
+                subs: RwLock::new(Rank::Engine, Vec::new()),
+                tasks: Mutex::new(Rank::Engine, Vec::new()),
                 runtime,
                 published: AtomicU64::new(0),
                 delivered: AtomicU64::new(0),
@@ -94,33 +94,34 @@ impl EventHandler {
         }
     }
 
-    /// Registers (or replaces) a periodic task. It runs on the runtime's
-    /// loop and must not block: slow work goes to the pool.
+    /// Registers (or replaces) a periodic task: `action` on `owner`, while
+    /// it lives. It runs on the runtime's loop and must not block: slow
+    /// work goes to the pool. The owner is held weakly and the action
+    /// captures nothing ([`SharedRuntime::schedule_periodic`]), so a task
+    /// never keeps its device alive.
     ///
     /// The registrar's trace context (if any) is captured and restored
     /// around every firing, so periodic work stays attributed to the
     /// trace that set it up.
-    pub fn register_periodic(
+    pub fn register_periodic<T: Send + Sync + 'static>(
         &self,
         name: &str,
         interval: Duration,
-        action: impl Fn() + Send + Sync + 'static,
+        owner: Weak<T>,
+        action: fn(&T),
     ) {
-        let ctx = syd_telemetry::trace::current();
-        let action: Arc<dyn Fn() + Send + Sync> = Arc::new(move || {
-            let _span = ctx.map(syd_telemetry::trace::enter);
-            action();
+        let id = (self.inner.runtime).schedule_periodic(interval, Weak::clone(&owner), action);
+        let run = Arc::new(move || {
+            if let Some(owner) = owner.upgrade() {
+                action(&owner);
+            }
         });
-        let loop_action = Arc::clone(&action);
         let mut tasks = self.inner.tasks.lock();
         self.cancel_locked(&mut tasks, name);
         tasks.push(PeriodicTask {
             name: name.to_owned(),
-            id: self
-                .inner
-                .runtime
-                .schedule_periodic(interval, move || loop_action()),
-            action,
+            id,
+            run,
         });
     }
 
@@ -138,15 +139,11 @@ impl EventHandler {
     /// Runs every periodic task once, immediately — used by tests and by
     /// deterministic benches instead of waiting for wall-clock intervals.
     pub fn run_periodic_now(&self) {
-        let actions: Vec<Arc<dyn Fn() + Send + Sync>> = self
-            .inner
-            .tasks
-            .lock()
-            .iter()
-            .map(|task| Arc::clone(&task.action))
-            .collect();
-        for action in actions {
-            action();
+        let tasks = self.inner.tasks.lock();
+        let runs: Vec<_> = tasks.iter().map(|task| Arc::clone(&task.run)).collect();
+        drop(tasks);
+        for run in runs {
+            run();
         }
     }
 
@@ -209,12 +206,17 @@ impl Drop for EventHandler {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
     use std::time::Instant;
     use syd_store::{Column, ColumnType, Predicate, Schema};
+
+    /// A periodic action: counts its firings.
+    fn count(runs: &AtomicU32) {
+        runs.fetch_add(1, Ordering::SeqCst);
+    }
 
     /// A handler on a runtime of its own.
     fn handler(name: &str) -> (SharedRuntime, EventHandler) {
@@ -258,7 +260,7 @@ mod tests {
         };
         events.publish_local("link.created", build);
         assert_eq!(built.load(Ordering::SeqCst), 0, "nobody subscribed");
-        let seen = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::new(Mutex::new(Rank::Leaf, Vec::new()));
         for prefix in ["link.", ""] {
             let sink = Arc::clone(&seen);
             events.subscribe(
@@ -281,10 +283,12 @@ mod tests {
     fn periodic_task_runs_on_schedule() {
         let (_runtime, events) = handler("events-schedule");
         let runs = Arc::new(AtomicU32::new(0));
-        let rc = Arc::clone(&runs);
-        events.register_periodic("tick", Duration::from_millis(20), move || {
-            rc.fetch_add(1, Ordering::SeqCst);
-        });
+        events.register_periodic(
+            "tick",
+            Duration::from_millis(20),
+            Arc::downgrade(&runs),
+            count,
+        );
         let deadline = Instant::now() + Duration::from_secs(3);
         while runs.load(Ordering::SeqCst) < 3 {
             assert!(Instant::now() < deadline, "periodic task did not run");
@@ -302,13 +306,17 @@ mod tests {
         use syd_telemetry::trace;
         let (_runtime, events) = handler("events-trace");
         let ctx = trace::root_span();
-        let seen = Arc::new(Mutex::new(None));
+        let seen = Arc::new(Mutex::new(Rank::Leaf, None));
         {
             let _g = trace::enter(ctx);
-            let sc = Arc::clone(&seen);
-            events.register_periodic("probe", Duration::from_millis(10), move || {
-                *sc.lock() = Some(trace::current());
-            });
+            events.register_periodic(
+                "probe",
+                Duration::from_millis(10),
+                Arc::downgrade(&seen),
+                |seen| {
+                    *seen.lock() = Some(trace::current());
+                },
+            );
         }
         let deadline = Instant::now() + Duration::from_secs(3);
         while seen.lock().is_none() {
@@ -322,10 +330,12 @@ mod tests {
     fn run_periodic_now_is_deterministic() {
         let (_runtime, events) = handler("events-now");
         let runs = Arc::new(AtomicU32::new(0));
-        let rc = Arc::clone(&runs);
-        events.register_periodic("scan", Duration::from_secs(3600), move || {
-            rc.fetch_add(1, Ordering::SeqCst);
-        });
+        events.register_periodic(
+            "scan",
+            Duration::from_secs(3600),
+            Arc::downgrade(&runs),
+            count,
+        );
         events.run_periodic_now();
         events.run_periodic_now();
         assert_eq!(runs.load(Ordering::SeqCst), 2);
@@ -336,14 +346,8 @@ mod tests {
         let (runtime, events) = handler("events-replace");
         let a = Arc::new(AtomicU32::new(0));
         let b = Arc::new(AtomicU32::new(0));
-        let ac = Arc::clone(&a);
-        events.register_periodic("job", Duration::from_secs(3600), move || {
-            ac.fetch_add(1, Ordering::SeqCst);
-        });
-        let bc = Arc::clone(&b);
-        events.register_periodic("job", Duration::from_secs(3600), move || {
-            bc.fetch_add(1, Ordering::SeqCst);
-        });
+        events.register_periodic("job", Duration::from_secs(3600), Arc::downgrade(&a), count);
+        events.register_periodic("job", Duration::from_secs(3600), Arc::downgrade(&b), count);
         events.run_periodic_now();
         assert_eq!(a.load(Ordering::SeqCst), 0, "old task should be replaced");
         assert_eq!(b.load(Ordering::SeqCst), 1);
@@ -355,17 +359,24 @@ mod tests {
     fn wheel_mode_runs_periodic_tasks_and_releases_the_shared_wheel() {
         let (runtime, events) = handler("events-shutdown");
         let runs = Arc::new(AtomicU32::new(0));
-        let rc = Arc::clone(&runs);
-        events.register_periodic("tick", Duration::from_millis(10), move || {
-            rc.fetch_add(1, Ordering::SeqCst);
-        });
+        events.register_periodic(
+            "tick",
+            Duration::from_millis(10),
+            Arc::downgrade(&runs),
+            count,
+        );
         let deadline = Instant::now() + Duration::from_secs(3);
         while runs.load(Ordering::SeqCst) < 3 {
             assert!(Instant::now() < deadline, "the task did not run");
             std::thread::sleep(Duration::from_millis(5));
         }
         // Replacing a task must not leave the old entry firing.
-        events.register_periodic("tick", Duration::from_secs(3600), || {});
+        events.register_periodic(
+            "tick",
+            Duration::from_secs(3600),
+            Arc::downgrade(&runs),
+            |_| {},
+        );
         let after_replace = runs.load(Ordering::SeqCst);
         std::thread::sleep(Duration::from_millis(60));
         assert!(runs.load(Ordering::SeqCst) <= after_replace + 1);
@@ -389,7 +400,7 @@ mod tests {
             .unwrap();
         events.bridge_store(&store, "slots").unwrap();
 
-        let seen = Arc::new(Mutex::new(Vec::<String>::new()));
+        let seen = Arc::new(Mutex::new(Rank::Leaf, Vec::<String>::new()));
         let sc = Arc::clone(&seen);
         events.subscribe(
             "store.slots.",

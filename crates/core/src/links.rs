@@ -40,7 +40,7 @@ use std::time::Duration;
 
 use syd_store::{Column, ColumnType, Predicate, Schema, Store};
 use syd_telemetry::{Event, Journal};
-use syd_types::sync::RwLock;
+use syd_types::sync::{Rank, RwLock};
 pub use syd_types::Constraint;
 use syd_types::{
     Clock, LinkId, Priority, ServiceName, SydError, SydResult, Text, Timestamp, UserId, Value,
@@ -505,7 +505,7 @@ impl LinksModule {
             journal,
             next_link: AtomicU64::new(1),
             next_corr: AtomicU64::new(1),
-            promotion: RwLock::new(None),
+            promotion: RwLock::new(Rank::Engine, None),
             me: me.clone(),
             ticking: AtomicBool::new(false),
             expiring: AtomicBool::new(false),
@@ -558,11 +558,9 @@ impl LinksModule {
             ],
         )?;
         if spec.expires.is_some() && !self.ticking.swap(true, Ordering::AcqRel) {
-            // It runs on the runtime's loop; the runtime owns the closure,
-            // so a strong handle here would keep the device alive.
-            let (links, every) = (self.me.clone(), Duration::from_millis(500));
-            self.events
-                .register_periodic("link-expiry", every, move || expiry_tick(&links));
+            // It runs on the runtime's loop, which holds the module weakly.
+            let every = Duration::from_millis(500);
+            (self.events).register_periodic("link-expiry", every, self.me.clone(), expiry_tick);
         }
         if let Some((waits_on, group)) = spec.waits_on {
             self.store.insert(
@@ -1194,15 +1192,12 @@ impl LinksModule {
 /// and hands their deletion to the pool, one job per device at a time: a
 /// cascade may wait out every deadline against an unreachable peer, and on
 /// the loop it would stall every device of the process.
-fn expiry_tick(module: &Weak<LinksModule>) {
-    let Some(links) = module.upgrade() else {
-        return;
-    };
+fn expiry_tick(links: &LinksModule) {
     let expired = links.expired().unwrap_or_default();
     if expired.is_empty() || links.expiring.swap(true, Ordering::AcqRel) {
         return;
     }
-    let job = module.clone();
+    let job = links.me.clone();
     links.engine.node().runtime().pool().execute(move || {
         if let Some(links) = job.upgrade() {
             links.expire(&expired);
@@ -1219,7 +1214,7 @@ mod tests {
     use syd_net::NetConfig;
     use syd_store::{Trigger, TriggerEvent};
     use syd_types::rng::{cases, Rng};
-    use syd_types::sync::Mutex;
+    use syd_types::sync::{Mutex, Rank};
 
     fn generated(rng: &mut Rng) -> Link {
         let k = rng.any_u64() as u32;
@@ -1385,7 +1380,7 @@ mod tests {
     fn a_link_is_never_visible_without_its_refs() {
         let env = SydEnv::new_insecure(NetConfig::ideal());
         let device = env.device("a", "").unwrap();
-        let seen = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::new(Mutex::new(Rank::Leaf, Vec::new()));
         let sink = Arc::clone(&seen);
         device
             .store()

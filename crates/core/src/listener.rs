@@ -20,7 +20,7 @@ use syd_crypto::Authenticator;
 use syd_net::RequestHandler;
 use syd_telemetry::names;
 use syd_telemetry::{Counter, Registry};
-use syd_types::sync::RwLock;
+use syd_types::sync::{Rank, RwLock};
 use syd_types::{NodeAddr, ServiceName, SydError, SydResult, UserId, Value};
 use syd_wire::Request;
 
@@ -63,11 +63,14 @@ impl Listener {
     /// paper's prototype also ran in both modes during development).
     pub fn new(auth: Option<Arc<Authenticator>>) -> Listener {
         Listener {
-            state: RwLock::new(ListenerState {
-                methods: HashMap::new(),
-            }),
+            state: RwLock::new(
+                Rank::Engine,
+                ListenerState {
+                    methods: HashMap::new(),
+                },
+            ),
             auth,
-            metrics: RwLock::new(None),
+            metrics: RwLock::new(Rank::Engine, None),
         }
     }
 

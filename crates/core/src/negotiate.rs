@@ -63,6 +63,17 @@ pub fn link_service() -> ServiceName {
     ServiceName::new("syd.link")
 }
 
+/// §4.3's verbs on the link service: Mark X and Lock X, Change X and
+/// Unlock X, and Unlock X. Only this module sends them, and only the
+/// device's kernel handlers serve them.
+pub(crate) const MARK: &str = "mark";
+/// See [`MARK`].
+pub(crate) const COMMIT: &str = "commit";
+/// See [`MARK`].
+pub(crate) const ABORT: &str = "abort";
+/// The three, which [`SydEngine::invoke_batch`] refuses.
+pub(crate) const PROTOCOL_VERBS: [&str; 3] = [MARK, COMMIT, ABORT];
+
 /// One party to a negotiation: whose entity changes, and how.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Participant {
@@ -267,12 +278,12 @@ impl Negotiator {
         // Phase 1: mark everyone.
         let marks: Vec<Call<'_>> = participants
             .iter()
-            .map(|p| Call::new(p.user, &svc, "mark", body(&p.entity, &p.change)))
+            .map(|p| Call::new(p.user, &svc, MARK, body(&p.entity, &p.change)))
             .collect();
         let votes = {
             let mut span = self.engine.node().tracer().span(names::SPAN_MARK_ROUND);
             span.attr("participants", participants.len() as u64);
-            self.engine.invoke_batch(&marks)
+            self.engine.batch(&marks)
         };
 
         let mut yes = Vec::new();
@@ -336,11 +347,11 @@ impl Negotiator {
         let mut batch: Vec<Call<'_>> = chosen
             .iter()
             .zip(changes)
-            .map(|(p, change)| Call::new(p.user, &svc, "commit", body(&p.entity, &change)))
+            .map(|(p, change)| Call::new(p.user, &svc, COMMIT, body(&p.entity, &change)))
             .collect();
         batch.extend(to_abort.iter().chain(&unanswered).map(|&i| {
             let p = &participants[i];
-            Call::new(p.user, &svc, "abort", body(&p.entity, &p.change))
+            Call::new(p.user, &svc, ABORT, body(&p.entity, &p.change))
         }));
         let first_rider = batch.len();
         if satisfied {
@@ -354,7 +365,7 @@ impl Negotiator {
         commit_span.attr("to_abort", to_abort.len() as u64);
         let mut committed = Vec::new();
         let mut aborted = Vec::new();
-        let results = self.engine.invoke_batch(&batch);
+        let results = self.engine.batch(&batch);
         // A lost commit message would strand the entity lock; commits
         // are idempotent, so every first-round failure gets one more
         // chance — in a single batched round, so `k` stragglers cost
@@ -372,7 +383,7 @@ impl Negotiator {
             .filter(|(_, outcome)| outcome.is_ok())
             .map(|(user, _)| user)
             .collect();
-        for (user, outcome) in self.engine.invoke_batch(&failed).outcomes {
+        for (user, outcome) in self.engine.batch(&failed).outcomes {
             match outcome {
                 Ok(_) => committed.push(user),
                 Err(_) => {

@@ -22,12 +22,13 @@
 //! so replay is idempotent and order-tolerant — the right semantics for
 //! the paper's weakly connected mobile environment.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use syd_crypto::Authenticator;
 use syd_net::{EventSink, Node, RequestHandler, Transport};
-use syd_types::sync::{Mutex, RwLock};
+use syd_types::sync::{Mutex, Rank, RwLock};
 use syd_types::{Clock, NodeAddr, ServiceName, SydError, SydResult, Text, UserId, Value};
 use syd_wire::{EventMsg, Request};
 
@@ -107,7 +108,7 @@ impl ProxyHost {
             node,
             directory,
             auth,
-            replicas: RwLock::new(HashMap::new()),
+            replicas: RwLock::new(Rank::Engine, HashMap::new()),
             clock,
             served,
         });
@@ -170,7 +171,7 @@ impl ProxyHost {
         }
         let replica = Arc::new(Replica {
             store: store.clone(),
-            journal: Mutex::new(Vec::new()),
+            journal: Mutex::new(Rank::Engine, Vec::new()),
             methods,
         });
         // Journal every mutation that is not a sync application.
@@ -217,12 +218,18 @@ impl ProxyHost {
 
     /// Number of journaled (un-drained) operations for `user`.
     pub fn journal_len(&self, user: UserId) -> usize {
-        self.inner
-            .replicas
-            .read()
-            .get(&user)
-            .map_or(0, |r| r.journal.lock().len())
+        replica_of(&self.inner, user).map_or(0, |r| r.journal.lock().len())
     }
+}
+
+/// `user`'s replica, out of the map: its journal's lock ranks with the
+/// map's, so the map is not held while it is taken.
+fn replica_of(inner: &ProxyInner, user: UserId) -> SydResult<Arc<Replica>> {
+    let replicas = inner.replicas.read();
+    let replica = replicas.get(&user);
+    replica
+        .cloned()
+        .ok_or_else(|| SydError::NotRegistered(user.to_string()))
 }
 
 fn serve(inner: &Arc<ProxyInner>, from: NodeAddr, req: &Request) -> SydResult<Value> {
@@ -254,11 +261,7 @@ fn serve(inner: &Arc<ProxyInner>, from: NodeAddr, req: &Request) -> SydResult<Va
                         .ok_or_else(|| SydError::Protocol("drain_journal needs user".into()))?
                         .as_i64()? as u64,
                 );
-                let replicas = inner.replicas.read();
-                let replica = replicas
-                    .get(&user)
-                    .ok_or_else(|| SydError::NotRegistered(user.to_string()))?;
-                let ops: Vec<Value> = replica.journal.lock().drain(..).collect();
+                let ops: Vec<Value> = replica_of(inner, user)?.journal.lock().drain(..).collect();
                 Ok(Value::List(ops))
             }
             // sync(user, op) -> Null; request-based alternative to the
@@ -318,12 +321,7 @@ fn row_change_to_op(table: &str, ctx: &syd_store::TriggerCtx<'_>) -> Value {
 /// Applies one sync operation to the matching replica.
 fn apply_sync_event(inner: &Arc<ProxyInner>, payload: &Value) -> SydResult<()> {
     let user = UserId::new(payload.get("user")?.as_i64()? as u64);
-    let replicas = inner.replicas.read();
-    let replica = replicas
-        .get(&user)
-        .ok_or_else(|| SydError::NotRegistered(user.to_string()))?;
-    let replica = Arc::clone(replica);
-    drop(replicas);
+    let replica = replica_of(inner, user)?;
     SYNC_DEPTH.with(|d| d.set(d.get() + 1));
     let result = apply_op_to_store(&replica.store, payload);
     SYNC_DEPTH.with(|d| d.set(d.get() - 1));
@@ -374,13 +372,23 @@ pub fn apply_op_to_store(store: &Store, op: &Value) -> SydResult<()> {
 /// tables: every row change is pushed as a fire-and-forget `proxy.sync`
 /// event. Call after the proxy's [`ProxyHost::host_user`] so the replica
 /// tables exist.
+///
+/// A trigger runs on the writer's thread, under whatever locks the writer
+/// holds, so it only queues the change; a pool job sends the queue in
+/// order, holding none.
 pub fn enable_replication(
     device: &DeviceRuntime,
     proxy_addr: NodeAddr,
     tables: &[&str],
 ) -> SydResult<()> {
+    let outbox = Arc::new(Outbox {
+        node: device.node().clone(),
+        proxy: proxy_addr,
+        ops: Mutex::new(Rank::Leaf, VecDeque::new()),
+        sending: AtomicBool::new(false),
+    });
     for table in tables {
-        let node = device.node().clone();
+        let outbox = Arc::clone(&outbox);
         let user = device.user();
         let table_name = (*table).to_owned();
         device.store().add_trigger(Trigger::after(
@@ -396,14 +404,51 @@ pub fn enable_replication(
                 if let Value::Map(m) = &mut op {
                     m.insert("user".into(), Value::from(user.raw()));
                 }
-                // Fire-and-forget: replication loss is tolerated, the
-                // journal/snapshot path reconciles on reconnect.
-                let _ = node.publish_event(proxy_addr, "proxy.sync", op);
+                outbox.push(op);
                 Ok(())
             },
         ))?;
     }
     Ok(())
+}
+
+/// A device's replicated changes not sent yet, in commit order, and
+/// whether a pool job is sending them.
+struct Outbox {
+    node: Node,
+    proxy: NodeAddr,
+    ops: Mutex<VecDeque<Value>>,
+    sending: AtomicBool,
+}
+
+impl Outbox {
+    /// Queues `op`, starting a sender unless one runs.
+    fn push(self: &Arc<Self>, op: Value) {
+        self.ops.lock().push_back(op);
+        if !self.sending.swap(true, Ordering::AcqRel) {
+            let outbox = Arc::clone(self);
+            if !self.node.runtime().pool().execute(move || outbox.send()) {
+                self.sending.store(false, Ordering::Release);
+            }
+        }
+    }
+
+    /// Sends until the queue is empty. Fire-and-forget: replication loss
+    /// is tolerated, the journal/snapshot path reconciles on reconnect.
+    fn send(&self) {
+        loop {
+            let op = self.ops.lock().pop_front();
+            if let Some(op) = op {
+                let _ = self.node.publish_event(self.proxy, "proxy.sync", op);
+                continue;
+            }
+            self.sending.store(false, Ordering::Release);
+            // A push between the pop and the store found a sender running.
+            if self.ops.lock().is_empty() || self.sending.swap(true, Ordering::AcqRel) {
+                return;
+            }
+        }
+    }
 }
 
 /// Replays a drained journal into the primary's store ("A takes over the

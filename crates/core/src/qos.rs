@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
-use syd_types::sync::RwLock;
+use syd_types::sync::{Rank, RwLock};
 use syd_types::{ServiceName, SydError, SydResult, UserId};
 
 /// Statistics for one `(user, service)` target.
@@ -59,15 +59,22 @@ impl TargetStats {
 const ALPHA: f64 = 0.2;
 
 /// Per-deployment QoS statistics and admission control.
-#[derive(Default)]
 pub struct QosMonitor {
     stats: RwLock<HashMap<(UserId, String), TargetStats>>,
+}
+
+impl Default for QosMonitor {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl QosMonitor {
     /// Creates an empty monitor.
     pub fn new() -> Self {
-        Self::default()
+        QosMonitor {
+            stats: RwLock::new(Rank::Engine, HashMap::new()),
+        }
     }
 
     /// Records one completed invocation.

@@ -6,7 +6,7 @@
 //! shared runtime is the *process-level* thread count, so that is what
 //! gets measured, not any internal counter.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // test code
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 
 use std::time::{Duration, Instant};
 

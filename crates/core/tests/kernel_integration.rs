@@ -1,7 +1,7 @@
 //! Kernel-level integration tests: QoS-aware invocation, global events,
 //! named-group invocation, and cross-device link expiry.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // test code
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -184,12 +184,16 @@ fn a_blocked_expiry_cascade_does_not_stall_other_periodic_tasks() {
     env.network().set_partitioned(a.addr(), b.addr(), true);
     clock.advance(Duration::from_millis(2));
 
-    let fired = Arc::new(syd_types::sync::Mutex::new(Vec::new()));
-    let f = Arc::clone(&fired);
-    b.events()
-        .register_periodic("probe", Duration::from_millis(20), move || {
-            f.lock().push(Instant::now());
-        });
+    let fired = Arc::new(syd_types::sync::Mutex::new(
+        syd_types::sync::Rank::Leaf,
+        Vec::new(),
+    ));
+    b.events().register_periodic(
+        "probe",
+        Duration::from_millis(20),
+        Arc::downgrade(&fired),
+        |fired| fired.lock().push(Instant::now()),
+    );
     // a's first expiry tick (500 ms) starts a cascade of 2 s deadlines.
     let from = Instant::now() + Duration::from_millis(700);
     let to = from + Duration::from_millis(1_500);
@@ -217,7 +221,10 @@ fn link_acceptor_sees_offer_details() {
     let env = SydEnv::new_insecure(NetConfig::ideal());
     let a = env.device("a", "").unwrap();
     let b = env.device("b", "").unwrap();
-    let seen = Arc::new(syd_types::sync::Mutex::new(Vec::new()));
+    let seen = Arc::new(syd_types::sync::Mutex::new(
+        syd_types::sync::Rank::Leaf,
+        Vec::new(),
+    ));
     let sc = Arc::clone(&seen);
     let a_user = a.user();
     b.set_link_acceptor(Arc::new(move |entity, action, from| {

@@ -14,7 +14,7 @@
 
 use std::collections::HashMap;
 
-use syd_types::sync::RwLock;
+use syd_types::sync::{Rank, RwLock};
 use syd_types::{SydError, SydResult, UserId};
 
 use crate::mode::{cbc_decrypt, cbc_encrypt};
@@ -63,15 +63,23 @@ impl Credentials {
 
 /// The per-device table of authorized users and their passwords — the
 /// "table containing the user id and password of authorized users" of §5.4.
-#[derive(Default, Debug)]
+#[derive(Debug)]
 pub struct AuthTable {
     users: RwLock<HashMap<UserId, String>>,
+}
+
+impl Default for AuthTable {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl AuthTable {
     /// Creates an empty table.
     pub fn new() -> Self {
-        Self::default()
+        AuthTable {
+            users: RwLock::new(Rank::Engine, HashMap::new()),
+        }
     }
 
     /// Adds (or replaces) an authorized user.

@@ -25,7 +25,7 @@ use syd_core::links::LinkRef;
 use syd_core::negotiate::Participant;
 use syd_core::{DeviceRuntime, EntityHandler, SubscriptionHandler};
 use syd_store::{Column, ColumnType, Predicate, Schema, Store};
-use syd_types::sync::RwLock;
+use syd_types::sync::{Rank, RwLock};
 use syd_types::{ServiceName, SydError, SydResult, UserId, Value};
 
 /// The fleet service name.
@@ -245,7 +245,7 @@ impl Dispatcher {
     pub fn install(device: &DeviceRuntime) -> SydResult<Arc<Dispatcher>> {
         let dispatcher = Arc::new(Dispatcher {
             device: device.clone(),
-            positions: RwLock::new(Vec::new()),
+            positions: RwLock::new(Rank::Engine, Vec::new()),
         });
         device.set_subscription_handler(Arc::new(DispatcherFeed(Arc::downgrade(&dispatcher))));
         device.publish()?;
@@ -425,7 +425,7 @@ pub fn deploy_fleet(
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 mod tests {
     use super::*;
     use std::time::{Duration, Instant};

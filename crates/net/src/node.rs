@@ -35,7 +35,7 @@ use std::time::Instant;
 
 use syd_telemetry::{trace, Counter, Histogram, Registry, SpanCtx};
 use syd_transport::{Network, Transport, TransportEndpoint, TransportEvent};
-use syd_types::sync::{Condvar, Mutex, RwLock};
+use syd_types::sync::{self, Condvar, Mutex, Rank, RwLock};
 use syd_types::{NodeAddr, RequestId, ServiceName, SydError, SydResult, UserId, Value};
 use syd_wire::{Args, EventMsg, Payload, Request, Response, TraceContext};
 
@@ -231,10 +231,15 @@ impl NodeShared {
             self.complete(id, result);
         } else {
             let response = Payload::Response(Response { id, result });
-            let _ = self
-                .link
-                .send(syd_wire::Envelope::new(self.addr, to, response));
+            let _ = self.send(syd_wire::Envelope::new(self.addr, to, response));
         }
+    }
+
+    /// The one way a frame leaves this node: holding no lock, since the
+    /// transport takes its own and may dial.
+    fn send(&self, envelope: syd_wire::Envelope) -> SydResult<()> {
+        sync::assert_unlocked("a send");
+        self.link.send(envelope).map(|_| ())
     }
 }
 
@@ -269,14 +274,14 @@ impl Node {
         let shared = Arc::new(NodeShared {
             addr,
             link,
-            pending: Mutex::new(HashMap::new()),
+            pending: Mutex::new(Rank::Node, HashMap::new()),
             answered: Condvar::new(),
             #[cfg(test)]
             wakes: AtomicUsize::new(0),
             next_request: AtomicU64::new(1),
-            handler: RwLock::new(None),
-            events: RwLock::new(None),
-            identity: RwLock::new((UserId::default(), Vec::new())),
+            handler: RwLock::new(Rank::Node, None),
+            events: RwLock::new(Rank::Node, None),
+            identity: RwLock::new(Rank::Node, (UserId::default(), Vec::new())),
             runtime: runtime.clone(),
             registry,
             metrics,
@@ -402,11 +407,12 @@ impl Node {
         opts: CallOptions,
         route: &mut dyn FnMut(&[usize]) -> Vec<SydResult<NodeAddr>>,
     ) -> Vec<SydResult<Value>> {
+        sync::assert_unlocked("a remote call");
         // The placeholder is never seen: wave 0 assigns every index.
         let mut results: Vec<SydResult<Value>> =
             calls.iter().map(|_| Err(SydError::Shutdown)).collect();
         let mut outstanding: Vec<usize> = (0..calls.len()).collect();
-        let node = &self.shared; // so syd-lint's call graph resolves `node.collect`
+        let node = &self.shared;
         for wave in 0..=opts.retries {
             let routes = route(&outstanding);
             let mut sent = Vec::with_capacity(outstanding.len());
@@ -510,7 +516,7 @@ impl Node {
         };
         if dst == self.shared.addr {
             serve_request(&self.shared, dst, request, false);
-        } else if let Err(err) = self.shared.link.send(syd_wire::Envelope::new(
+        } else if let Err(err) = self.shared.send(syd_wire::Envelope::new(
             self.shared.addr,
             dst,
             Payload::Request(request),
@@ -528,18 +534,15 @@ impl Node {
     /// Publishes a fire-and-forget event to `dst`.
     pub fn publish_event(&self, dst: NodeAddr, topic: &str, payload: Value) -> SydResult<()> {
         let (source, _) = *self.shared.identity.read();
-        self.shared
-            .link
-            .send(syd_wire::Envelope::new(
-                self.shared.addr,
-                dst,
-                Payload::Event(EventMsg {
-                    topic: topic.into(),
-                    source,
-                    payload,
-                }),
-            ))
-            .map(|_| ())
+        self.shared.send(syd_wire::Envelope::new(
+            self.shared.addr,
+            dst,
+            Payload::Event(EventMsg {
+                topic: topic.into(),
+                source,
+                payload,
+            }),
+        ))
     }
 
     /// Closes the transport endpoint and deregisters this node from the
@@ -563,6 +566,7 @@ impl Node {
 /// each off the loop's `budget`, and yields when that runs out so the loop
 /// can hand its queued jobs out and serve peer nodes.
 fn drain_events(shared: &Arc<NodeShared>, budget: &mut usize) -> DrainOutcome {
+    sync::assert_unlocked("a drain");
     while *budget > 0 {
         let Some(event) = shared.link.try_recv_event() else {
             return DrainOutcome::Idle;
@@ -583,6 +587,7 @@ fn drain_events(shared: &Arc<NodeShared>, budget: &mut usize) -> DrainOutcome {
 /// for the loop's next hand-off. Runs on the runtime's loop, so it must
 /// never block.
 fn dispatch_event(shared: &Arc<NodeShared>, event: TransportEvent) {
+    sync::assert_unlocked("a dispatch");
     let envelope = match event {
         TransportEvent::Message(env) => env,
         // Connection lifecycle is the transport's business (a request
@@ -662,7 +667,7 @@ fn serve_request(shared: &Arc<NodeShared>, from: NodeAddr, req: Request, on_loop
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
@@ -748,6 +753,71 @@ mod tests {
             .call_with(silent.addr(), &ServiceName::new("svc"), "m", vec![], opts)
             .unwrap_err();
         assert!(matches!(err, SydError::Timeout(_)), "{err}");
+    }
+
+    /// A call or a dispatch made holding a lock would hold it across every
+    /// handler it reaches, on any device: debug builds refuse it at once.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_call_or_a_dispatch_holding_a_lock_panics() {
+        let net = Network::ideal();
+        let silent = net.register();
+        let client = Node::spawn(&net);
+        let pending = Mutex::new(Rank::Node, ());
+        let guard = pending.lock();
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            client.call(silent.addr(), &ServiceName::new("svc"), "ping", vec![])
+        }));
+        let message = *refused.unwrap_err().downcast::<String>().unwrap();
+        assert!(
+            message.starts_with("a remote call while holding the Node lock"),
+            "{message}"
+        );
+        assert!(silent.try_recv_event().is_none(), "a request left");
+        // A dispatch runs handlers inline or queues them: refused alike.
+        let event = TransportEvent::Connected(silent.addr());
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            dispatch_event(&client.shared, event);
+        }));
+        drop(guard);
+        let message = *refused.unwrap_err().downcast::<String>().unwrap();
+        assert!(message.starts_with("a dispatch while holding"), "{message}");
+    }
+
+    /// A periodic task runs on the runtime's loop, which must never wait:
+    /// a task that makes a remote call panics at the call's first wait.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_remote_call_from_a_loop_task_panics_at_its_wait() {
+        struct Tick {
+            node: Node,
+            to: NodeAddr,
+            outcome: AtomicU32,
+        }
+        let net = Network::ideal();
+        let silent = net.register();
+        let tick = Arc::new(Tick {
+            node: Node::spawn(&net),
+            to: silent.addr(),
+            outcome: AtomicU32::new(0),
+        });
+        let runtime = tick.node.runtime().clone();
+        let id =
+            runtime.schedule_periodic(Duration::from_millis(5), Arc::downgrade(&tick), |tick| {
+                let call = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    tick.node
+                        .call(tick.to, &ServiceName::new("svc"), "ping", vec![])
+                }));
+                tick.outcome
+                    .store(if call.is_err() { 1 } else { 2 }, Ordering::SeqCst);
+            });
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while tick.outcome.load(Ordering::SeqCst) == 0 {
+            assert!(Instant::now() < deadline, "the task never ran");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        runtime.cancel_periodic(id);
+        assert_eq!(tick.outcome.load(Ordering::SeqCst), 1, "the loop waited");
     }
 
     #[test]

@@ -33,11 +33,11 @@
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::ops::Range;
-use std::sync::{Arc, Condvar, PoisonError};
+use std::sync::Arc;
 use std::time::Duration;
 
 use syd_telemetry::trace;
-use syd_types::sync::{set_blocking_hook, BlockingHook, Mutex, MutexGuard};
+use syd_types::sync::{set_blocking_hook, BlockingHook, Condvar, Mutex, MutexGuard, Rank};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -60,11 +60,11 @@ struct State {
 }
 
 struct PoolInner {
-    /// A leaf lock: held by the blocking hook while the waiter still holds
-    /// its own mutex, so nothing is acquired under it.
+    /// The innermost lock ([`Rank::Pool`]): taken by the blocking hook
+    /// while the waiter still holds its own mutex.
     state: Mutex<State>,
-    /// `std`'s condvar, not the announcing one: a parked worker holds no
-    /// turn to hand on.
+    /// Waited on unannounced ([`Condvar::idle`]): a parked worker holds
+    /// no turn to hand on.
     wake: Condvar,
     workers: usize,
     max_workers: usize,
@@ -95,17 +95,20 @@ impl WorkerPool {
         );
         WorkerPool {
             inner: Arc::new(PoolInner {
-                state: Mutex::new(State {
-                    queue: VecDeque::new(),
-                    running: 0,
-                    parked: 0,
-                    wakeups: 0,
-                    live: 0,
-                    shutdown: false,
-                    peak_live: 0,
-                    executed: 0,
-                    last_kick_executed: 0,
-                }),
+                state: Mutex::new(
+                    Rank::Pool,
+                    State {
+                        queue: VecDeque::new(),
+                        running: 0,
+                        parked: 0,
+                        wakeups: 0,
+                        live: 0,
+                        shutdown: false,
+                        peak_live: 0,
+                        executed: 0,
+                        last_kick_executed: 0,
+                    },
+                ),
                 wake: Condvar::new(),
                 workers,
                 max_workers,
@@ -294,11 +297,8 @@ impl PoolInner {
                 return Some(state);
             }
             state.parked += 1;
-            let (woken, waited) = self
-                .wake
-                .wait_timeout(state, self.keepalive)
-                .unwrap_or_else(PoisonError::into_inner);
-            state = woken;
+            let timed_out;
+            (state, timed_out) = self.wake.idle(state, Some(self.keepalive));
             if state.wakeups > 0 {
                 state.wakeups -= 1;
                 return Some(state); // handed a turn, already counted
@@ -309,7 +309,7 @@ impl PoolInner {
                 return Some(state);
             }
             // Retire surplus workers; keep one resident while live.
-            if waited.timed_out() && state.queue.is_empty() && state.live > 1 {
+            if timed_out && state.queue.is_empty() && state.live > 1 {
                 state.live -= 1;
                 return None;
             }
@@ -376,13 +376,13 @@ impl Drop for WorkerPool {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
     use std::time::Instant;
     use syd_types::queue::{self, Sender};
-    use syd_types::sync::Condvar;
+    use syd_types::sync::Rank;
 
     /// Polls `done` until it holds, failing with `what` after `limit`.
     fn await_until(limit: Duration, what: &str, done: impl Fn() -> bool) {
@@ -468,7 +468,7 @@ mod tests {
         // One turn and no watchdog: the first job can finish only if its
         // wait lets the second one run.
         let pool = WorkerPool::new("t", 1, 48, Duration::from_secs(60));
-        let signal = Arc::new((Mutex::new(false), Condvar::new()));
+        let signal = Arc::new((Mutex::new(Rank::Engine, false), Condvar::new()));
         let (done_tx, done_rx) = queue::channel();
         let waiter = Arc::clone(&signal);
         pool.execute(move || {
@@ -511,7 +511,7 @@ mod tests {
         release: &queue::Receiver<()>,
         n: usize,
     ) -> Arc<(Mutex<usize>, Condvar)> {
-        let started = Arc::new((Mutex::new(0), Condvar::new()));
+        let started = Arc::new((Mutex::new(Rank::Leaf, 0), Condvar::new()));
         for _ in 0..n {
             let rx = release.clone();
             let started = Arc::clone(&started);

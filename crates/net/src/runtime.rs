@@ -13,7 +13,9 @@
 //! the turns they need once per pass — when no endpoint is ready, or after
 //! [`DRAIN_BUDGET`] drained events — rather than one per job. Nothing that
 //! runs on the loop may block — one waiting drain or tick stalls every
-//! device of the process (DESIGN.md §21).
+//! device of the process (DESIGN.md §21). In debug builds the loop's
+//! blocking hook panics at any announced wait, at any depth below a drain
+//! or a task; the loop's own idle wait is unannounced ([`Condvar::idle`]).
 //!
 //! Thread budget for a fleet of any size on one backend: `N running
 //! workers (N = available_parallelism) + one per announced wait (≤ 48 in
@@ -31,7 +33,7 @@ use std::time::{Duration, Instant};
 
 use syd_telemetry::{trace, Registry};
 use syd_transport::{ReadyNotifier, Transport};
-use syd_types::sync::{Condvar, Mutex};
+use syd_types::sync::{self, Condvar, Mutex, Rank};
 use syd_types::NodeAddr;
 
 use crate::pool::WorkerPool;
@@ -86,16 +88,19 @@ pub struct Reactor {
 impl Reactor {
     fn start(label: &str, pool: WorkerPool) -> Arc<Reactor> {
         let reactor = Arc::new(Reactor {
-            state: Mutex::new(LoopState {
-                ready: VecDeque::new(),
-                queued: HashSet::new(),
-                timers: Timers::default(),
-                shutdown: false,
-            }),
+            state: Mutex::new(
+                Rank::Runtime,
+                LoopState {
+                    ready: VecDeque::new(),
+                    queued: HashSet::new(),
+                    timers: Timers::default(),
+                    shutdown: false,
+                },
+            ),
             cv: Condvar::new(),
-            nodes: Mutex::new(HashMap::new()),
+            nodes: Mutex::new(Rank::Runtime, HashMap::new()),
             pool,
-            thread: Mutex::new(None),
+            thread: Mutex::new(Rank::Runtime, None),
         });
         let loop_reactor = Arc::clone(&reactor);
         // A runtime without its loop dispatches nothing; construction
@@ -145,7 +150,7 @@ impl Reactor {
         let handle = self.thread.lock().take();
         if let Some(handle) = handle {
             if handle.thread().id() != std::thread::current().id() {
-                let _ = handle.join();
+                sync::join(handle);
             }
         }
         // Drop tasks and drain callbacks outside every lock: they hold
@@ -179,6 +184,8 @@ impl ReadyNotifier for Reactor {
 /// as soon as no endpoint is ready (before the tasks run or the loop
 /// sleeps), and after every [`DRAIN_BUDGET`] drained events.
 fn reactor_loop(reactor: &Reactor) {
+    #[cfg(debug_assertions)]
+    sync::set_blocking_hook(Some(Arc::new(NeverWait)));
     let mut due: Vec<Action> = Vec::new();
     // Events left to drain before the next hand-off, and whether a drain
     // ran since the last one.
@@ -210,15 +217,11 @@ fn reactor_loop(reactor: &Reactor) {
                 if !due.is_empty() || owed {
                     break None;
                 }
-                state = match state.timers.next_due() {
-                    Some(at) => {
-                        reactor
-                            .cv
-                            .wait_timeout(state, at.saturating_duration_since(now))
-                            .0
-                    }
-                    None => reactor.cv.wait(state),
-                };
+                let timeout = state
+                    .timers
+                    .next_due()
+                    .map(|at| at.saturating_duration_since(now));
+                state = reactor.cv.idle(state, timeout).0;
             }
         };
         if let Some(addr) = ready {
@@ -238,6 +241,20 @@ fn reactor_loop(reactor: &Reactor) {
             action();
         }
     }
+}
+
+/// The loop's blocking hook in debug builds: the loop must never wait, so
+/// an announced wait reached from a drain or a task, at any depth, panics.
+#[cfg(debug_assertions)]
+struct NeverWait;
+
+#[cfg(debug_assertions)]
+impl sync::BlockingHook for NeverWait {
+    fn enter(&self) {
+        panic!("a wait on the runtime's loop: a drain or a periodic task must not block");
+    }
+
+    fn leave(&self) {}
 }
 
 struct RuntimeInner {
@@ -285,8 +302,8 @@ impl SharedRuntime {
         // Liveness watchdog: if no job finishes while work is queued (a
         // turn held by a wait nobody announced, or every worker the cap
         // allows blocked on nested RPCs), grow the pool by one turn.
-        let watchdog_pool = runtime.pool().clone();
-        runtime.schedule_periodic(WATCHDOG_TICK, move || watchdog_pool.kick());
+        let owner = Arc::downgrade(&runtime.inner);
+        runtime.schedule_periodic(WATCHDOG_TICK, owner, |inner| inner.pool.kick());
         runtime
     }
 
@@ -296,23 +313,44 @@ impl SharedRuntime {
         &self.inner.pool
     }
 
-    /// Schedules `action` to run on the loop every `interval`, first one
-    /// `interval` from now. Re-armed from the firing, so a slow action
-    /// delays its next run instead of bursting to catch up. The action
-    /// must not block — see the module docs.
+    /// Schedules `action` to run on the loop on `owner` every `interval`,
+    /// first one `interval` from now, while `owner` lives. Re-armed from
+    /// the firing, so a slow action delays its next run instead of
+    /// bursting to catch up. The action must not block — see the module
+    /// docs.
+    ///
+    /// The loop outlives every device, so a task that held its owner
+    /// strongly would keep it, and the runtime it holds, alive for ever.
+    /// The owner is therefore held weakly, and the action is a function
+    /// pointer, which captures nothing; a closure that captures does not
+    /// compile:
+    ///
+    /// ```compile_fail
+    /// # use std::sync::Arc;
+    /// # use std::time::Duration;
+    /// # let runtime = syd_net::SharedRuntime::new("doc");
+    /// let device = Arc::new(7u32);
+    /// let strong = Arc::clone(&device);
+    /// runtime.schedule_periodic(Duration::from_secs(1), Arc::downgrade(&device), move |_| {
+    ///     let _ = *strong;
+    /// });
+    /// ```
     ///
     /// The scheduler's trace context is captured here and re-entered
     /// around every firing, so periodic work stays attributed to its
     /// trace.
-    pub fn schedule_periodic(
+    pub fn schedule_periodic<T: Send + Sync + 'static>(
         &self,
         interval: Duration,
-        action: impl Fn() + Send + Sync + 'static,
+        owner: Weak<T>,
+        action: fn(&T),
     ) -> TimerId {
         let ctx = trace::current();
         let action: Action = Arc::new(move || {
-            let _span = ctx.map(trace::enter);
-            action();
+            if let Some(owner) = owner.upgrade() {
+                let _span = ctx.map(trace::enter);
+                action(&owner);
+            }
         });
         let first = Instant::now() + interval;
         (self.inner.reactor).edit(|state| state.timers.schedule(first, interval, action))
@@ -398,7 +436,7 @@ impl SharedRuntime {
 /// included) disappears with its last node.
 fn runtime_map() -> &'static Mutex<HashMap<usize, Weak<RuntimeInner>>> {
     static RUNTIMES: OnceLock<Mutex<HashMap<usize, Weak<RuntimeInner>>>> = OnceLock::new();
-    RUNTIMES.get_or_init(|| Mutex::new(HashMap::new()))
+    RUNTIMES.get_or_init(|| Mutex::new(Rank::Runtimes, HashMap::new()))
 }
 
 /// The shared runtime for `transport`, creating it on first use.
@@ -418,10 +456,48 @@ pub fn runtime_for(transport: &dyn Transport) -> SharedRuntime {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+
+    /// The loop refuses every announced wait, however deep in a task: a
+    /// sleep, a channel receive or a join through `syd_types` announces
+    /// itself, and the loop's hook panics. The idle wait is not announced.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn an_announced_wait_on_the_loop_panics() {
+        fn drain_backlog(rx: &syd_types::queue::Receiver<u8>) {
+            let _ = rx.recv_timeout(Duration::from_millis(1));
+        }
+        struct Probe {
+            rx: syd_types::queue::Receiver<u8>,
+            outcomes: Mutex<Vec<bool>>,
+        }
+        let rt = SharedRuntime::new("t-never-wait");
+        let (_tx, rx) = syd_types::queue::channel();
+        let probe = Arc::new(Probe {
+            rx,
+            outcomes: Mutex::new(Rank::Leaf, Vec::new()),
+        });
+        rt.schedule_periodic(Duration::from_millis(5), Arc::downgrade(&probe), |probe| {
+            let waits: [fn(&Probe); 2] = [
+                |_| sync::sleep(Duration::from_millis(1)),
+                |probe| drain_backlog(&probe.rx),
+            ];
+            for wait in waits {
+                let wait = std::panic::AssertUnwindSafe(|| wait(probe));
+                let panicked = std::panic::catch_unwind(wait).is_err();
+                probe.outcomes.lock().push(panicked);
+            }
+        });
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while probe.outcomes.lock().len() < 4 {
+            assert!(Instant::now() < deadline, "the task stopped running");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert!(probe.outcomes.lock().iter().all(|&panicked| panicked));
+    }
 
     #[test]
     fn reactor_drains_registered_nodes_round_robin() {
@@ -508,7 +584,7 @@ mod tests {
     #[test]
     fn a_timed_notification_drains_its_node_when_due() {
         let rt = SharedRuntime::new("t");
-        let drains = Arc::new(Mutex::new(Vec::new()));
+        let drains = Arc::new(Mutex::new(Rank::Leaf, Vec::new()));
         let d = Arc::clone(&drains);
         let addr = NodeAddr::new(4);
         // Registration drains once, at once.

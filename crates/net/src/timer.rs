@@ -131,12 +131,13 @@ impl Timers {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Weak;
     use syd_telemetry::trace;
-    use syd_types::sync::Mutex;
+    use syd_types::sync::{Mutex, Rank};
 
     use crate::runtime::SharedRuntime;
 
@@ -173,11 +174,10 @@ mod tests {
     fn timer_actions_inherit_the_schedulers_trace_context() {
         let rt = SharedRuntime::new("t");
         let ctx = trace::root_span();
-        let observed = Arc::new(Mutex::new(None));
+        let observed = Arc::new(Mutex::new(Rank::Leaf, None));
         {
             let _g = trace::enter(ctx);
-            let o = Arc::clone(&observed);
-            rt.schedule_periodic(ms(10), move || {
+            rt.schedule_periodic(ms(10), Arc::downgrade(&observed), |o| {
                 *o.lock() = Some(trace::current());
             });
         }
@@ -188,7 +188,7 @@ mod tests {
     #[test]
     fn deadlines_fire_in_order() {
         let mut timers = Timers::default();
-        let order = Arc::new(Mutex::new(Vec::new()));
+        let order = Arc::new(Mutex::new(Rank::Leaf, Vec::new()));
         // Schedule out of order; absolute deadlines must sort them.
         let base = Instant::now();
         for (label, offset) in [(3u32, 40), (1, 0), (2, 20)] {
@@ -265,37 +265,47 @@ mod tests {
     fn shutdown_drops_pending_and_is_idempotent() {
         let rt = SharedRuntime::new("t");
         let hits = Arc::new(AtomicUsize::new(0));
-        let h = Arc::clone(&hits);
-        rt.schedule_periodic(ms(50), move || {
+        rt.schedule_periodic(ms(50), Arc::downgrade(&hits), |h| {
             h.fetch_add(1, Ordering::SeqCst);
         });
         // Dropping the last handle stops the loop and drops its tasks.
         drop(rt);
         std::thread::sleep(ms(100));
         assert_eq!(hits.load(Ordering::SeqCst), 0);
-        assert_eq!(Arc::strong_count(&hits), 1, "the task was not dropped");
+        assert_eq!(Arc::weak_count(&hits), 0, "the task was not dropped");
     }
 
     #[test]
     fn actions_can_reschedule_from_the_timer_thread() {
+        struct Rescheduler {
+            me: Weak<Rescheduler>,
+            rt: SharedRuntime,
+            outer: Mutex<Option<TimerId>>,
+            hits: AtomicUsize,
+        }
         let rt = SharedRuntime::new("t");
-        let hits = Arc::new(AtomicUsize::new(0));
-        let h = Arc::clone(&hits);
-        let inner_rt = rt.clone();
+        let it = Arc::new_cyclic(|me| Rescheduler {
+            me: Weak::clone(me),
+            rt: rt.clone(),
+            outer: Mutex::new(Rank::Leaf, None),
+            hits: AtomicUsize::new(0),
+        });
         // The outer task's first firing schedules the inner one, from the
         // loop thread and with the loop's lock released.
-        let outer = Arc::new(Mutex::new(None));
-        let o = Arc::clone(&outer);
-        *outer.lock() = Some(rt.schedule_periodic(ms(10), move || {
-            if let Some(id) = o.lock().take() {
-                inner_rt.cancel_periodic(id);
-                let h = Arc::clone(&h);
-                inner_rt.schedule_periodic(ms(10), move || {
-                    h.fetch_add(1, Ordering::SeqCst);
+        let outer = rt.schedule_periodic(ms(10), Arc::downgrade(&it), |it| {
+            let outer = it.outer.lock().take();
+            if let Some(id) = outer {
+                it.rt.cancel_periodic(id);
+                it.rt.schedule_periodic(ms(10), Weak::clone(&it.me), |it| {
+                    it.hits.fetch_add(1, Ordering::SeqCst);
                 });
             }
-        }));
-        eventually(|| hits.load(Ordering::SeqCst) >= 2, "inner task never ran");
+        });
+        *it.outer.lock() = Some(outer);
+        eventually(
+            || it.hits.load(Ordering::SeqCst) >= 2,
+            "inner task never ran",
+        );
         // The watchdog and the inner task.
         assert_eq!(rt.periodic_tasks(), 2);
     }

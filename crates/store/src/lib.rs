@@ -50,7 +50,7 @@ pub mod txn;
 
 pub use flatfile::{export_table, import_table};
 pub use key::OrdValue;
-pub use lock::{LockKey, LockManager};
+pub use lock::{LockKey, LockManager, LockRights};
 pub use predicate::Predicate;
 pub use query::Query;
 pub use schema::{Column, ColumnType, Schema};

@@ -13,16 +13,18 @@
 //! already holds succeeds without deepening it: one release frees it.
 //!
 //! A key's state is one [`Entry`], §4.3's participant with its lease; the
-//! kernel runs it through [`LockManager`] and `syd-model` on its own state.
-//! A `Txn` row lock is an entry with no lease end (DESIGN.md §23).
+//! kernel runs it through [`LockManager`], by the store's [`LockRights`],
+//! and `syd-model` on its own state. A `Txn` row lock is an entry with no
+//! lease end (DESIGN.md §23).
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use syd_types::sync::{Condvar, Mutex};
+use syd_types::sync::{Condvar, Mutex, Rank};
 use syd_types::{Clock, SydError, SydResult, Text, Timestamp, Value};
 
 use crate::key::Key;
+use crate::store::Store;
 
 /// Identifies a lockable entity: a row (or slot) of a table.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -139,32 +141,91 @@ impl Entry {
 pub type Lapsed<T> = (T, Option<u64>);
 
 /// Exclusive entity locks with bounded waits: one [`Entry`] per key.
-#[derive(Default)]
 pub struct LockManager {
     /// Held keys, and keys that remember a lapsed lease.
     state: Mutex<BTreeMap<LockKey, Entry>>,
     released: Condvar,
 }
 
+impl Default for LockManager {
+    fn default() -> Self {
+        LockManager {
+            state: Mutex::new(Rank::Store, BTreeMap::new()),
+            released: Condvar::new(),
+        }
+    }
+}
+
+/// The right to change a store's entity locks: §4.3's mark, commit and
+/// unlock, and ending leases. Only [`Store::new_owned`]'s caller gets
+/// one — on a device, the kernel's handlers. A transaction ([`crate::Txn`])
+/// takes and frees its row locks without it, and anyone may read the lock
+/// table ([`Store::locks`]). It cannot be made any other way:
+///
+/// ```compile_fail
+/// let store = syd_store::Store::new();
+/// let rights = syd_store::LockRights(store.clone());
+/// ```
+pub struct LockRights(pub(crate) Store);
+
+impl LockRights {
+    /// [`Entry::mark`] on a lease of a length on a clock (`None`: a row
+    /// lock), reading the clock at every look while it waits up to
+    /// `wait`. `lapsed` hears of an ended lease under the table's mutex.
+    pub fn mark(
+        &self,
+        owner: u64,
+        key: &LockKey,
+        wait: Duration,
+        lease: Option<(&dyn Clock, Duration)>,
+        lapsed: impl FnMut(u64),
+    ) -> Taken {
+        self.0.locks().mark(owner, key, wait, lease, lapsed)
+    }
+
+    /// Whether [`Entry::commit`] admits `owner`'s commit at `now`;
+    /// `lapsed` as in [`LockRights::mark`].
+    pub fn commit(
+        &self,
+        owner: u64,
+        key: &LockKey,
+        now: Timestamp,
+        lapsed: impl FnOnce(u64),
+    ) -> bool {
+        self.0.locks().commit(owner, key, now, lapsed)
+    }
+
+    /// Releases `key` if `owner` holds it ([`Entry::abort`]; a double
+    /// release is harmless).
+    pub fn release(&self, owner: u64, key: &LockKey) {
+        self.0.locks().release(owner, key);
+    }
+
+    /// Ends every held lease as if it had run out, telling `lapsed` whose
+    /// lease ended on which key. Returns how many ended.
+    pub fn end_leases(&self, lapsed: impl FnMut(u64, &LockKey)) -> usize {
+        self.0.locks().end_leases(lapsed)
+    }
+}
+
 impl LockManager {
     /// Attempts to take `key` for `owner` without waiting.
-    pub fn try_acquire(&self, owner: u64, key: &LockKey) -> bool {
+    #[cfg(test)]
+    pub(crate) fn try_acquire(&self, owner: u64, key: &LockKey) -> bool {
         self.acquire(owner, key, Duration::ZERO).is_ok()
     }
 
     /// Takes `key` for `owner` as a row lock, waiting up to `timeout` for
     /// the current holder to release. Fails with [`SydError::LockTimeout`].
-    pub fn acquire(&self, owner: u64, key: &LockKey, timeout: Duration) -> SydResult<()> {
+    pub(crate) fn acquire(&self, owner: u64, key: &LockKey, timeout: Duration) -> SydResult<()> {
         if self.mark(owner, key, timeout, None, |_| {}) == Taken::Busy {
             return Err(SydError::LockTimeout(key.to_string()));
         }
         Ok(())
     }
 
-    /// [`Entry::mark`] on a lease of a length on a clock (`None`: a row
-    /// lock), reading the clock at every look while it waits up to `wait`.
-    /// `lapsed` hears of an ended lease under the table's mutex.
-    pub fn mark(
+    /// [`LockRights::mark`].
+    pub(crate) fn mark(
         &self,
         owner: u64,
         key: &LockKey,
@@ -198,9 +259,8 @@ impl LockManager {
         }
     }
 
-    /// Whether [`Entry::commit`] admits `owner`'s commit at `now`;
-    /// `lapsed` as in [`LockManager::mark`].
-    pub fn commit(
+    /// [`LockRights::commit`].
+    pub(crate) fn commit(
         &self,
         owner: u64,
         key: &LockKey,
@@ -217,9 +277,8 @@ impl LockManager {
         admitted
     }
 
-    /// Releases `key` if `owner` holds it ([`Entry::abort`]; a double
-    /// release is harmless).
-    pub fn release(&self, owner: u64, key: &LockKey) {
+    /// [`LockRights::release`].
+    pub(crate) fn release(&self, owner: u64, key: &LockKey) {
         let mut state = self.state.lock();
         if !state.get_mut(key).is_some_and(|entry| entry.abort(owner)) {
             return;
@@ -232,7 +291,7 @@ impl LockManager {
     }
 
     /// Releases everything held by `owner` (transaction end).
-    pub fn release_all(&self, owner: u64) {
+    pub(crate) fn release_all(&self, owner: u64) {
         let mut state = self.state.lock();
         let mut released = false;
         state.retain(|_, entry| {
@@ -245,9 +304,8 @@ impl LockManager {
         }
     }
 
-    /// Ends every held lease as if it had run out, telling `lapsed` whose
-    /// lease ended on which key. Returns how many ended.
-    pub fn end_leases(&self, mut lapsed: impl FnMut(u64, &LockKey)) -> usize {
+    /// [`LockRights::end_leases`].
+    pub(crate) fn end_leases(&self, mut lapsed: impl FnMut(u64, &LockKey)) -> usize {
         let mut state = self.state.lock();
         let mut ended = 0;
         for (key, entry) in state.iter_mut() {
@@ -287,7 +345,7 @@ impl LockManager {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 mod tests {
     use super::*;
     use std::sync::Arc;
@@ -453,7 +511,7 @@ mod tests {
     fn contended_acquire_stress() {
         // 8 threads × 50 increments behind one lock: no lost updates.
         let lm = Arc::new(LockManager::default());
-        let counter = Arc::new(Mutex::new(0u32));
+        let counter = Arc::new(Mutex::new(Rank::Leaf, 0u32));
         let mut handles = Vec::new();
         for owner in 0..8u64 {
             let lm = Arc::clone(&lm);

@@ -4,16 +4,16 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use syd_types::sync::RwLock;
+use syd_types::sync::{Rank, RwLock};
 use syd_types::{SydError, SydResult, Text, Value};
 
-use crate::lock::LockManager;
+use crate::lock::{LockManager, LockRights};
 use crate::predicate::Predicate;
 use crate::query::Query;
 use crate::schema::Schema;
 use crate::table::{Before, Change, Log, Row, RowChange, RowId, Table};
 use crate::trigger::{Trigger, TriggerCtx, TriggerEvent, TriggerTiming};
-use crate::txn::Txn;
+use crate::txn::{Txn, TxnId};
 
 pub(crate) struct StoreInner {
     pub(crate) tables: RwLock<HashMap<String, Arc<RwLock<Table>>>>,
@@ -52,8 +52,8 @@ impl Store {
     pub fn new() -> Store {
         Store {
             inner: Arc::new(StoreInner {
-                tables: RwLock::new(HashMap::new()),
-                triggers: RwLock::new(Arc::new(Vec::new())),
+                tables: RwLock::new(Rank::Store, HashMap::new()),
+                triggers: RwLock::new(Rank::Store, Arc::new(Vec::new())),
                 trigger_count: AtomicUsize::new(0),
                 locks: LockManager::default(),
                 next_txn: AtomicU64::new(1),
@@ -74,7 +74,7 @@ impl Store {
         }
         tables.insert(
             schema.name.clone(),
-            Arc::new(RwLock::new(Table::new(schema))),
+            Arc::new(RwLock::new(Rank::Store, Table::new(schema))),
         );
         Ok(())
     }
@@ -145,10 +145,17 @@ impl Store {
         count.store(triggers.len(), Ordering::Release);
     }
 
-    /// Whether a trigger watches `table`.
-    fn fires_on(&self, table: &str) -> bool {
-        self.inner.trigger_count.load(Ordering::Acquire) > 0
-            && self.inner.triggers.read().iter().any(|t| t.table == table)
+    /// The trigger list, if a trigger watches `table`: read before the
+    /// statement takes the table's latch, which ranks with the list's.
+    fn fires_on(&self, table: &str) -> Option<Arc<Vec<Trigger>>> {
+        if self.inner.trigger_count.load(Ordering::Acquire) == 0 {
+            return None;
+        }
+        let triggers = Arc::clone(&self.inner.triggers.read());
+        triggers
+            .iter()
+            .any(|t| t.table == table)
+            .then_some(triggers)
     }
 
     /// Names of registered triggers.
@@ -166,13 +173,13 @@ impl Store {
     /// latch held, the store in hand) and the first error is returned.
     fn fire(
         &self,
+        triggers: &[Trigger],
         schema: &Schema,
         table: &str,
         timing: TriggerTiming,
         change: Change<'_>,
     ) -> SydResult<()> {
         let (event, old, new) = change;
-        let triggers = Arc::clone(&self.inner.triggers.read());
         let mut outcome = Ok(());
         for t in triggers.iter().filter(|t| t.matches(table, event, timing)) {
             if t.condition_holds(schema, event, old, new)? {
@@ -213,17 +220,34 @@ impl Store {
         let (schema, result) = {
             let mut t = handle.write();
             let schema = Arc::clone(t.schema());
+            let triggers = fires.as_deref().map_or(&[][..], Vec::as_slice);
             let mut before = |old: Option<&[Value]>, new: Option<&[Value]>| {
-                self.fire(&schema, table, TriggerTiming::Before, (event, old, new))
+                self.fire(
+                    triggers,
+                    &schema,
+                    table,
+                    TriggerTiming::Before,
+                    (event, old, new),
+                )
             };
-            let before: Before<'_> = if fires { Some(&mut before) } else { None };
-            let log = (fires || undo.is_some()).then_some(&mut changes);
+            let before: Before<'_> = fires.is_some().then_some(&mut before);
+            let log = (fires.is_some() || undo.is_some()).then_some(&mut changes);
             let result = run(&mut t, before, log)?;
             (schema, result)
         };
-        let after = (changes.iter().filter(|_| fires))
-            .map(|change| self.fire(&schema, table, TriggerTiming::After, change.rows()))
-            .fold(Ok(()), SydResult::and);
+        let after = fires.map_or(Ok(()), |triggers| {
+            (changes.iter())
+                .map(|change| {
+                    self.fire(
+                        &triggers,
+                        &schema,
+                        table,
+                        TriggerTiming::After,
+                        change.rows(),
+                    )
+                })
+                .fold(Ok(()), SydResult::and)
+        });
         if let Some(undo) = undo {
             undo.append(&mut changes);
         }
@@ -305,8 +329,15 @@ impl Store {
 
     // ---- locks & transactions ----------------------------------------------
 
-    /// The store's logical lock manager (shared with the kernel's
-    /// negotiation protocol).
+    /// A store and the only right to change its entity locks
+    /// ([`LockRights`]): the store of a device's kernel.
+    pub fn new_owned() -> (Store, LockRights) {
+        let store = Store::new();
+        (store.clone(), LockRights(store))
+    }
+
+    /// The store's logical lock table, to read: who holds what. Only the
+    /// holder of the store's [`LockRights`] and its transactions change it.
     pub fn locks(&self) -> &LockManager {
         &self.inner.locks
     }
@@ -317,6 +348,12 @@ impl Store {
         Txn::new(self.clone(), id)
     }
 
+    /// Opens a transaction whose locks are held by `session`: the local
+    /// half of a session that spans devices.
+    pub fn begin_for(&self, session: TxnId) -> Txn {
+        Txn::new(self.clone(), session)
+    }
+
     /// Total rows in a table (diagnostics).
     pub fn row_count(&self, table: &str) -> SydResult<usize> {
         Ok(self.table_handle(table)?.read().len())
@@ -324,7 +361,7 @@ impl Store {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 mod tests {
     use super::*;
     use crate::schema::{Column, ColumnType};

@@ -81,8 +81,9 @@ impl Txn {
         keys.iter().try_for_each(|key| self.lock(key))
     }
 
-    /// Takes one row lock, waiting up to the transaction's bound.
-    fn lock(&self, key: &LockKey) -> SydResult<()> {
+    /// Takes the lock on `key`, waiting up to the transaction's bound;
+    /// held until the transaction ends.
+    pub fn lock(&self, key: &LockKey) -> SydResult<()> {
         self.store.locks().acquire(self.id, key, self.lock_timeout)
     }
 
@@ -191,7 +192,7 @@ impl Drop for Txn {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 mod tests {
     use super::*;
     use crate::schema::{Column, ColumnType, Schema};

@@ -17,7 +17,7 @@
 use crate::export::json_escape;
 use std::collections::VecDeque;
 use std::fmt;
-use syd_types::sync::Mutex;
+use syd_types::sync::{Mutex, Rank};
 use syd_types::{Constraint, Text};
 
 /// The coarse class of a record: the column `dump()` and `to_jsonl()`
@@ -387,10 +387,13 @@ impl Journal {
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity: capacity.max(1),
-            inner: Mutex::new(JournalInner {
-                next_seq: 0,
-                events: VecDeque::new(),
-            }),
+            inner: Mutex::new(
+                Rank::Leaf,
+                JournalInner {
+                    next_seq: 0,
+                    events: VecDeque::new(),
+                },
+            ),
         }
     }
 
@@ -490,7 +493,7 @@ impl Journal {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 mod tests {
     use super::*;
     use crate::trace;

@@ -25,8 +25,8 @@
 //!   metrics snapshot, shared by `DeviceRuntime`, `Network` and the
 //!   `experiments` harness.
 //! * [`names`] — the central registry of metric name constants; every
-//!   call site registers through one of these (enforced statically by
-//!   `syd-lint`'s `counter-registry` rule).
+//!   call site registers through one of these (checked by this crate's
+//!   `names_registry` test).
 //!
 //! The crate deliberately depends on nothing but `syd-types` (for its
 //! poison-free locks and the `Constraint` a session's opening event

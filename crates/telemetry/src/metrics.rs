@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use syd_types::sync::Mutex;
+use syd_types::sync::{Mutex, Rank};
 
 /// Number of logarithmic histogram buckets: bucket 0 holds zero, bucket
 /// `i` holds values with `floor(log2(v)) == i - 1`, the last bucket
@@ -217,7 +217,6 @@ struct RegistryInner {
 /// takes a mutex; it returns a handle that records lock-free. Asking for
 /// the same name twice returns a handle to the same underlying cell, so
 /// independent modules can share a metric by name.
-#[derive(Default)]
 pub struct Registry {
     inner: Mutex<RegistryInner>,
     /// When set, every operation delegates to the parent: this registry
@@ -225,10 +224,19 @@ pub struct Registry {
     parent: Option<Arc<Registry>>,
 }
 
+impl Default for Registry {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Registry {
     /// Creates an empty registry.
     pub fn new() -> Self {
-        Self::default()
+        Registry {
+            inner: Mutex::new(Rank::Leaf, RegistryInner::default()),
+            parent: None,
+        }
     }
 
     /// Creates a *scoped* registry that delegates every operation to
@@ -242,7 +250,7 @@ impl Registry {
     /// `Arc<Registry>` plumbing unchanged.
     pub fn with_parent(parent: Arc<Registry>) -> Self {
         Registry {
-            inner: Mutex::new(RegistryInner::default()),
+            inner: Mutex::new(Rank::Leaf, RegistryInner::default()),
             parent: Some(parent),
         }
     }

@@ -1,11 +1,13 @@
 //! Central registry of every telemetry metric name.
 //!
 //! All counters, gauges and histograms recorded anywhere in the workspace
-//! must register under one of these constants. Inline string literals at
-//! call sites are rejected by `syd-lint`'s `counter-registry` rule, which
-//! cross-checks call sites against this file: a typo'd name can no longer
-//! silently split a metric in two, and a constant that loses its last
-//! call site is reported as orphaned.
+//! must register under one of these constants. The names stay
+//! `&'static str`, so this crate's `names_registry` test keeps them
+//! honest: it searches the workspace's program code and fails on a string
+//! literal where a name or span kind is passed, and on a constant that no
+//! call site outside this file uses. A typo'd name can no longer silently
+//! split a metric in two, and a constant that loses its last call site is
+//! reported as orphaned.
 //!
 //! Grouped by owning subsystem; the `<subsystem>.<metric>` naming scheme
 //! matches what `metrics_table`/`metrics_jsonl` render.
@@ -91,9 +93,9 @@ pub const CALENDAR_CANCELS: &str = "calendar.cancels";
 
 // --- span kinds (syd-trace timed spans) -------------------------------------
 //
-// Span kind strings share this registry so `syd-lint`'s registry rule can
-// cross-check span call sites exactly like metric call sites: a typo'd
-// kind would otherwise split one protocol phase across two tree labels.
+// Span kind strings share this registry so the `names_registry` test
+// checks span call sites exactly like metric call sites: a typo'd kind
+// would otherwise split one protocol phase across two tree labels.
 
 /// Span: client side of one outbound RPC (send → response completion).
 pub const SPAN_RPC_CLIENT: &str = "rpc.client";

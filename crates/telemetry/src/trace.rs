@@ -129,7 +129,7 @@ impl Drop for SpanGuard {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 mod tests {
     use super::*;
 

@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use syd_telemetry::trace::{self, now_us, SpanCtx};
-use syd_types::sync::Mutex;
+use syd_types::sync::{Mutex, Rank};
 
 /// Default per-ring capacity; drains are expected between operations.
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
@@ -64,7 +64,7 @@ impl SpanRing {
             label: label.into(),
             device,
             capacity,
-            buf: Mutex::new(VecDeque::with_capacity(capacity)),
+            buf: Mutex::new(Rank::Leaf, VecDeque::with_capacity(capacity)),
             recorded: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
         });
@@ -127,7 +127,7 @@ pub struct RingStats {
 
 fn registry() -> &'static Mutex<Vec<Weak<SpanRing>>> {
     static REGISTRY: OnceLock<Mutex<Vec<Weak<SpanRing>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
+    REGISTRY.get_or_init(|| Mutex::new(Rank::Leaf, Vec::new()))
 }
 
 /// Every live ring in the process (dead weak refs are pruned).

@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 use syd_telemetry::Registry;
 use syd_types::queue::Sender;
 use syd_types::rng::Rng;
-use syd_types::sync::{Condvar, Mutex};
+use syd_types::sync::{Condvar, Mutex, Rank};
 use syd_types::{NodeAddr, SydError, SydResult};
 use syd_wire::{decode_from_slice, encode_to_vec, Envelope, Payload, Response};
 
@@ -222,14 +222,17 @@ impl Network {
         let tmetrics = TransportMetrics::preregister(&registry);
         Network {
             inner: Arc::new(Inner {
-                state: Mutex::new(NetState {
-                    endpoints: HashMap::new(),
-                    partitions: HashSet::new(),
-                    rng: Rng::new(cfg.seed),
-                    cfg,
-                    next_seq: 0,
-                    shutdown: false,
-                }),
+                state: Mutex::new(
+                    Rank::Transport,
+                    NetState {
+                        endpoints: HashMap::new(),
+                        partitions: HashSet::new(),
+                        rng: Rng::new(cfg.seed),
+                        cfg,
+                        next_seq: 0,
+                        shutdown: false,
+                    },
+                ),
                 cv: Condvar::new(),
                 stats: NetStats::default(),
                 registry,

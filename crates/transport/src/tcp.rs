@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 
 use syd_telemetry::Registry;
 use syd_types::queue::{self, Receiver, RecvError, Sender};
-use syd_types::sync::{blocking, Mutex};
+use syd_types::sync::{self, Mutex, Rank};
 use syd_types::{NodeAddr, RequestId, SydError, SydResult};
 use syd_wire::{decode_from_slice, encode_to_vec, Envelope};
 
@@ -223,7 +223,7 @@ impl Shared {
         let conn = Arc::new(Conn {
             id: state.next_conn_id,
             stream,
-            writer: Mutex::new(()),
+            writer: Mutex::new(Rank::Transport, ()),
         });
         state.next_conn_id += 1;
         let (shared, reader) = (Arc::clone(self), Arc::clone(&conn));
@@ -277,23 +277,26 @@ impl FramedTcpEndpoint {
         let (events_tx, events_rx) = queue::channel();
         let shared = Arc::new(Shared {
             addr,
-            state: Mutex::new(State {
-                conns: HashMap::new(),
-                routes: HashMap::new(),
-                seen: HashSet::new(),
-                next_conn_id: 1,
-                connected: true,
-                shutdown: false,
-                threads: Vec::new(),
-            }),
+            state: Mutex::new(
+                Rank::Transport,
+                State {
+                    conns: HashMap::new(),
+                    routes: HashMap::new(),
+                    seen: HashSet::new(),
+                    next_conn_id: 1,
+                    connected: true,
+                    shutdown: false,
+                    threads: Vec::new(),
+                },
+            ),
             events_tx,
             metrics,
             tracer: syd_trace::Tracer::new(
                 format!("transport-tcp-{}", local.port()),
                 crate::TRACE_DEVICE_TCP,
             ),
-            tap: Mutex::new(None),
-            notifier: Mutex::new(None),
+            tap: Mutex::new(Rank::Transport, None),
+            notifier: Mutex::new(Rank::Transport, None),
         });
         let accept_shared = Arc::clone(&shared);
         let thread = std::thread::Builder::new()
@@ -345,7 +348,7 @@ impl FramedTcpEndpoint {
     fn dial(&self, peer: NodeAddr) -> io::Result<TcpStream> {
         let target = SocketAddr::V4(socket_addr_of(peer));
         // At most `DIAL_TIMEOUT`, announced: a pool worker hands its turn on.
-        let stream = blocking(|| TcpStream::connect_timeout(&target, DIAL_TIMEOUT));
+        let stream = sync::connect_timeout(&target, DIAL_TIMEOUT);
         let stream = tune(stream?)?;
         (&stream).write_all(&hello_frame(self.addr))?;
         Ok(stream)
@@ -480,9 +483,9 @@ impl TransportEndpoint for FramedTcpEndpoint {
             std::mem::take(&mut state.threads)
         };
         // Wake the blocking `accept`; it sees `shutdown` and returns.
-        let _ = TcpStream::connect_timeout(&SocketAddr::V4(self.socket_addr()), DIAL_TIMEOUT);
+        let _ = sync::connect_timeout(&SocketAddr::V4(self.socket_addr()), DIAL_TIMEOUT);
         for handle in threads {
-            let _ = handle.join();
+            sync::join(handle);
         }
         // Ping the runtime loop so an event-driven node drains any
         // buffered events and observes the terminal `Shutdown`.

@@ -2,7 +2,7 @@
 //! idempotent connects, failed dials, simultaneous opens, listener port
 //! reuse, and graceful shutdown with in-flight frames.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // test code
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};

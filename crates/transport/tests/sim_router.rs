@@ -2,7 +2,7 @@
 //! partitions, latency — the guarantees the sim kept when its router
 //! thread gave way to per-endpoint inboxes drained by their readers.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // test code
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 
 use std::time::{Duration, Instant};
 
@@ -380,7 +380,7 @@ mod in_flight {
     use super::*;
     use std::sync::Arc;
     use syd_transport::{ReadyNotifier, Transport, TransportEndpoint, TransportEvent};
-    use syd_types::sync::Mutex;
+    use syd_types::sync::{Mutex, Rank};
     use syd_wire::Envelope;
 
     fn delayed(latency: Duration) -> Network {
@@ -467,8 +467,13 @@ mod in_flight {
     }
 
     /// What a runtime loop is told: which endpoint, and when to drain it.
-    #[derive(Default)]
     struct Wakeups(Mutex<Vec<Instant>>);
+
+    impl Default for Wakeups {
+        fn default() -> Self {
+            Wakeups(Mutex::new(Rank::Leaf, Vec::new()))
+        }
+    }
 
     impl ReadyNotifier for Wakeups {
         fn notify(&self, _addr: NodeAddr, due: Instant) {

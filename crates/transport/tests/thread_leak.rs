@@ -3,7 +3,7 @@
 //! its tests one at a time, so the counts aren't perturbed by sibling
 //! tests running concurrently.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // test code
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};

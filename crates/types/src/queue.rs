@@ -13,7 +13,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::sync::{Condvar, Mutex};
+use crate::sync::{Condvar, Mutex, Rank};
 
 struct State<T> {
     items: VecDeque<T>,
@@ -30,11 +30,14 @@ struct Shared<T> {
 /// Creates a queue and returns its two halves.
 pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
     let shared = Arc::new(Shared {
-        state: Mutex::new(State {
-            items: VecDeque::new(),
-            senders: 1,
-            receivers: 1,
-        }),
+        state: Mutex::new(
+            Rank::Leaf,
+            State {
+                items: VecDeque::new(),
+                senders: 1,
+                receivers: 1,
+            },
+        ),
         ready: Condvar::new(),
     });
     (Sender(Arc::clone(&shared)), Receiver(shared))

@@ -1,7 +1,7 @@
 //! Semantics of `syd_types::queue`: FIFO, exactly-once delivery among
 //! several receivers, and disconnect on either side.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // test code
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};

@@ -19,7 +19,7 @@ fn wait_until(mut cond: impl FnMut() -> bool, what: &str) {
     let deadline = Instant::now() + Duration::from_secs(5);
     while !cond() {
         assert!(Instant::now() < deadline, "timed out: {what}");
-        std::thread::sleep(Duration::from_millis(10));
+        syd::types::sync::sleep(Duration::from_millis(10));
     }
 }
 

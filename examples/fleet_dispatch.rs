@@ -30,7 +30,7 @@ fn main() {
     }
     let deadline = Instant::now() + Duration::from_secs(3);
     while dispatcher.board().len() < vehicles.len() && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
+        syd::types::sync::sleep(Duration::from_millis(10));
     }
     println!("dispatcher board (fed by subscription links):");
     for (vehicle, pos) in dispatcher.board() {

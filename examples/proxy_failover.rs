@@ -103,7 +103,7 @@ fn main() {
         == 0
         && Instant::now() < deadline
     {
-        std::thread::sleep(Duration::from_millis(5));
+        syd::types::sync::sleep(Duration::from_millis(5));
     }
     println!("replica warm: proxy mirrors phil's booking");
 

@@ -59,7 +59,7 @@ fn main() {
 
     // Phil cancels; links cascade and all calendars free up.
     phil.cancel(outcome.meeting).unwrap();
-    std::thread::sleep(std::time::Duration::from_millis(200));
+    syd::types::sync::sleep(std::time::Duration::from_millis(200));
     for app in [&phil, &andy, &suzy] {
         assert!(app.slot_state(slot.ordinal()).unwrap().is_free());
     }

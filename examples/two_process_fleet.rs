@@ -110,7 +110,7 @@ fn main() {
     // Audit this process's device…
     let deadline = Instant::now() + Duration::from_secs(2);
     while phil_device.store().locks().held_count() > 0 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
+        syd::types::sync::sleep(Duration::from_millis(10));
     }
     phil_device.end_leases();
     syd::check::audit([&phil_device]).assert_clean();

@@ -49,7 +49,7 @@ fn main() {
         )
         .unwrap();
     // Give the bumped "design" meeting a moment to auto-reschedule.
-    std::thread::sleep(std::time::Duration::from_millis(300));
+    syd::types::sync::sleep(std::time::Duration::from_millis(300));
 
     // Render day 0–2, hours 9..15, one row per user.
     println!("week view (M=meeting tentative, C=confirmed, x=busy, .=free)\n");

@@ -66,7 +66,7 @@ fn main() {
     // end the leases left behind and audit.
     let deadline = Instant::now() + Duration::from_secs(2);
     while host.store().locks().held_count() > 0 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
+        syd::types::sync::sleep(Duration::from_millis(10));
     }
     host.end_leases();
     if stats {

@@ -2,7 +2,7 @@
 //! the deployment consistent — no leaked locks, no dangling links, no
 //! slot owned by a cancelled meeting.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // test code
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};

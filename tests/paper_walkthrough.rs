@@ -1,7 +1,7 @@
 //! Step-by-step fidelity walkthroughs: the paper's numbered procedures,
 //! asserted against the actual `SyD_*` tables the paper names.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // test code
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};

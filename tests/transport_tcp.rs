@@ -2,7 +2,7 @@
 //! TCP deployment, transport-aware retry behaviour under killed
 //! connections, and the invariant audit staying clean on both.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // test code
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
