@@ -610,33 +610,6 @@ mod tests {
     }
 
     #[test]
-    fn a_lock_taken_again_on_its_thread_panics() {
-        let ledger = Mutex::new(Store, 0u8);
-        let _outer = ledger.lock();
-        let message = panic_of(|| drop(ledger.lock()));
-        assert!(
-            message.starts_with("lock order: taking the Store lock"),
-            "{message}"
-        );
-    }
-
-    #[test]
-    fn a_lock_taken_under_a_higher_rank_panics_naming_both() {
-        let (store, node) = (Mutex::new(Store, ()), RwLock::new(Node, ()));
-        let _node = node.read();
-        let message = panic_of(|| drop(store.lock()));
-        assert!(
-            message.contains("taking the Store lock built at"),
-            "{message}"
-        );
-        assert!(
-            message.contains("while holding the Node lock built at"),
-            "{message}"
-        );
-        assert_eq!(message.matches("sync.rs").count(), 3, "{message}");
-    }
-
-    #[test]
     fn two_locks_of_one_rank_are_not_nested() {
         let (a, b) = (Mutex::new(Store, ()), Mutex::new(Store, ()));
         let _a = a.lock();
@@ -645,42 +618,6 @@ mod tests {
             message.contains("while holding the Store lock"),
             "{message}"
         );
-    }
-
-    #[test]
-    fn a_reentry_or_an_inversion_through_a_helper_panics_where_the_helper_locks() {
-        struct Registry {
-            entries: Mutex<u8>,
-            index: Mutex<u8>,
-        }
-        impl Registry {
-            fn insert(&self) {
-                let _entries = self.entries.lock();
-                self.count();
-            }
-            fn reindex(&self) {
-                let _index = self.index.lock();
-                self.count();
-            }
-            fn count(&self) -> u8 {
-                *self.entries.lock()
-            }
-        }
-        let registry = Registry {
-            entries: Mutex::new(Store, 0),
-            index: Mutex::new(Engine, 0),
-        };
-        let message = panic_of(|| registry.insert());
-        assert!(
-            message.contains("while holding the Store lock"),
-            "{message}"
-        );
-        let message = panic_of(|| registry.reindex());
-        assert!(
-            message.contains("while holding the Engine lock"),
-            "{message}"
-        );
-        assert_eq!(registry.count(), 0);
     }
 
     #[test]
