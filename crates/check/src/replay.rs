@@ -15,9 +15,9 @@
 //! * **lock leaks** (strict) — every lock story is closed by a change,
 //!   an abort, or the end of its lease by the end of the journal.
 //!
-//! Aborts without a preceding lock are *legal*: the coordinator aborts
-//! broadly (including decliners) to clean up lost-message locks, so the
-//! replay never flags them. Journals are bounded rings; when the oldest
+//! Aborts without a preceding lock are *legal*: the coordinator sends a
+//! clean-up abort to every mark that got no answer, whose yes may have
+//! been lost with its lock taken, so the replay never flags them. Journals are bounded rings; when the oldest
 //! retained event is not sequence 0, the early story is gone and
 //! ordering checks are suppressed for that journal.
 

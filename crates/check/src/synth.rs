@@ -98,6 +98,8 @@ fn gen_session(
 ) {
     let devices = journals.len();
     let coord = rng.below(devices as u64) as usize;
+    // The runtime's session-id scheme, written out rather than called: the
+    // checker's generator shares no code with what it judges.
     let session = ((coord as u64 + 1) << 24) | (index + 1);
     // The mutated session gets its own entity: a leaked lock on a shared
     // slot would (correctly) trip double-book checks on *later* sessions
@@ -237,8 +239,8 @@ fn gen_session(
         );
     }
 
-    // Abort fan-out: yes-voters not committed, plus decliners (broadcast
-    // cleanup — legal without a lock).
+    // Abort fan-out: the yes-voters not committed. A decliner answered,
+    // so it holds no lock and is sent nothing.
     for &p in &aborted {
         let release = Event::release(session, entity.as_str(), "coordinator-abort");
         push(&mut journals[p], at, release);

@@ -1043,6 +1043,91 @@ mod tests {
         assert!(released, "{}", device.journal().dump());
     }
 
+    /// A commit answered with an error is final: the participant released
+    /// its entity when it refused, so a commit sent again would apply the
+    /// change with nothing locked.
+    #[test]
+    fn a_commit_answered_with_an_error_is_not_sent_again() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        struct FailsFirstCommit(AtomicU32);
+        impl EntityHandler for FailsFirstCommit {
+            fn prepare(&self, _entity: &str, _change: &Value) -> SydResult<()> {
+                Ok(())
+            }
+            fn commit(&self, _entity: &str, _change: &Value) -> SydResult<()> {
+                match self.0.fetch_add(1, Ordering::SeqCst) {
+                    0 => Err(SydError::App("the first commit fails".into())),
+                    _ => Ok(()),
+                }
+            }
+            fn abort(&self, _entity: &str, _change: &Value) {}
+        }
+        let (_net, _dir, devices) = rig(2);
+        let handler = Arc::new(FailsFirstCommit(AtomicU32::new(0)));
+        devices[1].set_entity_handler(Arc::clone(&handler) as Arc<dyn EntityHandler>);
+        let participants: Vec<Participant> = devices
+            .iter()
+            .map(|d| Participant::new(d.user(), "slot:1:9", Value::str("reserved")))
+            .collect();
+        let outcome = devices[0]
+            .negotiator()
+            .negotiate_and(&participants)
+            .unwrap();
+        assert_eq!(handler.0.load(Ordering::SeqCst), 1, "{outcome:?}");
+        assert!(!outcome.satisfied, "{outcome:?}");
+        assert_eq!(outcome.aborted, vec![devices[1].user()]);
+        let failed = devices[0].journal().events().into_iter().any(|e| {
+            matches!(
+                e.event,
+                Event::AbortUser {
+                    reason: "commit-failed",
+                    ..
+                }
+            )
+        });
+        assert!(failed, "{}", devices[0].journal().dump());
+        for d in &devices {
+            assert_eq!(d.store().locks().held_count(), 0);
+        }
+    }
+
+    /// A lock-busy vote took no lock: the participant is sent nothing after
+    /// its mark, so it journals no release for the session.
+    #[test]
+    fn a_participant_that_answered_lock_busy_is_sent_no_abort() {
+        let (_net, _dir, devices) = rig(3);
+        install_map_handlers(&devices);
+        let key = entity_lock_key("slot:1:9");
+        let taken = devices[2]
+            .inner
+            .lock_rights
+            .mark(0xdead, &key, Duration::ZERO, None, |_| {});
+        assert_eq!(taken, fsm::Taken::Fresh);
+        let participants: Vec<Participant> = devices
+            .iter()
+            .map(|d| Participant::new(d.user(), "slot:1:9", Value::str("reserved")))
+            .collect();
+        let outcome = devices[0]
+            .negotiator()
+            .negotiate_and(&participants)
+            .unwrap();
+        assert_eq!(outcome.contended, vec![devices[2].user()]);
+        assert_eq!(outcome.aborted.len(), 2, "{outcome:?}");
+        let released = |d: &DeviceRuntime| {
+            let events = d.journal().events().into_iter();
+            events
+                .filter(|e| matches!(e.event, Event::Release { session, .. } if session == outcome.session))
+                .count()
+        };
+        assert_eq!(released(&devices[1]), 1, "the yes-voter is aborted");
+        assert_eq!(released(&devices[2]), 0, "{}", devices[2].journal().dump());
+        assert_eq!(
+            devices[2].store().locks().held_count(),
+            1,
+            "the foreign lock stays"
+        );
+    }
+
     #[test]
     fn concurrent_negotiations_on_same_entity_dont_double_commit() {
         let (_net, _dir, devices) = rig(3);

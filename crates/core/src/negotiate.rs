@@ -34,8 +34,14 @@
 //! and the aborts of phase 2 travel in **one** batch, and a participant
 //! that *answered* no holds no lock (a failed prepare unlocks before it
 //! votes, a busy lock was never taken) and is sent nothing more. Only a
-//! participant whose mark call failed — its yes may have been lost with
-//! the lock taken — gets a clean-up abort, in that same batch.
+//! participant whose mark got no answer — its yes may have been lost with
+//! the lock taken — gets a clean-up abort, in that same batch. A commit
+//! that got no answer is sent once more; one answered with an error is
+//! final.
+//!
+//! Who is sent what, the tally and the outcome are [`fsm::Round`]'s, the
+//! pure coordinator `syd-model` runs too; [`Negotiator`] turns its waves
+//! into batches.
 //!
 //! That batch is also where anything else goes that the coordinator knows
 //! the moment the votes are in: a caller of
@@ -181,12 +187,6 @@ impl Negotiator {
         }
     }
 
-    fn new_session(&self) -> u64 {
-        // High bits: coordinating user; low bits: local counter. Unique
-        // across the deployment without coordination.
-        (self.local_user.raw() << 24) | self.next_session.fetch_add(1, Ordering::Relaxed)
-    }
-
     /// Runs one negotiation. Every participant (normally including the
     /// coordinator's own entity, listed first) is marked; the constraint is
     /// evaluated over the votes; changes are committed or aborted per §4.3.
@@ -250,14 +250,19 @@ impl Negotiator {
         if participants.is_empty() {
             return Err(SydError::Protocol("negotiation needs participants".into()));
         }
-        let session = self.new_session();
+        let n = self.next_session.fetch_add(1, Ordering::Relaxed);
+        let session = fsm::session_id(self.local_user, n);
         let svc = link_service();
         self.sessions.inc();
-        self.journal.emit(Event::Begin {
-            session,
-            constraint,
-            participants: participants.len() as u32,
-        });
+        let mut emit = |event: Event| {
+            if matches!(event, Event::AbortUser { .. }) {
+                self.aborts.inc();
+            }
+            self.journal.emit(event);
+        };
+        let users = participants.iter().map(|p| p.user);
+        let mut round = fsm::Round::new(session, constraint, users, abort_on_contention);
+        emit(round.begin());
         // One body per distinct `(entity, change)` of the session: calls
         // carrying the same share its encoding, as `Call::broadcast`'s do.
         let mut bodies: Vec<(Text, Arc<Value>, Args)> = Vec::new();
@@ -275,7 +280,7 @@ impl Negotiator {
             args
         };
 
-        // Phase 1: mark everyone.
+        // Phase 1: mark everyone; the round tallies the votes and decides.
         let marks: Vec<Call<'_>> = participants
             .iter()
             .map(|p| Call::new(p.user, &svc, MARK, body(&p.entity, &p.change)))
@@ -285,178 +290,68 @@ impl Negotiator {
             span.attr("participants", participants.len() as u64);
             self.engine.batch(&marks)
         };
-
-        let mut yes = Vec::new();
-        let mut declined = Vec::new();
-        let mut contended = Vec::new();
-        // Marks that did not come back: the participant may have locked
-        // and voted yes into a lost reply.
-        let mut unanswered = Vec::new();
-        for (i, (user, outcome)) in votes.outcomes.iter().enumerate() {
-            match fsm::classify_reply(outcome) {
-                fsm::ReplyClass::Yes => yes.push(i),
-                fsm::ReplyClass::DeclinedBusy => {
-                    contended.push(*user);
-                    declined.push(*user);
-                }
-                fsm::ReplyClass::Declined => {
-                    declined.push(*user);
-                    if outcome.is_err() {
-                        unanswered.push(i);
-                    }
-                }
-            }
+        for (i, (_, vote)) in votes.outcomes.iter().enumerate() {
+            round.answer(i, vote, &mut emit);
         }
+        round.decide(&mut emit);
 
-        self.journal.emit(Event::Tally {
-            session,
-            yes: yes.len() as u32,
-            declined: declined.len() as u32,
-            contended: contended.len() as u32,
-        });
-
-        // Decide: the pure §4.3 core in [`fsm::decide`] evaluates the
-        // constraint and splits yes-voters into commit and abort sets (a
-        // contended round never commits when the caller asked for
-        // contention safety).
-        let fsm::Decision {
-            satisfied,
-            commit: to_commit,
-            abort: to_abort,
-            abort_reason,
-        } = fsm::decide(
-            constraint,
-            &yes,
-            participants.len(),
-            !contended.is_empty(),
-            abort_on_contention,
-        );
-
-        // Phase 2, one batch: commit the chosen, abort the rest of the
-        // yes-voters, and abort the unanswered too — abort releases the
-        // lock a lost yes vote left behind and is a no-op where the mark
-        // itself was lost. Best effort for the aborts, and for the
-        // caller's riders behind them.
-        let chosen: Vec<&Participant> = to_commit.iter().map(|&i| &participants[i]).collect();
+        // Phase 2, one batch: the round's commits and aborts, then the
+        // caller's riders when the round commits. Best effort for the
+        // aborts and the riders.
+        let to = |verb| round.wave().filter(move |w| w.1 == verb).map(|w| w.0);
+        let mut chosen: Vec<&Participant> = Vec::with_capacity(to(fsm::Verb::Commit).count());
+        chosen.extend(to(fsm::Verb::Commit).map(|i| &participants[i]));
         let Phase2 { changes, riders } = phase2(&chosen);
         assert_eq!(
             changes.len(),
             chosen.len(),
             "one change per chosen participant"
         );
-        let mut batch: Vec<Call<'_>> = chosen
-            .iter()
-            .zip(changes)
-            .map(|(p, change)| Call::new(p.user, &svc, COMMIT, body(&p.entity, &change)))
-            .collect();
-        batch.extend(to_abort.iter().chain(&unanswered).map(|&i| {
+        let mut sent: Vec<usize> = Vec::with_capacity(round.wave().count());
+        sent.extend(to(fsm::Verb::Commit).chain(to(fsm::Verb::Abort)));
+        let mut batch: Vec<Call<'_>> = Vec::with_capacity(sent.len() + riders.len());
+        batch.extend(
+            (chosen.iter().zip(changes))
+                .map(|(p, change)| Call::new(p.user, &svc, COMMIT, body(&p.entity, &change))),
+        );
+        batch.extend(sent[chosen.len()..].iter().map(|&i| {
             let p = &participants[i];
             Call::new(p.user, &svc, ABORT, body(&p.entity, &p.change))
         }));
-        let first_rider = batch.len();
-        if satisfied {
+        if round.satisfied() == Some(true) {
             batch.extend(riders);
         }
 
-        // Phase 2 span covers the batch and the one commit retry — the
+        // Phase 2 span covers the batch and the commits sent again — the
         // whole unlock half of §4.3.
         let mut commit_span = self.engine.node().tracer().span(names::SPAN_COMMIT_ROUND);
-        commit_span.attr("to_commit", to_commit.len() as u64);
-        commit_span.attr("to_abort", to_abort.len() as u64);
-        let mut committed = Vec::new();
-        let mut aborted = Vec::new();
+        commit_span.attr("to_commit", chosen.len() as u64);
+        commit_span.attr("to_abort", (sent.len() - chosen.len()) as u64);
         let results = self.engine.batch(&batch);
-        // A lost commit message would strand the entity lock; commits
-        // are idempotent, so every first-round failure gets one more
-        // chance — in a single batched round, so `k` stragglers cost
-        // one extra round trip rather than `k` sequential timeouts.
-        let mut failed: Vec<Call<'_>> = Vec::new();
-        let mut answers = results.outcomes.into_iter();
-        for (call, (user, outcome)) in batch.iter().zip(answers.by_ref()).take(chosen.len()) {
-            match outcome {
-                Ok(_) => committed.push(user),
-                Err(_) => failed.push(call.clone()),
-            }
+        let mut answers = results.outcomes.iter();
+        for (&i, (_, answer)) in sent.iter().zip(answers.by_ref()) {
+            round.answer(i, answer, &mut emit);
         }
-        let riders = answers.skip(first_rider - chosen.len());
-        let rode = riders
-            .filter(|(_, outcome)| outcome.is_ok())
-            .map(|(user, _)| user)
+        let rode = answers
+            .filter(|(_, answer)| answer.is_ok())
+            .map(|(user, _)| *user)
             .collect();
-        for (user, outcome) in self.engine.batch(&failed).outcomes {
-            match outcome {
-                Ok(_) => committed.push(user),
-                Err(_) => {
-                    self.journal_abort(session, user, "commit-failed");
-                    aborted.push(user);
-                }
-            }
-        }
-        if !committed.is_empty() {
-            self.journal.emit(Event::Committed {
-                session,
-                committed: committed.len() as u32,
-            });
-        }
-        for &i in &to_abort {
-            let user = participants[i].user;
-            self.journal_abort(session, user, abort_reason);
-            aborted.push(user);
+        // The commits that got no answer, once more, in one batch: `k`
+        // stragglers cost one extra round trip, not `k` timeouts.
+        let out: Vec<usize> = round.wave().map(|w| w.0).collect();
+        let (again, stragglers): (Vec<usize>, Vec<Call<'_>>) = (sent.iter().zip(&batch))
+            .filter(|(i, _)| out.contains(i))
+            .map(|(&i, call)| (i, call.clone()))
+            .unzip();
+        for (&i, (_, answer)) in again.iter().zip(&self.engine.batch(&stragglers).outcomes) {
+            round.answer(i, answer, &mut emit);
         }
         drop(commit_span);
 
-        // Re-evaluate the constraint over the *committed* set: a commit
-        // RPC that failed (and exhausted its retry) moved a yes-voter into
-        // `aborted`, and a constraint that held over the votes may no
-        // longer hold over what actually changed (caught by `syd-check`'s
-        // constraint arithmetic audit under lossy networks).
-        let final_ok =
-            fsm::outcome_satisfied(constraint, satisfied, committed.len(), participants.len());
-        #[cfg(debug_assertions)]
-        {
-            // §4.3 conservation: every participant ends in exactly one of
-            // committed / aborted / declined.
-            let mut all: Vec<UserId> = committed
-                .iter()
-                .chain(aborted.iter())
-                .chain(declined.iter())
-                .copied()
-                .collect();
-            all.sort_unstable();
-            let mut expected: Vec<UserId> = participants.iter().map(|p| p.user).collect();
-            expected.sort_unstable();
-            debug_assert_eq!(
-                all, expected,
-                "negotiation session {session} lost or duplicated a participant"
-            );
-        }
-        let outcome = NegotiationOutcome {
-            satisfied: final_ok,
-            committed,
-            aborted,
-            declined,
-            contended,
+        Ok(NegotiationOutcome {
             rode,
-            session,
-        };
-        self.journal.emit(Event::End {
-            session,
-            satisfied: outcome.satisfied,
-            committed: outcome.committed.len() as u32,
-            aborted: outcome.aborted.len() as u32,
-            declined: outcome.declined.len() as u32,
-        });
-        Ok(outcome)
-    }
-
-    /// Journals one coordinator-side abort and counts it.
-    fn journal_abort(&self, session: u64, user: UserId, reason: &'static str) {
-        self.journal.emit(Event::AbortUser {
-            session,
-            user: user.raw(),
-            reason,
-        });
-        self.aborts.inc();
+            ..round.end(&mut emit)
+        })
     }
 
     /// Negotiation-and over `participants` (§4.3): all or nothing.
@@ -501,9 +396,11 @@ mod tests {
 
     #[test]
     fn session_ids_unique_and_user_scoped() {
-        // Two negotiators for different users can never collide.
-        let a = (UserId::new(3).raw() << 24) | 1;
-        let b = (UserId::new(4).raw() << 24) | 1;
-        assert_ne!(a, b);
+        // Two negotiators for different users can never collide, and one
+        // negotiator's counter never reaches its user bits.
+        let id = fsm::session_id;
+        assert_ne!(id(UserId::new(3), 1), id(UserId::new(4), 1));
+        assert_ne!(id(UserId::new(3), 1), id(UserId::new(3), 2));
+        assert_eq!(id(UserId::new(3), (1 << 24) - 1) >> 24, 3);
     }
 }

@@ -13,10 +13,12 @@
 //! Three design rules keep the model honest:
 //!
 //! 1. **Shared transition cores.** The models never re-implement
-//!    protocol decisions; they call the pure functions the runtime
-//!    itself executes (`syd_core::negotiate::fsm`,
-//!    `syd_core::links::lifecycle`). If the implementation changes
-//!    semantics, the model changes with it.
+//!    protocol decisions; they run the pure values the runtime itself
+//!    runs: a negotiation's participant (`fsm::Entry`) and coordinator
+//!    (`fsm::Round`) from `syd_core::negotiate::fsm`, and
+//!    `syd_core::links::lifecycle`. A model adds only what the network
+//!    and the faults do. If the implementation changes semantics, the
+//!    model changes with it.
 //! 2. **Shared event language.** Every step journals the
 //!    `syd_telemetry::Event` value the runtime journals for it — one
 //!    enum, so a record the model writes and the runtime does not (or

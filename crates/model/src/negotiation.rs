@@ -3,36 +3,39 @@
 //! all of them under bounded message loss, duplicate delivery,
 //! coordinator crash and lock-lease lapse.
 //!
-//! The transition semantics are **not** re-implemented here: every
-//! protocol decision is delegated to the pure cores the runtime itself
-//! executes — the participant's [`fsm::Entry`] transitions with
-//! [`fsm::Vote::on_mark`], [`fsm::decide`] and [`fsm::outcome_satisfied`]
-//! from `syd_core` — and every step journals the [`Event`] that
-//! `crates/core/src/device.rs` and `negotiate.rs` journal for it, so the
-//! `syd-check` oracle sees the same event language either way.
+//! The protocol is **not** re-implemented here: both halves of it are the
+//! pure values the runtime itself runs. Each session's coordinator is one
+//! [`fsm::Round`], which says what is out, tallies, decides, gives an
+//! unanswered commit its second chance and closes with the outcome,
+//! journaling the coordinator's records; each entity is one
+//! [`fsm::Entry`], whose transitions with [`fsm::Vote::on_mark`] are the
+//! participant. Every participant step journals the [`Event`] that
+//! `crates/core/src/device.rs` journals for it, so the `syd-check` oracle
+//! sees the same event language either way. The model adds only what the
+//! network does — a call delivered, its request or its reply lost, or a
+//! delivery duplicated — the fault budgets, and the `--inject` mutations.
 //!
 //! ## Abstraction
 //!
 //! Session `k` is coordinated by device `k % n` (session id
-//! `((coord+1) << 24) | (k+1)`, the runtime's scheme) and marks every
-//! entity `e0..e{n-1}`; entity `ei` lives on device `i`, owned by user
-//! `i+1`. Devices have no entity handler, so prepare always succeeds —
-//! the modelled declines are lock conflicts and lost messages, which is
-//! where all the §4.3 concurrency lives. Each participant slot walks a
-//! small per-session state machine (mark pending → vote → commit/abort/
-//! cleanup), and the only shared state is one [`fsm::Entry`] per entity,
-//! the value the runtime's lock table keeps. Marks and commits run inside
-//! every lease, and a lease lapse, at an instant past every lease end, is
-//! drawn from the crash budget: to its participant, a coordinator too
-//! slow for its lease has crashed. Fault budgets are part of the state,
-//! so the explorer covers every placement of every budgeted fault.
+//! [`fsm::session_id`] of user `k % n + 1` and counter `k + 1`) and marks
+//! every entity `e0..e{n-1}`; entity `ei` lives on device `i`, owned by
+//! user `i+1`. Devices have no entity handler, so prepare always succeeds
+//! — the modelled declines are lock conflicts and lost messages, which is
+//! where all the §4.3 concurrency lives. Where the runtime sends a round's
+//! wave as one batch, the model delivers, loses or duplicates each of its
+//! calls on its own, in every order. Marks and commits run inside every
+//! lease, and a lease lapse, at an instant past every lease end, is drawn
+//! from the crash budget: to its participant, a coordinator too slow for
+//! its lease has crashed. Fault budgets are part of the state, so the
+//! explorer covers every placement of every budgeted fault.
 
 use syd_check::{DeviceState, HeldLock};
 use syd_core::device::LOCK_LEASE;
-use syd_core::negotiate::fsm::{self, Entry, PAST_EVERY_LEASE};
+use syd_core::negotiate::fsm::{self, Entry, Verb, PAST_EVERY_LEASE};
 use syd_core::Constraint;
 use syd_telemetry::{Event, JournalEvent, Vote};
-use syd_types::Timestamp;
+use syd_types::{RequestId, SydError, SydResult, Timestamp, UserId, Value};
 
 use crate::explore::Model;
 use crate::journal::JournalSet;
@@ -77,92 +80,32 @@ pub struct NegotiationModel {
     pub inject: Option<NegotiationInject>,
 }
 
-/// Where one session is in its lifecycle.
+/// Where one session is in its lifecycle; a running one is where its
+/// round says.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 enum SessionPhase {
     NotStarted,
-    Marking,
-    Finishing,
+    Running,
     Done,
     Crashed,
 }
 
-/// One participant's slot within a session.
+/// What the network lost that the coordinator cannot tell apart.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-enum Slot {
-    /// Mark request in flight.
-    MarkPending,
-    /// Voted yes; holds its entity lock.
-    Yes,
-    /// Voted yes and locked, but the reply was lost — the coordinator
-    /// tallies a decline while the device holds the lock.
-    YesReplyLost,
-    /// Voted no (lock busy); the coordinator saw the busy decline.
-    NoBusy,
-    /// Voted no (lock busy) but the reply was lost — the coordinator
-    /// tallies a plain decline, not a contended one.
-    BusyReplyLost,
-    /// The mark request itself was lost; the device saw nothing.
-    NoRequestLost,
-    /// Commit decided; delivery in flight (`retried` after one loss —
-    /// the coordinator retries a failed commit exactly once).
-    CommitPending {
-        /// True once the first delivery was lost.
-        retried: bool,
-    },
-    /// Commit applied and lock released.
-    Committed,
-    /// Commit swallowed by the [`NegotiationInject::LockLeak`] bug: the
-    /// coordinator counts it committed, but the device journaled
-    /// nothing and never released the lock its commit pinned.
-    CommitLeaked,
-    /// Commit lost twice or refused after a lapse; the coordinator gave up.
-    CommitFailed,
-    /// Abort decided (constraint failed or xor overflow); in flight.
-    AbortPending,
-    /// Abort applied and lock released.
-    Aborted,
-    /// Abort delivery lost; the lock waits for its lease to end.
-    AbortDropped,
-    /// Best-effort cleanup abort to a decliner, in flight.
-    CleanupPending,
-    /// Cleanup abort applied.
-    CleanedUp,
-    /// Cleanup abort lost.
-    CleanupDropped,
+enum Lost {
+    /// A mark or an abort never arrived.
+    Request,
+    /// A mark arrived and its device voted, but the vote never came back.
+    Reply(fsm::Vote),
 }
 
-impl Slot {
-    /// Slots that end the session's interest in the participant.
-    fn terminal(self) -> bool {
-        matches!(
-            self,
-            Slot::Committed
-                | Slot::CommitLeaked
-                | Slot::CommitFailed
-                | Slot::Aborted
-                | Slot::AbortDropped
-                | Slot::CleanedUp
-                | Slot::CleanupDropped
-        )
-    }
-
-    /// Slots the coordinator tallies as a decline.
-    fn declined(self) -> bool {
-        matches!(
-            self,
-            Slot::NoBusy | Slot::BusyReplyLost | Slot::NoRequestLost | Slot::YesReplyLost
-        )
-    }
-}
-
-/// One session's progress.
+/// One session: its coordinator, and per participant what the network
+/// lost of its last call that the round cannot see.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 struct Session {
     phase: SessionPhase,
-    /// Provisional outcome of [`fsm::decide`]; valid once `Finishing`.
-    satisfied: bool,
-    slots: Vec<Slot>,
+    round: fsm::Round,
+    lost: Vec<Option<Lost>>,
 }
 
 /// Abstract global state: the entities' locks, session progress, fault
@@ -222,8 +165,7 @@ pub enum NegotiationAction {
         /// Participant device.
         device: usize,
     },
-    /// Coordinator tallies the votes and splits yes-voters into commit
-    /// and abort sets (pure [`fsm::decide`]).
+    /// Coordinator tallies the votes and decides ([`fsm::Round::decide`]).
     Decide {
         /// Session index.
         session: usize,
@@ -235,8 +177,8 @@ pub enum NegotiationAction {
         /// Participant device.
         device: usize,
     },
-    /// A commit delivery is lost (the coordinator retries once, then
-    /// gives up and journals `commit-failed`).
+    /// A commit delivery is lost (the coordinator sends it once more,
+    /// then gives up and journals `commit-failed`).
     DropCommit {
         /// Session index.
         session: usize,
@@ -250,36 +192,23 @@ pub enum NegotiationAction {
         /// Participant device.
         device: usize,
     },
-    /// An abort reaches its yes-voter: change discarded, lock released.
+    /// An abort reaches its device — a yes-voter not chosen, or a clean-up
+    /// to a mark that got no answer: change discarded, lock released.
     DeliverAbort {
         /// Session index.
         session: usize,
         /// Participant device.
         device: usize,
     },
-    /// An abort delivery is lost; the lock waits for its lease to end.
+    /// An abort delivery is lost; any lock waits for its lease to end.
     DropAbort {
         /// Session index.
         session: usize,
         /// Participant device.
         device: usize,
     },
-    /// A best-effort cleanup abort reaches a decliner.
-    DeliverCleanup {
-        /// Session index.
-        session: usize,
-        /// Participant device.
-        device: usize,
-    },
-    /// A cleanup abort is lost.
-    DropCleanup {
-        /// Session index.
-        session: usize,
-        /// Participant device.
-        device: usize,
-    },
-    /// Coordinator counts commits and closes its span (pure
-    /// [`fsm::outcome_satisfied`]).
+    /// Coordinator counts commits and closes the session
+    /// ([`fsm::Round::end`]).
     End {
         /// Session index.
         session: usize,
@@ -315,8 +244,6 @@ impl NegotiationAction {
             | NegotiationAction::DuplicateCommit { session, .. }
             | NegotiationAction::DeliverAbort { session, .. }
             | NegotiationAction::DropAbort { session, .. }
-            | NegotiationAction::DeliverCleanup { session, .. }
-            | NegotiationAction::DropCleanup { session, .. }
             | NegotiationAction::LeaseLapse { session, .. }
             | NegotiationAction::End { session }
             | NegotiationAction::Crash { session } => session,
@@ -335,8 +262,6 @@ impl NegotiationAction {
             | NegotiationAction::DuplicateCommit { device, .. }
             | NegotiationAction::DeliverAbort { device, .. }
             | NegotiationAction::DropAbort { device, .. }
-            | NegotiationAction::DeliverCleanup { device, .. }
-            | NegotiationAction::DropCleanup { device, .. }
             | NegotiationAction::LeaseLapse { device, .. } => Some(device),
             NegotiationAction::Start { .. }
             | NegotiationAction::Decide { .. }
@@ -380,12 +305,6 @@ impl std::fmt::Display for NegotiationAction {
             NegotiationAction::DropAbort { session, device } => {
                 write!(f, "s{session}: abort to dev{device} lost")
             }
-            NegotiationAction::DeliverCleanup { session, device } => {
-                write!(f, "s{session}: cleanup abort delivered to dev{device}")
-            }
-            NegotiationAction::DropCleanup { session, device } => {
-                write!(f, "s{session}: cleanup abort to dev{device} lost")
-            }
             NegotiationAction::End { session } => {
                 write!(f, "s{session}: coordinator closes the session")
             }
@@ -407,12 +326,9 @@ fn entity(i: usize) -> String {
     format!("e{i}")
 }
 
-fn abort_user(session: u64, i: usize, reason: &'static str) -> Event {
-    Event::AbortUser {
-        session,
-        user: i as u64 + 1,
-        reason,
-    }
+/// What the coordinator hears when a call or its reply is lost.
+fn no_answer() -> SydResult<Value> {
+    Err(SydError::Timeout(RequestId::new(0)))
 }
 
 /// A mark by `session` as a device runs it, with a handler-less prepare.
@@ -433,10 +349,9 @@ impl NegotiationModel {
         s % self.devices
     }
 
-    /// The runtime's session-id scheme: `((user << 24) | counter)` with
-    /// the coordinator's user id seeding uniqueness.
+    /// Session `s`'s id, by the runtime's scheme.
     fn sid(&self, s: usize) -> u64 {
-        (((self.coord(s) as u64) + 1) << 24) | (s as u64 + 1)
+        fsm::session_id(UserId::new(self.coord(s) as u64 + 1), s as u64 + 1)
     }
 
     /// A session id guaranteed to collide with no real session — the
@@ -468,13 +383,14 @@ impl Model for NegotiationModel {
     }
 
     fn initial(&self) -> NegotiationState {
+        let users = (1..=self.devices as u64).map(UserId::new);
         NegotiationState {
             entries: vec![Entry::default(); self.devices],
             sessions: (0..self.sessions)
-                .map(|_| Session {
+                .map(|s| Session {
                     phase: SessionPhase::NotStarted,
-                    satisfied: false,
-                    slots: vec![Slot::MarkPending; self.devices],
+                    round: fsm::Round::new(self.sid(s), self.constraint, users.clone(), false),
+                    lost: vec![None; self.devices],
                 })
                 .collect(),
             loss_left: self.loss_budget,
@@ -491,92 +407,49 @@ impl Model for NegotiationModel {
         for (s, session) in state.sessions.iter().enumerate() {
             match session.phase {
                 SessionPhase::NotStarted => out.push(A::Start { session: s }),
-                SessionPhase::Marking => {
-                    for (i, slot) in session.slots.iter().enumerate() {
-                        match slot {
-                            Slot::MarkPending => {
-                                out.push(A::DeliverMark {
-                                    session: s,
-                                    device: i,
-                                });
-                                if state.loss_left > 0 {
-                                    out.push(A::DropMark {
-                                        session: s,
-                                        device: i,
-                                    });
-                                    out.push(A::LoseMarkReply {
-                                        session: s,
-                                        device: i,
-                                    });
-                                }
+                SessionPhase::Running => {
+                    let round = &session.round;
+                    for (device, verb) in round.wave() {
+                        let (deliver, drop) = match verb {
+                            Verb::Mark => (
+                                A::DeliverMark { session: s, device },
+                                A::DropMark { session: s, device },
+                            ),
+                            Verb::Commit => (
+                                A::DeliverCommit { session: s, device },
+                                A::DropCommit { session: s, device },
+                            ),
+                            Verb::Abort => (
+                                A::DeliverAbort { session: s, device },
+                                A::DropAbort { session: s, device },
+                            ),
+                        };
+                        out.push(deliver);
+                        if state.loss_left > 0 {
+                            out.push(drop);
+                            if verb == Verb::Mark {
+                                out.push(A::LoseMarkReply { session: s, device });
                             }
-                            Slot::Yes
-                                if state.dup_left > 0
-                                    && state.entries[i].holder() == Some(self.sid(s)) =>
+                        }
+                    }
+                    for device in (0..self.devices).filter(|_| state.dup_left > 0) {
+                        match round.granted(device) {
+                            Some(Verb::Mark)
+                                if state.entries[device].holder() == Some(self.sid(s)) =>
                             {
-                                out.push(A::DuplicateMark {
-                                    session: s,
-                                    device: i,
-                                });
+                                out.push(A::DuplicateMark { session: s, device });
+                            }
+                            Some(Verb::Commit) => {
+                                out.push(A::DuplicateCommit { session: s, device });
                             }
                             _ => {}
                         }
                     }
-                    if session.slots.iter().all(|slot| *slot != Slot::MarkPending) {
-                        out.push(A::Decide { session: s });
-                    }
-                    self.crashes(state, s, &mut out);
-                }
-                SessionPhase::Finishing => {
-                    for (i, slot) in session.slots.iter().enumerate() {
-                        match slot {
-                            Slot::CommitPending { .. } => {
-                                out.push(A::DeliverCommit {
-                                    session: s,
-                                    device: i,
-                                });
-                                if state.loss_left > 0 {
-                                    out.push(A::DropCommit {
-                                        session: s,
-                                        device: i,
-                                    });
-                                }
-                            }
-                            Slot::Committed if state.dup_left > 0 => {
-                                out.push(A::DuplicateCommit {
-                                    session: s,
-                                    device: i,
-                                });
-                            }
-                            Slot::AbortPending => {
-                                out.push(A::DeliverAbort {
-                                    session: s,
-                                    device: i,
-                                });
-                                if state.loss_left > 0 {
-                                    out.push(A::DropAbort {
-                                        session: s,
-                                        device: i,
-                                    });
-                                }
-                            }
-                            Slot::CleanupPending => {
-                                out.push(A::DeliverCleanup {
-                                    session: s,
-                                    device: i,
-                                });
-                                if state.loss_left > 0 {
-                                    out.push(A::DropCleanup {
-                                        session: s,
-                                        device: i,
-                                    });
-                                }
-                            }
-                            _ => {}
-                        }
-                    }
-                    if session.slots.iter().all(|slot| slot.terminal()) {
-                        out.push(A::End { session: s });
+                    if round.wave().next().is_none() {
+                        out.push(match round.satisfied() {
+                            None => A::Decide { session: s },
+                            Some(_) => A::End { session: s },
+                        });
                     }
                     self.crashes(state, s, &mut out);
                 }
@@ -586,7 +459,6 @@ impl Model for NegotiationModel {
         out
     }
 
-    #[allow(clippy::too_many_lines)]
     fn apply(
         &self,
         state: &NegotiationState,
@@ -595,37 +467,24 @@ impl Model for NegotiationModel {
     ) -> NegotiationState {
         use NegotiationAction as A;
         let mut st = state.clone();
-        match *action {
-            A::Start { session: s } => {
-                st.sessions[s].phase = SessionPhase::Marking;
-                journal.record(
-                    self.coord(s),
-                    Event::Begin {
-                        session: self.sid(s),
-                        constraint: self.constraint,
-                        participants: self.devices as u32,
-                    },
-                );
+        let s = action.session();
+        let (sid, coord) = (self.sid(s), self.coord(s));
+        let session = &mut st.sessions[s];
+        // What the coordinator hears back, if the step answers a call.
+        let heard: Option<(usize, SydResult<Value>)> = match *action {
+            A::Start { .. } => {
+                session.phase = SessionPhase::Running;
+                journal.record(coord, session.round.begin());
+                None
             }
-            A::DeliverMark {
-                session: s,
-                device: i,
-            }
-            | A::LoseMarkReply {
-                session: s,
-                device: i,
-            } => {
+            A::DeliverMark { device: i, .. } | A::LoseMarkReply { device: i, .. } => {
                 // A lost reply: the device marked and voted as ever, but
                 // the vote never reached the coordinator.
                 let lost = matches!(action, A::LoseMarkReply { .. });
                 st.loss_left -= u8::from(lost);
-                let (yes, busy) = match lost {
-                    false => (Slot::Yes, Slot::NoBusy),
-                    true => (Slot::YesReplyLost, Slot::BusyReplyLost),
-                };
-                let sid = self.sid(s);
                 // Model devices have no entity handler: a vote is yes or busy.
-                st.sessions[s].slots[i] = if mark(&mut st.entries[i], sid) == fsm::Vote::Yes {
+                let vote = mark(&mut st.entries[i], sid);
+                if vote == fsm::Vote::Yes {
                     journal.record(i, Event::lock(sid, entity(i)));
                     let inject = self.inject == Some(NegotiationInject::DoubleLock);
                     if inject && !lost && !st.injected {
@@ -633,76 +492,48 @@ impl Model for NegotiationModel {
                         journal.record(i, Event::lock(sid, entity(i)));
                     }
                     journal.record(i, Event::vote(sid, entity(i), Vote::Yes));
-                    yes
                 } else {
                     journal.record(i, Event::vote(sid, entity(i), Vote::LockBusy));
-                    busy
-                };
+                }
+                session.lost[i] = lost.then_some(Lost::Reply(vote));
+                Some((
+                    i,
+                    if lost {
+                        no_answer()
+                    } else {
+                        Ok(vote.wire_reply())
+                    },
+                ))
             }
-            A::DropMark {
-                session: s,
-                device: i,
-            } => {
+            A::DropMark { device: i, .. } => {
                 st.loss_left -= 1;
-                st.sessions[s].slots[i] = Slot::NoRequestLost;
+                session.lost[i] = Some(Lost::Request);
+                Some((i, no_answer()))
             }
-            A::DuplicateMark {
-                session: s,
-                device: i,
-            } => {
+            A::DuplicateMark { device: i, .. } => {
                 st.dup_left -= 1;
                 // The device finds its own lock: it votes again, and
                 // neither journals a second lock nor deepens the one held.
-                mark(&mut st.entries[i], self.sid(s));
-                journal.record(i, Event::vote(self.sid(s), entity(i), Vote::Yes));
+                mark(&mut st.entries[i], sid);
+                journal.record(i, Event::vote(sid, entity(i), Vote::Yes));
+                None
             }
-            A::Decide { session: s } => {
-                let sid = self.sid(s);
-                let slots = &st.sessions[s].slots;
-                let yes: Vec<usize> = (0..self.devices)
-                    .filter(|&i| slots[i] == Slot::Yes)
-                    .collect();
-                let declined = slots.iter().filter(|slot| slot.declined()).count();
-                let contended = slots.iter().filter(|&&slot| slot == Slot::NoBusy).count();
-                journal.record(
-                    self.coord(s),
-                    Event::Tally {
-                        session: sid,
-                        yes: yes.len() as u32,
-                        declined: declined as u32,
-                        contended: contended as u32,
-                    },
-                );
-                let decision =
-                    fsm::decide(self.constraint, &yes, self.devices, contended > 0, false);
-                st.sessions[s].satisfied = decision.satisfied;
-                for &i in &decision.commit {
-                    st.sessions[s].slots[i] = Slot::CommitPending { retried: false };
-                }
-                for &i in &decision.abort {
-                    st.sessions[s].slots[i] = Slot::AbortPending;
-                }
-                for slot in &mut st.sessions[s].slots {
-                    if slot.declined() {
-                        *slot = Slot::CleanupPending;
-                    }
-                }
-                st.sessions[s].phase = SessionPhase::Finishing;
+            A::Decide { .. } => {
+                session.round.decide(&mut |e| journal.record(coord, e));
+                // The clean-up aborts go out: what was lost of the marks
+                // no longer decides anything.
+                session.lost.fill(None);
+                None
             }
-            A::DeliverCommit {
-                session: s,
-                device: i,
-            } => {
-                let sid = self.sid(s);
-                if !self.commits(&mut st.entries[i], sid) {
-                    // Its lease lapsed: refused, and so is the retry.
-                    journal.record(self.coord(s), abort_user(sid, i, "commit-failed"));
-                    st.sessions[s].slots[i] = Slot::CommitFailed;
+            A::DeliverCommit { device: i, .. } => {
+                let reply = if !self.commits(&mut st.entries[i], sid) {
+                    // Its lease lapsed: the device refuses the commit.
+                    Err(SydError::App(format!("session {sid} expired")))
                 } else if self.inject == Some(NegotiationInject::LockLeak) && !st.injected {
                     // The buggy device applies the change but journals
                     // nothing and never releases the lock its commit pinned.
                     st.injected = true;
-                    st.sessions[s].slots[i] = Slot::CommitLeaked;
+                    Ok(Value::Null)
                 } else {
                     if self.inject == Some(NegotiationInject::DoubleCommit) && !st.injected {
                         // A change applied under a session that holds no
@@ -712,150 +543,81 @@ impl Model for NegotiationModel {
                     }
                     journal.record(i, Event::commit(sid, entity(i), true));
                     st.entries[i].abort(sid);
-                    st.sessions[s].slots[i] = Slot::Committed;
-                }
+                    Ok(Value::Null)
+                };
+                Some((i, reply))
             }
-            A::DropCommit {
-                session: s,
-                device: i,
-            } => {
+            A::DropCommit { device: i, .. } => {
                 st.loss_left -= 1;
-                match st.sessions[s].slots[i] {
-                    Slot::CommitPending { retried: false } => {
-                        st.sessions[s].slots[i] = Slot::CommitPending { retried: true };
-                    }
-                    _ => {
-                        // Retry exhausted: the coordinator gives up on
-                        // this participant and journals the abort.
-                        journal.record(self.coord(s), abort_user(self.sid(s), i, "commit-failed"));
-                        st.sessions[s].slots[i] = Slot::CommitFailed;
-                    }
-                }
+                Some((i, no_answer()))
             }
-            A::DuplicateCommit {
-                session: s,
-                device: i,
-            } => {
+            A::DuplicateCommit { device: i, .. } => {
                 st.dup_left -= 1;
                 st.dups_used = true;
-                let sid = self.sid(s);
                 if self.commits(&mut st.entries[i], sid) {
                     journal.record(i, Event::commit(sid, entity(i), true));
                     st.entries[i].abort(sid);
                 }
+                None
             }
-            A::DeliverAbort {
-                session: s,
-                device: i,
-            }
-            | A::DropAbort {
-                session: s,
-                device: i,
-            } => {
-                // The coordinator journals its abort decision whether or
-                // not the RPC lands; a lost one leaves the participant's
-                // lock to its lease.
-                let lost = matches!(action, A::DropAbort { .. });
-                st.loss_left -= u8::from(lost);
-                let sid = self.sid(s);
-                let reason = if st.sessions[s].satisfied {
-                    "xor-overflow"
-                } else {
-                    "constraint-failed"
-                };
-                journal.record(self.coord(s), abort_user(sid, i, reason));
-                st.sessions[s].slots[i] = if lost {
-                    Slot::AbortDropped
-                } else {
-                    journal.record(i, Event::release(sid, entity(i), "coordinator-abort"));
-                    st.entries[i].abort(sid);
-                    Slot::Aborted
-                };
-            }
-            A::DeliverCleanup {
-                session: s,
-                device: i,
-            } => {
-                let sid = self.sid(s);
-                // Best-effort abort to a decliner: legal even when the
-                // device never locked (lost request) — release is
-                // owner-only and idempotent.
+            A::DeliverAbort { device: i, .. } => {
+                // Release is owner-only and idempotent: an abort is legal
+                // where the mark never locked.
                 journal.record(i, Event::release(sid, entity(i), "coordinator-abort"));
                 st.entries[i].abort(sid);
-                st.sessions[s].slots[i] = Slot::CleanedUp;
+                Some((i, Ok(Value::Null)))
             }
-            A::DropCleanup {
-                session: s,
-                device: i,
-            } => {
+            A::DropAbort { device: i, .. } => {
+                // A lost abort leaves any lock to its lease.
                 st.loss_left -= 1;
-                st.sessions[s].slots[i] = Slot::CleanupDropped;
+                session.lost[i] = Some(Lost::Request);
+                Some((i, no_answer()))
             }
-            A::End { session: s } => {
-                let sid = self.sid(s);
-                let slots = &st.sessions[s].slots;
-                let committed = slots
-                    .iter()
-                    .filter(|&&slot| matches!(slot, Slot::Committed | Slot::CommitLeaked))
-                    .count();
-                let aborted = slots
-                    .iter()
-                    .filter(|&&slot| {
-                        matches!(
-                            slot,
-                            Slot::Aborted | Slot::AbortDropped | Slot::CommitFailed
-                        )
-                    })
-                    .count();
-                let declined = slots
-                    .iter()
-                    .filter(|&&slot| matches!(slot, Slot::CleanedUp | Slot::CleanupDropped))
-                    .count();
-                if committed > 0 {
-                    journal.record(
-                        self.coord(s),
-                        Event::Committed {
-                            session: sid,
-                            committed: committed as u32,
-                        },
-                    );
-                }
-                let mut satisfied = fsm::outcome_satisfied(
-                    self.constraint,
-                    st.sessions[s].satisfied,
-                    committed,
-                    self.devices,
-                );
-                let mut reported = committed;
-                if self.inject == Some(NegotiationInject::BadArithmetic) && !st.injected && s == 0 {
-                    // Off-by-one outcome accounting: claim satisfaction
-                    // over one commit fewer than actually happened.
-                    st.injected = true;
-                    satisfied = true;
-                    reported = committed.saturating_sub(1);
-                }
-                journal.record(
-                    self.coord(s),
+            A::End { .. } => {
+                // Off-by-one outcome accounting: claim satisfaction over
+                // one commit fewer than actually happened.
+                let bad = self.inject == Some(NegotiationInject::BadArithmetic) && !st.injected;
+                let bad = bad && s == 0;
+                st.injected |= bad;
+                session.round.end(&mut |event| match event {
                     Event::End {
-                        session: sid,
-                        satisfied,
-                        committed: reported as u32,
-                        aborted: aborted as u32,
-                        declined: declined as u32,
-                    },
-                );
-                st.sessions[s].phase = SessionPhase::Done;
+                        session,
+                        committed,
+                        aborted,
+                        declined,
+                        ..
+                    } if bad => {
+                        let lie = Event::End {
+                            session,
+                            satisfied: true,
+                            committed: committed.saturating_sub(1),
+                            aborted,
+                            declined,
+                        };
+                        journal.record(coord, lie);
+                    }
+                    event => journal.record(coord, event),
+                });
+                session.phase = SessionPhase::Done;
+                None
             }
-            A::Crash { session: s } => {
+            A::Crash { .. } => {
                 st.crash_left -= 1;
-                st.sessions[s].phase = SessionPhase::Crashed;
+                session.phase = SessionPhase::Crashed;
+                None
             }
             A::LeaseLapse { device: i, .. } => {
                 st.crash_left -= 1;
                 if let Some(holder) = st.entries[i].lapse(PAST_EVERY_LEASE) {
                     journal.record(i, Event::release(holder, entity(i), "lease"));
                 }
+                None
             }
+        };
+        if let Some((i, reply)) = heard {
+            session
+                .round
+                .answer(i, &reply, &mut |e| journal.record(coord, e));
         }
         st
     }
@@ -983,8 +745,9 @@ mod tests {
     }
 
     /// Clean, and with the exact state counts of the encoding before the
-    /// participant became one `fsm::Entry`: a change of encoding that
-    /// splits or merges a state shows here.
+    /// participant became one `fsm::Entry` and the coordinator one
+    /// `fsm::Round`: a change of encoding that splits or merges a state
+    /// shows here.
     #[test]
     fn clean_configs_have_no_violations() {
         for (constraint, expected) in [

@@ -444,9 +444,10 @@ impl Node {
             });
             node.collect(&mut sent, Instant::now() + opts.timeout, &mut results);
             outstanding.retain(|&i| {
-                results[i].as_ref().err().is_some_and(|err| {
-                    err.is_transient() || matches!(err, SydError::Unreachable(_))
-                })
+                results[i]
+                    .as_ref()
+                    .err()
+                    .is_some_and(SydError::is_unanswered)
             });
             if outstanding.is_empty() || wave == opts.retries {
                 break;

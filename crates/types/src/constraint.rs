@@ -7,7 +7,7 @@
 /// Logical constraint of a negotiation link (§4.3), generalized to k-of-n
 /// exactly as the paper notes ("can be extended to at least/exactly k out
 /// of n").
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Constraint {
     /// All references must change (negotiation-and).
     And,

@@ -79,6 +79,13 @@ impl SydError {
         )
     }
 
+    /// True when no answer came back, so the callee may or may not have
+    /// acted: a transient failure, or an address that could not be
+    /// reached. The call is worth sending again, and only then.
+    pub fn is_unanswered(&self) -> bool {
+        self.is_transient() || matches!(self, SydError::Unreachable(_))
+    }
+
     /// Stable numeric code identifying the error kind on the wire.
     pub fn kind_code(&self) -> u8 {
         match self {

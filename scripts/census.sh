@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # How much code and how many switches the workspace carries — ROADMAP
-# item 4's "least code" as numbers that any checkout can reproduce.
+# item 7's "least code" as numbers that any checkout can reproduce.
 # Plain find/wc/grep: no cargo, no registry, no build.
 #
 #   scripts/census.sh            # this checkout
