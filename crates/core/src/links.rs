@@ -35,7 +35,7 @@
 //!    which it hands to the pool
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
 use syd_store::{Column, ColumnType, Predicate, Schema, Store};
@@ -431,6 +431,55 @@ const T_LINK: &str = "SyD_Link";
 const T_WAIT: &str = "SyD_WaitingLink";
 const T_METHOD: &str = "SyD_LinkMethod";
 
+/// The three link tables' schemas, built once per process and shared by
+/// every device's store: a device holds its tables' rows and indexes, not
+/// copies of their columns.
+fn link_schemas() -> SydResult<&'static [Arc<Schema>; 3]> {
+    static SCHEMAS: OnceLock<[Arc<Schema>; 3]> = OnceLock::new();
+    if let Some(schemas) = SCHEMAS.get() {
+        return Ok(schemas);
+    }
+    let link = Schema::new(
+        T_LINK,
+        vec![
+            Column::required("id", ColumnType::I64),
+            Column::required("kind", ColumnType::Str),
+            Column::required("k", ColumnType::I64),
+            Column::required("status", ColumnType::Str),
+            Column::required("entity", ColumnType::Str),
+            Column::required("priority", ColumnType::I64),
+            Column::required("created", ColumnType::I64),
+            Column::nullable("expires", ColumnType::I64),
+            Column::required("corr", ColumnType::Str),
+            Column::required("refs", ColumnType::Bytes),
+        ],
+        &["id"],
+    )?;
+    let wait = Schema::new(
+        T_WAIT,
+        vec![
+            Column::required("link_id", ColumnType::I64),
+            Column::required("waits_on", ColumnType::I64),
+            Column::required("priority", ColumnType::I64),
+            Column::required("group_id", ColumnType::I64),
+        ],
+        &["link_id"],
+    )?;
+    let method = Schema::new(
+        T_METHOD,
+        vec![
+            Column::required("id", ColumnType::I64),
+            Column::required("service", ColumnType::Str),
+            Column::required("src_method", ColumnType::Str),
+            Column::required("dst_user", ColumnType::I64),
+            Column::required("dst_service", ColumnType::Str),
+            Column::required("dst_method", ColumnType::Str),
+        ],
+        &["id"],
+    )?;
+    Ok(SCHEMAS.get_or_init(|| [link, wait, method].map(Arc::new)))
+}
+
 fn corr_is(corr: &str) -> Predicate {
     Predicate::Eq("corr".into(), Value::str(corr))
 }
@@ -454,47 +503,13 @@ impl LinksModule {
         events: EventHandler,
         journal: Arc<Journal>,
     ) -> SydResult<Arc<LinksModule>> {
-        store.create_table(Schema::new(
-            T_LINK,
-            vec![
-                Column::required("id", ColumnType::I64),
-                Column::required("kind", ColumnType::Str),
-                Column::required("k", ColumnType::I64),
-                Column::required("status", ColumnType::Str),
-                Column::required("entity", ColumnType::Str),
-                Column::required("priority", ColumnType::I64),
-                Column::required("created", ColumnType::I64),
-                Column::nullable("expires", ColumnType::I64),
-                Column::required("corr", ColumnType::Str),
-                Column::required("refs", ColumnType::Bytes),
-            ],
-            &["id"],
-        )?)?;
+        let [link, wait, method] = link_schemas()?;
+        store.create_table(Arc::clone(link))?;
         store.create_index(T_LINK, "entity")?;
         store.create_index(T_LINK, "corr")?;
-        store.create_table(Schema::new(
-            T_WAIT,
-            vec![
-                Column::required("link_id", ColumnType::I64),
-                Column::required("waits_on", ColumnType::I64),
-                Column::required("priority", ColumnType::I64),
-                Column::required("group_id", ColumnType::I64),
-            ],
-            &["link_id"],
-        )?)?;
+        store.create_table(Arc::clone(wait))?;
         store.create_index(T_WAIT, "waits_on")?;
-        store.create_table(Schema::new(
-            T_METHOD,
-            vec![
-                Column::required("id", ColumnType::I64),
-                Column::required("service", ColumnType::Str),
-                Column::required("src_method", ColumnType::Str),
-                Column::required("dst_user", ColumnType::I64),
-                Column::required("dst_service", ColumnType::Str),
-                Column::required("dst_method", ColumnType::Str),
-            ],
-            &["id"],
-        )?)?;
+        store.create_table(Arc::clone(method))?;
         store.create_index(T_METHOD, "src_method")?;
         Ok(Arc::new_cyclic(|me| LinksModule {
             store,
@@ -1324,6 +1339,16 @@ mod tests {
             bytes[at] = byte;
             let err = decode_from_slice::<Link>(&bytes).unwrap_err();
             assert!(matches!(err, SydError::Codec(_)), "{what}: {err}");
+        }
+    }
+
+    #[test]
+    fn two_devices_share_the_link_schemas() {
+        let env = SydEnv::new_insecure(NetConfig::ideal());
+        let (a, b) = (env.device("a", "").unwrap(), env.device("b", "").unwrap());
+        for table in [T_LINK, T_WAIT, T_METHOD] {
+            let (of_a, of_b) = (a.store().schema_of(table), b.store().schema_of(table));
+            assert!(Arc::ptr_eq(&of_a.unwrap(), &of_b.unwrap()), "{table}");
         }
     }
 

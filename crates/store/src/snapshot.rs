@@ -286,6 +286,25 @@ mod tests {
     fn snapshot_is_deterministic() {
         let s = sample_store();
         assert_eq!(s.snapshot(), s.snapshot());
+
+        // Two stores built alike snapshot alike, whatever their indexes,
+        // and a restored store snapshots to the bytes it came from.
+        let four_indexes = || {
+            let s = sample_store();
+            let columns = ["d", "a", "c", "b"];
+            let wide = columns.map(|c| Column::nullable(c, ColumnType::Any));
+            s.create_table(Schema::new("wide", wide.to_vec(), &[]).unwrap())
+                .unwrap();
+            for column in columns {
+                s.create_index("wide", column).unwrap();
+            }
+            s.snapshot()
+        };
+        let bytes = four_indexes();
+        for _ in 0..8 {
+            assert_eq!(four_indexes(), bytes);
+        }
+        assert_eq!(Store::from_snapshot(&bytes).unwrap().snapshot(), bytes);
     }
 
     #[test]

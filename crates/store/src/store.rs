@@ -63,8 +63,10 @@ impl Store {
 
     // ---- DDL ------------------------------------------------------------
 
-    /// Creates a table from `schema`. Fails if the name is taken.
-    pub fn create_table(&self, schema: Schema) -> SydResult<()> {
+    /// Creates a table from `schema`, which an `Arc` lets stores share.
+    /// Fails if the name is taken.
+    pub fn create_table(&self, schema: impl Into<Arc<Schema>>) -> SydResult<()> {
+        let schema = schema.into();
         let mut tables = self.inner.tables.write();
         if tables.contains_key(&schema.name) {
             return Err(SydError::SchemaViolation(format!(

@@ -4,7 +4,7 @@
 //! table in a `syd_types::sync::RwLock` and layers triggers, transactions and
 //! row locks on top.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -92,7 +92,8 @@ pub(crate) struct Table {
     rows: BTreeMap<RowId, Arc<[Value]>>,
     next_row: u64,
     pk_map: BTreeMap<Key, RowId>,
-    indexes: HashMap<String, Index>,
+    /// Secondary indexes by column position, in creation order.
+    indexes: Vec<(usize, Index)>,
 }
 
 /// A secondary index: one `(cell, row)` entry per row, in cell then row
@@ -106,13 +107,13 @@ fn inverted<T: Ord + ?Sized>(range: (Bound<&T>, Bound<&T>)) -> bool {
 }
 
 impl Table {
-    pub(crate) fn new(schema: Schema) -> Table {
+    pub(crate) fn new(schema: impl Into<Arc<Schema>>) -> Table {
         Table {
-            schema: Arc::new(schema),
+            schema: schema.into(),
             rows: BTreeMap::new(),
             next_row: 1,
             pk_map: BTreeMap::new(),
-            indexes: HashMap::new(),
+            indexes: Vec::new(),
         }
     }
 
@@ -126,31 +127,29 @@ impl Table {
 
     pub(crate) fn create_index(&mut self, column: &str) -> SydResult<()> {
         let idx = self.schema.column_index(column)?;
-        if self.indexes.contains_key(column) {
+        if self.indexes.iter().any(|&(i, _)| i == idx) {
             return Ok(()); // idempotent
         }
         let index: Index = (self.rows.iter())
             .map(|(&row_id, values)| (OrdValue(values[idx].clone()), row_id))
             .collect();
-        self.indexes.insert(column.to_owned(), index);
+        self.indexes.push((idx, index));
         Ok(())
     }
 
+    /// The indexed columns' names, in creation order.
     pub(crate) fn indexed_columns(&self) -> Vec<String> {
-        self.indexes.keys().cloned().collect()
+        (self.indexes.iter())
+            .map(|&(i, _)| self.schema.columns[i].name.clone())
+            .collect()
     }
 
     /// Moves `row_id` from the index entries `old` filed it under to the
     /// ones `new` does (`None`: no row on that side). An index whose cell
     /// is equal on both sides is left alone.
     fn reindex(&mut self, row_id: RowId, old: Option<&[Value]>, new: Option<&[Value]>) {
-        for (col, index) in &mut self.indexes {
-            // Index creation validated the column; a vanished column
-            // means a schema bug, and skipping beats corrupting.
-            let Some(i) = self.schema.columns.iter().position(|c| &c.name == col) else {
-                continue;
-            };
-            let (old, new) = (old.map(|row| &row[i]), new.map(|row| &row[i]));
+        for (i, index) in &mut self.indexes {
+            let (old, new) = (old.map(|row| &row[*i]), new.map(|row| &row[*i]));
             if let (Some(old), Some(new)) = (old, new) {
                 if old.cmp_total(new).is_eq() {
                     continue;
@@ -232,7 +231,8 @@ impl Table {
 
     /// Visits every row matching `pred` in place: through the primary-key
     /// map or a secondary index when the predicate bounds a keyed or
-    /// indexed column, otherwise by scanning. Key and index ranges visit in
+    /// indexed column (the first-created such index), otherwise by
+    /// scanning. Key and index ranges visit in
     /// key order, a scan in [`RowId`] order. Nothing is collected: each
     /// bound is one cell on the stack, and the maps are searched through
     /// `&[OrdValue]` / `&OrdValue`.
@@ -275,8 +275,8 @@ impl Table {
             Bound::Excluded(v) => Bound::Excluded((OrdValue(v.clone()), RowId(past))),
             Bound::Unbounded => Bound::Unbounded,
         };
-        for (col, index) in &self.indexes {
-            if let Some((lo, hi)) = pred.bounds_for(col) {
+        for (i, index) in &self.indexes {
+            if let Some((lo, hi)) = pred.bounds_for(&self.schema.columns[*i].name) {
                 let (lo, hi) = (edge(lo, 0, u64::MAX), edge(hi, u64::MAX, 0));
                 if !inverted((lo.as_ref(), hi.as_ref())) {
                     for &(_, row_id) in index.range((lo, hi)) {
@@ -624,6 +624,45 @@ mod tests {
                 .len(),
             0
         );
+    }
+
+    #[test]
+    fn two_bounded_indexes_are_served_by_the_first_created() {
+        let mut t = Table::new(
+            Schema::new(
+                "t",
+                vec![
+                    Column::required("up", ColumnType::I64),
+                    Column::required("down", ColumnType::I64),
+                ],
+                &[],
+            )
+            .unwrap(),
+        );
+        for n in 0..40 {
+            t.insert_row([Value::I64(n), Value::I64(100 - n)].into())
+                .unwrap();
+        }
+        t.create_index("down").unwrap();
+        t.create_index("up").unwrap();
+        assert_eq!(t.indexed_columns(), ["down", "up"]);
+        let pred = Predicate::And(vec![
+            Predicate::Between("up".into(), Value::I64(5), Value::I64(30)),
+            Predicate::Between("down".into(), Value::I64(60), Value::I64(90)),
+        ]);
+        // An index range visits in its cell order: `down` ascending.
+        let mut visited = Vec::new();
+        t.visit(&pred, |_, values| {
+            visited.push(values[0].as_i64().unwrap());
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(visited, (10..=30).rev().collect::<Vec<_>>());
+
+        let scanned: Vec<Row> = (t.all_rows().into_iter())
+            .filter(|row| pred.eval(&t.schema, &row.values).unwrap())
+            .collect();
+        assert_eq!(t.select(&pred).unwrap(), scanned);
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! Each device (node, transport backend, …) owns one bounded
 //! [`SpanRing`]; finishing a span is one push under the ring's mutex,
 //! evicting the oldest record when full, so tracing holds a protocol
-//! thread for a few stores and never grows without bound. Rings
+//! thread for a few stores and never grows without bound. A ring reserves
+//! room for one record at its first span and for all of its capacity at
+//! its second: an idle device, which records one span when it joins,
+//! holds one record, and an active one reserves once, in set-up. Rings
 //! self-register in a process
 //! global registry (as weak refs) so `Collector::drain_global` and
 //! `syd::obs::snapshot` can find every live ring without plumbing.
@@ -64,21 +67,35 @@ impl SpanRing {
             label: label.into(),
             device,
             capacity,
-            buf: Mutex::new(Rank::Leaf, VecDeque::with_capacity(capacity)),
+            buf: Mutex::new(Rank::Leaf, VecDeque::new()),
             recorded: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
         });
-        registry().lock().push(Arc::downgrade(&ring));
+        let mut reg = registry().lock();
+        if reg.len() == reg.capacity() {
+            // A dead entry still holds its ring's allocation. Prune before
+            // the registry grows, then keep at least half of it free: the
+            // next prune is half a registry of rings away (amortised O(1)).
+            reg.retain(|w| w.strong_count() > 0);
+            let live = reg.len();
+            reg.reserve(live);
+        }
+        reg.push(Arc::downgrade(&ring));
         ring
     }
 
-    /// Pushes a finished record, evicting the oldest when full.
+    /// Pushes a finished record, evicting the oldest when full. The
+    /// first push reserves one record, the second the whole capacity.
     pub fn push(&self, rec: SpanRecord) {
         self.recorded.fetch_add(1, Ordering::Relaxed);
         let mut buf = self.buf.lock();
         if buf.len() >= self.capacity {
             buf.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
+        } else if buf.len() == buf.capacity() {
+            let len = buf.len();
+            let total = if len == 0 { 1 } else { self.capacity };
+            buf.reserve_exact(total - len);
         }
         buf.push_back(rec);
     }
@@ -409,6 +426,41 @@ mod tests {
         assert_eq!(ring.stats().dropped, 4);
         let kept: Vec<u64> = drain(&ring).iter().map(|r| r.span).collect();
         assert_eq!(kept, ids[1..]);
+    }
+
+    #[test]
+    fn a_ring_reserves_one_record_then_its_capacity() {
+        let ring = SpanRing::new("reserve", 1, 8);
+        let t = Tracer {
+            ring: Arc::clone(&ring),
+        };
+        let reserved = || ring.buf.lock().capacity();
+        assert_eq!(reserved(), 0, "a new ring holds no record");
+        let oldest = t.span_root(names::SPAN_RECONCILE).ctx().span;
+        assert_eq!(reserved(), 1, "the first span reserves one record");
+        drop(t.span_root(names::SPAN_RECONCILE));
+        assert_eq!(reserved(), 8, "the second reserves the capacity");
+        for _ in 2..8 {
+            drop(t.span_root(names::SPAN_RECONCILE));
+        }
+        assert_eq!((ring.stats().buffered, ring.stats().dropped), (8, 0));
+
+        // Full: the next span evicts the oldest and counts it, in place.
+        drop(t.span_root(names::SPAN_RECONCILE));
+        assert_eq!((ring.stats().buffered, ring.stats().dropped), (8, 1));
+        assert_eq!(reserved(), 8, "eviction does not reallocate");
+        assert!(drain(&ring).iter().all(|r| r.span != oldest));
+    }
+
+    #[test]
+    fn dropped_rings_leave_the_registry_without_a_drain() {
+        // Nothing calls `live_rings` here: the registry must shed dead
+        // entries on its own, or it keeps each ring's allocation.
+        for device in 0..10_000 {
+            drop(Tracer::new("churned-ring", device));
+        }
+        let held = registry().lock().capacity();
+        assert!(held < 1_000, "the registry has room for {held} rings");
     }
 
     #[test]
