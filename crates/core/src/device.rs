@@ -15,13 +15,14 @@
 //!   consumed,
 //! * the link acceptor — whether an offered link is accepted (§4.2 op. 2).
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use syd_crypto::Authenticator;
 use syd_net::{Node, Transport};
 use syd_store::{LockKey, LockRights, OrdValue, Store};
-use syd_telemetry::{names, Event, Journal, Registry, Vote};
+use syd_telemetry::{names, Event, EventKind, Journal, Registry, Vote};
 use syd_types::sync::{Mutex, Rank, RwLock};
 use syd_types::{Clock, NodeAddr, ServiceName, SydError, SydResult, UserId, Value};
 
@@ -83,10 +84,19 @@ struct DeviceInner {
     entity_handler: RwLock<Option<Arc<dyn EntityHandler>>>,
     subscription_handler: RwLock<Option<Arc<dyn SubscriptionHandler>>>,
     link_acceptor: RwLock<Option<LinkAcceptor>>,
-    /// Application services served here, each with whether the directory
-    /// has acknowledged its `publish` (see [`DeviceRuntime::publish`]); a
-    /// device names one to three.
-    services: Mutex<Vec<(ServiceName, bool)>>,
+    /// Application services served here, each with where its `publish`
+    /// stands (see [`DeviceRuntime::publish`]); a device names one to three.
+    services: Mutex<Vec<(ServiceName, Published)>>,
+    /// Set by [`DeviceRuntime::shutdown`].
+    stopped: AtomicBool,
+}
+
+/// Where a served service stands with the directory.
+#[derive(PartialEq, Eq)]
+enum Published {
+    No,
+    InFlight,
+    Acknowledged,
 }
 
 /// One SyD device. Cloning shares the device.
@@ -97,8 +107,9 @@ pub struct DeviceRuntime {
 
 impl DeviceRuntime {
     /// Assembles a device for `user` on any transport backend (simulated
-    /// network or real TCP), registering it in the directory. `auth`
-    /// enables §5.4 request authentication when present.
+    /// network or real TCP), registering it in the directory once it
+    /// serves its kernel methods. `auth` enables §5.4 request
+    /// authentication when present.
     pub fn new(
         net: &dyn Transport,
         dir_addr: NodeAddr,
@@ -109,13 +120,6 @@ impl DeviceRuntime {
     ) -> SydResult<DeviceRuntime> {
         let node = Node::spawn_on(net)?;
         let directory = DirectoryClient::new(node.clone(), dir_addr);
-        // A join that fails from here on (the directory refuses the name or
-        // cannot be reached) must not leave the endpoint and its reactor
-        // registration behind.
-        directory
-            .register(user, name, node.addr())
-            .inspect_err(|_| node.shutdown())?;
-
         let (store, lock_rights) = Store::new_owned();
         let listener = Arc::new(Listener::new(auth));
         listener.attach_metrics(node.metrics());
@@ -168,9 +172,16 @@ impl DeviceRuntime {
             subscription_handler: RwLock::new(Rank::Engine, None),
             link_acceptor: RwLock::new(Rank::Engine, None),
             services: Mutex::new(Rank::Engine, Vec::new()),
+            stopped: AtomicBool::new(false),
         });
         let device = DeviceRuntime { inner };
         device.register_kernel_services();
+        // Found only once it serves its kernel methods. A refused join (the
+        // name is taken, the directory is out of reach) leaves no endpoint.
+        let directory = device.engine().directory();
+        directory
+            .register(user, name, device.addr())
+            .inspect_err(|_| device.shutdown())?;
         Ok(device)
     }
 
@@ -289,50 +300,68 @@ impl DeviceRuntime {
         self.inner.listener.register(service, method, handler);
         let mut services = self.inner.services.lock();
         if !services.iter().any(|(s, _)| s == service) {
-            services.push((service.clone(), false));
+            services.push((service.clone(), Published::No));
         }
     }
 
     /// Publishes every unpublished service in the directory, all in one
-    /// wave (§3.1b's "globally via directory services"). An application's
-    /// install calls it once, after its last registration.
+    /// wave (§3.1b's "globally via directory services") that a pool job
+    /// sends, and returns without waiting for it. An application's install
+    /// calls it once, after its last registration.
     ///
-    /// A service counts as published only once the directory has
-    /// acknowledged it. A failed wave returns its first error, and the
-    /// next `publish` sends exactly the services that were not
-    /// acknowledged. [`Listener::unregister`] does not unpublish a service.
+    /// A service is in flight until the directory answers. A failed one is
+    /// journaled, counted under `dir.publish_failures` and sent again by
+    /// the next `publish`. Fails only once the device is shut down.
+    /// [`Listener::unregister`] does not unpublish a service.
     pub fn publish(&self) -> SydResult<()> {
-        let pending: Vec<ServiceName> = self
-            .inner
-            .services
-            .lock()
-            .iter()
-            .filter(|(_, published)| !published)
-            .map(|(service, _)| service.clone())
-            .collect();
+        if self.inner.stopped.load(Ordering::Acquire) {
+            return Err(SydError::Shutdown);
+        }
+        let mut pending = Vec::new();
+        for (service, state) in self.inner.services.lock().iter_mut() {
+            if *state == Published::No {
+                *state = Published::InFlight;
+                pending.push(service.clone());
+            }
+        }
         if pending.is_empty() {
             return Ok(());
         }
-        let results = self
-            .inner
-            .engine
-            .directory()
-            .publish(self.inner.user, &pending);
-        let mut services = self.inner.services.lock();
-        let mut first_err = None;
-        for (service, result) in pending.iter().zip(results) {
-            match result {
-                Ok(()) => {
-                    if let Some((_, published)) = services.iter_mut().find(|(s, _)| s == service) {
-                        *published = true;
-                    }
-                }
-                Err(err) => {
-                    first_err.get_or_insert(err);
+        // Like a periodic task, the job holds the device weakly: the wave
+        // holds only the node, whose shutdown ends it at once.
+        let device = Arc::downgrade(&self.inner);
+        let directory = self.engine().directory().clone();
+        let user = self.inner.user;
+        let job = move || {
+            let results = directory.publish(user, &pending);
+            let Some(inner) = device.upgrade() else {
+                return;
+            };
+            // `pending` is in the notes' order, and notes are only appended.
+            let mut services = inner.services.lock();
+            let sent = services.iter_mut().filter(|(s, _)| pending.contains(s));
+            for ((service, state), result) in sent.zip(results) {
+                *state = Published::Acknowledged;
+                if let Err(err) = result {
+                    *state = Published::No;
+                    let note = format!("publish of {service} failed: {err}");
+                    inner.journal.record(EventKind::Info, note);
+                    let metrics = inner.node.metrics();
+                    metrics.counter(names::DIR_PUBLISH_FAILURES).inc();
                 }
             }
-        }
-        first_err.map_or(Ok(()), Err)
+        };
+        let pool = self.inner.node.runtime().pool();
+        pool.execute(job).then_some(()).ok_or(SydError::Shutdown)
+    }
+
+    /// The services the directory has not acknowledged yet.
+    pub fn unpublished(&self) -> Vec<ServiceName> {
+        let services = self.inner.services.lock();
+        let waiting = services
+            .iter()
+            .filter(|(_, state)| *state != Published::Acknowledged);
+        waiting.map(|(service, _)| service.clone()).collect()
     }
 
     /// Fires the links anchored on a local entity (app-facing trigger
@@ -363,13 +392,15 @@ impl DeviceRuntime {
         Ok(())
     }
 
-    /// Brings the device back: reconnects, then re-registers as connected.
+    /// Brings the device back: reconnects, re-registers as connected, and
+    /// publishes what the directory has not acknowledged.
     pub fn reconnect(&self) -> SydResult<()> {
         self.inner.node.link().set_connected(true);
         self.inner
             .engine
             .directory()
-            .set_connected(self.inner.user, true)
+            .set_connected(self.inner.user, true)?;
+        self.publish()
     }
 
     /// True iff the device is currently connected.
@@ -589,6 +620,7 @@ impl DeviceRuntime {
     /// Stops the device: unregisters from the network, stops pools and
     /// the event scheduler.
     pub fn shutdown(&self) {
+        self.inner.stopped.store(true, Ordering::Release);
         self.inner.events.shutdown();
         self.inner.node.shutdown();
     }
@@ -1572,44 +1604,82 @@ mod tests {
             .is_empty());
     }
 
+    fn served(dir: &DirectoryServer) -> u64 {
+        dir.metrics()
+            .get_counter(names::RPC_REQUESTS_SERVED)
+            .map_or(0, |c| c.get())
+    }
+
+    fn publish_failures(device: &DeviceRuntime) -> u64 {
+        device
+            .metrics()
+            .get_counter(names::DIR_PUBLISH_FAILURES)
+            .map_or(0, |c| c.get())
+    }
+
+    fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while !done() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "waited 5 s for {what}"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    fn in_flight(device: &DeviceRuntime) -> usize {
+        let services = device.inner.services.lock();
+        services
+            .iter()
+            .filter(|(_, state)| *state == Published::InFlight)
+            .count()
+    }
+
+    fn serve(device: &DeviceRuntime, service: &ServiceName, method: &str, n: i64) {
+        device.register_service(service, method, Arc::new(move |_, _| Ok(Value::I64(n))));
+    }
+
     #[test]
     fn a_failed_publish_is_sent_again_by_the_next_publish() {
         let (net, dir, devices) = rig(2);
         let device = &devices[0];
-        let served = || {
-            dir.metrics()
-                .get_counter(names::RPC_REQUESTS_SERVED)
-                .map_or(0, |c| c.get())
-        };
         let (app, other) = (ServiceName::new("app"), ServiceName::new("other"));
-        let method = |n: i64| -> ServiceMethod { Arc::new(move |_, _| Ok(Value::I64(n))) };
         let kernel_methods = device.listener().registered().len();
 
         // Registration is local; one publish sends the service once.
-        let before = served();
-        device.register_service(&app, "one", method(1));
-        device.register_service(&app, "two", method(2));
-        assert_eq!(served(), before);
+        let before = served(&dir);
+        serve(device, &app, "one", 1);
+        serve(device, &app, "two", 2);
+        assert_eq!(served(&dir), before);
+        assert_eq!(device.unpublished(), std::slice::from_ref(&app));
         device.publish().unwrap();
-        assert_eq!(served(), before + 1);
+        wait_for("the acknowledgement", || device.unpublished().is_empty());
+        assert_eq!(served(&dir), before + 1);
 
-        // The directory is out of range: the wave fails, and the new
-        // methods are served locally all the same.
-        device.register_service(&other, "x", method(3));
-        device.register_service(&app, "three", method(4));
+        // The directory is out of range: the wave fails in the background,
+        // and the new methods are served locally all the same.
+        serve(device, &other, "x", 3);
+        serve(device, &app, "three", 4);
         net.set_connected(dir.addr(), false);
-        let err = device.publish().unwrap_err();
-        assert!(matches!(err, SydError::Disconnected(_)), "{err}");
-        assert_eq!(served(), before + 1);
+        device.publish().unwrap();
+        wait_for("the failure", || publish_failures(device) == 1);
+        assert_eq!(device.unpublished(), std::slice::from_ref(&other));
+        assert_eq!(served(&dir), before + 1);
         assert_eq!(device.listener().registered().len(), kernel_methods + 4);
+        let journaled = device.journal().dump();
+        assert!(journaled.contains("publish of other failed"), "{journaled}");
 
         // Back in range: the next publish sends only what was not
         // acknowledged, and the one after that has nothing left to send.
         net.set_connected(dir.addr(), true);
         device.publish().unwrap();
-        assert_eq!(served(), before + 2);
+        wait_for("the acknowledgement", || device.unpublished().is_empty());
+        assert_eq!(served(&dir), before + 2);
         device.publish().unwrap();
-        assert_eq!(served(), before + 2);
+        assert_eq!(in_flight(device), 0);
+        assert_eq!(served(&dir), before + 2);
+        assert_eq!(publish_failures(device), 1);
 
         let rec = device.engine().directory().describe(device.user()).unwrap();
         assert_eq!(rec.services, vec!["app", "other"]);
@@ -1617,6 +1687,117 @@ mod tests {
             .engine()
             .invoke(device.user(), &other, "x", vec![]);
         assert_eq!(out.unwrap(), Value::I64(3));
+    }
+
+    #[test]
+    fn a_device_shut_down_mid_publish_ends_its_wave_at_once() {
+        let (net, dir, mut devices) = rig(1);
+        let device = devices.pop().unwrap();
+        // Nothing crosses: each of the wave's sends would wait out a 2 s
+        // deadline.
+        net.set_partitioned(device.addr(), dir.addr(), true);
+        serve(&device, &ServiceName::new("app"), "one", 1);
+        let (started, sent) = (std::time::Instant::now(), net.stats().sent);
+        device.publish().unwrap();
+        assert!(
+            started.elapsed() < Duration::from_millis(50),
+            "{:?}",
+            started.elapsed()
+        );
+        wait_for("the send", || net.stats().sent > sent);
+        assert_eq!(in_flight(&device), 1);
+
+        let stopped = std::time::Instant::now();
+        device.shutdown();
+        wait_for("the wave", || publish_failures(&device) == 1);
+        assert!(
+            stopped.elapsed() < Duration::from_millis(250),
+            "{:?}",
+            stopped.elapsed()
+        );
+        assert_eq!(in_flight(&device), 0);
+        assert_eq!(device.unpublished(), [ServiceName::new("app")]);
+        let journaled = device.journal().dump();
+        assert!(
+            journaled.contains(&SydError::Shutdown.to_string()),
+            "{journaled}"
+        );
+        assert_eq!(device.publish(), Err(SydError::Shutdown));
+
+        // The job held the device weakly and has ended: nothing else holds it.
+        let weak = Arc::downgrade(&device.inner);
+        drop(device);
+        assert!(weak.upgrade().is_none());
+    }
+
+    #[test]
+    fn concurrent_publishes_send_each_service_once() {
+        let (_net, dir, devices) = rig(1);
+        let device = &devices[0];
+        let before = served(&dir);
+        let shared = ServiceName::new("shared");
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for i in 0..4 {
+                let (shared, start) = (&shared, &start);
+                s.spawn(move || {
+                    let own = ServiceName::new(format!("own{i}"));
+                    for _ in 0..3 {
+                        serve(device, shared, &format!("m{i}"), i);
+                        serve(device, &own, "m", i);
+                        start.wait();
+                        device.publish().unwrap();
+                    }
+                });
+            }
+        });
+        wait_for("the acknowledgements", || device.unpublished().is_empty());
+        assert_eq!(
+            served(&dir) - before,
+            5,
+            "four own services and the shared one"
+        );
+        let rec = device.engine().directory().describe(device.user()).unwrap();
+        assert_eq!(rec.services, ["own0", "own1", "own2", "own3", "shared"]);
+    }
+
+    #[test]
+    fn a_device_that_installs_out_of_range_publishes_when_it_reconnects() {
+        let (net, dir, devices) = rig(1);
+        let device = &devices[0];
+        net.set_connected(dir.addr(), false);
+        serve(device, &ServiceName::new("app"), "one", 1);
+        device.publish().unwrap();
+        wait_for("the failure", || publish_failures(device) == 1);
+
+        net.set_connected(dir.addr(), true);
+        device.reconnect().unwrap();
+        wait_for("the acknowledgement", || device.unpublished().is_empty());
+        let rec = device.engine().directory().describe(device.user()).unwrap();
+        assert_eq!(rec.services, ["app"]);
+    }
+
+    /// A peer that resolves a new user at once reaches its kernel methods:
+    /// the directory here calls the device before it answers `register`.
+    #[test]
+    fn a_device_serves_before_it_can_be_found() {
+        let net = Network::ideal();
+        let (dir, peer) = (Node::spawn(&net), Node::spawn(&net));
+        let answered = Arc::new(Mutex::new(Rank::Leaf, Vec::new()));
+        let seen = Arc::clone(&answered);
+        dir.set_handler(Arc::new(
+            move |from: NodeAddr, request: syd_wire::Request| -> SydResult<Value> {
+                if request.method == "register" {
+                    let ping = peer.call(from, &ServiceName::new("syd.ping"), "ping", vec![]);
+                    seen.lock().push(ping);
+                }
+                Ok(Value::Null)
+            },
+        ));
+        let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
+        let device = DeviceRuntime::new(&net, dir.addr(), UserId::new(1), "phil", None, clock);
+        assert!(device.is_ok());
+        assert_eq!(*answered.lock(), [Ok(Value::str("pong"))]);
     }
 
     #[test]

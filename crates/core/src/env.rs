@@ -315,6 +315,10 @@ mod tests {
         }
         assert_eq!(dir_requests(&env) - before, 1);
         a.publish().unwrap();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while !a.unpublished().is_empty() && std::time::Instant::now() < deadline {
+            syd_types::sync::sleep(std::time::Duration::from_millis(1));
+        }
         assert_eq!(dir_requests(&env) - before, 3);
         let rec = a.engine().directory().describe(a.user()).unwrap();
         assert_eq!(rec.services, vec!["calendar", "mailbox"]);

@@ -27,6 +27,7 @@
 //! the wait of the caller's own thread.
 
 use std::collections::HashMap;
+use std::panic::AssertUnwindSafe;
 #[cfg(test)]
 use std::sync::atomic::AtomicUsize;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -636,7 +637,16 @@ fn serve_request(shared: &Arc<NodeShared>, from: NodeAddr, req: Request, on_loop
         });
         let served_start = syd_trace::now_us();
         let result = match handler {
-            Some(h) => h.handle(from, req),
+            // A handler that panics is answered at once, with an error no
+            // wave sends again; the unwind still runs its clean-ups.
+            Some(h) => std::panic::catch_unwind(AssertUnwindSafe(|| h.handle(from, req)))
+                .unwrap_or_else(|_| {
+                    reply_shared
+                        .registry
+                        .counter(names::RPC_HANDLER_PANICS)
+                        .inc();
+                    Err(SydError::App("the request's handler panicked".into()))
+                }),
             None => Err(SydError::NoSuchService(req.service, req.method.to_string())),
         };
         // Server view of the RPC: same span id as the client's
@@ -741,6 +751,39 @@ mod tests {
             .call(server.addr(), &ServiceName::new("svc"), "m", vec![])
             .unwrap_err();
         assert_eq!(err, SydError::App("boom".into()));
+    }
+
+    #[test]
+    fn a_handler_that_panics_is_answered_at_once_and_not_run_again() {
+        let round_trip = Duration::from_millis(50);
+        let link = syd_transport::LatencyModel::fixed(round_trip / 2);
+        let net = Network::new(NetConfig::ideal().with_latency(link));
+        let server = Node::spawn(&net);
+        let runs = Arc::new(AtomicU32::new(0));
+        let counted = Arc::clone(&runs);
+        server.set_handler(Arc::new(
+            move |_: NodeAddr, _: Request| -> SydResult<Value> {
+                counted.fetch_add(1, Ordering::Relaxed);
+                // An unwind without the panic hook: a captured backtrace
+                // would cost more than the round trip timed here.
+                std::panic::resume_unwind(Box::new("the handler panics"))
+            },
+        ));
+        let client = Node::spawn(&net);
+        let opts = CallOptions::new()
+            .with_timeout(Duration::from_secs(1))
+            .with_retries(2);
+        let started = Instant::now();
+        let err = client
+            .call_with(server.addr(), &ServiceName::new("svc"), "m", vec![], opts)
+            .unwrap_err();
+        let elapsed = started.elapsed();
+        assert!(!err.is_unanswered(), "{err}");
+        assert!(elapsed < round_trip * 3 / 2, "answered after {elapsed:?}");
+        assert_eq!(runs.load(Ordering::Relaxed), 1);
+        assert_eq!(client.rpc_retries(), 0);
+        let panics = server.metrics().get_counter(names::RPC_HANDLER_PANICS);
+        assert_eq!(panics.map(|c| c.get()), Some(1));
     }
 
     #[test]

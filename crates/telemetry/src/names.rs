@@ -24,6 +24,8 @@ pub const RPC_RETRIES: &str = "rpc.retries";
 pub const RPC_TIMEOUTS: &str = "rpc.timeouts";
 /// Counter: inbound RPC requests dispatched to a handler.
 pub const RPC_REQUESTS_SERVED: &str = "rpc.requests_served";
+/// Counter: handlers that panicked, each answered with an error at once.
+pub const RPC_HANDLER_PANICS: &str = "rpc.handler_panics";
 
 // --- transport (syd-transport backends) -----------------------------------
 
@@ -76,6 +78,8 @@ pub const DIR_LOOKUPS: &str = "dir.lookups";
 pub const DIR_BATCH_LOOKUPS: &str = "dir.batch_lookups";
 /// Counter: user entries resolved inside batched lookups.
 pub const DIR_BATCH_LOOKUP_USERS: &str = "dir.batch_lookup_users";
+/// Counter: a device's failed `publish`es, each sent again by the next.
+pub const DIR_PUBLISH_FAILURES: &str = "dir.publish_failures";
 
 // --- proxy (syd-core SyDProxy) ---------------------------------------------
 
@@ -141,6 +145,7 @@ pub const ALL: &[&str] = &[
     RPC_RETRIES,
     RPC_TIMEOUTS,
     RPC_REQUESTS_SERVED,
+    RPC_HANDLER_PANICS,
     TRANSPORT_CONNS,
     TRANSPORT_ACCEPTS,
     TRANSPORT_RECONNECTS,
@@ -159,6 +164,7 @@ pub const ALL: &[&str] = &[
     DIR_LOOKUPS,
     DIR_BATCH_LOOKUPS,
     DIR_BATCH_LOOKUP_USERS,
+    DIR_PUBLISH_FAILURES,
     PROXY_SERVED,
     CALENDAR_SCHEDULE,
     CALENDAR_RECONCILE,

@@ -15,8 +15,9 @@
 //! the audit was clean.
 //!
 //! With `--stats`, the shutdown sequence additionally dumps a one-shot
-//! [`syd::obs::snapshot`] of every live span ring (prefixed `STATS `
-//! per line, so peers parsing stdout can skip it).
+//! [`syd::obs::snapshot`] of every live span ring and the host's services
+//! the directory has not acknowledged (prefixed `STATS ` per line, so
+//! peers parsing stdout can skip it).
 
 // Demo daemon: a host that cannot boot must abort loudly at startup.
 #![allow(clippy::expect_used)]
@@ -73,6 +74,7 @@ fn main() {
         for line in syd::obs::snapshot().to_string().lines() {
             println!("STATS {line}");
         }
+        println!("STATS unpublished {:?}", host.unpublished());
     }
     let report = syd::check::audit([&host]);
     if report.ok() {

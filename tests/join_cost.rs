@@ -1,7 +1,8 @@
 //! What a join costs, counted at the directory: one `register`, then one
 //! `publish` per distinct service the application names — never one per
-//! method — all sent in one wave at the end of the install (DESIGN.md
-//! §20). Read from the directory node's own `rpc.requests_served`, the
+//! method — all sent in one wave at the end of the install, off the
+//! caller's path (DESIGN.md §20). Read from the directory node's own
+//! `rpc.requests_served` once the device holds every acknowledgement, the
 //! way `dir.batch_lookups` pins the lookup budget, so a publish that
 //! creeps back fails here before it shows in `setup_s`.
 
@@ -29,8 +30,20 @@ fn dir_requests(env: &SydEnv) -> u64 {
         .map_or(0, |c| c.get())
 }
 
+/// Waits until the directory has acknowledged every service `device`
+/// serves: its publishes complete in the background.
+fn wait_published(device: &DeviceRuntime) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !device.unpublished().is_empty() {
+        let name = device.name();
+        assert!(Instant::now() < deadline, "{name}: still unpublished");
+        syd::types::sync::sleep(Duration::from_millis(1));
+    }
+}
+
 /// Joins a device, checks that the join was the one `register`, and
-/// returns it with the directory requests `install` then made.
+/// returns it with the directory requests `install` then made, counted
+/// once they are acknowledged.
 fn join_and_install<T>(
     env: &SydEnv,
     name: &str,
@@ -45,6 +58,7 @@ fn join_and_install<T>(
     );
     let before = dir_requests(env);
     let app = install(&device);
+    wait_published(&device);
     (device, app, dir_requests(env) - before)
 }
 
@@ -119,16 +133,22 @@ fn a_calendar_install_publishes_in_one_round_trip() {
     let round_trip = Duration::from_millis(100);
     let cfg = NetConfig::ideal().with_latency(LatencyModel::fixed(round_trip / 2));
     let env = SydEnv::new_insecure(cfg);
-    let (phil, elapsed, cost) = join_and_install(&env, "phil", |d| {
+    let (phil, (start, installed), cost) = join_and_install(&env, "phil", |d| {
         let start = Instant::now();
         CalendarApp::install(d).unwrap();
-        start.elapsed()
+        (start, start.elapsed())
     });
-    assert_eq!(cost, 2, "still one publish per service");
-    assert!(elapsed >= round_trip, "{elapsed:?}");
+    // The install does not wait for the directory; its one wave does.
+    let published = start.elapsed();
     assert!(
-        elapsed < round_trip * 3 / 2,
-        "the install took {elapsed:?}: its publishes did not share one wave"
+        installed < round_trip / 2,
+        "the install took {installed:?}: it waited for its publishes"
+    );
+    assert_eq!(cost, 2, "still one publish per service");
+    assert!(published >= round_trip, "{published:?}");
+    assert!(
+        published < round_trip * 3 / 2,
+        "acknowledged after {published:?}: the publishes did not share one wave"
     );
     assert_published_as_served(&phil);
 }
