@@ -7,6 +7,7 @@
 use syd_bench::timing::Group;
 use syd_bench::{devices, env_ideal};
 use syd_core::links::{Constraint, LinkRef, LinkSpec};
+use syd_core::Method;
 use syd_types::{LinkId, Priority, Value};
 
 fn main() {
@@ -139,11 +140,9 @@ fn main() {
     // Method coupling (op 5): lookup + remote invocation of one coupled
     // destination.
     let svc = syd_types::ServiceName::new("bench");
-    devs[1].register_service(
-        &svc,
-        "coupled_target",
-        std::sync::Arc::new(|_ctx, _args: &[Value]| Ok(Value::Null)),
-    );
+    static TARGET: &[Method<()>] = &[Method::new("coupled_target", |(), _, _| Ok(Value::Null))];
+    let no_state = std::sync::Arc::new(());
+    devs[1].serve(&svc, &no_state, TARGET);
     devs[0]
         .links()
         .couple_method(&svc, "src", devs[1].user(), &svc, "coupled_target")

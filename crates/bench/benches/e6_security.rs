@@ -7,6 +7,7 @@ use std::sync::Arc;
 
 use syd_bench::timing::Group;
 use syd_bench::{devices, env_ideal, env_secure};
+use syd_core::Method;
 use syd_crypto::{cbc_decrypt, cbc_encrypt, Authenticator, Credentials, TeaKey};
 use syd_types::{ServiceName, UserId, Value};
 
@@ -50,13 +51,14 @@ fn main() {
     // Per-request overhead: the same remote echo with and without §5.4
     // authentication.
     let svc = ServiceName::new("echo");
-    let echo = |_ctx: &syd_core::listener::InvokeCtx,
-                args: &[Value]|
-     -> syd_types::SydResult<Value> { Ok(Value::list(args.to_vec())) };
+    static ECHO: &[Method<()>] = &[Method::new("echo", |(), _, args| {
+        Ok(Value::list(args.to_vec()))
+    })];
+    let no_state = Arc::new(());
 
     let insecure = env_ideal();
     let devs = devices(&insecure, 2);
-    devs[1].register_service(&svc, "echo", Arc::new(echo));
+    devs[1].serve(&svc, &no_state, ECHO);
     let target = devs[1].user();
     group.bench_function("request_no_auth", |b| {
         b.iter(|| {
@@ -69,7 +71,7 @@ fn main() {
 
     let secure = env_secure();
     let sdevs = devices(&secure, 2);
-    sdevs[1].register_service(&svc, "echo", Arc::new(echo));
+    sdevs[1].serve(&svc, &no_state, ECHO);
     let starget = sdevs[1].user();
     group.bench_function("request_with_auth", |b| {
         b.iter(|| {

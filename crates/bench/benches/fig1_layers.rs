@@ -14,8 +14,9 @@ use std::sync::Arc;
 
 use syd_bench::timing::Group;
 use syd_bench::{devices, env_ideal};
-use syd_core::listener::{InvokeCtx, Listener};
+use syd_core::listener::{Listener, Method};
 use syd_store::{Column, ColumnType, Predicate, Schema, Store};
+use syd_telemetry::Registry;
 use syd_types::{NodeAddr, RequestId, ServiceName, UserId, Value};
 use syd_wire::Request;
 
@@ -56,24 +57,16 @@ fn main() {
     });
 
     // Layer 2: through the listener (local dispatch, no network).
-    let listener = Listener::new(None);
+    // select(ordinal) -> matching row count, served from a store.
+    static SLOTS: &[Method<Store>] = &[Method::new("select", |store, _, args| {
+        let ordinal = args[0].as_i64()?;
+        let by_ordinal = Predicate::Eq("ordinal".into(), Value::I64(ordinal));
+        Ok(Value::from(store.select("slots", &by_ordinal)?.len() as u64))
+    })];
+    let listener = Listener::new(None, &Registry::new());
     let svc = ServiceName::new("slots");
-    let dispatch_store = store.clone();
-    listener.register(
-        &svc,
-        "select",
-        Arc::new(move |_ctx: &InvokeCtx, args: &[Value]| {
-            let ordinal = args[0].as_i64()?;
-            Ok(Value::from(
-                dispatch_store
-                    .select(
-                        "slots",
-                        &Predicate::Eq("ordinal".into(), Value::I64(ordinal)),
-                    )?
-                    .len() as u64,
-            ))
-        }),
-    );
+    let dispatch_store = Arc::new(store.clone());
+    listener.serve(&svc, &dispatch_store, SLOTS);
     let request = Request {
         id: RequestId::new(1),
         caller: UserId::new(1),
@@ -91,22 +84,8 @@ fn main() {
     // Layer 3: full remote invocation (engine + wire + sim network + listener).
     let env = env_ideal();
     let devs = devices(&env, 2);
-    let remote_store = slot_store();
-    devs[1].register_service(
-        &svc,
-        "select",
-        Arc::new(move |_ctx, args: &[Value]| {
-            let ordinal = args[0].as_i64()?;
-            Ok(Value::from(
-                remote_store
-                    .select(
-                        "slots",
-                        &Predicate::Eq("ordinal".into(), Value::I64(ordinal)),
-                    )?
-                    .len() as u64,
-            ))
-        }),
-    );
+    let remote_store = Arc::new(slot_store());
+    devs[1].serve(&svc, &remote_store, SLOTS);
     let target = devs[1].user();
     group.bench_function("L3_remote_invoke", |b| {
         b.iter(|| {

@@ -8,18 +8,19 @@ use std::sync::Arc;
 
 use syd_bench::timing::Group;
 use syd_bench::{devices, env_ideal};
+use syd_core::Method;
 use syd_types::{ServiceName, UserId, Value};
 
 fn main() {
     let env = env_ideal();
     let devs = devices(&env, 33);
     let svc = ServiceName::new("echo");
+    static ECHO: &[Method<()>] = &[Method::new("echo", |(), _, args| {
+        Ok(Value::list(args.to_vec()))
+    })];
+    let no_state = Arc::new(());
     for dev in &devs {
-        dev.register_service(
-            &svc,
-            "echo",
-            Arc::new(|_ctx, args: &[Value]| Ok(Value::list(args.to_vec()))),
-        );
+        dev.serve(&svc, &no_state, ECHO);
     }
     let caller = &devs[0];
 

@@ -18,8 +18,8 @@ use syd_bench::{calendar_rig, env_ideal, users_of, SlotAlloc};
 use syd_calendar::{BaselineCalendar, MeetingSpec, MeetingStatus};
 use syd_core::links::Constraint;
 use syd_core::negotiate::Participant;
-use syd_core::proxy::{enable_replication, ProxyMethod};
-use syd_core::{DeviceRuntime, EntityHandler, SydEnv};
+use syd_core::proxy::enable_replication;
+use syd_core::{DeviceRuntime, EntityHandler, Method, SydEnv};
 use syd_net::stats::StatsSnapshot;
 use syd_net::NetConfig;
 use syd_store::{Column, ColumnType, Schema, Store};
@@ -270,27 +270,19 @@ fn e5_proxy_failover() {
     )
     .unwrap();
     phil.store().create_table(schema.clone()).unwrap();
-    {
-        let store = phil.store().clone();
-        phil.register_service(
-            &svc,
-            "get",
-            Arc::new(move |_ctx, args: &[Value]| {
-                Ok(store
-                    .get_by_key("slots", &[args[0].clone()])?
-                    .map_or(Value::str("free"), |r| r.values[1].clone()))
-            }),
-        );
-    }
-    let get: ProxyMethod = Arc::new(|_ctx, store: &Store, args: &[Value]| {
+    // get(ordinal) -> status, "free" without a row: the one table the
+    // primary and the proxy both serve.
+    static SLOTS: &[Method<Store>] = &[Method::new("get", |store, _, args| {
         Ok(store
             .get_by_key("slots", &[args[0].clone()])?
             .map_or(Value::str("free"), |r| r.values[1].clone()))
-    });
+    })];
+    let primary = Arc::new(phil.store().clone());
+    phil.serve(&svc, &primary, SLOTS);
     proxy
         .host_user(phil.user(), move |store| {
             store.create_table(schema)?;
-            Ok(vec![((svc.clone(), "get".to_owned()), get)])
+            Ok(vec![(svc.clone(), SLOTS)])
         })
         .unwrap();
     enable_replication(&phil, proxy.addr(), &["slots"]).unwrap();

@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 use syd_bench::json::Json;
 use syd_bench::{calendar_rig, devices, env_ideal, env_tcp, users_of};
 use syd_calendar::{CalendarApp, MeetingSpec};
-use syd_core::SydEnv;
+use syd_core::{Method, SydEnv};
 use syd_net::{CallOptions, NetConfig};
 use syd_telemetry::names;
 use syd_types::{ServiceName, SlotRange, SydError, UserId, Value};
@@ -353,12 +353,12 @@ fn bench_group_invoke(cfg: &Config, backend: &'static str, n: usize, loss: f64) 
         .map(syd_core::DeviceRuntime::user)
         .collect();
     let svc = ServiceName::new("bench");
+    static ECHO: &[Method<()>] = &[Method::new("echo", |(), _, args| {
+        Ok(Value::from(args.len() as u64))
+    })];
+    let no_state = Arc::new(());
     for d in &devs[1..] {
-        d.register_service(
-            &svc,
-            "echo",
-            Arc::new(|_ctx, args: &[Value]| Ok(Value::from(args.len() as u64))),
-        );
+        d.serve(&svc, &no_state, ECHO);
     }
     let engine = devs[0].engine();
     if loss > 0.0 {

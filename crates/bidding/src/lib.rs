@@ -20,7 +20,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use syd_core::DeviceRuntime;
+use syd_core::{DeviceRuntime, InvokeCtx, Method};
 use syd_store::{Column, ColumnType, Predicate, Schema, Store};
 use syd_types::{ServiceName, SydError, SydResult, UserId, Value};
 
@@ -38,28 +38,33 @@ pub type BidStrategy = Arc<dyn Fn(&str) -> Option<u64> + Send + Sync>;
 /// A player device.
 pub struct Player {
     device: DeviceRuntime,
+    strategy: BidStrategy,
+}
+
+/// The bidding service a player serves.
+static BIDDING_METHODS: &[Method<Player>] = &[Method::new("bid", bid)];
+
+/// bid(item) -> cents | Null (sitting out)
+fn bid(player: &Player, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+    let item = args
+        .first()
+        .ok_or_else(|| SydError::Protocol("bid needs item".into()))?
+        .as_str()?;
+    Ok(match (player.strategy)(item) {
+        Some(cents) => Value::from(cents),
+        None => Value::Null,
+    })
 }
 
 impl Player {
-    /// Installs the player application with the given strategy.
+    /// Installs the player application with the given strategy. The
+    /// player answers bids while the returned handle lives.
     pub fn install(device: &DeviceRuntime, strategy: BidStrategy) -> SydResult<Arc<Player>> {
         let player = Arc::new(Player {
             device: device.clone(),
+            strategy,
         });
-        device.register_service(
-            &bidding_service(),
-            "bid",
-            Arc::new(move |_ctx, args: &[Value]| {
-                let item = args
-                    .first()
-                    .ok_or_else(|| SydError::Protocol("bid needs item".into()))?
-                    .as_str()?;
-                Ok(match strategy(item) {
-                    Some(cents) => Value::from(cents),
-                    None => Value::Null,
-                })
-            }),
-        );
+        device.serve(&bidding_service(), &player, BIDDING_METHODS);
         device.publish()?;
         Ok(player)
     }

@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use syd_core::links::LinkSpec;
-use syd_core::{DeviceRuntime, EntityHandler, SubscriptionHandler};
+use syd_core::{DeviceRuntime, EntityHandler, InvokeCtx, Method, SubscriptionHandler};
 use syd_store::{Column, ColumnType, Predicate, Schema, Store};
 use syd_telemetry::names;
 use syd_telemetry::{Counter, Histogram};
@@ -167,7 +167,7 @@ impl CalendarApp {
             });
         }));
 
-        app.register_services();
+        device.serve(&calendar_service(), &app, CALENDAR_METHODS);
         app.install_delegation()?;
         // The mailbox's service and the calendar's, in one wave.
         device.publish()?;
@@ -602,171 +602,183 @@ impl SubscriptionHandler for CalendarNotifications {
 // the `calendar` service (peer-invocable methods)
 // ---------------------------------------------------------------------------
 
-impl CalendarApp {
-    fn register_services(self: &Arc<Self>) {
-        let svc = calendar_service();
+/// The `calendar` service: what peers call on a user's device. Its three
+/// reads are also what a proxy serves from the user's replica
+/// ([`crate::proxy_support`]).
+static CALENDAR_METHODS: &[Method<CalendarApp>] = &[
+    Method::new("free_slots_bitmap", free_slots_bitmap),
+    Method::new("slot_status", slot_status),
+    Method::new("meeting_info", meeting_info),
+    Method::new("update_meeting", update_meeting),
+    Method::new("release_slot", release_slot),
+    Method::new("queue_availability", queue_availability),
+    Method::new("peer_available", peer_available),
+    Method::new("meeting_bumped", meeting_bumped),
+    Method::new("change_request", change_request),
+    Method::new("drop_availability", drop_availability),
+    Method::new("leave_request", leave_request),
+    Method::new("authority_check", crate::delegation::authority_check),
+];
 
-        // free_slots_bitmap(start, end) -> packed SlotBitmap bytes
-        let weak = Arc::downgrade(self);
-        self.device.register_service(
-            &svc,
-            "free_slots_bitmap",
-            Arc::new(move |_ctx, args: &[Value]| {
-                let app = weak.upgrade().ok_or(SydError::Shutdown)?;
-                let (start, end) = window_args(args)?;
-                Ok(Value::Bytes(app.free_bitmap(start, end)?.pack()))
-            }),
-        );
+/// What the calendar's reads need: the store, and the free bitmap. A
+/// device answers the bitmap from its busy bits; a proxy replica, which
+/// has none, from a scan of its `slots` rows.
+pub(crate) trait CalendarView {
+    /// The store holding the `slots` and `meetings` tables.
+    fn store(&self) -> &Store;
+    /// Availability over `[start, end)` (set bit = free).
+    fn free_bitmap(&self, start: u64, end: u64) -> SydResult<SlotBitmap>;
+}
 
-        // slot_status(ordinal) -> {status, meeting, priority}
-        let weak = Arc::downgrade(self);
-        self.device.register_service(
-            &svc,
-            "slot_status",
-            Arc::new(move |_ctx, args: &[Value]| {
-                let app = weak.upgrade().ok_or(SydError::Shutdown)?;
-                slot_status_of(&app.store, ordinal_arg(args, 0, "slot_status")?)
-            }),
-        );
-
-        // meeting_info(id) -> record | Null
-        let weak = Arc::downgrade(self);
-        self.device.register_service(
-            &svc,
-            "meeting_info",
-            Arc::new(move |_ctx, args: &[Value]| {
-                let app = weak.upgrade().ok_or(SydError::Shutdown)?;
-                let id = MeetingId::new(arg(args, 0)?.as_i64()? as u64);
-                Ok(app.meeting(id)?.map_or(Value::Null, |m| m.to_value()))
-            }),
-        );
-
-        // update_meeting(record) -> Null — upsert + align local slot row
-        let weak = Arc::downgrade(self);
-        self.device.register_service(
-            &svc,
-            "update_meeting",
-            Arc::new(move |_ctx, args: &[Value]| {
-                let app = weak.upgrade().ok_or(SydError::Shutdown)?;
-                let rec = Meeting::from_value(arg(args, 0)?)?;
-                // A held slot's row follows the meeting's status; the two
-                // live statuses are spelt like the row states.
-                if matches!(
-                    rec.status,
-                    MeetingStatus::Confirmed | MeetingStatus::Tentative
-                ) && app.slot_state(rec.ordinal)?.meeting() == Some(rec.id)
-                {
-                    app.set_slot(rec.ordinal, rec.status.as_str(), Some(rec.id), rec.priority)?;
-                }
-                app.put_meeting(&rec)?;
-                Ok(Value::Null)
-            }),
-        );
-
-        // release_slot(ordinal, meeting, to_status, retire) -> Bool
-        let weak = Arc::downgrade(self);
-        self.device.register_service(
-            &svc,
-            "release_slot",
-            Arc::new(move |_ctx, args: &[Value]| {
-                let app = weak.upgrade().ok_or(SydError::Shutdown)?;
-                let ordinal = ordinal_arg(args, 0, "release_slot")?;
-                let meeting = MeetingId::new(arg(args, 1)?.as_i64()? as u64);
-                let to_status = MeetingStatus::parse(arg(args, 2)?.as_str()?)?;
-                let retire = arg(args, 3)?.as_bool()?;
-                let freed = app.release_local(ordinal, meeting, to_status, retire)?;
-                Ok(Value::Bool(freed))
-            }),
-        );
-
-        // queue_availability(ordinal, record) -> Null
-        let weak = Arc::downgrade(self);
-        self.device.register_service(
-            &svc,
-            "queue_availability",
-            Arc::new(move |_ctx, args: &[Value]| {
-                let app = weak.upgrade().ok_or(SydError::Shutdown)?;
-                let ordinal = ordinal_arg(args, 0, "queue_availability")?;
-                let rec = Meeting::from_value(arg(args, 1)?)?;
-                app.queue_availability_local(ordinal, &rec)?;
-                Ok(Value::Null)
-            }),
-        );
-
-        // peer_available(meeting) -> Bool(confirmed) — served by initiators
-        let weak = Arc::downgrade(self);
-        self.device.register_service(
-            &svc,
-            "peer_available",
-            Arc::new(move |_ctx, args: &[Value]| {
-                let app = weak.upgrade().ok_or(SydError::Shutdown)?;
-                let meeting = MeetingId::new(arg(args, 0)?.as_i64()? as u64);
-                let status = app.reconcile_round(meeting, true)?.status;
-                Ok(Value::Bool(status == MeetingStatus::Confirmed))
-            }),
-        );
-
-        // meeting_bumped(meeting, old_ordinal) -> Null — initiator reschedules
-        let weak = Arc::downgrade(self);
-        self.device.register_service(
-            &svc,
-            "meeting_bumped",
-            Arc::new(move |_ctx, args: &[Value]| {
-                let app = weak.upgrade().ok_or(SydError::Shutdown)?;
-                let meeting = MeetingId::new(arg(args, 0)?.as_i64()? as u64);
-                let old_ordinal = ordinal_arg(args, 1, "meeting_bumped")?;
-                app.auto_reschedule(meeting, old_ordinal);
-                Ok(Value::Null)
-            }),
-        );
-
-        // change_request(meeting, new_ordinal, requester) -> Bool
-        let weak = Arc::downgrade(self);
-        self.device.register_service(
-            &svc,
-            "change_request",
-            Arc::new(move |_ctx, args: &[Value]| {
-                let app = weak.upgrade().ok_or(SydError::Shutdown)?;
-                let meeting = MeetingId::new(arg(args, 0)?.as_i64()? as u64);
-                let new_ordinal = ordinal_arg(args, 1, "change_request")?;
-                Ok(Value::Bool(
-                    app.handle_change_request(meeting, new_ordinal)?,
-                ))
-            }),
-        );
-
-        // drop_availability(meeting) -> Null — remove this user's queued
-        // availability link for a meeting (it got reserved or cancelled).
-        let weak = Arc::downgrade(self);
-        self.device.register_service(
-            &svc,
-            "drop_availability",
-            Arc::new(move |_ctx, args: &[Value]| {
-                let app = weak.upgrade().ok_or(SydError::Shutdown)?;
-                let meeting = MeetingId::new(arg(args, 0)?.as_i64()? as u64);
-                app.drop_availability_local(meeting)?;
-                Ok(Value::Null)
-            }),
-        );
-
-        // leave_request(meeting, user) -> Bool
-        let weak = Arc::downgrade(self);
-        self.device.register_service(
-            &svc,
-            "leave_request",
-            Arc::new(move |ctx, args: &[Value]| {
-                let app = weak.upgrade().ok_or(SydError::Shutdown)?;
-                let meeting = MeetingId::new(arg(args, 0)?.as_i64()? as u64);
-                let user = UserId::new(arg(args, 1)?.as_i64()? as u64);
-                // Only the user themself may ask to leave (when the
-                // deployment authenticates, the claim is verified).
-                if ctx.authenticated && ctx.caller != user {
-                    return Err(SydError::AuthFailed(ctx.caller));
-                }
-                Ok(Value::Bool(app.handle_leave_request(meeting, user)?))
-            }),
-        );
+impl CalendarView for CalendarApp {
+    fn store(&self) -> &Store {
+        &self.store
     }
+
+    fn free_bitmap(&self, start: u64, end: u64) -> SydResult<SlotBitmap> {
+        CalendarApp::free_bitmap(self, start, end)
+    }
+}
+
+impl CalendarView for Store {
+    fn store(&self) -> &Store {
+        self
+    }
+
+    fn free_bitmap(&self, start: u64, end: u64) -> SydResult<SlotBitmap> {
+        free_bitmap_of(self, start, end)
+    }
+}
+
+/// free_slots_bitmap(start, end) -> packed SlotBitmap bytes
+pub(crate) fn free_slots_bitmap<C: CalendarView>(
+    cal: &C,
+    _ctx: &InvokeCtx,
+    args: &[Value],
+) -> SydResult<Value> {
+    let (start, end) = window_args(args)?;
+    Ok(Value::Bytes(cal.free_bitmap(start, end)?.pack()))
+}
+
+/// slot_status(ordinal) -> {status, meeting, priority}
+pub(crate) fn slot_status<C: CalendarView>(
+    cal: &C,
+    _ctx: &InvokeCtx,
+    args: &[Value],
+) -> SydResult<Value> {
+    let (state, priority) = slot_of(cal.store(), ordinal_arg(args, 0, "slot_status")?)?;
+    let (status, meeting) = match state {
+        SlotState::Free => ("free", None),
+        SlotState::Busy => ("busy", None),
+        SlotState::Tentative(m) => ("tent", Some(m)),
+        SlotState::Reserved(m) => ("conf", Some(m)),
+    };
+    Ok(Value::map([
+        ("status", Value::str(status)),
+        (
+            "meeting",
+            meeting.map_or(Value::Null, |m| Value::from(m.raw())),
+        ),
+        ("priority", Value::from(priority.level() as u32)),
+    ]))
+}
+
+/// meeting_info(id) -> record | Null: the stored record's bytes, checked
+/// to decode before they are served on.
+pub(crate) fn meeting_info<C: CalendarView>(
+    cal: &C,
+    _ctx: &InvokeCtx,
+    args: &[Value],
+) -> SydResult<Value> {
+    let id = MeetingId::new(arg(args, 0)?.as_i64()? as u64);
+    match cal
+        .store()
+        .get_by_key(T_MEETINGS, &[Value::from(id.raw())])?
+    {
+        None => Ok(Value::Null),
+        Some(row) => {
+            Meeting::from_value(&row.values[1])?;
+            Ok(row.values[1].clone())
+        }
+    }
+}
+
+/// update_meeting(record) -> Null — upsert + align local slot row
+fn update_meeting(app: &CalendarApp, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+    let rec = Meeting::from_value(arg(args, 0)?)?;
+    // A held slot's row follows the meeting's status; the two live
+    // statuses are spelt like the row states.
+    if matches!(
+        rec.status,
+        MeetingStatus::Confirmed | MeetingStatus::Tentative
+    ) && app.slot_state(rec.ordinal)?.meeting() == Some(rec.id)
+    {
+        app.set_slot(rec.ordinal, rec.status.as_str(), Some(rec.id), rec.priority)?;
+    }
+    app.put_meeting(&rec)?;
+    Ok(Value::Null)
+}
+
+/// release_slot(ordinal, meeting, to_status, retire) -> Bool
+fn release_slot(app: &CalendarApp, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+    let ordinal = ordinal_arg(args, 0, "release_slot")?;
+    let meeting = MeetingId::new(arg(args, 1)?.as_i64()? as u64);
+    let to_status = MeetingStatus::parse(arg(args, 2)?.as_str()?)?;
+    let retire = arg(args, 3)?.as_bool()?;
+    let freed = app.release_local(ordinal, meeting, to_status, retire)?;
+    Ok(Value::Bool(freed))
+}
+
+/// queue_availability(ordinal, record) -> Null
+fn queue_availability(app: &CalendarApp, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+    let ordinal = ordinal_arg(args, 0, "queue_availability")?;
+    let rec = Meeting::from_value(arg(args, 1)?)?;
+    app.queue_availability_local(ordinal, &rec)?;
+    Ok(Value::Null)
+}
+
+/// peer_available(meeting) -> Bool(confirmed) — served by initiators
+fn peer_available(app: &CalendarApp, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+    let meeting = MeetingId::new(arg(args, 0)?.as_i64()? as u64);
+    let status = app.reconcile_round(meeting, true)?.status;
+    Ok(Value::Bool(status == MeetingStatus::Confirmed))
+}
+
+/// meeting_bumped(meeting, old_ordinal) -> Null — initiator reschedules
+fn meeting_bumped(app: &CalendarApp, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+    let meeting = MeetingId::new(arg(args, 0)?.as_i64()? as u64);
+    let old_ordinal = ordinal_arg(args, 1, "meeting_bumped")?;
+    app.auto_reschedule(meeting, old_ordinal);
+    Ok(Value::Null)
+}
+
+/// change_request(meeting, new_ordinal, requester) -> Bool
+fn change_request(app: &CalendarApp, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+    let meeting = MeetingId::new(arg(args, 0)?.as_i64()? as u64);
+    let new_ordinal = ordinal_arg(args, 1, "change_request")?;
+    Ok(Value::Bool(
+        app.handle_change_request(meeting, new_ordinal)?,
+    ))
+}
+
+/// drop_availability(meeting) -> Null — remove this user's queued
+/// availability link for a meeting (it got reserved or cancelled).
+fn drop_availability(app: &CalendarApp, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+    let meeting = MeetingId::new(arg(args, 0)?.as_i64()? as u64);
+    app.drop_availability_local(meeting)?;
+    Ok(Value::Null)
+}
+
+/// leave_request(meeting, user) -> Bool
+fn leave_request(app: &CalendarApp, ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+    let meeting = MeetingId::new(arg(args, 0)?.as_i64()? as u64);
+    let user = UserId::new(arg(args, 1)?.as_i64()? as u64);
+    // Only the user themself may ask to leave (when the deployment
+    // authenticates, the claim is verified).
+    if ctx.authenticated && ctx.caller != user {
+        return Err(SydError::AuthFailed(ctx.caller));
+    }
+    Ok(Value::Bool(app.handle_leave_request(meeting, user)?))
 }
 
 /// The `[start, end)` window of a `free_slots_bitmap` request, checked
@@ -824,27 +836,6 @@ fn slot_of(store: &Store, ordinal: u64) -> SydResult<(SlotState, Priority)> {
         _ => SlotState::Busy,
     };
     Ok((state, Priority::new(row.values[3].as_i64()? as u8)))
-}
-
-/// The `slot_status` reply, `{status, meeting, priority}`, from any store
-/// holding the `slots` table: the device's own, or the replica a proxy
-/// answers from.
-pub(crate) fn slot_status_of(store: &Store, ordinal: u64) -> SydResult<Value> {
-    let (state, priority) = slot_of(store, ordinal)?;
-    let (status, meeting) = match state {
-        SlotState::Free => ("free", None),
-        SlotState::Busy => ("busy", None),
-        SlotState::Tentative(m) => ("tent", Some(m)),
-        SlotState::Reserved(m) => ("conf", Some(m)),
-    };
-    Ok(Value::map([
-        ("status", Value::str(status)),
-        (
-            "meeting",
-            meeting.map_or(Value::Null, |m| Value::from(m.raw())),
-        ),
-        ("priority", Value::from(priority.level() as u32)),
-    ]))
 }
 
 /// The correlation id of `user`'s availability link for `meeting`.

@@ -24,9 +24,9 @@
 //!   anything** — failures are reported and the human starts over.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
-use syd_core::DeviceRuntime;
+use syd_core::{DeviceRuntime, InvokeCtx, Method};
 use syd_store::{Column, ColumnType, Predicate, Schema, Store};
 use syd_types::sync::{Mutex, Rank};
 use syd_types::{ServiceName, SydError, SydResult, TimeSlot, UserId, Value};
@@ -114,7 +114,7 @@ impl BaselineCalendar {
             next_proposal: AtomicU64::new(1),
             stats: Arc::new(BaselineStats::default()),
         });
-        app.register_services();
+        device.serve(&baseline_service(), &app, BASELINE_METHODS);
         device.publish()?;
         Ok(app)
     }
@@ -340,7 +340,7 @@ impl BaselineCalendar {
         Ok(())
     }
 
-    fn try_finalize(self: &Arc<Self>, proposal: u64) -> SydResult<()> {
+    fn try_finalize(&self, proposal: u64) -> SydResult<()> {
         let (slot, participants) = {
             let proposals = self.proposals.lock();
             let Some(p) = proposals.iter().find(|p| p.id == proposal) else {
@@ -399,98 +399,73 @@ impl BaselineCalendar {
         }
         Ok(())
     }
+}
 
-    fn register_services(self: &Arc<Self>) {
-        let svc = baseline_service();
+/// The baseline's service.
+static BASELINE_METHODS: &[Method<BaselineCalendar>] = &[
+    Method::new("folder", folder),
+    Method::new("invite", invite),
+    Method::new("rsvp", rsvp),
+    Method::new("commit_slot", commit_slot),
+    Method::new("free_slot", free_slot),
+];
 
-        // folder(start, end) -> busy ordinals
-        let weak = Arc::downgrade(self);
-        self.device.register_service(
-            &svc,
-            "folder",
-            Arc::new(move |_ctx, args: &[Value]| {
-                let app = weak.upgrade().ok_or(SydError::Shutdown)?;
-                let start = args[0].as_i64()? as u64;
-                let end = args[1].as_i64()? as u64;
-                Ok(Value::list(
-                    app.busy_ordinals(start, end)?.into_iter().map(Value::from),
-                ))
-            }),
-        );
+/// folder(start, end) -> busy ordinals
+fn folder(app: &BaselineCalendar, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+    let start = args[0].as_i64()? as u64;
+    let end = args[1].as_i64()? as u64;
+    Ok(Value::list(
+        app.busy_ordinals(start, end)?.into_iter().map(Value::from),
+    ))
+}
 
-        // invite(proposal, initiator, ordinal) -> Null
-        let weak = Arc::downgrade(self);
-        self.device.register_service(
-            &svc,
-            "invite",
-            Arc::new(move |_ctx, args: &[Value]| {
-                let app = weak.upgrade().ok_or(SydError::Shutdown)?;
-                let proposal = args[0].as_i64()? as u64;
-                let initiator = UserId::new(args[1].as_i64()? as u64);
-                let slot = TimeSlot::from_ordinal(args[2].as_i64()? as u64);
-                app.inbox.lock().push((proposal, initiator, slot));
-                Ok(Value::Null)
-            }),
-        );
+/// invite(proposal, initiator, ordinal) -> Null
+fn invite(app: &BaselineCalendar, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+    let proposal = args[0].as_i64()? as u64;
+    let initiator = UserId::new(args[1].as_i64()? as u64);
+    let slot = TimeSlot::from_ordinal(args[2].as_i64()? as u64);
+    app.inbox.lock().push((proposal, initiator, slot));
+    Ok(Value::Null)
+}
 
-        // rsvp(proposal, user, accepted) -> Null
-        let weak: Weak<BaselineCalendar> = Arc::downgrade(self);
-        self.device.register_service(
-            &svc,
-            "rsvp",
-            Arc::new(move |_ctx, args: &[Value]| {
-                let app = weak.upgrade().ok_or(SydError::Shutdown)?;
-                let proposal = args[0].as_i64()? as u64;
-                let user = UserId::new(args[1].as_i64()? as u64);
-                let accepted = args[2].as_bool()?;
-                app.stats.rsvps.fetch_add(1, Ordering::Relaxed);
-                {
-                    let mut proposals = app.proposals.lock();
-                    if let Some(p) = proposals.iter_mut().find(|p| p.id == proposal) {
-                        if accepted {
-                            if !p.accepted.contains(&user) {
-                                p.accepted.push(user);
-                            }
-                        } else {
-                            p.status = ProposalStatus::Declined;
-                        }
-                    }
+/// rsvp(proposal, user, accepted) -> Null
+fn rsvp(app: &BaselineCalendar, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+    let proposal = args[0].as_i64()? as u64;
+    let user = UserId::new(args[1].as_i64()? as u64);
+    let accepted = args[2].as_bool()?;
+    app.stats.rsvps.fetch_add(1, Ordering::Relaxed);
+    {
+        let mut proposals = app.proposals.lock();
+        if let Some(p) = proposals.iter_mut().find(|p| p.id == proposal) {
+            if accepted {
+                if !p.accepted.contains(&user) {
+                    p.accepted.push(user);
                 }
-                app.try_finalize(proposal)?;
-                Ok(Value::Null)
-            }),
-        );
-
-        // commit_slot(ordinal) -> Bool (false when taken: stale view)
-        let weak = Arc::downgrade(self);
-        self.device.register_service(
-            &svc,
-            "commit_slot",
-            Arc::new(move |_ctx, args: &[Value]| {
-                let app = weak.upgrade().ok_or(SydError::Shutdown)?;
-                let slot = TimeSlot::from_ordinal(args[0].as_i64()? as u64);
-                if app.is_free(slot)? {
-                    app.mark_busy(slot)?;
-                    Ok(Value::Bool(true))
-                } else {
-                    Ok(Value::Bool(false))
-                }
-            }),
-        );
-
-        // free_slot(ordinal) -> Null
-        let weak = Arc::downgrade(self);
-        self.device.register_service(
-            &svc,
-            "free_slot",
-            Arc::new(move |_ctx, args: &[Value]| {
-                let app = weak.upgrade().ok_or(SydError::Shutdown)?;
-                let slot = TimeSlot::from_ordinal(args[0].as_i64()? as u64);
-                app.free(slot)?;
-                Ok(Value::Null)
-            }),
-        );
+            } else {
+                p.status = ProposalStatus::Declined;
+            }
+        }
     }
+    app.try_finalize(proposal)?;
+    Ok(Value::Null)
+}
+
+/// commit_slot(ordinal) -> Bool (false when taken: stale view)
+fn commit_slot(app: &BaselineCalendar, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+    let slot = TimeSlot::from_ordinal(args[0].as_i64()? as u64);
+    if app.is_free(slot)? {
+        app.mark_busy(slot)?;
+        Ok(Value::Bool(true))
+    } else {
+        Ok(Value::Bool(false))
+    }
+}
+
+/// free_slot(ordinal) -> Null
+fn free_slot(app: &BaselineCalendar, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+    let slot = TimeSlot::from_ordinal(args[0].as_i64()? as u64);
+    app.free(slot)?;
+    Ok(Value::Null)
 }
 
 #[cfg(test)]

@@ -11,10 +11,40 @@
 use syd_store::{Column, ColumnType, Predicate, Schema};
 use syd_types::{Priority, SydError, SydResult, Timestamp, UserId, Value};
 
+use syd_core::InvokeCtx;
+
 use crate::app::{arg, calendar_service, CalendarApp};
 use crate::model::{MeetingSpec, ScheduleOutcome};
 
 const T_DELEGATIONS: &str = "delegations";
+
+/// authority_check(delegate) -> {priority} | error — served by the
+/// delegator's device, so authority is always checked against the live
+/// grant, not a stale copy.
+pub(crate) fn authority_check(
+    app: &CalendarApp,
+    ctx: &InvokeCtx,
+    args: &[Value],
+) -> SydResult<Value> {
+    let delegate = UserId::new(arg(args, 0)?.as_i64()? as u64);
+    // When authenticated, only the delegate themself can exercise the
+    // grant.
+    if ctx.authenticated && ctx.caller != delegate {
+        return Err(SydError::AuthFailed(ctx.caller));
+    }
+    let grant = app
+        .delegation_for(delegate)?
+        .ok_or_else(|| SydError::App(format!("{delegate} holds no delegation")))?;
+    if let Some(expires) = grant.expires {
+        if app.device.clock().now() > expires {
+            return Err(SydError::App("delegation expired".into()));
+        }
+    }
+    Ok(Value::map([(
+        "priority",
+        Value::from(grant.priority.level() as u32),
+    )]))
+}
 
 /// A delegation grant as seen by the grantee.
 #[derive(Clone, Debug, PartialEq)]
@@ -30,9 +60,9 @@ pub struct Delegation {
 }
 
 impl CalendarApp {
-    /// Installs the delegation table and service methods. Called from
-    /// `CalendarApp::install`.
-    pub(crate) fn install_delegation(self: &std::sync::Arc<Self>) -> SydResult<()> {
+    /// Installs the delegation table. Called from `CalendarApp::install`,
+    /// which serves [`authority_check`] in the `calendar` table.
+    pub(crate) fn install_delegation(&self) -> SydResult<()> {
         self.store.create_table(Schema::new(
             T_DELEGATIONS,
             vec![
@@ -43,35 +73,6 @@ impl CalendarApp {
             &["delegate"],
         )?)?;
 
-        // authority_check(delegate) -> {priority} | error — served by the
-        // delegator's device, so authority is always checked against the
-        // live grant, not a stale copy.
-        let weak = std::sync::Arc::downgrade(self);
-        self.device.register_service(
-            &calendar_service(),
-            "authority_check",
-            std::sync::Arc::new(move |ctx, args: &[Value]| {
-                let app = weak.upgrade().ok_or(SydError::Shutdown)?;
-                let delegate = UserId::new(arg(args, 0)?.as_i64()? as u64);
-                // When authenticated, only the delegate themself can
-                // exercise the grant.
-                if ctx.authenticated && ctx.caller != delegate {
-                    return Err(SydError::AuthFailed(ctx.caller));
-                }
-                let grant = app
-                    .delegation_for(delegate)?
-                    .ok_or_else(|| SydError::App(format!("{delegate} holds no delegation")))?;
-                if let Some(expires) = grant.expires {
-                    if app.device.clock().now() > expires {
-                        return Err(SydError::App("delegation expired".into()));
-                    }
-                }
-                Ok(Value::map([(
-                    "priority",
-                    Value::from(grant.priority.level() as u32),
-                )]))
-            }),
-        );
         Ok(())
     }
 

@@ -10,9 +10,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use syd_core::DeviceRuntime;
+use syd_core::{DeviceRuntime, InvokeCtx, Method};
 use syd_store::{Column, ColumnType, Predicate, Schema, Store};
-use syd_types::{ServiceName, SydResult, Text, Timestamp, UserId, Value};
+use syd_types::{ServiceName, SydError, SydResult, Text, Timestamp, UserId, Value};
 
 /// The mailbox service name.
 pub fn mailbox_service() -> ServiceName {
@@ -34,6 +34,20 @@ pub struct Mail {
     pub body: String,
     /// Delivery time (device clock).
     pub received: Timestamp,
+}
+
+/// The `mailbox` service.
+static MAILBOX_METHODS: &[Method<Mailbox>] = &[Method::new("deliver", deliver)];
+
+/// deliver(subject, body?) -> Null, filed under the caller.
+fn deliver(mailbox: &Mailbox, ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+    let subject = args
+        .first()
+        .ok_or_else(|| SydError::Protocol("deliver needs subject".into()))?
+        .as_str()?;
+    let body = args.get(1).map(|v| v.as_str()).transpose()?.unwrap_or("");
+    mailbox.deliver_local(ctx.caller, subject, body)?;
+    Ok(Value::Null)
 }
 
 /// A device's mailbox: local inbox plus outgoing delivery.
@@ -65,21 +79,7 @@ impl Mailbox {
             store,
             next_id: AtomicU64::new(1),
         });
-        let weak = Arc::downgrade(&mailbox);
-        device.register_service(
-            &mailbox_service(),
-            "deliver",
-            Arc::new(move |ctx, args: &[Value]| {
-                let mailbox = weak.upgrade().ok_or(syd_types::SydError::Shutdown)?;
-                let subject = args
-                    .first()
-                    .ok_or_else(|| syd_types::SydError::Protocol("deliver needs subject".into()))?
-                    .as_str()?;
-                let body = args.get(1).map(|v| v.as_str()).transpose()?.unwrap_or("");
-                mailbox.deliver_local(ctx.caller, subject, body)?;
-                Ok(Value::Null)
-            }),
-        );
+        device.serve(&mailbox_service(), &mailbox, MAILBOX_METHODS);
         Ok(mailbox)
     }
 

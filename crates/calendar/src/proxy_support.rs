@@ -12,66 +12,31 @@
 //! tentative — the availability-link machinery then confirms it when the
 //! device returns, which is the paper's own answer to that situation.
 
-use std::sync::Arc;
-
-use syd_core::proxy::{enable_replication, ProxyHost, ProxyMethod};
+use syd_core::proxy::{enable_replication, ProxyHost};
+use syd_core::Method;
 use syd_store::Store;
-use syd_types::{MeetingId, SydResult, UserId, Value};
+use syd_types::SydResult;
 
 use crate::app::{
-    arg, calendar_service, create_replicated_tables, free_bitmap_of, ordinal_arg, slot_status_of,
-    window_args, CalendarApp,
+    calendar_service, create_replicated_tables, free_slots_bitmap, meeting_info, slot_status,
+    CalendarApp,
 };
-use crate::model::Meeting;
 
-fn free_slots_bitmap_method() -> ProxyMethod {
-    Arc::new(|_ctx, store: &Store, args: &[Value]| {
-        let (start, end) = window_args(args)?;
-        Ok(Value::Bytes(free_bitmap_of(store, start, end)?.pack()))
-    })
-}
+/// The reads a replica serves: the device's own methods, answering from
+/// the replica's store.
+static REPLICA_READS: &[Method<Store>] = &[
+    Method::new("free_slots_bitmap", free_slots_bitmap),
+    Method::new("slot_status", slot_status),
+    Method::new("meeting_info", meeting_info),
+];
 
-fn slot_status_method() -> ProxyMethod {
-    Arc::new(|_ctx, store: &Store, args: &[Value]| {
-        slot_status_of(store, ordinal_arg(args, 0, "slot_status")?)
-    })
-}
-
-fn meeting_info_method() -> ProxyMethod {
-    Arc::new(|_ctx, store: &Store, args: &[Value]| {
-        let id = MeetingId::new(arg(args, 0)?.as_i64()? as u64);
-        match store.get_by_key("meetings", &[Value::from(id.raw())])? {
-            None => Ok(Value::Null),
-            Some(row) => {
-                // Validate the stored record before serving its bytes on.
-                Meeting::from_value(&row.values[1])?;
-                Ok(row.values[1].clone())
-            }
-        }
-    })
-}
-
-/// Hosts `user`'s calendar read path on `proxy` and starts replication
-/// from `app`'s primary store. Call once per hosted calendar user.
+/// Hosts `app`'s user's calendar read path on `proxy` and starts
+/// replication from `app`'s primary store. Call once per hosted calendar
+/// user.
 pub fn host_calendar_on_proxy(proxy: &ProxyHost, app: &CalendarApp) -> SydResult<()> {
-    let user: UserId = app.user();
-    let svc = calendar_service();
-    proxy.host_user(user, |store| {
+    proxy.host_user(app.user(), |store| {
         create_replicated_tables(store)?;
-        Ok(vec![
-            (
-                (svc.clone(), "free_slots_bitmap".to_owned()),
-                free_slots_bitmap_method(),
-            ),
-            (
-                (svc.clone(), "slot_status".to_owned()),
-                slot_status_method(),
-            ),
-            (
-                (svc.clone(), "meeting_info".to_owned()),
-                meeting_info_method(),
-            ),
-        ])
+        Ok(vec![(calendar_service(), REPLICA_READS)])
     })?;
     enable_replication(app.device(), proxy.addr(), &["slots", "meetings"])?;
     Ok(())
@@ -81,11 +46,12 @@ pub fn host_calendar_on_proxy(proxy: &ProxyHost, app: &CalendarApp) -> SydResult
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 mod tests {
     use super::*;
-    use crate::model::{MeetingSpec, MeetingStatus};
+    use crate::model::{Meeting, MeetingSpec, MeetingStatus};
     use std::time::{Duration, Instant};
     use syd_core::SydEnv;
     use syd_net::NetConfig;
-    use syd_types::{SlotRange, SydError, TimeSlot};
+    use syd_store::Predicate;
+    use syd_types::{MeetingId, SlotBitmap, SlotRange, SydError, TimeSlot, Value};
 
     fn wait_for(mut cond: impl FnMut() -> bool, what: &str) {
         let deadline = Instant::now() + Duration::from_secs(3);
@@ -193,40 +159,63 @@ mod tests {
         let with_andy = |name, slot| {
             phil.schedule(MeetingSpec::plain(name, slot, vec![andy.user()]))
                 .unwrap()
-                .status
         };
-        assert_eq!(with_andy("conf", conf), MeetingStatus::Confirmed);
+        let confirmed = with_andy("conf", conf);
+        assert_eq!(confirmed.status, MeetingStatus::Confirmed);
         andy.device().disconnect().unwrap();
-        assert_eq!(with_andy("tent", tent), MeetingStatus::Tentative);
+        let tentative = with_andy("tent", tent);
+        assert_eq!(tentative.status, MeetingStatus::Tentative);
+        let rows = |store: &Store, table| {
+            let rows = store.select(table, &Predicate::True).unwrap();
+            rows.into_iter()
+                .map(|row| row.values.to_vec())
+                .collect::<Vec<_>>()
+        };
         wait_for(
             || {
                 let replica = proxy.replica_store(phil.user()).unwrap();
-                replica.row_count("slots").unwrap() >= 3
+                ["slots", "meetings"]
+                    .iter()
+                    .all(|table| rows(&replica, table) == rows(phil.device().store(), table))
             },
             "replication",
         );
 
+        let call = |method, args| {
+            let engine = suzy.device().engine();
+            engine
+                .invoke(phil.user(), &calendar_service(), method, args)
+                .unwrap()
+        };
         let ask = || {
-            [free, busy, conf, tent].map(|slot| {
-                suzy.device()
-                    .engine()
-                    .invoke(
-                        phil.user(),
-                        &calendar_service(),
-                        "slot_status",
-                        vec![Value::from(slot.ordinal())],
-                    )
-                    .unwrap()
-            })
+            let statuses = [free, busy, conf, tent]
+                .map(|slot| call("slot_status", vec![Value::from(slot.ordinal())]));
+            let window = vec![Value::from(free.ordinal()), Value::from(tent.ordinal() + 1)];
+            let bitmap = call("free_slots_bitmap", window);
+            let infos = [confirmed.meeting, tentative.meeting, MeetingId::new(999)]
+                .map(|id| call("meeting_info", vec![Value::from(id.raw())]));
+            (statuses, bitmap, infos)
         };
         let primary = ask();
-        let statuses = primary
+        let (statuses, bitmap, infos) = &primary;
+        let statuses = statuses
             .iter()
             .map(|v| v.as_map().unwrap()["status"].as_str().unwrap().to_owned());
         assert_eq!(
             statuses.collect::<Vec<_>>(),
             ["free", "busy", "conf", "tent"]
         );
+        let bitmap = SlotBitmap::unpack(bitmap.as_bytes().unwrap()).unwrap();
+        let free_slots = [free, busy, conf, tent].map(|slot| bitmap.is_free(slot));
+        assert_eq!(free_slots, [true, false, false, false]);
+        let ids = infos[..2]
+            .iter()
+            .map(|info| Meeting::from_value(info).unwrap().id);
+        assert_eq!(
+            ids.collect::<Vec<_>>(),
+            [confirmed.meeting, tentative.meeting]
+        );
+        assert_eq!(infos[2], Value::Null);
         phil.device().disconnect().unwrap();
         assert_eq!(ask(), primary, "the proxy answered differently");
     }

@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 use syd_calendar::app::calendar_service;
 use syd_calendar::{CalendarApp, GroupSpec, MeetingId, MeetingSpec, MeetingStatus, SlotState};
 use syd_core::negotiate::link_service;
-use syd_core::{EntityHandler, SydEnv};
+use syd_core::{DeviceRuntime, EntityHandler, Method, SydEnv};
 use syd_net::NetConfig;
 use syd_store::{Trigger, TriggerEvent};
 use syd_telemetry::names;
@@ -550,30 +550,43 @@ fn only_a_participant_whose_release_failed_is_sent_the_cascade() {
     assert_eq!(outcome.status, MeetingStatus::Confirmed);
 
     let deaf = &apps[2];
-    deaf.device().register_service(
-        &calendar_service(),
-        "release_slot",
-        Arc::new(|_ctx, _args: &[Value]| Err(SydError::App("not now".into()))),
-    );
-    // Record every `delete_by_corr` a device serves, then serve it.
-    let served = Arc::new(Mutex::new(Rank::Leaf, Vec::<(UserId, Vec<u64>)>::new()));
-    for app in &apps {
-        let (device, served) = (app.device().clone(), Arc::clone(&served));
-        app.device().register_service(
-            &link_service(),
-            "delete_by_corr",
-            Arc::new(move |_ctx, args: &[Value]| {
-                let visited: Vec<u64> = args[1]
-                    .as_list()?
-                    .iter()
-                    .map(|v| Ok(v.as_i64()? as u64))
-                    .collect::<SydResult<_>>()?;
-                served.lock().push((device.user(), visited.clone()));
-                let report = device.links().delete_by_corr(args[0].as_str()?, visited)?;
-                Ok(Value::from(report.deleted.len() as u64))
-            }),
-        );
+    // The deaf member's calendar answers only a release, and refuses it.
+    static DEAF: &[Method<()>] = &[Method::new("release_slot", |(), _, _| {
+        Err(SydError::App("not now".into()))
+    })];
+    let no_state = Arc::new(());
+    deaf.device().serve(&calendar_service(), &no_state, DEAF);
+    // Record every `delete_by_corr` a device serves, then serve it: the
+    // link service is this one method here.
+    type Seen = Mutex<Vec<(UserId, Vec<u64>)>>;
+    struct Recorder {
+        device: DeviceRuntime,
+        served: Arc<Seen>,
     }
+    static RECORDING: &[Method<Recorder>] = &[Method::new("delete_by_corr", |r, _, args| {
+        let visited: Vec<u64> = args[1]
+            .as_list()?
+            .iter()
+            .map(|v| Ok(v.as_i64()? as u64))
+            .collect::<SydResult<_>>()?;
+        r.served.lock().push((r.device.user(), visited.clone()));
+        let report = r
+            .device
+            .links()
+            .delete_by_corr(args[0].as_str()?, visited)?;
+        Ok(Value::from(report.deleted.len() as u64))
+    })];
+    let served = Arc::new(Mutex::new(Rank::Leaf, Vec::<(UserId, Vec<u64>)>::new()));
+    let _recorders: Vec<_> = apps
+        .iter()
+        .map(|app| {
+            let device = app.device().clone();
+            let served = Arc::clone(&served);
+            let recorder = Arc::new(Recorder { device, served });
+            app.device().serve(&link_service(), &recorder, RECORDING);
+            recorder
+        })
+        .collect();
 
     let (r0, f0) = (rounds(&apps[0]), frames(&env));
     apps[0].cancel(outcome.meeting).unwrap();

@@ -7,7 +7,7 @@
 //! listener, reaches peers through the engine, and maintains the link
 //! database. Applications build on exactly four extension points:
 //!
-//! * [`DeviceRuntime::register_service`] — serve methods, which
+//! * [`DeviceRuntime::serve`] — serve a service's method table, which
 //!   [`DeviceRuntime::publish`] announces in the directory (§3.1b),
 //! * [`EntityHandler`] — how negotiation changes apply to local entities
 //!   (mark/commit/abort of §4.3),
@@ -30,7 +30,7 @@ use crate::directory::DirectoryClient;
 use crate::engine::SydEngine;
 use crate::events::EventHandler;
 use crate::links::LinksModule;
-use crate::listener::{InvokeCtx, Listener, ListenerHandler, ServiceMethod};
+use crate::listener::{InvokeCtx, Listener, Method};
 use crate::negotiate::{fsm, link_service, Negotiator, ABORT, COMMIT, MARK};
 
 /// How long a participant waits for an entity lock before voting no.
@@ -121,9 +121,8 @@ impl DeviceRuntime {
         let node = Node::spawn_on(net)?;
         let directory = DirectoryClient::new(node.clone(), dir_addr);
         let (store, lock_rights) = Store::new_owned();
-        let listener = Arc::new(Listener::new(auth));
-        listener.attach_metrics(node.metrics());
-        node.set_handler(Arc::new(ListenerHandler(Arc::clone(&listener))));
+        let listener = Arc::new(Listener::new(auth, node.metrics()));
+        node.set_handler(Arc::clone(&listener) as Arc<dyn syd_net::RequestHandler>);
         let journal = Arc::new(Journal::default());
 
         // Kernel and application methods are idempotent by design, so the
@@ -174,8 +173,11 @@ impl DeviceRuntime {
             services: Mutex::new(Rank::Engine, Vec::new()),
             stopped: AtomicBool::new(false),
         });
+        inner.listener.serve(&link_service(), &inner, LINK_METHODS);
+        inner
+            .listener
+            .serve(&ServiceName::new("syd.ping"), &inner, PING_METHODS);
         let device = DeviceRuntime { inner };
-        device.register_kernel_services();
         // Found only once it serves its kernel methods. A refused join (the
         // name is taken, the directory is out of reach) leaves no endpoint.
         let directory = device.engine().directory();
@@ -293,11 +295,19 @@ impl DeviceRuntime {
         *self.inner.link_acceptor.write() = Some(acceptor);
     }
 
-    /// Serves `method` of an application service on this device. This is
-    /// local only: a service the device has not served before is noted as
-    /// unpublished, and [`DeviceRuntime::publish`] tells the directory.
-    pub fn register_service(&self, service: &ServiceName, method: &str, handler: ServiceMethod) {
-        self.inner.listener.register(service, method, handler);
+    /// Serves an application service on this device: every method of
+    /// `table`, answering from `state` (held weakly, see
+    /// [`Listener::serve`]). Serving a service again replaces its table.
+    /// This is local only: a service the device has not served before is
+    /// noted as unpublished, and [`DeviceRuntime::publish`] tells the
+    /// directory.
+    pub fn serve<S: Send + Sync + 'static>(
+        &self,
+        service: &ServiceName,
+        state: &Arc<S>,
+        table: &'static [Method<S>],
+    ) {
+        self.inner.listener.serve(service, state, table);
         let mut services = self.inner.services.lock();
         if !services.iter().any(|(s, _)| s == service) {
             services.push((service.clone(), Published::No));
@@ -312,7 +322,6 @@ impl DeviceRuntime {
     /// A service is in flight until the directory answers. A failed one is
     /// journaled, counted under `dir.publish_failures` and sent again by
     /// the next `publish`. Fails only once the device is shut down.
-    /// [`Listener::unregister`] does not unpublish a service.
     pub fn publish(&self) -> SydResult<()> {
         if self.inner.stopped.load(Ordering::Acquire) {
             return Err(SydError::Shutdown);
@@ -408,202 +417,6 @@ impl DeviceRuntime {
         self.inner.node.link().is_connected()
     }
 
-    // ---- kernel services -----------------------------------------------------
-
-    fn register_kernel_services(&self) {
-        let svc = link_service();
-        let listener = &self.inner.listener;
-
-        // mark(session, entity, change) -> Bool vote
-        let inner = Arc::downgrade(&self.inner);
-        listener.register(
-            &svc,
-            MARK,
-            Arc::new(move |_ctx: &InvokeCtx, args: &[Value]| {
-                let inner = inner.upgrade().ok_or(SydError::Shutdown)?;
-                let session = args_get(args, 0)?.as_i64()? as u64;
-                let entity = args_get(args, 1)?.as_str()?;
-                let change = args_get(args, 2)?;
-                let (locks, key) = (&inner.lock_rights, entity_lock_key(entity));
-                let lapsed = |holder| inner.journal.emit(Event::release(holder, entity, "lease"));
-                let lease = Some((&*inner.clock, LOCK_LEASE));
-                let mut taken = locks.mark(session, &key, Duration::ZERO, lease, lapsed);
-                if taken == fsm::Taken::Busy {
-                    // Bounded wait, then give up and vote no: contention
-                    // worth its own span on the serving device.
-                    let mut wait_span = inner.node.tracer().span(names::SPAN_LOCK_WAIT);
-                    wait_span.attr("session", session);
-                    taken = locks.mark(session, &key, MARK_LOCK_WAIT, lease, lapsed);
-                }
-                if taken == fsm::Taken::Busy {
-                    // Not a durable refusal: a greedy grab must not commit
-                    // while another negotiation holds this lock.
-                    let busy = Event::vote(session, entity, Vote::LockBusy);
-                    inner.journal.emit(busy);
-                    return Ok(fsm::Vote::NoLockBusy.wire_reply());
-                }
-                // A mark delivered again finds its own lock: it votes
-                // again, and one commit or abort still frees the entity.
-                if taken == fsm::Taken::Fresh {
-                    inner.journal.emit(Event::lock(session, entity));
-                }
-                let handler = inner.entity_handler.read().clone();
-                let prepared = match handler {
-                    Some(h) => h.prepare(entity, change),
-                    None => Ok(()),
-                };
-                let vote = fsm::Vote::on_mark(taken, prepared.is_ok());
-                let journaled = match prepared {
-                    Ok(()) => Vote::Yes,
-                    Err(err) => Vote::Refused(err.to_string()),
-                };
-                // Journal-before-release, as in commit.
-                inner.journal.emit(Event::vote(session, entity, journaled));
-                if vote == fsm::Vote::NoPrepare {
-                    locks.release(session, &key);
-                }
-                Ok(vote.wire_reply())
-            }),
-        );
-
-        // commit(session, entity, change) -> Null
-        let inner = Arc::downgrade(&self.inner);
-        listener.register(
-            &svc,
-            COMMIT,
-            Arc::new(move |_ctx: &InvokeCtx, args: &[Value]| {
-                let inner = inner.upgrade().ok_or(SydError::Shutdown)?;
-                let session = args_get(args, 0)?.as_i64()? as u64;
-                let entity = args_get(args, 1)?.as_str()?;
-                let change = args_get(args, 2)?;
-                let (locks, key) = (&inner.lock_rights, entity_lock_key(entity));
-                // A coordinator may be slow, not dead: its commit after its
-                // lease lapsed is refused, as the entity may have changed
-                // hands since. An admitted commit holds the entity until
-                // its release below, however long the handler runs.
-                let lapsed = |holder| inner.journal.emit(Event::release(holder, entity, "lease"));
-                if !locks.commit(session, &key, inner.clock.now(), lapsed) {
-                    return Err(SydError::App(format!(
-                        "session {session} expired: its lease on {entity} lapsed"
-                    )));
-                }
-                let pinned = Pinned(&inner, session, entity, key);
-                let handler = inner.entity_handler.read().clone();
-                let result = match handler {
-                    Some(h) => h.commit(entity, change),
-                    None => Ok(()),
-                };
-                // Journal before releasing: the next session's `Lock`
-                // record must sequence after this `Change`, or the journal
-                // would show two holders of one entity.
-                inner
-                    .journal
-                    .emit(Event::commit(session, entity, result.is_ok()));
-                drop(pinned);
-                result.map(|()| Value::Null)
-            }),
-        );
-
-        // abort(session, entity, change) -> Null
-        let inner = Arc::downgrade(&self.inner);
-        listener.register(
-            &svc,
-            ABORT,
-            Arc::new(move |_ctx: &InvokeCtx, args: &[Value]| {
-                let inner = inner.upgrade().ok_or(SydError::Shutdown)?;
-                let session = args_get(args, 0)?.as_i64()? as u64;
-                let entity = args_get(args, 1)?.as_str()?;
-                let change = args_get(args, 2)?;
-                if let Some(h) = inner.entity_handler.read().clone() {
-                    h.abort(entity, change);
-                }
-                // Journal-before-release, as in commit.
-                inner
-                    .journal
-                    .emit(Event::release(session, entity, "coordinator-abort"));
-                (inner.lock_rights).release(session, &entity_lock_key(entity));
-                Ok(Value::Null)
-            }),
-        );
-
-        // offer_link(entity, action, from_user) -> Bool
-        let inner = Arc::downgrade(&self.inner);
-        listener.register(
-            &svc,
-            "offer_link",
-            Arc::new(move |_ctx: &InvokeCtx, args: &[Value]| {
-                let inner = inner.upgrade().ok_or(SydError::Shutdown)?;
-                let entity = args_get(args, 0)?.as_str()?;
-                let action = args_get(args, 1)?.as_str()?;
-                let from = UserId::new(args_get(args, 2)?.as_i64()? as u64);
-                let acceptor = inner.link_acceptor.read().clone();
-                let accept = match acceptor {
-                    Some(f) => f(entity, action, from),
-                    None => true,
-                };
-                Ok(Value::Bool(accept))
-            }),
-        );
-
-        // install_link(link value) -> link id
-        let inner = Arc::downgrade(&self.inner);
-        listener.register(
-            &svc,
-            "install_link",
-            Arc::new(move |_ctx: &InvokeCtx, args: &[Value]| {
-                let inner = inner.upgrade().ok_or(SydError::Shutdown)?;
-                let id = inner.links.install_remote(args_get(args, 0)?)?;
-                Ok(Value::from(id.raw()))
-            }),
-        );
-
-        // delete_by_corr(corr, visited list) -> deleted count
-        let inner = Arc::downgrade(&self.inner);
-        listener.register(
-            &svc,
-            "delete_by_corr",
-            Arc::new(move |_ctx: &InvokeCtx, args: &[Value]| {
-                let inner = inner.upgrade().ok_or(SydError::Shutdown)?;
-                let corr = args_get(args, 0)?.as_str()?;
-                let visited = args_get(args, 1)?
-                    .as_list()?
-                    .iter()
-                    .map(|v| Ok(v.as_i64()? as u64))
-                    .collect::<SydResult<Vec<u64>>>()?;
-                let report = inner.links.delete_by_corr(corr, visited)?;
-                Ok(Value::from(report.deleted.len() as u64))
-            }),
-        );
-
-        // notify(entity, action, payload) -> handler result
-        let inner = Arc::downgrade(&self.inner);
-        listener.register(
-            &svc,
-            "notify",
-            Arc::new(move |_ctx: &InvokeCtx, args: &[Value]| {
-                let inner = inner.upgrade().ok_or(SydError::Shutdown)?;
-                let entity = args_get(args, 0)?.as_str()?;
-                let action = args_get(args, 1)?.as_str()?;
-                let payload = args_get(args, 2)?;
-                inner
-                    .events
-                    .publish_local(&format!("link.notify.{action}"), || payload.clone());
-                let handler = inner.subscription_handler.read().clone();
-                match handler {
-                    Some(h) => h.on_notify(entity, action, payload),
-                    None => Ok(Value::Null),
-                }
-            }),
-        );
-
-        // ping() -> "pong" (liveness probe; proxies use it)
-        listener.register(
-            &ServiceName::new("syd.ping"),
-            "ping",
-            Arc::new(|_ctx: &InvokeCtx, _args: &[Value]| Ok(Value::str("pong"))),
-        );
-    }
-
     /// Ends every entity lock's lease on this device at once, journaled as
     /// a lapse is, and returns how many it ended. Harnesses call it once a
     /// run quiesced, so a lock whose commit and abort were both lost closes
@@ -650,6 +463,164 @@ impl Drop for Pinned<'_> {
 fn args_get(args: &[Value], i: usize) -> SydResult<&Value> {
     args.get(i)
         .ok_or_else(|| SydError::Protocol(format!("missing argument {i}")))
+}
+
+// ---- kernel services ---------------------------------------------------------
+
+/// The link service (§4.2–§4.4): what a peer's links and negotiations
+/// call on this device.
+static LINK_METHODS: &[Method<DeviceInner>] = &[
+    Method::new(MARK, mark),
+    Method::new(COMMIT, commit),
+    Method::new(ABORT, abort),
+    Method::new("offer_link", offer_link),
+    Method::new("install_link", install_link),
+    Method::new("delete_by_corr", delete_by_corr),
+    Method::new("notify", notify),
+];
+
+/// The liveness probe proxies use.
+static PING_METHODS: &[Method<DeviceInner>] =
+    &[Method::new("ping", |_, _, _| Ok(Value::str("pong")))];
+
+/// mark(session, entity, change) -> vote
+fn mark(inner: &DeviceInner, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+    let session = args_get(args, 0)?.as_i64()? as u64;
+    let entity = args_get(args, 1)?.as_str()?;
+    let change = args_get(args, 2)?;
+    let (locks, key) = (&inner.lock_rights, entity_lock_key(entity));
+    let lapsed = |holder| inner.journal.emit(Event::release(holder, entity, "lease"));
+    let lease = Some((&*inner.clock, LOCK_LEASE));
+    let mut taken = locks.mark(session, &key, Duration::ZERO, lease, lapsed);
+    if taken == fsm::Taken::Busy {
+        // Bounded wait, then give up and vote no: contention worth its own
+        // span on the serving device.
+        let mut wait_span = inner.node.tracer().span(names::SPAN_LOCK_WAIT);
+        wait_span.attr("session", session);
+        taken = locks.mark(session, &key, MARK_LOCK_WAIT, lease, lapsed);
+    }
+    if taken == fsm::Taken::Busy {
+        // Not a durable refusal: a greedy grab must not commit while
+        // another negotiation holds this lock.
+        let busy = Event::vote(session, entity, Vote::LockBusy);
+        inner.journal.emit(busy);
+        return Ok(fsm::Vote::NoLockBusy.wire_reply());
+    }
+    // A mark delivered again finds its own lock: it votes again, and one
+    // commit or abort still frees the entity.
+    if taken == fsm::Taken::Fresh {
+        inner.journal.emit(Event::lock(session, entity));
+    }
+    let handler = inner.entity_handler.read().clone();
+    let prepared = match handler {
+        Some(h) => h.prepare(entity, change),
+        None => Ok(()),
+    };
+    let vote = fsm::Vote::on_mark(taken, prepared.is_ok());
+    let journaled = match prepared {
+        Ok(()) => Vote::Yes,
+        Err(err) => Vote::Refused(err.to_string()),
+    };
+    // Journal-before-release, as in commit.
+    inner.journal.emit(Event::vote(session, entity, journaled));
+    if vote == fsm::Vote::NoPrepare {
+        locks.release(session, &key);
+    }
+    Ok(vote.wire_reply())
+}
+
+/// commit(session, entity, change) -> Null
+fn commit(inner: &DeviceInner, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+    let session = args_get(args, 0)?.as_i64()? as u64;
+    let entity = args_get(args, 1)?.as_str()?;
+    let change = args_get(args, 2)?;
+    let (locks, key) = (&inner.lock_rights, entity_lock_key(entity));
+    // A coordinator may be slow, not dead: its commit after its lease
+    // lapsed is refused, as the entity may have changed hands since. An
+    // admitted commit holds the entity until its release below, however
+    // long the handler runs.
+    let lapsed = |holder| inner.journal.emit(Event::release(holder, entity, "lease"));
+    if !locks.commit(session, &key, inner.clock.now(), lapsed) {
+        return Err(SydError::App(format!(
+            "session {session} expired: its lease on {entity} lapsed"
+        )));
+    }
+    let pinned = Pinned(inner, session, entity, key);
+    let handler = inner.entity_handler.read().clone();
+    let result = match handler {
+        Some(h) => h.commit(entity, change),
+        None => Ok(()),
+    };
+    // Journal before releasing: the next session's `Lock` record must
+    // sequence after this `Change`, or the journal would show two holders
+    // of one entity.
+    inner
+        .journal
+        .emit(Event::commit(session, entity, result.is_ok()));
+    drop(pinned);
+    result.map(|()| Value::Null)
+}
+
+/// abort(session, entity, change) -> Null
+fn abort(inner: &DeviceInner, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+    let session = args_get(args, 0)?.as_i64()? as u64;
+    let entity = args_get(args, 1)?.as_str()?;
+    let change = args_get(args, 2)?;
+    if let Some(h) = inner.entity_handler.read().clone() {
+        h.abort(entity, change);
+    }
+    // Journal-before-release, as in commit.
+    inner
+        .journal
+        .emit(Event::release(session, entity, "coordinator-abort"));
+    (inner.lock_rights).release(session, &entity_lock_key(entity));
+    Ok(Value::Null)
+}
+
+/// offer_link(entity, action, from_user) -> Bool
+fn offer_link(inner: &DeviceInner, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+    let entity = args_get(args, 0)?.as_str()?;
+    let action = args_get(args, 1)?.as_str()?;
+    let from = UserId::new(args_get(args, 2)?.as_i64()? as u64);
+    let acceptor = inner.link_acceptor.read().clone();
+    let accept = match acceptor {
+        Some(f) => f(entity, action, from),
+        None => true,
+    };
+    Ok(Value::Bool(accept))
+}
+
+/// install_link(link value) -> link id
+fn install_link(inner: &DeviceInner, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+    let id = inner.links.install_remote(args_get(args, 0)?)?;
+    Ok(Value::from(id.raw()))
+}
+
+/// delete_by_corr(corr, visited list) -> deleted count
+fn delete_by_corr(inner: &DeviceInner, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+    let corr = args_get(args, 0)?.as_str()?;
+    let visited = args_get(args, 1)?
+        .as_list()?
+        .iter()
+        .map(|v| Ok(v.as_i64()? as u64))
+        .collect::<SydResult<Vec<u64>>>()?;
+    let report = inner.links.delete_by_corr(corr, visited)?;
+    Ok(Value::from(report.deleted.len() as u64))
+}
+
+/// notify(entity, action, payload) -> handler result
+fn notify(inner: &DeviceInner, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+    let entity = args_get(args, 0)?.as_str()?;
+    let action = args_get(args, 1)?.as_str()?;
+    let payload = args_get(args, 2)?;
+    inner
+        .events
+        .publish_local(&format!("link.notify.{action}"), || payload.clone());
+    let handler = inner.subscription_handler.read().clone();
+    match handler {
+        Some(h) => h.on_notify(entity, action, payload),
+        None => Ok(Value::Null),
+    }
 }
 
 #[cfg(test)]
@@ -836,16 +807,12 @@ mod tests {
         let states = install_map_handlers(&devices);
         states[2].lock().insert("e".to_owned(), "busy".to_owned());
         let svc = ServiceName::new("app");
+        static LEFT_OUT: &[Method<Mutex<u32>>] = &[Method::new("left_out", |told, _, _| {
+            *told.lock() += 1;
+            Ok(Value::Null)
+        })];
         let told = Arc::new(Mutex::new(Rank::Leaf, 0u32));
-        let tc = Arc::clone(&told);
-        devices[2].register_service(
-            &svc,
-            "left_out",
-            Arc::new(move |_ctx, _args| {
-                *tc.lock() += 1;
-                Ok(Value::Null)
-            }),
-        );
+        devices[2].serve(&svc, &told, LEFT_OUT);
         let participants: Vec<Participant> = devices
             .iter()
             .map(|d| Participant::new(d.user(), "e", Value::str("x")))
@@ -1273,7 +1240,7 @@ mod tests {
 
         let svc = ServiceName::new("calendar");
         for d in &devices[1..3] {
-            d.register_service(&svc, "refresh", Arc::new(|_ctx, _args| Ok(Value::Null)));
+            serve(d, &svc, REFRESH);
             devices[0]
                 .links()
                 .couple_method(&svc, "update", d.user(), &svc, "refresh")
@@ -1328,27 +1295,33 @@ mod tests {
         let (_net, _dir, devices) = rig(4);
         let [origin, two, three, four] = [0, 1, 2, 3].map(|i| devices[i].user());
         let corr = "web";
-        // Record every delete_by_corr a device serves, then serve it.
-        let seen = Arc::new(Mutex::new(Rank::Leaf, Vec::<(UserId, Vec<u64>)>::new()));
-        for d in &devices {
-            let (device, seen) = (d.clone(), Arc::clone(&seen));
-            d.register_service(
-                &link_service(),
-                "delete_by_corr",
-                Arc::new(move |_ctx: &InvokeCtx, args: &[Value]| {
-                    let visited = args_get(args, 1)?
-                        .as_list()?
-                        .iter()
-                        .map(|v| Ok(v.as_i64()? as u64))
-                        .collect::<SydResult<Vec<u64>>>()?;
-                    seen.lock().push((device.user(), visited.clone()));
-                    let report = device
-                        .links()
-                        .delete_by_corr(args_get(args, 0)?.as_str()?, visited)?;
-                    Ok(Value::from(report.deleted.len() as u64))
-                }),
-            );
+        // Record every delete_by_corr a device serves, then serve it: the
+        // link service is this one method here.
+        type Seen = Mutex<Vec<(UserId, Vec<u64>)>>;
+        struct Recorder {
+            device: DeviceRuntime,
+            seen: Arc<Seen>,
         }
+        static RECORDING: &[Method<Recorder>] = &[Method::new("delete_by_corr", |r, ctx, args| {
+            let visited = args_get(args, 1)?.as_list()?.iter();
+            let visited = visited.map(|v| Ok(v.as_i64()? as u64));
+            let visited = visited.collect::<SydResult<Vec<u64>>>()?;
+            r.seen.lock().push((r.device.user(), visited));
+            delete_by_corr(&r.device.inner, ctx, args)
+        })];
+        let seen = Arc::new(Mutex::new(Rank::Leaf, Vec::<(UserId, Vec<u64>)>::new()));
+        let _recorders: Vec<_> = devices
+            .iter()
+            .map(|d| {
+                let device = d.clone();
+                let recorder = Arc::new(Recorder {
+                    device,
+                    seen: Arc::clone(&seen),
+                });
+                d.serve(&link_service(), &recorder, RECORDING);
+                recorder
+            })
+            .collect();
         let deleted_at_four = Arc::new(Mutex::new(Rank::Leaf, 0));
         let counter = Arc::clone(&deleted_at_four);
         devices[3].events().subscribe(
@@ -1575,16 +1548,12 @@ mod tests {
     fn method_coupling_invokes_destinations() {
         let (_net, _dir, devices) = rig(2);
         let svc = ServiceName::new("calendar");
+        static COUNTED: &[Method<Mutex<u32>>] = &[Method::new("refresh", |hits, _, _| {
+            *hits.lock() += 1;
+            Ok(Value::Null)
+        })];
         let hits = Arc::new(Mutex::new(Rank::Leaf, 0u32));
-        let hc = Arc::clone(&hits);
-        devices[1].register_service(
-            &svc,
-            "refresh",
-            Arc::new(move |_ctx, _args| {
-                *hc.lock() += 1;
-                Ok(Value::Null)
-            }),
-        );
+        devices[1].serve(&svc, &hits, COUNTED);
         devices[0]
             .links()
             .couple_method(&svc, "update", devices[1].user(), &svc, "refresh")
@@ -1636,9 +1605,18 @@ mod tests {
             .count()
     }
 
-    fn serve(device: &DeviceRuntime, service: &ServiceName, method: &str, n: i64) {
-        device.register_service(service, method, Arc::new(move |_, _| Ok(Value::I64(n))));
+    /// Serves `service` with `table`, from the device's own state.
+    fn serve(device: &DeviceRuntime, service: &ServiceName, table: &'static [Method<DeviceInner>]) {
+        device.serve(service, &device.inner, table);
     }
+
+    static REFRESH: &[Method<DeviceInner>] = &[Method::new("refresh", |_, _, _| Ok(Value::Null))];
+    const ONE: Method<DeviceInner> = Method::new("one", |_, _, _| Ok(Value::I64(1)));
+    const TWO: Method<DeviceInner> = Method::new("two", |_, _, _| Ok(Value::I64(2)));
+    static ONE_TABLE: &[Method<DeviceInner>] = &[ONE];
+    static ONE_TWO: &[Method<DeviceInner>] = &[ONE, TWO];
+    static ONE_TWO_THREE: &[Method<DeviceInner>] =
+        &[ONE, TWO, Method::new("three", |_, _, _| Ok(Value::I64(4)))];
 
     #[test]
     fn a_failed_publish_is_sent_again_by_the_next_publish() {
@@ -1649,8 +1627,7 @@ mod tests {
 
         // Registration is local; one publish sends the service once.
         let before = served(&dir);
-        serve(device, &app, "one", 1);
-        serve(device, &app, "two", 2);
+        serve(device, &app, ONE_TWO);
         assert_eq!(served(&dir), before);
         assert_eq!(device.unpublished(), std::slice::from_ref(&app));
         device.publish().unwrap();
@@ -1659,8 +1636,9 @@ mod tests {
 
         // The directory is out of range: the wave fails in the background,
         // and the new methods are served locally all the same.
-        serve(device, &other, "x", 3);
-        serve(device, &app, "three", 4);
+        static X: &[Method<DeviceInner>] = &[Method::new("x", |_, _, _| Ok(Value::I64(3)))];
+        serve(device, &other, X);
+        serve(device, &app, ONE_TWO_THREE);
         net.set_connected(dir.addr(), false);
         device.publish().unwrap();
         wait_for("the failure", || publish_failures(device) == 1);
@@ -1696,7 +1674,7 @@ mod tests {
         // Nothing crosses: each of the wave's sends would wait out a 2 s
         // deadline.
         net.set_partitioned(device.addr(), dir.addr(), true);
-        serve(&device, &ServiceName::new("app"), "one", 1);
+        serve(&device, &ServiceName::new("app"), ONE_TABLE);
         let (started, sent) = (std::time::Instant::now(), net.stats().sent);
         device.publish().unwrap();
         assert!(
@@ -1743,8 +1721,8 @@ mod tests {
                 s.spawn(move || {
                     let own = ServiceName::new(format!("own{i}"));
                     for _ in 0..3 {
-                        serve(device, shared, &format!("m{i}"), i);
-                        serve(device, &own, "m", i);
+                        serve(device, shared, ONE_TABLE);
+                        serve(device, &own, ONE_TABLE);
                         start.wait();
                         device.publish().unwrap();
                     }
@@ -1766,7 +1744,7 @@ mod tests {
         let (net, dir, devices) = rig(1);
         let device = &devices[0];
         net.set_connected(dir.addr(), false);
-        serve(device, &ServiceName::new("app"), "one", 1);
+        serve(device, &ServiceName::new("app"), ONE_TABLE);
         device.publish().unwrap();
         wait_for("the failure", || publish_failures(device) == 1);
 

@@ -159,7 +159,6 @@ impl SydEnv {
             user,
             name,
             self.auth.clone(),
-            Arc::clone(&self.clock),
         )?;
         proxy.node().set_identity(user, self.enrol(user, password));
         Ok(proxy)
@@ -200,6 +199,7 @@ fn fresh_iv() -> [u8; 8] {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // test code
 mod tests {
     use super::*;
+    use crate::listener::{InvokeCtx, Method};
     use syd_telemetry::names;
     use syd_types::{ServiceName, Value};
 
@@ -307,12 +307,19 @@ mod tests {
             "`register` and nothing else"
         );
 
-        // Registration is local. One `publish` then sends one request per
-        // distinct service, however many methods it has.
+        // Serving is local. One `publish` then sends one request per
+        // distinct service, however many methods its table has.
+        const NULL: fn(&(), &InvokeCtx, &[Value]) -> SydResult<Value> = |(), _, _| Ok(Value::Null);
+        static CALENDAR: &[Method<()>] = &[
+            Method::new("a", NULL),
+            Method::new("b", NULL),
+            Method::new("d", NULL),
+        ];
+        static MAILBOX: &[Method<()>] = &[Method::new("c", NULL)];
         let (cal, mail) = (ServiceName::new("calendar"), ServiceName::new("mailbox"));
-        for (service, method) in [(&cal, "a"), (&cal, "b"), (&mail, "c"), (&cal, "d")] {
-            a.register_service(service, method, Arc::new(|_, _| Ok(Value::Null)));
-        }
+        let state = Arc::new(());
+        a.serve(&cal, &state, CALENDAR);
+        a.serve(&mail, &state, MAILBOX);
         assert_eq!(dir_requests(&env) - before, 1);
         a.publish().unwrap();
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);

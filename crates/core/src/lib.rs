@@ -7,7 +7,7 @@
 //! | paper module      | here                  | role |
 //! |-------------------|-----------------------|------|
 //! | SyDDirectory      | [`directory`]         | user/group/service publishing, lookup, proxy maintenance |
-//! | SyDListener       | [`listener`]          | registers device services, authenticates and dispatches remote invocations |
+//! | SyDListener       | [`listener`]          | serves a device's service tables, authenticates and dispatches remote invocations |
 //! | SyDEngine         | [`engine`]            | single and group remote invocation, result aggregation |
 //! | SyDEventHandler   | [`events`]            | local/global event registration, periodic tasks (link expiry) |
 //! | SyDLinks          | [`links`]             | coordination links: subscription & negotiation, tentative/permanent, priority, waiting-link promotion, cascade delete, expiry, method coupling |
@@ -51,7 +51,7 @@ pub use engine::{Call, GroupResult, SydEngine};
 pub use env::SydEnv;
 pub use events::EventHandler;
 pub use links::{Constraint, Link, LinkKind, LinkRef, LinkStatus, LinksModule, WaitingEntry};
-pub use listener::{InvokeCtx, Listener, ServiceMethod};
+pub use listener::{InvokeCtx, Listener, Method};
 pub use negotiate::{NegotiationOutcome, Negotiator, Participant};
 pub use proxy::ProxyHost;
 pub use qos::QosMonitor;

@@ -1,20 +1,21 @@
-//! SyDListener: service registration and authenticated dispatch (§3.1b).
+//! SyDListener: service tables and authenticated dispatch (§3.1b).
 //!
 //! "SyDListener enables SyD device objects to publish services … as
 //! listeners locally on the device and globally via directory services."
-//! Locally, this is a registry from `(service, method)` to a handler
-//! closure; globally, [`crate::device::DeviceRuntime`] publishes each
-//! service name in the SyDDirectory once, with the service's first method
-//! — the directory lists services, the listener alone knows methods.
+//! Locally, a service is a static table of [`Method`]s served from one
+//! state the listener holds weakly; globally,
+//! [`crate::device::DeviceRuntime`] publishes each service name in the
+//! SyDDirectory once — the directory lists services, the listener alone
+//! knows methods. A device and a proxy replica serve the same tables
+//! through the same dispatch.
 //!
 //! Every inbound request is authenticated first when the deployment runs
 //! with security enabled (§5.4): the TEA credential blob is decrypted and
 //! checked against the device's authorized-user table *before* the method
 //! runs, and the authenticated user (not the claimed `caller` field) is
-//! what the handler sees.
+//! what the method sees.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use syd_crypto::Authenticator;
 use syd_net::RequestHandler;
@@ -36,78 +37,106 @@ pub struct InvokeCtx {
     pub authenticated: bool,
 }
 
-/// A registered service method.
-pub type ServiceMethod = Arc<dyn Fn(&InvokeCtx, &[Value]) -> SydResult<Value> + Send + Sync>;
-
-struct ListenerState {
-    /// Service → method → handler, so a lookup borrows both names.
-    methods: HashMap<String, HashMap<String, ServiceMethod>>,
+/// One method of a service whose state is `S`: a service is a
+/// `&'static [Method<S>]`, built once per process and served by every
+/// device (and proxy replica) that offers it.
+pub struct Method<S> {
+    name: &'static str,
+    serve: fn(&S, &InvokeCtx, &[Value]) -> SydResult<Value>,
 }
 
-/// Preregistered dispatch counters (see [`Listener::attach_metrics`]).
-struct ListenerMetrics {
+impl<S> Method<S> {
+    /// The method `name` on the wire, answered by `serve` from the
+    /// service's state.
+    pub const fn new(
+        name: &'static str,
+        serve: fn(&S, &InvokeCtx, &[Value]) -> SydResult<Value>,
+    ) -> Method<S> {
+        Method { name, serve }
+    }
+}
+
+/// A served table with its state's type erased.
+trait Served: Send + Sync {
+    /// Runs `method`, or `None` when the table has no such method.
+    fn call(&self, method: &str, ctx: &InvokeCtx, args: &[Value]) -> Option<SydResult<Value>>;
+    /// The table's method names, in table order.
+    fn names(&self) -> Vec<&'static str>;
+}
+
+struct Table<S: 'static> {
+    state: Weak<S>,
+    methods: &'static [Method<S>],
+}
+
+impl<S: Send + Sync + 'static> Served for Table<S> {
+    fn call(&self, method: &str, ctx: &InvokeCtx, args: &[Value]) -> Option<SydResult<Value>> {
+        let method = self.methods.iter().find(|m| m.name == method)?;
+        Some(match self.state.upgrade() {
+            Some(state) => (method.serve)(&state, ctx, args),
+            None => Err(SydError::Shutdown),
+        })
+    }
+
+    fn names(&self) -> Vec<&'static str> {
+        self.methods.iter().map(|m| m.name).collect()
+    }
+}
+
+/// The per-device service tables and request dispatcher.
+pub struct Listener {
+    /// One entry per served service; a device serves a handful.
+    services: RwLock<Vec<(ServiceName, Arc<dyn Served>)>>,
+    auth: Option<Arc<Authenticator>>,
+    /// "listener.dispatch" and "listener.auth_failures".
     dispatches: Counter,
     auth_failures: Counter,
 }
 
-/// The per-device service registry and request dispatcher.
-pub struct Listener {
-    state: RwLock<ListenerState>,
-    auth: Option<Arc<Authenticator>>,
-    metrics: RwLock<Option<ListenerMetrics>>,
-}
-
 impl Listener {
-    /// Creates a listener. With `Some(authenticator)` every request must
-    /// carry valid credentials; with `None` requests are trusted (the
-    /// paper's prototype also ran in both modes during development).
-    pub fn new(auth: Option<Arc<Authenticator>>) -> Listener {
+    /// Creates a listener counting into `registry`. With
+    /// `Some(authenticator)` every request must carry valid credentials;
+    /// with `None` requests are trusted (the paper's prototype also ran in
+    /// both modes during development).
+    pub fn new(auth: Option<Arc<Authenticator>>, registry: &Registry) -> Listener {
         Listener {
-            state: RwLock::new(
-                Rank::Engine,
-                ListenerState {
-                    methods: HashMap::new(),
-                },
-            ),
+            services: RwLock::new(Rank::Engine, Vec::new()),
             auth,
-            metrics: RwLock::new(Rank::Engine, None),
-        }
-    }
-
-    /// Attaches dispatch counters ("listener.dispatch",
-    /// "listener.auth_failures") to `registry`. Handles are resolved once
-    /// here, not per request.
-    pub fn attach_metrics(&self, registry: &Registry) {
-        *self.metrics.write() = Some(ListenerMetrics {
             dispatches: registry.counter(names::LISTENER_DISPATCH),
             auth_failures: registry.counter(names::LISTENER_AUTH_FAILURES),
-        });
-    }
-
-    /// Registers (or replaces) a method under `service`.
-    pub fn register(&self, service: &ServiceName, method: &str, handler: ServiceMethod) {
-        self.state
-            .write()
-            .methods
-            .entry(service.as_str().to_owned())
-            .or_default()
-            .insert(method.to_owned(), handler);
-    }
-
-    /// Unregisters a method.
-    pub fn unregister(&self, service: &ServiceName, method: &str) {
-        if let Some(methods) = self.state.write().methods.get_mut(service.as_str()) {
-            methods.remove(method);
         }
     }
 
-    /// All registered `(service, method)` pairs, sorted.
+    /// Serves `service` with the methods of `table`, each answering from
+    /// `state`, and replaces any table the service had. The listener holds
+    /// `state` weakly: once its owner drops it, the service answers
+    /// `Shutdown`.
+    pub fn serve<S: Send + Sync + 'static>(
+        &self,
+        service: &ServiceName,
+        state: &Arc<S>,
+        table: &'static [Method<S>],
+    ) {
+        let served: Arc<dyn Served> = Arc::new(Table {
+            state: Arc::downgrade(state),
+            methods: table,
+        });
+        let mut services = self.services.write();
+        match services.iter_mut().find(|(s, _)| s == service) {
+            Some((_, entry)) => *entry = served,
+            None => services.push((service.clone(), served)),
+        }
+    }
+
+    /// All served `(service, method)` pairs, sorted.
     pub fn registered(&self) -> Vec<(String, String)> {
-        let state = self.state.read();
-        let mut v: Vec<_> = state
-            .methods
+        let services = self.services.read();
+        let mut v: Vec<_> = services
             .iter()
-            .flat_map(|(service, methods)| methods.keys().map(|m| (service.clone(), m.clone())))
+            .flat_map(|(service, table)| {
+                let names = table.names().into_iter();
+                names.map(|m| (service.as_str().to_owned(), m.to_owned()))
+            })
             .collect();
         v.sort();
         v
@@ -115,20 +144,12 @@ impl Listener {
 
     /// Dispatches one request: authenticate, look up, invoke.
     pub fn dispatch(&self, from: NodeAddr, req: &Request) -> SydResult<Value> {
-        if let Some(m) = &*self.metrics.read() {
-            m.dispatches.inc();
-        }
+        self.dispatches.inc();
         let ctx = match &self.auth {
             Some(auth) => {
-                let caller = match auth.verify(&req.credentials) {
-                    Ok(caller) => caller,
-                    Err(err) => {
-                        if let Some(m) = &*self.metrics.read() {
-                            m.auth_failures.inc();
-                        }
-                        return Err(err);
-                    }
-                };
+                let caller = auth
+                    .verify(&req.credentials)
+                    .inspect_err(|_| self.auth_failures.inc())?;
                 InvokeCtx {
                     caller,
                     from,
@@ -141,30 +162,25 @@ impl Listener {
                 authenticated: false,
             },
         };
-        let handler = {
-            let state = self.state.read();
-            state
-                .methods
-                .get(req.service.as_str())
-                .and_then(|methods| methods.get(req.method.as_str()))
-                .cloned()
+        // The method runs with no lock held: it may call out.
+        let table = {
+            let services = self.services.read();
+            let entry = services.iter().find(|(s, _)| *s == req.service);
+            entry.map(|(_, table)| Arc::clone(table))
         };
-        match handler {
-            Some(h) => h(&ctx, &req.args),
-            None => Err(SydError::NoSuchService(
+        let out = table.and_then(|table| table.call(req.method.as_str(), &ctx, &req.args));
+        out.unwrap_or_else(|| {
+            Err(SydError::NoSuchService(
                 req.service.clone(),
                 req.method.to_string(),
-            )),
-        }
+            ))
+        })
     }
 }
 
-/// Adapter wiring a [`Listener`] into a network node.
-pub struct ListenerHandler(pub Arc<Listener>);
-
-impl RequestHandler for ListenerHandler {
+impl RequestHandler for Listener {
     fn handle(&self, from: NodeAddr, request: Request) -> SydResult<Value> {
-        self.0.dispatch(from, &request)
+        self.dispatch(from, &request)
     }
 }
 
@@ -172,6 +188,7 @@ impl RequestHandler for ListenerHandler {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // test code
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use syd_crypto::Credentials;
     use syd_types::RequestId;
 
@@ -188,20 +205,27 @@ mod tests {
         }
     }
 
-    fn echo_method() -> ServiceMethod {
-        Arc::new(|ctx: &InvokeCtx, args: &[Value]| {
-            Ok(Value::list([
-                Value::from(ctx.caller.raw()),
-                Value::Bool(ctx.authenticated),
-                args[0].clone(),
-            ]))
-        })
+    /// `echo` answers who called, whether that was verified, and its
+    /// argument; it notes in its state that it ran.
+    static ECHO: &[Method<AtomicBool>] = &[Method::new("echo", |ran, ctx, args| {
+        ran.store(true, Ordering::SeqCst);
+        Ok(Value::list([
+            Value::from(ctx.caller.raw()),
+            Value::Bool(ctx.authenticated),
+            args[0].clone(),
+        ]))
+    })];
+
+    fn echo_listener(auth: Option<Arc<Authenticator>>) -> (Listener, Arc<AtomicBool>) {
+        let listener = Listener::new(auth, &Registry::new());
+        let ran = Arc::new(AtomicBool::new(false));
+        listener.serve(&ServiceName::new("svc"), &ran, ECHO);
+        (listener, ran)
     }
 
     #[test]
     fn unauthenticated_mode_trusts_claimed_caller() {
-        let listener = Listener::new(None);
-        listener.register(&ServiceName::new("svc"), "echo", echo_method());
+        let (listener, _ran) = echo_listener(None);
         let out = listener
             .dispatch(NodeAddr::new(9), &request("svc", "echo", vec![]))
             .unwrap();
@@ -215,8 +239,7 @@ mod tests {
     fn authenticated_mode_uses_verified_identity() {
         let auth = Arc::new(Authenticator::from_passphrase("k"));
         auth.table().authorize(UserId::new(7), "pw");
-        let listener = Listener::new(Some(Arc::clone(&auth)));
-        listener.register(&ServiceName::new("svc"), "echo", echo_method());
+        let (listener, _ran) = echo_listener(Some(Arc::clone(&auth)));
 
         let blob = auth.seal(&Credentials::new(UserId::new(7), "pw"), [1; 8]);
         let out = listener
@@ -233,29 +256,19 @@ mod tests {
     fn bad_credentials_rejected_before_dispatch() {
         let auth = Arc::new(Authenticator::from_passphrase("k"));
         auth.table().authorize(UserId::new(7), "pw");
-        let listener = Listener::new(Some(Arc::clone(&auth)));
-        let called = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let called_clone = Arc::clone(&called);
-        listener.register(
-            &ServiceName::new("svc"),
-            "echo",
-            Arc::new(move |_, _| {
-                called_clone.store(true, std::sync::atomic::Ordering::SeqCst);
-                Ok(Value::Null)
-            }),
-        );
+        let (listener, ran) = echo_listener(Some(Arc::clone(&auth)));
         let err = listener
             .dispatch(NodeAddr::new(9), &request("svc", "echo", vec![1, 2, 3]))
             .unwrap_err();
         assert!(matches!(err, SydError::AuthFailed(_)), "{err}");
-        assert!(!called.load(std::sync::atomic::Ordering::SeqCst));
+        assert!(!ran.load(Ordering::SeqCst));
     }
 
     #[test]
     fn wrong_password_names_claimed_user() {
         let auth = Arc::new(Authenticator::from_passphrase("k"));
         auth.table().authorize(UserId::new(7), "pw");
-        let listener = Listener::new(Some(Arc::clone(&auth)));
+        let listener = Listener::new(Some(Arc::clone(&auth)), &Registry::new());
         let blob = auth.seal(&Credentials::new(UserId::new(7), "wrong"), [1; 8]);
         let err = listener
             .dispatch(NodeAddr::new(9), &request("svc", "echo", blob))
@@ -265,20 +278,28 @@ mod tests {
 
     #[test]
     fn missing_method_reported() {
-        let listener = Listener::new(None);
-        let err = listener
-            .dispatch(NodeAddr::new(1), &request("svc", "nope", vec![]))
-            .unwrap_err();
-        assert!(matches!(err, SydError::NoSuchService(_, _)));
+        let (listener, _ran) = echo_listener(None);
+        for (service, method) in [("svc", "nope"), ("other", "echo")] {
+            let err = listener
+                .dispatch(NodeAddr::new(1), &request(service, method, vec![]))
+                .unwrap_err();
+            assert!(matches!(err, SydError::NoSuchService(_, _)), "{err}");
+        }
     }
 
+    static ONE: &[Method<()>] = &[Method::new("m", |(), _, _| Ok(Value::I64(1)))];
+    static TWO: &[Method<()>] = &[
+        Method::new("m", |(), _, _| Ok(Value::I64(2))),
+        Method::new("n", |(), _, _| Ok(Value::I64(3))),
+    ];
+
+    /// Serving a service again replaces its whole table.
     #[test]
     fn register_replace_unregister() {
-        let listener = Listener::new(None);
-        let svc = ServiceName::new("svc");
-        listener.register(&svc, "m", Arc::new(|_, _| Ok(Value::I64(1))));
-        listener.register(&svc, "m", Arc::new(|_, _| Ok(Value::I64(2))));
-        listener.register(&svc, "n", Arc::new(|_, _| Ok(Value::I64(3))));
+        let listener = Listener::new(None, &Registry::new());
+        let (svc, state) = (ServiceName::new("svc"), Arc::new(()));
+        listener.serve(&svc, &state, ONE);
+        listener.serve(&svc, &state, TWO);
         assert_eq!(
             listener.registered(),
             vec![
@@ -290,9 +311,19 @@ mod tests {
             .dispatch(NodeAddr::new(1), &request("svc", "m", vec![]))
             .unwrap();
         assert_eq!(out, Value::I64(2));
-        listener.unregister(&svc, "m");
-        assert!(listener
-            .dispatch(NodeAddr::new(1), &request("svc", "m", vec![]))
-            .is_err());
+    }
+
+    #[test]
+    fn a_dropped_state_answers_shutdown() {
+        let (listener, ran) = echo_listener(None);
+        drop(ran);
+        let err = listener
+            .dispatch(NodeAddr::new(1), &request("svc", "echo", vec![]))
+            .unwrap_err();
+        assert_eq!(err, SydError::Shutdown);
+        let err = listener
+            .dispatch(NodeAddr::new(1), &request("svc", "nope", vec![]))
+            .unwrap_err();
+        assert!(matches!(err, SydError::NoSuchService(_, _)), "{err}");
     }
 }

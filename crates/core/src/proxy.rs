@@ -12,11 +12,20 @@
 //!   replica warm.
 //! * The directory maps the user to the proxy whenever the primary is
 //!   disconnected, so peers' requests land here transparently; the proxy
-//!   serves them from the replica with application-registered methods and
-//!   **journals** every local mutation.
-//! * On reconnect the primary calls [`drain journal`](ProxyHost) via
-//!   `syd.proxy/drain_journal`, replays the operations into its own store
-//!   ("A takes over the proxy"), and resumes.
+//!   serves them from the replica with the same [`Method`] tables a device
+//!   serves, through the same [`Listener`] dispatch, and **journals**
+//!   every local mutation.
+//! * `syd.proxy/drain_journal` hands the journal to whoever takes over,
+//!   and [`replay_journal`] applies it to the primary's store ("A takes
+//!   over the proxy"). [`DeviceRuntime::reconnect`] does neither: an
+//!   application that lets a replica write drains it itself. The
+//!   calendar's replica serves reads only, so it never journals anything.
+//!
+//! When the deployment authenticates, the `syd.proxy` verbs act only for
+//! their caller: `drain_journal(user)` and `sync` of a `user`'s row are
+//! refused with `AuthFailed` unless the verified caller is that user. The
+//! `proxy.sync` *event* carries no credentials, like every event, and is
+//! applied as it comes.
 //!
 //! Sync operations are row-granular upserts/deletes keyed by primary key,
 //! so replay is idempotent and order-tolerant — the right semantics for
@@ -29,12 +38,12 @@ use std::sync::Arc;
 use syd_crypto::Authenticator;
 use syd_net::{EventSink, Node, RequestHandler, Transport};
 use syd_types::sync::{Mutex, Rank, RwLock};
-use syd_types::{Clock, NodeAddr, ServiceName, SydError, SydResult, Text, UserId, Value};
+use syd_types::{NodeAddr, ServiceName, SydError, SydResult, UserId, Value};
 use syd_wire::{EventMsg, Request};
 
 use crate::device::DeviceRuntime;
 use crate::directory::DirectoryClient;
-use crate::listener::InvokeCtx;
+use crate::listener::{InvokeCtx, Listener, Method};
 use syd_store::{Predicate, Store, Trigger, TriggerEvent};
 use syd_telemetry::names;
 
@@ -43,16 +52,14 @@ pub fn proxy_service() -> ServiceName {
     ServiceName::new("syd.proxy")
 }
 
-/// A method served by a proxy on behalf of a hosted user; receives the
-/// user's replica store.
-pub type ProxyMethod = Arc<dyn Fn(&InvokeCtx, &Store, &[Value]) -> SydResult<Value> + Send + Sync>;
-
+/// One hosted user's replica and the tables served from it.
 struct Replica {
-    store: Store,
+    store: Arc<Store>,
     /// Row ops performed while acting for the user, to be replayed by the
-    /// primary on reconnect.
+    /// primary.
     journal: Mutex<Vec<Value>>,
-    methods: HashMap<(ServiceName, Text), ProxyMethod>,
+    /// The user's services, each table answering from `store`.
+    listener: Listener,
 }
 
 thread_local! {
@@ -69,13 +76,18 @@ struct ProxyInner {
     node: Node,
     directory: DirectoryClient,
     auth: Option<Arc<Authenticator>>,
+    /// The proxy's own `syd.proxy` verbs.
+    listener: Listener,
     replicas: RwLock<HashMap<UserId, Arc<Replica>>>,
-    #[allow(dead_code)]
-    clock: Arc<dyn Clock>,
-    /// Requests answered from a replica on behalf of a hosted user
-    /// ("proxy.served").
+    /// Requests routed to a hosted user's replica ("proxy.served").
     served: syd_telemetry::Counter,
 }
+
+/// The proxy's own verbs.
+static PROXY_METHODS: &[Method<ProxyInner>] = &[
+    Method::new("drain_journal", drain_journal),
+    Method::new("sync", sync),
+];
 
 /// A proxy host. Cloning shares the host.
 #[derive(Clone)]
@@ -92,7 +104,6 @@ impl ProxyHost {
         user: UserId,
         name: &str,
         auth: Option<Arc<Authenticator>>,
-        clock: Arc<dyn Clock>,
     ) -> SydResult<ProxyHost> {
         let node = Node::spawn_on(net)?;
         let directory = DirectoryClient::new(node.clone(), dir_addr);
@@ -102,22 +113,26 @@ impl ProxyHost {
             .register(user, name, node.addr())
             .inspect_err(|_| node.shutdown())?;
         let served = node.metrics().counter(names::PROXY_SERVED);
+        let listener = Listener::new(auth.clone(), node.metrics());
         let inner = Arc::new(ProxyInner {
             user,
             name: name.to_owned(),
             node,
             directory,
             auth,
+            listener,
             replicas: RwLock::new(Rank::Engine, HashMap::new()),
-            clock,
             served,
         });
+        inner
+            .listener
+            .serve(&proxy_service(), &inner, PROXY_METHODS);
         let host = ProxyHost {
             inner: Arc::clone(&inner),
         };
         let handler_inner = Arc::clone(&inner);
         inner.node.set_handler(
-            Arc::new(move |from, req: Request| serve(&handler_inner, from, &req))
+            Arc::new(move |from, req: Request| route(&handler_inner, from, &req))
                 as Arc<dyn RequestHandler>,
         );
         let sink_inner = Arc::clone(&inner);
@@ -152,8 +167,9 @@ impl ProxyHost {
     }
 
     /// Begins hosting `user`: creates the replica store, lets `setup`
-    /// create tables and register service methods, installs journaling,
-    /// and registers the proxy mapping in the directory.
+    /// create tables and name the service tables to serve from it,
+    /// installs journaling, and registers the proxy mapping in the
+    /// directory.
     ///
     /// If the prototype's embedded device "does not have the capability of
     /// using a database server, the database server could potentially be
@@ -161,18 +177,17 @@ impl ProxyHost {
     pub fn host_user(
         &self,
         user: UserId,
-        setup: impl FnOnce(&Store) -> SydResult<Vec<((ServiceName, String), ProxyMethod)>>,
+        setup: impl FnOnce(&Store) -> SydResult<Vec<(ServiceName, &'static [Method<Store>])>>,
     ) -> SydResult<()> {
-        let store = Store::new();
-        let methods_list = setup(&store)?;
-        let mut methods = HashMap::new();
-        for ((service, method), handler) in methods_list {
-            methods.insert((service, method.into()), handler);
+        let store = Arc::new(Store::new());
+        let listener = Listener::new(self.inner.auth.clone(), self.inner.node.metrics());
+        for (service, table) in setup(&store)? {
+            listener.serve(&service, &store, table);
         }
         let replica = Arc::new(Replica {
-            store: store.clone(),
+            store: Arc::clone(&store),
             journal: Mutex::new(Rank::Engine, Vec::new()),
-            methods,
+            listener,
         });
         // Journal every mutation that is not a sync application.
         for table in store.table_names() {
@@ -209,11 +224,8 @@ impl ProxyHost {
 
     /// Direct access to a hosted user's replica store (tests/diagnostics).
     pub fn replica_store(&self, user: UserId) -> Option<Store> {
-        self.inner
-            .replicas
-            .read()
-            .get(&user)
-            .map(|r| r.store.clone())
+        let replicas = self.inner.replicas.read();
+        replicas.get(&user).map(|r| Store::clone(&r.store))
     }
 
     /// Number of journaled (un-drained) operations for `user`.
@@ -232,69 +244,51 @@ fn replica_of(inner: &ProxyInner, user: UserId) -> SydResult<Arc<Replica>> {
         .ok_or_else(|| SydError::NotRegistered(user.to_string()))
 }
 
-fn serve(inner: &Arc<ProxyInner>, from: NodeAddr, req: &Request) -> SydResult<Value> {
-    // §5.4 applies at the proxy too.
-    let ctx = match &inner.auth {
-        Some(auth) => {
-            let caller = auth.verify(&req.credentials)?;
-            InvokeCtx {
-                caller,
-                from,
-                authenticated: true,
-            }
-        }
-        None => InvokeCtx {
-            caller: req.caller,
-            from,
-            authenticated: false,
-        },
-    };
-
-    // Proxy-internal service.
+/// The proxy's own verbs go to its listener; any other request to the
+/// listener of the replica it targets.
+fn route(inner: &ProxyInner, from: NodeAddr, req: &Request) -> SydResult<Value> {
     if req.service.as_str() == "syd.proxy" {
-        return match req.method.as_str() {
-            // drain_journal(user) -> [ops]; clears the journal.
-            "drain_journal" => {
-                let user = UserId::new(
-                    req.args
-                        .first()
-                        .ok_or_else(|| SydError::Protocol("drain_journal needs user".into()))?
-                        .as_i64()? as u64,
-                );
-                let ops: Vec<Value> = replica_of(inner, user)?.journal.lock().drain(..).collect();
-                Ok(Value::List(ops))
-            }
-            // sync(user, op) -> Null; request-based alternative to the
-            // fire-and-forget event (used by tests needing confirmation).
-            "sync" => {
-                let payload = req
-                    .args
-                    .first()
-                    .ok_or_else(|| SydError::Protocol("sync needs op".into()))?;
-                apply_sync_event(inner, payload)?;
-                Ok(Value::Null)
-            }
-            other => Err(SydError::NoSuchService(proxy_service(), other.to_owned())),
-        };
+        return inner.listener.dispatch(from, req);
     }
-
-    // Application service on a hosted user's replica, routed by target.
-    let replicas = inner.replicas.read();
-    let replica = replicas.get(&req.target).ok_or_else(|| {
+    let replica = replica_of(inner, req.target).map_err(|_| {
         SydError::NotRegistered(format!(
             "{} (not hosted by proxy {})",
             req.target, inner.name
         ))
     })?;
-    let replica = Arc::clone(replica);
-    drop(replicas);
-    let handler = replica
-        .methods
-        .get(&(req.service.clone(), req.method.clone()))
-        .cloned()
-        .ok_or_else(|| SydError::NoSuchService(req.service.clone(), req.method.to_string()))?;
     inner.served.inc();
-    handler(&ctx, &replica.store, &req.args)
+    replica.listener.dispatch(from, req)
+}
+
+/// When the deployment authenticates, a verb naming `user` acts only for
+/// `user` (as `leave_request` and `authority_check` do).
+fn acting_for(ctx: &InvokeCtx, user: UserId) -> SydResult<()> {
+    if ctx.authenticated && ctx.caller != user {
+        return Err(SydError::AuthFailed(ctx.caller));
+    }
+    Ok(())
+}
+
+/// drain_journal(user) -> [ops]; clears the journal.
+fn drain_journal(inner: &ProxyInner, ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+    let user = args
+        .first()
+        .ok_or_else(|| SydError::Protocol("drain_journal needs user".into()))?;
+    let user = UserId::new(user.as_i64()? as u64);
+    acting_for(ctx, user)?;
+    let ops: Vec<Value> = replica_of(inner, user)?.journal.lock().drain(..).collect();
+    Ok(Value::List(ops))
+}
+
+/// sync(op) -> Null; the request-based alternative to the fire-and-forget
+/// event (used where a caller needs confirmation).
+fn sync(inner: &ProxyInner, ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+    let op = args
+        .first()
+        .ok_or_else(|| SydError::Protocol("sync needs op".into()))?;
+    acting_for(ctx, op_user(op)?)?;
+    apply_sync_event(inner, op)?;
+    Ok(Value::Null)
 }
 
 /// Serializes one row change as a sync/journal operation.
@@ -318,10 +312,14 @@ fn row_change_to_op(table: &str, ctx: &syd_store::TriggerCtx<'_>) -> Value {
     ])
 }
 
+/// The user whose replica a sync operation changes.
+fn op_user(op: &Value) -> SydResult<UserId> {
+    Ok(UserId::new(op.get("user")?.as_i64()? as u64))
+}
+
 /// Applies one sync operation to the matching replica.
-fn apply_sync_event(inner: &Arc<ProxyInner>, payload: &Value) -> SydResult<()> {
-    let user = UserId::new(payload.get("user")?.as_i64()? as u64);
-    let replica = replica_of(inner, user)?;
+fn apply_sync_event(inner: &ProxyInner, payload: &Value) -> SydResult<()> {
+    let replica = replica_of(inner, op_user(payload)?)?;
     SYNC_DEPTH.with(|d| d.set(d.get() + 1));
     let result = apply_op_to_store(&replica.store, payload);
     SYNC_DEPTH.with(|d| d.set(d.get() - 1));
@@ -482,32 +480,36 @@ mod tests {
         .unwrap()
     }
 
-    fn read_method() -> ProxyMethod {
-        Arc::new(|_ctx: &InvokeCtx, store: &Store, args: &[Value]| {
-            let day = args[0].as_i64()?;
-            match store.get_by_key("slots", &[Value::I64(day)])? {
-                Some(row) => Ok(row.values[1].clone()),
-                None => Ok(Value::Null),
-            }
-        })
+    /// status(day) -> status | Null
+    fn status(store: &Store, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+        let day = args[0].as_i64()?;
+        match store.get_by_key("slots", &[Value::I64(day)])? {
+            Some(row) => Ok(row.values[1].clone()),
+            None => Ok(Value::Null),
+        }
     }
 
-    fn write_method() -> ProxyMethod {
-        Arc::new(|_ctx: &InvokeCtx, store: &Store, args: &[Value]| {
-            let day = args[0].as_i64()?;
-            let status = args[1].as_str()?;
-            if store.get_by_key("slots", &[Value::I64(day)])?.is_some() {
-                store.update(
-                    "slots",
-                    &Predicate::Eq("day".into(), Value::I64(day)),
-                    &[("status".into(), Value::str(status))],
-                )?;
-            } else {
-                store.insert("slots", vec![Value::I64(day), Value::str(status)])?;
-            }
-            Ok(Value::Null)
-        })
+    /// set(day, status) -> Null
+    fn set(store: &Store, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+        let day = args[0].as_i64()?;
+        let status = args[1].as_str()?;
+        if store.get_by_key("slots", &[Value::I64(day)])?.is_some() {
+            store.update(
+                "slots",
+                &Predicate::Eq("day".into(), Value::I64(day)),
+                &[("status".into(), Value::str(status))],
+            )?;
+        } else {
+            store.insert("slots", vec![Value::I64(day), Value::str(status)])?;
+        }
+        Ok(Value::Null)
     }
+
+    /// What the primary serves: reads only.
+    static READS: &[Method<Store>] = &[Method::new("status", status)];
+    /// What the replica serves: the same read, and a write.
+    static READS_AND_WRITES: &[Method<Store>] =
+        &[Method::new("status", status), Method::new("set", set)];
 
     /// Full §5.2 lifecycle: replicate → disconnect → serve via proxy →
     /// journal writes → reconnect → replay.
@@ -521,29 +523,14 @@ mod tests {
 
         // Phil's primary store and service.
         phil.store().create_table(slots_schema()).unwrap();
-        {
-            let store = phil.store().clone();
-            phil.register_service(
-                &svc,
-                "status",
-                Arc::new(move |_ctx, args: &[Value]| {
-                    let day = args[0].as_i64()?;
-                    match store.get_by_key("slots", &[Value::I64(day)])? {
-                        Some(row) => Ok(row.values[1].clone()),
-                        None => Ok(Value::Null),
-                    }
-                }),
-            );
-        }
+        let primary = Arc::new(phil.store().clone());
+        phil.serve(&svc, &primary, READS);
 
-        // Proxy hosts phil: same schema, read+write methods.
+        // Proxy hosts phil: same schema, the same read and a write.
         proxy
             .host_user(phil.user(), |store| {
                 store.create_table(slots_schema())?;
-                Ok(vec![
-                    ((svc.clone(), "status".to_owned()), read_method()),
-                    ((svc.clone(), "set".to_owned()), write_method()),
-                ])
+                Ok(vec![(svc.clone(), READS_AND_WRITES)])
             })
             .unwrap();
         enable_replication(&phil, proxy.addr(), &["slots"]).unwrap();
@@ -620,6 +607,76 @@ mod tests {
         assert_eq!(status, Value::str("reserved"));
     }
 
+    /// With authentication on, the proxy's verbs act only for the user
+    /// they name: a third party can neither drain a hosted user's journal
+    /// nor rewrite their replica's rows.
+    #[test]
+    fn proxy_verbs_act_only_for_their_caller() {
+        let env = SydEnv::new(NetConfig::ideal(), "pw");
+        let phil = env.device("phil", "p").unwrap();
+        let andy = env.device("andy", "a").unwrap();
+        let eve = env.device("eve", "e").unwrap();
+        let proxy = env.proxy("asp-proxy", "x").unwrap();
+        let svc = ServiceName::new("calendar");
+        proxy
+            .host_user(phil.user(), |store| {
+                store.create_table(slots_schema())?;
+                Ok(vec![(svc.clone(), READS_AND_WRITES)])
+            })
+            .unwrap();
+
+        // Andy writes through the proxy while phil is away: one journaled op.
+        phil.disconnect().unwrap();
+        andy.engine()
+            .invoke(
+                phil.user(),
+                &svc,
+                "set",
+                vec![Value::I64(1), Value::str("reserved")],
+            )
+            .unwrap();
+        phil.reconnect().unwrap();
+        assert_eq!(proxy.journal_len(phil.user()), 1);
+
+        let call = |who: &DeviceRuntime, method: &str, arg: Value| {
+            who.node()
+                .call(proxy.addr(), &proxy_service(), method, vec![arg])
+        };
+        let op = |status: &str| {
+            Value::map([
+                ("user", Value::from(phil.user().raw())),
+                ("table", Value::str("slots")),
+                ("kind", Value::str("upsert")),
+                ("key", Value::list([Value::I64(1)])),
+                ("row", Value::list([Value::I64(1), Value::str(status)])),
+            ])
+        };
+        let row = || {
+            let replica = proxy.replica_store(phil.user()).unwrap();
+            replica
+                .get_by_key("slots", &[Value::I64(1)])
+                .unwrap()
+                .unwrap()
+                .values[1]
+                .clone()
+        };
+
+        let phil_id = Value::from(phil.user().raw());
+        let refused = call(&eve, "drain_journal", phil_id.clone());
+        assert_eq!(refused, Err(SydError::AuthFailed(eve.user())));
+        let refused = call(&eve, "sync", op("free"));
+        assert_eq!(refused, Err(SydError::AuthFailed(eve.user())));
+        assert_eq!(proxy.journal_len(phil.user()), 1);
+        assert_eq!(row(), Value::str("reserved"));
+
+        // Phil's own calls go through; a sync is replication, not journaled.
+        call(&phil, "sync", op("busy")).unwrap();
+        assert_eq!(row(), Value::str("busy"));
+        let ops = call(&phil, "drain_journal", phil_id).unwrap();
+        assert_eq!(ops.into_list().unwrap().len(), 1);
+        assert_eq!(proxy.journal_len(phil.user()), 0);
+    }
+
     #[test]
     fn proxy_rejects_unhosted_users() {
         let env = SydEnv::new_insecure(NetConfig::ideal());
@@ -648,7 +705,7 @@ mod tests {
         proxy
             .host_user(phil.user(), |store| {
                 store.create_table(slots_schema())?;
-                Ok(vec![])
+                Ok(Vec::new())
             })
             .unwrap();
         let rec = env.directory_client().describe(phil.user()).unwrap();
@@ -667,7 +724,7 @@ mod tests {
         proxy
             .host_user(phil.user(), |store| {
                 store.create_table(slots_schema())?;
-                Ok(vec![])
+                Ok(Vec::new())
             })
             .unwrap();
         let op = Value::map([

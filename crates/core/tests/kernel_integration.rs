@@ -4,20 +4,23 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 use std::time::{Duration, Instant};
 
 use syd_core::links::{Constraint, LinkRef, LinkSpec};
-use syd_core::{DeviceRuntime, QosMonitor, SydEnv};
+use syd_core::{DeviceRuntime, Method, QosMonitor, SydEnv};
 use syd_net::{LatencyModel, NetConfig};
 use syd_types::{Clock, ServiceName, SimClock, SydError, Timestamp, Value};
 
+/// The state of the services below, which keep none.
+static NO_STATE: LazyLock<Arc<()>> = LazyLock::new(|| Arc::new(()));
+
+static ECHO: &[Method<()>] = &[Method::new("echo", |(), _, args| {
+    Ok(Value::list(args.to_vec()))
+})];
+
 fn echo_service(dev: &DeviceRuntime, svc: &ServiceName) {
-    dev.register_service(
-        svc,
-        "echo",
-        Arc::new(|_ctx, args: &[Value]| Ok(Value::list(args.to_vec()))),
-    );
+    dev.serve(svc, &NO_STATE, ECHO);
 }
 
 #[test]
@@ -272,14 +275,11 @@ fn engine_options_bound_call_time() {
     let a = env.device("a", "").unwrap();
     let b = env.device("b", "").unwrap();
     let svc = ServiceName::new("sleepy");
-    b.register_service(
-        &svc,
-        "nap",
-        Arc::new(|_ctx, _args: &[Value]| {
-            std::thread::sleep(Duration::from_millis(300));
-            Ok(Value::Null)
-        }),
-    );
+    static NAP: &[Method<()>] = &[Method::new("nap", |(), _, _| {
+        std::thread::sleep(Duration::from_millis(300));
+        Ok(Value::Null)
+    })];
+    b.serve(&svc, &NO_STATE, NAP);
     let engine = a
         .engine()
         .clone()

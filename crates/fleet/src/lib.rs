@@ -23,7 +23,7 @@ use std::sync::{Arc, Weak};
 
 use syd_core::links::LinkRef;
 use syd_core::negotiate::Participant;
-use syd_core::{DeviceRuntime, EntityHandler, SubscriptionHandler};
+use syd_core::{DeviceRuntime, EntityHandler, InvokeCtx, Method, SubscriptionHandler};
 use syd_store::{Column, ColumnType, Predicate, Schema, Store};
 use syd_types::sync::{Rank, RwLock};
 use syd_types::{ServiceName, SydError, SydResult, UserId, Value};
@@ -84,7 +84,7 @@ impl Vehicle {
         vehicle.set_state("delivery", Value::Null)?;
 
         device.set_entity_handler(Arc::new(VehicleEntityHandler(Arc::downgrade(&vehicle))));
-        vehicle.register_services();
+        device.serve(&fleet_service(), &vehicle, FLEET_METHODS);
         device.publish()?;
         Ok(vehicle)
     }
@@ -162,45 +162,35 @@ impl Vehicle {
     pub fn complete_delivery(&self) -> SydResult<()> {
         self.set_state("delivery", Value::Null)
     }
+}
 
-    fn register_services(self: &Arc<Self>) {
-        let svc = fleet_service();
+/// The fleet service a vehicle serves.
+static FLEET_METHODS: &[Method<Vehicle>] = &[
+    Method::new("position", position),
+    Method::new("assign_delivery", assign_delivery),
+];
 
-        // position() -> {x, y, zone, delivery}
-        let weak = Arc::downgrade(self);
-        self.device.register_service(
-            &svc,
-            "position",
-            Arc::new(move |_ctx, _args: &[Value]| {
-                let v = weak.upgrade().ok_or(SydError::Shutdown)?;
-                Ok(Value::map([
-                    ("x", v.state("x")?),
-                    ("y", v.state("y")?),
-                    ("zone", v.state("zone")?),
-                    ("delivery", v.state("delivery")?),
-                ]))
-            }),
-        );
+/// position() -> {x, y, zone, delivery}
+fn position(v: &Vehicle, _ctx: &InvokeCtx, _args: &[Value]) -> SydResult<Value> {
+    Ok(Value::map([
+        ("x", v.state("x")?),
+        ("y", v.state("y")?),
+        ("zone", v.state("zone")?),
+        ("delivery", v.state("delivery")?),
+    ]))
+}
 
-        // assign_delivery(label) -> Bool (false when already busy)
-        let weak = Arc::downgrade(self);
-        self.device.register_service(
-            &svc,
-            "assign_delivery",
-            Arc::new(move |_ctx, args: &[Value]| {
-                let v = weak.upgrade().ok_or(SydError::Shutdown)?;
-                let label = args
-                    .first()
-                    .ok_or_else(|| SydError::Protocol("needs label".into()))?
-                    .as_str()?;
-                if !v.state("delivery")?.is_null() {
-                    return Ok(Value::Bool(false));
-                }
-                v.set_state("delivery", Value::str(label))?;
-                Ok(Value::Bool(true))
-            }),
-        );
+/// assign_delivery(label) -> Bool (false when already busy)
+fn assign_delivery(v: &Vehicle, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+    let label = args
+        .first()
+        .ok_or_else(|| SydError::Protocol("needs label".into()))?
+        .as_str()?;
+    if !v.state("delivery")?.is_null() {
+        return Ok(Value::Bool(false));
     }
+    v.set_state("delivery", Value::str(label))?;
+    Ok(Value::Bool(true))
 }
 
 /// Negotiated changes to a vehicle's entities (zone reassignment).

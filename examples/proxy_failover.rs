@@ -11,11 +11,11 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use syd::kernel::proxy::{enable_replication, proxy_service, replay_journal, ProxyMethod};
-use syd::kernel::SydEnv;
+use syd::kernel::proxy::{enable_replication, proxy_service, replay_journal};
+use syd::kernel::{InvokeCtx, Method, SydEnv};
 use syd::net::NetConfig;
 use syd::store::{Column, ColumnType, Predicate, Schema, Store};
-use syd::types::{ServiceName, TimeSlot, Value};
+use syd::types::{ServiceName, SydResult, TimeSlot, Value};
 
 fn slots_schema() -> Schema {
     Schema::new(
@@ -29,6 +29,33 @@ fn slots_schema() -> Schema {
     .unwrap()
 }
 
+/// get(ordinal) -> status, "free" without a row
+fn get(store: &Store, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+    let ordinal = args[0].as_i64()?;
+    Ok(store
+        .get_by_key("slots", &[Value::I64(ordinal)])?
+        .map_or(Value::str("free"), |row| row.values[1].clone()))
+}
+
+/// set(ordinal, status) -> Null
+fn set(store: &Store, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+    let ordinal = args[0].as_i64()?;
+    let status = args[1].as_str()?;
+    if store.get_by_key("slots", &[Value::I64(ordinal)])?.is_some() {
+        store.update(
+            "slots",
+            &Predicate::Eq("ordinal".into(), Value::I64(ordinal)),
+            &[("status".into(), Value::str(status))],
+        )?;
+    } else {
+        store.insert("slots", vec![Value::I64(ordinal), Value::str(status)])?;
+    }
+    Ok(Value::Null)
+}
+
+/// The slots service: Phil's device serves the read, the proxy both.
+static SLOTS: &[Method<Store>] = &[Method::new("get", get), Method::new("set", set)];
+
 fn main() {
     let env = SydEnv::new(NetConfig::wireless_lan(), "proxy passphrase");
     let phil = env.device("phil", "pw-phil").unwrap();
@@ -39,49 +66,15 @@ fn main() {
 
     // Phil's primary store and a tiny slots service.
     phil.store().create_table(slots_schema()).unwrap();
-    {
-        let store = phil.store().clone();
-        phil.register_service(
-            &svc,
-            "get",
-            Arc::new(move |_ctx, args: &[Value]| {
-                let ordinal = args[0].as_i64()?;
-                Ok(store
-                    .get_by_key("slots", &[Value::I64(ordinal)])?
-                    .map_or(Value::str("free"), |row| row.values[1].clone()))
-            }),
-        );
-    }
+    let primary = Arc::new(phil.store().clone());
+    phil.serve(&svc, &primary, &SLOTS[..1]);
 
     // The proxy hosts a replica of Phil's database and serves the same
-    // service — including writes, which it journals.
-    let get: ProxyMethod = Arc::new(|_ctx, store: &Store, args: &[Value]| {
-        let ordinal = args[0].as_i64()?;
-        Ok(store
-            .get_by_key("slots", &[Value::I64(ordinal)])?
-            .map_or(Value::str("free"), |row| row.values[1].clone()))
-    });
-    let set: ProxyMethod = Arc::new(|_ctx, store: &Store, args: &[Value]| {
-        let ordinal = args[0].as_i64()?;
-        let status = args[1].as_str()?;
-        if store.get_by_key("slots", &[Value::I64(ordinal)])?.is_some() {
-            store.update(
-                "slots",
-                &Predicate::Eq("ordinal".into(), Value::I64(ordinal)),
-                &[("status".into(), Value::str(status))],
-            )?;
-        } else {
-            store.insert("slots", vec![Value::I64(ordinal), Value::str(status)])?;
-        }
-        Ok(Value::Null)
-    });
+    // service — and a write, which it journals.
     proxy
         .host_user(phil.user(), |store| {
             store.create_table(slots_schema())?;
-            Ok(vec![
-                ((svc.clone(), "get".to_owned()), get),
-                ((svc.clone(), "set".to_owned()), set),
-            ])
+            Ok(vec![(svc.clone(), SLOTS)])
         })
         .unwrap();
     enable_replication(&phil, proxy.addr(), &["slots"]).unwrap();

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use syd::calendar::{CalendarApp, MeetingSpec, MeetingStatus};
-use syd::kernel::SydEnv;
+use syd::kernel::{Method, SydEnv};
 use syd::net::NetConfig;
 use syd::types::{Priority, TimeSlot, UserId};
 
@@ -134,26 +134,34 @@ fn deeply_nested_invocations_do_not_exhaust_the_pool() {
         .map(|i| env.device(&format!("hop{i}"), "").unwrap())
         .collect();
     let svc = syd::types::ServiceName::new("chain");
-    for (i, dev) in devices.iter().enumerate() {
-        let next = devices[(i + 1) % devices.len()].user();
-        let engine = dev.engine().clone();
-        dev.register_service(
-            &svc,
-            "hop",
-            Arc::new(move |_ctx, args: &[syd::types::Value]| {
-                let remaining = args[0].as_i64()?;
-                if remaining <= 0 {
-                    return Ok(syd::types::Value::I64(0));
-                }
-                engine.invoke(
-                    next,
-                    &syd::types::ServiceName::new("chain"),
-                    "hop",
-                    vec![syd::types::Value::I64(remaining - 1)],
-                )
-            }),
-        );
+    /// Where a device's hop goes next.
+    struct Hop {
+        engine: syd::kernel::SydEngine,
+        next: UserId,
     }
+    static CHAIN: &[Method<Hop>] = &[Method::new("hop", |hop, _, args| {
+        let remaining = args[0].as_i64()?;
+        if remaining <= 0 {
+            return Ok(syd::types::Value::I64(0));
+        }
+        hop.engine.invoke(
+            hop.next,
+            &syd::types::ServiceName::new("chain"),
+            "hop",
+            vec![syd::types::Value::I64(remaining - 1)],
+        )
+    })];
+    let _hops: Vec<Arc<Hop>> = devices
+        .iter()
+        .enumerate()
+        .map(|(i, dev)| {
+            let next = devices[(i + 1) % devices.len()].user();
+            let engine = dev.engine().clone();
+            let hop = Arc::new(Hop { engine, next });
+            dev.serve(&svc, &hop, CHAIN);
+            hop
+        })
+        .collect();
     // 40 hops around the ring of 8 devices = 5 nested requests per device.
     let out = devices[0]
         .engine()

@@ -5,13 +5,14 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 
+use std::sync::atomic::AtomicU32;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use syd::bidding::{Host, Player};
 use syd::calendar::{CalendarApp, MeetingSpec, MeetingStatus};
 use syd::fleet::{deploy_fleet, Position};
-use syd::kernel::SydEnv;
+use syd::kernel::{Method, SydEnv};
 use syd::net::{LatencyModel, NetConfig};
 use syd::types::{Priority, SydError, TimeSlot, UserId, Value};
 
@@ -373,16 +374,12 @@ fn coupled_methods_fire_on_invocation() {
     let a = env.device("a", "").unwrap();
     let b = env.device("b", "").unwrap();
     let svc = syd::types::ServiceName::new("calendar");
-    let hits = Arc::new(std::sync::atomic::AtomicU32::new(0));
-    let hc = Arc::clone(&hits);
-    b.register_service(
-        &svc,
-        "on_peer_update",
-        Arc::new(move |_ctx, _args: &[Value]| {
-            hc.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            Ok(Value::Null)
-        }),
-    );
+    static UPDATES: &[Method<AtomicU32>] = &[Method::new("on_peer_update", |hits, _, _| {
+        hits.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        Ok(Value::Null)
+    })];
+    let hits = Arc::new(AtomicU32::new(0));
+    b.serve(&svc, &hits, UPDATES);
 
     a.links()
         .couple_method(&svc, "local_update", b.user(), &svc, "on_peer_update")

@@ -3,11 +3,12 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 
+use std::sync::atomic::AtomicU32;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use syd::calendar::{CalendarApp, MeetingSpec, MeetingStatus};
-use syd::kernel::SydEnv;
+use syd::kernel::{Method, SydEnv};
 use syd::net::NetConfig;
 use syd::store::Predicate;
 use syd::types::{TimeSlot, Value};
@@ -167,16 +168,12 @@ fn link_method_table_drives_coupled_invocation() {
     let a = env.device("a", "").unwrap();
     let b = env.device("b", "").unwrap();
     let svc = syd::types::ServiceName::new("calendar");
-    let hits = Arc::new(std::sync::atomic::AtomicU32::new(0));
-    let hc = Arc::clone(&hits);
-    b.register_service(
-        &svc,
-        "sync_copy",
-        Arc::new(move |_ctx, _args: &[Value]| {
-            hc.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            Ok(Value::Null)
-        }),
-    );
+    static COPIES: &[Method<AtomicU32>] = &[Method::new("sync_copy", |hits, _, _| {
+        hits.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        Ok(Value::Null)
+    })];
+    let hits = Arc::new(AtomicU32::new(0));
+    b.serve(&svc, &hits, COPIES);
 
     a.links()
         .couple_method(&svc, "write_entry", b.user(), &svc, "sync_copy")
