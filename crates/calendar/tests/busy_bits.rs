@@ -12,6 +12,7 @@ use syd_calendar::app::{calendar_service, free_bitmap_of};
 use syd_calendar::{CalendarApp, GroupSpec, MeetingId, MeetingSpec, MeetingStatus};
 use syd_core::SydEnv;
 use syd_net::NetConfig;
+use syd_telemetry::names;
 use syd_types::rng::{cases, Rng};
 use syd_types::{Priority, SlotBitmap, TimeSlot, UserId, Value};
 
@@ -43,6 +44,14 @@ const WINDOWS: &[(u64, u64)] = &[
     (FAR + 64, FAR + 200),
     (20_000, 20_100),
 ];
+
+/// Frames sent so far by every device of `env`.
+fn frames(env: &SydEnv) -> u64 {
+    env.transport()
+        .metrics()
+        .counter(names::TRANSPORT_FRAMES_OUT)
+        .get()
+}
 
 fn pick<T: Copy>(rng: &mut Rng, from: &[T]) -> T {
     from[rng.below(from.len() as u64) as usize]
@@ -140,19 +149,28 @@ fn run_history(rng: &mut Rng) {
     }
 
     // Repair rounds and reschedules run on in the background: wait until
-    // they are done writing, then the two must agree.
+    // no frame has gone out for 100 ms and no lock is held, then the two
+    // must agree.
     let deadline = Instant::now() + Duration::from_secs(5);
+    let mut seen = frames(&env);
+    let mut quiet_since = Instant::now();
     loop {
+        std::thread::sleep(Duration::from_millis(5));
+        let now = frames(&env);
+        if now != seen {
+            seen = now;
+            quiet_since = Instant::now();
+        }
         let busy = apps
             .iter()
             .any(|a| a.device().store().locks().held_count() > 0);
-        let differ = disagreements(&apps);
-        if !busy && differ.is_empty() {
+        if !busy && quiet_since.elapsed() >= Duration::from_millis(100) {
             break;
         }
-        assert!(Instant::now() < deadline, "bits != rows: {differ:#?}");
-        std::thread::sleep(Duration::from_millis(20));
+        assert!(Instant::now() < deadline, "the devices never went quiet");
     }
+    let differ = disagreements(&apps);
+    assert!(differ.is_empty(), "bits != rows: {differ:#?}");
     // And a slot the bits call free has no row.
     for app in &apps {
         let bits: SlotBitmap = app.free_bitmap(0, FAR + 2).unwrap();

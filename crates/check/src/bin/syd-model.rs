@@ -1,10 +1,11 @@
 //! `syd-model` CLI: exhaustive model checking of the SyD negotiation
-//! and link-lifecycle protocols against the `syd-check` oracle.
+//! and link-lifecycle protocols ([`syd_check::model`]) against the
+//! `syd-check` oracle.
 //!
 //! ```text
-//! cargo run -p syd-model -- --devices 3 --faults 1 --constraint or:2
-//! cargo run -p syd-model -- --inject double-commit
-//! cargo run -p syd-model -- --inject skip-cascade
+//! cargo run -p syd-check --bin syd-model -- --devices 3 --faults 1 --constraint or:2
+//! cargo run -p syd-check --bin syd-model -- --inject double-commit
+//! cargo run -p syd-check --bin syd-model -- --inject skip-cascade
 //! ```
 //!
 //! Exit status 0 means the expectation held: a run without `--inject`
@@ -17,12 +18,12 @@
 
 use std::process::ExitCode;
 
-use syd_check::{audit_journals, AuditOptions, Rule};
-use syd_core::Constraint;
-use syd_model::{
-    audit_schedule, minimize, replay_schedule, Explorer, LifecycleInject, LifecycleModel, Model,
+use syd_check::model::{
+    minimize, snapshot_schedule, Explorer, LifecycleInject, LifecycleModel, Model,
     NegotiationInject, NegotiationModel, Verdict,
 };
+use syd_check::{audit_journals, audit_states, Rule};
+use syd_core::Constraint;
 use syd_telemetry::names;
 use syd_telemetry::Registry;
 
@@ -303,8 +304,9 @@ fn run_check<M: Model>(model: &M, banner: &str, inject: Option<Inject>, max_stat
 
             // Closed loop, part 1: replay the minimized schedule from
             // scratch and let the full oracle judge it.
-            let replayed =
-                audit_schedule(model, &minimized).expect("minimized schedule must replay");
+            let (states, opts) =
+                snapshot_schedule(model, &minimized).expect("minimized schedule must replay");
+            let replayed = audit_states(&states, &opts);
             println!();
             println!("oracle verdict (syd_check::audit_states over the replayed schedule):");
             print!("{replayed}");
@@ -313,15 +315,8 @@ fn run_check<M: Model>(model: &M, banner: &str, inject: Option<Inject>, max_stat
             // Closed loop, part 2: re-emit the schedule as a plain
             // journal stream and run the journal-only auditor over it —
             // the counterexample is a real syd-check input.
-            let (state, mut journal) =
-                replay_schedule(model, &minimized).expect("minimized schedule must replay");
-            let settled = model.finalize(&state, &mut journal);
-            let opts = if model.strict(&settled) {
-                AuditOptions::strict()
-            } else {
-                AuditOptions::default()
-            };
-            let journal_report = audit_journals(&journal.into_journals(), &opts);
+            let journals: Vec<_> = states.into_iter().map(|s| (s.device, s.journal)).collect();
+            let journal_report = audit_journals(&journals, &opts);
             if journal_report.violations.iter().any(|v| v.rule == target) {
                 println!(
                     "closed loop: re-emitted journal stream trips rule `{target}` in \

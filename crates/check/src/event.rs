@@ -1,8 +1,8 @@
 //! What the checker works out from a journal on its own.
 //!
 //! The records themselves are [`syd_telemetry::Event`] values — the same
-//! enum the kernel, `syd-model` and [`crate::synth`] build — so there is
-//! nothing to parse. What stays here is the arithmetic the oracle must
+//! enum the kernel and the [`crate::model`] build — so there is nothing
+//! to parse. What stays here is the arithmetic the oracle must
 //! *not* share with the kernel it audits: whether a committed count
 //! meets a constraint, written independently of `syd_core::negotiate::fsm`.
 

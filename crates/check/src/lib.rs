@@ -18,25 +18,27 @@
 //! * **cascade deletes** (strict) — no link halves left behind.
 //!
 //! What it reads is a value, not text: a journal record is a
-//! [`syd_telemetry::Event`], the enum the kernel, `syd-model` and
-//! [`synth`] all build, so entity names, refusal reasons and correlation
-//! ids are compared, never tokenized. The lines of a violation's excerpt
+//! [`syd_telemetry::Event`], the enum the kernel and the [`model`] both
+//! build, so entity names, refusal reasons and correlation ids are
+//! compared, never tokenized. The lines of a violation's excerpt
 //! are that enum's `Display` rendering.
 //!
 //! Run [`audit`] (or [`audit_strict`] after quiescing on a reliable
 //! network) over the deployment's devices; the returned
 //! [`AuditReport`] renders each violation with the offending session id
 //! and a minimized journal excerpt. [`audit_journals`] checks captured
-//! journals offline — that is also what the synthetic-journal oracle in
-//! [`synth`] exercises. The `syd-bench` crate's `check` binary drives
-//! hundreds of seeded negotiations through lossy and partitioned
-//! networks and audits the aftermath.
+//! journals offline. The [`model`] enumerates every schedule of an
+//! abstract SyD system and judges each with this same oracle (the
+//! `syd-model` binary); its schedules, with and without planted bugs,
+//! are also the journals this crate's own tests audit. The `syd-bench`
+//! crate's `check` binary drives hundreds of seeded negotiations through
+//! lossy and partitioned networks and audits the aftermath.
 
 pub mod event;
+pub mod model;
 pub mod replay;
 pub mod report;
 pub mod state;
-pub mod synth;
 
 use syd_core::{DeviceRuntime, LinkStatus};
 use syd_types::Value;
@@ -44,7 +46,6 @@ use syd_types::Value;
 pub use replay::{audit_journals, AuditOptions};
 pub use report::{AuditReport, Rule, Violation};
 pub use state::{audit_states, DeviceState, HeldLock, LinkRecord, WaitingRecord};
-pub use synth::Mutation;
 
 /// Audits live devices with loss-tolerant checks: in-flight sessions and
 /// locks whose lease has yet to lapse are not violations. Suitable after
@@ -70,7 +71,7 @@ where
 /// Audits live devices under explicit [`AuditOptions`]: snapshots each
 /// runtime's journal, lock table, waiting-link queue, and link database
 /// into a [`DeviceState`] and delegates to the pure
-/// [`state::audit_states`] oracle (which the `syd-model` checker also
+/// [`state::audit_states`] oracle (which the [`model`] checker also
 /// uses, so live runs and exhaustive model runs are judged identically).
 pub fn audit_with<'a, I>(devices: I, opts: &AuditOptions) -> AuditReport
 where

@@ -1,5 +1,6 @@
-//! `syd-model` — an exhaustive explicit-state model checker for the SyD
-//! negotiation (§4.3) and link-lifecycle (§4.2) protocols.
+//! An exhaustive explicit-state model checker for the SyD negotiation
+//! (§4.3) and link-lifecycle (§4.2) protocols, run by the `syd-model`
+//! binary — and the generator of the checker's own test journals.
 //!
 //! The checker enumerates **every schedule** of an abstract SyD system —
 //! `n` devices, concurrent negotiation sessions, link promotion and
@@ -7,7 +8,7 @@
 //! `k` duplicated deliveries, and optionally a crashing coordinator.
 //! Each distinct terminal state is judged by the *same oracle the
 //! runtime is judged by*: the schedule's journals and device snapshots
-//! are fed to `syd_check::audit_states`, so a protocol state the
+//! are fed to [`crate::audit_states`], so a protocol state the
 //! invariant auditor would flag in production is a violation here too.
 //!
 //! Three design rules keep the model honest:
@@ -25,7 +26,7 @@
 //!    the oracle does not read) is a compile error, like rule 1.
 //! 3. **Closed loop on counterexamples.** A violating schedule is
 //!    minimized and replayed into a fresh `JournalEvent` stream, which
-//!    must trip the *same* `syd_check::Rule` — the counterexample is a
+//!    must trip the *same* [`crate::Rule`] — the counterexample is a
 //!    real input to the production auditor, not just a model artifact.
 //!
 //! The `--inject` mutations plant known protocol bugs (double commit,
@@ -42,7 +43,9 @@ pub mod journal;
 pub mod lifecycle;
 pub mod negotiation;
 
-pub use explore::{audit_schedule, minimize, replay_schedule, Explorer, Model, Stats, Verdict};
+pub use explore::{
+    audit_schedule, minimize, replay_schedule, snapshot_schedule, Explorer, Model, Stats, Verdict,
+};
 pub use journal::JournalSet;
 pub use lifecycle::{LifecycleAction, LifecycleInject, LifecycleModel, LifecycleState};
 pub use negotiation::{NegotiationAction, NegotiationInject, NegotiationModel, NegotiationState};

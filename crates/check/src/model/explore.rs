@@ -8,7 +8,7 @@
 //! schedules that reach the same abstract state are continued only once.
 //! The oracle (`syd_check`) judges the journal a schedule produces, so
 //! the abstraction is only sound if the abstract state captures every
-//! journal distinction the oracle can observe. The models in this crate
+//! journal distinction the oracle can observe. The models in this module
 //! are built that way — per-participant protocol slots, lock holders,
 //! and fault budgets fully determine which per-session stories exist in
 //! the journal — and their unit tests cross-check the claim, but it is a
@@ -20,11 +20,10 @@ use std::collections::HashSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-use syd_check::{audit_states, AuditOptions, AuditReport, DeviceState, Rule};
-use syd_telemetry::{Counter, Registry};
+use syd_telemetry::{names, Counter, Registry};
 
-use crate::journal::JournalSet;
-use syd_telemetry::names;
+use super::journal::JournalSet;
+use crate::{audit_states, AuditOptions, AuditReport, DeviceState, Rule};
 
 /// An abstract protocol instance the explorer can enumerate.
 ///
@@ -228,10 +227,13 @@ pub fn replay_schedule<M: Model>(
     Some((state, journal))
 }
 
-/// Replays `schedule`, settles the final state, and runs the `syd-check`
-/// oracle over the resulting snapshots. `None` if the schedule does not
-/// replay.
-pub fn audit_schedule<M: Model>(model: &M, schedule: &[M::Action]) -> Option<AuditReport> {
+/// Replays `schedule`, settles the final state, and reduces it to the
+/// snapshots the `syd-check` oracle audits, with the options the model
+/// asks for. `None` if the schedule does not replay.
+pub fn snapshot_schedule<M: Model>(
+    model: &M,
+    schedule: &[M::Action],
+) -> Option<(Vec<DeviceState>, AuditOptions)> {
     let (state, mut journal) = replay_schedule(model, schedule)?;
     let settled = model.finalize(&state, &mut journal);
     let opts = if model.strict(&settled) {
@@ -239,7 +241,13 @@ pub fn audit_schedule<M: Model>(model: &M, schedule: &[M::Action]) -> Option<Aud
     } else {
         AuditOptions::default()
     };
-    let snapshots = model.snapshot(&settled, journal.into_journals());
+    Some((model.snapshot(&settled, journal.into_journals()), opts))
+}
+
+/// Runs the `syd-check` oracle over [`snapshot_schedule`]. `None` if the
+/// schedule does not replay.
+pub fn audit_schedule<M: Model>(model: &M, schedule: &[M::Action]) -> Option<AuditReport> {
+    let (snapshots, opts) = snapshot_schedule(model, schedule)?;
     Some(audit_states(&snapshots, &opts))
 }
 

@@ -22,14 +22,14 @@
 //! the delete to every peer. Small as it is, this exercises every
 //! branch of both pure cores.
 
-use syd_check::{DeviceState, LinkRecord, WaitingRecord};
+use crate::{DeviceState, LinkRecord, WaitingRecord};
 use syd_core::links::lifecycle;
 use syd_core::WaitingEntry;
 use syd_telemetry::{Event, JournalEvent};
 use syd_types::{LinkId, Priority, UserId};
 
-use crate::explore::Model;
-use crate::journal::JournalSet;
+use super::explore::Model;
+use super::journal::JournalSet;
 
 /// Lifecycle mutations for `--inject`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -339,8 +339,8 @@ impl Model for LifecycleModel {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // test code
 mod tests {
     use super::*;
-    use crate::explore::{audit_schedule, minimize, Explorer, Verdict};
-    use syd_check::Rule;
+    use crate::model::explore::{audit_schedule, minimize, Explorer, Verdict};
+    use crate::Rule;
     use syd_telemetry::Registry;
 
     fn model(inject: Option<LifecycleInject>, loss: u8) -> LifecycleModel {

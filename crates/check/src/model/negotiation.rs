@@ -30,15 +30,15 @@
 //! its lease has crashed. Fault budgets are part of the state, so the
 //! explorer covers every placement of every budgeted fault.
 
-use syd_check::{DeviceState, HeldLock};
+use crate::{DeviceState, HeldLock};
 use syd_core::device::LOCK_LEASE;
 use syd_core::negotiate::fsm::{self, Entry, Verb, PAST_EVERY_LEASE};
 use syd_core::Constraint;
 use syd_telemetry::{Event, JournalEvent, Vote};
 use syd_types::{RequestId, SydError, SydResult, Timestamp, UserId, Value};
 
-use crate::explore::Model;
-use crate::journal::JournalSet;
+use super::explore::Model;
+use super::journal::JournalSet;
 
 /// Protocol mutations for `--inject`: each plants one specific bug the
 /// oracle must catch, closing the loop between checker and model.
@@ -720,8 +720,8 @@ impl Model for NegotiationModel {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // test code
 mod tests {
     use super::*;
-    use crate::explore::{audit_schedule, minimize, Explorer, Verdict};
-    use syd_check::Rule;
+    use crate::model::explore::{audit_schedule, minimize, Explorer, Verdict};
+    use crate::Rule;
     use syd_telemetry::Registry;
 
     fn model(constraint: Constraint) -> NegotiationModel {

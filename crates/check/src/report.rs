@@ -110,7 +110,7 @@ impl AuditReport {
 
     /// Stable-sorts violations into canonical (device, session, rule,
     /// message) order and drops exact duplicates. CI diffs, counterexample
-    /// comparison in `syd-model`, and cross-platform runs all rely on
+    /// comparison in [`crate::model`], and cross-platform runs all rely on
     /// reports being byte-stable regardless of audit discovery order.
     pub fn normalize(&mut self) {
         self.violations.sort();

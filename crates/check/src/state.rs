@@ -4,7 +4,7 @@
 //! A [`DeviceState`] is everything the auditor needs to know about one
 //! device — its journal plus the lock table, link database, and
 //! waiting-link queue reduced to plain records. The live audit snapshots
-//! each runtime into this form and delegates here; the `syd-model`
+//! each runtime into this form and delegates here; the [`crate::model`]
 //! exhaustive model checker builds the same snapshots from abstract
 //! model states, so both paths are judged by literally the same oracle.
 

@@ -25,7 +25,6 @@ use syd_types::{NodeAddr, ServiceName, SydError, SydResult, UserId, Value};
 
 use crate::directory::DirectoryClient;
 use crate::negotiate::{link_service, PROTOCOL_VERBS};
-use crate::qos::QosMonitor;
 use syd_telemetry::names;
 
 /// Result of a group invocation: per-user outcomes in request order.
@@ -80,7 +79,6 @@ pub struct SydEngine {
     /// applications hold clones), while [`SydEngine::with_options`]
     /// detaches the new handle onto its own cell, builder style.
     opts: Arc<Mutex<CallOptions>>,
-    qos: Option<Arc<QosMonitor>>,
     /// End-to-end invoke latency ("engine.invoke"), resolve included.
     invoke_hist: Histogram,
     /// `engine.batch_resolves` — batched directory round trips issued.
@@ -101,23 +99,10 @@ impl SydEngine {
             directory,
             cache: Arc::new(Mutex::new(Rank::Engine, HashMap::new())),
             opts: Arc::new(Mutex::new(Rank::Engine, CallOptions::default())),
-            qos: None,
             invoke_hist,
             batch_resolves,
             rounds,
         }
-    }
-
-    /// Attaches a QoS monitor: every `invoke` is observed, and
-    /// [`SydEngine::invoke_with_deadline`] gains admission control.
-    pub fn with_qos(mut self, qos: Arc<QosMonitor>) -> SydEngine {
-        self.qos = Some(qos);
-        self
-    }
-
-    /// The attached QoS monitor, if any.
-    pub fn qos(&self) -> Option<&Arc<QosMonitor>> {
-        self.qos.as_ref()
     }
 
     /// Replaces the default call options (builder style). The new handle
@@ -234,15 +219,11 @@ impl SydEngine {
             // One call in, one outcome out.
             .map_or(Err(SydError::Shutdown), |(_, outcome)| outcome);
         self.invoke_hist.record_duration(started.elapsed());
-        if let Some(qos) = &self.qos {
-            qos.observe(user, service, started.elapsed(), result.is_ok());
-        }
         result
     }
 
-    /// QoS-aware invocation (§3.2, companion paper \[4\]): refuse targets
-    /// whose observed latency cannot plausibly meet `deadline`, and bound
-    /// every send of the call by it. Requires [`SydEngine::with_qos`].
+    /// An [`SydEngine::invoke`] bounded by `deadline`: every send of the
+    /// call waits at most that long for its answer.
     pub fn invoke_with_deadline(
         &self,
         user: UserId,
@@ -251,10 +232,7 @@ impl SydEngine {
         args: Vec<Value>,
         deadline: Duration,
     ) -> SydResult<Value> {
-        if let Some(qos) = &self.qos {
-            qos.admit(user, service, deadline)?;
-        }
-        // The clone shares this engine's histogram, counters and monitor.
+        // The clone shares this engine's histogram and counters.
         self.clone()
             .with_options(self.opts().with_timeout(deadline))
             .invoke(user, service, method, args)

@@ -43,7 +43,6 @@ pub mod links;
 pub mod listener;
 pub mod negotiate;
 pub mod proxy;
-pub mod qos;
 
 pub use device::{DeviceRuntime, EntityHandler, SubscriptionHandler};
 pub use directory::{DirectoryClient, DirectoryServer, GroupInfo, UserRecord};
@@ -54,4 +53,3 @@ pub use links::{Constraint, Link, LinkKind, LinkRef, LinkStatus, LinksModule, Wa
 pub use listener::{InvokeCtx, Listener, Method};
 pub use negotiate::{NegotiationOutcome, Negotiator, Participant};
 pub use proxy::ProxyHost;
-pub use qos::QosMonitor;

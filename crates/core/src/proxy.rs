@@ -107,11 +107,6 @@ impl ProxyHost {
     ) -> SydResult<ProxyHost> {
         let node = Node::spawn_on(net)?;
         let directory = DirectoryClient::new(node.clone(), dir_addr);
-        // A refused join must not leave the endpoint and its reactor
-        // registration behind.
-        directory
-            .register(user, name, node.addr())
-            .inspect_err(|_| node.shutdown())?;
         let served = node.metrics().counter(names::PROXY_SERVED);
         let listener = Listener::new(auth.clone(), node.metrics());
         let inner = Arc::new(ProxyInner {
@@ -143,6 +138,12 @@ impl ProxyHost {
                     let _ = apply_sync_event(&sink_inner, &ev.payload);
                 }
             }) as Arc<dyn EventSink>);
+        // Found only once it serves its verbs. A refused join must not
+        // leave the endpoint and its reactor registration behind.
+        inner
+            .directory
+            .register(user, name, inner.node.addr())
+            .inspect_err(|_| inner.node.shutdown())?;
         Ok(host)
     }
 
@@ -465,7 +466,7 @@ pub fn replay_journal(store: &Store, ops: &[Value]) -> SydResult<usize> {
 mod tests {
     use super::*;
     use crate::env::SydEnv;
-    use syd_net::NetConfig;
+    use syd_net::{NetConfig, Network};
     use syd_store::{Column, ColumnType, Schema};
 
     fn slots_schema() -> Schema {
@@ -510,6 +511,35 @@ mod tests {
     /// What the replica serves: the same read, and a write.
     static READS_AND_WRITES: &[Method<Store>] =
         &[Method::new("status", status), Method::new("set", set)];
+
+    /// A peer that resolves a new proxy at once reaches its `syd.proxy`
+    /// verbs: the directory here calls the proxy before it answers
+    /// `register`.
+    #[test]
+    fn a_proxy_serves_before_it_can_be_found() {
+        let net = Network::ideal();
+        let (dir, peer) = (Node::spawn(&net), Node::spawn(&net));
+        let answered = Arc::new(Mutex::new(Rank::Leaf, Vec::new()));
+        let seen = Arc::clone(&answered);
+        dir.set_handler(Arc::new(
+            move |from: NodeAddr, request: Request| -> SydResult<Value> {
+                if request.method == "register" {
+                    let args = vec![Value::I64(1)];
+                    let drained = peer.call(from, &proxy_service(), "drain_journal", args);
+                    seen.lock().push(drained);
+                }
+                Ok(Value::Null)
+            },
+        ));
+        let proxy = ProxyHost::new(&net, dir.addr(), UserId::new(9), "proxy", None);
+        assert!(proxy.is_ok());
+        // The verb ran and refused a user the proxy hosts no replica of.
+        let answered = answered.lock();
+        assert!(
+            matches!(answered[..], [Err(SydError::NotRegistered(_))]),
+            "{answered:?}"
+        );
+    }
 
     /// Full §5.2 lifecycle: replicate → disconnect → serve via proxy →
     /// journal writes → reconnect → replay.

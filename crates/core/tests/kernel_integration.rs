@@ -1,4 +1,4 @@
-//! Kernel-level integration tests: QoS-aware invocation, global events,
+//! Kernel-level integration tests: deadline-bounded invocation, global events,
 //! named-group invocation, and cross-device link expiry.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
@@ -8,7 +8,7 @@ use std::sync::{Arc, LazyLock};
 use std::time::{Duration, Instant};
 
 use syd_core::links::{Constraint, LinkRef, LinkSpec};
-use syd_core::{DeviceRuntime, Method, QosMonitor, SydEnv};
+use syd_core::{DeviceRuntime, Method, SydEnv};
 use syd_net::{LatencyModel, NetConfig};
 use syd_types::{Clock, ServiceName, SimClock, SydError, Timestamp, Value};
 
@@ -23,32 +23,11 @@ fn echo_service(dev: &DeviceRuntime, svc: &ServiceName) {
     dev.serve(svc, &NO_STATE, ECHO);
 }
 
+/// `invoke_with_deadline` is an `invoke` bounded by its deadline: a
+/// deadline well past the round trip lets the call through.
 #[test]
-fn qos_monitor_observes_engine_invocations() {
-    let env = SydEnv::new_insecure(NetConfig::ideal());
-    let a = env.device("a", "").unwrap();
-    let b = env.device("b", "").unwrap();
-    let svc = ServiceName::new("svc");
-    echo_service(&b, &svc);
-
-    let qos = Arc::new(QosMonitor::new());
-    let engine = a.engine().clone().with_qos(Arc::clone(&qos));
-    for _ in 0..5 {
-        engine.invoke(b.user(), &svc, "echo", vec![]).unwrap();
-    }
-    // A failing method counts as a failure.
-    let _ = engine.invoke(b.user(), &svc, "no_such_method", vec![]);
-
-    let stats = qos.stats_for(b.user(), &svc).unwrap();
-    assert_eq!(stats.calls, 6);
-    assert_eq!(stats.failures, 1);
-    assert!(stats.ewma > Duration::ZERO);
-    assert!(stats.success_rate() > 0.8);
-}
-
-#[test]
-fn qos_admission_refuses_slow_targets() {
-    // 30 ms one-way latency → ~60 ms EWMA round trips.
+fn an_invoke_within_a_generous_deadline_succeeds() {
+    // 30 ms one-way latency → ~60 ms round trips.
     let cfg = NetConfig::ideal().with_latency(LatencyModel::fixed(Duration::from_millis(30)));
     let env = SydEnv::new_insecure(cfg);
     let a = env.device("a", "").unwrap();
@@ -56,26 +35,17 @@ fn qos_admission_refuses_slow_targets() {
     let svc = ServiceName::new("svc");
     echo_service(&b, &svc);
 
-    let qos = Arc::new(QosMonitor::new());
-    let engine = a.engine().clone().with_qos(Arc::clone(&qos));
-    for _ in 0..5 {
-        engine.invoke(b.user(), &svc, "echo", vec![]).unwrap();
-    }
-    // A 10 ms deadline is hopeless against a ~60 ms EWMA: fail fast,
-    // without a network round trip.
-    let t = Instant::now();
-    let err = engine
-        .invoke_with_deadline(b.user(), &svc, "echo", vec![], Duration::from_millis(10))
-        .unwrap_err();
-    assert!(err.to_string().contains("admission"), "{err}");
-    assert!(
-        t.elapsed() < Duration::from_millis(5),
-        "admission refusal must not hit the network"
-    );
-    // A generous deadline passes admission and succeeds.
-    engine
-        .invoke_with_deadline(b.user(), &svc, "echo", vec![], Duration::from_secs(2))
+    let echoed = a
+        .engine()
+        .invoke_with_deadline(
+            b.user(),
+            &svc,
+            "echo",
+            vec![Value::I64(7)],
+            Duration::from_secs(2),
+        )
         .unwrap();
+    assert_eq!(echoed, Value::list(vec![Value::I64(7)]));
 }
 
 #[test]

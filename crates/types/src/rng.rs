@@ -3,7 +3,7 @@
 //!
 //! [`Rng`] is a seeded xorshift64\*: the same seed gives the same stream
 //! on every platform, which is what the simulated network's loss and
-//! jitter draws, the stress drivers and `syd_check::synth` rely on when
+//! jitter draws, the stress drivers and the property tests rely on when
 //! a bug report cites a seed. Not for anything an adversary must not
 //! predict — credential IVs are drawn elsewhere (`syd_core::env`).
 
