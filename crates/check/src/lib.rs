@@ -126,3 +126,6 @@ fn snapshot_device(device: &DeviceRuntime) -> DeviceState {
         waiting,
     }
 }
+
+#[cfg(test)]
+mod synth;
