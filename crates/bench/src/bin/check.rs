@@ -65,13 +65,14 @@ fn main() {
     let outcome = run(&cfg);
     println!(
         "ran {} sessions ({} satisfied, {} errored), ended {} lapsed leases, \
-         audited {} journal events across {} sessions",
+         audited {} journal events across {} sessions truncated={}",
         outcome.completed + outcome.errors,
         outcome.satisfied,
         outcome.errors,
         outcome.lapsed,
         outcome.report.events,
         outcome.report.sessions,
+        outcome.report.truncated,
     );
     println!(
         "rpc.retries={} rpc.timeouts={} longest_session_ms={}",

@@ -608,7 +608,7 @@ fn bench_fleet_scale(cfg: &Config, fleet: usize) -> Json {
 /// `--profile` row: rerun the §5 schedule flow with span collection on
 /// and attribute each negotiation's wall time to protocol phases.
 ///
-/// Every iteration drains the global span-ring registry into a lossy
+/// Every iteration drains the global registry of device logs into a lossy
 /// [`Collector`](syd_trace::Collector); at the end the assembled trees
 /// whose root is a `calendar.schedule_op` span go through the critical-
 /// path analyzer and the per-phase sums become the row's `phases`
@@ -640,7 +640,7 @@ fn bench_phase_attribution(cfg: &Config, backend: &'static str, n: usize, loss: 
     };
     let dir0 = dir_round_trips(&env);
     let bytes0 = wire_bytes_now(&env, backend);
-    // Earlier cells may have left spans buffered in rings that are still
+    // Earlier cells may have left spans buffered in logs that are still
     // alive; drain them into a throwaway collector so this cell only
     // sees its own traces.
     Collector::new(AssemblyMode::Lossy).drain_global();

@@ -40,8 +40,7 @@ fn one_trace_spans_all_participants_and_metrics_tick() {
 
     // The initiator recorded the `calendar.schedule_op` span, which says
     // what the operation did; pull its trace.
-    let ring = apps[0].device().node().tracer().ring();
-    let span = std::iter::from_fn(|| ring.pop())
+    let span = (apps[0].device().journal().drain_spans().into_iter())
         .find(|s| s.kind == names::SPAN_SCHEDULE)
         .expect("schedule span recorded");
     let attr = |key: &str| span.attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
@@ -57,7 +56,11 @@ fn one_trace_spans_all_participants_and_metrics_tick() {
     // negotiation marks/commits arrived with the propagated context.
     for app in &apps {
         assert!(
-            app.device().journal().contains_trace(trace),
+            app.device()
+                .journal()
+                .events()
+                .iter()
+                .any(|e| e.trace == trace),
             "device {} journal lacks trace {trace:016x}:\n{}",
             app.user(),
             app.device().journal().dump()

@@ -17,9 +17,12 @@
 //!
 //! Aborts without a preceding lock are *legal*: the coordinator sends a
 //! clean-up abort to every mark that got no answer, whose yes may have
-//! been lost with its lock taken, so the replay never flags them. Journals are bounded rings; when the oldest
-//! retained event is not sequence 0, the early story is gone and
-//! ordering checks are suppressed for that journal.
+//! been lost with its lock taken, so the replay never flags them.
+//!
+//! Journals are bounded rings; when the oldest retained event is not
+//! sequence 0, the early story is gone and ordering checks are suppressed
+//! for that journal. The spans a device's log keeps beside its events
+//! take no sequence number and evict no event, so they never cause this.
 
 use std::collections::{BTreeMap, BTreeSet};
 

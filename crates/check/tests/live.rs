@@ -14,7 +14,8 @@ use syd_core::links::Constraint;
 use syd_core::negotiate::{link_service, Participant};
 use syd_core::{DeviceRuntime, SydEnv};
 use syd_net::NetConfig;
-use syd_telemetry::Event;
+use syd_telemetry::journal::DEFAULT_JOURNAL_CAPACITY;
+use syd_telemetry::{names, Event, EventKind};
 use syd_types::{Clock, SimClock, SydResult, Value};
 
 fn rig(n: usize) -> (SydEnv, Vec<DeviceRuntime>) {
@@ -264,4 +265,94 @@ fn forged_commit_without_lock_is_a_double_book() {
         .unwrap_or_else(|| panic!("no double-book reported:\n{report}"));
     assert_eq!(dbl.session, Some(intruder));
     assert!(!dbl.excerpt.is_empty());
+}
+
+/// One negotiation over every device, coordinated by the first.
+fn negotiate_once(devices: &[DeviceRuntime], entity: &str) {
+    let parts: Vec<Participant> = devices
+        .iter()
+        .map(|d| Participant::new(d.user(), entity, Value::str("chg")))
+        .collect();
+    let outcome = devices[0].negotiator().negotiate_and(&parts).unwrap();
+    assert!(outcome.satisfied, "{outcome:?}");
+}
+
+/// The devices' journals audit strictly clean and whole, and every
+/// ordering rule is on: a change forged outside any lock is caught.
+fn assert_whole_and_judged(devices: &[DeviceRuntime]) {
+    let report = syd_check::audit_strict(devices.iter());
+    report.assert_clean();
+    assert!(!report.truncated, "{report}");
+    let intruder = 0x3333;
+    devices[1]
+        .journal()
+        .emit(Event::commit(intruder, "slot:forged", true));
+    let report = syd_check::audit(devices.iter());
+    assert!(
+        report
+            .violations
+            .iter()
+            .any(|v| v.rule == Rule::DoubleBook && v.session == Some(intruder)),
+        "the forged change went unjudged:\n{report}"
+    );
+}
+
+/// A device's spans and its journal events share its one log, each kind
+/// within a horizon of its own. A device records spans from its join
+/// on, before it journals anything, and its first event is still
+/// sequence 0: the audit sees the whole story.
+#[test]
+fn spans_before_the_first_event_leave_the_journal_whole() {
+    let (_env, devices) = rig(3);
+    for device in &devices {
+        let stats = device.journal().stats();
+        assert!(stats.spans > 0 && stats.events == 0, "{stats:?}");
+    }
+    negotiate_once(&devices, "slot:first");
+    assert_whole_and_judged(&devices);
+}
+
+/// A busy device finishes several spans per event. Spans that overflow
+/// the span horizon thousands of times over while a session is journaled
+/// evict spans only: the events keep their whole story.
+#[test]
+fn a_span_flood_evicts_spans_not_events() {
+    let (_env, devices) = rig(3);
+    let flood = 3 * DEFAULT_JOURNAL_CAPACITY;
+    for round in 0..2 {
+        negotiate_once(&devices, &format!("slot:flood{round}"));
+        for device in &devices {
+            for _ in 0..flood {
+                drop(device.node().tracer().span_root(names::SPAN_RECONCILE));
+            }
+        }
+    }
+    for device in &devices {
+        let stats = device.journal().stats();
+        assert!(
+            stats.dropped >= 5 * DEFAULT_JOURNAL_CAPACITY as u64,
+            "{stats:?}"
+        );
+        assert_eq!(
+            (stats.evicted, stats.buffered),
+            (0, DEFAULT_JOURNAL_CAPACITY)
+        );
+    }
+    assert_whole_and_judged(&devices);
+}
+
+/// A journal whose event horizon overflowed has lost the start of its
+/// story: the audit says so and no longer judges its order.
+#[test]
+fn a_journal_that_evicted_an_event_audits_truncated() {
+    let (_env, devices) = rig(1);
+    let journal = devices[0].journal();
+    for _ in 0..=DEFAULT_JOURNAL_CAPACITY {
+        journal.record(EventKind::Info, "filler");
+    }
+    assert_eq!(journal.stats().evicted, 1);
+    journal.emit(Event::commit(0x3333, "slot:forged", true));
+    let report = syd_check::audit(devices.iter());
+    assert!(report.truncated, "{report}");
+    report.assert_clean();
 }

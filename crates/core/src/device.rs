@@ -79,7 +79,6 @@ struct DeviceInner {
     events: EventHandler,
     links: Arc<LinksModule>,
     negotiator: Negotiator,
-    journal: Arc<Journal>,
     clock: Arc<dyn Clock>,
     entity_handler: RwLock<Option<Arc<dyn EntityHandler>>>,
     subscription_handler: RwLock<Option<Arc<dyn SubscriptionHandler>>>,
@@ -123,7 +122,6 @@ impl DeviceRuntime {
         let (store, lock_rights) = Store::new_owned();
         let listener = Arc::new(Listener::new(auth, node.metrics()));
         node.set_handler(Arc::clone(&listener) as Arc<dyn syd_net::RequestHandler>);
-        let journal = Arc::new(Journal::default());
 
         // Kernel and application methods are idempotent by design, so the
         // engine retries transient failures — the paper's weakly-connected
@@ -147,13 +145,9 @@ impl DeviceRuntime {
             user,
             Arc::clone(&clock),
             events.clone(),
-            // §4.2 op. 3's promotions and §4.4's deletions go into the
-            // postmortem journal from the kernel itself.
-            Arc::clone(&journal),
         )
         .inspect_err(|_| node.shutdown())?;
-        let negotiator =
-            Negotiator::new(engine.clone(), user, node.metrics(), Arc::clone(&journal));
+        let negotiator = Negotiator::new(engine.clone(), user, node.metrics());
         let inner = Arc::new(DeviceInner {
             user,
             name: name.to_owned(),
@@ -165,7 +159,6 @@ impl DeviceRuntime {
             events,
             links,
             negotiator,
-            journal,
             clock,
             entity_handler: RwLock::new(Rank::Engine, None),
             subscription_handler: RwLock::new(Rank::Engine, None),
@@ -245,9 +238,10 @@ impl DeviceRuntime {
         self.inner.node.metrics()
     }
 
-    /// The postmortem event journal.
+    /// The device's one log, its node's: the postmortem event journal
+    /// `syd-check` audits, and the spans the node's tracer records.
     pub fn journal(&self) -> &Arc<Journal> {
-        &self.inner.journal
+        self.inner.node.journal()
     }
 
     /// Human-readable telemetry dump: the metrics table followed by the
@@ -258,7 +252,7 @@ impl DeviceRuntime {
             self.inner.user,
             self.inner.name,
             syd_telemetry::metrics_table(&self.metrics().snapshot()),
-            self.inner.journal.dump()
+            self.journal().dump()
         )
     }
 
@@ -268,7 +262,7 @@ impl DeviceRuntime {
         format!(
             "{}{}",
             syd_telemetry::metrics_jsonl(&self.metrics().snapshot()),
-            self.inner.journal.to_jsonl()
+            self.journal().to_jsonl()
         )
     }
 
@@ -354,7 +348,7 @@ impl DeviceRuntime {
                 if let Err(err) = result {
                     *state = Published::No;
                     let note = format!("publish of {service} failed: {err}");
-                    inner.journal.record(EventKind::Info, note);
+                    inner.node.journal().record(EventKind::Info, note);
                     let metrics = inner.node.metrics();
                     metrics.counter(names::DIR_PUBLISH_FAILURES).inc();
                 }
@@ -422,7 +416,7 @@ impl DeviceRuntime {
     /// run quiesced, so a lock whose commit and abort were both lost closes
     /// its story before a strict audit instead of waiting out [`LOCK_LEASE`].
     pub fn end_leases(&self) -> usize {
-        let journal = &self.inner.journal;
+        let journal = self.journal();
         self.inner.lock_rights.end_leases(|holder, key| {
             if let Some(OrdValue(Value::Str(entity))) = key.key.first() {
                 journal.emit(Event::release(holder, entity, "lease"));
@@ -453,7 +447,8 @@ impl Drop for Pinned<'_> {
         let Pinned(inner, session, entity, ref key) = *self;
         if std::thread::panicking() {
             inner
-                .journal
+                .node
+                .journal()
                 .emit(Event::release(session, entity, "commit-unwound"));
         }
         inner.lock_rights.release(session, key);
@@ -489,7 +484,8 @@ fn mark(inner: &DeviceInner, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Valu
     let entity = args_get(args, 1)?.as_str()?;
     let change = args_get(args, 2)?;
     let (locks, key) = (&inner.lock_rights, entity_lock_key(entity));
-    let lapsed = |holder| inner.journal.emit(Event::release(holder, entity, "lease"));
+    let journal = inner.node.journal();
+    let lapsed = |holder| journal.emit(Event::release(holder, entity, "lease"));
     let lease = Some((&*inner.clock, LOCK_LEASE));
     let mut taken = locks.mark(session, &key, Duration::ZERO, lease, lapsed);
     if taken == fsm::Taken::Busy {
@@ -503,13 +499,13 @@ fn mark(inner: &DeviceInner, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Valu
         // Not a durable refusal: a greedy grab must not commit while
         // another negotiation holds this lock.
         let busy = Event::vote(session, entity, Vote::LockBusy);
-        inner.journal.emit(busy);
+        journal.emit(busy);
         return Ok(fsm::Vote::NoLockBusy.wire_reply());
     }
     // A mark delivered again finds its own lock: it votes again, and one
     // commit or abort still frees the entity.
     if taken == fsm::Taken::Fresh {
-        inner.journal.emit(Event::lock(session, entity));
+        journal.emit(Event::lock(session, entity));
     }
     let handler = inner.entity_handler.read().clone();
     let prepared = match handler {
@@ -522,7 +518,7 @@ fn mark(inner: &DeviceInner, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Valu
         Err(err) => Vote::Refused(err.to_string()),
     };
     // Journal-before-release, as in commit.
-    inner.journal.emit(Event::vote(session, entity, journaled));
+    journal.emit(Event::vote(session, entity, journaled));
     if vote == fsm::Vote::NoPrepare {
         locks.release(session, &key);
     }
@@ -539,7 +535,8 @@ fn commit(inner: &DeviceInner, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Va
     // lapsed is refused, as the entity may have changed hands since. An
     // admitted commit holds the entity until its release below, however
     // long the handler runs.
-    let lapsed = |holder| inner.journal.emit(Event::release(holder, entity, "lease"));
+    let journal = inner.node.journal();
+    let lapsed = |holder| journal.emit(Event::release(holder, entity, "lease"));
     if !locks.commit(session, &key, inner.clock.now(), lapsed) {
         return Err(SydError::App(format!(
             "session {session} expired: its lease on {entity} lapsed"
@@ -554,9 +551,7 @@ fn commit(inner: &DeviceInner, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Va
     // Journal before releasing: the next session's `Lock` record must
     // sequence after this `Change`, or the journal would show two holders
     // of one entity.
-    inner
-        .journal
-        .emit(Event::commit(session, entity, result.is_ok()));
+    journal.emit(Event::commit(session, entity, result.is_ok()));
     drop(pinned);
     result.map(|()| Value::Null)
 }
@@ -571,7 +566,8 @@ fn abort(inner: &DeviceInner, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Val
     }
     // Journal-before-release, as in commit.
     inner
-        .journal
+        .node
+        .journal()
         .emit(Event::release(session, entity, "coordinator-abort"));
     (inner.lock_rights).release(session, &entity_lock_key(entity));
     Ok(Value::Null)

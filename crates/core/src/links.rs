@@ -39,7 +39,7 @@ use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
 use syd_store::{Column, ColumnType, Predicate, Schema, Store};
-use syd_telemetry::{Event, Journal};
+use syd_telemetry::Event;
 use syd_types::sync::{Rank, RwLock};
 pub use syd_types::Constraint;
 use syd_types::{
@@ -412,9 +412,6 @@ pub struct LinksModule {
     user: UserId,
     clock: Arc<dyn Clock>,
     events: EventHandler,
-    /// The device's journal: promotions and deletions are recorded here as
-    /// they happen, which is what `syd-check` replays.
-    journal: Arc<Journal>,
     next_link: AtomicU64,
     next_corr: AtomicU64,
     promotion: RwLock<Option<PromotionHandler>>,
@@ -501,7 +498,6 @@ impl LinksModule {
         user: UserId,
         clock: Arc<dyn Clock>,
         events: EventHandler,
-        journal: Arc<Journal>,
     ) -> SydResult<Arc<LinksModule>> {
         let [link, wait, method] = link_schemas()?;
         store.create_table(Arc::clone(link))?;
@@ -517,7 +513,6 @@ impl LinksModule {
             user,
             clock,
             events,
-            journal,
             next_link: AtomicU64::new(1),
             next_corr: AtomicU64::new(1),
             promotion: RwLock::new(Rank::Engine, None),
@@ -855,7 +850,7 @@ impl LinksModule {
 
     /// Journals one deletion (§4.4) and publishes `link.deleted`.
     fn note_deleted(&self, id: LinkId, corr: &Text, cascade: bool) {
-        self.journal.emit(Event::LinkDeleted {
+        self.engine.node().journal().emit(Event::LinkDeleted {
             id: id.raw(),
             corr: corr.clone(),
             cascade,
@@ -1003,7 +998,7 @@ impl LinksModule {
                 &Predicate::Eq("link_id".into(), Value::from(link_id.raw())),
             )?;
             let (priority, group) = (i64::from(entry.priority.level()), entry.group as i64);
-            self.journal.emit(Event::Promoted {
+            self.engine.node().journal().emit(Event::Promoted {
                 link: link_id.raw(),
                 priority,
                 group,

@@ -54,7 +54,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use syd_telemetry::{Counter, Event, Journal, Registry};
+use syd_telemetry::{Counter, Event, Registry};
 use syd_types::{ServiceName, SydError, SydResult, Text, UserId, Value};
 use syd_wire::Args;
 
@@ -162,28 +162,21 @@ pub struct Negotiator {
     sessions: Counter,
     /// Counts aborts issued by this coordinator ("negotiate.aborts").
     aborts: Counter,
-    /// The device's journal: the coordinator's half of every session's
-    /// story, which `syd-check` audits.
-    journal: Arc<Journal>,
 }
 
 impl Negotiator {
     /// Builds a negotiator. `local_user` seeds globally unique session
     /// ids. Counters are preregistered here so the negotiation path never
-    /// touches the registry lock.
-    pub fn new(
-        engine: SydEngine,
-        local_user: UserId,
-        registry: &Registry,
-        journal: Arc<Journal>,
-    ) -> Negotiator {
+    /// touches the registry lock. The coordinator's half of every
+    /// session's story, which `syd-check` audits, goes into the engine's
+    /// node's log.
+    pub fn new(engine: SydEngine, local_user: UserId, registry: &Registry) -> Negotiator {
         Negotiator {
             engine,
             local_user,
             next_session: AtomicU64::new(1),
             sessions: registry.counter(names::NEGOTIATE_SESSIONS),
             aborts: registry.counter(names::NEGOTIATE_ABORTS),
-            journal,
         }
     }
 
@@ -254,11 +247,12 @@ impl Negotiator {
         let session = fsm::session_id(self.local_user, n);
         let svc = link_service();
         self.sessions.inc();
+        let journal = self.engine.node().journal();
         let mut emit = |event: Event| {
             if matches!(event, Event::AbortUser { .. }) {
                 self.aborts.inc();
             }
-            self.journal.emit(event);
+            journal.emit(event);
         };
         let users = participants.iter().map(|p| p.user);
         let mut round = fsm::Round::new(session, constraint, users, abort_on_contention);

@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Instant;
 
-use syd_telemetry::{trace, Counter, Histogram, Registry, SpanCtx};
+use syd_telemetry::{trace, Counter, Histogram, Journal, Registry, SpanCtx};
 use syd_transport::{Network, Transport, TransportEndpoint, TransportEvent};
 use syd_types::sync::{self, Condvar, Mutex, Rank, RwLock};
 use syd_types::{NodeAddr, RequestId, ServiceName, SydError, SydResult, UserId, Value};
@@ -156,8 +156,10 @@ pub(crate) struct NodeShared {
     runtime: SharedRuntime,
     registry: Arc<Registry>,
     metrics: NodeMetrics,
-    /// Per-node span ring: `rpc.client` / `rpc.server` spans land here,
-    /// and higher layers (kernel, calendar) record through it too.
+    /// Records into the node's one log: `rpc.client` / `rpc.server`
+    /// spans land there, higher layers (kernel, calendar) record spans
+    /// through it too, and the kernel journals its events into the same
+    /// log ([`Node::journal`]).
     tracer: Tracer,
 }
 
@@ -319,10 +321,16 @@ impl Node {
         &self.shared.link
     }
 
-    /// This node's span tracer. Its ring is registered globally, so a
-    /// [`syd_trace::Collector`] can drain it (or all rings) after a run.
+    /// This node's span tracer. Its log is registered globally, so a
+    /// [`syd_trace::Collector`] can drain it (or all logs) after a run.
     pub fn tracer(&self) -> &Tracer {
         &self.shared.tracer
+    }
+
+    /// This node's one log: the events its device journals and the spans
+    /// its tracer records, under one lock.
+    pub fn journal(&self) -> &Arc<Journal> {
+        self.shared.tracer.journal()
     }
 
     /// This node's metrics registry (`rpc.call`, `rpc.retries`,
@@ -1311,7 +1319,10 @@ mod tests {
         // Timed to the wave's end, both calls would read ≥ 100 ms.
         assert_eq!(hist.count(), 2);
         assert!(hist.sum() < 160_000, "rpc.call summed {} µs", hist.sum());
-        let spans: Vec<_> = std::iter::from_fn(|| client.tracer().ring().pop())
+        let spans: Vec<_> = client
+            .journal()
+            .drain_spans()
+            .into_iter()
             .filter(|rec| rec.kind == names::SPAN_RPC_CLIENT)
             .map(|rec| rec.end_us - rec.start_us)
             .collect();

@@ -39,7 +39,7 @@ fn run_scenario(loss: f64, seed: u64, opts: CallOptions, calls: i64) -> (Vec<boo
 /// the dispatched request (so the nested `rpc.client` span must pick
 /// up the server-side trace context). Returns the assembled span trees.
 ///
-/// Only the three node rings are drained — never the global registry —
+/// Only the three nodes' logs are drained — never the global registry —
 /// so this stays correct when other tests in this binary run
 /// concurrently.
 fn run_traced_relay(calls: i64, drain_middle: bool) -> Vec<syd_trace::SpanTree> {
@@ -76,11 +76,11 @@ fn run_traced_relay(calls: i64, drain_middle: bool) -> Vec<syd_trace::SpanTree> 
             .expect("relay call");
     }
     let mut collector = Collector::new(AssemblyMode::Lossy);
-    collector.drain(client.tracer().ring());
+    collector.drain(client.journal());
     if drain_middle {
-        collector.drain(middle.tracer().ring());
+        collector.drain(middle.journal());
     }
-    collector.drain(backend.tracer().ring());
+    collector.drain(backend.journal());
     for n in [&client, &middle, &backend] {
         n.shutdown();
     }

@@ -1,22 +1,27 @@
-//! Bounded ring-buffer event journal for postmortems and for the auditor.
+//! A device's one bounded log, for postmortems, for the auditor and for
+//! the span collector.
 //!
 //! Each device keeps one [`Journal`]. Hot paths append [`Event`]s — the
 //! §4.3 negotiation transitions on both sides of the protocol, the §4.2
 //! waiting-link promotions and link deletions, and free-text notes for
-//! everything else — and the ring keeps the most recent `capacity` of
-//! them. The records are *values*: `syd-check` replays them by matching
-//! on the enum, and the kernel, the model checker and the synthetic
-//! generator all build the same variants, so they cannot disagree about
-//! what a record means. Text exists in one place, [`Event`]'s `Display`
-//! impl, which `dump()`, `to_jsonl()` and the checker's excerpts render
-//! through. Every record carries the trace/span ids captured from
+//! everything else — and the journal keeps the most recent `capacity` of
+//! them. Beside them it buffers the device's finished spans
+//! ([`SpanRecord`]) until a collector drains them, in a ring of the same
+//! capacity of their own (see [`crate::ring`]). The event records are
+//! *values*: `syd-check` replays them by matching on the enum, and the
+//! kernel, the model checker and the synthetic generator all build the
+//! same variants, so they cannot disagree about what a record means.
+//! Text exists in one place, [`Event`]'s `Display` impl, which `dump()`,
+//! `to_jsonl()` and the checker's excerpts render through. Every record carries the trace/span ids captured from
 //! [`crate::trace::current`] and a timestamp on the process-wide clock
 //! ([`crate::trace::now_us`]), so events from different devices — and the
 //! spans of the same trace — stitch into one end-to-end story.
 
 use crate::export::json_escape;
+use crate::ring::{self, LogStats, SpanRecord};
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Arc;
 use syd_types::sync::{Mutex, Rank};
 use syd_types::{Constraint, Text};
 
@@ -343,7 +348,8 @@ impl fmt::Display for Event {
 /// One journal entry.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JournalEvent {
-    /// Monotonic sequence number; gaps reveal ring-buffer eviction.
+    /// Monotonic sequence number over the journal's events only (spans
+    /// take none); gaps reveal ring-buffer eviction.
     pub seq: u64,
     /// Microseconds on the process-wide clock ([`crate::trace::now_us`]).
     pub at_micros: u64,
@@ -355,24 +361,35 @@ pub struct JournalEvent {
     pub event: Event,
 }
 
-struct JournalInner {
+#[derive(Default)]
+pub(crate) struct JournalInner {
+    /// Events ever emitted: the next event's `seq`.
     next_seq: u64,
-    events: VecDeque<JournalEvent>,
+    pub(crate) events: VecDeque<JournalEvent>,
+    /// Finished spans not yet drained.
+    pub(crate) spans: VecDeque<SpanRecord>,
+    spans_recorded: u64,
+    spans_dropped: u64,
 }
 
-/// A bounded, thread-safe event ring buffer.
+/// A device's one bounded, thread-safe log: its events and its finished
+/// spans, each kind kept to `capacity` records of its own (see
+/// [`crate::ring`]), under one lock.
+///
+/// The two kinds keep separate horizons because they arrive at very
+/// different rates: a busy device finishes several spans per event, and
+/// one shared capacity would let spans evict the events the auditor
+/// replays.
 pub struct Journal {
+    label: String,
+    device: u64,
     capacity: usize,
-    inner: Mutex<JournalInner>,
+    pub(crate) inner: Mutex<JournalInner>,
 }
 
-/// Default ring capacity: enough for several meeting lifecycles on one
-/// device without unbounded growth on long runs.
+/// Default capacity of each kind: enough for several meeting lifecycles
+/// on one device without unbounded growth on long runs.
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 4096;
-
-/// Slots a journal reserves at its first event, so a busy device does not
-/// regrow its ring event by event.
-const FIRST_RESERVE: usize = 1024;
 
 impl Default for Journal {
     fn default() -> Self {
@@ -381,20 +398,38 @@ impl Default for Journal {
 }
 
 impl Journal {
-    /// Creates a journal keeping at most `capacity` events. It reserves
-    /// nothing until its first event: most of a large fleet's devices
-    /// are idle and never journal.
+    /// Creates a free-standing journal keeping at most `capacity` events
+    /// and `capacity` spans. It belongs to no device and is not in the
+    /// registry; see [`Journal::open`] for a device's log.
     pub fn new(capacity: usize) -> Self {
         Self {
+            label: String::new(),
+            device: 0,
             capacity: capacity.max(1),
-            inner: Mutex::new(
-                Rank::Leaf,
-                JournalInner {
-                    next_seq: 0,
-                    events: VecDeque::new(),
-                },
-            ),
+            inner: Mutex::new(Rank::Leaf, JournalInner::default()),
         }
+    }
+
+    /// Creates the log of `device`, at the default capacity, and lists it
+    /// in the process registry ([`crate::ring::live_logs`]).
+    pub fn open(label: impl Into<String>, device: u64) -> Arc<Journal> {
+        let log = Arc::new(Journal {
+            label: label.into(),
+            device,
+            ..Journal::default()
+        });
+        ring::register(&log);
+        log
+    }
+
+    /// Human-readable device label (node address, backend name…).
+    pub fn label(&self) -> &str {
+        &self.label
+    }
+
+    /// The device id this log records for.
+    pub fn device(&self) -> u64 {
+        self.device
     }
 
     /// Appends an event, stamping it with the process-wide clock and the
@@ -409,19 +444,14 @@ impl Journal {
         let mut inner = self.inner.lock();
         let seq = inner.next_seq;
         inner.next_seq += 1;
-        if inner.events.capacity() == 0 {
-            inner.events.reserve_exact(self.capacity.min(FIRST_RESERVE));
-        }
-        if inner.events.len() == self.capacity {
-            inner.events.pop_front();
-        }
-        inner.events.push_back(JournalEvent {
+        let event = JournalEvent {
             seq,
             at_micros,
             trace,
             span,
             event,
-        });
+        };
+        ring::push(&mut inner.events, self.capacity, event);
     }
 
     /// Appends a free-text [`Event::Note`] for the timeline.
@@ -432,29 +462,38 @@ impl Journal {
         });
     }
 
-    /// Number of events currently retained.
-    pub fn len(&self) -> usize {
-        self.inner.lock().events.len()
+    /// Appends a finished span, evicting the oldest buffered span when
+    /// full. Events are not touched.
+    pub fn push_span(&self, rec: SpanRecord) {
+        let mut inner = self.inner.lock();
+        inner.spans_recorded += 1;
+        if ring::push(&mut inner.spans, self.capacity, rec) {
+            inner.spans_dropped += 1;
+        }
     }
 
-    /// True when nothing has been recorded (or everything was evicted).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Takes every buffered span out, oldest first. Events stay.
+    pub fn drain_spans(&self) -> Vec<SpanRecord> {
+        self.inner.lock().spans.drain(..).collect()
     }
 
-    /// Total number of events ever recorded (including evicted ones).
-    pub fn recorded(&self) -> u64 {
-        self.inner.lock().next_seq
+    /// Point-in-time counters of both kinds.
+    pub fn stats(&self) -> LogStats {
+        let inner = self.inner.lock();
+        LogStats {
+            label: self.label.clone(),
+            device: self.device,
+            events: inner.next_seq,
+            evicted: inner.next_seq - inner.events.len() as u64,
+            spans: inner.spans_recorded,
+            dropped: inner.spans_dropped,
+            buffered: inner.spans.len(),
+        }
     }
 
     /// Copies out the retained events, oldest first.
     pub fn events(&self) -> Vec<JournalEvent> {
         self.inner.lock().events.iter().cloned().collect()
-    }
-
-    /// True if any retained event carries `trace`.
-    pub fn contains_trace(&self, trace: u64) -> bool {
-        self.inner.lock().events.iter().any(|e| e.trace == trace)
     }
 
     /// Human-readable timeline, one line per event.
@@ -492,6 +531,15 @@ impl Journal {
     }
 }
 
+impl fmt::Debug for Journal {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Journal")
+            .field("label", &self.label)
+            .field("device", &self.device)
+            .finish()
+    }
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 mod tests {
@@ -522,7 +570,7 @@ mod tests {
         assert_eq!(events.len(), 3);
         assert_eq!(events[0].event.to_string(), "e2");
         assert_eq!(events[2].event.to_string(), "e4");
-        assert_eq!(j.recorded(), 5);
+        assert_eq!(j.stats().events, 5);
     }
 
     #[test]
@@ -531,11 +579,36 @@ mod tests {
         let j = Journal::default();
         assert_eq!(slots(&j), 0);
         j.emit(Event::lock(7, "slot:1"));
-        assert_eq!(slots(&j), FIRST_RESERVE);
-        // A smaller ring reserves only its own capacity.
-        let small = Journal::new(3);
-        small.emit(Event::lock(7, "slot:1"));
-        assert_eq!(slots(&small), 3);
+        assert_eq!(slots(&j), 1);
+        j.emit(Event::commit(7, "slot:1", true));
+        assert_eq!(slots(&j), DEFAULT_JOURNAL_CAPACITY);
+    }
+
+    /// The auditor reads events; the collector takes spans. Neither
+    /// disturbs the other's records or the event sequence.
+    #[test]
+    fn draining_spans_leaves_the_events() {
+        let j = Journal::new(16);
+        let span = |id| SpanRecord {
+            trace: 1,
+            span: id,
+            parent: 0,
+            kind: crate::names::SPAN_SCHEDULE,
+            device: 0,
+            start_us: 0,
+            end_us: 1,
+            attrs: Vec::new(),
+        };
+        j.push_span(span(1));
+        j.emit(Event::lock(7, "slot:1"));
+        j.push_span(span(2));
+        j.emit(Event::commit(7, "slot:1", true));
+        let events = j.events();
+        assert_eq!(events.iter().map(|e| e.seq).collect::<Vec<_>>(), [0, 1]);
+        assert_eq!(j.drain_spans(), [span(1), span(2)]);
+        assert_eq!(j.events(), events);
+        assert!(j.drain_spans().is_empty());
+        assert_eq!((j.stats().events, j.stats().spans), (2, 2));
     }
 
     #[test]
@@ -551,8 +624,6 @@ mod tests {
         assert_eq!(events[0].trace, 0);
         assert_eq!(events[1].trace, ctx.trace);
         assert_eq!(events[1].span, ctx.span);
-        assert!(j.contains_trace(ctx.trace));
-        assert!(!j.contains_trace(0xffff_ffff_ffff_ffff));
     }
 
     /// The text is an export, but people and the docs read it: every

@@ -14,13 +14,18 @@
 //!   received context (hop + 1) before dispatching, so nested invocations
 //!   (engine group invokes, negotiation fan-out, cancel cascades) inherit
 //!   one trace id end to end. Also the process-wide clock
-//!   ([`now_us`]) that journals and span rings both stamp from.
-//! * [`journal`] — a bounded ring-buffer journal per device whose records
-//!   are one typed [`Event`]: the negotiation state transitions
+//!   ([`now_us`]) that every event and span is stamped from.
+//! * [`journal`] — one bounded log per device. Its events are one typed
+//!   [`Event`]: the negotiation state transitions
 //!   (mark/lock/change/abort), waiting-link promotion and link deletion
 //!   as values the `syd-check` auditor matches on, plus free-text notes
 //!   for the timeline. The text of a postmortem dump is an export of
 //!   those values, written in one `Display` impl and parsed by nobody.
+//!   Beside them, under the same lock, the log buffers the device's
+//!   finished spans for `syd-trace`'s collector.
+//! * [`ring`] — the [`SpanRecord`], the one reservation and eviction
+//!   policy both kinds of record follow, and the process registry of
+//!   device logs.
 //! * [`export`] — human-readable table and JSON-lines renderings of a
 //!   metrics snapshot, shared by `DeviceRuntime`, `Network` and the
 //!   `experiments` harness.
@@ -40,9 +45,11 @@ pub mod export;
 pub mod journal;
 pub mod metrics;
 pub mod names;
+pub mod ring;
 pub mod trace;
 
 pub use export::{json_escape, metrics_jsonl, metrics_table};
 pub use journal::{Event, EventKind, Journal, JournalEvent, Vote};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, MetricsSnapshot, Registry};
+pub use ring::{LogStats, SpanRecord};
 pub use trace::{current, enter, fresh_id, now_us, root_span, SpanCtx, SpanGuard};

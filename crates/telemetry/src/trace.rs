@@ -23,9 +23,9 @@ use std::time::Instant;
 
 /// Microseconds since the process-wide telemetry epoch (the first call).
 ///
-/// Every journal and every span ring of the process stamps from this one
-/// clock, so a journal line and a span of the same trace — or the dumps
-/// of two devices — sit on one time axis.
+/// Every journal event and every span of the process is stamped from
+/// this one clock, so a journal line and a span of the same trace — or
+/// the dumps of two devices — sit on one time axis.
 pub fn now_us() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     EPOCH.get_or_init(Instant::now).elapsed().as_micros() as u64

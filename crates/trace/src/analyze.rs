@@ -154,7 +154,7 @@ pub fn attribute(tree: &SpanTree) -> Attribution {
 mod tests {
     use super::*;
     use crate::collect::{AssemblyMode, Collector};
-    use crate::ring::SpanRecord;
+    use crate::SpanRecord;
 
     fn rec(
         span: u64,

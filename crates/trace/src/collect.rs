@@ -1,7 +1,7 @@
 //! Cross-device span-tree assembly.
 //!
 //! A [`Collector`] ingests [`SpanRecord`]s drained from any number of
-//! rings and groups them by trace id. [`Collector::assemble`] then
+//! device logs and groups them by trace id. [`Collector::assemble`] then
 //! builds one [`SpanTree`] per trace:
 //!
 //! * **dedup** — at-least-once RPC delivery can record the same span
@@ -22,10 +22,10 @@
 //!   are attached under the root, and the tree is flagged
 //!   `complete = false` with a human-readable anomaly list.
 
-use crate::ring::{live_rings, SpanRecord, SpanRing};
 use std::collections::HashMap;
 use std::fmt;
-use syd_telemetry::names;
+use syd_telemetry::ring::live_logs;
+use syd_telemetry::{names, Journal, SpanRecord};
 
 /// How tolerant assembly is of missing records.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -213,24 +213,24 @@ impl Collector {
         self.traces.entry(rec.trace).or_default().push(rec);
     }
 
-    /// Drains every buffered record out of `ring`.
-    pub fn drain(&mut self, ring: &SpanRing) {
+    /// Drains every buffered span out of `log`; its events stay.
+    pub fn drain(&mut self, log: &Journal) {
         self.labels
-            .entry(ring.device())
-            .or_insert_with(|| ring.label().to_string());
-        while let Some(rec) = ring.pop() {
+            .entry(log.device())
+            .or_insert_with(|| log.label().to_string());
+        for rec in log.drain_spans() {
             self.ingest(rec);
         }
     }
 
-    /// Drains every live ring in the process.
+    /// Drains the spans of every live device log in the process.
     pub fn drain_global(&mut self) {
-        for ring in live_rings() {
-            self.drain(&ring);
+        for log in live_logs() {
+            self.drain(&log);
         }
     }
 
-    /// Device → label map gathered from drained rings (for exporters).
+    /// Device → label map gathered from drained logs (for exporters).
     pub fn labels(&self) -> &HashMap<u64, String> {
         &self.labels
     }

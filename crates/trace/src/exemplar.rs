@@ -62,7 +62,7 @@ impl ExemplarStore {
 mod tests {
     use super::*;
     use crate::collect::{AssemblyMode, Collector};
-    use crate::ring::SpanRecord;
+    use crate::SpanRecord;
     use syd_telemetry::names;
 
     fn tree(trace: u64, dur: u64) -> SpanTree {

@@ -2,7 +2,7 @@
 //! chrome://tracing).
 //!
 //! Each SyD device becomes a chrome *process* (named via metadata
-//! events from the drained ring labels); spans become complete `"X"`
+//! events from the drained logs' labels); spans become complete `"X"`
 //! events. Overlapping sibling spans on one device (a parallel RPC
 //! fan-out) cannot share a chrome thread lane, so lanes are assigned
 //! greedily per device: each span takes the lowest-numbered lane that
@@ -128,7 +128,7 @@ pub fn chrome_trace(trees: &[SpanTree], labels: &HashMap<u64, String>) -> String
 mod tests {
     use super::*;
     use crate::collect::{AssemblyMode, Collector};
-    use crate::ring::SpanRecord;
+    use crate::SpanRecord;
 
     fn rec(
         span: u64,

@@ -49,7 +49,7 @@ use std::time::Duration;
 /// | `Transport` | the sim's network state, a TCP endpoint's state, tap, notifier and writer |
 /// | `Runtimes` | the map of shared runtimes, held while one is built |
 /// | `Runtime` | the loop's state, its node table and thread handle |
-/// | `Leaf` | a queue's state, a span ring and the ring registry, a metrics registry, a journal |
+/// | `Leaf` | a queue's state, a device's log (events and spans) and the log registry, a metrics registry |
 /// | `Pool` | the worker pool's state: its blocking hook takes it in every announced wait, whatever the waiter holds |
 ///
 /// A lock takes the rank of the layer that owns it; the order is the
@@ -75,8 +75,8 @@ pub enum Rank {
     Runtimes,
     /// The runtime's loop: its drains and ticks run outside these locks.
     Runtime,
-    /// Locks that take none while held: a queue, a span ring, a metrics
-    /// registry, a journal.
+    /// Locks that take none while held: a queue, a device's log, a metrics
+    /// registry.
     Leaf,
     /// The worker pool's state, taken by a worker's blocking hook while
     /// the waiter still holds the lock it waits on.

@@ -15,9 +15,10 @@
 //! the audit was clean.
 //!
 //! With `--stats`, the shutdown sequence additionally dumps a one-shot
-//! [`syd::obs::snapshot`] of every live span ring and the host's services
-//! the directory has not acknowledged (prefixed `STATS ` per line, so
-//! peers parsing stdout can skip it).
+//! [`syd::obs::snapshot`] of every live device log, one row each (journal
+//! events recorded and evicted, spans recorded, dropped and buffered), and
+//! the host's services the directory has not acknowledged (prefixed
+//! `STATS ` per line, so peers parsing stdout can skip it).
 
 // Demo daemon: a host that cannot boot must abort loudly at startup.
 #![allow(clippy::expect_used)]
