@@ -9,13 +9,14 @@
 //! ([`SpanRecord`]) until a collector drains them, in a ring of the same
 //! capacity of their own (see [`crate::ring`]). The event records are
 //! *values*: `syd-check` replays them by matching on the enum, and the
-//! kernel, the model checker and the synthetic generator all build the
-//! same variants, so they cannot disagree about what a record means.
-//! Text exists in one place, [`Event`]'s `Display` impl, which `dump()`,
-//! `to_jsonl()` and the checker's excerpts render through. Every record carries the trace/span ids captured from
-//! [`crate::trace::current`] and a timestamp on the process-wide clock
-//! ([`crate::trace::now_us`]), so events from different devices — and the
-//! spans of the same trace — stitch into one end-to-end story.
+//! kernel and the model checker both build the same variants, so they
+//! cannot disagree about what a record means. Text exists in one place,
+//! [`Event`]'s `Display` impl, which `dump()`, `to_jsonl()` and the
+//! checker's excerpts render through. Every record carries the trace/span
+//! ids captured from [`crate::trace::current`] and a timestamp on the
+//! process-wide clock ([`crate::trace::now_us`]), so events from different
+//! devices — and the spans of the same trace — stitch into one end-to-end
+//! story.
 
 use crate::export::json_escape;
 use crate::ring::{self, LogStats, SpanRecord};
@@ -77,7 +78,7 @@ pub enum Vote {
 }
 
 /// What happened: the vocabulary shared by every writer of a journal
-/// (kernel, model checker, synthetic generator) and its one reader that
+/// (kernel, model checker) and its one reader that
 /// judges it (`syd-check`).
 ///
 /// `Lock`, `Vote`, `Commit` and `Release` are recorded by the device whose
@@ -726,8 +727,8 @@ mod tests {
         let size = std::mem::size_of::<JournalEvent>();
         assert!(
             size <= 96,
-            "JournalEvent is {size} bytes: every device that journals reserves 1 024 slots \
-             at its first event — box the wide field instead of growing the record"
+            "JournalEvent is {size} bytes: a journal reserves one slot at its first event \
+             and 4 096 at its second — box the wide field instead of growing the record"
         );
     }
 }
