@@ -11,7 +11,7 @@
 //! cargo run --release -p syd-bench --bin check -- --inject lock-leak   # must fail
 //! ```
 
-use syd_bench::stress::{run, Fault, StressConfig};
+use syd_bench::stress::{run, StressConfig};
 
 fn usage() -> ! {
     eprintln!(
@@ -23,29 +23,10 @@ fn usage() -> ! {
 }
 
 fn main() {
-    let mut cfg = StressConfig::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut val = |what: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{what} needs a value");
-                usage()
-            })
-        };
-        match arg.as_str() {
-            "--sessions" => cfg.sessions = val("--sessions").parse().unwrap_or_else(|_| usage()),
-            "--devices" => cfg.devices = val("--devices").parse().unwrap_or_else(|_| usage()),
-            "--workers" => cfg.workers = val("--workers").parse().unwrap_or_else(|_| usage()),
-            "--entities" => cfg.entities = val("--entities").parse().unwrap_or_else(|_| usage()),
-            "--loss" => cfg.loss = val("--loss").parse().unwrap_or_else(|_| usage()),
-            "--seed" => cfg.seed = val("--seed").parse().unwrap_or_else(|_| usage()),
-            "--no-partition" => cfg.partition = false,
-            "--inject" => {
-                cfg.inject = Some(Fault::parse(&val("--inject")).unwrap_or_else(|| usage()));
-            }
-            _ => usage(),
-        }
-    }
+    let cfg = StressConfig::from_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        usage()
+    });
 
     println!(
         "syd-check stress: {} sessions, {} devices, {} workers, {} entities, \

@@ -1,19 +1,17 @@
-//! A deliberately tiny JSON tree, emitter and parser.
+//! A deliberately tiny, strict JSON tree and parser.
 //!
-//! The benchmark driver ships machine-readable results (`BENCH_*.json`)
-//! and validates them in CI, but the workspace takes no serialization
-//! dependency — the wire format is hand-rolled for the same reason the
-//! paper's prototype used raw sockets. This module is the ~200-line
-//! subset of JSON the benchmark schema needs: objects, arrays, strings,
-//! finite numbers, booleans and null, with string escapes limited to the
-//! characters the emitter itself produces.
-
-use std::fmt::Write as _;
+//! The workspace takes no serialization dependency, so the exporters of
+//! the observability plane (`Journal::to_jsonl`, `chrome_trace`) write
+//! their JSON by hand. This parser is the second implementation they are
+//! checked against: `tests/json_oracle.rs` parses what they emit and
+//! round-trips arbitrary strings through it, so an escaping bug on either
+//! side shows as a parse failure or a mismatch. It reads objects, arrays,
+//! strings, finite numbers, booleans and null, and rejects anything
+//! else.
 
 use syd_types::{SydError, SydResult};
 
-/// A JSON value tree. Object member order is preserved (emission is
-/// deterministic, so diffs of checked-in results stay reviewable).
+/// A JSON value tree. Object member order is preserved.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
     /// `null`
@@ -63,48 +61,6 @@ impl Json {
         }
     }
 
-    /// Pretty-prints with two-space indentation and a trailing newline.
-    pub fn pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        let pad = "  ".repeat(indent);
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
-            Json::Num(n) => write_num(out, *n),
-            Json::Str(s) => write_str(out, s),
-            Json::Arr(items) if items.is_empty() => out.push_str("[]"),
-            Json::Arr(items) => {
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    let _ = write!(out, "{pad}  ");
-                    item.write(out, indent + 1);
-                    out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
-                }
-                let _ = write!(out, "{pad}]");
-            }
-            Json::Obj(members) if members.is_empty() => out.push_str("{}"),
-            Json::Obj(members) => {
-                out.push_str("{\n");
-                for (i, (k, v)) in members.iter().enumerate() {
-                    let _ = write!(out, "{pad}  ");
-                    write_str(out, k);
-                    out.push_str(": ");
-                    v.write(out, indent + 1);
-                    out.push_str(if i + 1 < members.len() { ",\n" } else { "\n" });
-                }
-                let _ = write!(out, "{pad}}}");
-            }
-        }
-    }
-
     /// Parses a complete JSON document (trailing whitespace allowed).
     pub fn parse(text: &str) -> SydResult<Json> {
         let bytes = text.as_bytes();
@@ -116,34 +72,6 @@ impl Json {
         }
         Ok(value)
     }
-}
-
-/// Integers emit without a decimal point so counters read naturally.
-fn write_num(out: &mut String, n: f64) {
-    debug_assert!(n.is_finite(), "JSON numbers must be finite");
-    if n.fract() == 0.0 && n.abs() < 1e15 {
-        let _ = write!(out, "{}", n as i64);
-    } else {
-        let _ = write!(out, "{n}");
-    }
-}
-
-fn write_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 fn err(pos: usize, what: &str) -> SydError {
@@ -231,7 +159,7 @@ fn parse_str(bytes: &[u8], pos: &mut usize) -> SydResult<String> {
                             16,
                         )
                         .map_err(|_| err(*pos, "bad \\u hex"))?;
-                        // Surrogate pairs are out of scope for the schema.
+                        // Surrogate pairs are out of scope: no exporter writes one.
                         out.push(char::from_u32(code).ok_or_else(|| err(*pos, "bad codepoint"))?);
                         *pos += 4;
                     }
@@ -306,24 +234,25 @@ mod tests {
 
     #[test]
     fn round_trips_the_benchmark_shape() {
+        let text = r#"{"correct": true, "metrics": [
+            {"name": "find_p50_ms", "value": 1.25, "samples": 32}
+        ]}"#;
         let doc = Json::Obj(vec![
-            ("schema".into(), Json::Str("syd-bench-perf/v1".into())),
-            ("quick".into(), Json::Bool(false)),
+            ("correct".into(), Json::Bool(true)),
             (
-                "results".into(),
+                "metrics".into(),
                 Json::Arr(vec![Json::Obj(vec![
-                    ("bench".into(), Json::Str("group_invoke".into())),
-                    ("group_size".into(), Json::Num(32.0)),
-                    ("median_ms".into(), Json::Num(1.25)),
+                    ("name".into(), Json::Str("find_p50_ms".into())),
+                    ("value".into(), Json::Num(1.25)),
+                    ("samples".into(), Json::Num(32.0)),
                 ])]),
             ),
         ]);
-        let text = doc.pretty();
-        let back = Json::parse(&text).unwrap();
+        let back = Json::parse(text).unwrap();
         assert_eq!(back, doc);
         assert_eq!(
-            back.get("results").unwrap().as_arr().unwrap()[0]
-                .get("group_size")
+            back.get("metrics").unwrap().as_arr().unwrap()[0]
+                .get("samples")
                 .unwrap()
                 .as_f64(),
             Some(32.0)
@@ -331,16 +260,12 @@ mod tests {
     }
 
     #[test]
-    fn integers_emit_without_decimal_point() {
-        assert_eq!(Json::Num(32.0).pretty(), "32\n");
-        assert_eq!(Json::Num(1.5).pretty(), "1.5\n");
-    }
-
-    #[test]
     fn strings_escape_and_unescape() {
-        let s = Json::Str("a\"b\\c\nd\u{1}".into());
-        let text = s.pretty();
-        assert_eq!(Json::parse(&text).unwrap(), s);
+        let text = r#""a\"b\\c\nd\u0001\t\/""#;
+        assert_eq!(
+            Json::parse(text).unwrap(),
+            Json::Str("a\"b\\c\nd\u{1}\t/".into())
+        );
     }
 
     #[test]

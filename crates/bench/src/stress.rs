@@ -1,11 +1,14 @@
-//! Seed-deterministic negotiation stress driver, audited by `syd-check`.
+//! Negotiation stress driver, audited by `syd-check`.
 //!
 //! Drives hundreds of concurrent §4.3 negotiations over a small, heavily
 //! contended entity space while the simulated network drops messages and
 //! (optionally) partitions random device pairs, then quiesces, ends the
 //! leases left behind, and runs the protocol invariant checker over
-//! every journal and lock table. The same seed always produces the same
-//! session mix, so a violation found once is reproducible.
+//! every journal and lock table. The seed fixes the session mix, the
+//! network's RNG and the partition churn; which session wins a contended
+//! entity still depends on thread timing, so two runs at one seed can end
+//! with different outcomes, and a violation seen once may not recur at the
+//! same seed.
 //!
 //! The driver can also *inject* a protocol defect after the run — a
 //! leaked entity lock or a forged double-commit record — to prove the
@@ -82,6 +85,43 @@ impl Default for StressConfig {
             seed: 42,
             inject: None,
         }
+    }
+}
+
+impl StressConfig {
+    /// Reads the `check` driver's flags over the defaults. An unknown
+    /// flag, a missing or malformed value, an unknown fault and a loss
+    /// outside `[0, 1]` are errors.
+    pub fn from_args(args: impl IntoIterator<Item = String>) -> Result<StressConfig, String> {
+        fn value<T: std::str::FromStr>(flag: &str, v: Option<String>) -> Result<T, String> {
+            let v = v.ok_or_else(|| format!("{flag} needs a value"))?;
+            v.parse().map_err(|_| format!("{flag}: bad value {v:?}"))
+        }
+        let mut cfg = StressConfig::default();
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            match flag.as_str() {
+                "--sessions" => cfg.sessions = value(&flag, args.next())?,
+                "--devices" => cfg.devices = value(&flag, args.next())?,
+                "--workers" => cfg.workers = value(&flag, args.next())?,
+                "--entities" => cfg.entities = value(&flag, args.next())?,
+                "--loss" => {
+                    cfg.loss = value(&flag, args.next())?;
+                    if !(0.0..=1.0).contains(&cfg.loss) {
+                        return Err(format!("--loss {}: not a probability", cfg.loss));
+                    }
+                }
+                "--seed" => cfg.seed = value(&flag, args.next())?,
+                "--no-partition" => cfg.partition = false,
+                "--inject" => {
+                    let name: String = value(&flag, args.next())?;
+                    let fault = Fault::parse(&name);
+                    cfg.inject = Some(fault.ok_or_else(|| format!("--inject: no fault {name:?}"))?);
+                }
+                _ => return Err(format!("unknown flag {flag:?}")),
+            }
+        }
+        Ok(cfg)
     }
 }
 
@@ -312,4 +352,62 @@ pub fn inject_double_commit(device: &DeviceRuntime) {
     journal.emit(Event::lock(holder, entity));
     journal.emit(Event::commit(INJECTED_SESSION, entity, true));
     journal.emit(Event::commit(holder, entity, true));
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)] // test code
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<StressConfig, String> {
+        StressConfig::from_args(args.iter().map(|a| (*a).to_owned()))
+    }
+
+    #[test]
+    fn loss_must_be_a_probability() {
+        for bad in ["1.5", "-0.1", "nan", "x"] {
+            assert!(parse(&["--loss", bad]).is_err(), "accepted --loss {bad}");
+        }
+        assert_eq!(parse(&["--loss", "0.03"]).unwrap().loss, 0.03);
+    }
+
+    #[test]
+    fn reads_every_flag_and_rejects_the_rest() {
+        let cfg = parse(&[
+            "--sessions",
+            "60",
+            "--devices",
+            "4",
+            "--workers",
+            "3",
+            "--entities",
+            "5",
+            "--seed",
+            "7",
+            "--no-partition",
+            "--inject",
+            "lock-leak",
+        ])
+        .unwrap();
+        assert_eq!(
+            (
+                cfg.sessions,
+                cfg.devices,
+                cfg.workers,
+                cfg.entities,
+                cfg.seed
+            ),
+            (60, 4, 3, 5, 7)
+        );
+        assert!(!cfg.partition);
+        assert_eq!(cfg.inject, Some(Fault::LockLeak));
+        for bad in [
+            &["--sessions"][..],
+            &["--sessions", "-1"],
+            &["--inject", "x"],
+            &["--fast"],
+        ] {
+            assert!(parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
 }

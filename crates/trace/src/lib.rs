@@ -2,8 +2,7 @@
 //! into each device's log (`syd_telemetry::Journal`), a collector that
 //! assembles cross-device trees keyed by trace id, a critical-path
 //! analyzer that attributes a negotiation's wall time to protocol
-//! phases, a worst-K exemplar store, and a chrome `trace_event`
-//! exporter.
+//! phases, and a chrome `trace_event` exporter.
 //!
 //! Spans extend the flat trace *ids* of `syd_telemetry::trace`: a
 //! [`SpanRecord`] carries start/end timestamps on a process-wide
@@ -23,13 +22,11 @@
 
 pub mod analyze;
 pub mod collect;
-pub mod exemplar;
 pub mod export;
 pub mod ring;
 
 pub use analyze::{attribute, Attribution, PHASES};
 pub use collect::{AssembleError, AssemblyMode, Collector, ServerView, SpanNode, SpanTree};
-pub use exemplar::ExemplarStore;
 pub use export::chrome_trace;
 pub use ring::{ActiveSpan, FinishSpan, Tracer};
 /// The process-wide clock span records are stamped from — the one the
