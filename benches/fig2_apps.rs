@@ -6,12 +6,12 @@
 
 use std::sync::Arc;
 
+use syd::bidding::{Host, Player};
+use syd::calendar::MeetingSpec;
+use syd::fleet::{deploy_fleet, Position};
+use syd::types::UserId;
 use syd_bench::timing::Group;
 use syd_bench::{calendar_rig, env_ideal, users_of, SlotAlloc};
-use syd_bidding::{Host, Player};
-use syd_calendar::MeetingSpec;
-use syd_fleet::{deploy_fleet, Position};
-use syd_types::UserId;
 
 fn main() {
     let group = Group("fig2_apps");

@@ -37,7 +37,6 @@
 #![warn(missing_docs)]
 
 pub mod app;
-pub mod appobj;
 pub mod baseline;
 pub mod delegation;
 pub mod mailbox;
@@ -45,7 +44,6 @@ pub mod model;
 pub mod proxy_support;
 
 pub use app::CalendarApp;
-pub use appobj::CommitteeCalendar;
 pub use baseline::{BaselineCalendar, BaselineStats};
 pub use delegation::Delegation;
 pub use mailbox::{Mail, Mailbox};

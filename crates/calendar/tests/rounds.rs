@@ -24,7 +24,10 @@ use syd_types::{SydError, SydResult, TimeSlot, UserId, Value};
 
 const N: usize = 8;
 
-/// `users` calendar users whose engines have resolved one another.
+/// `users` calendar users whose engines have resolved one another and
+/// whose services the directory has acknowledged: an install's publish
+/// wave runs in the background, and its frames must not land inside a
+/// counted operation.
 fn rig(users: usize) -> (SydEnv, Vec<Arc<CalendarApp>>) {
     let env = SydEnv::new_insecure(NetConfig::ideal());
     let apps: Vec<Arc<CalendarApp>> = (0..users)
@@ -32,6 +35,10 @@ fn rig(users: usize) -> (SydEnv, Vec<Arc<CalendarApp>>) {
         .collect();
     let everyone = users_of(&apps);
     for app in &apps {
+        wait_for(
+            || app.device().unpublished().is_empty(),
+            "the install's publishes",
+        );
         let resolved = app.device().engine().resolve_many(&everyone);
         assert!(resolved.iter().all(|(_, addr)| addr.is_ok()));
     }

@@ -36,7 +36,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod flatfile;
 pub mod key;
 pub mod lock;
 pub mod predicate;
@@ -48,7 +47,6 @@ pub mod table;
 pub mod trigger;
 pub mod txn;
 
-pub use flatfile::{export_table, import_table};
 pub use key::OrdValue;
 pub use lock::{LockKey, LockManager, LockRights};
 pub use predicate::Predicate;

@@ -1,19 +1,22 @@
 //! The full §5 committee-calendar walkthrough: tentative meetings,
 //! automatic confirmation, priority bumping with auto-rescheduling,
-//! supervisors, and quorum scheduling with OR-groups.
+//! supervisors, quorum scheduling with OR-groups, and the §3.2 application
+//! object (`CommitteeCalendar` below) over three members' calendars.
 //!
 //! ```sh
 //! cargo run --example committee_calendar
+//! cargo test --example committee_calendar   # the application object's tests
 //! ```
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // example code
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use syd::calendar::{CalendarApp, GroupSpec, MeetingSpec, MeetingStatus};
+use syd::calendar::{CalendarApp, GroupSpec, MeetingSpec, MeetingStatus, ScheduleOutcome};
 use syd::kernel::SydEnv;
 use syd::net::NetConfig;
-use syd::types::{MeetingId, Priority, TimeSlot, UserId};
+use syd::types::{MeetingId, Priority, SlotRange, SydError, SydResult, TimeSlot, UserId};
 
 fn wait_until(mut cond: impl FnMut() -> bool, what: &str) {
     let deadline = Instant::now() + Duration::from_secs(5);
@@ -162,9 +165,260 @@ fn main() {
     );
     println!("scene 5: cancel cascaded, waiting meeting auto-confirmed ✓");
 
+    // ── Scene 6: the §3.2 application object over three calendars ───────
+    let [phil, andy, suzy] = ["phil", "andy", "suzy"]
+        .map(|name| CalendarApp::install(&env.device(name, "pw").unwrap()).unwrap());
+    let committee = CommitteeCalendar::new(
+        Arc::clone(&phil),
+        vec![andy.user(), suzy.user()],
+        &["phil", "andy", "suzy"],
+    );
+    let day = SlotRange::whole_day(6);
+    andy.mark_busy(TimeSlot::new(6, 0)).unwrap();
+    let earliest = committee.find_earliest_meeting_time(day).unwrap().unwrap();
+    assert_eq!(earliest, TimeSlot::new(6, 1));
+    let sync = committee.schedule_earliest("committee sync", day).unwrap();
+    assert_eq!(sync.status, MeetingStatus::Confirmed);
+    // Suzy takes the next hour, so the move skips it.
+    suzy.mark_busy(TimeSlot::new(6, 2)).unwrap();
+    let moved = committee
+        .change_meeting_time_to_next_available(sync.meeting, 24)
+        .unwrap();
+    assert_eq!(moved, TimeSlot::new(6, 3));
+    assert_eq!(
+        committee.meeting_status(sync.meeting).unwrap(),
+        Some(MeetingStatus::Confirmed)
+    );
+    println!(
+        "scene 6: {} ({} members) met at {earliest}, moved to {moved} ✓",
+        committee.name(),
+        committee.members().len()
+    );
+
     println!("\nmail received by C:");
     for mail in c.mailbox().inbox().unwrap() {
         println!("  [{}] {}", mail.from, mail.subject);
     }
     println!("\nall scenes completed");
+}
+
+/// The SyD Application Object (§3.2): `Calendars_of_committee_SyDAppC`.
+///
+/// "A SyDApp constructs an object called
+/// `Calendars_of_phil+andy+suzy_SyDAppO` that 'links' together and defines
+/// a set of methods that can operate on the calendar objects of all three
+/// individuals … The SyDAppO may support the following methods:
+/// `Find_earliest_meeting_time()`, `Change_meeting_time_to_next_available()`,
+/// etc. The SyDAppO would be instantiated from a general class called
+/// `Calendars_of_committee_SyDAppC` that could be provided by a vendor or
+/// written by users themselves."
+///
+/// This is that general class: an aggregation of member calendars bound to
+/// one local [`CalendarApp`], exposing the paper's convenience methods on
+/// top of the kernel's group primitives.
+struct CommitteeCalendar {
+    app: Arc<CalendarApp>,
+    members: Vec<UserId>,
+    name: String,
+}
+
+impl CommitteeCalendar {
+    /// Builds the application object: `app`'s user plus `others` form the
+    /// committee. The display name mimics the paper's
+    /// `Calendars_of_phil+andy+suzy` convention.
+    fn new(app: Arc<CalendarApp>, others: Vec<UserId>, names: &[&str]) -> Self {
+        let mut members = vec![app.user()];
+        for u in others {
+            if !members.contains(&u) {
+                members.push(u);
+            }
+        }
+        CommitteeCalendar {
+            app,
+            members,
+            name: format!("Calendars_of_{}", names.join("+")),
+        }
+    }
+
+    /// The object's name, e.g. `Calendars_of_phil+andy+suzy`.
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Committee members (the local user first).
+    fn members(&self) -> &[UserId] {
+        &self.members
+    }
+
+    /// §3.2 `Find_earliest_meeting_time()`: the first slot in `range`
+    /// every member has free.
+    fn find_earliest_meeting_time(&self, range: SlotRange) -> SydResult<Option<TimeSlot>> {
+        Ok(self
+            .app
+            .find_common_slots(&self.members, range)?
+            .into_iter()
+            .next())
+    }
+
+    /// Schedules a committee meeting at the earliest common slot in
+    /// `range`.
+    fn schedule_earliest(&self, title: &str, range: SlotRange) -> SydResult<ScheduleOutcome> {
+        let slot = self
+            .find_earliest_meeting_time(range)?
+            .ok_or_else(|| SydError::App(format!("{}: no common slot in {range}", self.name)))?;
+        let others: Vec<UserId> = self
+            .members
+            .iter()
+            .copied()
+            .filter(|&u| u != self.app.user())
+            .collect();
+        self.app.schedule(MeetingSpec::plain(title, slot, others))
+    }
+
+    /// §3.2 `Change_meeting_time_to_next_available()`: moves an existing
+    /// committee meeting to the next slot after its current one that every
+    /// member has free. Returns the new slot.
+    fn change_meeting_time_to_next_available(
+        &self,
+        meeting: MeetingId,
+        horizon: u64,
+    ) -> SydResult<TimeSlot> {
+        let rec = self
+            .app
+            .meeting(meeting)?
+            .ok_or_else(|| SydError::App(format!("unknown meeting {meeting}")))?;
+        let search = SlotRange::new(
+            TimeSlot::from_ordinal(rec.ordinal + 1),
+            TimeSlot::from_ordinal(rec.ordinal + 1 + horizon),
+        );
+        let candidates = self.app.find_common_slots(&self.members, search)?;
+        for slot in candidates {
+            if self.app.request_change(meeting, slot)? {
+                return Ok(slot);
+            }
+            // A candidate can be stolen between the query and the move;
+            // try the next one — the negotiation keeps this race safe.
+        }
+        Err(SydError::App(format!(
+            "{}: no movable slot within {horizon} slots",
+            self.name
+        )))
+    }
+
+    /// The committee's view of a meeting, read from the local record.
+    fn meeting_status(&self, meeting: MeetingId) -> SydResult<Option<MeetingStatus>> {
+        Ok(self.app.meeting(meeting)?.map(|m| m.status))
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)] // test code
+mod tests {
+    use super::*;
+
+    fn rig() -> (SydEnv, Vec<Arc<CalendarApp>>) {
+        let env = SydEnv::new_insecure(NetConfig::ideal());
+        let apps = ["phil", "andy", "suzy"]
+            .iter()
+            .map(|n| CalendarApp::install(&env.device(n, "").unwrap()).unwrap())
+            .collect();
+        (env, apps)
+    }
+
+    fn committee(apps: &[Arc<CalendarApp>]) -> CommitteeCalendar {
+        CommitteeCalendar::new(
+            Arc::clone(&apps[0]),
+            apps[1..].iter().map(|a| a.user()).collect(),
+            &["phil", "andy", "suzy"],
+        )
+    }
+
+    #[test]
+    fn naming_follows_the_paper() {
+        let (_env, apps) = rig();
+        let c = committee(&apps);
+        assert_eq!(c.name(), "Calendars_of_phil+andy+suzy");
+        assert_eq!(c.members().len(), 3);
+    }
+
+    #[test]
+    fn find_earliest_skips_anyones_busy_slot() {
+        let (_env, apps) = rig();
+        let c = committee(&apps);
+        apps[0].mark_busy(TimeSlot::new(0, 0)).unwrap();
+        apps[1].mark_busy(TimeSlot::new(0, 1)).unwrap();
+        apps[2].mark_busy(TimeSlot::new(0, 2)).unwrap();
+        let earliest = c
+            .find_earliest_meeting_time(SlotRange::whole_day(0))
+            .unwrap();
+        assert_eq!(earliest, Some(TimeSlot::new(0, 3)));
+    }
+
+    #[test]
+    fn schedule_earliest_confirms() {
+        let (_env, apps) = rig();
+        let c = committee(&apps);
+        apps[1].mark_busy(TimeSlot::new(0, 0)).unwrap();
+        let outcome = c
+            .schedule_earliest("committee sync", SlotRange::whole_day(0))
+            .unwrap();
+        assert_eq!(outcome.status, MeetingStatus::Confirmed);
+        let rec = apps[0].meeting(outcome.meeting).unwrap().unwrap();
+        assert_eq!(rec.ordinal, TimeSlot::new(0, 1).ordinal());
+        // No common slot at all → error.
+        for app in &apps {
+            for slot in SlotRange::whole_day(1).iter() {
+                let _ = app.mark_busy(slot);
+            }
+        }
+        assert!(c
+            .schedule_earliest("impossible", SlotRange::whole_day(1))
+            .is_err());
+    }
+
+    #[test]
+    fn change_to_next_available_moves_past_conflicts() {
+        let (_env, apps) = rig();
+        let c = committee(&apps);
+        let outcome = c
+            .schedule_earliest("sync", SlotRange::whole_day(0))
+            .unwrap();
+        // Members are busy in the next two slots after the meeting.
+        apps[1].mark_busy(TimeSlot::new(0, 1)).unwrap();
+        apps[2].mark_busy(TimeSlot::new(0, 2)).unwrap();
+        let new_slot = c
+            .change_meeting_time_to_next_available(outcome.meeting, 24)
+            .unwrap();
+        assert_eq!(new_slot, TimeSlot::new(0, 3));
+        for app in &apps {
+            assert_eq!(
+                app.slot_state(new_slot.ordinal()).unwrap().meeting(),
+                Some(outcome.meeting)
+            );
+            assert!(app.slot_state(0).unwrap().is_free());
+        }
+        assert_eq!(
+            c.meeting_status(outcome.meeting).unwrap(),
+            Some(MeetingStatus::Confirmed)
+        );
+    }
+
+    #[test]
+    fn change_fails_when_nothing_is_available() {
+        let (_env, apps) = rig();
+        let c = committee(&apps);
+        let outcome = c
+            .schedule_earliest("sync", SlotRange::whole_day(0))
+            .unwrap();
+        for slot in SlotRange::new(TimeSlot::new(0, 1), TimeSlot::new(0, 6)).iter() {
+            apps[1].mark_busy(slot).unwrap();
+        }
+        let err = c
+            .change_meeting_time_to_next_available(outcome.meeting, 4)
+            .unwrap_err();
+        assert!(err.to_string().contains("no movable slot"), "{err}");
+        // Meeting unchanged.
+        let rec = apps[0].meeting(outcome.meeting).unwrap().unwrap();
+        assert_eq!(rec.ordinal, 0);
+    }
 }

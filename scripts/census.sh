@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # How much code and how many switches the workspace carries — ROADMAP
 # item 7's "least code" as numbers that any checkout can reproduce.
-# Plain find/wc/grep: no cargo, no registry, no build.
+# Plain find/wc/grep: no cargo, no registry, no build. `example_lines`
+# counts the walkthroughs under examples/, so code that leaves the library
+# for the one example that uses it shows as a move, not a deletion.
 #
 #   scripts/census.sh            # this checkout
 #   scripts/census.sh /some/dir  # another checkout (e.g. the parent commit)
@@ -39,6 +41,7 @@ count() { printf '%s' "$1" | grep -c . || true; }
 echo "src_lines        $(lines crates/*/src src)"
 echo "src_test_lines   $(test_lines crates/*/src src)"
 echo "test_lines       $(lines crates/*/tests tests)"
+echo "example_lines    $(lines examples)"
 echo "crates           $(find crates -mindepth 2 -maxdepth 2 -name Cargo.toml | wc -l)"
 echo "third_party_deps $(sed -n '/^\[workspace.dependencies\]/,/^\[/p' Cargo.toml |
     grep -E '^[a-z_-]+ *=' | grep -vc 'path *=')"

@@ -14,9 +14,6 @@
 //! Players install a [`BidStrategy`] — in a real deployment a UI prompt, in
 //! tests and benches a closure.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 

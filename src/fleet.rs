@@ -16,9 +16,6 @@
 //!   delivery accept, and the reassignment happens only if the quorum is
 //!   met (§4.3).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use std::sync::{Arc, Weak};
 
 use syd_core::links::LinkRef;

@@ -5,7 +5,8 @@
 //! middleware kernel, its coordination links, and the three sample
 //! applications (calendar, fleet, bidding) on a simulated mobile network.
 //!
-//! This crate is a façade re-exporting the workspace members:
+//! This crate is a façade re-exporting the workspace members, plus the
+//! modules it carries itself:
 //!
 //! | module | crate | contents |
 //! |---|---|---|
@@ -20,8 +21,8 @@
 //! | [`calendar`] | `syd-calendar` | the calendar-of-meetings application + baseline |
 //! | [`trace`] | `syd-trace` | timed span trees, cross-device assembly, critical-path attribution |
 //! | [`obs`] | (this crate) | one-shot span-ring snapshot (`sydtop`-style) |
-//! | [`fleet`] | `syd-fleet` | vehicle fleet application |
-//! | [`bidding`] | `syd-bidding` | price-is-right application |
+//! | [`fleet`] | (this crate) | vehicle fleet application (Figure 2) |
+//! | [`bidding`] | (this crate) | price-is-right application (Figure 2) |
 //!
 //! ## Quickstart
 //!
@@ -45,14 +46,14 @@
 
 #![forbid(unsafe_code)]
 
+pub mod bidding;
+pub mod fleet;
 pub mod obs;
 
-pub use syd_bidding as bidding;
 pub use syd_calendar as calendar;
 pub use syd_check as check;
 pub use syd_core as kernel;
 pub use syd_crypto as crypto;
-pub use syd_fleet as fleet;
 pub use syd_net as net;
 pub use syd_store as store;
 pub use syd_trace as trace;
