@@ -25,12 +25,13 @@ fn main() {
     let caller = &devs[0];
 
     // Directory lookup (uncached: fresh client each time would measure
-    // node spawn; instead measure the directory round trip itself).
+    // node spawn; instead measure the directory round trip itself): a
+    // batch of one, the engine's resolution of a single cache miss.
     let group = Group("fig3_kernel");
     let dirc = env.directory_client();
     let target_user = devs[1].user();
     group.bench_function("directory_lookup", |b| {
-        b.iter(|| dirc.lookup(target_user).unwrap());
+        b.iter(|| dirc.lookup_many(&[target_user]).unwrap());
     });
     group.bench_function("directory_describe", |b| {
         b.iter(|| dirc.describe(target_user).unwrap());

@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use syd_core::links::LinkSpec;
-use syd_core::{DeviceRuntime, EntityHandler, InvokeCtx, Method, SubscriptionHandler};
+use syd_core::{arg, DeviceRuntime, EntityHandler, InvokeCtx, Method, SubscriptionHandler};
 use syd_store::{Column, ColumnType, Predicate, Schema, Store};
 use syd_telemetry::names;
 use syd_telemetry::{Counter, Histogram};
@@ -841,11 +841,6 @@ fn slot_of(store: &Store, ordinal: u64) -> SydResult<(SlotState, Priority)> {
 /// The correlation id of `user`'s availability link for `meeting`.
 fn avail_corr(meeting: MeetingId, user: UserId) -> Text {
     Text::format(format_args!("avail:{}:{}", meeting.raw(), user.raw()))
-}
-
-pub(crate) fn arg(args: &[Value], i: usize) -> SydResult<&Value> {
-    args.get(i)
-        .ok_or_else(|| SydError::Protocol(format!("missing argument {i}")))
 }
 
 /// Argument `i` of `method` as a slot ordinal or window bound, checked where

@@ -11,9 +11,9 @@
 use syd_store::{Column, ColumnType, Predicate, Schema};
 use syd_types::{Priority, SydError, SydResult, Timestamp, UserId, Value};
 
-use syd_core::InvokeCtx;
+use syd_core::{arg, InvokeCtx};
 
-use crate::app::{arg, calendar_service, CalendarApp};
+use crate::app::{calendar_service, CalendarApp};
 use crate::model::{MeetingSpec, ScheduleOutcome};
 
 const T_DELEGATIONS: &str = "delegations";

@@ -30,7 +30,7 @@ use crate::directory::DirectoryClient;
 use crate::engine::SydEngine;
 use crate::events::EventHandler;
 use crate::links::LinksModule;
-use crate::listener::{InvokeCtx, Listener, Method};
+use crate::listener::{arg, InvokeCtx, Listener, Method};
 use crate::negotiate::{fsm, link_service, Negotiator, ABORT, COMMIT, MARK};
 
 /// How long a participant waits for an entity lock before voting no.
@@ -455,11 +455,6 @@ impl Drop for Pinned<'_> {
     }
 }
 
-fn args_get(args: &[Value], i: usize) -> SydResult<&Value> {
-    args.get(i)
-        .ok_or_else(|| SydError::Protocol(format!("missing argument {i}")))
-}
-
 // ---- kernel services ---------------------------------------------------------
 
 /// The link service (§4.2–§4.4): what a peer's links and negotiations
@@ -480,9 +475,9 @@ static PING_METHODS: &[Method<DeviceInner>] =
 
 /// mark(session, entity, change) -> vote
 fn mark(inner: &DeviceInner, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    let session = args_get(args, 0)?.as_i64()? as u64;
-    let entity = args_get(args, 1)?.as_str()?;
-    let change = args_get(args, 2)?;
+    let session = arg(args, 0)?.as_i64()? as u64;
+    let entity = arg(args, 1)?.as_str()?;
+    let change = arg(args, 2)?;
     let (locks, key) = (&inner.lock_rights, entity_lock_key(entity));
     let journal = inner.node.journal();
     let lapsed = |holder| journal.emit(Event::release(holder, entity, "lease"));
@@ -527,9 +522,9 @@ fn mark(inner: &DeviceInner, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Valu
 
 /// commit(session, entity, change) -> Null
 fn commit(inner: &DeviceInner, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    let session = args_get(args, 0)?.as_i64()? as u64;
-    let entity = args_get(args, 1)?.as_str()?;
-    let change = args_get(args, 2)?;
+    let session = arg(args, 0)?.as_i64()? as u64;
+    let entity = arg(args, 1)?.as_str()?;
+    let change = arg(args, 2)?;
     let (locks, key) = (&inner.lock_rights, entity_lock_key(entity));
     // A coordinator may be slow, not dead: its commit after its lease
     // lapsed is refused, as the entity may have changed hands since. An
@@ -558,9 +553,9 @@ fn commit(inner: &DeviceInner, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Va
 
 /// abort(session, entity, change) -> Null
 fn abort(inner: &DeviceInner, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    let session = args_get(args, 0)?.as_i64()? as u64;
-    let entity = args_get(args, 1)?.as_str()?;
-    let change = args_get(args, 2)?;
+    let session = arg(args, 0)?.as_i64()? as u64;
+    let entity = arg(args, 1)?.as_str()?;
+    let change = arg(args, 2)?;
     if let Some(h) = inner.entity_handler.read().clone() {
         h.abort(entity, change);
     }
@@ -575,9 +570,9 @@ fn abort(inner: &DeviceInner, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Val
 
 /// offer_link(entity, action, from_user) -> Bool
 fn offer_link(inner: &DeviceInner, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    let entity = args_get(args, 0)?.as_str()?;
-    let action = args_get(args, 1)?.as_str()?;
-    let from = UserId::new(args_get(args, 2)?.as_i64()? as u64);
+    let entity = arg(args, 0)?.as_str()?;
+    let action = arg(args, 1)?.as_str()?;
+    let from = UserId::new(arg(args, 2)?.as_i64()? as u64);
     let acceptor = inner.link_acceptor.read().clone();
     let accept = match acceptor {
         Some(f) => f(entity, action, from),
@@ -588,14 +583,14 @@ fn offer_link(inner: &DeviceInner, _ctx: &InvokeCtx, args: &[Value]) -> SydResul
 
 /// install_link(link value) -> link id
 fn install_link(inner: &DeviceInner, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    let id = inner.links.install_remote(args_get(args, 0)?)?;
+    let id = inner.links.install_remote(arg(args, 0)?)?;
     Ok(Value::from(id.raw()))
 }
 
 /// delete_by_corr(corr, visited list) -> deleted count
 fn delete_by_corr(inner: &DeviceInner, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    let corr = args_get(args, 0)?.as_str()?;
-    let visited = args_get(args, 1)?
+    let corr = arg(args, 0)?.as_str()?;
+    let visited = arg(args, 1)?
         .as_list()?
         .iter()
         .map(|v| Ok(v.as_i64()? as u64))
@@ -606,9 +601,9 @@ fn delete_by_corr(inner: &DeviceInner, _ctx: &InvokeCtx, args: &[Value]) -> SydR
 
 /// notify(entity, action, payload) -> handler result
 fn notify(inner: &DeviceInner, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    let entity = args_get(args, 0)?.as_str()?;
-    let action = args_get(args, 1)?.as_str()?;
-    let payload = args_get(args, 2)?;
+    let entity = arg(args, 0)?.as_str()?;
+    let action = arg(args, 1)?.as_str()?;
+    let payload = arg(args, 2)?;
     inner
         .events
         .publish_local(&format!("link.notify.{action}"), || payload.clone());
@@ -1299,7 +1294,7 @@ mod tests {
             seen: Arc<Seen>,
         }
         static RECORDING: &[Method<Recorder>] = &[Method::new("delete_by_corr", |r, ctx, args| {
-            let visited = args_get(args, 1)?.as_list()?.iter();
+            let visited = arg(args, 1)?.as_list()?.iter();
             let visited = visited.map(|v| Ok(v.as_i64()? as u64));
             let visited = visited.collect::<SydResult<Vec<u64>>>()?;
             r.seen.lock().push((r.device.user(), visited));

@@ -2,24 +2,27 @@
 //!
 //! The directory provides "user/group/service publishing, management, and
 //! lookup services … also supports intelligent proxy maintenance for
-//! users/devices". It runs as an ordinary SyD node serving the `syd.dir`
-//! service; every other module reaches it through [`DirectoryClient`].
+//! users/devices". It runs as an ordinary SyD node whose [`Listener`]
+//! serves one more method table, `syd.dir`, with no authenticator; every
+//! other module reaches it through [`DirectoryClient`], and only the
+//! engine resolves users to addresses.
 //!
 //! Proxy-aware lookup is the heart of §5.2: while a user's device is
-//! connected, `lookup` returns the device address; when it is disconnected
-//! and a proxy is registered, `lookup` transparently returns the proxy
-//! address, so "the proxy and the SyD object act as a single entity for an
-//! outsider".
+//! connected, `lookup_many` returns the device address; when it is
+//! disconnected and a proxy is registered, it transparently returns the
+//! proxy address, so "the proxy and the SyD object act as a single entity
+//! for an outsider".
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use syd_net::{Call, CallOptions, Network, Node, RequestHandler, Transport};
+use syd_net::{Call, CallOptions, Network, Node, Transport};
 use syd_telemetry::names;
 use syd_telemetry::{Counter, Registry};
 use syd_types::sync::{Rank, RwLock};
 use syd_types::{GroupId, NodeAddr, ServiceName, SydError, SydResult, UserId, Value};
-use syd_wire::Request;
+
+use crate::listener::{arg, InvokeCtx, Listener, Method};
 
 /// The directory's service name.
 pub fn dir_service() -> ServiceName {
@@ -63,34 +66,36 @@ struct DirState {
     next_group: u64,
 }
 
-/// Preregistered round-trip counters for the lookup hot path. They count
-/// *served requests*, so a benchmark can verify "a cold group invoke over
-/// n members costs one directory round trip" from the server's own
-/// telemetry rather than from wall clock.
-struct DirMetrics {
-    /// `dir.lookups` — single `lookup` requests served.
-    lookups: Counter,
-    /// `dir.batch_lookups` — `lookup_many` requests served.
-    batch_lookups: Counter,
-    /// `dir.batch_lookup_users` — users resolved across all
-    /// `lookup_many` requests (batching efficiency = users / requests).
-    batch_lookup_users: Counter,
-}
-
-impl DirMetrics {
-    fn preregister(registry: &Registry) -> Self {
-        Self {
-            lookups: registry.counter(names::DIR_LOOKUPS),
-            batch_lookups: registry.counter(names::DIR_BATCH_LOOKUPS),
-            batch_lookup_users: registry.counter(names::DIR_BATCH_LOOKUP_USERS),
-        }
+impl DirState {
+    fn user_mut(&mut self, user: UserId) -> SydResult<&mut UserRecord> {
+        self.users
+            .get_mut(&user)
+            .ok_or_else(|| SydError::NotRegistered(user.to_string()))
     }
 }
 
-/// The directory server: state plus the node serving `syd.dir`.
+/// The `syd.dir` service's state: the records and the preregistered
+/// counters of the lookup paths. The counters count *served requests*, so
+/// a benchmark can verify "a cold group invoke over n members costs one
+/// directory round trip" from the server's own telemetry rather than from
+/// wall clock.
+struct Directory {
+    state: RwLock<DirState>,
+    /// `dir.lookups`: single-entity reads served (`lookup_name`,
+    /// `describe`).
+    lookups: Counter,
+    /// `dir.batch_lookups`: `lookup_many` requests served.
+    batch_lookups: Counter,
+    /// `dir.batch_lookup_users`: users resolved across all `lookup_many`
+    /// requests (batching efficiency = users / requests).
+    batch_lookup_users: Counter,
+}
+
+/// The directory server: the node serving `syd.dir` and the state its
+/// listener answers from.
 pub struct DirectoryServer {
     node: Node,
-    state: Arc<RwLock<DirState>>,
+    dir: Arc<Directory>,
 }
 
 impl DirectoryServer {
@@ -104,14 +109,17 @@ impl DirectoryServer {
     /// Starts a directory on any transport backend (simulated or TCP).
     pub fn start_on(transport: &dyn Transport) -> SydResult<DirectoryServer> {
         let node = Node::spawn_on(transport)?;
-        let state = Arc::new(RwLock::new(Rank::Engine, DirState::default()));
-        let handler_state = Arc::clone(&state);
-        let metrics = DirMetrics::preregister(node.metrics());
-        node.set_handler(
-            Arc::new(move |_from, req: Request| serve(&handler_state, &metrics, &req))
-                as Arc<dyn RequestHandler>,
-        );
-        Ok(DirectoryServer { node, state })
+        let registry = node.metrics();
+        let dir = Arc::new(Directory {
+            state: RwLock::new(Rank::Engine, DirState::default()),
+            lookups: registry.counter(names::DIR_LOOKUPS),
+            batch_lookups: registry.counter(names::DIR_BATCH_LOOKUPS),
+            batch_lookup_users: registry.counter(names::DIR_BATCH_LOOKUP_USERS),
+        });
+        let listener = Listener::new(None, registry);
+        listener.serve(&dir_service(), &dir, DIR_METHODS);
+        node.set_handler(Arc::new(listener));
+        Ok(DirectoryServer { node, dir })
     }
 
     /// Address other nodes use to reach the directory.
@@ -121,7 +129,7 @@ impl DirectoryServer {
 
     /// Number of registered users (diagnostics).
     pub fn user_count(&self) -> usize {
-        self.state.read().users.len()
+        self.dir.state.read().users.len()
     }
 
     /// The directory node's metrics registry (`dir.lookups`,
@@ -132,10 +140,28 @@ impl DirectoryServer {
     }
 }
 
-fn arg(req: &Request, i: usize) -> SydResult<&Value> {
-    req.args
-        .get(i)
-        .ok_or_else(|| SydError::Protocol(format!("{} needs arg {i}", req.method)))
+/// The `syd.dir` service.
+static DIR_METHODS: &[Method<Directory>] = &[
+    Method::new("register", register),
+    Method::new("publish", publish),
+    Method::new("lookup_many", lookup_many),
+    Method::new("lookup_name", lookup_name),
+    Method::new("describe", describe),
+    Method::new("set_connected", set_connected),
+    Method::new("register_proxy", register_proxy),
+    Method::new("clear_proxy", clear_proxy),
+    Method::new("create_group", create_group),
+    Method::new("group_add", |dir, _, args| group_member(dir, args, true)),
+    Method::new("group_remove", |dir, _, args| {
+        group_member(dir, args, false)
+    }),
+    Method::new("group_members", group_members),
+    Method::new("group_by_name", group_by_name),
+    Method::new("list_users", list_users),
+];
+
+fn user_arg(args: &[Value], i: usize) -> SydResult<UserId> {
+    Ok(UserId::new(arg(args, i)?.as_i64()? as u64))
 }
 
 fn user_record_to_value(rec: &UserRecord) -> Value {
@@ -155,237 +181,205 @@ fn user_record_to_value(rec: &UserRecord) -> Value {
     ])
 }
 
-/// Proxy-aware address resolution (§5.2): connected → device address,
-/// disconnected with a proxy → proxy address, otherwise the device
-/// address as-is (the caller will observe the disconnect).
-fn resolve_record(rec: &UserRecord) -> (NodeAddr, bool) {
-    if rec.connected {
-        (rec.addr, false)
-    } else if let Some(proxy) = rec.proxy {
-        (proxy, true)
-    } else {
-        (rec.addr, false)
+/// register(user, name, addr) -> null
+fn register(dir: &Directory, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+    let user = user_arg(args, 0)?;
+    let name = arg(args, 1)?.as_str()?.to_owned();
+    let addr = NodeAddr::new(arg(args, 2)?.as_i64()? as u64);
+    let mut s = dir.state.write();
+    if let Some(&existing) = s.by_name.get(&name) {
+        if existing != user {
+            return Err(SydError::App(format!("name `{name}` is taken")));
+        }
     }
+    s.by_name.insert(name.clone(), user);
+    let old = s.users.remove(&user);
+    if let Some(old) = old.as_ref().filter(|old| old.name != name) {
+        s.by_name.remove(&old.name);
+    }
+    // The client sends `register` at least once: a repeat from the
+    // same address is a late duplicate and must not undo what the
+    // device has published since. A new address is a new device.
+    let rec = match old.filter(|old| old.addr == addr) {
+        Some(old) => UserRecord { name, ..old },
+        None => UserRecord {
+            user,
+            name,
+            addr,
+            proxy: None,
+            connected: true,
+            services: Vec::new(),
+        },
+    };
+    s.users.insert(user, rec);
+    Ok(Value::Null)
 }
 
-fn serve(state: &RwLock<DirState>, metrics: &DirMetrics, req: &Request) -> SydResult<Value> {
-    match req.method.as_str() {
-        // register(user, name, addr) -> null
-        "register" => {
-            let user = UserId::new(arg(req, 0)?.as_i64()? as u64);
-            let name = arg(req, 1)?.as_str()?.to_owned();
-            let addr = NodeAddr::new(arg(req, 2)?.as_i64()? as u64);
-            let mut s = state.write();
-            if let Some(&existing) = s.by_name.get(&name) {
-                if existing != user {
-                    return Err(SydError::App(format!("name `{name}` is taken")));
-                }
-            }
-            s.by_name.insert(name.clone(), user);
-            let old = s.users.remove(&user);
-            if let Some(old) = old.as_ref().filter(|old| old.name != name) {
-                s.by_name.remove(&old.name);
-            }
-            // The client sends `register` at least once: a repeat from the
-            // same address is a late duplicate and must not undo what the
-            // device has published since. A new address is a new device.
-            let rec = match old.filter(|old| old.addr == addr) {
-                Some(old) => UserRecord { name, ..old },
-                None => UserRecord {
-                    user,
-                    name,
-                    addr,
-                    proxy: None,
-                    connected: true,
-                    services: Vec::new(),
-                },
-            };
-            s.users.insert(user, rec);
-            Ok(Value::Null)
-        }
-        // publish(user, service) -> null
-        "publish" => {
-            let user = UserId::new(arg(req, 0)?.as_i64()? as u64);
-            let service = arg(req, 1)?.as_str()?.to_owned();
-            let mut s = state.write();
-            let rec = s
-                .users
-                .get_mut(&user)
-                .ok_or_else(|| SydError::NotRegistered(user.to_string()))?;
-            // Kept sorted: the publishes of one wave arrive in any order.
-            if let Err(at) = rec.services.binary_search(&service) {
-                rec.services.insert(at, service);
-            }
-            Ok(Value::Null)
-        }
-        // lookup(user) -> {addr, is_proxy}
-        "lookup" => {
-            metrics.lookups.inc();
-            let user = UserId::new(arg(req, 0)?.as_i64()? as u64);
-            let s = state.read();
-            let rec = s
-                .users
-                .get(&user)
-                .ok_or_else(|| SydError::NotRegistered(user.to_string()))?;
-            let (addr, is_proxy) = resolve_record(rec);
-            Ok(Value::map([
-                ("addr", Value::from(addr.raw())),
-                ("is_proxy", Value::Bool(is_proxy)),
-            ]))
-        }
-        // lookup_many([user ids]) -> [{addr, is_proxy} | null, ...]
-        //
-        // One round trip resolves a whole group. The reply is aligned
-        // with the input: an unregistered user yields `null` in its slot
-        // instead of failing the batch, so one unknown member can never
-        // poison its siblings' resolutions.
-        "lookup_many" => {
-            metrics.batch_lookups.inc();
-            let users = arg(req, 0)?.as_list()?;
-            metrics.batch_lookup_users.add(users.len() as u64);
-            let s = state.read();
-            let entries = users
-                .iter()
-                .map(|u| {
-                    let user = UserId::new(u.as_i64()? as u64);
-                    Ok(match s.users.get(&user) {
-                        Some(rec) => {
-                            let (addr, is_proxy) = resolve_record(rec);
-                            Value::map([
-                                ("addr", Value::from(addr.raw())),
-                                ("is_proxy", Value::Bool(is_proxy)),
-                            ])
-                        }
-                        None => Value::Null,
-                    })
-                })
-                .collect::<SydResult<Vec<Value>>>()?;
-            Ok(Value::list(entries))
-        }
-        // lookup_name(name) -> user id
-        "lookup_name" => {
-            let name = arg(req, 0)?.as_str()?;
-            let s = state.read();
-            s.by_name
-                .get(name)
-                .map(|u| Value::from(u.raw()))
-                .ok_or_else(|| SydError::NotRegistered(name.to_owned()))
-        }
-        // describe(user) -> full record
-        "describe" => {
-            let user = UserId::new(arg(req, 0)?.as_i64()? as u64);
-            let s = state.read();
-            s.users
-                .get(&user)
-                .map(user_record_to_value)
-                .ok_or_else(|| SydError::NotRegistered(user.to_string()))
-        }
-        // set_connected(user, bool) -> null
-        "set_connected" => {
-            let user = UserId::new(arg(req, 0)?.as_i64()? as u64);
-            let connected = arg(req, 1)?.as_bool()?;
-            let mut s = state.write();
-            let rec = s
-                .users
-                .get_mut(&user)
-                .ok_or_else(|| SydError::NotRegistered(user.to_string()))?;
-            rec.connected = connected;
-            Ok(Value::Null)
-        }
-        // register_proxy(user, proxy_addr) -> null
-        "register_proxy" => {
-            let user = UserId::new(arg(req, 0)?.as_i64()? as u64);
-            let proxy = NodeAddr::new(arg(req, 1)?.as_i64()? as u64);
-            let mut s = state.write();
-            let rec = s
-                .users
-                .get_mut(&user)
-                .ok_or_else(|| SydError::NotRegistered(user.to_string()))?;
-            rec.proxy = Some(proxy);
-            Ok(Value::Null)
-        }
-        // clear_proxy(user) -> null
-        "clear_proxy" => {
-            let user = UserId::new(arg(req, 0)?.as_i64()? as u64);
-            let mut s = state.write();
-            let rec = s
-                .users
-                .get_mut(&user)
-                .ok_or_else(|| SydError::NotRegistered(user.to_string()))?;
-            rec.proxy = None;
-            Ok(Value::Null)
-        }
-        // create_group(name) -> group id
-        "create_group" => {
-            let name = arg(req, 0)?.as_str()?.to_owned();
-            let mut s = state.write();
-            if s.group_by_name.contains_key(&name) {
-                return Err(SydError::App(format!("group `{name}` already exists")));
-            }
-            s.next_group += 1;
-            let id = GroupId::new(s.next_group);
-            s.group_by_name.insert(name.clone(), id);
-            s.groups.insert(
-                id,
-                GroupInfo {
-                    id,
-                    name,
-                    members: Vec::new(),
-                },
-            );
-            Ok(Value::from(id.raw()))
-        }
-        // group_add(group, user) / group_remove(group, user) -> null
-        "group_add" | "group_remove" => {
-            let group = GroupId::new(arg(req, 0)?.as_i64()? as u64);
-            let user = UserId::new(arg(req, 1)?.as_i64()? as u64);
-            let mut s = state.write();
-            if !s.users.contains_key(&user) {
-                return Err(SydError::NotRegistered(user.to_string()));
-            }
-            let info = s
-                .groups
-                .get_mut(&group)
-                .ok_or_else(|| SydError::NotRegistered(group.to_string()))?;
-            if req.method == "group_add" {
-                if !info.members.contains(&user) {
-                    info.members.push(user);
-                }
-            } else {
-                info.members.retain(|&m| m != user);
-            }
-            Ok(Value::Null)
-        }
-        // group_members(group) -> [user ids]
-        "group_members" => {
-            let group = GroupId::new(arg(req, 0)?.as_i64()? as u64);
-            let s = state.read();
-            let info = s
-                .groups
-                .get(&group)
-                .ok_or_else(|| SydError::NotRegistered(group.to_string()))?;
-            Ok(Value::list(
-                info.members.iter().map(|u| Value::from(u.raw())),
-            ))
-        }
-        // group_by_name(name) -> group id
-        "group_by_name" => {
-            let name = arg(req, 0)?.as_str()?;
-            let s = state.read();
-            s.group_by_name
-                .get(name)
-                .map(|g| Value::from(g.raw()))
-                .ok_or_else(|| SydError::NotRegistered(name.to_owned()))
-        }
-        // list_users() -> [user ids]
-        "list_users" => {
-            let s = state.read();
-            let mut ids: Vec<u64> = s.users.keys().map(|u| u.raw()).collect();
-            ids.sort_unstable();
-            Ok(Value::list(ids.into_iter().map(Value::from)))
-        }
-        other => Err(SydError::NoSuchService(dir_service(), other.to_owned())),
+/// publish(user, service) -> null
+fn publish(dir: &Directory, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+    let user = user_arg(args, 0)?;
+    let service = arg(args, 1)?.as_str()?.to_owned();
+    let mut s = dir.state.write();
+    let rec = s.user_mut(user)?;
+    // Kept sorted: the publishes of one wave arrive in any order.
+    if let Err(at) = rec.services.binary_search(&service) {
+        rec.services.insert(at, service);
     }
+    Ok(Value::Null)
+}
+
+/// lookup_many([user ids]) -> [{addr, is_proxy} | null, ...]
+///
+/// One round trip resolves a whole group. The reply is aligned with the
+/// input: an unregistered user yields `null` in its slot instead of
+/// failing the batch, so one unknown member can never poison its
+/// siblings' resolutions.
+fn lookup_many(dir: &Directory, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+    dir.batch_lookups.inc();
+    let users = arg(args, 0)?.as_list()?;
+    dir.batch_lookup_users.add(users.len() as u64);
+    let s = dir.state.read();
+    let entries = users
+        .iter()
+        .map(|u| {
+            let user = UserId::new(u.as_i64()? as u64);
+            Ok(match s.users.get(&user) {
+                Some(rec) => {
+                    // Proxy-aware resolution (§5.2): connected → device
+                    // address, disconnected with a proxy → proxy address,
+                    // otherwise the device address as-is (the caller will
+                    // observe the disconnect).
+                    let (addr, is_proxy) = match rec.proxy {
+                        Some(proxy) if !rec.connected => (proxy, true),
+                        _ => (rec.addr, false),
+                    };
+                    Value::map([
+                        ("addr", Value::from(addr.raw())),
+                        ("is_proxy", Value::Bool(is_proxy)),
+                    ])
+                }
+                None => Value::Null,
+            })
+        })
+        .collect::<SydResult<Vec<Value>>>()?;
+    Ok(Value::list(entries))
+}
+
+/// lookup_name(name) -> user id
+fn lookup_name(dir: &Directory, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+    dir.lookups.inc();
+    let name = arg(args, 0)?.as_str()?;
+    let s = dir.state.read();
+    s.by_name
+        .get(name)
+        .map(|u| Value::from(u.raw()))
+        .ok_or_else(|| SydError::NotRegistered(name.to_owned()))
+}
+
+/// describe(user) -> full record
+fn describe(dir: &Directory, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+    dir.lookups.inc();
+    let user = user_arg(args, 0)?;
+    let s = dir.state.read();
+    s.users
+        .get(&user)
+        .map(user_record_to_value)
+        .ok_or_else(|| SydError::NotRegistered(user.to_string()))
+}
+
+/// set_connected(user, bool) -> null
+fn set_connected(dir: &Directory, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+    let user = user_arg(args, 0)?;
+    let connected = arg(args, 1)?.as_bool()?;
+    dir.state.write().user_mut(user)?.connected = connected;
+    Ok(Value::Null)
+}
+
+/// register_proxy(user, proxy_addr) -> null
+fn register_proxy(dir: &Directory, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+    let user = user_arg(args, 0)?;
+    let proxy = NodeAddr::new(arg(args, 1)?.as_i64()? as u64);
+    dir.state.write().user_mut(user)?.proxy = Some(proxy);
+    Ok(Value::Null)
+}
+
+/// clear_proxy(user) -> null
+fn clear_proxy(dir: &Directory, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+    let user = user_arg(args, 0)?;
+    dir.state.write().user_mut(user)?.proxy = None;
+    Ok(Value::Null)
+}
+
+/// create_group(name) -> group id
+fn create_group(dir: &Directory, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+    let name = arg(args, 0)?.as_str()?.to_owned();
+    let mut s = dir.state.write();
+    if s.group_by_name.contains_key(&name) {
+        return Err(SydError::App(format!("group `{name}` already exists")));
+    }
+    s.next_group += 1;
+    let id = GroupId::new(s.next_group);
+    s.group_by_name.insert(name.clone(), id);
+    s.groups.insert(
+        id,
+        GroupInfo {
+            id,
+            name,
+            members: Vec::new(),
+        },
+    );
+    Ok(Value::from(id.raw()))
+}
+
+/// group_add(group, user) / group_remove(group, user) -> null
+fn group_member(dir: &Directory, args: &[Value], add: bool) -> SydResult<Value> {
+    let group = GroupId::new(arg(args, 0)?.as_i64()? as u64);
+    let user = user_arg(args, 1)?;
+    let mut s = dir.state.write();
+    if !s.users.contains_key(&user) {
+        return Err(SydError::NotRegistered(user.to_string()));
+    }
+    let info = s
+        .groups
+        .get_mut(&group)
+        .ok_or_else(|| SydError::NotRegistered(group.to_string()))?;
+    if !add {
+        info.members.retain(|&m| m != user);
+    } else if !info.members.contains(&user) {
+        info.members.push(user);
+    }
+    Ok(Value::Null)
+}
+
+/// group_members(group) -> [user ids]
+fn group_members(dir: &Directory, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+    let group = GroupId::new(arg(args, 0)?.as_i64()? as u64);
+    let s = dir.state.read();
+    let info = s
+        .groups
+        .get(&group)
+        .ok_or_else(|| SydError::NotRegistered(group.to_string()))?;
+    Ok(Value::list(
+        info.members.iter().map(|u| Value::from(u.raw())),
+    ))
+}
+
+/// group_by_name(name) -> group id
+fn group_by_name(dir: &Directory, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+    let name = arg(args, 0)?.as_str()?;
+    let s = dir.state.read();
+    s.group_by_name
+        .get(name)
+        .map(|g| Value::from(g.raw()))
+        .ok_or_else(|| SydError::NotRegistered(name.to_owned()))
+}
+
+/// list_users() -> [user ids]
+fn list_users(dir: &Directory, _ctx: &InvokeCtx, _args: &[Value]) -> SydResult<Value> {
+    let s = dir.state.read();
+    let mut ids: Vec<u64> = s.users.keys().map(|u| u.raw()).collect();
+    ids.sort_unstable();
+    Ok(Value::list(ids.into_iter().map(Value::from)))
 }
 
 /// Directory operations are idempotent, so retrying through loss is safe —
@@ -448,14 +442,6 @@ impl DirectoryClient {
             .into_iter()
             .map(|result| result.map(|_| ()))
             .collect()
-    }
-
-    /// Resolves a user to a reachable address. Returns `(addr, is_proxy)`.
-    pub fn lookup(&self, user: UserId) -> SydResult<(NodeAddr, bool)> {
-        let v = self.call("lookup", vec![Value::from(user.raw())])?;
-        let addr = NodeAddr::new(v.get("addr")?.as_i64()? as u64);
-        let is_proxy = v.get("is_proxy")?.as_bool()?;
-        Ok((addr, is_proxy))
     }
 
     /// Resolves a whole group of users in one round trip. The result is
@@ -630,12 +616,15 @@ mod tests {
         let addr = NodeAddr::new(77);
         client.register(phil, "phil", addr).unwrap();
         assert_eq!(dir.user_count(), 1);
-        assert_eq!(client.lookup(phil).unwrap(), (addr, false));
+        assert_eq!(client.lookup_many(&[phil]).unwrap(), [Some((addr, false))]);
         assert_eq!(client.lookup_name("phil").unwrap(), phil);
         let rec = client.describe(phil).unwrap();
         assert_eq!(rec.name, "phil");
         assert!(rec.connected);
         assert!(rec.proxy.is_none());
+        // The two single-entity reads count as lookups; a batch does not.
+        let lookups = dir.metrics().get_counter(names::DIR_LOOKUPS).unwrap();
+        assert_eq!(lookups.get(), 2);
     }
 
     #[test]
@@ -653,7 +642,8 @@ mod tests {
         client
             .register(UserId::new(1), "phil", NodeAddr::new(9))
             .unwrap();
-        assert_eq!(client.lookup(UserId::new(1)).unwrap().0, NodeAddr::new(9));
+        let found = client.lookup_many(&[UserId::new(1)]).unwrap();
+        assert_eq!(found, [Some((NodeAddr::new(9), false))]);
     }
 
     #[test]
@@ -703,11 +693,12 @@ mod tests {
     #[test]
     fn unknown_user_lookup_fails() {
         let (_net, _dir, client) = setup();
+        // An unknown user is a hole in the batch; an unknown name errs.
+        assert_eq!(client.lookup_many(&[UserId::new(404)]).unwrap(), [None]);
         assert!(matches!(
-            client.lookup(UserId::new(404)).unwrap_err(),
+            client.lookup_name("ghost").unwrap_err(),
             SydError::NotRegistered(_)
         ));
-        assert!(client.lookup_name("ghost").is_err());
     }
 
     #[test]
@@ -718,19 +709,20 @@ mod tests {
         let proxy = NodeAddr::new(20);
         client.register(user, "suzy", primary).unwrap();
         client.register_proxy(user, proxy).unwrap();
+        let lookup = || client.lookup_many(&[user]).unwrap()[0];
 
         // Connected: primary wins.
-        assert_eq!(client.lookup(user).unwrap(), (primary, false));
+        assert_eq!(lookup(), Some((primary, false)));
         // Disconnected: proxy takes over.
         client.set_connected(user, false).unwrap();
-        assert_eq!(client.lookup(user).unwrap(), (proxy, true));
+        assert_eq!(lookup(), Some((proxy, true)));
         // Reconnected: primary again.
         client.set_connected(user, true).unwrap();
-        assert_eq!(client.lookup(user).unwrap(), (primary, false));
+        assert_eq!(lookup(), Some((primary, false)));
         // Disconnected with no proxy: primary address returned as-is.
         client.clear_proxy(user).unwrap();
         client.set_connected(user, false).unwrap();
-        assert_eq!(client.lookup(user).unwrap(), (primary, false));
+        assert_eq!(lookup(), Some((primary, false)));
     }
 
     #[test]
@@ -865,5 +857,12 @@ mod tests {
             .call(dir.addr(), &dir_service(), "frobnicate", vec![])
             .unwrap_err();
         assert!(matches!(err, SydError::NoSuchService(_, _)));
+        // A real verb under another service name is refused as any
+        // device refuses it.
+        let other = ServiceName::new("calendar");
+        let err = node
+            .call(dir.addr(), &other, "lookup_many", vec![Value::list([])])
+            .unwrap_err();
+        assert_eq!(err, SydError::NoSuchService(other, "lookup_many".into()));
     }
 }

@@ -107,7 +107,8 @@ impl SydEnv {
     }
 
     /// The running directory server — benchmarks and diagnostics read its
-    /// request counters (`dir.lookups`, `dir.batch_lookups`, …) to verify
+    /// request counters (`dir.batch_lookups` for the engine's resolutions,
+    /// `dir.lookups` for `lookup_name` and `describe`, …) to verify
     /// round-trip budgets from the server's side, not wall clock.
     pub fn directory(&self) -> &DirectoryServer {
         &self.directory

@@ -56,6 +56,12 @@ impl<S> Method<S> {
     }
 }
 
+/// Argument `i` of a method's `args`, or a protocol error naming it.
+pub fn arg(args: &[Value], i: usize) -> SydResult<&Value> {
+    args.get(i)
+        .ok_or_else(|| SydError::Protocol(format!("missing argument {i}")))
+}
+
 /// A served table with its state's type erased.
 trait Served: Send + Sync {
     /// Runs `method`, or `None` when the table has no such method.

@@ -72,7 +72,8 @@ pub const LISTENER_AUTH_FAILURES: &str = "listener.auth_failures";
 
 // --- directory (syd-core SyDDirectory) -------------------------------------
 
-/// Counter: single-entity directory lookups served.
+/// Counter: single-entity directory lookups served (`lookup_name`,
+/// `describe`; a user's address is resolved only by `lookup_many`).
 pub const DIR_LOOKUPS: &str = "dir.lookups";
 /// Counter: batched `lookup_many` round trips served.
 pub const DIR_BATCH_LOOKUPS: &str = "dir.batch_lookups";

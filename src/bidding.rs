@@ -189,13 +189,13 @@ impl Host {
                 winner.map_or(Value::Null, |u| Value::from(u.raw())),
             ),
         ]);
-        for &player in players {
-            if let Ok((addr, _)) = self.device.engine().directory().lookup(player) {
-                let _ = self
-                    .device
-                    .node()
-                    .publish_event(addr, "bidding.result", payload.clone());
-            }
+        // The players were just resolved for the bids: cache hits.
+        let resolved = self.device.engine().resolve_many(players);
+        for addr in resolved.into_iter().filter_map(|(_, addr)| addr.ok()) {
+            let _ = self
+                .device
+                .node()
+                .publish_event(addr, "bidding.result", payload.clone());
         }
 
         Ok(RoundResult {
@@ -254,8 +254,10 @@ impl Host {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // test code
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU32;
     use syd_core::SydEnv;
     use syd_net::NetConfig;
+    use syd_telemetry::names;
 
     fn fixed(cents: u64) -> BidStrategy {
         Arc::new(move |_item| Some(cents))
@@ -326,19 +328,16 @@ mod tests {
         assert_eq!(host.rounds_played().unwrap(), 3);
     }
 
-    #[test]
-    fn players_receive_result_events() {
-        use std::sync::atomic::{AtomicU32, Ordering as AOrd};
-        let (_env, host, players) = rig(vec![fixed(10), fixed(20)]);
-        let users: Vec<UserId> = players.iter().map(|p| p.user()).collect();
+    /// Counts the `bidding.*` events the players receive.
+    fn results_seen(players: &[Arc<Player>]) -> Arc<AtomicU32> {
         let seen = Arc::new(AtomicU32::new(0));
-        for p in &players {
+        for p in players {
             let sc = Arc::clone(&seen);
             p.device.events().subscribe(
                 "bidding.",
                 Arc::new(move |_t, payload| {
                     assert!(payload.get("round").is_ok());
-                    sc.fetch_add(1, AOrd::SeqCst);
+                    sc.fetch_add(1, Ordering::SeqCst);
                 }),
             );
             // Wire node events into the device event handler.
@@ -349,11 +348,49 @@ mod tests {
                     events.publish_local(&ev.topic, || ev.payload);
                 }));
         }
-        host.run_round(&users, "lamp", 100).unwrap();
+        seen
+    }
+
+    fn wait_for(seen: &AtomicU32, events: u32) {
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
-        while seen.load(AOrd::SeqCst) < 2 {
+        while seen.load(Ordering::SeqCst) < events {
             assert!(std::time::Instant::now() < deadline, "events missing");
             std::thread::yield_now();
         }
+    }
+
+    #[test]
+    fn players_receive_result_events() {
+        let (_env, host, players) = rig(vec![fixed(10), fixed(20)]);
+        let users: Vec<UserId> = players.iter().map(|p| p.user()).collect();
+        let seen = results_seen(&players);
+        host.run_round(&users, "lamp", 100).unwrap();
+        wait_for(&seen, 2);
+    }
+
+    /// The result push reaches players at the addresses the bids were
+    /// sent to: once a round has warmed the host's cache, a round asks the
+    /// directory nothing.
+    #[test]
+    fn a_warm_round_makes_no_directory_request() {
+        let (env, host, players) = rig((0..8).map(|i| fixed(100 + i)).collect());
+        let users: Vec<UserId> = players.iter().map(|p| p.user()).collect();
+        let seen = results_seen(&players);
+        // The installs' publishes land at the directory in the background.
+        while players.iter().any(|p| !p.device.unpublished().is_empty()) {
+            std::thread::yield_now();
+        }
+        let served = || {
+            let metrics = env.directory().metrics();
+            metrics
+                .get_counter(names::RPC_REQUESTS_SERVED)
+                .unwrap()
+                .get()
+        };
+        host.run_round(&users, "kettle", 150).unwrap();
+        let before = served();
+        host.run_round(&users, "kettle", 150).unwrap();
+        assert_eq!(served() - before, 0);
+        wait_for(&seen, 16);
     }
 }
