@@ -8,6 +8,7 @@ use std::sync::Arc;
 
 use syd_bench::timing::Group;
 use syd_bench::{devices, env_ideal};
+use syd_core::directory::DIR_CALLS;
 use syd_core::Method;
 use syd_types::{ServiceName, UserId, Value};
 
@@ -31,7 +32,7 @@ fn main() {
     let dirc = env.directory_client();
     let target_user = devs[1].user();
     group.bench_function("directory_lookup", |b| {
-        b.iter(|| dirc.lookup_many(&[target_user]).unwrap());
+        b.iter(|| dirc.lookup_many(&[target_user], DIR_CALLS).unwrap());
     });
     group.bench_function("directory_describe", |b| {
         b.iter(|| dirc.describe(target_user).unwrap());

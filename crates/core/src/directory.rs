@@ -382,9 +382,10 @@ fn list_users(dir: &Directory, _ctx: &InvokeCtx, _args: &[Value]) -> SydResult<V
     Ok(Value::list(ids.into_iter().map(Value::from)))
 }
 
-/// Directory operations are idempotent, so retrying through loss is safe —
-/// the prototype's TCP transport retransmitted transparently.
-const DIR_CALLS: CallOptions = CallOptions::new().with_retries(4);
+/// The options of the directory's own calls: its operations are
+/// idempotent, so retrying through loss is safe — the prototype's TCP
+/// transport retransmitted transparently.
+pub const DIR_CALLS: CallOptions = CallOptions::new().with_retries(4);
 
 /// Client-side typed wrapper over the `syd.dir` service.
 #[derive(Clone)]
@@ -446,15 +447,10 @@ impl DirectoryClient {
 
     /// Resolves a whole group of users in one round trip. The result is
     /// aligned with `users`: `None` marks a user the directory does not
-    /// know (the batch itself still succeeds).
-    pub fn lookup_many(&self, users: &[UserId]) -> SydResult<Vec<Option<(NodeAddr, bool)>>> {
-        self.lookup_many_with(users, DIR_CALLS)
-    }
-
-    /// [`DirectoryClient::lookup_many`] with explicit deadline/retry
-    /// options — the engine passes its own (typically much shorter)
-    /// timeout so a lossy batch fails over quickly.
-    pub fn lookup_many_with(
+    /// know (the batch itself still succeeds). The engine passes its own
+    /// (typically much shorter) deadline so a lossy batch fails over
+    /// quickly; other callers pass [`DIR_CALLS`].
+    pub fn lookup_many(
         &self,
         users: &[UserId],
         opts: CallOptions,
@@ -616,7 +612,10 @@ mod tests {
         let addr = NodeAddr::new(77);
         client.register(phil, "phil", addr).unwrap();
         assert_eq!(dir.user_count(), 1);
-        assert_eq!(client.lookup_many(&[phil]).unwrap(), [Some((addr, false))]);
+        assert_eq!(
+            client.lookup_many(&[phil], DIR_CALLS).unwrap(),
+            [Some((addr, false))]
+        );
         assert_eq!(client.lookup_name("phil").unwrap(), phil);
         let rec = client.describe(phil).unwrap();
         assert_eq!(rec.name, "phil");
@@ -642,7 +641,7 @@ mod tests {
         client
             .register(UserId::new(1), "phil", NodeAddr::new(9))
             .unwrap();
-        let found = client.lookup_many(&[UserId::new(1)]).unwrap();
+        let found = client.lookup_many(&[UserId::new(1)], DIR_CALLS).unwrap();
         assert_eq!(found, [Some((NodeAddr::new(9), false))]);
     }
 
@@ -694,7 +693,10 @@ mod tests {
     fn unknown_user_lookup_fails() {
         let (_net, _dir, client) = setup();
         // An unknown user is a hole in the batch; an unknown name errs.
-        assert_eq!(client.lookup_many(&[UserId::new(404)]).unwrap(), [None]);
+        assert_eq!(
+            client.lookup_many(&[UserId::new(404)], DIR_CALLS).unwrap(),
+            [None]
+        );
         assert!(matches!(
             client.lookup_name("ghost").unwrap_err(),
             SydError::NotRegistered(_)
@@ -709,7 +711,7 @@ mod tests {
         let proxy = NodeAddr::new(20);
         client.register(user, "suzy", primary).unwrap();
         client.register_proxy(user, proxy).unwrap();
-        let lookup = || client.lookup_many(&[user]).unwrap()[0];
+        let lookup = || client.lookup_many(&[user], DIR_CALLS).unwrap()[0];
 
         // Connected: primary wins.
         assert_eq!(lookup(), Some((primary, false)));
@@ -811,7 +813,7 @@ mod tests {
             UserId::new(2),
             UserId::new(3),
         ];
-        let got = client.lookup_many(&users).unwrap();
+        let got = client.lookup_many(&users, DIR_CALLS).unwrap();
         assert_eq!(
             got,
             vec![
@@ -846,7 +848,7 @@ mod tests {
     #[test]
     fn lookup_many_of_nothing_is_empty() {
         let (_net, _dir, client) = setup();
-        assert_eq!(client.lookup_many(&[]).unwrap(), vec![]);
+        assert_eq!(client.lookup_many(&[], DIR_CALLS).unwrap(), vec![]);
     }
 
     #[test]

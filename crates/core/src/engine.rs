@@ -177,7 +177,7 @@ impl SydEngine {
         // The engine's own deadline, so a drop is re-sent quickly.
         let batch = self
             .directory
-            .lookup_many_with(&miss_users, opts.with_retries(opts.retries.max(4)));
+            .lookup_many(&miss_users, opts.with_retries(opts.retries.max(4)));
         for (k, &i) in misses.iter().enumerate() {
             let user = users[i];
             out[i].1 = match &batch {

@@ -166,7 +166,9 @@ impl SydEnv {
     }
 
     /// Adds `user` to the authorized-user table and seals their
-    /// credentials under a fresh IV; empty when security is off.
+    /// credentials once, under a fresh IV; empty when security is off.
+    /// The device attaches this one blob to every request it sends, so a
+    /// replayed blob is not detected (§5.4, as in the paper's prototype).
     fn enrol(&self, user: UserId, password: &str) -> Vec<u8> {
         let Some(auth) = &self.auth else {
             return Vec::new();

@@ -10,14 +10,17 @@
 //!    only then processes the request ([`Authenticator::verify`]).
 //!
 //! The TEA key is a pre-shared deployment secret (derived from a
-//! passphrase); the prototype did the same with a hard-coded key.
+//! passphrase); the prototype did the same with a hard-coded key. Every
+//! request is decrypted and checked afresh, with no cache of verified
+//! blobs, so a revoked user is refused on their next request; a blob
+//! replayed by an eavesdropper is accepted, as in the prototype.
 
 use std::collections::HashMap;
 
 use syd_types::sync::{Rank, RwLock};
 use syd_types::{SydError, SydResult, UserId};
 
-use crate::mode::{cbc_decrypt, cbc_encrypt};
+use crate::mode::{cbc_decrypt_into, cbc_encrypt};
 use crate::tea::{TeaKey, BLOCK_SIZE};
 
 /// A user's clear-text credentials.
@@ -46,18 +49,12 @@ impl Credentials {
         out
     }
 
-    fn from_bytes(bytes: &[u8]) -> SydResult<Credentials> {
-        if bytes.len() < 8 {
-            return Err(SydError::Codec("credential envelope too short".into()));
-        }
-        let mut id = [0u8; 8];
-        id.copy_from_slice(&bytes[..8]);
-        let password = String::from_utf8(bytes[8..].to_vec())
-            .map_err(|_| SydError::Codec("credential password is not utf-8".into()))?;
-        Ok(Credentials {
-            user: UserId::new(u64::from_le_bytes(id)),
-            password,
-        })
+    /// Reads [`Credentials::to_bytes`]'s layout in place: `None` when it
+    /// is too short or the password is not utf-8.
+    fn parse(bytes: &[u8]) -> Option<(UserId, &str)> {
+        let (id, password) = bytes.split_first_chunk::<8>()?;
+        let password = std::str::from_utf8(password).ok()?;
+        Some((UserId::new(u64::from_le_bytes(*id)), password))
     }
 }
 
@@ -94,10 +91,14 @@ impl AuthTable {
 
     /// Checks a clear-text credential pair.
     pub fn check(&self, creds: &Credentials) -> bool {
+        self.accepts(creds.user, &creds.password)
+    }
+
+    fn accepts(&self, user: UserId, password: &str) -> bool {
         self.users
             .read()
-            .get(&creds.user)
-            .is_some_and(|stored| stored == &creds.password)
+            .get(&user)
+            .is_some_and(|stored| stored == password)
     }
 
     /// Number of authorized users.
@@ -110,6 +111,10 @@ impl AuthTable {
         self.users.read().is_empty()
     }
 }
+
+/// The largest ciphertext body [`Authenticator::verify`] decrypts on the
+/// stack: a user id and a password of up to 55 bytes.
+const STACK_BODY: usize = 64;
 
 /// Seals and verifies credential blobs under the deployment's shared key.
 pub struct Authenticator {
@@ -137,7 +142,8 @@ impl Authenticator {
     }
 
     /// Encrypts credentials into the blob attached to every request.
-    /// `iv` should be fresh random bytes per call.
+    /// `iv` should be fresh random bytes per call: a deployment seals once
+    /// per device, and the device sends that one blob with every request.
     pub fn seal(&self, creds: &Credentials, iv: [u8; BLOCK_SIZE]) -> Vec<u8> {
         cbc_encrypt(&self.key, iv, &creds.to_bytes())
     }
@@ -145,15 +151,25 @@ impl Authenticator {
     /// Decrypts a blob and checks it against the authorized-user table.
     /// Returns the authenticated user on success; [`SydError::AuthFailed`]
     /// carries the claimed user id (or user 0 when the blob is garbage).
+    ///
+    /// A body of up to 64 bytes (a password of up to 55) decrypts on the
+    /// stack, so a device's request is checked without allocating.
     pub fn verify(&self, blob: &[u8]) -> SydResult<UserId> {
-        let plain =
-            cbc_decrypt(&self.key, blob).map_err(|_| SydError::AuthFailed(UserId::new(0)))?;
-        let creds =
-            Credentials::from_bytes(&plain).map_err(|_| SydError::AuthFailed(UserId::new(0)))?;
-        if self.table.check(&creds) {
-            Ok(creds.user)
+        let garbage = || SydError::AuthFailed(UserId::new(0));
+        let body = blob.len().saturating_sub(BLOCK_SIZE);
+        let (mut stack, mut heap) = ([0u8; STACK_BODY], Vec::new());
+        let buf = if body <= STACK_BODY {
+            &mut stack[..]
         } else {
-            Err(SydError::AuthFailed(creds.user))
+            heap.resize(body, 0);
+            &mut heap[..]
+        };
+        let len = cbc_decrypt_into(&self.key, blob, buf).map_err(|_| garbage())?;
+        let (user, password) = Credentials::parse(&buf[..len]).ok_or_else(garbage)?;
+        if self.table.accepts(user, password) {
+            Ok(user)
+        } else {
+            Err(SydError::AuthFailed(user))
         }
     }
 }
@@ -258,5 +274,83 @@ mod tests {
         auth.table().authorize(UserId::new(7), "pässwörd–日本語");
         let blob = auth.seal(&Credentials::new(UserId::new(7), "pässwörd–日本語"), [3; 8]);
         assert_eq!(auth.verify(&blob).unwrap(), UserId::new(7));
+    }
+
+    /// The check as it ran before `verify` decrypted in place: decrypt
+    /// to a `Vec`, parse into owned credentials, look them up.
+    fn reference_verify(auth: &Authenticator, blob: &[u8]) -> SydResult<UserId> {
+        let garbage = SydError::AuthFailed(UserId::new(0));
+        let plain = crate::mode::cbc_decrypt(&auth.key, blob).map_err(|_| garbage.clone())?;
+        if plain.len() < 8 {
+            return Err(garbage);
+        }
+        let user = UserId::new(u64::from_le_bytes(plain[..8].try_into().unwrap()));
+        let password = String::from_utf8(plain[8..].to_vec()).map_err(|_| garbage)?;
+        if auth.table().check(&Credentials::new(user, password)) {
+            Ok(user)
+        } else {
+            Err(SydError::AuthFailed(user))
+        }
+    }
+
+    #[test]
+    fn verify_agrees_with_the_allocating_reference() {
+        let auth = authenticator();
+        let long = "x".repeat(70); // an 80-byte body: past the stack buffer
+        auth.table().authorize(UserId::new(3), long.as_str());
+        let seal = |plain: &[u8]| cbc_encrypt(&auth.key, [plain.len() as u8; 8], plain);
+        let creds = |user: u64, password: &[u8]| {
+            let mut plain = user.to_le_bytes().to_vec();
+            plain.extend_from_slice(password);
+            plain
+        };
+        let mut blobs = Vec::new();
+        for len in 0..=80 {
+            // User 1's id cut or padded to `len` bytes, then a non-utf-8 byte.
+            let mut plain = creds(1, &b"phils-password".repeat(6));
+            plain.resize(len, b'p');
+            blobs.push(seal(&plain));
+            plain.push(0xFF);
+            blobs.push(seal(&plain));
+        }
+        // Every truncation of a valid 88-byte blob: body lengths 0–80,
+        // block-aligned or not.
+        let valid = seal(&creds(3, long.as_bytes()));
+        blobs.extend((0..=valid.len()).map(|len| valid[..len].to_vec()));
+        // Bodies without a padding block: the last byte is the pad.
+        for tail in [[0u8, 0], [7, 9], [0xFF, 0xFF], [1, 2], [8, 8]] {
+            let mut plain = creds(1, b"pass");
+            plain.extend_from_slice(&[7, 7]);
+            plain.extend_from_slice(&tail);
+            let mut blob = seal(&plain);
+            blob.truncate(blob.len() - BLOCK_SIZE);
+            blobs.push(blob);
+        }
+        for (user, password) in [(1, "phils-password"), (1, "guess"), (2, "andys-password")] {
+            blobs.push(seal(&creds(user, password.as_bytes())));
+        }
+        blobs.push(seal(&creds(99, b"pw")));
+
+        let check = |blobs: &[Vec<u8>]| {
+            for blob in blobs {
+                let got = auth.verify(blob);
+                assert_eq!(
+                    got,
+                    reference_verify(&auth, blob),
+                    "a {}-byte blob",
+                    blob.len()
+                );
+                let mut buf = vec![0xAA; blob.len().saturating_sub(BLOCK_SIZE)];
+                let into = cbc_decrypt_into(&auth.key, blob, &mut buf).map(|n| buf[..n].to_vec());
+                assert_eq!(into.ok(), crate::mode::cbc_decrypt(&auth.key, blob).ok());
+            }
+        };
+        check(&blobs);
+        let accepted = |blobs: &[Vec<u8>]| blobs.iter().filter(|b| auth.verify(b).is_ok()).count();
+        assert_eq!(accepted(&blobs), 4, "user 1 twice, users 2 and 3 once");
+        auth.table().revoke(UserId::new(1));
+        auth.table().revoke(UserId::new(3));
+        check(&blobs);
+        assert_eq!(accepted(&blobs), 1, "only user 2 is left");
     }
 }

@@ -2,9 +2,12 @@
 //!
 //! Credentials vary in length (user id + password), so the §5.4 envelope
 //! needs a chaining mode. The ciphertext layout is `IV (8 bytes) ‖ blocks`;
-//! the IV is drawn by the caller (fresh per seal, never seeded) so identical
-//! credentials produce different blobs on every request — defeating the
-//! trivial replay-spotting the prototype would otherwise allow.
+//! the IV is drawn by the caller. A deployment seals each device's
+//! credentials once, when it enrols the device, and the device attaches
+//! that one blob to every request it sends: two devices with the same
+//! credentials send different blobs, but one device's requests all carry
+//! the same bytes. A replayed blob is therefore not detected, as in the
+//! paper's prototype.
 
 use syd_types::{SydError, SydResult};
 
@@ -45,39 +48,50 @@ pub fn cbc_encrypt(key: &TeaKey, iv: [u8; BLOCK_SIZE], plaintext: &[u8]) -> Vec<
 /// Decrypts a blob produced by [`cbc_encrypt`]. Fails on truncated input,
 /// non-block-aligned length or corrupt padding.
 pub fn cbc_decrypt(key: &TeaKey, ciphertext: &[u8]) -> SydResult<Vec<u8>> {
+    let mut out = vec![0; ciphertext.len().saturating_sub(BLOCK_SIZE)];
+    let len = cbc_decrypt_into(key, ciphertext, &mut out)?;
+    out.truncate(len);
+    Ok(out)
+}
+
+/// [`cbc_decrypt`] into the caller's `out`, which must hold the
+/// ciphertext's body (`ciphertext.len() - BLOCK_SIZE` bytes; a shorter
+/// `out` panics): returns the plaintext's length, the padding stripped.
+/// Allocates only on failure.
+pub(crate) fn cbc_decrypt_into(
+    key: &TeaKey,
+    ciphertext: &[u8],
+    out: &mut [u8],
+) -> SydResult<usize> {
     if ciphertext.len() < 2 * BLOCK_SIZE || !ciphertext.len().is_multiple_of(BLOCK_SIZE) {
         return Err(SydError::Codec(format!(
             "ciphertext length {} is not IV + non-empty block multiple",
             ciphertext.len()
         )));
     }
+    let body = ciphertext.len() - BLOCK_SIZE;
+    let out = &mut out[..body];
+    let (iv, blocks) = ciphertext.split_at(BLOCK_SIZE);
     let mut prev = [0u8; BLOCK_SIZE];
-    prev.copy_from_slice(&ciphertext[..BLOCK_SIZE]);
-    let mut out = Vec::with_capacity(ciphertext.len() - BLOCK_SIZE);
-    for chunk in ciphertext[BLOCK_SIZE..].chunks_exact(BLOCK_SIZE) {
+    prev.copy_from_slice(iv);
+    for (chunk, plain) in blocks
+        .chunks_exact(BLOCK_SIZE)
+        .zip(out.chunks_exact_mut(BLOCK_SIZE))
+    {
         let mut block = [0u8; BLOCK_SIZE];
         block.copy_from_slice(chunk);
-        let this_cipher = block;
         key.decrypt_bytes(&mut block);
-        for (b, p) in block.iter_mut().zip(prev.iter()) {
-            *b ^= p;
+        for ((p, b), c) in plain.iter_mut().zip(block).zip(prev) {
+            *p = b ^ c;
         }
-        out.extend_from_slice(&block);
-        prev = this_cipher;
+        prev.copy_from_slice(chunk);
     }
-    // Strip and validate PKCS#7 padding.
-    let Some(&last) = out.last() else {
-        return Err(SydError::Codec("empty ciphertext body".into()));
-    };
-    let pad = last as usize;
-    if pad == 0 || pad > BLOCK_SIZE || pad > out.len() {
+    // Strip and validate PKCS#7 padding (the body is at least one block).
+    let pad = out[body - 1] as usize;
+    if pad == 0 || pad > BLOCK_SIZE || out[body - pad..].iter().any(|&b| b as usize != pad) {
         return Err(SydError::Codec("corrupt padding".into()));
     }
-    if out[out.len() - pad..].iter().any(|&b| b as usize != pad) {
-        return Err(SydError::Codec("corrupt padding".into()));
-    }
-    out.truncate(out.len() - pad);
-    Ok(out)
+    Ok(body - pad)
 }
 
 #[cfg(test)]

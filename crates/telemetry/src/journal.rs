@@ -598,7 +598,7 @@ mod tests {
             device: 0,
             start_us: 0,
             end_us: 1,
-            attrs: Vec::new(),
+            attrs: Default::default(),
         };
         j.push_span(span(1));
         j.emit(Event::lock(7, "slot:1"));
@@ -729,6 +729,15 @@ mod tests {
             size <= 96,
             "JournalEvent is {size} bytes: a journal reserves one slot at its first event \
              and 4 096 at its second — box the wide field instead of growing the record"
+        );
+    }
+
+    #[test]
+    fn span_record_stays_within_96_bytes() {
+        let size = std::mem::size_of::<SpanRecord>();
+        assert!(
+            size <= 96,
+            "SpanRecord is {size} bytes: a full span ring holds 4 096 of them"
         );
     }
 }

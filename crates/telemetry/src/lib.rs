@@ -51,5 +51,5 @@ pub mod trace;
 pub use export::{json_escape, metrics_jsonl, metrics_table};
 pub use journal::{Event, EventKind, Journal, JournalEvent, Vote};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, MetricsSnapshot, Registry};
-pub use ring::{LogStats, SpanRecord};
+pub use ring::{Attrs, LogStats, SpanRecord};
 pub use trace::{current, enter, fresh_id, now_us, root_span, SpanCtx, SpanGuard};

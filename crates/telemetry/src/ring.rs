@@ -37,7 +37,55 @@ pub struct SpanRecord {
     /// End, µs on the process-wide monotonic clock.
     pub end_us: u64,
     /// Numeric key/value attributes (participant count, retry count…).
-    pub attrs: Vec<(&'static str, u64)>,
+    pub attrs: Attrs,
+}
+
+/// A span's attributes: one is held inline, so the RPC spans (`ok`,
+/// `hop`) record without allocating; two or more live in a `Vec`.
+/// Dereferences to the slice of `(key, value)` pairs.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Attrs {
+    /// No attribute, or one.
+    Inline(Option<(&'static str, u64)>),
+    /// Two or more.
+    Heap(Vec<(&'static str, u64)>),
+}
+
+impl Default for Attrs {
+    fn default() -> Self {
+        Attrs::Inline(None)
+    }
+}
+
+impl Attrs {
+    /// Appends one attribute; the second moves both to the heap.
+    pub fn push(&mut self, attr: (&'static str, u64)) {
+        match self {
+            Attrs::Inline(None) => *self = Attrs::Inline(Some(attr)),
+            Attrs::Inline(Some(first)) => *self = Attrs::Heap(vec![*first, attr]),
+            Attrs::Heap(attrs) => attrs.push(attr),
+        }
+    }
+}
+
+impl std::ops::Deref for Attrs {
+    type Target = [(&'static str, u64)];
+    fn deref(&self) -> &Self::Target {
+        match self {
+            Attrs::Inline(attr) => attr.as_slice(),
+            Attrs::Heap(attrs) => attrs,
+        }
+    }
+}
+
+impl From<&[(&'static str, u64)]> for Attrs {
+    fn from(attrs: &[(&'static str, u64)]) -> Self {
+        match attrs {
+            [] => Attrs::Inline(None),
+            [one] => Attrs::Inline(Some(*one)),
+            many => Attrs::Heap(many.to_vec()),
+        }
+    }
 }
 
 /// Appends `rec` to a ring of at most `capacity` records; returns true
@@ -116,7 +164,7 @@ mod tests {
             device: 0,
             start_us: 0,
             end_us: 0,
-            attrs: Vec::new(),
+            attrs: Attrs::default(),
         }
     }
 
@@ -170,6 +218,19 @@ mod tests {
         assert_eq!((log.stats().buffered, log.stats().dropped), (8, 1));
         assert_eq!(reserved(), (8, 8), "eviction does not reallocate");
         assert!(!drained(&log).contains(&0));
+    }
+
+    #[test]
+    fn attrs_hold_one_inline_and_more_on_the_heap() {
+        let mut attrs = Attrs::default();
+        assert!(attrs.is_empty());
+        attrs.push(("ok", 1));
+        assert_eq!(attrs, Attrs::Inline(Some(("ok", 1))));
+        attrs.push(("hop", 2));
+        attrs.push(("n", 3));
+        assert_eq!(attrs[..], [("ok", 1), ("hop", 2), ("n", 3)]);
+        assert_eq!(Attrs::from(&attrs[..]), attrs);
+        assert_eq!(Attrs::from(&attrs[..1]), Attrs::Inline(Some(("ok", 1))));
     }
 
     #[test]

@@ -172,7 +172,7 @@ mod tests {
             device,
             start_us: start,
             end_us: end,
-            attrs: Vec::new(),
+            attrs: Default::default(),
         }
     }
 

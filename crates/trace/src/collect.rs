@@ -346,7 +346,7 @@ impl Collector {
                         device: sv.device,
                         start_us: sv.start_us,
                         end_us: sv.end_us,
-                        attrs: Vec::new(),
+                        attrs: Default::default(),
                     },
                 );
             }
@@ -378,7 +378,7 @@ impl Collector {
                     device: rec.device,
                     start_us: rec.start_us,
                     end_us: rec.end_us,
-                    attrs: rec.attrs.clone(),
+                    attrs: rec.attrs.to_vec(),
                     server: servers.get(span).cloned(),
                     children: Vec::new(),
                 }
@@ -508,7 +508,7 @@ mod tests {
             device,
             start_us: start,
             end_us: end,
-            attrs: Vec::new(),
+            attrs: Default::default(),
         }
     }
 

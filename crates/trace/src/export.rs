@@ -147,9 +147,9 @@ mod tests {
             start_us: start,
             end_us: end,
             attrs: if kind == names::SPAN_SCHEDULE {
-                vec![("participants", 4)]
+                [("participants", 4)][..].into()
             } else {
-                Vec::new()
+                Default::default()
             },
         }
     }

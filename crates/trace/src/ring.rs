@@ -81,7 +81,7 @@ impl Tracer {
             device: self.journal.device(),
             start_us,
             end_us,
-            attrs: attrs.to_vec(),
+            attrs: attrs.into(),
         });
     }
 
@@ -96,7 +96,7 @@ impl Tracer {
             device: self.journal.device(),
             start_us: now_us(),
             end_us: 0,
-            attrs: Vec::new(),
+            attrs: Default::default(),
         };
         FinishSpan {
             journal: Arc::clone(&self.journal),
@@ -226,7 +226,7 @@ mod tests {
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].span, ctx.span);
         assert_eq!(recs[0].parent, 42);
-        assert_eq!(recs[0].attrs, vec![("ok", 1)]);
+        assert_eq!(recs[0].attrs[..], [("ok", 1)]);
 
         let h2 = t.finish_handle(names::SPAN_RPC_CLIENT, ctx.child(), 0);
         drop(h2);

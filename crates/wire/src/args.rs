@@ -24,13 +24,26 @@ use syd_types::{SydResult, Value};
 
 use crate::codec::{put_varint, varint_len, Decode, Encode, Reader};
 
+/// How many decoded values [`ArgsInner`] holds without a `Vec` of their
+/// own: `mark`, `commit` and `release_slot` take at most four, so a
+/// received argument list is one allocation.
+const INLINE: usize = 4;
+
 /// Interior of [`Args`]: the values plus the lazily cached canonical
 /// encoding. Shared (never mutated) between all clones of an [`Args`].
 struct ArgsInner {
-    values: Vec<Value>,
+    values: Values,
     /// Canonical encoding of `values` (varint count + elements), filled
     /// at most once by [`Args::preencode`] and shared by every clone.
     encoded: OnceLock<Vec<u8>>,
+}
+
+/// Where an [`ArgsInner`]'s values live.
+enum Values {
+    /// A decoded list of up to [`INLINE`] values; the rest are `Null`.
+    Inline(u8, [Value; INLINE]),
+    /// A list built by the caller, or a longer decoded one.
+    Heap(Vec<Value>),
 }
 
 /// An immutable, cheaply clonable argument list with an optional cached
@@ -48,6 +61,10 @@ impl Args {
     /// Wraps an argument list. No encoding happens until the value is
     /// sent (or [`Args::preencode`] is called).
     pub fn new(values: Vec<Value>) -> Self {
+        Args::shared(Values::Heap(values))
+    }
+
+    fn shared(values: Values) -> Self {
         Args {
             inner: Arc::new(ArgsInner {
                 values,
@@ -80,27 +97,21 @@ impl Args {
 
     /// The arguments as a freshly allocated `Vec` (deep clone).
     pub fn to_vec(&self) -> Vec<Value> {
-        self.inner.values.clone()
+        self[..].to_vec()
     }
 
     /// Encodes the element form: varint count followed by the elements —
     /// exactly the `Vec<Value>` wire format.
     fn encode_values(&self, buf: &mut Vec<u8>) {
-        put_varint(buf, self.inner.values.len() as u64);
-        for v in &self.inner.values {
+        put_varint(buf, self.len() as u64);
+        for v in self.iter() {
             v.encode(buf);
         }
     }
 
     /// Length of the element form, computed without encoding.
     fn values_encoded_len(&self) -> usize {
-        varint_len(self.inner.values.len() as u64)
-            + self
-                .inner
-                .values
-                .iter()
-                .map(Encode::encoded_len)
-                .sum::<usize>()
+        varint_len(self.len() as u64) + self.iter().map(Encode::encoded_len).sum::<usize>()
     }
 }
 
@@ -123,15 +134,32 @@ impl Encode for Args {
 }
 
 impl Decode for Args {
+    /// Decodes `Vec<Value>`'s format; a list of up to four values
+    /// lands in the shared inner itself.
     fn decode(r: &mut Reader<'_>) -> SydResult<Self> {
-        Ok(Args::new(Vec::<Value>::decode(r)?))
+        let n = r.len_prefix()?;
+        if n > INLINE {
+            let mut values = Vec::with_capacity(n.min(1024));
+            for _ in 0..n {
+                values.push(Value::decode(r)?);
+            }
+            return Ok(Args::new(values));
+        }
+        let mut values: [Value; INLINE] = Default::default();
+        for slot in &mut values[..n] {
+            *slot = Value::decode(r)?;
+        }
+        Ok(Args::shared(Values::Inline(n as u8, values)))
     }
 }
 
 impl Deref for Args {
     type Target = [Value];
     fn deref(&self) -> &[Value] {
-        &self.inner.values
+        match &self.inner.values {
+            Values::Inline(n, values) => &values[..usize::from(*n)],
+            Values::Heap(values) => values,
+        }
     }
 }
 
@@ -155,14 +183,15 @@ impl FromIterator<Value> for Args {
 
 impl PartialEq for Args {
     fn eq(&self, other: &Self) -> bool {
-        // Equality is over the values; the encoding cache is invisible.
-        self.inner.values == other.inner.values
+        // Equality is over the values; the encoding cache and where the
+        // values live are invisible.
+        self[..] == other[..]
     }
 }
 
 impl fmt::Debug for Args {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.inner.values.iter()).finish()
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -224,6 +253,23 @@ mod tests {
         let back: Args = decode_from_slice(&bytes).unwrap();
         assert_eq!(back, args);
         assert_eq!(encode_to_vec(&back), bytes);
+    }
+
+    #[test]
+    fn every_decoded_length_round_trips_inline_or_not() {
+        let mut values = sample();
+        values.extend(sample());
+        for n in 0..=values.len() {
+            let built = Args::from(values[..n].to_vec());
+            let bytes = encode_to_vec(&built);
+            let back: Args = decode_from_slice(&bytes).unwrap();
+            assert_eq!(back, built, "{n} values");
+            assert_eq!(&back[..], &values[..n]);
+            assert_eq!(matches!(back.inner.values, Values::Inline(..)), n <= INLINE);
+            assert_eq!(back.encoded_len(), bytes.len());
+            back.preencode();
+            assert_eq!(encode_to_vec(&back), bytes);
+        }
     }
 
     #[test]

@@ -101,7 +101,7 @@ fn chrome_trace_round_trips_arbitrary_device_labels() {
             device: 1,
             start_us: 0,
             end_us: 1000,
-            attrs: vec![("participants", fanout as u64)],
+            attrs: [("participants", fanout as u64)][..].into(),
         });
         for i in 0..fanout {
             let span = 2 + i as u64;
@@ -113,7 +113,7 @@ fn chrome_trace_round_trips_arbitrary_device_labels() {
                 device: 1,
                 start_us: 10,
                 end_us: 900,
-                attrs: Vec::new(),
+                attrs: Default::default(),
             });
             collector.ingest(SpanRecord {
                 trace: 7,
@@ -123,7 +123,7 @@ fn chrome_trace_round_trips_arbitrary_device_labels() {
                 device: 2,
                 start_us: 100,
                 end_us: 800,
-                attrs: Vec::new(),
+                attrs: Default::default(),
             });
         }
         let tree = collector.assemble(7).expect("assembles");
