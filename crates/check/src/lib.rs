@@ -29,7 +29,7 @@
 //! and a minimized journal excerpt. [`audit_journals`] checks captured
 //! journals offline. The [`model`] enumerates every schedule of an
 //! abstract SyD system and judges each with this same oracle (the
-//! `syd-model` binary); its schedules, with and without planted bugs,
+//! `tests/model.rs` suite); its schedules, with and without planted bugs,
 //! are also the journals this crate's own tests audit. The `syd-bench`
 //! crate's `check` binary drives hundreds of seeded negotiations through
 //! lossy and partitioned networks and audits the aftermath.

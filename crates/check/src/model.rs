@@ -1,6 +1,6 @@
 //! An exhaustive explicit-state model checker for the SyD negotiation
-//! (§4.3) and link-lifecycle (§4.2) protocols, run by the `syd-model`
-//! binary — and the generator of the checker's own test journals.
+//! (§4.3) and link-lifecycle (§4.2) protocols, run by `tests/model.rs`
+//! in `cargo test` — and the generator of the checker's own test journals.
 //!
 //! The checker enumerates **every schedule** of an abstract SyD system —
 //! `n` devices, concurrent negotiation sessions, link promotion and
@@ -29,10 +29,10 @@
 //!    must trip the *same* [`crate::Rule`] — the counterexample is a
 //!    real input to the production auditor, not just a model artifact.
 //!
-//! The `--inject` mutations plant known protocol bugs (double commit,
-//! lock leak, skipped cascade, …) and demand a counterexample, which
-//! regression-tests the oracle itself: a checker that cannot see a
-//! planted double-book is not checking anything.
+//! The mutations ([`NegotiationInject`], [`LifecycleInject`]) plant
+//! known protocol bugs (double commit, lock leak, skipped cascade, …) and
+//! demand a counterexample, which regression-tests the oracle itself: a
+//! checker that cannot see a planted double-book is not checking anything.
 //!
 //! Verification is **bounded**: a clean verdict covers the configured
 //! devices, sessions, and fault budgets only. See

@@ -20,8 +20,6 @@ use std::collections::HashSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-use syd_telemetry::{names, Counter, Registry};
-
 use super::journal::JournalSet;
 use crate::{audit_states, AuditOptions, AuditReport, DeviceState, Rule};
 
@@ -120,27 +118,25 @@ pub enum Verdict<A> {
     },
 }
 
+/// The visited-state cap: an exploration that reaches it stops and
+/// reports [`Stats::capped`]. About ten times the largest configuration
+/// the model tests explore (212 274 states).
+pub const MAX_STATES: u64 = 2_000_000;
+
 /// Depth-first explorer over one [`Model`].
 pub struct Explorer<'m, M: Model> {
     model: &'m M,
-    max_states: u64,
     visited: HashSet<u64>,
     stats: Stats,
-    states_counter: Counter,
-    violations_counter: Counter,
 }
 
 impl<'m, M: Model> Explorer<'m, M> {
-    /// Builds an explorer. Progress is exported through `registry` as
-    /// the `model.states_explored` and `model.violations` counters.
-    pub fn new(model: &'m M, max_states: u64, registry: &Registry) -> Explorer<'m, M> {
+    /// Builds an explorer over `model`, capped at [`MAX_STATES`].
+    pub fn new(model: &'m M) -> Explorer<'m, M> {
         Explorer {
             model,
-            max_states,
             visited: HashSet::new(),
             stats: Stats::default(),
-            states_counter: registry.counter(names::MODEL_STATES_EXPLORED),
-            violations_counter: registry.counter(names::MODEL_VIOLATIONS),
         }
     }
 
@@ -155,10 +151,7 @@ impl<'m, M: Model> Explorer<'m, M> {
         let mut schedule = Vec::new();
         let mut mute = JournalSet::muted();
         match self.dfs(self.model.initial(), &mut schedule, &mut mute) {
-            Some((schedule, report)) => {
-                self.violations_counter.inc();
-                Verdict::Violation { schedule, report }
-            }
+            Some((schedule, report)) => Verdict::Violation { schedule, report },
             None => Verdict::Clean,
         }
     }
@@ -173,8 +166,7 @@ impl<'m, M: Model> Explorer<'m, M> {
             return None;
         }
         self.stats.states += 1;
-        self.states_counter.inc();
-        if self.stats.states >= self.max_states {
+        if self.stats.states >= MAX_STATES {
             self.stats.capped = true;
             return None;
         }

@@ -31,7 +31,7 @@ use syd_types::{LinkId, Priority, UserId};
 use super::explore::Model;
 use super::journal::JournalSet;
 
-/// Lifecycle mutations for `--inject`.
+/// Lifecycle mutations: each plants one specific bug the oracle must catch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LifecycleInject {
     /// The cascade skips one peer, leaving its half of the connection
@@ -341,7 +341,6 @@ mod tests {
     use super::*;
     use crate::model::explore::{audit_schedule, minimize, Explorer, Verdict};
     use crate::Rule;
-    use syd_telemetry::Registry;
 
     fn model(inject: Option<LifecycleInject>, loss: u8) -> LifecycleModel {
         LifecycleModel {
@@ -352,8 +351,7 @@ mod tests {
     }
 
     fn explore(m: &LifecycleModel) -> Verdict<LifecycleAction> {
-        let registry = Registry::new();
-        let mut explorer = Explorer::new(m, 100_000, &registry);
+        let mut explorer = Explorer::new(m);
         let verdict = explorer.run();
         assert!(!explorer.stats().capped);
         verdict

@@ -13,7 +13,7 @@
 //! `crates/core/src/device.rs` journals for it, so the `syd-check` oracle
 //! sees the same event language either way. The model adds only what the
 //! network does — a call delivered, its request or its reply lost, or a
-//! delivery duplicated — the fault budgets, and the `--inject` mutations.
+//! delivery duplicated — the fault budgets, and the planted mutations.
 //!
 //! ## Abstraction
 //!
@@ -40,7 +40,7 @@ use syd_types::{RequestId, SydError, SydResult, Timestamp, UserId, Value};
 use super::explore::Model;
 use super::journal::JournalSet;
 
-/// Protocol mutations for `--inject`: each plants one specific bug the
+/// Protocol mutations: each plants one specific bug the
 /// oracle must catch, closing the loop between checker and model.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NegotiationInject {
@@ -722,7 +722,6 @@ mod tests {
     use super::*;
     use crate::model::explore::{audit_schedule, minimize, Explorer, Verdict};
     use crate::Rule;
-    use syd_telemetry::Registry;
 
     fn model(constraint: Constraint) -> NegotiationModel {
         NegotiationModel {
@@ -737,8 +736,7 @@ mod tests {
     }
 
     fn explore(m: &NegotiationModel) -> (Verdict<NegotiationAction>, u64) {
-        let registry = Registry::new();
-        let mut explorer = Explorer::new(m, 1_000_000, &registry);
+        let mut explorer = Explorer::new(m);
         let verdict = explorer.run();
         assert!(!explorer.stats().capped);
         (verdict, explorer.stats().states)

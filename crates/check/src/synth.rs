@@ -6,7 +6,7 @@
 //! Without an oracle of its own, a checker that accepts everything looks
 //! identical to one that works. The model is that oracle: a model
 //! without a planted bug must audit clean on every schedule, and each
-//! `--inject` bug must be caught under its own [`Rule`](crate::Rule) and
+//! planted bug must be caught under its own [`Rule`](crate::Rule) and
 //! no other — `lock-leak` a dropped release, `double-commit` and
 //! `commit-after-lease` a change applied without the lock,
 //! `bad-arithmetic` a misreported outcome.

@@ -74,11 +74,9 @@ pub struct SydEngine {
     /// Positive lookup cache: user -> address. Invalidated per-user when a
     /// call through it fails, so proxy switchovers are picked up.
     cache: Arc<Mutex<HashMap<UserId, NodeAddr>>>,
-    /// Call options behind a shared cell: [`SydEngine::set_options`]
-    /// retunes every clone of this engine at once (the negotiator and
-    /// applications hold clones), while [`SydEngine::with_options`]
-    /// detaches the new handle onto its own cell, builder style.
-    opts: Arc<Mutex<CallOptions>>,
+    /// Call options, set by [`SydEngine::with_options`]; each clone
+    /// carries its own copy.
+    opts: CallOptions,
     /// End-to-end invoke latency ("engine.invoke"), resolve included.
     invoke_hist: Histogram,
     /// `engine.batch_resolves` — batched directory round trips issued.
@@ -98,30 +96,17 @@ impl SydEngine {
             node,
             directory,
             cache: Arc::new(Mutex::new(Rank::Engine, HashMap::new())),
-            opts: Arc::new(Mutex::new(Rank::Engine, CallOptions::default())),
+            opts: CallOptions::default(),
             invoke_hist,
             batch_resolves,
             rounds,
         }
     }
 
-    /// Replaces the default call options (builder style). The new handle
-    /// gets its own options cell — clones made *before* this call keep
-    /// their previous settings.
+    /// Replaces the default call options (builder style).
     pub fn with_options(mut self, opts: CallOptions) -> SydEngine {
-        self.opts = Arc::new(Mutex::new(Rank::Engine, opts));
+        self.opts = opts;
         self
-    }
-
-    /// Retunes the call options in place, visible to every clone of this
-    /// engine (a device's negotiator and applications included).
-    pub fn set_options(&self, opts: CallOptions) {
-        *self.opts.lock() = opts;
-    }
-
-    /// Current call options.
-    fn opts(&self) -> CallOptions {
-        *self.opts.lock()
     }
 
     /// Drops every cached address, forcing the next resolution of each
@@ -171,7 +156,7 @@ impl SydEngine {
         if misses.is_empty() {
             return out;
         }
-        let opts = self.opts();
+        let opts = self.opts;
         let miss_users: Vec<UserId> = misses.iter().map(|&i| users[i]).collect();
         self.batch_resolves.inc();
         // The engine's own deadline, so a drop is re-sent quickly.
@@ -234,7 +219,7 @@ impl SydEngine {
     ) -> SydResult<Value> {
         // The clone shares this engine's histogram and counters.
         self.clone()
-            .with_options(self.opts().with_timeout(deadline))
+            .with_options(self.opts.with_timeout(deadline))
             .invoke(user, service, method, args)
     }
 
@@ -321,7 +306,7 @@ impl SydEngine {
             };
         }
         self.rounds.inc();
-        let opts = self.opts();
+        let opts = self.opts;
         let mut first_wave = true;
         let results = self.node.call_many(
             calls,
@@ -356,7 +341,7 @@ impl SydEngine {
 
     /// Timeout used for collection (diagnostic accessor).
     pub fn timeout(&self) -> Duration {
-        self.opts().timeout
+        self.opts.timeout
     }
 }
 
@@ -535,7 +520,7 @@ mod tests {
         // failure below 0.64^41 ≈ 1e-8, so the outcome does not depend on
         // which RNG stream the loss model draws from; the expected cost
         // stays under two retries.
-        engine.set_options(
+        let engine = engine.with_options(
             CallOptions::new()
                 .with_timeout(Duration::from_millis(40))
                 .with_retries(40),
@@ -640,7 +625,7 @@ mod tests {
     fn lost_calls_of_a_batch_share_each_waves_deadline() {
         let (net, _dir, engine, _servers) = setup(2);
         let _silent: Vec<_> = (3..=5).map(|id| silent_user(&net, &engine, id)).collect();
-        engine.set_options(CallOptions::new().with_timeout(WAVE).with_retries(1));
+        let engine = engine.with_options(CallOptions::new().with_timeout(WAVE).with_retries(1));
         let svc = ServiceName::new("svc");
         let users: Vec<UserId> = [3, 1, 4, 2, 5].map(UserId::new).to_vec();
         let started = std::time::Instant::now();
@@ -694,7 +679,7 @@ mod tests {
     fn invoke_to_a_silent_peer_is_counted_where_it_happens() {
         let (net, _dir, engine, _servers) = setup(0);
         let _silent = silent_user(&net, &engine, 1);
-        engine.set_options(CallOptions::new().with_timeout(WAVE).with_retries(1));
+        let engine = engine.with_options(CallOptions::new().with_timeout(WAVE).with_retries(1));
         let err = engine
             .invoke(UserId::new(1), &ServiceName::new("svc"), "echo", vec![])
             .unwrap_err();
@@ -721,7 +706,7 @@ mod tests {
             .directory()
             .register(user, "user1", server.addr())
             .unwrap();
-        engine.set_options(CallOptions::new().with_retries(1));
+        let engine = engine.with_options(CallOptions::new().with_retries(1));
         let svc = ServiceName::new("svc");
         let calls = [
             Call::new(user, &svc, "echo", vec![]),

@@ -2,7 +2,7 @@
 //!
 //! Waiting-link promotion (op. 3) and cascade-delete peer selection
 //! (op. 4) as side-effect-free functions over plain data, shared by the
-//! runtime ([`super::LinksModule`]) and the `syd-model` exhaustive model
+//! runtime ([`super::LinksModule`]) and the `syd_check` exhaustive model
 //! checker — one implementation, no drift between what runs and what is
 //! verified.
 

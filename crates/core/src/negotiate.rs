@@ -40,7 +40,7 @@
 //! final.
 //!
 //! Who is sent what, the tally and the outcome are [`fsm::Round`]'s, the
-//! pure coordinator `syd-model` runs too; [`Negotiator`] turns its waves
+//! pure coordinator the model checker runs too; [`Negotiator`] turns its waves
 //! into batches.
 //!
 //! That batch is also where anything else goes that the coordinator knows

@@ -1,7 +1,7 @@
 //! The pure §4.3 state-transition core.
 //!
 //! The negotiation protocol's decisions as side-effect-free values over
-//! plain data, run by the runtime and by the `syd-model` exhaustive model
+//! plain data, run by the runtime and by the `syd_check` exhaustive model
 //! checker alike:
 //!
 //! * the participant is one [`Entry`] per entity, whose [`Entry::mark`],

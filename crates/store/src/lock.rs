@@ -14,7 +14,7 @@
 //!
 //! A key's state is one [`Entry`], §4.3's participant with its lease; the
 //! kernel runs it through [`LockManager`], by the store's [`LockRights`],
-//! and `syd-model` on its own state. A `Txn` row lock is an entry with no
+//! and the model checker on its own state. A `Txn` row lock is an entry with no
 //! lease end (DESIGN.md §23).
 
 use std::collections::BTreeMap;

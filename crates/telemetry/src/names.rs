@@ -133,13 +133,6 @@ pub const SPAN_CANCEL: &str = "calendar.cancel_op";
 /// broadcast) — one span per round, none per peer.
 pub const SPAN_HOUSEKEEPING: &str = "calendar.housekeeping";
 
-// --- model (syd-model state-space explorer) --------------------------------
-
-/// Counter: distinct states visited by the DFS explorer.
-pub const MODEL_STATES_EXPLORED: &str = "model.states_explored";
-/// Counter: invariant violations found during exploration.
-pub const MODEL_VIOLATIONS: &str = "model.violations";
-
 /// Every registered metric name, for exhaustiveness checks and tooling.
 pub const ALL: &[&str] = &[
     RPC_CALL,
@@ -183,8 +176,6 @@ pub const ALL: &[&str] = &[
     SPAN_RECONCILE,
     SPAN_CANCEL,
     SPAN_HOUSEKEEPING,
-    MODEL_STATES_EXPLORED,
-    MODEL_VIOLATIONS,
 ];
 
 #[cfg(test)]

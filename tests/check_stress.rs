@@ -14,7 +14,10 @@ use syd_bench::stress::{
 
 /// ≥200 concurrent negotiations under message loss *and* partition
 /// churn: once the leases left behind are ended, the audit must be
-/// spotless.
+/// spotless. No journal may have evicted events (that turns the
+/// ordering checks off), and under 3 % loss requests are sent again:
+/// `rpc_retries == 0` means the counters lost sight of the engine's
+/// traffic.
 #[test]
 fn two_hundred_sessions_under_loss_and_partition_audit_clean() {
     let outcome = run(&StressConfig {
@@ -32,6 +35,8 @@ fn two_hundred_sessions_under_loss_and_partition_audit_clean() {
         outcome.satisfied > 0,
         "nothing ever satisfied — the mix is not exercising commits"
     );
+    assert!(!outcome.report.truncated, "a journal evicted events");
+    assert!(outcome.rpc_retries > 0, "no retry counted: {outcome:?}");
     outcome.report.assert_clean();
 }
 
