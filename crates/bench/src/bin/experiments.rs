@@ -20,8 +20,7 @@ use syd_core::links::Constraint;
 use syd_core::negotiate::Participant;
 use syd_core::proxy::enable_replication;
 use syd_core::{DeviceRuntime, EntityHandler, Method, SydEnv};
-use syd_net::stats::StatsSnapshot;
-use syd_net::NetConfig;
+use syd_net::{NetConfig, Network, Transport};
 use syd_store::{Column, ColumnType, Schema, Store};
 use syd_telemetry::names;
 use syd_types::{ServiceName, SydResult, TimeSlot, UserId, Value};
@@ -37,8 +36,19 @@ fn main() {
     e1_storage_footprint();
 }
 
-fn delta(net: &syd_net::Network, before: StatsSnapshot) -> StatsSnapshot {
-    net.stats().since(&before)
+/// `(frames, bytes)` the network has accepted for transmission so far.
+fn traffic(net: &Network) -> (u64, u64) {
+    let counter = |name| net.metrics().counter(name).get();
+    (
+        counter(names::TRANSPORT_FRAMES_OUT),
+        counter(names::TRANSPORT_BYTES_OUT),
+    )
+}
+
+/// `(frames, bytes)` sent since the [`traffic`] reading `before`.
+fn sent_since(net: &Network, before: (u64, u64)) -> (u64, u64) {
+    let (frames, bytes) = traffic(net);
+    (frames - before.0, bytes - before.1)
 }
 
 /// E1 — §3.3/§6: messages and bytes to set up (and react to) a meeting,
@@ -55,12 +65,12 @@ fn e1_baseline_vs_syd() {
         let apps = calendar_rig(&env, n);
         let attendees: Vec<UserId> = users_of(&apps)[1..].to_vec();
         let slots = SlotAlloc::new();
-        let before = env.network().stats();
+        let before = traffic(env.network());
         let outcome = apps[0]
             .schedule(MeetingSpec::plain("m", slots.next(), attendees.clone()))
             .unwrap();
         assert_eq!(outcome.status, MeetingStatus::Confirmed);
-        let syd = delta(env.network(), before);
+        let (syd_msgs, syd_bytes) = sent_since(env.network(), before);
 
         // --- Baseline: poll folders + propose + accepts + commit. ---
         let benv = env_ideal();
@@ -71,7 +81,7 @@ fn e1_baseline_vs_syd() {
             .collect();
         let participants: Vec<UserId> = baselines[1..].iter().map(|b| b.user()).collect();
         let all_users: Vec<UserId> = baselines.iter().map(|b| b.user()).collect();
-        let before = benv.network().stats();
+        let before = traffic(benv.network());
         // One poll round over a week to pick a slot (the §6 replicated
         // folders must be refreshed first).
         baselines[0]
@@ -91,11 +101,11 @@ fn e1_baseline_vs_syd() {
             assert!(Instant::now() < deadline, "baseline never committed");
             syd_types::sync::sleep(Duration::from_millis(2));
         }
-        let base = delta(benv.network(), before);
+        let (base_msgs, base_bytes) = sent_since(benv.network(), before);
 
         println!(
             "{:>6} | {:>12} {:>12} | {:>14} {:>14} | {:>12}",
-            n, syd.sent, syd.bytes_sent, base.sent, base.bytes_sent, "setup"
+            n, syd_msgs, syd_bytes, base_msgs, base_bytes, "setup"
         );
     }
     // Maintenance traffic: after one schedule change, what does it cost
@@ -118,7 +128,7 @@ fn e1_baseline_vs_syd() {
             .schedule(MeetingSpec::plain("m", slot, attendees))
             .unwrap();
         assert_eq!(outcome.status, MeetingStatus::Tentative);
-        let before = env.network().stats();
+        let before = traffic(env.network());
         apps[n - 1].free_personal(slot).unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
         while apps[0].meeting(outcome.meeting).unwrap().unwrap().status != MeetingStatus::Confirmed
@@ -126,8 +136,8 @@ fn e1_baseline_vs_syd() {
             assert!(Instant::now() < deadline, "never converged");
             syd_types::sync::sleep(Duration::from_millis(1));
         }
-        let syd = delta(env.network(), before);
-        println!("{:>6} | {:>10} | {:>26}", n, syd.sent, 2 * (n - 1));
+        let (syd_msgs, _) = sent_since(env.network(), before);
+        println!("{:>6} | {:>10} | {:>26}", n, syd_msgs, 2 * (n - 1));
     }
     println!(
         "(baseline numbers assume instant human accepts; its polling runs\n\
@@ -227,7 +237,7 @@ fn e3_convergence() {
             .unwrap();
         assert_eq!(outcome.status, MeetingStatus::Tentative);
 
-        let before = env.network().stats();
+        let before = traffic(env.network());
         let started = Instant::now();
         apps[n].free_personal(slot).unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -240,12 +250,12 @@ fn e3_convergence() {
             syd_types::sync::sleep(Duration::from_micros(200));
         }
         let elapsed = started.elapsed();
-        let traffic = delta(env.network(), before);
+        let (msgs, _) = sent_since(env.network(), before);
         println!(
             "{:>6} | {:>16.2} | {:>12}",
             n,
             elapsed.as_secs_f64() * 1e3,
-            traffic.sent
+            msgs
         );
     }
     println!("(the baseline would discover the change only at its next poll)\n");

@@ -13,7 +13,7 @@
 //! The driver can also *inject* a protocol defect after the run — a
 //! leaked entity lock or a forged double-commit record — to prove the
 //! checker catches it and reports the offending session with a journal
-//! excerpt. `cargo run -p syd-bench --bin check` is the CLI front end.
+//! excerpt. `tests/check_stress.rs` at the workspace root runs it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -39,17 +39,6 @@ pub enum Fault {
     /// Forge a `Change` record for a session that does not hold the
     /// entity's lock — the checker must flag a double-book.
     DoubleCommit,
-}
-
-impl Fault {
-    /// Parses the CLI spelling (`lock-leak` / `double-commit`).
-    pub fn parse(s: &str) -> Option<Fault> {
-        match s {
-            "lock-leak" => Some(Fault::LockLeak),
-            "double-commit" => Some(Fault::DoubleCommit),
-            _ => None,
-        }
-    }
 }
 
 /// Parameters of one stress run.
@@ -88,43 +77,6 @@ impl Default for StressConfig {
     }
 }
 
-impl StressConfig {
-    /// Reads the `check` driver's flags over the defaults. An unknown
-    /// flag, a missing or malformed value, an unknown fault and a loss
-    /// outside `[0, 1]` are errors.
-    pub fn from_args(args: impl IntoIterator<Item = String>) -> Result<StressConfig, String> {
-        fn value<T: std::str::FromStr>(flag: &str, v: Option<String>) -> Result<T, String> {
-            let v = v.ok_or_else(|| format!("{flag} needs a value"))?;
-            v.parse().map_err(|_| format!("{flag}: bad value {v:?}"))
-        }
-        let mut cfg = StressConfig::default();
-        let mut args = args.into_iter();
-        while let Some(flag) = args.next() {
-            match flag.as_str() {
-                "--sessions" => cfg.sessions = value(&flag, args.next())?,
-                "--devices" => cfg.devices = value(&flag, args.next())?,
-                "--workers" => cfg.workers = value(&flag, args.next())?,
-                "--entities" => cfg.entities = value(&flag, args.next())?,
-                "--loss" => {
-                    cfg.loss = value(&flag, args.next())?;
-                    if !(0.0..=1.0).contains(&cfg.loss) {
-                        return Err(format!("--loss {}: not a probability", cfg.loss));
-                    }
-                }
-                "--seed" => cfg.seed = value(&flag, args.next())?,
-                "--no-partition" => cfg.partition = false,
-                "--inject" => {
-                    let name: String = value(&flag, args.next())?;
-                    let fault = Fault::parse(&name);
-                    cfg.inject = Some(fault.ok_or_else(|| format!("--inject: no fault {name:?}"))?);
-                }
-                _ => return Err(format!("unknown flag {flag:?}")),
-            }
-        }
-        Ok(cfg)
-    }
-}
-
 /// What a stress run did, plus the invariant audit of the aftermath.
 #[derive(Debug)]
 pub struct StressOutcome {
@@ -143,6 +95,10 @@ pub struct StressOutcome {
     /// The slowest `negotiate` call, to be read against the participants'
     /// lock lease (`syd_core::device::LOCK_LEASE`).
     pub longest_session: Duration,
+    /// Panics on any thread of the process during the run: initiators,
+    /// runtime loops, pool jobs and handlers alike. A debug build's
+    /// lock-order and wait checks fire by panicking, so 0 means none did.
+    pub panics: u64,
     /// The protocol invariant audit over every device.
     pub report: AuditReport,
 }
@@ -199,10 +155,30 @@ fn plan_session(
     (constraint, parts)
 }
 
+/// Panics on any thread of the process since [`count_panics`] ran.
+static PANICS: AtomicU64 = AtomicU64::new(0);
+
+/// Installs, once per process, a panic hook that counts every panic and
+/// then runs the hook it replaced, so the message still prints. A hook
+/// sees a panic on any thread, also one a pool worker or a handler's
+/// `catch_unwind` swallows.
+fn count_panics() {
+    static HOOK: std::sync::Once = std::sync::Once::new();
+    HOOK.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            PANICS.fetch_add(1, Ordering::Relaxed);
+            previous(info);
+        }));
+    });
+}
+
 /// Runs the stress mix and audits the aftermath. Deterministic in
 /// `cfg.seed` up to thread interleaving (the *audit verdict* must be
 /// clean for every seed; the satisfied/declined split may vary).
 pub fn run(cfg: &StressConfig) -> StressOutcome {
+    count_panics();
+    let panics_before = PANICS.load(Ordering::Relaxed);
     let devices_n = cfg.devices.max(2);
     let net = NetConfig::ideal().with_loss(cfg.loss).with_seed(cfg.seed);
     let env = SydEnv::new_insecure(net);
@@ -307,14 +283,21 @@ pub fn run(cfg: &StressConfig) -> StressOutcome {
             .sum()
     };
 
+    let rpc_retries = fleet_total(names::RPC_RETRIES);
+    let rpc_timeouts = fleet_total(names::RPC_TIMEOUTS);
+    // Shutting the runtimes down runs their debug checks once more.
+    drop(devices);
+    drop(env);
+
     StressOutcome {
         satisfied: satisfied.into_inner() as usize,
         completed: completed.into_inner() as usize,
         errors: errors.into_inner() as usize,
         lapsed,
-        rpc_retries: fleet_total(names::RPC_RETRIES),
-        rpc_timeouts: fleet_total(names::RPC_TIMEOUTS),
+        rpc_retries,
+        rpc_timeouts,
         longest_session: Duration::from_micros(longest_us.into_inner()),
+        panics: PANICS.load(Ordering::Relaxed) - panics_before,
         report,
     }
 }
@@ -355,59 +338,15 @@ pub fn inject_double_commit(device: &DeviceRuntime) {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<StressConfig, String> {
-        StressConfig::from_args(args.iter().map(|a| (*a).to_owned()))
-    }
-
+    /// The hook counts a panic on a thread other than the caller's.
     #[test]
-    fn loss_must_be_a_probability() {
-        for bad in ["1.5", "-0.1", "nan", "x"] {
-            assert!(parse(&["--loss", bad]).is_err(), "accepted --loss {bad}");
-        }
-        assert_eq!(parse(&["--loss", "0.03"]).unwrap().loss, 0.03);
-    }
-
-    #[test]
-    fn reads_every_flag_and_rejects_the_rest() {
-        let cfg = parse(&[
-            "--sessions",
-            "60",
-            "--devices",
-            "4",
-            "--workers",
-            "3",
-            "--entities",
-            "5",
-            "--seed",
-            "7",
-            "--no-partition",
-            "--inject",
-            "lock-leak",
-        ])
-        .unwrap();
-        assert_eq!(
-            (
-                cfg.sessions,
-                cfg.devices,
-                cfg.workers,
-                cfg.entities,
-                cfg.seed
-            ),
-            (60, 4, 3, 5, 7)
-        );
-        assert!(!cfg.partition);
-        assert_eq!(cfg.inject, Some(Fault::LockLeak));
-        for bad in [
-            &["--sessions"][..],
-            &["--sessions", "-1"],
-            &["--inject", "x"],
-            &["--fast"],
-        ] {
-            assert!(parse(bad).is_err(), "accepted {bad:?}");
-        }
+    fn a_panic_on_any_thread_is_counted() {
+        count_panics();
+        let before = PANICS.load(Ordering::Relaxed);
+        assert!(!sync::join(std::thread::spawn(|| panic!("counted"))));
+        assert_eq!(PANICS.load(Ordering::Relaxed) - before, 1);
     }
 }

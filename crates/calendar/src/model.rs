@@ -1,7 +1,7 @@
 //! Calendar data model: slots, meetings, scheduling specs.
 
 use syd_types::{Priority, SydError, SydResult, Text, TimeSlot, UserId, Value};
-use syd_wire::{decode_from_slice, encode_to_vec, Decode, Encode, Reader};
+use syd_wire::{decode_from_slice, encode_to_vec, Decode, Encode, Reader, Sink};
 
 pub use syd_types::MeetingId;
 
@@ -117,12 +117,9 @@ impl GroupSpec {
 }
 
 impl Encode for GroupSpec {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut impl Sink) {
         self.members.encode(buf);
         self.k.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.members.encoded_len() + self.k.encoded_len()
     }
 }
 
@@ -300,7 +297,7 @@ impl Meeting {
 const MEETING_VERSION: u8 = 1;
 
 impl Encode for Meeting {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut impl Sink) {
         buf.push(MEETING_VERSION);
         self.id.encode(buf);
         self.title.encode(buf);
@@ -314,20 +311,6 @@ impl Encode for Meeting {
         (self.groups.len() as u64).encode(buf);
         self.groups.iter().for_each(|g| g.encode(buf));
         self.supervisors.encode(buf);
-    }
-
-    fn encoded_len(&self) -> usize {
-        2 + self.id.encoded_len()
-            + self.title.encoded_len()
-            + self.initiator.encoded_len()
-            + self.ordinal.encoded_len()
-            + self.priority.encoded_len()
-            + self.corr.encoded_len()
-            + self.reserved.encoded_len()
-            + self.musts.encoded_len()
-            + (self.groups.len() as u64).encoded_len()
-            + self.groups.iter().map(Encode::encoded_len).sum::<usize>()
-            + self.supervisors.encoded_len()
     }
 }
 
@@ -374,6 +357,7 @@ pub struct ScheduleOutcome {
 mod tests {
     use super::*;
     use syd_types::rng::{cases, Rng};
+    use syd_wire::encoded_len;
 
     fn u(n: u64) -> UserId {
         UserId::new(n)
@@ -474,7 +458,7 @@ mod tests {
         cases(256, |rng| {
             let m = generated(rng);
             let bytes = encode_to_vec(&m);
-            assert_eq!(bytes.len(), m.encoded_len());
+            assert_eq!(bytes.len(), encoded_len(&m));
             assert_eq!(decode_from_slice::<Meeting>(&bytes).unwrap(), m);
             assert_eq!(Meeting::from_value(&m.to_value()).unwrap(), m);
             assert_eq!(Meeting::status_of(&bytes).unwrap(), m.status);
@@ -549,10 +533,10 @@ mod tests {
         let bytes = encode_to_vec(&m);
         // Layout up to the status byte: version, id, title, initiator, ordinal.
         let status_at = 1
-            + m.id.encoded_len()
-            + m.title.encoded_len()
-            + m.initiator.encoded_len()
-            + m.ordinal.encoded_len();
+            + encoded_len(&m.id)
+            + encoded_len(&m.title)
+            + encoded_len(&m.initiator)
+            + encoded_len(&m.ordinal);
         assert_eq!(bytes[status_at], m.status.tag());
         assert_eq!(
             bytes[status_at + 1],
@@ -595,7 +579,7 @@ mod tests {
             supervisors: Vec::new(),
         };
         let bytes = encode_to_vec(&record);
-        assert_eq!(bytes.len(), record.encoded_len());
+        assert_eq!(bytes.len(), encoded_len(&record));
         assert!(bytes.len() <= 64, "{} B", bytes.len());
     }
 

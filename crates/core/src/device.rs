@@ -1666,14 +1666,15 @@ mod tests {
         // deadline.
         net.set_partitioned(device.addr(), dir.addr(), true);
         serve(&device, &ServiceName::new("app"), ONE_TABLE);
-        let (started, sent) = (std::time::Instant::now(), net.stats().sent);
+        let frames_out = net.metrics().counter(names::TRANSPORT_FRAMES_OUT);
+        let (started, sent) = (std::time::Instant::now(), frames_out.get());
         device.publish().unwrap();
         assert!(
             started.elapsed() < Duration::from_millis(50),
             "{:?}",
             started.elapsed()
         );
-        wait_for("the send", || net.stats().sent > sent);
+        wait_for("the send", || frames_out.get() > sent);
         assert_eq!(in_flight(&device), 1);
 
         let stopped = std::time::Instant::now();

@@ -360,8 +360,13 @@ fn refuse_protocol_verb(service: &ServiceName, method: &str) -> SydResult<()> {
 mod tests {
     use super::*;
     use crate::directory::DirectoryServer;
-    use syd_net::{Network, RequestHandler};
+    use syd_net::{Network, RequestHandler, Transport};
     use syd_wire::Request;
+
+    /// The network's `transport.*` counter called `name`.
+    fn net_count(net: &Network, name: &str) -> u64 {
+        net.metrics().counter(name).get()
+    }
 
     /// Spin up a directory plus `n` plain echo servers registered as users
     /// 1..=n, each answering `svc.echo(args) -> [user, args...]`.
@@ -536,11 +541,12 @@ mod tests {
             for (user, r) in &resolved {
                 assert!(r.is_ok(), "user {user} failed (seed {seed}): {r:?}");
             }
-            if net.stats().dropped_loss > 0 {
+            if net_count(&net, names::TRANSPORT_DROPPED_LOSS) > 0 {
                 break;
             }
         }
-        assert!(net.stats().dropped_loss > 0, "loss model never fired");
+        let dropped = net_count(&net, names::TRANSPORT_DROPPED_LOSS);
+        assert!(dropped > 0, "loss model never fired");
         // Cut the network entirely: resolution must now come from cache.
         net.reconfigure(syd_net::NetConfig::ideal().with_loss(1.0).with_seed(8));
         let resolved = engine.resolve_many(&users);
@@ -581,7 +587,7 @@ mod tests {
 
     #[test]
     fn shared_encode_serialises_the_broadcast_body_once() {
-        use syd_wire::{Args, Encode};
+        use syd_wire::Args;
         let (net, _dir, engine, _servers) = setup(8);
         let users: Vec<UserId> = (1..=8).map(UserId::new).collect();
         // Warm the cache so both rounds below differ only in body bytes.
@@ -589,15 +595,12 @@ mod tests {
             .invoke_group(&users, &ServiceName::new("svc"), "echo", vec![])
             .all_ok());
         let payload = vec![Value::str("x".repeat(512))];
-        let body_len = {
-            let args = Args::from(payload.clone());
-            args.encoded_len() as u64
-        };
-        let before = net.stats().bytes_sent;
+        let body_len = Args::from(payload.clone()).preencode() as u64;
+        let before = net_count(&net, names::TRANSPORT_BYTES_OUT);
         assert!(engine
             .invoke_group(&users, &ServiceName::new("svc"), "echo", payload)
             .all_ok());
-        let wire_bytes = net.stats().bytes_sent - before;
+        let wire_bytes = net_count(&net, names::TRANSPORT_BYTES_OUT) - before;
         // Every recipient still receives the full body on the wire; the
         // saving is CPU (one encode) and heap (one buffer), not bytes.
         assert!(
@@ -657,7 +660,7 @@ mod tests {
     fn a_protocol_verb_is_refused_before_anything_is_sent() {
         let (net, _dir, engine, _servers) = setup(2);
         let (link, users) = (link_service(), [UserId::new(1), UserId::new(2)]);
-        let sent = net.stats().sent;
+        let sent = net_count(&net, names::TRANSPORT_FRAMES_OUT);
         for verb in ["mark", "commit", "abort"] {
             let group = engine.invoke_group(&users, &link, verb, vec![Value::from(1u64)]);
             assert_eq!(group.outcomes.len(), 2);
@@ -669,7 +672,8 @@ mod tests {
             let named = engine.invoke_group_by_name("everyone", &link, verb, vec![]);
             assert!(matches!(named, Err(SydError::Protocol(_))), "{named:?}");
         }
-        assert_eq!(net.stats().sent, sent, "a refused verb was sent");
+        let now = net_count(&net, names::TRANSPORT_FRAMES_OUT);
+        assert_eq!(now, sent, "a refused verb was sent");
         // The same method names on another service are anybody's.
         let echoed = engine.invoke(users[0], &ServiceName::new("svc"), "mark", vec![]);
         assert!(echoed.is_ok(), "{echoed:?}");

@@ -15,7 +15,6 @@
 //! (`store.<table>.insert|update|delete`), so application logic can react
 //! to database changes without any Oracle-specific machinery.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
@@ -27,23 +26,18 @@ use syd_types::{SydResult, Value};
 /// Callback invoked with `(topic, payload)`.
 pub type EventCallback = Arc<dyn Fn(&str, &Value) + Send + Sync>;
 
-/// A named periodic task: the runtime entry that fires it and the action
-/// on its owner (kept so [`EventHandler::run_periodic_now`] can run it).
+/// A named periodic task: the runtime entry that fires it.
 struct PeriodicTask {
     name: String,
     id: TimerId,
-    run: Arc<dyn Fn() + Send + Sync>,
 }
 
 struct Inner {
     subs: RwLock<Vec<(String, EventCallback)>>,
-    /// In registration order, which is the order `run_periodic_now` runs.
     tasks: Mutex<Vec<PeriodicTask>>,
     /// The runtime whose loop fires the tasks; this handler owns only its
     /// entries.
     runtime: SharedRuntime,
-    published: AtomicU64,
-    delivered: AtomicU64,
 }
 
 /// The event handler. Cloning shares it.
@@ -62,8 +56,6 @@ impl EventHandler {
                 subs: RwLock::new(Rank::Engine, Vec::new()),
                 tasks: Mutex::new(Rank::Engine, Vec::new()),
                 runtime,
-                published: AtomicU64::new(0),
-                delivered: AtomicU64::new(0),
             }),
         }
     }
@@ -76,9 +68,9 @@ impl EventHandler {
 
     /// Publishes an event to local subscribers, synchronously. `payload`
     /// builds the event's payload and is called only if some subscriber's
-    /// prefix matches `topic`: an event nobody listens to costs a counter.
+    /// prefix matches `topic`: an event nobody listens to costs only the
+    /// prefix match.
     pub fn publish_local(&self, topic: &str, payload: impl FnOnce() -> Value) {
-        self.inner.published.fetch_add(1, Ordering::Relaxed);
         let subs = self.inner.subs.read();
         let mut matching = subs
             .iter()
@@ -89,7 +81,6 @@ impl EventHandler {
         }
         let payload = payload();
         for (_, callback) in matching {
-            self.inner.delivered.fetch_add(1, Ordering::Relaxed);
             callback(topic, &payload);
         }
     }
@@ -110,18 +101,12 @@ impl EventHandler {
         owner: Weak<T>,
         action: fn(&T),
     ) {
-        let id = (self.inner.runtime).schedule_periodic(interval, Weak::clone(&owner), action);
-        let run = Arc::new(move || {
-            if let Some(owner) = owner.upgrade() {
-                action(&owner);
-            }
-        });
+        let id = (self.inner.runtime).schedule_periodic(interval, owner, action);
         let mut tasks = self.inner.tasks.lock();
         self.cancel_locked(&mut tasks, name);
         tasks.push(PeriodicTask {
             name: name.to_owned(),
             id,
-            run,
         });
     }
 
@@ -134,25 +119,6 @@ impl EventHandler {
         if let Some(at) = tasks.iter().position(|task| task.name == name) {
             self.inner.runtime.cancel_periodic(tasks.remove(at).id);
         }
-    }
-
-    /// Runs every periodic task once, immediately — used by tests and by
-    /// deterministic benches instead of waiting for wall-clock intervals.
-    pub fn run_periodic_now(&self) {
-        let tasks = self.inner.tasks.lock();
-        let runs: Vec<_> = tasks.iter().map(|task| Arc::clone(&task.run)).collect();
-        drop(tasks);
-        for run in runs {
-            run();
-        }
-    }
-
-    /// `(published, delivered)` local event counters.
-    pub fn counters(&self) -> (u64, u64) {
-        (
-            self.inner.published.load(Ordering::Relaxed),
-            self.inner.delivered.load(Ordering::Relaxed),
-        )
     }
 
     /// Installs middleware triggers: every row change on `table` in
@@ -209,7 +175,7 @@ impl Drop for EventHandler {
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicU32, Ordering};
     use std::time::Instant;
     use syd_store::{Column, ColumnType, Predicate, Schema};
 
@@ -247,7 +213,6 @@ mod tests {
         events.publish_local("calendar.changed", || Value::Null);
         assert_eq!(link_events.load(Ordering::SeqCst), 1);
         assert_eq!(all_events.load(Ordering::SeqCst), 2);
-        assert_eq!(events.counters(), (2, 3));
     }
 
     #[test]
@@ -276,7 +241,6 @@ mod tests {
             "two subscribers, one payload"
         );
         assert_eq!(*seen.lock(), vec![Value::from(7u64); 2]);
-        assert_eq!(events.counters(), (2, 2));
     }
 
     #[test]
@@ -327,30 +291,25 @@ mod tests {
     }
 
     #[test]
-    fn run_periodic_now_is_deterministic() {
-        let (_runtime, events) = handler("events-now");
-        let runs = Arc::new(AtomicU32::new(0));
-        events.register_periodic(
-            "scan",
-            Duration::from_secs(3600),
-            Arc::downgrade(&runs),
-            count,
-        );
-        events.run_periodic_now();
-        events.run_periodic_now();
-        assert_eq!(runs.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
     fn replacing_a_periodic_task_keeps_one_instance() {
         let (runtime, events) = handler("events-replace");
         let a = Arc::new(AtomicU32::new(0));
         let b = Arc::new(AtomicU32::new(0));
-        events.register_periodic("job", Duration::from_secs(3600), Arc::downgrade(&a), count);
-        events.register_periodic("job", Duration::from_secs(3600), Arc::downgrade(&b), count);
-        events.run_periodic_now();
-        assert_eq!(a.load(Ordering::SeqCst), 0, "old task should be replaced");
-        assert_eq!(b.load(Ordering::SeqCst), 1);
+        let every = Duration::from_millis(5);
+        events.register_periodic("job", every, Arc::downgrade(&a), count);
+        events.register_periodic("job", every, Arc::downgrade(&b), count);
+        let replaced = a.load(Ordering::SeqCst);
+        let deadline = Instant::now() + Duration::from_secs(3);
+        while b.load(Ordering::SeqCst) < 3 {
+            assert!(Instant::now() < deadline, "the new task did not run");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // Allow one in-flight run of the old task that raced the swap.
+        let old = a.load(Ordering::SeqCst);
+        assert!(
+            old <= replaced + 1,
+            "old task should be replaced: {old} runs"
+        );
         // The runtime's own watchdog, and one task.
         assert_eq!(runtime.periodic_tasks(), 2, "replaced entry still armed");
     }

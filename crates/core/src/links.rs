@@ -45,7 +45,7 @@ pub use syd_types::Constraint;
 use syd_types::{
     Clock, LinkId, Priority, ServiceName, SydError, SydResult, Text, Timestamp, UserId, Value,
 };
-use syd_wire::{decode_from_slice, encode_to_vec, Args, Decode, Encode, Reader};
+use syd_wire::{decode_from_slice, encode_to_vec, Args, Decode, Encode, Reader, Sink};
 
 use crate::engine::{Call, SydEngine};
 use crate::events::EventHandler;
@@ -132,13 +132,10 @@ impl LinkRef {
 }
 
 impl Encode for LinkRef {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut impl Sink) {
         self.user.encode(buf);
         self.entity.encode(buf);
         self.action.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.user.encoded_len() + self.entity.encoded_len() + self.action.encoded_len()
     }
 }
 
@@ -157,12 +154,9 @@ impl Decode for LinkRef {
 struct Refs<T>(T);
 
 impl Encode for Refs<&[LinkRef]> {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut impl Sink) {
         (self.0.len() as u64).encode(buf);
         self.0.iter().for_each(|r| r.encode(buf));
-    }
-    fn encoded_len(&self) -> usize {
-        (self.0.len() as u64).encoded_len() + self.0.iter().map(Encode::encoded_len).sum::<usize>()
     }
 }
 
@@ -230,7 +224,7 @@ impl Link {
 const LINK_VERSION: u8 = 1;
 
 impl Encode for Link {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut impl Sink) {
         let (kind, k) = self.kind.tag();
         buf.push(LINK_VERSION);
         self.id.encode(buf);
@@ -243,17 +237,6 @@ impl Encode for Link {
         self.created.encode(buf);
         self.expires.encode(buf);
         self.corr.encode(buf);
-    }
-
-    fn encoded_len(&self) -> usize {
-        3 + self.id.encoded_len()
-            + self.kind.tag().1.encoded_len()
-            + self.entity.encoded_len()
-            + Refs(&self.refs[..]).encoded_len()
-            + self.priority.encoded_len()
-            + self.created.encoded_len()
-            + self.expires.encoded_len()
-            + self.corr.encoded_len()
     }
 }
 
@@ -1274,7 +1257,7 @@ mod tests {
         cases(256, |rng| {
             let link = generated(rng);
             let bytes = encode_to_vec(&link);
-            assert_eq!(bytes.len(), link.encoded_len());
+            assert_eq!(bytes.len(), syd_wire::encoded_len(&link));
             assert_eq!(decode_from_slice::<Link>(&bytes).unwrap(), link);
             assert_eq!(Link::from_value(&link.to_value()).unwrap(), link);
         });

@@ -37,14 +37,13 @@ pub mod runtime;
 mod timer;
 
 pub use syd_transport::config;
-pub use syd_transport::stats;
 
 pub use node::{EventSink, Node, RequestHandler};
 pub use pool::WorkerPool;
 pub use rpc::{Call, CallOptions, PendingCall};
 pub use runtime::{runtime_for, DrainOutcome, SharedRuntime};
 pub use syd_transport::{
-    Endpoint, FramedTcpTransport, LatencyModel, NetConfig, NetStats, Network, StatsSnapshot,
-    Transport, TransportEndpoint, TransportEvent,
+    Endpoint, FramedTcpTransport, LatencyModel, NetConfig, Network, Transport, TransportEndpoint,
+    TransportEvent,
 };
 pub use timer::TimerId;

@@ -8,7 +8,7 @@
 //! re-installed with the schema).
 
 use syd_types::{SydError, SydResult, Value};
-use syd_wire::codec::{put_varint, Decode, Encode, Reader};
+use syd_wire::codec::{put_varint, Decode, Encode, Reader, Sink};
 use syd_wire::{decode_from_slice, encode_to_vec};
 
 use crate::schema::{Column, ColumnType, Schema};
@@ -30,7 +30,7 @@ struct StoreSnapshot {
 }
 
 impl Encode for TableSnapshot {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut impl Sink) {
         self.schema.name.encode(buf);
         put_varint(buf, self.schema.columns.len() as u64);
         for col in &self.schema.columns {
@@ -46,22 +46,6 @@ impl Encode for TableSnapshot {
             put_varint(buf, *row_id);
             values.encode(buf);
         }
-    }
-
-    fn encoded_len(&self) -> usize {
-        let mut n = self.schema.name.encoded_len();
-        n += syd_wire::codec::varint_len(self.schema.columns.len() as u64);
-        for col in &self.schema.columns {
-            n += col.name.encoded_len() + 1 + 1;
-        }
-        let pk: Vec<u64> = self.schema.primary_key.iter().map(|&i| i as u64).collect();
-        n += pk.encoded_len();
-        n += self.indexes.encoded_len();
-        n += syd_wire::codec::varint_len(self.rows.len() as u64);
-        for (row_id, values) in &self.rows {
-            n += syd_wire::codec::varint_len(*row_id) + values.encoded_len();
-        }
-        n
     }
 }
 
@@ -109,18 +93,13 @@ impl Decode for TableSnapshot {
 }
 
 impl Encode for StoreSnapshot {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut impl Sink) {
         buf.extend_from_slice(MAGIC);
         buf.push(VERSION);
         put_varint(buf, self.tables.len() as u64);
         for t in &self.tables {
             t.encode(buf);
         }
-    }
-
-    fn encoded_len(&self) -> usize {
-        5 + syd_wire::codec::varint_len(self.tables.len() as u64)
-            + self.tables.iter().map(Encode::encoded_len).sum::<usize>()
     }
 }
 

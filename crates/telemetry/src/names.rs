@@ -45,6 +45,16 @@ pub const TRANSPORT_FRAMES_IN: &str = "transport.frames_in";
 pub const TRANSPORT_FRAMES_OUT: &str = "transport.frames_out";
 /// Counter: frames dropped due to decode/length errors.
 pub const TRANSPORT_FRAME_ERRORS: &str = "transport.frame_errors";
+/// Counter: sim frames dropped by the random-loss model.
+pub const TRANSPORT_DROPPED_LOSS: &str = "transport.dropped_loss";
+/// Counter: sim frames dropped because source and destination were
+/// partitioned.
+pub const TRANSPORT_DROPPED_PARTITION: &str = "transport.dropped_partition";
+/// Counter: sim frames dropped because the destination was disconnected.
+pub const TRANSPORT_DROPPED_DISCONNECTED: &str = "transport.dropped_disconnected";
+/// Counter: sim frames dropped because the destination never registered
+/// (or left).
+pub const TRANSPORT_DROPPED_UNREACHABLE: &str = "transport.dropped_unreachable";
 
 // --- negotiation (syd-core §4.3 protocol) ----------------------------------
 
@@ -148,6 +158,10 @@ pub const ALL: &[&str] = &[
     TRANSPORT_FRAMES_IN,
     TRANSPORT_FRAMES_OUT,
     TRANSPORT_FRAME_ERRORS,
+    TRANSPORT_DROPPED_LOSS,
+    TRANSPORT_DROPPED_PARTITION,
+    TRANSPORT_DROPPED_DISCONNECTED,
+    TRANSPORT_DROPPED_UNREACHABLE,
     NEGOTIATE_SESSIONS,
     NEGOTIATE_ABORTS,
     ENGINE_INVOKE,

@@ -30,7 +30,6 @@
 pub mod config;
 pub mod framing;
 pub mod sim;
-pub mod stats;
 pub mod tcp;
 
 use std::sync::Arc;
@@ -43,7 +42,6 @@ use syd_wire::{Envelope, Payload};
 
 pub use config::{LatencyModel, NetConfig};
 pub use sim::{Endpoint, Network};
-pub use stats::{NetStats, StatsSnapshot};
 pub use tcp::{node_addr_of, socket_addr_of, FramedTcpEndpoint, FramedTcpTransport};
 
 /// Synthetic trace device id for the sim backend's queueing spans —
@@ -241,6 +239,16 @@ pub struct TransportMetrics {
     /// `transport.frame_errors` — frames that failed framing or envelope
     /// decoding. Zero in every clean run.
     pub frame_errors: Counter,
+    /// `transport.dropped_loss` — sim frames the loss model dropped.
+    pub dropped_loss: Counter,
+    /// `transport.dropped_partition` — sim frames a partition swallowed.
+    pub dropped_partition: Counter,
+    /// `transport.dropped_disconnected` — sim frames to a disconnected
+    /// endpoint.
+    pub dropped_disconnected: Counter,
+    /// `transport.dropped_unreachable` — sim frames to an address that
+    /// never registered or has left.
+    pub dropped_unreachable: Counter,
 }
 
 impl TransportMetrics {
@@ -255,6 +263,10 @@ impl TransportMetrics {
             frames_in: registry.counter(names::TRANSPORT_FRAMES_IN),
             frames_out: registry.counter(names::TRANSPORT_FRAMES_OUT),
             frame_errors: registry.counter(names::TRANSPORT_FRAME_ERRORS),
+            dropped_loss: registry.counter(names::TRANSPORT_DROPPED_LOSS),
+            dropped_partition: registry.counter(names::TRANSPORT_DROPPED_PARTITION),
+            dropped_disconnected: registry.counter(names::TRANSPORT_DROPPED_DISCONNECTED),
+            dropped_unreachable: registry.counter(names::TRANSPORT_DROPPED_UNREACHABLE),
         }
     }
 }

@@ -10,12 +10,12 @@
 //! [`TransportEndpoint::recv_event`]. The partition, connection and
 //! registration rules are applied when a frame is taken, so a partition
 //! raised while a frame is in flight still swallows it; and a frame is
-//! counted delivered (stats, `transport.frames_in`, the frame tap, the
+//! counted delivered (`transport.frames_in`, the frame tap, the
 //! `transport.queue` span) only then.
 //!
 //! Messages are fully encoded with the `syd-wire` codec at send time and
 //! decoded by the receiving endpoint, so every hop exercises the real wire
-//! format and the stats counters see real byte counts.
+//! format and the byte counters see real byte counts.
 //!
 //! [`Network`] implements [`Transport`] (and [`Endpoint`] implements
 //! [`TransportEndpoint`]), making the simulator one backend among others.
@@ -34,7 +34,6 @@ use syd_types::{NodeAddr, SydError, SydResult};
 use syd_wire::{decode_from_slice, encode_to_vec, Envelope, Payload, Response};
 
 use crate::config::NetConfig;
-use crate::stats::{NetStats, StatsSnapshot};
 use crate::{
     QueueSpan, ReadyNotifier, Transport, TransportEndpoint, TransportEvent, TransportMetrics,
 };
@@ -110,7 +109,6 @@ struct Inner {
     state: Mutex<NetState>,
     /// Wakes threads blocked in a raw endpoint's receive.
     cv: Condvar,
-    stats: NetStats,
     registry: Arc<Registry>,
     tmetrics: TransportMetrics,
     /// Records `transport.queue` spans for traced requests.
@@ -191,14 +189,13 @@ impl NetState {
                 connected @ SimMsg::Connected(_) => return Take::Got(connected),
             };
             if self.partitions.contains(&norm_pair(msg.src, addr)) {
-                inner.stats.on_dropped_partition();
+                inner.tmetrics.dropped_partition.inc();
                 continue;
             }
             if !slot.connected {
-                inner.stats.on_dropped_disconnected();
+                inner.tmetrics.dropped_disconnected.inc();
                 continue;
             }
-            inner.stats.on_delivered();
             inner.tmetrics.frames_in.inc();
             inner.tmetrics.bytes_in.add(bytes.len() as u64);
             if let Some(tap) = &slot.tap {
@@ -234,7 +231,6 @@ impl Network {
                     },
                 ),
                 cv: Condvar::new(),
-                stats: NetStats::default(),
                 registry,
                 tmetrics,
                 tracer: syd_trace::Tracer::new("transport-sim", crate::TRACE_DEVICE_SIM),
@@ -290,7 +286,7 @@ impl Network {
         let Some(slot) = removed else { return };
         for Reverse(msg) in slot.inbox {
             if matches!(msg.msg, SimMsg::Frame(_)) {
-                self.inner.stats.on_dropped_unreachable();
+                self.inner.tmetrics.dropped_unreachable.inc();
             }
         }
         // Wake whoever reads the endpoint so it observes the terminal
@@ -341,11 +337,6 @@ impl Network {
         state.cfg = cfg;
     }
 
-    /// Snapshot of the traffic counters.
-    pub fn stats(&self) -> StatsSnapshot {
-        self.inner.stats.snapshot()
-    }
-
     /// Stops the network: every later send fails with `Shutdown`, and
     /// frames still in flight are discarded. Idempotent.
     pub fn shutdown(&self) {
@@ -370,12 +361,11 @@ impl Network {
         if state.shutdown {
             return Err(SydError::Shutdown);
         }
-        inner.stats.on_sent(size);
         inner.tmetrics.frames_out.inc();
         inner.tmetrics.bytes_out.add(size as u64);
 
         let Some(slot) = state.endpoints.get(&env.dst) else {
-            inner.stats.on_dropped_unreachable();
+            inner.tmetrics.dropped_unreachable.inc();
             return Err(SydError::Unreachable(env.dst));
         };
 
@@ -391,11 +381,11 @@ impl Network {
                         result: Err(SydError::Disconnected(env.dst)),
                     }),
                 );
-                inner.stats.on_dropped_disconnected();
+                inner.tmetrics.dropped_disconnected.inc();
                 let due = Instant::now() + sample_latency(&mut state);
                 let reply = SimMsg::Frame(encode_to_vec(&reply));
                 if !state.file(&inner.cv, env.dst, env.src, due, reply, None) {
-                    inner.stats.on_dropped_unreachable();
+                    inner.tmetrics.dropped_unreachable.inc();
                 }
                 return Ok(size);
             }
@@ -404,7 +394,7 @@ impl Network {
         // Random loss.
         let loss = state.cfg.loss;
         if loss > 0.0 && state.rng.unit() < loss {
-            inner.stats.on_dropped_loss();
+            inner.tmetrics.dropped_loss.inc();
             return Ok(size);
         }
 

@@ -7,7 +7,7 @@
 use std::time::{Duration, Instant};
 
 use syd_telemetry::names;
-use syd_transport::{Endpoint, LatencyModel, NetConfig, Network};
+use syd_transport::{Endpoint, LatencyModel, NetConfig, Network, Transport};
 use syd_types::{NodeAddr, RequestId, ServiceName, SydError, UserId, Value};
 use syd_wire::{EventMsg, Payload, Request};
 
@@ -17,6 +17,11 @@ fn event(topic: &str) -> Payload {
         source: UserId::new(1),
         payload: Value::Null,
     })
+}
+
+/// The network's `transport.*` counter called `name`.
+fn count(net: &Network, name: &str) -> u64 {
+    net.metrics().counter(name).get()
 }
 
 fn request(id: u64) -> Payload {
@@ -46,10 +51,9 @@ fn point_to_point_delivery() {
         other => panic!("unexpected payload {other:?}"),
     }
     // A frame counts as delivered when its reader takes it.
-    let stats = net.stats();
-    assert_eq!(stats.sent, 1);
-    assert_eq!(stats.delivered, 1);
-    assert!(stats.bytes_sent > 0);
+    assert_eq!(count(&net, names::TRANSPORT_FRAMES_OUT), 1);
+    assert_eq!(count(&net, names::TRANSPORT_FRAMES_IN), 1);
+    assert!(count(&net, names::TRANSPORT_BYTES_OUT) > 0);
 }
 
 #[test]
@@ -77,7 +81,7 @@ fn unreachable_destination_is_an_error() {
     let a = net.register();
     let err = a.send(NodeAddr::new(9999), event("x")).unwrap_err();
     assert_eq!(err, SydError::Unreachable(NodeAddr::new(9999)));
-    assert_eq!(net.stats().dropped_unreachable, 1);
+    assert_eq!(count(&net, names::TRANSPORT_DROPPED_UNREACHABLE), 1);
 }
 
 #[test]
@@ -96,8 +100,8 @@ fn total_loss_drops_everything() {
     let b = net.register();
     a.send(b.addr(), event("x")).unwrap();
     assert!(b.recv_timeout(Duration::from_millis(50)).is_err());
-    assert_eq!(net.stats().dropped_loss, 1);
-    assert_eq!(net.stats().delivered, 0);
+    assert_eq!(count(&net, names::TRANSPORT_DROPPED_LOSS), 1);
+    assert_eq!(count(&net, names::TRANSPORT_FRAMES_IN), 0);
 }
 
 #[test]
@@ -110,7 +114,7 @@ fn partition_blocks_both_directions() {
     b.send(a.addr(), event("ba")).unwrap();
     assert!(b.recv_timeout(Duration::from_millis(50)).is_err());
     assert!(a.recv_timeout(Duration::from_millis(50)).is_err());
-    assert_eq!(net.stats().dropped_partition, 2);
+    assert_eq!(count(&net, names::TRANSPORT_DROPPED_PARTITION), 2);
 
     net.heal_partitions();
     a.send(b.addr(), event("after")).unwrap();
@@ -142,7 +146,7 @@ fn disconnected_event_is_silently_dropped() {
     net.set_connected(b.addr(), false);
     a.send(b.addr(), event("x")).unwrap();
     assert!(b.recv_timeout(Duration::from_millis(50)).is_err());
-    assert_eq!(net.stats().dropped_disconnected, 1);
+    assert_eq!(count(&net, names::TRANSPORT_DROPPED_DISCONNECTED), 1);
 }
 
 #[test]
@@ -208,12 +212,12 @@ fn stats_delta_counts_one_exchange() {
     let net = Network::ideal();
     let a = net.register();
     let b = net.register();
-    let before = net.stats();
+    let frames = [names::TRANSPORT_FRAMES_OUT, names::TRANSPORT_FRAMES_IN];
+    let before = frames.map(|name| count(&net, name));
     a.send(b.addr(), event("one")).unwrap();
     b.recv_timeout(Duration::from_secs(1)).unwrap();
-    let delta = before.delta(&net.stats());
-    assert_eq!(delta.sent, 1);
-    assert_eq!(delta.delivered, 1);
+    let after = frames.map(|name| count(&net, name));
+    assert_eq!([after[0] - before[0], after[1] - before[1]], [1, 1]);
 }
 
 #[test]
@@ -266,7 +270,7 @@ fn many_endpoints_share_one_router() {
     for _ in 1..32 {
         endpoints[0].recv_timeout(Duration::from_secs(1)).unwrap();
     }
-    assert_eq!(net.stats().delivered, 31);
+    assert_eq!(count(&net, names::TRANSPORT_FRAMES_IN), 31);
 }
 
 mod as_transport {
@@ -402,8 +406,8 @@ mod in_flight {
         a.send(b.addr(), event("x")).unwrap();
         net.set_partitioned(a.addr(), b.addr(), true);
         assert!(b.recv_timeout(Duration::from_millis(100)).is_err());
-        assert_eq!(net.stats().dropped_partition, 1);
-        assert_eq!(net.stats().delivered, 0);
+        assert_eq!(count(&net, names::TRANSPORT_DROPPED_PARTITION), 1);
+        assert_eq!(count(&net, names::TRANSPORT_FRAMES_IN), 0);
     }
 
     #[test]
@@ -414,8 +418,8 @@ mod in_flight {
         a.send(b.addr(), event("x")).unwrap();
         net.set_connected(b.addr(), false);
         assert!(b.recv_timeout(Duration::from_millis(100)).is_err());
-        assert_eq!(net.stats().dropped_disconnected, 1);
-        assert_eq!(net.stats().delivered, 0);
+        assert_eq!(count(&net, names::TRANSPORT_DROPPED_DISCONNECTED), 1);
+        assert_eq!(count(&net, names::TRANSPORT_FRAMES_IN), 0);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::sync::{Arc, OnceLock};
 
 use syd_types::{SydResult, Value};
 
-use crate::codec::{put_varint, varint_len, Decode, Encode, Reader};
+use crate::codec::{encode_to_vec, put_varint, Decode, Encode, Reader, Sink};
 
 /// How many decoded values [`ArgsInner`] holds without a `Vec` of their
 /// own: `mark`, `commit` and `release_slot` take at most four, so a
@@ -81,11 +81,9 @@ impl Args {
     pub fn preencode(&self) -> usize {
         self.inner
             .encoded
-            .get_or_init(|| {
-                let mut buf = Vec::with_capacity(self.values_encoded_len());
-                self.encode_values(&mut buf);
-                buf
-            })
+            // The cell is empty until this closure returns, so `encode`
+            // writes the values here.
+            .get_or_init(|| encode_to_vec(self))
             .len()
     }
 
@@ -99,36 +97,20 @@ impl Args {
     pub fn to_vec(&self) -> Vec<Value> {
         self[..].to_vec()
     }
-
-    /// Encodes the element form: varint count followed by the elements —
-    /// exactly the `Vec<Value>` wire format.
-    fn encode_values(&self, buf: &mut Vec<u8>) {
-        put_varint(buf, self.len() as u64);
-        for v in self.iter() {
-            v.encode(buf);
-        }
-    }
-
-    /// Length of the element form, computed without encoding.
-    fn values_encoded_len(&self) -> usize {
-        varint_len(self.len() as u64) + self.iter().map(Encode::encoded_len).sum::<usize>()
-    }
 }
 
 impl Encode for Args {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        // The cached buffer *is* the canonical element encoding, so both
-        // branches produce identical bytes.
+    /// Exactly the `Vec<Value>` wire format: a varint count, then the
+    /// elements. The cached buffer *is* that encoding, so both branches
+    /// write identical bytes, and a preencoded list counts in O(1).
+    fn encode(&self, buf: &mut impl Sink) {
         if let Some(bytes) = self.inner.encoded.get() {
             buf.extend_from_slice(bytes);
         } else {
-            self.encode_values(buf);
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        match self.inner.encoded.get() {
-            Some(bytes) => bytes.len(),
-            None => self.values_encoded_len(),
+            put_varint(buf, self.len() as u64);
+            for v in self.iter() {
+                v.encode(buf);
+            }
         }
     }
 }
@@ -205,7 +187,7 @@ impl Default for Args {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // test code
 mod tests {
     use super::*;
-    use crate::codec::{decode_from_slice, encode_to_vec};
+    use crate::codec::{decode_from_slice, encoded_len};
 
     fn sample() -> Vec<Value> {
         vec![
@@ -229,9 +211,9 @@ mod tests {
     #[test]
     fn encoded_len_matches_with_and_without_cache() {
         let args = Args::from(sample());
-        let plain = args.encoded_len();
+        let plain = encoded_len(&args);
         assert_eq!(args.preencode(), plain);
-        assert_eq!(args.encoded_len(), plain);
+        assert_eq!(encoded_len(&args), plain);
         assert_eq!(encode_to_vec(&args).len(), plain);
     }
 
@@ -266,7 +248,7 @@ mod tests {
             assert_eq!(back, built, "{n} values");
             assert_eq!(&back[..], &values[..n]);
             assert_eq!(matches!(back.inner.values, Values::Inline(..)), n <= INLINE);
-            assert_eq!(back.encoded_len(), bytes.len());
+            assert_eq!(encoded_len(&back), bytes.len());
             back.preencode();
             assert_eq!(encode_to_vec(&back), bytes);
         }

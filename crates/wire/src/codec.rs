@@ -25,16 +25,65 @@ use syd_types::{
 /// A single corrupt varint must not make the decoder reserve gigabytes.
 pub const MAX_LEN: u64 = 16 * 1024 * 1024;
 
-/// Types that can serialize themselves into a byte vector.
+/// Types that can serialize themselves.
+///
+/// `encode` is a type's only statement of its layout: [`encoded_len`]
+/// runs it into a byte counter, and [`encode_to_vec`] sizes its buffer
+/// from that count.
 pub trait Encode {
     /// Appends the canonical encoding of `self` to `buf`.
-    fn encode(&self, buf: &mut Vec<u8>);
+    fn encode(&self, buf: &mut impl Sink);
+}
 
-    /// Exact number of bytes [`Encode::encode`] will write.
-    ///
-    /// Used by the benchmarks to report wire footprints and by the
-    /// transport to pre-size buffers.
-    fn encoded_len(&self) -> usize;
+/// Where [`Encode::encode`] writes: a byte vector, or the counter behind
+/// [`encoded_len`]. The method names are `Vec`'s, so an encoder reads the
+/// same whichever it writes to.
+pub trait Sink {
+    /// Appends one byte.
+    fn push(&mut self, byte: u8);
+    /// Appends a slice.
+    fn extend_from_slice(&mut self, bytes: &[u8]);
+    /// Appends `value`, whose [`encoded_len`] the caller has already
+    /// counted as `len`: the counter adds `len` rather than running
+    /// `encode` once more.
+    #[inline]
+    fn put_counted<T: Encode + ?Sized>(&mut self, value: &T, len: usize)
+    where
+        Self: Sized,
+    {
+        let _ = len;
+        value.encode(self);
+    }
+}
+
+impl Sink for Vec<u8> {
+    #[inline]
+    fn push(&mut self, byte: u8) {
+        Vec::push(self, byte);
+    }
+    #[inline]
+    fn extend_from_slice(&mut self, bytes: &[u8]) {
+        Vec::extend_from_slice(self, bytes);
+    }
+}
+
+/// Counts the bytes an encoding writes; a slice costs O(1) whatever its
+/// length.
+struct Counter(usize);
+
+impl Sink for Counter {
+    #[inline]
+    fn push(&mut self, _: u8) {
+        self.0 += 1;
+    }
+    #[inline]
+    fn extend_from_slice(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+    #[inline]
+    fn put_counted<T: Encode + ?Sized>(&mut self, _: &T, len: usize) {
+        self.0 += len;
+    }
 }
 
 /// Types that can deserialize themselves from a [`Reader`].
@@ -124,18 +173,8 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Number of bytes the varint encoding of `v` occupies.
-pub fn varint_len(mut v: u64) -> usize {
-    let mut n = 1;
-    while v >= 0x80 {
-        v >>= 7;
-        n += 1;
-    }
-    n
-}
-
 /// Writes a LEB128 varint.
-pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+pub fn put_varint(buf: &mut impl Sink, mut v: u64) {
     while v >= 0x80 {
         buf.push((v as u8 & 0x7f) | 0x80);
         v >>= 7;
@@ -153,12 +192,22 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// Encodes any `Encode` value into a fresh vector.
-pub fn encode_to_vec<T: Encode>(value: &T) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(value.encoded_len());
+/// Encodes any `Encode` value into a fresh vector, allocated once at its
+/// exact size.
+pub fn encode_to_vec<T: Encode + ?Sized>(value: &T) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(encoded_len(value));
     value.encode(&mut buf);
-    debug_assert_eq!(buf.len(), value.encoded_len(), "encoded_len out of sync");
     buf
+}
+
+/// Exact number of bytes [`Encode::encode`] writes for `value`, counted
+/// by running it without a buffer. [`encode_to_vec`] sizes its buffer
+/// with it, and an [`Envelope`](crate::Envelope) its payload's length
+/// prefix.
+pub fn encoded_len<T: Encode + ?Sized>(value: &T) -> usize {
+    let mut counter = Counter(0);
+    value.encode(&mut counter);
+    counter.0
 }
 
 /// Decodes a value that must occupy the *entire* input slice.
@@ -179,11 +228,8 @@ pub fn decode_from_slice<T: Decode>(input: &[u8]) -> SydResult<T> {
 // ---------------------------------------------------------------------------
 
 impl Encode for u8 {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut impl Sink) {
         buf.push(*self);
-    }
-    fn encoded_len(&self) -> usize {
-        1
     }
 }
 
@@ -194,11 +240,8 @@ impl Decode for u8 {
 }
 
 impl Encode for bool {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut impl Sink) {
         buf.push(*self as u8);
-    }
-    fn encoded_len(&self) -> usize {
-        1
     }
 }
 
@@ -213,11 +256,8 @@ impl Decode for bool {
 }
 
 impl Encode for u16 {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut impl Sink) {
         put_varint(buf, u64::from(*self));
-    }
-    fn encoded_len(&self) -> usize {
-        varint_len(u64::from(*self))
     }
 }
 
@@ -229,11 +269,8 @@ impl Decode for u16 {
 }
 
 impl Encode for u32 {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut impl Sink) {
         put_varint(buf, u64::from(*self));
-    }
-    fn encoded_len(&self) -> usize {
-        varint_len(u64::from(*self))
     }
 }
 
@@ -245,11 +282,8 @@ impl Decode for u32 {
 }
 
 impl Encode for u64 {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut impl Sink) {
         put_varint(buf, *self);
-    }
-    fn encoded_len(&self) -> usize {
-        varint_len(*self)
     }
 }
 
@@ -260,11 +294,8 @@ impl Decode for u64 {
 }
 
 impl Encode for i64 {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut impl Sink) {
         put_varint(buf, zigzag(*self));
-    }
-    fn encoded_len(&self) -> usize {
-        varint_len(zigzag(*self))
     }
 }
 
@@ -275,11 +306,8 @@ impl Decode for i64 {
 }
 
 impl Encode for f64 {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut impl Sink) {
         buf.extend_from_slice(&self.to_bits().to_le_bytes());
-    }
-    fn encoded_len(&self) -> usize {
-        8
     }
 }
 
@@ -293,21 +321,15 @@ impl Decode for f64 {
 }
 
 impl Encode for str {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut impl Sink) {
         put_varint(buf, self.len() as u64);
         buf.extend_from_slice(self.as_bytes());
-    }
-    fn encoded_len(&self) -> usize {
-        varint_len(self.len() as u64) + self.len()
     }
 }
 
 impl Encode for String {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut impl Sink) {
         self.as_str().encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.as_str().encoded_len()
     }
 }
 
@@ -318,11 +340,8 @@ impl Decode for String {
 }
 
 impl Encode for Text {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut impl Sink) {
         self.as_str().encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.as_str().encoded_len()
     }
 }
 
@@ -335,21 +354,15 @@ impl Decode for Text {
 }
 
 impl Encode for [u8] {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut impl Sink) {
         put_varint(buf, self.len() as u64);
         buf.extend_from_slice(self);
-    }
-    fn encoded_len(&self) -> usize {
-        varint_len(self.len() as u64) + self.len()
     }
 }
 
 impl Encode for Vec<u8> {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut impl Sink) {
         self.as_slice().encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.as_slice().encoded_len()
     }
 }
 
@@ -361,7 +374,7 @@ impl Decode for Vec<u8> {
 }
 
 impl<T: Encode> Encode for Option<T> {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut impl Sink) {
         match self {
             None => buf.push(0),
             Some(v) => {
@@ -369,9 +382,6 @@ impl<T: Encode> Encode for Option<T> {
                 v.encode(buf);
             }
         }
-    }
-    fn encoded_len(&self) -> usize {
-        1 + self.as_ref().map_or(0, Encode::encoded_len)
     }
 }
 
@@ -390,14 +400,11 @@ impl<T: Decode> Decode for Option<T> {
 macro_rules! vec_codec {
     ($elem:ty) => {
         impl Encode for Vec<$elem> {
-            fn encode(&self, buf: &mut Vec<u8>) {
+            fn encode(&self, buf: &mut impl Sink) {
                 put_varint(buf, self.len() as u64);
                 for item in self {
                     item.encode(buf);
                 }
-            }
-            fn encoded_len(&self) -> usize {
-                varint_len(self.len() as u64) + self.iter().map(Encode::encoded_len).sum::<usize>()
             }
         }
 
@@ -426,11 +433,8 @@ vec_codec!(u64);
 macro_rules! id_codec {
     ($name:ident) => {
         impl Encode for $name {
-            fn encode(&self, buf: &mut Vec<u8>) {
+            fn encode(&self, buf: &mut impl Sink) {
                 put_varint(buf, self.raw());
-            }
-            fn encoded_len(&self) -> usize {
-                varint_len(self.raw())
             }
         }
 
@@ -451,11 +455,8 @@ id_codec!(RequestId);
 id_codec!(NodeAddr);
 
 impl Encode for ServiceName {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut impl Sink) {
         self.as_str().encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.as_str().encoded_len()
     }
 }
 
@@ -466,11 +467,8 @@ impl Decode for ServiceName {
 }
 
 impl Encode for Timestamp {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut impl Sink) {
         put_varint(buf, self.as_micros());
-    }
-    fn encoded_len(&self) -> usize {
-        varint_len(self.as_micros())
     }
 }
 
@@ -481,11 +479,8 @@ impl Decode for Timestamp {
 }
 
 impl Encode for TimeSlot {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut impl Sink) {
         put_varint(buf, self.ordinal());
-    }
-    fn encoded_len(&self) -> usize {
-        varint_len(self.ordinal())
     }
 }
 
@@ -496,12 +491,9 @@ impl Decode for TimeSlot {
 }
 
 impl Encode for SlotRange {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut impl Sink) {
         self.start.encode(buf);
         self.end.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.start.encoded_len() + self.end.encoded_len()
     }
 }
 
@@ -522,17 +514,12 @@ impl Encode for SlotBitmap {
     /// Varint window header (`start`, `len`) followed by one fixed
     /// 8-byte little-endian word per 64 slots — the word count is fully
     /// determined by `len`, so no second length prefix travels.
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut impl Sink) {
         put_varint(buf, self.start_ordinal());
         put_varint(buf, u64::from(self.len()));
         for w in self.words() {
             buf.extend_from_slice(&w.to_le_bytes());
         }
-    }
-    fn encoded_len(&self) -> usize {
-        varint_len(self.start_ordinal())
-            + varint_len(u64::from(self.len()))
-            + self.words().len() * 8
     }
 }
 
@@ -556,11 +543,8 @@ impl Decode for SlotBitmap {
 }
 
 impl Encode for Day {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut impl Sink) {
         put_varint(buf, u64::from(self.0));
-    }
-    fn encoded_len(&self) -> usize {
-        varint_len(u64::from(self.0))
     }
 }
 
@@ -571,11 +555,8 @@ impl Decode for Day {
 }
 
 impl Encode for SlotIndex {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut impl Sink) {
         put_varint(buf, u64::from(self.0));
-    }
-    fn encoded_len(&self) -> usize {
-        varint_len(u64::from(self.0))
     }
 }
 
@@ -586,11 +567,8 @@ impl Decode for SlotIndex {
 }
 
 impl Encode for Priority {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut impl Sink) {
         buf.push(self.level());
-    }
-    fn encoded_len(&self) -> usize {
-        1
     }
 }
 
@@ -614,7 +592,7 @@ const VAL_LIST: u8 = 6;
 const VAL_MAP: u8 = 7;
 
 impl Encode for Value {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut impl Sink) {
         match self {
             Value::Null => buf.push(VAL_NULL),
             Value::Bool(b) => {
@@ -651,28 +629,6 @@ impl Encode for Value {
                     k.encode(buf);
                     v.encode(buf);
                 }
-            }
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            Value::Null => 0,
-            Value::Bool(b) => b.encoded_len(),
-            Value::I64(n) => n.encoded_len(),
-            Value::F64(x) => x.encoded_len(),
-            Value::Str(s) => s.encoded_len(),
-            Value::Bytes(b) => b.encoded_len(),
-            Value::List(items) => {
-                varint_len(items.len() as u64)
-                    + items.iter().map(Encode::encoded_len).sum::<usize>()
-            }
-            Value::Map(map) => {
-                varint_len(map.len() as u64)
-                    + map
-                        .iter()
-                        .map(|(k, v)| k.encoded_len() + v.encoded_len())
-                        .sum::<usize>()
             }
         }
     }
@@ -715,12 +671,9 @@ impl Decode for Value {
 // ---------------------------------------------------------------------------
 
 impl Encode for SydError {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut impl Sink) {
         buf.push(self.kind_code());
         self.wire_message().encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        1 + self.wire_message().encoded_len()
     }
 }
 
@@ -733,7 +686,7 @@ impl Decode for SydError {
 }
 
 impl Encode for Result<Value, SydError> {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut impl Sink) {
         match self {
             Ok(v) => {
                 buf.push(1);
@@ -743,12 +696,6 @@ impl Encode for Result<Value, SydError> {
                 buf.push(0);
                 e.encode(buf);
             }
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            Ok(v) => v.encoded_len(),
-            Err(e) => e.encoded_len(),
         }
     }
 }
@@ -770,7 +717,7 @@ mod tests {
 
     fn round_trip<T: Encode + Decode + PartialEq + std::fmt::Debug>(value: T) {
         let bytes = encode_to_vec(&value);
-        assert_eq!(bytes.len(), value.encoded_len());
+        assert_eq!(bytes.len(), encoded_len(&value));
         let back: T = decode_from_slice(&bytes).unwrap();
         assert_eq!(back, value);
         // Canonical: re-encoding the decoded value gives identical bytes.
@@ -941,12 +888,12 @@ mod tests {
 
     #[test]
     fn varint_boundary_lengths() {
-        assert_eq!(varint_len(0), 1);
-        assert_eq!(varint_len(127), 1);
-        assert_eq!(varint_len(128), 2);
-        assert_eq!(varint_len(16_383), 2);
-        assert_eq!(varint_len(16_384), 3);
-        assert_eq!(varint_len(u64::MAX), 10);
+        assert_eq!(encoded_len(&0u64), 1);
+        assert_eq!(encoded_len(&127u64), 1);
+        assert_eq!(encoded_len(&128u64), 2);
+        assert_eq!(encoded_len(&16_383u64), 2);
+        assert_eq!(encoded_len(&16_384u64), 3);
+        assert_eq!(encoded_len(&u64::MAX), 10);
     }
 
     #[test]
@@ -1019,7 +966,7 @@ mod proptests {
         cases(256, |rng| {
             let v = arb_value(rng, 3);
             let bytes = encode_to_vec(&v);
-            assert_eq!(bytes.len(), v.encoded_len());
+            assert_eq!(bytes.len(), encoded_len(&v));
             let back: Value = decode_from_slice(&bytes).unwrap();
             assert!(value_eq(&back, &v), "decoded {back:?} != original {v:?}");
         });

@@ -15,7 +15,7 @@
 use syd_types::{NodeAddr, RequestId, ServiceName, SydError, SydResult, Text, UserId, Value};
 
 use crate::args::Args;
-use crate::codec::{put_varint, varint_len, Decode, Encode, Reader};
+use crate::codec::{encoded_len, put_varint, Decode, Encode, Reader, Sink};
 
 /// Wire format version tag.
 pub const WIRE_VERSION: u8 = 1;
@@ -43,13 +43,10 @@ pub struct TraceContext {
 }
 
 impl Encode for TraceContext {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut impl Sink) {
         self.trace_id.encode(buf);
         self.span_id.encode(buf);
         self.hop.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.trace_id.encoded_len() + self.span_id.encoded_len() + self.hop.encoded_len()
     }
 }
 
@@ -92,7 +89,7 @@ pub struct Request {
 }
 
 impl Encode for Request {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut impl Sink) {
         self.id.encode(buf);
         self.caller.encode(buf);
         self.target.encode(buf);
@@ -106,16 +103,6 @@ impl Encode for Request {
             buf.push(TRACE_MARKER);
             trace.encode(buf);
         }
-    }
-    fn encoded_len(&self) -> usize {
-        self.id.encoded_len()
-            + self.caller.encoded_len()
-            + self.target.encoded_len()
-            + self.credentials.encoded_len()
-            + self.service.encoded_len()
-            + self.method.encoded_len()
-            + self.args.encoded_len()
-            + self.trace.as_ref().map_or(0, |t| 1 + t.encoded_len())
     }
 }
 
@@ -166,12 +153,9 @@ pub struct Response {
 }
 
 impl Encode for Response {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut impl Sink) {
         self.id.encode(buf);
         self.result.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.id.encoded_len() + self.result.encoded_len()
     }
 }
 
@@ -196,13 +180,10 @@ pub struct EventMsg {
 }
 
 impl Encode for EventMsg {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut impl Sink) {
         self.topic.encode(buf);
         self.source.encode(buf);
         self.payload.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.topic.encoded_len() + self.source.encoded_len() + self.payload.encoded_len()
     }
 }
 
@@ -232,7 +213,7 @@ const TAG_RESPONSE: u8 = 1;
 const TAG_EVENT: u8 = 2;
 
 impl Encode for Payload {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut impl Sink) {
         match self {
             Payload::Request(m) => {
                 buf.push(TAG_REQUEST);
@@ -246,13 +227,6 @@ impl Encode for Payload {
                 buf.push(TAG_EVENT);
                 m.encode(buf);
             }
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            Payload::Request(m) => m.encoded_len(),
-            Payload::Response(m) => m.encoded_len(),
-            Payload::Event(m) => m.encoded_len(),
         }
     }
 }
@@ -285,25 +259,21 @@ impl Envelope {
         Self { src, dst, payload }
     }
 
-    /// Wire footprint in bytes (version byte included); reported by the
-    /// baseline-vs-SyD benchmark (experiment E1).
+    /// Wire footprint in bytes, version byte included.
     pub fn wire_len(&self) -> usize {
-        self.encoded_len()
+        encoded_len(self)
     }
 }
 
 impl Encode for Envelope {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut impl Sink) {
         buf.push(WIRE_VERSION);
         self.src.encode(buf);
         self.dst.encode(buf);
         // Length-prefixed payload lets routers forward without decoding it.
-        put_varint(buf, self.payload.encoded_len() as u64);
-        self.payload.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        let body = self.payload.encoded_len();
-        1 + self.src.encoded_len() + self.dst.encoded_len() + varint_len(body as u64) + body
+        let body = encoded_len(&self.payload);
+        put_varint(buf, body as u64);
+        buf.put_counted(&self.payload, body);
     }
 }
 
@@ -625,7 +595,7 @@ mod proptests {
                 trace: arb_trace(rng),
             };
             let bytes = encode_to_vec(&req);
-            assert_eq!(bytes.len(), req.encoded_len());
+            assert_eq!(bytes.len(), encoded_len(&req));
             let back: Request = decode_from_slice(&bytes).unwrap();
             assert_eq!(back, req);
         });

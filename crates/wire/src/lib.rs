@@ -25,5 +25,5 @@ pub mod codec;
 pub mod envelope;
 
 pub use args::Args;
-pub use codec::{decode_from_slice, encode_to_vec, Decode, Encode, Reader};
+pub use codec::{decode_from_slice, encode_to_vec, encoded_len, Decode, Encode, Reader, Sink};
 pub use envelope::{Envelope, EventMsg, Payload, Request, Response, TraceContext};

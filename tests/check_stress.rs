@@ -17,7 +17,8 @@ use syd_bench::stress::{
 /// spotless. No journal may have evicted events (that turns the
 /// ordering checks off), and under 3 % loss requests are sent again:
 /// `rpc_retries == 0` means the counters lost sight of the engine's
-/// traffic.
+/// traffic. In a debug build every lock-order and wait check is on, and
+/// one that fires panics its thread: no thread may have panicked.
 #[test]
 fn two_hundred_sessions_under_loss_and_partition_audit_clean() {
     let outcome = run(&StressConfig {
@@ -37,6 +38,7 @@ fn two_hundred_sessions_under_loss_and_partition_audit_clean() {
     );
     assert!(!outcome.report.truncated, "a journal evicted events");
     assert!(outcome.rpc_retries > 0, "no retry counted: {outcome:?}");
+    assert_eq!(outcome.panics, 0, "a thread panicked: {outcome:?}");
     outcome.report.assert_clean();
 }
 
