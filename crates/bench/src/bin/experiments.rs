@@ -14,7 +14,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use syd_bench::{calendar_rig, env_ideal, users_of, SlotAlloc};
+use syd_bench::{await_publishes, calendar_rig, env_ideal, users_of, SlotAlloc};
 use syd_calendar::{BaselineCalendar, MeetingSpec, MeetingStatus};
 use syd_core::links::Constraint;
 use syd_core::negotiate::Participant;
@@ -74,11 +74,13 @@ fn e1_baseline_vs_syd() {
 
         // --- Baseline: poll folders + propose + accepts + commit. ---
         let benv = env_ideal();
-        let baselines: Vec<Arc<BaselineCalendar>> = (0..n)
-            .map(|i| {
-                BaselineCalendar::install(&benv.device(&format!("b{i}"), "pw").unwrap()).unwrap()
-            })
+        let devices: Vec<DeviceRuntime> = (0..n)
+            .map(|i| benv.device(&format!("b{i}"), "pw").unwrap())
             .collect();
+        let baselines: Vec<Arc<BaselineCalendar>> = (devices.iter())
+            .map(|device| BaselineCalendar::install(device).unwrap())
+            .collect();
+        await_publishes(&devices);
         let participants: Vec<UserId> = baselines[1..].iter().map(|b| b.user()).collect();
         let all_users: Vec<UserId> = baselines.iter().map(|b| b.user()).collect();
         let before = traffic(benv.network());

@@ -15,6 +15,7 @@ pub mod timing;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use syd_calendar::CalendarApp;
 use syd_core::{DeviceRuntime, SydEnv};
@@ -38,11 +39,32 @@ pub fn devices(env: &SydEnv, n: usize) -> Vec<DeviceRuntime> {
         .collect()
 }
 
-/// `n` calendar users.
+/// `n` calendar users, returned once their installs' publishes are
+/// through ([`await_publishes`]).
 pub fn calendar_rig(env: &SydEnv, n: usize) -> Vec<Arc<CalendarApp>> {
-    (0..n)
+    let apps: Vec<Arc<CalendarApp>> = (0..n)
         .map(|i| CalendarApp::install(&env.device(&format!("cal{i}"), "pw").unwrap()).unwrap())
-        .collect()
+        .collect();
+    await_publishes(apps.iter().map(|app| app.device()));
+    apps
+}
+
+/// Waits, for 10 s at most, until the directory has acknowledged every
+/// publish of `devices`. An application's install publishes in a pool
+/// job off the caller's path, so a traffic count taken right after it
+/// may or may not include that wave.
+pub fn await_publishes<'a>(devices: impl IntoIterator<Item = &'a DeviceRuntime>) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    for device in devices {
+        while !device.unpublished().is_empty() {
+            assert!(
+                Instant::now() < deadline,
+                "{}'s publishes were not acknowledged",
+                device.user()
+            );
+            syd_types::sync::sleep(Duration::from_millis(1));
+        }
+    }
 }
 
 /// User ids of a rig.

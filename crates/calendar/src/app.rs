@@ -27,6 +27,7 @@ use syd_types::{
     MeetingId, Priority, ServiceName, SlotBitmap, SlotRange, SydError, SydResult, Text, TimeSlot,
     UserId, Value,
 };
+use syd_wire::encode_to_vec;
 
 use self::busy::BusyWords;
 use crate::mailbox::Mailbox;
@@ -58,7 +59,9 @@ pub(crate) fn create_replicated_tables(store: &Store) -> SydResult<()> {
         T_SLOTS,
         vec![
             Column::required("ordinal", ColumnType::I64),
-            Column::required("status", ColumnType::Str),
+            // The holding meeting's status tag and id; both null for a
+            // personal engagement.
+            Column::nullable("status", ColumnType::I64),
             Column::nullable("meeting", ColumnType::I64),
             Column::required("priority", ColumnType::I64),
         ],
@@ -208,17 +211,19 @@ impl CalendarApp {
     }
 
     /// Writes `ordinal`'s row: an update if the slot has one (its bit is
-    /// set), else an insert.
+    /// set), else an insert. `holder` is the meeting holding the slot and
+    /// its status, `None` for a personal engagement.
     pub(crate) fn set_slot(
         &self,
         ordinal: u64,
-        status: &str,
-        meeting: Option<MeetingId>,
+        holder: Option<(MeetingId, MeetingStatus)>,
         priority: Priority,
     ) -> SydResult<()> {
         let key = Value::from(ordinal);
-        let status = Value::str(status);
-        let meeting = meeting.map_or(Value::Null, |m| Value::from(m.raw()));
+        let (meeting, status) = match holder {
+            Some((m, status)) => (Value::from(m.raw()), Value::from(status)),
+            None => (Value::Null, Value::Null),
+        };
         let priority = Value::from(priority.level() as u32);
         let mut busy = self.busy.lock();
         if busy.contains(ordinal) {
@@ -261,7 +266,7 @@ impl CalendarApp {
     /// Marks a personal (non-meeting) engagement.
     pub fn mark_busy(&self, slot: TimeSlot) -> SydResult<()> {
         match self.slot_state(slot.ordinal())? {
-            SlotState::Free => self.set_slot(slot.ordinal(), "busy", None, Priority::MAX),
+            SlotState::Free => self.set_slot(slot.ordinal(), None, Priority::MAX),
             other => Err(SydError::App(format!(
                 "slot {slot} is not free ({other:?})"
             ))),
@@ -486,12 +491,12 @@ impl EntityHandler for SlotEntityHandler {
                 };
                 let confirmed = rec.status == MeetingStatus::Confirmed;
                 let was_confirmed = app.meeting_status(meeting)? == Some(MeetingStatus::Confirmed);
-                app.set_slot(
-                    ordinal,
-                    if confirmed { "conf" } else { "tent" },
-                    Some(meeting),
-                    priority,
-                )?;
+                let status = if confirmed {
+                    MeetingStatus::Confirmed
+                } else {
+                    MeetingStatus::Tentative
+                };
+                app.set_slot(ordinal, Some((meeting, status)), priority)?;
                 app.put_meeting(&rec)?;
                 // The back link, written before the entity lock goes: a
                 // later meeting on this slot anchors its waiting link on
@@ -650,14 +655,14 @@ impl CalendarView for Store {
     }
 }
 
-/// free_slots_bitmap(start, end) -> packed SlotBitmap bytes
+/// free_slots_bitmap(start, end) -> encoded SlotBitmap bytes
 pub(crate) fn free_slots_bitmap<C: CalendarView>(
     cal: &C,
     _ctx: &InvokeCtx,
     args: &[Value],
 ) -> SydResult<Value> {
     let (start, end) = window_args(args)?;
-    Ok(Value::Bytes(cal.free_bitmap(start, end)?.pack()))
+    Ok(Value::Bytes(encode_to_vec(&cal.free_bitmap(start, end)?)))
 }
 
 /// slot_status(ordinal) -> {status, meeting, priority}
@@ -706,14 +711,13 @@ pub(crate) fn meeting_info<C: CalendarView>(
 /// update_meeting(record) -> Null — upsert + align local slot row
 fn update_meeting(app: &CalendarApp, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
     let rec = Meeting::from_value(arg(args, 0)?)?;
-    // A held slot's row follows the meeting's status; the two live
-    // statuses are spelt like the row states.
+    // A held slot's row follows the meeting's status, while it is live.
     if matches!(
         rec.status,
         MeetingStatus::Confirmed | MeetingStatus::Tentative
     ) && app.slot_state(rec.ordinal)?.meeting() == Some(rec.id)
     {
-        app.set_slot(rec.ordinal, rec.status.as_str(), Some(rec.id), rec.priority)?;
+        app.set_slot(rec.ordinal, Some((rec.id, rec.status)), rec.priority)?;
     }
     app.put_meeting(&rec)?;
     Ok(Value::Null)
@@ -723,7 +727,8 @@ fn update_meeting(app: &CalendarApp, _ctx: &InvokeCtx, args: &[Value]) -> SydRes
 fn release_slot(app: &CalendarApp, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
     let ordinal = ordinal_arg(args, 0, "release_slot")?;
     let meeting = MeetingId::new(arg(args, 1)?.as_i64()? as u64);
-    let to_status = MeetingStatus::parse(arg(args, 2)?.as_str()?)?;
+    let to_status = MeetingStatus::from_tag(arg(args, 2)?.as_i64()?)
+        .map_err(|e| SydError::Protocol(format!("release_slot: {e}")))?;
     let retire = arg(args, 3)?.as_bool()?;
     let freed = app.release_local(ordinal, meeting, to_status, retire)?;
     Ok(Value::Bool(freed))
@@ -825,15 +830,20 @@ fn slot_of(store: &Store, ordinal: u64) -> SydResult<(SlotState, Priority)> {
     let Some(row) = store.get_by_key(T_SLOTS, &[Value::from(ordinal)])? else {
         return Ok((SlotState::Free, Priority::MIN));
     };
-    let meeting = match &row.values[2] {
-        Value::Null => None,
-        v => Some(MeetingId::new(v.as_i64()? as u64)),
-    };
-    let state = match (row.values[1].as_str()?, meeting) {
-        ("tent", Some(m)) => SlotState::Tentative(m),
-        ("conf", Some(m)) => SlotState::Reserved(m),
-        // "busy" rows and defective unknown rows both block.
-        _ => SlotState::Busy,
+    let state = match (&row.values[1], &row.values[2]) {
+        (Value::Null, Value::Null) => SlotState::Busy,
+        (status, meeting) => {
+            let m = MeetingId::new(meeting.as_i64()? as u64);
+            match MeetingStatus::from_tag(status.as_i64()?)? {
+                MeetingStatus::Tentative => SlotState::Tentative(m),
+                MeetingStatus::Confirmed => SlotState::Reserved(m),
+                other => {
+                    return Err(SydError::Codec(format!(
+                        "slot {ordinal} is held by a meeting in state {other:?}"
+                    )))
+                }
+            }
+        }
     };
     Ok((state, Priority::new(row.values[3].as_i64()? as u8)))
 }
@@ -974,6 +984,37 @@ mod tests {
     use crate::model::MeetingSpec;
     use syd_core::SydEnv;
     use syd_net::NetConfig;
+
+    /// A `slots` row holds its meeting's status tag, or nothing for a
+    /// personal engagement: an unknown tag, a status no meeting holds a
+    /// slot in, or a tag without its meeting is an error, never read as
+    /// one of the states.
+    #[test]
+    fn defective_slot_rows_are_errors_not_defaults() {
+        let env = SydEnv::new_insecure(NetConfig::ideal());
+        let app = CalendarApp::install(&env.device("a", "").unwrap()).unwrap();
+        let ordinal = TimeSlot::new(1, 9).ordinal();
+        let (m, held) = (MeetingId::new(7), Value::from(7u64));
+        app.set_slot(ordinal, Some((m, MeetingStatus::Confirmed)), Priority::MIN)
+            .unwrap();
+        assert_eq!(app.slot_state(ordinal).unwrap(), SlotState::Reserved(m));
+        let by_ordinal = Predicate::Eq("ordinal".into(), Value::from(ordinal));
+        for (status, meeting) in [
+            (Value::I64(4), held.clone()),
+            (Value::I64(-1), held.clone()),
+            (Value::from(MeetingStatus::Cancelled), held.clone()),
+            (Value::from(MeetingStatus::Confirmed), Value::Null),
+            (Value::Null, held.clone()),
+        ] {
+            let cells = [("status".into(), status), ("meeting".into(), meeting)];
+            app.store.update(T_SLOTS, &by_ordinal, &cells).unwrap();
+            let [(_, status), (_, meeting)] = &cells;
+            assert!(
+                app.slot_state(ordinal).is_err(),
+                "status {status}, meeting {meeting} was read"
+            );
+        }
+    }
 
     #[test]
     fn reconcile_guards_go_with_their_last_user() {

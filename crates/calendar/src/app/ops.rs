@@ -39,7 +39,7 @@ use syd_types::sync;
 use syd_types::{
     LinkId, MeetingId, SlotBitmap, SlotRange, SydError, SydResult, Text, TimeSlot, UserId, Value,
 };
-use syd_wire::Args;
+use syd_wire::{decode_from_slice, Args};
 
 use crate::app::{calendar_service, CalendarApp, T_AVAILQ};
 use crate::model::{slot_entity, Meeting, MeetingSpec, MeetingStatus, ScheduleOutcome};
@@ -100,7 +100,7 @@ impl CalendarApp {
         for (user, outcome) in result.outcomes {
             let theirs =
                 outcome.map_err(|e| SydError::App(format!("could not query {user}: {e}")))?;
-            common.and_assign(&SlotBitmap::unpack(theirs.as_bytes()?)?);
+            common.and_assign(&decode_from_slice::<SlotBitmap>(theirs.as_bytes()?)?);
         }
         Ok(common.to_slots())
     }
@@ -519,7 +519,7 @@ impl CalendarApp {
             vec![
                 Value::from(ordinal),
                 Value::from(rec.id.raw()),
-                Value::str(to_status.as_str()),
+                Value::from(to_status),
                 Value::Bool(true),
             ],
         )
@@ -678,7 +678,7 @@ impl CalendarApp {
                     vec![
                         Value::from(rec.ordinal),
                         Value::from(id.raw()),
-                        Value::str(rec.status.as_str()),
+                        Value::from(rec.status),
                         Value::Bool(false),
                     ],
                 );
@@ -701,7 +701,7 @@ impl CalendarApp {
             vec![
                 Value::from(rec.ordinal),
                 Value::from(id.raw()),
-                Value::str(rec.status.as_str()),
+                Value::from(rec.status),
                 Value::Bool(false),
             ],
         );

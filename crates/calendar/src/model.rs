@@ -62,39 +62,28 @@ pub enum MeetingStatus {
 }
 
 impl MeetingStatus {
-    /// Stable storage string.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            MeetingStatus::Tentative => "tent",
-            MeetingStatus::Confirmed => "conf",
-            MeetingStatus::Cancelled => "cancelled",
-            MeetingStatus::Bumped => "bumped",
-        }
-    }
-
-    /// Inverse of [`MeetingStatus::as_str`]; a status a peer sent that is
-    /// none of them is a protocol error.
-    pub fn parse(s: &str) -> SydResult<MeetingStatus> {
-        Ok(match s {
-            "tent" => MeetingStatus::Tentative,
-            "conf" => MeetingStatus::Confirmed,
-            "cancelled" => MeetingStatus::Cancelled,
-            "bumped" => MeetingStatus::Bumped,
-            other => return Err(SydError::Protocol(format!("bad meeting status `{other}`"))),
-        })
-    }
-
-    /// The status's byte in an encoded [`Meeting`] (and the `status`
-    /// attribute of the `calendar.*_op` spans).
+    /// The status's only encoding: its byte in an encoded [`Meeting`],
+    /// its number as a `release_slot` argument or a `slots` cell, and the
+    /// `status` attribute of the `calendar.*_op` spans.
     pub fn tag(self) -> u8 {
         self as u8
     }
 
-    fn from_tag(tag: u8) -> SydResult<MeetingStatus> {
+    /// The status whose [`tag`](MeetingStatus::tag) is `tag`; any other
+    /// number is a codec error.
+    pub fn from_tag(tag: i64) -> SydResult<MeetingStatus> {
         use MeetingStatus::{Bumped, Cancelled, Confirmed, Tentative};
         let known = [Tentative, Confirmed, Cancelled, Bumped];
-        let status = known.get(usize::from(tag)).copied();
-        status.ok_or_else(|| SydError::Codec(format!("bad meeting status {tag}")))
+        let status = usize::try_from(tag).ok().and_then(|i| known.get(i));
+        status
+            .copied()
+            .ok_or_else(|| SydError::Codec(format!("bad meeting status {tag}")))
+    }
+}
+
+impl From<MeetingStatus> for Value {
+    fn from(status: MeetingStatus) -> Value {
+        Value::from(u32::from(status.tag()))
     }
 }
 
@@ -289,7 +278,7 @@ impl Meeting {
         r.bytes(title)?;
         UserId::decode(r)?;
         u64::decode(r)?;
-        MeetingStatus::from_tag(r.u8()?)
+        MeetingStatus::from_tag(r.u8()?.into())
     }
 }
 
@@ -325,7 +314,7 @@ impl Decode for Meeting {
             title: Decode::decode(r)?,
             initiator: Decode::decode(r)?,
             ordinal: Decode::decode(r)?,
-            status: MeetingStatus::from_tag(r.u8()?)?,
+            status: MeetingStatus::from_tag(r.u8()?.into())?,
             priority: Decode::decode(r)?,
             corr: Decode::decode(r)?,
             reserved: Decode::decode(r)?,
@@ -391,9 +380,15 @@ mod tests {
             MeetingStatus::Cancelled,
             MeetingStatus::Bumped,
         ] {
-            assert_eq!(MeetingStatus::parse(s.as_str()).unwrap(), s);
+            assert_eq!(MeetingStatus::from_tag(s.tag().into()).unwrap(), s);
+            assert_eq!(Value::from(s), Value::I64(s.tag().into()));
         }
-        assert!(MeetingStatus::parse("zzz").is_err());
+        for tag in [-1, 4, 256] {
+            assert!(matches!(
+                MeetingStatus::from_tag(tag),
+                Err(SydError::Codec(_))
+            ));
+        }
     }
 
     #[test]

@@ -52,6 +52,7 @@ mod tests {
     use syd_net::NetConfig;
     use syd_store::Predicate;
     use syd_types::{MeetingId, SlotBitmap, SlotRange, SydError, TimeSlot, Value};
+    use syd_wire::decode_from_slice;
 
     fn wait_for(mut cond: impl FnMut() -> bool, what: &str) {
         let deadline = Instant::now() + Duration::from_secs(3);
@@ -205,7 +206,7 @@ mod tests {
             statuses.collect::<Vec<_>>(),
             ["free", "busy", "conf", "tent"]
         );
-        let bitmap = SlotBitmap::unpack(bitmap.as_bytes().unwrap()).unwrap();
+        let bitmap: SlotBitmap = decode_from_slice(bitmap.as_bytes().unwrap()).unwrap();
         let free_slots = [free, busy, conf, tent].map(|slot| bitmap.is_free(slot));
         assert_eq!(free_slots, [true, false, false, false]);
         let ids = infos[..2]

@@ -15,6 +15,7 @@ use syd_net::NetConfig;
 use syd_telemetry::names;
 use syd_types::rng::{cases, Rng};
 use syd_types::{Priority, SlotBitmap, TimeSlot, UserId, Value};
+use syd_wire::decode_from_slice;
 
 /// A year and a bit on: one word far past the rest.
 const FAR: u64 = 24 * 400;
@@ -208,7 +209,7 @@ fn a_service_answer_is_the_scan_of_the_rows() {
                 vec![Value::from(start), Value::from(end)],
             )
             .unwrap();
-        let answered = SlotBitmap::unpack(reply.as_bytes().unwrap()).unwrap();
+        let answered: SlotBitmap = decode_from_slice(reply.as_bytes().unwrap()).unwrap();
         let scanned = free_bitmap_of(apps[1].device().store(), start, end).unwrap();
         assert_eq!(answered, scanned, "[{start}, {end})");
     }

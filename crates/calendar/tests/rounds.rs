@@ -487,7 +487,7 @@ fn a_promotion_that_beats_a_late_release_is_healed_by_it() {
             vec![
                 Value::from(slot.ordinal()),
                 Value::from(first.meeting.raw()),
-                Value::str(MeetingStatus::Cancelled.as_str()),
+                Value::from(MeetingStatus::Cancelled),
                 Value::Bool(true),
             ],
         )

@@ -10,6 +10,7 @@ use syd_calendar::{CalendarApp, GroupSpec, MeetingSpec, MeetingStatus, SlotState
 use syd_core::SydEnv;
 use syd_net::NetConfig;
 use syd_types::{MeetingId, Priority, SlotRange, TimeSlot, UserId, Value};
+use syd_wire::decode_from_slice;
 
 fn rig(n: usize) -> (SydEnv, Vec<Arc<CalendarApp>>) {
     let env = SydEnv::new_insecure(NetConfig::ideal());
@@ -468,7 +469,7 @@ fn free_slots_bitmap_service_answers_packed_bytes() {
             vec![Value::from(0u64), Value::from(24u64)],
         )
         .unwrap();
-    let bm = SlotBitmap::unpack(reply.as_bytes().unwrap()).unwrap();
+    let bm: SlotBitmap = decode_from_slice(reply.as_bytes().unwrap()).unwrap();
     assert!(!bm.is_free(TimeSlot::new(0, 5)));
     assert!(bm.is_free(TimeSlot::new(0, 6)));
     assert_eq!(bm.count_free(), 23);
@@ -502,10 +503,10 @@ fn free_slots_bitmap_refuses_a_window_before_allocating_for_it() {
     }
     // A leap year of hours is answered, and so is a reversed window.
     let year = ask(Value::from(24u64), Value::from(24 + MAX_FREE_WINDOW)).unwrap();
-    let year = SlotBitmap::unpack(year.as_bytes().unwrap()).unwrap();
+    let year: SlotBitmap = decode_from_slice(year.as_bytes().unwrap()).unwrap();
     assert_eq!(u64::from(year.count_free()), MAX_FREE_WINDOW);
     let none = ask(Value::from(48u64), Value::from(24u64)).unwrap();
-    assert!(SlotBitmap::unpack(none.as_bytes().unwrap())
+    assert!(decode_from_slice::<SlotBitmap>(none.as_bytes().unwrap())
         .unwrap()
         .is_empty());
 }
@@ -548,9 +549,18 @@ fn a_bogus_status_or_negative_ordinal_changes_nothing() {
         (
             "release_slot",
             vec![
+                ordinal.clone(),
+                id.clone(),
+                Value::I64(4),
+                Value::Bool(true),
+            ],
+        ),
+        (
+            "release_slot",
+            vec![
                 Value::I64(-1),
                 id.clone(),
-                Value::str("cancelled"),
+                Value::from(MeetingStatus::Cancelled),
                 Value::Bool(true),
             ],
         ),

@@ -157,7 +157,6 @@ static DIR_METHODS: &[Method<Directory>] = &[
     }),
     Method::new("group_members", group_members),
     Method::new("group_by_name", group_by_name),
-    Method::new("list_users", list_users),
 ];
 
 fn user_arg(args: &[Value], i: usize) -> SydResult<UserId> {
@@ -374,14 +373,6 @@ fn group_by_name(dir: &Directory, _ctx: &InvokeCtx, args: &[Value]) -> SydResult
         .ok_or_else(|| SydError::NotRegistered(name.to_owned()))
 }
 
-/// list_users() -> [user ids]
-fn list_users(dir: &Directory, _ctx: &InvokeCtx, _args: &[Value]) -> SydResult<Value> {
-    let s = dir.state.read();
-    let mut ids: Vec<u64> = s.users.keys().map(|u| u.raw()).collect();
-    ids.sort_unstable();
-    Ok(Value::list(ids.into_iter().map(Value::from)))
-}
-
 /// The options of the directory's own calls: its operations are
 /// idempotent, so retrying through loss is safe — the prototype's TCP
 /// transport retransmitted transparently.
@@ -572,15 +563,6 @@ impl DirectoryClient {
     pub fn group_by_name(&self, name: &str) -> SydResult<GroupId> {
         let v = self.call("group_by_name", vec![Value::str(name)])?;
         Ok(GroupId::new(v.as_i64()? as u64))
-    }
-
-    /// All registered users.
-    pub fn list_users(&self) -> SydResult<Vec<UserId>> {
-        let v = self.call("list_users", vec![])?;
-        v.as_list()?
-            .iter()
-            .map(|u| Ok(UserId::new(u.as_i64()? as u64)))
-            .collect()
     }
 }
 
@@ -777,20 +759,6 @@ mod tests {
 
         // Unknown users can't join.
         assert!(client.group_add(biology, UserId::new(99)).is_err());
-    }
-
-    #[test]
-    fn list_users_sorted() {
-        let (_net, _dir, client) = setup();
-        for id in [5u64, 1, 3] {
-            client
-                .register(UserId::new(id), &format!("u{id}"), NodeAddr::new(id))
-                .unwrap();
-        }
-        assert_eq!(
-            client.list_users().unwrap(),
-            vec![UserId::new(1), UserId::new(3), UserId::new(5)]
-        );
     }
 
     #[test]

@@ -62,13 +62,9 @@ pub enum LinkKind {
     Negotiation(Constraint),
 }
 
-/// What the `kind` and `status` cells of a `SyD_Link` row may hold; a
-/// name's index is the value's tag in an encoded [`Link`].
-const KIND_NAMES: [&str; 4] = ["sub", "and", "atleast", "exactly"];
-const STATUS_NAMES: [&str; 2] = ["perm", "tent"];
-
 impl LinkKind {
-    /// The kind's tag and its `k` (0 where the kind has none).
+    /// The kind's tag and its `k` (0 where the kind has none): its byte in
+    /// an encoded [`Link`] and its `kind` cell in a `SyD_Link` row.
     fn tag(self) -> (usize, u32) {
         match self {
             LinkKind::Subscription => (0, 0),
@@ -423,9 +419,9 @@ fn link_schemas() -> SydResult<&'static [Arc<Schema>; 3]> {
         T_LINK,
         vec![
             Column::required("id", ColumnType::I64),
-            Column::required("kind", ColumnType::Str),
+            Column::required("kind", ColumnType::I64),
             Column::required("k", ColumnType::I64),
-            Column::required("status", ColumnType::Str),
+            Column::required("status", ColumnType::I64),
             Column::required("entity", ColumnType::Str),
             Column::required("priority", ColumnType::I64),
             Column::required("created", ColumnType::I64),
@@ -462,6 +458,11 @@ fn link_schemas() -> SydResult<&'static [Arc<Schema>; 3]> {
 
 fn corr_is(corr: &str) -> Predicate {
     Predicate::Eq("corr".into(), Value::str(corr))
+}
+
+/// The `kind` or `status` cell holding `tag`.
+fn tag_cell(tag: usize) -> Value {
+    Value::from(tag as u64)
 }
 
 /// An integer cell of a link table as its field's own type: a number out
@@ -538,9 +539,9 @@ impl LinksModule {
             T_LINK,
             [
                 Value::from(id.raw()),
-                Value::str(KIND_NAMES[kind]),
+                tag_cell(kind),
                 Value::from(k),
-                Value::str(STATUS_NAMES[spec.status as usize]),
+                tag_cell(spec.status as usize),
                 Value::Str(spec.entity.clone()),
                 Value::from(spec.priority.level() as u32),
                 Value::from(created.as_micros()),
@@ -585,18 +586,14 @@ impl LinksModule {
         })
     }
 
-    /// Parses one `SyD_Link` row. An unknown kind or status, a number out
-    /// of its field's range and malformed `refs` are errors, never defaults.
+    /// Parses one `SyD_Link` row. An unknown kind or status tag, a number
+    /// out of its field's range and malformed `refs` are errors, never
+    /// defaults.
     fn link_from_row(row: &[Value]) -> SydResult<Link> {
-        let tag = |names: &[&str], cell: &Value| {
-            let name = cell.as_str()?;
-            let tag = names.iter().position(|n| *n == name);
-            tag.ok_or_else(|| SydError::Protocol(format!("stored link is `{name}`")))
-        };
         Ok(Link {
             id: LinkId::new(int(&row[0])?),
-            kind: LinkKind::from_tag(tag(&KIND_NAMES, &row[1])?, int(&row[2])?)?,
-            status: LinkStatus::from_tag(tag(&STATUS_NAMES, &row[3])?)?,
+            kind: LinkKind::from_tag(int(&row[1])?, int(&row[2])?)?,
+            status: LinkStatus::from_tag(int(&row[3])?)?,
             entity: row[4].as_text()?.clone(),
             priority: Priority::new(int(&row[5])?),
             created: Timestamp::from_micros(int(&row[6])?),
@@ -643,10 +640,10 @@ impl LinksModule {
     /// entity notifies. No other link's row is parsed.
     pub fn permanent_on(&self, entity: &str, subscriptions: bool) -> SydResult<Vec<Link>> {
         let on_entity = Predicate::Eq("entity".into(), Value::str(entity));
-        let is = |cell: &Value, name: &str| cell.as_str().is_ok_and(|s| s == name);
-        let perm = STATUS_NAMES[LinkStatus::Permanent as usize];
-        let kind_ok = |row: &[Value]| !subscriptions || is(&row[1], KIND_NAMES[0]);
-        self.links_where(&on_entity, |row| is(&row[3], perm) && kind_ok(row))
+        let perm = tag_cell(LinkStatus::Permanent as usize);
+        let sub = tag_cell(LinkKind::Subscription.tag().0);
+        let kind_ok = |row: &[Value]| !subscriptions || row[1] == sub;
+        self.links_where(&on_entity, |row| row[3] == perm && kind_ok(row))
     }
 
     /// Links sharing a correlation id.
@@ -971,10 +968,7 @@ impl LinksModule {
             self.store.update(
                 T_LINK,
                 &Predicate::Eq("id".into(), Value::from(link_id.raw())),
-                &[(
-                    "status".into(),
-                    Value::str(STATUS_NAMES[LinkStatus::Permanent as usize]),
-                )],
+                &[("status".into(), tag_cell(LinkStatus::Permanent as usize))],
             )?;
             self.store.delete(
                 T_WAIT,
@@ -1332,7 +1326,8 @@ mod tests {
 
     /// A stored row is checked cell by cell: the map era read an unknown
     /// status as `Tentative` and cast numbers with `as` (a priority of 511
-    /// became 255, a negative id a huge one).
+    /// became 255, a negative id a huge one). A kind or status cell holds
+    /// the tag the `Link` codec writes, and no other number.
     #[test]
     fn defective_stored_rows_are_errors_not_defaults() {
         let env = SydEnv::new_insecure(NetConfig::ideal());
@@ -1344,11 +1339,13 @@ mod tests {
             .values
             .to_vec();
         for (column, defect) in [
-            ("status", Value::str("bogus")),
-            ("kind", Value::str("bogus")),
+            ("status", Value::I64(2)),
+            ("kind", Value::I64(4)),
+            ("kind", Value::I64(-1)),
             ("priority", Value::I64(511)),
             ("created", Value::I64(-1)),
             ("k", Value::I64(1 << 32)),
+            ("k", Value::I64(1)),
             ("refs", Value::Bytes(vec![1])),
         ] {
             let at = device

@@ -65,10 +65,6 @@ pub struct NetConfig {
     pub loss: f64,
     /// Seed for the network's deterministic RNG (latency jitter and loss).
     pub seed: u64,
-    /// When true, a request sent to a *disconnected* endpoint immediately
-    /// produces a `Disconnected` error response (models TCP connection
-    /// refused) instead of silently timing out. Random loss is unaffected.
-    pub fail_fast_disconnected: bool,
 }
 
 impl NetConfig {
@@ -78,7 +74,6 @@ impl NetConfig {
             latency: LatencyModel::instant(),
             loss: 0.0,
             seed: 0xC0FFEE,
-            fail_fast_disconnected: true,
         }
     }
 
@@ -89,7 +84,6 @@ impl NetConfig {
             latency: LatencyModel::wireless_lan(),
             loss: 0.005,
             seed: 0xC0FFEE,
-            fail_fast_disconnected: true,
         }
     }
 
@@ -129,7 +123,6 @@ mod tests {
         let cfg = NetConfig::ideal();
         assert_eq!(cfg.loss, 0.0);
         assert_eq!(cfg.latency, LatencyModel::instant());
-        assert!(cfg.fail_fast_disconnected);
     }
 
     #[test]

@@ -298,8 +298,8 @@ impl Network {
     }
 
     /// Marks an endpoint (dis)connected — the paper's mobile device going
-    /// out of range. Messages to a disconnected endpoint are dropped (or
-    /// fail fast, per [`NetConfig::fail_fast_disconnected`]).
+    /// out of range. A request to a disconnected endpoint is answered with
+    /// `Disconnected` (a refused connection); any other message is dropped.
     pub fn set_connected(&self, addr: NodeAddr, connected: bool) {
         let mut state = self.inner.state.lock();
         if let Some(slot) = state.endpoints.get_mut(&addr) {
@@ -371,7 +371,7 @@ impl Network {
 
         // Fail fast for requests to a disconnected device: synthesize an
         // error response with the same latency as a real round trip half.
-        if !slot.connected && state.cfg.fail_fast_disconnected {
+        if !slot.connected {
             if let Payload::Request(req) = &env.payload {
                 let reply = Envelope::new(
                     env.dst,

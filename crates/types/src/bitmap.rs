@@ -6,7 +6,7 @@
 //! mostly-free day — and intersecting `n` replies is an `O(n·m)`
 //! membership scan. A [`SlotBitmap`] packs the same window into one bit
 //! per slot (a whole [`SLOTS_PER_DAY`](crate::time::SLOTS_PER_DAY)-slot day fits comfortably in a
-//! single 64-bit word), so a fortnight's availability is ~42 bytes on the
+//! single 64-bit word), so a fortnight's availability is ≈ 51 bytes on the
 //! wire regardless of density, and intersection is a bitwise AND.
 //!
 //! Bit `i` covers slot ordinal `start + i`; a **set** bit means *free*.
@@ -173,43 +173,6 @@ impl SlotBitmap {
         self.free_slots().collect()
     }
 
-    /// Serialises to the fixed transport layout: `start` (8 bytes LE),
-    /// `len` (4 bytes LE), then one 8-byte LE word per 64 slots. Size is
-    /// a function of the window alone, never of how full the calendar is.
-    pub fn pack(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(12 + self.words.len() * 8);
-        out.extend_from_slice(&self.start.to_le_bytes());
-        out.extend_from_slice(&self.len.to_le_bytes());
-        for w in &self.words {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-        out
-    }
-
-    /// Inverse of [`SlotBitmap::pack`]. Rejects truncated buffers and
-    /// set bits beyond `len` — the layout is canonical, so a re-pack of
-    /// the result is byte-identical to the input.
-    pub fn unpack(bytes: &[u8]) -> SydResult<SlotBitmap> {
-        let err = |what: &str| SydError::Protocol(format!("slot bitmap: {what}"));
-        if bytes.len() < 12 {
-            return Err(err("truncated header"));
-        }
-        let le_u64 = |chunk: &[u8]| {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(chunk);
-            u64::from_le_bytes(b)
-        };
-        let start = le_u64(&bytes[0..8]);
-        let mut len_b = [0u8; 4];
-        len_b.copy_from_slice(&bytes[8..12]);
-        let len = u32::from_le_bytes(len_b);
-        if bytes.len() != 12 + word_count(len) * 8 {
-            return Err(err("length mismatch"));
-        }
-        let words: Vec<u64> = bytes[12..].chunks_exact(8).map(le_u64).collect();
-        SlotBitmap::from_raw_parts(start, len, words)
-    }
-
     /// The packed words, least-significant bit first (for codecs).
     pub fn words(&self) -> &[u64] {
         &self.words
@@ -370,43 +333,48 @@ mod tests {
         assert_eq!(c.to_slots(), expect);
     }
 
+    /// `words` packs, `from_raw_parts` unpacks: the pair every codec of
+    /// a bitmap is built on.
     #[test]
     fn pack_unpack_round_trip() {
         let r = day_range(3, 17);
         let mut bm = SlotBitmap::all_free(r);
         bm.set_busy(TimeSlot::new(5, 9));
         bm.set_busy(TimeSlot::new(16, 0));
-        let bytes = bm.pack();
-        // 14 days of hourly slots: 12-byte header + 6 words.
-        assert_eq!(
-            bytes.len(),
-            12 + 8 * ((14 * SLOTS_PER_DAY as usize).div_ceil(64))
-        );
-        let back = SlotBitmap::unpack(&bytes).unwrap();
+        // 14 days of hourly slots: 6 words.
+        assert_eq!(bm.words().len(), (14 * SLOTS_PER_DAY as usize).div_ceil(64));
+        let back =
+            SlotBitmap::from_raw_parts(bm.start_ordinal(), bm.len(), bm.words().to_vec()).unwrap();
         assert_eq!(back, bm);
-        assert_eq!(back.pack(), bytes);
+        assert_eq!(back.words(), bm.words());
+        assert!(!back.is_free(TimeSlot::new(5, 9)));
+        assert!(back.is_free(TimeSlot::new(5, 10)));
     }
 
     #[test]
     fn unpack_rejects_malformed_buffers() {
-        assert!(SlotBitmap::unpack(&[1, 2, 3]).is_err());
-        let mut bytes = SlotBitmap::all_free(day_range(0, 1)).pack();
-        bytes.pop();
-        assert!(SlotBitmap::unpack(&bytes).is_err());
+        let bm = SlotBitmap::all_free(day_range(0, 1));
+        let (start, len) = (bm.start_ordinal(), bm.len());
+        // A word too few, and a word too many.
+        assert!(SlotBitmap::from_raw_parts(start, len, Vec::new()).is_err());
+        assert!(SlotBitmap::from_raw_parts(start, len, vec![bm.words()[0], 0]).is_err());
         // A set bit beyond `len` breaks canonicality.
-        let mut bytes = SlotBitmap::empty(day_range(0, 1)).pack();
-        let last = bytes.len() - 1;
-        bytes[last] = 0x80;
-        assert!(SlotBitmap::unpack(&bytes).is_err());
+        assert!(SlotBitmap::from_raw_parts(start, len, vec![1 << 63]).is_err());
+        assert!(SlotBitmap::from_raw_parts(start, len, vec![bm.words()[0] | 1 << 24]).is_err());
     }
 
     #[test]
     fn fixed_size_beats_ordinal_lists_when_dense() {
         // The win the paper's scenario cares about: a mostly-free
-        // fortnight costs the same bytes as an empty one.
+        // fortnight costs the same words as an empty one (the codec
+        // writes the window and the words, nothing else).
         let r = day_range(0, 14);
         let dense = SlotBitmap::all_free(r);
         let sparse = SlotBitmap::empty(r);
-        assert_eq!(dense.pack().len(), sparse.pack().len());
+        assert_eq!(dense.words().len(), sparse.words().len());
+        assert_eq!(
+            dense.words().len(),
+            (14 * SLOTS_PER_DAY as usize).div_ceil(64)
+        );
     }
 }

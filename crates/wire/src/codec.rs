@@ -670,19 +670,51 @@ impl Decode for Value {
 // SydError and Result<Value, SydError>
 // ---------------------------------------------------------------------------
 
-impl Encode for SydError {
-    fn encode(&self, buf: &mut impl Sink) {
-        buf.push(self.kind_code());
-        self.wire_message().encode(buf);
-    }
+/// Writes each [`SydError`] variant as its tag byte followed by its fields,
+/// each through its own codec, and reads it back the same way: the tag
+/// table below is the only one, and an unknown tag is a codec error.
+macro_rules! error_codec {
+    ($($tag:literal => $variant:ident $(($($field:ident: $ty:ty),+))?,)+) => {
+        impl Encode for SydError {
+            fn encode(&self, buf: &mut impl Sink) {
+                match self {
+                    $(SydError::$variant $(($($field),+))? => {
+                        buf.push($tag);
+                        $($($field.encode(buf);)+)?
+                    })+
+                }
+            }
+        }
+
+        impl Decode for SydError {
+            fn decode(r: &mut Reader<'_>) -> SydResult<Self> {
+                Ok(match r.u8()? {
+                    $($tag => SydError::$variant $(($(<$ty>::decode(r)?),+))?,)+
+                    other => return Err(SydError::Codec(format!("invalid error tag {other}"))),
+                })
+            }
+        }
+    };
 }
 
-impl Decode for SydError {
-    fn decode(r: &mut Reader<'_>) -> SydResult<Self> {
-        let code = r.u8()?;
-        let message = String::decode(r)?;
-        Ok(SydError::from_wire(code, message))
-    }
+error_codec! {
+    1 => Unreachable(addr: NodeAddr),
+    2 => Disconnected(addr: NodeAddr),
+    3 => Timeout(req: RequestId),
+    4 => Shutdown,
+    5 => Codec(m: String),
+    6 => Protocol(m: String),
+    7 => NoSuchTable(m: String),
+    8 => NoSuchColumn(m: String),
+    9 => SchemaViolation(m: String),
+    10 => LockTimeout(m: String),
+    11 => TxnAborted(m: String),
+    12 => NotRegistered(m: String),
+    13 => NoSuchService(service: ServiceName, method: String),
+    14 => ConstraintFailed(m: String),
+    15 => NoSuchLink(link: LinkId),
+    16 => AuthFailed(user: UserId),
+    17 => App(m: String),
 }
 
 impl Encode for Result<Value, SydError> {
@@ -766,6 +798,28 @@ mod tests {
         partial.set_free(TimeSlot::new(1, 0));
         partial.set_free(TimeSlot::new(3, 23));
         round_trip(partial);
+        let mut fortnight = SlotBitmap::all_free(SlotRange::days(3, 17));
+        fortnight.set_busy(TimeSlot::new(5, 9));
+        fortnight.set_busy(TimeSlot::new(16, 0));
+        round_trip(fortnight);
+    }
+
+    /// A varint header — start ordinal, then length — and one 8-byte
+    /// word per 64 slots: how full the calendar is never changes the
+    /// size.
+    #[test]
+    fn slot_bitmap_size_is_the_window_alone() {
+        // 28 days from day 0: start 0 (1 byte), 672 slots (2 bytes).
+        let window = SlotRange::days(0, 28);
+        let free = encode_to_vec(&SlotBitmap::all_free(window));
+        assert_eq!(free.len(), 3 + 8 * 672usize.div_ceil(64));
+        assert_eq!(free.len(), encode_to_vec(&SlotBitmap::empty(window)).len());
+        // 14 days from day 3: start 72 (1 byte), 336 slots (2 bytes).
+        let fortnight = SlotBitmap::all_free(SlotRange::days(3, 17));
+        assert_eq!(
+            encode_to_vec(&fortnight).len(),
+            3 + 8 * 336usize.div_ceil(64)
+        );
     }
 
     #[test]
@@ -776,6 +830,28 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] |= 0x80;
         assert!(decode_from_slice::<SlotBitmap>(&bytes).is_err());
+        // The same on a bitmap with no bit set at all.
+        let mut bytes = encode_to_vec(&SlotBitmap::empty(SlotRange::days(0, 1)));
+        let last = bytes.len() - 1;
+        bytes[last] = 0x80;
+        assert!(decode_from_slice::<SlotBitmap>(&bytes).is_err());
+    }
+
+    #[test]
+    fn slot_bitmap_decode_rejects_malformed_buffers() {
+        let is_codec = |input: &[u8]| {
+            matches!(
+                decode_from_slice::<SlotBitmap>(input),
+                Err(SydError::Codec(_))
+            )
+        };
+        assert!(is_codec(&[1, 2, 3]));
+        let mut bytes = encode_to_vec(&SlotBitmap::all_free(SlotRange::days(0, 1)));
+        for cut in 0..bytes.len() {
+            assert!(is_codec(&bytes[..cut]), "{cut}-byte prefix");
+        }
+        bytes.push(0);
+        assert!(is_codec(&bytes), "a byte appended");
     }
 
     #[test]
@@ -835,15 +911,83 @@ mod tests {
         assert!(back.as_map().unwrap().keys().all(Text::is_inline));
     }
 
+    /// One of each [`SydError`] variant.
+    fn every_error() -> Vec<SydError> {
+        vec![
+            SydError::Unreachable(NodeAddr::new(4)),
+            SydError::Disconnected(NodeAddr::new(u64::MAX)),
+            SydError::Timeout(RequestId::new(6)),
+            SydError::Shutdown,
+            SydError::Codec("bad byte".into()),
+            SydError::Protocol("arity".into()),
+            SydError::NoSuchTable("slots".into()),
+            SydError::NoSuchColumn("day".into()),
+            SydError::SchemaViolation("dup key".into()),
+            SydError::LockTimeout("slot 3".into()),
+            SydError::TxnAborted("veto".into()),
+            SydError::NotRegistered("phil".into()),
+            // A `/` in a field is a byte of it, not a separator.
+            SydError::NoSuchService(ServiceName::new("cal/x"), "re/serve".into()),
+            SydError::NoSuchService(ServiceName::new("cal"), String::new()),
+            SydError::ConstraintFailed("xor got 2".into()),
+            SydError::NoSuchLink(LinkId::new(8)),
+            SydError::AuthFailed(UserId::new(300)),
+            SydError::App(String::new()),
+        ]
+    }
+
     #[test]
     fn errors_round_trip() {
-        round_trip(SydError::Timeout(RequestId::new(5)));
-        round_trip(SydError::NoSuchService(
-            ServiceName::new("cal"),
-            "reserve".into(),
-        ));
+        for err in every_error() {
+            round_trip(Result::<Value, SydError>::Err(err));
+        }
         round_trip(Result::<Value, SydError>::Ok(Value::I64(1)));
-        round_trip(Result::<Value, SydError>::Err(SydError::Shutdown));
+    }
+
+    #[test]
+    fn every_error_variant_round_trips() {
+        for err in every_error() {
+            round_trip(err);
+        }
+    }
+
+    #[test]
+    fn error_tags_are_unique() {
+        let mut tags = std::collections::HashMap::new();
+        for err in every_error() {
+            let tag = encode_to_vec(&err)[0];
+            let variant = std::mem::discriminant(&err);
+            assert_eq!(
+                *tags.entry(tag).or_insert(variant),
+                variant,
+                "tag {tag} is shared by two variants ({err:?})"
+            );
+        }
+        assert_eq!(tags.len(), 17, "one tag per variant");
+    }
+
+    /// An error decodes like a record (DESIGN.md §18): every strict
+    /// prefix, an unknown tag and one byte appended are codec errors,
+    /// never a default.
+    #[test]
+    fn errors_decode_strictly() {
+        let is_codec = |input: &[u8]| {
+            matches!(
+                decode_from_slice::<SydError>(input),
+                Err(SydError::Codec(_))
+            )
+        };
+        for err in every_error() {
+            let mut bytes = encode_to_vec(&err);
+            for cut in 0..bytes.len() {
+                assert!(is_codec(&bytes[..cut]), "{cut}-byte prefix of {err:?}");
+            }
+            bytes.push(0);
+            assert!(is_codec(&bytes), "a byte appended to {err:?}");
+        }
+        for tag in [0, 18, 255] {
+            assert!(is_codec(&[tag, 0]), "tag {tag}");
+        }
     }
 
     #[test]

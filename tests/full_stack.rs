@@ -119,7 +119,6 @@ fn calendar_on_lossy_wireless_lan() {
         latency: LatencyModel::fixed(Duration::from_millis(1)),
         loss: 0.02,
         seed: 99,
-        fail_fast_disconnected: true,
     };
     let env = SydEnv::new(cfg, "lossy");
     let a = CalendarApp::install(&env.device("a", "pw").unwrap()).unwrap();
@@ -246,7 +245,7 @@ fn calendar_device_snapshot_round_trip() {
         .get_by_key("slots", &[Value::from(slot.ordinal())])
         .unwrap()
         .unwrap();
-    assert_eq!(row.values[1], Value::str("conf"));
+    assert_eq!(row.values[1], Value::from(MeetingStatus::Confirmed));
 }
 
 /// Engine group invocation scales to a large group in one round trip

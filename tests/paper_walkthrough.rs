@@ -8,6 +8,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use syd::calendar::{CalendarApp, MeetingSpec, MeetingStatus};
+use syd::kernel::links::{Constraint, LinkKind};
 use syd::kernel::{Method, SydEnv};
 use syd::net::NetConfig;
 use syd::store::Predicate;
@@ -217,20 +218,15 @@ fn supervisor_gets_subscription_back_link_only() {
         .unwrap();
     assert_eq!(outcome.status, MeetingStatus::Confirmed);
 
-    let kind_of = |app: &CalendarApp| -> Vec<String> {
-        app.device()
-            .store()
-            .select("SyD_Link", &Predicate::True)
-            .unwrap()
-            .iter()
-            .map(|row| row.values[1].as_str().unwrap().to_owned())
-            .collect()
+    let kind_of = |app: &CalendarApp| -> Vec<LinkKind> {
+        let links = app.device().links().all().unwrap();
+        links.iter().map(|link| link.kind).collect()
     };
     // B (supervisor): subscription back link only.
-    assert_eq!(kind_of(&b), vec!["sub".to_string()]);
+    assert_eq!(kind_of(&b), vec![LinkKind::Subscription]);
     // D (ordinary participant): negotiation back link.
     assert!(
-        kind_of(&d).contains(&"and".to_string()),
+        kind_of(&d).contains(&LinkKind::Negotiation(Constraint::And)),
         "{:?}",
         kind_of(&d)
     );
