@@ -7,7 +7,7 @@
 use syd_bench::timing::Group;
 use syd_bench::{devices, env_ideal};
 use syd_core::links::{Constraint, LinkRef, LinkSpec};
-use syd_core::Method;
+use syd_core::{Method, Methods, Verb};
 use syd_types::{LinkId, Priority, Value};
 
 fn main() {
@@ -140,7 +140,9 @@ fn main() {
     // Method coupling (op 5): lookup + remote invocation of one coupled
     // destination.
     let svc = syd_types::ServiceName::new("bench");
-    static TARGET: &[Method<()>] = &[Method::new("coupled_target", |(), _, _| Ok(Value::Null))];
+    const BENCH: &syd_types::ServiceName = &syd_types::ServiceName::constant("bench");
+    const COUPLED_TARGET: Verb<Vec<Value>, ()> = Verb::new(BENCH, "coupled_target");
+    static TARGET: &Methods<()> = &[&Method::verb(COUPLED_TARGET, |(), _, _| Ok(()))];
     let no_state = std::sync::Arc::new(());
     devs[1].serve(&svc, &no_state, TARGET);
     devs[0]

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use syd_bench::timing::Group;
 use syd_bench::{devices, env_ideal, env_secure};
-use syd_core::Method;
+use syd_core::{Method, Methods, Verb};
 use syd_crypto::{cbc_decrypt, cbc_encrypt, Authenticator, Credentials, TeaKey};
 use syd_types::{ServiceName, UserId, Value};
 
@@ -51,7 +51,9 @@ fn main() {
     // Per-request overhead: the same remote echo with and without §5.4
     // authentication.
     let svc = ServiceName::new("echo");
-    static ECHO: &[Method<()>] = &[Method::new("echo", |(), _, args| {
+    const ECHO_SERVICE: &ServiceName = &ServiceName::constant("echo");
+    const ECHO_VERB: Verb<Vec<Value>, Value> = Verb::new(ECHO_SERVICE, "echo");
+    static ECHO: &Methods<()> = &[&Method::verb(ECHO_VERB, |(), _, args: &[Value]| {
         Ok(Value::list(args.to_vec()))
     })];
     let no_state = Arc::new(());

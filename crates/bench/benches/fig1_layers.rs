@@ -14,7 +14,8 @@ use std::sync::Arc;
 
 use syd_bench::timing::Group;
 use syd_bench::{devices, env_ideal};
-use syd_core::listener::{Listener, Method};
+use syd_core::listener::{Listener, Method, Methods};
+use syd_core::Verb;
 use syd_store::{Column, ColumnType, Predicate, Schema, Store};
 use syd_telemetry::Registry;
 use syd_types::{NodeAddr, RequestId, ServiceName, UserId, Value};
@@ -58,10 +59,12 @@ fn main() {
 
     // Layer 2: through the listener (local dispatch, no network).
     // select(ordinal) -> matching row count, served from a store.
-    static SLOTS: &[Method<Store>] = &[Method::new("select", |store, _, args| {
-        let ordinal = args[0].as_i64()?;
+    const SLOTS_SERVICE: &ServiceName = &ServiceName::constant("slots");
+    /// The number of rows holding an ordinal.
+    const SELECT: Verb<(i64,), u64> = Verb::new(SLOTS_SERVICE, "select");
+    static SLOTS: &Methods<Store> = &[&Method::verb(SELECT, |store: &Store, _, (ordinal,)| {
         let by_ordinal = Predicate::Eq("ordinal".into(), Value::I64(ordinal));
-        Ok(Value::from(store.select("slots", &by_ordinal)?.len() as u64))
+        Ok(store.select("slots", &by_ordinal)?.len() as u64)
     })];
     let listener = Listener::new(None, &Registry::new());
     let svc = ServiceName::new("slots");

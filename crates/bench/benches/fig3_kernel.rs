@@ -8,15 +8,17 @@ use std::sync::Arc;
 
 use syd_bench::timing::Group;
 use syd_bench::{devices, env_ideal};
-use syd_core::directory::DIR_CALLS;
-use syd_core::Method;
+use syd_core::directory::{DESCRIBE, LOOKUP_MANY};
+use syd_core::{Method, Methods, Verb};
 use syd_types::{ServiceName, UserId, Value};
 
 fn main() {
     let env = env_ideal();
     let devs = devices(&env, 33);
     let svc = ServiceName::new("echo");
-    static ECHO: &[Method<()>] = &[Method::new("echo", |(), _, args| {
+    const ECHO_SERVICE: &ServiceName = &ServiceName::constant("echo");
+    const ECHO_VERB: Verb<Vec<Value>, Value> = Verb::new(ECHO_SERVICE, "echo");
+    static ECHO: &Methods<()> = &[&Method::verb(ECHO_VERB, |(), _, args: &[Value]| {
         Ok(Value::list(args.to_vec()))
     })];
     let no_state = Arc::new(());
@@ -32,10 +34,10 @@ fn main() {
     let dirc = env.directory_client();
     let target_user = devs[1].user();
     group.bench_function("directory_lookup", |b| {
-        b.iter(|| dirc.lookup_many(&[target_user], DIR_CALLS).unwrap());
+        b.iter(|| dirc.call(LOOKUP_MANY, (vec![target_user],)).unwrap());
     });
     group.bench_function("directory_describe", |b| {
-        b.iter(|| dirc.describe(target_user).unwrap());
+        b.iter(|| dirc.call(DESCRIBE, (target_user,)).unwrap());
     });
 
     // Single invocation (engine + listener, cached resolution).

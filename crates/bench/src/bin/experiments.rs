@@ -19,11 +19,11 @@ use syd_calendar::{BaselineCalendar, MeetingSpec, MeetingStatus};
 use syd_core::links::Constraint;
 use syd_core::negotiate::Participant;
 use syd_core::proxy::enable_replication;
-use syd_core::{DeviceRuntime, EntityHandler, Method, SydEnv};
+use syd_core::{DeviceRuntime, EntityHandler, Method, Methods, SydEnv, Verb};
 use syd_net::{NetConfig, Network, Transport};
 use syd_store::{Column, ColumnType, Schema, Store};
 use syd_telemetry::names;
-use syd_types::{ServiceName, SydResult, TimeSlot, UserId, Value};
+use syd_types::{ServiceName, SydResult, Text, TimeSlot, UserId, Value};
 
 fn main() {
     println!("SyD experiment harness — protocol-shape results");
@@ -270,7 +270,11 @@ fn e5_proxy_failover() {
     let phil = env.device("phil", "pw").unwrap();
     let andy = env.device("andy", "pw").unwrap();
     let proxy = env.proxy("proxy", "pw").unwrap();
-    let svc = ServiceName::new("slots");
+    const SLOTS_SERVICE: &ServiceName = &ServiceName::constant("slots");
+    /// An ordinal's status, "free" without a row: the one verb the
+    /// primary and the proxy both serve.
+    const GET: Verb<(i64,), Text> = Verb::new(SLOTS_SERVICE, "get");
+    let svc = SLOTS_SERVICE.clone();
 
     let schema = Schema::new(
         "slots",
@@ -282,13 +286,13 @@ fn e5_proxy_failover() {
     )
     .unwrap();
     phil.store().create_table(schema.clone()).unwrap();
-    // get(ordinal) -> status, "free" without a row: the one table the
-    // primary and the proxy both serve.
-    static SLOTS: &[Method<Store>] = &[Method::new("get", |store, _, args| {
-        Ok(store
-            .get_by_key("slots", &[args[0].clone()])?
-            .map_or(Value::str("free"), |r| r.values[1].clone()))
-    })];
+    static SLOTS: &Methods<Store> = &[&Method::verb(
+        GET,
+        |store: &Store, _, (ordinal,)| match store.get_by_key("slots", &[Value::I64(ordinal)])? {
+            Some(row) => row.values[1].as_text().cloned(),
+            None => Ok(Text::from("free")),
+        },
+    )];
     let primary = Arc::new(phil.store().clone());
     phil.serve(&svc, &primary, SLOTS);
     proxy
@@ -304,13 +308,10 @@ fn e5_proxy_failover() {
         .unwrap();
     syd_types::sync::sleep(Duration::from_millis(50)); // replication settle
 
-    let svc = ServiceName::new("slots");
     // Query latency through the primary.
     let t = Instant::now();
     for _ in 0..100 {
-        andy.engine()
-            .invoke(phil.user(), &svc, "get", vec![Value::I64(9)])
-            .unwrap();
+        andy.engine().call(phil.user(), GET, (9,)).unwrap();
     }
     let primary_us = t.elapsed().as_micros() as f64 / 100.0;
 
@@ -318,19 +319,14 @@ fn e5_proxy_failover() {
     // (includes failure detection + re-resolution to the proxy).
     phil.disconnect().unwrap();
     let t = Instant::now();
-    let out = andy
-        .engine()
-        .invoke(phil.user(), &svc, "get", vec![Value::I64(9)])
-        .unwrap();
+    let out = andy.engine().call(phil.user(), GET, (9,)).unwrap();
     let takeover_us = t.elapsed().as_micros();
-    assert_eq!(out, Value::str("busy"), "proxy served stale-free data");
+    assert_eq!(out, "busy", "proxy served stale-free data");
 
     // Steady-state latency through the proxy.
     let t = Instant::now();
     for _ in 0..100 {
-        andy.engine()
-            .invoke(phil.user(), &svc, "get", vec![Value::I64(9)])
-            .unwrap();
+        andy.engine().call(phil.user(), GET, (9,)).unwrap();
     }
     let proxy_us = t.elapsed().as_micros() as f64 / 100.0;
 

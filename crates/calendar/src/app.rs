@@ -17,7 +17,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use syd_core::links::LinkSpec;
-use syd_core::{arg, DeviceRuntime, EntityHandler, InvokeCtx, Method, SubscriptionHandler};
+use syd_core::{
+    DeviceRuntime, EntityHandler, InvokeCtx, Method, Methods, SubscriptionHandler, Verb,
+};
 use syd_store::{Column, ColumnType, Predicate, Schema, Store};
 use syd_telemetry::names;
 use syd_telemetry::{Counter, Histogram};
@@ -27,16 +29,54 @@ use syd_types::{
     MeetingId, Priority, ServiceName, SlotBitmap, SlotRange, SydError, SydResult, Text, TimeSlot,
     UserId, Value,
 };
-use syd_wire::encode_to_vec;
+use syd_wire::{AsValue, Record};
 
 use self::busy::BusyWords;
+use crate::delegation::AUTHORITY_CHECK;
 use crate::mailbox::Mailbox;
 use crate::model::{parse_slot_entity, slot_entity, Meeting, MeetingStatus, SlotState};
 
+/// The calendar application's service.
+pub const CALENDAR: &ServiceName = &ServiceName::constant("calendar");
+
 /// The calendar application's service name.
 pub fn calendar_service() -> ServiceName {
-    ServiceName::new("calendar")
+    CALENDAR.clone()
 }
+
+/// Availability over `[start, end)` ordinals (set bit = free). A window
+/// longer than [`MAX_FREE_WINDOW`] is refused.
+pub const FREE_SLOTS_BITMAP: Verb<(u64, u64), SlotBitmap> =
+    Verb::new(CALENDAR, "free_slots_bitmap");
+/// A slot's occupant and the occupant's priority.
+pub const SLOT_STATUS: Verb<(u64,), (SlotState, Priority)> = Verb::new(CALENDAR, "slot_status");
+/// The stored record of a meeting, if any.
+pub const MEETING_INFO: Verb<(MeetingId,), Option<Record<Meeting>>> =
+    Verb::new(CALENDAR, "meeting_info");
+/// Upserts a meeting record and aligns the slot row it holds.
+pub const UPDATE_MEETING: Verb<(Record<Meeting>,), ()> = Verb::new(CALENDAR, "update_meeting");
+/// Gives a meeting's hold on an ordinal up: (ordinal, meeting, the status
+/// to record, whether the meeting retires its links here); answers whether
+/// the slot was freed.
+pub const RELEASE_SLOT: Verb<(u64, MeetingId, MeetingStatus, bool), bool> =
+    Verb::new(CALENDAR, "release_slot");
+/// Queues an availability link for a meeting at an unavailable
+/// participant's slot.
+pub const QUEUE_AVAILABILITY: Verb<(u64, Record<Meeting>), ()> =
+    Verb::new(CALENDAR, "queue_availability");
+/// Served by initiators: a participant's slot opened up; answers whether
+/// the meeting is confirmed.
+pub const PEER_AVAILABLE: Verb<(MeetingId,), bool> = Verb::new(CALENDAR, "peer_available");
+/// Served by initiators: a meeting was bumped off an ordinal.
+pub const MEETING_BUMPED: Verb<(MeetingId, u64), ()> = Verb::new(CALENDAR, "meeting_bumped");
+/// Served by initiators: move a meeting to a new ordinal; answers whether
+/// it moved.
+pub const CHANGE_REQUEST: Verb<(MeetingId, u64), bool> = Verb::new(CALENDAR, "change_request");
+/// Removes this user's queued availability link for a meeting.
+pub const DROP_AVAILABILITY: Verb<(MeetingId,), ()> = Verb::new(CALENDAR, "drop_availability");
+/// Served by initiators: a user asks to leave a meeting; answers whether
+/// they may.
+pub const LEAVE_REQUEST: Verb<(MeetingId, UserId), bool> = Verb::new(CALENDAR, "leave_request");
 
 pub(crate) const T_SLOTS: &str = "slots";
 pub(crate) const T_MEETINGS: &str = "meetings";
@@ -170,7 +210,7 @@ impl CalendarApp {
             });
         }));
 
-        device.serve(&calendar_service(), &app, CALENDAR_METHODS);
+        device.serve(CALENDAR, &app, CALENDAR_METHODS);
         app.install_delegation()?;
         // The mailbox's service and the calendar's, in one wave.
         device.publish()?;
@@ -449,8 +489,8 @@ impl EntityHandler for SlotEntityHandler {
         let ordinal = parse_slot_entity(entity)?;
         match change.get("action")?.as_str()? {
             "reserve" => {
-                let meeting = MeetingId::new(change.get("meeting")?.as_i64()? as u64);
-                let priority = Priority::new(change.get("priority")?.as_i64()? as u8);
+                let meeting = MeetingId::view(change.get("meeting")?)?;
+                let priority = Priority::view(change.get("priority")?)?;
                 match app.slot_state(ordinal)? {
                     SlotState::Free => Ok(()),
                     SlotState::Busy => Err(SydError::App(format!(
@@ -479,8 +519,8 @@ impl EntityHandler for SlotEntityHandler {
         let ordinal = parse_slot_entity(entity)?;
         match change.get("action")?.as_str()? {
             "reserve" => {
-                let meeting = MeetingId::new(change.get("meeting")?.as_i64()? as u64);
-                let priority = Priority::new(change.get("priority")?.as_i64()? as u8);
+                let meeting = MeetingId::view(change.get("meeting")?)?;
+                let priority = Priority::view(change.get("priority")?)?;
                 // The record as it stands once this round's commits are
                 // through; everything below follows from it.
                 let rec = Meeting::from_value(change.get("record")?)?;
@@ -530,7 +570,7 @@ impl EntityHandler for SlotEntityHandler {
                 Ok(())
             }
             "release" => {
-                let meeting = MeetingId::new(change.get("meeting")?.as_i64()? as u64);
+                let meeting = MeetingId::view(change.get("meeting")?)?;
                 if app.clear_slot(ordinal, Some(meeting))? {
                     app.on_slot_freed(ordinal);
                 }
@@ -556,12 +596,8 @@ impl CalendarApp {
             self.put_meeting(&rec)?;
             let initiator = rec.initiator;
             self.in_background(move |app| {
-                let _ = app.device.engine().invoke(
-                    initiator,
-                    &calendar_service(),
-                    "meeting_bumped",
-                    vec![Value::from(old.raw()), Value::from(ordinal)],
-                );
+                let engine = app.device.engine();
+                let _ = engine.call(initiator, MEETING_BUMPED, (old, ordinal));
             });
         }
         self.device
@@ -610,19 +646,60 @@ impl SubscriptionHandler for CalendarNotifications {
 /// The `calendar` service: what peers call on a user's device. Its three
 /// reads are also what a proxy serves from the user's replica
 /// ([`crate::proxy_support`]).
-static CALENDAR_METHODS: &[Method<CalendarApp>] = &[
-    Method::new("free_slots_bitmap", free_slots_bitmap),
-    Method::new("slot_status", slot_status),
-    Method::new("meeting_info", meeting_info),
-    Method::new("update_meeting", update_meeting),
-    Method::new("release_slot", release_slot),
-    Method::new("queue_availability", queue_availability),
-    Method::new("peer_available", peer_available),
-    Method::new("meeting_bumped", meeting_bumped),
-    Method::new("change_request", change_request),
-    Method::new("drop_availability", drop_availability),
-    Method::new("leave_request", leave_request),
-    Method::new("authority_check", crate::delegation::authority_check),
+static CALENDAR_METHODS: &Methods<CalendarApp> = &[
+    &Method::verb(FREE_SLOTS_BITMAP, free_slots_bitmap),
+    &Method::verb(SLOT_STATUS, slot_status),
+    &Method::verb(MEETING_INFO, meeting_info),
+    &Method::verb(UPDATE_MEETING, |app: &CalendarApp, _, (rec,)| {
+        // A held slot's row follows the meeting's status, while it is live.
+        if matches!(
+            rec.status,
+            MeetingStatus::Confirmed | MeetingStatus::Tentative
+        ) && app.slot_state(rec.ordinal)?.meeting() == Some(rec.id)
+        {
+            app.set_slot(rec.ordinal, Some((rec.id, rec.status)), rec.priority)?;
+        }
+        app.put_meeting(&rec)
+    }),
+    &Method::verb(
+        RELEASE_SLOT,
+        |app: &CalendarApp, _, (ordinal, meeting, to, retire)| {
+            app.release_local(ordinal, meeting, to, retire)
+        },
+    ),
+    &Method::verb(
+        QUEUE_AVAILABILITY,
+        |app: &CalendarApp, _, (ordinal, rec)| app.queue_availability_local(ordinal, &rec),
+    ),
+    &Method::verb(PEER_AVAILABLE, |app: &CalendarApp, _, (meeting,)| {
+        let status = app.reconcile_round(meeting, true)?.status;
+        Ok(status == MeetingStatus::Confirmed)
+    }),
+    &Method::verb(
+        MEETING_BUMPED,
+        |app: &CalendarApp, _, (meeting, old_ordinal)| {
+            app.auto_reschedule(meeting, old_ordinal);
+            Ok(())
+        },
+    ),
+    &Method::verb(
+        CHANGE_REQUEST,
+        |app: &CalendarApp, _, (meeting, new_ordinal)| {
+            app.handle_change_request(meeting, new_ordinal)
+        },
+    ),
+    &Method::verb(DROP_AVAILABILITY, |app: &CalendarApp, _, (meeting,)| {
+        app.drop_availability_local(meeting)
+    }),
+    &Method::verb(LEAVE_REQUEST, |app: &CalendarApp, ctx, (meeting, user)| {
+        // Only the user themself may ask to leave (when the deployment
+        // authenticates, the claim is verified).
+        if ctx.authenticated && ctx.caller != user {
+            return Err(SydError::AuthFailed(ctx.caller));
+        }
+        app.handle_leave_request(meeting, user)
+    }),
+    &Method::verb(AUTHORITY_CHECK, crate::delegation::authority_check),
 ];
 
 /// What the calendar's reads need: the store, and the free bitmap. A
@@ -655,150 +732,42 @@ impl CalendarView for Store {
     }
 }
 
-/// free_slots_bitmap(start, end) -> encoded SlotBitmap bytes
+/// The free bitmap of `[start, end)`, a window checked where it enters:
+/// one longer than [`MAX_FREE_WINDOW`] is a protocol error (a negative
+/// bound never reads as a `u64`).
 pub(crate) fn free_slots_bitmap<C: CalendarView>(
     cal: &C,
     _ctx: &InvokeCtx,
-    args: &[Value],
-) -> SydResult<Value> {
-    let (start, end) = window_args(args)?;
-    Ok(Value::Bytes(encode_to_vec(&cal.free_bitmap(start, end)?)))
-}
-
-/// slot_status(ordinal) -> {status, meeting, priority}
-pub(crate) fn slot_status<C: CalendarView>(
-    cal: &C,
-    _ctx: &InvokeCtx,
-    args: &[Value],
-) -> SydResult<Value> {
-    let (state, priority) = slot_of(cal.store(), ordinal_arg(args, 0, "slot_status")?)?;
-    let (status, meeting) = match state {
-        SlotState::Free => ("free", None),
-        SlotState::Busy => ("busy", None),
-        SlotState::Tentative(m) => ("tent", Some(m)),
-        SlotState::Reserved(m) => ("conf", Some(m)),
-    };
-    Ok(Value::map([
-        ("status", Value::str(status)),
-        (
-            "meeting",
-            meeting.map_or(Value::Null, |m| Value::from(m.raw())),
-        ),
-        ("priority", Value::from(priority.level() as u32)),
-    ]))
-}
-
-/// meeting_info(id) -> record | Null: the stored record's bytes, checked
-/// to decode before they are served on.
-pub(crate) fn meeting_info<C: CalendarView>(
-    cal: &C,
-    _ctx: &InvokeCtx,
-    args: &[Value],
-) -> SydResult<Value> {
-    let id = MeetingId::new(arg(args, 0)?.as_i64()? as u64);
-    match cal
-        .store()
-        .get_by_key(T_MEETINGS, &[Value::from(id.raw())])?
-    {
-        None => Ok(Value::Null),
-        Some(row) => {
-            Meeting::from_value(&row.values[1])?;
-            Ok(row.values[1].clone())
-        }
-    }
-}
-
-/// update_meeting(record) -> Null — upsert + align local slot row
-fn update_meeting(app: &CalendarApp, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    let rec = Meeting::from_value(arg(args, 0)?)?;
-    // A held slot's row follows the meeting's status, while it is live.
-    if matches!(
-        rec.status,
-        MeetingStatus::Confirmed | MeetingStatus::Tentative
-    ) && app.slot_state(rec.ordinal)?.meeting() == Some(rec.id)
-    {
-        app.set_slot(rec.ordinal, Some((rec.id, rec.status)), rec.priority)?;
-    }
-    app.put_meeting(&rec)?;
-    Ok(Value::Null)
-}
-
-/// release_slot(ordinal, meeting, to_status, retire) -> Bool
-fn release_slot(app: &CalendarApp, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    let ordinal = ordinal_arg(args, 0, "release_slot")?;
-    let meeting = MeetingId::new(arg(args, 1)?.as_i64()? as u64);
-    let to_status = MeetingStatus::from_tag(arg(args, 2)?.as_i64()?)
-        .map_err(|e| SydError::Protocol(format!("release_slot: {e}")))?;
-    let retire = arg(args, 3)?.as_bool()?;
-    let freed = app.release_local(ordinal, meeting, to_status, retire)?;
-    Ok(Value::Bool(freed))
-}
-
-/// queue_availability(ordinal, record) -> Null
-fn queue_availability(app: &CalendarApp, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    let ordinal = ordinal_arg(args, 0, "queue_availability")?;
-    let rec = Meeting::from_value(arg(args, 1)?)?;
-    app.queue_availability_local(ordinal, &rec)?;
-    Ok(Value::Null)
-}
-
-/// peer_available(meeting) -> Bool(confirmed) — served by initiators
-fn peer_available(app: &CalendarApp, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    let meeting = MeetingId::new(arg(args, 0)?.as_i64()? as u64);
-    let status = app.reconcile_round(meeting, true)?.status;
-    Ok(Value::Bool(status == MeetingStatus::Confirmed))
-}
-
-/// meeting_bumped(meeting, old_ordinal) -> Null — initiator reschedules
-fn meeting_bumped(app: &CalendarApp, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    let meeting = MeetingId::new(arg(args, 0)?.as_i64()? as u64);
-    let old_ordinal = ordinal_arg(args, 1, "meeting_bumped")?;
-    app.auto_reschedule(meeting, old_ordinal);
-    Ok(Value::Null)
-}
-
-/// change_request(meeting, new_ordinal, requester) -> Bool
-fn change_request(app: &CalendarApp, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    let meeting = MeetingId::new(arg(args, 0)?.as_i64()? as u64);
-    let new_ordinal = ordinal_arg(args, 1, "change_request")?;
-    Ok(Value::Bool(
-        app.handle_change_request(meeting, new_ordinal)?,
-    ))
-}
-
-/// drop_availability(meeting) -> Null — remove this user's queued
-/// availability link for a meeting (it got reserved or cancelled).
-fn drop_availability(app: &CalendarApp, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    let meeting = MeetingId::new(arg(args, 0)?.as_i64()? as u64);
-    app.drop_availability_local(meeting)?;
-    Ok(Value::Null)
-}
-
-/// leave_request(meeting, user) -> Bool
-fn leave_request(app: &CalendarApp, ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    let meeting = MeetingId::new(arg(args, 0)?.as_i64()? as u64);
-    let user = UserId::new(arg(args, 1)?.as_i64()? as u64);
-    // Only the user themself may ask to leave (when the deployment
-    // authenticates, the claim is verified).
-    if ctx.authenticated && ctx.caller != user {
-        return Err(SydError::AuthFailed(ctx.caller));
-    }
-    Ok(Value::Bool(app.handle_leave_request(meeting, user)?))
-}
-
-/// The `[start, end)` window of a `free_slots_bitmap` request, checked
-/// where it enters: a negative bound, or a window longer than
-/// [`MAX_FREE_WINDOW`], is a protocol error.
-pub(crate) fn window_args(args: &[Value]) -> SydResult<(u64, u64)> {
-    let bound = |i| ordinal_arg(args, i, "free_slots_bitmap");
-    let (start, end) = (bound(0)?, bound(1)?);
+    (start, end): (u64, u64),
+) -> SydResult<SlotBitmap> {
     if end.saturating_sub(start) > MAX_FREE_WINDOW {
         return Err(SydError::Protocol(format!(
             "free_slots_bitmap: a window of {} slots is longer than {MAX_FREE_WINDOW}",
             end - start
         )));
     }
-    Ok((start, end))
+    cal.free_bitmap(start, end)
+}
+
+pub(crate) fn slot_status<C: CalendarView>(
+    cal: &C,
+    _ctx: &InvokeCtx,
+    (ordinal,): (u64,),
+) -> SydResult<(SlotState, Priority)> {
+    slot_of(cal.store(), ordinal)
+}
+
+/// The stored record, checked to decode before it is served on.
+pub(crate) fn meeting_info<C: CalendarView>(
+    cal: &C,
+    _ctx: &InvokeCtx,
+    (id,): (MeetingId,),
+) -> SydResult<Option<Record<Meeting>>> {
+    let row = cal
+        .store()
+        .get_by_key(T_MEETINGS, &[Value::from(id.raw())])?;
+    row.map(|row| Record::from_value(row.values[1].clone()))
+        .transpose()
 }
 
 /// [`CalendarApp::free_bitmap`] by a scan of the `slots` rows of any store
@@ -845,19 +814,12 @@ fn slot_of(store: &Store, ordinal: u64) -> SydResult<(SlotState, Priority)> {
             }
         }
     };
-    Ok((state, Priority::new(row.values[3].as_i64()? as u8)))
+    Ok((state, Priority::view(&row.values[3])?))
 }
 
 /// The correlation id of `user`'s availability link for `meeting`.
 fn avail_corr(meeting: MeetingId, user: UserId) -> Text {
     Text::format(format_args!("avail:{}:{}", meeting.raw(), user.raw()))
-}
-
-/// Argument `i` of `method` as a slot ordinal or window bound, checked where
-/// it enters: a negative number is a protocol error, not a wrapped ordinal.
-pub(crate) fn ordinal_arg(args: &[Value], i: usize, method: &str) -> SydResult<u64> {
-    let n = arg(args, i)?.as_i64()?;
-    u64::try_from(n).map_err(|_| SydError::Protocol(format!("{method}: negative ordinal {n}")))
 }
 
 impl CalendarApp {
@@ -952,12 +914,7 @@ impl CalendarApp {
             let initiator = rec.initiator;
             let id = rec.id;
             self.in_background(move |app| {
-                let _ = app.device.engine().invoke(
-                    initiator,
-                    &calendar_service(),
-                    "peer_available",
-                    vec![Value::from(id.raw())],
-                );
+                let _ = app.device.engine().call(initiator, PEER_AVAILABLE, (id,));
             });
         }
         Ok(())

@@ -32,16 +32,17 @@ use std::sync::Arc;
 
 use syd_core::links::{Constraint, Link, LinkKind, LinkRef, LinkSpec, LinkStatus};
 use syd_core::negotiate::{Participant, Phase2};
-use syd_core::Call;
+use syd_core::{Body, Call};
 use syd_store::Predicate;
 use syd_telemetry::names;
 use syd_types::sync;
-use syd_types::{
-    LinkId, MeetingId, SlotBitmap, SlotRange, SydError, SydResult, Text, TimeSlot, UserId, Value,
-};
-use syd_wire::{decode_from_slice, Args};
+use syd_types::{LinkId, MeetingId, SlotRange, SydError, SydResult, Text, TimeSlot, UserId, Value};
+use syd_wire::Record;
 
-use crate::app::{calendar_service, CalendarApp, T_AVAILQ};
+use crate::app::{
+    CalendarApp, CHANGE_REQUEST, DROP_AVAILABILITY, FREE_SLOTS_BITMAP, LEAVE_REQUEST,
+    PEER_AVAILABLE, QUEUE_AVAILABILITY, RELEASE_SLOT, SLOT_STATUS, T_AVAILQ, UPDATE_MEETING,
+};
 use crate::model::{slot_entity, Meeting, MeetingSpec, MeetingStatus, ScheduleOutcome};
 
 /// How far ahead (in slots) auto-rescheduling searches for a new time.
@@ -70,7 +71,7 @@ impl CalendarApp {
     /// reached — "ensure that all participants confirm, before the
     /// subsequent actions would be valid".
     ///
-    /// Availability travels as a [`SlotBitmap`] — one bit per slot in the
+    /// Availability travels as a [`syd_types::SlotBitmap`] — one bit per slot in the
     /// window, whatever the calendars' density — and the views intersect
     /// by bitwise AND. A proxy standing in for a disconnected participant
     /// answers the same method from its replica, so the query is one round
@@ -91,16 +92,12 @@ impl CalendarApp {
             .copied()
             .filter(|&u| u != self.user())
             .collect();
-        let result = self.device.engine().invoke_group(
-            &others,
-            &calendar_service(),
-            "free_slots_bitmap",
-            vec![Value::from(start), Value::from(end)],
-        );
+        let engine = self.device.engine();
+        let result = engine.call_group(&others, FREE_SLOTS_BITMAP, (start, end));
         for (user, outcome) in result.outcomes {
             let theirs =
                 outcome.map_err(|e| SydError::App(format!("could not query {user}: {e}")))?;
-            common.and_assign(&decode_from_slice::<SlotBitmap>(theirs.as_bytes()?)?);
+            common.and_assign(&theirs);
         }
         Ok(common.to_slots())
     }
@@ -226,7 +223,6 @@ impl CalendarApp {
     fn reconcile_locked(&self, mut rec: Meeting) -> SydResult<Meeting> {
         let id = rec.id;
         let me = self.user();
-        let svc = calendar_service();
         let participants = rec.all_participants();
         let ordinal = rec.ordinal;
 
@@ -254,7 +250,7 @@ impl CalendarApp {
         let phase2 = |chosen: &[&Participant]| {
             let holders: Vec<UserId> = chosen.iter().map(|p| p.user).collect();
             let expected = Self::held_by(&rec, &holders);
-            let record = expected.to_value();
+            let record = Record::new(&expected);
             let mut kinds: [Option<Arc<Value>>; 3] = Default::default();
             let changes = chosen
                 .iter()
@@ -264,19 +260,20 @@ impl CalendarApp {
                     let change = kinds[kind].get_or_insert_with(|| {
                         let link = (kind > 0).then(|| self.back_link(&expected, supervisor));
                         let link = link.map(|link| link.to_value());
-                        Arc::new(Self::reserve_change(&expected, record.clone(), link))
+                        let record = record.value().clone();
+                        Arc::new(Self::reserve_change(&expected, record, link))
                     });
                     Arc::clone(change)
                 })
                 .collect();
             let missing = expected.missing();
-            let queue = Args::from(vec![Value::from(ordinal), record]);
+            let queue = Body::from((ordinal, record));
             if !missing.is_empty() {
                 queue.preencode();
             }
             let riders = missing
                 .into_iter()
-                .map(|user| Call::new(user, &svc, "queue_availability", queue.clone()))
+                .map(|user| Call::verb(user, QUEUE_AVAILABILITY, queue.clone()))
                 .collect();
             Phase2 { changes, riders }
         };
@@ -311,13 +308,8 @@ impl CalendarApp {
         // the next round.
         let mut batch: Vec<Call<'_>> = Vec::new();
         if !holders_told {
-            let record = vec![rec.to_value()];
-            batch.extend(Call::broadcast(
-                &participants,
-                &svc,
-                "update_meeting",
-                record,
-            ));
+            let record = (Record::new(&rec),);
+            batch.extend(Call::verb_each(&participants, UPDATE_MEETING, record));
         }
         let unqueued: Vec<UserId> = missing
             .iter()
@@ -325,8 +317,8 @@ impl CalendarApp {
             .filter(|u| !outcome.rode.contains(u))
             .collect();
         if !unqueued.is_empty() {
-            let args = vec![Value::from(ordinal), rec.to_value()];
-            batch.extend(Call::broadcast(&unqueued, &svc, "queue_availability", args));
+            let args = (ordinal, Record::new(&rec));
+            batch.extend(Call::verb_each(&unqueued, QUEUE_AVAILABILITY, args));
         }
         if !batch.is_empty() {
             let mut span = self.device.node().tracer().span(names::SPAN_HOUSEKEEPING);
@@ -368,20 +360,11 @@ impl CalendarApp {
     /// when every grab attempt ran into another coordinator's locks and no
     /// vote says who holds what.
     fn slot_holders(&self, rec: &Meeting) -> Vec<UserId> {
-        let statuses = self.device.engine().invoke_group(
-            &rec.all_participants(),
-            &calendar_service(),
-            "slot_status",
-            vec![Value::from(rec.ordinal)],
-        );
+        let engine = self.device.engine();
+        let statuses = engine.call_group(&rec.all_participants(), SLOT_STATUS, (rec.ordinal,));
         statuses
             .oks()
-            .filter(|(_, v)| {
-                v.get("meeting")
-                    .ok()
-                    .and_then(|m| m.as_i64().ok())
-                    .is_some_and(|m| m as u64 == rec.id.raw())
-            })
+            .filter(|(_, (state, _))| state.meeting() == Some(rec.id))
             .map(|(user, _)| user)
             .collect()
     }
@@ -509,27 +492,12 @@ impl CalendarApp {
     /// kernel cascade that deletion starts is addressed to nobody but
     /// the participants whose release did not get through.
     fn retire(&self, rec: &Meeting, ordinal: u64, to_status: MeetingStatus) -> SydResult<()> {
-        let svc = calendar_service();
         let participants = rec.all_participants();
         let queued = self.queued(rec.id)?;
-        let mut batch: Vec<Call<'_>> = Call::broadcast(
-            &participants,
-            &svc,
-            "release_slot",
-            vec![
-                Value::from(ordinal),
-                Value::from(rec.id.raw()),
-                Value::from(to_status),
-                Value::Bool(true),
-            ],
-        )
-        .collect();
-        batch.extend(Call::broadcast(
-            &queued,
-            &svc,
-            "drop_availability",
-            vec![Value::from(rec.id.raw())],
-        ));
+        let release = (ordinal, rec.id, to_status, true);
+        let mut batch: Vec<Call<'_>> =
+            Call::verb_each(&participants, RELEASE_SLOT, release).collect();
+        batch.extend(Call::verb_each(&queued, DROP_AVAILABILITY, (rec.id,)));
         let answers = self.device.engine().invoke_batch(&batch);
         self.unqueue(rec.id, &queued)?;
 
@@ -554,17 +522,10 @@ impl CalendarApp {
         if rec.initiator == self.user() {
             return self.handle_change_request(id, new_slot.ordinal());
         }
-        let out = self.device.engine().invoke(
-            rec.initiator,
-            &calendar_service(),
-            "change_request",
-            vec![
-                Value::from(id.raw()),
-                Value::from(new_slot.ordinal()),
-                Value::from(self.user().raw()),
-            ],
-        )?;
-        out.as_bool()
+        let request = (id, new_slot.ordinal());
+        self.device
+            .engine()
+            .call(rec.initiator, CHANGE_REQUEST, request)
     }
 
     /// Initiator side of a change request: negotiation-and over every
@@ -624,13 +585,10 @@ impl CalendarApp {
                 "the initiator cancels rather than leaves".into(),
             ));
         }
-        let out = self.device.engine().invoke(
-            rec.initiator,
-            &calendar_service(),
-            "leave_request",
-            vec![Value::from(id.raw()), Value::from(self.user().raw())],
-        )?;
-        out.as_bool()
+        let request = (id, self.user());
+        self.device
+            .engine()
+            .call(rec.initiator, LEAVE_REQUEST, request)
     }
 
     pub(crate) fn handle_leave_request(&self, id: MeetingId, user: UserId) -> SydResult<bool> {
@@ -671,17 +629,9 @@ impl CalendarApp {
             extended.extend(outcome.committed.iter().copied());
             if !rec.constraints_satisfied_by(&extended) {
                 // Release the recruits we grabbed but cannot use.
-                let _ = self.device.engine().invoke_group(
-                    &outcome.committed,
-                    &calendar_service(),
-                    "release_slot",
-                    vec![
-                        Value::from(rec.ordinal),
-                        Value::from(id.raw()),
-                        Value::from(rec.status),
-                        Value::Bool(false),
-                    ],
-                );
+                let release = (rec.ordinal, id, rec.status, false);
+                let engine = self.device.engine();
+                let _ = engine.call_group(&outcome.committed, RELEASE_SLOT, release);
                 return Ok(false);
             }
             rec.reserved = rec
@@ -694,24 +644,10 @@ impl CalendarApp {
         }
         self.put_meeting(&rec)?;
         // Free the leaver's slot and broadcast the new roster.
-        let _ = self.device.engine().invoke(
-            user,
-            &calendar_service(),
-            "release_slot",
-            vec![
-                Value::from(rec.ordinal),
-                Value::from(id.raw()),
-                Value::from(rec.status),
-                Value::Bool(false),
-            ],
-        );
+        let engine = self.device.engine();
+        let _ = engine.call(user, RELEASE_SLOT, (rec.ordinal, id, rec.status, false));
         let participants = rec.all_participants();
-        let _ = self.device.engine().invoke_group(
-            &participants,
-            &calendar_service(),
-            "update_meeting",
-            vec![rec.to_value()],
-        );
+        let _ = engine.call_group(&participants, UPDATE_MEETING, (Record::new(&rec),));
         Ok(true)
     }
 
@@ -757,12 +693,10 @@ impl CalendarApp {
                 );
             }
             None => {
-                let _ = self.device.engine().invoke(
-                    rec.initiator,
-                    &calendar_service(),
-                    "peer_available",
-                    vec![Value::from(id.raw())],
-                );
+                let _ = self
+                    .device
+                    .engine()
+                    .call(rec.initiator, PEER_AVAILABLE, (id,));
             }
         }
         Ok(())

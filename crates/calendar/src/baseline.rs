@@ -26,15 +26,24 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use syd_core::{DeviceRuntime, InvokeCtx, Method};
+use syd_core::{DeviceRuntime, InvokeCtx, Method, Methods, Verb};
 use syd_store::{Column, ColumnType, Predicate, Schema, Store};
 use syd_types::sync::{Mutex, Rank};
 use syd_types::{ServiceName, SydError, SydResult, TimeSlot, UserId, Value};
 
-/// The baseline calendar's service name.
-pub fn baseline_service() -> ServiceName {
-    ServiceName::new("bcal")
-}
+/// The baseline calendar's service.
+pub const BCAL: &ServiceName = &ServiceName::constant("bcal");
+
+/// The busy ordinals of `[start, end)`: a polled folder.
+pub const FOLDER: Verb<(u64, u64), Vec<u64>> = Verb::new(BCAL, "folder");
+/// The e-mailed invite: (proposal, initiator, ordinal).
+pub const INVITE: Verb<(u64, UserId, u64), ()> = Verb::new(BCAL, "invite");
+/// A participant's answer: (proposal, participant, accepted).
+pub const RSVP: Verb<(u64, UserId, bool), ()> = Verb::new(BCAL, "rsvp");
+/// Writes a slot; `false` when it is taken (a stale view).
+pub const COMMIT_SLOT: Verb<(u64,), bool> = Verb::new(BCAL, "commit_slot");
+/// Frees a slot.
+pub const FREE_SLOT: Verb<(u64,), ()> = Verb::new(BCAL, "free_slot");
 
 const T_BSLOTS: &str = "bslots";
 const T_REPLICAS: &str = "breplicas";
@@ -114,7 +123,7 @@ impl BaselineCalendar {
             next_proposal: AtomicU64::new(1),
             stats: Arc::new(BaselineStats::default()),
         });
-        device.serve(&baseline_service(), &app, BASELINE_METHODS);
+        device.serve(BCAL, &app, BASELINE_METHODS);
         device.publish()?;
         Ok(app)
     }
@@ -174,22 +183,16 @@ impl BaselineCalendar {
     /// §6 "copy of every member's folder", kept fresh only by polling.
     pub fn refresh_replicas(&self, users: &[UserId], start: u64, end: u64) -> SydResult<()> {
         self.stats.polls.fetch_add(1, Ordering::Relaxed);
-        let result = self.device.engine().invoke_group(
-            users,
-            &baseline_service(),
-            "folder",
-            vec![Value::from(start), Value::from(end)],
-        );
+        let result = self.device.engine().call_group(users, FOLDER, (start, end));
         for (user, outcome) in result.outcomes {
             let Ok(folder) = outcome else { continue };
             self.store.delete(
                 T_REPLICAS,
                 &Predicate::Eq("user".into(), Value::from(user.raw())),
             )?;
-            for v in folder.as_list()? {
-                let _ = self
-                    .store
-                    .insert(T_REPLICAS, vec![Value::from(user.raw()), v.clone()]);
+            for ordinal in folder {
+                let row = vec![Value::from(user.raw()), Value::from(ordinal)];
+                let _ = self.store.insert(T_REPLICAS, row);
             }
         }
         Ok(())
@@ -242,16 +245,8 @@ impl BaselineCalendar {
         });
         for &user in participants {
             self.stats.invites_sent.fetch_add(1, Ordering::Relaxed);
-            self.device.engine().invoke(
-                user,
-                &baseline_service(),
-                "invite",
-                vec![
-                    Value::from(id),
-                    Value::from(self.user().raw()),
-                    Value::from(slot.ordinal()),
-                ],
-            )?;
+            let invite = (id, self.user(), slot.ordinal());
+            self.device.engine().call(user, INVITE, invite)?;
         }
         Ok(id)
     }
@@ -273,17 +268,8 @@ impl BaselineCalendar {
             inbox.remove(idx)
         };
         let (_, initiator, _) = entry;
-        self.device.engine().invoke(
-            initiator,
-            &baseline_service(),
-            "rsvp",
-            vec![
-                Value::from(proposal),
-                Value::from(self.user().raw()),
-                Value::Bool(true),
-            ],
-        )?;
-        Ok(())
+        let rsvp = (proposal, self.user(), true);
+        self.device.engine().call(initiator, RSVP, rsvp)
     }
 
     /// The human declines an invite.
@@ -297,17 +283,8 @@ impl BaselineCalendar {
             inbox.remove(idx)
         };
         let (_, initiator, _) = entry;
-        self.device.engine().invoke(
-            initiator,
-            &baseline_service(),
-            "rsvp",
-            vec![
-                Value::from(proposal),
-                Value::from(self.user().raw()),
-                Value::Bool(false),
-            ],
-        )?;
-        Ok(())
+        let rsvp = (proposal, self.user(), false);
+        self.device.engine().call(initiator, RSVP, rsvp)
     }
 
     /// Status of a proposal (initiator side).
@@ -330,12 +307,10 @@ impl BaselineCalendar {
         }
         self.free(slot)?;
         for &user in participants {
-            let _ = self.device.engine().invoke(
-                user,
-                &baseline_service(),
-                "free_slot",
-                vec![Value::from(slot.ordinal())],
-            );
+            let _ = self
+                .device
+                .engine()
+                .call(user, FREE_SLOT, (slot.ordinal(),));
         }
         Ok(())
     }
@@ -360,19 +335,15 @@ impl BaselineCalendar {
         let mut written = vec![];
         if ok {
             for &user in &participants {
-                let out = self.device.engine().invoke(
-                    user,
-                    &baseline_service(),
-                    "commit_slot",
-                    vec![Value::from(slot.ordinal())],
-                );
-                match out {
-                    Ok(Value::Bool(true)) => written.push(user),
-                    _ => {
-                        ok = false;
-                        break;
-                    }
+                let out = self
+                    .device
+                    .engine()
+                    .call(user, COMMIT_SLOT, (slot.ordinal(),));
+                if out != Ok(true) {
+                    ok = false;
+                    break;
                 }
+                written.push(user);
             }
         }
         if !ok {
@@ -381,12 +352,10 @@ impl BaselineCalendar {
             self.stats.stale_failures.fetch_add(1, Ordering::Relaxed);
             let _ = self.free(slot);
             for &user in &written {
-                let _ = self.device.engine().invoke(
-                    user,
-                    &baseline_service(),
-                    "free_slot",
-                    vec![Value::from(slot.ordinal())],
-                );
+                let _ = self
+                    .device
+                    .engine()
+                    .call(user, FREE_SLOT, (slot.ordinal(),));
             }
         }
         let mut proposals = self.proposals.lock();
@@ -402,37 +371,37 @@ impl BaselineCalendar {
 }
 
 /// The baseline's service.
-static BASELINE_METHODS: &[Method<BaselineCalendar>] = &[
-    Method::new("folder", folder),
-    Method::new("invite", invite),
-    Method::new("rsvp", rsvp),
-    Method::new("commit_slot", commit_slot),
-    Method::new("free_slot", free_slot),
+static BASELINE_METHODS: &Methods<BaselineCalendar> = &[
+    &Method::verb(FOLDER, |app: &BaselineCalendar, _, (start, end)| {
+        app.busy_ordinals(start, end)
+    }),
+    &Method::verb(
+        INVITE,
+        |app: &BaselineCalendar, _, (proposal, initiator, ordinal)| {
+            let slot = TimeSlot::from_ordinal(ordinal);
+            app.inbox.lock().push((proposal, initiator, slot));
+            Ok(())
+        },
+    ),
+    &Method::verb(RSVP, rsvp),
+    &Method::verb(COMMIT_SLOT, |app: &BaselineCalendar, _, (ordinal,)| {
+        let slot = TimeSlot::from_ordinal(ordinal);
+        let free = app.is_free(slot)?;
+        if free {
+            app.mark_busy(slot)?;
+        }
+        Ok(free)
+    }),
+    &Method::verb(FREE_SLOT, |app: &BaselineCalendar, _, (ordinal,)| {
+        app.free(TimeSlot::from_ordinal(ordinal))
+    }),
 ];
 
-/// folder(start, end) -> busy ordinals
-fn folder(app: &BaselineCalendar, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    let start = args[0].as_i64()? as u64;
-    let end = args[1].as_i64()? as u64;
-    Ok(Value::list(
-        app.busy_ordinals(start, end)?.into_iter().map(Value::from),
-    ))
-}
-
-/// invite(proposal, initiator, ordinal) -> Null
-fn invite(app: &BaselineCalendar, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    let proposal = args[0].as_i64()? as u64;
-    let initiator = UserId::new(args[1].as_i64()? as u64);
-    let slot = TimeSlot::from_ordinal(args[2].as_i64()? as u64);
-    app.inbox.lock().push((proposal, initiator, slot));
-    Ok(Value::Null)
-}
-
-/// rsvp(proposal, user, accepted) -> Null
-fn rsvp(app: &BaselineCalendar, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    let proposal = args[0].as_i64()? as u64;
-    let user = UserId::new(args[1].as_i64()? as u64);
-    let accepted = args[2].as_bool()?;
+fn rsvp(
+    app: &BaselineCalendar,
+    _ctx: &InvokeCtx,
+    (proposal, user, accepted): (u64, UserId, bool),
+) -> SydResult<()> {
     app.stats.rsvps.fetch_add(1, Ordering::Relaxed);
     {
         let mut proposals = app.proposals.lock();
@@ -446,26 +415,7 @@ fn rsvp(app: &BaselineCalendar, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<V
             }
         }
     }
-    app.try_finalize(proposal)?;
-    Ok(Value::Null)
-}
-
-/// commit_slot(ordinal) -> Bool (false when taken: stale view)
-fn commit_slot(app: &BaselineCalendar, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    let slot = TimeSlot::from_ordinal(args[0].as_i64()? as u64);
-    if app.is_free(slot)? {
-        app.mark_busy(slot)?;
-        Ok(Value::Bool(true))
-    } else {
-        Ok(Value::Bool(false))
-    }
-}
-
-/// free_slot(ordinal) -> Null
-fn free_slot(app: &BaselineCalendar, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    let slot = TimeSlot::from_ordinal(args[0].as_i64()? as u64);
-    app.free(slot)?;
-    Ok(Value::Null)
+    app.try_finalize(proposal)
 }
 
 #[cfg(test)]

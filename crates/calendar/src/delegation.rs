@@ -11,22 +11,25 @@
 use syd_store::{Column, ColumnType, Predicate, Schema};
 use syd_types::{Priority, SydError, SydResult, Timestamp, UserId, Value};
 
-use syd_core::{arg, InvokeCtx};
+use syd_core::{InvokeCtx, Verb};
+use syd_wire::AsValue;
 
-use crate::app::{calendar_service, CalendarApp};
+use crate::app::{CalendarApp, CALENDAR};
 use crate::model::{MeetingSpec, ScheduleOutcome};
 
 const T_DELEGATIONS: &str = "delegations";
 
-/// authority_check(delegate) -> {priority} | error — served by the
+/// The priority a delegate may schedule with, or an error: served by the
 /// delegator's device, so authority is always checked against the live
 /// grant, not a stale copy.
+pub const AUTHORITY_CHECK: Verb<(UserId,), Priority> = Verb::new(CALENDAR, "authority_check");
+
+/// [`AUTHORITY_CHECK`]'s handler.
 pub(crate) fn authority_check(
     app: &CalendarApp,
     ctx: &InvokeCtx,
-    args: &[Value],
-) -> SydResult<Value> {
-    let delegate = UserId::new(arg(args, 0)?.as_i64()? as u64);
+    (delegate,): (UserId,),
+) -> SydResult<Priority> {
     // When authenticated, only the delegate themself can exercise the
     // grant.
     if ctx.authenticated && ctx.caller != delegate {
@@ -40,10 +43,7 @@ pub(crate) fn authority_check(
             return Err(SydError::App("delegation expired".into()));
         }
     }
-    Ok(Value::map([(
-        "priority",
-        Value::from(grant.priority.level() as u32),
-    )]))
+    Ok(grant.priority)
 }
 
 /// A delegation grant as seen by the grantee.
@@ -127,7 +127,7 @@ impl CalendarApp {
             Some(row) => Ok(Some(Delegation {
                 delegator: self.user(),
                 delegate,
-                priority: Priority::new(row.values[1].as_i64()? as u8),
+                priority: Priority::view(&row.values[1])?,
                 expires: match &row.values[2] {
                     Value::Null => None,
                     v => Some(Timestamp::from_micros(v.as_i64()? as u64)),
@@ -144,14 +144,8 @@ impl CalendarApp {
         boss: UserId,
         mut spec: MeetingSpec,
     ) -> SydResult<ScheduleOutcome> {
-        let authority = self.device.engine().invoke(
-            boss,
-            &calendar_service(),
-            "authority_check",
-            vec![Value::from(self.user().raw())],
-        )?;
-        let priority = Priority::new(authority.get("priority")?.as_i64()? as u8);
-        spec.priority = priority;
+        let engine = self.device.engine();
+        spec.priority = engine.call(boss, AUTHORITY_CHECK, (self.user(),))?;
         if !spec.must_attend.contains(&boss) {
             spec.must_attend.push(boss);
         }

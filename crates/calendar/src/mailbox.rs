@@ -10,14 +10,15 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use syd_core::{DeviceRuntime, InvokeCtx, Method};
+use syd_core::{DeviceRuntime, Method, Methods, Verb};
 use syd_store::{Column, ColumnType, Predicate, Schema, Store};
-use syd_types::{ServiceName, SydError, SydResult, Text, Timestamp, UserId, Value};
+use syd_types::{ServiceName, SydResult, Text, Timestamp, UserId, Value};
 
-/// The mailbox service name.
-pub fn mailbox_service() -> ServiceName {
-    ServiceName::new("mailbox")
-}
+/// The mailbox service.
+pub const MAILBOX: &ServiceName = &ServiceName::constant("mailbox");
+
+/// Files a message (subject, body) under its caller.
+pub const DELIVER: Verb<(Text, Text), ()> = Verb::new(MAILBOX, "deliver");
 
 const T_MAIL: &str = "mail";
 
@@ -37,18 +38,12 @@ pub struct Mail {
 }
 
 /// The `mailbox` service.
-static MAILBOX_METHODS: &[Method<Mailbox>] = &[Method::new("deliver", deliver)];
-
-/// deliver(subject, body?) -> Null, filed under the caller.
-fn deliver(mailbox: &Mailbox, ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    let subject = args
-        .first()
-        .ok_or_else(|| SydError::Protocol("deliver needs subject".into()))?
-        .as_str()?;
-    let body = args.get(1).map(|v| v.as_str()).transpose()?.unwrap_or("");
-    mailbox.deliver_local(ctx.caller, subject, body)?;
-    Ok(Value::Null)
-}
+static MAILBOX_METHODS: &Methods<Mailbox> = &[&Method::verb(
+    DELIVER,
+    |mailbox: &Mailbox, ctx, (subject, body)| {
+        mailbox.deliver_local(ctx.caller, subject, body).map(drop)
+    },
+)];
 
 /// A device's mailbox: local inbox plus outgoing delivery.
 pub struct Mailbox {
@@ -79,7 +74,7 @@ impl Mailbox {
             store,
             next_id: AtomicU64::new(1),
         });
-        device.serve(&mailbox_service(), &mailbox, MAILBOX_METHODS);
+        device.serve(MAILBOX, &mailbox, MAILBOX_METHODS);
         Ok(mailbox)
     }
 
@@ -107,22 +102,10 @@ impl Mailbox {
         Ok(id)
     }
 
-    /// The argument list of `mailbox/deliver`.
-    pub(crate) fn deliver_args(subject: &str, body: &str) -> Vec<Value> {
-        vec![Value::str(subject), Value::str(body)]
-    }
-
     /// Sends a message to `to`'s mailbox. Best effort.
     pub fn send(&self, to: UserId, subject: &str, body: &str) -> SydResult<()> {
-        self.device
-            .engine()
-            .invoke(
-                to,
-                &mailbox_service(),
-                "deliver",
-                Self::deliver_args(subject, body),
-            )
-            .map(|_| ())
+        let message = (Text::from(subject), Text::from(body));
+        self.device.engine().call(to, DELIVER, message)
     }
 
     /// Sends the same message to every mailbox of `to` in one round.
@@ -134,18 +117,11 @@ impl Mailbox {
         subject: &str,
         body: &str,
     ) -> Vec<(UserId, SydResult<()>)> {
+        let message = (Text::from(subject), Text::from(body));
         self.device
             .engine()
-            .invoke_group(
-                to,
-                &mailbox_service(),
-                "deliver",
-                Self::deliver_args(subject, body),
-            )
+            .call_group(to, DELIVER, message)
             .outcomes
-            .into_iter()
-            .map(|(user, outcome)| (user, outcome.map(|_| ())))
-            .collect()
     }
 
     /// The local inbox, oldest first.

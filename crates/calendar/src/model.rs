@@ -1,7 +1,7 @@
 //! Calendar data model: slots, meetings, scheduling specs.
 
 use syd_types::{Priority, SydError, SydResult, Text, TimeSlot, UserId, Value};
-use syd_wire::{decode_from_slice, encode_to_vec, Decode, Encode, Reader, Sink};
+use syd_wire::{decode_from_slice, encode_to_vec, AsValue, Decode, Encode, Reader, Sink};
 
 pub use syd_types::MeetingId;
 
@@ -84,6 +84,56 @@ impl MeetingStatus {
 impl From<MeetingStatus> for Value {
     fn from(status: MeetingStatus) -> Value {
         Value::from(u32::from(status.tag()))
+    }
+}
+
+/// A status argument is its tag; an unknown one is a protocol error.
+impl AsValue for MeetingStatus {
+    type View<'a> = MeetingStatus;
+
+    fn view(value: &Value) -> SydResult<MeetingStatus> {
+        let status = MeetingStatus::from_tag(value.as_i64()?);
+        status.map_err(|err| SydError::Protocol(err.to_string()))
+    }
+
+    fn from_value(value: Value) -> SydResult<MeetingStatus> {
+        Self::view(&value)
+    }
+
+    fn into_value(self) -> Value {
+        Value::from(self)
+    }
+}
+
+/// A slot's state travels as its status name and holding meeting.
+impl AsValue for SlotState {
+    type View<'a> = SlotState;
+
+    fn view(value: &Value) -> SydResult<SlotState> {
+        let (status, meeting) = <(Text, Option<MeetingId>)>::view(value)?;
+        match (status.as_str(), meeting) {
+            ("free", None) => Ok(SlotState::Free),
+            ("busy", None) => Ok(SlotState::Busy),
+            ("tent", Some(m)) => Ok(SlotState::Tentative(m)),
+            ("conf", Some(m)) => Ok(SlotState::Reserved(m)),
+            (status, meeting) => Err(SydError::Protocol(format!(
+                "bad slot state {status} of {meeting:?}"
+            ))),
+        }
+    }
+
+    fn from_value(value: Value) -> SydResult<SlotState> {
+        Self::view(&value)
+    }
+
+    fn into_value(self) -> Value {
+        let (status, meeting) = match self {
+            SlotState::Free => ("free", None),
+            SlotState::Busy => ("busy", None),
+            SlotState::Tentative(m) => ("tent", Some(m)),
+            SlotState::Reserved(m) => ("conf", Some(m)),
+        };
+        (Text::from(status), meeting).into_value()
     }
 }
 

@@ -13,21 +13,21 @@
 //! device returns, which is the paper's own answer to that situation.
 
 use syd_core::proxy::{enable_replication, ProxyHost};
-use syd_core::Method;
+use syd_core::{Method, Methods};
 use syd_store::Store;
 use syd_types::SydResult;
 
 use crate::app::{
     calendar_service, create_replicated_tables, free_slots_bitmap, meeting_info, slot_status,
-    CalendarApp,
+    CalendarApp, FREE_SLOTS_BITMAP, MEETING_INFO, SLOT_STATUS,
 };
 
 /// The reads a replica serves: the device's own methods, answering from
 /// the replica's store.
-static REPLICA_READS: &[Method<Store>] = &[
-    Method::new("free_slots_bitmap", free_slots_bitmap),
-    Method::new("slot_status", slot_status),
-    Method::new("meeting_info", meeting_info),
+static REPLICA_READS: &Methods<Store> = &[
+    &Method::verb(FREE_SLOTS_BITMAP, free_slots_bitmap),
+    &Method::verb(SLOT_STATUS, slot_status),
+    &Method::verb(MEETING_INFO, meeting_info),
 ];
 
 /// Hosts `app`'s user's calendar read path on `proxy` and starts
@@ -46,7 +46,7 @@ pub fn host_calendar_on_proxy(proxy: &ProxyHost, app: &CalendarApp) -> SydResult
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 mod tests {
     use super::*;
-    use crate::model::{Meeting, MeetingSpec, MeetingStatus};
+    use crate::model::{Meeting, MeetingSpec, MeetingStatus, SlotState};
     use std::time::{Duration, Instant};
     use syd_core::SydEnv;
     use syd_net::NetConfig;
@@ -201,10 +201,15 @@ mod tests {
         let (statuses, bitmap, infos) = &primary;
         let statuses = statuses
             .iter()
-            .map(|v| v.as_map().unwrap()["status"].as_str().unwrap().to_owned());
+            .map(|v| SLOT_STATUS.reply(Ok(v.clone())).unwrap().0);
         assert_eq!(
             statuses.collect::<Vec<_>>(),
-            ["free", "busy", "conf", "tent"]
+            [
+                SlotState::Free,
+                SlotState::Busy,
+                SlotState::Reserved(confirmed.meeting),
+                SlotState::Tentative(tentative.meeting)
+            ]
         );
         let bitmap: SlotBitmap = decode_from_slice(bitmap.as_bytes().unwrap()).unwrap();
         let free_slots = [free, busy, conf, tent].map(|slot| bitmap.is_free(slot));
@@ -229,7 +234,13 @@ mod tests {
         let proxy = env.proxy("asp", "").unwrap();
         host_calendar_on_proxy(&proxy, &phil).unwrap();
         phil.device().disconnect().unwrap();
-        for method in ["free_slots_bitmap", "slot_status", "meeting_info"] {
+        let reads = [FREE_SLOTS_BITMAP.name, SLOT_STATUS.name, MEETING_INFO.name];
+        let served: Vec<&str> = REPLICA_READS.iter().map(|m| m.name()).collect();
+        assert_eq!(
+            served, reads,
+            "the replica serves the calendar's reads, once each"
+        );
+        for method in reads {
             let started = Instant::now();
             let err = suzy
                 .device()

@@ -12,10 +12,11 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use syd_calendar::app::calendar_service;
+use syd_calendar::app::{calendar_service, RELEASE_SLOT};
 use syd_calendar::{CalendarApp, GroupSpec, MeetingId, MeetingSpec, MeetingStatus, SlotState};
+use syd_core::links::DELETE_BY_CORR;
 use syd_core::negotiate::link_service;
-use syd_core::{DeviceRuntime, EntityHandler, Method, SydEnv};
+use syd_core::{DeviceRuntime, EntityHandler, Method, Methods, SydEnv};
 use syd_net::NetConfig;
 use syd_store::{Trigger, TriggerEvent};
 use syd_telemetry::names;
@@ -558,7 +559,7 @@ fn only_a_participant_whose_release_failed_is_sent_the_cascade() {
 
     let deaf = &apps[2];
     // The deaf member's calendar answers only a release, and refuses it.
-    static DEAF: &[Method<()>] = &[Method::new("release_slot", |(), _, _| {
+    static DEAF: &Methods<()> = &[&Method::verb(RELEASE_SLOT, |(), _, _| {
         Err(SydError::App("not now".into()))
     })];
     let no_state = Arc::new(());
@@ -570,19 +571,15 @@ fn only_a_participant_whose_release_failed_is_sent_the_cascade() {
         device: DeviceRuntime,
         served: Arc<Seen>,
     }
-    static RECORDING: &[Method<Recorder>] = &[Method::new("delete_by_corr", |r, _, args| {
-        let visited: Vec<u64> = args[1]
-            .as_list()?
-            .iter()
-            .map(|v| Ok(v.as_i64()? as u64))
-            .collect::<SydResult<_>>()?;
-        r.served.lock().push((r.device.user(), visited.clone()));
-        let report = r
-            .device
-            .links()
-            .delete_by_corr(args[0].as_str()?, visited)?;
-        Ok(Value::from(report.deleted.len() as u64))
-    })];
+    static RECORDING: &Methods<Recorder> = &[&Method::verb(
+        DELETE_BY_CORR,
+        |r: &Recorder, _, (corr, visited)| {
+            let visited: Vec<u64> = visited.iter().map(|u| u.raw()).collect();
+            r.served.lock().push((r.device.user(), visited.clone()));
+            let report = r.device.links().delete_by_corr(&corr, visited)?;
+            Ok(report.deleted.len() as u64)
+        },
+    )];
     let served = Arc::new(Mutex::new(Rank::Leaf, Vec::<(UserId, Vec<u64>)>::new()));
     let _recorders: Vec<_> = apps
         .iter()

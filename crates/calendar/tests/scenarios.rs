@@ -755,3 +755,60 @@ fn meeting_with_unreachable_participant_stays_tentative() {
     let status = apps[0].reconcile(outcome.meeting).unwrap();
     assert_eq!(status, MeetingStatus::Confirmed);
 }
+
+/// A peer's priority is checked where it enters, as every verb's is: a
+/// mark or a commit whose change carries a priority outside 0–255 is
+/// refused, and the slot keeps its holder. Read by truncation, `-1`
+/// arrived as 255 and outranked every holder, and `356` as 100.
+#[test]
+fn a_change_with_a_priority_out_of_range_is_refused() {
+    use syd_calendar::app::SLOT_STATUS;
+    use syd_core::negotiate::link_service;
+    let (_env, apps) = rig(2);
+    let slot = TimeSlot::new(3, 10);
+    let outcome = apps[0]
+        .schedule(MeetingSpec::plain("held", slot, vec![apps[1].user()]))
+        .unwrap();
+    assert_eq!(outcome.status, MeetingStatus::Confirmed);
+    let holder = apps[1].slot_state(slot.ordinal()).unwrap();
+    assert_eq!(holder, SlotState::Reserved(outcome.meeting));
+    let status = || {
+        let engine = apps[0].device().engine();
+        engine.call(apps[1].user(), SLOT_STATUS, (slot.ordinal(),))
+    };
+    let before = status().unwrap();
+
+    // A rogue coordinator: `mark` and `commit` go out through the node,
+    // past the engine, which sends no §4.3 verb of its own accord.
+    let mut rogue = apps[1].meeting(outcome.meeting).unwrap().unwrap();
+    rogue.id = MeetingId::new(outcome.meeting.raw() + 1);
+    let node = apps[0].device().node();
+    let addr = apps[1].device().addr();
+    for (n, priority) in [(1, -1), (2, 256)] {
+        let change = Value::map([
+            ("action", Value::str("reserve")),
+            ("meeting", Value::from(rogue.id.raw())),
+            ("priority", Value::I64(priority)),
+            ("record", rogue.to_value()),
+        ]);
+        let step = |verb: &str| {
+            let args = vec![
+                Value::from((99u64 << 24) | n),
+                Value::str(syd_calendar::slot_entity(slot.ordinal())),
+                change.clone(),
+            ];
+            node.call(addr, &link_service(), verb, args)
+        };
+        let vote = step("mark");
+        assert_eq!(
+            vote,
+            Ok(Value::Bool(false)),
+            "priority {priority}: a vote no"
+        );
+        let commit = step("commit");
+        assert!(commit.is_err(), "priority {priority}: {commit:?}");
+        assert_eq!(status().unwrap(), before, "priority {priority}");
+        assert_eq!(apps[1].slot_state(slot.ordinal()).unwrap(), holder);
+    }
+    assert_eq!(apps[1].device().store().locks().held_count(), 0);
+}

@@ -20,18 +20,19 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use syd_crypto::Authenticator;
-use syd_net::{Node, Transport};
+use syd_net::{Node, Transport, Verb};
 use syd_store::{LockKey, LockRights, OrdValue, Store};
 use syd_telemetry::{names, Event, EventKind, Journal, Registry, Vote};
 use syd_types::sync::{Mutex, Rank, RwLock};
-use syd_types::{Clock, NodeAddr, ServiceName, SydError, SydResult, UserId, Value};
+use syd_types::{Clock, NodeAddr, ServiceName, SydError, SydResult, Text, UserId, Value};
 
-use crate::directory::DirectoryClient;
+use crate::directory::{DirectoryClient, PUBLISH, REGISTER, SET_CONNECTED};
 use crate::engine::SydEngine;
 use crate::events::EventHandler;
 use crate::links::LinksModule;
-use crate::listener::{arg, InvokeCtx, Listener, Method};
-use crate::negotiate::{fsm, link_service, Negotiator, ABORT, COMMIT, MARK};
+use crate::links::{DELETE_BY_CORR, INSTALL_LINK, NOTIFY, OFFER_LINK};
+use crate::listener::{InvokeCtx, Listener, Method, Methods};
+use crate::negotiate::{fsm, Negotiator, ABORT, COMMIT, LINK, MARK};
 
 /// How long a participant waits for an entity lock before voting no.
 const MARK_LOCK_WAIT: Duration = Duration::from_millis(200);
@@ -166,16 +167,14 @@ impl DeviceRuntime {
             services: Mutex::new(Rank::Engine, Vec::new()),
             stopped: AtomicBool::new(false),
         });
-        inner.listener.serve(&link_service(), &inner, LINK_METHODS);
-        inner
-            .listener
-            .serve(&ServiceName::new("syd.ping"), &inner, PING_METHODS);
+        inner.listener.serve(LINK, &inner, LINK_METHODS);
+        inner.listener.serve(PING_SERVICE, &inner, PING_METHODS);
         let device = DeviceRuntime { inner };
         // Found only once it serves its kernel methods. A refused join (the
         // name is taken, the directory is out of reach) leaves no endpoint.
         let directory = device.engine().directory();
         directory
-            .register(user, name, device.addr())
+            .call(REGISTER, (user, name.into(), device.addr()))
             .inspect_err(|_| device.shutdown())?;
         Ok(device)
     }
@@ -299,7 +298,7 @@ impl DeviceRuntime {
         &self,
         service: &ServiceName,
         state: &Arc<S>,
-        table: &'static [Method<S>],
+        table: &'static Methods<S>,
     ) {
         self.inner.listener.serve(service, state, table);
         let mut services = self.inner.services.lock();
@@ -336,7 +335,8 @@ impl DeviceRuntime {
         let directory = self.engine().directory().clone();
         let user = self.inner.user;
         let job = move || {
-            let results = directory.publish(user, &pending);
+            let publish = pending.iter().map(|s| (user, Text::from(s.as_str())));
+            let results = directory.call_each(PUBLISH, publish);
             let Some(inner) = device.upgrade() else {
                 return;
             };
@@ -387,10 +387,8 @@ impl DeviceRuntime {
     pub fn disconnect(&self) -> SydResult<()> {
         // Order matters: mark the directory first, then drop connectivity
         // (the directory call itself needs the network).
-        self.inner
-            .engine
-            .directory()
-            .set_connected(self.inner.user, false)?;
+        let directory = self.inner.engine.directory();
+        directory.call(SET_CONNECTED, (self.inner.user, false))?;
         self.inner.node.link().set_connected(false);
         Ok(())
     }
@@ -399,10 +397,8 @@ impl DeviceRuntime {
     /// publishes what the directory has not acknowledged.
     pub fn reconnect(&self) -> SydResult<()> {
         self.inner.node.link().set_connected(true);
-        self.inner
-            .engine
-            .directory()
-            .set_connected(self.inner.user, true)?;
+        let directory = self.inner.engine.directory();
+        directory.call(SET_CONNECTED, (self.inner.user, true))?;
         self.publish()
     }
 
@@ -459,25 +455,40 @@ impl Drop for Pinned<'_> {
 
 /// The link service (§4.2–§4.4): what a peer's links and negotiations
 /// call on this device.
-static LINK_METHODS: &[Method<DeviceInner>] = &[
-    Method::new(MARK, mark),
-    Method::new(COMMIT, commit),
-    Method::new(ABORT, abort),
-    Method::new("offer_link", offer_link),
-    Method::new("install_link", install_link),
-    Method::new("delete_by_corr", delete_by_corr),
-    Method::new("notify", notify),
+static LINK_METHODS: &Methods<DeviceInner> = &[
+    &Method::verb(MARK, mark),
+    &Method::verb(COMMIT, commit),
+    &Method::verb(ABORT, abort),
+    &Method::verb(
+        OFFER_LINK,
+        |inner: &DeviceInner, _, (entity, action, from)| {
+            let acceptor = inner.link_acceptor.read().clone();
+            Ok(acceptor.is_none_or(|accept| accept(&entity, &action, from)))
+        },
+    ),
+    &Method::verb(INSTALL_LINK, |inner: &DeviceInner, _, (link,)| {
+        inner.links.install(link)
+    }),
+    &Method::verb(DELETE_BY_CORR, delete_by_corr),
+    &Method::verb(NOTIFY, notify),
 ];
 
-/// The liveness probe proxies use.
-static PING_METHODS: &[Method<DeviceInner>] =
-    &[Method::new("ping", |_, _, _| Ok(Value::str("pong")))];
+/// The liveness probe's service.
+pub const PING_SERVICE: &ServiceName = &ServiceName::constant("syd.ping");
+/// The liveness probe proxies use: answers `"pong"`.
+pub const PING: Verb<(), Text> = Verb::new(PING_SERVICE, "ping");
+
+/// The liveness probe's service.
+static PING_METHODS: &Methods<DeviceInner> =
+    &[&Method::verb(PING, |_, _, ()| Ok(Text::from("pong")))];
 
 /// mark(session, entity, change) -> vote
-fn mark(inner: &DeviceInner, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    let session = arg(args, 0)?.as_i64()? as u64;
-    let entity = arg(args, 1)?.as_str()?;
-    let change = arg(args, 2)?;
+fn mark(
+    inner: &DeviceInner,
+    _ctx: &InvokeCtx,
+    (session, entity, change): (u64, Text, &Value),
+) -> SydResult<Value> {
+    let entity = entity.as_str();
     let (locks, key) = (&inner.lock_rights, entity_lock_key(entity));
     let journal = inner.node.journal();
     let lapsed = |holder| journal.emit(Event::release(holder, entity, "lease"));
@@ -520,11 +531,13 @@ fn mark(inner: &DeviceInner, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Valu
     Ok(vote.wire_reply())
 }
 
-/// commit(session, entity, change) -> Null
-fn commit(inner: &DeviceInner, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    let session = arg(args, 0)?.as_i64()? as u64;
-    let entity = arg(args, 1)?.as_str()?;
-    let change = arg(args, 2)?;
+/// commit(session, entity, change)
+fn commit(
+    inner: &DeviceInner,
+    _ctx: &InvokeCtx,
+    (session, entity, change): (u64, Text, &Value),
+) -> SydResult<()> {
+    let entity = entity.as_str();
     let (locks, key) = (&inner.lock_rights, entity_lock_key(entity));
     // A coordinator may be slow, not dead: its commit after its lease
     // lapsed is refused, as the entity may have changed hands since. An
@@ -548,14 +561,16 @@ fn commit(inner: &DeviceInner, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Va
     // of one entity.
     journal.emit(Event::commit(session, entity, result.is_ok()));
     drop(pinned);
-    result.map(|()| Value::Null)
+    result
 }
 
-/// abort(session, entity, change) -> Null
-fn abort(inner: &DeviceInner, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    let session = arg(args, 0)?.as_i64()? as u64;
-    let entity = arg(args, 1)?.as_str()?;
-    let change = arg(args, 2)?;
+/// abort(session, entity, change)
+fn abort(
+    inner: &DeviceInner,
+    _ctx: &InvokeCtx,
+    (session, entity, change): (u64, Text, &Value),
+) -> SydResult<()> {
+    let entity = entity.as_str();
     if let Some(h) = inner.entity_handler.read().clone() {
         h.abort(entity, change);
     }
@@ -565,51 +580,32 @@ fn abort(inner: &DeviceInner, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Val
         .journal()
         .emit(Event::release(session, entity, "coordinator-abort"));
     (inner.lock_rights).release(session, &entity_lock_key(entity));
-    Ok(Value::Null)
+    Ok(())
 }
 
-/// offer_link(entity, action, from_user) -> Bool
-fn offer_link(inner: &DeviceInner, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    let entity = arg(args, 0)?.as_str()?;
-    let action = arg(args, 1)?.as_str()?;
-    let from = UserId::new(arg(args, 2)?.as_i64()? as u64);
-    let acceptor = inner.link_acceptor.read().clone();
-    let accept = match acceptor {
-        Some(f) => f(entity, action, from),
-        None => true,
-    };
-    Ok(Value::Bool(accept))
-}
-
-/// install_link(link value) -> link id
-fn install_link(inner: &DeviceInner, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    let id = inner.links.install_remote(arg(args, 0)?)?;
-    Ok(Value::from(id.raw()))
-}
-
-/// delete_by_corr(corr, visited list) -> deleted count
-fn delete_by_corr(inner: &DeviceInner, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    let corr = arg(args, 0)?.as_str()?;
-    let visited = arg(args, 1)?
-        .as_list()?
-        .iter()
-        .map(|v| Ok(v.as_i64()? as u64))
-        .collect::<SydResult<Vec<u64>>>()?;
-    let report = inner.links.delete_by_corr(corr, visited)?;
-    Ok(Value::from(report.deleted.len() as u64))
+/// delete_by_corr(corr, visited) -> deleted count
+fn delete_by_corr(
+    inner: &DeviceInner,
+    _ctx: &InvokeCtx,
+    (corr, visited): (Text, Vec<UserId>),
+) -> SydResult<u64> {
+    let visited = visited.iter().map(|u| u.raw()).collect();
+    let report = inner.links.delete_by_corr(&corr, visited)?;
+    Ok(report.deleted.len() as u64)
 }
 
 /// notify(entity, action, payload) -> handler result
-fn notify(inner: &DeviceInner, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    let entity = arg(args, 0)?.as_str()?;
-    let action = arg(args, 1)?.as_str()?;
-    let payload = arg(args, 2)?;
+fn notify(
+    inner: &DeviceInner,
+    _ctx: &InvokeCtx,
+    (entity, action, payload): (Text, Text, &Value),
+) -> SydResult<Value> {
     inner
         .events
         .publish_local(&format!("link.notify.{action}"), || payload.clone());
     let handler = inner.subscription_handler.read().clone();
     match handler {
-        Some(h) => h.on_notify(entity, action, payload),
+        Some(h) => h.on_notify(&entity, &action, payload),
         None => Ok(Value::Null),
     }
 }
@@ -619,7 +615,9 @@ fn notify(inner: &DeviceInner, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Va
 mod tests {
     use super::*;
     use crate::directory::DirectoryServer;
+    use crate::directory::DESCRIBE;
     use crate::links::{Constraint, LinkSpec};
+    use crate::negotiate::link_service;
     use crate::negotiate::Participant;
     use std::collections::HashMap;
     use syd_net::Network;
@@ -679,6 +677,38 @@ mod tests {
                 state
             })
             .collect()
+    }
+
+    /// The link and ping services serve each of their declared verbs
+    /// once, and a verb reads its arguments the one way every verb does.
+    #[test]
+    fn the_kernel_serves_its_verbs_once_and_checks_their_arguments() {
+        let (_net, _dir, devices) = rig(2);
+        let link = [
+            MARK.name,
+            COMMIT.name,
+            ABORT.name,
+            OFFER_LINK.name,
+            INSTALL_LINK.name,
+            DELETE_BY_CORR.name,
+            NOTIFY.name,
+        ];
+        let mut expected: Vec<(String, String)> = link
+            .iter()
+            .map(|m| ("syd.link".to_owned(), (*m).to_owned()))
+            .chain([("syd.ping".to_owned(), PING.name.to_owned())])
+            .collect();
+        expected.sort();
+        assert_eq!(devices[0].listener().registered(), expected);
+
+        let node = devices[0].node();
+        for args in [vec![], vec![Value::I64(1)]] {
+            let out = node.call(devices[1].addr(), LINK, OFFER_LINK.name, args.clone());
+            assert!(
+                matches!(out, Err(SydError::Protocol(_))),
+                "{args:?}: {out:?}"
+            );
+        }
     }
 
     #[test]
@@ -798,10 +828,12 @@ mod tests {
         let states = install_map_handlers(&devices);
         states[2].lock().insert("e".to_owned(), "busy".to_owned());
         let svc = ServiceName::new("app");
-        static LEFT_OUT: &[Method<Mutex<u32>>] = &[Method::new("left_out", |told, _, _| {
-            *told.lock() += 1;
-            Ok(Value::Null)
-        })];
+        const LEFT_OUT_VERB: Verb<(), ()> = Verb::new(APP, "left_out");
+        static LEFT_OUT: &Methods<Mutex<u32>> =
+            &[&Method::verb(LEFT_OUT_VERB, |told: &Mutex<u32>, _, ()| {
+                *told.lock() += 1;
+                Ok(())
+            })];
         let told = Arc::new(Mutex::new(Rank::Leaf, 0u32));
         devices[2].serve(&svc, &told, LEFT_OUT);
         let participants: Vec<Participant> = devices
@@ -1293,13 +1325,14 @@ mod tests {
             device: DeviceRuntime,
             seen: Arc<Seen>,
         }
-        static RECORDING: &[Method<Recorder>] = &[Method::new("delete_by_corr", |r, ctx, args| {
-            let visited = arg(args, 1)?.as_list()?.iter();
-            let visited = visited.map(|v| Ok(v.as_i64()? as u64));
-            let visited = visited.collect::<SydResult<Vec<u64>>>()?;
-            r.seen.lock().push((r.device.user(), visited));
-            delete_by_corr(&r.device.inner, ctx, args)
-        })];
+        static RECORDING: &Methods<Recorder> = &[&Method::verb(
+            DELETE_BY_CORR,
+            |r: &Recorder, ctx, (corr, visited)| {
+                let raw = visited.iter().map(|u| u.raw()).collect();
+                r.seen.lock().push((r.device.user(), raw));
+                delete_by_corr(&r.device.inner, ctx, (corr, visited))
+            },
+        )];
         let seen = Arc::new(Mutex::new(Rank::Leaf, Vec::<(UserId, Vec<u64>)>::new()));
         let _recorders: Vec<_> = devices
             .iter()
@@ -1539,10 +1572,11 @@ mod tests {
     fn method_coupling_invokes_destinations() {
         let (_net, _dir, devices) = rig(2);
         let svc = ServiceName::new("calendar");
-        static COUNTED: &[Method<Mutex<u32>>] = &[Method::new("refresh", |hits, _, _| {
-            *hits.lock() += 1;
-            Ok(Value::Null)
-        })];
+        static COUNTED: &Methods<Mutex<u32>> =
+            &[&Method::verb(REFRESH_VERB, |hits: &Mutex<u32>, _, ()| {
+                *hits.lock() += 1;
+                Ok(())
+            })];
         let hits = Arc::new(Mutex::new(Rank::Leaf, 0u32));
         devices[1].serve(&svc, &hits, COUNTED);
         devices[0]
@@ -1597,17 +1631,27 @@ mod tests {
     }
 
     /// Serves `service` with `table`, from the device's own state.
-    fn serve(device: &DeviceRuntime, service: &ServiceName, table: &'static [Method<DeviceInner>]) {
+    fn serve(device: &DeviceRuntime, service: &ServiceName, table: &'static Methods<DeviceInner>) {
         device.serve(service, &device.inner, table);
     }
 
-    static REFRESH: &[Method<DeviceInner>] = &[Method::new("refresh", |_, _, _| Ok(Value::Null))];
-    const ONE: Method<DeviceInner> = Method::new("one", |_, _, _| Ok(Value::I64(1)));
-    const TWO: Method<DeviceInner> = Method::new("two", |_, _, _| Ok(Value::I64(2)));
-    static ONE_TABLE: &[Method<DeviceInner>] = &[ONE];
-    static ONE_TWO: &[Method<DeviceInner>] = &[ONE, TWO];
-    static ONE_TWO_THREE: &[Method<DeviceInner>] =
-        &[ONE, TWO, Method::new("three", |_, _, _| Ok(Value::I64(4)))];
+    const APP: &ServiceName = &ServiceName::constant("app");
+    const REFRESH_VERB: Verb<(), ()> = Verb::new(APP, "refresh");
+    const ONE: Verb<(), i64> = Verb::new(APP, "one");
+    const TWO: Verb<(), i64> = Verb::new(APP, "two");
+    const THREE: Verb<(), i64> = Verb::new(APP, "three");
+    const X: Verb<(), i64> = Verb::new(APP, "x");
+    static REFRESH: &Methods<DeviceInner> = &[&Method::verb(REFRESH_VERB, |_, _, ()| Ok(()))];
+    static ONE_TABLE: &Methods<DeviceInner> = &[&Method::verb(ONE, |_, _, ()| Ok(1))];
+    static ONE_TWO: &Methods<DeviceInner> = &[
+        &Method::verb(ONE, |_, _, ()| Ok(1)),
+        &Method::verb(TWO, |_, _, ()| Ok(2)),
+    ];
+    static ONE_TWO_THREE: &Methods<DeviceInner> = &[
+        &Method::verb(ONE, |_, _, ()| Ok(1)),
+        &Method::verb(TWO, |_, _, ()| Ok(2)),
+        &Method::verb(THREE, |_, _, ()| Ok(4)),
+    ];
 
     #[test]
     fn a_failed_publish_is_sent_again_by_the_next_publish() {
@@ -1627,8 +1671,8 @@ mod tests {
 
         // The directory is out of range: the wave fails in the background,
         // and the new methods are served locally all the same.
-        static X: &[Method<DeviceInner>] = &[Method::new("x", |_, _, _| Ok(Value::I64(3)))];
-        serve(device, &other, X);
+        static X_TABLE: &Methods<DeviceInner> = &[&Method::verb(X, |_, _, ()| Ok(3))];
+        serve(device, &other, X_TABLE);
         serve(device, &app, ONE_TWO_THREE);
         net.set_connected(dir.addr(), false);
         device.publish().unwrap();
@@ -1650,7 +1694,11 @@ mod tests {
         assert_eq!(served(&dir), before + 2);
         assert_eq!(publish_failures(device), 1);
 
-        let rec = device.engine().directory().describe(device.user()).unwrap();
+        let rec = device
+            .engine()
+            .directory()
+            .call(DESCRIBE, (device.user(),))
+            .unwrap();
         assert_eq!(rec.services, vec!["app", "other"]);
         let out = devices[1]
             .engine()
@@ -1727,7 +1775,11 @@ mod tests {
             5,
             "four own services and the shared one"
         );
-        let rec = device.engine().directory().describe(device.user()).unwrap();
+        let rec = device
+            .engine()
+            .directory()
+            .call(DESCRIBE, (device.user(),))
+            .unwrap();
         assert_eq!(rec.services, ["own0", "own1", "own2", "own3", "shared"]);
     }
 
@@ -1743,7 +1795,11 @@ mod tests {
         net.set_connected(dir.addr(), true);
         device.reconnect().unwrap();
         wait_for("the acknowledgement", || device.unpublished().is_empty());
-        let rec = device.engine().directory().describe(device.user()).unwrap();
+        let rec = device
+            .engine()
+            .directory()
+            .call(DESCRIBE, (device.user(),))
+            .unwrap();
         assert_eq!(rec.services, ["app"]);
     }
 

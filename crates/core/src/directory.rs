@@ -16,18 +16,49 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use syd_net::{Call, CallOptions, Network, Node, Transport};
+use syd_net::{Body, Call, CallOptions, Network, Node, Transport, Verb};
 use syd_telemetry::names;
 use syd_telemetry::{Counter, Registry};
 use syd_types::sync::{Rank, RwLock};
-use syd_types::{GroupId, NodeAddr, ServiceName, SydError, SydResult, UserId, Value};
+use syd_types::{GroupId, NodeAddr, ServiceName, SydError, SydResult, Text, UserId, Value};
+use syd_wire::{AsValue, Params};
 
-use crate::listener::{arg, InvokeCtx, Listener, Method};
+use crate::listener::{InvokeCtx, Listener, Method, Methods};
 
-/// The directory's service name.
-pub fn dir_service() -> ServiceName {
-    ServiceName::new("syd.dir")
-}
+/// The directory's service.
+pub const DIR: &ServiceName = &ServiceName::constant("syd.dir");
+
+/// Registers a user's device address under a unique name.
+pub const REGISTER: Verb<(UserId, Text, NodeAddr), ()> = Verb::new(DIR, "register");
+/// Publishes a service name under a user (a set insert).
+pub const PUBLISH: Verb<(UserId, Text), ()> = Verb::new(DIR, "publish");
+/// Resolves a whole group of users in one round trip, aligned with the
+/// input: `(address, is_proxy)`, or `None` for a user the directory does
+/// not know (the batch itself still succeeds).
+pub const LOOKUP_MANY: Verb<(Vec<UserId>,), Vec<Resolved>> = Verb::new(DIR, "lookup_many");
+/// A user's address and whether it is its proxy's; `None` for a user the
+/// directory does not know.
+pub type Resolved = Option<(NodeAddr, bool)>;
+/// A user name's user id.
+pub const LOOKUP_NAME: Verb<(Text,), UserId> = Verb::new(DIR, "lookup_name");
+/// Everything the directory knows about a user.
+pub const DESCRIBE: Verb<(UserId,), UserRecord> = Verb::new(DIR, "describe");
+/// Marks a user's device (dis)connected.
+pub const SET_CONNECTED: Verb<(UserId, bool), ()> = Verb::new(DIR, "set_connected");
+/// Registers a proxy address for a user.
+pub const REGISTER_PROXY: Verb<(UserId, NodeAddr), ()> = Verb::new(DIR, "register_proxy");
+/// Removes a user's proxy registration.
+pub const CLEAR_PROXY: Verb<(UserId,), ()> = Verb::new(DIR, "clear_proxy");
+/// Creates a named group.
+pub const CREATE_GROUP: Verb<(Text,), GroupId> = Verb::new(DIR, "create_group");
+/// Adds a user to a group.
+pub const GROUP_ADD: Verb<(GroupId, UserId), ()> = Verb::new(DIR, "group_add");
+/// Removes a user from a group.
+pub const GROUP_REMOVE: Verb<(GroupId, UserId), ()> = Verb::new(DIR, "group_remove");
+/// A group's members.
+pub const GROUP_MEMBERS: Verb<(GroupId,), Vec<UserId>> = Verb::new(DIR, "group_members");
+/// A group's id by name.
+pub const GROUP_BY_NAME: Verb<(Text,), GroupId> = Verb::new(DIR, "group_by_name");
 
 /// Everything the directory knows about one user/device.
 #[derive(Clone, Debug, PartialEq)]
@@ -44,6 +75,48 @@ pub struct UserRecord {
     pub connected: bool,
     /// Services this user has published, sorted.
     pub services: Vec<String>,
+}
+
+/// A record travels as the tuple of its fields.
+type RecordFields = (
+    UserId,
+    String,
+    NodeAddr,
+    Option<NodeAddr>,
+    bool,
+    Vec<String>,
+);
+
+impl AsValue for UserRecord {
+    type View<'a> = UserRecord;
+
+    fn view(value: &Value) -> SydResult<UserRecord> {
+        Self::from_value(value.clone())
+    }
+
+    fn from_value(value: Value) -> SydResult<UserRecord> {
+        let (user, name, addr, proxy, connected, services) = RecordFields::from_value(value)?;
+        Ok(UserRecord {
+            user,
+            name,
+            addr,
+            proxy,
+            connected,
+            services,
+        })
+    }
+
+    fn into_value(self) -> Value {
+        let UserRecord {
+            user,
+            name,
+            addr,
+            proxy,
+            connected,
+            services,
+        } = self;
+        (user, name, addr, proxy, connected, services).into_value()
+    }
 }
 
 /// A dynamic group (§2: "formation and maintenance of dynamic groups").
@@ -117,7 +190,7 @@ impl DirectoryServer {
             batch_lookup_users: registry.counter(names::DIR_BATCH_LOOKUP_USERS),
         });
         let listener = Listener::new(None, registry);
-        listener.serve(&dir_service(), &dir, DIR_METHODS);
+        listener.serve(DIR, &dir, DIR_METHODS);
         node.set_handler(Arc::new(listener));
         Ok(DirectoryServer { node, dir })
     }
@@ -141,50 +214,60 @@ impl DirectoryServer {
 }
 
 /// The `syd.dir` service.
-static DIR_METHODS: &[Method<Directory>] = &[
-    Method::new("register", register),
-    Method::new("publish", publish),
-    Method::new("lookup_many", lookup_many),
-    Method::new("lookup_name", lookup_name),
-    Method::new("describe", describe),
-    Method::new("set_connected", set_connected),
-    Method::new("register_proxy", register_proxy),
-    Method::new("clear_proxy", clear_proxy),
-    Method::new("create_group", create_group),
-    Method::new("group_add", |dir, _, args| group_member(dir, args, true)),
-    Method::new("group_remove", |dir, _, args| {
-        group_member(dir, args, false)
+static DIR_METHODS: &Methods<Directory> = &[
+    &Method::verb(REGISTER, register),
+    &Method::verb(PUBLISH, publish),
+    &Method::verb(LOOKUP_MANY, lookup_many),
+    &Method::verb(LOOKUP_NAME, |dir: &Directory, _, (name,)| {
+        dir.lookups.inc();
+        let s = dir.state.read();
+        let user = s.by_name.get(name.as_str()).copied();
+        user.ok_or_else(|| SydError::NotRegistered(name.to_string()))
     }),
-    Method::new("group_members", group_members),
-    Method::new("group_by_name", group_by_name),
+    &Method::verb(DESCRIBE, |dir: &Directory, _, (user,)| {
+        dir.lookups.inc();
+        let s = dir.state.read();
+        let rec = s.users.get(&user).cloned();
+        rec.ok_or_else(|| SydError::NotRegistered(user.to_string()))
+    }),
+    &Method::verb(SET_CONNECTED, |dir: &Directory, _, (user, connected)| {
+        dir.state.write().user_mut(user)?.connected = connected;
+        Ok(())
+    }),
+    &Method::verb(REGISTER_PROXY, |dir: &Directory, _, (user, proxy)| {
+        dir.state.write().user_mut(user)?.proxy = Some(proxy);
+        Ok(())
+    }),
+    &Method::verb(CLEAR_PROXY, |dir: &Directory, _, (user,)| {
+        dir.state.write().user_mut(user)?.proxy = None;
+        Ok(())
+    }),
+    &Method::verb(CREATE_GROUP, create_group),
+    &Method::verb(GROUP_ADD, |dir, _, (group, user)| {
+        group_member(dir, group, user, true)
+    }),
+    &Method::verb(GROUP_REMOVE, |dir, _, (group, user)| {
+        group_member(dir, group, user, false)
+    }),
+    &Method::verb(GROUP_MEMBERS, |dir: &Directory, _, (group,)| {
+        let s = dir.state.read();
+        let info = s.groups.get(&group);
+        let info = info.ok_or_else(|| SydError::NotRegistered(group.to_string()))?;
+        Ok(info.members.clone())
+    }),
+    &Method::verb(GROUP_BY_NAME, |dir: &Directory, _, (name,)| {
+        let s = dir.state.read();
+        let group = s.group_by_name.get(name.as_str()).copied();
+        group.ok_or_else(|| SydError::NotRegistered(name.to_string()))
+    }),
 ];
 
-fn user_arg(args: &[Value], i: usize) -> SydResult<UserId> {
-    Ok(UserId::new(arg(args, i)?.as_i64()? as u64))
-}
-
-fn user_record_to_value(rec: &UserRecord) -> Value {
-    Value::map([
-        ("user", Value::from(rec.user.raw())),
-        ("name", Value::str(rec.name.clone())),
-        ("addr", Value::from(rec.addr.raw())),
-        (
-            "proxy",
-            rec.proxy.map_or(Value::Null, |p| Value::from(p.raw())),
-        ),
-        ("connected", Value::Bool(rec.connected)),
-        (
-            "services",
-            Value::list(rec.services.iter().map(|s| Value::str(s.clone()))),
-        ),
-    ])
-}
-
-/// register(user, name, addr) -> null
-fn register(dir: &Directory, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    let user = user_arg(args, 0)?;
-    let name = arg(args, 1)?.as_str()?.to_owned();
-    let addr = NodeAddr::new(arg(args, 2)?.as_i64()? as u64);
+fn register(
+    dir: &Directory,
+    _ctx: &InvokeCtx,
+    (user, name, addr): (UserId, Text, NodeAddr),
+) -> SydResult<()> {
+    let name = name.to_string();
     let mut s = dir.state.write();
     if let Some(&existing) = s.by_name.get(&name) {
         if existing != user {
@@ -211,107 +294,44 @@ fn register(dir: &Directory, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Valu
         },
     };
     s.users.insert(user, rec);
-    Ok(Value::Null)
+    Ok(())
 }
 
-/// publish(user, service) -> null
-fn publish(dir: &Directory, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    let user = user_arg(args, 0)?;
-    let service = arg(args, 1)?.as_str()?.to_owned();
+fn publish(dir: &Directory, _ctx: &InvokeCtx, (user, service): (UserId, Text)) -> SydResult<()> {
     let mut s = dir.state.write();
     let rec = s.user_mut(user)?;
     // Kept sorted: the publishes of one wave arrive in any order.
-    if let Err(at) = rec.services.binary_search(&service) {
-        rec.services.insert(at, service);
+    if let Err(at) = rec.services.binary_search_by(|s| s.as_str().cmp(&service)) {
+        rec.services.insert(at, service.to_string());
     }
-    Ok(Value::Null)
+    Ok(())
 }
 
-/// lookup_many([user ids]) -> [{addr, is_proxy} | null, ...]
-///
-/// One round trip resolves a whole group. The reply is aligned with the
-/// input: an unregistered user yields `null` in its slot instead of
-/// failing the batch, so one unknown member can never poison its
-/// siblings' resolutions.
-fn lookup_many(dir: &Directory, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+/// One round trip resolves a whole group. An unregistered user yields
+/// `None` in its slot instead of failing the batch, so one unknown member
+/// can never poison its siblings' resolutions.
+fn lookup_many(
+    dir: &Directory,
+    _ctx: &InvokeCtx,
+    (users,): (Vec<UserId>,),
+) -> SydResult<Vec<Resolved>> {
     dir.batch_lookups.inc();
-    let users = arg(args, 0)?.as_list()?;
     dir.batch_lookup_users.add(users.len() as u64);
     let s = dir.state.read();
-    let entries = users
-        .iter()
-        .map(|u| {
-            let user = UserId::new(u.as_i64()? as u64);
-            Ok(match s.users.get(&user) {
-                Some(rec) => {
-                    // Proxy-aware resolution (§5.2): connected → device
-                    // address, disconnected with a proxy → proxy address,
-                    // otherwise the device address as-is (the caller will
-                    // observe the disconnect).
-                    let (addr, is_proxy) = match rec.proxy {
-                        Some(proxy) if !rec.connected => (proxy, true),
-                        _ => (rec.addr, false),
-                    };
-                    Value::map([
-                        ("addr", Value::from(addr.raw())),
-                        ("is_proxy", Value::Bool(is_proxy)),
-                    ])
-                }
-                None => Value::Null,
-            })
+    let entries = users.iter().map(|user| {
+        // Proxy-aware resolution (§5.2): connected → device address,
+        // disconnected with a proxy → proxy address, otherwise the device
+        // address as-is (the caller will observe the disconnect).
+        s.users.get(user).map(|rec| match rec.proxy {
+            Some(proxy) if !rec.connected => (proxy, true),
+            _ => (rec.addr, false),
         })
-        .collect::<SydResult<Vec<Value>>>()?;
-    Ok(Value::list(entries))
+    });
+    Ok(entries.collect())
 }
 
-/// lookup_name(name) -> user id
-fn lookup_name(dir: &Directory, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    dir.lookups.inc();
-    let name = arg(args, 0)?.as_str()?;
-    let s = dir.state.read();
-    s.by_name
-        .get(name)
-        .map(|u| Value::from(u.raw()))
-        .ok_or_else(|| SydError::NotRegistered(name.to_owned()))
-}
-
-/// describe(user) -> full record
-fn describe(dir: &Directory, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    dir.lookups.inc();
-    let user = user_arg(args, 0)?;
-    let s = dir.state.read();
-    s.users
-        .get(&user)
-        .map(user_record_to_value)
-        .ok_or_else(|| SydError::NotRegistered(user.to_string()))
-}
-
-/// set_connected(user, bool) -> null
-fn set_connected(dir: &Directory, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    let user = user_arg(args, 0)?;
-    let connected = arg(args, 1)?.as_bool()?;
-    dir.state.write().user_mut(user)?.connected = connected;
-    Ok(Value::Null)
-}
-
-/// register_proxy(user, proxy_addr) -> null
-fn register_proxy(dir: &Directory, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    let user = user_arg(args, 0)?;
-    let proxy = NodeAddr::new(arg(args, 1)?.as_i64()? as u64);
-    dir.state.write().user_mut(user)?.proxy = Some(proxy);
-    Ok(Value::Null)
-}
-
-/// clear_proxy(user) -> null
-fn clear_proxy(dir: &Directory, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    let user = user_arg(args, 0)?;
-    dir.state.write().user_mut(user)?.proxy = None;
-    Ok(Value::Null)
-}
-
-/// create_group(name) -> group id
-fn create_group(dir: &Directory, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    let name = arg(args, 0)?.as_str()?.to_owned();
+fn create_group(dir: &Directory, _ctx: &InvokeCtx, (name,): (Text,)) -> SydResult<GroupId> {
+    let name = name.to_string();
     let mut s = dir.state.write();
     if s.group_by_name.contains_key(&name) {
         return Err(SydError::App(format!("group `{name}` already exists")));
@@ -327,13 +347,11 @@ fn create_group(dir: &Directory, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<
             members: Vec::new(),
         },
     );
-    Ok(Value::from(id.raw()))
+    Ok(id)
 }
 
-/// group_add(group, user) / group_remove(group, user) -> null
-fn group_member(dir: &Directory, args: &[Value], add: bool) -> SydResult<Value> {
-    let group = GroupId::new(arg(args, 0)?.as_i64()? as u64);
-    let user = user_arg(args, 1)?;
+/// group_add / group_remove
+fn group_member(dir: &Directory, group: GroupId, user: UserId, add: bool) -> SydResult<()> {
     let mut s = dir.state.write();
     if !s.users.contains_key(&user) {
         return Err(SydError::NotRegistered(user.to_string()));
@@ -347,30 +365,7 @@ fn group_member(dir: &Directory, args: &[Value], add: bool) -> SydResult<Value> 
     } else if !info.members.contains(&user) {
         info.members.push(user);
     }
-    Ok(Value::Null)
-}
-
-/// group_members(group) -> [user ids]
-fn group_members(dir: &Directory, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    let group = GroupId::new(arg(args, 0)?.as_i64()? as u64);
-    let s = dir.state.read();
-    let info = s
-        .groups
-        .get(&group)
-        .ok_or_else(|| SydError::NotRegistered(group.to_string()))?;
-    Ok(Value::list(
-        info.members.iter().map(|u| Value::from(u.raw())),
-    ))
-}
-
-/// group_by_name(name) -> group id
-fn group_by_name(dir: &Directory, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    let name = arg(args, 0)?.as_str()?;
-    let s = dir.state.read();
-    s.group_by_name
-        .get(name)
-        .map(|g| Value::from(g.raw()))
-        .ok_or_else(|| SydError::NotRegistered(name.to_owned()))
+    Ok(())
 }
 
 /// The options of the directory's own calls: its operations are
@@ -378,7 +373,7 @@ fn group_by_name(dir: &Directory, _ctx: &InvokeCtx, args: &[Value]) -> SydResult
 /// transport retransmitted transparently.
 pub const DIR_CALLS: CallOptions = CallOptions::new().with_retries(4);
 
-/// Client-side typed wrapper over the `syd.dir` service.
+/// A client of the `syd.dir` service: its verbs are the `const`s above.
 #[derive(Clone)]
 pub struct DirectoryClient {
     node: Node,
@@ -396,173 +391,48 @@ impl DirectoryClient {
         self.dir_addr
     }
 
-    fn call(&self, method: &str, args: Vec<Value>) -> SydResult<Value> {
-        self.node
-            .call_with(self.dir_addr, &dir_service(), method, args, DIR_CALLS)
+    /// Calls `verb` at the directory with [`DIR_CALLS`].
+    pub fn call<A: Params, R: AsValue>(
+        &self,
+        verb: Verb<A, R>,
+        args: impl Into<Body<A>>,
+    ) -> SydResult<R> {
+        self.call_with(verb, args, DIR_CALLS)
     }
 
-    /// Registers a user's device address under a unique name.
-    pub fn register(&self, user: UserId, name: &str, addr: NodeAddr) -> SydResult<()> {
-        self.call(
-            "register",
-            vec![
-                Value::from(user.raw()),
-                Value::str(name),
-                Value::from(addr.raw()),
-            ],
-        )
-        .map(|_| ())
+    /// Calls `verb` at the directory with `opts`: the engine resolves with
+    /// its own (typically much shorter) deadline so that a lossy batch
+    /// fails over quickly.
+    pub fn call_with<A: Params, R: AsValue>(
+        &self,
+        verb: Verb<A, R>,
+        args: impl Into<Body<A>>,
+        opts: CallOptions,
+    ) -> SydResult<R> {
+        let (service, method) = (verb.service, verb.name);
+        let reply = (self.node).call_with(self.dir_addr, service, method, args.into(), opts);
+        verb.reply(reply)
     }
 
-    /// Publishes service names under a user: one `publish` request per
-    /// service, all sent in one wave. Each is a set insert, so none waits
-    /// for another. The results are aligned with `services`.
-    pub fn publish(&self, user: UserId, services: &[ServiceName]) -> Vec<SydResult<()>> {
-        let dir = dir_service();
-        let calls: Vec<Call<'_>> = services
-            .iter()
-            .map(|service| {
-                let args = vec![Value::from(user.raw()), Value::str(service.as_str())];
-                Call::new(UserId::default(), &dir, "publish", args)
-            })
+    /// Calls `verb` once per element of `args`, every request in one wave:
+    /// none waits for another. The results are aligned with `args`.
+    pub fn call_each<A: Params, R: AsValue>(
+        &self,
+        verb: Verb<A, R>,
+        args: impl IntoIterator<Item = A>,
+    ) -> Vec<SydResult<R>> {
+        let calls: Vec<Call<'_>> = args
+            .into_iter()
+            .map(|args| Call::verb(UserId::default(), verb, args))
             .collect();
         let dir_addr = self.dir_addr;
-        self.node
-            .call_many(&calls, DIR_CALLS, &mut |idx| {
-                idx.iter().map(|_| Ok(dir_addr)).collect()
-            })
+        let results = self.node.call_many(&calls, DIR_CALLS, &mut |idx| {
+            idx.iter().map(|_| Ok(dir_addr)).collect()
+        });
+        results
             .into_iter()
-            .map(|result| result.map(|_| ()))
+            .map(|result| verb.reply(result))
             .collect()
-    }
-
-    /// Resolves a whole group of users in one round trip. The result is
-    /// aligned with `users`: `None` marks a user the directory does not
-    /// know (the batch itself still succeeds). The engine passes its own
-    /// (typically much shorter) deadline so a lossy batch fails over
-    /// quickly; other callers pass [`DIR_CALLS`].
-    pub fn lookup_many(
-        &self,
-        users: &[UserId],
-        opts: CallOptions,
-    ) -> SydResult<Vec<Option<(NodeAddr, bool)>>> {
-        let ids = Value::list(users.iter().map(|u| Value::from(u.raw())));
-        let v = self.node.call_with(
-            self.dir_addr,
-            &dir_service(),
-            "lookup_many",
-            vec![ids],
-            opts,
-        )?;
-        let entries = v.as_list()?;
-        if entries.len() != users.len() {
-            return Err(SydError::Protocol(format!(
-                "lookup_many returned {} entries for {} users",
-                entries.len(),
-                users.len()
-            )));
-        }
-        entries
-            .iter()
-            .map(|e| match e {
-                Value::Null => Ok(None),
-                found => {
-                    let addr = NodeAddr::new(found.get("addr")?.as_i64()? as u64);
-                    let is_proxy = found.get("is_proxy")?.as_bool()?;
-                    Ok(Some((addr, is_proxy)))
-                }
-            })
-            .collect()
-    }
-
-    /// Resolves a user name to a user id.
-    pub fn lookup_name(&self, name: &str) -> SydResult<UserId> {
-        let v = self.call("lookup_name", vec![Value::str(name)])?;
-        Ok(UserId::new(v.as_i64()? as u64))
-    }
-
-    /// Full record for a user.
-    pub fn describe(&self, user: UserId) -> SydResult<UserRecord> {
-        let v = self.call("describe", vec![Value::from(user.raw())])?;
-        Ok(UserRecord {
-            user: UserId::new(v.get("user")?.as_i64()? as u64),
-            name: v.get("name")?.as_str()?.to_owned(),
-            addr: NodeAddr::new(v.get("addr")?.as_i64()? as u64),
-            proxy: match v.get("proxy")? {
-                Value::Null => None,
-                other => Some(NodeAddr::new(other.as_i64()? as u64)),
-            },
-            connected: v.get("connected")?.as_bool()?,
-            services: v
-                .get("services")?
-                .as_list()?
-                .iter()
-                .map(|s| s.as_str().map(str::to_owned))
-                .collect::<SydResult<_>>()?,
-        })
-    }
-
-    /// Marks a user's device (dis)connected in the directory.
-    pub fn set_connected(&self, user: UserId, connected: bool) -> SydResult<()> {
-        self.call(
-            "set_connected",
-            vec![Value::from(user.raw()), Value::Bool(connected)],
-        )
-        .map(|_| ())
-    }
-
-    /// Registers `proxy_addr` as the user's proxy.
-    pub fn register_proxy(&self, user: UserId, proxy_addr: NodeAddr) -> SydResult<()> {
-        self.call(
-            "register_proxy",
-            vec![Value::from(user.raw()), Value::from(proxy_addr.raw())],
-        )
-        .map(|_| ())
-    }
-
-    /// Removes the user's proxy registration.
-    pub fn clear_proxy(&self, user: UserId) -> SydResult<()> {
-        self.call("clear_proxy", vec![Value::from(user.raw())])
-            .map(|_| ())
-    }
-
-    /// Creates a named group.
-    pub fn create_group(&self, name: &str) -> SydResult<GroupId> {
-        let v = self.call("create_group", vec![Value::str(name)])?;
-        Ok(GroupId::new(v.as_i64()? as u64))
-    }
-
-    /// Adds a user to a group.
-    pub fn group_add(&self, group: GroupId, user: UserId) -> SydResult<()> {
-        self.call(
-            "group_add",
-            vec![Value::from(group.raw()), Value::from(user.raw())],
-        )
-        .map(|_| ())
-    }
-
-    /// Removes a user from a group.
-    pub fn group_remove(&self, group: GroupId, user: UserId) -> SydResult<()> {
-        self.call(
-            "group_remove",
-            vec![Value::from(group.raw()), Value::from(user.raw())],
-        )
-        .map(|_| ())
-    }
-
-    /// Members of a group.
-    pub fn group_members(&self, group: GroupId) -> SydResult<Vec<UserId>> {
-        let v = self.call("group_members", vec![Value::from(group.raw())])?;
-        v.as_list()?
-            .iter()
-            .map(|u| Ok(UserId::new(u.as_i64()? as u64)))
-            .collect()
-    }
-
-    /// Group id by name.
-    pub fn group_by_name(&self, name: &str) -> SydResult<GroupId> {
-        let v = self.call("group_by_name", vec![Value::str(name)])?;
-        Ok(GroupId::new(v.as_i64()? as u64))
     }
 }
 
@@ -573,8 +443,8 @@ mod tests {
     use syd_net::Network;
 
     fn publish(client: &DirectoryClient, user: UserId, services: &[&str]) {
-        let services: Vec<ServiceName> = services.iter().map(|&s| ServiceName::new(s)).collect();
-        for result in client.publish(user, &services) {
+        let services = services.iter().map(|&s| (user, Text::from(s)));
+        for result in client.call_each(PUBLISH, services) {
             result.unwrap();
         }
     }
@@ -592,14 +462,14 @@ mod tests {
         let (_net, dir, client) = setup();
         let phil = UserId::new(1);
         let addr = NodeAddr::new(77);
-        client.register(phil, "phil", addr).unwrap();
+        client.call(REGISTER, (phil, "phil".into(), addr)).unwrap();
         assert_eq!(dir.user_count(), 1);
         assert_eq!(
-            client.lookup_many(&[phil], DIR_CALLS).unwrap(),
+            client.call(LOOKUP_MANY, (vec![phil],)).unwrap(),
             [Some((addr, false))]
         );
-        assert_eq!(client.lookup_name("phil").unwrap(), phil);
-        let rec = client.describe(phil).unwrap();
+        assert_eq!(client.call(LOOKUP_NAME, ("phil".into(),)).unwrap(), phil);
+        let rec = client.call(DESCRIBE, (phil,)).unwrap();
         assert_eq!(rec.name, "phil");
         assert!(rec.connected);
         assert!(rec.proxy.is_none());
@@ -612,18 +482,18 @@ mod tests {
     fn duplicate_name_rejected() {
         let (_net, _dir, client) = setup();
         client
-            .register(UserId::new(1), "phil", NodeAddr::new(1))
+            .call(REGISTER, (UserId::new(1), "phil".into(), NodeAddr::new(1)))
             .unwrap();
         let err = client
-            .register(UserId::new(2), "phil", NodeAddr::new(2))
+            .call(REGISTER, (UserId::new(2), "phil".into(), NodeAddr::new(2)))
             .unwrap_err();
         assert!(err.to_string().contains("taken"), "{err}");
         // Re-registering the same user under the same name is fine
         // (device rebooted with a new address).
         client
-            .register(UserId::new(1), "phil", NodeAddr::new(9))
+            .call(REGISTER, (UserId::new(1), "phil".into(), NodeAddr::new(9)))
             .unwrap();
-        let found = client.lookup_many(&[UserId::new(1)], DIR_CALLS).unwrap();
+        let found = client.call(LOOKUP_MANY, (vec![UserId::new(1)],)).unwrap();
         assert_eq!(found, [Some((NodeAddr::new(9), false))]);
     }
 
@@ -631,15 +501,15 @@ mod tests {
     fn a_duplicate_register_keeps_what_was_published() {
         let (_net, _dir, client) = setup();
         let (user, addr, proxy) = (UserId::new(1), NodeAddr::new(1), NodeAddr::new(20));
-        client.register(user, "phil", addr).unwrap();
+        client.call(REGISTER, (user, "phil".into(), addr)).unwrap();
         publish(&client, user, &["calendar"]);
-        client.register_proxy(user, proxy).unwrap();
-        client.set_connected(user, false).unwrap();
-        let before = client.describe(user).unwrap();
+        client.call(REGISTER_PROXY, (user, proxy)).unwrap();
+        client.call(SET_CONNECTED, (user, false)).unwrap();
+        let before = client.call(DESCRIBE, (user,)).unwrap();
 
         // The join's own `register`, resent and landing late.
-        client.register(user, "phil", addr).unwrap();
-        assert_eq!(client.describe(user).unwrap(), before);
+        client.call(REGISTER, (user, "phil".into(), addr)).unwrap();
+        assert_eq!(client.call(DESCRIBE, (user,)).unwrap(), before);
         assert_eq!(before.services, vec!["calendar"]);
         assert_eq!((before.proxy, before.connected), (Some(proxy), false));
     }
@@ -648,26 +518,37 @@ mod tests {
     fn renaming_a_user_releases_the_old_name() {
         let (_net, _dir, client) = setup();
         let (phil, suzy) = (UserId::new(1), UserId::new(2));
-        client.register(phil, "phil", NodeAddr::new(1)).unwrap();
+        client
+            .call(REGISTER, (phil, "phil".into(), NodeAddr::new(1)))
+            .unwrap();
         publish(&client, phil, &["calendar"]);
-        client.register(suzy, "suzy", NodeAddr::new(2)).unwrap();
+        client
+            .call(REGISTER, (suzy, "suzy".into(), NodeAddr::new(2)))
+            .unwrap();
 
         // A name held by another user stays refused, and changes nothing.
-        let err = client.register(phil, "suzy", NodeAddr::new(1)).unwrap_err();
+        let err = client
+            .call(REGISTER, (phil, "suzy".into(), NodeAddr::new(1)))
+            .unwrap_err();
         assert!(err.to_string().contains("taken"), "{err}");
-        assert_eq!(client.lookup_name("phil").unwrap(), phil);
+        assert_eq!(client.call(LOOKUP_NAME, ("phil".into(),)).unwrap(), phil);
 
-        client.register(phil, "philip", NodeAddr::new(1)).unwrap();
-        assert_eq!(client.lookup_name("philip").unwrap(), phil);
-        assert!(client.lookup_name("phil").is_err(), "old name released");
-        let rec = client.describe(phil).unwrap();
+        client
+            .call(REGISTER, (phil, "philip".into(), NodeAddr::new(1)))
+            .unwrap();
+        assert_eq!(client.call(LOOKUP_NAME, ("philip".into(),)).unwrap(), phil);
+        assert!(
+            client.call(LOOKUP_NAME, ("phil".into(),)).is_err(),
+            "old name released"
+        );
+        let rec = client.call(DESCRIBE, (phil,)).unwrap();
         assert_eq!(
             (rec.name.as_str(), rec.services),
             ("philip", vec!["calendar".to_owned()])
         );
         // The released name is free for someone else.
         client
-            .register(UserId::new(3), "phil", NodeAddr::new(3))
+            .call(REGISTER, (UserId::new(3), "phil".into(), NodeAddr::new(3)))
             .unwrap();
     }
 
@@ -676,11 +557,11 @@ mod tests {
         let (_net, _dir, client) = setup();
         // An unknown user is a hole in the batch; an unknown name errs.
         assert_eq!(
-            client.lookup_many(&[UserId::new(404)], DIR_CALLS).unwrap(),
+            client.call(LOOKUP_MANY, (vec![UserId::new(404)],)).unwrap(),
             [None]
         );
         assert!(matches!(
-            client.lookup_name("ghost").unwrap_err(),
+            client.call(LOOKUP_NAME, ("ghost".into(),)).unwrap_err(),
             SydError::NotRegistered(_)
         ));
     }
@@ -691,21 +572,23 @@ mod tests {
         let user = UserId::new(3);
         let primary = NodeAddr::new(10);
         let proxy = NodeAddr::new(20);
-        client.register(user, "suzy", primary).unwrap();
-        client.register_proxy(user, proxy).unwrap();
-        let lookup = || client.lookup_many(&[user], DIR_CALLS).unwrap()[0];
+        client
+            .call(REGISTER, (user, "suzy".into(), primary))
+            .unwrap();
+        client.call(REGISTER_PROXY, (user, proxy)).unwrap();
+        let lookup = || client.call(LOOKUP_MANY, (vec![user],)).unwrap()[0];
 
         // Connected: primary wins.
         assert_eq!(lookup(), Some((primary, false)));
         // Disconnected: proxy takes over.
-        client.set_connected(user, false).unwrap();
+        client.call(SET_CONNECTED, (user, false)).unwrap();
         assert_eq!(lookup(), Some((proxy, true)));
         // Reconnected: primary again.
-        client.set_connected(user, true).unwrap();
+        client.call(SET_CONNECTED, (user, true)).unwrap();
         assert_eq!(lookup(), Some((primary, false)));
         // Disconnected with no proxy: primary address returned as-is.
-        client.clear_proxy(user).unwrap();
-        client.set_connected(user, false).unwrap();
+        client.call(CLEAR_PROXY, (user,)).unwrap();
+        client.call(SET_CONNECTED, (user, false)).unwrap();
         assert_eq!(lookup(), Some((primary, false)));
     }
 
@@ -718,13 +601,15 @@ mod tests {
                 .map_or(0, |c| c.get())
         };
         let user = UserId::new(1);
-        client.register(user, "phil", NodeAddr::new(1)).unwrap();
+        client
+            .call(REGISTER, (user, "phil".into(), NodeAddr::new(1)))
+            .unwrap();
         publish(&client, user, &["mailbox"]);
         // Idempotent.
         publish(&client, user, &["mailbox"]);
         // One wave: served in any order, recorded sorted.
         publish(&client, user, &["fleet", "calendar", "mailbox"]);
-        let rec = client.describe(user).unwrap();
+        let rec = client.call(DESCRIBE, (user,)).unwrap();
         assert_eq!(rec.services, vec!["calendar", "fleet", "mailbox"]);
         // A wave is one request per service, and nothing for no service.
         let served = dir_requests(&dir);
@@ -739,26 +624,37 @@ mod tests {
         let (_net, _dir, client) = setup();
         for (id, name) in [(1, "ann"), (2, "bob"), (3, "cal")] {
             client
-                .register(UserId::new(id), name, NodeAddr::new(id))
+                .call(
+                    REGISTER,
+                    (UserId::new(id), Text::from(name), NodeAddr::new(id)),
+                )
                 .unwrap();
         }
-        let biology = client.create_group("biology").unwrap();
-        assert_eq!(client.group_by_name("biology").unwrap(), biology);
-        assert!(client.create_group("biology").is_err());
-
-        client.group_add(biology, UserId::new(1)).unwrap();
-        client.group_add(biology, UserId::new(2)).unwrap();
-        client.group_add(biology, UserId::new(2)).unwrap(); // idempotent
+        let biology = client.call(CREATE_GROUP, ("biology".into(),)).unwrap();
         assert_eq!(
-            client.group_members(biology).unwrap(),
+            client.call(GROUP_BY_NAME, ("biology".into(),)).unwrap(),
+            biology
+        );
+        assert!(client.call(CREATE_GROUP, ("biology".into(),)).is_err());
+
+        client.call(GROUP_ADD, (biology, UserId::new(1))).unwrap();
+        client.call(GROUP_ADD, (biology, UserId::new(2))).unwrap();
+        client.call(GROUP_ADD, (biology, UserId::new(2))).unwrap(); // idempotent
+        assert_eq!(
+            client.call(GROUP_MEMBERS, (biology,)).unwrap(),
             vec![UserId::new(1), UserId::new(2)]
         );
 
-        client.group_remove(biology, UserId::new(1)).unwrap();
-        assert_eq!(client.group_members(biology).unwrap(), vec![UserId::new(2)]);
+        client
+            .call(GROUP_REMOVE, (biology, UserId::new(1)))
+            .unwrap();
+        assert_eq!(
+            client.call(GROUP_MEMBERS, (biology,)).unwrap(),
+            vec![UserId::new(2)]
+        );
 
         // Unknown users can't join.
-        assert!(client.group_add(biology, UserId::new(99)).is_err());
+        assert!(client.call(GROUP_ADD, (biology, UserId::new(99))).is_err());
     }
 
     #[test]
@@ -766,14 +662,17 @@ mod tests {
         let (_net, dir, client) = setup();
         for (id, name) in [(1, "ann"), (2, "bob"), (3, "cal")] {
             client
-                .register(UserId::new(id), name, NodeAddr::new(id))
+                .call(
+                    REGISTER,
+                    (UserId::new(id), Text::from(name), NodeAddr::new(id)),
+                )
                 .unwrap();
         }
         // Bob is disconnected behind a proxy; 404 is unknown.
         client
-            .register_proxy(UserId::new(2), NodeAddr::new(20))
+            .call(REGISTER_PROXY, (UserId::new(2), NodeAddr::new(20)))
             .unwrap();
-        client.set_connected(UserId::new(2), false).unwrap();
+        client.call(SET_CONNECTED, (UserId::new(2), false)).unwrap();
 
         let users = [
             UserId::new(1),
@@ -781,7 +680,7 @@ mod tests {
             UserId::new(2),
             UserId::new(3),
         ];
-        let got = client.lookup_many(&users, DIR_CALLS).unwrap();
+        let got = client.call(LOOKUP_MANY, (users.to_vec(),)).unwrap();
         assert_eq!(
             got,
             vec![
@@ -816,7 +715,54 @@ mod tests {
     #[test]
     fn lookup_many_of_nothing_is_empty() {
         let (_net, _dir, client) = setup();
-        assert_eq!(client.lookup_many(&[], DIR_CALLS).unwrap(), vec![]);
+        assert_eq!(client.call(LOOKUP_MANY, (vec![],)).unwrap(), vec![]);
+    }
+
+    /// `syd.dir` serves each of its declared verbs once, and a verb reads
+    /// its arguments the one way every verb does.
+    #[test]
+    fn the_directory_serves_its_verbs_once_and_checks_their_arguments() {
+        let registry = Registry::new();
+        let dir = Arc::new(Directory {
+            state: RwLock::new(Rank::Engine, DirState::default()),
+            lookups: registry.counter(names::DIR_LOOKUPS),
+            batch_lookups: registry.counter(names::DIR_BATCH_LOOKUPS),
+            batch_lookup_users: registry.counter(names::DIR_BATCH_LOOKUP_USERS),
+        });
+        let listener = Listener::new(None, &registry);
+        listener.serve(DIR, &dir, DIR_METHODS);
+        let mut declared = [
+            REGISTER.name,
+            PUBLISH.name,
+            LOOKUP_MANY.name,
+            LOOKUP_NAME.name,
+            DESCRIBE.name,
+            SET_CONNECTED.name,
+            REGISTER_PROXY.name,
+            CLEAR_PROXY.name,
+            CREATE_GROUP.name,
+            GROUP_ADD.name,
+            GROUP_REMOVE.name,
+            GROUP_MEMBERS.name,
+            GROUP_BY_NAME.name,
+        ];
+        declared.sort_unstable();
+        let served: Vec<(String, String)> = listener.registered();
+        let expected: Vec<(String, String)> = declared
+            .iter()
+            .map(|m| ("syd.dir".to_owned(), (*m).to_owned()))
+            .collect();
+        assert_eq!(served, expected, "each declared verb, once");
+
+        let (net, server, _client) = setup();
+        let node = Node::spawn(&net);
+        for args in [vec![], vec![Value::I64(1)]] {
+            let out = node.call(server.addr(), DIR, LOOKUP_NAME.name, args.clone());
+            assert!(
+                matches!(out, Err(SydError::Protocol(_))),
+                "{args:?}: {out:?}"
+            );
+        }
     }
 
     #[test]
@@ -824,7 +770,7 @@ mod tests {
         let (net, dir, _client) = setup();
         let node = Node::spawn(&net);
         let err = node
-            .call(dir.addr(), &dir_service(), "frobnicate", vec![])
+            .call(dir.addr(), DIR, "frobnicate", vec![])
             .unwrap_err();
         assert!(matches!(err, SydError::NoSuchService(_, _)));
         // A real verb under another service name is refused as any

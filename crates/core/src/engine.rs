@@ -18,25 +18,27 @@ use std::sync::Arc;
 use std::time::Duration;
 
 pub use syd_net::Call;
-use syd_net::{CallOptions, Node};
+use syd_net::{Body, CallOptions, Node, Verb};
 use syd_telemetry::{Counter, Histogram};
 use syd_types::sync::{Mutex, Rank};
-use syd_types::{NodeAddr, ServiceName, SydError, SydResult, UserId, Value};
+use syd_types::{NodeAddr, ServiceName, SydError, SydResult, Text, UserId, Value};
+use syd_wire::{AsValue, Params};
 
-use crate::directory::DirectoryClient;
-use crate::negotiate::{link_service, PROTOCOL_VERBS};
+use crate::directory::{DirectoryClient, GROUP_BY_NAME, GROUP_MEMBERS, LOOKUP_MANY};
+use crate::negotiate::{ABORT, COMMIT, LINK, MARK};
 use syd_telemetry::names;
 
-/// Result of a group invocation: per-user outcomes in request order.
+/// Result of a group invocation: per-user outcomes in request order,
+/// each a `Value` or, for a [`SydEngine::call_group`], the verb's reply.
 #[derive(Debug)]
-pub struct GroupResult {
+pub struct GroupResult<R = Value> {
     /// `(user, outcome)` for every target, in the order given.
-    pub outcomes: Vec<(UserId, SydResult<Value>)>,
+    pub outcomes: Vec<(UserId, SydResult<R>)>,
 }
 
-impl GroupResult {
+impl<R> GroupResult<R> {
     /// Users that answered successfully, with their values.
-    pub fn oks(&self) -> impl Iterator<Item = (UserId, &Value)> {
+    pub fn oks(&self) -> impl Iterator<Item = (UserId, &R)> {
         self.outcomes
             .iter()
             .filter_map(|(u, r)| r.as_ref().ok().map(|v| (*u, v)))
@@ -58,7 +60,9 @@ impl GroupResult {
     pub fn all_ok(&self) -> bool {
         self.ok_count() == self.outcomes.len()
     }
+}
 
+impl GroupResult {
     /// Aggregates successful values into a list (the engine's "result
     /// aggregation" service), preserving target order.
     pub fn aggregate(&self) -> Value {
@@ -162,7 +166,21 @@ impl SydEngine {
         // The engine's own deadline, so a drop is re-sent quickly.
         let batch = self
             .directory
-            .lookup_many(&miss_users, opts.with_retries(opts.retries.max(4)));
+            .call_with(
+                LOOKUP_MANY,
+                (miss_users,),
+                opts.with_retries(opts.retries.max(4)),
+            )
+            .and_then(|entries| {
+                if entries.len() == misses.len() {
+                    return Ok(entries);
+                }
+                Err(SydError::Protocol(format!(
+                    "lookup_many returned {} entries for {} users",
+                    entries.len(),
+                    misses.len()
+                )))
+            });
         for (k, &i) in misses.iter().enumerate() {
             let user = users[i];
             out[i].1 = match &batch {
@@ -195,8 +213,39 @@ impl SydEngine {
         method: &str,
         args: Vec<Value>,
     ) -> SydResult<Value> {
+        self.one(Call::new(user, service, method, args))
+    }
+
+    /// Calls `verb` on `user`'s device (or its proxy) and reads its reply:
+    /// [`SydEngine::invoke`] of a declared verb.
+    pub fn call<A: Params, R: AsValue>(
+        &self,
+        user: UserId,
+        verb: Verb<A, R>,
+        args: impl Into<Body<A>>,
+    ) -> SydResult<R> {
+        verb.reply(self.one(Call::verb(user, verb, args)))
+    }
+
+    /// Calls `verb` on every user of `users` at once, one body shared by
+    /// all, and reads each reply: [`SydEngine::invoke_group`] of a
+    /// declared verb.
+    pub fn call_group<A: Params, R: AsValue>(
+        &self,
+        users: &[UserId],
+        verb: Verb<A, R>,
+        args: impl Into<Body<A>>,
+    ) -> GroupResult<R> {
+        let calls: Vec<Call<'_>> = Call::verb_each(users, verb, args).collect();
+        let outcomes = self.invoke_batch(&calls).outcomes.into_iter();
+        GroupResult {
+            outcomes: outcomes.map(|(u, r)| (u, verb.reply(r))).collect(),
+        }
+    }
+
+    /// One call, timed into `engine.invoke`.
+    fn one(&self, call: Call<'_>) -> SydResult<Value> {
         let started = std::time::Instant::now();
-        let call = Call::new(user, service, method, args);
         let result = self
             .invoke_batch(std::slice::from_ref(&call))
             .outcomes
@@ -248,8 +297,8 @@ impl SydEngine {
         args: Vec<Value>,
     ) -> SydResult<GroupResult> {
         refuse_protocol_verb(service, method)?;
-        let group_id = self.directory.group_by_name(group)?;
-        let members = self.directory.group_members(group_id)?;
+        let group_id = self.directory.call(GROUP_BY_NAME, (Text::from(group),))?;
+        let members = self.directory.call(GROUP_MEMBERS, (group_id,))?;
         Ok(self.invoke_group(&members, service, method, args))
     }
 
@@ -347,7 +396,8 @@ impl SydEngine {
 
 /// `Err(Protocol)` for a §4.3 verb of the link service.
 fn refuse_protocol_verb(service: &ServiceName, method: &str) -> SydResult<()> {
-    if PROTOCOL_VERBS.contains(&method) && *service == link_service() {
+    let verbs = [MARK.name, COMMIT.name, ABORT.name];
+    if verbs.contains(&method) && service == LINK {
         return Err(SydError::Protocol(format!(
             "`{method}` is sent by the negotiator only"
         )));
@@ -360,6 +410,8 @@ fn refuse_protocol_verb(service: &ServiceName, method: &str) -> SydResult<()> {
 mod tests {
     use super::*;
     use crate::directory::DirectoryServer;
+    use crate::directory::{REGISTER, REGISTER_PROXY, SET_CONNECTED};
+    use crate::negotiate::link_service;
     use syd_net::{Network, RequestHandler, Transport};
     use syd_wire::Request;
 
@@ -387,7 +439,7 @@ mod tests {
                 out.extend(req.args.iter().cloned());
                 Ok(Value::list(out))
             }) as Arc<dyn RequestHandler>);
-            dirc.register(user, &format!("user{id}"), server.addr())
+            dirc.call(REGISTER, (user, format!("user{id}").into(), server.addr()))
                 .unwrap();
             servers.push(server);
         }
@@ -462,7 +514,7 @@ mod tests {
         );
         engine
             .directory()
-            .register(user, "user1", new_server.addr())
+            .call(REGISTER, (user, "user1".into(), new_server.addr()))
             .unwrap();
         servers[0].shutdown();
         // Old address unreachable -> engine re-resolves and succeeds.
@@ -573,7 +625,7 @@ mod tests {
         );
         engine
             .directory()
-            .register(user, "user1", new_server.addr())
+            .call(REGISTER, (user, "user1".into(), new_server.addr()))
             .unwrap();
         servers[0].shutdown();
         let calls: Vec<Call<'_>> = users
@@ -619,7 +671,10 @@ mod tests {
         let silent = net.register();
         engine
             .directory()
-            .register(UserId::new(id), &format!("silent{id}"), silent.addr())
+            .call(
+                REGISTER,
+                (UserId::new(id), format!("silent{id}").into(), silent.addr()),
+            )
             .unwrap();
         silent
     }
@@ -708,7 +763,7 @@ mod tests {
         let user = UserId::new(1);
         engine
             .directory()
-            .register(user, "user1", server.addr())
+            .call(REGISTER, (user, "user1".into(), server.addr()))
             .unwrap();
         let engine = engine.with_options(CallOptions::new().with_retries(1));
         let svc = ServiceName::new("svc");
@@ -758,9 +813,12 @@ mod tests {
         );
         engine
             .directory()
-            .register_proxy(user, proxy.addr())
+            .call(REGISTER_PROXY, (user, proxy.addr()))
             .unwrap();
-        engine.directory().set_connected(user, false).unwrap();
+        engine
+            .directory()
+            .call(SET_CONNECTED, (user, false))
+            .unwrap();
         net.set_connected(servers[0].addr(), false);
         // `retries` is 0: the re-resolved wave is not charged to it.
         assert_eq!(engine.timeout(), CallOptions::new().timeout);

@@ -202,7 +202,10 @@ fn fresh_iv() -> [u8; 8] {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // test code
 mod tests {
     use super::*;
+    use crate::directory::{DESCRIBE, LOOKUP_NAME};
+    use crate::listener::Methods;
     use crate::listener::{InvokeCtx, Method};
+    use syd_net::Verb;
     use syd_telemetry::names;
     use syd_types::{ServiceName, Value};
 
@@ -312,13 +315,15 @@ mod tests {
 
         // Serving is local. One `publish` then sends one request per
         // distinct service, however many methods its table has.
-        const NULL: fn(&(), &InvokeCtx, &[Value]) -> SydResult<Value> = |(), _, _| Ok(Value::Null);
-        static CALENDAR: &[Method<()>] = &[
-            Method::new("a", NULL),
-            Method::new("b", NULL),
-            Method::new("d", NULL),
+        const CAL: &ServiceName = &ServiceName::constant("calendar");
+        const MAIL: &ServiceName = &ServiceName::constant("mailbox");
+        const NULL: fn(&(), &InvokeCtx, ()) -> SydResult<()> = |(), _, ()| Ok(());
+        static CALENDAR: &Methods<()> = &[
+            &Method::verb(Verb::<(), ()>::new(CAL, "a"), NULL),
+            &Method::verb(Verb::<(), ()>::new(CAL, "b"), NULL),
+            &Method::verb(Verb::<(), ()>::new(CAL, "d"), NULL),
         ];
-        static MAILBOX: &[Method<()>] = &[Method::new("c", NULL)];
+        static MAILBOX: &Methods<()> = &[&Method::verb(Verb::<(), ()>::new(MAIL, "c"), NULL)];
         let (cal, mail) = (ServiceName::new("calendar"), ServiceName::new("mailbox"));
         let state = Arc::new(());
         a.serve(&cal, &state, CALENDAR);
@@ -330,7 +335,7 @@ mod tests {
             syd_types::sync::sleep(std::time::Duration::from_millis(1));
         }
         assert_eq!(dir_requests(&env) - before, 3);
-        let rec = a.engine().directory().describe(a.user()).unwrap();
+        let rec = a.engine().directory().call(DESCRIBE, (a.user(),)).unwrap();
         assert_eq!(rec.services, vec!["calendar", "mailbox"]);
     }
 
@@ -352,8 +357,8 @@ mod tests {
         let b = env.device("bob", "").unwrap();
         assert_ne!(a.user(), b.user());
         let dirc = env.directory_client();
-        assert_eq!(dirc.lookup_name("alice").unwrap(), a.user());
-        assert_eq!(dirc.lookup_name("bob").unwrap(), b.user());
+        assert_eq!(dirc.call(LOOKUP_NAME, ("alice".into(),)).unwrap(), a.user());
+        assert_eq!(dirc.call(LOOKUP_NAME, ("bob".into(),)).unwrap(), b.user());
         assert!(env.device("alice", "").is_err(), "duplicate name");
     }
 }

@@ -50,6 +50,7 @@ pub use engine::{Call, GroupResult, SydEngine};
 pub use env::SydEnv;
 pub use events::EventHandler;
 pub use links::{Constraint, Link, LinkKind, LinkRef, LinkStatus, LinksModule, WaitingEntry};
-pub use listener::{arg, InvokeCtx, Listener, Method};
+pub use listener::{Handler, InvokeCtx, Listener, Method, Methods};
 pub use negotiate::{NegotiationOutcome, Negotiator, Participant};
 pub use proxy::ProxyHost;
+pub use syd_net::{Body, Verb};

@@ -38,6 +38,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
+use syd_net::Verb;
 use syd_store::{Column, ColumnType, Predicate, Schema, Store};
 use syd_telemetry::Event;
 use syd_types::sync::{Rank, RwLock};
@@ -45,13 +46,25 @@ pub use syd_types::Constraint;
 use syd_types::{
     Clock, LinkId, Priority, ServiceName, SydError, SydResult, Text, Timestamp, UserId, Value,
 };
-use syd_wire::{decode_from_slice, encode_to_vec, Args, Decode, Encode, Reader, Sink};
+use syd_wire::{decode_from_slice, encode_to_vec, Args, Decode, Encode, Reader, Record, Sink};
 
 use crate::engine::{Call, SydEngine};
 use crate::events::EventHandler;
-use crate::negotiate::{link_service, NegotiationOutcome, Negotiator, Participant};
+use crate::negotiate::{NegotiationOutcome, Negotiator, Participant, LINK};
 
 pub mod lifecycle;
+
+/// §4.2 op. 2's offer: whether the peer's acceptor takes a link on its
+/// `entity` with `action`, offered by a user.
+pub const OFFER_LINK: Verb<(Text, Text, UserId), bool> = Verb::new(LINK, "offer_link");
+/// Installs a peer-built link ([`LinksModule::install`]); answers its id.
+pub const INSTALL_LINK: Verb<(Record<Link>,), LinkId> = Verb::new(LINK, "install_link");
+/// §4.4's cascade: deletes the links of a correlation id, forwarding to
+/// the peers not among the visited users; answers how many it deleted.
+pub const DELETE_BY_CORR: Verb<(Text, Vec<UserId>), u64> = Verb::new(LINK, "delete_by_corr");
+/// A subscription link's notification of `entity` with `action` and a
+/// payload; answers what the subscription handler does.
+pub const NOTIFY: Verb<(Text, Text, Value), Value> = Verb::new(LINK, "notify");
 
 /// Link type (§4.1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -712,21 +725,15 @@ impl LinksModule {
     /// `back_action`) is installed at each peer under the same correlation
     /// id.
     pub fn create_negotiated(&self, spec: LinkSpec, back_action: &str) -> SydResult<Link> {
-        let svc = link_service();
         // Phase 1: ask everyone.
         let offers: Vec<Call<'_>> = spec
             .refs
             .iter()
             .map(|r| {
-                Call::new(
+                Call::verb(
                     r.user,
-                    &svc,
-                    "offer_link",
-                    vec![
-                        Value::str(r.entity.clone()),
-                        Value::str(r.action.clone()),
-                        Value::from(self.user.raw()),
-                    ],
+                    OFFER_LINK,
+                    (r.entity.clone(), r.action.clone(), self.user),
                 )
             })
             .collect();
@@ -772,7 +779,7 @@ impl LinksModule {
                     expires: forward.expires,
                     corr: corr.clone(),
                 };
-                Call::new(r.user, &svc, "install_link", vec![back.to_value()])
+                Call::verb(r.user, INSTALL_LINK, (Record::new(&back),))
             })
             .collect();
         let installed = self.engine.invoke_batch(&installs);
@@ -784,7 +791,12 @@ impl LinksModule {
 
     /// Installs a link received from a peer (`syd.link/install_link`).
     pub fn install_remote(&self, value: &Value) -> SydResult<LinkId> {
-        let link = Link::from_value(value)?;
+        self.install(Link::from_value(value)?)
+    }
+
+    /// Installs a link a peer built for this device under this device's
+    /// own id.
+    pub fn install(&self, link: Link) -> SydResult<LinkId> {
         let stored = self.add_local(LinkSpec {
             kind: link.kind,
             status: link.status,
@@ -924,15 +936,8 @@ impl LinksModule {
             return Vec::new();
         }
         visited.extend(peers.iter().map(|p| p.raw()));
-        let round = self.engine.invoke_group(
-            peers,
-            &link_service(),
-            "delete_by_corr",
-            vec![
-                Value::str(corr),
-                Value::list(visited.into_iter().map(Value::from)),
-            ],
-        );
+        let visited = visited.into_iter().map(UserId::new).collect();
+        let round = (self.engine).call_group(peers, DELETE_BY_CORR, (Text::from(corr), visited));
         round.oks().map(|(peer, _)| peer).collect()
     }
 
@@ -1141,14 +1146,9 @@ impl LinksModule {
         match link.kind {
             LinkKind::Subscription => {
                 // One round, whatever the number of references.
-                let svc = link_service();
                 let notify = |r: &LinkRef| {
-                    let args = vec![
-                        Value::str(r.entity.clone()),
-                        Value::str(r.action.clone()),
-                        payload.clone(),
-                    ];
-                    Call::new(r.user, &svc, "notify", args)
+                    let args = (r.entity.clone(), r.action.clone(), payload.clone());
+                    Call::verb(r.user, NOTIFY, args)
                 };
                 let calls: Vec<Call<'_>> = link.refs.iter().map(notify).collect();
                 let delivered = self.engine.invoke_batch(&calls).ok_count();

@@ -2,8 +2,10 @@
 //!
 //! "SyDListener enables SyD device objects to publish services … as
 //! listeners locally on the device and globally via directory services."
-//! Locally, a service is a static table of [`Method`]s served from one
-//! state the listener holds weakly; globally,
+//! Locally, a service is a static table of [`Method`]s, each the handler
+//! of one [`Verb`] (the method's name, arguments and reply, declared once
+//! for the handler and every caller), served from one state the listener
+//! holds weakly; globally,
 //! [`crate::device::DeviceRuntime`] publishes each service name in the
 //! SyDDirectory once — the directory lists services, the listener alone
 //! knows methods. A device and a proxy replica serve the same tables
@@ -15,15 +17,16 @@
 //! runs, and the authenticated user (not the claimed `caller` field) is
 //! what the method sees.
 
+use std::marker::PhantomData;
 use std::sync::{Arc, Weak};
 
 use syd_crypto::Authenticator;
-use syd_net::RequestHandler;
+use syd_net::{RequestHandler, Verb};
 use syd_telemetry::names;
 use syd_telemetry::{Counter, Registry};
 use syd_types::sync::{Rank, RwLock};
 use syd_types::{NodeAddr, ServiceName, SydError, SydResult, UserId, Value};
-use syd_wire::Request;
+use syd_wire::{AsValue, Params, Request};
 
 /// Context passed to every service method.
 #[derive(Clone, Debug)]
@@ -37,29 +40,52 @@ pub struct InvokeCtx {
     pub authenticated: bool,
 }
 
-/// One method of a service whose state is `S`: a service is a
-/// `&'static [Method<S>]`, built once per process and served by every
-/// device (and proxy replica) that offers it.
-pub struct Method<S> {
-    name: &'static str,
-    serve: fn(&S, &InvokeCtx, &[Value]) -> SydResult<Value>,
+/// One served method, its types erased: what a table holds.
+pub trait Handler<S>: Sync {
+    /// The wire name the method answers under.
+    fn name(&self) -> &'static str;
+    /// Reads `args` as the verb's arguments and runs the method.
+    fn serve(&self, state: &S, ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value>;
 }
 
-impl<S> Method<S> {
-    /// The method `name` on the wire, answered by `serve` from the
-    /// service's state.
-    pub const fn new(
-        name: &'static str,
-        serve: fn(&S, &InvokeCtx, &[Value]) -> SydResult<Value>,
-    ) -> Method<S> {
-        Method { name, serve }
+/// A service's method table: `&[&Method::verb(..), ..]`, built once per
+/// process and served by every device (and proxy replica) that offers it.
+pub type Methods<S> = [&'static dyn Handler<S>];
+
+/// The handler of one [`Verb`]: `serve` is handed the verb's arguments,
+/// already read (a missing or mistyped one never reaches it), and answers
+/// the verb's reply type.
+pub struct Method<S, A, R, F> {
+    verb: Verb<A, R>,
+    serve: F,
+    state: PhantomData<fn(&S)>,
+}
+
+impl<S, A: Params, R: AsValue, F> Method<S, A, R, F>
+where
+    F: for<'a> Fn(&S, &InvokeCtx, A::View<'a>) -> SydResult<R>,
+{
+    /// `verb`, answered by `serve` from the service's state.
+    pub const fn verb(verb: Verb<A, R>, serve: F) -> Self {
+        Method {
+            verb,
+            serve,
+            state: PhantomData,
+        }
     }
 }
 
-/// Argument `i` of a method's `args`, or a protocol error naming it.
-pub fn arg(args: &[Value], i: usize) -> SydResult<&Value> {
-    args.get(i)
-        .ok_or_else(|| SydError::Protocol(format!("missing argument {i}")))
+impl<S, A: Params, R: AsValue, F> Handler<S> for Method<S, A, R, F>
+where
+    F: for<'a> Fn(&S, &InvokeCtx, A::View<'a>) -> SydResult<R> + Sync,
+{
+    fn name(&self) -> &'static str {
+        self.verb.name
+    }
+
+    fn serve(&self, state: &S, ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+        (self.serve)(state, ctx, A::parse(args)?).map(R::into_value)
+    }
 }
 
 /// A served table with its state's type erased.
@@ -72,20 +98,20 @@ trait Served: Send + Sync {
 
 struct Table<S: 'static> {
     state: Weak<S>,
-    methods: &'static [Method<S>],
+    methods: &'static Methods<S>,
 }
 
 impl<S: Send + Sync + 'static> Served for Table<S> {
     fn call(&self, method: &str, ctx: &InvokeCtx, args: &[Value]) -> Option<SydResult<Value>> {
-        let method = self.methods.iter().find(|m| m.name == method)?;
+        let handler = self.methods.iter().find(|m| m.name() == method)?;
         Some(match self.state.upgrade() {
-            Some(state) => (method.serve)(&state, ctx, args),
+            Some(state) => handler.serve(&state, ctx, args),
             None => Err(SydError::Shutdown),
         })
     }
 
     fn names(&self) -> Vec<&'static str> {
-        self.methods.iter().map(|m| m.name).collect()
+        self.methods.iter().map(|m| m.name()).collect()
     }
 }
 
@@ -121,7 +147,7 @@ impl Listener {
         &self,
         service: &ServiceName,
         state: &Arc<S>,
-        table: &'static [Method<S>],
+        table: &'static Methods<S>,
     ) {
         let served: Arc<dyn Served> = Arc::new(Table {
             state: Arc::downgrade(state),
@@ -211,21 +237,21 @@ mod tests {
         }
     }
 
+    const SVC: &ServiceName = &ServiceName::constant("svc");
+    const ECHO: Verb<(Value,), (UserId, bool, Value)> = Verb::new(SVC, "echo");
+
     /// `echo` answers who called, whether that was verified, and its
     /// argument; it notes in its state that it ran.
-    static ECHO: &[Method<AtomicBool>] = &[Method::new("echo", |ran, ctx, args| {
-        ran.store(true, Ordering::SeqCst);
-        Ok(Value::list([
-            Value::from(ctx.caller.raw()),
-            Value::Bool(ctx.authenticated),
-            args[0].clone(),
-        ]))
-    })];
+    static ECHO_TABLE: &Methods<AtomicBool> =
+        &[&Method::verb(ECHO, |ran: &AtomicBool, ctx, (arg,)| {
+            ran.store(true, Ordering::SeqCst);
+            Ok((ctx.caller, ctx.authenticated, arg.clone()))
+        })];
 
     fn echo_listener(auth: Option<Arc<Authenticator>>) -> (Listener, Arc<AtomicBool>) {
         let listener = Listener::new(auth, &Registry::new());
         let ran = Arc::new(AtomicBool::new(false));
-        listener.serve(&ServiceName::new("svc"), &ran, ECHO);
+        listener.serve(SVC, &ran, ECHO_TABLE);
         (listener, ran)
     }
 
@@ -293,10 +319,12 @@ mod tests {
         }
     }
 
-    static ONE: &[Method<()>] = &[Method::new("m", |(), _, _| Ok(Value::I64(1)))];
-    static TWO: &[Method<()>] = &[
-        Method::new("m", |(), _, _| Ok(Value::I64(2))),
-        Method::new("n", |(), _, _| Ok(Value::I64(3))),
+    const M: Verb<(), i64> = Verb::new(SVC, "m");
+    const N: Verb<(), i64> = Verb::new(SVC, "n");
+    static ONE: &Methods<()> = &[&Method::verb(M, |(), _, ()| Ok(1))];
+    static TWO: &Methods<()> = &[
+        &Method::verb(M, |(), _, ()| Ok(2)),
+        &Method::verb(N, |(), _, ()| Ok(3)),
     ];
 
     /// Serving a service again replaces its whole table.

@@ -54,9 +54,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use syd_net::{Body, Verb};
 use syd_telemetry::{Counter, Event, Registry};
 use syd_types::{ServiceName, SydError, SydResult, Text, UserId, Value};
-use syd_wire::Args;
 
 use crate::engine::{Call, SydEngine};
 use crate::links::Constraint;
@@ -64,21 +64,27 @@ use syd_telemetry::names;
 
 pub mod fsm;
 
+/// The kernel-internal service every device serves for negotiations and
+/// links.
+pub const LINK: &ServiceName = &ServiceName::constant("syd.link");
+
 /// The kernel-internal service every device serves for negotiations.
 pub fn link_service() -> ServiceName {
-    ServiceName::new("syd.link")
+    LINK.clone()
 }
 
-/// §4.3's verbs on the link service: Mark X and Lock X, Change X and
-/// Unlock X, and Unlock X. Only this module sends them, and only the
-/// device's kernel handlers serve them.
-pub(crate) const MARK: &str = "mark";
+/// A §4.3 request's arguments: the session, the entity and the change.
+type Step = (u64, Text, Value);
+
+/// §4.3's verbs on the link service: Mark X and Lock X (answered with the
+/// vote, [`fsm::Vote::wire_reply`]), Change X and Unlock X, and Unlock X.
+/// Only this module sends them, [`SydEngine::invoke_batch`] refuses them,
+/// and only the device's kernel handlers serve them.
+pub const MARK: Verb<Step, Value> = Verb::new(LINK, "mark");
 /// See [`MARK`].
-pub(crate) const COMMIT: &str = "commit";
+pub const COMMIT: Verb<Step, ()> = Verb::new(LINK, "commit");
 /// See [`MARK`].
-pub(crate) const ABORT: &str = "abort";
-/// The three, which [`SydEngine::invoke_batch`] refuses.
-pub(crate) const PROTOCOL_VERBS: [&str; 3] = [MARK, COMMIT, ABORT];
+pub const ABORT: Verb<Step, ()> = Verb::new(LINK, "abort");
 
 /// One party to a negotiation: whose entity changes, and how.
 #[derive(Clone, Debug, PartialEq)]
@@ -245,7 +251,6 @@ impl Negotiator {
         }
         let n = self.next_session.fetch_add(1, Ordering::Relaxed);
         let session = fsm::session_id(self.local_user, n);
-        let svc = link_service();
         self.sessions.inc();
         let journal = self.engine.node().journal();
         let mut emit = |event: Event| {
@@ -259,17 +264,13 @@ impl Negotiator {
         emit(round.begin());
         // One body per distinct `(entity, change)` of the session: calls
         // carrying the same share its encoding, as `Call::broadcast`'s do.
-        let mut bodies: Vec<(Text, Arc<Value>, Args)> = Vec::new();
+        let mut bodies: Vec<(Text, Arc<Value>, Body<Step>)> = Vec::new();
         let mut body = |e: &Text, c: &Arc<Value>| {
             if let Some((_, _, args)) = bodies.iter().find(|(be, bc, _)| be == e && bc == c) {
                 args.preencode();
                 return args.clone();
             }
-            let args = Args::from(vec![
-                Value::from(session),
-                Value::Str(e.clone()),
-                Value::clone(c),
-            ]);
+            let args = Body::from((session, e.clone(), Value::clone(c)));
             bodies.push((e.clone(), Arc::clone(c), args.clone()));
             args
         };
@@ -277,7 +278,7 @@ impl Negotiator {
         // Phase 1: mark everyone; the round tallies the votes and decides.
         let marks: Vec<Call<'_>> = participants
             .iter()
-            .map(|p| Call::new(p.user, &svc, MARK, body(&p.entity, &p.change)))
+            .map(|p| Call::verb(p.user, MARK, body(&p.entity, &p.change)))
             .collect();
         let votes = {
             let mut span = self.engine.node().tracer().span(names::SPAN_MARK_ROUND);
@@ -306,11 +307,11 @@ impl Negotiator {
         let mut batch: Vec<Call<'_>> = Vec::with_capacity(sent.len() + riders.len());
         batch.extend(
             (chosen.iter().zip(changes))
-                .map(|(p, change)| Call::new(p.user, &svc, COMMIT, body(&p.entity, &change))),
+                .map(|(p, change)| Call::verb(p.user, COMMIT, body(&p.entity, &change))),
         );
         batch.extend(sent[chosen.len()..].iter().map(|&i| {
             let p = &participants[i];
-            Call::new(p.user, &svc, ABORT, body(&p.entity, &p.change))
+            Call::verb(p.user, ABORT, body(&p.entity, &p.change))
         }));
         if round.satisfied() == Some(true) {
             batch.extend(riders);

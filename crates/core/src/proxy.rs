@@ -36,21 +36,27 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use syd_crypto::Authenticator;
-use syd_net::{EventSink, Node, RequestHandler, Transport};
+use syd_net::{EventSink, Node, RequestHandler, Transport, Verb};
 use syd_types::sync::{Mutex, Rank, RwLock};
 use syd_types::{NodeAddr, ServiceName, SydError, SydResult, UserId, Value};
 use syd_wire::{EventMsg, Request};
 
 use crate::device::DeviceRuntime;
-use crate::directory::DirectoryClient;
-use crate::listener::{InvokeCtx, Listener, Method};
+use crate::directory::{DirectoryClient, CLEAR_PROXY, REGISTER, REGISTER_PROXY};
+use crate::listener::{InvokeCtx, Listener, Method, Methods};
 use syd_store::{Predicate, Store, Trigger, TriggerEvent};
 use syd_telemetry::names;
 
-/// The proxy-internal service name.
-pub fn proxy_service() -> ServiceName {
-    ServiceName::new("syd.proxy")
-}
+/// The proxy-internal service.
+pub const PROXY: &ServiceName = &ServiceName::constant("syd.proxy");
+
+/// A hosted user's journal of row operations, cleared as it is handed
+/// over.
+pub const DRAIN_JOURNAL: Verb<(UserId,), Vec<Value>> = Verb::new(PROXY, "drain_journal");
+/// One row operation applied to a hosted user's replica: the
+/// request-based alternative to the fire-and-forget `proxy.sync` event
+/// (used where a caller needs confirmation).
+pub const SYNC: Verb<(Value,), ()> = Verb::new(PROXY, "sync");
 
 /// One hosted user's replica and the tables served from it.
 struct Replica {
@@ -84,9 +90,17 @@ struct ProxyInner {
 }
 
 /// The proxy's own verbs.
-static PROXY_METHODS: &[Method<ProxyInner>] = &[
-    Method::new("drain_journal", drain_journal),
-    Method::new("sync", sync),
+static PROXY_METHODS: &Methods<ProxyInner> = &[
+    &Method::verb(DRAIN_JOURNAL, |inner: &ProxyInner, ctx, (user,)| {
+        acting_for(ctx, user)?;
+        let replica = replica_of(inner, user)?;
+        let ops = replica.journal.lock().drain(..).collect();
+        Ok(ops)
+    }),
+    &Method::verb(SYNC, |inner: &ProxyInner, ctx, (op,)| {
+        acting_for(ctx, op_user(op)?)?;
+        apply_sync_event(inner, op)
+    }),
 ];
 
 /// A proxy host. Cloning shares the host.
@@ -119,9 +133,7 @@ impl ProxyHost {
             replicas: RwLock::new(Rank::Engine, HashMap::new()),
             served,
         });
-        inner
-            .listener
-            .serve(&proxy_service(), &inner, PROXY_METHODS);
+        inner.listener.serve(PROXY, &inner, PROXY_METHODS);
         let host = ProxyHost {
             inner: Arc::clone(&inner),
         };
@@ -142,7 +154,7 @@ impl ProxyHost {
         // leave the endpoint and its reactor registration behind.
         inner
             .directory
-            .register(user, name, inner.node.addr())
+            .call(REGISTER, (user, name.into(), inner.node.addr()))
             .inspect_err(|_| inner.node.shutdown())?;
         Ok(host)
     }
@@ -178,7 +190,7 @@ impl ProxyHost {
     pub fn host_user(
         &self,
         user: UserId,
-        setup: impl FnOnce(&Store) -> SydResult<Vec<(ServiceName, &'static [Method<Store>])>>,
+        setup: impl FnOnce(&Store) -> SydResult<Vec<(ServiceName, &'static Methods<Store>)>>,
     ) -> SydResult<()> {
         let store = Arc::new(Store::new());
         let listener = Listener::new(self.inner.auth.clone(), self.inner.node.metrics());
@@ -213,14 +225,14 @@ impl ProxyHost {
             ))?;
         }
         self.inner.replicas.write().insert(user, replica);
-        self.inner.directory.register_proxy(user, self.addr())?;
+        (self.inner.directory).call(REGISTER_PROXY, (user, self.addr()))?;
         Ok(())
     }
 
     /// Stops hosting `user` (directory mapping removed; replica dropped).
     pub fn drop_user(&self, user: UserId) -> SydResult<()> {
         self.inner.replicas.write().remove(&user);
-        self.inner.directory.clear_proxy(user)
+        self.inner.directory.call(CLEAR_PROXY, (user,))
     }
 
     /// Direct access to a hosted user's replica store (tests/diagnostics).
@@ -248,7 +260,7 @@ fn replica_of(inner: &ProxyInner, user: UserId) -> SydResult<Arc<Replica>> {
 /// The proxy's own verbs go to its listener; any other request to the
 /// listener of the replica it targets.
 fn route(inner: &ProxyInner, from: NodeAddr, req: &Request) -> SydResult<Value> {
-    if req.service.as_str() == "syd.proxy" {
+    if req.service == *PROXY {
         return inner.listener.dispatch(from, req);
     }
     let replica = replica_of(inner, req.target).map_err(|_| {
@@ -268,28 +280,6 @@ fn acting_for(ctx: &InvokeCtx, user: UserId) -> SydResult<()> {
         return Err(SydError::AuthFailed(ctx.caller));
     }
     Ok(())
-}
-
-/// drain_journal(user) -> [ops]; clears the journal.
-fn drain_journal(inner: &ProxyInner, ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    let user = args
-        .first()
-        .ok_or_else(|| SydError::Protocol("drain_journal needs user".into()))?;
-    let user = UserId::new(user.as_i64()? as u64);
-    acting_for(ctx, user)?;
-    let ops: Vec<Value> = replica_of(inner, user)?.journal.lock().drain(..).collect();
-    Ok(Value::List(ops))
-}
-
-/// sync(op) -> Null; the request-based alternative to the fire-and-forget
-/// event (used where a caller needs confirmation).
-fn sync(inner: &ProxyInner, ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    let op = args
-        .first()
-        .ok_or_else(|| SydError::Protocol("sync needs op".into()))?;
-    acting_for(ctx, op_user(op)?)?;
-    apply_sync_event(inner, op)?;
-    Ok(Value::Null)
 }
 
 /// Serializes one row change as a sync/journal operation.
@@ -465,9 +455,11 @@ pub fn replay_journal(store: &Store, ops: &[Value]) -> SydResult<usize> {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // test code
 mod tests {
     use super::*;
+    use crate::directory::DESCRIBE;
     use crate::env::SydEnv;
     use syd_net::{NetConfig, Network};
     use syd_store::{Column, ColumnType, Schema};
+    use syd_types::Text;
 
     fn slots_schema() -> Schema {
         Schema::new(
@@ -481,36 +473,37 @@ mod tests {
         .unwrap()
     }
 
-    /// status(day) -> status | Null
-    fn status(store: &Store, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-        let day = args[0].as_i64()?;
+    const CALENDAR: &ServiceName = &ServiceName::constant("calendar");
+    /// The status of a day, or `None`.
+    const STATUS: Verb<(i64,), Option<Text>> = Verb::new(CALENDAR, "status");
+    /// Sets a day's status.
+    const SET: Verb<(i64, Text), ()> = Verb::new(CALENDAR, "set");
+
+    fn status(store: &Store, _ctx: &InvokeCtx, (day,): (i64,)) -> SydResult<Option<Text>> {
         match store.get_by_key("slots", &[Value::I64(day)])? {
-            Some(row) => Ok(row.values[1].clone()),
-            None => Ok(Value::Null),
+            Some(row) => Ok(Some(row.values[1].as_text()?.clone())),
+            None => Ok(None),
         }
     }
 
-    /// set(day, status) -> Null
-    fn set(store: &Store, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-        let day = args[0].as_i64()?;
-        let status = args[1].as_str()?;
+    fn set(store: &Store, _ctx: &InvokeCtx, (day, status): (i64, Text)) -> SydResult<()> {
         if store.get_by_key("slots", &[Value::I64(day)])?.is_some() {
             store.update(
                 "slots",
                 &Predicate::Eq("day".into(), Value::I64(day)),
-                &[("status".into(), Value::str(status))],
+                &[("status".into(), Value::Str(status.clone()))],
             )?;
         } else {
-            store.insert("slots", vec![Value::I64(day), Value::str(status)])?;
+            store.insert("slots", vec![Value::I64(day), Value::Str(status.clone())])?;
         }
-        Ok(Value::Null)
+        Ok(())
     }
 
     /// What the primary serves: reads only.
-    static READS: &[Method<Store>] = &[Method::new("status", status)];
+    static READS: &Methods<Store> = &[&Method::verb(STATUS, status)];
     /// What the replica serves: the same read, and a write.
-    static READS_AND_WRITES: &[Method<Store>] =
-        &[Method::new("status", status), Method::new("set", set)];
+    static READS_AND_WRITES: &Methods<Store> =
+        &[&Method::verb(STATUS, status), &Method::verb(SET, set)];
 
     /// A peer that resolves a new proxy at once reaches its `syd.proxy`
     /// verbs: the directory here calls the proxy before it answers
@@ -525,7 +518,7 @@ mod tests {
             move |from: NodeAddr, request: Request| -> SydResult<Value> {
                 if request.method == "register" {
                     let args = vec![Value::I64(1)];
-                    let drained = peer.call(from, &proxy_service(), "drain_journal", args);
+                    let drained = peer.call(from, PROXY, "drain_journal", args);
                     seen.lock().push(drained);
                 }
                 Ok(Value::Null)
@@ -612,7 +605,7 @@ mod tests {
             .node()
             .call(
                 proxy.addr(),
-                &proxy_service(),
+                PROXY,
                 "drain_journal",
                 vec![Value::from(phil.user().raw())],
             )
@@ -669,8 +662,7 @@ mod tests {
         assert_eq!(proxy.journal_len(phil.user()), 1);
 
         let call = |who: &DeviceRuntime, method: &str, arg: Value| {
-            who.node()
-                .call(proxy.addr(), &proxy_service(), method, vec![arg])
+            who.node().call(proxy.addr(), PROXY, method, vec![arg])
         };
         let op = |status: &str| {
             Value::map([
@@ -738,10 +730,16 @@ mod tests {
                 Ok(Vec::new())
             })
             .unwrap();
-        let rec = env.directory_client().describe(phil.user()).unwrap();
+        let rec = env
+            .directory_client()
+            .call(DESCRIBE, (phil.user(),))
+            .unwrap();
         assert_eq!(rec.proxy, Some(proxy.addr()));
         proxy.drop_user(phil.user()).unwrap();
-        let rec = env.directory_client().describe(phil.user()).unwrap();
+        let rec = env
+            .directory_client()
+            .call(DESCRIBE, (phil.user(),))
+            .unwrap();
         assert_eq!(rec.proxy, None);
         assert!(proxy.replica_store(phil.user()).is_none());
     }
@@ -765,11 +763,11 @@ mod tests {
             ("row", Value::list([Value::I64(7), Value::str("busy")])),
         ]);
         phil.node()
-            .call(proxy.addr(), &proxy_service(), "sync", vec![op.clone()])
+            .call(proxy.addr(), PROXY, "sync", vec![op.clone()])
             .unwrap();
         // Idempotent: applying the same op twice keeps one row.
         phil.node()
-            .call(proxy.addr(), &proxy_service(), "sync", vec![op])
+            .call(proxy.addr(), PROXY, "sync", vec![op])
             .unwrap();
         let replica = proxy.replica_store(phil.user()).unwrap();
         assert_eq!(replica.row_count("slots").unwrap(), 1);

@@ -7,15 +7,21 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, LazyLock};
 use std::time::{Duration, Instant};
 
+use syd_core::directory::{CREATE_GROUP, GROUP_ADD};
 use syd_core::links::{Constraint, LinkRef, LinkSpec};
-use syd_core::{DeviceRuntime, Method, SydEnv};
+use syd_core::{DeviceRuntime, Method, Methods, SydEnv, Verb};
 use syd_net::{LatencyModel, NetConfig};
 use syd_types::{Clock, ServiceName, SimClock, SydError, Timestamp, Value};
 
 /// The state of the services below, which keep none.
 static NO_STATE: LazyLock<Arc<()>> = LazyLock::new(|| Arc::new(()));
 
-static ECHO: &[Method<()>] = &[Method::new("echo", |(), _, args| {
+const SVC: &ServiceName = &ServiceName::constant("svc");
+
+/// An untyped fixture: answers its arguments as a list.
+const ECHO_VERB: Verb<Vec<Value>, Value> = Verb::new(SVC, "echo");
+
+static ECHO: &Methods<()> = &[&Method::verb(ECHO_VERB, |(), _, args: &[Value]| {
     Ok(Value::list(args.to_vec()))
 })];
 
@@ -86,9 +92,9 @@ fn named_group_invocation_resolves_and_aggregates() {
         echo_service(m, &svc);
     }
     let dir = env.directory_client();
-    let group = dir.create_group("committee").unwrap();
+    let group = dir.call(CREATE_GROUP, ("committee".into(),)).unwrap();
     for m in &members {
-        dir.group_add(group, m.user()).unwrap();
+        dir.call(GROUP_ADD, (group, m.user())).unwrap();
     }
 
     let result = caller
@@ -245,9 +251,10 @@ fn engine_options_bound_call_time() {
     let a = env.device("a", "").unwrap();
     let b = env.device("b", "").unwrap();
     let svc = ServiceName::new("sleepy");
-    static NAP: &[Method<()>] = &[Method::new("nap", |(), _, _| {
+    const NAP_VERB: Verb<(), ()> = Verb::new(SVC, "nap");
+    static NAP: &Methods<()> = &[&Method::verb(NAP_VERB, |(), _, ()| {
         std::thread::sleep(Duration::from_millis(300));
-        Ok(Value::Null)
+        Ok(())
     })];
     b.serve(&svc, &NO_STATE, NAP);
     let engine = a

@@ -13,7 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use syd_core::{Method, SydEnv};
+use syd_core::{Method, Methods, SydEnv, Verb};
 use syd_crypto::Credentials;
 use syd_net::NetConfig;
 use syd_types::{ServiceName, Value};
@@ -84,7 +84,9 @@ fn a_remote_invocation_makes_a_bounded_number_of_allocations() {
         env.device("b", "pw").unwrap(),
     );
     let svc = ServiceName::new("echo");
-    static ECHO: &[Method<()>] = &[Method::new("echo", |(), _, args| Ok(args[0].clone()))];
+    const SVC: &ServiceName = &ServiceName::constant("echo");
+    const ECHO_VERB: Verb<(Value,), Value> = Verb::new(SVC, "echo");
+    static ECHO: &Methods<()> = &[&Method::verb(ECHO_VERB, |(), _, (arg,)| Ok(arg.clone()))];
     let state = Arc::new(());
     b.serve(&svc, &state, ECHO);
     let call = || {

@@ -40,7 +40,7 @@ pub use syd_transport::config;
 
 pub use node::{EventSink, Node, RequestHandler};
 pub use pool::WorkerPool;
-pub use rpc::{Call, CallOptions, PendingCall};
+pub use rpc::{Body, Call, CallOptions, PendingCall, Verb};
 pub use runtime::{runtime_for, DrainOutcome, SharedRuntime};
 pub use syd_transport::{
     Endpoint, FramedTcpTransport, LatencyModel, NetConfig, Network, Transport, TransportEndpoint,

@@ -2,11 +2,12 @@
 //! handles. A [`PendingCall`] owns no reply slot of its own: its reply
 //! lands in the issuing node's pending table, which it names by id.
 
+use std::marker::PhantomData;
 use std::sync::Weak;
 use std::time::{Duration, Instant};
 
 use syd_types::{RequestId, ServiceName, SydError, SydResult, UserId, Value};
-use syd_wire::Args;
+use syd_wire::{Args, AsValue, Params};
 
 use crate::node::NodeShared;
 
@@ -42,6 +43,31 @@ impl<'a> Call<'a> {
         }
     }
 
+    /// `verb` to `user`.
+    pub fn verb<A, R>(user: UserId, verb: Verb<A, R>, args: impl Into<Body<A>>) -> Call<'static> {
+        Call {
+            user,
+            service: verb.service,
+            method: verb.name,
+            args: args.into().args,
+        }
+    }
+
+    /// `verb` to every user of `users`, with one body shared by all.
+    pub fn verb_each<A: 'a, R: 'a>(
+        users: &'a [UserId],
+        verb: Verb<A, R>,
+        args: impl Into<Body<A>>,
+    ) -> impl Iterator<Item = Call<'a>> + 'a {
+        let body = args.into();
+        if !users.is_empty() {
+            body.preencode();
+        }
+        users
+            .iter()
+            .map(move |&user| Call::verb(user, verb, body.clone()))
+    }
+
     /// The same call to every user of `users`: the argument body is
     /// encoded **once** and shared by every outgoing request (and any
     /// retry) — a group of `n` pays one serialisation, not `n`.
@@ -61,6 +87,83 @@ impl<'a> Call<'a> {
             method,
             args: args.clone(),
         })
+    }
+}
+
+/// One remote method, declared once: its service, its wire name, its
+/// argument tuple `A` and its reply `R`. The handler that serves it and
+/// every caller name the same `const`, so a call that does not fit the
+/// method does not compile; only the name travels.
+pub struct Verb<A, R> {
+    /// The service the method belongs to.
+    pub service: &'static ServiceName,
+    /// The method's name on the wire.
+    pub name: &'static str,
+    signature: PhantomData<fn(A) -> R>,
+}
+
+impl<A, R> Verb<A, R> {
+    /// The method `name` of `service`.
+    pub const fn new(service: &'static ServiceName, name: &'static str) -> Verb<A, R> {
+        Verb {
+            service,
+            name,
+            signature: PhantomData,
+        }
+    }
+}
+
+impl<A, R: AsValue> Verb<A, R> {
+    /// A call's outcome read as this verb's reply.
+    pub fn reply(self, outcome: SydResult<Value>) -> SydResult<R> {
+        outcome.and_then(R::from_value)
+    }
+}
+
+impl<A, R> Clone for Verb<A, R> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<A, R> Copy for Verb<A, R> {}
+
+/// The arguments of a [`Verb`], built once: clones share one [`Args`]
+/// (and its encoding), so calls that carry the same arguments — a
+/// broadcast, a shared negotiation body — pay one serialisation.
+pub struct Body<A> {
+    args: Args,
+    params: PhantomData<fn(A)>,
+}
+
+impl<A> Body<A> {
+    /// Encodes the arguments now, for the clones to share.
+    pub fn preencode(&self) {
+        self.args.preencode();
+    }
+}
+
+impl<A: Params> From<A> for Body<A> {
+    fn from(args: A) -> Body<A> {
+        Body {
+            args: Args::from(args.into_args()),
+            params: PhantomData,
+        }
+    }
+}
+
+impl<A> From<Body<A>> for Args {
+    fn from(body: Body<A>) -> Args {
+        body.args
+    }
+}
+
+impl<A> Clone for Body<A> {
+    fn clone(&self) -> Self {
+        Body {
+            args: self.args.clone(),
+            params: PhantomData,
+        }
     }
 }
 

@@ -137,6 +137,11 @@ impl ServiceName {
         Self(name.into())
     }
 
+    /// A constant service name (at most [`crate::text::INLINE_CAP`] bytes).
+    pub const fn constant(name: &str) -> Self {
+        Self(Text::constant(name))
+    }
+
     /// Returns the name as a string slice.
     #[inline]
     pub fn as_str(&self) -> &str {

@@ -56,6 +56,19 @@ impl Text {
         Text::from(std::fmt::format(args))
     }
 
+    /// A constant name: `s` copied inline at compile time. A string longer
+    /// than [`INLINE_CAP`] bytes does not compile (in a `const`).
+    pub const fn constant(s: &str) -> Text {
+        let bytes = s.as_bytes();
+        assert!(bytes.len() <= INLINE_CAP, "a constant Text is inline");
+        let mut buf = [0; INLINE_CAP];
+        buf.split_at_mut(bytes.len()).0.copy_from_slice(bytes);
+        Text(Repr::Inline {
+            len: bytes.len() as u8,
+            buf,
+        })
+    }
+
     /// Whether the string lives inline (it is at most [`INLINE_CAP`] bytes).
     pub fn is_inline(&self) -> bool {
         matches!(self.0, Repr::Inline { .. })

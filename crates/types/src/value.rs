@@ -6,7 +6,9 @@
 //! in the paper's prototype. The two records the program itself owns, the
 //! calendar's `Meeting` and the kernel's `Link`, are the exception: each
 //! has a typed codec and travels and rests as one [`Value::Bytes`]
-//! (DESIGN.md §18); ad-hoc replies and change payloads stay maps.
+//! (DESIGN.md §18). A remote method's arguments and reply are typed by its
+//! verb (`syd_wire::AsValue`) and travel as positional values and lists;
+//! only change, link and event payloads stay maps.
 
 use core::fmt;
 use std::collections::BTreeMap;

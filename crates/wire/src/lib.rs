@@ -23,7 +23,9 @@
 pub mod args;
 pub mod codec;
 pub mod envelope;
+pub mod typed;
 
 pub use args::Args;
 pub use codec::{decode_from_slice, encode_to_vec, encoded_len, Decode, Encode, Reader, Sink};
 pub use envelope::{Envelope, EventMsg, Payload, Request, Response, TraceContext};
+pub use typed::{AsValue, Params, Record};

@@ -1,0 +1,344 @@
+//! Typed arguments and replies: what a verb's positional [`Value`]s mean.
+//!
+//! A remote method is called by name with a list of [`Value`]s and answers
+//! one [`Value`]. [`AsValue`] is a type that travels as one such value (an
+//! id, a number, a name, a record with a codec), and [`Params`] a tuple of
+//! them, a method's arguments. Both are read the one way written here: a
+//! missing argument or a value of the wrong type is
+//! [`SydError::Protocol`], a negative number where a `u64` is read is
+//! refused, and ids keep the `u64 ↔ i64` bit-cast their encoding has
+//! always had. A handler reads a request through [`AsValue::View`], which
+//! copies scalars, shares names and borrows untyped values and lists; a
+//! caller builds the request from the owned types and reads the reply back
+//! owned.
+
+use syd_types::{
+    GroupId, LinkId, MeetingId, NodeAddr, Priority, SlotBitmap, SydError, SydResult, Text, UserId,
+    Value,
+};
+
+use std::marker::PhantomData;
+
+use crate::codec::{decode_from_slice, encode_to_vec, Decode, Encode};
+
+/// A type that travels as one [`Value`]: a verb's argument or its reply.
+pub trait AsValue: Sized {
+    /// What a handler reads: the type itself, or a borrow of the request
+    /// for an untyped value.
+    type View<'a>;
+
+    /// Reads `value` as this type, borrowing from it where the view does.
+    fn view(value: &Value) -> SydResult<Self::View<'_>>;
+
+    /// Reads an owned `value` (a reply) as this type.
+    fn from_value(value: Value) -> SydResult<Self>;
+
+    /// The value this travels as.
+    fn into_value(self) -> Value;
+}
+
+/// A verb's positional arguments: a tuple of [`AsValue`]s, or `Vec<Value>`
+/// for an untyped list.
+pub trait Params: Sized {
+    /// The tuple of views a handler is handed.
+    type View<'a>;
+
+    /// Reads the positional `args`; extra trailing arguments are ignored.
+    fn parse(args: &[Value]) -> SydResult<Self::View<'_>>;
+
+    /// The argument list a caller sends.
+    fn into_args(self) -> Vec<Value>;
+}
+
+/// Argument `i` of `args`, or a protocol error naming it.
+fn positional(args: &[Value], i: usize) -> SydResult<&Value> {
+    args.get(i)
+        .ok_or_else(|| SydError::Protocol(format!("missing argument {i}")))
+}
+
+impl AsValue for Value {
+    type View<'a> = &'a Value;
+
+    fn view(value: &Value) -> SydResult<&Value> {
+        Ok(value)
+    }
+
+    fn from_value(value: Value) -> SydResult<Value> {
+        Ok(value)
+    }
+
+    fn into_value(self) -> Value {
+        self
+    }
+}
+
+/// A type a handler reads whole: copied out of the request, or a name
+/// sharing its bytes (cloning a [`Text`] copies no heap bytes).
+macro_rules! whole {
+    ($($t:ty: |$v:ident| $read:expr, |$s:ident| $write:expr;)*) => {$(
+        impl AsValue for $t {
+            type View<'a> = $t;
+
+            fn view($v: &Value) -> SydResult<$t> {
+                $read
+            }
+
+            fn from_value(value: Value) -> SydResult<$t> {
+                Self::view(&value)
+            }
+
+            fn into_value(self) -> Value {
+                let $s = self;
+                $write
+            }
+        }
+    )*};
+}
+
+whole! {
+    (): |v| match v {
+        Value::Null => Ok(()),
+        other => Err(SydError::type_mismatch("null", other.type_name())),
+    }, |_nothing| Value::Null;
+    bool: |v| v.as_bool(), |b| Value::Bool(b);
+    i64: |v| v.as_i64(), |n| Value::I64(n);
+    f64: |v| v.as_f64(), |x| Value::F64(x);
+    u64: |v| {
+        let n = v.as_i64()?;
+        u64::try_from(n).map_err(|_| SydError::Protocol(format!("negative number {n}")))
+    }, |n| Value::from(n);
+    Priority: |v| {
+        let n = v.as_i64()?;
+        let level = u8::try_from(n)
+            .map_err(|_| SydError::Protocol(format!("priority {n} is outside 0–255")))?;
+        Ok(Priority::new(level))
+    }, |p| Value::from(u32::from(p.level()));
+    UserId: |v| Ok(UserId::new(v.as_i64()? as u64)), |id| Value::from(id.raw());
+    MeetingId: |v| Ok(MeetingId::new(v.as_i64()? as u64)), |id| Value::from(id.raw());
+    GroupId: |v| Ok(GroupId::new(v.as_i64()? as u64)), |id| Value::from(id.raw());
+    LinkId: |v| Ok(LinkId::new(v.as_i64()? as u64)), |id| Value::from(id.raw());
+    NodeAddr: |v| Ok(NodeAddr::new(v.as_i64()? as u64)), |addr| Value::from(addr.raw());
+    Text: |v| v.as_text().cloned(), |s| Value::Str(s);
+    String: |v| v.as_str().map(str::to_owned), |s| Value::from(s);
+    SlotBitmap: |v| decode_from_slice(v.as_bytes()?), |b| Value::Bytes(encode_to_vec(&b));
+}
+
+/// `None` travels as `Null`.
+impl<T: AsValue> AsValue for Option<T> {
+    type View<'a> = Option<T::View<'a>>;
+
+    fn view(value: &Value) -> SydResult<Self::View<'_>> {
+        match value {
+            Value::Null => Ok(None),
+            some => T::view(some).map(Some),
+        }
+    }
+
+    fn from_value(value: Value) -> SydResult<Option<T>> {
+        match value {
+            Value::Null => Ok(None),
+            some => T::from_value(some).map(Some),
+        }
+    }
+
+    fn into_value(self) -> Value {
+        self.map_or(Value::Null, T::into_value)
+    }
+}
+
+/// A list of one type.
+impl<T: AsValue> AsValue for Vec<T> {
+    type View<'a> = Vec<T::View<'a>>;
+
+    fn view(value: &Value) -> SydResult<Self::View<'_>> {
+        value.as_list()?.iter().map(T::view).collect()
+    }
+
+    fn from_value(value: Value) -> SydResult<Vec<T>> {
+        value.into_list()?.into_iter().map(T::from_value).collect()
+    }
+
+    fn into_value(self) -> Value {
+        Value::List(self.into_iter().map(T::into_value).collect())
+    }
+}
+
+/// A record with a codec (a meeting, a link), encoded once: it travels as
+/// its bytes, a handler reads it decoded, and a caller that sends one
+/// record to many, or holds it encoded already, shares the encoding.
+pub struct Record<T> {
+    value: Value,
+    record: PhantomData<fn() -> T>,
+}
+
+impl<T: Encode> Record<T> {
+    /// Encodes `record`.
+    pub fn new(record: &T) -> Record<T> {
+        Record {
+            value: Value::Bytes(encode_to_vec(record)),
+            record: PhantomData,
+        }
+    }
+}
+
+impl<T> Record<T> {
+    /// The encoded record.
+    pub fn value(&self) -> &Value {
+        &self.value
+    }
+}
+
+/// A handler reads the record decoded; an owned reply is checked to
+/// decode and kept encoded.
+impl<T: Decode> AsValue for Record<T> {
+    type View<'a> = T;
+
+    fn view(value: &Value) -> SydResult<T> {
+        decode_from_slice(value.as_bytes()?)
+    }
+
+    fn from_value(value: Value) -> SydResult<Record<T>> {
+        Self::view(&value)?;
+        Ok(Record {
+            value,
+            record: PhantomData,
+        })
+    }
+
+    fn into_value(self) -> Value {
+        self.value
+    }
+}
+
+/// An untyped argument list: the handler reads the slice itself.
+impl Params for Vec<Value> {
+    type View<'a> = &'a [Value];
+
+    fn parse(args: &[Value]) -> SydResult<&[Value]> {
+        Ok(args)
+    }
+
+    fn into_args(self) -> Vec<Value> {
+        self
+    }
+}
+
+/// A tuple is a verb's positional arguments.
+macro_rules! params {
+    ($(($($t:ident $i:tt),*))*) => {$(
+        impl<$($t: AsValue),*> Params for ($($t,)*) {
+            type View<'a> = ($($t::View<'a>,)*);
+
+            #[allow(unused_variables)] // `()` reads nothing
+            fn parse(args: &[Value]) -> SydResult<Self::View<'_>> {
+                Ok(($($t::view(positional(args, $i)?)?,)*))
+            }
+
+            fn into_args(self) -> Vec<Value> {
+                vec![$(self.$i.into_value()),*]
+            }
+        }
+    )*};
+}
+
+/// As one value — a reply that is a record without a codec — a tuple is
+/// the list of its elements.
+macro_rules! tuples {
+    ($(($($t:ident $i:tt),*))*) => {$(
+        params!(($($t $i),*));
+
+        impl<$($t: AsValue),*> AsValue for ($($t,)*) {
+            type View<'a> = ($($t::View<'a>,)*);
+
+            fn view(value: &Value) -> SydResult<Self::View<'_>> {
+                <Self as Params>::parse(value.as_list()?)
+            }
+
+            fn from_value(value: Value) -> SydResult<Self> {
+                let mut items = value.into_list()?.into_iter();
+                let mut next = |i: usize| {
+                    let missing = || SydError::Protocol(format!("missing element {i}"));
+                    items.next().ok_or_else(missing)
+                };
+                Ok(($($t::from_value(next($i)?)?,)*))
+            }
+
+            fn into_value(self) -> Value {
+                Value::List(<Self as Params>::into_args(self))
+            }
+        }
+    )*};
+}
+
+params!(());
+tuples! {
+    (A 0)
+    (A 0, B 1)
+    (A 0, B 1, C 2)
+    (A 0, B 1, C 2, D 3)
+    (A 0, B 1, C 2, D 3, E 4)
+    (A 0, B 1, C 2, D 3, E 4, F 5)
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)] // test code
+mod tests {
+    use super::*;
+
+    fn protocol<T: std::fmt::Debug>(read: SydResult<T>) -> String {
+        match read {
+            Err(SydError::Protocol(what)) => what,
+            other => panic!("read as {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_missing_or_mistyped_argument_is_a_protocol_error() {
+        type Mark = (u64, Text, Value);
+        let args = [Value::from(7u64), Value::str("slot:1")];
+        assert_eq!(protocol(Mark::parse(&args)), "missing argument 2");
+        let args = [Value::str("7"), Value::str("slot:1"), Value::Null];
+        assert!(protocol(Mark::parse(&args)).contains("type mismatch"));
+        let args = [
+            Value::from(7u64),
+            Value::str("slot:1"),
+            Value::Null,
+            Value::Null,
+        ];
+        let (session, entity, change) = Mark::parse(&args).unwrap();
+        assert_eq!(
+            (session, entity.as_str(), change),
+            (7, "slot:1", &Value::Null)
+        );
+    }
+
+    #[test]
+    fn numbers_are_checked_and_ids_are_bit_cast() {
+        assert!(protocol(u64::view(&Value::I64(-1))).contains("negative"));
+        for level in [-1, 256, 356] {
+            assert!(protocol(Priority::view(&Value::I64(level))).contains("priority"));
+        }
+        assert_eq!(Priority::view(&Value::I64(255)).unwrap(), Priority::MAX);
+        assert_eq!(
+            UserId::view(&Value::I64(-1)).unwrap(),
+            UserId::new(u64::MAX)
+        );
+        let addr = NodeAddr::new(u64::MAX - 3);
+        assert_eq!(NodeAddr::from_value(addr.into_value()).unwrap(), addr);
+    }
+
+    #[test]
+    fn a_typed_reply_reads_back_what_was_written() {
+        type Entries = Vec<Option<(NodeAddr, bool)>>;
+        let entries: Entries = vec![Some((NodeAddr::new(3), true)), None];
+        let value = entries.clone().into_value();
+        assert_eq!(Entries::view(&value).unwrap(), entries);
+        assert_eq!(Entries::from_value(value).unwrap(), entries);
+        let short = Value::list([Value::from(3u64)]);
+        assert_eq!(
+            protocol(<(NodeAddr, bool)>::from_value(short)),
+            "missing element 1"
+        );
+        assert!(protocol(<()>::from_value(Value::Bool(true))).contains("null"));
+    }
+}

@@ -11,11 +11,18 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use syd::kernel::proxy::{enable_replication, proxy_service, replay_journal};
-use syd::kernel::{InvokeCtx, Method, SydEnv};
+use syd::kernel::proxy::{enable_replication, replay_journal, DRAIN_JOURNAL};
+use syd::kernel::{InvokeCtx, Method, Methods, SydEnv, Verb};
 use syd::net::NetConfig;
 use syd::store::{Column, ColumnType, Predicate, Schema, Store};
-use syd::types::{ServiceName, SydResult, TimeSlot, Value};
+use syd::types::{ServiceName, SydResult, Text, TimeSlot, Value};
+
+/// The slots service.
+const SLOTS_SERVICE: &ServiceName = &ServiceName::constant("slots");
+/// An ordinal's status, "free" without a row.
+const GET: Verb<(i64,), Text> = Verb::new(SLOTS_SERVICE, "get");
+/// Sets an ordinal's status.
+const SET: Verb<(i64, Text), ()> = Verb::new(SLOTS_SERVICE, "set");
 
 fn slots_schema() -> Schema {
     Schema::new(
@@ -29,32 +36,29 @@ fn slots_schema() -> Schema {
     .unwrap()
 }
 
-/// get(ordinal) -> status, "free" without a row
-fn get(store: &Store, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    let ordinal = args[0].as_i64()?;
-    Ok(store
-        .get_by_key("slots", &[Value::I64(ordinal)])?
-        .map_or(Value::str("free"), |row| row.values[1].clone()))
+fn get(store: &Store, _ctx: &InvokeCtx, (ordinal,): (i64,)) -> SydResult<Text> {
+    match store.get_by_key("slots", &[Value::I64(ordinal)])? {
+        Some(row) => row.values[1].as_text().cloned(),
+        None => Ok(Text::from("free")),
+    }
 }
 
-/// set(ordinal, status) -> Null
-fn set(store: &Store, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    let ordinal = args[0].as_i64()?;
-    let status = args[1].as_str()?;
+fn set(store: &Store, _ctx: &InvokeCtx, (ordinal, status): (i64, Text)) -> SydResult<()> {
+    let status = Value::Str(status.clone());
     if store.get_by_key("slots", &[Value::I64(ordinal)])?.is_some() {
         store.update(
             "slots",
             &Predicate::Eq("ordinal".into(), Value::I64(ordinal)),
-            &[("status".into(), Value::str(status))],
+            &[("status".into(), status)],
         )?;
     } else {
-        store.insert("slots", vec![Value::I64(ordinal), Value::str(status)])?;
+        store.insert("slots", vec![Value::I64(ordinal), status])?;
     }
-    Ok(Value::Null)
+    Ok(())
 }
 
 /// The slots service: Phil's device serves the read, the proxy both.
-static SLOTS: &[Method<Store>] = &[Method::new("get", get), Method::new("set", set)];
+static SLOTS: &Methods<Store> = &[&Method::verb(GET, get), &Method::verb(SET, set)];
 
 fn main() {
     let env = SydEnv::new(NetConfig::wireless_lan(), "proxy passphrase");
@@ -62,7 +66,7 @@ fn main() {
     let andy = env.device("andy", "pw-andy").unwrap();
     // The proxy lives on an application-service-provider machine (§3.2).
     let proxy = env.proxy("asp-proxy", "pw-proxy").unwrap();
-    let svc = ServiceName::new("slots");
+    let svc = SLOTS_SERVICE.clone();
 
     // Phil's primary store and a tiny slots service.
     phil.store().create_table(slots_schema()).unwrap();
@@ -106,24 +110,16 @@ fn main() {
 
     // …but Andy's queries still work: the directory silently routes to
     // the proxy ("the proxy and the SyD object act as a single entity").
-    let status = andy
-        .engine()
-        .invoke(phil.user(), &svc, "get", vec![Value::from(slot.ordinal())])
-        .unwrap();
+    let ordinal = slot.ordinal() as i64;
+    let status = andy.engine().call(phil.user(), GET, (ordinal,)).unwrap();
     println!("andy reads phil's calendar via proxy: {status}");
 
     // Andy even books a new slot; the proxy journals the write.
-    andy.engine()
-        .invoke(
-            phil.user(),
-            &svc,
-            "set",
-            vec![
-                Value::from(TimeSlot::new(1, 15).ordinal()),
-                Value::str("sync with andy"),
-            ],
-        )
-        .unwrap();
+    let booking = (
+        TimeSlot::new(1, 15).ordinal() as i64,
+        "sync with andy".into(),
+    );
+    andy.engine().call(phil.user(), SET, booking).unwrap();
     println!(
         "andy wrote through the proxy (journal: {} op)",
         proxy.journal_len(phil.user())
@@ -131,16 +127,8 @@ fn main() {
 
     // Phil comes back: drain the journal and take over.
     phil.reconnect().unwrap();
-    let ops = phil
-        .node()
-        .call(
-            proxy.addr(),
-            &proxy_service(),
-            "drain_journal",
-            vec![Value::from(phil.user().raw())],
-        )
-        .unwrap()
-        .into_list()
+    let ops = (phil.engine())
+        .call(proxy.user(), DRAIN_JOURNAL, (phil.user(),))
         .unwrap();
     let applied = replay_journal(phil.store(), &ops).unwrap();
     println!("phil reconnected and replayed {applied} journaled op(s)");

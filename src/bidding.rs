@@ -17,14 +17,15 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use syd_core::{DeviceRuntime, InvokeCtx, Method};
+use syd_core::{DeviceRuntime, Method, Methods, Verb};
 use syd_store::{Column, ColumnType, Predicate, Schema, Store};
-use syd_types::{ServiceName, SydError, SydResult, UserId, Value};
+use syd_types::{ServiceName, SydResult, Text, UserId, Value};
 
-/// The bidding service name.
-pub fn bidding_service() -> ServiceName {
-    ServiceName::new("bidding")
-}
+/// The bidding service.
+pub const BIDDING: &ServiceName = &ServiceName::constant("bidding");
+
+/// A player's bid for an item in cents, or `None` when it sits out.
+pub const BID: Verb<(Text,), Option<u64>> = Verb::new(BIDDING, "bid");
 
 const T_SCORES: &str = "scores";
 const T_ROUNDS: &str = "rounds";
@@ -39,19 +40,9 @@ pub struct Player {
 }
 
 /// The bidding service a player serves.
-static BIDDING_METHODS: &[Method<Player>] = &[Method::new("bid", bid)];
-
-/// bid(item) -> cents | Null (sitting out)
-fn bid(player: &Player, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    let item = args
-        .first()
-        .ok_or_else(|| SydError::Protocol("bid needs item".into()))?
-        .as_str()?;
-    Ok(match (player.strategy)(item) {
-        Some(cents) => Value::from(cents),
-        None => Value::Null,
-    })
-}
+static BIDDING_METHODS: &Methods<Player> = &[&Method::verb(BID, |player: &Player, _, (item,)| {
+    Ok((player.strategy)(&item))
+})];
 
 impl Player {
     /// Installs the player application with the given strategy. The
@@ -61,7 +52,7 @@ impl Player {
             device: device.clone(),
             strategy,
         });
-        device.serve(&bidding_service(), &player, BIDDING_METHODS);
+        device.serve(BIDDING, &player, BIDDING_METHODS);
         device.publish()?;
         Ok(player)
     }
@@ -138,22 +129,10 @@ impl Host {
         actual_price: u64,
     ) -> SydResult<RoundResult> {
         let round = self.next_round.fetch_add(1, Ordering::Relaxed);
-        let result = self.device.engine().invoke_group(
-            players,
-            &bidding_service(),
-            "bid",
-            vec![Value::str(item)],
-        );
-        let bids: Vec<(UserId, Option<u64>)> = result
-            .outcomes
-            .iter()
-            .map(|(user, outcome)| {
-                let bid = match outcome {
-                    Ok(Value::I64(cents)) if *cents >= 0 => Some(*cents as u64),
-                    _ => None, // sat out, unreachable, or nonsense
-                };
-                (*user, bid)
-            })
+        let result = (self.device.engine()).call_group(players, BID, (Text::from(item),));
+        // Sat out, unreachable, or nonsense: no bid.
+        let bids: Vec<(UserId, Option<u64>)> = (result.outcomes.into_iter())
+            .map(|(user, outcome)| (user, outcome.ok().flatten()))
             .collect();
 
         // Closest without going over.

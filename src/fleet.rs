@@ -19,16 +19,21 @@
 use std::sync::{Arc, Weak};
 
 use syd_core::links::LinkRef;
+use syd_core::links::{DELETE_BY_CORR, INSTALL_LINK};
 use syd_core::negotiate::Participant;
-use syd_core::{DeviceRuntime, EntityHandler, InvokeCtx, Method, SubscriptionHandler};
+use syd_core::{DeviceRuntime, EntityHandler, Method, Methods, SubscriptionHandler, Verb};
 use syd_store::{Column, ColumnType, Predicate, Schema, Store};
 use syd_types::sync::{Rank, RwLock};
-use syd_types::{ServiceName, SydError, SydResult, UserId, Value};
+use syd_types::{ServiceName, SydError, SydResult, Text, UserId, Value};
+use syd_wire::Record;
 
-/// The fleet service name.
-pub fn fleet_service() -> ServiceName {
-    ServiceName::new("fleet")
-}
+/// The fleet service.
+pub const FLEET: &ServiceName = &ServiceName::constant("fleet");
+
+/// A vehicle's state: x, y, zone and the delivery it is on, if any.
+pub const POSITION: Verb<(), (f64, f64, Text, Option<Text>)> = Verb::new(FLEET, "position");
+/// Assigns a delivery to a vehicle; `false` when it is already on one.
+pub const ASSIGN_DELIVERY: Verb<(Text,), bool> = Verb::new(FLEET, "assign_delivery");
 
 /// Entity name of a vehicle's position.
 pub const POSITION_ENTITY: &str = "position";
@@ -81,7 +86,7 @@ impl Vehicle {
         vehicle.set_state("delivery", Value::Null)?;
 
         device.set_entity_handler(Arc::new(VehicleEntityHandler(Arc::downgrade(&vehicle))));
-        device.serve(&fleet_service(), &vehicle, FLEET_METHODS);
+        device.serve(FLEET, &vehicle, FLEET_METHODS);
         device.publish()?;
         Ok(vehicle)
     }
@@ -162,33 +167,20 @@ impl Vehicle {
 }
 
 /// The fleet service a vehicle serves.
-static FLEET_METHODS: &[Method<Vehicle>] = &[
-    Method::new("position", position),
-    Method::new("assign_delivery", assign_delivery),
+static FLEET_METHODS: &Methods<Vehicle> = &[
+    &Method::verb(POSITION, |v: &Vehicle, _, ()| {
+        let Position { x, y } = v.position()?;
+        let delivery = v.delivery()?.map(Text::from);
+        Ok((x, y, Text::from(v.zone()?), delivery))
+    }),
+    &Method::verb(ASSIGN_DELIVERY, |v: &Vehicle, _, (label,)| {
+        if !v.state("delivery")?.is_null() {
+            return Ok(false);
+        }
+        v.set_state("delivery", Value::Str(label.clone()))?;
+        Ok(true)
+    }),
 ];
-
-/// position() -> {x, y, zone, delivery}
-fn position(v: &Vehicle, _ctx: &InvokeCtx, _args: &[Value]) -> SydResult<Value> {
-    Ok(Value::map([
-        ("x", v.state("x")?),
-        ("y", v.state("y")?),
-        ("zone", v.state("zone")?),
-        ("delivery", v.state("delivery")?),
-    ]))
-}
-
-/// assign_delivery(label) -> Bool (false when already busy)
-fn assign_delivery(v: &Vehicle, _ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
-    let label = args
-        .first()
-        .ok_or_else(|| SydError::Protocol("needs label".into()))?
-        .as_str()?;
-    if !v.state("delivery")?.is_null() {
-        return Ok(Value::Bool(false));
-    }
-    v.set_state("delivery", Value::str(label))?;
-    Ok(Value::Bool(true))
-}
 
 /// Negotiated changes to a vehicle's entities (zone reassignment).
 struct VehicleEntityHandler(Weak<Vehicle>);
@@ -258,24 +250,16 @@ impl Dispatcher {
             expires: None,
             corr: format!("track:{}:{}", self.user().raw(), vehicle.raw()).into(),
         };
-        self.device.engine().invoke(
-            vehicle,
-            &syd_core::negotiate::link_service(),
-            "install_link",
-            vec![back.to_value()],
-        )?;
+        let engine = self.device.engine();
+        engine.call(vehicle, INSTALL_LINK, (Record::new(&back),))?;
         Ok(())
     }
 
     /// Stops tracking a vehicle (cascade-deletes the tracking link).
     pub fn untrack(&self, vehicle: UserId) -> SydResult<()> {
         let corr = format!("track:{}:{}", self.user().raw(), vehicle.raw());
-        self.device.engine().invoke(
-            vehicle,
-            &syd_core::negotiate::link_service(),
-            "delete_by_corr",
-            vec![Value::str(corr), Value::list([])],
-        )?;
+        let engine = self.device.engine();
+        engine.call(vehicle, DELETE_BY_CORR, (Text::from(corr), Vec::new()))?;
         Ok(())
     }
 
@@ -286,24 +270,11 @@ impl Dispatcher {
 
     /// Live group query: every vehicle's position right now, aggregated.
     pub fn poll_positions(&self, vehicles: &[UserId]) -> Vec<(UserId, Position)> {
-        let result =
-            self.device
-                .engine()
-                .invoke_group(vehicles, &fleet_service(), "position", vec![]);
-        result
-            .outcomes
-            .into_iter()
-            .filter_map(|(user, outcome)| {
-                let v = outcome.ok()?;
-                Some((
-                    user,
-                    Position {
-                        x: v.get("x").ok()?.as_f64().ok()?,
-                        y: v.get("y").ok()?.as_f64().ok()?,
-                    },
-                ))
-            })
-            .collect()
+        let result = self.device.engine().call_group(vehicles, POSITION, ());
+        let positions = result
+            .oks()
+            .map(|(user, &(x, y, _, _))| (user, Position { x, y }));
+        positions.collect()
     }
 
     /// Finds the nearest idle vehicle to `target` and assigns it the
@@ -314,35 +285,16 @@ impl Dispatcher {
         target: Position,
         label: &str,
     ) -> SydResult<UserId> {
-        let svc = fleet_service();
-        let result = self
-            .device
-            .engine()
-            .invoke_group(vehicles, &svc, "position", vec![]);
+        let engine = self.device.engine();
+        let result = engine.call_group(vehicles, POSITION, ());
         let mut candidates: Vec<(UserId, f64)> = result
-            .outcomes
-            .iter()
-            .filter_map(|(user, outcome)| {
-                let v = outcome.as_ref().ok()?;
-                if !v.get("delivery").ok()?.is_null() {
-                    return None; // busy
-                }
-                let pos = Position {
-                    x: v.get("x").ok()?.as_f64().ok()?,
-                    y: v.get("y").ok()?.as_f64().ok()?,
-                };
-                Some((*user, pos.distance(target)))
-            })
+            .oks()
+            .filter(|(_, (_, _, _, delivery))| delivery.is_none())
+            .map(|(user, &(x, y, _, _))| (user, Position { x, y }.distance(target)))
             .collect();
         candidates.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
         for (user, _) in candidates {
-            let out = self.device.engine().invoke(
-                user,
-                &svc,
-                "assign_delivery",
-                vec![Value::str(label)],
-            )?;
-            if out.as_bool().unwrap_or(false) {
+            if engine.call(user, ASSIGN_DELIVERY, (Text::from(label),))? {
                 return Ok(user);
             }
         }

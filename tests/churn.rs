@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use syd::calendar::{CalendarApp, MeetingSpec, MeetingStatus};
-use syd::kernel::{Method, SydEnv};
+use syd::kernel::{Method, Methods, SydEnv, Verb};
 use syd::net::NetConfig;
 use syd::types::{Priority, TimeSlot, UserId};
 
@@ -139,17 +139,14 @@ fn deeply_nested_invocations_do_not_exhaust_the_pool() {
         engine: syd::kernel::SydEngine,
         next: UserId,
     }
-    static CHAIN: &[Method<Hop>] = &[Method::new("hop", |hop, _, args| {
-        let remaining = args[0].as_i64()?;
+    const CHAIN_SERVICE: &syd::types::ServiceName = &syd::types::ServiceName::constant("chain");
+    /// Hops on with one hop fewer; answers 0 at the end of the chain.
+    const HOP: Verb<(i64,), i64> = Verb::new(CHAIN_SERVICE, "hop");
+    static CHAIN: &Methods<Hop> = &[&Method::verb(HOP, |hop: &Hop, _, (remaining,)| {
         if remaining <= 0 {
-            return Ok(syd::types::Value::I64(0));
+            return Ok(0);
         }
-        hop.engine.invoke(
-            hop.next,
-            &syd::types::ServiceName::new("chain"),
-            "hop",
-            vec![syd::types::Value::I64(remaining - 1)],
-        )
+        hop.engine.call(hop.next, HOP, (remaining - 1,))
     })];
     let _hops: Vec<Arc<Hop>> = devices
         .iter()

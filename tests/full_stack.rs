@@ -12,7 +12,8 @@ use std::time::{Duration, Instant};
 use syd::bidding::{Host, Player};
 use syd::calendar::{CalendarApp, MeetingSpec, MeetingStatus};
 use syd::fleet::{deploy_fleet, Position};
-use syd::kernel::{Method, SydEnv};
+use syd::kernel::directory::{CREATE_GROUP, GROUP_ADD, GROUP_MEMBERS, GROUP_REMOVE};
+use syd::kernel::{Method, Methods, SydEnv, Verb};
 use syd::net::{LatencyModel, NetConfig};
 use syd::types::{Priority, SydError, TimeSlot, UserId, Value};
 
@@ -342,11 +343,11 @@ fn dynamic_groups_resolve_members() {
     let c = CalendarApp::install(&env.device("c", "").unwrap()).unwrap();
 
     let dir = env.directory_client();
-    let committee = dir.create_group("committee").unwrap();
-    dir.group_add(committee, b.user()).unwrap();
-    dir.group_add(committee, c.user()).unwrap();
+    let committee = dir.call(CREATE_GROUP, ("committee".into(),)).unwrap();
+    dir.call(GROUP_ADD, (committee, b.user())).unwrap();
+    dir.call(GROUP_ADD, (committee, c.user())).unwrap();
 
-    let members = dir.group_members(committee).unwrap();
+    let members = dir.call(GROUP_MEMBERS, (committee,)).unwrap();
     assert_eq!(members, vec![b.user(), c.user()]);
 
     // Schedule with the resolved group.
@@ -361,8 +362,11 @@ fn dynamic_groups_resolve_members() {
     assert_eq!(outcome.reserved.len(), 3);
 
     // Membership changes dynamically.
-    dir.group_remove(committee, c.user()).unwrap();
-    assert_eq!(dir.group_members(committee).unwrap(), vec![b.user()]);
+    dir.call(GROUP_REMOVE, (committee, c.user())).unwrap();
+    assert_eq!(
+        dir.call(GROUP_MEMBERS, (committee,)).unwrap(),
+        vec![b.user()]
+    );
 }
 
 /// Method coupling (§4.2 op. 5) across applications: a calendar update on
@@ -373,10 +377,13 @@ fn coupled_methods_fire_on_invocation() {
     let a = env.device("a", "").unwrap();
     let b = env.device("b", "").unwrap();
     let svc = syd::types::ServiceName::new("calendar");
-    static UPDATES: &[Method<AtomicU32>] = &[Method::new("on_peer_update", |hits, _, _| {
-        hits.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        Ok(Value::Null)
-    })];
+    const CALENDAR: &syd::types::ServiceName = &syd::types::ServiceName::constant("calendar");
+    const ON_PEER_UPDATE: Verb<(Value,), ()> = Verb::new(CALENDAR, "on_peer_update");
+    static UPDATES: &Methods<AtomicU32> =
+        &[&Method::verb(ON_PEER_UPDATE, |hits: &AtomicU32, _, _| {
+            hits.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            Ok(())
+        })];
     let hits = Arc::new(AtomicU32::new(0));
     b.serve(&svc, &hits, UPDATES);
 

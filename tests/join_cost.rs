@@ -11,12 +11,13 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use syd::bidding::{bidding_service, Host, Player};
+use syd::bidding::{Host, Player, BIDDING};
 use syd::calendar::app::calendar_service;
-use syd::calendar::baseline::baseline_service;
-use syd::calendar::mailbox::mailbox_service;
+use syd::calendar::baseline::BCAL;
+use syd::calendar::mailbox::MAILBOX;
 use syd::calendar::{BaselineCalendar, CalendarApp};
-use syd::fleet::{fleet_service, Dispatcher, Vehicle};
+use syd::fleet::{Dispatcher, Vehicle, FLEET};
+use syd::kernel::directory::DESCRIBE;
 use syd::kernel::{DeviceRuntime, SydEnv};
 use syd::net::{LatencyModel, NetConfig};
 use syd::types::{ServiceName, SydError};
@@ -63,7 +64,7 @@ fn join_and_install<T>(
 }
 
 fn published(device: &DeviceRuntime) -> Vec<String> {
-    let rec = device.engine().directory().describe(device.user());
+    let rec = device.engine().directory().call(DESCRIBE, (device.user(),));
     rec.unwrap().services
 }
 
@@ -124,7 +125,7 @@ fn a_calendar_user_joins_in_three_directory_requests() {
     ] {
         assert_dispatchable(&andy, &phil, &calendar_service(), method);
     }
-    assert_dispatchable(&andy, &phil, &mailbox_service(), "deliver");
+    assert_dispatchable(&andy, &phil, MAILBOX, "deliver");
 }
 
 #[test]
@@ -160,11 +161,11 @@ fn the_other_applications_cost_one_request_per_service() {
     let (base, _app, cost) =
         join_and_install(&env, "base", |d| BaselineCalendar::install(d).unwrap());
     assert_eq!(cost, 1, "five methods, one service");
-    assert_eq!(published(&base), [baseline_service().as_str()]);
+    assert_eq!(published(&base), [BCAL.as_str()]);
 
     let (van, _app, cost) = join_and_install(&env, "van", |d| Vehicle::install(d).unwrap());
     assert_eq!(cost, 1, "two methods, one service");
-    assert_eq!(published(&van), [fleet_service().as_str()]);
+    assert_eq!(published(&van), [FLEET.as_str()]);
     let (depot, _app, cost) = join_and_install(&env, "depot", |d| Dispatcher::install(d).unwrap());
     assert_eq!(cost, 0, "a dispatcher serves nothing");
 
@@ -172,7 +173,7 @@ fn the_other_applications_cost_one_request_per_service() {
         Player::install(d, Arc::new(|_item| Some(1))).unwrap()
     });
     assert_eq!(cost, 1);
-    assert_eq!(published(&player), [bidding_service().as_str()]);
+    assert_eq!(published(&player), [BIDDING.as_str()]);
     let (host, _app, cost) = join_and_install(&env, "host", |d| Host::install(d).unwrap());
     assert_eq!(cost, 0, "a host serves nothing");
 

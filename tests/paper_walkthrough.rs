@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use syd::calendar::{CalendarApp, MeetingSpec, MeetingStatus};
 use syd::kernel::links::{Constraint, LinkKind};
-use syd::kernel::{Method, SydEnv};
+use syd::kernel::{Method, Methods, SydEnv, Verb};
 use syd::net::NetConfig;
 use syd::store::Predicate;
 use syd::types::{TimeSlot, Value};
@@ -169,9 +169,11 @@ fn link_method_table_drives_coupled_invocation() {
     let a = env.device("a", "").unwrap();
     let b = env.device("b", "").unwrap();
     let svc = syd::types::ServiceName::new("calendar");
-    static COPIES: &[Method<AtomicU32>] = &[Method::new("sync_copy", |hits, _, _| {
+    const CALENDAR: &syd::types::ServiceName = &syd::types::ServiceName::constant("calendar");
+    const SYNC_COPY: Verb<(Value,), ()> = Verb::new(CALENDAR, "sync_copy");
+    static COPIES: &Methods<AtomicU32> = &[&Method::verb(SYNC_COPY, |hits: &AtomicU32, _, _| {
         hits.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        Ok(Value::Null)
+        Ok(())
     })];
     let hits = Arc::new(AtomicU32::new(0));
     b.serve(&svc, &hits, COPIES);

@@ -128,6 +128,9 @@ fn check_no_double_booking(ops: &[(usize, u64, usize)]) {
             }
         }
     }
+    // And the journals tell the same story: no entity locked or
+    // committed twice at once.
+    syd::check::audit(apps.iter().map(|a| a.device())).assert_clean();
 }
 
 /// Meeting records survive the wire in both directions for arbitrary
