@@ -25,7 +25,7 @@ fn sample_envelope(args: usize) -> Envelope {
             id: RequestId::new(77),
             caller: UserId::new(1),
             target: UserId::new(2),
-            credentials: vec![0xAA; 24],
+            credentials: vec![0xAA; 24].into(),
             service: ServiceName::new("calendar"),
             method: "free_slots".into(),
             args: (0..args as i64).map(Value::I64).collect::<Vec<_>>().into(),

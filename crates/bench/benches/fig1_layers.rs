@@ -74,7 +74,7 @@ fn main() {
         id: RequestId::new(1),
         caller: UserId::new(1),
         target: UserId::default(),
-        credentials: vec![],
+        credentials: Default::default(),
         service: svc.clone(),
         method: "select".into(),
         args: vec![Value::I64(42)].into(),

@@ -1040,7 +1040,7 @@ mod tests {
                 id: syd_types::RequestId::new(1),
                 caller: device.user(),
                 target: UserId::default(),
-                credentials: Vec::new(),
+                credentials: syd_types::Blob::default(),
                 service: link_service(),
                 method: method.into(),
                 args: vec![Value::from(7u64), Value::str("slot:1"), Value::Null].into(),

@@ -12,7 +12,7 @@ use std::sync::{Arc, OnceLock};
 
 use syd_crypto::{Authenticator, Credentials};
 use syd_net::{NetConfig, Network, Node, Transport};
-use syd_types::{Clock, NodeAddr, SydResult, SystemClock, UserId};
+use syd_types::{Blob, Clock, NodeAddr, SydResult, SystemClock, UserId};
 
 use crate::device::DeviceRuntime;
 use crate::directory::{DirectoryClient, DirectoryServer};
@@ -169,9 +169,9 @@ impl SydEnv {
     /// credentials once, under a fresh IV; empty when security is off.
     /// The device attaches this one blob to every request it sends, so a
     /// replayed blob is not detected (§5.4, as in the paper's prototype).
-    fn enrol(&self, user: UserId, password: &str) -> Vec<u8> {
+    fn enrol(&self, user: UserId, password: &str) -> Blob {
         let Some(auth) = &self.auth else {
-            return Vec::new();
+            return Blob::default();
         };
         auth.table().authorize(user, password);
         auth.seal(&Credentials::new(user, password), fresh_iv())
@@ -228,7 +228,7 @@ mod tests {
         let a = env.device("alice", "pw-a").unwrap();
         let b = env.device("bob", "pw-b").unwrap();
         // Tamper with a's credentials.
-        a.node().set_identity(a.user(), vec![0xBA, 0xD1]);
+        a.node().set_identity(a.user(), vec![0xBA, 0xD1].into());
         let err = a
             .engine()
             .invoke(b.user(), &ServiceName::new("syd.ping"), "ping", vec![])
@@ -244,12 +244,32 @@ mod tests {
         // Served in-process, and still authenticated (§5.4).
         let out = a.engine().invoke(a.user(), &ping, "ping", vec![]).unwrap();
         assert_eq!(out, Value::str("pong"));
-        a.node().set_identity(a.user(), vec![0xBA, 0xD1]);
+        a.node().set_identity(a.user(), vec![0xBA, 0xD1].into());
         let err = a
             .engine()
             .invoke(a.user(), &ping, "ping", vec![])
             .unwrap_err();
         assert!(matches!(err, syd_types::SydError::AuthFailed(_)), "{err}");
+    }
+
+    #[test]
+    fn a_password_sealed_past_the_inline_blob_travels_and_is_checked() {
+        let env = SydEnv::new(NetConfig::ideal(), "deployment");
+        let long = "p".repeat(56);
+        assert!(!env.enrol(UserId::new(99), &long).is_inline());
+        let a = env.device("alice", &long).unwrap();
+        let b = env.device("bob", "pw-b").unwrap();
+        let ping = ServiceName::new("syd.ping");
+        let out = a.engine().invoke(b.user(), &ping, "ping", vec![]);
+        assert_eq!(out.unwrap(), Value::str("pong"));
+        // Sealed under the wrong password, the blob is refused and names
+        // the user it claims.
+        let auth = env.authenticator().unwrap();
+        let wrong = auth.seal(&Credentials::new(a.user(), "q".repeat(56)), [9; 8]);
+        assert!(!wrong.is_inline());
+        a.node().set_identity(a.user(), wrong);
+        let err = a.engine().invoke(b.user(), &ping, "ping", vec![]);
+        assert_eq!(err.unwrap_err(), syd_types::SydError::AuthFailed(a.user()));
     }
 
     #[test]

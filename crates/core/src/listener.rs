@@ -224,12 +224,12 @@ mod tests {
     use syd_crypto::Credentials;
     use syd_types::RequestId;
 
-    fn request(service: &str, method: &str, credentials: Vec<u8>) -> Request {
+    fn request(service: &str, method: &str, credentials: &[u8]) -> Request {
         Request {
             id: RequestId::new(1),
             caller: UserId::new(42),
             target: UserId::default(),
-            credentials,
+            credentials: credentials.into(),
             service: ServiceName::new(service),
             method: method.into(),
             args: vec![Value::I64(5)].into(),
@@ -259,7 +259,7 @@ mod tests {
     fn unauthenticated_mode_trusts_claimed_caller() {
         let (listener, _ran) = echo_listener(None);
         let out = listener
-            .dispatch(NodeAddr::new(9), &request("svc", "echo", vec![]))
+            .dispatch(NodeAddr::new(9), &request("svc", "echo", &[]))
             .unwrap();
         assert_eq!(
             out,
@@ -275,7 +275,7 @@ mod tests {
 
         let blob = auth.seal(&Credentials::new(UserId::new(7), "pw"), [1; 8]);
         let out = listener
-            .dispatch(NodeAddr::new(9), &request("svc", "echo", blob))
+            .dispatch(NodeAddr::new(9), &request("svc", "echo", &blob))
             .unwrap();
         // The verified user (7) wins over the claimed caller (42).
         assert_eq!(
@@ -290,7 +290,7 @@ mod tests {
         auth.table().authorize(UserId::new(7), "pw");
         let (listener, ran) = echo_listener(Some(Arc::clone(&auth)));
         let err = listener
-            .dispatch(NodeAddr::new(9), &request("svc", "echo", vec![1, 2, 3]))
+            .dispatch(NodeAddr::new(9), &request("svc", "echo", &[1, 2, 3]))
             .unwrap_err();
         assert!(matches!(err, SydError::AuthFailed(_)), "{err}");
         assert!(!ran.load(Ordering::SeqCst));
@@ -303,7 +303,7 @@ mod tests {
         let listener = Listener::new(Some(Arc::clone(&auth)), &Registry::new());
         let blob = auth.seal(&Credentials::new(UserId::new(7), "wrong"), [1; 8]);
         let err = listener
-            .dispatch(NodeAddr::new(9), &request("svc", "echo", blob))
+            .dispatch(NodeAddr::new(9), &request("svc", "echo", &blob))
             .unwrap_err();
         assert_eq!(err, SydError::AuthFailed(UserId::new(7)));
     }
@@ -313,7 +313,7 @@ mod tests {
         let (listener, _ran) = echo_listener(None);
         for (service, method) in [("svc", "nope"), ("other", "echo")] {
             let err = listener
-                .dispatch(NodeAddr::new(1), &request(service, method, vec![]))
+                .dispatch(NodeAddr::new(1), &request(service, method, &[]))
                 .unwrap_err();
             assert!(matches!(err, SydError::NoSuchService(_, _)), "{err}");
         }
@@ -342,7 +342,7 @@ mod tests {
             ]
         );
         let out = listener
-            .dispatch(NodeAddr::new(1), &request("svc", "m", vec![]))
+            .dispatch(NodeAddr::new(1), &request("svc", "m", &[]))
             .unwrap();
         assert_eq!(out, Value::I64(2));
     }
@@ -352,11 +352,11 @@ mod tests {
         let (listener, ran) = echo_listener(None);
         drop(ran);
         let err = listener
-            .dispatch(NodeAddr::new(1), &request("svc", "echo", vec![]))
+            .dispatch(NodeAddr::new(1), &request("svc", "echo", &[]))
             .unwrap_err();
         assert_eq!(err, SydError::Shutdown);
         let err = listener
-            .dispatch(NodeAddr::new(1), &request("svc", "nope", vec![]))
+            .dispatch(NodeAddr::new(1), &request("svc", "nope", &[]))
             .unwrap_err();
         assert!(matches!(err, SydError::NoSuchService(_, _)), "{err}");
     }

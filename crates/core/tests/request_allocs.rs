@@ -13,7 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use syd_core::{Method, Methods, SydEnv, Verb};
+use syd_core::{DeviceRuntime, Method, Methods, SydEnv, Verb};
 use syd_crypto::Credentials;
 use syd_net::NetConfig;
 use syd_types::{ServiceName, Value};
@@ -60,13 +60,25 @@ static SERIAL: Mutex<()> = Mutex::new(());
 /// Invocations counted, after as many to warm up.
 const CALLS: u64 = 400;
 
-/// Allocations a remote invocation may make: the measured 15.0 + 10 %.
-/// It made 21 while the receiver decrypted credentials into a `Vec` and
-/// parsed them into a `String` (2), decoded its arguments into a `Vec`
-/// of their own (1) and each of the call's three one-attribute spans
-/// (`dir.resolve`, `rpc.client`, `rpc.server`) kept its attribute on the
-/// heap (3).
-const CEILING: f64 = 16.5;
+/// Allocations a remote invocation may make: the measured 11.0 + 10 %.
+/// The 11 are the wave's bookkeeping in `SydEngine::batch` and
+/// `Node::call_many` (7: results, indices, routes, resolutions, sends,
+/// outcomes), the caller's argument list (2: its `Vec` and the 72-byte
+/// shared inner of its `Args`) and the two frames (request and reply).
+/// It made 15 while the sender cloned its credential `Vec` into each
+/// request, the receiver decoded the credentials into a `Vec` and its
+/// arguments into an `Arc` of their own, and the pool boxed the job that
+/// serves the request; 21 before that, while the receiver also parsed
+/// the credentials into a `String` (1), decoded its arguments into a
+/// second `Vec` (1) and each of the call's three one-attribute spans
+/// kept its attribute on the heap (3).
+const CEILING: f64 = 12.1;
+
+/// Allocations a member of a 32-member group call may cost: the measured
+/// 2.28 + 10 %. Each remote member costs its two frames; the wave's
+/// bookkeeping, the one shared argument list and its one encoding are
+/// paid once for all 32, and the caller's own member sends no frame.
+const GROUP_CEILING: f64 = 2.51;
 
 /// Counts the allocations `f` makes.
 fn allocs(f: impl FnOnce()) -> u64 {
@@ -103,6 +115,37 @@ fn a_remote_invocation_makes_a_bounded_number_of_allocations() {
     assert!(
         per_call <= CEILING,
         "a remote invocation makes {per_call:.2} allocations, over {CEILING}"
+    );
+}
+
+#[test]
+fn a_group_call_makes_a_bounded_number_of_allocations_per_member() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let env = SydEnv::new(NetConfig::ideal(), "pw");
+    let devices: Vec<_> = (0..32)
+        .map(|i| env.device(&format!("m{i}"), "pw").unwrap())
+        .collect();
+    const SVC: &ServiceName = &ServiceName::constant("echo");
+    const ECHO_VERB: Verb<(Value,), Value> = Verb::new(SVC, "echo");
+    static ECHO: &Methods<()> = &[&Method::verb(ECHO_VERB, |(), _, (arg,)| Ok(arg.clone()))];
+    let state = Arc::new(());
+    for device in &devices {
+        device.serve(SVC, &state, ECHO);
+    }
+    let members: Vec<_> = devices.iter().map(DeviceRuntime::user).collect();
+    let engine = devices[0].engine();
+    let wave = || {
+        let round = engine.call_group(&members, ECHO_VERB, (Value::I64(7),));
+        assert_eq!(round.ok_count(), members.len());
+    };
+    const WAVES: u64 = 40;
+    (0..WAVES).for_each(|_| wave());
+    let made = allocs(|| (0..WAVES).for_each(|_| wave()));
+    let per_member = made as f64 / (WAVES * members.len() as u64) as f64;
+    println!("allocations per member of a 32-member group call: {per_member:.2}");
+    assert!(
+        per_member <= GROUP_CEILING,
+        "a group call costs {per_member:.2} allocations per member, over {GROUP_CEILING}"
     );
 }
 

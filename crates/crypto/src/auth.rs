@@ -18,7 +18,7 @@
 use std::collections::HashMap;
 
 use syd_types::sync::{Rank, RwLock};
-use syd_types::{SydError, SydResult, UserId};
+use syd_types::{Blob, SydError, SydResult, UserId};
 
 use crate::mode::{cbc_decrypt_into, cbc_encrypt};
 use crate::tea::{TeaKey, BLOCK_SIZE};
@@ -144,8 +144,10 @@ impl Authenticator {
     /// Encrypts credentials into the blob attached to every request.
     /// `iv` should be fresh random bytes per call: a deployment seals once
     /// per device, and the device sends that one blob with every request.
-    pub fn seal(&self, creds: &Credentials, iv: [u8; BLOCK_SIZE]) -> Vec<u8> {
-        cbc_encrypt(&self.key, iv, &creds.to_bytes())
+    /// A password of up to 55 bytes seals into an inline [`Blob`], which
+    /// every request copies without an allocation.
+    pub fn seal(&self, creds: &Credentials, iv: [u8; BLOCK_SIZE]) -> Blob {
+        Blob::from(cbc_encrypt(&self.key, iv, &creds.to_bytes()))
     }
 
     /// Decrypts a blob and checks it against the authorized-user table.
@@ -255,6 +257,21 @@ mod tests {
         auth.table().authorize(UserId::new(5), "");
         let blob = auth.seal(&Credentials::new(UserId::new(5), ""), [0; 8]);
         assert_eq!(auth.verify(&blob).unwrap(), UserId::new(5));
+    }
+
+    #[test]
+    fn a_password_of_56_bytes_or_more_seals_past_the_inline_blob() {
+        let auth = Authenticator::from_passphrase("k");
+        let user = UserId::new(9);
+        for len in [55, 56, 120] {
+            let password = "p".repeat(len);
+            auth.table().authorize(user, password.as_str());
+            let blob = auth.seal(&Credentials::new(user, password.as_str()), [5; 8]);
+            assert_eq!(blob.is_inline(), len <= 55, "a {len}-byte password");
+            assert_eq!(auth.verify(&blob).unwrap(), user);
+            let wrong = auth.seal(&Credentials::new(user, &password[1..]), [5; 8]);
+            assert_eq!(auth.verify(&wrong).unwrap_err(), SydError::AuthFailed(user));
+        }
     }
 
     #[test]

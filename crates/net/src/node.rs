@@ -37,7 +37,7 @@ use std::time::Instant;
 use syd_telemetry::{trace, Counter, Histogram, Journal, Registry, SpanCtx};
 use syd_transport::{Network, Transport, TransportEndpoint, TransportEvent};
 use syd_types::sync::{self, Condvar, Mutex, Rank, RwLock};
-use syd_types::{NodeAddr, RequestId, ServiceName, SydError, SydResult, UserId, Value};
+use syd_types::{Blob, NodeAddr, RequestId, ServiceName, SydError, SydResult, UserId, Value};
 use syd_wire::{Args, EventMsg, Payload, Request, Response, TraceContext};
 
 use crate::rpc::{Call, CallOptions, PendingCall};
@@ -150,7 +150,9 @@ pub(crate) struct NodeShared {
     next_request: AtomicU64,
     handler: RwLock<Option<Arc<dyn RequestHandler>>>,
     events: RwLock<Option<Arc<dyn EventSink>>>,
-    identity: RwLock<(UserId, Vec<u8>)>,
+    /// The calling user and its sealed credentials, copied into every
+    /// request: inline, so the copy allocates nothing.
+    identity: RwLock<(UserId, Blob)>,
     /// The runtime this node is multiplexed onto: its reactor drains
     /// `link`, its pool runs the handlers.
     runtime: SharedRuntime,
@@ -284,7 +286,7 @@ impl Node {
             next_request: AtomicU64::new(1),
             handler: RwLock::new(Rank::Node, None),
             events: RwLock::new(Rank::Node, None),
-            identity: RwLock::new(Rank::Node, (UserId::default(), Vec::new())),
+            identity: RwLock::new(Rank::Node, (UserId::default(), Blob::default())),
             runtime: runtime.clone(),
             registry,
             metrics,
@@ -362,7 +364,7 @@ impl Node {
 
     /// Sets the identity stamped on outgoing requests: the calling user and
     /// the TEA-encrypted credential blob (§5.4).
-    pub fn set_identity(&self, user: UserId, credentials: Vec<u8>) {
+    pub fn set_identity(&self, user: UserId, credentials: Blob) {
         *self.shared.identity.write() = (user, credentials);
     }
 
@@ -628,14 +630,42 @@ fn dispatch_event(shared: &Arc<NodeShared>, event: TransportEvent) {
 /// reply goes back the way the request came ([`NodeShared::reply`]). Runs
 /// on the loop for a received request, so it must never block.
 fn serve_request(shared: &Arc<NodeShared>, from: NodeAddr, req: Request, on_loop: bool) {
-    let handler = shared.handler.read().clone();
-    // Both `Copy`: read here so the handler can own the request.
-    let (id, trace_ctx) = (req.id, req.trace);
-    let reply_shared = Arc::clone(shared);
-    let job = move || {
-        reply_shared.metrics.requests_served.inc();
-        // Serve under the caller's trace context so nested
-        // outbound calls made by the handler inherit it.
+    let id = req.id;
+    let job = Serve {
+        node: Arc::clone(shared),
+        handler: shared.handler.read().clone(),
+        from,
+        req,
+    };
+    if !shared.runtime.pool().serve(job, on_loop) {
+        // Pool shut down: answer at once rather than burn the deadline.
+        shared.reply(from, id, Err(SydError::Shutdown));
+    }
+}
+
+/// A request on its way to its node's handler: the pool's typed job
+/// ([`crate::pool::WorkerPool::serve`]).
+pub(crate) struct Serve {
+    node: Arc<NodeShared>,
+    /// The handler installed when the request arrived.
+    handler: Option<Arc<dyn RequestHandler>>,
+    from: NodeAddr,
+    req: Request,
+}
+
+impl Serve {
+    /// Runs the handler under the caller's trace context, so nested
+    /// outbound calls made by the handler inherit it, and sends the reply.
+    pub(crate) fn run(self) {
+        let Serve {
+            node,
+            handler,
+            from,
+            req,
+        } = self;
+        node.metrics.requests_served.inc();
+        // Both `Copy`: read here so the handler can own the request.
+        let (id, trace_ctx) = (req.id, req.trace);
         let _span = trace_ctx.map(|tc| {
             trace::enter(SpanCtx {
                 trace: tc.trace_id,
@@ -649,10 +679,7 @@ fn serve_request(shared: &Arc<NodeShared>, from: NodeAddr, req: Request, on_loop
             // wave sends again; the unwind still runs its clean-ups.
             Some(h) => std::panic::catch_unwind(AssertUnwindSafe(|| h.handle(from, req)))
                 .unwrap_or_else(|_| {
-                    reply_shared
-                        .registry
-                        .counter(names::RPC_HANDLER_PANICS)
-                        .inc();
+                    node.registry.counter(names::RPC_HANDLER_PANICS).inc();
                     Err(SydError::App("the request's handler panicked".into()))
                 }),
             None => Err(SydError::NoSuchService(req.service, req.method.to_string())),
@@ -661,7 +688,7 @@ fn serve_request(shared: &Arc<NodeShared>, from: NodeAddr, req: Request, on_loop
         // `rpc.client`, parent 0 (the assembler merges the two
         // views; parentage comes from the client record).
         if let Some(tc) = trace_ctx {
-            reply_shared.tracer.record_span(
+            node.tracer.record_span(
                 names::SPAN_RPC_SERVER,
                 tc.trace_id,
                 tc.span_id,
@@ -671,17 +698,7 @@ fn serve_request(shared: &Arc<NodeShared>, from: NodeAddr, req: Request, on_loop
                 &[("hop", u64::from(tc.hop))],
             );
         }
-        reply_shared.reply(from, id, result);
-    };
-    let pool = shared.runtime.pool();
-    let accepted = if on_loop {
-        pool.queue(job)
-    } else {
-        pool.execute(job)
-    };
-    if !accepted {
-        // Pool shut down: answer at once rather than burn the deadline.
-        shared.reply(from, id, Err(SydError::Shutdown));
+        node.reply(from, id, result);
     }
 }
 
@@ -980,6 +997,41 @@ mod tests {
     }
 
     #[test]
+    fn a_request_queued_from_the_loop_runs_under_its_callers_trace() {
+        let net = Network::ideal();
+        let server = Node::spawn(&net);
+        // The handler reports the context its worker runs under: the
+        // pool captures none for a request, so this is the request's own.
+        server.set_handler(Arc::new(|_: NodeAddr, _: Request| {
+            let ctx = trace::current().expect("served outside any trace");
+            Ok(Value::list([Value::from(ctx.trace), Value::from(ctx.span)]))
+        }));
+        let client = Node::spawn(&net);
+        let root = syd_telemetry::root_span();
+        let reported = {
+            let _g = syd_telemetry::enter(root);
+            client
+                .call(server.addr(), &ServiceName::new("svc"), "who", vec![])
+                .unwrap()
+        };
+        let Value::List(reported) = reported else {
+            panic!("{reported:?}")
+        };
+        assert_eq!(reported[0], Value::from(root.trace));
+        // `rpc.server` is recorded under the caller's trace and the span
+        // id its `rpc.client` carries, which the handler ran under.
+        let served: Vec<_> = server
+            .journal()
+            .drain_spans()
+            .into_iter()
+            .filter(|rec| rec.kind == names::SPAN_RPC_SERVER)
+            .collect();
+        assert_eq!(served.len(), 1);
+        assert_eq!(served[0].trace, root.trace);
+        assert_eq!(Value::from(served[0].span), reported[1]);
+    }
+
+    #[test]
     fn rpc_metrics_count_calls_timeouts_and_retries() {
         let net = Network::ideal();
         let server = Node::spawn(&net);
@@ -1045,11 +1097,11 @@ mod tests {
         server.set_handler(Arc::new(|_: NodeAddr, req: Request| {
             Ok(Value::list([
                 Value::I64(req.caller.raw() as i64),
-                Value::Bytes(req.credentials),
+                Value::Bytes(req.credentials.to_vec()),
             ]))
         }));
         let client = Node::spawn(&net);
-        client.set_identity(UserId::new(42), vec![9, 9]);
+        client.set_identity(UserId::new(42), vec![9, 9].into());
         let v = client
             .call(server.addr(), &ServiceName::new("svc"), "id", vec![])
             .unwrap();

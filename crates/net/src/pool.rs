@@ -25,6 +25,10 @@
 //! loop queues what it drains and hands off once per pass, so a burst of
 //! requests costs the wake-ups of the turns it needs, not one per request.
 //!
+//! A request to serve is queued as it is, a typed `Job::Serve` that
+//! enters the request's own trace context; every other job is a boxed
+//! closure run under the trace context its submitter had.
+//!
 //! A wait nobody announced (a bare `thread::sleep`, a foreign channel)
 //! keeps its turn. For those, [`WorkerPool::kick`] is the backstop: queued
 //! work and no job finished since the previous kick grows the pool by one
@@ -36,10 +40,34 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
 
-use syd_telemetry::trace;
+use syd_telemetry::{trace, SpanCtx};
 use syd_types::sync::{set_blocking_hook, BlockingHook, Condvar, Mutex, MutexGuard, Rank};
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
+use crate::node::Serve;
+
+/// What a worker runs.
+// A request is moved into the queue and out once; boxing it is the
+// allocation the typed job exists to save.
+#[allow(clippy::large_enum_variant)]
+enum Job {
+    /// A request received or made to oneself: one per request, so it is
+    /// queued without a box of its own.
+    Serve(Serve),
+    /// Any other work, and the trace context its submitter had.
+    Run(Option<SpanCtx>, Box<dyn FnOnce() + Send + 'static>),
+}
+
+impl Job {
+    fn run(self) {
+        match self {
+            Job::Serve(serve) => serve.run(),
+            Job::Run(ctx, job) => {
+                let _span = ctx.map(trace::enter);
+                job();
+            }
+        }
+    }
+}
 
 struct State {
     queue: VecDeque<Job>,
@@ -134,7 +162,7 @@ impl WorkerPool {
     /// re-entered around the job on the worker thread, so work handed
     /// across the pool boundary stays attributed to its trace.
     pub fn execute(&self, job: impl FnOnce() + Send + 'static) -> bool {
-        self.submit(job, 1)
+        self.submit(Job::Run(trace::current(), Box::new(job)), 1)
     }
 
     /// Queues a job without a hand-off: a running worker picks it up
@@ -143,7 +171,15 @@ impl WorkerPool {
     /// shut down. Captures the trace context as [`WorkerPool::execute`]
     /// does.
     pub fn queue(&self, job: impl FnOnce() + Send + 'static) -> bool {
-        self.submit(job, 0)
+        self.submit(Job::Run(trace::current(), Box::new(job)), 0)
+    }
+
+    /// Submits a request to serve, queued as [`WorkerPool::queue`] does
+    /// when `queued`, else handed a turn as [`WorkerPool::execute`] does.
+    /// Returns `false` if the pool is shut down. The request carries its
+    /// own trace context; nothing is captured here.
+    pub(crate) fn serve(&self, job: Serve, queued: bool) -> bool {
+        self.submit(Job::Serve(job), usize::from(!queued))
     }
 
     /// Hands out the turns the queued jobs need — one per queued job while
@@ -157,18 +193,13 @@ impl WorkerPool {
     }
 
     /// Queues `job` and hands out at most `turns` turns.
-    fn submit(&self, job: impl FnOnce() + Send + 'static, turns: usize) -> bool {
+    fn submit(&self, job: Job, turns: usize) -> bool {
         let inner = &self.inner;
-        let ctx = trace::current();
-        let job = move || {
-            let _span = ctx.map(trace::enter);
-            job();
-        };
         let mut state = inner.state.lock();
         if state.shutdown {
             return false;
         }
-        state.queue.push_back(Box::new(job));
+        state.queue.push_back(job);
         let start = inner.hand_on(&mut state, turns);
         drop(state);
         inner.start(start);
@@ -350,7 +381,7 @@ fn worker_loop(inner: &Arc<PoolInner>) {
         // This worker holds a turn: run jobs while no more than N do.
         while let Some(job) = state.queue.pop_front() {
             drop(state);
-            job();
+            job.run();
             state = inner.state.lock();
             state.executed += 1;
             if state.running > inner.workers && !state.shutdown {

@@ -212,7 +212,7 @@ mod prop_tests {
                 id: RequestId::new(rng.any_u64()),
                 caller: UserId::new(rng.any_u64()),
                 target: UserId::default(),
-                credentials: vec![],
+                credentials: Default::default(),
                 service: ServiceName::new("svc"),
                 method: arb_name(rng, b"abcdefghijklmnopqrstuvwxyz", 12).into(),
                 args: vec![value].into(),

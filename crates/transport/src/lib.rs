@@ -98,6 +98,9 @@ impl QueueSpan {
 /// emits them synthetically where the analogue is meaningful (an explicit
 /// [`TransportEndpoint::connect`]). Consumers that only care about traffic
 /// can ignore everything but [`TransportEvent::Message`].
+// A decoded request holds its credentials and up to four arguments in
+// place; boxing the message would bring back the allocation that saves.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum TransportEvent {
     /// An outbound connection to the peer was established.

@@ -373,7 +373,7 @@ impl Network {
         // error response with the same latency as a real round trip half.
         if !slot.connected {
             if let Payload::Request(req) = &env.payload {
-                let reply = Envelope::new(
+                let reply: Envelope = Envelope::new(
                     env.dst,
                     env.src,
                     Payload::Response(Response {

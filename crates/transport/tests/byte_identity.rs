@@ -24,7 +24,7 @@ fn sample_envelopes(src: NodeAddr, dst: NodeAddr) -> Vec<Envelope> {
                 id: RequestId::new(7),
                 caller: UserId::new(1),
                 target: UserId::new(2),
-                credentials: vec![0xAB, 0xCD],
+                credentials: vec![0xAB, 0xCD].into(),
                 service: ServiceName::new("syd.calendar"),
                 method: "schedule_meeting".into(),
                 args: vec![Value::str("standup"), Value::I64(9)].into(),
@@ -103,4 +103,50 @@ fn sim_and_tcp_deliver_identical_envelope_bytes() {
             0
         );
     }
+}
+
+#[test]
+fn credentials_running_past_the_frame_are_a_counted_frame_error() {
+    use std::io::Write as _;
+    use syd_transport::framing::encode_frame;
+
+    let tcp = FramedTcpTransport::loopback();
+    let server = tcp.listen_on(0).unwrap();
+    let peer = NodeAddr::new(77);
+    let request = sample_envelopes(peer, server.addr()).swap_remove(0);
+    let mut body = syd_wire::encode_to_vec(&request);
+    // The credentials are `AB CD` behind their length prefix: claim 100
+    // bytes, past the end of the frame.
+    let at = body.windows(3).position(|w| w == [2, 0xAB, 0xCD]).unwrap();
+    body[at] = 100;
+    let refused = decode_from_slice::<Envelope>(&body).unwrap_err();
+    assert!(matches!(refused, SydError::Codec(_)), "{refused}");
+
+    // Sent over a raw connection: the hello, then the bad frame.
+    #[allow(clippy::disallowed_methods)] // test code: a raw peer
+    let mut stream = std::net::TcpStream::connect(server.socket_addr()).unwrap();
+    stream
+        .write_all(&encode_frame(&peer.raw().to_le_bytes()))
+        .unwrap();
+    stream.write_all(&encode_frame(&body)).unwrap();
+    let errors = || {
+        tcp.metrics()
+            .get_counter(names::TRANSPORT_FRAME_ERRORS)
+            .unwrap()
+            .get()
+    };
+    let deadline = std::time::Instant::now() + TAP_WAIT;
+    while errors() == 0 {
+        assert!(std::time::Instant::now() < deadline, "no frame error");
+        std::thread::yield_now();
+    }
+    assert_eq!(errors(), 1);
+    // Nothing was delivered: the node above never sees the frame.
+    while let Some(event) = server.try_recv_event() {
+        assert!(
+            !matches!(event, Ok(syd_transport::TransportEvent::Message(_))),
+            "{event:?}"
+        );
+    }
+    server.close();
 }

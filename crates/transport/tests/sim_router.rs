@@ -29,7 +29,7 @@ fn request(id: u64) -> Payload {
         id: RequestId::new(id),
         caller: UserId::new(1),
         target: UserId::default(),
-        credentials: vec![],
+        credentials: Default::default(),
         service: ServiceName::new("svc"),
         method: "m".into(),
         args: vec![].into(),

@@ -11,13 +11,15 @@
 //! lowest substrate (the wire codec) upward, and it is where the
 //! workspace keeps the few primitives it would otherwise import — locks
 //! that ignore poisoning ([`sync`]), the one channel ([`queue`]), the
-//! one seeded generator with its property-test runner ([`rng`]) and the
-//! string every name travels as, inline when short ([`Text`]).
+//! one seeded generator with its property-test runner ([`rng`]), the
+//! string every name travels as, inline when short ([`Text`]), and the
+//! bytes a sealed credential travels as, inline likewise ([`Blob`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bitmap;
+pub mod blob;
 pub mod constraint;
 pub mod error;
 pub mod id;
@@ -30,6 +32,7 @@ pub mod time;
 pub mod value;
 
 pub use bitmap::SlotBitmap;
+pub use blob::Blob;
 pub use constraint::Constraint;
 pub use error::{SydError, SydResult};
 pub use id::{DeviceId, GroupId, LinkId, MeetingId, NodeAddr, RequestId, ServiceName, UserId};

@@ -1,13 +1,18 @@
-//! Shared, encode-once positional arguments for [`Request`]s.
+//! Positional arguments for [`Request`]s: encode-once when a caller
+//! shares them, inline when a request is decoded.
 //!
 //! A group invocation sends the *same* argument list to every member of a
 //! group (§4.1: "the SyDEngine dispatches the invocation to each of the
 //! group's devices"). With a plain `Vec<Value>` that costs one deep clone
 //! plus one full re-encoding per recipient at the network send boundary.
-//! [`Args`] keeps the values behind an [`Arc`] so cloning is a reference
-//! count bump, and lets the broadcaster pre-encode the canonical byte form
-//! once ([`Args::preencode`]) so every subsequent [`Encode::encode`] is a
-//! single `memcpy` of the shared buffer.
+//! A caller's [`Args`] keeps the values behind an [`Arc`] so cloning is a
+//! reference count bump, and lets the broadcaster pre-encode the canonical
+//! byte form once ([`Args::preencode`]) so every subsequent
+//! [`Encode::encode`] is a single `memcpy` of the shared buffer.
+//!
+//! A received list is read once, by the one handler it reaches, so a
+//! decoded list of up to four values lives in the [`Args`] (and so in its
+//! [`Request`]) itself, with nothing to share and no allocation.
 //!
 //! The byte format is **identical** to the `Vec<Value>` encoding (varint
 //! element count followed by the elements), so requests carrying [`Args`]
@@ -22,75 +27,72 @@ use std::sync::{Arc, OnceLock};
 
 use syd_types::{SydResult, Value};
 
-use crate::codec::{encode_to_vec, put_varint, Decode, Encode, Reader, Sink};
+use crate::codec::{encode_to_vec, encoded_len, put_varint, Decode, Encode, Reader, Sink};
 
-/// How many decoded values [`ArgsInner`] holds without a `Vec` of their
-/// own: `mark`, `commit` and `release_slot` take at most four, so a
-/// received argument list is one allocation.
+/// How many decoded values an [`Args`] holds in place: `mark`, `commit`
+/// and `release_slot` take at most four, so a received argument list
+/// allocates nothing of its own.
 const INLINE: usize = 4;
 
-/// Interior of [`Args`]: the values plus the lazily cached canonical
-/// encoding. Shared (never mutated) between all clones of an [`Args`].
-struct ArgsInner {
-    values: Values,
+/// A caller's list: the values plus the lazily cached canonical encoding,
+/// shared (never mutated) between all clones of its [`Args`].
+struct Shared {
+    values: Vec<Value>,
     /// Canonical encoding of `values` (varint count + elements), filled
     /// at most once by [`Args::preencode`] and shared by every clone.
     encoded: OnceLock<Vec<u8>>,
 }
 
-/// Where an [`ArgsInner`]'s values live.
-enum Values {
+/// Where an [`Args`]'s values live.
+#[derive(Clone)]
+enum Repr {
     /// A decoded list of up to [`INLINE`] values; the rest are `Null`.
+    /// A clone copies the values.
     Inline(u8, [Value; INLINE]),
     /// A list built by the caller, or a longer decoded one.
-    Heap(Vec<Value>),
+    Shared(Arc<Shared>),
 }
 
-/// An immutable, cheaply clonable argument list with an optional cached
-/// canonical encoding.
+/// An immutable argument list: a caller's is cheaply clonable with an
+/// optional cached canonical encoding, a decoded one holds up to four
+/// values in place.
 ///
 /// Dereferences to `[Value]`, so read sites written against `Vec<Value>`
 /// (`args.get(i)`, iteration, `&req.args` as `&[Value]`) keep compiling
 /// unchanged. Construction sites use `From<Vec<Value>>`.
 #[derive(Clone)]
-pub struct Args {
-    inner: Arc<ArgsInner>,
-}
+pub struct Args(Repr);
 
 impl Args {
     /// Wraps an argument list. No encoding happens until the value is
     /// sent (or [`Args::preencode`] is called).
     pub fn new(values: Vec<Value>) -> Self {
-        Args::shared(Values::Heap(values))
-    }
-
-    fn shared(values: Values) -> Self {
-        Args {
-            inner: Arc::new(ArgsInner {
-                values,
-                encoded: OnceLock::new(),
-            }),
-        }
+        Args(Repr::Shared(Arc::new(Shared {
+            values,
+            encoded: OnceLock::new(),
+        })))
     }
 
     /// Encodes the canonical byte form once and caches it; subsequent
     /// [`Encode::encode`] calls on this value *and every clone of it*
     /// copy the cached buffer instead of re-encoding element by element.
+    /// A decoded list has no clones to share a cache with and is only
+    /// counted.
     ///
     /// Returns the encoded length in bytes. Idempotent.
     pub fn preencode(&self) -> usize {
-        self.inner
-            .encoded
+        match &self.0 {
             // The cell is empty until this closure returns, so `encode`
             // writes the values here.
-            .get_or_init(|| encode_to_vec(self))
-            .len()
+            Repr::Shared(shared) => shared.encoded.get_or_init(|| encode_to_vec(self)).len(),
+            Repr::Inline(..) => encoded_len(self),
+        }
     }
 
     /// Whether the canonical encoding has been cached (by this handle or
     /// any clone sharing it).
     pub fn is_preencoded(&self) -> bool {
-        self.inner.encoded.get().is_some()
+        matches!(&self.0, Repr::Shared(shared) if shared.encoded.get().is_some())
     }
 
     /// The arguments as a freshly allocated `Vec` (deep clone).
@@ -104,20 +106,22 @@ impl Encode for Args {
     /// elements. The cached buffer *is* that encoding, so both branches
     /// write identical bytes, and a preencoded list counts in O(1).
     fn encode(&self, buf: &mut impl Sink) {
-        if let Some(bytes) = self.inner.encoded.get() {
-            buf.extend_from_slice(bytes);
-        } else {
-            put_varint(buf, self.len() as u64);
-            for v in self.iter() {
-                v.encode(buf);
+        if let Repr::Shared(shared) = &self.0 {
+            if let Some(bytes) = shared.encoded.get() {
+                buf.extend_from_slice(bytes);
+                return;
             }
+        }
+        put_varint(buf, self.len() as u64);
+        for v in self.iter() {
+            v.encode(buf);
         }
     }
 }
 
 impl Decode for Args {
-    /// Decodes `Vec<Value>`'s format; a list of up to four values
-    /// lands in the shared inner itself.
+    /// Decodes `Vec<Value>`'s format; a list of up to four values lands
+    /// in place.
     fn decode(r: &mut Reader<'_>) -> SydResult<Self> {
         let n = r.len_prefix()?;
         if n > INLINE {
@@ -131,16 +135,16 @@ impl Decode for Args {
         for slot in &mut values[..n] {
             *slot = Value::decode(r)?;
         }
-        Ok(Args::shared(Values::Inline(n as u8, values)))
+        Ok(Args(Repr::Inline(n as u8, values)))
     }
 }
 
 impl Deref for Args {
     type Target = [Value];
     fn deref(&self) -> &[Value] {
-        match &self.inner.values {
-            Values::Inline(n, values) => &values[..usize::from(*n)],
-            Values::Heap(values) => values,
+        match &self.0 {
+            Repr::Inline(n, values) => &values[..usize::from(*n)],
+            Repr::Shared(shared) => &shared.values,
         }
     }
 }
@@ -178,8 +182,9 @@ impl fmt::Debug for Args {
 }
 
 impl Default for Args {
+    /// The empty list, in place.
     fn default() -> Self {
-        Args::new(Vec::new())
+        Args(Repr::Inline(0, Default::default()))
     }
 }
 
@@ -247,11 +252,35 @@ mod tests {
             let back: Args = decode_from_slice(&bytes).unwrap();
             assert_eq!(back, built, "{n} values");
             assert_eq!(&back[..], &values[..n]);
-            assert_eq!(matches!(back.inner.values, Values::Inline(..)), n <= INLINE);
+            assert_eq!(matches!(back.0, Repr::Inline(..)), n <= INLINE);
             assert_eq!(encoded_len(&back), bytes.len());
-            back.preencode();
+            assert_eq!(back.preencode(), bytes.len());
+            assert_eq!(back.is_preencoded(), n > INLINE);
             assert_eq!(encode_to_vec(&back), bytes);
         }
+    }
+
+    /// Every caller-built list sent is one `Arc` of this: the values'
+    /// `Vec` and the encoding cache, with no room for the inline slots
+    /// only a decoded list uses.
+    #[test]
+    fn a_shared_list_stays_within_72_bytes() {
+        let arc_counts = 2 * std::mem::size_of::<usize>();
+        assert!(arc_counts + std::mem::size_of::<Shared>() <= 72);
+    }
+
+    #[test]
+    fn a_decoded_clone_copies_and_a_built_clone_shares() {
+        let built = Args::from(sample());
+        let Repr::Shared(inner) = &built.clone().0 else {
+            panic!("a built list is shared")
+        };
+        assert_eq!(Arc::strong_count(inner), 2);
+        let decoded: Args = decode_from_slice(&encode_to_vec(&built)).unwrap();
+        let copy = decoded.clone();
+        assert!(matches!(copy.0, Repr::Inline(4, _)));
+        assert_eq!(copy, built);
+        assert!(matches!(Args::default().0, Repr::Inline(0, _)));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! cannot trigger an enormous allocation.
 
 use syd_types::{
-    Day, DeviceId, GroupId, LinkId, MeetingId, NodeAddr, Priority, RequestId, ServiceName,
+    Blob, Day, DeviceId, GroupId, LinkId, MeetingId, NodeAddr, Priority, RequestId, ServiceName,
     SlotBitmap, SlotIndex, SlotRange, SydError, SydResult, Text, TimeSlot, Timestamp, UserId,
     Value,
 };
@@ -370,6 +370,21 @@ impl Decode for Vec<u8> {
     fn decode(r: &mut Reader<'_>) -> SydResult<Self> {
         let n = r.len_prefix()?;
         Ok(r.bytes(n)?.to_vec())
+    }
+}
+
+impl Encode for Blob {
+    fn encode(&self, buf: &mut impl Sink) {
+        self.as_slice().encode(buf);
+    }
+}
+
+/// `Vec<u8>`'s format; up to [`syd_types::blob::INLINE_CAP`] bytes decode
+/// without an allocation.
+impl Decode for Blob {
+    fn decode(r: &mut Reader<'_>) -> SydResult<Self> {
+        let n = r.len_prefix()?;
+        Ok(Blob::from(r.bytes(n)?))
     }
 }
 

@@ -12,7 +12,7 @@
 //! network; a version byte leads every encoding so future formats can
 //! coexist.
 
-use syd_types::{NodeAddr, RequestId, ServiceName, SydError, SydResult, Text, UserId, Value};
+use syd_types::{Blob, NodeAddr, RequestId, ServiceName, SydError, SydResult, Text, UserId, Value};
 
 use crate::args::Args;
 use crate::codec::{encoded_len, put_varint, Decode, Encode, Reader, Sink};
@@ -61,8 +61,13 @@ impl Decode for TraceContext {
 }
 
 /// A remote method invocation.
+///
+/// `C` is where the credential blob lives. Every request the runtime
+/// sends or decodes holds it inline, as a [`Blob`]; a request built by
+/// hand may hold any byte container (`Vec<u8>`), and encodes to the same
+/// bytes.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Request {
+pub struct Request<C = Blob> {
     /// Correlation id, unique per caller endpoint.
     pub id: RequestId,
     /// The invoking user (for auditing; authentication uses `credentials`).
@@ -74,26 +79,27 @@ pub struct Request {
     pub target: UserId,
     /// TEA-encrypted `user:password` envelope (§5.4); empty when the
     /// network runs with authentication disabled.
-    pub credentials: Vec<u8>,
+    pub credentials: C,
     /// Target service, e.g. `"calendar"`.
     pub service: ServiceName,
     /// Target method, e.g. `"reserve_slot"`.
     pub method: Text,
-    /// Positional arguments. [`Args`] encodes exactly like `Vec<Value>`
-    /// but is cheap to clone and can carry a pre-encoded byte form shared
-    /// across an entire group broadcast.
+    /// Positional arguments. [`Args`] encodes exactly like `Vec<Value>`;
+    /// a caller's list is cheap to clone and can carry a pre-encoded byte
+    /// form shared across an entire group broadcast, and a decoded list
+    /// of up to four values lives in the request itself.
     pub args: Args,
     /// Optional distributed trace context, encoded as a trailing
     /// extension so trace-free requests keep the pre-trace byte format.
     pub trace: Option<TraceContext>,
 }
 
-impl Encode for Request {
+impl<C: AsRef<[u8]>> Encode for Request<C> {
     fn encode(&self, buf: &mut impl Sink) {
         self.id.encode(buf);
         self.caller.encode(buf);
         self.target.encode(buf);
-        self.credentials.encode(buf);
+        self.credentials.as_ref().encode(buf);
         self.service.encode(buf);
         self.method.encode(buf);
         self.args.encode(buf);
@@ -111,7 +117,7 @@ impl Decode for Request {
         let id = RequestId::decode(r)?;
         let caller = UserId::decode(r)?;
         let target = UserId::decode(r)?;
-        let credentials = Vec::<u8>::decode(r)?;
+        let credentials = Blob::decode(r)?;
         let service = ServiceName::decode(r)?;
         let method = Text::decode(r)?;
         let args = Args::decode(r)?;
@@ -197,11 +203,12 @@ impl Decode for EventMsg {
     }
 }
 
-/// The three kinds of traffic on a SyD network.
+/// The three kinds of traffic on a SyD network; `C` is its request's
+/// credential storage ([`Request`]).
 #[derive(Clone, Debug, PartialEq)]
-pub enum Payload {
+pub enum Payload<C = Blob> {
     /// Remote invocation.
-    Request(Request),
+    Request(Request<C>),
     /// Correlated reply.
     Response(Response),
     /// Published event.
@@ -212,7 +219,7 @@ const TAG_REQUEST: u8 = 0;
 const TAG_RESPONSE: u8 = 1;
 const TAG_EVENT: u8 = 2;
 
-impl Encode for Payload {
+impl<C: AsRef<[u8]>> Encode for Payload<C> {
     fn encode(&self, buf: &mut impl Sink) {
         match self {
             Payload::Request(m) => {
@@ -242,30 +249,33 @@ impl Decode for Payload {
     }
 }
 
-/// An addressed message on the simulated network.
+/// An addressed message on the simulated network; `C` is its request's
+/// credential storage ([`Request`]).
 #[derive(Clone, Debug, PartialEq)]
-pub struct Envelope {
+pub struct Envelope<C = Blob> {
     /// Sending endpoint.
     pub src: NodeAddr,
     /// Receiving endpoint.
     pub dst: NodeAddr,
     /// Message body.
-    pub payload: Payload,
+    pub payload: Payload<C>,
 }
 
-impl Envelope {
+impl<C> Envelope<C> {
     /// Convenience constructor.
-    pub fn new(src: NodeAddr, dst: NodeAddr, payload: Payload) -> Self {
+    pub fn new(src: NodeAddr, dst: NodeAddr, payload: Payload<C>) -> Self {
         Self { src, dst, payload }
     }
+}
 
+impl<C: AsRef<[u8]>> Envelope<C> {
     /// Wire footprint in bytes, version byte included.
     pub fn wire_len(&self) -> usize {
         encoded_len(self)
     }
 }
 
-impl Encode for Envelope {
+impl<C: AsRef<[u8]>> Encode for Envelope<C> {
     fn encode(&self, buf: &mut impl Sink) {
         buf.push(WIRE_VERSION);
         self.src.encode(buf);
@@ -311,7 +321,7 @@ mod tests {
             id: RequestId::new(17),
             caller: UserId::new(3),
             target: UserId::new(4),
-            credentials: vec![0xde, 0xad],
+            credentials: vec![0xde, 0xad].into(),
             service: ServiceName::new("calendar"),
             method: "find_free_slots".into(),
             args: vec![Value::I64(1), Value::str("d1..d2")].into(),
@@ -385,7 +395,7 @@ mod tests {
 
     #[test]
     fn wrong_version_rejected() {
-        let env = Envelope::new(
+        let env: Envelope = Envelope::new(
             NodeAddr::new(1),
             NodeAddr::new(2),
             Payload::Event(EventMsg {
@@ -477,15 +487,66 @@ mod tests {
     #[test]
     fn empty_credentials_mean_unauthenticated() {
         let mut req = sample_request();
-        req.credentials.clear();
+        req.credentials = Blob::default();
         let bytes = encode_to_vec(&req);
         let back: Request = decode_from_slice(&bytes).unwrap();
         assert!(back.credentials.is_empty());
+        assert_eq!(back, req);
+    }
+
+    #[test]
+    fn credentials_decode_in_place_up_to_the_inline_capacity() {
+        for len in [24, 72, syd_types::blob::INLINE_CAP, 80, 200] {
+            let mut req = sample_request();
+            req.credentials = vec![0xC3; len].into();
+            let back: Request = decode_from_slice(&encode_to_vec(&req)).unwrap();
+            assert_eq!(back, req);
+            let inline = len <= syd_types::blob::INLINE_CAP;
+            assert_eq!(back.credentials.is_inline(), inline, "{len} bytes");
+        }
+    }
+
+    #[test]
+    fn a_hand_built_request_encodes_as_the_runtime_one() {
+        let req = sample_request();
+        let by_hand = Request {
+            id: req.id,
+            caller: req.caller,
+            target: req.target,
+            credentials: req.credentials.to_vec(),
+            service: req.service,
+            method: req.method,
+            args: req.args,
+            trace: req.trace,
+        };
+        let env = Envelope::new(
+            NodeAddr::new(1),
+            NodeAddr::new(2),
+            Payload::Request(by_hand),
+        );
+        let bytes = encode_to_vec(&env);
+        assert_eq!(bytes.len(), env.wire_len());
+        let back: Envelope = decode_from_slice(&bytes).unwrap();
+        let Payload::Request(back) = back.payload else {
+            panic!("a request decodes as a request")
+        };
+        assert_eq!(back, sample_request());
+    }
+
+    #[test]
+    fn credentials_running_past_the_end_are_a_codec_error() {
+        // The credential length prefix sits after three one-byte varints
+        // (id, caller, target); claim more bytes than the request holds.
+        let mut bytes = encode_to_vec(&sample_request());
+        assert_eq!(bytes[3], 2);
+        bytes[3] = 100;
+        let err = decode_from_slice::<Request>(&bytes).unwrap_err();
+        assert!(matches!(err, SydError::Codec(_)), "{err}");
     }
 
     #[test]
     fn wire_len_tracks_payload_size() {
-        let small = Envelope::new(
+        let small: Envelope = Envelope::new(
             NodeAddr::new(1),
             NodeAddr::new(2),
             Payload::Event(EventMsg {
@@ -494,7 +555,7 @@ mod tests {
                 payload: Value::Null,
             }),
         );
-        let big = Envelope::new(
+        let big: Envelope = Envelope::new(
             NodeAddr::new(1),
             NodeAddr::new(2),
             Payload::Event(EventMsg {
@@ -545,7 +606,7 @@ mod proptests {
                 id: RequestId::new(rng.any_u64()),
                 caller: UserId::new(rng.any_u64()),
                 target: UserId::new(rng.any_u64()),
-                credentials: rng.bytes(31),
+                credentials: rng.bytes(31).into(),
                 service: ServiceName::new(arb_name(rng, b"abcdefghijklmnopqrstuvwxyz.", 12)),
                 method: arb_name(rng, b"abcdefghijklmnopqrstuvwxyz_", 12).into(),
                 args: (0..rng.below(4))
@@ -588,7 +649,7 @@ mod proptests {
                 id: RequestId::new(rng.any_u64()),
                 caller: UserId::new(1),
                 target: UserId::new(2),
-                credentials: vec![],
+                credentials: Blob::default(),
                 service: ServiceName::new("s"),
                 method: "m".into(),
                 args: vec![].into(),

@@ -4,7 +4,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code
 
 use syd_types::{NodeAddr, RequestId, ServiceName, UserId, Value};
-use syd_wire::{encode_to_vec, Args, Envelope, Payload, Request, TraceContext};
+use syd_wire::{decode_from_slice, encode_to_vec, Args, Envelope, Payload, Request, TraceContext};
 
 fn unhex(hex: &str) -> Vec<u8> {
     (0..hex.len())
@@ -67,6 +67,10 @@ fn the_mark_request_encodes_to_its_golden_bytes() {
     assert_eq!(bytes.len(), 178);
     assert_eq!(bytes, unhex(MARK_REQUEST));
     assert_eq!(envelope.wire_len(), 178);
+    // Built by hand with a `Vec` of credentials; decoded, they are inline
+    // and the request re-encodes to the same bytes.
+    let decoded: Envelope = decode_from_slice(&bytes).unwrap();
+    assert_eq!(encode_to_vec(&decoded), bytes);
 }
 
 /// The commit `change` of a reconcile round: the mark's fields, the record

@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use syd::calendar::{CalendarApp, MeetingSpec, MeetingStatus};
 use syd::kernel::DeviceRuntime;
 use syd::transport::FramedTcpTransport;
-use syd::types::{NodeAddr, SystemClock, TimeSlot, UserId};
+use syd::types::{Blob, NodeAddr, SystemClock, TimeSlot, UserId};
 
 /// Phil's identity in this process. `sydd` mints its users from 1
 /// upwards, so a high fixed id keeps the two processes' id spaces
@@ -81,7 +81,7 @@ fn main() {
         Arc::new(SystemClock::new()),
     )
     .expect("mint phil against remote directory");
-    phil_device.node().set_identity(PHIL, Vec::new());
+    phil_device.node().set_identity(PHIL, Blob::default());
     let phil = CalendarApp::install(&phil_device).expect("install calendar");
 
     // The §4.3 negotiation, across the process boundary.

@@ -98,7 +98,7 @@ fn authentication_gates_every_service() {
     // authentication at the peer.
     phil.device()
         .node()
-        .set_identity(phil.user(), vec![1, 2, 3]);
+        .set_identity(phil.user(), vec![1, 2, 3].into());
     let err = phil
         .device()
         .engine()
