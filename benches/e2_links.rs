@@ -4,8 +4,11 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code
 
-use syd_bench::timing::Group;
-use syd_bench::{devices, env_ideal};
+#[path = "../tests/support/mod.rs"]
+mod support;
+
+use support::timing::Group;
+use support::{devices, env_ideal};
 use syd_core::links::{Constraint, LinkRef, LinkSpec};
 use syd_core::{Method, Methods, Verb};
 use syd_types::{LinkId, Priority, Value};

@@ -4,11 +4,17 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code
 
+#[path = "../tests/support/baseline.rs"]
+mod baseline;
+#[path = "../tests/support/mod.rs"]
+mod support;
+
 use std::sync::Arc;
 
-use syd_bench::timing::Group;
-use syd_bench::{calendar_rig, env_ideal, prefill_density, users_of, SlotAlloc};
-use syd_calendar::{BaselineCalendar, GroupSpec, MeetingSpec, MeetingStatus};
+use baseline::{BaselineCalendar, ProposalStatus};
+use support::timing::Group;
+use support::{calendar_rig, env_ideal, prefill_density, users_of, SlotAlloc};
+use syd_calendar::{GroupSpec, MeetingSpec, MeetingStatus};
 use syd_types::UserId;
 
 fn main() {
@@ -93,7 +99,7 @@ fn main() {
                 let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
                 loop {
                     match baselines[0].proposal_status(proposal) {
-                        Some(syd_calendar::baseline::ProposalStatus::Scheduled) => break,
+                        Some(ProposalStatus::Scheduled) => break,
                         _ if std::time::Instant::now() > deadline => panic!("no commit"),
                         _ => std::thread::yield_now(),
                     }

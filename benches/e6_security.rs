@@ -3,10 +3,13 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code
 
+#[path = "../tests/support/mod.rs"]
+mod support;
+
 use std::sync::Arc;
 
-use syd_bench::timing::Group;
-use syd_bench::{devices, env_ideal, env_secure};
+use support::timing::Group;
+use support::{devices, env_ideal, env_secure};
 use syd_core::{Method, Methods, Verb};
 use syd_crypto::{cbc_decrypt, cbc_encrypt, Authenticator, Credentials, TeaKey};
 use syd_types::{ServiceName, UserId, Value};
@@ -66,7 +69,7 @@ fn main() {
         b.iter(|| {
             devs[0]
                 .engine()
-                .invoke(target, &svc, "echo", vec![Value::I64(1)])
+                .call(target, ECHO_VERB, vec![Value::I64(1)])
                 .unwrap()
         });
     });
@@ -79,7 +82,7 @@ fn main() {
         b.iter(|| {
             sdevs[0]
                 .engine()
-                .invoke(starget, &svc, "echo", vec![Value::I64(1)])
+                .call(starget, ECHO_VERB, vec![Value::I64(1)])
                 .unwrap()
         });
     });

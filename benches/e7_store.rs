@@ -4,7 +4,10 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code
 
-use syd_bench::timing::Group;
+#[path = "../tests/support/mod.rs"]
+mod support;
+
+use support::timing::Group;
 use syd_core::EventHandler;
 use syd_store::{Column, ColumnType, Predicate, Schema, Store, Trigger, TriggerEvent};
 use syd_types::Value;

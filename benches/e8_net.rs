@@ -3,13 +3,21 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code
 
+#[path = "../tests/support/mod.rs"]
+mod support;
+
 use std::sync::Arc;
 use std::time::Duration;
 
-use syd_bench::timing::Group;
-use syd_net::{CallOptions, LatencyModel, NetConfig, Network, Node, RequestHandler};
+use support::timing::Group;
+use syd_net::{CallOptions, LatencyModel, NetConfig, Network, Node, RequestHandler, Verb};
 use syd_types::{NodeAddr, RequestId, ServiceName, SydResult, UserId, Value};
 use syd_wire::{decode_from_slice, encode_to_vec, Envelope, Payload, Request};
+
+/// What the raw [`Node`] calls below send: the echo handler answers any
+/// method of any service with its arguments.
+const ECHO: Verb<Vec<Value>, Value> = Verb::new(ECHO_SERVICE, "m");
+const ECHO_SERVICE: &ServiceName = &ServiceName::constant("echo");
 
 fn echo_handler() -> Arc<dyn RequestHandler> {
     Arc::new(|_from: NodeAddr, req: Request| -> SydResult<Value> {
@@ -54,11 +62,10 @@ fn main() {
     let server = Node::spawn(&net);
     server.set_handler(echo_handler());
     let client = Node::spawn(&net);
-    let svc = ServiceName::new("echo");
     group.bench_function("rpc_round_trip_ideal", |b| {
         b.iter(|| {
             client
-                .call(server.addr(), &svc, "m", vec![Value::I64(1)])
+                .call(server.addr(), ECHO.service, ECHO.name, vec![Value::I64(1)])
                 .unwrap()
         });
     });
@@ -72,7 +79,12 @@ fn main() {
     group.bench_function("rpc_round_trip_wireless", |b| {
         b.iter(|| {
             lan_client
-                .call(lan_server.addr(), &svc, "m", vec![Value::I64(1)])
+                .call(
+                    lan_server.addr(),
+                    ECHO.service,
+                    ECHO.name,
+                    vec![Value::I64(1)],
+                )
                 .unwrap()
         });
     });
@@ -88,7 +100,13 @@ fn main() {
     group.bench_function("rpc_20pct_loss_with_retries", |b| {
         b.iter(|| {
             lossy_client
-                .call_with(lossy_server.addr(), &svc, "m", vec![Value::I64(1)], opts)
+                .call_with(
+                    lossy_server.addr(),
+                    ECHO.service,
+                    ECHO.name,
+                    vec![Value::I64(1)],
+                    opts,
+                )
                 .unwrap()
         });
     });
@@ -99,7 +117,7 @@ fn main() {
             let calls: Vec<_> = (0..64)
                 .map(|i| {
                     client
-                        .call_async(server.addr(), &svc, "m", vec![Value::I64(i)])
+                        .call_async(server.addr(), ECHO.service, ECHO.name, vec![Value::I64(i)])
                         .unwrap()
                 })
                 .collect();

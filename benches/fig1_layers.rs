@@ -10,10 +10,13 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code
 
+#[path = "../tests/support/mod.rs"]
+mod support;
+
 use std::sync::Arc;
 
-use syd_bench::timing::Group;
-use syd_bench::{devices, env_ideal};
+use support::timing::Group;
+use support::{devices, env_ideal};
 use syd_core::listener::{Listener, Method, Methods};
 use syd_core::Verb;
 use syd_store::{Column, ColumnType, Predicate, Schema, Store};
@@ -91,11 +94,6 @@ fn main() {
     devs[1].serve(&svc, &remote_store, SLOTS);
     let target = devs[1].user();
     group.bench_function("L3_remote_invoke", |b| {
-        b.iter(|| {
-            devs[0]
-                .engine()
-                .invoke(target, &svc, "select", vec![Value::I64(42)])
-                .unwrap()
-        });
+        b.iter(|| devs[0].engine().call(target, SELECT, (42,)).unwrap());
     });
 }

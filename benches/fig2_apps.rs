@@ -4,14 +4,17 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code
 
+#[path = "../tests/support/mod.rs"]
+mod support;
+
 use std::sync::Arc;
 
+use support::timing::Group;
+use support::{calendar_rig, env_ideal, users_of, SlotAlloc};
 use syd::bidding::{Host, Player};
 use syd::calendar::MeetingSpec;
 use syd::fleet::{deploy_fleet, Position};
 use syd::types::UserId;
-use syd_bench::timing::Group;
-use syd_bench::{calendar_rig, env_ideal, users_of, SlotAlloc};
 
 fn main() {
     let group = Group("fig2_apps");

@@ -4,10 +4,13 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code
 
+#[path = "../tests/support/mod.rs"]
+mod support;
+
 use std::sync::Arc;
 
-use syd_bench::timing::Group;
-use syd_bench::{devices, env_ideal};
+use support::timing::Group;
+use support::{devices, env_ideal};
 use syd_core::directory::{DESCRIBE, LOOKUP_MANY};
 use syd_core::{Method, Methods, Verb};
 use syd_types::{ServiceName, UserId, Value};
@@ -45,7 +48,7 @@ fn main() {
         b.iter(|| {
             caller
                 .engine()
-                .invoke(target_user, &svc, "echo", vec![Value::I64(1)])
+                .call(target_user, ECHO_VERB, vec![Value::I64(1)])
                 .unwrap()
         });
     });
@@ -58,10 +61,9 @@ fn main() {
             .collect();
         group.bench_function(format!("group_invoke/{n}"), |b| {
             b.iter(|| {
-                let result =
-                    caller
-                        .engine()
-                        .invoke_group(&users, &svc, "echo", vec![Value::I64(7)]);
+                let result = caller
+                    .engine()
+                    .call_group(&users, ECHO_VERB, vec![Value::I64(7)]);
                 assert!(result.all_ok());
                 result.aggregate()
             });

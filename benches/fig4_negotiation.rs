@@ -4,10 +4,13 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code
 
+#[path = "../tests/support/mod.rs"]
+mod support;
+
 use std::sync::Arc;
 
-use syd_bench::timing::Group;
-use syd_bench::{devices, env_ideal};
+use support::timing::Group;
+use support::{devices, env_ideal};
 use syd_types::sync::{Mutex, Rank};
 
 use syd_core::negotiate::Participant;

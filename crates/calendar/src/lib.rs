@@ -29,22 +29,20 @@
 //! * **E-mail notification** — participants get mailbox messages on
 //!   meeting transitions ([`mailbox`], §5.1).
 //!
-//! [`baseline`] implements the §3.3/§6 "current practice" calendar
-//! (replicated folders, e-mail round trips, manual accepts, polling) that
-//! the benchmarks compare against.
+//! The §3.3/§6 "current practice" calendar that the experiments compare
+//! against is not part of this crate: it lives beside its callers, in the
+//! workspace's `tests/support/baseline.rs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod app;
-pub mod baseline;
 pub mod delegation;
 pub mod mailbox;
 pub mod model;
 pub mod proxy_support;
 
 pub use app::CalendarApp;
-pub use baseline::{BaselineCalendar, BaselineStats};
 pub use delegation::Delegation;
 pub use mailbox::{Mail, Mailbox};
 pub use model::{

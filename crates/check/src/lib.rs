@@ -30,9 +30,10 @@
 //! journals offline. The [`model`] enumerates every schedule of an
 //! abstract SyD system and judges each with this same oracle (the
 //! `tests/model.rs` suite); its schedules, with and without planted bugs,
-//! are also the journals this crate's own tests audit. The `syd-bench`
-//! crate's `check` binary drives hundreds of seeded negotiations through
-//! lossy and partitioned networks and audits the aftermath.
+//! are also the journals this crate's own tests audit. The workspace's
+//! stress test (`tests/check_stress.rs`) drives hundreds of seeded
+//! negotiations through lossy and partitioned networks and audits the
+//! aftermath.
 
 pub mod event;
 pub mod model;

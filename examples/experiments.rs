@@ -5,17 +5,25 @@
 //! outcome rates, convergence and failover behaviour.
 //!
 //! ```sh
-//! cargo run --release -p syd-bench --bin experiments
+//! cargo run --release --offline --example experiments
 //! ```
 
 // Experiment driver: a rig that cannot build has no numbers to report.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+#[path = "../tests/support/baseline.rs"]
+mod baseline;
+#[path = "../tests/support/mod.rs"]
+mod support;
+
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use syd_bench::{await_publishes, calendar_rig, env_ideal, users_of, SlotAlloc};
-use syd_calendar::{BaselineCalendar, MeetingSpec, MeetingStatus};
+use baseline::{BaselineCalendar, ProposalStatus};
+use support::{
+    await_publishes, calendar_rig, env_ideal, prefill_density, prefilled, users_of, SlotAlloc,
+};
+use syd_calendar::{MeetingSpec, MeetingStatus};
 use syd_core::links::Constraint;
 use syd_core::negotiate::Participant;
 use syd_core::proxy::enable_replication;
@@ -96,13 +104,7 @@ fn e1_baseline_vs_syd() {
         for b in &baselines[1..] {
             b.accept(proposal).unwrap();
         }
-        let deadline = Instant::now() + Duration::from_secs(3);
-        while baselines[0].proposal_status(proposal)
-            != Some(syd_calendar::baseline::ProposalStatus::Scheduled)
-        {
-            assert!(Instant::now() < deadline, "baseline never committed");
-            syd_types::sync::sleep(Duration::from_millis(2));
-        }
+        await_scheduled(&baselines[0], proposal);
         let (base_msgs, base_bytes) = sent_since(benv.network(), before);
 
         println!(
@@ -145,6 +147,15 @@ fn e1_baseline_vs_syd() {
         "(baseline numbers assume instant human accepts; its polling runs\n\
          whether or not anything changed, so idle cost is unbounded)\n"
     );
+}
+
+/// Waits, for 3 s at most, until the baseline's `proposal` committed.
+fn await_scheduled(initiator: &BaselineCalendar, proposal: u64) {
+    let deadline = Instant::now() + Duration::from_secs(3);
+    while initiator.proposal_status(proposal) != Some(ProposalStatus::Scheduled) {
+        assert!(Instant::now() < deadline, "baseline never committed");
+        syd_types::sync::sleep(Duration::from_millis(2));
+    }
 }
 
 struct YesWithProbability(u64, std::sync::atomic::AtomicU64);
@@ -391,21 +402,71 @@ fn e8_rpc_reliability() {
 
 /// §6's storage claim: "each user's local machine stores only that
 /// particular user's information" vs a copy of every member's folder.
+/// Both rigs get the same personal engagements, a quarter of a week's
+/// slots per user, and then set up one meeting in the first slot after
+/// that week; then every device's store is counted, all tables.
 fn e1_storage_footprint() {
-    println!("== E1b: storage footprint (rows held per device) ==");
+    const WEEK: u64 = 7 * 24;
+    const DENSITY_PCT: u64 = 25;
+    let meeting_slot = TimeSlot::from_ordinal(WEEK);
+    println!("== E1b: storage footprint (rows stored per device, 25 % of a week busy) ==");
     println!(
-        "{:>6} | {:>10} | {:>14}",
-        "group", "syd rows", "baseline rows"
+        "{:>6} | {:>9} {:>9} | {:>13} {:>17}",
+        "group", "syd min", "syd max", "baseline rows", "of which replicas"
     );
     for n in [2usize, 4, 8, 16] {
-        // SyD: each device stores its own occupied slots only. One
-        // meeting = 1 slot row per device.
-        let syd_rows_per_device = 1;
-        // Baseline: each device replicates every member's folder. With a
-        // calendar of one week (168 slots) at 25% density, each replica is
-        // 42 rows × (n-1) members.
-        let baseline_rows = 42 * (n - 1);
-        println!("{n:>6} | {syd_rows_per_device:>10} | {baseline_rows:>14}");
+        // SyD: the calendar rig, then one confirmed meeting.
+        let env = env_ideal();
+        let apps = calendar_rig(&env, n);
+        prefill_density(&apps, WEEK, DENSITY_PCT);
+        let attendees: Vec<UserId> = users_of(&apps)[1..].to_vec();
+        let outcome = apps[0]
+            .schedule(MeetingSpec::plain("m", meeting_slot, attendees))
+            .unwrap();
+        assert_eq!(outcome.status, MeetingStatus::Confirmed);
+        let syd_rows: Vec<usize> = apps.iter().map(|a| stored_rows(a.device())).collect();
+        let syd_min = syd_rows.iter().min().unwrap();
+        let syd_max = syd_rows.iter().max().unwrap();
+
+        // Baseline: the same engagements, then the initiator polls every
+        // other member's folder for the week and the meeting is set up.
+        let benv = env_ideal();
+        let devices: Vec<DeviceRuntime> = (0..n)
+            .map(|i| benv.device(&format!("b{i}"), "pw").unwrap())
+            .collect();
+        let baselines: Vec<Arc<BaselineCalendar>> = (devices.iter())
+            .map(|device| BaselineCalendar::install(device).unwrap())
+            .collect();
+        await_publishes(&devices);
+        for (i, b) in baselines.iter().enumerate() {
+            for slot in prefilled(i, WEEK, DENSITY_PCT) {
+                b.mark_busy(slot).unwrap();
+            }
+        }
+        let participants: Vec<UserId> = baselines[1..].iter().map(|b| b.user()).collect();
+        baselines[0]
+            .refresh_replicas(&participants, 0, WEEK)
+            .unwrap();
+        let proposal = baselines[0].propose(meeting_slot, &participants).unwrap();
+        for b in &baselines[1..] {
+            b.accept(proposal).unwrap();
+        }
+        await_scheduled(&baselines[0], proposal);
+        let base_rows = stored_rows(&devices[0]);
+        let replicas = baselines[0].replica_rows().unwrap();
+
+        println!("{n:>6} | {syd_min:>9} {syd_max:>9} | {base_rows:>13} {replicas:>17}");
     }
-    println!("(computed from the §6 storage model: replicas scale with group size\n and calendar density; SyD state scales with own commitments only)\n");
+    println!(
+        "(baseline rows: the initiator's, after the one poll its setup needs;\n \
+         SyD rows: every device's, after the same setup)\n"
+    );
+}
+
+/// Rows in every table of `device`'s store.
+fn stored_rows(device: &DeviceRuntime) -> usize {
+    let store = device.store();
+    (store.table_names().iter())
+        .map(|table| store.row_count(table).unwrap())
+        .sum()
 }

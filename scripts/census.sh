@@ -2,8 +2,10 @@
 # How much code and how many switches the workspace carries — ROADMAP
 # item 7's "least code" as numbers that any checkout can reproduce.
 # Plain find/wc/grep: no cargo, no registry, no build. `example_lines`
-# counts the walkthroughs under examples/, so code that leaves the library
-# for the one example that uses it shows as a move, not a deletion.
+# counts the walkthroughs under examples/, and `bench_lines` the bench
+# targets under benches/ with the rigs they share from tests/support/, so
+# code that leaves the library for the dev targets that use it shows as a
+# move, not a deletion (tests/support/ counts in `test_lines` too).
 #
 #   scripts/census.sh            # this checkout
 #   scripts/census.sh /some/dir  # another checkout (e.g. the parent commit)
@@ -42,6 +44,7 @@ echo "src_lines        $(lines crates/*/src src)"
 echo "src_test_lines   $(test_lines crates/*/src src)"
 echo "test_lines       $(lines crates/*/tests tests)"
 echo "example_lines    $(lines examples)"
+echo "bench_lines      $(lines benches tests/support)"
 echo "crates           $(find crates -mindepth 2 -maxdepth 2 -name Cargo.toml | wc -l)"
 echo "third_party_deps $(sed -n '/^\[workspace.dependencies\]/,/^\[/p' Cargo.toml |
     grep -E '^[a-z_-]+ *=' | grep -vc 'path *=')"

@@ -18,7 +18,7 @@
 //! | [`crypto`] | `syd-crypto` | TEA cipher + request authentication |
 //! | [`kernel`] | `syd-core` | SyD kernel: directory, listener, engine, events, links, negotiation, proxies |
 //! | [`check`] | `syd-check` | protocol invariant checker: journal replay, lock-leak and double-book oracles |
-//! | [`calendar`] | `syd-calendar` | the calendar-of-meetings application + baseline |
+//! | [`calendar`] | `syd-calendar` | the calendar-of-meetings application |
 //! | [`trace`] | `syd-trace` | timed span trees, cross-device assembly, critical-path attribution |
 //! | [`obs`] | (this crate) | one-shot span-ring snapshot (`sydtop`-style) |
 //! | [`fleet`] | (this crate) | vehicle fleet application (Figure 2) |

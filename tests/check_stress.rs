@@ -5,12 +5,13 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code
 
+#[path = "check_stress/stress.rs"]
+mod stress;
+
+use stress::{inject_double_commit, inject_lock_leak, run, Fault, StressConfig, INJECTED_SESSION};
 use syd::check::Rule;
 use syd::kernel::SydEnv;
 use syd::net::NetConfig;
-use syd_bench::stress::{
-    inject_double_commit, inject_lock_leak, run, Fault, StressConfig, INJECTED_SESSION,
-};
 
 /// ≥200 concurrent negotiations under message loss *and* partition
 /// churn: once the leases left behind are ended, the audit must be
@@ -68,7 +69,6 @@ fn injected_lock_leak_is_caught_with_session_and_excerpt() {
         partition: false,
         seed: 5,
         inject: Some(Fault::LockLeak),
-        ..StressConfig::default()
     });
     let leak = outcome
         .report
@@ -99,7 +99,6 @@ fn injected_double_commit_is_caught_with_session_and_excerpt() {
         partition: false,
         seed: 6,
         inject: Some(Fault::DoubleCommit),
-        ..StressConfig::default()
     });
     let dbl = outcome
         .report

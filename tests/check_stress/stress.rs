@@ -13,10 +13,10 @@
 //! The driver can also *inject* a protocol defect after the run — a
 //! leaked entity lock or a forged double-commit record — to prove the
 //! checker catches it and reports the offending session with a journal
-//! excerpt. `tests/check_stress.rs` at the workspace root runs it.
+//! excerpt. A module of `tests/check_stress.rs`, which runs it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 use syd_check::{AuditOptions, AuditReport};
@@ -41,17 +41,18 @@ pub enum Fault {
     DoubleCommit,
 }
 
+/// Devices in the deployment (each is participant and coordinator).
+const DEVICES: usize = 6;
+/// Concurrent initiator threads.
+const WORKERS: usize = 6;
+/// Size of the contended entity space (`slot:0 .. slot:n-1`).
+const ENTITIES: u64 = 8;
+
 /// Parameters of one stress run.
 #[derive(Clone, Debug)]
 pub struct StressConfig {
     /// Total negotiation sessions across all workers.
     pub sessions: usize,
-    /// Devices in the deployment (each is participant and coordinator).
-    pub devices: usize,
-    /// Concurrent initiator threads.
-    pub workers: usize,
-    /// Size of the contended entity space (`slot:0 .. slot:n-1`).
-    pub entities: usize,
     /// Per-message loss probability of the simulated network.
     pub loss: f64,
     /// Periodically partition and heal random device pairs during the run.
@@ -66,9 +67,6 @@ impl Default for StressConfig {
     fn default() -> Self {
         StressConfig {
             sessions: 200,
-            devices: 6,
-            workers: 6,
-            entities: 8,
             loss: 0.02,
             partition: true,
             seed: 42,
@@ -78,6 +76,9 @@ impl Default for StressConfig {
 }
 
 /// What a stress run did, plus the invariant audit of the aftermath.
+// `lapsed`, `rpc_timeouts` and `longest_session` are read through `Debug`
+// only: a failing assertion prints the whole outcome.
+#[allow(dead_code)]
 #[derive(Debug)]
 pub struct StressOutcome {
     /// Sessions whose constraint was satisfied.
@@ -131,11 +132,7 @@ impl EntityHandler for FlakyHandler {
 }
 
 /// One pre-generated negotiation: constraint + participant assignments.
-fn plan_session(
-    rng: &mut Rng,
-    devices: &[DeviceRuntime],
-    entities: usize,
-) -> (Constraint, Vec<Participant>) {
+fn plan_session(rng: &mut Rng, devices: &[DeviceRuntime]) -> (Constraint, Vec<Participant>) {
     let n = 2 + rng.below(devices.len() as u64 - 1) as usize;
     let constraint = match rng.below(3) {
         0 => Constraint::And,
@@ -148,7 +145,7 @@ fn plan_session(
     let parts = (0..n)
         .map(|i| {
             let dev = &devices[(start + i) % devices.len()];
-            let entity = format!("slot:{}", rng.below(entities as u64));
+            let entity = format!("slot:{}", rng.below(ENTITIES));
             Participant::new(dev.user(), entity, Value::str("stress"))
         })
         .collect();
@@ -157,6 +154,11 @@ fn plan_session(
 
 /// Panics on any thread of the process since [`count_panics`] ran.
 static PANICS: AtomicU64 = AtomicU64::new(0);
+
+/// Held shared by every [`run`] for its whole window and exclusively by
+/// the test that panics on purpose, so that panic never lands in a run's
+/// `panics` count. Runs still overlap one another.
+static PANIC_WINDOW: RwLock<()> = RwLock::new(());
 
 /// Installs, once per process, a panic hook that counts every panic and
 /// then runs the hook it replaced, so the message still prints. A hook
@@ -177,12 +179,12 @@ fn count_panics() {
 /// `cfg.seed` up to thread interleaving (the *audit verdict* must be
 /// clean for every seed; the satisfied/declined split may vary).
 pub fn run(cfg: &StressConfig) -> StressOutcome {
+    let _window = PANIC_WINDOW.read().unwrap_or_else(PoisonError::into_inner);
     count_panics();
     let panics_before = PANICS.load(Ordering::Relaxed);
-    let devices_n = cfg.devices.max(2);
     let net = NetConfig::ideal().with_loss(cfg.loss).with_seed(cfg.seed);
     let env = SydEnv::new_insecure(net);
-    let devices: Vec<DeviceRuntime> = (0..devices_n)
+    let devices: Vec<DeviceRuntime> = (0..DEVICES)
         .map(|i| env.device(&format!("stress{i}"), "").unwrap())
         .collect();
     for (i, dev) in devices.iter().enumerate() {
@@ -196,7 +198,7 @@ pub fn run(cfg: &StressConfig) -> StressOutcome {
     // then deal them round-robin to the workers.
     let mut rng = Rng::new(cfg.seed);
     let plans: Vec<(Constraint, Vec<Participant>)> = (0..cfg.sessions)
-        .map(|_| plan_session(&mut rng, &devices, cfg.entities.max(1)))
+        .map(|_| plan_session(&mut rng, &devices))
         .collect();
 
     let satisfied = AtomicU64::new(0);
@@ -206,15 +208,14 @@ pub fn run(cfg: &StressConfig) -> StressOutcome {
     let stop = AtomicBool::new(false);
 
     std::thread::scope(|scope| {
-        let workers = cfg.workers.clamp(1, cfg.sessions.max(1));
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
+        let mut handles = Vec::with_capacity(WORKERS);
+        for w in 0..WORKERS {
             let coordinator = &devices[w % devices.len()];
             let plans = &plans;
             let (satisfied, completed, errors) = (&satisfied, &completed, &errors);
             let longest_us = &longest_us;
             handles.push(scope.spawn(move || {
-                for (constraint, parts) in plans.iter().skip(w).step_by(workers) {
+                for (constraint, parts) in plans.iter().skip(w).step_by(WORKERS) {
                     let started = Instant::now();
                     let outcome = coordinator.negotiator().negotiate(*constraint, parts);
                     longest_us.fetch_max(started.elapsed().as_micros() as u64, Ordering::Relaxed);
@@ -344,6 +345,7 @@ mod tests {
     /// The hook counts a panic on a thread other than the caller's.
     #[test]
     fn a_panic_on_any_thread_is_counted() {
+        let _window = PANIC_WINDOW.write().unwrap_or_else(PoisonError::into_inner);
         count_panics();
         let before = PANICS.load(Ordering::Relaxed);
         assert!(!sync::join(std::thread::spawn(|| panic!("counted"))));

@@ -8,14 +8,17 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code
 
+#[path = "support/baseline.rs"]
+mod baseline;
+
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use baseline::{BaselineCalendar, BCAL};
 use syd::bidding::{Host, Player, BIDDING};
 use syd::calendar::app::calendar_service;
-use syd::calendar::baseline::BCAL;
 use syd::calendar::mailbox::MAILBOX;
-use syd::calendar::{BaselineCalendar, CalendarApp};
+use syd::calendar::CalendarApp;
 use syd::fleet::{Dispatcher, Vehicle, FLEET};
 use syd::kernel::directory::DESCRIBE;
 use syd::kernel::{DeviceRuntime, SydEnv};

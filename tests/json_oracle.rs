@@ -1,5 +1,5 @@
 //! Property oracle: every JSON artifact the observability plane emits
-//! must parse under the strict `syd_bench::json` parser and round-trip
+//! must parse under the strict parser of the `json` module and round-trip
 //! its strings byte-for-byte — arbitrary quotes, backslashes, control
 //! characters, and non-ASCII included.
 //!
@@ -9,11 +9,14 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code
 
+#[path = "json_oracle/json.rs"]
+mod json;
+
 use std::collections::HashMap;
 
+use json::Json;
 use syd::trace::{chrome_trace, AssemblyMode, Collector, SpanRecord};
 use syd::types::rng::cases;
-use syd_bench::json::Json;
 use syd_telemetry::{names, Event, EventKind, Journal, Vote};
 
 /// `Journal::to_jsonl` emits one strict-JSON object per line, and

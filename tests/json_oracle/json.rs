@@ -3,11 +3,13 @@
 //! The workspace takes no serialization dependency, so the exporters of
 //! the observability plane (`Journal::to_jsonl`, `chrome_trace`) write
 //! their JSON by hand. This parser is the second implementation they are
-//! checked against: `tests/json_oracle.rs` parses what they emit and
-//! round-trips arbitrary strings through it, so an escaping bug on either
-//! side shows as a parse failure or a mismatch. It reads objects, arrays,
-//! strings, finite numbers, booleans and null, and rejects anything
-//! else.
+//! checked against: `tests/json_oracle.rs`, whose module this is, parses
+//! what they emit and round-trips arbitrary strings through it, so an
+//! escaping bug on either side shows as a parse failure or a mismatch. It
+//! reads objects, arrays, strings, finite numbers, booleans and null as
+//! RFC 8259 writes them, and rejects anything else: a number with a sign
+//! `+`, a leading zero or a bare `.`, and a string with a raw control
+//! character or a `\u` escape that is not four hex digits.
 
 use syd_types::{SydError, SydResult};
 
@@ -118,14 +120,33 @@ fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> SydResult
 
 fn parse_num(bytes: &[u8], pos: &mut usize) -> SydResult<Json> {
     let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+            *pos += 1;
+        }
+        *pos > from
+    };
+    // -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
+    if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
+    }
+    let int_start = *pos;
+    let mut ok = digits(pos) && (bytes[int_start] != b'0' || *pos == int_start + 1);
+    if ok && bytes.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        ok = digits(pos);
+    }
+    if ok && matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        ok = digits(pos);
     }
     let text = std::str::from_utf8(&bytes[start..*pos]).expect("ascii digits");
     match text.parse::<f64>() {
-        Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+        Ok(n) if ok && n.is_finite() => Ok(Json::Num(n)),
         _ => Err(err(start, "malformed number")),
     }
 }
@@ -147,18 +168,18 @@ fn parse_str(bytes: &[u8], pos: &mut usize) -> SydResult<String> {
                     b'"' => out.push('"'),
                     b'\\' => out.push('\\'),
                     b'/' => out.push('/'),
+                    b'b' => out.push('\u{8}'),
+                    b'f' => out.push('\u{c}'),
                     b'n' => out.push('\n'),
                     b't' => out.push('\t'),
                     b'r' => out.push('\r'),
                     b'u' => {
                         let hex = bytes
                             .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| err(*pos, "short \\u escape"))?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|_| err(*pos, "bad \\u hex"))?,
-                            16,
-                        )
-                        .map_err(|_| err(*pos, "bad \\u hex"))?;
+                            .filter(|hex| hex.iter().all(u8::is_ascii_hexdigit))
+                            .ok_or_else(|| err(*pos, "bad \\u escape"))?;
+                        let hex = std::str::from_utf8(hex).expect("ascii hex digits");
+                        let code = u32::from_str_radix(hex, 16).expect("four hex digits");
                         // Surrogate pairs are out of scope: no exporter writes one.
                         out.push(char::from_u32(code).ok_or_else(|| err(*pos, "bad codepoint"))?);
                         *pos += 4;
@@ -167,6 +188,7 @@ fn parse_str(bytes: &[u8], pos: &mut usize) -> SydResult<String> {
                 }
                 *pos += 1;
             }
+            Some(0..=0x1f) => return Err(err(*pos, "raw control character in string")),
             Some(_) => {
                 // Consume one UTF-8 scalar, not one byte.
                 let rest =
@@ -261,16 +283,19 @@ mod tests {
 
     #[test]
     fn strings_escape_and_unescape() {
-        let text = r#""a\"b\\c\nd\u0001\t\/""#;
+        let text = r#""a\"b\\c\nd\u0001\t\/\b\f""#;
         assert_eq!(
             Json::parse(text).unwrap(),
-            Json::Str("a\"b\\c\nd\u{1}\t/".into())
+            Json::Str("a\"b\\c\nd\u{1}\t/\u{8}\u{c}".into())
         );
     }
 
     #[test]
     fn rejects_malformed_documents() {
-        for bad in ["", "{", "[1,]", "{\"a\" 1}", "tru", "1.2.3", "\"x", "[1] x"] {
+        let numbers = ["+1", "01", "-01", ".5", "1.", "-.5", "-", "1e", "1e+"];
+        let strings = ["\"a\u{1}b\"", "\"a\tb\"", "\"\\u+abc\"", "\"\\u12\""];
+        let structure = ["", "{", "[1,]", "{\"a\" 1}", "tru", "1.2.3", "\"x", "[1] x"];
+        for bad in structure.into_iter().chain(numbers).chain(strings) {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
     }

@@ -22,6 +22,13 @@
 //!   because the free-slot view was stale.
 //! * **No priorities, no bumping, no tentative meetings, no automatic
 //!   anything** — failures are reported and the human starts over.
+//!
+//! Not part of any library: `tests/join_cost.rs`, `benches/e3_meetings.rs`
+//! and `examples/experiments.rs` each take this file with `#[path]`, and
+//! its unit tests run in `tests/join_cost.rs`.
+
+// Each of the three targets uses only a part of the calendar.
+#![allow(dead_code)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -1,16 +1,23 @@
-//! Shared rigs for the benchmark suite and the experiment harness.
+//! Shared rigs for the bench targets, the experiment harness and the
+//! integration tests that build calendar deployments.
 //!
 //! Every benchmark builds deployments the same way so numbers are
 //! comparable across experiments: an ideal (lossless, zero-latency)
 //! network unless the experiment is explicitly about transport effects,
 //! authentication off unless the experiment is about §5.4.
+//!
+//! A target takes this module with `mod support;` (from `tests/`) or
+//! `#[path = "../tests/support/mod.rs"] mod support;` (from `benches/`
+//! and `examples/`). The §3.3/§6 baseline calendar sits beside it in
+//! `baseline.rs` and is taken on its own, `#[path]` to that file, by the
+//! three targets that run it, so its unit tests run once: in
+//! `tests/join_cost.rs`.
 
 // Measurement harness, not middleware: a rig that cannot build has no
 // meaningful numbers to report, so panicking on setup is the contract.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+// Each target that includes this module uses only a part of it.
+#![allow(clippy::unwrap_used, clippy::expect_used, dead_code)]
 
-pub mod json;
-pub mod stress;
 pub mod timing;
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -91,17 +98,27 @@ impl SlotAlloc {
     }
 }
 
-/// Pre-fills a fraction of each calendar's slots in `[0, horizon)` with
-/// personal engagements, deterministically per user — the "calendar
-/// density" axis of experiment E3.
+/// The slots of `[0, horizon)` that user number `user` of a rig has
+/// filled with personal engagements at `density_pct` — the "calendar
+/// density" axis of experiment E3. Deterministic, so a SyD rig and a
+/// baseline rig can be filled alike.
+pub fn prefilled(user: usize, horizon: u64, density_pct: u64) -> impl Iterator<Item = TimeSlot> {
+    (0..horizon)
+        .filter(move |ordinal| {
+            // Cheap deterministic hash spread.
+            let h = ordinal
+                .wrapping_mul(2654435761)
+                .wrapping_add(user as u64 * 97);
+            h % 100 < density_pct
+        })
+        .map(TimeSlot::from_ordinal)
+}
+
+/// Marks each calendar's [`prefilled`] slots busy.
 pub fn prefill_density(apps: &[Arc<CalendarApp>], horizon: u64, density_pct: u64) {
     for (i, app) in apps.iter().enumerate() {
-        for ordinal in 0..horizon {
-            // Cheap deterministic hash spread.
-            let h = ordinal.wrapping_mul(2654435761).wrapping_add(i as u64 * 97);
-            if h % 100 < density_pct {
-                let _ = app.mark_busy(TimeSlot::from_ordinal(ordinal));
-            }
+        for slot in prefilled(i, horizon, density_pct) {
+            app.mark_busy(slot).unwrap();
         }
     }
 }

@@ -9,10 +9,12 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code
 
+mod support;
+
 use std::time::Instant;
 
+use support::{calendar_rig, env_ideal, users_of};
 use syd::trace::{attribute, AssemblyMode, Collector};
-use syd_bench::{calendar_rig, env_ideal, users_of};
 use syd_calendar::{MeetingSpec, MeetingStatus};
 use syd_telemetry::names;
 use syd_types::SlotRange;

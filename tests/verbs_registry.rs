@@ -71,11 +71,18 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
 }
 
 /// The program code of the workspace: every crate's `src`, the root
-/// package's `src` and the examples, each file up to its test module and
-/// without its comments, with its path relative to the workspace.
+/// package's `src`, the examples, the bench targets and the rigs they
+/// share with the tests (`tests/support`, the §6 baseline calendar
+/// among them), each file up to its test module and without its
+/// comments, with its path relative to the workspace.
 fn program_sources() -> Vec<(String, String)> {
     let root = workspace();
-    let mut dirs = vec![root.join("src"), root.join("examples")];
+    let mut dirs = vec![
+        root.join("src"),
+        root.join("examples"),
+        root.join("benches"),
+        root.join("tests/support"),
+    ];
     for krate in fs::read_dir(root.join("crates")).unwrap() {
         dirs.push(krate.unwrap().path().join("src"));
     }
@@ -163,11 +170,12 @@ fn arguments(text: &str, open: usize) -> Vec<String> {
 }
 
 /// The package a source file is compiled into: a crate, the root
-/// package, or an example of its own.
+/// package, an example or a bench target of its own, or the support
+/// module several targets take.
 fn program_of(file: &str) -> String {
     match file.split('/').collect::<Vec<_>>()[..] {
-        ["crates", krate, ..] => format!("crates/{krate}"),
-        ["examples", example, ..] => format!("examples/{example}"),
+        [dir @ ("crates" | "examples" | "benches"), target, ..] => format!("{dir}/{target}"),
+        ["tests", "support", ..] => "tests/support".to_owned(),
         _ => "src".to_owned(),
     }
 }
