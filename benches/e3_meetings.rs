@@ -2,7 +2,7 @@
 //! "current practice" calendar, participant-count and calendar-density
 //! sweeps, and quorum scheduling.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // test code
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 
 #[path = "../tests/support/baseline.rs"]
 mod baseline;

@@ -113,11 +113,14 @@ impl CalendarApp {
         // and the root `calendar.schedule_op` span anchors the tree the
         // critical-path analyzer attributes.
         let mut op_span = self.device.node().tracer().span(names::SPAN_SCHEDULE);
+        // The latency histograms measure wall time, whatever the clock.
+        #[allow(clippy::disallowed_methods)]
         let started = std::time::Instant::now();
         let id = self.alloc_meeting();
         op_span.attr("meeting", id.raw());
         op_span.attr("slot", spec.slot.ordinal());
         let result = self.schedule_inner(id, spec);
+        #[allow(clippy::disallowed_methods)] // wall latency, as above
         self.metrics.schedule.record_duration(started.elapsed());
         op_span.attr("ok", u64::from(result.is_ok()));
         if let Ok(out) = &result {
@@ -208,8 +211,10 @@ impl CalendarApp {
         }
         let mut op_span = self.device.node().tracer().span(names::SPAN_RECONCILE);
         op_span.attr("meeting", id.raw());
+        #[allow(clippy::disallowed_methods)] // a wall-latency histogram
         let started = std::time::Instant::now();
         let result = self.reconcile_locked(rec);
+        #[allow(clippy::disallowed_methods)] // wall latency, as above
         self.metrics.reconcile.record_duration(started.elapsed());
         op_span.attr("ok", u64::from(result.is_ok()));
         let rec = result?;
@@ -283,7 +288,7 @@ impl CalendarApp {
             if outcome.contended.is_empty() {
                 break;
             }
-            sync::sleep(grab_backoff(me, attempt));
+            sync::sleep(&**self.device.clock(), grab_backoff(me, attempt));
             outcome = negotiator.negotiate_available_with(&parts, &phase2)?;
         }
 

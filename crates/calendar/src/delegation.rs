@@ -241,10 +241,11 @@ mod tests {
 
     #[test]
     fn expired_grant_is_refused() {
-        use syd_types::{Clock, SimClock};
+        use syd_net::Network;
+        use syd_types::SimClock;
         let clock = SimClock::new();
-        let env = SydEnv::new_insecure(NetConfig::ideal())
-            .with_clock(Arc::new(clock.clone()) as Arc<dyn Clock>);
+        let net = Network::with_clock(NetConfig::ideal(), Arc::new(clock.clone()));
+        let env = SydEnv::on_network(net, None);
         let boss = CalendarApp::install(&env.device("boss", "").unwrap()).unwrap();
         let staff = CalendarApp::install(&env.device("staff", "").unwrap()).unwrap();
         boss.delegate_authority(

@@ -6,15 +6,15 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use syd_calendar::app::{calendar_service, free_bitmap_of};
 use syd_calendar::{CalendarApp, GroupSpec, MeetingId, MeetingSpec, MeetingStatus};
 use syd_core::SydEnv;
-use syd_net::NetConfig;
+use syd_net::{NetConfig, Network};
 use syd_telemetry::names;
 use syd_types::rng::{cases, Rng};
-use syd_types::{Priority, SlotBitmap, TimeSlot, UserId, Value};
+use syd_types::{Clock, Priority, SimClock, SlotBitmap, TimeSlot, UserId, Value};
 use syd_wire::decode_from_slice;
 
 /// A year and a bit on: one word far past the rest.
@@ -77,7 +77,10 @@ fn disagreements(apps: &[Arc<CalendarApp>]) -> Vec<String> {
 }
 
 fn run_history(rng: &mut Rng) {
-    let env = SydEnv::new_insecure(NetConfig::ideal());
+    // In virtual time: the wait for quiet below costs no wall time.
+    let clock = SimClock::new();
+    let net = Network::with_clock(NetConfig::ideal(), Arc::new(clock.clone()));
+    let env = SydEnv::on_network(net, None);
     let apps: Vec<Arc<CalendarApp>> = (0..4)
         .map(|i| CalendarApp::install(&env.device(&format!("u{i}"), "").unwrap()).unwrap())
         .collect();
@@ -152,23 +155,23 @@ fn run_history(rng: &mut Rng) {
     // Repair rounds and reschedules run on in the background: wait until
     // no frame has gone out for 100 ms and no lock is held, then the two
     // must agree.
-    let deadline = Instant::now() + Duration::from_secs(5);
+    let deadline = clock.instant() + Duration::from_secs(5);
     let mut seen = frames(&env);
-    let mut quiet_since = Instant::now();
+    let mut quiet_since = clock.instant();
     loop {
-        std::thread::sleep(Duration::from_millis(5));
+        clock.run_for(Duration::from_millis(5));
         let now = frames(&env);
         if now != seen {
             seen = now;
-            quiet_since = Instant::now();
+            quiet_since = clock.instant();
         }
         let busy = apps
             .iter()
             .any(|a| a.device().store().locks().held_count() > 0);
-        if !busy && quiet_since.elapsed() >= Duration::from_millis(100) {
+        if !busy && clock.instant() - quiet_since >= Duration::from_millis(100) {
             break;
         }
-        assert!(Instant::now() < deadline, "the devices never went quiet");
+        assert!(clock.instant() < deadline, "the devices never went quiet");
     }
     let differ = disagreements(&apps);
     assert!(differ.is_empty(), "bits != rows: {differ:#?}");

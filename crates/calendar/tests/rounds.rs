@@ -10,18 +10,18 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use syd_calendar::app::{calendar_service, RELEASE_SLOT};
 use syd_calendar::{CalendarApp, GroupSpec, MeetingId, MeetingSpec, MeetingStatus, SlotState};
 use syd_core::links::DELETE_BY_CORR;
 use syd_core::negotiate::link_service;
 use syd_core::{DeviceRuntime, EntityHandler, Method, Methods, SydEnv};
-use syd_net::NetConfig;
+use syd_net::{NetConfig, Network};
 use syd_store::{Trigger, TriggerEvent};
 use syd_telemetry::names;
 use syd_types::sync::{Mutex, Rank};
-use syd_types::{SydError, SydResult, TimeSlot, UserId, Value};
+use syd_types::{Clock, SimClock, SydError, SydResult, TimeSlot, UserId, Value};
 
 const N: usize = 8;
 
@@ -29,14 +29,17 @@ const N: usize = 8;
 /// whose services the directory has acknowledged: an install's publish
 /// wave runs in the background, and its frames must not land inside a
 /// counted operation.
+/// In virtual time: waiting for background work costs no wall time.
 fn rig(users: usize) -> (SydEnv, Vec<Arc<CalendarApp>>) {
-    let env = SydEnv::new_insecure(NetConfig::ideal());
+    let net = Network::with_clock(NetConfig::ideal(), Arc::new(SimClock::new()));
+    let env = SydEnv::on_network(net, None);
     let apps: Vec<Arc<CalendarApp>> = (0..users)
         .map(|i| CalendarApp::install(&env.device(&format!("user{i}"), "").unwrap()).unwrap())
         .collect();
     let everyone = users_of(&apps);
     for app in &apps {
         wait_for(
+            &env,
             || app.device().unpublished().is_empty(),
             "the install's publishes",
         );
@@ -64,27 +67,36 @@ fn frames(env: &SydEnv) -> u64 {
         .get()
 }
 
-fn wait_for(mut cond: impl FnMut() -> bool, what: &str) {
-    let deadline = Instant::now() + Duration::from_secs(5);
+/// Lets the deployment's virtual time pass in 5 ms steps until `cond`
+/// holds, for 5 s at most.
+fn wait_for(env: &SydEnv, mut cond: impl FnMut() -> bool, what: &str) {
+    let clock = sim(env);
+    let deadline = clock.instant() + Duration::from_secs(5);
     while !cond() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(5));
+        assert!(clock.instant() < deadline, "timed out waiting for {what}");
+        clock.run_for(Duration::from_millis(5));
     }
 }
 
 /// Waits until no frame has been sent for a while: the background work
 /// of promotions and wake-ups is done.
 fn settle(env: &SydEnv) {
+    let clock = sim(env);
     let mut seen = frames(env);
-    let mut quiet_since = Instant::now();
-    while quiet_since.elapsed() < Duration::from_millis(100) {
-        std::thread::sleep(Duration::from_millis(5));
+    let mut quiet_since = clock.instant();
+    while clock.instant() - quiet_since < Duration::from_millis(100) {
+        clock.run_for(Duration::from_millis(5));
         let now = frames(env);
         if now != seen {
             seen = now;
-            quiet_since = Instant::now();
+            quiet_since = clock.instant();
         }
     }
+}
+
+/// The rig's virtual clock.
+fn sim(env: &SydEnv) -> &SimClock {
+    env.clock().as_sim().expect("the rig runs in virtual time")
 }
 
 fn status_at(app: &CalendarApp, id: MeetingId) -> Option<MeetingStatus> {
@@ -280,6 +292,7 @@ fn a_blocked_schedule_is_two_rounds_and_is_promoted_by_the_cancel() {
 
     a.cancel(first.meeting).unwrap();
     wait_for(
+        &env,
         || status_at(b, second.meeting) == Some(MeetingStatus::Confirmed),
         "the promotion",
     );
@@ -495,6 +508,7 @@ fn a_promotion_that_beats_a_late_release_is_healed_by_it() {
         .unwrap();
     assert_eq!(freed, Value::Bool(true));
     wait_for(
+        &env,
         || {
             let rec = b.meeting(second.meeting).unwrap().unwrap();
             rec.reserved.contains(&early.user())
@@ -521,6 +535,7 @@ fn a_promotion_that_beats_a_late_release_is_healed_by_it() {
     // The rest of the releases.
     a.cancel(first.meeting).unwrap();
     wait_for(
+        &env,
         || status_at(b, second.meeting) == Some(MeetingStatus::Confirmed),
         "the promotion behind the late releases",
     );

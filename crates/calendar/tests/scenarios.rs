@@ -4,16 +4,18 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use syd_calendar::{CalendarApp, GroupSpec, MeetingSpec, MeetingStatus, SlotState};
 use syd_core::SydEnv;
-use syd_net::NetConfig;
-use syd_types::{MeetingId, Priority, SlotRange, TimeSlot, UserId, Value};
+use syd_net::{NetConfig, Network};
+use syd_types::{Clock, MeetingId, Priority, SimClock, SlotRange, TimeSlot, UserId, Value};
 use syd_wire::decode_from_slice;
 
+/// In virtual time: waiting for background work costs no wall time.
 fn rig(n: usize) -> (SydEnv, Vec<Arc<CalendarApp>>) {
-    let env = SydEnv::new_insecure(NetConfig::ideal());
+    let net = Network::with_clock(NetConfig::ideal(), Arc::new(SimClock::new()));
+    let env = SydEnv::on_network(net, None);
     let apps = (0..n)
         .map(|i| {
             let device = env.device(&format!("user{i}"), "").unwrap();
@@ -23,11 +25,15 @@ fn rig(n: usize) -> (SydEnv, Vec<Arc<CalendarApp>>) {
     (env, apps)
 }
 
-fn wait_for(mut cond: impl FnMut() -> bool, what: &str) {
-    let deadline = Instant::now() + Duration::from_secs(5);
+/// Lets the rig's virtual time pass in 10 ms steps until `cond` holds,
+/// for 5 s at most.
+fn wait_for(apps: &[Arc<CalendarApp>], mut cond: impl FnMut() -> bool, what: &str) {
+    let clock = apps[0].device().clock();
+    let clock = clock.as_sim().expect("the rig runs in virtual time");
+    let deadline = clock.instant() + Duration::from_secs(5);
     while !cond() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(10));
+        assert!(clock.instant() < deadline, "timed out waiting for {what}");
+        clock.run_for(Duration::from_millis(10));
     }
 }
 
@@ -55,6 +61,7 @@ fn meeting_confirms_when_everyone_is_free() {
     }
     // Participants were e-mailed.
     wait_for(
+        &apps,
         || apps[1].mailbox().unread().unwrap() >= 1,
         "confirmation mail",
     );
@@ -85,10 +92,12 @@ fn meeting_is_tentative_while_someone_is_busy_and_confirms_when_freed() {
     // converted to committed."
     apps[2].free_personal(slot).unwrap();
     wait_for(
+        &apps,
         || meeting_status(&apps[0], outcome.meeting) == MeetingStatus::Confirmed,
         "automatic confirmation",
     );
     wait_for(
+        &apps,
         || apps[2].slot_state(slot.ordinal()).unwrap().meeting() == Some(outcome.meeting),
         "C's reservation",
     );
@@ -118,12 +127,14 @@ fn cancelling_a_meeting_confirms_the_tentative_one_waiting_on_it() {
     // with no human involvement.
     apps[0].cancel(m1.meeting).unwrap();
     wait_for(
+        &apps,
         || meeting_status(&apps[1], m2.meeting) == MeetingStatus::Confirmed,
         "automatic tentative→confirmed conversion",
     );
     // The initiator's record reads `Confirmed` while the commits of the
     // same batch are still on their way to the others: wait for them.
     wait_for(
+        &apps,
         || {
             apps.iter()
                 .all(|app| app.slot_state(slot.ordinal()).unwrap().meeting() == Some(m2.meeting))
@@ -147,6 +158,7 @@ fn cancel_tears_down_all_links_everywhere() {
 
     apps[0].cancel(outcome.meeting).unwrap();
     wait_for(
+        &apps,
         || {
             apps.iter()
                 .all(|a| a.device().links().count().unwrap() == 0)
@@ -157,6 +169,7 @@ fn cancel_tears_down_all_links_everywhere() {
         assert!(app.slot_state(slot.ordinal()).unwrap().is_free());
     }
     wait_for(
+        &apps,
         || apps[1].mailbox().unread().unwrap() >= 2,
         "cancellation mail",
     );
@@ -190,6 +203,7 @@ fn higher_priority_meeting_bumps_and_victim_reschedules() {
 
     // The bumped meeting automatically lands on another common slot.
     wait_for(
+        &apps,
         || {
             apps[0].meeting(low.meeting).unwrap().is_some_and(|m| {
                 m.ordinal != slot.ordinal() && m.status == MeetingStatus::Confirmed
@@ -199,6 +213,7 @@ fn higher_priority_meeting_bumps_and_victim_reschedules() {
     );
     let moved = apps[0].meeting(low.meeting).unwrap().unwrap();
     wait_for(
+        &apps,
         || {
             apps.iter()
                 .all(|app| app.slot_state(moved.ordinal).unwrap().meeting() == Some(low.meeting))
@@ -208,6 +223,7 @@ fn higher_priority_meeting_bumps_and_victim_reschedules() {
     // Every participant is told, in one mail round.
     for app in &apps[1..] {
         wait_for(
+            &apps,
             || {
                 let inbox = app.mailbox().inbox().unwrap();
                 inbox.iter().any(|m| m.subject.starts_with("rescheduled:"))
@@ -231,6 +247,7 @@ fn participant_change_request_moves_or_fails_atomically() {
     // D (user2) asks to move the meeting; everyone is free → moves.
     assert!(apps[2].request_change(outcome.meeting, new_slot).unwrap());
     wait_for(
+        &apps,
         || {
             apps.iter().all(|a| {
                 a.slot_state(new_slot.ordinal()).unwrap().meeting() == Some(outcome.meeting)
@@ -297,6 +314,7 @@ fn quorum_meeting_biology_physics() {
     // One busy biologist frees up → quorum reached → auto-confirm.
     apps[5].free_personal(slot2).unwrap();
     wait_for(
+        &apps,
         || meeting_status(initiator, outcome2.meeting) == MeetingStatus::Confirmed,
         "quorum auto-confirmation",
     );
@@ -321,6 +339,7 @@ fn leaving_respects_quorums_and_musts() {
     assert!(apps[2].leave(outcome.meeting).unwrap());
     assert!(apps[3].leave(outcome.meeting).unwrap());
     wait_for(
+        &apps,
         || apps[3].slot_state(slot.ordinal()).unwrap().is_free(),
         "leaver's slot freed",
     );
@@ -387,6 +406,7 @@ fn supervisor_changes_schedule_at_will_and_meeting_waits() {
         .supervisor_change(outcome.meeting, Some(slot))
         .unwrap();
     wait_for(
+        &apps,
         || meeting_status(&apps[0], outcome.meeting) == MeetingStatus::Tentative,
         "meeting degrades to tentative",
     );
@@ -394,6 +414,7 @@ fn supervisor_changes_schedule_at_will_and_meeting_waits() {
     // When the supervisor frees up, the meeting re-confirms automatically.
     apps[1].free_personal(slot).unwrap();
     wait_for(
+        &apps,
         || meeting_status(&apps[0], outcome.meeting) == MeetingStatus::Confirmed,
         "meeting re-confirms",
     );
@@ -691,6 +712,7 @@ fn cancel_during_a_reconcile_round_leaves_nothing_behind() {
     // A round queued behind the cancel sees `Cancelled` and does nothing.
     assert_eq!(apps[0].reconcile(id).unwrap(), MeetingStatus::Cancelled);
     wait_for(
+        &apps,
         || {
             apps.iter().zip(&links_before).all(|(a, &before)| {
                 a.slot_state(slot.ordinal()).unwrap().is_free()

@@ -3,7 +3,7 @@
 //! an ideal network), and every planted defect must be caught with the
 //! offending session id and its journal excerpt.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // test code
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -13,10 +13,10 @@ use syd_core::device::{entity_lock_key, LOCK_LEASE};
 use syd_core::links::Constraint;
 use syd_core::negotiate::{link_service, Participant};
 use syd_core::{DeviceRuntime, SydEnv};
-use syd_net::NetConfig;
+use syd_net::{NetConfig, Network};
 use syd_telemetry::journal::DEFAULT_JOURNAL_CAPACITY;
 use syd_telemetry::{names, Event, EventKind};
-use syd_types::{Clock, SimClock, SydResult, Value};
+use syd_types::{SimClock, SydResult, Value};
 
 fn rig(n: usize) -> (SydEnv, Vec<DeviceRuntime>) {
     let env = SydEnv::new_insecure(NetConfig::ideal());
@@ -152,8 +152,8 @@ fn a_mark_delivered_twice_is_freed_by_one_commit() {
 #[test]
 fn a_lapsed_lease_frees_a_dead_owners_lock() {
     let clock = SimClock::new();
-    let env = SydEnv::new_insecure(NetConfig::ideal())
-        .with_clock(Arc::new(clock.clone()) as Arc<dyn Clock>);
+    let net = Network::with_clock(NetConfig::ideal(), Arc::new(clock.clone()));
+    let env = SydEnv::on_network(net, None);
     let devices: Vec<DeviceRuntime> = (0..2)
         .map(|i| env.device(&format!("live{i}"), "").unwrap())
         .collect();

@@ -80,7 +80,6 @@ struct DeviceInner {
     events: EventHandler,
     links: Arc<LinksModule>,
     negotiator: Negotiator,
-    clock: Arc<dyn Clock>,
     entity_handler: RwLock<Option<Arc<dyn EntityHandler>>>,
     subscription_handler: RwLock<Option<Arc<dyn SubscriptionHandler>>>,
     link_acceptor: RwLock<Option<LinkAcceptor>>,
@@ -116,7 +115,6 @@ impl DeviceRuntime {
         user: UserId,
         name: &str,
         auth: Option<Arc<Authenticator>>,
-        clock: Arc<dyn Clock>,
     ) -> SydResult<DeviceRuntime> {
         let node = Node::spawn_on(net)?;
         let directory = DirectoryClient::new(node.clone(), dir_addr);
@@ -144,7 +142,7 @@ impl DeviceRuntime {
             store.clone(),
             engine.clone(),
             user,
-            Arc::clone(&clock),
+            Arc::clone(node.runtime().clock()),
             events.clone(),
         )
         .inspect_err(|_| node.shutdown())?;
@@ -160,7 +158,6 @@ impl DeviceRuntime {
             events,
             links,
             negotiator,
-            clock,
             entity_handler: RwLock::new(Rank::Engine, None),
             subscription_handler: RwLock::new(Rank::Engine, None),
             link_acceptor: RwLock::new(Rank::Engine, None),
@@ -265,9 +262,9 @@ impl DeviceRuntime {
         )
     }
 
-    /// The deployment clock.
+    /// The deployment clock: its transport's ([`Transport::clock`]).
     pub fn clock(&self) -> &Arc<dyn Clock> {
-        &self.inner.clock
+        self.inner.node.runtime().clock()
     }
 
     // ---- application extension points ----------------------------------------
@@ -492,7 +489,7 @@ fn mark(
     let (locks, key) = (&inner.lock_rights, entity_lock_key(entity));
     let journal = inner.node.journal();
     let lapsed = |holder| journal.emit(Event::release(holder, entity, "lease"));
-    let lease = Some((&*inner.clock, LOCK_LEASE));
+    let lease = Some((&**inner.node.runtime().clock(), LOCK_LEASE));
     let mut taken = locks.mark(session, &key, Duration::ZERO, lease, lapsed);
     if taken == fsm::Taken::Busy {
         // Bounded wait, then give up and vote no: contention worth its own
@@ -545,7 +542,7 @@ fn commit(
     // long the handler runs.
     let journal = inner.node.journal();
     let lapsed = |holder| journal.emit(Event::release(holder, entity, "lease"));
-    if !locks.commit(session, &key, inner.clock.now(), lapsed) {
+    if !locks.commit(session, &key, inner.node.runtime().clock().now(), lapsed) {
         return Err(SydError::App(format!(
             "session {session} expired: its lease on {entity} lapsed"
         )));
@@ -621,12 +618,10 @@ mod tests {
     use crate::negotiate::Participant;
     use std::collections::HashMap;
     use syd_net::Network;
-    use syd_types::SystemClock;
 
     fn rig(n: usize) -> (Network, DirectoryServer, Vec<DeviceRuntime>) {
         let net = Network::ideal();
         let dir = DirectoryServer::start(&net);
-        let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
         let devices = (1..=n as u64)
             .map(|id| {
                 DeviceRuntime::new(
@@ -635,7 +630,6 @@ mod tests {
                     UserId::new(id),
                     &format!("user{id}"),
                     None,
-                    Arc::clone(&clock),
                 )
                 .unwrap()
             })
@@ -1547,11 +1541,10 @@ mod tests {
     #[test]
     fn expiry_scan_deletes_expired_links() {
         use syd_types::SimClock;
-        let net = Network::ideal();
-        let dir = DirectoryServer::start(&net);
         let clock = SimClock::new();
-        let clock_arc: Arc<dyn Clock> = Arc::new(clock.clone());
-        let d = DeviceRuntime::new(&net, dir.addr(), UserId::new(1), "u", None, clock_arc).unwrap();
+        let net = Network::with_clock(syd_net::NetConfig::ideal(), Arc::new(clock.clone()));
+        let dir = DirectoryServer::start(&net);
+        let d = DeviceRuntime::new(&net, dir.addr(), UserId::new(1), "u", None).unwrap();
         d.links()
             .add_local(
                 LinkSpec::subscription("e", vec![])
@@ -1820,8 +1813,7 @@ mod tests {
                 Ok(Value::Null)
             },
         ));
-        let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
-        let device = DeviceRuntime::new(&net, dir.addr(), UserId::new(1), "phil", None, clock);
+        let device = DeviceRuntime::new(&net, dir.addr(), UserId::new(1), "phil", None);
         assert!(device.is_ok());
         assert_eq!(*answered.lock(), [Ok(Value::str("pong"))]);
     }

@@ -1,10 +1,13 @@
-//! Deployment environment: transport + directory + authenticator + clock.
+//! Deployment environment: transport + directory + authenticator.
 //!
 //! `SydEnv` plays the role of the paper's deployment scripts: it stands up
 //! the network substrate (the simulated wireless LAN by default, loopback
 //! TCP via [`SydEnv::new_on`]), starts the name server (SyDDirectory),
 //! holds the deployment's shared TEA key, and mints devices and proxies.
-//! It is the entry point every example and benchmark uses.
+//! It is the entry point every example and benchmark uses. Its clock is
+//! its transport's: a sim network built on a [`syd_types::SimClock`]
+//! ([`Network::with_clock`], [`SydEnv::on_network`]) runs the whole
+//! deployment in virtual time.
 
 use std::hash::{BuildHasher, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -12,7 +15,7 @@ use std::sync::{Arc, OnceLock};
 
 use syd_crypto::{Authenticator, Credentials};
 use syd_net::{NetConfig, Network, Node, Transport};
-use syd_types::{Blob, Clock, NodeAddr, SydResult, SystemClock, UserId};
+use syd_types::{Blob, Clock, NodeAddr, SydResult, UserId};
 
 use crate::device::DeviceRuntime;
 use crate::directory::{DirectoryClient, DirectoryServer};
@@ -26,7 +29,6 @@ pub struct SydEnv {
     sim: Option<Network>,
     directory: DirectoryServer,
     auth: Option<Arc<Authenticator>>,
-    clock: Arc<dyn Clock>,
     next_user: AtomicU64,
 }
 
@@ -46,14 +48,24 @@ impl SydEnv {
     }
 
     fn build(cfg: NetConfig, auth: Option<Arc<Authenticator>>) -> SydEnv {
-        let network = Network::new(cfg);
+        Self::on(Network::new(cfg), auth)
+    }
+
+    /// Starts a deployment on a simulated network built by the caller —
+    /// on a [`syd_types::SimClock`] ([`Network::with_clock`]) to run it in
+    /// virtual time. Pass `passphrase` `Some(..)` for §5.4 authentication.
+    pub fn on_network(network: Network, passphrase: Option<&str>) -> SydEnv {
+        let auth = passphrase.map(|p| Arc::new(Authenticator::from_passphrase(p)));
+        Self::on(network, auth)
+    }
+
+    fn on(network: Network, auth: Option<Arc<Authenticator>>) -> SydEnv {
         let directory = DirectoryServer::start(&network);
         SydEnv {
             transport: Arc::new(network.clone()),
             sim: Some(network),
             directory,
             auth,
-            clock: Arc::new(SystemClock::new()),
             next_user: AtomicU64::new(1),
         }
     }
@@ -70,16 +82,8 @@ impl SydEnv {
             sim: None,
             directory,
             auth: passphrase.map(|p| Arc::new(Authenticator::from_passphrase(p))),
-            clock: Arc::new(SystemClock::new()),
             next_user: AtomicU64::new(1),
         })
-    }
-
-    /// Replaces the deployment clock (tests use a
-    /// [`syd_types::SimClock`]). Devices created afterwards use it.
-    pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> SydEnv {
-        self.clock = clock;
-        self
     }
 
     /// The transport substrate devices are minted on.
@@ -114,9 +118,9 @@ impl SydEnv {
         &self.directory
     }
 
-    /// The deployment clock.
+    /// The deployment clock: its transport's.
     pub fn clock(&self) -> &Arc<dyn Clock> {
-        &self.clock
+        self.transport.clock()
     }
 
     /// The shared device runtime multiplexing this deployment's devices.
@@ -143,7 +147,6 @@ impl SydEnv {
             user,
             name,
             self.auth.clone(),
-            Arc::clone(&self.clock),
         )?;
         device.node().set_identity(user, self.enrol(user, password));
         Ok(device)
@@ -199,7 +202,7 @@ fn fresh_iv() -> [u8; 8] {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 mod tests {
     use super::*;
     use crate::directory::{DESCRIBE, LOOKUP_NAME};
@@ -352,7 +355,7 @@ mod tests {
         a.publish().unwrap();
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
         while !a.unpublished().is_empty() && std::time::Instant::now() < deadline {
-            syd_types::sync::sleep(std::time::Duration::from_millis(1));
+            syd_types::sync::sleep(&**env.clock(), std::time::Duration::from_millis(1));
         }
         assert_eq!(dir_requests(&env) - before, 3);
         let rec = a.engine().directory().call(DESCRIBE, (a.user(),)).unwrap();

@@ -452,7 +452,7 @@ pub fn replay_journal(store: &Store, ops: &[Value]) -> SydResult<usize> {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 mod tests {
     use super::*;
     use crate::directory::DESCRIBE;

@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 use syd_core::directory::{CREATE_GROUP, GROUP_ADD};
 use syd_core::links::{Constraint, LinkRef, LinkSpec};
 use syd_core::{DeviceRuntime, Method, Methods, SydEnv, Verb};
-use syd_net::{LatencyModel, NetConfig};
+use syd_net::{LatencyModel, NetConfig, Network};
 use syd_types::{Clock, ServiceName, SimClock, SydError, Timestamp, Value};
 
 /// The state of the services below, which keep none.
@@ -117,8 +117,8 @@ fn expired_link_cascade_reaches_peers() {
     // A forward link with an expiry at A; its back link at B. When A's
     // scan collects the expired link, the cascade must clean B too.
     let clock = SimClock::new();
-    let env = SydEnv::new_insecure(NetConfig::ideal())
-        .with_clock(Arc::new(clock.clone()) as Arc<dyn Clock>);
+    let net = Network::with_clock(NetConfig::ideal(), Arc::new(clock.clone()));
+    let env = SydEnv::on_network(net, None);
     let a = env.device("a", "").unwrap();
     let b = env.device("b", "").unwrap();
 
@@ -148,8 +148,8 @@ fn a_blocked_expiry_cascade_does_not_stall_other_periodic_tasks() {
     // must not wait with it: another periodic task on the same runtime
     // keeps its schedule meanwhile.
     let clock = SimClock::new();
-    let env = SydEnv::new_insecure(NetConfig::ideal())
-        .with_clock(Arc::new(clock.clone()) as Arc<dyn Clock>);
+    let net = Network::with_clock(NetConfig::ideal(), Arc::new(clock.clone()));
+    let env = SydEnv::on_network(net, None);
     let a = env.device("a", "").unwrap();
     let b = env.device("b", "").unwrap();
     let refs = vec![LinkRef::new(b.user(), "slot", "act")];
@@ -163,22 +163,32 @@ fn a_blocked_expiry_cascade_does_not_stall_other_periodic_tasks() {
     env.network().set_partitioned(a.addr(), b.addr(), true);
     clock.advance(Duration::from_millis(2));
 
-    let fired = Arc::new(syd_types::sync::Mutex::new(
-        syd_types::sync::Rank::Leaf,
-        Vec::new(),
-    ));
+    struct Probe {
+        clock: SimClock,
+        fired: syd_types::sync::Mutex<Vec<Instant>>,
+    }
+    let probe = Arc::new(Probe {
+        clock: clock.clone(),
+        fired: syd_types::sync::Mutex::new(syd_types::sync::Rank::Leaf, Vec::new()),
+    });
     b.events().register_periodic(
         "probe",
         Duration::from_millis(20),
-        Arc::downgrade(&fired),
-        |fired| fired.lock().push(Instant::now()),
+        Arc::downgrade(&probe),
+        |probe| probe.fired.lock().push(probe.clock.instant()),
     );
     // a's first expiry tick (500 ms) starts a cascade of 2 s deadlines.
-    let from = Instant::now() + Duration::from_millis(700);
+    let from = clock.instant() + Duration::from_millis(700);
     let to = from + Duration::from_millis(1_500);
-    std::thread::sleep(to.saturating_duration_since(Instant::now()));
+    clock.run_for(to - clock.instant());
     let mut marks = vec![from];
-    marks.extend(fired.lock().iter().filter(|&&at| at > from && at < to));
+    marks.extend(
+        probe
+            .fired
+            .lock()
+            .iter()
+            .filter(|&&at| at > from && at < to),
+    );
     marks.push(to);
     let stall = marks.windows(2).map(|w| w[1] - w[0]).max().unwrap();
     assert!(
@@ -188,10 +198,10 @@ fn a_blocked_expiry_cascade_does_not_stall_other_periodic_tasks() {
 
     // The deletions the ticks handed to the pool still happen.
     env.network().heal_partitions();
-    let deadline = Instant::now() + Duration::from_secs(15);
+    let deadline = clock.instant() + Duration::from_secs(15);
     while a.links().count().unwrap() + b.links().count().unwrap() > 0 {
-        assert!(Instant::now() < deadline, "the expired link survived");
-        std::thread::sleep(Duration::from_millis(20));
+        assert!(clock.instant() < deadline, "the expired link survived");
+        clock.run_for(Duration::from_millis(20));
     }
 }
 

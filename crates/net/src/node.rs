@@ -24,7 +24,7 @@
 //! the endpoint when the transport signals readiness, and requests and
 //! events become jobs on the shared pool, queued without a hand-off: the
 //! loop hands out the turns they need once per pass. An RPC's deadline is
-//! the wait of the caller's own thread.
+//! the wait of the caller's own thread, on the deployment's clock.
 
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
@@ -32,12 +32,14 @@ use std::panic::AssertUnwindSafe;
 use std::sync::atomic::AtomicUsize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::Instant;
+use std::time::Duration;
 
 use syd_telemetry::{trace, Counter, Histogram, Journal, Registry, SpanCtx};
 use syd_transport::{Network, Transport, TransportEndpoint, TransportEvent};
 use syd_types::sync::{self, Condvar, Mutex, Rank, RwLock};
-use syd_types::{Blob, NodeAddr, RequestId, ServiceName, SydError, SydResult, UserId, Value};
+use syd_types::{
+    Blob, NodeAddr, RequestId, ServiceName, SimClock, SydError, SydResult, UserId, Value,
+};
 use syd_wire::{Args, EventMsg, Payload, Request, Response, TraceContext};
 
 use crate::rpc::{Call, CallOptions, PendingCall};
@@ -167,14 +169,15 @@ pub(crate) struct NodeShared {
 
 impl NodeShared {
     /// The one collect loop, of a [`Node::call_many`] wave or a lone
-    /// [`PendingCall::wait`]: waits until every call has its reply or `deadline`
-    /// passes, then takes each out into `results[index]` (else `Timeout`). Every
+    /// [`PendingCall::wait`]: waits until every call has its reply or
+    /// `timeout` has passed on the deployment's clock, then takes each out
+    /// into `results[index]` (else `Timeout`). Every
     /// RPC ends here, so `rpc.call`, `rpc.timeouts` and `rpc.client` are fed here,
     /// each call timed to its own reply's arrival.
     pub(crate) fn collect(
         &self,
         wave: &mut [(usize, PendingCall)],
-        deadline: Instant,
+        timeout: Duration,
         results: &mut [SydResult<Value>],
     ) {
         let Some(first) = wave.first().map(|(_, call)| call.id) else {
@@ -193,12 +196,13 @@ impl NodeShared {
         if let Some(slot) = table.get_mut(&first) {
             slot.open = open;
         }
-        let mut left = deadline.saturating_duration_since(Instant::now());
-        while !left.is_zero() && table.get(&first).is_some_and(|slot| slot.open > 0) {
-            table = self.answered.wait_timeout(table, left).0;
+        let clock = &**self.runtime.clock();
+        let deadline = clock.instant() + timeout;
+        let mut due = timeout.is_zero();
+        while !due && table.get(&first).is_some_and(|slot| slot.open > 0) {
+            (table, due) = self.answered.wait_until(table, clock, deadline);
             #[cfg(test)]
             self.wakes.fetch_add(1, Ordering::Relaxed);
-            left = deadline.saturating_duration_since(Instant::now());
         }
         for (i, call) in wave.iter_mut() {
             let reply = table.remove(&call.id).and_then(|slot| slot.reply);
@@ -424,8 +428,12 @@ impl Node {
             calls.iter().map(|_| Err(SydError::Shutdown)).collect();
         let mut outstanding: Vec<usize> = (0..calls.len()).collect();
         let node = &self.shared;
+        let sim = node.runtime.clock().as_sim();
         for wave in 0..=opts.retries {
             let routes = route(&outstanding);
+            // On virtual time the wave leaves at one instant, whatever
+            // thread sends it.
+            let hold = sim.map(SimClock::hold);
             let mut sent = Vec::with_capacity(outstanding.len());
             // Every remote request leaves before a self-call is submitted:
             // a self-call may be served at once, and would hold back the
@@ -443,6 +451,7 @@ impl Node {
                     }
                 }
             }
+            drop(hold);
             // A routing error is final.
             let mut routes = routes.into_iter();
             outstanding.retain(|&i| match routes.next() {
@@ -453,7 +462,7 @@ impl Node {
                 }
                 None => false,
             });
-            node.collect(&mut sent, Instant::now() + opts.timeout, &mut results);
+            node.collect(&mut sent, opts.timeout, &mut results);
             outstanding.retain(|&i| {
                 results[i]
                     .as_ref()
@@ -707,7 +716,7 @@ impl Serve {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
-    use std::time::Duration;
+    use std::time::Instant;
     use syd_transport::NetConfig;
 
     fn echo_handler() -> Arc<dyn RequestHandler> {

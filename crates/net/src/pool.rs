@@ -42,6 +42,7 @@ use std::time::Duration;
 
 use syd_telemetry::{trace, SpanCtx};
 use syd_types::sync::{set_blocking_hook, BlockingHook, Condvar, Mutex, MutexGuard, Rank};
+use syd_types::SimClock;
 
 use crate::node::Serve;
 
@@ -98,6 +99,8 @@ struct PoolInner {
     max_workers: usize,
     keepalive: Duration,
     name: String,
+    /// Its runtime's virtual clock, told when the pool falls quiet.
+    sim: Option<SimClock>,
 }
 
 /// A thread pool that runs at most N jobs at once but never lets a waiting
@@ -142,6 +145,7 @@ impl WorkerPool {
                 max_workers,
                 keepalive,
                 name: name.into(),
+                sim: None,
             }),
         }
     }
@@ -150,9 +154,14 @@ impl WorkerPool {
     /// thread, and up to 48 alive for the jobs that wait. The second cap
     /// is soft — see [`WorkerPool::kick`] — so nested call cycles between
     /// devices on the *same* pool cannot deadlock it.
-    pub fn for_runtime(name: impl Into<String>) -> Self {
+    /// On a virtual clock `sim`, it tells it each time it falls quiet.
+    pub fn for_runtime(name: impl Into<String>, sim: Option<SimClock>) -> Self {
         let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-        Self::new(name, cores, 48.max(cores), Duration::from_millis(500))
+        let mut pool = Self::new(name, cores, 48.max(cores), Duration::from_millis(500));
+        if let Some(inner) = Arc::get_mut(&mut pool.inner) {
+            inner.sim = sim;
+        }
+        pool
     }
 
     /// Submits a job and hands it a turn if the pool has one free.
@@ -230,6 +239,12 @@ impl WorkerPool {
         self.inner.start(start);
     }
 
+    /// No job holds a turn or waits for one.
+    pub fn is_quiet(&self) -> bool {
+        let state = self.inner.state.lock();
+        state.running == 0 && state.queue.is_empty()
+    }
+
     /// Jobs accepted but not yet picked up by a worker.
     pub fn queued_jobs(&self) -> usize {
         self.inner.state.lock().queue.len()
@@ -280,8 +295,19 @@ impl PoolInner {
         state.running -= 1;
         state.live -= usize::from(retire);
         let start = self.hand_on(&mut state, 1);
+        let quiet = state.running == 0;
         drop(state);
         self.start(start);
+        if quiet {
+            self.fell_quiet();
+        }
+    }
+
+    /// Tells a virtual clock's loop that the pool fell quiet.
+    fn fell_quiet(&self) {
+        if let Some(sim) = &self.sim {
+            sim.kick();
+        }
     }
 
     /// Hands up to `turns` turns to queued jobs, one per job, while the
@@ -389,6 +415,11 @@ fn worker_loop(inner: &Arc<PoolInner>) {
             }
         }
         state.running -= 1;
+        if state.running == 0 && inner.sim.is_some() {
+            drop(state);
+            inner.fell_quiet();
+            state = inner.state.lock();
+        }
         match inner.park(state) {
             Some(turn) => state = turn,
             None => return,
@@ -507,7 +538,10 @@ mod tests {
             let mut set = flag.lock();
             let deadline = Instant::now() + Duration::from_secs(5);
             while !*set && Instant::now() < deadline {
-                set = cv.wait_timeout(set, Duration::from_millis(50)).0;
+                let wall = &**syd_types::time::wall();
+                set = cv
+                    .wait_until(set, wall, wall.instant() + Duration::from_millis(50))
+                    .0;
             }
             let _ = done_tx.send(*set);
         });
@@ -563,7 +597,8 @@ mod tests {
         while *seen < n {
             let left = deadline.saturating_duration_since(Instant::now());
             assert!(!left.is_zero(), "{} of {n} jobs started", *seen);
-            seen = cv.wait_timeout(seen, left).0;
+            let wall = &**syd_types::time::wall();
+            seen = cv.wait_until(seen, wall, wall.instant() + left).0;
         }
     }
 

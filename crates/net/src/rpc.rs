@@ -4,7 +4,7 @@
 
 use std::marker::PhantomData;
 use std::sync::Weak;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use syd_types::{RequestId, ServiceName, SydError, SydResult, UserId, Value};
 use syd_wire::{Args, AsValue, Params};
@@ -252,7 +252,7 @@ impl PendingCall {
     pub fn wait(self, timeout: Duration) -> SydResult<Value> {
         let mut result = [Err(SydError::Shutdown)];
         if let Some(node) = self.node.upgrade() {
-            node.collect(&mut [(0, self)], Instant::now() + timeout, &mut result);
+            node.collect(&mut [(0, self)], timeout, &mut result);
         }
         let [result] = result;
         result

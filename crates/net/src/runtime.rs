@@ -34,7 +34,8 @@ use std::time::{Duration, Instant};
 use syd_telemetry::{trace, Registry};
 use syd_transport::{ReadyNotifier, Transport};
 use syd_types::sync::{self, Condvar, Mutex, Rank};
-use syd_types::NodeAddr;
+use syd_types::time::wall;
+use syd_types::{Clock, NodeAddr};
 
 use crate::pool::WorkerPool;
 use crate::timer::{Action, TimerId, Timers};
@@ -83,10 +84,12 @@ pub struct Reactor {
     nodes: Mutex<HashMap<NodeAddr, DrainFn>>,
     pool: WorkerPool,
     thread: Mutex<Option<JoinHandle<()>>>,
+    /// The deployment's clock: the heap's due times are read on it.
+    clock: Arc<dyn Clock>,
 }
 
 impl Reactor {
-    fn start(label: &str, pool: WorkerPool) -> Arc<Reactor> {
+    fn start(label: &str, pool: WorkerPool, clock: Arc<dyn Clock>) -> Arc<Reactor> {
         let reactor = Arc::new(Reactor {
             state: Mutex::new(
                 Rank::Runtime,
@@ -101,6 +104,7 @@ impl Reactor {
             nodes: Mutex::new(Rank::Runtime, HashMap::new()),
             pool,
             thread: Mutex::new(Rank::Runtime, None),
+            clock,
         });
         let loop_reactor = Arc::clone(&reactor);
         // A runtime without its loop dispatches nothing; construction
@@ -121,7 +125,9 @@ impl Reactor {
     }
 
     /// Changes the loop's state under its lock, waking the loop if
-    /// `change` made the heap's head earlier or queued an endpoint.
+    /// `change` made the heap's head earlier or queued an endpoint (on
+    /// virtual time whatever it added: time moves to the earliest wake-up,
+    /// wherever it sits in the heap).
     fn edit<T>(&self, change: impl FnOnce(&mut LoopState) -> T) -> T {
         let mut state = self.state.lock();
         let (head, ready) = (state.timers.next_due(), state.ready.len());
@@ -129,8 +135,10 @@ impl Reactor {
         // Edits only add: a changed head is an earlier one.
         let wake = state.timers.next_due() != head || state.ready.len() > ready;
         drop(state);
-        if wake {
-            self.cv.notify_one();
+        match self.clock.as_sim() {
+            Some(sim) => sim.kick(),
+            None if wake => self.cv.notify_one(),
+            None => {}
         }
         out
     }
@@ -147,6 +155,9 @@ impl Reactor {
             std::mem::take(&mut state.timers)
         };
         self.cv.notify_all();
+        if let Some(sim) = self.clock.as_sim() {
+            sim.kick();
+        }
         let handle = self.thread.lock().take();
         if let Some(handle) = handle {
             if handle.thread().id() != std::thread::current().id() {
@@ -168,7 +179,7 @@ impl ReadyNotifier for Reactor {
             if state.shutdown {
                 return;
             }
-            if due > Instant::now() {
+            if due > self.clock.instant() {
                 state.timers.wake_at(addr, due);
             } else if state.queued.insert(addr) {
                 state.ready.push_back(addr);
@@ -183,6 +194,8 @@ impl ReadyNotifier for Reactor {
 /// queue are handed out in one [`WorkerPool::hand_off`], outside the lock,
 /// as soon as no endpoint is ready (before the tasks run or the loop
 /// sleeps), and after every [`DRAIN_BUDGET`] drained events.
+/// On a [`syd_types::SimClock`] the loop moves the clock itself instead
+/// ([`syd_types::SimClock::settle`]).
 fn reactor_loop(reactor: &Reactor) {
     #[cfg(debug_assertions)]
     sync::set_blocking_hook(Some(Arc::new(NeverWait)));
@@ -198,7 +211,7 @@ fn reactor_loop(reactor: &Reactor) {
                 if state.shutdown {
                     return;
                 }
-                let now = Instant::now();
+                let now = reactor.clock.instant();
                 let LoopState {
                     ready,
                     queued,
@@ -217,6 +230,12 @@ fn reactor_loop(reactor: &Reactor) {
                 if !due.is_empty() || owed {
                     break None;
                 }
+                if let Some(sim) = reactor.clock.as_sim() {
+                    let (frame, task) = (state.timers.next_wake(), state.timers.next_due());
+                    sim.settle(state, frame, task, || reactor.pool.is_quiet());
+                    state = reactor.state.lock();
+                    continue;
+                }
                 let timeout = state
                     .timers
                     .next_due()
@@ -228,7 +247,7 @@ fn reactor_loop(reactor: &Reactor) {
             let drain = reactor.nodes.lock().get(&addr).cloned();
             owed |= drain.is_some();
             match drain.map(|drain| drain(&mut budget)) {
-                Some(DrainOutcome::More) => reactor.notify(addr, Instant::now()),
+                Some(DrainOutcome::More) => reactor.notify(addr, reactor.clock.instant()),
                 Some(DrainOutcome::Closed) => reactor.deregister(addr),
                 Some(DrainOutcome::Idle) | None => {}
             }
@@ -282,18 +301,23 @@ pub struct SharedRuntime {
 }
 
 impl SharedRuntime {
-    /// Creates a standalone runtime (tests, explicit wiring). Most
-    /// callers want [`runtime_for`], which shares one runtime per
-    /// transport backend.
+    /// Creates a standalone runtime on the wall clock (tests, explicit
+    /// wiring). Most callers want [`runtime_for`], which shares one
+    /// runtime per transport backend, on that backend's clock.
     #[must_use]
     pub fn new(label: &str) -> Self {
-        Self::with_pool(label, WorkerPool::for_runtime(format!("syd-rt-{label}")))
+        Self::on_clock(label, Arc::clone(wall()))
     }
 
-    fn with_pool(label: &str, pool: WorkerPool) -> Self {
+    fn on_clock(label: &str, clock: Arc<dyn Clock>) -> Self {
+        let pool = WorkerPool::for_runtime(format!("syd-rt-{label}"), clock.as_sim().cloned());
+        Self::with_pool(label, pool, clock)
+    }
+
+    fn with_pool(label: &str, pool: WorkerPool, clock: Arc<dyn Clock>) -> Self {
         let runtime = SharedRuntime {
             inner: Arc::new(RuntimeInner {
-                reactor: Reactor::start(label, pool.clone()),
+                reactor: Reactor::start(label, pool.clone(), clock),
                 pool,
                 fleet_registry: Arc::new(Registry::new()),
                 scoped_metrics: AtomicBool::new(false),
@@ -311,6 +335,12 @@ impl SharedRuntime {
     #[must_use]
     pub fn pool(&self) -> &WorkerPool {
         &self.inner.pool
+    }
+
+    /// The deployment clock its loop, and every node on it, reads.
+    #[must_use]
+    pub fn clock(&self) -> &Arc<dyn Clock> {
+        &self.inner.reactor.clock
     }
 
     /// Schedules `action` to run on the loop on `owner` every `interval`,
@@ -352,7 +382,7 @@ impl SharedRuntime {
                 action(&owner);
             }
         });
-        let first = Instant::now() + interval;
+        let first = self.clock().instant() + interval;
         (self.inner.reactor).edit(|state| state.timers.schedule(first, interval, action))
     }
 
@@ -382,7 +412,7 @@ impl SharedRuntime {
     /// once (events may have raced registration).
     pub fn register_node(&self, addr: NodeAddr, drain: DrainFn) {
         self.inner.reactor.nodes.lock().insert(addr, drain);
-        self.inner.reactor.notify(addr, Instant::now());
+        self.inner.reactor.notify(addr, self.clock().instant());
     }
 
     /// Deregisters a node (idempotent).
@@ -439,8 +469,8 @@ fn runtime_map() -> &'static Mutex<HashMap<usize, Weak<RuntimeInner>>> {
     RUNTIMES.get_or_init(|| Mutex::new(Rank::Runtimes, HashMap::new()))
 }
 
-/// The shared runtime for `transport`, creating it on first use.
-/// Backend identity is the metrics registry allocation, which every
+/// The shared runtime for `transport`, on its clock, creating it on first
+/// use. Backend identity is the metrics registry allocation, which every
 /// clone/handle of one backend shares.
 #[must_use]
 pub fn runtime_for(transport: &dyn Transport) -> SharedRuntime {
@@ -450,7 +480,7 @@ pub fn runtime_for(transport: &dyn Transport) -> SharedRuntime {
     if let Some(inner) = map.get(&key).and_then(Weak::upgrade) {
         return SharedRuntime { inner };
     }
-    let runtime = SharedRuntime::new(transport.kind());
+    let runtime = SharedRuntime::on_clock(transport.kind(), Arc::clone(transport.clock()));
     map.insert(key, Arc::downgrade(&runtime.inner));
     runtime
 }
@@ -482,7 +512,7 @@ mod tests {
         });
         rt.schedule_periodic(Duration::from_millis(5), Arc::downgrade(&probe), |probe| {
             let waits: [fn(&Probe); 2] = [
-                |_| sync::sleep(Duration::from_millis(1)),
+                |_| sync::sleep(&**syd_types::time::wall(), Duration::from_millis(1)),
                 |probe| drain_backlog(&probe.rx),
             ];
             for wait in waits {
@@ -604,6 +634,26 @@ mod tests {
         assert!(drains[1] >= due, "drained {:?} early", due - drains[1]);
     }
 
+    /// On virtual time a periodic task runs at each of its due times as
+    /// the clock passes them, and never moves the clock by itself.
+    #[test]
+    fn on_virtual_time_tasks_run_as_time_passes_and_never_move_it() {
+        let clock = syd_types::SimClock::new();
+        let rt = SharedRuntime::on_clock("t-sim", Arc::new(clock.clone()));
+        let ticks = Arc::new(AtomicUsize::new(0));
+        rt.schedule_periodic(Duration::from_millis(10), Arc::downgrade(&ticks), |t| {
+            t.fetch_add(1, Ordering::SeqCst);
+        });
+        clock.run_for(Duration::from_millis(105));
+        assert_eq!(ticks.load(Ordering::SeqCst), 10);
+        assert_eq!(clock.now().as_micros(), 105_000);
+        // Nothing waits now: the task and the watchdog are due next, and
+        // time stands still.
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(clock.now().as_micros(), 105_000);
+        assert_eq!(ticks.load(Ordering::SeqCst), 10);
+    }
+
     #[test]
     fn scoped_registries_share_fleet_cells() {
         let rt = SharedRuntime::new("t");
@@ -643,7 +693,7 @@ mod tests {
         // One turn, held by a job that sleeps without announcing it: only
         // the loop's watchdog (`kick`) can start the job queued behind.
         let pool = WorkerPool::new("syd-rt-t", 1, 48, Duration::from_millis(500));
-        let rt = SharedRuntime::with_pool("t", pool);
+        let rt = SharedRuntime::with_pool("t", pool, Arc::clone(wall()));
         let (ran_tx, ran_rx) = syd_types::queue::channel();
         rt.pool()
             .execute(|| std::thread::sleep(Duration::from_millis(300)));
@@ -667,7 +717,7 @@ mod tests {
         drain: impl Fn(&mut usize, &dyn Fn()) -> DrainOutcome + Send + Sync + 'static,
     ) -> (Arc<Reactor>, WorkerPool, Arc<AtomicUsize>) {
         let pool = WorkerPool::new("syd-rt-t", 2, 48, Duration::from_secs(60));
-        let reactor = Reactor::start("t", pool.clone());
+        let reactor = Reactor::start("t", pool.clone(), Arc::clone(wall()));
         let started = Arc::new(AtomicUsize::new(0));
         let (job_pool, count) = (pool.clone(), Arc::clone(&started));
         let queue_one = move || {

@@ -16,7 +16,7 @@
 //!   their endpoint once.
 //!
 //! An RPC's deadline is not here — it is the wait of the thread that made
-//! the call ([`crate::Node::call_many`]).
+//! the call ([`crate::Node::call_many`]), on the same clock as the heap.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -98,6 +98,14 @@ impl Timers {
     /// When the head entry falls due, if there is one.
     pub(crate) fn next_due(&self) -> Option<Instant> {
         self.heap.peek().map(|Reverse((at, ..))| *at)
+    }
+
+    /// When the earliest wake-up (not task) falls due: the next frame's.
+    pub(crate) fn next_wake(&self) -> Option<Instant> {
+        let wake = |Reverse((at, _, entry)): &Reverse<(Instant, u64, Entry)>| {
+            matches!(entry, Entry::Wake(_)).then_some(*at)
+        };
+        self.heap.iter().filter_map(wake).min()
     }
 
     /// Pops every entry due at `now`: task actions go to `run`, re-armed
@@ -308,6 +316,15 @@ mod tests {
         );
         // The watchdog and the inner task.
         assert_eq!(rt.periodic_tasks(), 2);
+    }
+
+    #[test]
+    fn the_next_wake_up_passes_over_tasks() {
+        let (mut timers, now) = (Timers::default(), Instant::now());
+        fire_at(&mut timers, now + ms(5), || {});
+        timers.wake_at(NodeAddr::new(1), now + ms(20));
+        assert_eq!(timers.next_due(), Some(now + ms(5)));
+        assert_eq!(timers.next_wake(), Some(now + ms(20)));
     }
 
     #[test]

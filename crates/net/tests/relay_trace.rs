@@ -1,7 +1,8 @@
 //! RPC-layer properties that need several nodes: the span trees a
 //! relayed call leaves behind (a nested `rpc.client` under the server
 //! context, client and server views merged), and seed determinism of
-//! outcomes and `rpc.timeouts` / `rpc.retries` under simulated loss.
+//! outcomes and `rpc.timeouts` / `rpc.retries` under simulated loss, in
+//! virtual time.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code
 
@@ -9,13 +10,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use syd_net::{CallOptions, NetConfig, Network, Node};
-use syd_types::{NodeAddr, ServiceName, SydResult, Value};
+use syd_types::{NodeAddr, ServiceName, SimClock, SydResult, Value};
 use syd_wire::Request;
 
-/// Runs `calls` echo calls on a fresh seeded network and returns
-/// `(per-call outcomes, rpc.timeouts, rpc.retries)`.
+/// Runs `calls` echo calls on a fresh seeded network in virtual time and
+/// returns `(per-call outcomes, rpc.timeouts, rpc.retries)`.
 fn run_scenario(loss: f64, seed: u64, opts: CallOptions, calls: i64) -> (Vec<bool>, u64, u64) {
-    let net = Network::new(NetConfig::ideal().with_loss(loss).with_seed(seed));
+    let cfg = NetConfig::ideal().with_loss(loss).with_seed(seed);
+    let net = Network::with_clock(cfg, Arc::new(SimClock::new()));
     let (server, client) = (Node::spawn(&net), Node::spawn(&net));
     server.set_handler(Arc::new(
         |_from: NodeAddr, req: Request| -> SydResult<Value> { Ok(Value::list(req.args.to_vec())) },
@@ -134,9 +136,9 @@ fn dropped_span_degrades_to_flagged_incomplete_tree() {
 #[test]
 fn timeout_and_retry_counters_repeat_for_the_same_seed() {
     // Latency is zero in these configs, so a timeout can only come from
-    // a lost request or response — which the seed fully determines —
-    // provided the deadline is long enough that a busy two-core host
-    // never stalls a delivered reply past it (20 ms was not).
+    // a lost request or response — which the seed fully determines. The
+    // deadlines are virtual: a busy host stalls a delivered reply in wall
+    // time only, so no deadline passes while the reply is on its way.
     for &loss in &[0.0, 0.5, 0.75] {
         for seed in 1..=3u64 {
             for &retries in &[0u32, 2] {

@@ -18,9 +18,10 @@
 //! lease end (DESIGN.md §23).
 
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use syd_types::sync::{Condvar, Mutex, Rank};
+use syd_types::time::wall;
 use syd_types::{Clock, SydError, SydResult, Text, Timestamp, Value};
 
 use crate::key::Key;
@@ -170,8 +171,9 @@ pub struct LockRights(pub(crate) Store);
 
 impl LockRights {
     /// [`Entry::mark`] on a lease of a length on a clock (`None`: a row
-    /// lock), reading the clock at every look while it waits up to
-    /// `wait`. `lapsed` hears of an ended lease under the table's mutex.
+    /// lock), reading the clock at every look while it waits up to `wait`
+    /// on that same clock. `lapsed` hears of an ended lease under the
+    /// table's mutex.
     pub fn mark(
         &self,
         owner: u64,
@@ -233,10 +235,13 @@ impl LockManager {
         lease: Option<(&dyn Clock, Duration)>,
         mut lapsed: impl FnMut(u64),
     ) -> Taken {
-        // A row lock ends no lease: it looks at the entry at the epoch.
+        // A row lock ends no lease: it looks at the entry at the epoch,
+        // and waits on the wall clock. A lease's wait reads the lease's
+        // clock, so the two race in one time base.
         let now = || lease.map_or(Timestamp::default(), |(clock, _)| clock.now());
         let mark = |entry: &mut Entry| entry.mark(now(), owner, lease.map(|(_, length)| length));
-        let deadline = Instant::now() + wait;
+        let clock = lease.map_or(&**wall(), |(clock, _)| clock);
+        let deadline = clock.instant() + wait;
         let mut state = self.state.lock();
         loop {
             let (taken, ended) = match state.get_mut(key) {
@@ -251,11 +256,10 @@ impl LockManager {
             if let Some(session) = ended {
                 lapsed(session);
             }
-            let now = Instant::now();
-            if taken != Taken::Busy || now >= deadline {
+            if taken != Taken::Busy || clock.instant() >= deadline {
                 return taken;
             }
-            (state, _) = self.released.wait_timeout(state, deadline - now);
+            (state, _) = self.released.wait_until(state, clock, deadline);
         }
     }
 

@@ -26,6 +26,9 @@ use std::time::Instant;
 /// Every journal event and every span of the process is stamped from
 /// this one clock, so a journal line and a span of the same trace — or
 /// the dumps of two devices — sit on one time axis.
+// Wall time, whatever the deployment's clock: spans and journal events
+// stamp when things happened, and the benchmark's phase rows read them.
+#[allow(clippy::disallowed_methods)]
 pub fn now_us() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     EPOCH.get_or_init(Instant::now).elapsed().as_micros() as u64

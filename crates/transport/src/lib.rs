@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 
 use syd_telemetry::names;
 use syd_telemetry::{Counter, Registry};
-use syd_types::{NodeAddr, SydResult};
+use syd_types::{Clock, NodeAddr, SydResult};
 use syd_wire::{Envelope, Payload};
 
 pub use config::{LatencyModel, NetConfig};
@@ -145,6 +145,10 @@ pub trait Transport: Send + Sync + 'static {
     /// The telemetry registry holding this backend's
     /// [`TransportMetrics`] counters.
     fn metrics(&self) -> &Arc<Registry>;
+
+    /// The deployment's one clock, which its runtime and everything on
+    /// it reads: the sim's is chosen where it is built, TCP's is the wall.
+    fn clock(&self) -> &Arc<dyn Clock>;
 }
 
 /// One addressed endpoint of a transport: the network-facing half of a

@@ -30,6 +30,8 @@ use syd_telemetry::Registry;
 use syd_types::queue::Sender;
 use syd_types::rng::Rng;
 use syd_types::sync::{Condvar, Mutex, Rank};
+use syd_types::time::wall;
+use syd_types::Clock;
 use syd_types::{NodeAddr, SydError, SydResult};
 use syd_wire::{decode_from_slice, encode_to_vec, Envelope, Payload, Response};
 
@@ -114,6 +116,8 @@ struct Inner {
     /// Records `transport.queue` spans for traced requests.
     tracer: syd_trace::Tracer,
     next_addr: AtomicU64,
+    /// Due times and receive deadlines are read here.
+    clock: Arc<dyn Clock>,
 }
 
 /// Handle to a simulated network. Cloning shares the network.
@@ -167,7 +171,7 @@ impl NetState {
     /// the partition and connection rules swallow. A head not yet due is
     /// re-announced to the notifier, which arms the runtime's wake-up.
     fn take(&mut self, inner: &Inner, addr: NodeAddr) -> Take {
-        let now = Instant::now();
+        let now = inner.clock.instant();
         loop {
             let Some(slot) = self.endpoints.get_mut(&addr) else {
                 return Take::Closed;
@@ -213,8 +217,15 @@ impl NetState {
 }
 
 impl Network {
-    /// Creates a network.
+    /// Creates a network on the wall clock.
     pub fn new(cfg: NetConfig) -> Self {
+        Self::with_clock(cfg, Arc::clone(wall()))
+    }
+
+    /// Creates a network on `clock`, the one place a deployment's clock
+    /// is chosen ([`Transport::clock`]): on a [`syd_types::SimClock`] the
+    /// loop serving it moves time itself (DESIGN.md §13).
+    pub fn with_clock(cfg: NetConfig, clock: Arc<dyn Clock>) -> Self {
         let registry = Arc::new(Registry::new());
         let tmetrics = TransportMetrics::preregister(&registry);
         Network {
@@ -235,6 +246,7 @@ impl Network {
                 tmetrics,
                 tracer: syd_trace::Tracer::new("transport-sim", crate::TRACE_DEVICE_SIM),
                 next_addr: AtomicU64::new(1),
+                clock,
             }),
         }
     }
@@ -292,7 +304,7 @@ impl Network {
         // Wake whoever reads the endpoint so it observes the terminal
         // `Shutdown`.
         if let Some(notifier) = &slot.notifier {
-            notifier.notify(addr, Instant::now());
+            notifier.notify(addr, self.inner.clock.instant());
         }
         self.inner.cv.notify_all();
     }
@@ -382,7 +394,7 @@ impl Network {
                     }),
                 );
                 inner.tmetrics.dropped_disconnected.inc();
-                let due = Instant::now() + sample_latency(&mut state);
+                let due = inner.clock.instant() + sample_latency(&mut state);
                 let reply = SimMsg::Frame(encode_to_vec(&reply));
                 if !state.file(&inner.cv, env.dst, env.src, due, reply, None) {
                     inner.tmetrics.dropped_unreachable.inc();
@@ -398,7 +410,7 @@ impl Network {
             return Ok(size);
         }
 
-        let due = Instant::now() + sample_latency(&mut state);
+        let due = inner.clock.instant() + sample_latency(&mut state);
         let queue_span = QueueSpan::of(&env.payload);
         state.file(
             &inner.cv,
@@ -423,6 +435,10 @@ impl Transport for Network {
 
     fn metrics(&self) -> &Arc<Registry> {
         &self.inner.registry
+    }
+
+    fn clock(&self) -> &Arc<dyn Clock> {
+        &self.inner.clock
     }
 }
 
@@ -472,17 +488,11 @@ impl Endpoint {
                 Take::Empty => deadline,
                 Take::NotYet(due) => Some(deadline.map_or(due, |d| d.min(due))),
             };
-            let now = Instant::now();
-            if deadline.is_some_and(|d| d <= now) {
+            if deadline.is_some_and(|d| d <= inner.clock.instant()) {
                 return Err(SydError::Timeout(syd_types::RequestId::new(0)));
             }
             state = match wake {
-                Some(at) => {
-                    inner
-                        .cv
-                        .wait_timeout(state, at.saturating_duration_since(now))
-                        .0
-                }
+                Some(at) => inner.cv.wait_until(state, &*inner.clock, at).0,
                 None => inner.cv.wait(state),
             };
         }
@@ -501,7 +511,7 @@ impl Endpoint {
     /// Blocks up to `timeout` for a message. Synthetic lifecycle events
     /// are skipped; use [`TransportEndpoint::recv_event`] to observe them.
     pub fn recv_timeout(&self, timeout: Duration) -> SydResult<Envelope> {
-        let deadline = Some(Instant::now() + timeout);
+        let deadline = Some(self.net.inner.clock.instant() + timeout);
         loop {
             if let SimMsg::Frame(bytes) = self.next(deadline)? {
                 return self.decode(&bytes);
@@ -542,14 +552,8 @@ impl TransportEndpoint for Endpoint {
             return Err(SydError::Unreachable(peer));
         }
         let connected = SimMsg::Connected(peer);
-        if !state.file(
-            &inner.cv,
-            self.addr,
-            self.addr,
-            Instant::now(),
-            connected,
-            None,
-        ) {
+        let now = inner.clock.instant();
+        if !state.file(&inner.cv, self.addr, self.addr, now, connected, None) {
             return Err(SydError::Shutdown);
         }
         inner.tmetrics.conns.inc();
@@ -566,7 +570,7 @@ impl TransportEndpoint for Endpoint {
     }
 
     fn recv_event_timeout(&self, timeout: Duration) -> SydResult<TransportEvent> {
-        let msg = self.next(Some(Instant::now() + timeout))?;
+        let msg = self.next(Some(self.net.inner.clock.instant() + timeout))?;
         self.event_of(msg)
     }
 
@@ -583,7 +587,7 @@ impl TransportEndpoint for Endpoint {
         }
         // Cover what was filed before installation: the drain this
         // triggers re-announces a head that is not yet due.
-        notifier.notify(self.addr, Instant::now());
+        notifier.notify(self.addr, self.net.inner.clock.instant());
     }
 
     fn set_connected(&self, connected: bool) {

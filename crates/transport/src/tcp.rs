@@ -28,12 +28,13 @@ use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, Shutdown, SocketAddr, SocketAddrV4, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use syd_telemetry::Registry;
 use syd_types::queue::{self, Receiver, RecvError, Sender};
 use syd_types::sync::{self, Mutex, Rank};
-use syd_types::{NodeAddr, RequestId, SydError, SydResult};
+use syd_types::time::wall;
+use syd_types::{Clock, NodeAddr, RequestId, SydError, SydResult};
 use syd_wire::{decode_from_slice, encode_to_vec, Envelope};
 
 use crate::framing::{encode_frame, FrameDecoder};
@@ -62,6 +63,7 @@ pub fn socket_addr_of(addr: NodeAddr) -> SocketAddrV4 {
 
 /// The TCP transport backend: a factory for framed endpoints bound on one
 /// local IP. All endpoints share the transport's telemetry registry.
+/// Real sockets run on the [`wall`] clock.
 pub struct FramedTcpTransport {
     ip: Ipv4Addr,
     registry: Arc<Registry>,
@@ -103,6 +105,10 @@ impl Transport for FramedTcpTransport {
 
     fn metrics(&self) -> &Arc<Registry> {
         &self.registry
+    }
+
+    fn clock(&self) -> &Arc<dyn Clock> {
+        wall()
     }
 }
 
@@ -195,7 +201,7 @@ impl Shared {
     fn emit(&self, ev: TransportEvent) {
         let _ = self.events_tx.send(ev);
         if let Some(notifier) = self.notifier.lock().as_ref() {
-            notifier.notify(self.addr, Instant::now());
+            notifier.notify(self.addr, wall().instant());
         }
     }
 
@@ -413,9 +419,9 @@ impl TransportEndpoint for FramedTcpEndpoint {
     }
 
     fn recv_event_timeout(&self, timeout: Duration) -> SydResult<TransportEvent> {
-        let deadline = Instant::now() + timeout;
+        let deadline = wall().instant() + timeout;
         loop {
-            let left = deadline.saturating_duration_since(Instant::now());
+            let left = deadline.saturating_duration_since(wall().instant());
             let step = left.min(Duration::from_millis(50));
             match self.events_rx.recv_timeout(step) {
                 Ok(ev) => return Ok(ev),
@@ -423,7 +429,7 @@ impl TransportEndpoint for FramedTcpEndpoint {
                     if self.shared.state.lock().shutdown && self.events_rx.is_empty() {
                         return Err(SydError::Shutdown);
                     }
-                    if Instant::now() >= deadline {
+                    if wall().instant() >= deadline {
                         return Err(SydError::Timeout(RequestId::new(0)));
                     }
                 }
@@ -449,7 +455,7 @@ impl TransportEndpoint for FramedTcpEndpoint {
     fn set_ready_notifier(&self, notifier: Arc<dyn ReadyNotifier>) {
         *self.shared.notifier.lock() = Some(Arc::clone(&notifier));
         // Cover events that were enqueued before installation.
-        notifier.notify(self.addr, Instant::now());
+        notifier.notify(self.addr, wall().instant());
     }
 
     fn set_connected(&self, connected: bool) {
@@ -491,7 +497,7 @@ impl TransportEndpoint for FramedTcpEndpoint {
         // buffered events and observes the terminal `Shutdown`.
         let notifier = self.shared.notifier.lock().clone();
         if let Some(notifier) = notifier {
-            notifier.notify(self.addr, Instant::now());
+            notifier.notify(self.addr, wall().instant());
         }
     }
 }

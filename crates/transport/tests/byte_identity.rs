@@ -3,7 +3,7 @@
 //! to the messages the sim delivers — both are exactly
 //! `syd_wire::encode_to_vec(&envelope)`.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // test code
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 
 use std::time::Duration;
 

@@ -385,6 +385,7 @@ mod in_flight {
     use std::sync::Arc;
     use syd_transport::{ReadyNotifier, Transport, TransportEndpoint, TransportEvent};
     use syd_types::sync::{Mutex, Rank};
+    use syd_types::{Clock, SimClock};
     use syd_wire::Envelope;
 
     fn delayed(latency: Duration) -> Network {
@@ -485,27 +486,38 @@ mod in_flight {
         }
     }
 
-    /// Plays the runtime loop for `ep`: drains it only when a wake-up it
-    /// was given has fallen due, until `want` messages came out or `within`
-    /// passed. Returns when each message came out.
-    fn drive(ep: &Endpoint, wakeups: &Wakeups, want: usize, within: Duration) -> Vec<Instant> {
+    /// Plays the runtime loop for `ep` on `clock`: drains it only when a
+    /// wake-up it was given has fallen due, moving the clock to the
+    /// earliest one, until `want` messages came out or `within` of wall
+    /// time passed. Returns when, on `clock`, each came out.
+    fn drive(
+        ep: &Endpoint,
+        wakeups: &Wakeups,
+        clock: &SimClock,
+        want: usize,
+        within: Duration,
+    ) -> Vec<Instant> {
         let deadline = Instant::now() + within;
         let mut got = Vec::new();
         while got.len() < want && Instant::now() < deadline {
-            let now = Instant::now();
-            let due = {
+            let now = clock.instant();
+            let (due, next) = {
                 let mut pending = wakeups.0.lock();
                 let before = pending.len();
                 pending.retain(|&at| at > now);
-                pending.len() < before
+                (pending.len() < before, pending.iter().min().copied())
             };
             if !due {
-                std::thread::sleep(Duration::from_micros(200));
+                // Nothing in flight is announced yet: time stands still.
+                match next {
+                    Some(at) => clock.advance(at - now),
+                    None => std::thread::yield_now(),
+                }
                 continue;
             }
             while let Some(event) = ep.try_recv_event() {
                 if let Ok(TransportEvent::Message(_)) = event {
-                    got.push(Instant::now());
+                    got.push(clock.instant());
                 }
             }
         }
@@ -515,14 +527,16 @@ mod in_flight {
     #[test]
     fn a_frame_queued_before_the_notifier_is_drained_when_due() {
         let latency = Duration::from_millis(30);
-        let net = delayed(latency);
+        let clock = SimClock::new();
+        let link = NetConfig::ideal().with_latency(LatencyModel::fixed(latency));
+        let net = Network::with_clock(link, Arc::new(clock.clone()));
         let a = net.register();
         let b = net.register();
-        let sent = Instant::now();
+        let sent = clock.instant();
         a.send(b.addr(), event("early")).unwrap();
         let wakeups = Arc::new(Wakeups::default());
         b.set_ready_notifier(Arc::clone(&wakeups) as Arc<dyn ReadyNotifier>);
-        let got = drive(&b, &wakeups, 1, Duration::from_secs(2));
+        let got = drive(&b, &wakeups, &clock, 1, Duration::from_secs(2));
         assert_eq!(got.len(), 1, "the frame was stranded");
         assert!(got[0] >= sent + latency, "drained before it was due");
 
@@ -546,7 +560,7 @@ mod in_flight {
         std::thread::sleep(Duration::from_millis(1));
         let c_wakeups = Arc::new(Wakeups::default());
         c.set_ready_notifier(Arc::clone(&c_wakeups) as Arc<dyn ReadyNotifier>);
-        let got = drive(&c, &c_wakeups, 200, Duration::from_secs(5));
+        let got = drive(&c, &c_wakeups, &clock, 200, Duration::from_secs(5));
         sender.join().unwrap();
         assert_eq!(got.len(), 200, "frames were stranded");
     }

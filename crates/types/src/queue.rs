@@ -6,7 +6,9 @@
 //! disconnects when its last [`Sender`] or last [`Receiver`] drops, and
 //! messages buffered before the senders went away can still be received.
 //! A queue allocates nothing until its first message, which matters when
-//! there is one per simulated device.
+//! there is one per simulated device. Its receive bounds are wall time
+//! ([`wall`]): a queue carries TCP's events and tests' signals, never a
+//! deployment's decision.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -14,6 +16,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::sync::{Condvar, Mutex, Rank};
+use crate::time::wall;
 
 struct State<T> {
     items: VecDeque<T>,
@@ -84,12 +87,12 @@ impl<T> Receiver<T> {
 
     /// [`Receiver::recv`] bounded by `timeout`.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvError> {
-        self.recv_until(Some(Instant::now() + timeout))
+        self.recv_until(Some(wall().instant() + timeout))
     }
 
     /// Takes a message if one is buffered.
     pub fn try_recv(&self) -> Result<T, RecvError> {
-        self.recv_until(Some(Instant::now()))
+        self.recv_until(Some(wall().instant()))
     }
 
     /// A buffered message, else `Disconnected` without senders, else
@@ -103,10 +106,10 @@ impl<T> Receiver<T> {
             if state.senders == 0 {
                 return Err(RecvError::Disconnected);
             }
-            state = match deadline.map(|at| at.saturating_duration_since(Instant::now())) {
+            state = match deadline {
                 None => self.0.ready.wait(state),
-                Some(Duration::ZERO) => return Err(RecvError::Empty),
-                Some(left) => self.0.ready.wait_timeout(state, left).0,
+                Some(at) if wall().instant() >= at => return Err(RecvError::Empty),
+                Some(at) => self.0.ready.wait_until(state, &**wall(), at).0,
             };
         }
     }

@@ -29,12 +29,21 @@
 //! meanwhile. A thread without a hook waits exactly as `std` does. The
 //! one wait nobody is told of is [`Condvar::idle`]: a parked pool worker
 //! and the idle loop, which hold no turn to hand on.
+//!
+//! **Timed waits read the deployment's clock.** [`Condvar::wait_until`]
+//! and [`sleep`] take a [`Clock`]: on the wall clock they are `std`'s
+//! timed waits; on a [`SimClock`] the thread is entered in the process's
+//! list of sleepers, which the loop of that clock's deployment reads to
+//! decide how far to move time ([`SimClock::settle`]).
 
 use std::cell::Cell;
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{self, Arc, LockResult, PoisonError, TryLockError};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+use crate::time::{Clock, SimClock};
 
 /// A lock's place in the one order in which a thread may take locks:
 /// a lock may be taken only while every lock held ranks strictly lower.
@@ -50,6 +59,7 @@ use std::time::Duration;
 /// | `Runtimes` | the map of shared runtimes, held while one is built |
 /// | `Runtime` | the loop's state, its node table and thread handle |
 /// | `Leaf` | a queue's state, a device's log (events and spans) and the log registry, a metrics registry |
+/// | `Clock` | the process's list of threads waiting on virtual time |
 /// | `Pool` | the worker pool's state: its blocking hook takes it in every announced wait, whatever the waiter holds |
 ///
 /// A lock takes the rank of the layer that owns it; the order is the
@@ -78,6 +88,10 @@ pub enum Rank {
     /// Locks that take none while held: a queue, a device's log, a metrics
     /// registry.
     Leaf,
+    /// The threads waiting on virtual time: entered while the waiter
+    /// still holds the lock it waits on, and read by a loop that holds
+    /// its own and then looks at its pool.
+    Clock,
     /// The worker pool's state, taken by a worker's blocking hook while
     /// the waiter still holds the lock it waits on.
     Pool,
@@ -122,10 +136,14 @@ pub fn blocking<R>(wait: impl FnOnce() -> R) -> R {
     wait()
 }
 
-/// [`std::thread::sleep`], announced.
+/// Waits `length` on `clock`, announced: [`std::thread::sleep`] on the
+/// wall clock, a sleeper woken by the clock's advance on a [`SimClock`].
 #[allow(clippy::disallowed_methods)] // the announced wrapper
-pub fn sleep(length: Duration) {
-    blocking(|| std::thread::sleep(length));
+pub fn sleep(clock: &dyn Clock, length: Duration) {
+    match clock.as_sim() {
+        None => blocking(|| std::thread::sleep(length)),
+        Some(sim) => sim.run_for(length),
+    }
 }
 
 /// [`JoinHandle::join`], announced; whether the thread ended without
@@ -433,22 +451,44 @@ impl<T: ?Sized> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
 
 /// Condition variable paired with [`Mutex`].
 #[derive(Debug, Default)]
-pub struct Condvar(sync::Condvar);
+pub struct Condvar {
+    inner: sync::Condvar,
+    /// Threads waiting on it in virtual time, which a notify marks woken.
+    sleepers: AtomicU32,
+}
 
 impl Condvar {
     /// Creates a condition variable.
     pub const fn new() -> Self {
-        Condvar(sync::Condvar::new())
+        Condvar {
+            inner: sync::Condvar::new(),
+            sleepers: AtomicU32::new(0),
+        }
     }
 
     /// Wakes one waiter.
     pub fn notify_one(&self) {
-        self.0.notify_one();
+        self.wake_sleepers();
+        self.inner.notify_one();
     }
 
     /// Wakes every waiter.
     pub fn notify_all(&self) {
-        self.0.notify_all();
+        self.wake_sleepers();
+        self.inner.notify_all();
+    }
+
+    /// Marks every thread waiting here in virtual time woken (which one a
+    /// `notify_one` reaches is not known): its loop moves no time until
+    /// the thread has run.
+    fn wake_sleepers(&self) {
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
+            let me = std::ptr::from_ref(self) as usize;
+            for sleeper in SLEEPERS.lock().iter_mut().filter(|s| s.cv == me) {
+                sleeper.woken = true;
+                sleeper.time.parked.notify_all();
+            }
+        }
     }
 
     /// Releases the lock, blocks until notified, and re-acquires it.
@@ -456,23 +496,48 @@ impl Condvar {
     /// is announced ([`blocking`]); the lock counts as held throughout.
     pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
         let MutexGuard { guard, held } = guard;
-        let guard = blocking(|| ignore_poison(self.0.wait(guard)));
+        let guard = blocking(|| ignore_poison(self.inner.wait(guard)));
         MutexGuard { guard, held }
     }
 
-    /// [`Condvar::wait`] bounded by `timeout`; the second value says
-    /// whether the timeout elapsed.
-    pub fn wait_timeout<'a, T>(
+    /// [`Condvar::wait`] until `clock` reaches `deadline`, the one timed
+    /// wait; the second value says whether it has. On a [`SimClock`] the
+    /// thread enters the clock's sleepers while it still holds the lock a
+    /// notifier needs, and looks every millisecond whether the clock's
+    /// advance has reached its deadline.
+    pub fn wait_until<'a, T>(
         &self,
-        guard: MutexGuard<'a, T>,
-        timeout: Duration,
+        mut guard: MutexGuard<'a, T>,
+        clock: &dyn Clock,
+        deadline: Instant,
     ) -> (MutexGuard<'a, T>, bool) {
-        blocking(|| self.idle(guard, Some(timeout)))
+        let left = deadline.saturating_duration_since(clock.instant());
+        let Some(sim) = clock.as_sim() else {
+            return match left.is_zero() {
+                true => (guard, true),
+                false => blocking(|| self.idle(guard, Some(left))),
+            };
+        };
+        let me = std::ptr::from_ref(self) as usize;
+        let Some(sleeper) = enter(&sim.time, me, Some(deadline)) else {
+            return (guard, true);
+        };
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        let guard = blocking(|| loop {
+            let timed_out;
+            (guard, timed_out) = self.idle(guard, Some(POLL));
+            if !timed_out || sleeper.woken() {
+                break guard;
+            }
+        });
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        drop(sleeper);
+        (guard, sim.instant() >= deadline)
     }
 
-    /// [`Condvar::wait_timeout`] (`None`: no bound) that nobody is told
-    /// of: for a thread with no turn to hand on — a parked pool worker,
-    /// the runtime's idle loop.
+    /// A wait bounded by `timeout` of wall time (`None`: no bound) that
+    /// nobody is told of: for a thread with no turn to hand on — a parked
+    /// pool worker, the runtime's idle loop.
     pub fn idle<'a, T>(
         &self,
         guard: MutexGuard<'a, T>,
@@ -481,12 +546,177 @@ impl Condvar {
         let MutexGuard { guard, held } = guard;
         let (guard, timed_out) = match timeout {
             Some(timeout) => {
-                let (guard, waited) = ignore_poison(self.0.wait_timeout(guard, timeout));
+                let (guard, waited) = ignore_poison(self.inner.wait_timeout(guard, timeout));
                 (guard, waited.timed_out())
             }
-            None => (ignore_poison(self.0.wait(guard)), false),
+            None => (ignore_poison(self.inner.wait(guard)), false),
         };
         (MutexGuard { guard, held }, timed_out)
+    }
+}
+
+/// How often a condvar's sleeper looks at its clock: the loop that
+/// advances the clock cannot reach that condvar.
+const POLL: Duration = Duration::from_millis(1);
+/// A wall-time backstop for a wait on a clock's own condvar, which every
+/// change it waits for notifies.
+const BACKSTOP: Duration = Duration::from_millis(20);
+
+/// A [`SimClock`]'s shared state.
+#[derive(Debug)]
+pub(crate) struct VirtualTime {
+    pub(crate) origin: Instant,
+    /// Microseconds past `origin`; only grows.
+    micros: AtomicU64,
+    /// Where its loop and its [`SimClock::run_for`] sleepers park.
+    parked: Condvar,
+}
+
+impl VirtualTime {
+    pub(crate) fn new(origin: Instant) -> Self {
+        let (micros, parked) = (AtomicU64::new(0), Condvar::new());
+        VirtualTime {
+            origin,
+            micros,
+            parked,
+        }
+    }
+
+    pub(crate) fn instant(&self) -> Instant {
+        self.origin + Duration::from_micros(self.micros.load(Ordering::SeqCst))
+    }
+}
+
+/// A thread waiting on virtual time (`deadline`), or holding it still.
+struct Sleeper {
+    id: usize,
+    time: Arc<VirtualTime>,
+    /// The [`Condvar`] it waits on, by address; 0 for none.
+    cv: usize,
+    deadline: Option<Instant>,
+    /// Notified, or due, and not yet running: its loop moves no time.
+    woken: bool,
+}
+
+/// Every thread of the process waiting on virtual time, of any clock.
+static SLEEPERS: Mutex<Vec<Sleeper>> = Mutex::new(Rank::Clock, Vec::new());
+static NEXT_SLEEPER: AtomicUsize = AtomicUsize::new(1);
+
+/// A thread's place among its clock's sleepers, left on drop — after its
+/// blocking hook has been told that it runs again.
+struct Entered<'a>(&'a VirtualTime, usize);
+
+impl Entered<'_> {
+    fn woken(&self) -> bool {
+        SLEEPERS.lock().iter().any(|s| s.id == self.1 && s.woken)
+    }
+}
+
+impl Drop for Entered<'_> {
+    fn drop(&mut self) {
+        SLEEPERS.lock().retain(|s| s.id != self.1);
+        self.0.parked.notify_all();
+    }
+}
+
+/// Enters the caller among `time`'s sleepers until `deadline` (`None`: a
+/// hold, woken from the start); `None` if the deadline has come.
+fn enter(time: &Arc<VirtualTime>, cv: usize, deadline: Option<Instant>) -> Option<Entered<'_>> {
+    let mut sleepers = SLEEPERS.lock();
+    if deadline.is_some_and(|at| time.instant() >= at) {
+        return None;
+    }
+    let (id, woken) = (
+        NEXT_SLEEPER.fetch_add(1, Ordering::Relaxed),
+        deadline.is_none(),
+    );
+    let shared = Arc::clone(time);
+    sleepers.push(Sleeper {
+        id,
+        time: shared,
+        cv,
+        deadline,
+        woken,
+    });
+    time.parked.notify_all();
+    Some(Entered(time, id))
+}
+
+/// Moves `time` to `at`, never back, waking the sleepers it makes due.
+fn move_to(time: &Arc<VirtualTime>, sleepers: &mut [Sleeper], at: Instant) {
+    let micros = at.saturating_duration_since(time.origin).as_micros() as u64;
+    time.micros.fetch_max(micros, Ordering::SeqCst);
+    let now = time.instant();
+    for s in sleepers.iter_mut().filter(|s| Arc::ptr_eq(&s.time, time)) {
+        s.woken |= s.deadline.is_some_and(|at| at <= now);
+    }
+    time.parked.notify_all();
+}
+
+pub(crate) fn advance_to(time: &Arc<VirtualTime>, at: Instant) {
+    move_to(time, &mut SLEEPERS.lock(), at);
+}
+
+impl SimClock {
+    /// The discrete-event rule, for the loop on this clock once it has
+    /// nothing to run; `held` is the loop's lock. If `quiet` (no pool job
+    /// holds a turn or is queued) and no sleeper of this clock is woken,
+    /// moves the clock to the earlier of `next_frame` (the next in-flight
+    /// frame's due time) and the earliest sleeper's deadline, stopping at
+    /// `next_task` on the way — a periodic task never moves time by itself
+    /// — and returns true. Else lets `held` go, parks until something it
+    /// waits for changes, and returns false.
+    pub fn settle<G>(
+        &self,
+        held: G,
+        next_frame: Option<Instant>,
+        next_task: Option<Instant>,
+        quiet: impl FnOnce() -> bool,
+    ) -> bool {
+        let mut sleepers = SLEEPERS.lock();
+        let mine = || sleepers.iter().filter(|s| Arc::ptr_eq(&s.time, &self.time));
+        let next = mine().filter_map(|s| s.deadline).chain(next_frame).min();
+        if let Some(at) = next.filter(|_| !mine().any(|s| s.woken) && quiet()) {
+            move_to(
+                &self.time,
+                &mut sleepers,
+                next_task.map_or(at, |task| task.min(at)),
+            );
+            return true;
+        }
+        drop(held);
+        let _ = self.time.parked.idle(sleepers, Some(BACKSTOP));
+        false
+    }
+
+    /// Lets `length` of virtual time pass while the loop of the deployment
+    /// on this clock runs everything that falls due in it — a
+    /// discrete-event simulation's `run(until)`, where [`SimClock::advance`]
+    /// jumps. With no such loop it never returns.
+    pub fn run_for(&self, length: Duration) {
+        let Some(sleeper) = enter(&self.time, 0, Some(self.instant() + length)) else {
+            return;
+        };
+        blocking(|| {
+            let mut sleepers = SLEEPERS.lock();
+            while sleepers.iter().any(|s| s.id == sleeper.1 && !s.woken) {
+                sleepers = self.time.parked.idle(sleepers, Some(BACKSTOP)).0;
+            }
+        });
+    }
+
+    /// Holds time still until the guard drops: a thread outside the pool
+    /// takes it to send a wave of requests at one instant.
+    #[must_use = "time moves again once the guard drops"]
+    pub fn hold(&self) -> impl Sized + '_ {
+        enter(&self.time, 0, None)
+    }
+
+    /// Wakes the loop parked in [`SimClock::settle`]: what it waits for
+    /// changed.
+    pub fn kick(&self) {
+        let _sleepers = SLEEPERS.lock();
+        self.time.parked.notify_all();
     }
 }
 
@@ -578,7 +808,9 @@ mod tests {
             Condvar::new(),
         );
         let _outer = outer.lock();
-        let (guard, timed_out) = cv.wait_timeout(m.lock(), Duration::from_millis(1));
+        let wall = &**crate::time::wall();
+        let soon = wall.instant() + Duration::from_millis(1);
+        let (guard, timed_out) = cv.wait_until(m.lock(), wall, soon);
         assert!(timed_out);
         assert_eq!(held(), [Engine, Leaf]);
         drop(guard);

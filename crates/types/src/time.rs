@@ -6,14 +6,14 @@
 //!   ([`TimeSlot`] = [`Day`] × [`SlotIndex`]). The prototype's GUI offered
 //!   day/hour granularity; we default to [`SLOTS_PER_DAY`] = 24 slots per
 //!   day but nothing depends on that constant except formatting.
-//! * **Middleware time** — link creation/expiry times and RPC deadlines are
-//!   [`Timestamp`]s (microseconds) read from a [`Clock`]. Tests and
-//!   deterministic benches use the manually-advanced [`SimClock`]; live runs
-//!   use [`SystemClock`].
+//! * **Middleware time** — link creation/expiry times, lock leases, sim
+//!   delivery times and RPC deadlines are read from the deployment's one
+//!   [`Clock`]. Tests that would otherwise wait out deadlines use the
+//!   virtual [`SimClock`], which the deployment's loop moves itself; live
+//!   runs and the benchmark use [`SystemClock`].
 
 use core::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Number of schedulable slots per calendar day (one per hour).
@@ -196,13 +196,30 @@ impl fmt::Display for Timestamp {
     }
 }
 
-/// Source of middleware time.
-///
-/// Implementations must be cheap and thread-safe: the sim network, the event
-/// handler's expiry scanner and every RPC deadline consult the clock.
+/// Source of middleware time: a deployment has one, chosen where its
+/// network is built, and all that decides by time reads it (DESIGN.md
+/// §13). [`Clock::now`] is the monotonic [`Clock::instant`] counted from
+/// the clock's origin.
 pub trait Clock: Send + Sync + 'static {
-    /// Current time.
-    fn now(&self) -> Timestamp;
+    /// The reading [`Clock::now`] counts from.
+    fn origin(&self) -> Instant;
+
+    /// The monotonic reading every due time, deadline and lease is on.
+    fn instant(&self) -> Instant;
+
+    /// Current time: microseconds since [`Clock::origin`].
+    fn now(&self) -> Timestamp {
+        Timestamp(
+            self.instant()
+                .saturating_duration_since(self.origin())
+                .as_micros() as u64,
+        )
+    }
+
+    /// The virtual clock, if time moves only as its deployment moves it.
+    fn as_sim(&self) -> Option<&SimClock> {
+        None
+    }
 }
 
 /// Wall-clock time relative to process start.
@@ -215,7 +232,7 @@ impl SystemClock {
     /// A clock whose epoch is the moment of construction.
     pub fn new() -> Self {
         Self {
-            origin: Instant::now(),
+            origin: wall().instant(),
         }
     }
 }
@@ -227,42 +244,69 @@ impl Default for SystemClock {
 }
 
 impl Clock for SystemClock {
-    fn now(&self) -> Timestamp {
-        Timestamp(self.origin.elapsed().as_micros() as u64)
+    fn origin(&self) -> Instant {
+        self.origin
+    }
+
+    #[allow(clippy::disallowed_methods)] // the wall clock itself
+    fn instant(&self) -> Instant {
+        Instant::now()
     }
 }
 
-/// Manually advanced clock for deterministic tests and benches.
-///
-/// Cloning shares the underlying counter, so a test can hold one handle
-/// while the middleware holds another.
-#[derive(Clone, Debug, Default)]
+/// The process's wall clock: TCP's, and the bound of waits that are no
+/// deployment's decision (a queue's receive, a row lock's wait).
+pub fn wall() -> &'static Arc<dyn Clock> {
+    static WALL: OnceLock<Arc<dyn Clock>> = OnceLock::new();
+    #[allow(clippy::disallowed_methods)] // the wall clock's origin
+    WALL.get_or_init(|| {
+        Arc::new(SystemClock {
+            origin: Instant::now(),
+        })
+    })
+}
+
+/// Virtual time, moved only by [`SimClock::advance`] or by the loop of
+/// the deployment whose network is built on it, to the next frame or
+/// deadline once nothing else can run (DESIGN.md §13); never back.
+/// Cloning shares the clock.
+#[derive(Clone, Debug)]
 pub struct SimClock {
-    micros: Arc<AtomicU64>,
+    pub(crate) time: Arc<crate::sync::VirtualTime>,
 }
 
 impl SimClock {
-    /// A clock starting at the epoch.
+    /// A clock at its epoch.
     pub fn new() -> Self {
-        Self::default()
+        let origin = wall().instant();
+        SimClock {
+            time: Arc::new(crate::sync::VirtualTime::new(origin)),
+        }
     }
 
-    /// Advances the clock by `d`.
+    /// Jumps the clock forward by `d`, waking the threads it makes due.
     pub fn advance(&self, d: Duration) {
-        self.micros
-            .fetch_add(d.as_micros() as u64, Ordering::SeqCst);
+        crate::sync::advance_to(&self.time, self.instant() + d);
     }
+}
 
-    /// Jumps the clock to an absolute time (must not move backwards).
-    pub fn set(&self, t: Timestamp) {
-        let prev = self.micros.swap(t.0, Ordering::SeqCst);
-        debug_assert!(prev <= t.0, "SimClock moved backwards: {prev} -> {}", t.0);
+impl Default for SimClock {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
 impl Clock for SimClock {
-    fn now(&self) -> Timestamp {
-        Timestamp(self.micros.load(Ordering::SeqCst))
+    fn origin(&self) -> Instant {
+        self.time.origin
+    }
+
+    fn instant(&self) -> Instant {
+        self.time.instant()
+    }
+
+    fn as_sim(&self) -> Option<&SimClock> {
+        Some(self)
     }
 }
 
@@ -334,8 +378,20 @@ mod tests {
         assert_eq!(clock.now(), Timestamp::from_micros(0));
         handle.advance(Duration::from_millis(5));
         assert_eq!(clock.now(), Timestamp::from_micros(5_000));
-        handle.set(Timestamp::from_micros(10_000));
-        assert_eq!(clock.now().as_micros(), 10_000);
+        assert_eq!(clock.instant(), clock.origin() + Duration::from_millis(5));
+    }
+
+    #[test]
+    fn virtual_time_never_moves_back() {
+        let clock = SimClock::new();
+        clock.advance(Duration::from_millis(10));
+        let at = clock.instant();
+        // A loop that advances to a due time already behind the clock —
+        // a frame filed before a test's own advance — leaves it where it is.
+        crate::sync::advance_to(&clock.time, at - Duration::from_millis(4));
+        assert_eq!(clock.instant(), at);
+        crate::sync::advance_to(&clock.time, at + Duration::from_millis(1));
+        assert_eq!(clock.now(), Timestamp::from_micros(11_000));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! cargo test --example committee_calendar   # the application object's tests
 //! ```
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // example code
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // example code
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -22,7 +22,7 @@ fn wait_until(mut cond: impl FnMut() -> bool, what: &str) {
     let deadline = Instant::now() + Duration::from_secs(5);
     while !cond() {
         assert!(Instant::now() < deadline, "timed out: {what}");
-        syd::types::sync::sleep(Duration::from_millis(10));
+        syd::types::sync::sleep(&**syd::types::time::wall(), Duration::from_millis(10));
     }
 }
 

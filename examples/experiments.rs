@@ -9,7 +9,7 @@
 //! ```
 
 // Experiment driver: a rig that cannot build has no numbers to report.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // a harness: wall time is what it measures
 
 #[path = "../tests/support/baseline.rs"]
 mod baseline;
@@ -138,7 +138,7 @@ fn e1_baseline_vs_syd() {
         while apps[0].meeting(outcome.meeting).unwrap().unwrap().status != MeetingStatus::Confirmed
         {
             assert!(Instant::now() < deadline, "never converged");
-            syd_types::sync::sleep(Duration::from_millis(1));
+            syd_types::sync::sleep(&**syd_types::time::wall(), Duration::from_millis(1));
         }
         let (syd_msgs, _) = sent_since(env.network(), before);
         println!("{:>6} | {:>10} | {:>26}", n, syd_msgs, 2 * (n - 1));
@@ -154,7 +154,7 @@ fn await_scheduled(initiator: &BaselineCalendar, proposal: u64) {
     let deadline = Instant::now() + Duration::from_secs(3);
     while initiator.proposal_status(proposal) != Some(ProposalStatus::Scheduled) {
         assert!(Instant::now() < deadline, "baseline never committed");
-        syd_types::sync::sleep(Duration::from_millis(2));
+        syd_types::sync::sleep(&**syd_types::time::wall(), Duration::from_millis(2));
     }
 }
 
@@ -260,7 +260,7 @@ fn e3_convergence() {
                 break;
             }
             assert!(Instant::now() < deadline, "never converged");
-            syd_types::sync::sleep(Duration::from_micros(200));
+            syd_types::sync::sleep(&**syd_types::time::wall(), Duration::from_micros(200));
         }
         let elapsed = started.elapsed();
         let (msgs, _) = sent_since(env.network(), before);
@@ -317,7 +317,7 @@ fn e5_proxy_failover() {
     phil.store()
         .insert("slots", vec![Value::I64(9), Value::str("busy")])
         .unwrap();
-    syd_types::sync::sleep(Duration::from_millis(50)); // replication settle
+    syd_types::sync::sleep(&**syd_types::time::wall(), Duration::from_millis(50)); // replication settle
 
     // Query latency through the primary.
     let t = Instant::now();

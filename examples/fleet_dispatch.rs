@@ -5,7 +5,7 @@
 //! cargo run --example fleet_dispatch
 //! ```
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // example code
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // example code
 
 use std::time::{Duration, Instant};
 
@@ -30,7 +30,7 @@ fn main() {
     }
     let deadline = Instant::now() + Duration::from_secs(3);
     while dispatcher.board().len() < vehicles.len() && Instant::now() < deadline {
-        syd::types::sync::sleep(Duration::from_millis(10));
+        syd::types::sync::sleep(&**env.clock(), Duration::from_millis(10));
     }
     println!("dispatcher board (fed by subscription links):");
     for (vehicle, pos) in dispatcher.board() {

@@ -6,7 +6,7 @@
 //! cargo run --example proxy_failover
 //! ```
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // example code
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // example code
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -100,7 +100,7 @@ fn main() {
         == 0
         && Instant::now() < deadline
     {
-        syd::types::sync::sleep(Duration::from_millis(5));
+        syd::types::sync::sleep(&**env.clock(), Duration::from_millis(5));
     }
     println!("replica warm: proxy mirrors phil's booking");
 

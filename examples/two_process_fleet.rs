@@ -12,18 +12,17 @@
 //!
 //! Both processes finish with a clean protocol-invariant audit.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // example code
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // example code
 
 use std::io::{BufRead, BufReader, Write as _};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use syd::calendar::{CalendarApp, MeetingSpec, MeetingStatus};
 use syd::kernel::DeviceRuntime;
 use syd::transport::FramedTcpTransport;
-use syd::types::{Blob, NodeAddr, SystemClock, TimeSlot, UserId};
+use syd::types::{Blob, NodeAddr, TimeSlot, UserId};
 
 /// Phil's identity in this process. `sydd` mints its users from 1
 /// upwards, so a high fixed id keeps the two processes' id spaces
@@ -72,15 +71,8 @@ fn main() {
     // Process 2 (this one): Phil's device, registered with the remote
     // directory over TCP.
     let tcp = FramedTcpTransport::loopback();
-    let phil_device = DeviceRuntime::new(
-        &tcp,
-        dir_addr,
-        PHIL,
-        "phil",
-        None,
-        Arc::new(SystemClock::new()),
-    )
-    .expect("mint phil against remote directory");
+    let phil_device = DeviceRuntime::new(&tcp, dir_addr, PHIL, "phil", None)
+        .expect("mint phil against remote directory");
     phil_device.node().set_identity(PHIL, Blob::default());
     let phil = CalendarApp::install(&phil_device).expect("install calendar");
 
@@ -110,7 +102,7 @@ fn main() {
     // Audit this process's device…
     let deadline = Instant::now() + Duration::from_secs(2);
     while phil_device.store().locks().held_count() > 0 && Instant::now() < deadline {
-        syd::types::sync::sleep(Duration::from_millis(10));
+        syd::types::sync::sleep(&**phil_device.clock(), Duration::from_millis(10));
     }
     phil_device.end_leases();
     syd::check::audit([&phil_device]).assert_clean();

@@ -32,6 +32,24 @@ test_lines() { # of those, the lines from each file's first #[cfg(test)] mod on,
             END { print n + 0 }'
 }
 
+program_matches() { # lines matching the regex $1 in the .rs files under the
+    # remaining arguments, before each file's first #[cfg(test)] mod (the
+    # test_lines rule above, inverted)
+    local pattern=$1
+    shift
+    find "$@" -name '*.rs' -print0 2>/dev/null |
+        xargs -0 awk -v pattern="$pattern" '
+            FNR == 1 { t = 0; k = 0 }
+            t { next }
+            /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*(pub(\([a-z]+\))? )?mod / { t = 1; next }
+            /^[[:space:]]*#\[cfg\(test\)\]/ { k = 1; next }
+            k && /^[[:space:]]*#\[/ { k++; next }
+            k && /^[[:space:]]*(pub(\([a-z]+\))? )?mod / { t = 1; next }
+            { k = 0 }
+            $0 ~ pattern { n++ }
+            END { print n + 0 }'
+}
+
 # A runtime switch is a public one-bool setter in syd-net / syd-core, or
 # an environment variable read by library (non-`bin/`) code.
 setters=$(grep -rhoE 'pub fn set_[a-z_]+\((&self, )?[a-z_]+: bool\)' \
@@ -48,6 +66,10 @@ echo "bench_lines      $(lines benches tests/support)"
 echo "crates           $(find crates -mindepth 2 -maxdepth 2 -name Cargo.toml | wc -l)"
 echo "third_party_deps $(sed -n '/^\[workspace.dependencies\]/,/^\[/p' Cargo.toml |
     grep -E '^[a-z_-]+ *=' | grep -vc 'path *=')"
+# ROADMAP item 2's one clock: program code that reads the wall clock
+# directly, and test lines that sleep rather than advance a clock.
+echo "wall_reads       $(program_matches 'Instant::now\\(\\)' crates/*/src src)"
+echo "test_sleeps      $(grep -rE '(thread|sync)::sleep\(' crates/*/tests tests --include='*.rs' | wc -l)"
 echo "runtime_switches $(($(count "$setters") + $(count "$env_reads")))"
 for s in $setters; do echo "  setter  $s"; done
 for e in $env_reads; do echo "  env     $e"; done

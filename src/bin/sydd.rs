@@ -25,7 +25,7 @@
 
 use std::io::{BufRead, Write as _};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use syd::calendar::CalendarApp;
 use syd::kernel::SydEnv;
@@ -66,9 +66,10 @@ fn main() {
 
     // Quiesce: let in-flight negotiation steps release their locks, then
     // end the leases left behind and audit.
-    let deadline = Instant::now() + Duration::from_secs(2);
-    while host.store().locks().held_count() > 0 && Instant::now() < deadline {
-        syd::types::sync::sleep(Duration::from_millis(10));
+    let clock = &**host.clock();
+    let deadline = clock.instant() + Duration::from_secs(2);
+    while host.store().locks().held_count() > 0 && clock.instant() < deadline {
+        syd::types::sync::sleep(clock, Duration::from_millis(10));
     }
     host.end_leases();
     if stats {

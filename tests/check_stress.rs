@@ -3,7 +3,7 @@
 //! networks must leave every §4.3 invariant intact, and a deliberately
 //! planted defect must be caught and pinpointed.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // test code
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 
 #[path = "check_stress/stress.rs"]
 mod stress;

@@ -14,21 +14,26 @@
 //! leaked entity lock or a forged double-commit record — to prove the
 //! checker catches it and reports the offending session with a journal
 //! excerpt. A module of `tests/check_stress.rs`, which runs it.
+//!
+//! The deployment runs in virtual time ([`SimClock`]): a lost frame's
+//! deadline, a bounded mark wait and a partition's flip all pass as fast
+//! as the machine runs the traffic between them, and `longest_session`
+//! is read on the same clock as the participants' leases.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use syd_check::{AuditOptions, AuditReport};
 use syd_core::device::entity_lock_key;
 use syd_core::links::Constraint;
 use syd_core::negotiate::Participant;
 use syd_core::{DeviceRuntime, EntityHandler, SydEnv};
-use syd_net::NetConfig;
+use syd_net::{NetConfig, Network};
 use syd_telemetry::{names, Event};
 use syd_types::rng::Rng;
-use syd_types::sync;
-use syd_types::{SydError, SydResult, Value};
+use syd_types::sync::{self, Mutex, Rank};
+use syd_types::{Clock, NodeAddr, SimClock, SydError, SydResult, Value};
 
 /// A deliberately injected protocol defect (see [`StressConfig::inject`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -182,8 +187,9 @@ pub fn run(cfg: &StressConfig) -> StressOutcome {
     let _window = PANIC_WINDOW.read().unwrap_or_else(PoisonError::into_inner);
     count_panics();
     let panics_before = PANICS.load(Ordering::Relaxed);
+    let clock = SimClock::new();
     let net = NetConfig::ideal().with_loss(cfg.loss).with_seed(cfg.seed);
-    let env = SydEnv::new_insecure(net);
+    let env = SydEnv::on_network(Network::with_clock(net, Arc::new(clock.clone())), None);
     let devices: Vec<DeviceRuntime> = (0..DEVICES)
         .map(|i| env.device(&format!("stress{i}"), "").unwrap())
         .collect();
@@ -205,7 +211,21 @@ pub fn run(cfg: &StressConfig) -> StressOutcome {
     let completed = AtomicU64::new(0);
     let errors = AtomicU64::new(0);
     let longest_us = AtomicU64::new(0);
-    let stop = AtomicBool::new(false);
+
+    // Partition churn: cut a random device pair, let traffic fail, heal,
+    // repeat until the workers drain — a task on the deployment's loop,
+    // so the flips keep virtual time.
+    let churn = cfg.partition.then(|| {
+        let churn = Arc::new(Churn {
+            net: env.network().clone(),
+            addrs: devices.iter().map(DeviceRuntime::addr).collect(),
+            state: Mutex::new(Rank::Leaf, (Rng::new(cfg.seed ^ 0xDEAD_BEEF), 0, false)),
+        });
+        let task = env
+            .runtime()
+            .schedule_periodic(CHURN_TICK, Arc::downgrade(&churn), Churn::tick);
+        (churn, task)
+    });
 
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(WORKERS);
@@ -213,12 +233,13 @@ pub fn run(cfg: &StressConfig) -> StressOutcome {
             let coordinator = &devices[w % devices.len()];
             let plans = &plans;
             let (satisfied, completed, errors) = (&satisfied, &completed, &errors);
-            let longest_us = &longest_us;
+            let (longest_us, clock) = (&longest_us, &clock);
             handles.push(scope.spawn(move || {
                 for (constraint, parts) in plans.iter().skip(w).step_by(WORKERS) {
-                    let started = Instant::now();
+                    let started = clock.instant();
                     let outcome = coordinator.negotiator().negotiate(*constraint, parts);
-                    longest_us.fetch_max(started.elapsed().as_micros() as u64, Ordering::Relaxed);
+                    let took = clock.instant() - started;
+                    longest_us.fetch_max(took.as_micros() as u64, Ordering::Relaxed);
                     match outcome {
                         Ok(outcome) => {
                             completed.fetch_add(1, Ordering::Relaxed);
@@ -234,37 +255,19 @@ pub fn run(cfg: &StressConfig) -> StressOutcome {
             }));
         }
 
-        // Partition churn: cut a random device pair, let traffic fail,
-        // heal, repeat until the workers drain.
-        if cfg.partition {
-            let mut prng = Rng::new(cfg.seed ^ 0xDEAD_BEEF);
-            let devices = &devices;
-            let stop = &stop;
-            let env = &env;
-            scope.spawn(move || {
-                let net = env.network();
-                while !stop.load(Ordering::Relaxed) {
-                    let a = prng.below(devices.len() as u64) as usize;
-                    let b = (a + 1 + prng.below(devices.len() as u64 - 1) as usize) % devices.len();
-                    net.set_partitioned(devices[a].addr(), devices[b].addr(), true);
-                    sync::sleep(Duration::from_millis(2 + prng.below(6)));
-                    net.heal_partitions();
-                    sync::sleep(Duration::from_millis(1 + prng.below(4)));
-                }
-                net.heal_partitions();
-            });
-        }
-
         for handle in handles {
             let _ = handle.join();
         }
-        stop.store(true, Ordering::Relaxed);
     });
+    if let Some((_churn, task)) = churn {
+        env.runtime().cancel_periodic(task);
+        env.network().heal_partitions();
+    }
 
     // Quiesce: let bounded mark-waits and in-flight aborts land, then end
     // every lease left so each surviving lock's story is closed in the
     // journal before the audit reads it.
-    sync::sleep(Duration::from_millis(300));
+    clock.run_for(Duration::from_millis(300));
     let lapsed: usize = devices.iter().map(DeviceRuntime::end_leases).sum();
 
     match cfg.inject {
@@ -300,6 +303,49 @@ pub fn run(cfg: &StressConfig) -> StressOutcome {
         longest_session: Duration::from_micros(longest_us.into_inner()),
         panics: PANICS.load(Ordering::Relaxed) - panics_before,
         report,
+    }
+}
+
+/// How often the partition churn looks at its schedule.
+const CHURN_TICK: Duration = Duration::from_millis(1);
+
+/// The partition churn's state, flipped on the deployment's loop.
+struct Churn {
+    net: Network,
+    addrs: Vec<NodeAddr>,
+    /// The churn's RNG, the ticks until its next flip, and whether a pair
+    /// is cut.
+    state: Mutex<(Rng, u64, bool)>,
+}
+
+impl Churn {
+    /// One tick: when the current phase is over, cut a random pair for
+    /// 2–7 ticks, or heal every pair for 1–4. The network is changed
+    /// outside the churn's lock, which ranks below it.
+    fn tick(&self) {
+        let cut = {
+            let mut state = self.state.lock();
+            let (prng, left, cut) = &mut *state;
+            if *left > 0 {
+                *left -= 1;
+                return;
+            }
+            *cut = !*cut;
+            if *cut {
+                let n = self.addrs.len() as u64;
+                let a = prng.below(n) as usize;
+                let b = (a + 1 + prng.below(n - 1) as usize) % self.addrs.len();
+                *left = 1 + prng.below(6);
+                Some((self.addrs[a], self.addrs[b]))
+            } else {
+                *left = prng.below(4);
+                None
+            }
+        };
+        match cut {
+            Some((a, b)) => self.net.set_partitioned(a, b, true),
+            None => self.net.heal_partitions(),
+        }
     }
 }
 

@@ -4,8 +4,10 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 
+mod support;
+
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use syd::calendar::{CalendarApp, MeetingSpec, MeetingStatus};
 use syd::kernel::{Method, Methods, SydEnv, Verb};
@@ -20,28 +22,31 @@ fn audit_clean(apps: &[Arc<CalendarApp>]) {
 }
 
 fn quiesce(apps: &[Arc<CalendarApp>]) {
-    // Wait for background repair rounds (spawned threads) to settle.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let held: usize = apps
-            .iter()
+    // Wait for background repair rounds to settle: no lock held, and
+    // still none a moment later, once stragglers had their chance.
+    let clock = &**apps[0].device().clock();
+    let held = || -> usize {
+        (apps.iter())
             .map(|a| a.device().store().locks().held_count())
-            .sum();
-        if held == 0 {
-            // One settle pass: no locks now; give stragglers a moment and
-            // re-check once.
-            std::thread::sleep(Duration::from_millis(100));
-            let held: usize = apps
-                .iter()
-                .map(|a| a.device().store().locks().held_count())
-                .sum();
-            if held == 0 {
-                return;
-            }
+            .sum()
+    };
+    let mut clear_since = None;
+    let settled = || match (held(), clear_since) {
+        (0, Some(since)) => clock.instant() - since >= Duration::from_millis(100),
+        (0, None) => {
+            clear_since = Some(clock.instant());
+            false
         }
-        assert!(Instant::now() < deadline, "locks never drained");
-        std::thread::sleep(Duration::from_millis(20));
-    }
+        _ => {
+            clear_since = None;
+            false
+        }
+    };
+    let (within, every) = (Duration::from_secs(10), Duration::from_millis(20));
+    assert!(
+        support::eventually(clock, within, every, settled),
+        "locks never drained"
+    );
 }
 
 #[test]

@@ -5,24 +5,28 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 
+mod support;
+
 use std::sync::atomic::AtomicU32;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use support::eventually;
 use syd::bidding::{Host, Player};
 use syd::calendar::{CalendarApp, MeetingSpec, MeetingStatus};
 use syd::fleet::{deploy_fleet, Position};
 use syd::kernel::directory::{CREATE_GROUP, GROUP_ADD, GROUP_MEMBERS, GROUP_REMOVE};
 use syd::kernel::{Method, Methods, SydEnv, Verb};
-use syd::net::{LatencyModel, NetConfig};
-use syd::types::{Priority, SydError, TimeSlot, UserId, Value};
+use syd::net::{LatencyModel, NetConfig, Network};
+use syd::types::time::wall;
+use syd::types::{Priority, SimClock, SydError, TimeSlot, UserId, Value};
 
-fn wait_for(mut cond: impl FnMut() -> bool, what: &str) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !cond() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(10));
-    }
+fn wait_for(cond: impl FnMut() -> bool, what: &str) {
+    let (within, every) = (Duration::from_secs(10), Duration::from_millis(10));
+    assert!(
+        eventually(&**wall(), within, every, cond),
+        "timed out waiting for {what}"
+    );
 }
 
 /// Post-run protocol invariant audit: waits briefly for in-flight lock
@@ -30,10 +34,9 @@ fn wait_for(mut cond: impl FnMut() -> bool, what: &str) {
 /// traffic is over, so any surviving lock is stale by definition), then
 /// replays every journal.
 fn audit_clean(devices: &[&syd::kernel::DeviceRuntime]) {
-    let deadline = Instant::now() + Duration::from_secs(2);
-    while devices.iter().any(|d| d.store().locks().held_count() > 0) && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    let (within, every) = (Duration::from_secs(2), Duration::from_millis(10));
+    let unlocked = || devices.iter().all(|d| d.store().locks().held_count() == 0);
+    eventually(&**devices[0].clock(), within, every, unlocked);
     for d in devices {
         d.end_leases();
     }
@@ -132,13 +135,16 @@ fn calendar_on_lossy_wireless_lan() {
         .unwrap();
     // Individual messages may have been lost, leaving the meeting
     // tentative; repair rounds must converge to confirmed.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let mut status = outcome.status;
-    while status != MeetingStatus::Confirmed {
-        assert!(Instant::now() < deadline, "never converged: {status:?}");
-        std::thread::sleep(Duration::from_millis(50));
-        status = a.reconcile(outcome.meeting).unwrap();
-    }
+    let (within, every) = (Duration::from_secs(10), Duration::from_millis(50));
+    let (mut status, mut looked) = (outcome.status, false);
+    let converged = eventually(&**a.device().clock(), within, every, || {
+        if looked {
+            status = a.reconcile(outcome.meeting).unwrap();
+        }
+        looked = true;
+        status == MeetingStatus::Confirmed
+    });
+    assert!(converged, "never converged: {status:?}");
     for app in [&a, &b, &c] {
         assert_eq!(
             app.slot_state(slot.ordinal()).unwrap().meeting(),
@@ -152,10 +158,12 @@ fn calendar_on_lossy_wireless_lan() {
 
 /// A network partition during negotiation aborts cleanly: no dangling
 /// locks, no half-committed reservations on the reachable side once the
-/// coordinator aborts.
+/// coordinator aborts. In virtual time: the calls to C wait out their
+/// deadlines on the deployment's clock, not the wall's.
 #[test]
 fn partition_during_negotiation_aborts_cleanly() {
-    let env = SydEnv::new_insecure(NetConfig::ideal());
+    let clock = Arc::new(SimClock::new());
+    let env = SydEnv::on_network(Network::with_clock(NetConfig::ideal(), clock), None);
     let a = CalendarApp::install(&env.device("a", "").unwrap()).unwrap();
     let b = CalendarApp::install(&env.device("b", "").unwrap()).unwrap();
     let c = CalendarApp::install(&env.device("c", "").unwrap()).unwrap();

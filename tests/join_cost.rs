@@ -6,10 +6,11 @@
 //! way `dir.batch_lookups` pins the lookup budget, so a publish that
 //! creeps back fails here before it shows in `setup_s`.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // test code
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 
 #[path = "support/baseline.rs"]
 mod baseline;
+mod support;
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -37,12 +38,13 @@ fn dir_requests(env: &SydEnv) -> u64 {
 /// Waits until the directory has acknowledged every service `device`
 /// serves: its publishes complete in the background.
 fn wait_published(device: &DeviceRuntime) {
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while !device.unpublished().is_empty() {
-        let name = device.name();
-        assert!(Instant::now() < deadline, "{name}: still unpublished");
-        syd::types::sync::sleep(Duration::from_millis(1));
-    }
+    let (within, every) = (Duration::from_secs(5), Duration::from_millis(1));
+    let published = || device.unpublished().is_empty();
+    let name = device.name();
+    assert!(
+        support::eventually(&**device.clock(), within, every, published),
+        "{name}: still unpublished"
+    );
 }
 
 /// Joins a device, checks that the join was the one `register`, and

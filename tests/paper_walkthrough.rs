@@ -3,23 +3,27 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 
+mod support;
+
 use std::sync::atomic::AtomicU32;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use support::eventually;
 use syd::calendar::{CalendarApp, MeetingSpec, MeetingStatus};
 use syd::kernel::links::{Constraint, LinkKind};
 use syd::kernel::{Method, Methods, SydEnv, Verb};
 use syd::net::NetConfig;
 use syd::store::Predicate;
+use syd::types::time::wall;
 use syd::types::{TimeSlot, Value};
 
-fn wait_for(mut cond: impl FnMut() -> bool, what: &str) {
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while !cond() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(10));
-    }
+fn wait_for(cond: impl FnMut() -> bool, what: &str) {
+    let (within, every) = (Duration::from_secs(5), Duration::from_millis(10));
+    assert!(
+        eventually(&**wall(), within, every, cond),
+        "timed out waiting for {what}"
+    );
 }
 
 /// Replays each device's journal against the §4.3/§4.2 state machines and

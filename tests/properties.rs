@@ -2,8 +2,12 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 
-use std::sync::Arc;
+mod support;
 
+use std::sync::Arc;
+use std::time::Duration;
+
+use support::eventually;
 use syd::calendar::{CalendarApp, GroupSpec, Meeting, MeetingSpec, MeetingStatus};
 use syd::kernel::links::Constraint;
 use syd::kernel::negotiate::Participant;
@@ -101,21 +105,14 @@ fn check_no_double_booking(ops: &[(usize, u64, usize)]) {
     // is eventually released (background repair rounds may still be
     // negotiating when we first look — that is activity, not leakage),
     // and every *confirmed* meeting's holders agree.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    loop {
-        let held: usize = apps
-            .iter()
+    let held = || -> usize {
+        (apps.iter())
             .map(|a| a.device().store().locks().held_count())
-            .sum();
-        if held == 0 {
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "locks never drained: {held} still held"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    }
+            .sum()
+    };
+    let (within, every) = (Duration::from_secs(5), Duration::from_millis(20));
+    let drained = eventually(&**env.clock(), within, every, || held() == 0);
+    assert!(drained, "locks never drained: {} still held", held());
     for app in &apps {
         for ordinal in 0..6u64 {
             if let Some(m) = app.slot_state(ordinal).unwrap().meeting() {

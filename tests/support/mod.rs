@@ -22,12 +22,13 @@ pub mod timing;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use syd_calendar::CalendarApp;
 use syd_core::{DeviceRuntime, SydEnv};
 use syd_net::NetConfig;
-use syd_types::{TimeSlot, UserId};
+use syd_telemetry::names;
+use syd_types::{Clock, TimeSlot, UserId};
 
 /// A fresh insecure deployment on an ideal network.
 pub fn env_ideal() -> SydEnv {
@@ -56,23 +57,76 @@ pub fn calendar_rig(env: &SydEnv, n: usize) -> Vec<Arc<CalendarApp>> {
     apps
 }
 
+/// Polls `cond` every `every` of `clock` until it holds (true) or
+/// `within` of that clock has passed (false): the rigs' one wait. On a
+/// [`syd_types::SimClock`] it is virtual — the deployment's loop moves
+/// time through it, so it costs no wall time.
+pub fn eventually(
+    clock: &dyn Clock,
+    within: Duration,
+    every: Duration,
+    mut cond: impl FnMut() -> bool,
+) -> bool {
+    let deadline = clock.instant() + within;
+    loop {
+        if cond() {
+            return true;
+        }
+        if clock.instant() >= deadline {
+            return false;
+        }
+        syd_types::sync::sleep(clock, every);
+    }
+}
+
 /// Waits, for 10 s at most, until the directory has acknowledged every
 /// publish of `devices`. An application's install publishes in a pool
 /// job off the caller's path, so a traffic count taken right after it
 /// may or may not include that wave.
 pub fn await_publishes<'a>(devices: impl IntoIterator<Item = &'a DeviceRuntime>) {
-    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut devices = devices.into_iter().peekable();
+    let Some(clock) = devices.peek().map(|device| Arc::clone(device.clock())) else {
+        return;
+    };
+    let deadline = clock.instant() + Duration::from_secs(10);
     for device in devices {
-        while !device.unpublished().is_empty() {
-            assert!(
-                Instant::now() < deadline,
-                "{}'s publishes were not acknowledged",
-                device.user()
-            );
-            syd_types::sync::sleep(Duration::from_millis(1));
-        }
+        let within = deadline.saturating_duration_since(clock.instant());
+        let published = || device.unpublished().is_empty();
+        assert!(
+            eventually(&*clock, within, Duration::from_millis(1), published),
+            "{}'s publishes were not acknowledged",
+            device.user()
+        );
     }
 }
+
+/// Waits until `env` has gone quiet: no frame sent for [`QUIET`] of its
+/// clock, no pool job queued or running and no lock held at `devices` —
+/// for 10 s at most.
+pub fn settle<'a>(env: &SydEnv, devices: impl IntoIterator<Item = &'a DeviceRuntime> + Clone) {
+    let frames = env
+        .transport()
+        .metrics()
+        .counter(names::TRANSPORT_FRAMES_OUT);
+    let (clock, pool) = (&**env.clock(), env.runtime().pool().clone());
+    let mut last = (frames.get(), clock.instant());
+    let quiet = || {
+        if frames.get() != last.0 {
+            last = (frames.get(), clock.instant());
+            return false;
+        }
+        let locked = (devices.clone().into_iter()).any(|d| d.store().locks().held_count() > 0);
+        clock.instant() - last.1 >= QUIET && !locked && pool.is_quiet()
+    };
+    let within = Duration::from_secs(10);
+    assert!(
+        eventually(clock, within, QUIET, quiet),
+        "the deployment never went quiet"
+    );
+}
+
+/// How long a deployment sends no frame before [`settle`] calls it quiet.
+pub const QUIET: Duration = Duration::from_millis(25);
 
 /// User ids of a rig.
 pub fn users_of(apps: &[Arc<CalendarApp>]) -> Vec<UserId> {

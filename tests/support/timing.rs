@@ -7,6 +7,9 @@
 //! for comparing layers on one machine in one sitting; the gated,
 //! repeatable figures come from `benchmark/` (BENCHMARK.json).
 
+// A bench timer: wall time is what it measures.
+#![allow(clippy::disallowed_methods)]
+
 use std::fmt::Display;
 use std::hint::black_box;
 use std::time::{Duration, Instant};

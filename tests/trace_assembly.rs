@@ -7,7 +7,7 @@
 //! RPC client/server spans → transport queueing spans, drained from
 //! every ring in the process and assembled by trace id.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // test code
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 
 mod support;
 

@@ -4,8 +4,10 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 
+mod support;
+
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use syd::calendar::{CalendarApp, MeetingSpec, MeetingStatus, SlotState};
 use syd::kernel::SydEnv;
@@ -17,10 +19,9 @@ use syd_telemetry::names;
 
 /// Post-run invariant audit (same protocol as tests/full_stack.rs).
 fn audit_clean(devices: &[&syd::kernel::DeviceRuntime]) {
-    let deadline = Instant::now() + Duration::from_secs(2);
-    while devices.iter().any(|d| d.store().locks().held_count() > 0) && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    let (within, every) = (Duration::from_secs(2), Duration::from_millis(10));
+    let unlocked = || devices.iter().all(|d| d.store().locks().held_count() == 0);
+    support::eventually(&**devices[0].clock(), within, every, unlocked);
     for d in devices {
         d.end_leases();
     }
