@@ -16,11 +16,11 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
-use syd_core::links::LinkSpec;
+use syd_core::links::{Link, LinkSpec};
 use syd_core::{
     DeviceRuntime, EntityHandler, InvokeCtx, Method, Methods, SubscriptionHandler, Verb,
 };
-use syd_store::{Column, ColumnType, Predicate, Schema, Store};
+use syd_store::{Column, ColumnType, Predicate, Row, Schema, Store};
 use syd_telemetry::names;
 use syd_telemetry::{Counter, Histogram};
 use syd_types::sync::{Condvar, Mutex, Rank};
@@ -29,7 +29,7 @@ use syd_types::{
     MeetingId, Priority, ServiceName, SlotBitmap, SlotRange, SydError, SydResult, Text, TimeSlot,
     UserId, Value,
 };
-use syd_wire::{AsValue, Record};
+use syd_wire::{AsValue, Encoded, Record};
 
 use self::busy::BusyWords;
 use crate::delegation::AUTHORITY_CHECK;
@@ -367,43 +367,45 @@ impl CalendarApp {
 
     /// The locally stored record of a meeting.
     pub fn meeting(&self, id: MeetingId) -> SydResult<Option<Meeting>> {
-        match self
-            .store
-            .get_by_key(T_MEETINGS, &[Value::from(id.raw())])?
-        {
-            None => Ok(None),
-            Some(row) => Ok(Some(Meeting::from_value(&row.values[1])?)),
-        }
+        let row = self.meeting_row(id)?;
+        row.map(|row| Meeting::from_value(&row.values[1]))
+            .transpose()
+    }
+
+    /// The row of the locally stored record of a meeting, whose record
+    /// [`stored`] reads in place.
+    fn meeting_row(&self, id: MeetingId) -> SydResult<Option<Row>> {
+        (self.store).get_by_key(T_MEETINGS, &[Value::from(id.raw())])
     }
 
     /// The status of the locally stored record of a meeting, read without
     /// decoding the record.
     pub(crate) fn meeting_status(&self, id: MeetingId) -> SydResult<Option<MeetingStatus>> {
-        let row = self
-            .store
-            .get_by_key(T_MEETINGS, &[Value::from(id.raw())])?;
-        row.map(|row| Meeting::status_of(row.values[1].as_bytes()?))
-            .transpose()
+        let row = self.meeting_row(id)?;
+        let status = |row: &Row| Ok(stored(row)?.status);
+        row.as_ref().map(status).transpose()
     }
 
-    /// Upserts a meeting record. Two service calls of one batch may write
-    /// the same new record at once (`update_meeting` and
-    /// `queue_availability` of a corrective round), so losing the insert
-    /// to the other writer falls back to the update instead of failing
-    /// the call.
-    pub(crate) fn put_meeting(&self, meeting: &Meeting) -> SydResult<()> {
-        let key = Value::from(meeting.id.raw());
+    /// Upserts a meeting record, the one write of a `meetings` row: the
+    /// encoding becomes the row's cell as it is, so a member stores the
+    /// bytes it was sent. Two service calls of one batch may write the
+    /// same new record at once (`update_meeting` and `queue_availability`
+    /// of a corrective round), so losing the insert to the other writer
+    /// falls back to the update instead of failing the call.
+    pub(crate) fn put_meeting(&self, record: Record<Meeting>) -> SydResult<()> {
+        let key = Value::from(Encoded::<Meeting>::of(record.value())?.id.raw());
         let by_id = Predicate::Eq("id".into(), key.clone());
-        let data = [("data".into(), meeting.to_value())];
-        if self.store.update(T_MEETINGS, &by_id, &data)? > 0 {
+        let mut data = [("data".into(), record.into_value())];
+        if self.store.update(T_MEETINGS, &by_id, &mut data)? > 0 {
             return Ok(());
         }
-        // No such row yet: the record built above moves into the insert,
-        // and only a lost race serialises it a second time.
+        // No row matched, so the record is still here: it moves into the
+        // insert's row, which a lost race leaves us to copy it out of.
         let [(column, record)] = data;
-        if let Err(err) = self.store.insert(T_MEETINGS, [key, record]) {
-            let data = [(column, meeting.to_value())];
-            if self.store.update(T_MEETINGS, &by_id, &data)? == 0 {
+        let row: Arc<[Value]> = Arc::new([key, record]);
+        if let Err(err) = self.store.insert(T_MEETINGS, Arc::clone(&row)) {
+            let mut data = [(column, row[1].clone())];
+            if self.store.update(T_MEETINGS, &by_id, &mut data)? == 0 {
                 return Err(err);
             }
         }
@@ -522,8 +524,11 @@ impl EntityHandler for SlotEntityHandler {
                 let meeting = MeetingId::view(change.get("meeting")?)?;
                 let priority = Priority::view(change.get("priority")?)?;
                 // The record as it stands once this round's commits are
-                // through; everything below follows from it.
-                let rec = Meeting::from_value(change.get("record")?)?;
+                // through, and the back link: both read where they
+                // arrived, and checked before anything is written.
+                let rec = Encoded::<Meeting>::of(change.get("record")?)?;
+                let link = change.get("link").ok().map(Encoded::<Link>::of);
+                let link = link.transpose()?;
                 // A different current occupant means we are bumping it.
                 let bumped = match app.slot_state(ordinal)? {
                     SlotState::Tentative(m) | SlotState::Reserved(m) if m != meeting => Some(m),
@@ -537,16 +542,16 @@ impl EntityHandler for SlotEntityHandler {
                     MeetingStatus::Tentative
                 };
                 app.set_slot(ordinal, Some((meeting, status)), priority)?;
-                app.put_meeting(&rec)?;
+                app.put_meeting(rec.to_record())?;
                 // The back link, written before the entity lock goes: a
                 // later meeting on this slot anchors its waiting link on
                 // it (§4.2 op. 3), and that meeting's mark cannot get in
                 // before this commit returns. A repair round re-commits
                 // holders; the link they have stays (waiters hang on it).
-                if let Ok(link) = change.get("link") {
+                if let Some(link) = link {
                     let links = app.device.links();
-                    if links.find(&rec.corr, entity)?.is_none() {
-                        links.install_remote(link)?;
+                    if links.find(rec.corr, entity)?.is_none() {
+                        links.install_remote(&link)?;
                     }
                 }
                 // Reserved now: the availability link queued while this
@@ -591,9 +596,9 @@ impl CalendarApp {
     /// priority meeting can be bumped … and is then automatically
     /// rescheduled").
     fn handle_local_bump(&self, old: MeetingId, ordinal: u64) -> SydResult<()> {
-        if let Some(mut rec) = self.meeting(old)? {
-            rec.status = MeetingStatus::Bumped;
-            self.put_meeting(&rec)?;
+        if let Some(row) = self.meeting_row(old)? {
+            let rec = stored(&row)?;
+            self.put_meeting(rec.with_status(MeetingStatus::Bumped, false)?)?;
             let initiator = rec.initiator;
             self.in_background(move |app| {
                 let engine = app.device.engine();
@@ -659,7 +664,7 @@ static CALENDAR_METHODS: &Methods<CalendarApp> = &[
         {
             app.set_slot(rec.ordinal, Some((rec.id, rec.status)), rec.priority)?;
         }
-        app.put_meeting(&rec)
+        app.put_meeting(rec.to_record())
     }),
     &Method::verb(
         RELEASE_SLOT,
@@ -817,6 +822,11 @@ fn slot_of(store: &Store, ordinal: u64) -> SydResult<(SlotState, Priority)> {
     Ok((state, Priority::view(&row.values[3])?))
 }
 
+/// The record a `meetings` row stores, read in place.
+fn stored(row: &Row) -> SydResult<Encoded<'_, Meeting>> {
+    Encoded::of(&row.values[1])
+}
+
 /// The correlation id of `user`'s availability link for `meeting`.
 fn avail_corr(meeting: MeetingId, user: UserId) -> Text {
     Text::format(format_args!("avail:{}:{}", meeting.raw(), user.raw()))
@@ -846,20 +856,17 @@ impl CalendarApp {
         retire: bool,
     ) -> SydResult<bool> {
         let cancelled = status == MeetingStatus::Cancelled;
-        let mut rec = self.meeting(meeting)?;
-        if let Some(rec) = &mut rec {
-            rec.status = status;
-            if cancelled {
-                rec.reserved.clear();
-            }
-            self.put_meeting(rec)?;
+        // The stored row is a snapshot: what is read of it below is the
+        // record as it stood, which the write changes only in the status
+        // and the reserved list.
+        let row = self.meeting_row(meeting)?;
+        let rec = row.as_ref().map(stored).transpose()?;
+        if let Some(rec) = &rec {
+            self.put_meeting(rec.with_status(status, cancelled)?)?;
         }
         let held = self.clear_slot(ordinal, Some(meeting))?;
         if held {
-            if let Some(rec) = rec
-                .as_ref()
-                .filter(|r| cancelled && r.initiator != self.user())
-            {
+            if let Some(rec) = (rec.as_ref()).filter(|r| cancelled && r.initiator != self.user()) {
                 self.mailbox.deliver_local(
                     rec.initiator,
                     Text::format(format_args!("cancelled: {}", rec.title)),
@@ -871,9 +878,7 @@ impl CalendarApp {
         // No record, no link: the commit that installs a back link writes
         // the record first.
         if let Some(rec) = rec.filter(|r| retire && r.initiator != self.user()) {
-            let roster = (rec.all_participants().into_iter()).map(UserId::raw);
-            let roster = roster.collect();
-            self.device.links().delete_by_corr(&rec.corr, roster)?;
+            self.device.links().delete_by_corr(rec.corr, rec.roster())?;
         }
         Ok(held)
     }
@@ -881,8 +886,12 @@ impl CalendarApp {
     /// Installs a tentative *availability link* at this (unavailable)
     /// participant: a subscription link back to the meeting's initiator,
     /// waiting (§4.2 op. 3) on the link of whatever occupies the slot.
-    pub(crate) fn queue_availability_local(&self, ordinal: u64, rec: &Meeting) -> SydResult<()> {
-        self.put_meeting(rec)?;
+    pub(crate) fn queue_availability_local(
+        &self,
+        ordinal: u64,
+        rec: &Encoded<'_, Meeting>,
+    ) -> SydResult<()> {
+        self.put_meeting(rec.to_record())?;
         let entity = slot_entity(ordinal);
         let avail_corr = avail_corr(rec.id, self.user());
         // Idempotent: one availability link per (meeting, this user).
@@ -902,8 +911,10 @@ impl CalendarApp {
         // engagement has no link, so the link stays permanent and
         // `free_personal` fires it directly.
         if let Some(occupier) = self.slot_state(ordinal)?.meeting() {
-            let corr = self.meeting(occupier)?.map(|r| r.corr);
-            let anchor = corr.and_then(|c| self.device.links().find(&c, &entity).ok().flatten());
+            let row = self.meeting_row(occupier)?;
+            let occupier = row.as_ref().map(stored).transpose()?;
+            let links = self.device.links();
+            let anchor = occupier.and_then(|o| links.find(o.corr, &entity).ok()?);
             if let Some(link) = anchor {
                 spec = spec.waiting_on(link, rec.id.raw());
             }

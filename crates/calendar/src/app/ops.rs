@@ -148,7 +148,7 @@ impl CalendarApp {
             groups: spec.groups,
             supervisors: spec.supervisors,
         };
-        self.put_meeting(&rec)?;
+        self.put_meeting(Record::new(&rec))?;
         self.add_forward_link(&rec)?;
         let rec = self.reconcile_round(id, false)?;
         Ok(ScheduleOutcome {
@@ -302,8 +302,8 @@ impl CalendarApp {
             (self.slot_holders(&rec), false)
         };
         rec = Self::held_by(&rec, &holders);
-        self.put_meeting(&rec)?;
         let missing = rec.missing();
+        let record = Record::new(&rec);
 
         // What is left for a round of its own: the correction — which
         // also puts right the record a rider took to a no-voter — and the
@@ -313,8 +313,8 @@ impl CalendarApp {
         // the next round.
         let mut batch: Vec<Call<'_>> = Vec::new();
         if !holders_told {
-            let record = (Record::new(&rec),);
-            batch.extend(Call::verb_each(&participants, UPDATE_MEETING, record));
+            let update = (record.clone(),);
+            batch.extend(Call::verb_each(&participants, UPDATE_MEETING, update));
         }
         let unqueued: Vec<UserId> = missing
             .iter()
@@ -322,9 +322,10 @@ impl CalendarApp {
             .filter(|u| !outcome.rode.contains(u))
             .collect();
         if !unqueued.is_empty() {
-            let args = (ordinal, Record::new(&rec));
+            let args = (ordinal, record.clone());
             batch.extend(Call::verb_each(&unqueued, QUEUE_AVAILABILITY, args));
         }
+        self.put_meeting(record)?;
         if !batch.is_empty() {
             let mut span = self.device.node().tracer().span(names::SPAN_HOUSEKEEPING);
             span.attr("calls", batch.len() as u64);
@@ -481,7 +482,7 @@ impl CalendarApp {
         self.metrics.cancels.inc();
         rec.status = MeetingStatus::Cancelled;
         rec.reserved.clear();
-        self.put_meeting(&rec)?;
+        self.put_meeting(Record::new(&rec))?;
         self.retire(&rec, rec.ordinal, rec.status)
     }
 
@@ -509,8 +510,7 @@ impl CalendarApp {
         let released = answers.outcomes[..participants.len()]
             .iter()
             .filter(|(_, answer)| answer.is_ok())
-            .map(|(user, _)| user.raw())
-            .collect();
+            .map(|&(user, _)| user);
         self.device.links().delete_by_corr(&rec.corr, released)?;
         Ok(())
     }
@@ -566,7 +566,7 @@ impl CalendarApp {
         self.retire(&rec, old_ordinal, rec.status)?;
 
         rec.ordinal = new_ordinal;
-        self.put_meeting(&rec)?;
+        self.put_meeting(Record::new(&rec))?;
         // Fresh forward link at the new slot, then a repair round to
         // rebuild back links, availability queues and the status.
         self.add_forward_link(&rec)?;
@@ -647,12 +647,13 @@ impl CalendarApp {
         } else {
             rec.reserved = hypothetical;
         }
-        self.put_meeting(&rec)?;
+        let record = Record::new(&rec);
+        self.put_meeting(record.clone())?;
         // Free the leaver's slot and broadcast the new roster.
         let engine = self.device.engine();
         let _ = engine.call(user, RELEASE_SLOT, (rec.ordinal, id, rec.status, false));
         let participants = rec.all_participants();
-        let _ = engine.call_group(&participants, UPDATE_MEETING, (Record::new(&rec),));
+        let _ = engine.call_group(&participants, UPDATE_MEETING, (record,));
         Ok(true)
     }
 
@@ -750,7 +751,7 @@ impl CalendarApp {
         let candidates = self.find_common_slots(&participants, range)?;
         let Some(new_slot) = candidates.first() else {
             rec.status = MeetingStatus::Bumped;
-            self.put_meeting(&rec)?;
+            self.put_meeting(Record::new(&rec))?;
             let _ = self.mailbox.send_group(
                 &others(&participants, self.user()),
                 &format!("bumped: {}", rec.title),
@@ -762,7 +763,7 @@ impl CalendarApp {
         rec.ordinal = new_slot.ordinal();
         rec.status = MeetingStatus::Tentative;
         rec.reserved.clear();
-        self.put_meeting(&rec)?;
+        self.put_meeting(Record::new(&rec))?;
         self.add_forward_link(&rec)?;
         let status = self.reconcile(id)?;
         let _ = self.mailbox.send_group(

@@ -1,7 +1,11 @@
 //! Calendar data model: slots, meetings, scheduling specs.
 
+use std::ops::Range;
+
 use syd_types::{Priority, SydError, SydResult, Text, TimeSlot, UserId, Value};
-use syd_wire::{decode_from_slice, encode_to_vec, AsValue, Decode, Encode, Reader, Sink};
+use syd_wire::{
+    decode_from_slice, encode_to_vec, AsValue, Decode, Encode, InPlace, Reader, Record, Sink,
+};
 
 pub use syd_types::MeetingId;
 
@@ -313,23 +317,6 @@ impl Meeting {
     pub fn from_value(v: &Value) -> SydResult<Meeting> {
         decode_from_slice(v.as_bytes()?)
     }
-
-    /// The status inside an encoded record, for a reader that wants
-    /// nothing else: the fields before it are stepped over, the ones after
-    /// it not looked at, and nothing is allocated.
-    pub fn status_of(encoded: &[u8]) -> SydResult<MeetingStatus> {
-        let r = &mut Reader::new(encoded);
-        let version = r.u8()?;
-        if version != MEETING_VERSION {
-            return Err(SydError::Codec(format!("meeting record version {version}")));
-        }
-        MeetingId::decode(r)?;
-        let title = r.len_prefix()?;
-        r.bytes(title)?;
-        UserId::decode(r)?;
-        u64::decode(r)?;
-        MeetingStatus::from_tag(r.u8()?.into())
-    }
 }
 
 /// Leading byte of an encoded [`Meeting`]; a decoder refuses any other.
@@ -374,6 +361,149 @@ impl Decode for Meeting {
                 groups.collect::<SydResult<_>>()?
             },
             supervisors: Decode::decode(r)?,
+        })
+    }
+}
+
+/// A meeting record read in place ([`syd_wire::Encoded`]): what a member
+/// reads of the record it was sent or stores, found in the bytes.
+pub struct MeetingFields<'a> {
+    /// Meeting id.
+    pub id: MeetingId,
+    /// Title.
+    pub title: &'a str,
+    /// The user who called the meeting.
+    pub initiator: UserId,
+    /// The slot (ordinal) the meeting occupies.
+    pub ordinal: u64,
+    /// Lifecycle status.
+    pub status: MeetingStatus,
+    /// Priority.
+    pub priority: Priority,
+    /// Link correlation id.
+    pub corr: &'a str,
+    bytes: &'a [u8],
+    /// Where the status byte and the `reserved` list sit in `bytes`.
+    status_at: usize,
+    reserved: Range<usize>,
+    /// `musts` and `groups`, from the former's count on, and the number
+    /// of musts.
+    members: &'a [u8],
+    musts: usize,
+}
+
+impl<'a> MeetingFields<'a> {
+    /// Every user that may participate, as [`Meeting::all_participants`]
+    /// lists them: the musts, then each group member not listed before.
+    pub fn roster(&self) -> impl Iterator<Item = UserId> + Clone + 'a {
+        let listed = members(self.members);
+        let musts = self.musts;
+        let roster = listed.clone().enumerate();
+        roster.filter_map(move |(i, user)| {
+            (i < musts || !listed.clone().take(i).any(|u| u == user)).then_some(user)
+        })
+    }
+
+    /// The record with `status` written in, and with its `reserved` list
+    /// emptied when `clear_reserved`; the rest of the bytes as they are.
+    pub fn with_status(
+        &self,
+        status: MeetingStatus,
+        clear_reserved: bool,
+    ) -> SydResult<Record<Meeting>> {
+        let after = self.status_at + 1;
+        let mut bytes = Vec::with_capacity(self.bytes.len());
+        bytes.extend_from_slice(&self.bytes[..self.status_at]);
+        bytes.push(status.tag());
+        if clear_reserved {
+            bytes.extend_from_slice(&self.bytes[after..self.reserved.start]);
+            bytes.push(0);
+            bytes.extend_from_slice(&self.bytes[self.reserved.end..]);
+        } else {
+            bytes.extend_from_slice(&self.bytes[after..]);
+        }
+        Record::from_value(Value::Bytes(bytes))
+    }
+}
+
+/// The users of an encoded `musts` list and of each group after it, in
+/// their order, duplicates included. The bytes were checked when read.
+fn members(bytes: &[u8]) -> impl Iterator<Item = UserId> + Clone + '_ {
+    let mut r = Reader::new(bytes);
+    // Users left in the list read, groups not yet read (none while the
+    // musts are), and whether a group's quorum follows its list.
+    let mut left = r.len_prefix().unwrap_or(0);
+    let (mut groups, mut quorum) = (None, false);
+    std::iter::from_fn(move || {
+        while left == 0 {
+            if quorum {
+                u32::decode(&mut r).ok()?;
+            }
+            let n = match groups {
+                None => r.len_prefix().ok()?,
+                Some(n) => n,
+            };
+            (groups, quorum) = (Some(n.saturating_sub(1)), n > 0);
+            if n == 0 {
+                return None;
+            }
+            left = r.len_prefix().ok()?;
+        }
+        left -= 1;
+        UserId::decode(&mut r).ok()
+    })
+}
+
+/// Steps over [`Meeting`]'s layout as its decoder reads it, refusing what
+/// it refuses, and keeps the fields a member reads.
+impl InPlace for Meeting {
+    type Fields<'a> = MeetingFields<'a>;
+
+    fn read(bytes: &[u8]) -> SydResult<MeetingFields<'_>> {
+        let r = &mut Reader::new(bytes);
+        let at = |r: &Reader<'_>| bytes.len() - r.remaining();
+        let version = r.u8()?;
+        if version != MEETING_VERSION {
+            return Err(SydError::Codec(format!("meeting record version {version}")));
+        }
+        let id = MeetingId::decode(r)?;
+        let title = r.str()?;
+        let initiator = UserId::decode(r)?;
+        let ordinal = u64::decode(r)?;
+        let status_at = at(r);
+        let status = MeetingStatus::from_tag(r.u8()?.into())?;
+        let priority = Priority::decode(r)?;
+        let corr = r.str()?;
+        let users = |r: &mut Reader<'_>| {
+            let n = r.len_prefix()?;
+            (0..n).try_for_each(|_| UserId::decode(r).map(drop))?;
+            Ok::<_, SydError>(n)
+        };
+        let reserved = at(r);
+        users(r)?;
+        let reserved = reserved..at(r);
+        let members = at(r);
+        let musts = users(r)?;
+        for _ in 0..r.len_prefix()? {
+            users(r)?;
+            u32::decode(r)?;
+        }
+        let members = &bytes[members..at(r)];
+        users(r)?;
+        r.end()?;
+        Ok(MeetingFields {
+            id,
+            title,
+            initiator,
+            ordinal,
+            status,
+            priority,
+            corr,
+            bytes,
+            status_at,
+            reserved,
+            members,
+            musts,
         })
     }
 }
@@ -506,33 +636,92 @@ mod tests {
             assert_eq!(bytes.len(), encoded_len(&m));
             assert_eq!(decode_from_slice::<Meeting>(&bytes).unwrap(), m);
             assert_eq!(Meeting::from_value(&m.to_value()).unwrap(), m);
-            assert_eq!(Meeting::status_of(&bytes).unwrap(), m.status);
         });
     }
 
+    /// A record read in place reads what the decoder reads, lists the
+    /// roster `all_participants` lists, and a status written into its
+    /// bytes is the record re-encoded with that status.
     #[test]
-    fn status_of_refuses_what_the_decoder_refuses() {
-        let good = encode_to_vec(&meeting());
-        let mut bytes = good.clone();
-        bytes[0] = MEETING_VERSION + 1;
-        assert!(matches!(
-            Meeting::status_of(&bytes),
-            Err(SydError::Codec(_))
-        ));
-        // Layout: version, id 7, "standup" behind its length, initiator 1,
-        // ordinal 33, status.
-        let at = 1 + 1 + 8 + 1 + 1;
-        assert_eq!(good[at], MeetingStatus::Tentative.tag());
-        for cut in 0..=at {
-            let err = Meeting::status_of(&good[..cut]).unwrap_err();
-            assert!(matches!(err, SydError::Codec(_)), "prefix {cut}: {err}");
-        }
-        bytes = good;
-        bytes[at] = 4;
-        assert!(matches!(
-            Meeting::status_of(&bytes),
-            Err(SydError::Codec(_))
-        ));
+    fn a_record_read_in_place_is_the_decoded_record() {
+        cases(256, |rng| {
+            let mut m = generated(rng);
+            if rng.below(2) == 0 {
+                // Group members that are musts, or in two groups.
+                let g = GroupSpec::new(m.musts.iter().chain(&m.reserved).copied().collect(), 1);
+                m.groups.push(g);
+            }
+            let bytes = encode_to_vec(&m);
+            let f = Meeting::read(&bytes).unwrap();
+            let head = (
+                f.id,
+                f.title,
+                f.initiator,
+                f.ordinal,
+                f.status,
+                f.priority,
+                f.corr,
+            );
+            let want = (m.id, m.title.as_str(), m.initiator, m.ordinal, m.status);
+            assert_eq!(
+                head,
+                (
+                    want.0,
+                    want.1,
+                    want.2,
+                    want.3,
+                    want.4,
+                    m.priority,
+                    &m.corr[..]
+                )
+            );
+            assert_eq!(f.roster().collect::<Vec<_>>(), m.all_participants());
+            for (status, clear) in [
+                (MeetingStatus::Cancelled, true),
+                (MeetingStatus::Bumped, false),
+            ] {
+                let mut expected = m.clone();
+                expected.status = status;
+                if clear {
+                    expected.reserved.clear();
+                }
+                let rewritten = f.with_status(status, clear).unwrap();
+                assert_eq!(rewritten.value(), Record::new(&expected).value());
+            }
+        });
+    }
+
+    /// The in-place read refuses every malformed record the decoder
+    /// refuses, with the same error: every strict prefix, a byte
+    /// appended, an unknown version, an unknown status tag.
+    #[test]
+    fn the_in_place_read_refuses_what_the_decoder_refuses() {
+        let same = |bytes: &[u8]| {
+            let read = Meeting::read(bytes).err().map(|e| e.to_string());
+            let decoded = decode_from_slice::<Meeting>(bytes)
+                .err()
+                .map(|e| e.to_string());
+            assert_eq!(read, decoded, "{bytes:?}");
+            assert!(read.is_some());
+        };
+        cases(32, |rng| {
+            let good = encode_to_vec(&generated(rng));
+            (0..good.len()).for_each(|cut| same(&good[..cut]));
+            let mut bytes = good.clone();
+            bytes.push(rng.next_u64() as u8);
+            same(&bytes);
+            bytes = good.clone();
+            bytes[0] = MEETING_VERSION + 1;
+            same(&bytes);
+            let mut record = decode_from_slice::<Meeting>(&good).unwrap();
+            record.title = "t".into(); // status after 1 + id + 2 + initiator + ordinal
+            let mut bytes = encode_to_vec(&record);
+            let at = 1 + encoded_len(&record.id) + 2;
+            let at = at + encoded_len(&record.initiator) + encoded_len(&record.ordinal);
+            assert_eq!(bytes[at], record.status.tag());
+            bytes[at] = 4;
+            same(&bytes);
+        });
     }
 
     #[test]

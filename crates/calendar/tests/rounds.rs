@@ -189,6 +189,7 @@ fn a_free_schedule_is_mark_and_commit_and_a_cancel_is_one_round() {
 #[test]
 fn a_supervisor_gets_a_commit_body_of_its_own() {
     use syd_core::links::{Constraint, Link, LinkKind};
+    use syd_wire::Encoded;
     use syd_wire::{decode_from_slice, encode_to_vec, Envelope, Payload};
     let (_env, apps) = rig(4);
     let taps: Vec<_> = apps[1..]
@@ -224,7 +225,7 @@ fn a_supervisor_gets_a_commit_body_of_its_own() {
     for (member, args) in &bodies {
         let change = &args[2];
         assert_eq!(change.get("record").unwrap(), &record, "one record for all");
-        let link = Link::from_value(change.get("link").unwrap()).unwrap();
+        let link = Encoded::<Link>::of(change.get("link").unwrap()).unwrap();
         let want = match *member == supervisor {
             true => LinkKind::Subscription,
             false => LinkKind::Negotiation(Constraint::And),
@@ -589,8 +590,8 @@ fn only_a_participant_whose_release_failed_is_sent_the_cascade() {
     static RECORDING: &Methods<Recorder> = &[&Method::verb(
         DELETE_BY_CORR,
         |r: &Recorder, _, (corr, visited)| {
-            let visited: Vec<u64> = visited.iter().map(|u| u.raw()).collect();
-            r.served.lock().push((r.device.user(), visited.clone()));
+            let raw: Vec<u64> = visited.iter().map(|u| u.raw()).collect();
+            r.served.lock().push((r.device.user(), raw));
             let report = r.device.links().delete_by_corr(&corr, visited)?;
             Ok(report.deleted.len() as u64)
         },

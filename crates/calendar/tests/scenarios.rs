@@ -834,3 +834,116 @@ fn a_change_with_a_priority_out_of_range_is_refused() {
     }
     assert_eq!(apps[1].device().store().locks().held_count(), 0);
 }
+
+/// What a member keeps of one meeting: its `slots`, `meetings` and link
+/// rows, ids included.
+fn member_rows(app: &CalendarApp) -> Vec<Vec<syd_store::Row>> {
+    let store = app.device().store();
+    let tables = ["slots", "meetings", "SyD_Link", "SyD_WaitingLink"];
+    let all = syd_store::Predicate::True;
+    tables.map(|t| store.select(t, &all).unwrap()).to_vec()
+}
+
+/// A member stores the record it is sent as it arrived, so what the
+/// record is checked against on arrival is everything: a commit, an
+/// `update_meeting` and a `queue_availability` whose record is cut short,
+/// of another version or followed by a byte are refused with a codec
+/// error before anything is written, and the member's slot, record and
+/// link rows stay as they were.
+#[test]
+fn a_malformed_record_is_refused_and_changes_nothing() {
+    use syd_calendar::app::calendar_service;
+    use syd_core::negotiate::link_service;
+    use syd_types::SydError;
+    use syd_wire::Record;
+    let (_env, apps) = rig(2);
+    let held = TimeSlot::new(3, 11);
+    let outcome = apps[0]
+        .schedule(MeetingSpec::plain("held", held, vec![apps[1].user()]))
+        .unwrap();
+    assert_eq!(outcome.status, MeetingStatus::Confirmed);
+    let before = member_rows(&apps[1]);
+    assert_eq!(before[2].len(), 1, "the member's back link");
+
+    // A record of another meeting on a free slot: accepted whole, it
+    // would take the slot and write a row.
+    let free = TimeSlot::new(3, 12);
+    let mut rogue = apps[1].meeting(outcome.meeting).unwrap().unwrap();
+    rogue.id = MeetingId::new(outcome.meeting.raw() + 1);
+    rogue.ordinal = free.ordinal();
+    let good = Record::new(&rogue).value().as_bytes().unwrap().to_vec();
+    let cut = good[..good.len() - 1].to_vec();
+    let mut version = good.clone();
+    version[0] += 1;
+    let mut trailing = good.clone();
+    trailing.push(0);
+
+    let (node, addr) = (apps[0].device().node(), apps[1].device().addr());
+    let ask = |method: &str, args: Vec<Value>| {
+        let calendar = calendar_service();
+        (apps[0].device().engine()).invoke(apps[1].user(), &calendar, method, args)
+    };
+    for (n, (what, bad)) in [("cut", cut), ("version", version), ("trailing", trailing)]
+        .into_iter()
+        .enumerate()
+    {
+        let bad = Value::Bytes(bad);
+        let err = ask("update_meeting", vec![bad.clone()]).unwrap_err();
+        assert!(matches!(err, SydError::Codec(_)), "{what}: {err}");
+        let args = vec![Value::from(free.ordinal()), bad.clone()];
+        let err = ask("queue_availability", args).unwrap_err();
+        assert!(matches!(err, SydError::Codec(_)), "{what}: {err}");
+
+        // A rogue coordinator: the mark is fine, the commit's record not.
+        let change = |record: Option<Value>| {
+            let mut fields = vec![
+                ("action", Value::str("reserve")),
+                ("meeting", Value::from(rogue.id.raw())),
+                ("priority", Value::from(1u64)),
+            ];
+            fields.extend(record.map(|r| ("record", r)));
+            Value::map(fields)
+        };
+        let step = |verb: &str, change: Value| {
+            let session = Value::from((99u64 << 24) | n as u64);
+            let entity = Value::str(syd_calendar::slot_entity(free.ordinal()));
+            node.call(addr, &link_service(), verb, vec![session, entity, change])
+        };
+        assert_eq!(step("mark", change(None)), Ok(Value::Bool(true)), "{what}");
+        let err = step("commit", change(Some(bad))).unwrap_err();
+        assert!(matches!(err, SydError::Codec(_)), "{what}: {err}");
+        assert_eq!(member_rows(&apps[1]), before, "{what}");
+    }
+    assert_eq!(apps[1].device().store().locks().held_count(), 0);
+}
+
+/// A member's stored record is the bytes its initiator encoded: after the
+/// commit, and after the release that writes `Cancelled` and the emptied
+/// roster into them in place.
+#[test]
+fn a_member_stores_the_record_as_its_initiator_encoded_it() {
+    use syd_wire::Record;
+    let (_env, apps) = rig(4);
+    let musts = vec![apps[1].user(), apps[2].user()];
+    let spec = MeetingSpec::plain("stored", TimeSlot::new(2, 15), musts)
+        .with_group(GroupSpec::new(vec![apps[2].user(), apps[3].user()], 1));
+    let outcome = apps[0].schedule(spec).unwrap();
+    assert_eq!(outcome.status, MeetingStatus::Confirmed);
+    let stored = |app: &CalendarApp| {
+        let key = [Value::from(outcome.meeting.raw())];
+        let row = app.device().store().get_by_key("meetings", &key).unwrap();
+        row.unwrap().values[1].clone()
+    };
+    let expected = apps[0].meeting(outcome.meeting).unwrap().unwrap();
+    for app in &apps[1..] {
+        assert_eq!(&stored(app), Record::new(&expected).value());
+    }
+    apps[0].cancel(outcome.meeting).unwrap();
+    let mut cancelled = expected;
+    cancelled.status = MeetingStatus::Cancelled;
+    cancelled.reserved.clear();
+    for app in &apps {
+        assert_eq!(&stored(app), Record::new(&cancelled).value());
+        assert_eq!(app.device().links().count().unwrap(), 0);
+    }
+}

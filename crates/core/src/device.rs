@@ -464,7 +464,7 @@ static LINK_METHODS: &Methods<DeviceInner> = &[
         },
     ),
     &Method::verb(INSTALL_LINK, |inner: &DeviceInner, _, (link,)| {
-        inner.links.install(link)
+        inner.links.install_remote(&link)
     }),
     &Method::verb(DELETE_BY_CORR, delete_by_corr),
     &Method::verb(NOTIFY, notify),
@@ -586,8 +586,7 @@ fn delete_by_corr(
     _ctx: &InvokeCtx,
     (corr, visited): (Text, Vec<UserId>),
 ) -> SydResult<u64> {
-    let visited = visited.iter().map(|u| u.raw()).collect();
-    let report = inner.links.delete_by_corr(&corr, visited)?;
+    let report = inner.links.delete_by_corr(&corr, visited.iter().copied())?;
     Ok(report.deleted.len() as u64)
 }
 

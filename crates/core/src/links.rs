@@ -46,7 +46,9 @@ pub use syd_types::Constraint;
 use syd_types::{
     Clock, LinkId, Priority, ServiceName, SydError, SydResult, Text, Timestamp, UserId, Value,
 };
-use syd_wire::{decode_from_slice, encode_to_vec, Args, Decode, Encode, Reader, Record, Sink};
+use syd_wire::{
+    decode_from_slice, encode_to_vec, Args, Decode, Encode, Encoded, InPlace, Reader, Record, Sink,
+};
 
 use crate::engine::{Call, SydEngine};
 use crate::events::EventHandler;
@@ -57,7 +59,7 @@ pub mod lifecycle;
 /// §4.2 op. 2's offer: whether the peer's acceptor takes a link on its
 /// `entity` with `action`, offered by a user.
 pub const OFFER_LINK: Verb<(Text, Text, UserId), bool> = Verb::new(LINK, "offer_link");
-/// Installs a peer-built link ([`LinksModule::install`]); answers its id.
+/// Installs a peer-built link ([`LinksModule::install_remote`]); answers its id.
 pub const INSTALL_LINK: Verb<(Record<Link>,), LinkId> = Verb::new(LINK, "install_link");
 /// §4.4's cascade: deletes the links of a correlation id, forwarding to
 /// the peers not among the visited users; answers how many it deleted.
@@ -216,16 +218,11 @@ pub struct Link {
 
 impl Link {
     /// Wire form (`syd.link/install_link`, the commit's back link): the
-    /// link's [`Encode`]d bytes in one [`Value::Bytes`] (DESIGN.md §18).
+    /// link's [`Encode`]d bytes in one [`Value::Bytes`] (DESIGN.md §18),
+    /// read where it arrives ([`LinkFields`]); the receiving device
+    /// assigns its own local id when it installs the link.
     pub fn to_value(&self) -> Value {
         Value::Bytes(encode_to_vec(self))
-    }
-
-    /// Inverse of [`Link::to_value`]; anything but well-formed bytes of
-    /// the current version is refused. The receiving device assigns its
-    /// own local id when it installs the link.
-    pub fn from_value(value: &Value) -> SydResult<Link> {
-        decode_from_slice(value.as_bytes()?)
     }
 }
 
@@ -249,23 +246,61 @@ impl Encode for Link {
     }
 }
 
-impl Decode for Link {
-    fn decode(r: &mut Reader<'_>) -> SydResult<Self> {
+/// A link read in place ([`Encoded`]): what a device stores of a link a
+/// peer built for it, the references as they travel, which is the form
+/// of a `SyD_Link` row's `refs` cell.
+pub struct LinkFields<'a> {
+    /// Subscription or negotiation(+constraint).
+    pub kind: LinkKind,
+    /// Permanent or tentative.
+    pub status: LinkStatus,
+    /// The entity the link is anchored on.
+    pub entity: &'a str,
+    /// The encoded references: a count, then each [`LinkRef`].
+    pub refs: &'a [u8],
+    /// Priority.
+    pub priority: Priority,
+    /// Expiry time; `None` = never.
+    pub expires: Option<Timestamp>,
+    /// Correlation id.
+    pub corr: &'a str,
+}
+
+/// Steps over [`Link`]'s layout as its decoder reads it, refusing what it
+/// refuses, and keeps what an install stores.
+impl InPlace for Link {
+    type Fields<'a> = LinkFields<'a>;
+
+    fn read(bytes: &[u8]) -> SydResult<LinkFields<'_>> {
+        let r = &mut Reader::new(bytes);
         let version = r.u8()?;
         if version != LINK_VERSION {
             return Err(SydError::Codec(format!("link record version {version}")));
         }
-        Ok(Link {
-            id: Decode::decode(r)?,
-            kind: LinkKind::from_tag(r.u8()?.into(), Decode::decode(r)?)?,
-            status: LinkStatus::from_tag(r.u8()?.into())?,
-            entity: Decode::decode(r)?,
-            refs: Refs::decode(r)?.0,
-            priority: Decode::decode(r)?,
-            created: Decode::decode(r)?,
+        LinkId::decode(r)?;
+        let kind = LinkKind::from_tag(r.u8()?.into(), Decode::decode(r)?)?;
+        let status = LinkStatus::from_tag(r.u8()?.into())?;
+        let entity = r.str()?;
+        let at = bytes.len() - r.remaining();
+        for _ in 0..r.len_prefix()? {
+            UserId::decode(r)?;
+            r.str()?;
+            r.str()?;
+        }
+        let refs = &bytes[at..bytes.len() - r.remaining()];
+        let priority = Priority::decode(r)?;
+        Timestamp::decode(r)?;
+        let fields = LinkFields {
+            kind,
+            status,
+            entity,
+            refs,
+            priority,
             expires: Decode::decode(r)?,
-            corr: Decode::decode(r)?,
-        })
+            corr: r.str()?,
+        };
+        r.end()?;
+        Ok(fields)
     }
 }
 
@@ -539,6 +574,25 @@ impl LinksModule {
     /// Installs a link locally (no peer interaction). Returns the stored
     /// link with its assigned id and correlation id.
     pub fn add_local(&self, spec: LinkSpec) -> SydResult<Link> {
+        let refs = Value::Bytes(encode_to_vec(&Refs(&spec.refs[..])));
+        let (id, corr, created) = self.insert(&spec, refs)?;
+        Ok(Link {
+            id,
+            kind: spec.kind,
+            status: spec.status,
+            entity: spec.entity,
+            refs: spec.refs,
+            priority: spec.priority,
+            created,
+            expires: spec.expires,
+            corr,
+        })
+    }
+
+    /// Stores `spec` with `refs` as its `refs` cell (`spec.refs` is not
+    /// read): one row, one statement, since nobody reads a link without
+    /// its refs. Returns the id, correlation id and creation time given.
+    fn insert(&self, spec: &LinkSpec, refs: Value) -> SydResult<(LinkId, Text, Timestamp)> {
         let id = LinkId::new(self.next_link.fetch_add(1, Ordering::Relaxed));
         let corr = if spec.corr.is_empty() {
             self.fresh_corr()
@@ -547,7 +601,6 @@ impl LinksModule {
         };
         let created = self.clock.now();
         let (kind, k) = spec.kind.tag();
-        // One row, one statement: nobody reads a link without its refs.
         self.store.insert(
             T_LINK,
             [
@@ -561,7 +614,7 @@ impl LinksModule {
                 spec.expires
                     .map_or(Value::Null, |t| Value::from(t.as_micros())),
                 Value::Str(corr.clone()),
-                Value::Bytes(encode_to_vec(&Refs(&spec.refs[..]))),
+                refs,
             ],
         )?;
         if spec.expires.is_some() && !self.ticking.swap(true, Ordering::AcqRel) {
@@ -586,17 +639,7 @@ impl LinksModule {
                 ("corr", Value::Str(corr.clone())),
             ])
         });
-        Ok(Link {
-            id,
-            kind: spec.kind,
-            status: spec.status,
-            entity: spec.entity,
-            refs: spec.refs,
-            priority: spec.priority,
-            created,
-            expires: spec.expires,
-            corr,
-        })
+        Ok((id, corr, created))
     }
 
     /// Parses one `SyD_Link` row. An unknown kind or status tag, a number
@@ -789,25 +832,22 @@ impl LinksModule {
         Ok(forward)
     }
 
-    /// Installs a link received from a peer (`syd.link/install_link`).
-    pub fn install_remote(&self, value: &Value) -> SydResult<LinkId> {
-        self.install(Link::from_value(value)?)
-    }
-
-    /// Installs a link a peer built for this device under this device's
-    /// own id.
-    pub fn install(&self, link: Link) -> SydResult<LinkId> {
-        let stored = self.add_local(LinkSpec {
+    /// Installs a link a peer built for this device
+    /// (`syd.link/install_link`, a commit's back link) under this
+    /// device's own id: its references are stored as they were sent.
+    pub fn install_remote(&self, link: &Encoded<'_, Link>) -> SydResult<LinkId> {
+        let spec = LinkSpec {
             kind: link.kind,
             status: link.status,
-            entity: link.entity,
-            refs: link.refs,
+            entity: link.entity.into(),
+            refs: Vec::new(),
             priority: link.priority,
             expires: link.expires,
-            corr: link.corr,
+            corr: link.corr.into(),
             waits_on: None,
-        })?;
-        Ok(stored.id)
+        };
+        let (id, ..) = self.insert(&spec, Value::Bytes(link.refs.to_vec()))?;
+        Ok(id)
     }
 
     // ---- §4.2 ops 3 & 4: deletion with promotion and cascade ---------------
@@ -868,17 +908,21 @@ impl LinksModule {
 
     /// Deletes every local link with `corr` (without re-cascading to the
     /// users in `visited`) and forwards the cascade to remaining peers.
-    /// The links are read once, for their ids and peers; none is parsed.
-    pub fn delete_by_corr(&self, corr: &str, mut visited: Vec<u64>) -> SydResult<DeleteReport> {
+    /// The links are read once, for their ids and peers; none is parsed,
+    /// and `visited` is listed only for a cascade that goes on.
+    pub fn delete_by_corr<V>(&self, corr: &str, visited: V) -> SydResult<DeleteReport>
+    where
+        V: IntoIterator<Item = UserId>,
+        V::IntoIter: Clone,
+    {
+        let visited = visited.into_iter();
+        let seen = |user: UserId| user == self.user || visited.clone().any(|v| v == user);
         let mut report = DeleteReport::default();
-        if !visited.contains(&self.user.raw()) {
-            visited.push(self.user.raw());
-        }
         let mut peers = Vec::new();
         self.store.visit(T_LINK, &corr_is(corr), |row| {
             report.deleted.push(LinkId::new(int(&row[0])?));
             ref_users(row[9].as_bytes()?, |user| {
-                if !visited.contains(&user.raw()) {
+                if !seen(user) {
                     peers.push(user);
                 }
             })
@@ -892,8 +936,14 @@ impl LinksModule {
             self.note_deleted(id, &corr_text, true);
         }
         // Forward the cascade to peers we haven't visited.
-        let peers = lifecycle::cascade_peers(peers, &visited);
-        report.cascaded_to = self.forward_cascade(corr, visited, &peers);
+        if !peers.is_empty() {
+            let mut visited: Vec<u64> = visited.map(UserId::raw).collect();
+            if !visited.contains(&self.user.raw()) {
+                visited.push(self.user.raw());
+            }
+            let peers = lifecycle::cascade_peers(peers, &visited);
+            report.cascaded_to = self.forward_cascade(corr, visited, &peers);
+        }
         Ok(report)
     }
 
@@ -1203,6 +1253,28 @@ mod tests {
     use syd_types::rng::{cases, Rng};
     use syd_types::sync::{Mutex, Rank};
 
+    /// A decoder, which no device needs (a device reads a link in place,
+    /// [`LinkFields`]): the reference that read is held to.
+    impl Decode for Link {
+        fn decode(r: &mut Reader<'_>) -> SydResult<Self> {
+            let version = r.u8()?;
+            if version != LINK_VERSION {
+                return Err(SydError::Codec(format!("link record version {version}")));
+            }
+            Ok(Link {
+                id: Decode::decode(r)?,
+                kind: LinkKind::from_tag(r.u8()?.into(), Decode::decode(r)?)?,
+                status: LinkStatus::from_tag(r.u8()?.into())?,
+                entity: Decode::decode(r)?,
+                refs: Refs::decode(r)?.0,
+                priority: Decode::decode(r)?,
+                created: Decode::decode(r)?,
+                expires: Decode::decode(r)?,
+                corr: Decode::decode(r)?,
+            })
+        }
+    }
+
     fn generated(rng: &mut Rng) -> Link {
         let k = rng.any_u64() as u32;
         let refs = match rng.below(4) {
@@ -1253,7 +1325,16 @@ mod tests {
             let bytes = encode_to_vec(&link);
             assert_eq!(bytes.len(), syd_wire::encoded_len(&link));
             assert_eq!(decode_from_slice::<Link>(&bytes).unwrap(), link);
-            assert_eq!(Link::from_value(&link.to_value()).unwrap(), link);
+            // Read in place: what an install stores, the refs as encoded.
+            let f = Link::read(&bytes).unwrap();
+            let stored = (f.kind, f.status, f.entity, f.priority, f.expires, f.corr);
+            let entity = (link.kind, link.status, link.entity.as_str(), link.priority);
+            let rest = (link.expires, link.corr.as_str());
+            assert_eq!(
+                stored,
+                (entity.0, entity.1, entity.2, entity.3, rest.0, rest.1)
+            );
+            assert_eq!(f.refs, encode_to_vec(&Refs(&link.refs[..])));
         });
     }
 
@@ -1261,23 +1342,30 @@ mod tests {
     fn link_value_round_trip_no_expiry() {
         let link = subscription();
         assert_eq!(link.expires, None);
-        assert_eq!(Link::from_value(&link.to_value()).unwrap(), link);
+        let value = link.to_value();
+        assert_eq!(
+            decode_from_slice::<Link>(value.as_bytes().unwrap()).unwrap(),
+            link
+        );
     }
 
+    /// Every strict prefix and an appended byte are codec errors, and the
+    /// in-place read refuses each with the decoder's own error.
     #[test]
     fn truncated_and_extended_links_are_codec_errors() {
+        let refused = |bytes: &[u8], what: &str| {
+            let err = decode_from_slice::<Link>(bytes).unwrap_err();
+            assert!(matches!(err, SydError::Codec(_)), "{what}: {err}");
+            let read = Link::read(bytes).err().map(|e| e.to_string());
+            assert_eq!(read, Some(err.to_string()), "{what}");
+        };
         cases(32, |rng| {
             let mut bytes = encode_to_vec(&generated(rng));
             for cut in 0..bytes.len() {
-                let err = decode_from_slice::<Link>(&bytes[..cut]).unwrap_err();
-                assert!(matches!(err, SydError::Codec(_)), "prefix {cut}: {err}");
+                refused(&bytes[..cut], &format!("prefix {cut}"));
             }
             bytes.push(rng.next_u64() as u8);
-            let err = decode_from_slice::<Link>(&bytes).unwrap_err();
-            assert!(
-                matches!(err, SydError::Codec(_)),
-                "one byte appended: {err}"
-            );
+            refused(&bytes, "one byte appended");
         });
     }
 
@@ -1285,12 +1373,12 @@ mod tests {
     fn unknown_version_and_map_form_are_refused() {
         let mut bytes = encode_to_vec(&subscription());
         bytes[0] = LINK_VERSION + 1;
-        let err = Link::from_value(&Value::Bytes(bytes)).unwrap_err();
+        let err = Encoded::<Link>::of(&Value::Bytes(bytes)).err().unwrap();
         assert!(matches!(err, SydError::Codec(_)), "{err}");
 
         // What a peer of the map era would send: refused, not half-read.
         let map = Value::map([("kind", Value::str("sub")), ("k", Value::from(0u64))]);
-        let err = Link::from_value(&map).unwrap_err();
+        let err = Encoded::<Link>::of(&map).err().unwrap();
         assert!(
             matches!(&err, SydError::Protocol(m) if m.contains("type mismatch")),
             "{err}"

@@ -820,6 +820,40 @@ mod tests {
         assert_eq!(panics.map(|c| c.get()), Some(1));
     }
 
+    /// A periodic task or a drain that panics on the runtime's loop is
+    /// caught and counted there; the loop goes on running the task and
+    /// draining every endpoint, so a call on the same deployment is
+    /// answered.
+    #[test]
+    fn a_panic_on_the_loop_is_counted_and_the_loop_goes_on() {
+        let net = Network::ideal();
+        let server = Node::spawn(&net);
+        server.set_handler(Arc::new(|_: NodeAddr, _: Request| -> SydResult<Value> {
+            Ok(Value::I64(7))
+        }));
+        let client = Node::spawn(&net);
+        let runtime = client.runtime().clone();
+        let runs = Arc::new(AtomicU32::new(0));
+        let id =
+            runtime.schedule_periodic(Duration::from_millis(5), Arc::downgrade(&runs), |runs| {
+                if runs.fetch_add(1, Ordering::SeqCst) == 0 {
+                    std::panic::resume_unwind(Box::new("the task panics once"))
+                }
+            });
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while runs.load(Ordering::SeqCst) < 2 {
+            assert!(Instant::now() < deadline, "the loop stopped at the panic");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        runtime.cancel_periodic(id);
+        let answer = client.call(server.addr(), &ServiceName::new("svc"), "m", vec![]);
+        assert_eq!(answer, Ok(Value::I64(7)));
+        let panics = runtime
+            .fleet_registry()
+            .get_counter(names::RUNTIME_LOOP_PANICS);
+        assert_eq!(panics.map(|c| c.get()), Some(1));
+    }
+
     #[test]
     fn call_times_out_when_peer_never_answers() {
         let net = Network::ideal();

@@ -26,12 +26,13 @@
 //! [`crate::Node`] of that backend is multiplexed onto it.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use syd_telemetry::{trace, Registry};
+use syd_telemetry::{names, trace, Counter, Registry};
 use syd_transport::{ReadyNotifier, Transport};
 use syd_types::sync::{self, Condvar, Mutex, Rank};
 use syd_types::time::wall;
@@ -86,10 +87,17 @@ pub struct Reactor {
     thread: Mutex<Option<JoinHandle<()>>>,
     /// The deployment's clock: the heap's due times are read on it.
     clock: Arc<dyn Clock>,
+    /// Drains and tasks that panicked ([`names::RUNTIME_LOOP_PANICS`]).
+    panics: Counter,
 }
 
 impl Reactor {
-    fn start(label: &str, pool: WorkerPool, clock: Arc<dyn Clock>) -> Arc<Reactor> {
+    fn start(
+        label: &str,
+        pool: WorkerPool,
+        clock: Arc<dyn Clock>,
+        panics: Counter,
+    ) -> Arc<Reactor> {
         let reactor = Arc::new(Reactor {
             state: Mutex::new(
                 Rank::Runtime,
@@ -105,6 +113,7 @@ impl Reactor {
             pool,
             thread: Mutex::new(Rank::Runtime, None),
             clock,
+            panics,
         });
         let loop_reactor = Arc::clone(&reactor);
         // A runtime without its loop dispatches nothing; construction
@@ -116,6 +125,14 @@ impl Reactor {
             .expect("spawn loop thread");
         *reactor.thread.lock() = Some(handle);
         reactor
+    }
+
+    /// Runs a drain or a task of the loop's. One that panics is counted
+    /// and ends there (the panic hook has seen it): the loop goes on with
+    /// every other endpoint and task.
+    fn guarded<T>(&self, run: impl FnOnce() -> T) -> Option<T> {
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(run));
+        outcome.map_err(|_| self.panics.inc()).ok()
     }
 
     /// Removes a node; its callback is never invoked again after the
@@ -193,7 +210,9 @@ impl ReadyNotifier for Reactor {
 /// heap's head falls due or a notification arrives. The jobs its drains
 /// queue are handed out in one [`WorkerPool::hand_off`], outside the lock,
 /// as soon as no endpoint is ready (before the tasks run or the loop
-/// sleeps), and after every [`DRAIN_BUDGET`] drained events.
+/// sleeps), and after every [`DRAIN_BUDGET`] drained events. A drain or
+/// a task that panics is counted and the loop goes on
+/// ([`Reactor::guarded`]).
 /// On a [`syd_types::SimClock`] the loop moves the clock itself instead
 /// ([`syd_types::SimClock::settle`]).
 fn reactor_loop(reactor: &Reactor) {
@@ -246,7 +265,7 @@ fn reactor_loop(reactor: &Reactor) {
         if let Some(addr) = ready {
             let drain = reactor.nodes.lock().get(&addr).cloned();
             owed |= drain.is_some();
-            match drain.map(|drain| drain(&mut budget)) {
+            match drain.and_then(|drain| reactor.guarded(|| drain(&mut budget))) {
                 Some(DrainOutcome::More) => reactor.notify(addr, reactor.clock.instant()),
                 Some(DrainOutcome::Closed) => reactor.deregister(addr),
                 Some(DrainOutcome::Idle) | None => {}
@@ -257,7 +276,7 @@ fn reactor_loop(reactor: &Reactor) {
             (budget, owed) = (DRAIN_BUDGET, false);
         }
         for action in due.drain(..) {
-            action();
+            reactor.guarded(|| action());
         }
     }
 }
@@ -315,11 +334,13 @@ impl SharedRuntime {
     }
 
     fn with_pool(label: &str, pool: WorkerPool, clock: Arc<dyn Clock>) -> Self {
+        let fleet_registry = Arc::new(Registry::new());
+        let panics = fleet_registry.counter(names::RUNTIME_LOOP_PANICS);
         let runtime = SharedRuntime {
             inner: Arc::new(RuntimeInner {
-                reactor: Reactor::start(label, pool.clone(), clock),
+                reactor: Reactor::start(label, pool.clone(), clock, panics),
                 pool,
-                fleet_registry: Arc::new(Registry::new()),
+                fleet_registry,
                 scoped_metrics: AtomicBool::new(false),
             }),
         };
@@ -717,7 +738,8 @@ mod tests {
         drain: impl Fn(&mut usize, &dyn Fn()) -> DrainOutcome + Send + Sync + 'static,
     ) -> (Arc<Reactor>, WorkerPool, Arc<AtomicUsize>) {
         let pool = WorkerPool::new("syd-rt-t", 2, 48, Duration::from_secs(60));
-        let reactor = Reactor::start("t", pool.clone(), Arc::clone(wall()));
+        let panics = Registry::new().counter(names::RUNTIME_LOOP_PANICS);
+        let reactor = Reactor::start("t", pool.clone(), Arc::clone(wall()), panics);
         let started = Arc::new(AtomicUsize::new(0));
         let (job_pool, count) = (pool.clone(), Arc::clone(&started));
         let queue_one = move || {

@@ -5,13 +5,13 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use syd_types::sync::{Rank, RwLock};
-use syd_types::{SydError, SydResult, Text, Value};
+use syd_types::{SydError, SydResult, Value};
 
 use crate::lock::{LockManager, LockRights};
 use crate::predicate::Predicate;
 use crate::query::Query;
 use crate::schema::Schema;
-use crate::table::{Before, Change, Log, Row, RowChange, RowId, Table};
+use crate::table::{Assignments, Before, Change, Log, Row, RowChange, RowId, Table};
 use crate::trigger::{Trigger, TriggerCtx, TriggerEvent, TriggerTiming};
 use crate::txn::{Txn, TxnId};
 
@@ -310,13 +310,16 @@ impl Store {
         Query::new(self.clone(), table)
     }
 
-    /// Updates matching rows; fires update triggers; returns affected count.
-    pub fn update(
+    /// Updates matching rows; fires update triggers; returns affected
+    /// count. Given assignments (`&mut [..]`) move into the last new row
+    /// ([`Assignments`]).
+    pub fn update<'a>(
         &self,
         table: &str,
         pred: &Predicate,
-        assignments: &[(Text, Value)],
+        assignments: impl Into<Assignments<'a>>,
     ) -> SydResult<usize> {
+        let assignments = assignments.into();
         self.statement(table, TriggerEvent::Update, None, |t, before, log| {
             t.update(pred, assignments, before, log)
         })

@@ -76,6 +76,55 @@ pub(crate) type Before<'a> =
 /// Where a statement reports its [`RowChange`]s, if anyone reads them.
 pub(crate) type Log<'a> = Option<&'a mut Vec<RowChange>>;
 
+/// What an update writes. A caller that lends its assignments
+/// (`&[..]`) has each value cloned into every new row; one that gives
+/// them (`&mut [..]`) has each moved into the last new row and cloned
+/// into the others only, and finds the moved ones left `Null` once a row
+/// matched.
+pub enum Assignments<'a> {
+    /// Cloned into each new row.
+    Lent(&'a [(Text, Value)]),
+    /// Moved into the last new row.
+    Given(&'a mut [(Text, Value)]),
+}
+
+impl Assignments<'_> {
+    fn pairs(&self) -> &[(Text, Value)] {
+        match self {
+            Assignments::Lent(pairs) => pairs,
+            Assignments::Given(pairs) => pairs,
+        }
+    }
+
+    /// The value assigned to `column` (the later of two wins, as if they
+    /// were applied in order), moved out when `last` and given.
+    fn cell(&mut self, column: &str, last: bool) -> Option<Value> {
+        let at = (self.pairs().iter()).rposition(|(col, _)| col.as_str() == column)?;
+        Some(match self {
+            Assignments::Given(pairs) if last => std::mem::take(&mut pairs[at].1),
+            other => other.pairs()[at].1.clone(),
+        })
+    }
+}
+
+impl<'a> From<&'a [(Text, Value)]> for Assignments<'a> {
+    fn from(pairs: &'a [(Text, Value)]) -> Self {
+        Assignments::Lent(pairs)
+    }
+}
+
+impl<'a, const N: usize> From<&'a [(Text, Value); N]> for Assignments<'a> {
+    fn from(pairs: &'a [(Text, Value); N]) -> Self {
+        Assignments::Lent(pairs)
+    }
+}
+
+impl<'a, const N: usize> From<&'a mut [(Text, Value); N]> for Assignments<'a> {
+    fn from(pairs: &'a mut [(Text, Value); N]) -> Self {
+        Assignments::Given(pairs)
+    }
+}
+
 /// The rows a statement writes: the first inline, the rest in a `Vec`
 /// that a one-row statement — most of them — never allocates.
 type Rows<T> = (Option<T>, Vec<T>);
@@ -306,49 +355,50 @@ impl Table {
         Ok(out)
     }
 
-    /// Applies `assignments` to every row matching `pred`, in two passes:
+    /// Applies `assignments` to every row matching `pred`: find the rows,
     /// build each prospective row once and show it to `before`, then
     /// apply. Every error — a rejected value, a primary-key collision, a
-    /// veto — comes out of the first pass and so leaves every row
-    /// unchanged. Returns how many rows changed; `log` gets the changes,
-    /// whose old and new rows are the very allocations `before` saw and
-    /// the table held and now holds.
+    /// veto — comes before the apply and so leaves every row unchanged.
+    /// Returns how many rows changed; `log` gets the changes, whose old
+    /// and new rows are the very allocations `before` saw and the table
+    /// held and now holds.
     pub(crate) fn update(
         &mut self,
         pred: &Predicate,
-        assignments: &[(Text, Value)],
+        mut assignments: Assignments<'_>,
         mut before: Before<'_>,
         mut log: Log<'_>,
     ) -> SydResult<usize> {
         let (columns, name) = (&self.schema.columns, &self.schema.name);
-        for (col, value) in assignments {
+        for (col, value) in assignments.pairs() {
             if !columns[self.schema.column_index(col)?].admits(value) {
                 let rejects = format!("column `{name}.{col}` rejects {value}");
                 return Err(SydError::SchemaViolation(rejects));
             }
         }
-        let assigns = |column: &str| assignments.iter().any(|(col, _)| col.as_str() == column);
+        let assigns = |column: &str| (assignments.pairs().iter()).any(|(col, _)| col == column);
         let rekeys = (self.schema.primary_key.iter()).any(|&i| assigns(&columns[i].name));
 
+        let mut matched = Rows::default();
+        self.visit(pred, |row_id, old| {
+            push(&mut matched, (row_id, Arc::clone(old)));
+            Ok(())
+        })?;
+        let count = usize::from(matched.0.is_some()) + matched.1.len();
         let mut writes = Rows::default();
         let mut claimed = BTreeSet::new();
-        self.visit(pred, |row_id, old| {
-            // One clone per cell; of two assignments to a column the later
-            // wins, as if they were applied in order.
-            let new: Arc<[Value]> = old
-                .iter()
-                .zip(columns)
+        for (i, (row_id, old)) in matched.0.into_iter().chain(matched.1).enumerate() {
+            let last = i + 1 == count;
+            let new: Arc<[Value]> = (old.iter().zip(columns))
                 .map(|(cell, column)| {
-                    let assigned =
-                        (assignments.iter().rev()).find(|(col, _)| col.as_str() == column.name);
-                    assigned.map_or(cell, |(_, value)| value).clone()
+                    (assignments.cell(&column.name, last)).unwrap_or_else(|| cell.clone())
                 })
                 .collect();
             // Primary-key updates must preserve uniqueness, against the
             // stored keys and against the other rows of this statement.
             if rekeys {
                 let new_key = self.pk_of(&new);
-                if new_key != self.pk_of(old)
+                if new_key != self.pk_of(&old)
                     && (self.pk_map.contains_key(&new_key) || !claimed.insert(new_key))
                 {
                     return Err(SydError::SchemaViolation(format!(
@@ -358,11 +408,10 @@ impl Table {
                 }
             }
             if let Some(before) = before.as_deref_mut() {
-                before(Some(old), Some(&new))?;
+                before(Some(&old), Some(&new))?;
             }
-            push(&mut writes, (row_id, Arc::clone(old), new));
-            Ok(())
-        })?;
+            push(&mut writes, (row_id, old, new));
+        }
         let mut n = 0;
         for (row_id, old, new) in writes.0.into_iter().chain(writes.1) {
             self.set_row(row_id, Arc::clone(&new));
@@ -511,7 +560,7 @@ mod tests {
         let n = t
             .update(
                 &Predicate::Eq("status".into(), Value::str("free")),
-                &[("status".into(), Value::str("reserved"))],
+                Assignments::Lent(&[("status".into(), Value::str("reserved"))]),
                 None,
                 Some(&mut changes),
             )
@@ -532,6 +581,43 @@ mod tests {
         }
     }
 
+    /// A given value moves into the last new row, the very buffer the
+    /// caller built, and is cloned into the rows before it; with no row
+    /// matched the caller keeps it.
+    #[test]
+    fn a_given_assignment_moves_into_the_last_row() {
+        let schema = Schema::new(
+            "records",
+            vec![
+                Column::required("id", ColumnType::I64),
+                Column::required("data", ColumnType::Bytes),
+            ],
+            &["id"],
+        );
+        let mut t = Table::new(schema.unwrap());
+        for id in [1, 2] {
+            t.insert_row([Value::I64(id), Value::Bytes(vec![0])].into())
+                .unwrap();
+        }
+        let by_id = |id| Predicate::Eq("id".into(), Value::I64(id));
+        let mut given = [("data".into(), Value::Bytes(vec![7; 40]))];
+        let buffer = given[0].1.as_bytes().unwrap().as_ptr();
+        let none = Assignments::Given(&mut given);
+        assert_eq!(t.update(&by_id(3), none, None, None).unwrap(), 0);
+        assert_eq!(given[0].1.as_bytes().unwrap().as_ptr(), buffer);
+        let both = Predicate::Between("id".into(), Value::I64(1), Value::I64(2));
+        let n = t.update(&both, Assignments::Given(&mut given), None, None);
+        assert_eq!(n.unwrap(), 2);
+        assert_eq!(given[0].1, Value::Null);
+        let data = |id| t.get_by_key(&[Value::I64(id)]).unwrap().values[1].clone();
+        assert_eq!(
+            (data(1), data(2)),
+            (Value::Bytes(vec![7; 40]), Value::Bytes(vec![7; 40]))
+        );
+        let last = t.get_by_key(&[Value::I64(2)]).unwrap();
+        assert_eq!(last.values[1].as_bytes().unwrap().as_ptr(), buffer);
+    }
+
     #[test]
     fn update_pk_collision_detected() {
         let mut t = table();
@@ -540,7 +626,7 @@ mod tests {
         let err = t
             .update(
                 &Predicate::Eq("day".into(), Value::I64(1)),
-                &[("day".into(), Value::I64(2))],
+                Assignments::Lent(&[("day".into(), Value::I64(2))]),
                 None,
                 None,
             )
@@ -551,7 +637,7 @@ mod tests {
         let err = t
             .update(
                 &Predicate::True,
-                &[("day".into(), Value::I64(7))],
+                Assignments::Lent(&[("day".into(), Value::I64(7))]),
                 None,
                 None,
             )
@@ -608,7 +694,7 @@ mod tests {
         // Index stays consistent across update and delete.
         t.update(
             &Predicate::Eq("n".into(), Value::I64(10)),
-            &[("n".into(), Value::I64(1000))],
+            Assignments::Lent(&[("n".into(), Value::I64(1000))]),
             None,
             None,
         )

@@ -285,13 +285,13 @@ fn run(target: &mut Target<'_>, shape: Shape, op: Op) -> SydResult<usize> {
             t.update("t", &Predicate::True, &payload_is(payload))
         }
         (Target::Store(s), Op::Rekey { k, to }) => {
-            s.update("t", &shape.key_is(k), &shape.rekey_to(to))
+            s.update("t", &shape.key_is(k), &shape.rekey_to(to)[..])
         }
         (Target::Txn(t), Op::Rekey { k, to }) => {
             t.update("t", &shape.key_is(k), &shape.rekey_to(to))
         }
         (Target::Store(s), Op::RekeyAll { to }) => {
-            s.update("t", &Predicate::True, &shape.rekey_to(to))
+            s.update("t", &Predicate::True, &shape.rekey_to(to)[..])
         }
         (Target::Txn(t), Op::RekeyAll { to }) => {
             t.update("t", &Predicate::True, &shape.rekey_to(to))

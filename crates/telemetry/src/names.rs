@@ -27,6 +27,12 @@ pub const RPC_REQUESTS_SERVED: &str = "rpc.requests_served";
 /// Counter: handlers that panicked, each answered with an error at once.
 pub const RPC_HANDLER_PANICS: &str = "rpc.handler_panics";
 
+// --- runtime (syd-net shared loop) ------------------------------------------
+
+/// Counter: drains and periodic tasks that panicked on a runtime's loop,
+/// each caught there so that the loop goes on (the fleet registry's).
+pub const RUNTIME_LOOP_PANICS: &str = "runtime.loop_panics";
+
 // --- transport (syd-transport backends) -----------------------------------
 
 /// Counter: connections currently or ever established (monotonic).
@@ -150,6 +156,7 @@ pub const ALL: &[&str] = &[
     RPC_TIMEOUTS,
     RPC_REQUESTS_SERVED,
     RPC_HANDLER_PANICS,
+    RUNTIME_LOOP_PANICS,
     TRANSPORT_CONNS,
     TRANSPORT_ACCEPTS,
     TRANSPORT_RECONNECTS,

@@ -96,6 +96,7 @@ pub trait Decode: Sized {
 ///
 /// Every read is bounds-checked and produces [`SydError::Codec`]
 /// instead of panicking on truncated input.
+#[derive(Clone)]
 pub struct Reader<'a> {
     input: &'a [u8],
 }
@@ -161,6 +162,15 @@ impl<'a> Reader<'a> {
             .map_err(|e| SydError::Codec(format!("invalid utf-8: {e}")))
     }
 
+    /// Ends a read that must take the whole input: a byte left over is a
+    /// codec error.
+    pub fn end(&self) -> SydResult<()> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(SydError::Codec(format!("{n} trailing bytes after message"))),
+        }
+    }
+
     /// Reads a varint validated against [`MAX_LEN`], for use as a length.
     pub fn len_prefix(&mut self) -> SydResult<usize> {
         let n = self.varint()?;
@@ -214,12 +224,7 @@ pub fn encoded_len<T: Encode + ?Sized>(value: &T) -> usize {
 pub fn decode_from_slice<T: Decode>(input: &[u8]) -> SydResult<T> {
     let mut r = Reader::new(input);
     let value = T::decode(&mut r)?;
-    if r.remaining() != 0 {
-        return Err(SydError::Codec(format!(
-            "{} trailing bytes after message",
-            r.remaining()
-        )));
-    }
+    r.end()?;
     Ok(value)
 }
 

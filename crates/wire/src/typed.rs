@@ -8,9 +8,9 @@
 //! [`SydError::Protocol`], a negative number where a `u64` is read is
 //! refused, and ids keep the `u64 ↔ i64` bit-cast their encoding has
 //! always had. A handler reads a request through [`AsValue::View`], which
-//! copies scalars, shares names and borrows untyped values and lists; a
-//! caller builds the request from the owned types and reads the reply back
-//! owned.
+//! copies scalars, shares names, borrows untyped values and lists and
+//! reads a [`Record`] where it arrived ([`Encoded`]); a caller builds the
+//! request from the owned types and reads the reply back owned.
 
 use syd_types::{
     GroupId, LinkId, MeetingId, NodeAddr, Priority, SlotBitmap, SydError, SydResult, Text, UserId,
@@ -19,7 +19,7 @@ use syd_types::{
 
 use std::marker::PhantomData;
 
-use crate::codec::{decode_from_slice, encode_to_vec, Decode, Encode};
+use crate::codec::{decode_from_slice, encode_to_vec, Encode};
 
 /// A type that travels as one [`Value`]: a verb's argument or its reply.
 pub trait AsValue: Sized {
@@ -164,8 +164,10 @@ impl<T: AsValue> AsValue for Vec<T> {
 }
 
 /// A record with a codec (a meeting, a link), encoded once: it travels as
-/// its bytes, a handler reads it decoded, and a caller that sends one
-/// record to many, or holds it encoded already, shares the encoding.
+/// its bytes, a handler reads it where it arrived ([`Encoded`]), and a
+/// caller that sends one record to many, or holds it encoded already,
+/// shares the encoding.
+#[derive(Clone)]
 pub struct Record<T> {
     value: Value,
     record: PhantomData<fn() -> T>,
@@ -188,17 +190,63 @@ impl<T> Record<T> {
     }
 }
 
-/// A handler reads the record decoded; an owned reply is checked to
-/// decode and kept encoded.
-impl<T: Decode> AsValue for Record<T> {
-    type View<'a> = T;
+/// A record whose encoding a handler reads where it arrived instead of
+/// decoding it: the fields it reads are found in the bytes, and the bytes
+/// are what it stores.
+pub trait InPlace {
+    /// The fields read out of an encoding, borrowing from it.
+    type Fields<'a>;
 
-    fn view(value: &Value) -> SydResult<T> {
-        decode_from_slice(value.as_bytes()?)
+    /// Reads `bytes` whole. Refuses exactly what
+    /// [`decode_from_slice`]`::<Self>` refuses, with the same
+    /// [`SydError::Codec`], and allocates nothing.
+    fn read(bytes: &[u8]) -> SydResult<Self::Fields<'_>>;
+}
+
+/// A record's encoding, checked, with its fields read in place
+/// ([`InPlace::Fields`], reached through `Deref`).
+pub struct Encoded<'a, T: InPlace> {
+    bytes: &'a [u8],
+    fields: T::Fields<'a>,
+}
+
+impl<'a, T: InPlace> Encoded<'a, T> {
+    /// Reads the record `value` holds.
+    pub fn of(value: &'a Value) -> SydResult<Encoded<'a, T>> {
+        let bytes = value.as_bytes()?;
+        let fields = T::read(bytes)?;
+        Ok(Encoded { bytes, fields })
+    }
+
+    /// The record these bytes are, copied out of the request (the one
+    /// allocation a stored record costs).
+    pub fn to_record(&self) -> Record<T> {
+        Record {
+            value: Value::Bytes(self.bytes.to_vec()),
+            record: PhantomData,
+        }
+    }
+}
+
+impl<'a, T: InPlace> std::ops::Deref for Encoded<'a, T> {
+    type Target = T::Fields<'a>;
+
+    fn deref(&self) -> &T::Fields<'a> {
+        &self.fields
+    }
+}
+
+/// A handler reads the record in place; an owned reply is checked the
+/// same way and kept encoded.
+impl<T: InPlace> AsValue for Record<T> {
+    type View<'a> = Encoded<'a, T>;
+
+    fn view(value: &Value) -> SydResult<Encoded<'_, T>> {
+        Encoded::of(value)
     }
 
     fn from_value(value: Value) -> SydResult<Record<T>> {
-        Self::view(&value)?;
+        Encoded::<T>::of(&value)?;
         Ok(Record {
             value,
             record: PhantomData,
