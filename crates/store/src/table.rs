@@ -355,10 +355,11 @@ impl Table {
         Ok(out)
     }
 
-    /// Applies `assignments` to every row matching `pred`: find the rows,
+    /// Applies `assignments` to every row matching `pred`, in two passes:
     /// build each prospective row once and show it to `before`, then
     /// apply. Every error — a rejected value, a primary-key collision, a
-    /// veto — comes before the apply and so leaves every row unchanged.
+    /// veto — comes out of the first pass and so leaves every row
+    /// unchanged.
     /// Returns how many rows changed; `log` gets the changes, whose old
     /// and new rows are the very allocations `before` saw and the table
     /// held and now holds.
@@ -379,16 +380,9 @@ impl Table {
         let assigns = |column: &str| (assignments.pairs().iter()).any(|(col, _)| col == column);
         let rekeys = (self.schema.primary_key.iter()).any(|&i| assigns(&columns[i].name));
 
-        let mut matched = Rows::default();
-        self.visit(pred, |row_id, old| {
-            push(&mut matched, (row_id, Arc::clone(old)));
-            Ok(())
-        })?;
-        let count = usize::from(matched.0.is_some()) + matched.1.len();
         let mut writes = Rows::default();
         let mut claimed = BTreeSet::new();
-        for (i, (row_id, old)) in matched.0.into_iter().chain(matched.1).enumerate() {
-            let last = i + 1 == count;
+        let mut write = |row_id, old: Arc<[Value]>, last| -> SydResult<()> {
             let new: Arc<[Value]> = (old.iter().zip(columns))
                 .map(|(cell, column)| {
                     (assignments.cell(&column.name, last)).unwrap_or_else(|| cell.clone())
@@ -411,6 +405,19 @@ impl Table {
                 before(Some(&old), Some(&new))?;
             }
             push(&mut writes, (row_id, old, new));
+            Ok(())
+        };
+        // Each matched row is built once the next one is found, so the
+        // last is known when it is built: given values move into it.
+        let mut held = None;
+        self.visit(pred, |row_id, old| {
+            match held.replace((row_id, Arc::clone(old))) {
+                Some((id, prev)) => write(id, prev, false),
+                None => Ok(()),
+            }
+        })?;
+        if let Some((id, last)) = held {
+            write(id, last, true)?;
         }
         let mut n = 0;
         for (row_id, old, new) in writes.0.into_iter().chain(writes.1) {
