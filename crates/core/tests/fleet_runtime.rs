@@ -8,12 +8,14 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 
+use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use syd_core::links::LinkSpec;
 use syd_core::SydEnv;
-use syd_net::NetConfig;
-use syd_types::Timestamp;
+use syd_net::{NetConfig, Network};
+use syd_types::{SimClock, Timestamp};
 
 /// Both tests in this binary read the process-wide thread count; running
 /// them concurrently would let each observe the other's fleet.
@@ -36,6 +38,26 @@ fn syd_threads() -> Vec<String> {
                 .collect()
         },
     )
+}
+
+/// Voluntary context switches of each of this process's `syd-loop-*`
+/// threads, by task id, read from `/proc/self/task/*/status`.
+fn loop_switches() -> HashMap<String, u64> {
+    let tasks = std::fs::read_dir("/proc/self/task").unwrap();
+    tasks
+        .flatten()
+        .filter_map(|task| {
+            let status = std::fs::read_to_string(task.path().join("status")).ok()?;
+            status.starts_with("Name:\tsyd-loop-").then_some(())?;
+            let line = status
+                .lines()
+                .find_map(|line| line.strip_prefix("voluntary_ctxt_switches:"));
+            Some((
+                task.file_name().into_string().ok()?,
+                line?.trim().parse().ok()?,
+            ))
+        })
+        .collect()
 }
 
 /// Waits until `os_threads()` drops to `limit` or the deadline passes,
@@ -218,4 +240,39 @@ fn idle_devices_arm_no_periodic_task() {
     assert_eq!(runtime.periodic_tasks(), 2, "one tick per expiring device");
     devices[0].shutdown();
     assert_eq!(runtime.periodic_tasks(), 1, "shutdown left its tick armed");
+}
+
+/// An idle `SimClock` deployment's loop parks until something it waits
+/// for changes: no wall-time backstop wakes it in 500 ms.
+#[test]
+fn an_idle_virtual_deployments_loop_does_not_wake() {
+    let _serial = SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let others = loop_switches();
+    let clock = SimClock::new();
+    let net = Network::with_clock(NetConfig::ideal(), Arc::new(clock.clone()));
+    let env = SydEnv::on_network(net, None);
+    let devices: Vec<_> = (0..2)
+        .map(|i| env.device(&format!("quiet-{i}"), "").unwrap())
+        .collect();
+    // Returns once the loop has moved time, so once the pool is quiet.
+    clock.run_for(Duration::from_millis(1));
+    let mine = || {
+        let mut switches = loop_switches();
+        switches.retain(|task, _| !others.contains_key(task));
+        switches
+    };
+    let before = mine();
+    assert_eq!(before.len(), 1, "one loop for the deployment: {before:?}");
+    std::thread::sleep(Duration::from_millis(500));
+    let after = mine();
+    let woke: u64 = before.iter().map(|(task, n)| after[task] - n).sum();
+    assert!(
+        woke <= 2,
+        "an idle virtual loop woke {woke} times in 500 ms"
+    );
+    for device in &devices {
+        device.shutdown();
+    }
 }

@@ -34,13 +34,14 @@
 //! and [`sleep`] take a [`Clock`]: on the wall clock they are `std`'s
 //! timed waits; on a [`SimClock`] the thread is entered in the process's
 //! list of sleepers, which the loop of that clock's deployment reads to
-//! decide how far to move time ([`SimClock::settle`]).
+//! decide how far to move time ([`SimClock::settle`]), and parks with no
+//! wall-time bound until a notify or the advance that makes it due.
 
 use std::cell::Cell;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{self, Arc, LockResult, PoisonError, TryLockError};
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 use crate::time::{Clock, SimClock};
@@ -316,6 +317,8 @@ pub struct Mutex<T: ?Sized> {
 
 /// Exclusive access to a [`Mutex`]'s value; unlocks on drop.
 pub struct MutexGuard<'a, T: ?Sized> {
+    /// The lock, which a wait in virtual time lets go and takes again.
+    mutex: &'a Mutex<T>,
     guard: sync::MutexGuard<'a, T>,
     held: Held,
 }
@@ -338,6 +341,7 @@ impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         let held = self.class.enter(std::ptr::from_ref(self).cast());
         MutexGuard {
+            mutex: self,
             guard: ignore_poison(self.inner.lock()),
             held,
         }
@@ -353,7 +357,11 @@ impl<T: ?Sized> Mutex<T> {
             Err(TryLockError::WouldBlock) => return None,
         };
         let held = self.class.took(std::ptr::from_ref(self).cast());
-        Some(MutexGuard { guard, held })
+        Some(MutexGuard {
+            mutex: self,
+            guard,
+            held,
+        })
     }
 }
 
@@ -478,15 +486,14 @@ impl Condvar {
         self.inner.notify_all();
     }
 
-    /// Marks every thread waiting here in virtual time woken (which one a
+    /// Wakes every thread waiting here in virtual time (which one a
     /// `notify_one` reaches is not known): its loop moves no time until
     /// the thread has run.
     fn wake_sleepers(&self) {
         if self.sleepers.load(Ordering::SeqCst) > 0 {
             let me = std::ptr::from_ref(self) as usize;
             for sleeper in SLEEPERS.lock().iter_mut().filter(|s| s.cv == me) {
-                sleeper.woken = true;
-                sleeper.time.parked.notify_all();
+                sleeper.wake();
             }
         }
     }
@@ -495,19 +502,17 @@ impl Condvar {
     /// Spurious wake-ups are possible: re-check the condition. The wait
     /// is announced ([`blocking`]); the lock counts as held throughout.
     pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-        let MutexGuard { guard, held } = guard;
-        let guard = blocking(|| ignore_poison(self.inner.wait(guard)));
-        MutexGuard { guard, held }
+        blocking(|| self.idle(guard, None).0)
     }
 
     /// [`Condvar::wait`] until `clock` reaches `deadline`, the one timed
     /// wait; the second value says whether it has. On a [`SimClock`] the
     /// thread enters the clock's sleepers while it still holds the lock a
-    /// notifier needs, and looks every millisecond whether the clock's
-    /// advance has reached its deadline.
+    /// notifier needs, then lets it go and parks, with no wall-time bound,
+    /// until a notify or the advance that reaches its deadline wakes it.
     pub fn wait_until<'a, T>(
         &self,
-        mut guard: MutexGuard<'a, T>,
+        guard: MutexGuard<'a, T>,
         clock: &dyn Clock,
         deadline: Instant,
     ) -> (MutexGuard<'a, T>, bool) {
@@ -523,16 +528,14 @@ impl Condvar {
             return (guard, true);
         };
         self.sleepers.fetch_add(1, Ordering::SeqCst);
-        let guard = blocking(|| loop {
-            let timed_out;
-            (guard, timed_out) = self.idle(guard, Some(POLL));
-            if !timed_out || sleeper.woken() {
-                break guard;
-            }
+        let MutexGuard { mutex, guard, held } = guard;
+        let guard = blocking(|| {
+            drop(guard);
+            sleeper.park();
+            ignore_poison(mutex.inner.lock())
         });
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
-        drop(sleeper);
-        (guard, sim.instant() >= deadline)
+        (MutexGuard { mutex, guard, held }, sim.instant() >= deadline)
     }
 
     /// A wait bounded by `timeout` of wall time (`None`: no bound) that
@@ -543,7 +546,7 @@ impl Condvar {
         guard: MutexGuard<'a, T>,
         timeout: Option<Duration>,
     ) -> (MutexGuard<'a, T>, bool) {
-        let MutexGuard { guard, held } = guard;
+        let MutexGuard { mutex, guard, held } = guard;
         let (guard, timed_out) = match timeout {
             Some(timeout) => {
                 let (guard, waited) = ignore_poison(self.inner.wait_timeout(guard, timeout));
@@ -551,16 +554,9 @@ impl Condvar {
             }
             None => (ignore_poison(self.inner.wait(guard)), false),
         };
-        (MutexGuard { guard, held }, timed_out)
+        (MutexGuard { mutex, guard, held }, timed_out)
     }
 }
-
-/// How often a condvar's sleeper looks at its clock: the loop that
-/// advances the clock cannot reach that condvar.
-const POLL: Duration = Duration::from_millis(1);
-/// A wall-time backstop for a wait on a clock's own condvar, which every
-/// change it waits for notifies.
-const BACKSTOP: Duration = Duration::from_millis(20);
 
 /// A [`SimClock`]'s shared state.
 #[derive(Debug)]
@@ -568,17 +564,16 @@ pub(crate) struct VirtualTime {
     pub(crate) origin: Instant,
     /// Microseconds past `origin`; only grows.
     micros: AtomicU64,
-    /// Where its loop and its [`SimClock::run_for`] sleepers park.
+    /// Where its loop parks ([`SimClock::settle`]).
     parked: Condvar,
 }
 
 impl VirtualTime {
     pub(crate) fn new(origin: Instant) -> Self {
-        let (micros, parked) = (AtomicU64::new(0), Condvar::new());
         VirtualTime {
             origin,
-            micros,
-            parked,
+            micros: AtomicU64::new(0),
+            parked: Condvar::new(),
         }
     }
 
@@ -594,8 +589,18 @@ struct Sleeper {
     /// The [`Condvar`] it waits on, by address; 0 for none.
     cv: usize,
     deadline: Option<Instant>,
-    /// Notified, or due, and not yet running: its loop moves no time.
-    woken: bool,
+    /// The parked thread, taken by its wake; `None` while it is woken and
+    /// not yet running (a hold: always), when its loop moves no time.
+    asleep: Option<Thread>,
+}
+
+impl Sleeper {
+    /// Marks the sleeper woken and unparks its thread, once.
+    fn wake(&mut self) {
+        if let Some(thread) = self.asleep.take() {
+            thread.unpark();
+        }
+    }
 }
 
 /// Every thread of the process waiting on virtual time, of any clock.
@@ -607,8 +612,13 @@ static NEXT_SLEEPER: AtomicUsize = AtomicUsize::new(1);
 struct Entered<'a>(&'a VirtualTime, usize);
 
 impl Entered<'_> {
-    fn woken(&self) -> bool {
-        SLEEPERS.lock().iter().any(|s| s.id == self.1 && s.woken)
+    /// The one wait in virtual time: parks until the entry is woken. A wake
+    /// before the park is not lost: it leaves the thread's park token.
+    fn park(&self) {
+        let asleep = |s: &Sleeper| s.id == self.1 && s.asleep.is_some();
+        while SLEEPERS.lock().iter().any(asleep) {
+            std::thread::park();
+        }
     }
 }
 
@@ -620,23 +630,20 @@ impl Drop for Entered<'_> {
 }
 
 /// Enters the caller among `time`'s sleepers until `deadline` (`None`: a
-/// hold, woken from the start); `None` if the deadline has come.
+/// hold, woken from the start: its thread runs on); `None` if the deadline
+/// has come.
 fn enter(time: &Arc<VirtualTime>, cv: usize, deadline: Option<Instant>) -> Option<Entered<'_>> {
     let mut sleepers = SLEEPERS.lock();
     if deadline.is_some_and(|at| time.instant() >= at) {
         return None;
     }
-    let (id, woken) = (
-        NEXT_SLEEPER.fetch_add(1, Ordering::Relaxed),
-        deadline.is_none(),
-    );
-    let shared = Arc::clone(time);
+    let id = NEXT_SLEEPER.fetch_add(1, Ordering::Relaxed);
     sleepers.push(Sleeper {
         id,
-        time: shared,
+        time: Arc::clone(time),
         cv,
         deadline,
-        woken,
+        asleep: deadline.map(|_| std::thread::current()),
     });
     time.parked.notify_all();
     Some(Entered(time, id))
@@ -647,9 +654,9 @@ fn move_to(time: &Arc<VirtualTime>, sleepers: &mut [Sleeper], at: Instant) {
     let micros = at.saturating_duration_since(time.origin).as_micros() as u64;
     time.micros.fetch_max(micros, Ordering::SeqCst);
     let now = time.instant();
-    for s in sleepers.iter_mut().filter(|s| Arc::ptr_eq(&s.time, time)) {
-        s.woken |= s.deadline.is_some_and(|at| at <= now);
-    }
+    let due =
+        |s: &&mut Sleeper| Arc::ptr_eq(&s.time, time) && s.deadline.is_some_and(|at| at <= now);
+    sleepers.iter_mut().filter(due).for_each(Sleeper::wake);
     time.parked.notify_all();
 }
 
@@ -676,16 +683,13 @@ impl SimClock {
         let mut sleepers = SLEEPERS.lock();
         let mine = || sleepers.iter().filter(|s| Arc::ptr_eq(&s.time, &self.time));
         let next = mine().filter_map(|s| s.deadline).chain(next_frame).min();
-        if let Some(at) = next.filter(|_| !mine().any(|s| s.woken) && quiet()) {
-            move_to(
-                &self.time,
-                &mut sleepers,
-                next_task.map_or(at, |task| task.min(at)),
-            );
+        if let Some(at) = next.filter(|_| mine().all(|s| s.asleep.is_some()) && quiet()) {
+            let to = next_task.map_or(at, |task| task.min(at));
+            move_to(&self.time, &mut sleepers, to);
             return true;
         }
         drop(held);
-        let _ = self.time.parked.idle(sleepers, Some(BACKSTOP));
+        let _ = self.time.parked.idle(sleepers, None);
         false
     }
 
@@ -694,15 +698,9 @@ impl SimClock {
     /// discrete-event simulation's `run(until)`, where [`SimClock::advance`]
     /// jumps. With no such loop it never returns.
     pub fn run_for(&self, length: Duration) {
-        let Some(sleeper) = enter(&self.time, 0, Some(self.instant() + length)) else {
-            return;
-        };
-        blocking(|| {
-            let mut sleepers = SLEEPERS.lock();
-            while sleepers.iter().any(|s| s.id == sleeper.1 && !s.woken) {
-                sleepers = self.time.parked.idle(sleepers, Some(BACKSTOP)).0;
-            }
-        });
+        if let Some(sleeper) = enter(&self.time, 0, Some(self.instant() + length)) {
+            blocking(|| sleeper.park());
+        }
     }
 
     /// Holds time still until the guard drops: a thread outside the pool

@@ -98,6 +98,124 @@ fn a_wait_in_virtual_time_ends_at_the_clocks_advance_or_a_notify() {
     assert_eq!(waiter.join().unwrap(), [(true, false), (false, true)]);
 }
 
+/// Voluntary context switches summed over this process's threads named
+/// `name`, read from `/proc/self/task/*/status`.
+fn switches_of(name: &str) -> u64 {
+    let tasks = std::fs::read_dir("/proc/self/task").unwrap();
+    tasks
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("status")).ok())
+        .filter(|status| status.starts_with(&format!("Name:\t{name}\n")))
+        .filter_map(|status| {
+            let line = status
+                .lines()
+                .find_map(|line| line.strip_prefix("voluntary_ctxt_switches:"));
+            line?.trim().parse::<u64>().ok()
+        })
+        .sum()
+}
+
+/// A thread waiting on a far virtual deadline is parked until the clock
+/// moves: it does not wake in 200 ms of wall time. A poll tick of any
+/// period shows here as tens of switches or more.
+#[test]
+fn a_wait_on_a_far_virtual_deadline_does_not_wake() {
+    let clock = SimClock::new();
+    let pair = Arc::new((Mutex::new(Rank::Leaf, ()), Condvar::new()));
+    let (ready_tx, ready_rx) = mpsc::channel();
+    let (p2, c2) = (Arc::clone(&pair), clock.clone());
+    let waiter = std::thread::Builder::new()
+        .name("far-waiter".into())
+        .spawn(move || {
+            let g = p2.0.lock();
+            ready_tx.send(()).unwrap();
+            let deadline = c2.instant() + Duration::from_secs(3600);
+            p2.1.wait_until(g, &c2, deadline).1
+        })
+        .unwrap();
+    ready_rx.recv().unwrap();
+    // Taking the lock proves the waiter has let it go: it waits.
+    drop(pair.0.lock());
+    let before = switches_of("far-waiter");
+    std::thread::sleep(Duration::from_millis(200));
+    let woke = switches_of("far-waiter") - before;
+    clock.advance(Duration::from_secs(3600));
+    assert!(waiter.join().unwrap(), "the wait ended before its deadline");
+    assert!(
+        woke <= 2,
+        "a waiter on virtual time woke {woke} times in 200 ms"
+    );
+}
+
+/// An advance ends exactly the waits it makes due: of two due at +1 s and
+/// +2 s, advancing 1 s ends only the first.
+#[test]
+fn an_advance_ends_only_the_waits_it_makes_due() {
+    let clock = SimClock::new();
+    let epoch = clock.instant();
+    let pair = Arc::new((Mutex::new(Rank::Leaf, ()), Condvar::new()));
+    let (done_tx, done_rx) = mpsc::channel();
+    let waiters = [1, 2].map(|secs| {
+        let (p2, c2, done_tx) = (Arc::clone(&pair), clock.clone(), done_tx.clone());
+        let (ready_tx, ready_rx) = mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            let g = p2.0.lock();
+            ready_tx.send(()).unwrap();
+            let due = p2.1.wait_until(g, &c2, epoch + Duration::from_secs(secs)).1;
+            done_tx.send((secs, due)).unwrap();
+        });
+        ready_rx.recv().unwrap();
+        drop(pair.0.lock());
+        waiter
+    });
+    let ended = || done_rx.recv_timeout(Duration::from_secs(5));
+    clock.advance(Duration::from_secs(1));
+    assert_eq!(ended(), Ok((1, true)));
+    let early = done_rx.recv_timeout(Duration::from_millis(50));
+    assert!(early.is_err(), "the +2 s wait ended at +1 s: {early:?}");
+    clock.advance(Duration::from_secs(1));
+    assert_eq!(ended(), Ok((2, true)));
+    for waiter in waiters {
+        waiter.join().unwrap();
+    }
+}
+
+/// An advance to a waiter's deadline that races its entry into the wait
+/// — landing before the entry, between the entry and the park, or after
+/// the park — ends the wait every time: no wake-up is lost. The waiter
+/// starts each round as it sees its number, and the advance comes after
+/// 0–7 yields of the advancing thread, across the waiter's way in.
+#[test]
+fn an_advance_racing_a_waiters_entry_is_never_lost() {
+    const ROUNDS: u32 = 1000;
+    let clock = SimClock::new();
+    let epoch = clock.instant();
+    let round = Arc::new(AtomicUsize::new(0));
+    let (done_tx, done_rx) = mpsc::channel();
+    let (c2, r2) = (clock.clone(), Arc::clone(&round));
+    let waiter = std::thread::spawn(move || {
+        let (m, cv) = (Mutex::new(Rank::Leaf, ()), Condvar::new());
+        for n in 1..=ROUNDS {
+            while r2.load(Ordering::Acquire) != n as usize {
+                std::thread::yield_now();
+            }
+            let deadline = epoch + Duration::from_millis(n.into());
+            done_tx
+                .send(cv.wait_until(m.lock(), &c2, deadline).1)
+                .unwrap();
+        }
+    });
+    for n in 1..=ROUNDS {
+        round.store(n as usize, Ordering::Release);
+        for _ in 0..n % 8 {
+            std::thread::yield_now();
+        }
+        clock.advance(Duration::from_millis(1));
+        let ended = done_rx.recv_timeout(Duration::from_secs(5));
+        assert_eq!(ended, Ok(true), "round {n}: the wait outlived its deadline");
+    }
+    waiter.join().unwrap();
+}
+
 #[test]
 fn a_panic_during_a_wait_leaves_the_mutex_usable() {
     let pair = Arc::new((Mutex::new(Rank::Leaf, 0), Condvar::new()));

@@ -1,10 +1,10 @@
 //! The paper's meeting cycle in virtual time: the `wlan_n8` shape — a
 //! dozen calendars on a fixed 2 ms link, two 8-member meetings sharing 4
 //! members — run once on the wall clock and once on a [`SimClock`]. The
-//! two cycles send the same frames step by step; the virtual one takes a
-//! tenth of the wall time or less, and each of its steps lasts a whole
-//! number of round trips, which is what the protocol costs once compute
-//! takes no time.
+//! two cycles send the same frames step by step; the cheapest virtual
+//! cycle takes a tenth of the wall time or less, and each of its steps
+//! lasts a whole number of round trips, which is what the protocol costs
+//! once compute takes no time.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)] // test code
 
@@ -27,6 +27,8 @@ const ROUND_TRIP: Duration = Duration::from_millis(4);
 
 /// The cycle's steps, in order.
 const STEPS: [&str; 5] = ["find", "schedule", "blocked", "cancel", "promote"];
+/// Measured cycles per run, after the warm-up.
+const CYCLES: usize = 3;
 
 /// One step: the frames it sent, and how long it took on the
 /// deployment's clock.
@@ -36,18 +38,24 @@ struct Step {
     took: Duration,
 }
 
-/// Runs the cycle twice on a deployment whose network is built on
-/// `clock`, the first time to warm the engines' address caches up, as
-/// every cycle after the benchmark's first runs. Returns the second
-/// cycle's steps and its wall time.
-fn run(clock: Arc<dyn Clock>) -> ([Step; 5], Duration) {
+/// Runs the cycle on a deployment whose network is built on `clock`, once
+/// to warm the engines' address caches up, as every cycle after the
+/// benchmark's first runs, and then [`CYCLES`] times. Returns the measured
+/// cycles' steps and the cheapest one's wall time: a busy host slows some
+/// cycles down, and the cheapest is the one it slowed least.
+fn run(clock: Arc<dyn Clock>) -> ([[Step; 5]; CYCLES], Duration) {
     let link = NetConfig::ideal().with_latency(LatencyModel::fixed(HOP));
     let env = SydEnv::on_network(Network::with_clock(link, clock), None);
     let apps = calendar_rig(&env, 12);
     cycle(&env, &apps);
-    let wall = Instant::now();
-    let steps = cycle(&env, &apps);
-    (steps, wall.elapsed())
+    let mut cheapest = Duration::MAX;
+    let cycles = std::array::from_fn(|_| {
+        let wall = Instant::now();
+        let steps = cycle(&env, &apps);
+        cheapest = cheapest.min(wall.elapsed());
+        steps
+    });
+    (cycles, cheapest)
 }
 
 /// One cycle: A finds a slot its group has free and schedules into it,
@@ -116,8 +124,10 @@ fn cycle(env: &SydEnv, apps: &[Arc<CalendarApp>]) -> [Step; 5] {
         );
     }
     let start = mark();
-    a.cancel(meeting_a).unwrap();
-    close(3, start, clock.instant() - start.1);
+    let cancel = Arc::clone(a);
+    let (cancelled, end) = on_pool(env, move || cancel.cancel(meeting_a));
+    cancelled.unwrap();
+    close(3, start, end - start.1);
 
     // promote: from the cancel's start to B's last reconcile.
     let record = b.meeting(outcome.meeting).unwrap().unwrap();
@@ -132,33 +142,58 @@ fn cycle(env: &SydEnv, apps: &[Arc<CalendarApp>]) -> [Step; 5] {
     steps
 }
 
+/// Runs `op` as a job of `env`'s pool and returns what it returned and
+/// the deployment's clock as it returned. A cancel returns with its
+/// cascade still in flight: a thread outside the pool that reads the clock
+/// after it may find the loop has moved time on to the cascade's next hop
+/// meanwhile, but time on a [`SimClock`] stands still while a job runs.
+fn on_pool<T: Send + 'static>(
+    env: &SydEnv,
+    op: impl FnOnce() -> T + Send + 'static,
+) -> (T, Instant) {
+    let (done, result) = std::sync::mpsc::channel();
+    let clock = Arc::clone(env.clock());
+    env.runtime().pool().execute(move || {
+        let out = op();
+        done.send((out, clock.instant())).unwrap();
+    });
+    result.recv().expect("the job ended without an answer")
+}
+
 #[test]
 fn the_cycle_runs_in_virtual_time_with_the_same_frames() {
-    let (wall_steps, wall_took) = run(Arc::new(SystemClock::new()));
-    let (sim_steps, sim_took) = run(Arc::new(SimClock::new()));
+    let (wall_cycles, wall_took) = run(Arc::new(SystemClock::new()));
+    let (sim_cycles, sim_took) = run(Arc::new(SimClock::new()));
     let table = || {
-        let rows = STEPS.iter().zip(wall_steps.iter().zip(&sim_steps));
-        rows.map(|(name, (wall, sim))| format!("{name}: wall {wall:?}, virtual {sim:?}\n"))
-            .collect::<String>()
-            + &format!("cycle: wall {wall_took:?}, virtual {sim_took:?}")
+        let cycles = wall_cycles.iter().zip(&sim_cycles).enumerate();
+        let rows = cycles.flat_map(|(n, (wall, sim))| {
+            let steps = STEPS.iter().zip(wall.iter().zip(sim));
+            steps.map(move |(name, (wall, sim))| {
+                format!("{n} {name}: wall {wall:?}, virtual {sim:?}\n")
+            })
+        });
+        rows.collect::<String>()
+            + &format!("cheapest cycle: wall {wall_took:?}, virtual {sim_took:?}")
     };
-    for (name, (wall, sim)) in STEPS.iter().zip(wall_steps.iter().zip(&sim_steps)) {
-        assert_eq!(
-            wall.frames,
-            sim.frames,
-            "{name} sent other frames:\n{}",
-            table()
-        );
-        let trips = sim.took.as_micros() as f64 / ROUND_TRIP.as_micros() as f64;
-        assert!(
-            trips >= 1.0 && trips.fract() == 0.0,
-            "{name} took {:?} of virtual time, not a whole number of round trips:\n{}",
-            sim.took,
-            table()
-        );
+    for (wall_steps, sim_steps) in wall_cycles.iter().zip(&sim_cycles) {
+        for (name, (wall, sim)) in STEPS.iter().zip(wall_steps.iter().zip(sim_steps)) {
+            assert_eq!(
+                wall.frames,
+                sim.frames,
+                "{name} sent other frames:\n{}",
+                table()
+            );
+            let trips = sim.took.as_micros() as f64 / ROUND_TRIP.as_micros() as f64;
+            assert!(
+                trips >= 1.0 && trips.fract() == 0.0,
+                "{name} took {:?} of virtual time, not a whole number of round trips:\n{}",
+                sim.took,
+                table()
+            );
+        }
+        assert_eq!(sim_steps[0].took, ROUND_TRIP, "find:\n{}", table());
+        assert_eq!(sim_steps[1].took, 2 * ROUND_TRIP, "schedule:\n{}", table());
     }
-    assert_eq!(sim_steps[0].took, ROUND_TRIP, "find:\n{}", table());
-    assert_eq!(sim_steps[1].took, 2 * ROUND_TRIP, "schedule:\n{}", table());
     assert!(
         sim_took * 10 <= wall_took,
         "virtual time saved too little:\n{}",
