@@ -56,8 +56,8 @@ fn main() {
     let svc = ServiceName::new("echo");
     const ECHO_SERVICE: &ServiceName = &ServiceName::constant("echo");
     const ECHO_VERB: Verb<Vec<Value>, Value> = Verb::new(ECHO_SERVICE, "echo");
-    static ECHO: &Methods<()> = &[&Method::verb(ECHO_VERB, |(), _, args: &[Value]| {
-        Ok(Value::list(args.to_vec()))
+    static ECHO: &Methods<()> = &[&Method::verb(ECHO_VERB, |(), _, args: Vec<Value>| {
+        Ok(Value::list(args))
     })];
     let no_state = Arc::new(());
 

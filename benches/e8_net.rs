@@ -21,7 +21,7 @@ const ECHO_SERVICE: &ServiceName = &ServiceName::constant("echo");
 
 fn echo_handler() -> Arc<dyn RequestHandler> {
     Arc::new(|_from: NodeAddr, req: Request| -> SydResult<Value> {
-        Ok(Value::list(req.args.to_vec()))
+        Ok(Value::list(req.args.to_vec()?))
     })
 }
 

@@ -25,7 +25,7 @@ impl EntityHandler for CountingHandler {
     fn prepare(&self, _entity: &str, _change: &Value) -> SydResult<()> {
         Ok(())
     }
-    fn commit(&self, _entity: &str, _change: &Value) -> SydResult<()> {
+    fn commit(&self, _entity: &str, _change: Value) -> SydResult<()> {
         *self.0.lock() += 1;
         Ok(())
     }

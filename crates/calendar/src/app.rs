@@ -491,8 +491,8 @@ impl EntityHandler for SlotEntityHandler {
         let ordinal = parse_slot_entity(entity)?;
         match change.get("action")?.as_str()? {
             "reserve" => {
-                let meeting = MeetingId::view(change.get("meeting")?)?;
-                let priority = Priority::view(change.get("priority")?)?;
+                let meeting = MeetingId::from_value(change.get("meeting")?.clone())?;
+                let priority = Priority::from_value(change.get("priority")?.clone())?;
                 match app.slot_state(ordinal)? {
                     SlotState::Free => Ok(()),
                     SlotState::Busy => Err(SydError::App(format!(
@@ -516,17 +516,18 @@ impl EntityHandler for SlotEntityHandler {
         }
     }
 
-    fn commit(&self, entity: &str, change: &Value) -> SydResult<()> {
+    fn commit(&self, entity: &str, mut change: Value) -> SydResult<()> {
         let app = self.0.upgrade().ok_or(SydError::Shutdown)?;
         let ordinal = parse_slot_entity(entity)?;
         match change.get("action")?.as_str()? {
             "reserve" => {
-                let meeting = MeetingId::view(change.get("meeting")?)?;
-                let priority = Priority::view(change.get("priority")?)?;
+                let meeting = MeetingId::from_value(change.get("meeting")?.clone())?;
+                let priority = Priority::from_value(change.get("priority")?.clone())?;
                 // The record as it stands once this round's commits are
-                // through, and the back link: both read where they
-                // arrived, and checked before anything is written.
-                let rec = Encoded::<Meeting>::of(change.get("record")?)?;
+                // through, and the back link: both checked before anything
+                // is written, and the record stored as it arrived.
+                let record = Record::<Meeting>::from_value(change.take("record")?)?;
+                let rec = Encoded::<Meeting>::of(record.value())?;
                 let link = change.get("link").ok().map(Encoded::<Link>::of);
                 let link = link.transpose()?;
                 // A different current occupant means we are bumping it.
@@ -541,8 +542,17 @@ impl EntityHandler for SlotEntityHandler {
                 } else {
                     MeetingStatus::Tentative
                 };
+                // E-mail on the tentative → confirmed edge (§5.1), written
+                // before the record moves into the store.
+                let to = rec.initiator;
+                let mail = (confirmed && !was_confirmed && to != app.user()).then(|| {
+                    let (id, at) = (rec.id, rec.ordinal);
+                    let subject = Text::format(format_args!("confirmed: {}", rec.title));
+                    let body = Text::format(format_args!("meeting {id} at ordinal {at}"));
+                    (subject, body)
+                });
                 app.set_slot(ordinal, Some((meeting, status)), priority)?;
-                app.put_meeting(rec.to_record())?;
+                app.put_meeting(record)?;
                 // The back link, written before the entity lock goes: a
                 // later meeting on this slot anchors its waiting link on
                 // it (§4.2 op. 3), and that meeting's mark cannot get in
@@ -550,21 +560,15 @@ impl EntityHandler for SlotEntityHandler {
                 // holders; the link they have stays (waiters hang on it).
                 if let Some(link) = link {
                     let links = app.device.links();
-                    if links.find(rec.corr, entity)?.is_none() {
+                    if links.find(link.corr, entity)?.is_none() {
                         links.install_remote(&link)?;
                     }
                 }
                 // Reserved now: the availability link queued while this
                 // user was missing has done its work.
                 app.drop_availability_local(meeting)?;
-                // E-mail on the tentative → confirmed edge (§5.1).
-                if confirmed && !was_confirmed && rec.initiator != app.user() {
-                    let (id, at) = (rec.id, rec.ordinal);
-                    app.mailbox.deliver_local(
-                        rec.initiator,
-                        Text::format(format_args!("confirmed: {}", rec.title)),
-                        Text::format(format_args!("meeting {id} at ordinal {at}")),
-                    )?;
+                if let Some((subject, body)) = mail {
+                    app.mailbox.deliver_local(to, subject, body)?;
                 }
                 if let Some(old) = bumped {
                     app.handle_local_bump(old, ordinal)?;
@@ -575,7 +579,7 @@ impl EntityHandler for SlotEntityHandler {
                 Ok(())
             }
             "release" => {
-                let meeting = MeetingId::view(change.get("meeting")?)?;
+                let meeting = MeetingId::from_value(change.get("meeting")?.clone())?;
                 if app.clear_slot(ordinal, Some(meeting))? {
                     app.on_slot_freed(ordinal);
                 }
@@ -819,7 +823,7 @@ fn slot_of(store: &Store, ordinal: u64) -> SydResult<(SlotState, Priority)> {
             }
         }
     };
-    Ok((state, Priority::view(&row.values[3])?))
+    Ok((state, Priority::from_value(row.values[3].clone())?))
 }
 
 /// The record a `meetings` row stores, read in place.

@@ -273,9 +273,6 @@ impl CalendarApp {
                 .collect();
             let missing = expected.missing();
             let queue = Body::from((ordinal, record));
-            if !missing.is_empty() {
-                queue.preencode();
-            }
             let riders = missing
                 .into_iter()
                 .map(|user| Call::verb(user, QUEUE_AVAILABILITY, queue.clone()))

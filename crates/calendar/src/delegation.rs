@@ -127,7 +127,7 @@ impl CalendarApp {
             Some(row) => Ok(Some(Delegation {
                 delegator: self.user(),
                 delegate,
-                priority: Priority::view(&row.values[1])?,
+                priority: Priority::from_value(row.values[1].clone())?,
                 expires: match &row.values[2] {
                     Value::Null => None,
                     v => Some(Timestamp::from_micros(v.as_i64()? as u64)),

@@ -4,7 +4,8 @@ use std::ops::Range;
 
 use syd_types::{Priority, SydError, SydResult, Text, TimeSlot, UserId, Value};
 use syd_wire::{
-    decode_from_slice, encode_to_vec, AsValue, Decode, Encode, InPlace, Reader, Record, Sink,
+    decode_from_slice, encode_to_vec, read_owned, AsValue, Decode, Encode, InPlace, Reader, Record,
+    Sink,
 };
 
 pub use syd_types::MeetingId;
@@ -95,13 +96,13 @@ impl From<MeetingStatus> for Value {
 impl AsValue for MeetingStatus {
     type View<'a> = MeetingStatus;
 
-    fn view(value: &Value) -> SydResult<MeetingStatus> {
-        let status = MeetingStatus::from_tag(value.as_i64()?);
-        status.map_err(|err| SydError::Protocol(err.to_string()))
+    fn view(r: &mut Reader<'_>) -> SydResult<MeetingStatus> {
+        read_owned(r)
     }
 
     fn from_value(value: Value) -> SydResult<MeetingStatus> {
-        Self::view(&value)
+        let status = MeetingStatus::from_tag(value.as_i64()?);
+        status.map_err(|err| SydError::Protocol(err.to_string()))
     }
 
     fn into_value(self) -> Value {
@@ -113,8 +114,12 @@ impl AsValue for MeetingStatus {
 impl AsValue for SlotState {
     type View<'a> = SlotState;
 
-    fn view(value: &Value) -> SydResult<SlotState> {
-        let (status, meeting) = <(Text, Option<MeetingId>)>::view(value)?;
+    fn view(r: &mut Reader<'_>) -> SydResult<SlotState> {
+        read_owned(r)
+    }
+
+    fn from_value(value: Value) -> SydResult<SlotState> {
+        let (status, meeting) = <(Text, Option<MeetingId>)>::from_value(value)?;
         match (status.as_str(), meeting) {
             ("free", None) => Ok(SlotState::Free),
             ("busy", None) => Ok(SlotState::Busy),
@@ -124,10 +129,6 @@ impl AsValue for SlotState {
                 "bad slot state {status} of {meeting:?}"
             ))),
         }
-    }
-
-    fn from_value(value: Value) -> SydResult<SlotState> {
-        Self::view(&value)
     }
 
     fn into_value(self) -> Value {

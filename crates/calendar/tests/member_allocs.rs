@@ -55,23 +55,24 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 /// Allocations a member of a 32-member `schedule` may cost: the measured
-/// 18.5 + 10 %, the initiator's share included. Each member serves a
+/// 18.35 + 10 %, the initiator's share included. Each member serves a
 /// mark and a reserve commit, two requests of two frames each; the
-/// commit writes the slot row, stores the record it carries (a copy of
-/// its bytes, and the row) and installs the back link (its refs as sent,
-/// and the row). It cost 23.7 while the commit decoded the record and the
+/// commit writes the slot row, stores the record it carries (the bytes
+/// its request decoded, moved into the row) and installs the back link
+/// (its refs as sent, and the row). It cost 18.5 while the record was copied out of
+/// the decoded change, 23.7 while the commit decoded the record and the
 /// link and encoded both again, and the store's update cloned the
 /// record's cell into the new row.
-const SCHEDULE_CEILING: f64 = 20.4;
+const SCHEDULE_CEILING: f64 = 20.2;
 
 /// Allocations a member of a 32-member `cancel` may cost: the measured
-/// 8.0 + 10 %, the initiator's share included. Each member serves one
+/// 7.82 + 10 %, the initiator's share included. Each member serves one
 /// `release_slot`, a request of two frames, which writes the status into
 /// the stored record's bytes (the new bytes and the row) and deletes the
 /// slot row and the back link. It cost 13.2 while the release decoded the
 /// record, encoded it again, the update cloned its cell and the link
 /// deletion was handed the roster as a `Vec`.
-const CANCEL_CEILING: f64 = 8.8;
+const CANCEL_CEILING: f64 = 8.6;
 
 /// Meetings scheduled and cancelled to warm up, then counted.
 const MEETINGS: u64 = 30;

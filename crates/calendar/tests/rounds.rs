@@ -214,7 +214,7 @@ fn a_supervisor_gets_a_commit_body_of_its_own() {
             match envelope.payload {
                 Payload::Request(request) if request.method == "commit" => {
                     assert_eq!(request.service, link_service());
-                    bodies.push((member, request.args));
+                    bodies.push((member, request.args.to_vec().unwrap()));
                 }
                 _ => {}
             }
@@ -408,7 +408,7 @@ impl EntityHandler for CommitFails {
     fn prepare(&self, _entity: &str, _change: &Value) -> SydResult<()> {
         Ok(())
     }
-    fn commit(&self, _entity: &str, _change: &Value) -> SydResult<()> {
+    fn commit(&self, _entity: &str, _change: Value) -> SydResult<()> {
         Err(SydError::App("the calendar database is read-only".into()))
     }
     fn abort(&self, _entity: &str, _change: &Value) {}

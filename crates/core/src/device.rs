@@ -50,7 +50,9 @@ pub trait EntityHandler: Send + Sync + 'static {
     /// error makes this participant vote **no**.
     fn prepare(&self, entity: &str, change: &Value) -> SydResult<()>;
     /// Applies the change. Called only after the constraint was satisfied.
-    fn commit(&self, entity: &str, change: &Value) -> SydResult<()>;
+    /// The change is the commit's own, decoded from its request: what the
+    /// handler stores of it moves in without a copy.
+    fn commit(&self, entity: &str, change: Value) -> SydResult<()>;
     /// Discards the marked change (constraint failed elsewhere). May be
     /// called even when `prepare` never ran or failed on this device (the
     /// coordinator aborts broadly to clean up lost-message locks), so it
@@ -483,7 +485,7 @@ static PING_METHODS: &Methods<DeviceInner> =
 fn mark(
     inner: &DeviceInner,
     _ctx: &InvokeCtx,
-    (session, entity, change): (u64, Text, &Value),
+    (session, entity, change): (u64, Text, Value),
 ) -> SydResult<Value> {
     let entity = entity.as_str();
     let (locks, key) = (&inner.lock_rights, entity_lock_key(entity));
@@ -512,7 +514,7 @@ fn mark(
     }
     let handler = inner.entity_handler.read().clone();
     let prepared = match handler {
-        Some(h) => h.prepare(entity, change),
+        Some(h) => h.prepare(entity, &change),
         None => Ok(()),
     };
     let vote = fsm::Vote::on_mark(taken, prepared.is_ok());
@@ -532,7 +534,7 @@ fn mark(
 fn commit(
     inner: &DeviceInner,
     _ctx: &InvokeCtx,
-    (session, entity, change): (u64, Text, &Value),
+    (session, entity, change): (u64, Text, Value),
 ) -> SydResult<()> {
     let entity = entity.as_str();
     let (locks, key) = (&inner.lock_rights, entity_lock_key(entity));
@@ -565,11 +567,11 @@ fn commit(
 fn abort(
     inner: &DeviceInner,
     _ctx: &InvokeCtx,
-    (session, entity, change): (u64, Text, &Value),
+    (session, entity, change): (u64, Text, Value),
 ) -> SydResult<()> {
     let entity = entity.as_str();
     if let Some(h) = inner.entity_handler.read().clone() {
-        h.abort(entity, change);
+        h.abort(entity, &change);
     }
     // Journal-before-release, as in commit.
     inner
@@ -594,14 +596,14 @@ fn delete_by_corr(
 fn notify(
     inner: &DeviceInner,
     _ctx: &InvokeCtx,
-    (entity, action, payload): (Text, Text, &Value),
+    (entity, action, payload): (Text, Text, Value),
 ) -> SydResult<Value> {
     inner
         .events
         .publish_local(&format!("link.notify.{action}"), || payload.clone());
     let handler = inner.subscription_handler.read().clone();
     match handler {
-        Some(h) => h.on_notify(&entity, &action, payload),
+        Some(h) => h.on_notify(&entity, &action, &payload),
         None => Ok(Value::Null),
     }
 }
@@ -650,7 +652,7 @@ mod tests {
                 Some(other) => Err(SydError::App(format!("{entity} is {other}"))),
             }
         }
-        fn commit(&self, entity: &str, change: &Value) -> SydResult<()> {
+        fn commit(&self, entity: &str, change: Value) -> SydResult<()> {
             self.state
                 .lock()
                 .insert(entity.to_owned(), change.as_str()?.to_owned());
@@ -939,7 +941,6 @@ mod tests {
                 ];
                 let mut per_call = request.clone();
                 per_call.args = Args::from(own);
-                assert!(!per_call.args.is_preencoded());
                 let per_call =
                     Envelope::new(envelope.src, envelope.dst, Payload::Request(per_call));
                 assert_eq!(
@@ -1020,7 +1021,7 @@ mod tests {
             fn prepare(&self, _entity: &str, _change: &Value) -> SydResult<()> {
                 Ok(())
             }
-            fn commit(&self, _entity: &str, _change: &Value) -> SydResult<()> {
+            fn commit(&self, _entity: &str, _change: Value) -> SydResult<()> {
                 panic!("the entity handler unwinds");
             }
             fn abort(&self, _entity: &str, _change: &Value) {}
@@ -1069,7 +1070,7 @@ mod tests {
             fn prepare(&self, _entity: &str, _change: &Value) -> SydResult<()> {
                 Ok(())
             }
-            fn commit(&self, _entity: &str, _change: &Value) -> SydResult<()> {
+            fn commit(&self, _entity: &str, _change: Value) -> SydResult<()> {
                 match self.0.fetch_add(1, Ordering::SeqCst) {
                     0 => Err(SydError::App("the first commit fails".into())),
                     _ => Ok(()),

@@ -21,7 +21,7 @@ use syd_telemetry::names;
 use syd_telemetry::{Counter, Registry};
 use syd_types::sync::{Rank, RwLock};
 use syd_types::{GroupId, NodeAddr, ServiceName, SydError, SydResult, Text, UserId, Value};
-use syd_wire::{AsValue, Params};
+use syd_wire::{read_owned, AsValue, Params, Reader};
 
 use crate::listener::{InvokeCtx, Listener, Method, Methods};
 
@@ -90,8 +90,8 @@ type RecordFields = (
 impl AsValue for UserRecord {
     type View<'a> = UserRecord;
 
-    fn view(value: &Value) -> SydResult<UserRecord> {
-        Self::from_value(value.clone())
+    fn view(r: &mut Reader<'_>) -> SydResult<UserRecord> {
+        read_owned(r)
     }
 
     fn from_value(value: Value) -> SydResult<UserRecord> {

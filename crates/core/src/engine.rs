@@ -22,7 +22,7 @@ use syd_net::{Body, CallOptions, Node, Verb};
 use syd_telemetry::{Counter, Histogram};
 use syd_types::sync::{Mutex, Rank};
 use syd_types::{NodeAddr, ServiceName, SydError, SydResult, Text, UserId, Value};
-use syd_wire::{AsValue, Params};
+use syd_wire::{Args, AsValue, Params};
 
 use crate::directory::{DirectoryClient, GROUP_BY_NAME, GROUP_MEMBERS, LOOKUP_MANY};
 use crate::negotiate::{ABORT, COMMIT, LINK, MARK};
@@ -276,8 +276,8 @@ impl SydEngine {
     }
 
     /// Invokes the same method on every user concurrently and collects
-    /// per-user outcomes. One [`SydEngine::invoke_batch`] round over a
-    /// [`Call::broadcast`].
+    /// per-user outcomes. One [`SydEngine::invoke_batch`] round, its calls
+    /// sharing one encoding of `args`.
     pub fn invoke_group(
         &self,
         users: &[UserId],
@@ -285,7 +285,10 @@ impl SydEngine {
         method: &str,
         args: Vec<Value>,
     ) -> GroupResult {
-        let calls: Vec<Call<'_>> = Call::broadcast(users, service, method, args).collect();
+        let args = Args::from(args);
+        let calls: Vec<Call<'_>> = (users.iter())
+            .map(|&user| Call::new(user, service, method, args.clone()))
+            .collect();
         self.invoke_batch(&calls)
     }
 
@@ -439,7 +442,7 @@ mod tests {
                     return Err(SydError::App("boom".into()));
                 }
                 let mut out = vec![Value::from(id)];
-                out.extend(req.args.iter().cloned());
+                out.extend(req.args.to_vec()?);
                 Ok(Value::list(out))
             }) as Arc<dyn RequestHandler>);
             dirc.call(REGISTER, (user, format!("user{id}").into(), server.addr()))
@@ -642,7 +645,6 @@ mod tests {
 
     #[test]
     fn shared_encode_serialises_the_broadcast_body_once() {
-        use syd_wire::Args;
         let (net, _dir, engine, _servers) = setup(8);
         let users: Vec<UserId> = (1..=8).map(UserId::new).collect();
         // Warm the cache so both rounds below differ only in body bytes.
@@ -650,7 +652,7 @@ mod tests {
             .invoke_group(&users, &ServiceName::new("svc"), "echo", vec![])
             .all_ok());
         let payload = vec![Value::str("x".repeat(512))];
-        let body_len = Args::from(payload.clone()).preencode() as u64;
+        let body_len = Args::from(payload.clone()).as_bytes().len() as u64;
         let before = net_count(&net, names::TRANSPORT_BYTES_OUT);
         assert!(engine
             .invoke_group(&users, &ServiceName::new("svc"), "echo", payload)

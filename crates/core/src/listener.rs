@@ -26,7 +26,7 @@ use syd_telemetry::names;
 use syd_telemetry::{Counter, Registry};
 use syd_types::sync::{Rank, RwLock};
 use syd_types::{NodeAddr, ServiceName, SydError, SydResult, UserId, Value};
-use syd_wire::{AsValue, Params, Request};
+use syd_wire::{Args, AsValue, Params, Request};
 
 /// Context passed to every service method.
 #[derive(Clone, Debug)]
@@ -45,7 +45,7 @@ pub trait Handler<S>: Sync {
     /// The wire name the method answers under.
     fn name(&self) -> &'static str;
     /// Reads `args` as the verb's arguments and runs the method.
-    fn serve(&self, state: &S, ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value>;
+    fn serve(&self, state: &S, ctx: &InvokeCtx, args: &Args) -> SydResult<Value>;
 }
 
 /// A service's method table: `&[&Method::verb(..), ..]`, built once per
@@ -83,7 +83,7 @@ where
         self.verb.name
     }
 
-    fn serve(&self, state: &S, ctx: &InvokeCtx, args: &[Value]) -> SydResult<Value> {
+    fn serve(&self, state: &S, ctx: &InvokeCtx, args: &Args) -> SydResult<Value> {
         (self.serve)(state, ctx, A::parse(args)?).map(R::into_value)
     }
 }
@@ -91,7 +91,7 @@ where
 /// A served table with its state's type erased.
 trait Served: Send + Sync {
     /// Runs `method`, or `None` when the table has no such method.
-    fn call(&self, method: &str, ctx: &InvokeCtx, args: &[Value]) -> Option<SydResult<Value>>;
+    fn call(&self, method: &str, ctx: &InvokeCtx, args: &Args) -> Option<SydResult<Value>>;
     /// The table's method names, in table order.
     fn names(&self) -> Vec<&'static str>;
 }
@@ -102,7 +102,7 @@ struct Table<S: 'static> {
 }
 
 impl<S: Send + Sync + 'static> Served for Table<S> {
-    fn call(&self, method: &str, ctx: &InvokeCtx, args: &[Value]) -> Option<SydResult<Value>> {
+    fn call(&self, method: &str, ctx: &InvokeCtx, args: &Args) -> Option<SydResult<Value>> {
         let handler = self.methods.iter().find(|m| m.name() == method)?;
         Some(match self.state.upgrade() {
             Some(state) => handler.serve(&state, ctx, args),

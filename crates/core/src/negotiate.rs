@@ -263,11 +263,10 @@ impl Negotiator {
         let mut round = fsm::Round::new(session, constraint, users, abort_on_contention);
         emit(round.begin());
         // One body per distinct `(entity, change)` of the session: calls
-        // carrying the same share its encoding, as `Call::broadcast`'s do.
+        // carrying the same share its encoding, as a group call's do.
         let mut bodies: Vec<(Text, Arc<Value>, Body<Step>)> = Vec::new();
         let mut body = |e: &Text, c: &Arc<Value>| {
             if let Some((_, _, args)) = bodies.iter().find(|(be, bc, _)| be == e && bc == c) {
-                args.preencode();
                 return args.clone();
             }
             let args = Body::from((session, e.clone(), Value::clone(c)));

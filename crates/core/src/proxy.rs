@@ -98,8 +98,8 @@ static PROXY_METHODS: &Methods<ProxyInner> = &[
         Ok(ops)
     }),
     &Method::verb(SYNC, |inner: &ProxyInner, ctx, (op,)| {
-        acting_for(ctx, op_user(op)?)?;
-        apply_sync_event(inner, op)
+        acting_for(ctx, op_user(&op)?)?;
+        apply_sync_event(inner, &op)
     }),
 ];
 

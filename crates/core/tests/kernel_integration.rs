@@ -21,8 +21,8 @@ const SVC: &ServiceName = &ServiceName::constant("svc");
 /// An untyped fixture: answers its arguments as a list.
 const ECHO_VERB: Verb<Vec<Value>, Value> = Verb::new(SVC, "echo");
 
-static ECHO: &Methods<()> = &[&Method::verb(ECHO_VERB, |(), _, args: &[Value]| {
-    Ok(Value::list(args.to_vec()))
+static ECHO: &Methods<()> = &[&Method::verb(ECHO_VERB, |(), _, args: Vec<Value>| {
+    Ok(Value::list(args))
 })];
 
 fn echo_service(dev: &DeviceRuntime, svc: &ServiceName) {

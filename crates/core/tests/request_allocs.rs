@@ -60,25 +60,26 @@ static SERIAL: Mutex<()> = Mutex::new(());
 /// Invocations counted, after as many to warm up.
 const CALLS: u64 = 400;
 
-/// Allocations a remote invocation may make: the measured 11.0 + 10 %.
-/// The 11 are the wave's bookkeeping in `SydEngine::batch` and
+/// Allocations a remote invocation may make: the measured 10.0 + 10 %.
+/// The 10 are the wave's bookkeeping in `SydEngine::batch` and
 /// `Node::call_many` (7: results, indices, routes, resolutions, sends,
-/// outcomes), the caller's argument list (2: its `Vec` and the 72-byte
-/// shared inner of its `Args`) and the two frames (request and reply).
-/// It made 15 while the sender cloned its credential `Vec` into each
+/// outcomes), the untyped caller's own `Vec` of values (1; their encoded
+/// list is inline) and the two frames (request and reply). It made 11
+/// while a caller's `Args` kept its values behind a shared inner of its
+/// own, 15 while the sender cloned its credential `Vec` into each
 /// request, the receiver decoded the credentials into a `Vec` and its
 /// arguments into an `Arc` of their own, and the pool boxed the job that
 /// serves the request; 21 before that, while the receiver also parsed
 /// the credentials into a `String` (1), decoded its arguments into a
 /// second `Vec` (1) and each of the call's three one-attribute spans
 /// kept its attribute on the heap (3).
-const CEILING: f64 = 12.1;
+const CEILING: f64 = 11.0;
 
 /// Allocations a member of a 32-member group call may cost: the measured
-/// 2.28 + 10 %. Each remote member costs its two frames; the wave's
+/// 2.19 + 10 %. Each remote member costs its two frames; the wave's
 /// bookkeeping, the one shared argument list and its one encoding are
 /// paid once for all 32, and the caller's own member sends no frame.
-const GROUP_CEILING: f64 = 2.51;
+const GROUP_CEILING: f64 = 2.41;
 
 /// Counts the allocations `f` makes.
 fn allocs(f: impl FnOnce()) -> u64 {

@@ -414,8 +414,8 @@ impl Node {
     /// most `1 + opts.retries` waves, so a set returns within
     /// `(1 + opts.retries) × opts.timeout` plus whatever `route` takes.
     ///
-    /// Re-sends share the call's [`Args`] handle: nothing is deep-copied or
-    /// re-encoded.
+    /// Re-sends copy or share the call's encoded [`Args`]: nothing is
+    /// encoded again.
     pub fn call_many(
         &self,
         calls: &[Call<'_>],
@@ -492,9 +492,8 @@ impl Node {
     /// proxies hosting several users' replicas route requests by it.
     ///
     /// Accepts anything convertible to [`Args`]; a broadcaster passing
-    /// the same pre-encoded [`Args`] clone to every recipient pays the
-    /// body encoding cost once for the whole group (see
-    /// [`Args::preencode`]).
+    /// clones of one [`Args`] to every recipient pays the body's encoding
+    /// once for the whole group.
     ///
     /// A request to this node's own address is served in-process and is
     /// never handed to the transport.
@@ -721,7 +720,7 @@ mod tests {
 
     fn echo_handler() -> Arc<dyn RequestHandler> {
         Arc::new(|_from: NodeAddr, req: Request| -> SydResult<Value> {
-            Ok(Value::list(req.args.to_vec()))
+            Ok(Value::list(req.args.to_vec()?))
         })
     }
 
@@ -1270,7 +1269,7 @@ mod tests {
     fn reversing_server(net: &Network, tag: &'static str) -> Node {
         let server = Node::spawn(net);
         server.set_handler(Arc::new(move |_: NodeAddr, req: Request| {
-            let k = req.args.to_vec()[0].as_i64().unwrap();
+            let k = req.args.to_vec().unwrap()[0].as_i64().unwrap();
             std::thread::sleep(Duration::from_millis(10 * (5 - k).max(0) as u64));
             Ok(Value::list([Value::str(tag), Value::I64(k)]))
         }));
@@ -1349,7 +1348,7 @@ mod tests {
 
     /// Answers `req` from a raw endpoint with its first argument.
     fn answer(server: &syd_transport::Endpoint, to: NodeAddr, req: &Request) {
-        let result = Ok(req.args.to_vec()[0].clone());
+        let result = Ok(req.args.to_vec().unwrap()[0].clone());
         let response = Payload::Response(Response { id: req.id, result });
         server.send(to, response).unwrap();
     }
@@ -1404,7 +1403,7 @@ mod tests {
             let collector =
                 s.spawn(|| wave_to(&client, server.addr(), &svc, 2, CallOptions::new()));
             let mut requests = take_requests(&server, 2);
-            requests.sort_by_key(|req| req.args.to_vec()[0].as_i64().unwrap());
+            requests.sort_by_key(|req| req.args.to_vec().unwrap()[0].as_i64().unwrap());
             answer(&server, client.addr(), &requests[0]);
             std::thread::sleep(Duration::from_millis(100));
             answer(&server, client.addr(), &requests[1]);

@@ -22,8 +22,8 @@ pub struct Call<'a> {
     pub service: &'a ServiceName,
     /// Method of that service.
     pub method: &'a str,
-    /// Positional arguments; a shared handle, so a broadcast's calls (and
-    /// every re-send) can all point at one pre-encoded body.
+    /// Positional arguments, encoded once: a broadcast's calls, and every
+    /// re-send, copy or share these bytes.
     pub args: Args,
 }
 
@@ -60,33 +60,9 @@ impl<'a> Call<'a> {
         args: impl Into<Body<A>>,
     ) -> impl Iterator<Item = Call<'a>> + 'a {
         let body = args.into();
-        if !users.is_empty() {
-            body.preencode();
-        }
         users
             .iter()
             .map(move |&user| Call::verb(user, verb, body.clone()))
-    }
-
-    /// The same call to every user of `users`: the argument body is
-    /// encoded **once** and shared by every outgoing request (and any
-    /// retry) — a group of `n` pays one serialisation, not `n`.
-    pub fn broadcast(
-        users: &'a [UserId],
-        service: &'a ServiceName,
-        method: &'a str,
-        args: Vec<Value>,
-    ) -> impl Iterator<Item = Call<'a>> + 'a {
-        let args = Args::from(args);
-        if !users.is_empty() {
-            args.preencode();
-        }
-        users.iter().map(move |&user| Call {
-            user,
-            service,
-            method,
-            args: args.clone(),
-        })
     }
 }
 
@@ -128,25 +104,18 @@ impl<A, R> Clone for Verb<A, R> {
 
 impl<A, R> Copy for Verb<A, R> {}
 
-/// The arguments of a [`Verb`], built once: clones share one [`Args`]
-/// (and its encoding), so calls that carry the same arguments — a
-/// broadcast, a shared negotiation body — pay one serialisation.
+/// The arguments of a [`Verb`], encoded once into their [`Args`]: calls
+/// that carry the same arguments — a broadcast, a shared negotiation body
+/// — clone it and pay one serialisation.
 pub struct Body<A> {
     args: Args,
     params: PhantomData<fn(A)>,
 }
 
-impl<A> Body<A> {
-    /// Encodes the arguments now, for the clones to share.
-    pub fn preencode(&self) {
-        self.args.preencode();
-    }
-}
-
 impl<A: Params> From<A> for Body<A> {
     fn from(args: A) -> Body<A> {
         Body {
-            args: Args::from(args.into_args()),
+            args: args.into_args(),
             params: PhantomData,
         }
     }
@@ -272,6 +241,20 @@ mod tests {
         assert_eq!(opts.timeout, Duration::from_millis(10));
         assert_eq!(opts.retries, 3);
         assert_eq!(CallOptions::default(), CallOptions::new());
+    }
+
+    #[test]
+    fn a_broadcasts_calls_share_one_argument_buffer() {
+        const SVC: &ServiceName = &ServiceName::constant("svc");
+        const NOTE: Verb<(syd_types::Text,), ()> = Verb::new(SVC, "note");
+        let users: Vec<UserId> = (1..=8).map(UserId::new).collect();
+        let long = syd_types::Text::from("x".repeat(100));
+        let calls: Vec<Call<'_>> = Call::verb_each(&users, NOTE, (long,)).collect();
+        let buffer = calls[0].args.as_bytes();
+        assert!(buffer.len() > syd_types::blob::INLINE_CAP);
+        for call in &calls {
+            assert_eq!(call.args.as_bytes().as_ptr(), buffer.as_ptr());
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@ fn run_scenario(loss: f64, seed: u64, opts: CallOptions, calls: i64) -> (Vec<boo
     let net = Network::with_clock(cfg, Arc::new(SimClock::new()));
     let (server, client) = (Node::spawn(&net), Node::spawn(&net));
     server.set_handler(Arc::new(
-        |_from: NodeAddr, req: Request| -> SydResult<Value> { Ok(Value::list(req.args.to_vec())) },
+        |_from: NodeAddr, req: Request| -> SydResult<Value> { Ok(Value::list(req.args.to_vec()?)) },
     ));
     let svc = ServiceName::new("echo");
     let outcomes = (0..calls)
@@ -49,7 +49,7 @@ fn run_traced_relay(calls: i64, drain_middle: bool) -> Vec<syd_trace::SpanTree> 
     let net = Network::new(NetConfig::ideal());
     let (client, middle, backend) = (Node::spawn(&net), Node::spawn(&net), Node::spawn(&net));
     backend.set_handler(Arc::new(
-        |_from: NodeAddr, req: Request| -> SydResult<Value> { Ok(Value::list(req.args.to_vec())) },
+        |_from: NodeAddr, req: Request| -> SydResult<Value> { Ok(Value::list(req.args.to_vec()?)) },
     ));
     let (mid_caller, backend_addr) = (middle.clone(), backend.addr());
     middle.set_handler(Arc::new(
@@ -60,7 +60,7 @@ fn run_traced_relay(calls: i64, drain_middle: bool) -> Vec<syd_trace::SpanTree> 
                 backend_addr,
                 &ServiceName::new("echo"),
                 "m",
-                req.args.to_vec(),
+                req.args,
                 CallOptions::new().with_timeout(Duration::from_millis(200)),
             )
         },

@@ -1,11 +1,14 @@
-//! [`Blob`]: the immutable short byte string a sealed credential travels as.
+//! [`Blob`]: the immutable byte string a sealed credential and a call's
+//! encoded arguments travel as.
 //!
 //! Every request carries its device's TEA-sealed `user ‖ password` (§5.4):
 //! an 8-byte IV and a body of a few blocks, 24–72 bytes for any password
 //! of up to 55. As a `Vec<u8>` each request's copy on the sender and each
 //! decode on the receiver was an allocation. A `Blob` of up to
 //! [`INLINE_CAP`] bytes lives inline, as [`crate::Text`] keeps a short
-//! string; a longer one lives in an `Arc<[u8]>`, which a copy shares.
+//! string; a longer one lives in an `Arc<[u8]>`, which a copy shares, so
+//! the one encoding of a group call's arguments is shared by all its
+//! requests.
 
 use core::fmt;
 use core::ops::Deref;
@@ -41,6 +44,21 @@ impl Blob {
     pub fn is_inline(&self) -> bool {
         matches!(self.0, Repr::Inline { .. })
     }
+
+    /// The `len` bytes `fill` writes: inline when they fit, else in one
+    /// shared buffer, allocated once and filled before it is shared.
+    pub fn build(len: usize, fill: impl FnOnce(&mut [u8])) -> Blob {
+        let mut buf = [0; INLINE_CAP];
+        if let Some(head) = buf.get_mut(..len) {
+            fill(head);
+            let len = len as u8; // at most INLINE_CAP
+            return Blob(Repr::Inline { len, buf });
+        }
+        let mut bytes: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
+        // The buffer has no other owner yet, so this copies nothing.
+        fill(Arc::make_mut(&mut bytes));
+        Blob(Repr::Shared(bytes))
+    }
 }
 
 impl Default for Blob {
@@ -65,15 +83,7 @@ impl AsRef<[u8]> for Blob {
 impl From<&[u8]> for Blob {
     /// Copies `bytes` inline when they fit, else into one shared buffer.
     fn from(bytes: &[u8]) -> Self {
-        let mut buf = [0; INLINE_CAP];
-        match buf.get_mut(..bytes.len()) {
-            Some(head) => {
-                head.copy_from_slice(bytes);
-                let len = bytes.len() as u8; // at most INLINE_CAP
-                Blob(Repr::Inline { len, buf })
-            }
-            None => Blob(Repr::Shared(Arc::from(bytes))),
-        }
+        Blob::build(bytes.len(), |buf| buf.copy_from_slice(bytes))
     }
 }
 

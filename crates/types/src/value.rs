@@ -7,8 +7,10 @@
 //! calendar's `Meeting` and the kernel's `Link`, are the exception: each
 //! has a typed codec and travels and rests as one [`Value::Bytes`]
 //! (DESIGN.md §18). A remote method's arguments and reply are typed by its
-//! verb (`syd_wire::AsValue`) and travel as positional values and lists;
-//! only change, link and event payloads stay maps.
+//! verb (`syd_wire::AsValue`): the arguments travel as the encoding of a
+//! list of values (`syd_wire::Args`), which a handler reads in place
+//! without building the list, and the reply as one value; only change,
+//! link and event payloads stay maps.
 
 use core::fmt;
 use std::collections::BTreeMap;
@@ -154,6 +156,16 @@ impl Value {
         self.as_map()?
             .get(key)
             .ok_or_else(|| SydError::Protocol(format!("missing map key `{key}`")))
+    }
+
+    /// Takes `key`'s value out of a map value, with [`Value::get`]'s errors.
+    pub fn take(&mut self, key: &str) -> SydResult<Value> {
+        match self {
+            Value::Map(map) => map
+                .remove(key)
+                .ok_or_else(|| SydError::Protocol(format!("missing map key `{key}`"))),
+            other => Err(SydError::type_mismatch("map", other.type_name())),
+        }
     }
 
     /// Consumes the value, extracting an owned list.

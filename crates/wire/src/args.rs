@@ -1,190 +1,90 @@
-//! Positional arguments for [`Request`]s: encode-once when a caller
-//! shares them, inline when a request is decoded.
+//! Positional arguments for [`Request`]s, as they travel: the list's
+//! canonical bytes, encoded once where the caller builds it and read where
+//! it arrived.
 //!
 //! A group invocation sends the *same* argument list to every member of a
 //! group (§4.1: "the SyDEngine dispatches the invocation to each of the
-//! group's devices"). With a plain `Vec<Value>` that costs one deep clone
-//! plus one full re-encoding per recipient at the network send boundary.
-//! A caller's [`Args`] keeps the values behind an [`Arc`] so cloning is a
-//! reference count bump, and lets the broadcaster pre-encode the canonical
-//! byte form once ([`Args::preencode`]) so every subsequent
-//! [`Encode::encode`] is a single `memcpy` of the shared buffer.
+//! group's devices"). An [`Args`] is the encoded list in a [`Blob`]: inline
+//! when short, one shared `Arc<[u8]>` when long, so every request of a
+//! broadcast (and every re-send) copies or shares one buffer and nothing
+//! is encoded twice. A received list is checked and copied out of its
+//! frame, and a handler reads its arguments from those bytes
+//! ([`crate::Params::parse`]).
 //!
-//! A received list is read once, by the one handler it reaches, so a
-//! decoded list of up to four values lives in the [`Args`] (and so in its
-//! [`Request`]) itself, with nothing to share and no allocation.
-//!
-//! The byte format is **identical** to the `Vec<Value>` encoding (varint
-//! element count followed by the elements), so requests carrying [`Args`]
-//! are byte-for-byte compatible with the pre-`Args` wire format — the
-//! envelope tests enforce this.
+//! The bytes are **identical** to the `Vec<Value>` encoding (varint
+//! element count followed by the tagged elements), so requests carrying
+//! [`Args`] are byte-for-byte compatible with the pre-`Args` wire format —
+//! the envelope and golden tests enforce this.
 //!
 //! [`Request`]: crate::envelope::Request
 
 use std::fmt;
-use std::ops::Deref;
-use std::sync::{Arc, OnceLock};
 
-use syd_types::{SydResult, Value};
+use syd_types::{Blob, SydResult, Value};
 
-use crate::codec::{encode_to_vec, encoded_len, put_varint, Decode, Encode, Reader, Sink};
+use crate::codec::{decode_from_slice, encode_to_blob, skip_value, Decode, Encode, Reader, Sink};
 
-/// How many decoded values an [`Args`] holds in place: `mark`, `commit`
-/// and `release_slot` take at most four, so a received argument list
-/// allocates nothing of its own.
-const INLINE: usize = 4;
-
-/// A caller's list: the values plus the lazily cached canonical encoding,
-/// shared (never mutated) between all clones of its [`Args`].
-struct Shared {
-    values: Vec<Value>,
-    /// Canonical encoding of `values` (varint count + elements), filled
-    /// at most once by [`Args::preencode`] and shared by every clone.
-    encoded: OnceLock<Vec<u8>>,
-}
-
-/// Where an [`Args`]'s values live.
-#[derive(Clone)]
-enum Repr {
-    /// A decoded list of up to [`INLINE`] values; the rest are `Null`.
-    /// A clone copies the values.
-    Inline(u8, [Value; INLINE]),
-    /// A list built by the caller, or a longer decoded one.
-    Shared(Arc<Shared>),
-}
-
-/// An immutable argument list: a caller's is cheaply clonable with an
-/// optional cached canonical encoding, a decoded one holds up to four
-/// values in place.
-///
-/// Dereferences to `[Value]`, so read sites written against `Vec<Value>`
-/// (`args.get(i)`, iteration, `&req.args` as `&[Value]`) keep compiling
-/// unchanged. Construction sites use `From<Vec<Value>>`.
-#[derive(Clone)]
-pub struct Args(Repr);
+/// An immutable argument list, as its encoding; a clone shares a long one.
+#[derive(Clone, PartialEq)]
+pub struct Args(Blob);
 
 impl Args {
-    /// Wraps an argument list. No encoding happens until the value is
-    /// sent (or [`Args::preencode`] is called).
-    pub fn new(values: Vec<Value>) -> Self {
-        Args(Repr::Shared(Arc::new(Shared {
-            values,
-            encoded: OnceLock::new(),
-        })))
+    /// Encodes `values` as a list, once.
+    pub fn new(values: &[Value]) -> Args {
+        Args(encode_to_blob(values))
     }
 
-    /// Encodes the canonical byte form once and caches it; subsequent
-    /// [`Encode::encode`] calls on this value *and every clone of it*
-    /// copy the cached buffer instead of re-encoding element by element.
-    /// A decoded list has no clones to share a cache with and is only
-    /// counted.
-    ///
-    /// Returns the encoded length in bytes. Idempotent.
-    pub fn preencode(&self) -> usize {
-        match &self.0 {
-            // The cell is empty until this closure returns, so `encode`
-            // writes the values here.
-            Repr::Shared(shared) => shared.encoded.get_or_init(|| encode_to_vec(self)).len(),
-            Repr::Inline(..) => encoded_len(self),
-        }
+    /// The list's canonical bytes: the varint count, then the values.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.0
     }
 
-    /// Whether the canonical encoding has been cached (by this handle or
-    /// any clone sharing it).
-    pub fn is_preencoded(&self) -> bool {
-        matches!(&self.0, Repr::Shared(shared) if shared.encoded.get().is_some())
-    }
-
-    /// The arguments as a freshly allocated `Vec` (deep clone).
-    pub fn to_vec(&self) -> Vec<Value> {
-        self[..].to_vec()
+    /// The arguments decoded into a freshly allocated `Vec`.
+    pub fn to_vec(&self) -> SydResult<Vec<Value>> {
+        decode_from_slice(&self.0)
     }
 }
 
 impl Encode for Args {
-    /// Exactly the `Vec<Value>` wire format: a varint count, then the
-    /// elements. The cached buffer *is* that encoding, so both branches
-    /// write identical bytes, and a preencoded list counts in O(1).
+    /// Exactly the `Vec<Value>` wire format, copied as it was encoded.
     fn encode(&self, buf: &mut impl Sink) {
-        if let Repr::Shared(shared) = &self.0 {
-            if let Some(bytes) = shared.encoded.get() {
-                buf.extend_from_slice(bytes);
-                return;
-            }
-        }
-        put_varint(buf, self.len() as u64);
-        for v in self.iter() {
-            v.encode(buf);
-        }
+        buf.extend_from_slice(&self.0);
     }
 }
 
 impl Decode for Args {
-    /// Decodes `Vec<Value>`'s format; a list of up to four values lands
-    /// in place.
+    /// Finds the end of a list in `Vec<Value>`'s format by stepping over
+    /// its values — refusing what decoding them refuses, with the same
+    /// error — and copies its bytes.
     fn decode(r: &mut Reader<'_>) -> SydResult<Self> {
-        let n = r.len_prefix()?;
-        if n > INLINE {
-            let mut values = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                values.push(Value::decode(r)?);
-            }
-            return Ok(Args::new(values));
+        let mut list = r.clone();
+        for _ in 0..r.len_prefix()? {
+            skip_value(r)?;
         }
-        let mut values: [Value; INLINE] = Default::default();
-        for slot in &mut values[..n] {
-            *slot = Value::decode(r)?;
-        }
-        Ok(Args(Repr::Inline(n as u8, values)))
-    }
-}
-
-impl Deref for Args {
-    type Target = [Value];
-    fn deref(&self) -> &[Value] {
-        match &self.0 {
-            Repr::Inline(n, values) => &values[..usize::from(*n)],
-            Repr::Shared(shared) => &shared.values,
-        }
+        let bytes = list.bytes(list.remaining() - r.remaining())?;
+        Ok(Args(Blob::from(bytes)))
     }
 }
 
 impl From<Vec<Value>> for Args {
     fn from(values: Vec<Value>) -> Self {
-        Args::new(values)
-    }
-}
-
-impl From<&[Value]> for Args {
-    fn from(values: &[Value]) -> Self {
-        Args::new(values.to_vec())
-    }
-}
-
-impl FromIterator<Value> for Args {
-    fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Self {
-        Args::new(iter.into_iter().collect())
-    }
-}
-
-impl PartialEq for Args {
-    fn eq(&self, other: &Self) -> bool {
-        // Equality is over the values; the encoding cache and where the
-        // values live are invisible.
-        self[..] == other[..]
+        Args::new(&values)
     }
 }
 
 impl fmt::Debug for Args {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
+        match self.to_vec() {
+            Ok(values) => f.debug_list().entries(values).finish(),
+            Err(_) => write!(f, "{:?}", self.as_bytes()),
+        }
     }
 }
 
 impl Default for Args {
-    /// The empty list, in place.
+    /// The empty list.
     fn default() -> Self {
-        Args(Repr::Inline(0, Default::default()))
+        Args::new(&[])
     }
 }
 
@@ -192,14 +92,14 @@ impl Default for Args {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // test code
 mod tests {
     use super::*;
-    use crate::codec::{decode_from_slice, encoded_len};
+    use crate::codec::{encode_to_vec, encoded_len};
 
     fn sample() -> Vec<Value> {
         vec![
-            Value::I64(-42),
+            Value::I64(7),
             Value::str("free_slots"),
             Value::Bytes(vec![1, 2, 3]),
-            Value::Null,
+            Value::list([Value::Bool(true), Value::Null]),
         ]
     }
 
@@ -208,29 +108,8 @@ mod tests {
         let values = sample();
         let args = Args::from(values.clone());
         assert_eq!(encode_to_vec(&args), encode_to_vec(&values));
-        // Pre-encoding must not change a single byte.
-        args.preencode();
-        assert_eq!(encode_to_vec(&args), encode_to_vec(&values));
-    }
-
-    #[test]
-    fn encoded_len_matches_with_and_without_cache() {
-        let args = Args::from(sample());
-        let plain = encoded_len(&args);
-        assert_eq!(args.preencode(), plain);
-        assert_eq!(encoded_len(&args), plain);
-        assert_eq!(encode_to_vec(&args).len(), plain);
-    }
-
-    #[test]
-    fn clones_share_the_preencoded_buffer() {
-        let args = Args::from(sample());
-        let clone = args.clone();
-        assert!(!clone.is_preencoded());
-        args.preencode();
-        // The cache lives in the shared inner, so the clone sees it too.
-        assert!(clone.is_preencoded());
-        assert_eq!(encode_to_vec(&clone), encode_to_vec(&args));
+        assert_eq!(args.as_bytes(), encode_to_vec(&values));
+        assert_eq!(encoded_len(&args), encoded_len(&values));
     }
 
     #[test]
@@ -239,6 +118,7 @@ mod tests {
         let bytes = encode_to_vec(&args);
         let back: Args = decode_from_slice(&bytes).unwrap();
         assert_eq!(back, args);
+        assert_eq!(back.to_vec().unwrap(), sample());
         assert_eq!(encode_to_vec(&back), bytes);
     }
 
@@ -246,50 +126,38 @@ mod tests {
     fn every_decoded_length_round_trips_inline_or_not() {
         let mut values = sample();
         values.extend(sample());
+        values.push(Value::Bytes(vec![9; 64]));
         for n in 0..=values.len() {
             let built = Args::from(values[..n].to_vec());
             let bytes = encode_to_vec(&built);
             let back: Args = decode_from_slice(&bytes).unwrap();
             assert_eq!(back, built, "{n} values");
-            assert_eq!(&back[..], &values[..n]);
-            assert_eq!(matches!(back.0, Repr::Inline(..)), n <= INLINE);
+            assert_eq!(back.to_vec().unwrap(), &values[..n]);
             assert_eq!(encoded_len(&back), bytes.len());
-            assert_eq!(back.preencode(), bytes.len());
-            assert_eq!(back.is_preencoded(), n > INLINE);
             assert_eq!(encode_to_vec(&back), bytes);
         }
     }
 
-    /// Every caller-built list sent is one `Arc` of this: the values'
-    /// `Vec` and the encoding cache, with no room for the inline slots
-    /// only a decoded list uses.
+    /// A long list is one buffer, whoever holds a clone of it; a short one
+    /// is copied inline, bytes and all.
     #[test]
-    fn a_shared_list_stays_within_72_bytes() {
-        let arc_counts = 2 * std::mem::size_of::<usize>();
-        assert!(arc_counts + std::mem::size_of::<Shared>() <= 72);
+    fn a_long_list_is_shared_by_its_clones() {
+        let long = Args::from(vec![Value::Bytes(vec![7; 100])]);
+        let clone = long.clone();
+        assert_eq!(clone.as_bytes().as_ptr(), long.as_bytes().as_ptr());
+        let short = Args::from(sample());
+        assert!(short.as_bytes().len() <= syd_types::blob::INLINE_CAP);
+        assert_ne!(short.clone().as_bytes().as_ptr(), short.as_bytes().as_ptr());
+        assert_eq!(short.clone(), short);
     }
 
     #[test]
-    fn a_decoded_clone_copies_and_a_built_clone_shares() {
-        let built = Args::from(sample());
-        let Repr::Shared(inner) = &built.clone().0 else {
-            panic!("a built list is shared")
-        };
-        assert_eq!(Arc::strong_count(inner), 2);
-        let decoded: Args = decode_from_slice(&encode_to_vec(&built)).unwrap();
-        let copy = decoded.clone();
-        assert!(matches!(copy.0, Repr::Inline(4, _)));
-        assert_eq!(copy, built);
-        assert!(matches!(Args::default().0, Repr::Inline(0, _)));
-    }
-
-    #[test]
-    fn derefs_like_a_slice() {
+    fn reads_back_as_its_values() {
         let args = Args::from(sample());
-        assert_eq!(args.len(), 4);
-        assert_eq!(args.get(1), Some(&Value::str("free_slots")));
-        assert_eq!(args.to_vec(), sample());
+        assert_eq!(args.to_vec().unwrap(), sample());
+        assert_eq!(format!("{args:?}"), format!("{:?}", sample()));
         let empty = Args::default();
-        assert!(empty.is_empty());
+        assert_eq!(empty.as_bytes(), [0]);
+        assert!(empty.to_vec().unwrap().is_empty());
     }
 }

@@ -86,6 +86,22 @@ impl Sink for Counter {
     }
 }
 
+/// Writes an encoding into a slice of exactly its counted length.
+struct Fill<'a>(&'a mut [u8]);
+
+impl Sink for Fill<'_> {
+    #[inline]
+    fn push(&mut self, byte: u8) {
+        self.extend_from_slice(&[byte]);
+    }
+    #[inline]
+    fn extend_from_slice(&mut self, bytes: &[u8]) {
+        let (head, rest) = std::mem::take(&mut self.0).split_at_mut(bytes.len());
+        head.copy_from_slice(bytes);
+        self.0 = rest;
+    }
+}
+
 /// Types that can deserialize themselves from a [`Reader`].
 pub trait Decode: Sized {
     /// Consumes bytes from `r`, producing a value or a codec error.
@@ -208,6 +224,12 @@ pub fn encode_to_vec<T: Encode + ?Sized>(value: &T) -> Vec<u8> {
     let mut buf = Vec::with_capacity(encoded_len(value));
     value.encode(&mut buf);
     buf
+}
+
+/// Encodes `value` into a [`Blob`]: inline when short, else one shared
+/// buffer allocated once at its exact size.
+pub fn encode_to_blob<T: Encode + ?Sized>(value: &T) -> Blob {
+    Blob::build(encoded_len(value), |buf| value.encode(&mut Fill(buf)))
 }
 
 /// Exact number of bytes [`Encode::encode`] writes for `value`, counted
@@ -365,9 +387,13 @@ impl Encode for [u8] {
     }
 }
 
-impl Encode for Vec<u8> {
+/// A vector encodes as its slice: `Vec<u8>` as bytes, any other as a list.
+impl<T> Encode for Vec<T>
+where
+    [T]: Encode,
+{
     fn encode(&self, buf: &mut impl Sink) {
-        self.as_slice().encode(buf);
+        self[..].encode(buf);
     }
 }
 
@@ -419,7 +445,7 @@ impl<T: Decode> Decode for Option<T> {
 /// this impl is restricted to non-byte element types via the blanket bound.
 macro_rules! vec_codec {
     ($elem:ty) => {
-        impl Encode for Vec<$elem> {
+        impl Encode for [$elem] {
             fn encode(&self, buf: &mut impl Sink) {
                 put_varint(buf, self.len() as u64);
                 for item in self {
@@ -602,14 +628,14 @@ impl Decode for Priority {
 // Value
 // ---------------------------------------------------------------------------
 
-const VAL_NULL: u8 = 0;
-const VAL_BOOL: u8 = 1;
-const VAL_I64: u8 = 2;
-const VAL_F64: u8 = 3;
-const VAL_STR: u8 = 4;
-const VAL_BYTES: u8 = 5;
-const VAL_LIST: u8 = 6;
-const VAL_MAP: u8 = 7;
+pub(crate) const VAL_NULL: u8 = 0;
+pub(crate) const VAL_BOOL: u8 = 1;
+pub(crate) const VAL_I64: u8 = 2;
+pub(crate) const VAL_F64: u8 = 3;
+pub(crate) const VAL_STR: u8 = 4;
+pub(crate) const VAL_BYTES: u8 = 5;
+pub(crate) const VAL_LIST: u8 = 6;
+pub(crate) const VAL_MAP: u8 = 7;
 
 impl Encode for Value {
     fn encode(&self, buf: &mut impl Sink) {
@@ -683,6 +709,23 @@ impl Decode for Value {
             }
             other => Err(SydError::Codec(format!("invalid value tag {other}"))),
         }
+    }
+}
+
+/// Steps over one encoded [`Value`] without building it: refuses exactly
+/// what [`Value::decode`] refuses, with the same [`SydError::Codec`], in
+/// the same order, and allocates nothing.
+pub(crate) fn skip_value(r: &mut Reader<'_>) -> SydResult<()> {
+    match r.u8()? {
+        VAL_NULL => Ok(()),
+        VAL_BOOL => bool::decode(r).map(drop),
+        VAL_I64 => r.varint().map(drop),
+        VAL_F64 => r.bytes(8).map(drop),
+        VAL_STR => r.str().map(drop),
+        VAL_BYTES => r.len_prefix().and_then(|n| r.bytes(n)).map(drop),
+        VAL_LIST => (0..r.len_prefix()?).try_for_each(|_| skip_value(r)),
+        VAL_MAP => (0..r.len_prefix()?).try_for_each(|_| r.str().and_then(|_| skip_value(r))),
+        other => Err(SydError::Codec(format!("invalid value tag {other}"))),
     }
 }
 
@@ -1159,7 +1202,10 @@ mod proptests {
         // Whatever the input, decoding returns Ok or Err — no panic, no
         // unbounded allocation.
         cases(256, |rng| {
-            let _ = decode_from_slice::<Value>(&rng.bytes(255));
+            let bytes = rng.bytes(255);
+            let _ = decode_from_slice::<Value>(&bytes);
+            let _ = decode_from_slice::<crate::Envelope>(&bytes);
+            let _ = decode_from_slice::<crate::Args>(&bytes);
         });
     }
 }

@@ -84,10 +84,10 @@ pub struct Request<C = Blob> {
     pub service: ServiceName,
     /// Target method, e.g. `"reserve_slot"`.
     pub method: Text,
-    /// Positional arguments. [`Args`] encodes exactly like `Vec<Value>`;
-    /// a caller's list is cheap to clone and can carry a pre-encoded byte
-    /// form shared across an entire group broadcast, and a decoded list
-    /// of up to four values lives in the request itself.
+    /// Positional arguments, as their encoded list ([`Args`]: the bytes
+    /// `Vec<Value>` encodes to). A caller's list is encoded once and shared
+    /// by a whole group broadcast; a received one is the request's own
+    /// copy of those bytes, which the handler reads its arguments out of.
     pub args: Args,
     /// Optional distributed trace context, encoded as a trailing
     /// extension so trace-free requests keep the pre-trace byte format.
@@ -120,10 +120,11 @@ impl Decode for Request {
         let credentials = Blob::decode(r)?;
         let service = ServiceName::decode(r)?;
         let method = Text::decode(r)?;
+        // The list is checked and copied as it arrived; the trace
+        // extension follows it. A request always ends its enclosing
+        // frame, so any bytes left are that extension; none means an
+        // old-format (or deliberately untraced) request.
         let args = Args::decode(r)?;
-        // A request always ends its enclosing frame, so any bytes left
-        // are the trailing trace extension; none means an old-format
-        // (or deliberately untraced) request.
         let trace = if r.remaining() > 0 {
             match r.u8()? {
                 TRACE_MARKER => Some(TraceContext::decode(r)?),
@@ -341,7 +342,7 @@ mod tests {
         req.method.encode(&mut buf);
         // The legacy format carried a plain `Vec<Value>`; encoding the
         // values through that path proves `Args` is byte-compatible.
-        req.args.to_vec().encode(&mut buf);
+        req.args.to_vec().unwrap().encode(&mut buf);
         buf
     }
 

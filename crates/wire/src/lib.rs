@@ -28,4 +28,4 @@ pub mod typed;
 pub use args::Args;
 pub use codec::{decode_from_slice, encode_to_vec, encoded_len, Decode, Encode, Reader, Sink};
 pub use envelope::{Envelope, EventMsg, Payload, Request, Response, TraceContext};
-pub use typed::{AsValue, Encoded, InPlace, Params, Record};
+pub use typed::{read_owned, AsValue, Encoded, InPlace, Params, Record};

@@ -7,10 +7,11 @@
 //! missing argument or a value of the wrong type is
 //! [`SydError::Protocol`], a negative number where a `u64` is read is
 //! refused, and ids keep the `u64 ↔ i64` bit-cast their encoding has
-//! always had. A handler reads a request through [`AsValue::View`], which
-//! copies scalars, shares names, borrows untyped values and lists and
-//! reads a [`Record`] where it arrived ([`Encoded`]); a caller builds the
-//! request from the owned types and reads the reply back owned.
+//! always had. A caller's tuple is encoded straight into its [`Args`]; a
+//! handler reads each argument out of the request's bytes through the
+//! codec's [`Reader`] ([`AsValue::view`]), copying scalars and names,
+//! reading a [`Record`] where it arrived ([`Encoded`]) and decoding only
+//! an untyped [`Value`]; a caller reads the reply back owned.
 
 use syd_types::{
     GroupId, LinkId, MeetingId, NodeAddr, Priority, SlotBitmap, SydError, SydResult, Text, UserId,
@@ -19,16 +20,19 @@ use syd_types::{
 
 use std::marker::PhantomData;
 
-use crate::codec::{decode_from_slice, encode_to_vec, Encode};
+use crate::args::Args;
+use crate::codec::{decode_from_slice, encode_to_vec, Decode, Encode, Reader};
+use crate::codec::{VAL_BYTES, VAL_LIST, VAL_NULL};
 
 /// A type that travels as one [`Value`]: a verb's argument or its reply.
 pub trait AsValue: Sized {
-    /// What a handler reads: the type itself, or a borrow of the request
-    /// for an untyped value.
+    /// What a handler reads: the type itself, or a borrow of the request's
+    /// bytes.
     type View<'a>;
 
-    /// Reads `value` as this type, borrowing from it where the view does.
-    fn view(value: &Value) -> SydResult<Self::View<'_>>;
+    /// Reads the value `r` is at as this type, borrowing from its bytes
+    /// where the view does.
+    fn view<'a>(r: &mut Reader<'a>) -> SydResult<Self::View<'a>>;
 
     /// Reads an owned `value` (a reply) as this type.
     fn from_value(value: Value) -> SydResult<Self>;
@@ -44,23 +48,35 @@ pub trait Params: Sized {
     type View<'a>;
 
     /// Reads the positional `args`; extra trailing arguments are ignored.
-    fn parse(args: &[Value]) -> SydResult<Self::View<'_>>;
+    fn parse(args: &Args) -> SydResult<Self::View<'_>>;
 
-    /// The argument list a caller sends.
-    fn into_args(self) -> Vec<Value>;
+    /// The argument list a caller sends, encoded.
+    fn into_args(self) -> Args;
 }
 
-/// Argument `i` of `args`, or a protocol error naming it.
-fn positional(args: &[Value], i: usize) -> SydResult<&Value> {
-    args.get(i)
-        .ok_or_else(|| SydError::Protocol(format!("missing argument {i}")))
+/// The value `r` is at, decoded and read as an owned `T`: the view of a
+/// type that borrows nothing from the request.
+pub fn read_owned<T: AsValue>(r: &mut Reader<'_>) -> SydResult<T> {
+    T::from_value(Value::decode(r)?)
 }
 
+/// Steps over the tag of the value `r` is at, which must be `tag`; any
+/// other value is a type mismatch naming `want` and what is there.
+fn tagged(r: &mut Reader<'_>, tag: u8, want: &str) -> SydResult<()> {
+    let mut at = r.clone();
+    if r.u8()? != tag {
+        let got = Value::decode(&mut at)?;
+        return Err(SydError::type_mismatch(want, got.type_name()));
+    }
+    Ok(())
+}
+
+/// An untyped value: decoded, for the handler to read as it likes.
 impl AsValue for Value {
-    type View<'a> = &'a Value;
+    type View<'a> = Value;
 
-    fn view(value: &Value) -> SydResult<&Value> {
-        Ok(value)
+    fn view(r: &mut Reader<'_>) -> SydResult<Value> {
+        Value::decode(r)
     }
 
     fn from_value(value: Value) -> SydResult<Value> {
@@ -72,19 +88,20 @@ impl AsValue for Value {
     }
 }
 
-/// A type a handler reads whole: copied out of the request, or a name
-/// sharing its bytes (cloning a [`Text`] copies no heap bytes).
+/// A type a handler reads whole: decoded out of the request's bytes as
+/// the one value it travels as.
 macro_rules! whole {
     ($($t:ty: |$v:ident| $read:expr, |$s:ident| $write:expr;)*) => {$(
         impl AsValue for $t {
             type View<'a> = $t;
 
-            fn view($v: &Value) -> SydResult<$t> {
-                $read
+            fn view(r: &mut Reader<'_>) -> SydResult<$t> {
+                read_owned(r)
             }
 
             fn from_value(value: Value) -> SydResult<$t> {
-                Self::view(&value)
+                let $v = &value;
+                $read
             }
 
             fn into_value(self) -> Value {
@@ -127,11 +144,13 @@ whole! {
 impl<T: AsValue> AsValue for Option<T> {
     type View<'a> = Option<T::View<'a>>;
 
-    fn view(value: &Value) -> SydResult<Self::View<'_>> {
-        match value {
-            Value::Null => Ok(None),
-            some => T::view(some).map(Some),
+    fn view<'a>(r: &mut Reader<'a>) -> SydResult<Self::View<'a>> {
+        let mut after = r.clone();
+        if after.u8()? == VAL_NULL {
+            *r = after;
+            return Ok(None);
         }
+        T::view(r).map(Some)
     }
 
     fn from_value(value: Value) -> SydResult<Option<T>> {
@@ -150,8 +169,9 @@ impl<T: AsValue> AsValue for Option<T> {
 impl<T: AsValue> AsValue for Vec<T> {
     type View<'a> = Vec<T::View<'a>>;
 
-    fn view(value: &Value) -> SydResult<Self::View<'_>> {
-        value.as_list()?.iter().map(T::view).collect()
+    fn view<'a>(r: &mut Reader<'a>) -> SydResult<Self::View<'a>> {
+        tagged(r, VAL_LIST, "list")?;
+        (0..r.len_prefix()?).map(|_| T::view(r)).collect()
     }
 
     fn from_value(value: Value) -> SydResult<Vec<T>> {
@@ -211,11 +231,15 @@ pub struct Encoded<'a, T: InPlace> {
 }
 
 impl<'a, T: InPlace> Encoded<'a, T> {
-    /// Reads the record `value` holds.
-    pub fn of(value: &'a Value) -> SydResult<Encoded<'a, T>> {
-        let bytes = value.as_bytes()?;
+    /// Reads the record `bytes` encode.
+    pub fn read(bytes: &'a [u8]) -> SydResult<Encoded<'a, T>> {
         let fields = T::read(bytes)?;
         Ok(Encoded { bytes, fields })
+    }
+
+    /// Reads the record `value` holds.
+    pub fn of(value: &'a Value) -> SydResult<Encoded<'a, T>> {
+        Encoded::read(value.as_bytes()?)
     }
 
     /// The record these bytes are, copied out of the request (the one
@@ -236,13 +260,15 @@ impl<'a, T: InPlace> std::ops::Deref for Encoded<'a, T> {
     }
 }
 
-/// A handler reads the record in place; an owned reply is checked the
-/// same way and kept encoded.
+/// A handler reads the record in place, in the request's own bytes; an
+/// owned reply is checked the same way and kept encoded.
 impl<T: InPlace> AsValue for Record<T> {
     type View<'a> = Encoded<'a, T>;
 
-    fn view(value: &Value) -> SydResult<Encoded<'_, T>> {
-        Encoded::of(value)
+    fn view<'a>(r: &mut Reader<'a>) -> SydResult<Encoded<'a, T>> {
+        tagged(r, VAL_BYTES, "bytes")?;
+        let n = r.len_prefix()?;
+        Encoded::read(r.bytes(n)?)
     }
 
     fn from_value(value: Value) -> SydResult<Record<T>> {
@@ -258,48 +284,55 @@ impl<T: InPlace> AsValue for Record<T> {
     }
 }
 
-/// An untyped argument list: the handler reads the slice itself.
+/// An untyped argument list: the handler is handed its values, decoded.
 impl Params for Vec<Value> {
-    type View<'a> = &'a [Value];
+    type View<'a> = Vec<Value>;
 
-    fn parse(args: &[Value]) -> SydResult<&[Value]> {
-        Ok(args)
+    fn parse(args: &Args) -> SydResult<Vec<Value>> {
+        args.to_vec()
     }
 
-    fn into_args(self) -> Vec<Value> {
-        self
+    fn into_args(self) -> Args {
+        Args::from(self)
     }
 }
 
-/// A tuple is a verb's positional arguments.
+/// A tuple is a verb's positional arguments, each read in turn out of the
+/// list's bytes.
 macro_rules! params {
     ($(($($t:ident $i:tt),*))*) => {$(
         impl<$($t: AsValue),*> Params for ($($t,)*) {
             type View<'a> = ($($t::View<'a>,)*);
 
-            #[allow(unused_variables)] // `()` reads nothing
-            fn parse(args: &[Value]) -> SydResult<Self::View<'_>> {
-                Ok(($($t::view(positional(args, $i)?)?,)*))
+            #[allow(unused_variables, unused_mut)] // `()` reads nothing
+            fn parse(args: &Args) -> SydResult<Self::View<'_>> {
+                let mut r = Reader::new(args.as_bytes());
+                let n = r.len_prefix()?;
+                let missing = |i: usize| SydError::Protocol(format!("missing argument {i}"));
+                Ok(($(match $i < n {
+                    true => $t::view(&mut r)?,
+                    false => return Err(missing($i)),
+                },)*))
             }
 
-            fn into_args(self) -> Vec<Value> {
-                vec![$(self.$i.into_value()),*]
+            fn into_args(self) -> Args {
+                Args::new(&[$(self.$i.into_value()),*])
             }
         }
     )*};
 }
 
 /// As one value — a reply that is a record without a codec — a tuple is
-/// the list of its elements.
+/// the list of its elements, read owned.
 macro_rules! tuples {
     ($(($($t:ident $i:tt),*))*) => {$(
         params!(($($t $i),*));
 
         impl<$($t: AsValue),*> AsValue for ($($t,)*) {
-            type View<'a> = ($($t::View<'a>,)*);
+            type View<'a> = Self;
 
-            fn view(value: &Value) -> SydResult<Self::View<'_>> {
-                <Self as Params>::parse(value.as_list()?)
+            fn view(r: &mut Reader<'_>) -> SydResult<Self> {
+                read_owned(r)
             }
 
             fn from_value(value: Value) -> SydResult<Self> {
@@ -312,7 +345,7 @@ macro_rules! tuples {
             }
 
             fn into_value(self) -> Value {
-                Value::List(<Self as Params>::into_args(self))
+                Value::List(vec![$(self.$i.into_value()),*])
             }
         }
     )*};
@@ -340,35 +373,43 @@ mod tests {
         }
     }
 
+    /// The encoded list of `values`, as a request carries it.
+    fn encoded(values: &[Value]) -> Args {
+        decode_from_slice(&encode_to_vec(&values.to_vec())).unwrap()
+    }
+
     #[test]
     fn a_missing_or_mistyped_argument_is_a_protocol_error() {
         type Mark = (u64, Text, Value);
-        let args = [Value::from(7u64), Value::str("slot:1")];
+        let args = encoded(&[Value::from(7u64), Value::str("slot:1")]);
         assert_eq!(protocol(Mark::parse(&args)), "missing argument 2");
-        let args = [Value::str("7"), Value::str("slot:1"), Value::Null];
+        let args = encoded(&[Value::str("7"), Value::str("slot:1"), Value::Null]);
         assert!(protocol(Mark::parse(&args)).contains("type mismatch"));
-        let args = [
+        let args = encoded(&[
             Value::from(7u64),
             Value::str("slot:1"),
             Value::Null,
             Value::Null,
-        ];
+        ]);
         let (session, entity, change) = Mark::parse(&args).unwrap();
         assert_eq!(
             (session, entity.as_str(), change),
-            (7, "slot:1", &Value::Null)
+            (7, "slot:1", Value::Null)
         );
     }
 
     #[test]
     fn numbers_are_checked_and_ids_are_bit_cast() {
-        assert!(protocol(u64::view(&Value::I64(-1))).contains("negative"));
+        assert!(protocol(u64::from_value(Value::I64(-1))).contains("negative"));
         for level in [-1, 256, 356] {
-            assert!(protocol(Priority::view(&Value::I64(level))).contains("priority"));
+            assert!(protocol(Priority::from_value(Value::I64(level))).contains("priority"));
         }
-        assert_eq!(Priority::view(&Value::I64(255)).unwrap(), Priority::MAX);
         assert_eq!(
-            UserId::view(&Value::I64(-1)).unwrap(),
+            Priority::from_value(Value::I64(255)).unwrap(),
+            Priority::MAX
+        );
+        assert_eq!(
+            UserId::from_value(Value::I64(-1)).unwrap(),
             UserId::new(u64::MAX)
         );
         let addr = NodeAddr::new(u64::MAX - 3);
@@ -376,11 +417,28 @@ mod tests {
     }
 
     #[test]
+    fn each_argument_is_read_out_of_the_bytes() {
+        type Args3 = (Option<u64>, Vec<UserId>, Option<Text>);
+        let users = vec![UserId::new(3), UserId::new(u64::MAX)];
+        let args = (None::<u64>, users.clone(), Some(Text::from("x"))).into_args();
+        let values = [Value::Null, users.clone().into_value(), Value::str("x")];
+        assert_eq!(args, encoded(&values));
+        let (none, read, some) = Args3::parse(&args).unwrap();
+        assert_eq!((none, read, some), (None, users, Some(Text::from("x"))));
+        let args = encoded(&[Value::Null, Value::I64(1), Value::Null]);
+        assert_eq!(
+            protocol(Args3::parse(&args)),
+            "type mismatch: expected list, got i64"
+        );
+    }
+
+    #[test]
     fn a_typed_reply_reads_back_what_was_written() {
         type Entries = Vec<Option<(NodeAddr, bool)>>;
         let entries: Entries = vec![Some((NodeAddr::new(3), true)), None];
         let value = entries.clone().into_value();
-        assert_eq!(Entries::view(&value).unwrap(), entries);
+        let bytes = encode_to_vec(&value);
+        assert_eq!(Entries::view(&mut Reader::new(&bytes)).unwrap(), entries);
         assert_eq!(Entries::from_value(value).unwrap(), entries);
         let short = Value::list([Value::from(3u64)]);
         assert_eq!(

@@ -174,7 +174,7 @@ impl EntityHandler for YesWithProbability {
             Err(syd_types::SydError::App("unavailable".into()))
         }
     }
-    fn commit(&self, _e: &str, _c: &Value) -> SydResult<()> {
+    fn commit(&self, _e: &str, _c: Value) -> SydResult<()> {
         Ok(())
     }
     fn abort(&self, _e: &str, _c: &Value) {}

@@ -201,7 +201,7 @@ impl EntityHandler for VehicleEntityHandler {
         }
     }
 
-    fn commit(&self, entity: &str, change: &Value) -> SydResult<()> {
+    fn commit(&self, entity: &str, change: Value) -> SydResult<()> {
         let v = self.0.upgrade().ok_or(SydError::Shutdown)?;
         if entity == ZONE_ENTITY {
             v.set_state("zone", Value::str(change.get("zone")?.as_str()?))?;

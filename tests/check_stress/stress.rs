@@ -129,7 +129,7 @@ impl EntityHandler for FlakyHandler {
         }
     }
 
-    fn commit(&self, _entity: &str, _change: &Value) -> SydResult<()> {
+    fn commit(&self, _entity: &str, _change: Value) -> SydResult<()> {
         Ok(())
     }
 

@@ -74,7 +74,7 @@ fn meeting_negotiation_over_loopback_tcp() {
 }
 
 fn echo_handler() -> Arc<dyn syd::net::RequestHandler> {
-    Arc::new(|_from, req: Request| -> SydResult<Value> { Ok(Value::list(req.args.to_vec())) })
+    Arc::new(|_from, req: Request| -> SydResult<Value> { Ok(Value::list(req.args.to_vec()?)) })
 }
 
 /// Satellite: a dropped TCP connection surfaces as the same retriable
