@@ -29,7 +29,7 @@ use syd_types::{
     MeetingId, Priority, ServiceName, SlotBitmap, SlotRange, SydError, SydResult, Text, TimeSlot,
     UserId, Value,
 };
-use syd_wire::{AsValue, Encoded, Record};
+use syd_wire::{decode_from_slice, AsValue, Encoded, Record};
 
 use self::busy::BusyWords;
 use crate::delegation::AUTHORITY_CHECK;
@@ -368,7 +368,7 @@ impl CalendarApp {
     /// The locally stored record of a meeting.
     pub fn meeting(&self, id: MeetingId) -> SydResult<Option<Meeting>> {
         let row = self.meeting_row(id)?;
-        row.map(|row| Meeting::from_value(&row.values[1]))
+        row.map(|row| decode_from_slice(row.values[1].as_bytes()?))
             .transpose()
     }
 
@@ -395,17 +395,13 @@ impl CalendarApp {
     pub(crate) fn put_meeting(&self, record: Record<Meeting>) -> SydResult<()> {
         let key = Value::from(Encoded::<Meeting>::of(record.value())?.id.raw());
         let by_id = Predicate::Eq("id".into(), key.clone());
-        let mut data = [("data".into(), record.into_value())];
-        if self.store.update(T_MEETINGS, &by_id, &mut data)? > 0 {
+        let data = [("data".into(), record.into_value())];
+        if self.store.update(T_MEETINGS, &by_id, &data)? > 0 {
             return Ok(());
         }
-        // No row matched, so the record is still here: it moves into the
-        // insert's row, which a lost race leaves us to copy it out of.
-        let [(column, record)] = data;
-        let row: Arc<[Value]> = Arc::new([key, record]);
-        if let Err(err) = self.store.insert(T_MEETINGS, Arc::clone(&row)) {
-            let mut data = [(column, row[1].clone())];
-            if self.store.update(T_MEETINGS, &by_id, &mut data)? == 0 {
+        let [(_, record)] = &data;
+        if let Err(err) = self.store.insert(T_MEETINGS, [key, record.clone()]) {
+            if self.store.update(T_MEETINGS, &by_id, &data)? == 0 {
                 return Err(err);
             }
         }

@@ -37,7 +37,7 @@ use syd_store::Predicate;
 use syd_telemetry::names;
 use syd_types::sync;
 use syd_types::{LinkId, MeetingId, SlotRange, SydError, SydResult, Text, TimeSlot, UserId, Value};
-use syd_wire::Record;
+use syd_wire::{AsValue, Record};
 
 use crate::app::{
     CalendarApp, CHANGE_REQUEST, DROP_AVAILABILITY, FREE_SLOTS_BITMAP, LEAVE_REQUEST,
@@ -264,7 +264,7 @@ impl CalendarApp {
                     let kind = usize::from(p.user != me) * (1 + usize::from(supervisor));
                     let change = kinds[kind].get_or_insert_with(|| {
                         let link = (kind > 0).then(|| self.back_link(&expected, supervisor));
-                        let link = link.map(|link| link.to_value());
+                        let link = link.map(|link| Record::new(&link).into_value());
                         let record = record.value().clone();
                         Arc::new(Self::reserve_change(&expected, record, link))
                     });

@@ -2,11 +2,8 @@
 
 use std::ops::Range;
 
-use syd_types::{Priority, SydError, SydResult, Text, TimeSlot, UserId, Value};
-use syd_wire::{
-    decode_from_slice, encode_to_vec, read_owned, AsValue, Decode, Encode, InPlace, Reader, Record,
-    Sink,
-};
+use syd_types::{Bytes, Priority, SydError, SydResult, Text, TimeSlot, UserId, Value};
+use syd_wire::{read_owned, AsValue, Decode, Encode, InPlace, Reader, Record, Sink};
 
 pub use syd_types::MeetingId;
 
@@ -308,15 +305,9 @@ impl Meeting {
     }
 
     /// Wire/storage form: the record's [`Encode`]d bytes in one
-    /// [`Value::Bytes`] (DESIGN.md §18).
+    /// [`Value::Bytes`] (DESIGN.md §18), as [`Record::new`] encodes it.
     pub fn to_value(&self) -> Value {
-        Value::Bytes(encode_to_vec(self))
-    }
-
-    /// Inverse of [`Meeting::to_value`]; anything but well-formed bytes of
-    /// the current version is refused.
-    pub fn from_value(v: &Value) -> SydResult<Meeting> {
-        decode_from_slice(v.as_bytes()?)
+        Record::new(self).into_value()
     }
 }
 
@@ -412,17 +403,14 @@ impl<'a> MeetingFields<'a> {
         status: MeetingStatus,
         clear_reserved: bool,
     ) -> SydResult<Record<Meeting>> {
-        let after = self.status_at + 1;
-        let mut bytes = Vec::with_capacity(self.bytes.len());
-        bytes.extend_from_slice(&self.bytes[..self.status_at]);
-        bytes.push(status.tag());
-        if clear_reserved {
-            bytes.extend_from_slice(&self.bytes[after..self.reserved.start]);
-            bytes.push(0);
-            bytes.extend_from_slice(&self.bytes[self.reserved.end..]);
-        } else {
-            bytes.extend_from_slice(&self.bytes[after..]);
-        }
+        let b = self.bytes;
+        let (cut, with): (Range<usize>, &[u8]) = match clear_reserved {
+            true => (self.reserved.clone(), &[0]),
+            false => (b.len()..b.len(), &[]),
+        };
+        let status = [status.tag()];
+        let (head, after) = (&b[..self.status_at], &b[self.status_at + 1..cut.start]);
+        let bytes = Bytes::concat(&[head, &status, after, with, &b[cut.end..]]);
         Record::from_value(Value::Bytes(bytes))
     }
 }
@@ -528,6 +516,7 @@ mod tests {
     use super::*;
     use syd_types::rng::{cases, Rng};
     use syd_wire::encoded_len;
+    use syd_wire::{decode_from_slice, encode_to_vec};
 
     fn u(n: u64) -> UserId {
         UserId::new(n)
@@ -636,7 +625,11 @@ mod tests {
             let bytes = encode_to_vec(&m);
             assert_eq!(bytes.len(), encoded_len(&m));
             assert_eq!(decode_from_slice::<Meeting>(&bytes).unwrap(), m);
-            assert_eq!(Meeting::from_value(&m.to_value()).unwrap(), m);
+            let value = m.to_value();
+            assert_eq!(
+                decode_from_slice::<Meeting>(value.as_bytes().unwrap()).unwrap(),
+                m
+            );
         });
     }
 
@@ -746,12 +739,14 @@ mod tests {
     fn unknown_version_and_map_form_are_refused() {
         let mut bytes = encode_to_vec(&meeting());
         bytes[0] = MEETING_VERSION + 1;
-        let err = Meeting::from_value(&Value::Bytes(bytes)).unwrap_err();
+        let err = Record::<Meeting>::from_value(Value::from(bytes))
+            .err()
+            .unwrap();
         assert!(matches!(err, SydError::Codec(_)), "{err}");
 
         // What a peer of the map era would send: refused, not half-read.
         let map = Value::map([("id", Value::from(7u64)), ("title", Value::str("standup"))]);
-        let err = Meeting::from_value(&map).unwrap_err();
+        let err = Record::<Meeting>::from_value(map).err().unwrap();
         assert!(
             matches!(&err, SydError::Protocol(m) if m.contains("type mismatch")),
             "{err}"

@@ -126,7 +126,7 @@ mod tests {
                 vec![Value::from(outcome.meeting.raw())],
             )
             .unwrap();
-        let rec = Meeting::from_value(&info).unwrap();
+        let rec: Meeting = decode_from_slice(info.as_bytes().unwrap()).unwrap();
         assert_eq!(rec.id, outcome.meeting);
 
         // Scheduling with phil while he's off leaves the meeting tentative
@@ -214,9 +214,11 @@ mod tests {
         let bitmap: SlotBitmap = decode_from_slice(bitmap.as_bytes().unwrap()).unwrap();
         let free_slots = [free, busy, conf, tent].map(|slot| bitmap.is_free(slot));
         assert_eq!(free_slots, [true, false, false, false]);
-        let ids = infos[..2]
-            .iter()
-            .map(|info| Meeting::from_value(info).unwrap().id);
+        let ids = infos[..2].iter().map(|info| {
+            decode_from_slice::<Meeting>(info.as_bytes().unwrap())
+                .unwrap()
+                .id
+        });
         assert_eq!(
             ids.collect::<Vec<_>>(),
             [confirmed.meeting, tentative.meeting]

@@ -887,7 +887,7 @@ fn a_malformed_record_is_refused_and_changes_nothing() {
         .into_iter()
         .enumerate()
     {
-        let bad = Value::Bytes(bad);
+        let bad = Value::from(bad);
         let err = ask("update_meeting", vec![bad.clone()]).unwrap_err();
         assert!(matches!(err, SydError::Codec(_)), "{what}: {err}");
         let args = vec![Value::from(free.ordinal()), bad.clone()];

@@ -47,7 +47,8 @@ use syd_types::{
     Clock, LinkId, Priority, ServiceName, SydError, SydResult, Text, Timestamp, UserId, Value,
 };
 use syd_wire::{
-    decode_from_slice, encode_to_vec, Args, Decode, Encode, Encoded, InPlace, Reader, Record, Sink,
+    decode_from_slice, encode_to_bytes, Args, Decode, Encode, Encoded, InPlace, Reader, Record,
+    Sink,
 };
 
 use crate::engine::{Call, SydEngine};
@@ -214,16 +215,6 @@ pub struct Link {
     /// Correlation id shared by all links of one logical connection —
     /// cascade deletion follows it across devices.
     pub corr: Text,
-}
-
-impl Link {
-    /// Wire form (`syd.link/install_link`, the commit's back link): the
-    /// link's [`Encode`]d bytes in one [`Value::Bytes`] (DESIGN.md §18),
-    /// read where it arrives ([`LinkFields`]); the receiving device
-    /// assigns its own local id when it installs the link.
-    pub fn to_value(&self) -> Value {
-        Value::Bytes(encode_to_vec(self))
-    }
 }
 
 /// Leading byte of an encoded [`Link`]; a decoder refuses any other.
@@ -574,7 +565,7 @@ impl LinksModule {
     /// Installs a link locally (no peer interaction). Returns the stored
     /// link with its assigned id and correlation id.
     pub fn add_local(&self, spec: LinkSpec) -> SydResult<Link> {
-        let refs = Value::Bytes(encode_to_vec(&Refs(&spec.refs[..])));
+        let refs = Value::Bytes(encode_to_bytes(&Refs(&spec.refs[..])));
         let (id, corr, created) = self.insert(&spec, refs)?;
         Ok(Link {
             id,
@@ -846,7 +837,7 @@ impl LinksModule {
             corr: link.corr.into(),
             waits_on: None,
         };
-        let (id, ..) = self.insert(&spec, Value::Bytes(link.refs.to_vec()))?;
+        let (id, ..) = self.insert(&spec, Value::Bytes(link.refs.into()))?;
         Ok(id)
     }
 
@@ -1252,6 +1243,7 @@ mod tests {
     use syd_store::{Trigger, TriggerEvent};
     use syd_types::rng::{cases, Rng};
     use syd_types::sync::{Mutex, Rank};
+    use syd_wire::{encode_to_vec, AsValue};
 
     /// A decoder, which no device needs (a device reads a link in place,
     /// [`LinkFields`]): the reference that read is held to.
@@ -1342,7 +1334,7 @@ mod tests {
     fn link_value_round_trip_no_expiry() {
         let link = subscription();
         assert_eq!(link.expires, None);
-        let value = link.to_value();
+        let value = Record::new(&link).into_value();
         assert_eq!(
             decode_from_slice::<Link>(value.as_bytes().unwrap()).unwrap(),
             link
@@ -1373,7 +1365,7 @@ mod tests {
     fn unknown_version_and_map_form_are_refused() {
         let mut bytes = encode_to_vec(&subscription());
         bytes[0] = LINK_VERSION + 1;
-        let err = Encoded::<Link>::of(&Value::Bytes(bytes)).err().unwrap();
+        let err = Encoded::<Link>::of(&Value::from(bytes)).err().unwrap();
         assert!(matches!(err, SydError::Codec(_)), "{err}");
 
         // What a peer of the map era would send: refused, not half-read.
@@ -1434,7 +1426,7 @@ mod tests {
             ("created", Value::I64(-1)),
             ("k", Value::I64(1 << 32)),
             ("k", Value::I64(1)),
-            ("refs", Value::Bytes(vec![1])),
+            ("refs", Value::from(vec![1])),
         ] {
             let at = device
                 .store()

@@ -4,12 +4,14 @@
 //! them is paid once per member of every group call. A counting allocator
 //! counts every allocation of the process over a batch of authenticated
 //! invocations between two devices on an ideal network (DESIGN.md §19,
-//! "What a request allocates").
+//! "What a request allocates"), and those of the test's own thread where
+//! the work never leaves it.
 
 #![allow(unsafe_code)] // the counting allocator
 #![allow(clippy::unwrap_used)] // test code
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -21,26 +23,41 @@ use syd_types::{ServiceName, Value};
 /// Allocations made since the process started, reallocations included.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Allocations this thread made, counted the same way: an idle
+    /// deployment's threads keep running beside a test and never add to
+    /// it. `const` and without a destructor, so counting allocates
+    /// nothing and works until the thread is gone.
+    static OWN: Cell<u64> = const { Cell::new(0) };
+}
+
 struct Counting;
+
+impl Counting {
+    fn count() {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        OWN.with(|own| own.set(own.get() + 1));
+    }
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counter touches no allocator
 // state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        Counting::count();
         // SAFETY: the caller's `layout` is passed through as given.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        Counting::count();
         // SAFETY: as in `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        Counting::count();
         // SAFETY: `ptr`, `layout` and `new_size` are the caller's, unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -81,11 +98,18 @@ const CEILING: f64 = 11.0;
 /// paid once for all 32, and the caller's own member sends no frame.
 const GROUP_CEILING: f64 = 2.41;
 
-/// Counts the allocations `f` makes.
+/// Counts the allocations every thread makes while `f` runs.
 fn allocs(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.load(Ordering::Relaxed);
     f();
     ALLOCS.load(Ordering::Relaxed) - before
+}
+
+/// Counts the allocations `f` makes on this thread.
+fn own_allocs(f: impl FnOnce()) -> u64 {
+    let before = OWN.with(Cell::get);
+    f();
+    OWN.with(Cell::get) - before
 }
 
 #[test]
@@ -158,7 +182,10 @@ fn verifying_a_device_blob_allocates_nothing() {
     let auth = env.authenticator().unwrap();
     let blob = auth.seal(&Credentials::new(device.user(), "phils-password"), [7; 8]);
     assert_eq!(auth.verify(&blob).unwrap(), device.user());
-    let made = allocs(|| {
+    // The thread's own counter sees this thread's allocations.
+    let boxed = own_allocs(|| drop(std::hint::black_box(Box::new(7u8))));
+    assert_eq!(boxed, 1);
+    let made = own_allocs(|| {
         for _ in 0..CALLS {
             assert!(auth.verify(&blob).is_ok());
         }

@@ -1139,7 +1139,7 @@ mod tests {
         server.set_handler(Arc::new(|_: NodeAddr, req: Request| {
             Ok(Value::list([
                 Value::I64(req.caller.raw() as i64),
-                Value::Bytes(req.credentials.to_vec()),
+                Value::Bytes(req.credentials[..].into()),
             ]))
         }));
         let client = Node::spawn(&net);
@@ -1147,7 +1147,7 @@ mod tests {
         let v = client
             .call(server.addr(), &ServiceName::new("svc"), "id", vec![])
             .unwrap();
-        assert_eq!(v, Value::list([Value::I64(42), Value::Bytes(vec![9, 9])]));
+        assert_eq!(v, Value::list([Value::I64(42), Value::from(vec![9, 9])]));
     }
 
     #[test]

@@ -53,6 +53,6 @@ pub use predicate::Predicate;
 pub use query::Query;
 pub use schema::{Column, ColumnType, Schema};
 pub use store::Store;
-pub use table::{Assignments, Row, RowId};
+pub use table::{Row, RowId};
 pub use trigger::{Trigger, TriggerCtx, TriggerEvent, TriggerTiming};
 pub use txn::{Txn, TxnId};

@@ -5,13 +5,13 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use syd_types::sync::{Rank, RwLock};
-use syd_types::{SydError, SydResult, Value};
+use syd_types::{SydError, SydResult, Text, Value};
 
 use crate::lock::{LockManager, LockRights};
 use crate::predicate::Predicate;
 use crate::query::Query;
 use crate::schema::Schema;
-use crate::table::{Assignments, Before, Change, Log, Row, RowChange, RowId, Table};
+use crate::table::{Before, Change, Log, Row, RowChange, RowId, Table};
 use crate::trigger::{Trigger, TriggerCtx, TriggerEvent, TriggerTiming};
 use crate::txn::{Txn, TxnId};
 
@@ -311,15 +311,13 @@ impl Store {
     }
 
     /// Updates matching rows; fires update triggers; returns affected
-    /// count. Given assignments (`&mut [..]`) move into the last new row
-    /// ([`Assignments`]).
-    pub fn update<'a>(
+    /// count.
+    pub fn update(
         &self,
         table: &str,
         pred: &Predicate,
-        assignments: impl Into<Assignments<'a>>,
+        assignments: &[(Text, Value)],
     ) -> SydResult<usize> {
-        let assignments = assignments.into();
         self.statement(table, TriggerEvent::Update, None, |t, before, log| {
             t.update(pred, assignments, before, log)
         })

@@ -76,55 +76,6 @@ pub(crate) type Before<'a> =
 /// Where a statement reports its [`RowChange`]s, if anyone reads them.
 pub(crate) type Log<'a> = Option<&'a mut Vec<RowChange>>;
 
-/// What an update writes. A caller that lends its assignments
-/// (`&[..]`) has each value cloned into every new row; one that gives
-/// them (`&mut [..]`) has each moved into the last new row and cloned
-/// into the others only, and finds the moved ones left `Null` once a row
-/// matched.
-pub enum Assignments<'a> {
-    /// Cloned into each new row.
-    Lent(&'a [(Text, Value)]),
-    /// Moved into the last new row.
-    Given(&'a mut [(Text, Value)]),
-}
-
-impl Assignments<'_> {
-    fn pairs(&self) -> &[(Text, Value)] {
-        match self {
-            Assignments::Lent(pairs) => pairs,
-            Assignments::Given(pairs) => pairs,
-        }
-    }
-
-    /// The value assigned to `column` (the later of two wins, as if they
-    /// were applied in order), moved out when `last` and given.
-    fn cell(&mut self, column: &str, last: bool) -> Option<Value> {
-        let at = (self.pairs().iter()).rposition(|(col, _)| col.as_str() == column)?;
-        Some(match self {
-            Assignments::Given(pairs) if last => std::mem::take(&mut pairs[at].1),
-            other => other.pairs()[at].1.clone(),
-        })
-    }
-}
-
-impl<'a> From<&'a [(Text, Value)]> for Assignments<'a> {
-    fn from(pairs: &'a [(Text, Value)]) -> Self {
-        Assignments::Lent(pairs)
-    }
-}
-
-impl<'a, const N: usize> From<&'a [(Text, Value); N]> for Assignments<'a> {
-    fn from(pairs: &'a [(Text, Value); N]) -> Self {
-        Assignments::Lent(pairs)
-    }
-}
-
-impl<'a, const N: usize> From<&'a mut [(Text, Value); N]> for Assignments<'a> {
-    fn from(pairs: &'a mut [(Text, Value); N]) -> Self {
-        Assignments::Given(pairs)
-    }
-}
-
 /// The rows a statement writes: the first inline, the rest in a `Vec`
 /// that a one-row statement — most of them — never allocates.
 type Rows<T> = (Option<T>, Vec<T>);
@@ -359,40 +310,41 @@ impl Table {
     /// build each prospective row once and show it to `before`, then
     /// apply. Every error — a rejected value, a primary-key collision, a
     /// veto — comes out of the first pass and so leaves every row
-    /// unchanged.
+    /// unchanged. Each new row clones the assigned values (the later of
+    /// two for one column wins) and the old row's other cells, and a
+    /// clone of a long string or bytes cell shares its buffer.
     /// Returns how many rows changed; `log` gets the changes, whose old
     /// and new rows are the very allocations `before` saw and the table
     /// held and now holds.
     pub(crate) fn update(
         &mut self,
         pred: &Predicate,
-        mut assignments: Assignments<'_>,
+        assignments: &[(Text, Value)],
         mut before: Before<'_>,
         mut log: Log<'_>,
     ) -> SydResult<usize> {
         let (columns, name) = (&self.schema.columns, &self.schema.name);
-        for (col, value) in assignments.pairs() {
+        for (col, value) in assignments {
             if !columns[self.schema.column_index(col)?].admits(value) {
                 let rejects = format!("column `{name}.{col}` rejects {value}");
                 return Err(SydError::SchemaViolation(rejects));
             }
         }
-        let assigns = |column: &str| (assignments.pairs().iter()).any(|(col, _)| col == column);
-        let rekeys = (self.schema.primary_key.iter()).any(|&i| assigns(&columns[i].name));
+        let assigned = |column: &str| (assignments.iter().rev()).find(|(col, _)| col == column);
+        let rekeys =
+            (self.schema.primary_key.iter()).any(|&i| assigned(&columns[i].name).is_some());
 
         let mut writes = Rows::default();
         let mut claimed = BTreeSet::new();
-        let mut write = |row_id, old: Arc<[Value]>, last| -> SydResult<()> {
+        self.visit(pred, |row_id, old| {
             let new: Arc<[Value]> = (old.iter().zip(columns))
-                .map(|(cell, column)| {
-                    (assignments.cell(&column.name, last)).unwrap_or_else(|| cell.clone())
-                })
+                .map(|(cell, column)| assigned(&column.name).map_or(cell, |(_, v)| v).clone())
                 .collect();
             // Primary-key updates must preserve uniqueness, against the
             // stored keys and against the other rows of this statement.
             if rekeys {
                 let new_key = self.pk_of(&new);
-                if new_key != self.pk_of(&old)
+                if new_key != self.pk_of(old)
                     && (self.pk_map.contains_key(&new_key) || !claimed.insert(new_key))
                 {
                     return Err(SydError::SchemaViolation(format!(
@@ -402,23 +354,11 @@ impl Table {
                 }
             }
             if let Some(before) = before.as_deref_mut() {
-                before(Some(&old), Some(&new))?;
+                before(Some(old), Some(&new))?;
             }
-            push(&mut writes, (row_id, old, new));
+            push(&mut writes, (row_id, Arc::clone(old), new));
             Ok(())
-        };
-        // Each matched row is built once the next one is found, so the
-        // last is known when it is built: given values move into it.
-        let mut held = None;
-        self.visit(pred, |row_id, old| {
-            match held.replace((row_id, Arc::clone(old))) {
-                Some((id, prev)) => write(id, prev, false),
-                None => Ok(()),
-            }
         })?;
-        if let Some((id, last)) = held {
-            write(id, last, true)?;
-        }
         let mut n = 0;
         for (row_id, old, new) in writes.0.into_iter().chain(writes.1) {
             self.set_row(row_id, Arc::clone(&new));
@@ -567,7 +507,7 @@ mod tests {
         let n = t
             .update(
                 &Predicate::Eq("status".into(), Value::str("free")),
-                Assignments::Lent(&[("status".into(), Value::str("reserved"))]),
+                &[("status".into(), Value::str("reserved"))],
                 None,
                 Some(&mut changes),
             )
@@ -588,41 +528,37 @@ mod tests {
         }
     }
 
-    /// A given value moves into the last new row, the very buffer the
-    /// caller built, and is cloned into the rows before it; with no row
-    /// matched the caller keeps it.
+    /// A long bytes cell is one buffer however many rows hold it: an
+    /// update that assigns another column leaves it where it was, and an
+    /// assigned one is shared by every new row.
     #[test]
-    fn a_given_assignment_moves_into_the_last_row() {
+    fn an_update_shares_long_bytes_cells() {
         let schema = Schema::new(
             "records",
             vec![
                 Column::required("id", ColumnType::I64),
+                Column::required("n", ColumnType::I64),
                 Column::required("data", ColumnType::Bytes),
             ],
             &["id"],
         );
         let mut t = Table::new(schema.unwrap());
         for id in [1, 2] {
-            t.insert_row([Value::I64(id), Value::Bytes(vec![0])].into())
-                .unwrap();
+            let cells = [Value::I64(id), Value::I64(0), Value::from(vec![0; 40])];
+            t.insert_row(cells.into()).unwrap();
         }
-        let by_id = |id| Predicate::Eq("id".into(), Value::I64(id));
-        let mut given = [("data".into(), Value::Bytes(vec![7; 40]))];
-        let buffer = given[0].1.as_bytes().unwrap().as_ptr();
-        let none = Assignments::Given(&mut given);
-        assert_eq!(t.update(&by_id(3), none, None, None).unwrap(), 0);
-        assert_eq!(given[0].1.as_bytes().unwrap().as_ptr(), buffer);
+        let data = |t: &Table, id| t.get_by_key(&[Value::I64(id)]).unwrap().values[2].clone();
+        let ptr = |v: Value| v.as_bytes().unwrap().as_ptr();
+        let stored = [1, 2].map(|id| ptr(data(&t, id)));
         let both = Predicate::Between("id".into(), Value::I64(1), Value::I64(2));
-        let n = t.update(&both, Assignments::Given(&mut given), None, None);
+        let n = t.update(&both, &[("n".into(), Value::I64(1))], None, None);
         assert_eq!(n.unwrap(), 2);
-        assert_eq!(given[0].1, Value::Null);
-        let data = |id| t.get_by_key(&[Value::I64(id)]).unwrap().values[1].clone();
-        assert_eq!(
-            (data(1), data(2)),
-            (Value::Bytes(vec![7; 40]), Value::Bytes(vec![7; 40]))
-        );
-        let last = t.get_by_key(&[Value::I64(2)]).unwrap();
-        assert_eq!(last.values[1].as_bytes().unwrap().as_ptr(), buffer);
+        assert_eq!([1, 2].map(|id| ptr(data(&t, id))), stored);
+        let given = [("data".into(), Value::from(vec![7; 40]))];
+        assert_eq!(t.update(&both, &given, None, None).unwrap(), 2);
+        let buffer = ptr(given[0].1.clone());
+        assert_eq!([1, 2].map(|id| ptr(data(&t, id))), [buffer; 2]);
+        assert_eq!(data(&t, 1), Value::from(vec![7; 40]));
     }
 
     #[test]
@@ -633,7 +569,7 @@ mod tests {
         let err = t
             .update(
                 &Predicate::Eq("day".into(), Value::I64(1)),
-                Assignments::Lent(&[("day".into(), Value::I64(2))]),
+                &[("day".into(), Value::I64(2))],
                 None,
                 None,
             )
@@ -644,7 +580,7 @@ mod tests {
         let err = t
             .update(
                 &Predicate::True,
-                Assignments::Lent(&[("day".into(), Value::I64(7))]),
+                &[("day".into(), Value::I64(7))],
                 None,
                 None,
             )
@@ -701,7 +637,7 @@ mod tests {
         // Index stays consistent across update and delete.
         t.update(
             &Predicate::Eq("n".into(), Value::I64(10)),
-            Assignments::Lent(&[("n".into(), Value::I64(1000))]),
+            &[("n".into(), Value::I64(1000))],
             None,
             None,
         )

@@ -24,7 +24,7 @@ use syd_types::{SydResult, Text, Value};
 use crate::lock::LockKey;
 use crate::predicate::Predicate;
 use crate::store::Store;
-use crate::table::{Assignments, Before, Log, Row, RowChange, RowId, Table};
+use crate::table::{Before, Log, Row, RowChange, RowId, Table};
 use crate::trigger::TriggerEvent;
 
 /// Transaction identity (doubles as the lock owner id).
@@ -136,7 +136,7 @@ impl Txn {
         // the store so rows that changed after the read are re-tested.
         self.lock_rows(table, &self.store.select(table, pred)?)?;
         self.logged(table, TriggerEvent::Update, |t, before, log| {
-            t.update(pred, Assignments::Lent(assignments), before, log)
+            t.update(pred, assignments, before, log)
         })
     }
 

@@ -205,7 +205,7 @@ mod prop_tests {
             1 => Value::I64(rng.any_u64() as i64),
             2 => Value::Bool(rng.chance(1, 2)),
             3 => Value::str(rng.string(40)),
-            _ => Value::Bytes(rng.bytes(63)),
+            _ => Value::from(rng.bytes(63)),
         };
         let payload = if rng.chance(1, 2) {
             Payload::Request(Request {

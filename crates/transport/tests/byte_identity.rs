@@ -53,7 +53,7 @@ fn sample_envelopes(src: NodeAddr, dst: NodeAddr) -> Vec<Envelope> {
             Payload::Event(EventMsg {
                 topic: "link.promoted".into(),
                 source: UserId::new(1),
-                payload: Value::Bytes(vec![1, 2, 3, 4, 5]),
+                payload: Value::from(vec![1, 2, 3, 4, 5]),
             }),
         ),
     ]

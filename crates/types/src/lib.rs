@@ -12,8 +12,10 @@
 //! workspace keeps the few primitives it would otherwise import — locks
 //! that ignore poisoning ([`sync`]), the one channel ([`queue`]), the
 //! one seeded generator with its property-test runner ([`rng`]), the
-//! string every name travels as, inline when short ([`Text`]), and the
-//! bytes a sealed credential travels as, inline likewise ([`Blob`]).
+//! byte string that a sealed credential, a call's arguments and a stored
+//! record travel as, inline when short and shared when long ([`Bytes`],
+//! [`Blob`]), and the string every name travels as, the same byte string
+//! with its UTF-8 invariant ([`Text`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,7 +34,7 @@ pub mod time;
 pub mod value;
 
 pub use bitmap::SlotBitmap;
-pub use blob::Blob;
+pub use blob::{Blob, Bytes};
 pub use constraint::Constraint;
 pub use error::{SydError, SydResult};
 pub use id::{DeviceId, GroupId, LinkId, MeetingId, NodeAddr, RequestId, ServiceName, UserId};

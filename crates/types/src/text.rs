@@ -4,42 +4,37 @@
 //! entities (`slot:100`) and correlation ids (`meeting:16777217`) are a
 //! few bytes long; as `String`s each copy and each decode was an
 //! allocation. A `Text` of up to [`INLINE_CAP`] bytes lives inline in the
-//! 24 bytes a `String` takes, a longer one in an `Arc<str>`. `Eq`, `Ord`
+//! 24 bytes a `String` takes, a longer one in an `Arc<str>`: the
+//! representation of [`crate::Bytes`], with its UTF-8 invariant. `Eq`, `Ord`
 //! and `Hash` are `str`'s, so a `BTreeMap<Text, _>` orders, looks up
 //! (through `Borrow<str>`) and encodes as a `BTreeMap<String, _>` does.
 
 use core::borrow::Borrow;
-use core::cmp::Ordering;
 use core::fmt;
 use core::hash::{Hash, Hasher};
 use core::ops::Deref;
-use std::sync::Arc;
+
+use crate::blob::Repr;
 
 /// The longest string a [`Text`] keeps inline (22 bytes): a tag byte and a
 /// length byte fill the rest of its 24.
 pub const INLINE_CAP: usize = 22;
 
-#[derive(Clone)]
-enum Repr {
-    /// `buf[..len]` is valid UTF-8.
-    Inline {
-        len: u8,
-        buf: [u8; INLINE_CAP],
-    },
-    Shared(Arc<str>),
-}
-
 /// An immutable UTF-8 string: inline up to [`INLINE_CAP`] bytes, shared
-/// beyond. Dereferences to `str`.
-#[derive(Clone)]
-pub struct Text(Repr);
+/// beyond, in the representation of a [`crate::Bytes`] whose bytes are
+/// always a whole `str`. Dereferences to `str`.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Text(Repr<INLINE_CAP, str>);
 
 impl Text {
     /// The string slice.
     pub fn as_str(&self) -> &str {
-        // Inline bytes are always a whole `&str` copied in: the empty
-        // fallback is never taken.
-        core::str::from_utf8(self.bytes()).unwrap_or_default()
+        match &self.0 {
+            Repr::Shared(s) => s,
+            // Inline bytes are always a whole `&str` copied in: the empty
+            // fallback is never taken.
+            inline => core::str::from_utf8(inline.as_bytes()).unwrap_or_default(),
+        }
     }
 
     /// `format!` into a `Text`: a result of up to [`INLINE_CAP`] bytes is
@@ -59,34 +54,13 @@ impl Text {
     /// A constant name: `s` copied inline at compile time. A string longer
     /// than [`INLINE_CAP`] bytes does not compile (in a `const`).
     pub const fn constant(s: &str) -> Text {
-        let bytes = s.as_bytes();
-        assert!(bytes.len() <= INLINE_CAP, "a constant Text is inline");
-        let mut buf = [0; INLINE_CAP];
-        buf.split_at_mut(bytes.len()).0.copy_from_slice(bytes);
-        Text(Repr::Inline {
-            len: bytes.len() as u8,
-            buf,
-        })
+        assert!(s.len() <= INLINE_CAP, "a constant Text is inline");
+        Text(Repr::inline(s.as_bytes()))
     }
 
     /// Whether the string lives inline (it is at most [`INLINE_CAP`] bytes).
     pub fn is_inline(&self) -> bool {
-        matches!(self.0, Repr::Inline { .. })
-    }
-
-    fn bytes(&self) -> &[u8] {
-        match &self.0 {
-            Repr::Inline { len, buf } => &buf[..usize::from(*len)],
-            Repr::Shared(s) => s.as_bytes(),
-        }
-    }
-
-    /// Copies `s` inline when it fits.
-    fn inline(s: &str) -> Option<Text> {
-        let mut buf = [0; INLINE_CAP];
-        buf.get_mut(..s.len())?.copy_from_slice(s.as_bytes());
-        let len = s.len() as u8; // at most INLINE_CAP
-        Some(Text(Repr::Inline { len, buf }))
+        self.0.is_inline()
     }
 }
 
@@ -111,40 +85,19 @@ impl Borrow<str> for Text {
 
 impl From<&str> for Text {
     fn from(s: &str) -> Self {
-        Text::inline(s).unwrap_or_else(|| Text(Repr::Shared(Arc::from(s))))
+        Text(Repr::copy(s))
     }
 }
 
 impl From<String> for Text {
     fn from(s: String) -> Self {
-        Text::inline(&s).unwrap_or_else(|| Text(Repr::Shared(Arc::from(s))))
+        Text::from(s.as_str())
     }
 }
 
 impl From<&Text> for Text {
     fn from(s: &Text) -> Self {
         s.clone()
-    }
-}
-
-impl PartialEq for Text {
-    fn eq(&self, other: &Self) -> bool {
-        self.bytes() == other.bytes()
-    }
-}
-
-impl Eq for Text {}
-
-impl PartialOrd for Text {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Text {
-    /// Byte order, which is `str`'s order.
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.bytes().cmp(other.bytes())
     }
 }
 
@@ -156,13 +109,13 @@ impl Hash for Text {
 
 impl PartialEq<str> for Text {
     fn eq(&self, other: &str) -> bool {
-        self.bytes() == other.as_bytes()
+        self.0.as_bytes() == other.as_bytes()
     }
 }
 
 impl PartialEq<&str> for Text {
     fn eq(&self, other: &&str) -> bool {
-        self.bytes() == other.as_bytes()
+        self.0.as_bytes() == other.as_bytes()
     }
 }
 
@@ -185,13 +138,19 @@ mod tests {
     use crate::rng::cases;
     use std::collections::{BTreeMap, HashMap};
 
-    /// A stored row is `Value`s, and a `Value::Str` is a `Text`: growing
-    /// either grows every row.
+    /// A stored row is `Value`s, and a `Value::Str` is a `Text` and a
+    /// `Value::Bytes` a `Bytes` of the same representation: growing any
+    /// of them grows every row.
     #[test]
     fn sizes_are_pinned() {
-        assert_eq!(core::mem::size_of::<Text>(), 24);
-        assert_eq!(core::mem::size_of::<Option<Text>>(), 24);
-        assert_eq!(core::mem::size_of::<crate::Value>(), 32);
+        use crate::blob::{Blob, Bytes};
+        use core::mem::size_of;
+        assert_eq!(size_of::<Text>(), 24);
+        assert_eq!(size_of::<Option<Text>>(), 24);
+        assert_eq!(size_of::<Bytes>(), 24);
+        assert_eq!(size_of::<Option<Bytes>>(), 24);
+        assert_eq!(size_of::<crate::Value>(), 32);
+        assert_eq!(size_of::<Blob>(), 80);
     }
 
     #[test]

@@ -15,6 +15,7 @@
 use core::fmt;
 use std::collections::BTreeMap;
 
+use crate::blob::Bytes;
 use crate::error::{SydError, SydResult};
 use crate::text::Text;
 
@@ -38,8 +39,9 @@ pub enum Value {
     F64(f64),
     /// UTF-8 string; short ones inline ([`Text`]).
     Str(Text),
-    /// Opaque byte blob (e.g. encrypted credentials).
-    Bytes(Vec<u8>),
+    /// Opaque bytes (an encoded record, a link's `refs`, a bitmap):
+    /// inline up to 22, else shared by every clone ([`Bytes`]).
+    Bytes(Bytes),
     /// Ordered list of values.
     List(Vec<Value>),
     /// String-keyed map with canonical (sorted) key order.
@@ -173,14 +175,6 @@ impl Value {
         match self {
             Value::List(items) => Ok(items),
             other => Err(SydError::type_mismatch("list", other.type_name())),
-        }
-    }
-
-    /// Consumes the value, extracting owned bytes.
-    pub fn into_bytes(self) -> SydResult<Vec<u8>> {
-        match self {
-            Value::Bytes(b) => Ok(b),
-            other => Err(SydError::type_mismatch("bytes", other.type_name())),
         }
     }
 
@@ -329,7 +323,7 @@ impl From<Text> for Value {
 
 impl From<Vec<u8>> for Value {
     fn from(b: Vec<u8>) -> Self {
-        Value::Bytes(b)
+        Value::Bytes(b.into())
     }
 }
 
@@ -353,7 +347,7 @@ mod tests {
         assert_eq!(Value::F64(1.5).as_f64().unwrap(), 1.5);
         assert_eq!(Value::I64(2).as_f64().unwrap(), 2.0);
         assert_eq!(Value::str("hi").as_str().unwrap(), "hi");
-        assert_eq!(Value::Bytes(vec![1, 2]).as_bytes().unwrap(), &[1, 2]);
+        assert_eq!(Value::from(vec![1, 2]).as_bytes().unwrap(), &[1, 2]);
         assert_eq!(
             Value::list([Value::I64(1)]).as_list().unwrap(),
             &[Value::I64(1)]
@@ -384,7 +378,6 @@ mod tests {
             Value::list([Value::Bool(false)]).into_list().unwrap(),
             vec![Value::Bool(false)]
         );
-        assert_eq!(Value::Bytes(vec![9]).into_bytes().unwrap(), vec![9]);
     }
 
     #[test]
@@ -399,7 +392,8 @@ mod tests {
             Value::F64(f64::NAN),
             Value::str("a"),
             Value::str("b"),
-            Value::Bytes(vec![0]),
+            Value::from(vec![0]),
+            Value::from(vec![0; 30]),
             Value::list([Value::I64(1)]),
             Value::map([("k", Value::Null)]),
         ];
@@ -442,7 +436,7 @@ mod tests {
             ("l", Value::list([Value::Bool(true)])),
         ]);
         assert_eq!(format!("{v}"), "{l: [true], n: 1, s: \"x\"}");
-        assert_eq!(format!("{}", Value::Bytes(vec![1, 2, 3])), "<3 bytes>");
+        assert_eq!(format!("{}", Value::from(vec![1, 2, 3])), "<3 bytes>");
     }
 
     #[test]
@@ -452,6 +446,26 @@ mod tests {
         assert_eq!(Value::from(7u32), Value::I64(7));
         assert_eq!(Value::from(1.25f64), Value::F64(1.25));
         assert_eq!(Value::from("s"), Value::str("s"));
-        assert_eq!(Value::from(vec![1u8, 2]), Value::Bytes(vec![1, 2]));
+        assert_eq!(
+            Value::from(vec![1u8, 2]),
+            Value::Bytes(Bytes::from(&[1, 2][..]))
+        );
+    }
+
+    #[test]
+    fn a_bytes_clone_shares_its_buffer_and_short_bytes_rest_inline() {
+        let ptr = |v: &Value| v.as_bytes().unwrap().as_ptr();
+        let long = Value::from(vec![7; 23]);
+        assert_eq!(ptr(&long.clone()), ptr(&long));
+        for n in [0, 1, 22] {
+            let Value::Bytes(bytes) = Value::from(vec![7; n]) else {
+                unreachable!()
+            };
+            assert!(bytes.is_inline(), "{n} bytes");
+        }
+        let Value::Bytes(bytes) = long else {
+            unreachable!()
+        };
+        assert!(!bytes.is_inline());
     }
 }

@@ -22,7 +22,7 @@ use std::fmt;
 
 use syd_types::{Blob, SydResult, Value};
 
-use crate::codec::{decode_from_slice, encode_to_blob, skip_value, Decode, Encode, Reader, Sink};
+use crate::codec::{decode_from_slice, encode_to_bytes, skip_value, Decode, Encode, Reader, Sink};
 
 /// An immutable argument list, as its encoding; a clone shares a long one.
 #[derive(Clone, PartialEq)]
@@ -31,7 +31,7 @@ pub struct Args(Blob);
 impl Args {
     /// Encodes `values` as a list, once.
     pub fn new(values: &[Value]) -> Args {
-        Args(encode_to_blob(values))
+        Args(encode_to_bytes(values))
     }
 
     /// The list's canonical bytes: the varint count, then the values.
@@ -98,7 +98,7 @@ mod tests {
         vec![
             Value::I64(7),
             Value::str("free_slots"),
-            Value::Bytes(vec![1, 2, 3]),
+            Value::from(vec![1, 2, 3]),
             Value::list([Value::Bool(true), Value::Null]),
         ]
     }
@@ -126,7 +126,7 @@ mod tests {
     fn every_decoded_length_round_trips_inline_or_not() {
         let mut values = sample();
         values.extend(sample());
-        values.push(Value::Bytes(vec![9; 64]));
+        values.push(Value::from(vec![9; 64]));
         for n in 0..=values.len() {
             let built = Args::from(values[..n].to_vec());
             let bytes = encode_to_vec(&built);
@@ -142,7 +142,7 @@ mod tests {
     /// is copied inline, bytes and all.
     #[test]
     fn a_long_list_is_shared_by_its_clones() {
-        let long = Args::from(vec![Value::Bytes(vec![7; 100])]);
+        let long = Args::from(vec![Value::from(vec![7; 100])]);
         let clone = long.clone();
         assert_eq!(clone.as_bytes().as_ptr(), long.as_bytes().as_ptr());
         let short = Args::from(sample());

@@ -15,7 +15,7 @@
 //! cannot trigger an enormous allocation.
 
 use syd_types::{
-    Blob, Day, DeviceId, GroupId, LinkId, MeetingId, NodeAddr, Priority, RequestId, ServiceName,
+    Bytes, Day, DeviceId, GroupId, LinkId, MeetingId, NodeAddr, Priority, RequestId, ServiceName,
     SlotBitmap, SlotIndex, SlotRange, SydError, SydResult, Text, TimeSlot, Timestamp, UserId,
     Value,
 };
@@ -226,10 +226,11 @@ pub fn encode_to_vec<T: Encode + ?Sized>(value: &T) -> Vec<u8> {
     buf
 }
 
-/// Encodes `value` into a [`Blob`]: inline when short, else one shared
-/// buffer allocated once at its exact size.
-pub fn encode_to_blob<T: Encode + ?Sized>(value: &T) -> Blob {
-    Blob::build(encoded_len(value), |buf| value.encode(&mut Fill(buf)))
+/// Encodes `value` into [`Bytes`] (a [`syd_types::Blob`], or a
+/// [`Value::Bytes`] cell): inline when short, else one shared buffer
+/// allocated once at its exact size.
+pub fn encode_to_bytes<const N: usize, T: Encode + ?Sized>(value: &T) -> Bytes<N> {
+    Bytes::build(encoded_len(value), |buf| value.encode(&mut Fill(buf)))
 }
 
 /// Exact number of bytes [`Encode::encode`] writes for `value`, counted
@@ -397,25 +398,17 @@ where
     }
 }
 
-impl Decode for Vec<u8> {
-    fn decode(r: &mut Reader<'_>) -> SydResult<Self> {
-        let n = r.len_prefix()?;
-        Ok(r.bytes(n)?.to_vec())
-    }
-}
-
-impl Encode for Blob {
+impl<const N: usize> Encode for Bytes<N> {
     fn encode(&self, buf: &mut impl Sink) {
         self.as_slice().encode(buf);
     }
 }
 
-/// `Vec<u8>`'s format; up to [`syd_types::blob::INLINE_CAP`] bytes decode
-/// without an allocation.
-impl Decode for Blob {
+/// `Vec<u8>`'s format; up to `N` bytes decode without an allocation.
+impl<const N: usize> Decode for Bytes<N> {
     fn decode(r: &mut Reader<'_>) -> SydResult<Self> {
         let n = r.len_prefix()?;
-        Ok(Blob::from(r.bytes(n)?))
+        Ok(Bytes::from(r.bytes(n)?))
     }
 }
 
@@ -688,7 +681,7 @@ impl Decode for Value {
             VAL_I64 => Ok(Value::I64(i64::decode(r)?)),
             VAL_F64 => Ok(Value::F64(f64::decode(r)?)),
             VAL_STR => Ok(Value::Str(Text::decode(r)?)),
-            VAL_BYTES => Ok(Value::Bytes(Vec::<u8>::decode(r)?)),
+            VAL_BYTES => Ok(Value::Bytes(Bytes::decode(r)?)),
             VAL_LIST => {
                 let n = r.len_prefix()?;
                 let mut items = Vec::with_capacity(n.min(1024));
@@ -834,7 +827,7 @@ mod tests {
         round_trip(f64::NEG_INFINITY);
         round_trip(String::from("héllo"));
         round_trip(String::new());
-        round_trip(vec![0u8, 255, 7]);
+        round_trip(Bytes::<22>::from(vec![0, 255, 7]));
         round_trip(Option::<u64>::None);
         round_trip(Some(9u64));
     }
@@ -924,7 +917,7 @@ mod tests {
         round_trip(Value::I64(-77));
         round_trip(Value::F64(6.5));
         round_trip(Value::str("x"));
-        round_trip(Value::Bytes(vec![1, 2, 3]));
+        round_trip(Value::from(vec![1, 2, 3]));
         round_trip(Value::list([
             Value::I64(1),
             Value::list([Value::Null, Value::str("nested")]),
@@ -1135,7 +1128,7 @@ mod proptests {
             2 => Value::I64(rng.any_u64() as i64),
             3 => Value::F64(f64::from_bits(rng.any_u64())),
             4 => Value::str(rng.string(32)),
-            5 => Value::Bytes(rng.bytes(31)),
+            5 => Value::from(rng.bytes(31)),
             6 => Value::List(
                 (0..rng.below(6))
                     .map(|_| arb_value(rng, depth - 1))

@@ -562,7 +562,7 @@ mod tests {
             Payload::Event(EventMsg {
                 topic: "t".into(),
                 source: UserId::new(0),
-                payload: Value::Bytes(vec![0; 1000]),
+                payload: Value::from(vec![0; 1000]),
             }),
         );
         assert!(big.wire_len() > small.wire_len() + 900);
@@ -582,7 +582,7 @@ mod proptests {
             1 => Value::Bool(rng.chance(1, 2)),
             2 => Value::I64(rng.any_u64() as i64),
             3 => Value::str(rng.string(16)),
-            _ => Value::Bytes(rng.bytes(15)),
+            _ => Value::from(rng.bytes(15)),
         }
     }
 

@@ -26,6 +26,8 @@ pub mod envelope;
 pub mod typed;
 
 pub use args::Args;
-pub use codec::{decode_from_slice, encode_to_vec, encoded_len, Decode, Encode, Reader, Sink};
+pub use codec::{
+    decode_from_slice, encode_to_bytes, encode_to_vec, encoded_len, Decode, Encode, Reader, Sink,
+};
 pub use envelope::{Envelope, EventMsg, Payload, Request, Response, TraceContext};
 pub use typed::{read_owned, AsValue, Encoded, InPlace, Params, Record};

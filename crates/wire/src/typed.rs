@@ -21,7 +21,7 @@ use syd_types::{
 use std::marker::PhantomData;
 
 use crate::args::Args;
-use crate::codec::{decode_from_slice, encode_to_vec, Decode, Encode, Reader};
+use crate::codec::{decode_from_slice, encode_to_bytes, Decode, Encode, Reader};
 use crate::codec::{VAL_BYTES, VAL_LIST, VAL_NULL};
 
 /// A type that travels as one [`Value`]: a verb's argument or its reply.
@@ -137,7 +137,7 @@ whole! {
     NodeAddr: |v| Ok(NodeAddr::new(v.as_i64()? as u64)), |addr| Value::from(addr.raw());
     Text: |v| v.as_text().cloned(), |s| Value::Str(s);
     String: |v| v.as_str().map(str::to_owned), |s| Value::from(s);
-    SlotBitmap: |v| decode_from_slice(v.as_bytes()?), |b| Value::Bytes(encode_to_vec(&b));
+    SlotBitmap: |v| decode_from_slice(v.as_bytes()?), |b| Value::Bytes(encode_to_bytes(&b));
 }
 
 /// `None` travels as `Null`.
@@ -197,7 +197,7 @@ impl<T: Encode> Record<T> {
     /// Encodes `record`.
     pub fn new(record: &T) -> Record<T> {
         Record {
-            value: Value::Bytes(encode_to_vec(record)),
+            value: Value::Bytes(encode_to_bytes(record)),
             record: PhantomData,
         }
     }
@@ -246,7 +246,7 @@ impl<'a, T: InPlace> Encoded<'a, T> {
     /// allocation a stored record costs).
     pub fn to_record(&self) -> Record<T> {
         Record {
-            value: Value::Bytes(self.bytes.to_vec()),
+            value: Value::Bytes(self.bytes.into()),
             record: PhantomData,
         }
     }
@@ -365,6 +365,7 @@ tuples! {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // test code
 mod tests {
     use super::*;
+    use crate::codec::encode_to_vec;
 
     fn protocol<T: std::fmt::Debug>(read: SydResult<T>) -> String {
         match read {

@@ -39,9 +39,9 @@ fn golden_lists() -> [Vec<u8>; 2] {
             ("action", Value::str("reserve")),
             ("meeting", Value::from((1u64 << 24) | 1)),
             ("priority", Value::from(100u32)),
-            ("record", Value::Bytes(unhex(record))),
+            ("record", Value::Bytes(unhex(record).into())),
         ];
-        fields.extend(link.map(|link| ("link", Value::Bytes(unhex(link)))));
+        fields.extend(link.map(|link| ("link", Value::Bytes(unhex(link).into()))));
         Value::map(fields)
     };
     let list = |change: Value| {

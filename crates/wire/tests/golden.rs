@@ -39,7 +39,7 @@ fn the_mark_request_encodes_to_its_golden_bytes() {
         ("action", Value::str("reserve")),
         ("meeting", Value::from((1u64 << 24) | 1)),
         ("priority", Value::from(100u32)),
-        ("record", Value::Bytes(unhex(MARK_RECORD))),
+        ("record", Value::Bytes(unhex(MARK_RECORD).into())),
     ]);
     let envelope = Envelope::new(
         NodeAddr::new(2),
@@ -101,8 +101,8 @@ fn the_reconcile_commit_change_encodes_to_its_golden_bytes() {
         ("action", Value::str("reserve")),
         ("meeting", Value::from((1u64 << 24) | 1)),
         ("priority", Value::from(100u32)),
-        ("record", Value::Bytes(unhex(COMMIT_RECORD))),
-        ("link", Value::Bytes(unhex(COMMIT_LINK))),
+        ("record", Value::Bytes(unhex(COMMIT_RECORD).into())),
+        ("link", Value::Bytes(unhex(COMMIT_LINK).into())),
     ]);
     let bytes = encode_to_vec(&change);
     assert_eq!(bytes.len(), 185);

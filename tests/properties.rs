@@ -15,6 +15,7 @@ use syd::kernel::SydEnv;
 use syd::net::NetConfig;
 use syd::types::rng::cases;
 use syd::types::{MeetingId, Priority, TimeSlot, UserId, Value};
+use syd::wire::decode_from_slice;
 
 /// The k-of-n constraint decision implemented by the negotiator must match
 /// a brute-force oracle for every vote pattern.
@@ -150,7 +151,8 @@ fn meeting_value_round_trip() {
             groups: vec![GroupSpec::new(users.clone(), rng.below(4) as u32)],
             supervisors: vec![],
         };
-        let back = Meeting::from_value(&rec.to_value()).unwrap();
+        let value = rec.to_value();
+        let back: Meeting = decode_from_slice(value.as_bytes().unwrap()).unwrap();
         assert_eq!(back, rec);
     });
 }
